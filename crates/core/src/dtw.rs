@@ -240,6 +240,22 @@ impl WarpTable {
     /// stays sound, though it may (correctly) fire *earlier* than on
     /// the unpruned table, and `min` itself is no longer exact.
     pub fn push_value_pruned(&mut self, v: Value, limit: f64, rem: &[f64]) -> RowStat {
+        if rem.is_empty() {
+            self.push_pruned_row(v, limit, |_| limit)
+        } else {
+            debug_assert_eq!(rem.len(), self.query.len(), "one remainder per column");
+            self.push_pruned_row(v, limit, |x| limit - rem[x - 1])
+        }
+    }
+
+    /// The threshold-pruned row behind
+    /// [`push_value_pruned`](Self::push_value_pruned); `thr(x)` is the
+    /// most column `x` (1-based) may hold and still finish within
+    /// `limit`. Poisoning is a select, not a branch: which cells
+    /// survive is data-dependent, and a mispredict costs more than the
+    /// cell.
+    #[inline(always)]
+    fn push_pruned_row(&mut self, v: Value, limit: f64, thr: impl Fn(usize) -> f64) -> RowStat {
         let n = self.query.len();
         let stride = n + 1;
         let r = self.stats.len() + 1; // 1-based row index being added
@@ -258,73 +274,68 @@ impl WarpTable {
             }
         });
         let band = self.band(r);
-        if pf >= stride || band.is_none() {
-            // No viable predecessor at all (or the row is fully out of
-            // band): the row is all-infinite and costs nothing.
-            self.cells
-                .extend(std::iter::repeat_n(f64::INFINITY, stride));
-            let stat = RowStat {
-                dist: f64::INFINITY,
-                min: f64::INFINITY,
-            };
-            self.stats.push(stat);
-            self.bound_state = Some((stride, 0));
-            return stat;
-        }
-        let (blo, bhi) = band.expect("checked above");
-        let lo = blo.max(pf.max(1));
-        self.cells.push(f64::INFINITY); // column 0 boundary
-        self.cells
-            .extend(std::iter::repeat_n(f64::INFINITY, lo - 1));
+        let base = self.cells.len();
+        self.cells.resize(base + stride, f64::INFINITY);
+        let (head, cur) = self.cells.split_at_mut(base);
+        let prev = &head[prev_start..];
         let mut min = f64::INFINITY;
         let mut nf = stride; // first/last ≤-limit column of the new row
         let mut nl = 0usize;
         let mut computed = 0u64;
-        let mut diag = self.cells[prev_start + lo - 1];
-        let mut left = f64::INFINITY;
-        let mut x = lo;
-        while x <= bhi {
-            // Right of the previous row's viable range only the left
-            // neighbour can stay within the threshold; once it leaves,
-            // the rest of the row is provably above `limit`.
-            if x > pl + 1 && left > limit {
-                break;
+        // No viable predecessor at all, or a row fully out of band,
+        // leaves the row all-infinite at no cost.
+        if let (Some((blo, bhi)), true) = (band, pf < stride) {
+            let lo = blo.max(pf.max(1));
+            let mut left = f64::INFINITY;
+            // Up to one column past the previous row's viable range a
+            // cell has up to three finite predecessors.
+            let mid = bhi.min(pl + 1);
+            if lo <= mid {
+                let cells = cur[lo..=mid]
+                    .iter_mut()
+                    .zip(&self.query[lo - 1..mid])
+                    .zip(prev[lo - 1..mid].iter().zip(&prev[lo..=mid]));
+                // `raw` carries the recurrence along the row
+                // unpoisoned, which keeps the select off the loop's
+                // dependency chain. Poisoning only ever raises a cell
+                // whose paths all end above `limit`, so a neighbour
+                // reached through the raw value is judged by its own
+                // threshold and every ≤-limit distance stays exact.
+                let mut raw = f64::INFINITY;
+                for (i, ((cell, &q), (&diag, &up))) in cells.enumerate() {
+                    let x = lo + i;
+                    // Cells that cannot finish within `limit` are
+                    // poisoned: the column's remainder still has to be
+                    // paid downstream.
+                    raw = (q - v).abs() + fmin(fmin(diag, up), raw);
+                    left = if raw <= thr(x) { raw } else { f64::INFINITY };
+                    *cell = left;
+                    min = fmin(min, left);
+                    let viable = left <= limit;
+                    nf = nf.min(if viable { x } else { stride });
+                    nl = if viable { x } else { nl };
+                }
+                computed += (mid + 1 - lo) as u64;
             }
-            let up = self.cells[prev_start + x];
-            let best = diag.min(up).min(left);
-            // Cells that cannot finish within `limit` are poisoned: the
-            // column's remainder still has to be paid downstream.
-            let thr = limit - rem.get(x - 1).copied().unwrap_or(0.0);
-            let cell = if best <= thr {
+            // Further right only the left neighbour can stay within the
+            // threshold; once it leaves, the rest of the row is
+            // provably above `limit`.
+            let mut x = lo.max(pl + 2);
+            while x <= bhi && left <= limit {
+                let c = (self.query[x - 1] - v).abs() + left;
+                left = if c <= thr(x) { c } else { f64::INFINITY };
+                cur[x] = left;
                 computed += 1;
-                let c = (self.query[x - 1] - v).abs() + best;
-                if c <= thr {
-                    c
-                } else {
-                    f64::INFINITY
+                min = fmin(min, left);
+                if left <= limit {
+                    nf = nf.min(x);
+                    nl = x;
                 }
-            } else {
-                f64::INFINITY
-            };
-            self.cells.push(cell);
-            if cell < min {
-                min = cell;
+                x += 1;
             }
-            if cell <= limit {
-                if nf == stride {
-                    nf = x;
-                }
-                nl = x;
-            }
-            diag = up;
-            left = cell;
-            x += 1;
         }
-        self.cells
-            .extend(std::iter::repeat_n(f64::INFINITY, stride - x));
         self.cells_computed += computed;
-        let dist = self.cells[r * stride + n];
-        let stat = RowStat { dist, min };
+        let stat = RowStat { dist: cur[n], min };
         self.stats.push(stat);
         self.bound_state = Some(if nf == stride { (stride, 0) } else { (nf, nl) });
         stat
@@ -379,6 +390,17 @@ impl WarpTable {
                 }
             }
         }
+    }
+}
+
+/// The smaller of two non-NaN values: one `minsd`, where `f64::min`
+/// also orders NaNs.
+#[inline(always)]
+fn fmin(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
     }
 }
 

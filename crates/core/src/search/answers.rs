@@ -131,6 +131,12 @@ impl AnswerSet {
     }
 }
 
+impl Extend<Match> for AnswerSet {
+    fn extend<I: IntoIterator<Item = Match>>(&mut self, iter: I) {
+        self.matches.extend(iter);
+    }
+}
+
 impl IntoIterator for AnswerSet {
     type Item = Match;
     type IntoIter = std::vec::IntoIter<Match>;
@@ -304,8 +310,9 @@ pub struct SearchStats {
     /// Every kill is also counted in `false_alarms`, so the funnel
     /// invariant `postprocessed == answers + false_alarms` still holds.
     pub cascade_lb_keogh_kills: u64,
-    /// Candidates killed by the cascade's tier-2 two-pass refinement
-    /// (LB_Improved). Also counted in `false_alarms`.
+    /// Always 0: the tier-2 two-pass refinement (LB_Improved) this
+    /// counted no longer runs (see [`crate::search::cascade`]). Kept
+    /// so the stats wire format and its readers stay put.
     pub cascade_lb_improved_kills: u64,
     /// Candidates killed by Theorem-1 early abandoning *inside the
     /// cascade's exact tier* (zero when the cascade is off, where the

@@ -3,56 +3,68 @@
 //! The paper's funnel jumps straight from the categorized-tree filter
 //! (`D_tw-lb` / `D_tw-lb2`, §5.3/§6.2) to the quadratic [`WarpTable`]
 //! — every candidate that survives the tree pays `O(|Q|·L)` cells even
-//! when a cheap O(L) bound could have rejected it. This module inserts
-//! two progressively tighter *numeric* lower bounds between the two:
+//! when a cheap O(L) bound could have rejected it. This module supplies
+//! the *numeric* lower bound that runs between the two, and the column
+//! remainders that let the table itself skip cells:
 //!
-//! 1. **Tier 1 — envelope bound** (LB_Keogh generalized to
-//!    variable-length prefixes). For data row `j` the query's in-band
-//!    columns are `x ∈ [j−w, j+w] ∩ [1, |Q|]` (the same band as
-//!    [`WarpTable`]); let `[L_j, U_j]` be the min/max of the query over
-//!    that range. Any warping path visits every row at least once, and
-//!    a path cell `(x, j)` satisfies `|q_x − c_j| ≥ d(c_j, [L_j, U_j])`,
-//!    so with non-negative base distances
-//!    `Σ_{j≤l} d(c_j, [L_j, U_j]) ≤ D_tw(Q, C[..l])`. The sum is a
-//!    prefix sum — *monotone non-decreasing in `l`* — so one running
-//!    accumulator bounds every candidate length of a `(seq, start)`
-//!    group, and once it exceeds ε every longer length dies at once.
-//! 2. **Tier 2 — two-pass refinement** (Lemire's LB_Improved). Clamp
-//!    the candidate onto the query envelope, `h_j = clamp(c_j, L_j,
-//!    U_j)`; a path cell decomposes exactly as `|q_x − c_j| =
-//!    |c_j − h_j| + |h_j − q_x|` (the clamp lies between the two), and
-//!    `|h_j − q_x| ≥ d(q_x, env(h)_x)` where `env(h)_x` ranges over the
-//!    rows in column `x`'s band. Summing rows and columns separately:
-//!    `lb_keogh + Σ_x d(q_x, env(h)_x) ≤ D_tw`. The second pass costs
-//!    O(|Q| + l) per surviving length (O(log |Q|) without a window, via
-//!    a sorted-query prefix-sum table) — still far below the table.
+//! * **Tier 1 — envelope bound** (LB_Keogh generalized to
+//!   variable-length prefixes). For data row `j` the query's in-band
+//!   columns are `x ∈ [j−w, j+w] ∩ [1, |Q|]` (the same band as
+//!   [`WarpTable`]); let `[L_j, U_j]` be the min/max of the query over
+//!   that range. Any warping path visits every row at least once, and
+//!   a path cell `(x, j)` satisfies `|q_x − c_j| ≥ d(c_j, [L_j, U_j])`,
+//!   so with non-negative base distances
+//!   `Σ_{j≤l} d(c_j, [L_j, U_j]) ≤ D_tw(Q, C[..l])`. The sum is a
+//!   prefix sum — *monotone non-decreasing in `l`* — so one running
+//!   accumulator bounds every candidate length of a `(seq, start)`
+//!   group, and once it exceeds ε every longer length dies at once.
+//!   One O(1) step per row, no allocation, no per-length work.
+//! * **Tier 3 — the threshold-pruned shared table** with Theorem-1
+//!   early abandoning, built only up to the largest tier-1 survivor
+//!   ([`WarpTable::push_value_pruned`], fed by
+//!   [`QueryEnvelope::column_remainders`]).
 //!
-//! Both tiers are additionally *endpoint-strengthened* (LB_Kim's
-//! anchor cells fused into the envelope bounds): every warping path
-//! between `Q` and `C[..l]` contains the corner cells `(1, 1)` and
-//! `(n, l)`, so row 1's contribution is at least `|c_1 − q_1|` (not
-//! just the envelope distance) and row `l`'s is at least
-//! `|c_l − q_n|`. The first-row term is shared by every length of a
-//! group; the last-row term is a per-length `max` applied at emission.
-//! In tier 2 the same two cells strengthen the *column* side instead
-//! (`|h_1 − q_1|` for column 1, `|h_l − q_n|` for column `n`) — the
-//! row side must stay the pure envelope sums there, or the corner
-//! cells would be claimed twice and the decomposition would overshoot
-//! `D_tw`. On unconstrained warping (the paper's default) the corners
-//! dominate the global envelope, typically halving the surviving
-//! table extent again.
+//! Tier 1 is *endpoint-strengthened* (LB_Kim's anchor cells fused into
+//! the envelope bound): every warping path between `Q` and `C[..l]`
+//! contains the corner cells `(1, 1)` and `(n, l)`, so row 1's
+//! contribution is at least `|c_1 − q_1|` (not just the envelope
+//! distance) and row `l`'s is at least `|c_l − q_n|`. The first-row
+//! term is shared by every length of a group; the last-row term is a
+//! per-length `max` applied at emission. On unconstrained warping (the
+//! paper's default) the corners dominate the global envelope.
 //!
-//! Tier 3 is the existing shared-table exact verification with
-//! Theorem-1 early abandoning, now built only up to the largest
-//! surviving length. The chain `lb_keogh ≤ lb_improved ≤ D_tw` (and
-//! `≤` from each bound to its endpoint-strengthened variant) makes
-//! every tier no-false-dismissal, mirroring the
-//! `D_tw-lb2 ≤ D_tw-lb ≤ D_tw` guarantees of the categorized filter;
-//! kills use the strict `lb > ε` so a candidate landing *exactly* on ε
-//! is never dismissed (the acceptance contract everywhere else is
-//! `dist ≤ ε`).
+//! # Why there is no tier 2
+//!
+//! Lemire's two-pass LB_Improved (clamp the candidate onto the query
+//! envelope, then bound the query against the clamped candidate's
+//! envelope) used to sit between the two. It is O(n) *per candidate*
+//! by design; here a group carries up to `2w+1` candidate lengths and
+//! the pass ran once per length, which made post-processing ≈ 4× slower
+//! with the cascade on than off inside a window. Rebuilt to run once
+//! per group (column envelopes grown row by row, one allocation-free
+//! O(|Q|) sum per length) it still cost more than it saved, for a
+//! structural reason: whatever the second pass rejects, the pruned
+//! table rejects within a handful of rows — Theorem 1 abandons on the
+//! row minimum, which is never below the envelope sum — so the pass
+//! can only save the few cells of those rows, and must first touch
+//! every row up to the candidate's length to do it. No per-group
+//! admission rule recovers that: even run only on the groups it kills
+//! outright, it costs about what the table spends on them. It was also
+//! the one tier seen to dismiss a true answer: bounding the same cells
+//! through two separately ordered sums, it could round a hair above an
+//! answer lying exactly on ε. The `cascade_lb_improved_kills` counter
+//! is kept (always 0) so the stats wire format stays put. DESIGN.md
+//! §17 has the measurements.
+//!
+//! `lb_keogh ≤ lb_keogh + endpoints ≤ D_tw` makes tier 1
+//! no-false-dismissal, mirroring the `D_tw-lb2 ≤ D_tw-lb ≤ D_tw`
+//! guarantees of the categorized filter; kills use the strict `lb > ε`
+//! so a candidate landing *exactly* on ε is never dismissed (the
+//! acceptance contract everywhere else is `dist ≤ ε`).
+//!
+//! [`WarpTable`]: crate::dtw::WarpTable
+//! [`WarpTable::push_value_pruned`]: crate::dtw::WarpTable::push_value_pruned
 
-use crate::dtw::WarpTable;
 use crate::sequence::Value;
 
 /// Distance from `v` to the closed interval `[lo, hi]` (zero inside).
@@ -81,16 +93,12 @@ pub struct QueryEnvelope {
     /// envelopes of rows `j > |Q|`, whose band is `[j−w, |Q|]`.
     suffix_min: Vec<f64>,
     suffix_max: Vec<f64>,
-    /// Query values sorted ascending, with `sorted_prefix[i]` = sum of
-    /// the first `i` sorted values — the O(log |Q|) second pass for
-    /// unconstrained warping, where `env(h)_x` is one global interval.
-    sorted: Vec<f64>,
-    sorted_prefix: Vec<f64>,
 }
 
 impl QueryEnvelope {
     /// Builds the envelopes for `query` under an optional Sakoe–Chiba
-    /// band of width `window` — the same band [`WarpTable`] enforces.
+    /// band of width `window` — the same band
+    /// [`WarpTable`](crate::dtw::WarpTable) enforces.
     ///
     /// # Panics
     /// Panics if the query is empty.
@@ -155,15 +163,6 @@ impl QueryEnvelope {
             suffix_min[i] = mn;
             suffix_max[i] = mx;
         }
-        let mut sorted = query.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite query values"));
-        let mut sorted_prefix = Vec::with_capacity(n + 1);
-        let mut acc = 0.0;
-        sorted_prefix.push(0.0);
-        for &v in &sorted {
-            acc += v;
-            sorted_prefix.push(acc);
-        }
         Self {
             query: query.to_vec(),
             window,
@@ -171,15 +170,7 @@ impl QueryEnvelope {
             high,
             suffix_min,
             suffix_max,
-            sorted,
-            sorted_prefix,
         }
-    }
-
-    /// Query length.
-    #[inline]
-    pub fn query_len(&self) -> usize {
-        self.query.len()
     }
 
     /// First query value `q_1` — the anchor of corner cell `(1, 1)`.
@@ -221,176 +212,13 @@ impl QueryEnvelope {
         }
     }
 
-    /// The tier-1 row contribution `d(c_j, [L_j, U_j])` together with
-    /// the clamped value `h_j` tier 2 reuses. `None` when the row's
-    /// band is empty (the candidate's exact distance is infinite).
+    /// The tier-1 row contribution `d(c_j, [L_j, U_j])`. `None` when
+    /// the row's band is empty (the candidate's exact distance is
+    /// infinite).
     #[inline]
-    pub fn row_step(&self, row: u32, v: Value) -> Option<(f64, f64)> {
+    pub fn row_dist(&self, row: u32, v: Value) -> Option<f64> {
         let (lo, hi) = self.row_bounds(row)?;
-        let h = v.clamp(lo, hi);
-        Some(((v - h).abs(), h))
-    }
-
-    /// Lemire's second pass: `Σ_x d(q_x, env(h)_x)` over the first
-    /// `len` clamped values `h`, where `env(h)_x` ranges over the rows
-    /// in column `x`'s band (`j ∈ [x−w, x+w] ∩ [1, len]`). Returns
-    /// `f64::INFINITY` when some column's band is empty (no warping
-    /// path of that length exists).
-    pub fn improved_term(&self, h: &[f64], len: usize) -> f64 {
-        let n = self.query.len();
-        let len = len.min(h.len());
-        debug_assert!(len > 0, "improved_term needs at least one row");
-        match self.window {
-            None => {
-                // One global interval: O(log n) via the sorted query.
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in &h[..len] {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                self.sum_outside(lo, hi)
-            }
-            Some(w) => {
-                let w = w as usize;
-                // Sliding min/max of h over [x−w, x+w] ∩ [1, len].
-                let mut min_dq: std::collections::VecDeque<usize> =
-                    std::collections::VecDeque::new();
-                let mut max_dq: std::collections::VecDeque<usize> =
-                    std::collections::VecDeque::new();
-                let mut next = 0usize;
-                let mut total = 0.0;
-                for x in 1..=n {
-                    let lo = x.saturating_sub(w).max(1);
-                    if lo > len {
-                        // Column x's band has no row ≤ len: no complete
-                        // warping path exists for this length.
-                        return f64::INFINITY;
-                    }
-                    let hi = (x.saturating_add(w)).min(len);
-                    while next < hi {
-                        let v = h[next];
-                        while min_dq.back().is_some_and(|&i| h[i] >= v) {
-                            min_dq.pop_back();
-                        }
-                        min_dq.push_back(next);
-                        while max_dq.back().is_some_and(|&i| h[i] <= v) {
-                            max_dq.pop_back();
-                        }
-                        max_dq.push_back(next);
-                        next += 1;
-                    }
-                    while min_dq.front().is_some_and(|&i| i + 1 < lo) {
-                        min_dq.pop_front();
-                    }
-                    while max_dq.front().is_some_and(|&i| i + 1 < lo) {
-                        max_dq.pop_front();
-                    }
-                    let env_lo = h[*min_dq.front().expect("non-empty band")];
-                    let env_hi = h[*max_dq.front().expect("non-empty band")];
-                    total += interval_dist(self.query[x - 1], env_lo, env_hi);
-                }
-                total
-            }
-        }
-    }
-
-    /// The endpoint-strengthened second pass: [`Self::improved_term`]
-    /// with columns `1` and `n` pinned to the corner cells. Every
-    /// warping path starts at `(1, 1)` and ends at `(n, len)`, so
-    /// column 1 may claim `|h_1 − q_1|` (not the min over its band) and
-    /// column `n` may claim `|h_len − q_n|` — both `≥` the envelope
-    /// terms they replace, and still disjoint from the row pass (the
-    /// per-cell decomposition `|q_x − c_j| = |c_j − h_j| + |h_j − q_x|`
-    /// splits each corner cell exactly once between the two passes).
-    pub fn improved_term_endpoints(&self, h: &[f64], len: usize) -> f64 {
-        let n = self.query.len();
-        let len = len.min(h.len());
-        debug_assert!(len > 0, "improved_term needs at least one row");
-        if n == 1 {
-            // h_j is the query value itself, so both passes and the
-            // strengthening collapse to zero column terms.
-            return self.improved_term(h, len);
-        }
-        let e1 = (h[0] - self.query[0]).abs();
-        let en = (h[len - 1] - self.query[n - 1]).abs();
-        match self.window {
-            None => {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in &h[..len] {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                let d1 = interval_dist(self.query[0], lo, hi);
-                let dn = interval_dist(self.query[n - 1], lo, hi);
-                self.sum_outside(lo, hi) + (e1 - d1).max(0.0) + (en - dn).max(0.0)
-            }
-            Some(w) => {
-                let w = w as usize;
-                let mut min_dq: std::collections::VecDeque<usize> =
-                    std::collections::VecDeque::new();
-                let mut max_dq: std::collections::VecDeque<usize> =
-                    std::collections::VecDeque::new();
-                let mut next = 0usize;
-                let mut total = 0.0;
-                for x in 1..=n {
-                    let lo = x.saturating_sub(w).max(1);
-                    if lo > len {
-                        return f64::INFINITY;
-                    }
-                    let hi = (x.saturating_add(w)).min(len);
-                    while next < hi {
-                        let v = h[next];
-                        while min_dq.back().is_some_and(|&i| h[i] >= v) {
-                            min_dq.pop_back();
-                        }
-                        min_dq.push_back(next);
-                        while max_dq.back().is_some_and(|&i| h[i] <= v) {
-                            max_dq.pop_back();
-                        }
-                        max_dq.push_back(next);
-                        next += 1;
-                    }
-                    while min_dq.front().is_some_and(|&i| i + 1 < lo) {
-                        min_dq.pop_front();
-                    }
-                    while max_dq.front().is_some_and(|&i| i + 1 < lo) {
-                        max_dq.pop_front();
-                    }
-                    let env_lo = h[*min_dq.front().expect("non-empty band")];
-                    let env_hi = h[*max_dq.front().expect("non-empty band")];
-                    let mut term = interval_dist(self.query[x - 1], env_lo, env_hi);
-                    if x == 1 {
-                        term = term.max(e1);
-                    }
-                    // Cell (n, len) is only on the path when the band
-                    // admits it; `lo > len` above already rules out
-                    // len < n − w, leaving the upper edge to check.
-                    if x == n && len <= n + w {
-                        term = term.max(en);
-                    }
-                    total += term;
-                }
-                total
-            }
-        }
-    }
-
-    /// [`Self::improved_term_endpoints`] when the caller already knows
-    /// the min/max of `h[..len]` (tracked incrementally during the
-    /// tier-1 walk): unwindowed this is O(log |Q|) with no rescan of
-    /// `h`; with a band it falls back to the full two-pass loop.
-    pub fn improved_term_endpoints_prefixed(&self, h: &[f64], len: usize, lo: f64, hi: f64) -> f64 {
-        let n = self.query.len();
-        if self.window.is_some() || n == 1 {
-            return self.improved_term_endpoints(h, len);
-        }
-        let len = len.min(h.len());
-        debug_assert!(len > 0, "improved_term needs at least one row");
-        let e1 = (h[0] - self.query[0]).abs();
-        let en = (h[len - 1] - self.query[n - 1]).abs();
-        let d1 = interval_dist(self.query[0], lo, hi);
-        let dn = interval_dist(self.query[n - 1], lo, hi);
-        self.sum_outside(lo, hi) + (e1 - d1).max(0.0) + (en - dn).max(0.0)
+        Some((v - v.clamp(lo, hi)).abs())
     }
 
     /// Fills `out[x−1]` with `Σ_{x' > x} d(q_{x'}, [lo, hi])` — a lower
@@ -409,132 +237,65 @@ impl QueryEnvelope {
             out[x - 1] = acc;
         }
     }
-
-    /// `Σ_x max(lo − q_x, q_x − hi, 0)` over all query values, in
-    /// O(log |Q|) from the sorted prefix sums.
-    fn sum_outside(&self, lo: f64, hi: f64) -> f64 {
-        let below = self.sorted.partition_point(|&q| q < lo);
-        let above = self.sorted.partition_point(|&q| q <= hi);
-        let n = self.sorted.len();
-        // Values strictly below lo contribute lo − q each.
-        let under = below as f64 * lo - self.sorted_prefix[below];
-        // Values strictly above hi contribute q − hi each.
-        let over = (self.sorted_prefix[n] - self.sorted_prefix[above]) - (n - above) as f64 * hi;
-        under + over
-    }
-}
-
-/// `LB_Keogh(Q, C[..len])` under the envelope's band: the tier-1 bound
-/// as a standalone function (the cascade itself accumulates it
-/// incrementally). `f64::INFINITY` when a row's band is empty.
-pub fn lb_keogh(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
-    let len = len.min(c.len());
-    let mut sum = 0.0;
-    for (j, &v) in c[..len].iter().enumerate() {
-        match env.row_step(j as u32 + 1, v) {
-            Some((d, _)) => sum += d,
-            None => return f64::INFINITY,
-        }
-    }
-    sum
-}
-
-/// `LB_Improved(Q, C[..len])`: tier 1 plus Lemire's second pass —
-/// always `≥ lb_keogh` and `≤ D_tw` (see the module docs for the
-/// proof sketch).
-pub fn lb_improved(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
-    let len = len.min(c.len());
-    let mut sum = 0.0;
-    let mut h = Vec::with_capacity(len);
-    for (j, &v) in c[..len].iter().enumerate() {
-        match env.row_step(j as u32 + 1, v) {
-            Some((d, hv)) => {
-                sum += d;
-                h.push(hv);
-            }
-            None => return f64::INFINITY,
-        }
-    }
-    sum + env.improved_term(&h, len)
-}
-
-/// The endpoint-strengthened tier-1 bound (see the module docs): the
-/// envelope prefix over rows `1..len−1` plus `|c_1 − q_1|` for row 1
-/// and `max(d(c_len, env), |c_len − q_n|)` for the final row. Always
-/// `≥ lb_keogh` and `≤ D_tw`; *not* comparable to [`lb_improved`].
-pub fn lb_keogh_kim(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
-    let len = len.min(c.len());
-    let mut env_sum = 0.0;
-    let mut extra1 = 0.0;
-    let mut bound = f64::INFINITY;
-    for (j, &v) in c[..len].iter().enumerate() {
-        let Some((d, _)) = env.row_step(j as u32 + 1, v) else {
-            return f64::INFINITY;
-        };
-        if j == 0 {
-            extra1 = (v - env.first_q()).abs() - d;
-        }
-        if j + 1 == len {
-            bound = env_sum + extra1 + d.max((v - env.last_q()).abs());
-        }
-        env_sum += d;
-    }
-    bound
-}
-
-/// The endpoint-strengthened tier-2 bound: the pure envelope row sum
-/// plus [`QueryEnvelope::improved_term_endpoints`]. Always
-/// `≥ lb_improved` and `≤ D_tw`.
-pub fn lb_improved_kim(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
-    let len = len.min(c.len());
-    let mut sum = 0.0;
-    let mut h = Vec::with_capacity(len);
-    for (j, &v) in c[..len].iter().enumerate() {
-        match env.row_step(j as u32 + 1, v) {
-            Some((d, hv)) => {
-                sum += d;
-                h.push(hv);
-            }
-            None => return f64::INFINITY,
-        }
-    }
-    sum + env.improved_term_endpoints(&h, len)
-}
-
-/// The exact band-constrained `D_tw(Q, C[..len])` the cascade bounds —
-/// a convenience for the ordering property tests.
-pub fn exact_prefix_dtw(query: &[Value], window: Option<u32>, c: &[Value], len: usize) -> f64 {
-    let mut t = WarpTable::new(query, window);
-    let mut last = f64::INFINITY;
-    for &v in &c[..len.min(c.len())] {
-        last = t.push_value(v).dist;
-    }
-    last
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtw::WarpTable;
+
+    /// `LB_Keogh(Q, C[..len])` under the envelope's band: the plain
+    /// tier-1 row sum. `f64::INFINITY` when a row's band is empty.
+    fn lb_keogh(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
+        let mut sum = 0.0;
+        for (j, &v) in c[..len].iter().enumerate() {
+            match env.row_dist(j as u32 + 1, v) {
+                Some(d) => sum += d,
+                None => return f64::INFINITY,
+            }
+        }
+        sum
+    }
+
+    /// The endpoint-strengthened tier-1 bound, as `verify_group` forms
+    /// it: the envelope prefix over rows `1..len−1` plus `|c_1 − q_1|`
+    /// for row 1 and `max(d(c_len, env), |c_len − q_n|)` for the final
+    /// row.
+    fn lb_keogh_kim(env: &QueryEnvelope, c: &[Value], len: usize) -> f64 {
+        let mut env_sum = 0.0;
+        let mut extra1 = 0.0;
+        let mut bound = f64::INFINITY;
+        for (j, &v) in c[..len].iter().enumerate() {
+            let Some(d) = env.row_dist(j as u32 + 1, v) else {
+                return f64::INFINITY;
+            };
+            if j == 0 {
+                extra1 = (v - env.first_q()).abs() - d;
+            }
+            if j + 1 == len {
+                bound = env_sum + extra1 + d.max((v - env.last_q()).abs());
+            }
+            env_sum += d;
+        }
+        bound
+    }
+
+    /// The exact band-constrained `D_tw(Q, C[..len])` the cascade bounds.
+    fn exact_prefix_dtw(query: &[Value], window: Option<u32>, c: &[Value], len: usize) -> f64 {
+        let mut t = WarpTable::new(query, window);
+        let mut last = f64::INFINITY;
+        for &v in &c[..len] {
+            last = t.push_value(v).dist;
+        }
+        last
+    }
 
     fn chain_holds(query: &[f64], window: Option<u32>, data: &[f64]) {
         let env = QueryEnvelope::new(query, window);
         for len in 1..=data.len() {
             let lb1 = lb_keogh(&env, data, len);
-            let lb2 = lb_improved(&env, data, len);
-            let exact = exact_prefix_dtw(query, window, data, len);
-            assert!(
-                lb1 <= lb2 + 1e-9,
-                "lb_keogh {lb1} > lb_improved {lb2} (len {len}, w {window:?})"
-            );
-            assert!(
-                lb2 <= exact + 1e-9,
-                "lb_improved {lb2} > exact {exact} (len {len}, w {window:?})"
-            );
-            // The endpoint-strengthened variants dominate their plain
-            // counterparts but stay below the exact distance. (Tier-1
-            // kim and tier-2 plain are NOT mutually ordered.)
             let kim1 = lb_keogh_kim(&env, data, len);
-            let kim2 = lb_improved_kim(&env, data, len);
+            let exact = exact_prefix_dtw(query, window, data, len);
             assert!(
                 lb1 <= kim1 + 1e-9,
                 "lb_keogh {lb1} > lb_keogh_kim {kim1} (len {len}, w {window:?})"
@@ -542,14 +303,6 @@ mod tests {
             assert!(
                 kim1 <= exact + 1e-9,
                 "lb_keogh_kim {kim1} > exact {exact} (len {len}, w {window:?})"
-            );
-            assert!(
-                lb2 <= kim2 + 1e-9,
-                "lb_improved {lb2} > lb_improved_kim {kim2} (len {len}, w {window:?})"
-            );
-            assert!(
-                kim2 <= exact + 1e-9,
-                "lb_improved_kim {kim2} > exact {exact} (len {len}, w {window:?})"
             );
         }
     }
@@ -567,28 +320,24 @@ mod tests {
 
     #[test]
     fn ordering_chain_under_random_bands() {
-        // Deterministic pseudo-random sweep (LCG) over query/data
-        // shapes and window widths — the property-test mirror of the
-        // categorized `lb2 ≤ lb ≤ exact` suite.
+        // The property-test mirror of the categorized
+        // `lb2 ≤ lb ≤ exact` suite: every query length up to 24, every
+        // window class, every prefix length of a candidate that
+        // outruns the band (deterministic LCG values).
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
+            (state >> 33) as f64 / (1u64 << 31) as f64 * 20.0 - 10.0
         };
-        for case in 0..60 {
-            let qlen = 1 + (next() * 8.0) as usize;
-            let dlen = 1 + (next() * 12.0) as usize;
-            let q: Vec<f64> = (0..qlen).map(|_| (next() * 20.0) - 10.0).collect();
-            let d: Vec<f64> = (0..dlen).map(|_| (next() * 20.0) - 10.0).collect();
-            let w = match case % 4 {
-                0 => None,
-                1 => Some(0),
-                2 => Some((next() * 3.0) as u32),
-                _ => Some((next() * 16.0) as u32),
-            };
-            chain_holds(&q, w, &d);
+        for n in 1..=24usize {
+            for w in [Some(0), Some(1), Some(3), Some(8), Some(100), None] {
+                let q: Vec<f64> = (0..n).map(|_| next()).collect();
+                let dlen = n + w.map_or(4, |w| (w as usize).min(9)) + 2;
+                let d: Vec<f64> = (0..dlen).map(|_| next()).collect();
+                chain_holds(&q, w, &d);
+            }
         }
     }
 
@@ -637,18 +386,18 @@ mod tests {
     #[test]
     fn identical_sequences_have_zero_bounds() {
         let q = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let env = QueryEnvelope::new(&q, None);
-        assert_eq!(lb_keogh(&env, &q, q.len()), 0.0);
-        assert_eq!(lb_improved(&env, &q, q.len()), 0.0);
-        assert_eq!(lb_keogh_kim(&env, &q, q.len()), 0.0);
-        assert_eq!(lb_improved_kim(&env, &q, q.len()), 0.0);
+        for w in [None, Some(2)] {
+            let env = QueryEnvelope::new(&q, w);
+            assert_eq!(lb_keogh(&env, &q, q.len()), 0.0);
+            assert_eq!(lb_keogh_kim(&env, &q, q.len()), 0.0);
+        }
     }
 
     #[test]
     fn endpoint_terms_tighten_flat_envelopes() {
         // Unconstrained warping over a wide-range query: the global
         // envelope swallows every in-range candidate value, so the
-        // plain bounds are zero — but the corner cells still pin
+        // plain bound is zero — but the corner cells still pin
         // c_1 to q_1 and c_l to q_n.
         let q = [0.0, 10.0, 0.0, 10.0];
         let env = QueryEnvelope::new(&q, None);
@@ -656,100 +405,30 @@ mod tests {
         assert_eq!(lb_keogh(&env, &d, 3), 0.0);
         // |5−q_1| from cell (1,1) plus |5−q_n| from cell (n,l).
         assert_eq!(lb_keogh_kim(&env, &d, 3), 10.0);
-        // The clamped candidate is itself, so pass 2 recovers the full
-        // per-column distance: Σ_x |q_x − 5| = 20 = D_tw here.
-        assert_eq!(lb_improved_kim(&env, &d, 3), 20.0);
         assert_eq!(exact_prefix_dtw(&q, None, &d, 3), 20.0);
     }
 
     #[test]
     fn empty_band_rows_yield_infinite_bounds() {
-        // |Q| = 2, w = 1: rows past 3 have empty bands — the bounds
+        // |Q| = 2, w = 1: rows past 3 have empty bands — the bound
         // must go infinite exactly where the exact distance does.
         let q = [1.0, 2.0];
         let env = QueryEnvelope::new(&q, Some(1));
         let d = [1.0, 2.0, 2.0, 2.0];
+        assert!(lb_keogh(&env, &d, 3).is_finite());
         assert!(lb_keogh(&env, &d, 4).is_infinite());
-        assert!(lb_improved(&env, &d, 4).is_infinite());
+        assert!(lb_keogh_kim(&env, &d, 4).is_infinite());
         assert!(exact_prefix_dtw(&q, Some(1), &d, 4).is_infinite());
-        // A too-short prefix (no path reaches the last column): the
-        // improved term must also report infinity.
-        let wide = QueryEnvelope::new(&[0.0, 0.0, 0.0, 0.0], Some(0));
-        assert!(lb_improved(&wide, &[0.0], 1).is_infinite());
-        assert!(exact_prefix_dtw(&[0.0, 0.0, 0.0, 0.0], Some(0), &[0.0], 1).is_infinite());
     }
 
     #[test]
-    fn prefixed_term_matches_full_recomputation() {
-        let mut state = 0xa0761d6478bd642fu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        for case in 0..40 {
-            let qlen = 1 + (next() * 8.0) as usize;
-            let dlen = 1 + (next() * 10.0) as usize;
-            let q: Vec<f64> = (0..qlen).map(|_| (next() * 20.0) - 10.0).collect();
-            let d: Vec<f64> = (0..dlen).map(|_| (next() * 20.0) - 10.0).collect();
-            let w = if case % 3 == 0 {
-                Some((next() * 4.0) as u32)
-            } else {
-                None
-            };
-            let env = QueryEnvelope::new(&q, w);
-            let mut h = Vec::new();
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for (j, &v) in d.iter().enumerate() {
-                let Some((_, hv)) = env.row_step(j as u32 + 1, v) else {
-                    break;
-                };
-                lo = lo.min(hv);
-                hi = hi.max(hv);
-                h.push(hv);
-                let len = h.len();
-                let full = env.improved_term_endpoints(&h, len);
-                let fast = env.improved_term_endpoints_prefixed(&h, len, lo, hi);
-                assert_eq!(full, fast, "case {case} len {len} w {w:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_outside_matches_naive() {
+    fn column_remainders_are_suffix_sums_of_interval_distances() {
         let q = [4.0, 1.0, 8.0, 1.0, 6.0];
-        let env = QueryEnvelope::new(&q, None);
-        for (lo, hi) in [
-            (0.0, 10.0),
-            (2.0, 5.0),
-            (5.0, 5.0),
-            (9.0, 12.0),
-            (-3.0, 0.5),
-        ] {
-            let naive: f64 = q.iter().map(|&v| interval_dist(v, lo, hi)).sum();
-            let fast = env.sum_outside(lo, hi);
-            assert!(
-                (naive - fast).abs() < 1e-12,
-                "[{lo},{hi}] {naive} vs {fast}"
-            );
-        }
-    }
-
-    #[test]
-    fn improved_term_is_nonnegative() {
-        let q = [2.0, 9.0, 4.0];
-        let d = [5.0, 5.0, 5.0, 5.0];
-        for w in [None, Some(1), Some(2)] {
-            let env = QueryEnvelope::new(&q, w);
-            let h: Vec<f64> = d
-                .iter()
-                .enumerate()
-                .filter_map(|(j, &v)| env.row_step(j as u32 + 1, v).map(|(_, h)| h))
-                .collect();
-            for len in 1..=h.len() {
-                assert!(env.improved_term(&h, len) >= 0.0);
-            }
-        }
+        let env = QueryEnvelope::new(&q, Some(2));
+        let mut rem = vec![99.0; 2];
+        env.column_remainders(2.0, 5.0, &mut rem);
+        // d(q_x, [2, 5]) = [0, 1, 3, 1, 1]; rem[x−1] sums the columns
+        // after x.
+        assert_eq!(rem, vec![6.0, 5.0, 2.0, 1.0, 0.0]);
     }
 }

@@ -177,8 +177,11 @@ fn verify_topk_parallel(
     k: usize,
     metrics: &SearchMetrics,
 ) -> Vec<Match> {
-    use crate::search::postprocess::{group_candidates, verify_group, VerifyScratch};
-    let groups = group_candidates(candidates, sp.epsilon);
+    use crate::search::postprocess::{group_candidates, verify_group, Verifier};
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let groups = group_candidates(store, candidates, sp.epsilon);
     let env = sp
         .cascade
         .then(|| crate::search::cascade::QueryEnvelope::new(query, sp.window));
@@ -188,28 +191,24 @@ fn verify_topk_parallel(
         threshold: sp.epsilon,
         items: Vec::new(),
     });
-    let (_, states) = crate::parallel::parallel_map_with(
+    let (_, workers) = crate::parallel::parallel_map_with(
         sp.threads.max(1) as usize,
-        groups,
-        || {
-            (
-                crate::dtw::WarpTable::new(query, sp.window),
-                VerifyScratch::default(),
-                metrics.scratch(),
-            )
-        },
-        |(table, vs, scratch), _i, (key, lens)| {
+        groups.tasks(),
+        || Verifier::new(query, sp.window),
+        |worker, _i, range| {
             let limit = shared.lock().expect("top-k heap poisoned").threshold;
             let mut out = Vec::new();
-            verify_group(store, table, vs, key, &lens, limit, env, scratch, &mut out);
+            for i in range {
+                let (key, lens) = groups.get(i);
+                verify_group(store, worker, key, lens, limit, env, &mut out);
+            }
             if !out.is_empty() {
                 shared.lock().expect("top-k heap poisoned").insert(out);
             }
         },
     );
-    for (table, _, scratch) in states {
-        metrics.postprocess_cells.add(table.cells_computed());
-        metrics.record(&scratch.snapshot());
+    for worker in workers {
+        worker.finish(metrics);
     }
     let top = shared.into_inner().expect("top-k heap poisoned");
     metrics.answers.add(top.items.len() as u64);

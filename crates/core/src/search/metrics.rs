@@ -67,8 +67,8 @@ pub struct SearchMetrics {
     /// Candidates killed by the cascade's tier-1 envelope bound
     /// (LB_Keogh) before any table cell was computed.
     pub cascade_lb_keogh_kills: Counter,
-    /// Candidates killed by the cascade's tier-2 refinement
-    /// (LB_Improved).
+    /// Never incremented: the tier-2 refinement (LB_Improved) no
+    /// longer runs. Kept for the stats wire format.
     pub cascade_lb_improved_kills: Counter,
     /// Candidates killed by Theorem-1 early abandoning in the
     /// cascade's exact tier.

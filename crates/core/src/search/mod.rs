@@ -11,9 +11,10 @@
 //!   [`IndexBackend`].
 //! * [`postprocess`](mod@postprocess) — exact `D_tw` verification of
 //!   candidates (§5.4).
-//! * [`cascade`] — the numeric lower-bound cascade (an LB_Keogh-style
-//!   envelope bound plus Lemire's two-pass refinement) screening
-//!   candidates ahead of every exact table.
+//! * [`cascade`] — the numeric lower-bound cascade (an
+//!   endpoint-strengthened LB_Keogh envelope bound, and the column
+//!   remainders of the threshold-pruned table) screening candidates
+//!   ahead of every exact table.
 //! * [`knn`] — exact k-nearest-neighbour search by ε expansion (an
 //!   extension beyond the paper's threshold queries).
 //! * [`query`] — the unified typed query API: [`QueryRequest`] +

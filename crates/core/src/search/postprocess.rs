@@ -13,8 +13,6 @@
 //! is what keeps the post-processing term `n·L̄·|Q|` of §5.5 from
 //! swamping the filtering savings at large ε.
 
-use std::collections::HashMap;
-
 use crate::dtw::WarpTable;
 use crate::parallel::parallel_map_with;
 use crate::search::answers::{AnswerSet, Candidate, Match, SearchParams};
@@ -22,102 +20,236 @@ use crate::search::cascade::QueryEnvelope;
 use crate::search::metrics::SearchMetrics;
 use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
 
+/// Groups per work item of the parallel paths: large enough that an
+/// item's result buffer and queue slot are amortised over real work,
+/// small enough that stealing still balances a few thousand groups.
+const GROUPS_PER_TASK: usize = 32;
+
+/// One `(seq, start)` group: its key and its slice of the flat length
+/// buffer.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    seq: SeqId,
+    start: u32,
+    lens: (u32, u32),
+}
+
 /// Candidate lengths grouped by `(seq, start)`, in ascending key order
 /// with each length list sorted and deduplicated — the deterministic
 /// unit of verification work (sequential and parallel paths both walk
 /// groups in this order, which is what keeps their outputs identical).
-pub(crate) fn group_candidates(
-    candidates: &[Candidate],
-    epsilon: f64,
-) -> Vec<((SeqId, u32), Vec<u32>)> {
-    let mut by_start: HashMap<(SeqId, u32), Vec<u32>> = HashMap::new();
-    for cand in candidates {
-        // Exact, no float slack: `lower_bound` is the *same* accumulated
-        // value the filter compared against ε at emission (`stat.dist`
-        // for stored suffixes, the shifted `lb2` for sparse ones — see
-        // `filter::walk_edge`), not a recomputation, so any candidate
-        // above ε here is a genuine filter bug, not rounding noise.
-        debug_assert!(
-            cand.lower_bound <= epsilon,
-            "filter emitted a candidate above epsilon"
-        );
-        by_start
-            .entry((cand.occ.seq, cand.occ.start))
-            .or_default()
-            .push(cand.occ.len);
-    }
-    let mut groups: Vec<((SeqId, u32), Vec<u32>)> = by_start.into_iter().collect();
-    groups.sort_unstable_by_key(|(key, _)| *key);
-    for (_, lens) in &mut groups {
-        lens.sort_unstable();
-        lens.dedup();
-    }
-    groups
+/// Every list is a slice of one flat buffer.
+#[derive(Debug)]
+pub(crate) struct CandidateGroups {
+    groups: Vec<Group>,
+    lens: Vec<u32>,
 }
 
-/// Reusable per-worker buffers for [`verify_group`]'s cascade tiers —
-/// owned by the worker alongside its [`WarpTable`], so screening a
-/// group costs zero allocations however many groups a query produces.
-#[derive(Debug, Default)]
-pub(crate) struct VerifyScratch {
-    /// Clamped candidate values `h_j` (tier 2's first pass).
-    h: Vec<f64>,
-    /// Per-tier-1-survivor `(envelope prefix sum, min h, max h)` over
-    /// the survivor's length — index-aligned with `survivors`.
-    lb1: Vec<(f64, f64, f64)>,
-    /// Candidate lengths still alive after the lower-bound tiers.
+impl CandidateGroups {
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Group `i`'s key and ascending candidate lengths.
+    pub(crate) fn get(&self, i: usize) -> ((SeqId, u32), &[u32]) {
+        let g = self.groups[i];
+        (
+            (g.seq, g.start),
+            &self.lens[g.lens.0 as usize..g.lens.1 as usize],
+        )
+    }
+
+    /// Contiguous runs of [`GROUPS_PER_TASK`] group indices, in order.
+    pub(crate) fn tasks(&self) -> Vec<std::ops::Range<usize>> {
+        (0..self.len())
+            .step_by(GROUPS_PER_TASK)
+            .map(|lo| lo..(lo + GROUPS_PER_TASK).min(self.len()))
+            .collect()
+    }
+}
+
+/// Groups `candidates` by `(seq, start)` with a counting sort over
+/// global value positions (`offset[seq] + start`): one `u32` counter
+/// per stored value — half the store's own footprint — and no hashing,
+/// no comparison sort of keys and no per-group allocation. Groups come
+/// out in key order because positions are walked in order.
+///
+/// # Panics
+/// Panics if a candidate starts outside its sequence.
+pub(crate) fn group_candidates(
+    store: &SequenceStore,
+    candidates: &[Candidate],
+    epsilon: f64,
+) -> CandidateGroups {
+    let total = u32::try_from(candidates.len()).expect("candidate count fits u32");
+    let mut offset = Vec::with_capacity(store.len() + 1);
+    let mut values = 0usize;
+    for (_, seq) in store.iter() {
+        offset.push(values);
+        values += seq.len();
+    }
+    offset.push(values);
+    // One tree path emits a start's candidates back to back, so both
+    // passes move a run at a time: one counter access per run.
+    let runs = || candidates.chunk_by(|a, b| (a.occ.seq, a.occ.start) == (b.occ.seq, b.occ.start));
+    let position = |cand: &Candidate| {
+        let (seq, start) = (cand.occ.seq.0 as usize, cand.occ.start as usize);
+        assert!(
+            start < offset[seq + 1] - offset[seq],
+            "candidate starts outside its sequence"
+        );
+        offset[seq] + start
+    };
+    // Pass 1: candidates per position.
+    let mut slot = vec![0u32; values];
+    for run in runs() {
+        slot[position(&run[0])] += run.len() as u32;
+    }
+    // Counts → where each position's lengths begin.
+    let mut sum = 0u32;
+    for s in &mut slot {
+        sum += std::mem::replace(s, sum);
+    }
+    debug_assert_eq!(sum, total);
+    // Pass 2: scatter; afterwards `slot[p]` is where p's lengths end.
+    let mut lens = vec![0u32; candidates.len()];
+    for run in runs() {
+        let s = &mut slot[position(&run[0])];
+        for (len, cand) in lens[*s as usize..].iter_mut().zip(run) {
+            // Exact, no float slack: `lower_bound` is the *same*
+            // accumulated value the filter compared against ε at
+            // emission (`stat.dist` for stored suffixes, the shifted
+            // `lb2` for sparse ones — see `filter::walk_edge`), not a
+            // recomputation, so any candidate above ε here is a genuine
+            // filter bug, not rounding noise.
+            debug_assert!(
+                cand.lower_bound <= epsilon,
+                "filter emitted a candidate above epsilon"
+            );
+            *len = cand.occ.len;
+        }
+        *s += run.len() as u32;
+    }
+    let mut groups = Vec::new();
+    let mut begin = 0u32;
+    for (id, seq) in store.iter() {
+        let base = offset[id.0 as usize];
+        if seq.is_empty() || slot[base + seq.len() - 1] == begin {
+            continue; // no candidate in this sequence
+        }
+        for (start, &end) in slot[base..base + seq.len()].iter().enumerate() {
+            if end == begin {
+                continue;
+            }
+            // One tree path emits a start's lengths in ascending order;
+            // merged paths (segments, duplicates) need the sort.
+            let list = &mut lens[begin as usize..end as usize];
+            list.sort_unstable();
+            let mut kept = 1;
+            for i in 1..list.len() {
+                if list[i] != list[kept - 1] {
+                    list[kept] = list[i];
+                    kept += 1;
+                }
+            }
+            groups.push(Group {
+                seq: id,
+                start: start as u32,
+                lens: (begin, begin + kept as u32),
+            });
+            begin = end;
+        }
+    }
+    CandidateGroups { groups, lens }
+}
+
+/// One worker's state for [`verify_group`]: the shared exact table plus
+/// reusable buffers and plain-integer tallies, so screening a group
+/// costs zero allocations and zero shared-counter traffic however many
+/// groups a query produces. The tallies reach the query's metrics
+/// once, through [`finish`](Self::finish).
+#[derive(Debug)]
+pub(crate) struct Verifier {
+    table: WarpTable,
+    /// Candidate lengths still alive after tier 1.
     survivors: Vec<u32>,
     /// Per-query-column completion remainders for tier 3's
     /// threshold-pruned rows (reversed LB_Keogh over the candidate's
     /// value range).
     rem: Vec<f64>,
+    postprocessed: u64,
+    false_alarms: u64,
+    lb_keogh_kills: u64,
+    abandon_kills: u64,
+}
+
+impl Verifier {
+    /// A worker for `query` under an optional Sakoe–Chiba band.
+    pub(crate) fn new(query: &[Value], window: Option<u32>) -> Self {
+        Verifier {
+            table: WarpTable::new(query, window),
+            survivors: Vec::new(),
+            rem: Vec::new(),
+            postprocessed: 0,
+            false_alarms: 0,
+            lb_keogh_kills: 0,
+            abandon_kills: 0,
+        }
+    }
+
+    /// Adds this worker's cells and tallies to `metrics`.
+    pub(crate) fn finish(self, metrics: &SearchMetrics) {
+        metrics.postprocess_cells.add(self.table.cells_computed());
+        metrics.postprocessed.add(self.postprocessed);
+        metrics.false_alarms.add(self.false_alarms);
+        metrics.cascade_lb_keogh_kills.add(self.lb_keogh_kills);
+        metrics.cascade_abandon_kills.add(self.abandon_kills);
+    }
 }
 
 /// Verifies one `(seq, start)` group against the exact distance, pushing
 /// matches with `D_tw ≤ limit` onto `out` in ascending length order.
 ///
-/// With `cascade` attached, the group first runs the O(L) lower-bound
-/// tiers of [`crate::search::cascade`]: one endpoint-strengthened
-/// envelope prefix-sum pass kills every length whose tier-1 bound
-/// exceeds `limit` (the accumulator `Σd + extra1` is monotone, so once
-/// it overflows every longer length dies at once, and a group whose
-/// *shortest* length dies skips the table entirely), then the
-/// endpoint-strengthened LB_Improved re-screens the survivors. Kills
-/// are provably above `limit` (`lb ≤ D_tw`), so they are counted as
-/// false alarms exactly like an exact-distance rejection would be, and
-/// the surviving lengths go through the *identical* shared-table
-/// recurrence — answers are byte-identical with the cascade on or off.
+/// With `cascade` attached, the group first runs tier 1 of
+/// [`crate::search::cascade`]: one endpoint-strengthened envelope
+/// prefix-sum pass kills every length whose bound exceeds `limit` (the
+/// accumulator `Σd + extra1` is monotone, so once it overflows every
+/// longer length dies at once, and a group whose every length dies
+/// skips the table entirely). Kills are provably above `limit`
+/// (`lb ≤ D_tw`), so they are counted as false alarms exactly like an
+/// exact-distance rejection would be, and the surviving lengths go
+/// through the *identical* shared-table recurrence — answers are
+/// byte-identical with the cascade on or off.
 ///
 /// One shared table serves every surviving length of the group (row `r`
 /// is the exact distance of the length-`r` candidate) and Theorem-1
 /// early abandoning rejects all remaining longer lengths at once.
 /// `limit` is ε for threshold search; the k-NN heap passes a tighter
 /// bound once k answers are known (see [`crate::search::knn`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_group(
     store: &SequenceStore,
-    table: &mut WarpTable,
-    scratch: &mut VerifyScratch,
+    worker: &mut Verifier,
     (seq, start): (SeqId, u32),
     lens: &[u32],
     limit: f64,
     cascade: Option<&QueryEnvelope>,
-    metrics: &SearchMetrics,
     out: &mut Vec<Match>,
 ) {
-    metrics.postprocessed.add(lens.len() as u64);
+    let Verifier {
+        table,
+        survivors,
+        rem,
+        postprocessed,
+        false_alarms,
+        lb_keogh_kills,
+        abandon_kills,
+    } = worker;
+    *postprocessed += lens.len() as u64;
     let values = store.get(seq).suffix(start);
     let max_len = *lens.last().expect("non-empty group") as usize;
     debug_assert!(max_len <= values.len(), "candidate outruns sequence");
-    let VerifyScratch {
-        h,
-        lb1,
-        survivors,
-        rem,
-    } = scratch;
     let lens: &[u32] = if let Some(env) = cascade {
-        h.clear();
-        lb1.clear();
         survivors.clear();
         // Tier 1: one envelope prefix-sum walk bounds every length,
         // with the corner cells fused in (see the cascade module docs):
@@ -127,10 +259,13 @@ pub(crate) fn verify_group(
         let last_q = env.last_q();
         let mut env_sum = 0.0;
         let mut extra1 = 0.0;
-        let (mut hlo, mut hhi) = (f64::INFINITY, f64::NEG_INFINITY);
+        // Value range of the rows walked so far, and of the rows up to
+        // the last survivor (what tier 3's remainders are built from).
+        let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut dmin, mut dmax) = (vmin, vmax);
         let mut next = 0usize;
         for (row, &v) in values[..max_len].iter().enumerate() {
-            let Some((d, hv)) = env.row_step(row as u32 + 1, v) else {
+            let Some(d) = env.row_dist(row as u32 + 1, v) else {
                 // Empty band: no warping path reaches this row or any
                 // longer one — every remaining length is dead.
                 break;
@@ -141,50 +276,25 @@ pub(crate) fn verify_group(
                 // the exact first-cell distance for *all* lengths.
                 extra1 = (v - env.first_q()).abs() - d;
             }
-            hlo = hlo.min(hv);
-            hhi = hhi.max(hv);
+            vmin = vmin.min(v);
+            vmax = vmax.max(v);
             let len = (row + 1) as u32;
-            if next < lens.len() && lens[next] == len {
+            if lens[next] == len {
                 if env_sum + extra1 + d.max((v - last_q).abs()) <= limit {
-                    lb1.push((env_sum + d, hlo, hhi));
                     survivors.push(len);
+                    (dmin, dmax) = (vmin, vmax);
                 }
                 next += 1;
             }
             env_sum += d;
-            h.push(hv);
             if env_sum + extra1 > limit {
                 // Monotone accumulator: every longer length dies too.
                 break;
             }
         }
         let tier1_kills = (lens.len() - survivors.len()) as u64;
-        if tier1_kills > 0 {
-            metrics.cascade_lb_keogh_kills.add(tier1_kills);
-            metrics.false_alarms.add(tier1_kills);
-        }
-        if survivors.is_empty() {
-            return;
-        }
-        // Tier 2: the endpoint-strengthened second pass over each
-        // tier-1 survivor, compacting the survivor list in place.
-        let mut tier2_kills = 0u64;
-        let mut keep = 0usize;
-        for i in 0..survivors.len() {
-            let len = survivors[i];
-            let (lb, lo, hi) = lb1[i];
-            if lb + env.improved_term_endpoints_prefixed(h, len as usize, lo, hi) > limit {
-                tier2_kills += 1;
-            } else {
-                survivors[keep] = len;
-                keep += 1;
-            }
-        }
-        survivors.truncate(keep);
-        if tier2_kills > 0 {
-            metrics.cascade_lb_improved_kills.add(tier2_kills);
-            metrics.false_alarms.add(tier2_kills);
-        }
+        *lb_keogh_kills += tier1_kills;
+        *false_alarms += tier1_kills;
         if survivors.is_empty() {
             return;
         }
@@ -192,16 +302,9 @@ pub(crate) fn verify_group(
         // must still pair every later query column with some candidate
         // row, each costing at least its distance to the candidate's
         // value range over the surviving extent.
-        let tail = *survivors.last().expect("non-empty survivors") as usize;
-        let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in &values[..tail] {
-            dmin = dmin.min(v);
-            dmax = dmax.max(v);
-        }
         env.column_remainders(dmin, dmax, rem);
         survivors
     } else {
-        rem.clear();
         lens
     };
     // Tier 3: exact shared-table verification, built only to the
@@ -226,7 +329,7 @@ pub(crate) fn verify_group(
                     dist: stat.dist,
                 });
             } else {
-                metrics.false_alarms.incr();
+                *false_alarms += 1;
             }
             next += 1;
         }
@@ -234,9 +337,9 @@ pub(crate) fn verify_group(
             // Theorem 1: every remaining (longer) candidate of this
             // start is a false alarm.
             let rest = (lens.len() - next) as u64;
-            metrics.false_alarms.add(rest);
-            if cascade.is_some() && rest > 0 {
-                metrics.cascade_abandon_kills.add(rest);
+            *false_alarms += rest;
+            if cascade.is_some() {
+                *abandon_kills += rest;
             }
             next = lens.len();
             break;
@@ -250,7 +353,7 @@ pub(crate) fn verify_group(
 ///
 /// Duplicate candidate occurrences are verified once. With
 /// `params.threads > 1` the groups are verified across worker threads
-/// (each with its own table and scratch counters); the answer set and
+/// (each with its own [`Verifier`]); the answer set and
 /// every counter are identical to the sequential path, because groups
 /// are a deterministic partition and results join in group order.
 pub fn postprocess(
@@ -260,8 +363,13 @@ pub fn postprocess(
     params: &SearchParams,
     metrics: &SearchMetrics,
 ) -> AnswerSet {
+    let mut answers = AnswerSet::new();
+    if candidates.is_empty() {
+        // An empty segment of a fan-out pays for no envelope or table.
+        return answers;
+    }
     let epsilon = params.epsilon;
-    let groups = group_candidates(candidates, epsilon);
+    let groups = group_candidates(store, candidates, epsilon);
     let threads = params.threads.max(1) as usize;
     // The envelopes are read-only and band-matched to the tables, so
     // one per query is shared by every group on every worker.
@@ -269,48 +377,25 @@ pub fn postprocess(
         .cascade
         .then(|| QueryEnvelope::new(query, params.window));
     let env = env.as_ref();
-    let mut answers = AnswerSet::new();
-    if threads > 1 && groups.len() > 1 {
-        let (per_group, states) = parallel_map_with(
-            threads,
-            groups,
-            || {
-                (
-                    WarpTable::new(query, params.window),
-                    VerifyScratch::default(),
-                    metrics.scratch(),
-                )
-            },
-            |(table, vs, scratch), _i, (key, lens)| {
-                let mut out = Vec::new();
-                verify_group(
-                    store, table, vs, key, &lens, epsilon, env, scratch, &mut out,
-                );
-                out
-            },
-        );
-        for matches in per_group {
-            for m in matches {
-                answers.push(m);
+    // One thread runs the same tasks in order on the calling thread.
+    let (per_task, workers) = parallel_map_with(
+        threads,
+        groups.tasks(),
+        || Verifier::new(query, params.window),
+        |worker, _i, range| {
+            let mut out = Vec::new();
+            for i in range {
+                let (key, lens) = groups.get(i);
+                verify_group(store, worker, key, lens, epsilon, env, &mut out);
             }
-        }
-        for (table, _, scratch) in states {
-            metrics.postprocess_cells.add(table.cells_computed());
-            metrics.record(&scratch.snapshot());
-        }
-    } else {
-        let mut table = WarpTable::new(query, params.window);
-        let mut vs = VerifyScratch::default();
-        let mut out = Vec::new();
-        for (key, lens) in groups {
-            verify_group(
-                store, &mut table, &mut vs, key, &lens, epsilon, env, metrics, &mut out,
-            );
-        }
-        for m in out {
-            answers.push(m);
-        }
-        metrics.postprocess_cells.add(table.cells_computed());
+            out
+        },
+    );
+    for matches in per_task {
+        answers.extend(matches);
+    }
+    for worker in workers {
+        worker.finish(metrics);
     }
     metrics.answers.add(answers.len() as u64);
     answers
@@ -457,6 +542,169 @@ mod tests {
                     "eps={eps} t={threads}"
                 );
                 assert_eq!(m1.snapshot(), mp.snapshot(), "eps={eps} t={threads}");
+            }
+        }
+    }
+
+    /// The hash-map grouping the counting sort replaced, kept as its
+    /// oracle.
+    fn group_by_hashing(candidates: &[Candidate]) -> Vec<((SeqId, u32), Vec<u32>)> {
+        let mut by_start: std::collections::HashMap<(SeqId, u32), Vec<u32>> =
+            std::collections::HashMap::new();
+        for cand in candidates {
+            by_start
+                .entry((cand.occ.seq, cand.occ.start))
+                .or_default()
+                .push(cand.occ.len);
+        }
+        let mut groups: Vec<((SeqId, u32), Vec<u32>)> = by_start.into_iter().collect();
+        groups.sort_unstable_by_key(|(key, _)| *key);
+        for (_, lens) in &mut groups {
+            lens.sort_unstable();
+            lens.dedup();
+        }
+        groups
+    }
+
+    #[test]
+    fn counting_sort_grouping_equals_hash_grouping() {
+        // Shuffled multi-sequence input with duplicates, empty
+        // sequences and sequences without candidates: the groups, their
+        // order and their length lists must be exactly the old ones.
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        for case in 0..40 {
+            let seq_lens: Vec<u32> = (0..1 + next(9))
+                .map(|_| if next(5) == 0 { 0 } else { 1 + next(30) })
+                .collect();
+            let store = SequenceStore::from_values(seq_lens.iter().map(|&l| vec![1.0; l as usize]));
+            let mut cands = Vec::new();
+            for _ in 0..next(400) {
+                let seq = next(seq_lens.len() as u32);
+                if seq_lens[seq as usize] == 0 || (case % 4 == 0 && seq == 0) {
+                    continue;
+                }
+                let start = next(seq_lens[seq as usize]);
+                let len = 1 + next(seq_lens[seq as usize] - start);
+                // Paths emit runs of ascending lengths; shuffles,
+                // repeats and lone candidates mix in.
+                for extra in 0..=next(4) {
+                    let len = (len + extra).min(seq_lens[seq as usize] - start);
+                    cands.push(cand(seq, start, len, 0.0));
+                }
+            }
+            let expect = group_by_hashing(&cands);
+            let got = group_candidates(&store, &cands, 0.0);
+            let got: Vec<((SeqId, u32), Vec<u32>)> = (0..got.len())
+                .map(|i| {
+                    let (key, lens) = got.get(i);
+                    (key, lens.to_vec())
+                })
+                .collect();
+            assert_eq!(got, expect, "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its sequence")]
+    fn candidate_beyond_its_sequence_is_rejected() {
+        let store = SequenceStore::from_values(vec![vec![1.0; 3], vec![1.0; 3]]);
+        group_candidates(&store, &[cand(0, 3, 1, 0.0)], 0.0);
+    }
+
+    #[test]
+    fn wide_band_groups_match_independent_dtw() {
+        // w = 8 and every in-band length of every start a candidate
+        // (17 lengths a group): answers are the per-candidate banded
+        // DTW's, cascade on or off, and the funnel counters agree.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut step = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 5) as f64 - 2.0
+        };
+        let mut walk = |n: usize| {
+            let mut v = 50.0;
+            (0..n)
+                .map(|_| {
+                    v += step();
+                    v
+                })
+                .collect::<Vec<f64>>()
+        };
+        let store = SequenceStore::from_values(vec![walk(60), walk(45)]);
+        let q: Vec<f64> = store.get(SeqId(0)).subseq(7, 12).to_vec();
+        let (n, w) = (q.len() as u32, 8u32);
+        let mut cands = Vec::new();
+        for (id, seq) in store.iter() {
+            for start in 0..seq.len() as u32 {
+                for len in (n - w)..=(n + w).min(seq.len() as u32 - start) {
+                    cands.push(cand(id.0, start, len, 0.0));
+                }
+            }
+        }
+        for eps in [0.0, 4.0, 15.0] {
+            let params = SearchParams::with_epsilon(eps).windowed(w);
+            let (m_on, m_off) = (SearchMetrics::new(), SearchMetrics::new());
+            let on = postprocess(&store, &q, &cands, &params, &m_on);
+            let off = postprocess(&store, &q, &cands, &params.clone().cascaded(false), &m_off);
+            assert_eq!(on.matches(), off.matches(), "eps={eps}");
+            let expect: Vec<Match> = cands
+                .iter()
+                .filter_map(|c| {
+                    let dist = crate::dtw::dtw_windowed(&q, store.occurrence_values(c.occ), w);
+                    (dist <= eps).then_some(Match { occ: c.occ, dist })
+                })
+                .collect();
+            assert_eq!(on.matches(), expect, "eps={eps}");
+            let (s_on, s_off) = (m_on.snapshot(), m_off.snapshot());
+            assert_eq!(s_on.false_alarms, s_off.false_alarms, "eps={eps}");
+            assert_eq!(s_on.postprocessed, cands.len() as u64);
+            assert!(s_on.postprocess_cells <= s_off.postprocess_cells);
+            assert_eq!(s_on.cascade_lb_improved_kills, 0, "tier 2 is gone");
+        }
+    }
+
+    #[test]
+    fn cent_grid_answers_on_epsilon_survive_the_cascade() {
+        // Two subsequences of the README's stock example whose exact
+        // distance from the query is 4 on the cent grid (1.83 + 0.83 +
+        // 0.10 + 1.24). A lower bound that splits the same cells into
+        // two differently-ordered sums (the retired second pass did)
+        // can round a hair above ε and dismiss them; every bound that
+        // runs must agree with the table it guards.
+        let store = SequenceStore::from_values(vec![
+            vec![11.83, 12.1, 12.24],
+            vec![9.64, 9.86, 9.99, 10.17],
+        ]);
+        let q = [10.0, 11.0, 12.0, 11.0];
+        let mut cands = Vec::new();
+        for (id, seq) in store.iter() {
+            for len in 1..=seq.len() as u32 {
+                cands.push(cand(id.0, 0, len, 0.0));
+            }
+        }
+        for window in [None, Some(2)] {
+            let mut params = SearchParams::with_epsilon(4.0);
+            params.window = window;
+            let m = SearchMetrics::new();
+            let on = postprocess(&store, &q, &cands, &params, &m);
+            let off = postprocess(&store, &q, &cands, &params.cascaded(false), &m);
+            assert_eq!(on.matches(), off.matches(), "window {window:?}");
+            for occ in [
+                Occurrence::new(SeqId(0), 0, 3),
+                Occurrence::new(SeqId(1), 0, 4),
+            ] {
+                assert!(
+                    on.matches().iter().any(|m| m.occ == occ),
+                    "window {window:?}: {occ} dismissed"
+                );
             }
         }
     }

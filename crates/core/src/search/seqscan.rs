@@ -82,8 +82,8 @@ pub fn seq_scan(
                     // upgraded to the exact corner term |c_1 − q_1|
                     // (cell (1,1) is on every warping path). Strict `>`
                     // so a prefix landing exactly on ε is verified.
-                    match env.row_step(len, v) {
-                        Some((d, _)) => {
+                    match env.row_dist(len, v) {
+                        Some(d) => {
                             if row == 0 {
                                 extra1 = (v - env.first_q()).abs() - d;
                             }

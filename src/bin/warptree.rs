@@ -952,6 +952,17 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Prints a long-running command's start-up banner. Unlike `println!`
+/// it tolerates a closed stdout: a script that reads the first line for
+/// the bound address and then drops the pipe must not take the server
+/// down with a broken-pipe panic on the banner's remaining lines.
+fn announce(banner: &str) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    let _ = out.write_all(banner.as_bytes());
+    let _ = out.flush();
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use warptree::server::signal;
     // Accept the directory positionally (`warptree serve ./idx`) or as
@@ -993,10 +1004,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let handle = Server::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
-    println!("serving {} on {}", dir.display(), handle.addr());
-    println!(
+    let mut banner = format!("serving {} on {}\n", dir.display(), handle.addr());
+    banner += &format!(
         "  workers {}, queue depth {}, max conns {}, deadline {:?}, reload poll {:?}, \
-         per-request parallelism cap {}",
+         per-request parallelism cap {}\n",
         config.workers,
         config.queue_depth,
         config.max_conns,
@@ -1004,8 +1015,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.reload_interval,
         config.max_parallelism
     );
-    println!(
-        "  slow-query threshold {} ms, trace sample {}, slowlog capacity {}",
+    banner += &format!(
+        "  slow-query threshold {} ms, trace sample {}, slowlog capacity {}\n",
         config.slow_ms,
         if config.trace_sample == 0 {
             "off".to_string()
@@ -1015,10 +1026,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.slowlog_capacity
     );
     if let Some(maddr) = handle.metrics_addr() {
-        println!("  metrics exposition on http://{maddr}/metrics");
+        banner += &format!("  metrics exposition on http://{maddr}/metrics\n");
     }
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    announce(&banner);
     // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1205,21 +1215,20 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
     let shard_count = config.shard_addrs.len();
     let handle = Coordinator::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
-    println!("coordinating {shard_count} shards on {}", handle.addr());
+    let mut banner = format!("coordinating {shard_count} shards on {}\n", handle.addr());
     for (i, addr) in config.shard_addrs.iter().enumerate() {
-        println!("  shard {i}: {addr}");
+        banner += &format!("  shard {i}: {addr}\n");
     }
-    println!(
+    banner += &format!(
         "  scatter lanes {}, deadline {:?}, per-shard timeout {:?}, max conns {}, \
-         health poll {:?}",
+         health poll {:?}\n",
         config.workers,
         config.deadline,
         config.shard_timeout,
         config.max_conns,
         config.health_interval
     );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    announce(&banner);
     // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));

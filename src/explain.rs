@@ -320,12 +320,10 @@ impl std::fmt::Display for ExplainReport {
             };
             writeln!(
                 f,
-                "  cascade kills     {:>10}  (LB_Keogh {} = {:.1}%, LB_Improved {} = {:.1}%, abandon {} = {:.1}%)",
+                "  cascade kills     {:>10}  (LB_Keogh {} = {:.1}%, abandon {} = {:.1}%)",
                 kills,
                 s.cascade_lb_keogh_kills,
                 rate(s.cascade_lb_keogh_kills),
-                s.cascade_lb_improved_kills,
-                rate(s.cascade_lb_improved_kills),
                 s.cascade_abandon_kills,
                 rate(s.cascade_abandon_kills),
             )?;

@@ -377,3 +377,141 @@ fn answers_exactly_on_epsilon_are_kept_everywhere() {
         }
     }
 }
+
+/// A corpus for the wide-band case: integer values only (every sum is
+/// exact in f64), long runs of 3 that end in a 5. Against the query
+/// `3 × 11, 7` the subsequence `3 × k, 5` costs exactly `|7 − 5| = 2`
+/// for every `k + 1` inside the band — each start inside a run carries
+/// one answer planted exactly on ε = 2 among a full band's worth of
+/// candidate lengths.
+fn wide_band_store() -> SequenceStore {
+    let run = |k: usize, tail: &[f64]| {
+        let mut v = vec![40.0];
+        v.extend(std::iter::repeat_n(3.0, k));
+        v.extend_from_slice(tail);
+        v
+    };
+    SequenceStore::from_values(vec![
+        run(20, &[5.0, 40.0, 40.0, 3.0, 3.0]),
+        vec![30.0, 31.0, 29.0, 30.0, 32.0, 30.0, 28.0, 30.0, 30.0, 31.0],
+        run(14, &[5.0, 3.0, 3.0, 3.0, 6.0, 40.0]),
+        run(24, &[4.0, 5.0, 9.0]),
+        vec![3.0, 3.0, 3.0, 5.0, 3.0, 3.0, 3.0, 3.0, 5.0, 5.0, 7.0, 40.0],
+        run(9, &[7.0, 7.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 5.0]),
+    ])
+}
+
+const WIDE_WINDOW: u32 = 8;
+
+fn wide_band_query() -> Vec<f64> {
+    let mut q = vec![3.0; 11];
+    q.push(7.0);
+    q
+}
+
+/// The warping window the benchmark's broad workload uses (w = 8) with
+/// groups of ten and more candidate lengths, one of them planted
+/// exactly on ε: cascade on and off, 1 and 8 threads, one tree and a
+/// 3-segment directory all return the sequential scan's answers, bit
+/// for bit, with identical funnels — and one ulp below ε the planted
+/// answers are gone from every path.
+#[test]
+fn wide_window_groups_with_answers_planted_on_epsilon() {
+    let store = wide_band_store();
+    let q = wide_band_query();
+    let cat = Categorization::EqualLength(4);
+    let planted = Occurrence::new(SeqId(0), 5, 17); // 3 × 16, then the 5
+
+    // One in-memory sparse tree.
+    let alphabet = cat.alphabet(&store).unwrap();
+    let encoded = Arc::new(alphabet.encode_store(&store));
+    let tree = build_sparse(encoded);
+    // The same corpus as base + two appended segments.
+    let seg = tmpdir("wide-seg");
+    let part = |range: std::ops::Range<usize>| {
+        let mut out = SequenceStore::new();
+        for id in range {
+            out.push(store.get(SeqId(id as u32)).clone());
+        }
+        out
+    };
+    build_index_dir(&part(0..2), cat, true, 2, &seg).unwrap();
+    warptree::append_index_dir(&seg, &part(2..4)).unwrap();
+    warptree::append_index_dir(&seg, &part(4..6)).unwrap();
+    let seg_idx = open_index_dir(&seg, 64).unwrap();
+    assert_eq!(seg_idx.segment_count(), 3);
+
+    // The filter really hands post-processing wide groups.
+    let base = SearchParams::with_epsilon(2.0).windowed(WIDE_WINDOW);
+    let candidates =
+        warptree::core::search::filter_tree(&tree, &alphabet, &q, &base, &SearchMetrics::new());
+    let mut per_start = std::collections::BTreeMap::new();
+    for c in &candidates {
+        *per_start.entry((c.occ.seq, c.occ.start)).or_insert(0usize) += 1;
+    }
+    let wide = per_start.values().filter(|&&n| n >= 10).count();
+    assert!(wide >= 10, "only {wide} groups with ≥ 10 candidate lengths");
+
+    for (eps, expect_planted) in [(2.0, true), (next_down(2.0), false)] {
+        let base = SearchParams::with_epsilon(eps).windowed(WIDE_WINDOW);
+        let mut stats = SearchStats::default();
+        let mut truth = seq_scan(&store, &q, &base, SeqScanMode::Full, &mut stats);
+        truth.sort();
+        assert_eq!(
+            truth.matches().iter().any(|m| m.occ == planted),
+            expect_planted,
+            "eps={eps}: ground truth"
+        );
+        if expect_planted {
+            let on_eps = truth.matches().iter().filter(|m| m.dist == 2.0).count();
+            assert!(on_eps >= 10, "only {on_eps} answers sit exactly on ε");
+        }
+        let mut funnels = Vec::new();
+        for t in THREADS {
+            for cascade in [true, false] {
+                let params = base.clone().parallel(t).cascaded(cascade);
+                let ctx = format!("eps={eps} t={t} cascade={cascade}");
+                let m = SearchMetrics::new();
+                let mut mono = run_query_with(
+                    &tree,
+                    &alphabet,
+                    &store,
+                    &QueryRequest::threshold_params(&q, params.clone()),
+                    &m,
+                )
+                .unwrap()
+                .into_answer_set();
+                let (out, seg_stats) = seg_idx
+                    .query(&QueryRequest::threshold_params(&q, params))
+                    .unwrap();
+                let mut segd = out.into_answer_set();
+                mono.sort();
+                segd.sort();
+                assert_eq!(mono.matches(), truth.matches(), "{ctx}: tree vs seq_scan");
+                assert_eq!(
+                    segd.matches(),
+                    truth.matches(),
+                    "{ctx}: segments vs seq_scan"
+                );
+                funnels.push((cascade, m.snapshot(), seg_stats, ctx));
+            }
+        }
+        // Per layout: on vs off differ in the cascade's own counters
+        // only, and neither moves with the thread count.
+        for (cascade, mono, segd, ctx) in &funnels {
+            let (_, mono_ref, seg_ref, _) = funnels.iter().find(|f| f.0 == *cascade).unwrap();
+            assert_eq!(mono, mono_ref, "{ctx}: tree funnel moved with threads");
+            assert_eq!(segd, seg_ref, "{ctx}: segment funnel moved with threads");
+            if *cascade {
+                let (_, mono_off, seg_off, _) = funnels.iter().find(|f| !f.0).unwrap();
+                assert_stats_equal_modulo_cascade(mono, mono_off, ctx);
+                assert_stats_equal_modulo_cascade(segd, seg_off, ctx);
+                assert!(
+                    mono.cascade_lb_keogh_kills + mono.cascade_abandon_kills > 0,
+                    "{ctx}: the cascade never fired"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&seg).unwrap();
+}

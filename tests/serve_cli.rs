@@ -72,9 +72,10 @@ fn serve_and_bench_client_round_trip() {
         .spawn()
         .expect("serve starts");
     let mut first_line = String::new();
-    BufReader::new(server.stdout.take().unwrap())
-        .read_line(&mut first_line)
-        .unwrap();
+    // Held to the end of the test: the banner has more lines, and a
+    // reader dropped after the first closes the server's stdout.
+    let mut banner = BufReader::new(server.stdout.take().unwrap());
+    banner.read_line(&mut first_line).unwrap();
     let addr = first_line
         .trim()
         .rsplit(" on ")
@@ -108,7 +109,11 @@ fn serve_and_bench_client_round_trip() {
     let report = json::parse(&std::fs::read_to_string(&bench_out).unwrap()).unwrap();
     assert_eq!(report.get("sent").and_then(Json::as_u64), Some(60));
     assert_eq!(report.get("connections").and_then(Json::as_u64), Some(4));
-    assert_eq!(report.get("errors").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        report.get("errors").and_then(Json::as_u64),
+        Some(0),
+        "bench summary:\n{out}"
+    );
     assert!(report.get("ok").and_then(Json::as_u64).unwrap_or(0) > 0);
     let latency = report.get("latency_us").expect("latency block");
     for q in ["p50", "p95", "p99", "max"] {
