@@ -4,15 +4,16 @@
 //!
 //! ## Threading model
 //!
-//! One non-blocking accept loop; one thread per client connection.
-//! There is no worker pool at this layer — the shards do the query
-//! work, the coordinator's per-request cost is parsing and merging —
-//! so each connection thread scatters directly over its own private
-//! [`ShardConn`] set (sockets are never shared across requests on
-//! different connections). The fan-out itself runs on up to
-//! [`CoordConfig::workers`] scoped threads ("lanes"); with one lane
-//! the scatter is a plain sequential loop, and the merged answer is
-//! byte-identical at every lane count.
+//! The accept loop, the connection threads and everything on the wire
+//! are `warptree_server::serve_core`'s — the same loop the shard server
+//! runs under; this module is its [`Handler`]. There is no worker pool
+//! at this layer — the shards do the query work, the coordinator's
+//! per-request cost is parsing and merging — so each connection thread
+//! scatters directly over its own private [`ShardConn`] set (sockets
+//! are never shared across requests on different connections). The
+//! fan-out itself runs on up to [`CoordConfig::workers`] scoped threads
+//! ("lanes"); with one lane the scatter is a plain sequential loop, and
+//! the merged answer is byte-identical at every lane count.
 //!
 //! ## Degradation contract
 //!
@@ -27,29 +28,26 @@
 //! whole query with that error (lowest shard index wins), because the
 //! monolithic server would have failed the same way.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use warptree_core::search::{Match, SearchStats};
 use warptree_disk::{read_shard_manifest, ShardManifest};
 use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
-use warptree_server::client::{encode_query, ingest_request, ClientError, RetryPolicy, ShardConn};
+use warptree_server::client::{ClientError, RetryPolicy, ShardConn};
 use warptree_server::json::Json;
 use warptree_server::proto::{
-    self, error_response, ok_response, read_frame_idle_aware, write_frame, ErrorCode, FrameEvent,
-    Request, PROTO_VERSION,
+    self, error_response, ok_response, ErrorCode, Request, PROTO_VERSION,
 };
+use warptree_server::serve_core::{self, Handler, ServeHandle, SlowLog, StopThread};
 
 use crate::merge::{
-    aggregate_coverage, encode_stats, merge_ranked, merge_threshold, parse_coverage, parse_matches,
-    parse_stats, sum_stats, ShardCoverage,
+    aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
+    sum_stats, ShardCoverage,
 };
-use crate::slowlog::CoordSlowLog;
 
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -148,21 +146,10 @@ struct CoordState {
     workers: usize,
     shard_timeout: Duration,
     policy: RetryPolicy,
-    max_conns: usize,
     registry: MetricsRegistry,
-    slowlog: Arc<CoordSlowLog>,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl CoordState {
-    fn max_generation(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.snapshot().generation)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn shards_up(&self) -> usize {
         self.shards.iter().filter(|s| s.snapshot().up).count()
     }
@@ -203,7 +190,8 @@ impl Coordinator {
             )));
         }
         let registry = MetricsRegistry::new();
-        let slowlog = Arc::new(CoordSlowLog::new(
+        let slowlog = Arc::new(SlowLog::new(
+            CoordState::PREFIX,
             config.slowlog_capacity,
             config.slow_ms,
             config.trace_sample,
@@ -234,134 +222,45 @@ impl Coordinator {
                 }),
             })
             .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(CoordState {
             shards,
             workers: config.workers.max(1),
             shard_timeout: config.shard_timeout,
             policy,
-            max_conns: config.max_conns,
             registry: registry.clone(),
-            slowlog,
-            shutdown: shutdown.clone(),
         });
 
         // One synchronous poll round so `health` is meaningful the
         // moment `start` returns (a down shard shows down, not
         // unknown).
-        {
-            let mut conns = monitor_conns(&state);
-            poll_round(&state, &mut conns);
-        }
+        poll_round(&state, &mut state.connect());
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let monitor_stop = Arc::new(AtomicBool::new(false));
         let monitor = {
             let state = state.clone();
-            let stop = monitor_stop.clone();
             let interval = config.health_interval;
-            std::thread::Builder::new()
-                .name("warptree-coord-health".to_string())
-                .spawn(move || monitor_loop(&state, interval, &stop))?
+            StopThread::spawn("warptree-coord-health", move |stop| {
+                monitor_loop(&state, interval, stop)
+            })?
         };
-
-        let accept = {
-            let state = state.clone();
-            std::thread::Builder::new()
-                .name("warptree-coord-accept".to_string())
-                .spawn(move || accept_loop(listener, &state))?
-        };
-
-        Ok(CoordHandle {
-            addr,
+        serve_core::serve(
+            &config.addr,
+            config.max_conns,
+            state,
+            slowlog,
             registry,
-            shutdown,
-            accept: Some(accept),
-            monitor_stop,
-            monitor: Some(monitor),
-        })
+            monitor,
+        )
     }
 }
 
-/// A handle to a running coordinator.
-pub struct CoordHandle {
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    monitor_stop: Arc<AtomicBool>,
-    monitor: Option<JoinHandle<()>>,
-}
-
-impl CoordHandle {
-    /// The actual bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The coordinator's metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Asks the coordinator to drain and stop. Non-blocking; follow
-    /// with [`CoordHandle::join`].
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested (locally or via the
-    /// protocol `shutdown` op).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Waits for the drain to complete (implies a shutdown trigger).
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    /// [`CoordHandle::request_shutdown`] + [`CoordHandle::join`].
-    pub fn stop(self) {
-        self.request_shutdown();
-        self.join();
-    }
-
-    fn join_inner(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.monitor_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.monitor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CoordHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.join_inner();
-    }
-}
-
-/// Fresh monitor-side connections, one per shard, with the poll
-/// timeout applied.
-fn monitor_conns(state: &CoordState) -> Vec<ShardConn> {
-    state
-        .shards
-        .iter()
-        .map(|s| ShardConn::with_timeout(s.addr.clone(), Some(state.shard_timeout)))
-        .collect()
-}
+/// A handle to a running coordinator; the health monitor stops once
+/// the drain has finished.
+pub type CoordHandle = ServeHandle<StopThread>;
 
 /// One `info` poll of every shard, refreshing the cached view.
 fn poll_round(state: &CoordState, conns: &mut [ShardConn]) {
     for (shard, conn) in state.shards.iter().zip(conns.iter_mut()) {
-        match conn.request("{\"op\":\"info\"}") {
+        match conn.request(&Request::Info.encode(None)) {
             Ok(v) => {
                 let field = |k: &str| v.get(k).and_then(Json::as_u64);
                 shard.update(|info| {
@@ -384,220 +283,10 @@ fn poll_round(state: &CoordState, conns: &mut [ShardConn]) {
 }
 
 fn monitor_loop(state: &CoordState, interval: Duration, stop: &AtomicBool) {
-    let mut conns = monitor_conns(state);
-    // Sleep in small slices so stop() returns promptly.
-    let slice = interval
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(1));
-    let mut elapsed = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        if elapsed < interval {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            continue;
-        }
-        elapsed = Duration::ZERO;
+    let mut conns = state.connect();
+    while StopThread::sleep(stop, interval) {
         poll_round(state, &mut conns);
     }
-}
-
-fn accept_loop(listener: TcpListener, state: &Arc<CoordState>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !state.shutdown.load(Ordering::SeqCst) {
-        conns.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conns.len() >= state.max_conns {
-                    state.registry.counter("coord.rejected_conn_limit").incr();
-                    reject_connection(stream);
-                    continue;
-                }
-                state.registry.counter("coord.connections").incr();
-                let conn_state = state.clone();
-                match std::thread::Builder::new()
-                    .name("warptree-coord-conn".to_string())
-                    .spawn(move || handle_conn(stream, &conn_state))
-                {
-                    Ok(h) => conns.push(h),
-                    Err(_) => state.registry.counter("coord.errors").incr(),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                state.registry.counter("coord.errors").incr();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-fn reject_connection(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = write_frame(
-        &mut stream,
-        error_response(
-            ErrorCode::Overloaded,
-            "connection limit reached; retry with backoff",
-        )
-        .as_bytes(),
-    );
-}
-
-/// Same mid-frame stall bound as the shard server (~30 s of 100 ms
-/// read timeouts).
-const FRAME_STALL_LIMIT: u32 = 300;
-
-fn handle_conn(mut stream: TcpStream, state: &Arc<CoordState>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    // This connection's private shard sockets, dialed lazily and
-    // re-dialed by the retry policy after transport failures.
-    let mut shards: Vec<ShardConn> = state
-        .shards
-        .iter()
-        .map(|s| ShardConn::with_timeout(s.addr.clone(), Some(state.shard_timeout)))
-        .collect();
-    loop {
-        match read_frame_idle_aware(&mut stream, FRAME_STALL_LIMIT) {
-            Ok(FrameEvent::Frame(payload)) => {
-                if !serve_one(&payload, &mut stream, state, &mut shards) {
-                    return;
-                }
-                // Same drain rule as the shard server: once shutdown is
-                // requested, close after answering instead of waiting
-                // for an idle window a fast-polling client never opens.
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Ok(FrameEvent::Closed) => return,
-            Ok(FrameEvent::Idle) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handles one request frame. Returns `false` when the connection
-/// should close.
-fn serve_one(
-    payload: &[u8],
-    stream: &mut TcpStream,
-    state: &Arc<CoordState>,
-    shards: &mut [ShardConn],
-) -> bool {
-    let started = Instant::now();
-    let (req, proto_version, trace_opts) = match Request::parse_full(payload, false) {
-        Ok(parsed) => parsed,
-        Err(pe) => {
-            state.registry.counter("coord.bad_requests").incr();
-            return respond(stream, &error_response(pe.code, &pe.message));
-        }
-    };
-
-    if req.is_control() {
-        let resp = clamp_oversized(control_response(&req, state), &state.registry);
-        return respond(stream, &resp);
-    }
-
-    if state.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            &error_response(ErrorCode::ShuttingDown, "coordinator is draining"),
-        );
-    }
-
-    let trace_wanted = trace_opts.wanted;
-    let trace = if trace_wanted || state.slowlog.sample() {
-        Trace::active(
-            trace_opts
-                .trace_id
-                .unwrap_or_else(|| next_trace_id(req.op_label())),
-        )
-    } else {
-        Trace::noop()
-    };
-
-    let op = req.op_label();
-    let span = trace.span("coord.service");
-    if span.is_active() {
-        span.attr_str("op", op);
-        span.attr_u64("shards", state.shards.len() as u64);
-    }
-    let parent = span.span_id();
-    let mut resp = execute(state, shards, req, &trace, parent);
-    drop(span);
-    let service_ns = started.elapsed().as_nanos() as u64;
-    state
-        .registry
-        .histogram("coord.request_ns")
-        .record(service_ns);
-    // Mirror the shard server's v4 shape: a timings object on every ok
-    // response (the coordinator has no admission queue, so queue_ns is
-    // 0) and the span tree inline when the client asked for it.
-    if proto_version >= 4 && resp.starts_with("{\"ok\":true") && resp.ends_with('}') {
-        resp.pop();
-        resp.push_str(&format!(
-            ",\"timings\":{{\"queue_ns\":0,\"service_ns\":{service_ns}}}"
-        ));
-        if trace_wanted {
-            if let Some(data) = trace.finish() {
-                resp.push_str(&format!(",\"trace\":{}", data.to_json()));
-            }
-        }
-        resp.push('}');
-    }
-    // Degraded answers below protocol version 3 cannot be expressed;
-    // the check runs on the merged result so it fires exactly when the
-    // monolithic server's would have.
-    if proto_version < 3 && resp.starts_with("{\"ok\":true") && resp.contains("\"partial\":") {
-        state.registry.counter("coord.bad_requests").incr();
-        resp = error_response(
-            ErrorCode::PartialResultUnsupported,
-            "result is partial (segments quarantined) and this protocol version cannot express partial results; retry with version 3",
-        );
-    }
-    state
-        .slowlog
-        .offer(op, state.max_generation(), service_ns, &trace);
-    let resp = clamp_oversized(resp, &state.registry);
-    respond(stream, &resp)
-}
-
-fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
-    if resp.len() <= proto::MAX_FRAME as usize {
-        return resp;
-    }
-    registry.counter("coord.result_too_large").incr();
-    error_response(
-        ErrorCode::ResultTooLarge,
-        "serialized result exceeds the 4 MiB frame limit; narrow epsilon, lower max_len, or split the batch",
-    )
-}
-
-fn respond(stream: &mut TcpStream, resp: &str) -> bool {
-    write_frame(stream, resp.as_bytes()).is_ok() && stream.flush().is_ok()
-}
-
-fn next_trace_id(kind: &str) -> String {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    format!("coord-{kind}-{}", SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
 /// A typed error frame with a shard-supplied code string, byte-shaped
@@ -611,85 +300,106 @@ fn error_frame(code: &str, message: &str) -> String {
     )
 }
 
-fn control_response(req: &Request, state: &CoordState) -> String {
-    let infos: Vec<ShardInfo> = state.shards.iter().map(|s| s.snapshot()).collect();
-    let up = infos.iter().filter(|i| i.up).count();
-    let quarantined: u64 = infos.iter().map(|i| i.quarantined).sum();
-    let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
-    match req {
-        Request::Health => {
-            // Degraded when any shard is unreachable *or* any shard is
-            // itself degraded — either way answers are partial.
-            let status = if up == infos.len() && quarantined == 0 {
-                "serving"
-            } else {
-                "degraded"
-            };
-            let mut per = String::from("[");
-            for (i, (info, shard)) in infos.iter().zip(&state.shards).enumerate() {
-                if i > 0 {
-                    per.push(',');
+impl Handler for CoordState {
+    /// This connection's private shard sockets, dialed lazily and
+    /// re-dialed by the retry policy after transport failures.
+    type Conn = Vec<ShardConn>;
+    const PREFIX: &'static str = "coord";
+
+    fn connect(&self) -> Vec<ShardConn> {
+        self.shards
+            .iter()
+            .map(|s| ShardConn::with_timeout(s.addr.clone(), Some(self.shard_timeout)))
+            .collect()
+    }
+
+    fn generation(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.snapshot().generation)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn control(&self, req: &Request) -> String {
+        let infos: Vec<ShardInfo> = self.shards.iter().map(|s| s.snapshot()).collect();
+        let up = infos.iter().filter(|i| i.up).count();
+        let quarantined: u64 = infos.iter().map(|i| i.quarantined).sum();
+        let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
+        match req {
+            Request::Health => {
+                // Degraded when any shard is unreachable *or* any shard is
+                // itself degraded — either way answers are partial.
+                let status = if up == infos.len() && quarantined == 0 {
+                    "serving"
+                } else {
+                    "degraded"
+                };
+                let mut per = String::from("[");
+                for (i, (info, shard)) in infos.iter().zip(&self.shards).enumerate() {
+                    if i > 0 {
+                        per.push(',');
+                    }
+                    per.push_str(&format!(
+                        "{{\"index\":{i},\"addr\":\"{}\",\"up\":{},\"generation\":{},\"quarantined_segments\":{}}}",
+                        obs_json::escape(&shard.addr),
+                        info.up,
+                        info.generation,
+                        info.quarantined,
+                    ));
                 }
-                per.push_str(&format!(
-                    "{{\"index\":{i},\"addr\":\"{}\",\"up\":{},\"generation\":{},\"quarantined_segments\":{}}}",
-                    obs_json::escape(&shard.addr),
-                    info.up,
-                    info.generation,
-                    info.quarantined,
-                ));
+                per.push(']');
+                ok_response(
+                    "health",
+                    &format!(
+                        "\"status\":\"{status}\",\"generation\":{generation},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"shards\":{per}",
+                        infos.len()
+                    ),
+                )
             }
-            per.push(']');
-            ok_response(
-                "health",
-                &format!(
-                    "\"status\":\"{status}\",\"generation\":{generation},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"shards\":{per}",
-                    infos.len()
-                ),
-            )
+            Request::Info => {
+                let sequences: u64 = infos.iter().map(|i| i.sequences).sum();
+                let values: u64 = infos.iter().map(|i| i.values).sum();
+                // Shards are built against one global alphabet, so the
+                // category counts agree; max tolerates unpolled shards
+                // (cached 0).
+                let categories = infos.iter().map(|i| i.categories).max().unwrap_or(0);
+                let segments: u64 = infos.iter().map(|i| i.segments).sum();
+                ok_response(
+                    "info",
+                    &format!(
+                        "\"generation\":{generation},\"sequences\":{sequences},\"values\":{values},\"categories\":{categories},\"segments\":{segments},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"workers\":{}",
+                        infos.len(),
+                        self.workers,
+                    ),
+                )
+            }
+            Request::Stats => {
+                self.registry.gauge("coord.shards_up").set(up as f64);
+                proto::stats_response(&self.registry)
+            }
+            Request::Metrics => {
+                self.registry.gauge("coord.shards_up").set(up as f64);
+                proto::metrics_response(&self.registry)
+            }
+            other => unreachable!("{other:?} routed to control"),
         }
-        Request::Info => {
-            let sequences: u64 = infos.iter().map(|i| i.sequences).sum();
-            let values: u64 = infos.iter().map(|i| i.values).sum();
-            // Shards are built against one global alphabet, so the
-            // category counts agree; max tolerates unpolled shards
-            // (cached 0).
-            let categories = infos.iter().map(|i| i.categories).max().unwrap_or(0);
-            let segments: u64 = infos.iter().map(|i| i.segments).sum();
-            ok_response(
-                "info",
-                &format!(
-                    "\"generation\":{generation},\"sequences\":{sequences},\"values\":{values},\"categories\":{categories},\"segments\":{segments},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"workers\":{}",
-                    infos.len(),
-                    state.workers,
-                ),
-            )
+    }
+
+    /// The coordinator has no admission queue, so `queue_ns` is 0.
+    fn query(
+        &self,
+        conns: &mut Vec<ShardConn>,
+        req: Request,
+        trace: &Trace,
+        _started: Instant,
+    ) -> (String, u64) {
+        let span = trace.span("coord.service");
+        if span.is_active() {
+            span.attr_str("op", req.op_label());
+            span.attr_u64("shards", self.shards.len() as u64);
         }
-        Request::Stats => {
-            state.registry.gauge("coord.shards_up").set(up as f64);
-            ok_response(
-                "stats",
-                &format!("\"metrics\":{}", state.registry.snapshot().to_json()),
-            )
-        }
-        Request::Slowlog => ok_response(
-            "slowlog",
-            &format!("\"entries\":{}", state.slowlog.to_json()),
-        ),
-        Request::Metrics => {
-            state.registry.gauge("coord.shards_up").set(up as f64);
-            ok_response(
-                "metrics",
-                &format!(
-                    "\"format\":\"prometheus-0.0.4\",\"exposition\":\"{}\"",
-                    obs_json::escape(&state.registry.snapshot().to_prometheus())
-                ),
-            )
-        }
-        Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            ok_response("shutdown", "\"draining\":true")
-        }
-        _ => unreachable!("non-control request routed to control_response"),
+        (execute(self, conns, &req, trace, span.span_id()), 0)
     }
 }
 
@@ -818,39 +528,6 @@ fn scatter(
         .collect()
 }
 
-/// The shared `"epsilon"`/`"window"`/`"max_len"`/`"min_len"`/
-/// `"parallelism"` fragment of a forwarded threshold request.
-fn search_params_fragment(p: &warptree_core::search::SearchParams) -> String {
-    let mut out = format!(",\"epsilon\":{}", obs_json::num(p.epsilon));
-    if let Some(w) = p.window {
-        out.push_str(&format!(",\"window\":{w}"));
-    }
-    if let Some(m) = p.max_len {
-        out.push_str(&format!(",\"max_len\":{m}"));
-    }
-    out.push_str(&format!(
-        ",\"min_len\":{},\"parallelism\":{}",
-        p.min_len, p.threads
-    ));
-    if !p.cascade {
-        out.push_str(",\"cascade\":false");
-    }
-    if let Some(b) = p.backend {
-        out.push_str(&format!(",\"backend\":\"{}\"", b.as_str()));
-    }
-    out
-}
-
-/// The trace-forwarding fragment: when the coordinator is tracing this
-/// request, shards are asked for their span trees under the same
-/// trace id.
-fn trace_fragment(trace: &Trace) -> String {
-    match trace.id() {
-        Some(id) => format!(",\"trace\":true,\"trace_id\":\"{}\"", obs_json::escape(id)),
-        None => String::new(),
-    }
-}
-
 /// Outcomes of gathering one scatter: either every answering shard
 /// parsed cleanly, or the query fails with a complete error frame.
 struct Gathered {
@@ -864,44 +541,38 @@ struct Gathered {
 /// contract: any typed shard error fails the query (lowest shard index
 /// wins), and zero answering shards is an `internal` failure naming
 /// the first transport error.
-fn gather(state: &CoordState, replies: Vec<ShardReply>) -> Result<Gathered, String> {
-    if let Some((i, code, message)) = replies.iter().enumerate().find_map(|(i, r)| match r {
-        ShardReply::Typed { code, message } => Some((i, code.clone(), message.clone())),
+fn gather(replies: Vec<ShardReply>) -> Result<Gathered, String> {
+    if let Some((code, message)) = replies.iter().find_map(|r| match r {
+        ShardReply::Typed { code, message } => Some((code, message)),
         _ => None,
     }) {
-        let _ = i;
-        return Err(error_frame(&code, &message));
+        return Err(error_frame(code, message));
     }
     let mut answers = Vec::with_capacity(replies.len());
     let mut generation = 0u64;
     let mut first_down: Option<(usize, String)> = None;
-    let mut answered = 0usize;
     for (i, r) in replies.into_iter().enumerate() {
         match r {
             ShardReply::Answer(v) => {
-                answered += 1;
                 if let Some(g) = v.get("generation").and_then(Json::as_u64) {
                     generation = generation.max(g);
                 }
                 answers.push(Some(v));
             }
             ShardReply::Down(desc) => {
-                if first_down.is_none() {
-                    first_down = Some((i, desc));
-                }
+                first_down.get_or_insert((i, desc));
                 answers.push(None);
             }
             ShardReply::Typed { .. } => unreachable!("typed errors returned above"),
         }
     }
-    if answered == 0 {
+    if answers.iter().all(Option::is_none) {
         let (i, desc) = first_down.expect("no answers implies a down shard");
         return Err(error_response(
             ErrorCode::Internal,
             &format!("no shard answered (shard {i}: {desc})"),
         ));
     }
-    let _ = state;
     Ok(Gathered {
         answers,
         generation,
@@ -911,58 +582,70 @@ fn gather(state: &CoordState, replies: Vec<ShardReply>) -> Result<Gathered, Stri
 /// One shard's coverage contribution for a response `v` (or a down
 /// shard's, from the cache, when `v` is `None`).
 fn coverage_of(state: &CoordState, idx: usize, v: Option<&Json>) -> Result<ShardCoverage, String> {
+    let info = state.shards[idx].snapshot();
     match v {
         Some(v) => match v.get("coverage") {
             Some(c) => Ok(ShardCoverage::Partial(parse_coverage(c)?)),
-            None => {
-                let info = state.shards[idx].snapshot();
-                Ok(ShardCoverage::Full {
-                    segments: info.segments,
-                    suffixes: info.values,
-                })
-            }
-        },
-        None => {
-            let info = state.shards[idx].snapshot();
-            Ok(ShardCoverage::Down {
+            None => Ok(ShardCoverage::Full {
                 segments: info.segments,
-                quarantined: info.quarantined,
                 suffixes: info.values,
-            })
-        }
+            }),
+        },
+        None => Ok(ShardCoverage::Down {
+            segments: info.segments,
+            quarantined: info.quarantined,
+            suffixes: info.values,
+        }),
     }
 }
 
-/// Renders the aggregated coverage suffix (empty when every shard
-/// answered fully), counting partial responses.
-fn coverage_suffix(state: &CoordState, covs: &[ShardCoverage]) -> String {
-    match aggregate_coverage(covs) {
-        Some(c) => {
-            state.registry.counter("coord.partial_queries").incr();
-            format!(",{}", proto::encode_coverage(&c))
-        }
-        None => String::new(),
-    }
+/// Scatters `req` to every shard (under the coordinator's trace id
+/// when it is tracing, so shards return their span trees) and gathers
+/// the replies.
+fn scatter_gather(
+    state: &CoordState,
+    conns: &mut [ShardConn],
+    req: &Request,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> Result<Gathered, String> {
+    gather(scatter(
+        state,
+        conns,
+        &req.encode(trace.id()),
+        trace,
+        parent,
+    ))
 }
 
-/// Collects each answering shard's `"matches"` (remapped to global
-/// sequence ids) and its coverage contribution.
+/// The shard-side half of one merged answer. `items[i]` is shard `i`'s
+/// response body (`None` = shard down): returns each answering shard's
+/// `"matches"` remapped to global sequence ids, and the aggregated
+/// coverage suffix (empty when every shard answered fully; a partial
+/// answer is counted).
 fn matches_and_coverage(
     state: &CoordState,
-    answers: &[Option<Json>],
-) -> Result<(Vec<Vec<Match>>, Vec<ShardCoverage>), String> {
-    let mut per_shard = Vec::with_capacity(answers.len());
-    let mut covs = Vec::with_capacity(answers.len());
-    for (i, a) in answers.iter().enumerate() {
-        covs.push(coverage_of(state, i, a.as_ref())?);
-        if let Some(v) = a {
+    items: &[Option<&Json>],
+) -> Result<(Vec<Vec<Match>>, String), String> {
+    let mut per_shard = Vec::with_capacity(items.len());
+    let mut covs = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        covs.push(coverage_of(state, i, *item)?);
+        if let Some(v) = item {
             let arr = v
                 .get("matches")
                 .ok_or_else(|| format!("shard {i} response missing \"matches\""))?;
             per_shard.push(parse_matches(arr, state.shards[i].start_seq)?);
         }
     }
-    Ok((per_shard, covs))
+    let suffix = match aggregate_coverage(&covs) {
+        Some(c) => {
+            state.registry.counter("coord.partial_queries").incr();
+            format!(",{}", proto::encode_coverage(&c))
+        }
+        None => String::new(),
+    };
+    Ok((per_shard, suffix))
 }
 
 /// An internal-error frame for a malformed shard response.
@@ -973,334 +656,191 @@ fn malformed(err: String) -> String {
     )
 }
 
+/// `search`, `knn` and `explain`: scatter, gather, merge each shard's
+/// matches into the one answer a monolithic server would give.
+fn merged_query(
+    state: &CoordState,
+    conns: &mut [ShardConn],
+    req: &Request,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> Result<String, String> {
+    let g = scatter_gather(state, conns, req, trace, parent)?;
+    let answers: Vec<Option<&Json>> = g.answers.iter().map(Option::as_ref).collect();
+    let (per_shard, coverage) = matches_and_coverage(state, &answers).map_err(malformed)?;
+    let (count, matches, stats) = match req {
+        // Each shard's local top-k contains every global-top-k member
+        // that shard holds (the ε-expansion schedule is query-derived,
+        // hence identical on every shard, and overlap filtering only
+        // compares same-sequence matches, which sharding co-locates),
+        // so merging the local rankings and truncating to k is the
+        // exact global top-k.
+        Request::Knn { params, .. } => {
+            let merged = merge_ranked(per_shard, params.k);
+            (
+                merged.len(),
+                proto::encode_matches_ranked(&merged),
+                String::new(),
+            )
+        }
+        _ => {
+            let stats = if matches!(req, Request::Explain { .. }) {
+                let per_shard: Vec<SearchStats> = answers
+                    .iter()
+                    .flatten()
+                    .map(|v| {
+                        v.get("stats")
+                            .ok_or_else(|| "explain response missing \"stats\"".to_string())
+                            .and_then(parse_stats)
+                    })
+                    .collect::<Result<_, _>>()
+                    .map_err(malformed)?;
+                format!(",\"stats\":{}", proto::encode_stats(&sum_stats(&per_shard)))
+            } else {
+                String::new()
+            };
+            let merged = merge_threshold(per_shard);
+            (merged.len(), proto::encode_matches(&merged), stats)
+        }
+    };
+    Ok(ok_response(
+        req.op_label(),
+        &format!(
+            "\"generation\":{},\"count\":{count},\"matches\":{matches}{stats}{coverage}",
+            g.generation
+        ),
+    ))
+}
+
+/// `batch`: one scatter, then item `j` of the answer merges item `j`
+/// of every answering shard's `"results"` (each a full search body
+/// for that shard's slice).
+fn batch_query(
+    state: &CoordState,
+    conns: &mut [ShardConn],
+    req: &Request,
+    total: usize,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> Result<String, String> {
+    let g = scatter_gather(state, conns, req, trace, parent)?;
+    let mut shard_items: Vec<Option<&[Json]>> = Vec::with_capacity(g.answers.len());
+    for (i, a) in g.answers.iter().enumerate() {
+        shard_items.push(match a {
+            None => None,
+            Some(v) => match v.get("results").and_then(Json::as_arr) {
+                Some(items) if items.len() == total => Some(items),
+                Some(items) => {
+                    return Err(malformed(format!(
+                        "shard {i} answered {} of {total} batch items",
+                        items.len()
+                    )))
+                }
+                None => return Err(malformed(format!("shard {i} response missing \"results\""))),
+            },
+        });
+    }
+    let mut results = String::from("[");
+    for j in 0..total {
+        let items: Vec<Option<&Json>> = shard_items
+            .iter()
+            .map(|items| items.map(|items| &items[j]))
+            .collect();
+        let (per_shard, coverage) = matches_and_coverage(state, &items).map_err(malformed)?;
+        let merged = merge_threshold(per_shard);
+        if j > 0 {
+            results.push(',');
+        }
+        results.push_str(&format!(
+            "{{\"generation\":{},\"count\":{},\"matches\":{}{coverage}}}",
+            g.generation,
+            merged.len(),
+            proto::encode_matches(&merged),
+        ));
+    }
+    results.push(']');
+    Ok(ok_response(
+        "batch",
+        &format!("\"generation\":{},\"results\":{}", g.generation, results),
+    ))
+}
+
+/// `ingest`: appends extend the *last* shard. It owns the tail of the
+/// global sequence-id space, so new sequences keep the contiguous-range
+/// remap intact (global id = its start_seq + local id).
+fn ingest(
+    state: &CoordState,
+    conns: &mut [ShardConn],
+    req: &Request,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> Result<String, String> {
+    let last = conns.len() - 1;
+    let body = req.encode(None);
+    let v = match call_shard(state, last, &mut conns[last], &body, trace, parent) {
+        ShardReply::Answer(v) => v,
+        ShardReply::Typed { code, message } => return Err(error_frame(&code, &message)),
+        ShardReply::Down(desc) => {
+            return Err(error_response(
+                ErrorCode::Internal,
+                &format!("ingest shard {last} unavailable: {desc}"),
+            ))
+        }
+    };
+    let field = |k: &str| {
+        v.get(k)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| malformed(format!("ingest response missing \"{k}\"")))
+    };
+    let (g, n, segs) = (
+        field("generation")?,
+        field("sequences")?,
+        field("segments")?,
+    );
+    state.shards[last].update(|info| {
+        info.sequences += n;
+        info.segments = segs;
+    });
+    Ok(ok_response(
+        "ingest",
+        &format!("\"generation\":{g},\"sequences\":{n},\"segments\":{segs},\"shard\":{last}"),
+    ))
+}
+
 fn execute(
     state: &CoordState,
     conns: &mut [ShardConn],
-    req: Request,
+    req: &Request,
     trace: &Trace,
     parent: Option<u32>,
 ) -> String {
-    match req {
-        Request::Search { query, params } => {
-            let body = format!(
-                "{{\"op\":\"search\",\"version\":4,\"query\":{}{}{}}}",
-                encode_query(&query),
-                search_params_fragment(&params),
-                trace_fragment(trace),
-            );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
-            let merged = merge_threshold(per_shard);
-            let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "search",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    suffix
-                ),
-            )
+    let result = match req {
+        Request::Search { .. } | Request::Knn { .. } | Request::Explain { .. } => {
+            merged_query(state, conns, req, trace, parent)
         }
-        Request::Knn { query, params } => {
-            let mut body = format!(
-                "{{\"op\":\"knn\",\"version\":4,\"query\":{},\"k\":{},\"initial_epsilon\":{},\"growth\":{},\"max_rounds\":{}",
-                encode_query(&query),
-                params.k,
-                obs_json::num(params.initial_epsilon),
-                obs_json::num(params.growth),
-                params.max_rounds,
-            );
-            if let Some(w) = params.window {
-                body.push_str(&format!(",\"window\":{w}"));
-            }
-            if !params.cascade {
-                body.push_str(",\"cascade\":false");
-            }
-            if let Some(b) = params.backend {
-                body.push_str(&format!(",\"backend\":\"{}\"", b.as_str()));
-            }
-            body.push_str(&format!(
-                ",\"allow_overlaps\":{},\"parallelism\":{}{}}}",
-                !params.non_overlapping,
-                params.threads,
-                trace_fragment(trace),
-            ));
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
-            // Each shard's local top-k contains every global-top-k
-            // member that shard holds (the ε-expansion schedule is
-            // query-derived, hence identical on every shard, and
-            // overlap filtering only compares same-sequence matches,
-            // which sharding co-locates), so merging the local
-            // rankings and truncating to k is the exact global top-k.
-            let merged = merge_ranked(per_shard, params.k);
-            let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "knn",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches_ranked(&merged),
-                    suffix
-                ),
-            )
+        Request::Batch { queries, .. } => {
+            batch_query(state, conns, req, queries.len(), trace, parent)
         }
-        Request::Explain { query, params } => {
-            let body = format!(
-                "{{\"op\":\"explain\",\"version\":4,\"query\":{}{}{}}}",
-                encode_query(&query),
-                search_params_fragment(&params),
-                trace_fragment(trace),
-            );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
-            let stats: Result<Vec<SearchStats>, String> = g
-                .answers
-                .iter()
-                .flatten()
-                .map(|v| {
-                    v.get("stats")
-                        .ok_or_else(|| "explain response missing \"stats\"".to_string())
-                        .and_then(parse_stats)
-                })
-                .collect();
-            let stats = match stats {
-                Ok(s) => sum_stats(&s),
-                Err(e) => return malformed(e),
-            };
-            let merged = merge_threshold(per_shard);
-            let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "explain",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{},\"stats\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    encode_stats(&stats),
-                    suffix
-                ),
-            )
-        }
-        Request::Batch { queries, params } => {
-            let total = queries.len();
-            let mut qarr = String::from("[");
-            for (i, q) in queries.iter().enumerate() {
-                if i > 0 {
-                    qarr.push(',');
-                }
-                qarr.push_str(&encode_query(q));
-            }
-            qarr.push(']');
-            let body = format!(
-                "{{\"op\":\"batch\",\"version\":4,\"queries\":{qarr}{}{}}}",
-                search_params_fragment(&params),
-                trace_fragment(trace),
-            );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
-            // Per answering shard: the batch's item array (each a full
-            // search response body for that shard's slice).
-            let mut shard_items: Vec<(usize, &[Json])> = Vec::new();
-            for (i, a) in g.answers.iter().enumerate() {
-                if let Some(v) = a {
-                    let items = match v.get("results").and_then(Json::as_arr) {
-                        Some(items) if items.len() == total => items,
-                        Some(items) => {
-                            return malformed(format!(
-                                "shard {i} answered {} of {total} batch items",
-                                items.len()
-                            ))
-                        }
-                        None => {
-                            return malformed(format!("shard {i} response missing \"results\""))
-                        }
-                    };
-                    shard_items.push((i, items));
-                }
-            }
-            let mut results = String::from("[");
-            for j in 0..total {
-                let mut per_shard = Vec::new();
-                let mut covs = Vec::with_capacity(g.answers.len());
-                let mut item_of = shard_items.iter().peekable();
-                for (i, a) in g.answers.iter().enumerate() {
-                    let item = match a {
-                        Some(_) => {
-                            let (_, items) = item_of.next().expect("answer has items");
-                            Some(&items[j])
-                        }
-                        None => None,
-                    };
-                    match coverage_of(state, i, item) {
-                        Ok(c) => covs.push(c),
-                        Err(e) => return malformed(e),
-                    }
-                    if let Some(item) = item {
-                        let arr = match item.get("matches") {
-                            Some(arr) => arr,
-                            None => {
-                                return malformed(format!(
-                                    "shard {i} batch item {j} missing \"matches\""
-                                ))
-                            }
-                        };
-                        match parse_matches(arr, state.shards[i].start_seq) {
-                            Ok(m) => per_shard.push(m),
-                            Err(e) => return malformed(e),
-                        }
-                    }
-                }
-                let _ = item_of;
-                let merged = merge_threshold(per_shard);
-                let suffix = coverage_suffix(state, &covs);
-                if j > 0 {
-                    results.push(',');
-                }
-                results.push_str(&format!(
-                    "{{\"generation\":{},\"count\":{},\"matches\":{}{}}}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    suffix
-                ));
-            }
-            results.push(']');
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "batch",
-                &format!("\"generation\":{},\"results\":{}", g.generation, results),
-            )
-        }
-        // Appends extend the *last* shard: it owns the tail of the
-        // global sequence-id space, so new sequences keep the
-        // contiguous-range remap intact (global id = its start_seq +
-        // local id).
-        Request::Ingest { sequences } => {
-            let body = ingest_request(&sequences);
-            let last = conns.len() - 1;
-            match call_shard(state, last, &mut conns[last], &body, trace, parent) {
-                ShardReply::Answer(v) => {
-                    let field = |k: &str| {
-                        v.get(k)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("ingest response missing \"{k}\""))
-                    };
-                    let render = field("generation")
-                        .and_then(|g| Ok((g, field("sequences")?, field("segments")?)));
-                    match render {
-                        Ok((g, n, segs)) => {
-                            state.shards[last].update(|info| {
-                                info.sequences += n;
-                                info.segments = segs;
-                            });
-                            state.registry.counter("coord.requests_ok").incr();
-                            ok_response(
-                                "ingest",
-                                &format!(
-                                    "\"generation\":{g},\"sequences\":{n},\"segments\":{segs},\"shard\":{last}"
-                                ),
-                            )
-                        }
-                        Err(e) => malformed(e),
-                    }
-                }
-                ShardReply::Typed { code, message } => error_frame(&code, &message),
-                ShardReply::Down(desc) => error_response(
-                    ErrorCode::Internal,
-                    &format!("ingest shard {last} unavailable: {desc}"),
-                ),
-            }
-        }
-        Request::DebugSleep { .. } => {
-            error_response(ErrorCode::BadRequest, "debug ops are not coordinated")
-        }
+        Request::Ingest { .. } => ingest(state, conns, req, trace, parent),
+        Request::DebugSleep { .. } => Err(error_response(
+            ErrorCode::BadRequest,
+            "debug ops are not coordinated",
+        )),
         control => unreachable!("control op {control:?} reached execute"),
+    };
+    match result {
+        Ok(resp) => {
+            state.registry.counter("coord.requests_ok").incr();
+            resp
+        }
+        // Already a complete error frame.
+        Err(resp) => resp,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warptree_core::search::SearchParams;
-
-    #[test]
-    fn forwarded_bodies_parse_as_shard_requests() {
-        let p = SearchParams::with_epsilon(0.75).windowed(3);
-        let body = format!(
-            "{{\"op\":\"search\",\"version\":4,\"query\":{}{}}}",
-            encode_query(&[1.0, -2.5]),
-            search_params_fragment(&p),
-        );
-        let (req, version, _) = Request::parse_full(body.as_bytes(), false).unwrap();
-        assert_eq!(version, 4);
-        match req {
-            Request::Search { query, params } => {
-                assert_eq!(query, vec![1.0, -2.5]);
-                assert_eq!(params.epsilon, 0.75);
-                assert_eq!(params.window, Some(3));
-                assert_eq!(params.min_len, 1);
-                assert_eq!(params.threads, 1);
-            }
-            other => panic!("wrong request: {other:?}"),
-        }
-        // The trace fragment only appears when the trace is active,
-        // and carries the coordinator's id.
-        assert_eq!(trace_fragment(&Trace::noop()), "");
-        let t = Trace::active("abc");
-        assert_eq!(trace_fragment(&t), ",\"trace\":true,\"trace_id\":\"abc\"");
-    }
-
-    /// A backend pin on the client request survives the re-serialization
-    /// to shard bodies, so every shard enforces the same pin the client
-    /// asked the coordinator for.
-    #[test]
-    fn backend_pin_is_forwarded_to_shards() {
-        use warptree_core::search::BackendKind;
-        let p = SearchParams::with_epsilon(0.5).on_backend(BackendKind::Esa);
-        let body = format!(
-            "{{\"op\":\"search\",\"version\":4,\"query\":{}{}}}",
-            encode_query(&[1.0]),
-            search_params_fragment(&p),
-        );
-        assert!(body.contains(",\"backend\":\"esa\""), "{body}");
-        let (req, _, _) = Request::parse_full(body.as_bytes(), false).unwrap();
-        assert_eq!(req.backend_pin(), Some(BackendKind::Esa));
-        // Unpinned requests serialize without the field at all, keeping
-        // forwarded bodies byte-identical to the pre-backend protocol.
-        let plain = search_params_fragment(&SearchParams::with_epsilon(0.5));
-        assert!(!plain.contains("backend"), "{plain}");
-    }
 
     #[test]
     fn error_frames_match_proto_shape() {

@@ -14,10 +14,12 @@
 //!   merge order the segment layer proves — answers are byte-identical
 //!   to a monolithic server over the same corpus;
 //! - the **[`merge`]** module: the pure parse/merge/aggregate layer,
-//!   unit-testable without sockets;
-//! - the **[`slowlog`]** module: the coordinator's own slow-query
-//!   ring, whose traced entries nest one child span per shard so slow
-//!   fan-outs attribute their latency.
+//!   unit-testable without sockets.
+//!
+//! The coordinator runs under the same serving loop as a shard server
+//! (`warptree_server::serve_core`), slow-query ring included; a traced
+//! entry nests one child span per shard, so slow fan-outs attribute
+//! their latency.
 //!
 //! Degradation is honest: a shard that stops answering makes results
 //! `"partial":true` with a coverage block aggregated across shards,
@@ -27,11 +29,9 @@
 
 pub mod coordinator;
 pub mod merge;
-pub mod slowlog;
 
 pub use coordinator::{CoordConfig, CoordHandle, Coordinator};
 pub use merge::{
     aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
     sum_stats, ShardCoverage,
 };
-pub use slowlog::CoordSlowLog;

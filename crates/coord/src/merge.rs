@@ -105,32 +105,7 @@ pub fn parse_stats(v: &Json) -> Result<SearchStats, String> {
     })
 }
 
-/// Renders funnel stats in the server's 16-field `"stats"` object
-/// shape, so a merged `explain` response is byte-comparable to a
-/// monolithic one.
-pub fn encode_stats(s: &SearchStats) -> String {
-    format!(
-        "{{\"filter_cells\":{},\"nodes_visited\":{},\"nodes_expanded\":{},\"rows_pushed\":{},\"rows_unshared\":{},\"branches_pruned\":{},\"candidates\":{},\"stored_candidates\":{},\"lb2_candidates\":{},\"postprocessed\":{},\"postprocess_cells\":{},\"false_alarms\":{},\"answers\":{},\"cascade_lb_keogh_kills\":{},\"cascade_lb_improved_kills\":{},\"cascade_abandon_kills\":{}}}",
-        s.filter_cells,
-        s.nodes_visited,
-        s.nodes_expanded,
-        s.rows_pushed,
-        s.rows_unshared,
-        s.branches_pruned,
-        s.candidates,
-        s.stored_candidates,
-        s.lb2_candidates,
-        s.postprocessed,
-        s.postprocess_cells,
-        s.false_alarms,
-        s.answers,
-        s.cascade_lb_keogh_kills,
-        s.cascade_lb_improved_kills,
-        s.cascade_abandon_kills,
-    )
-}
-
-/// Parses a response's `"coverage"` object (protocol version 3).
+/// Parses a response's `"coverage"` object.
 pub fn parse_coverage(c: &Json) -> Result<Coverage, String> {
     let field = |k: &str| {
         c.get(k)
@@ -325,7 +300,7 @@ mod tests {
         assert_eq!(total.cascade_lb_improved_kills, 4);
         assert_eq!(total.cascade_abandon_kills, 2);
         // Round-trips through the wire encoding.
-        let wire = json::parse(&encode_stats(&one)).unwrap();
+        let wire = json::parse(&warptree_server::proto::encode_stats(&one)).unwrap();
         assert_eq!(parse_stats(&wire).unwrap(), one);
     }
 

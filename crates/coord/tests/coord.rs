@@ -2,8 +2,12 @@
 //! shard servers: byte-identical answers vs a segment-aligned
 //! monolithic server (matches AND funnel stats), byte-identical
 //! re-encoding through a 1-shard coordinator, deterministic cross-shard
-//! tie-breaking at 1 and 8 scatter lanes, and honest degradation when
-//! shards die.
+//! tie-breaking at 1 and 8 scatter lanes, honest degradation when
+//! shards die, and the serving-loop checks shared with the shard
+//! server's suite.
+
+#[path = "../../server/tests/common/mod.rs"]
+mod common;
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -11,8 +15,8 @@ use std::time::Duration;
 
 use warptree_coord::{CoordConfig, Coordinator};
 use warptree_core::categorize::Alphabet;
-use warptree_core::sequence::{SeqId, SequenceStore};
 use warptree_core::search::BackendKind;
+use warptree_core::sequence::{SeqId, SequenceStore};
 use warptree_disk::{
     append_segment, build_dir_backend_with, build_dir_with, real_vfs, write_shard_manifest,
     ShardManifest, ShardMeta, TreeKind,
@@ -131,6 +135,12 @@ fn rpc(addr: SocketAddr, body: &str) -> String {
     c.request_raw(body).unwrap()
 }
 
+/// [`rpc`] without the response's wall-clock `"timings"` object, for
+/// byte comparisons.
+fn answer(addr: SocketAddr, body: &str) -> String {
+    common::strip_timings(&rpc(addr, body))
+}
+
 /// Replaces every `"generation":<digits>` with `"generation":G` — the
 /// only legitimate difference between a fresh shard build (gen 1) and
 /// the append-built monolithic comparator (gen 1 + one per appended
@@ -149,9 +159,7 @@ fn normalize_gen(resp: &str) -> String {
     out
 }
 
-/// The op bodies exercised by the equivalence tests, all at protocol
-/// version 3 (no v4 timings object, which is legitimately wall-clock
-/// dependent).
+/// The op bodies exercised by the equivalence tests.
 fn equivalence_bodies(store: &SequenceStore) -> Vec<String> {
     let seq = |i: usize, r: std::ops::Range<usize>| {
         store.get(SeqId(i as u32)).values()[r]
@@ -167,35 +175,33 @@ fn equivalence_bodies(store: &SequenceStore) -> Vec<String> {
     for eps in ["0.5", "1.0", "2.5"] {
         for q in [&q0, &q5, &q11] {
             bodies.push(format!(
-                "{{\"op\":\"search\",\"version\":3,\"query\":[{q}],\"epsilon\":{eps}}}"
+                "{{\"op\":\"search\",\"query\":[{q}],\"epsilon\":{eps}}}"
             ));
         }
     }
     bodies.push(format!(
-        "{{\"op\":\"search\",\"version\":3,\"query\":[{q0}],\"epsilon\":2.0,\"window\":2,\"min_len\":2}}"
+        "{{\"op\":\"search\",\"query\":[{q0}],\"epsilon\":2.0,\"window\":2,\"min_len\":2}}"
     ));
     for k in [1, 5, 9] {
-        bodies.push(format!(
-            "{{\"op\":\"knn\",\"version\":3,\"query\":[{q5}],\"k\":{k}}}"
-        ));
+        bodies.push(format!("{{\"op\":\"knn\",\"query\":[{q5}],\"k\":{k}}}"));
     }
     bodies.push(format!(
-        "{{\"op\":\"knn\",\"version\":3,\"query\":[{q11}],\"k\":4,\"allow_overlaps\":true}}"
+        "{{\"op\":\"knn\",\"query\":[{q11}],\"k\":4,\"allow_overlaps\":true}}"
     ));
     bodies.push(format!(
-        "{{\"op\":\"batch\",\"version\":3,\"queries\":[[{q0}],[{q5}],[{q11}]],\"epsilon\":1.5}}"
+        "{{\"op\":\"batch\",\"queries\":[[{q0}],[{q5}],[{q11}]],\"epsilon\":1.5}}"
     ));
     // Cascade-off ablation: the lower-bound cascade must be togglable
     // over the wire and equally layout-independent when disabled.
     bodies.push(format!(
-        "{{\"op\":\"search\",\"version\":3,\"query\":[{q0}],\"epsilon\":1.0,\"cascade\":false}}"
+        "{{\"op\":\"search\",\"query\":[{q0}],\"epsilon\":1.0,\"cascade\":false}}"
     ));
     bodies.push(format!(
-        "{{\"op\":\"knn\",\"version\":3,\"query\":[{q5}],\"k\":3,\"cascade\":false}}"
+        "{{\"op\":\"knn\",\"query\":[{q5}],\"k\":3,\"cascade\":false}}"
     ));
     for q in [&q0, &q11] {
         bodies.push(format!(
-            "{{\"op\":\"explain\",\"version\":3,\"query\":[{q}],\"epsilon\":2.0}}"
+            "{{\"op\":\"explain\",\"query\":[{q}],\"epsilon\":2.0}}"
         ));
     }
     bodies
@@ -246,8 +252,8 @@ fn three_shard_answers_match_segment_aligned_monolith_byte_for_byte() {
 
     let mut non_empty = 0usize;
     for body in equivalence_bodies(&store) {
-        let via_coord = rpc(coord.addr(), &body);
-        let via_mono = rpc(mono_srv.addr(), &body);
+        let via_coord = answer(coord.addr(), &body);
+        let via_mono = answer(mono_srv.addr(), &body);
         assert_eq!(
             normalize_gen(&via_coord),
             normalize_gen(&via_mono),
@@ -261,14 +267,14 @@ fn three_shard_answers_match_segment_aligned_monolith_byte_for_byte() {
     assert!(non_empty >= 8, "fixture produced mostly empty answers");
 
     // Aggregated control plane: sequences and values sum across shards.
-    let info = rpc(coord.addr(), "{\"op\":\"info\",\"version\":4}");
+    let info = rpc(coord.addr(), "{\"op\":\"info\"}");
     assert!(info.contains("\"sequences\":12"), "{info}");
     assert!(
         info.contains(&format!("\"values\":{}", store.total_len())),
         "{info}"
     );
     assert!(info.contains("\"shards_up\":3"), "{info}");
-    let health = rpc(coord.addr(), "{\"op\":\"health\",\"version\":4}");
+    let health = rpc(coord.addr(), "{\"op\":\"health\"}");
     assert!(health.contains("\"status\":\"serving\""), "{health}");
     coord.stop();
 }
@@ -312,8 +318,8 @@ fn esa_shards_answer_byte_identically_and_enforce_pins() {
     .unwrap();
 
     for body in equivalence_bodies(&store) {
-        let via_tree = rpc(tree_coord.addr(), &body);
-        let via_esa = rpc(esa_coord.addr(), &body);
+        let via_tree = answer(tree_coord.addr(), &body);
+        let via_esa = answer(esa_coord.addr(), &body);
         assert!(via_tree.starts_with("{\"ok\":true"), "failed: {via_tree}");
         assert_eq!(
             normalize_gen(&via_tree),
@@ -330,23 +336,17 @@ fn esa_shards_answer_byte_identically_and_enforce_pins() {
         .collect::<Vec<_>>()
         .join(",");
     let pinned =
-        format!("{{\"op\":\"search\",\"version\":4,\"query\":[{q}],\"epsilon\":1.0,\"backend\":\"esa\"}}");
-    let unpinned = format!("{{\"op\":\"search\",\"version\":4,\"query\":[{q}],\"epsilon\":1.0}}");
+        format!("{{\"op\":\"search\",\"query\":[{q}],\"epsilon\":1.0,\"backend\":\"esa\"}}");
+    let unpinned = format!("{{\"op\":\"search\",\"query\":[{q}],\"epsilon\":1.0}}");
     let rejected = rpc(tree_coord.addr(), &pinned);
     assert!(
         rejected.contains("\"code\":\"unsupported_backend\""),
         "tree shards accepted an esa pin: {rejected}"
     );
-    let accepted = rpc(esa_coord.addr(), &pinned);
-    let plain = rpc(esa_coord.addr(), &unpinned);
+    let accepted = answer(esa_coord.addr(), &pinned);
+    let plain = answer(esa_coord.addr(), &unpinned);
     assert!(accepted.starts_with("{\"ok\":true"), "{accepted}");
-    // Mask the wall-clock half of the v4 timings object before the
-    // byte comparison.
-    assert_eq!(
-        normalize_field(&accepted, "service_ns"),
-        normalize_field(&plain, "service_ns"),
-        "the matching pin changed the answer"
-    );
+    assert_eq!(accepted, plain, "the matching pin changed the answer");
 
     tree_coord.stop();
     esa_coord.stop();
@@ -373,8 +373,8 @@ fn single_shard_coordinator_is_byte_transparent() {
     .unwrap();
 
     for body in equivalence_bodies(&store) {
-        let via_coord = rpc(coord.addr(), &body);
-        let direct = rpc(shards[0].addr(), &body);
+        let via_coord = answer(coord.addr(), &body);
+        let direct = answer(shards[0].addr(), &body);
         assert_eq!(
             via_coord, direct,
             "1-shard coordinator re-encoding diverged on {body}"
@@ -441,15 +441,13 @@ fn two_shard_cascade_toggle_changes_only_cascade_fields() {
     for eps in ["0.5", "1.0", "2.5"] {
         // Matches: plain search responses are already stats-free, so
         // the toggle must leave them byte-identical outright.
-        let on = rpc(
+        let on = answer(
             coord.addr(),
-            &format!("{{\"op\":\"search\",\"version\":3,\"query\":[{q}],\"epsilon\":{eps}}}"),
+            &format!("{{\"op\":\"search\",\"query\":[{q}],\"epsilon\":{eps}}}"),
         );
-        let off = rpc(
+        let off = answer(
             coord.addr(),
-            &format!(
-                "{{\"op\":\"search\",\"version\":3,\"query\":[{q}],\"epsilon\":{eps},\"cascade\":false}}"
-            ),
+            &format!("{{\"op\":\"search\",\"query\":[{q}],\"epsilon\":{eps},\"cascade\":false}}"),
         );
         assert!(on.starts_with("{\"ok\":true"), "failed: {on}");
         assert_eq!(
@@ -458,15 +456,13 @@ fn two_shard_cascade_toggle_changes_only_cascade_fields() {
         );
 
         // Funnel: explain responses carry the stats object.
-        let on = rpc(
+        let on = answer(
             coord.addr(),
-            &format!("{{\"op\":\"explain\",\"version\":3,\"query\":[{q}],\"epsilon\":{eps}}}"),
+            &format!("{{\"op\":\"explain\",\"query\":[{q}],\"epsilon\":{eps}}}"),
         );
-        let off = rpc(
+        let off = answer(
             coord.addr(),
-            &format!(
-                "{{\"op\":\"explain\",\"version\":3,\"query\":[{q}],\"epsilon\":{eps},\"cascade\":false}}"
-            ),
+            &format!("{{\"op\":\"explain\",\"query\":[{q}],\"epsilon\":{eps},\"cascade\":false}}"),
         );
         assert!(on.starts_with("{\"ok\":true"), "failed: {on}");
         assert_eq!(
@@ -527,16 +523,15 @@ fn cross_shard_equal_distance_ties_merge_deterministically() {
     // they span every shard, so the cut point is decided purely by the
     // (seq, start) tie-break.
     let bodies = [
-        "{\"op\":\"search\",\"version\":3,\"query\":[0,1,2],\"epsilon\":0.25}".to_string(),
-        "{\"op\":\"knn\",\"version\":3,\"query\":[0,1,2],\"k\":7}".to_string(),
-        "{\"op\":\"knn\",\"version\":3,\"query\":[1,2,3],\"k\":5,\"allow_overlaps\":true}"
-            .to_string(),
+        "{\"op\":\"search\",\"query\":[0,1,2],\"epsilon\":0.25}".to_string(),
+        "{\"op\":\"knn\",\"query\":[0,1,2],\"k\":7}".to_string(),
+        "{\"op\":\"knn\",\"query\":[1,2,3],\"k\":5,\"allow_overlaps\":true}".to_string(),
     ];
     for body in &bodies {
-        let reference = rpc(coord_1lane.addr(), body);
+        let reference = answer(coord_1lane.addr(), body);
         assert!(reference.starts_with("{\"ok\":true"), "failed: {reference}");
         for round in 0..5 {
-            let racy = rpc(coord_8lane.addr(), body);
+            let racy = answer(coord_8lane.addr(), body);
             assert_eq!(
                 racy, reference,
                 "lane-count or run-to-run divergence on {body} (round {round})"
@@ -578,9 +573,8 @@ fn cross_shard_equal_distance_ties_merge_deterministically() {
 /// Shard loss degrades honestly: results turn `"partial":true` with a
 /// coverage block aggregated across shards (the dead shard's suffixes
 /// count toward the total, never the answered), `health` turns
-/// degraded, v2 clients get the typed `partial_result_unsupported`
-/// error, and losing every shard is a typed internal failure — never a
-/// silently complete answer.
+/// degraded, and losing every shard is a typed internal failure —
+/// never a silently complete answer.
 #[test]
 fn shard_loss_yields_partial_results_and_degraded_health() {
     let root = tmpdir("degrade");
@@ -602,7 +596,7 @@ fn shard_loss_yields_partial_results_and_degraded_health() {
     )
     .unwrap();
 
-    let search = "{\"op\":\"search\",\"version\":3,\"query\":[1.5,2.0,2.5],\"epsilon\":2.0}";
+    let search = "{\"op\":\"search\",\"query\":[1.5,2.0,2.5],\"epsilon\":2.0}";
     let full = rpc(coord.addr(), search);
     assert!(full.starts_with("{\"ok\":true"), "{full}");
     assert!(!full.contains("\"partial\""), "healthy answer: {full}");
@@ -625,26 +619,15 @@ fn shard_loss_yields_partial_results_and_degraded_health() {
     // Batch: every item in the batch carries the aggregated coverage.
     let batch = rpc(
         coord.addr(),
-        "{\"op\":\"batch\",\"version\":3,\"queries\":[[1.5,2.0],[3.0,3.5,4.0]],\"epsilon\":1.0}",
+        "{\"op\":\"batch\",\"queries\":[[1.5,2.0],[3.0,3.5,4.0]],\"epsilon\":1.0}",
     );
     assert!(batch.starts_with("{\"ok\":true"), "{batch}");
     assert_eq!(batch.matches("\"partial\":true").count(), 2, "{batch}");
 
-    // v2 cannot express partial results; the coordinator must refuse
-    // with the same typed error the shard server uses.
-    let v2 = rpc(
-        coord.addr(),
-        "{\"op\":\"search\",\"version\":2,\"query\":[1.5,2.0],\"epsilon\":1.0}",
-    );
-    assert!(
-        v2.contains("\"code\":\"partial_result_unsupported\""),
-        "{v2}"
-    );
-
     // The health monitor notices within a few poll intervals.
     let mut degraded = false;
     for _ in 0..50 {
-        let health = rpc(coord.addr(), "{\"op\":\"health\",\"version\":4}");
+        let health = rpc(coord.addr(), "{\"op\":\"health\"}");
         if health.contains("\"status\":\"degraded\"") && health.contains("\"shards_up\":1") {
             degraded = true;
             break;
@@ -683,7 +666,7 @@ fn traced_request_nests_one_span_per_shard() {
 
     let traced = rpc(
         coord.addr(),
-        "{\"op\":\"search\",\"version\":4,\"query\":[1.5,2.0,2.5],\"epsilon\":1.0,\
+        "{\"op\":\"search\",\"query\":[1.5,2.0,2.5],\"epsilon\":1.0,\
          \"trace\":true,\"trace_id\":\"t-coord-1\"}",
     );
     assert!(traced.starts_with("{\"ok\":true"), "{traced}");
@@ -717,15 +700,15 @@ fn traced_request_nests_one_span_per_shard() {
     // The un-traced path stays clean.
     let plain = rpc(
         coord.addr(),
-        "{\"op\":\"search\",\"version\":4,\"query\":[1.5,2.0,2.5],\"epsilon\":1.0}",
+        "{\"op\":\"search\",\"query\":[1.5,2.0,2.5],\"epsilon\":1.0}",
     );
     assert!(!plain.contains("\"trace\""), "{plain}");
     assert!(plain.contains("\"timings\""), "{plain}");
     coord.stop();
 }
 
-/// Protocol-level hygiene at the coordinator: typed bad requests,
-/// slowlog/metrics/stats/shutdown control ops, and draining.
+/// Protocol-level hygiene at the coordinator: typed bad requests and
+/// the slowlog/metrics/stats control ops.
 #[test]
 fn coordinator_control_plane_and_errors() {
     let root = tmpdir("control");
@@ -749,25 +732,98 @@ fn coordinator_control_plane_and_errors() {
     let bad = c.request_raw("{\"op\":\"nope\"}").unwrap();
     assert!(bad.contains("\"code\":\"bad_request\""), "{bad}");
     let ok = c
-        .request_raw("{\"op\":\"search\",\"version\":3,\"query\":[1.0],\"epsilon\":0.5}")
+        .request_raw("{\"op\":\"search\",\"query\":[1.0],\"epsilon\":0.5}")
         .unwrap();
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
 
     // The 1-in-1 sampler traces every request; the ring fills.
-    let slowlog = rpc(coord.addr(), "{\"op\":\"slowlog\",\"version\":4}");
+    let slowlog = rpc(coord.addr(), "{\"op\":\"slowlog\"}");
     assert!(slowlog.contains("\"entries\":["), "{slowlog}");
     assert!(slowlog.contains("coord.service"), "{slowlog}");
-    let metrics = rpc(coord.addr(), "{\"op\":\"metrics\",\"version\":4}");
+    let metrics = rpc(coord.addr(), "{\"op\":\"metrics\"}");
     assert!(
         metrics.contains("\"format\":\"prometheus-0.0.4\""),
         "{metrics}"
     );
-    let stats = rpc(coord.addr(), "{\"op\":\"stats\",\"version\":4}");
+    let stats = rpc(coord.addr(), "{\"op\":\"stats\"}");
     assert!(stats.contains("coord.requests_ok"), "{stats}");
 
-    // Protocol shutdown drains the coordinator.
-    let bye = rpc(coord.addr(), "{\"op\":\"shutdown\",\"version\":4}");
-    assert!(bye.contains("\"draining\":true"), "{bye}");
-    assert!(coord.is_shutting_down());
-    coord.join();
+    coord.stop();
+}
+
+/// One shard server per cut of [`corpus`] and a coordinator over them,
+/// for the serving-loop checks below.
+fn start_cluster(
+    tag: &str,
+    cuts: &[usize],
+    config: CoordConfig,
+) -> (Vec<ServerHandle>, warptree_coord::CoordHandle) {
+    let root = tmpdir(tag);
+    let store = corpus();
+    let alphabet = Alphabet::equal_length(&store, 6).unwrap();
+    build_shard_layout(&root, &store, &alphabet, cuts);
+    let (shards, addrs) = start_shards(&root, cuts.len());
+    let coord = Coordinator::start(
+        &root,
+        CoordConfig {
+            shard_addrs: addrs,
+            ..config
+        },
+    )
+    .unwrap();
+    (shards, coord)
+}
+
+#[test]
+fn connection_cap_rejects_with_typed_overloaded_frame() {
+    let config = CoordConfig {
+        max_conns: 2,
+        ..CoordConfig::default()
+    };
+    let (_shards, coord) = start_cluster("connlimit", &[12], config);
+    common::connection_cap_rejects_with_typed_overloaded_frame(
+        coord.addr(),
+        coord.registry(),
+        "coord",
+    );
+    coord.stop();
+}
+
+#[test]
+fn slow_client_mid_frame_pauses_do_not_desync_the_stream() {
+    let (_shards, coord) = start_cluster("slowclient", &[12], CoordConfig::default());
+    common::slow_client_mid_frame_pauses_do_not_desync_the_stream(coord.addr());
+    coord.stop();
+}
+
+#[test]
+fn protocol_shutdown_drains_and_closes_the_listener() {
+    let (_shards, coord) = start_cluster("shutdown", &[12], CoordConfig::default());
+    common::protocol_shutdown_drains_and_closes_the_listener(coord.addr(), || {
+        assert!(coord.is_shutting_down());
+        coord.join();
+    });
+}
+
+/// Three shards each answer under the frame limit; it is the merged
+/// response that passes it, so the refusal is the coordinator's own.
+#[test]
+fn oversized_response_becomes_result_too_large() {
+    let (shards, coord) = start_cluster("oversize", &[4, 8, 12], CoordConfig::default());
+    common::oversized_response_becomes_result_too_large(
+        coord.addr(),
+        40,
+        coord.registry(),
+        "coord",
+    );
+    for shard in &shards {
+        let refused = shard
+            .registry()
+            .snapshot()
+            .counters
+            .get("server.result_too_large")
+            .copied();
+        assert_eq!(refused, None, "a shard's own answer was already too large");
+    }
+    coord.stop();
 }

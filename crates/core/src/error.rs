@@ -24,18 +24,13 @@ pub enum ErrorCode {
     /// The server is draining for shutdown.
     ShuttingDown,
     /// The client asked for a protocol version this server does not
-    /// speak (or used an op that needs a newer version than requested).
+    /// speak.
     UnsupportedVersion,
     /// Anything else — an internal invariant failure or I/O error.
     Internal,
     /// A stored page failed its CRC check while serving the request and
     /// no healthy copy could answer instead.
     CorruptionDetected,
-    /// The response could only be served partially (some segments are
-    /// quarantined) and the client's protocol version has no way to
-    /// express `partial: true` — returned instead of silently dropping
-    /// the coverage information.
-    PartialResultUnsupported,
     /// The index belongs to a backend family this binary (or this
     /// request) does not support — an old binary opening a manifest
     /// written with a newer [`BackendKind`], or a request pinning a
@@ -55,7 +50,6 @@ impl ErrorCode {
             ErrorCode::UnsupportedVersion => "unsupported_version",
             ErrorCode::Internal => "internal",
             ErrorCode::CorruptionDetected => "corruption_detected",
-            ErrorCode::PartialResultUnsupported => "partial_result_unsupported",
             ErrorCode::UnsupportedBackend => "unsupported_backend",
         }
     }
@@ -71,7 +65,6 @@ impl ErrorCode {
             "unsupported_version" => ErrorCode::UnsupportedVersion,
             "internal" => ErrorCode::Internal,
             "corruption_detected" => ErrorCode::CorruptionDetected,
-            "partial_result_unsupported" => ErrorCode::PartialResultUnsupported,
             "unsupported_backend" => ErrorCode::UnsupportedBackend,
             _ => return None,
         })
@@ -229,7 +222,6 @@ mod tests {
             ErrorCode::UnsupportedVersion,
             ErrorCode::Internal,
             ErrorCode::CorruptionDetected,
-            ErrorCode::PartialResultUnsupported,
             ErrorCode::UnsupportedBackend,
         ];
         for code in all {

@@ -167,16 +167,6 @@ pub trait IndexBackend {
     }
 }
 
-/// Former name of [`IndexBackend`], kept as a bound-compatible alias:
-/// every `T: IndexBackend` satisfies `T: SuffixTreeIndex` via the
-/// blanket impl, so downstream bounds keep compiling. New code should
-/// name `IndexBackend` directly.
-#[deprecated(since = "0.1.0", note = "renamed to IndexBackend")]
-pub trait SuffixTreeIndex: IndexBackend {}
-
-#[allow(deprecated)]
-impl<T: IndexBackend + ?Sized> SuffixTreeIndex for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,11 +200,6 @@ mod tests {
                 0
             }
         }
-        #[allow(deprecated)]
-        fn takes_alias<T: SuffixTreeIndex>(t: &T) -> u64 {
-            t.suffix_count()
-        }
-        assert_eq!(takes_alias(&Nothing), 0);
         assert_eq!(Nothing.backend_kind(), BackendKind::Tree);
     }
 }

@@ -42,8 +42,6 @@ pub mod seqscan;
 pub use aligned::aligned_scan;
 pub use answers::{AnswerSet, Candidate, Match, SearchParams, SearchStats};
 pub use backend::{BackendKind, IndexBackend};
-#[allow(deprecated)]
-pub use backend::SuffixTreeIndex;
 pub use cascade::QueryEnvelope;
 pub use filter::{filter_tree, filter_tree_with};
 pub use knn::KnnParams;

@@ -9,8 +9,10 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+use warptree_core::search::{KnnParams, SearchParams};
+
 use crate::json::{self, Json};
-use crate::proto::{read_frame, write_frame};
+use crate::proto::{read_frame, write_frame, Request};
 
 /// What a request can fail with.
 #[derive(Debug)]
@@ -119,6 +121,44 @@ fn jitter_seed() -> u64 {
         | 1 // xorshift must not start at zero
 }
 
+/// Runs `attempt` until it succeeds, fails with a non-transient error,
+/// or `policy` is spent. Each retry hands `attempt` the error it is
+/// retrying after (`None` the first time), and is preceded by a sleep
+/// uniform in `[0, min(base·2^attempt, max_backoff))`.
+fn with_retry(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut(Option<&ClientError>) -> Result<Json, ClientError>,
+) -> Result<Json, ClientError> {
+    let started = Instant::now();
+    let mut rng = jitter_seed();
+    let mut failed: Option<ClientError> = None;
+    let mut retries: u32 = 0;
+    loop {
+        let err = match attempt(failed.as_ref()) {
+            Ok(v) => return Ok(v),
+            Err(e) if e.is_transient() => e,
+            Err(e) => return Err(e),
+        };
+        if retries >= policy.max_retries {
+            return Err(err);
+        }
+        let cap = policy
+            .base
+            .saturating_mul(1u32 << retries.min(16))
+            .min(policy.max_backoff)
+            .max(Duration::from_nanos(1));
+        let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
+        if let Some(budget) = policy.deadline {
+            if started.elapsed() + sleep >= budget {
+                return Err(err);
+            }
+        }
+        std::thread::sleep(sleep);
+        failed = Some(err);
+        retries += 1;
+    }
+}
+
 /// A blocking connection to a warptree server.
 pub struct Client {
     stream: TcpStream,
@@ -170,40 +210,16 @@ impl Client {
         body: &str,
         policy: &RetryPolicy,
     ) -> Result<Json, ClientError> {
-        let started = Instant::now();
-        let mut rng = jitter_seed();
-        let mut attempt: u32 = 0;
-        loop {
-            let err = match self.request(body) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            // Full jitter: uniform in [0, min(base·2^attempt, max)).
-            let cap = policy
-                .base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.max_backoff)
-                .max(Duration::from_nanos(1));
-            let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
-            if let Some(budget) = policy.deadline {
-                if started.elapsed() + sleep >= budget {
-                    return Err(err);
-                }
-            }
-            std::thread::sleep(sleep);
+        with_retry(policy, |failed| {
             // A dead socket fails every future request on this
             // connection; re-dial before retrying. Reconnect failure is
             // itself transient (the server may be restarting), so it
             // just consumes this attempt.
-            if !matches!(err, ClientError::Server { .. }) {
+            if failed.is_some_and(|e| !matches!(e, ClientError::Server { .. })) {
                 let _ = self.reconnect();
             }
-            attempt += 1;
-        }
+            self.request(body)
+        })
     }
 
     /// Sends `body` (a JSON request object) and returns the **raw**
@@ -249,67 +265,72 @@ impl Client {
         epsilon: f64,
         window: Option<u32>,
     ) -> Result<Json, ClientError> {
-        self.request(&search_request(query, epsilon, window))
+        self.request(&search_request_v4(query, epsilon, window))
     }
 
     /// k-NN search with default expansion parameters.
     pub fn knn(&mut self, query: &[f64], k: usize) -> Result<Json, ClientError> {
-        self.request(&format!(
-            "{{\"op\":\"knn\",\"version\":3,\"query\":{},\"k\":{k}}}",
-            encode_query(query)
-        ))
+        let req = Request::Knn {
+            query: query.to_vec(),
+            params: KnnParams::new(k),
+        };
+        self.request(&req.encode(None))
     }
 
-    /// Appends sequences to the served index as one new tail segment
-    /// (protocol version 2). On `Ok` the new generation is already
-    /// published — follow-up queries on any connection see the data.
+    /// Appends sequences to the served index as one new tail segment.
+    /// On `Ok` the new generation is already published — follow-up
+    /// queries on any connection see the data.
     pub fn ingest(&mut self, sequences: &[Vec<f64>]) -> Result<Json, ClientError> {
-        self.request(&ingest_request(sequences))
+        let req = Request::Ingest {
+            sequences: sequences.to_vec(),
+        };
+        self.request(&req.encode(None))
     }
 
-    /// ε-threshold search with an end-to-end trace (protocol version
-    /// 4): the response carries `"timings"` and the full span tree
-    /// under `"trace"`. `trace_id` is optional — the server mints one
-    /// when absent.
+    /// ε-threshold search with an end-to-end trace: the response
+    /// carries the full span tree under `"trace"`, labeled `trace_id`.
     pub fn search_traced(
         &mut self,
         query: &[f64],
         epsilon: f64,
-        trace_id: Option<&str>,
+        trace_id: &str,
     ) -> Result<Json, ClientError> {
-        self.request(&traced_search_request(query, epsilon, trace_id))
+        let req = Request::Search {
+            query: query.to_vec(),
+            params: SearchParams::with_epsilon(epsilon),
+        };
+        self.request(&req.encode(Some(trace_id)))
     }
 
-    /// The server's slow-query ring, newest entry first (protocol
-    /// version 4).
+    /// The server's slow-query ring, newest entry first.
     pub fn slowlog(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"slowlog\",\"version\":4}")
+        self.request(&Request::Slowlog.encode(None))
     }
 
     /// The Prometheus text exposition, as a JSON-escaped string under
-    /// `"exposition"` (protocol version 4).
+    /// `"exposition"`.
     pub fn metrics(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"metrics\",\"version\":4}")
+        self.request(&Request::Metrics.encode(None))
     }
 
     /// Liveness probe.
     pub fn health(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"health\"}")
+        self.request(&Request::Health.encode(None))
     }
 
     /// Index metadata.
     pub fn info(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"info\"}")
+        self.request(&Request::Info.encode(None))
     }
 
     /// Process metrics snapshot.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"stats\"}")
+        self.request(&Request::Stats.encode(None))
     }
 
     /// Asks the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<Json, ClientError> {
-        self.request("{\"op\":\"shutdown\"}")
+        self.request(&Request::Shutdown.encode(None))
     }
 }
 
@@ -320,8 +341,8 @@ impl Client {
 /// transport failure, so the next request re-dials fresh instead of
 /// failing forever on a dead connection. Dial failures and torn
 /// connections are tallied in [`ShardConn::conn_failures`]. This is
-/// the reconnect logic the bench loop used to carry inline, promoted
-/// so the load generator and the shard coordinator share one copy.
+/// the reconnect logic the load generator and the shard coordinator
+/// share.
 pub struct ShardConn {
     addr: String,
     timeout: Option<Duration>,
@@ -384,10 +405,19 @@ impl ShardConn {
         Ok(self.client.as_mut().expect("dialed above"))
     }
 
-    /// Whether `err` means the held socket is unusable (as opposed to a
-    /// typed server error on a healthy connection).
-    fn is_torn(err: &ClientError) -> bool {
-        err.is_transient() && err.code().is_none()
+    /// Passes `result` through; when it is a transport failure — the
+    /// held socket is unusable, as opposed to a typed server error on a
+    /// healthy connection — counts it and drops the socket, so the
+    /// next call re-dials.
+    fn checked<T>(&mut self, result: Result<T, ClientError>) -> Result<T, ClientError> {
+        if result
+            .as_ref()
+            .is_err_and(|e| e.is_transient() && e.code().is_none())
+        {
+            self.conn_failures += 1;
+            self.client = None;
+        }
+        result
     }
 
     /// One request attempt: dial if needed, send, and on a transport
@@ -397,26 +427,14 @@ impl ShardConn {
     /// caller wants the policy-driven loop.
     pub fn request(&mut self, body: &str) -> Result<Json, ClientError> {
         let result = self.ensure()?.request(body);
-        if let Err(ref e) = result {
-            if Self::is_torn(e) {
-                self.conn_failures += 1;
-                self.client = None;
-            }
-        }
-        result
+        self.checked(result)
     }
 
     /// [`ShardConn::request`] returning the raw response text (error
     /// frames included), for byte-equivalence callers.
     pub fn request_raw(&mut self, body: &str) -> Result<String, ClientError> {
         let result = self.ensure()?.request_raw(body);
-        if let Err(ref e) = result {
-            if Self::is_torn(e) {
-                self.conn_failures += 1;
-                self.client = None;
-            }
-        }
-        result
+        self.checked(result)
     }
 
     /// [`ShardConn::request`] with retries on transient failures under
@@ -429,101 +447,22 @@ impl ShardConn {
         body: &str,
         policy: &RetryPolicy,
     ) -> Result<Json, ClientError> {
-        let started = Instant::now();
-        let mut rng = jitter_seed();
-        let mut attempt: u32 = 0;
-        loop {
-            let err = match self.request(body) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            let cap = policy
-                .base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.max_backoff)
-                .max(Duration::from_nanos(1));
-            let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
-            if let Some(budget) = policy.deadline {
-                if started.elapsed() + sleep >= budget {
-                    return Err(err);
-                }
-            }
-            std::thread::sleep(sleep);
-            attempt += 1;
-        }
+        with_retry(policy, |_| self.request(body))
     }
 }
 
-/// Renders a query as a JSON number array (shared by client and bench).
-pub fn encode_query(query: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in query.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&warptree_obs::json::num(*v));
-    }
-    out.push(']');
-    out
-}
+pub use crate::proto::encode_query;
 
-/// Builds a `search` request body. Declares protocol version 3, so a
-/// degraded server answers with an honest `partial: true` + coverage
-/// instead of refusing the request.
-pub fn search_request(query: &[f64], epsilon: f64, window: Option<u32>) -> String {
-    match window {
-        Some(w) => format!(
-            "{{\"op\":\"search\",\"version\":3,\"query\":{},\"epsilon\":{},\"window\":{w}}}",
-            encode_query(query),
-            warptree_obs::json::num(epsilon)
-        ),
-        None => format!(
-            "{{\"op\":\"search\",\"version\":3,\"query\":{},\"epsilon\":{}}}",
-            encode_query(query),
-            warptree_obs::json::num(epsilon)
-        ),
-    }
-}
-
-/// Builds a version-4 `search` request: same body as
-/// [`search_request`] but declaring protocol version 4, so the
-/// response carries the `"timings"` queue/service split; with
-/// `"trace": true` the server returns the span tree inline.
-pub fn traced_search_request(query: &[f64], epsilon: f64, trace_id: Option<&str>) -> String {
-    let id = match trace_id {
-        Some(id) => format!(",\"trace_id\":\"{}\"", warptree_obs::json::escape(id)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"op\":\"search\",\"version\":4,\"query\":{},\"epsilon\":{},\"trace\":true{id}}}",
-        encode_query(query),
-        warptree_obs::json::num(epsilon)
-    )
-}
-
-/// Builds a version-4 `search` request *without* asking for a trace:
-/// result bytes match the v3 response, plus the `"timings"` object the
-/// bench harness uses to split queue wait from service time.
+/// Builds a `search` request body: [`Request::encode`] of a threshold
+/// search at `epsilon` within an optional warping `window`.
 pub fn search_request_v4(query: &[f64], epsilon: f64, window: Option<u32>) -> String {
-    let body = search_request(query, epsilon, window);
-    body.replacen("\"version\":3", "\"version\":4", 1)
-}
-
-/// Builds an `ingest` request body (protocol version 2).
-pub fn ingest_request(sequences: &[Vec<f64>]) -> String {
-    let mut out = String::from("{\"op\":\"ingest\",\"version\":2,\"sequences\":[");
-    for (i, seq) in sequences.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&encode_query(seq));
-    }
-    out.push_str("]}");
-    out
+    let mut params = SearchParams::with_epsilon(epsilon);
+    params.window = window;
+    let req = Request::Search {
+        query: query.to_vec(),
+        params,
+    };
+    req.encode(None)
 }
 
 #[cfg(test)]
@@ -531,25 +470,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_bodies_are_valid_json() {
-        let body = search_request(&[1.0, -2.5], 0.75, Some(3));
-        let v = json::parse(&body).unwrap();
-        assert_eq!(v.get("op").and_then(Json::as_str), Some("search"));
-        assert_eq!(v.get("window").and_then(Json::as_u64), Some(3));
-        let nowin = search_request(&[1.0], 0.5, None);
-        assert!(json::parse(&nowin).unwrap().get("window").is_none());
-    }
-
-    #[test]
     fn ingest_body_round_trips_through_parse() {
-        let body = ingest_request(&[vec![1.0, 2.5], vec![-3.0]]);
-        let parsed = crate::proto::Request::parse(body.as_bytes(), false).unwrap();
-        assert_eq!(
-            parsed,
-            crate::proto::Request::Ingest {
-                sequences: vec![vec![1.0, 2.5], vec![-3.0]]
-            }
-        );
+        let sent = Request::Ingest {
+            sequences: vec![vec![1.0, 2.5], vec![-3.0]],
+        };
+        let parsed = Request::parse(sent.encode(None).as_bytes(), false).unwrap();
+        assert_eq!(parsed, sent);
     }
 
     #[test]
@@ -564,7 +490,6 @@ mod tests {
         // Deterministic failures must never be retried.
         assert!(!server("bad_request").is_transient());
         assert!(!server("corruption_detected").is_transient());
-        assert!(!server("partial_result_unsupported").is_transient());
         assert!(!server("deadline_exceeded").is_transient());
         assert!(!ClientError::Protocol("response is not UTF-8".into()).is_transient());
     }

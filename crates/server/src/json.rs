@@ -127,6 +127,7 @@ impl Json {
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -140,6 +141,10 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes: every delimiter the grammar branches on is
+    /// ASCII, so scanning is byte-wise and slicing stays on char
+    /// boundaries.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -203,7 +208,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad utf-8")?;
+        let text = &self.text[start..self.pos];
         let v: f64 = text
             .parse()
             .map_err(|_| format!("bad number {text:?} at byte {start}"))?;
@@ -236,10 +241,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // Surrogates (and only surrogates) are not
@@ -254,16 +258,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| "bad utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run up to the next quote or escape in
+                    // one slice: time linear in the string, not in what
+                    // is left of the input.
+                    let start = self.pos;
+                    while let Some(c) = self.peek() {
+                        if c == b'"' || c == b'\\' {
+                            break;
+                        }
+                        if c < 0x20 {
+                            return Err(format!("raw control character at byte {}", self.pos));
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -390,6 +398,73 @@ mod tests {
         // Depth bomb: rejected, not a stack overflow.
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&bomb).is_err());
+    }
+
+    #[test]
+    fn strings_reject_what_they_always_rejected() {
+        for bad in [
+            "\"raw\ncontrol\"",
+            "\"tab\there\"",
+            r#""bad \q escape""#,
+            r#""truncated \u12"#,
+            r#""truncated \u12""#,
+            r#""not hex \uzzzz""#,
+            r#""split \u00é0""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // Runs between escapes, multi-byte characters and an escape at
+        // either end all survive the run-at-a-time copy.
+        let v = parse(r#""\\héllo \u00e9 wörld\"""#).unwrap();
+        assert_eq!(v.as_str(), Some("\\héllo é wörld\""));
+    }
+
+    /// Finding (e): every string character used to re-validate the rest
+    /// of the input, so a reply's parse time grew with the square of
+    /// its size (5.6 s for 320 KB). Parsing must be linear: a 1 MB
+    /// `matches` array in well under a second even unoptimized, at no
+    /// more than 3x the time per byte of a 64 KB one.
+    #[test]
+    fn parse_time_is_linear_in_the_response_size() {
+        fn matches_array(bytes: usize) -> String {
+            let mut out = String::from("{\"matches\":[");
+            let mut i = 0u32;
+            while out.len() < bytes {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!(
+                    "{{\"seq\":{},\"start\":{},\"len\":12,\"dist\":1.25}}",
+                    i % 97,
+                    i
+                ));
+                i += 1;
+            }
+            out.push_str("]}");
+            out
+        }
+        // Fastest of five: the host's speed drifts, the minimum does not.
+        fn ns_per_byte(text: &str) -> f64 {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    assert!(parse(text).is_ok());
+                    t.elapsed().as_nanos() as f64 / text.len() as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let small = ns_per_byte(&matches_array(64 << 10));
+        let big_text = matches_array(1 << 20);
+        let big = ns_per_byte(&big_text);
+        assert!(
+            big * (big_text.len() as f64) < 1e9,
+            "1 MB took {:.0} ms",
+            big * big_text.len() as f64 / 1e6
+        );
+        assert!(
+            big <= 3.0 * small,
+            "{big:.1} ns/byte at 1 MB against {small:.1} at 64 KB"
+        );
     }
 
     #[test]

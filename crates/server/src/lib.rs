@@ -18,9 +18,12 @@
 //!   [`DirSnapshot`](warptree_disk::DirSnapshot) plus the hot-reload
 //!   watcher that polls the commit `MANIFEST` and swaps generations
 //!   without dropping requests.
-//! * [`server`] — the TCP accept loop, per-request deadlines, metrics,
-//!   per-query tracing, the slow-query ring, and graceful drain on
-//!   shutdown.
+//! * [`serve_core`] — the one serving loop shared with the shard
+//!   coordinator: accept, connection cap, framing, parse, per-query
+//!   tracing, the slow-query ring, graceful drain on shutdown.
+//! * [`server`] — the shard server's handler under that loop: worker
+//!   pool admission, per-request deadlines, ingest, background
+//!   compaction and scrubbing.
 //! * [`http`] — the plain-HTTP `GET /metrics` Prometheus exposition
 //!   endpoint (enabled by `ServerConfig::metrics_addr`).
 //! * [`client`] — a blocking protocol client with jittered-backoff
@@ -40,7 +43,7 @@
 //! dispatch, so a mid-traffic generation commit is invisible to
 //! in-flight requests: they finish on the old snapshot while new
 //! requests see the new one; the old generation is freed when its last
-//! request completes. `ingest` frames (protocol version 2) append tail
+//! request completes. `ingest` frames append tail
 //! segments under a writer mutex shared with the background compaction
 //! worker and republish the snapshot before acking, so a connection
 //! reads its own writes.
@@ -54,6 +57,7 @@ pub mod http;
 pub mod json;
 pub mod pool;
 pub mod proto;
+pub mod serve_core;
 pub mod server;
 pub mod signal;
 pub mod snapshot;
@@ -63,7 +67,8 @@ pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::{Client, ClientError, RetryPolicy, ShardConn};
 pub use json::Json;
 pub use pool::{SubmitError, WorkerPool};
-pub use proto::{ErrorCode, ParseError, Request, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION};
+pub use proto::{ErrorCode, ParseError, Request, MAX_FRAME, PROTO_VERSION};
+pub use serve_core::{Handler, ServeHandle, SlowLog, StopThread};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use snapshot::{ReloadWatcher, SnapshotCell};
 

@@ -13,33 +13,32 @@
 //! {"op":"knn","query":[20.0,21.0],"k":5}
 //! {"op":"batch","queries":[[1.0],[2.0]],"epsilon":0.5}
 //! {"op":"explain","query":[20.0,21.0],"epsilon":1.5}
-//! {"op":"ingest","version":2,"sequences":[[1.0,2.0],[3.0]]}
+//! {"op":"ingest","sequences":[[1.0,2.0],[3.0]]}
 //! {"op":"info"}  {"op":"health"}  {"op":"stats"}  {"op":"shutdown"}
-//! {"op":"slowlog","version":4}  {"op":"metrics","version":4}
+//! {"op":"slowlog"}  {"op":"metrics"}
 //! ```
 //!
 //! Every query op also accepts an optional `"parallelism"` (worker
 //! subthreads for one request, clamped server-side to the serve
-//! `--threads` cap; results are byte-identical at every value), and —
-//! at protocol version 4 — `"trace":true` / `"trace_id":"…"` to
-//! request the query's span tree in the response, plus an optional
-//! `"backend":"tree"|"esa"` pin that makes the server answer only from
-//! an index of that family (any other fails with the typed
-//! `unsupported_backend` code instead of silently answering from a
-//! different index family).
+//! `--threads` cap; results are byte-identical at every value),
+//! `"trace":true` / `"trace_id":"…"` to request the query's span tree
+//! in the response, and an optional `"backend":"tree"|"esa"` pin that
+//! makes the server answer only from an index of that family (any
+//! other fails with the typed `unsupported_backend` code instead of
+//! silently answering from a different index family).
 //!
-//! Requests may carry an optional integer `"version"` (absent =
-//! [`MIN_PROTO_VERSION`]); a version this server does not speak — or an
-//! op needing a newer version than declared, like `ingest` — fails with
-//! the typed `unsupported_version` code. Responses stamp the server's
-//! [`PROTO_VERSION`].
+//! There is one protocol version, [`PROTO_VERSION`]. A request's
+//! integer `"version"` may be absent or equal to it; any other integer
+//! fails with the typed `unsupported_version` code. Responses stamp it.
+//! [`Request::encode`] renders a request in exactly the form
+//! [`Request::parse_full`] reads.
 //!
 //! Responses always carry `"ok"` and `"version"`:
-//! `{"ok":true,"version":2,"op":…,…}` on success, and on failure a
+//! `{"ok":true,"version":4,"op":…,…}` on success, and on failure a
 //! typed error the client can branch on:
 //!
 //! ```json
-//! {"ok":false,"version":2,"error":{"code":"overloaded","message":"…"}}
+//! {"ok":false,"version":4,"error":{"code":"overloaded","message":"…"}}
 //! ```
 //!
 //! The error codes ([`ErrorCode`]) are part of the contract: admission
@@ -51,8 +50,9 @@
 use std::io::{self, Read, Write};
 
 use warptree_core::error::CoreError;
-use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams};
+use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams, SearchStats};
 use warptree_obs::json::{escape, num};
+use warptree_obs::MetricsRegistry;
 
 use crate::json::{self, Json};
 
@@ -197,33 +197,18 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], stall_limit: u32) -> io::Result<
 /// one place (the core crate).
 pub use warptree_core::error::ErrorCode;
 
-/// The protocol version this build speaks (and stamps on every
-/// response). Version history:
-///
-/// * **1** — the original op set (`search`, `knn`, `batch`, `explain`,
-///   `info`, `health`, `stats`, `shutdown`).
-/// * **2** — adds the `ingest` op (online append into tail segments)
-///   and the `"version"` field on requests and responses.
-/// * **3** — degraded-mode serving: query responses may carry
-///   `"partial":true` plus a `"coverage"` object when quarantined
-///   segments were excluded, and `health` reports a `"degraded"`
-///   status. Clients on v1/v2 receive the typed
-///   `partial_result_unsupported` error instead of a silently
-///   incomplete answer.
-/// * **4** — per-query tracing and exposition: query ops accept
-///   `"trace":true` (return the span tree) and `"trace_id":"…"`
-///   (caller-chosen correlation id); query responses carry a
-///   `"timings":{"queue_ns":…,"service_ns":…}` object and, when traced,
-///   a `"trace"` block. Adds the `slowlog` and `metrics` control ops.
+/// The one protocol version (stamped on every response): the op set
+/// `search`, `knn`, `batch`, `explain`, `ingest`, `info`, `health`,
+/// `stats`, `slowlog`, `metrics`, `shutdown`; degraded answers carry
+/// `"partial":true` plus a `"coverage"` object; query ops accept
+/// `"trace":true` / `"trace_id":"…"` and a `"backend"` pin; every ok
+/// query response carries `"timings":{"queue_ns":…,"service_ns":…}`
+/// and, when the client asked, the span tree under `"trace"`.
 pub const PROTO_VERSION: u32 = 4;
 
-/// The oldest protocol version still accepted. Requests carrying no
-/// `"version"` field are treated as this version.
-pub const MIN_PROTO_VERSION: u32 = 1;
-
-/// A request parse failure: a wire [`ErrorCode`] (almost always
-/// `bad_request`; `unsupported_version` for version negotiation
-/// failures) plus a human-readable message.
+/// A request parse failure: a wire [`ErrorCode`] (`bad_request`, or
+/// `unsupported_version` for a `"version"` other than
+/// [`PROTO_VERSION`]) plus a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// The typed code the error frame will carry.
@@ -285,16 +270,14 @@ pub enum Request {
     Health,
     /// Process metrics snapshot.
     Stats,
-    /// The slow-query ring: recent traced/slow queries, newest first
-    /// (protocol version 4).
+    /// The slow-query ring: recent traced/slow queries, newest first.
     Slowlog,
-    /// The full metrics registry in Prometheus text exposition format
-    /// (protocol version 4).
+    /// The full metrics registry in Prometheus text exposition format.
     Metrics,
     /// Ask the server to drain and exit.
     Shutdown,
-    /// Append sequences to the served index as a new tail segment
-    /// (protocol version 2). The commit is crash-safe and the new
+    /// Append sequences to the served index as a new tail segment.
+    /// The commit is crash-safe and the new
     /// generation is swapped in before the response is sent, so a
     /// follow-up query on the same connection sees the ingested data.
     Ingest {
@@ -347,72 +330,39 @@ impl Request {
     }
 
     /// Parses a frame payload. `allow_debug` gates the test-only ops.
-    ///
-    /// A request may carry an optional integer `"version"`; absent
-    /// means [`MIN_PROTO_VERSION`]. Versions outside
-    /// `MIN_PROTO_VERSION..=PROTO_VERSION` — and ops requiring a newer
-    /// version than the request declared — fail with the typed
-    /// `unsupported_version` code instead of plain `bad_request`, so
-    /// clients can distinguish "speak older" from "malformed".
     pub fn parse(payload: &[u8], allow_debug: bool) -> Result<Request, ParseError> {
-        Self::parse_versioned(payload, allow_debug).map(|(req, _)| req)
+        Self::parse_full(payload, allow_debug).map(|(req, _)| req)
     }
 
-    /// [`parse`](Request::parse) that also returns the protocol version
-    /// the request negotiated (absent = [`MIN_PROTO_VERSION`]). The
-    /// server needs the version to decide whether a degraded (partial)
-    /// response can be expressed or must fail with
-    /// `partial_result_unsupported`.
-    pub fn parse_versioned(
-        payload: &[u8],
-        allow_debug: bool,
-    ) -> Result<(Request, u32), ParseError> {
-        Self::parse_full(payload, allow_debug).map(|(req, v, _)| (req, v))
-    }
-
-    /// The complete parse: request, negotiated version, and the
-    /// protocol-version-4 [`TraceOpts`]. Requesting a trace (or
-    /// supplying a `trace_id`) below version 4 is an
-    /// `unsupported_version` error, so old clients can never receive a
-    /// response shape they do not expect.
+    /// [`parse`](Request::parse) that also returns the request's
+    /// [`TraceOpts`]. An integer `"version"` other than
+    /// [`PROTO_VERSION`] fails with the typed `unsupported_version`
+    /// code instead of plain `bad_request`, so clients can tell "speak
+    /// the current protocol" from "malformed".
     pub fn parse_full(
         payload: &[u8],
         allow_debug: bool,
-    ) -> Result<(Request, u32, TraceOpts), ParseError> {
+    ) -> Result<(Request, TraceOpts), ParseError> {
         let text = std::str::from_utf8(payload).map_err(|_| "frame is not UTF-8".to_string())?;
         let v = json::parse(text)?;
-        let version = match v.get("version") {
-            None | Some(Json::Null) => MIN_PROTO_VERSION,
-            Some(x) => x
-                .as_u64()
-                .filter(|n| *n <= u32::MAX as u64)
-                .ok_or("\"version\" must be an integer")? as u32,
-        };
-        if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-            return Err(ParseError {
-                code: ErrorCode::UnsupportedVersion,
-                message: format!(
-                    "protocol version {version} is not supported (this server speaks {MIN_PROTO_VERSION}..={PROTO_VERSION})"
-                ),
-            });
+        match v.get("version") {
+            None | Some(Json::Null) => {}
+            Some(x) => {
+                let version = x.as_u64().ok_or("\"version\" must be an integer")?;
+                if version != PROTO_VERSION as u64 {
+                    return Err(ParseError {
+                        code: ErrorCode::UnsupportedVersion,
+                        message: format!(
+                            "protocol version {version} is not supported (this server speaks {PROTO_VERSION})"
+                        ),
+                    });
+                }
+            }
         }
         let op = v
             .get("op")
             .and_then(Json::as_str)
             .ok_or("missing \"op\" field")?;
-        if op == "ingest" && version < 2 {
-            return Err(ParseError {
-                code: ErrorCode::UnsupportedVersion,
-                message: "op \"ingest\" requires protocol version 2; send \"version\":2"
-                    .to_string(),
-            });
-        }
-        if (op == "slowlog" || op == "metrics") && version < 4 {
-            return Err(ParseError {
-                code: ErrorCode::UnsupportedVersion,
-                message: format!("op \"{op}\" requires protocol version 4; send \"version\":4"),
-            });
-        }
         let trace = TraceOpts {
             wanted: match v.get("trace") {
                 None | Some(Json::Null) => false,
@@ -429,13 +379,6 @@ impl Request {
                 }
             },
         };
-        if (trace.wanted || trace.trace_id.is_some()) && version < 4 {
-            return Err(ParseError {
-                code: ErrorCode::UnsupportedVersion,
-                message: "per-query tracing requires protocol version 4; send \"version\":4"
-                    .to_string(),
-            });
-        }
         let req: Result<Request, ParseError> = match op {
             "search" => Ok(Request::Search {
                 query: query_field(&v, "query")?,
@@ -533,15 +476,73 @@ impl Request {
             }),
             other => Err(format!("unknown op {other:?}").into()),
         };
-        let req = req?;
-        if req.backend_pin().is_some() && version < 4 {
-            return Err(ParseError {
-                code: ErrorCode::UnsupportedVersion,
-                message: "\"backend\" pinning requires protocol version 4; send \"version\":4"
-                    .to_string(),
-            });
+        Ok((req?, trace))
+    }
+
+    /// Renders the request as the frame payload
+    /// [`parse_full`](Request::parse_full) reads back to `self`; with
+    /// `trace = Some(id)` the body also asks for the span tree under
+    /// that id. Optional fields holding the parser's default are left
+    /// out, so a plain search is `op`, `version`, `query`, `epsilon`.
+    pub fn encode(&self, trace: Option<&str>) -> String {
+        let mut out = format!(
+            "{{\"op\":\"{}\",\"version\":{PROTO_VERSION}",
+            self.op_label()
+        );
+        match self {
+            Request::Search { query, params } | Request::Explain { query, params } => {
+                out.push_str(&format!(",\"query\":{}", encode_query(query)));
+                push_search_params(&mut out, params);
+            }
+            Request::Batch { queries, params } => {
+                out.push_str(",\"queries\":");
+                push_arrays(&mut out, queries);
+                push_search_params(&mut out, params);
+            }
+            Request::Knn { query, params } => {
+                let defaults = KnnParams::new(params.k);
+                out.push_str(&format!(
+                    ",\"query\":{},\"k\":{}",
+                    encode_query(query),
+                    params.k
+                ));
+                if params.initial_epsilon != defaults.initial_epsilon {
+                    out.push_str(&format!(
+                        ",\"initial_epsilon\":{}",
+                        num(params.initial_epsilon)
+                    ));
+                }
+                if params.growth != defaults.growth {
+                    out.push_str(&format!(",\"growth\":{}", num(params.growth)));
+                }
+                if params.max_rounds != defaults.max_rounds {
+                    out.push_str(&format!(",\"max_rounds\":{}", params.max_rounds));
+                }
+                if !params.non_overlapping {
+                    out.push_str(",\"allow_overlaps\":true");
+                }
+                if let Some(w) = params.window {
+                    out.push_str(&format!(",\"window\":{w}"));
+                }
+                push_shared_params(&mut out, params.threads, params.cascade, params.backend);
+            }
+            Request::Ingest { sequences } => {
+                out.push_str(",\"sequences\":");
+                push_arrays(&mut out, sequences);
+            }
+            Request::DebugSleep { ms } => out.push_str(&format!(",\"ms\":{ms}")),
+            Request::Info
+            | Request::Health
+            | Request::Stats
+            | Request::Slowlog
+            | Request::Metrics
+            | Request::Shutdown => {}
         }
-        Ok((req, version, trace))
+        if let Some(id) = trace {
+            out.push_str(&format!(",\"trace\":true,\"trace_id\":\"{}\"", escape(id)));
+        }
+        out.push('}');
+        out
     }
 
     /// The backend pin a query op carries, if any — `None` for control
@@ -558,7 +559,7 @@ impl Request {
     }
 }
 
-/// Per-request tracing options (protocol version 4).
+/// Per-request tracing options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceOpts {
     /// The client asked for the span tree in the response
@@ -568,6 +569,59 @@ pub struct TraceOpts {
     /// Caller-supplied correlation id (`"trace_id"`); the server
     /// generates one when absent.
     pub trace_id: Option<String>,
+}
+
+/// Renders a query as a JSON number array.
+pub fn encode_query(query: &[f64]) -> String {
+    let mut out = String::from("[");
+    for (i, v) in query.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&num(*v));
+    }
+    out.push(']');
+    out
+}
+
+/// Appends `arrays` as a JSON array of number arrays.
+fn push_arrays(out: &mut String, arrays: &[Vec<f64>]) {
+    out.push('[');
+    for (i, a) in arrays.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&encode_query(a));
+    }
+    out.push(']');
+}
+
+/// Appends the fields [`search_params`] reads.
+fn push_search_params(out: &mut String, p: &SearchParams) {
+    out.push_str(&format!(",\"epsilon\":{}", num(p.epsilon)));
+    if let Some(w) = p.window {
+        out.push_str(&format!(",\"window\":{w}"));
+    }
+    if let Some(m) = p.max_len {
+        out.push_str(&format!(",\"max_len\":{m}"));
+    }
+    if p.min_len != 1 {
+        out.push_str(&format!(",\"min_len\":{}", p.min_len));
+    }
+    push_shared_params(out, p.threads, p.cascade, p.backend);
+}
+
+/// Appends the optional fields threshold and k-NN requests share.
+fn push_shared_params(out: &mut String, threads: u32, cascade: bool, backend: Option<BackendKind>) {
+    if threads != 1 {
+        out.push_str(&format!(",\"parallelism\":{threads}"));
+    }
+    if !cascade {
+        out.push_str(",\"cascade\":false");
+    }
+    if let Some(b) = backend {
+        out.push_str(&format!(",\"backend\":\"{}\"", b.as_str()));
+    }
 }
 
 fn numbers(arr: &[Json], what: &str) -> Result<Vec<f64>, String> {
@@ -669,7 +723,7 @@ pub fn encode_matches_ranked(matches: &[Match]) -> String {
 }
 
 /// Serializes [`Coverage`] accounting as a response fragment:
-/// `"partial":true,"coverage":{…}` (protocol version 3). The fraction
+/// `"partial":true,"coverage":{…}`. The fraction
 /// is rendered with the shared canonical number formatter so degraded
 /// responses stay byte-comparable.
 pub fn encode_coverage(c: &warptree_core::search::Coverage) -> String {
@@ -684,6 +738,31 @@ pub fn encode_coverage(c: &warptree_core::search::Coverage) -> String {
         c.suffixes_total,
         c.suffixes_answered,
         num(c.fraction())
+    )
+}
+
+/// Serializes funnel stats as the 16-field `"stats"` object of an
+/// `explain` response — one encoder for the shard server and the
+/// coordinator's merged stats, so the two are byte-comparable.
+pub fn encode_stats(s: &SearchStats) -> String {
+    format!(
+        "{{\"filter_cells\":{},\"nodes_visited\":{},\"nodes_expanded\":{},\"rows_pushed\":{},\"rows_unshared\":{},\"branches_pruned\":{},\"candidates\":{},\"stored_candidates\":{},\"lb2_candidates\":{},\"postprocessed\":{},\"postprocess_cells\":{},\"false_alarms\":{},\"answers\":{},\"cascade_lb_keogh_kills\":{},\"cascade_lb_improved_kills\":{},\"cascade_abandon_kills\":{}}}",
+        s.filter_cells,
+        s.nodes_visited,
+        s.nodes_expanded,
+        s.rows_pushed,
+        s.rows_unshared,
+        s.branches_pruned,
+        s.candidates,
+        s.stored_candidates,
+        s.lb2_candidates,
+        s.postprocessed,
+        s.postprocess_cells,
+        s.false_alarms,
+        s.answers,
+        s.cascade_lb_keogh_kills,
+        s.cascade_lb_improved_kills,
+        s.cascade_abandon_kills,
     )
 }
 
@@ -714,6 +793,26 @@ pub fn error_response(code: ErrorCode, message: &str) -> String {
     )
 }
 
+/// The `stats` response: the registry snapshot as JSON.
+pub fn stats_response(registry: &MetricsRegistry) -> String {
+    ok_response(
+        "stats",
+        &format!("\"metrics\":{}", registry.snapshot().to_json()),
+    )
+}
+
+/// The `metrics` response: the registry in Prometheus text exposition
+/// format, as a JSON-escaped string.
+pub fn metrics_response(registry: &MetricsRegistry) -> String {
+    ok_response(
+        "metrics",
+        &format!(
+            "\"format\":\"prometheus-0.0.4\",\"exposition\":\"{}\"",
+            escape(&registry.snapshot().to_prometheus())
+        ),
+    )
+}
+
 /// Maps a validation failure from the core search layer onto a wire
 /// error via [`CoreError::code`] (every core error is the client's
 /// fault, so this is always `bad_request`).
@@ -724,6 +823,7 @@ pub fn core_error_response(e: &CoreError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use warptree_core::sequence::{Occurrence, SeqId};
 
     #[test]
@@ -932,8 +1032,13 @@ mod tests {
             br#"{"op":"search","query":[1.0]}"#,
             br#"{"op":"knn","query":[1.0]}"#,
             br#"{"op":"search","query":[1.0],"epsilon":1.0,"window":-1}"#,
+            br#"{"op":"ingest"}"#,
+            br#"{"op":"ingest","sequences":[]}"#,
+            br#"{"op":"ingest","sequences":[[]]}"#,
+            br#"{"op":"ingest","sequences":[["x"]]}"#,
         ] {
-            assert!(Request::parse(bad, false).is_err(), "accepted {bad:?}");
+            let err = Request::parse(bad, false).expect_err("accepted a malformed frame");
+            assert_eq!(err.code, ErrorCode::BadRequest, "{bad:?}");
         }
     }
 
@@ -978,15 +1083,6 @@ mod tests {
             let err = Request::parse(frame, false).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{frame:?}");
         }
-        // A pin below protocol version 4 is a typed version failure, so
-        // a pinned request can never be silently served unpinned by a
-        // newer server a v1 client did not expect to understand it.
-        let err = Request::parse(
-            br#"{"op":"search","query":[1.0],"epsilon":0.5,"backend":"esa"}"#,
-            false,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, ErrorCode::UnsupportedVersion);
         // Control ops carry no pin.
         assert_eq!(
             Request::parse(br#"{"op":"health"}"#, false)
@@ -1035,42 +1131,193 @@ mod tests {
 
     #[test]
     fn version_negotiation() {
-        // Every supported version parses; absent defaults to v1.
-        for (frame, want) in [
-            (&br#"{"op":"health"}"#[..], 1),
-            (br#"{"op":"health","version":1}"#, 1),
-            (br#"{"op":"health","version":2}"#, 2),
-            (br#"{"op":"health","version":3}"#, 3),
-            (br#"{"op":"health","version":4}"#, 4),
-        ] {
-            let (req, version) = Request::parse_versioned(frame, false).unwrap();
-            assert_eq!(req, Request::Health);
-            assert_eq!(version, want, "{frame:?}");
-        }
-        // Out-of-range versions get the typed unsupported_version code.
+        // The one version parses, spelled out or left off.
         for frame in [
-            &br#"{"op":"health","version":0}"#[..],
-            br#"{"op":"health","version":5}"#,
-            br#"{"op":"health","version":99}"#,
+            &br#"{"op":"health"}"#[..],
+            br#"{"op":"health","version":4}"#,
         ] {
-            let err = Request::parse(frame, false).unwrap_err();
-            assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{frame:?}");
+            assert_eq!(Request::parse(frame, false).unwrap(), Request::Health);
+        }
+        // Any other integer gets the typed unsupported_version code.
+        for version in [0, 1, 2, 3, 5, 99] {
+            let frame = format!("{{\"op\":\"health\",\"version\":{version}}}");
+            let err = Request::parse(frame.as_bytes(), false).unwrap_err();
+            assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{frame}");
         }
         // Malformed version values are plain bad requests.
         let err = Request::parse(br#"{"op":"health","version":"two"}"#, false).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
     }
 
+    /// `Some(v)` about half the time.
+    fn optional<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+    }
+
+    fn values(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(-1000.0f64..1000.0, len)
+    }
+
+    fn backend_pin() -> impl Strategy<Value = Option<BackendKind>> {
+        optional(any::<bool>()).prop_map(|b| {
+            b.map(|esa| {
+                if esa {
+                    BackendKind::Esa
+                } else {
+                    BackendKind::Tree
+                }
+            })
+        })
+    }
+
+    fn search_params_strategy() -> impl Strategy<Value = SearchParams> {
+        (
+            0.0f64..50.0,
+            optional(0u32..64),
+            optional(1u32..500),
+            1u32..6,
+            0u32..9,
+            (any::<bool>(), backend_pin()),
+        )
+            .prop_map(
+                |(epsilon, window, max_len, min_len, threads, (cascade, backend))| SearchParams {
+                    epsilon,
+                    window,
+                    max_len,
+                    min_len,
+                    threads,
+                    cascade,
+                    backend,
+                },
+            )
+    }
+
+    fn knn_params_strategy() -> impl Strategy<Value = KnnParams> {
+        (
+            (1usize..50, 0.0f64..10.0, 1.5f64..8.0, 1usize..40),
+            optional(0u32..64),
+            any::<bool>(),
+            0u32..9,
+            any::<bool>(),
+            backend_pin(),
+        )
+            .prop_map(
+                |((k, initial_epsilon, growth, max_rounds), window, overlaps, threads, c, b)| {
+                    KnnParams {
+                        k,
+                        initial_epsilon,
+                        growth,
+                        max_rounds,
+                        window,
+                        non_overlapping: !overlaps,
+                        threads,
+                        cascade: c,
+                        backend: b,
+                    }
+                },
+            )
+    }
+
+    /// Every op, every optional field both present and absent.
+    fn request_strategy() -> impl Strategy<Value = Request> {
+        (
+            0u8..12,
+            values(0..=8),
+            prop::collection::vec(values(1..=5), 1..=3),
+            search_params_strategy(),
+            knn_params_strategy(),
+            any::<u64>(),
+        )
+            .prop_map(|(op, query, arrays, params, knn, ms)| match op {
+                0 => Request::Search { query, params },
+                1 => Request::Explain { query, params },
+                2 => Request::Batch {
+                    queries: arrays,
+                    params,
+                },
+                3 => Request::Knn { query, params: knn },
+                4 => Request::Ingest { sequences: arrays },
+                5 => Request::DebugSleep { ms: ms >> 12 },
+                6 => Request::Info,
+                7 => Request::Health,
+                8 => Request::Stats,
+                9 => Request::Slowlog,
+                10 => Request::Metrics,
+                _ => Request::Shutdown,
+            })
+    }
+
+    /// Trace ids of 1..=20 characters, drawn to need every escape the
+    /// encoder knows.
+    fn trace_id_strategy() -> impl Strategy<Value = Option<String>> {
+        const CHARS: [char; 9] = ['a', 'Z', '7', '-', ' ', '"', '\\', '\n', 'é'];
+        optional(prop::collection::vec(0usize..CHARS.len(), 1..=20))
+            .prop_map(|ix| ix.map(|ix| ix.into_iter().map(|i| CHARS[i]).collect()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `encode` and `parse_full` are inverses over every op and
+        /// every optional field, so a forwarded body (the coordinator's)
+        /// or a built one (the client's) reaches the shard as the same
+        /// request.
+        #[test]
+        fn encode_round_trips_through_parse_full(
+            req in request_strategy(),
+            trace_id in trace_id_strategy(),
+        ) {
+            let body = req.encode(trace_id.as_deref());
+            let want = TraceOpts {
+                wanted: trace_id.is_some(),
+                trace_id,
+            };
+            prop_assert_eq!(
+                Request::parse_full(body.as_bytes(), true).unwrap(),
+                (req, want),
+                "{}",
+                body
+            );
+        }
+    }
+
+    /// The bytes in-repo callers depend on: defaults are left out, and
+    /// a pin, a window and a trace id land where the parser reads them.
+    #[test]
+    fn encode_leaves_out_defaults() {
+        let plain = Request::Search {
+            query: vec![1.0, -2.5],
+            params: SearchParams::with_epsilon(0.75),
+        };
+        assert_eq!(
+            plain.encode(None),
+            r#"{"op":"search","version":4,"query":[1,-2.5],"epsilon":0.75}"#
+        );
+        let pinned = Request::Search {
+            query: vec![1.0],
+            params: SearchParams::with_epsilon(0.5)
+                .windowed(3)
+                .on_backend(BackendKind::Esa),
+        };
+        assert_eq!(
+            pinned.encode(Some("abc")),
+            r#"{"op":"search","version":4,"query":[1],"epsilon":0.5,"window":3,"backend":"esa","trace":true,"trace_id":"abc"}"#
+        );
+        assert_eq!(
+            Request::Slowlog.encode(None),
+            r#"{"op":"slowlog","version":4}"#
+        );
+    }
+
     #[test]
     fn trace_opts_and_v4_ops_are_version_gated() {
-        // v4 query with tracing: opts surface through parse_full.
-        let (req, version, trace) = Request::parse_full(
+        // A query with tracing: opts surface through parse_full.
+        let (req, trace) = Request::parse_full(
             br#"{"op":"search","version":4,"query":[1.0],"epsilon":0.5,"trace":true,"trace_id":"abc"}"#,
             false,
         )
         .unwrap();
         assert!(matches!(req, Request::Search { .. }));
-        assert_eq!(version, 4);
         assert_eq!(
             trace,
             TraceOpts {
@@ -1079,20 +1326,9 @@ mod tests {
             }
         );
         // Untraced requests carry the default opts.
-        let (_, _, trace) = Request::parse_full(br#"{"op":"health"}"#, false).unwrap();
+        let (_, trace) = Request::parse_full(br#"{"op":"health"}"#, false).unwrap();
         assert_eq!(trace, TraceOpts::default());
-        // Tracing below v4 — and the v4-only ops below v4 — are typed
-        // unsupported_version failures.
-        for frame in [
-            &br#"{"op":"search","query":[1.0],"epsilon":0.5,"trace":true}"#[..],
-            br#"{"op":"search","version":3,"query":[1.0],"epsilon":0.5,"trace_id":"x"}"#,
-            br#"{"op":"slowlog"}"#,
-            br#"{"op":"metrics","version":3}"#,
-        ] {
-            let err = Request::parse(frame, false).unwrap_err();
-            assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{frame:?}");
-        }
-        // The v4 control ops parse and are control-classified.
+        // The slowlog/metrics control ops parse and are control-classified.
         for (frame, want) in [
             (&br#"{"op":"slowlog","version":4}"#[..], Request::Slowlog),
             (br#"{"op":"metrics","version":4}"#, Request::Metrics),
@@ -1135,39 +1371,5 @@ mod tests {
             Some(1)
         );
         assert_eq!(cov.get("fraction").and_then(Json::as_f64), Some(0.75));
-    }
-
-    #[test]
-    fn ingest_requires_version_2() {
-        let ok = Request::parse(
-            br#"{"op":"ingest","version":2,"sequences":[[1.0,2.0],[3.0]]}"#,
-            false,
-        )
-        .unwrap();
-        assert_eq!(
-            ok,
-            Request::Ingest {
-                sequences: vec![vec![1.0, 2.0], vec![3.0]]
-            }
-        );
-        assert!(!ok.is_control());
-        // Without version 2 the op is refused with the typed code …
-        for frame in [
-            &br#"{"op":"ingest","sequences":[[1.0]]}"#[..],
-            br#"{"op":"ingest","version":1,"sequences":[[1.0]]}"#,
-        ] {
-            let err = Request::parse(frame, false).unwrap_err();
-            assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{frame:?}");
-        }
-        // … and malformed payloads are plain bad requests.
-        for frame in [
-            &br#"{"op":"ingest","version":2}"#[..],
-            br#"{"op":"ingest","version":2,"sequences":[]}"#,
-            br#"{"op":"ingest","version":2,"sequences":[[]]}"#,
-            br#"{"op":"ingest","version":2,"sequences":[["x"]]}"#,
-        ] {
-            let err = Request::parse(frame, false).unwrap_err();
-            assert_eq!(err.code, ErrorCode::BadRequest, "{frame:?}");
-        }
     }
 }

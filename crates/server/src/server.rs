@@ -1,18 +1,18 @@
-//! The TCP query server: accept loop, per-connection protocol
-//! handling, admission control, deadlines, metrics, graceful drain.
+//! The shard server: one index directory served over the framed
+//! protocol — admission control, deadlines, online ingest, background
+//! compaction and scrubbing, hot reload.
 //!
 //! ## Threading model
 //!
-//! One non-blocking accept loop; one thread per connection; a
-//! fixed-size [`WorkerPool`] that actually executes queries. The
-//! connection thread parses a frame, classifies it ([control
-//! ops](crate::proto::Request::is_control) answer inline, so `health`
-//! and `stats` keep responding even when every worker is busy), and
-//! submits query work to the pool. Submission is the admission point:
-//! a full queue fails the request *now* with `overloaded` rather than
-//! queueing unbounded latency, and a request whose deadline passes
-//! while queued is dropped at dequeue with `deadline_exceeded` (the
-//! work is never started — wasted-work avoidance under overload).
+//! The accept loop, the connection threads and everything on the wire
+//! are [`serve_core`](crate::serve_core)'s; this module is its
+//! [`Handler`]. Control ops answer inline on the connection thread;
+//! query work is submitted to a fixed-size [`WorkerPool`]. Submission
+//! is the admission point: a full queue fails the request *now* with
+//! `overloaded` rather than queueing unbounded latency, and a request
+//! whose deadline passes while queued is dropped at dequeue with
+//! `deadline_exceeded` (the work is never started — wasted-work
+//! avoidance under overload).
 //!
 //! ## Snapshot discipline
 //!
@@ -22,14 +22,12 @@
 //! `"generation"` field reports which snapshot answered; concurrent
 //! hot reloads change which snapshot *new* requests pin, nothing else.
 
-use std::collections::VecDeque;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use warptree_core::search::{AnswerSet, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
 use warptree_core::sequence::SequenceStore;
@@ -37,21 +35,19 @@ use warptree_disk::{
     append_segment_with, compact_once_with, open_dir_snapshot_with, quarantine_segment_with,
     real_vfs, scrub_dir_with, DegradedError, DirSnapshot, DiskError, Vfs,
 };
-use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
+use warptree_obs::{MetricsRegistry, Trace};
 
 use crate::http::MetricsHttp;
 use crate::pool::{SubmitError, WorkerPool};
-use crate::proto::{
-    self, error_response, ok_response, read_frame_idle_aware, write_frame, ErrorCode, FrameEvent,
-    Request,
-};
+use crate::proto::{self, error_response, ok_response, ErrorCode, Request};
+use crate::serve_core::{self, next_trace_id, Handler, ServeHandle, SlowLog, StopThread};
 use crate::snapshot::{instrument_snapshot, ReloadWatcher, SnapshotCell};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
-    /// [`ServerHandle::addr`]).
+    /// [`ServeHandle::addr`]).
     pub addr: String,
     /// Worker threads executing queries.
     pub workers: usize,
@@ -113,7 +109,7 @@ pub struct ServerConfig {
     /// the whole search funnel) even when the client didn't ask; the
     /// resulting traces land in the slow-query ring. `0` disables
     /// sampling — clients can still request a trace per query
-    /// (`"trace": true` at protocol version ≥ 4).
+    /// (`"trace": true`).
     pub trace_sample: u64,
     /// Capacity of the slow-query ring; oldest entries fall off.
     pub slowlog_capacity: usize,
@@ -146,141 +142,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
         }
     }
-}
-
-/// One completed request (or background job) captured by the
-/// slow-query ring: identity, where the time went, and — when it was
-/// traced — the full span tree.
-struct SlowEntry {
-    op: &'static str,
-    trace_id: String,
-    unix_ms: u64,
-    generation: u64,
-    /// Total latency: queue wait + service.
-    dur_ns: u64,
-    queue_ns: u64,
-    /// The serialized span tree, when the request was traced.
-    trace_json: Option<String>,
-}
-
-/// The bounded in-memory slow-query ring, shared by the request path
-/// and the background workers. Push is O(1) under one short-held lock;
-/// `{"op":"slowlog"}` renders newest-first. It also owns the tracing
-/// policy: the request counter that drives 1-in-N sampling and the
-/// slow-threshold test.
-struct SlowLog {
-    entries: Mutex<VecDeque<SlowEntry>>,
-    capacity: usize,
-    /// Threshold in ns; `u64::MAX` when threshold capture is disabled.
-    slow_ns: u64,
-    /// Sample every Nth request; `0` disables sampling.
-    sample_every: u64,
-    seen: AtomicU64,
-    registry: MetricsRegistry,
-}
-
-/// Traces kept in the ring are capped so a pathological span tree
-/// (huge fan-out at a broad ε) cannot pin megabytes per entry; the
-/// entry survives with `"trace": null`.
-const SLOWLOG_MAX_TRACE_BYTES: usize = 256 * 1024;
-
-impl SlowLog {
-    fn new(config: &ServerConfig, registry: MetricsRegistry) -> SlowLog {
-        SlowLog {
-            entries: Mutex::new(VecDeque::new()),
-            capacity: config.slowlog_capacity,
-            slow_ns: match config.slow_ms {
-                0 => u64::MAX,
-                ms => ms.saturating_mul(1_000_000),
-            },
-            sample_every: config.trace_sample,
-            seen: AtomicU64::new(0),
-            registry,
-        }
-    }
-
-    /// Decides, per admitted request, whether this one is traced by the
-    /// 1-in-N sampler (the first request always is, so a freshly booted
-    /// server with sampling on produces a trace immediately).
-    fn sample(&self) -> bool {
-        self.sample_every > 0
-            && self
-                .seen
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(self.sample_every)
-    }
-
-    /// Offers a completed request to the ring; it is kept when it was
-    /// slow (threshold) or traced (sampled or client-requested traces
-    /// are always worth keeping — they are why the ring exists).
-    fn offer(&self, op: &'static str, generation: u64, dur_ns: u64, queue_ns: u64, trace: &Trace) {
-        if dur_ns < self.slow_ns && !trace.is_active() {
-            return;
-        }
-        let trace_json = trace
-            .finish()
-            .map(|data| data.to_json())
-            .filter(|j| j.len() <= SLOWLOG_MAX_TRACE_BYTES);
-        let entry = SlowEntry {
-            op,
-            trace_id: trace.id().unwrap_or_default().to_string(),
-            unix_ms: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-            generation,
-            dur_ns,
-            queue_ns,
-            trace_json,
-        };
-        if dur_ns >= self.slow_ns {
-            self.registry.counter("server.slow_queries").incr();
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        if self.capacity == 0 {
-            return;
-        }
-        while entries.len() >= self.capacity {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-        self.registry
-            .gauge("server.slowlog_entries")
-            .set(entries.len() as f64);
-    }
-
-    /// The `{"op":"slowlog"}` body: entries as a JSON array, newest
-    /// first (the entry an operator is chasing is almost always the
-    /// most recent one).
-    fn to_json(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = String::from("[");
-        for (i, e) in entries.iter().rev().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"op\":\"{}\",\"trace_id\":\"{}\",\"unix_ms\":{},\"generation\":{},\"dur_ns\":{},\"queue_ns\":{},\"trace\":{}}}",
-                e.op,
-                obs_json::escape(&e.trace_id),
-                e.unix_ms,
-                e.generation,
-                e.dur_ns,
-                e.queue_ns,
-                e.trace_json.as_deref().unwrap_or("null"),
-            ));
-        }
-        out.push(']');
-        out
-    }
-}
-
-/// Trace ids for server-initiated traces (sampled requests, background
-/// jobs): unique within the process, compact, and obviously synthetic
-/// (`srv-…`) next to client-supplied ids.
-fn next_trace_id(kind: &str) -> String {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    format!("srv-{kind}-{}", SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Shared write-path state: `ingest` requests and the background
@@ -332,32 +193,6 @@ impl IngestState {
 /// merge (one manifest generation per fold) and republishes. In-flight
 /// queries keep their pinned snapshots, so compaction is invisible to
 /// readers except in `info`'s segment count.
-struct CompactionWorker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl CompactionWorker {
-    fn spawn(state: Arc<IngestState>, threshold: usize, interval: Duration) -> io::Result<Self> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("warptree-compact".to_string())
-            .spawn(move || compact_loop(&state, threshold, interval, &stop2))?;
-        Ok(CompactionWorker {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 fn compact_loop(state: &IngestState, threshold: usize, interval: Duration, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(interval);
@@ -368,11 +203,9 @@ fn compact_loop(state: &IngestState, threshold: usize, interval: Duration, stop:
             && state.cell.get().segment_count().saturating_sub(1) >= threshold
         {
             let _guard = state.lock_writer();
-            let trace = if state.slowlog.sample() {
-                Trace::active(next_trace_id("compact"))
-            } else {
-                Trace::noop()
-            };
+            let trace = state
+                .slowlog
+                .trace(false, || next_trace_id(ShardHandler::PREFIX, "compact"));
             let span = trace.span("job.compact");
             let t0 = Instant::now();
             let outcome = compact_once_with(state.vfs.as_ref(), &state.dir, &state.registry);
@@ -416,54 +249,14 @@ fn compact_loop(state: &IngestState, threshold: usize, interval: Duration, stop:
 /// through the CRC-checked read path ([`scrub_dir_with`]), tombstoning
 /// segments that fail and healing quarantined segments by rebuilding
 /// them from the (intact) corpus — the server's self-repair loop.
-struct ScrubWorker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ScrubWorker {
-    fn spawn(state: Arc<IngestState>, interval: Duration) -> io::Result<Self> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("warptree-scrub".to_string())
-            .spawn(move || scrub_loop(&state, interval, &stop2))?;
-        Ok(ScrubWorker {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 fn scrub_loop(state: &IngestState, interval: Duration, stop: &AtomicBool) {
-    // Sleep in small slices so stop() returns promptly even with a
-    // long scrub interval.
-    let slice = interval
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(1));
-    let mut elapsed = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        if elapsed < interval {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            continue;
-        }
-        elapsed = Duration::ZERO;
+    while StopThread::sleep(stop, interval) {
         // The scrub commits manifest generations (quarantine, heal), so
         // it serializes with ingest and compaction like any writer.
         let _guard = state.lock_writer();
-        let trace = if state.slowlog.sample() {
-            Trace::active(next_trace_id("scrub"))
-        } else {
-            Trace::noop()
-        };
+        let trace = state
+            .slowlog
+            .trace(false, || next_trace_id(ShardHandler::PREFIX, "scrub"));
         let span = trace.span("job.scrub");
         let t0 = Instant::now();
         match scrub_dir_with(state.vfs.as_ref(), &state.dir, true, &state.registry) {
@@ -500,7 +293,9 @@ fn scrub_loop(state: &IngestState, interval: Duration, stop: &AtomicBool) {
     }
 }
 
-/// Everything a connection or worker needs, shared behind one `Arc`.
+/// Everything a connection thread or a queued job needs, shared behind
+/// one `Arc` (no pool reference — a job must not be able to re-enter
+/// the queue).
 struct Ctx {
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
@@ -508,15 +303,13 @@ struct Ctx {
     /// totals (the `stats` op view), not per-request.
     search_metrics: SearchMetrics,
     ingest: Arc<IngestState>,
-    shutdown: Arc<AtomicBool>,
     deadline: Duration,
     max_query_len: usize,
     workers: usize,
     queue_depth: usize,
-    max_conns: usize,
     enable_debug_ops: bool,
+    /// Cap applied to a request's `parallelism` knob.
     max_parallelism: u32,
-    slowlog: Arc<SlowLog>,
 }
 
 /// The server factory. Construct with [`Server::start`] (real
@@ -543,8 +336,13 @@ impl Server {
                 .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
         instrument_snapshot(&snapshot, &registry);
         let cell = Arc::new(SnapshotCell::new(Arc::new(snapshot)));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let slowlog = Arc::new(SlowLog::new(&config, registry.clone()));
+        let slowlog = Arc::new(SlowLog::new(
+            ShardHandler::PREFIX,
+            config.slowlog_capacity,
+            config.slow_ms,
+            config.trace_sample,
+            registry.clone(),
+        ));
         let ingest = Arc::new(IngestState {
             vfs: vfs.clone(),
             dir: dir.to_path_buf(),
@@ -555,31 +353,30 @@ impl Server {
             cache_nodes: config.cache_nodes,
             slowlog: slowlog.clone(),
         });
-        let ctx = Arc::new(Ctx {
-            cell: cell.clone(),
-            registry: registry.clone(),
-            search_metrics: SearchMetrics::register(&registry),
-            ingest: ingest.clone(),
-            shutdown: shutdown.clone(),
-            deadline: config.deadline,
-            max_query_len: config.max_query_len,
-            workers: config.workers,
-            queue_depth: config.queue_depth,
-            max_conns: config.max_conns,
-            enable_debug_ops: config.enable_debug_ops,
-            max_parallelism: config.max_parallelism,
-            slowlog,
+        let handler = Arc::new(ShardHandler {
+            ctx: Arc::new(Ctx {
+                cell: cell.clone(),
+                registry: registry.clone(),
+                search_metrics: SearchMetrics::register(&registry),
+                ingest: ingest.clone(),
+                deadline: config.deadline,
+                max_query_len: config.max_query_len,
+                workers: config.workers,
+                queue_depth: config.queue_depth,
+                enable_debug_ops: config.enable_debug_ops,
+                max_parallelism: config.max_parallelism,
+            }),
+            pool: WorkerPool::new(
+                config.workers,
+                config.queue_depth,
+                registry.gauge("server.queue_depth"),
+            ),
         });
 
         let metrics_http = match &config.metrics_addr {
             Some(addr) => Some(MetricsHttp::spawn(addr, registry.clone())?),
             None => None,
         };
-
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         let watcher = ReloadWatcher::spawn(
             vfs,
             dir.to_path_buf(),
@@ -589,535 +386,242 @@ impl Server {
             config.cache_pages,
             config.cache_nodes,
         );
-
         let compactor = if config.compact_threshold > 0 {
-            Some(CompactionWorker::spawn(
+            let (state, threshold, interval) = (
                 ingest.clone(),
                 config.compact_threshold,
                 config.compact_interval,
-            )?)
+            );
+            Some(StopThread::spawn("warptree-compact", move |stop| {
+                compact_loop(&state, threshold, interval, stop)
+            })?)
         } else {
             None
         };
-
         let scrubber = if config.scrub_interval > Duration::ZERO {
-            Some(ScrubWorker::spawn(ingest, config.scrub_interval)?)
+            let interval = config.scrub_interval;
+            Some(StopThread::spawn("warptree-scrub", move |stop| {
+                scrub_loop(&ingest, interval, stop)
+            })?)
         } else {
             None
         };
 
-        let pool = Arc::new(WorkerPool::new(
-            config.workers,
-            config.queue_depth,
-            registry.gauge("server.queue_depth"),
-        ));
-
-        let accept_ctx = ctx.clone();
-        let accept = std::thread::Builder::new()
-            .name("warptree-accept".to_string())
-            .spawn(move || accept_loop(listener, accept_ctx, pool))?;
-
-        Ok(ServerHandle {
-            addr,
-            shutdown,
+        serve_core::serve(
+            &config.addr,
+            config.max_conns,
+            handler,
+            slowlog,
             registry,
-            accept: Some(accept),
-            watcher: Some(watcher),
-            compactor,
-            scrubber,
-            metrics_http,
-        })
+            ServerBackground {
+                _compactor: compactor,
+                _scrubber: scrubber,
+                _watcher: watcher,
+                metrics_http,
+            },
+        )
     }
 }
 
-/// A handle to a running server.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    registry: MetricsRegistry,
-    accept: Option<JoinHandle<()>>,
-    watcher: Option<ReloadWatcher>,
-    compactor: Option<CompactionWorker>,
-    scrubber: Option<ScrubWorker>,
+/// What runs beside the serving loop. The handle drops it once the
+/// drain has finished, field by field in this order: writers stop
+/// before the watcher, so a compaction or scrub finishing during
+/// shutdown is not left unpublished-forever by a dead watcher.
+pub struct ServerBackground {
+    _compactor: Option<StopThread>,
+    _scrubber: Option<StopThread>,
+    _watcher: ReloadWatcher,
     metrics_http: Option<MetricsHttp>,
 }
 
-impl ServerHandle {
-    /// The actual bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
+/// A handle to a running server.
+pub type ServerHandle = ServeHandle<ServerBackground>;
 
+impl ServeHandle<ServerBackground> {
     /// The bound address of the HTTP `GET /metrics` endpoint, when
     /// [`ServerConfig::metrics_addr`] was set.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_http.as_ref().map(|h| h.addr())
-    }
-
-    /// The server's metrics registry (shared with all components).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Asks the server to drain and stop: the accept loop closes, each
-    /// connection finishes its current request, queued work runs to
-    /// completion. Non-blocking; follow with [`ServerHandle::join`].
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested (locally or via the
-    /// protocol `shutdown` op).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Waits for the drain to complete. Implies
-    /// [`ServerHandle::request_shutdown`] having been called — joining
-    /// a live server without it blocks until some shutdown trigger
-    /// (e.g. a client's `shutdown` op) fires.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Writers stop before the watcher: a compaction or scrub
-        // finishing here must not be left unpublished-forever by a
-        // dead watcher.
-        if let Some(c) = self.compactor.take() {
-            c.stop();
-        }
-        if let Some(s) = self.scrubber.take() {
-            s.stop();
-        }
-        if let Some(w) = self.watcher.take() {
-            w.stop();
-        }
-        if let Some(m) = self.metrics_http.take() {
-            m.stop();
-        }
-    }
-
-    /// [`ServerHandle::request_shutdown`] + [`ServerHandle::join`].
-    pub fn stop(self) {
-        self.request_shutdown();
-        self.join();
+        self.background().metrics_http.as_ref().map(|h| h.addr())
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(c) = self.compactor.take() {
-            c.stop();
-        }
-        if let Some(s) = self.scrubber.take() {
-            s.stop();
-        }
-        if let Some(w) = self.watcher.take() {
-            w.stop();
-        }
-        if let Some(m) = self.metrics_http.take() {
-            m.stop();
-        }
-    }
+/// The shard server's side of the serving loop: control ops from the
+/// served snapshot, query ops through the bounded pool.
+struct ShardHandler {
+    ctx: Arc<Ctx>,
+    /// Dropped with the handler when the accept loop ends, which runs
+    /// everything already queued and joins the workers.
+    pool: WorkerPool,
 }
 
-fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>, pool: Arc<WorkerPool>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        // Reap finished connections on every iteration — including idle
-        // ones — so long-lived servers don't accumulate dead handles
-        // and the cap below counts only live connections.
-        conns.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Thread-per-connection needs a connection cap, or a
-                // connection flood exhausts threads/memory before
-                // admission control ever sees a request.
-                if conns.len() >= ctx.max_conns {
-                    ctx.registry.counter("server.rejected_overload").incr();
-                    ctx.registry.counter("server.rejected_conn_limit").incr();
-                    reject_connection(stream);
-                    continue;
-                }
-                ctx.registry.counter("server.connections").incr();
-                let conn_ctx = ctx.clone();
-                let pool = pool.clone();
-                match std::thread::Builder::new()
-                    .name("warptree-conn".to_string())
-                    .spawn(move || handle_conn(stream, &conn_ctx, &pool))
-                {
-                    Ok(h) => conns.push(h),
-                    Err(_) => ctx.registry.counter("server.errors").incr(),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                ctx.registry.counter("server.errors").incr();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-    // Drain: connections first (they still need live workers for their
-    // in-flight requests), then the pool (runs everything already
-    // queued, then exits).
-    for h in conns {
-        let _ = h.join();
-    }
-    drop(pool); // last reference → WorkerPool::drop drains and joins
-}
-
-/// A rejected connection gets a best-effort typed error frame before
-/// the close, so its client sees `overloaded` instead of a bare reset.
-/// Short write timeout: this runs on the accept thread.
-fn reject_connection(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = write_frame(
-        &mut stream,
-        error_response(
-            ErrorCode::Overloaded,
-            "connection limit reached; retry with backoff",
-        )
-        .as_bytes(),
-    );
-}
-
-/// How many consecutive zero-progress 100 ms read timeouts we tolerate
-/// *inside* a frame before giving up on the connection (~30 s). Between
-/// frames the timeout just means "idle" and we poll the shutdown flag.
-const FRAME_STALL_LIMIT: u32 = 300;
-
-fn handle_conn(mut stream: TcpStream, ctx: &Ctx, pool: &WorkerPool) {
-    // Nonblocking-ness is inherited from the listener on some
-    // platforms; frames want blocking reads with a timeout so the
-    // thread notices shutdown between requests.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        // The idle-aware reader reports a timeout as `Idle` only when
-        // zero bytes of the next frame have been consumed; once a frame
-        // has begun it retries timeouts internally, so a slow client
-        // can never desynchronize the stream.
-        match read_frame_idle_aware(&mut stream, FRAME_STALL_LIMIT) {
-            Ok(FrameEvent::Frame(payload)) => {
-                if !serve_one(&payload, &mut stream, ctx, pool) {
-                    return;
-                }
-                // During drain, close after answering rather than wait
-                // for an idle window: a client polling faster than the
-                // read timeout (a coordinator's health monitor, a tight
-                // retry loop) would otherwise hold the drain open
-                // indefinitely.
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Ok(FrameEvent::Closed) => return, // clean close
-            Ok(FrameEvent::Idle) => {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return; // idle at a frame boundary during drain
-                }
-            }
-            Err(_) => return, // torn frame / mid-frame stall / reset
-        }
-    }
-}
-
-/// Handles one request frame. Returns `false` when the connection
-/// should close.
-fn serve_one(payload: &[u8], stream: &mut TcpStream, ctx: &Ctx, pool: &WorkerPool) -> bool {
-    let started = Instant::now();
-    let (req, proto_version, trace_opts) = match Request::parse_full(payload, ctx.enable_debug_ops)
-    {
-        Ok(parsed) => parsed,
-        Err(pe) => {
-            ctx.registry.counter("server.bad_requests").incr();
-            if pe.code == ErrorCode::UnsupportedVersion {
-                ctx.registry.counter("server.unsupported_version").incr();
-            }
-            return respond(stream, &error_response(pe.code, &pe.message));
-        }
-    };
-
-    if req.is_control() {
-        let resp = clamp_oversized(control_response(&req, ctx), &ctx.registry);
-        return respond(stream, &resp);
-    }
-
-    if ctx.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            &error_response(ErrorCode::ShuttingDown, "server is draining"),
+impl ShardHandler {
+    /// Brings the sampled gauges up to date, so `stats` and `metrics`
+    /// show what queries see right now, not the last refresh: the live
+    /// fan-out (worker subthreads currently spawned by parallel
+    /// filter/post-processing regions process-wide) and the *served*
+    /// snapshot's quarantine count (current even if no publish has run
+    /// since the last quarantine).
+    fn refresh_gauges(&self) {
+        let registry = &self.ctx.registry;
+        registry
+            .gauge("server.worker_subthreads")
+            .set(warptree_core::parallel::active_subthreads() as f64);
+        registry.set_gauge(
+            "server.quarantined_segments",
+            self.ctx.cell.get().quarantined.len() as f64,
         );
     }
+}
 
-    // Decide tracing at admission: a v4 client may demand it per
-    // request; otherwise the 1-in-N sampler picks. One branch on the
-    // untraced path — every downstream layer sees only the no-op
-    // handle.
-    let trace_wanted = trace_opts.wanted;
-    let trace = if trace_wanted || ctx.slowlog.sample() {
-        Trace::active(
-            trace_opts
-                .trace_id
-                .unwrap_or_else(|| next_trace_id(req.op_label())),
-        )
-    } else {
-        Trace::noop()
-    };
+impl Handler for ShardHandler {
+    type Conn = ();
+    const PREFIX: &'static str = "server";
 
-    // Query work goes through the bounded pool: the admission point.
-    let (tx, rx) = mpsc::channel::<String>();
-    let deadline = started + ctx.deadline;
-    let job_ctx = JobCtx {
-        cell: ctx.cell.clone(),
-        search_metrics: ctx.search_metrics.clone(),
-        registry: ctx.registry.clone(),
-        ingest: ctx.ingest.clone(),
-        max_query_len: ctx.max_query_len,
-        max_parallelism: ctx.max_parallelism,
-        deadline,
-        proto_version,
-        trace,
-        trace_wanted,
-        slowlog: ctx.slowlog.clone(),
-    };
-    let job = Box::new(move || {
-        let resp = if Instant::now() > deadline {
-            job_ctx.registry.counter("server.deadline_exceeded").incr();
-            error_response(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired before a worker was available",
-            )
-        } else {
-            run_timed(&job_ctx, req, started)
-        };
-        let _ = tx.send(resp);
-    });
+    fn allow_debug(&self) -> bool {
+        self.ctx.enable_debug_ops
+    }
 
-    let resp = match pool.try_submit(job) {
-        Ok(()) => {
-            ctx.registry.counter("server.accepted").incr();
-            match rx.recv() {
-                Ok(resp) => resp,
-                // Worker panicked mid-query (sender dropped); the pool
-                // survives, this request does not.
-                Err(_) => {
-                    ctx.registry.counter("server.internal_errors").incr();
-                    error_response(ErrorCode::Internal, "query execution failed")
+    fn connect(&self) {}
+
+    fn generation(&self) -> u64 {
+        self.ctx.cell.get().generation
+    }
+
+    fn control(&self, req: &Request) -> String {
+        let ctx = &self.ctx;
+        match req {
+            Request::Health => {
+                let snap = ctx.cell.get();
+                let quarantined = snap.quarantined.len();
+                // Degraded is still *serving* — every answer over the
+                // remaining segments is correct and labeled partial — but
+                // operators watching health see the coverage loss.
+                let status = if quarantined > 0 {
+                    "degraded"
+                } else {
+                    "serving"
+                };
+                ok_response(
+                    "health",
+                    &format!(
+                        "\"status\":\"{status}\",\"generation\":{},\"quarantined_segments\":{quarantined}",
+                        snap.generation
+                    ),
+                )
+            }
+            Request::Info => {
+                let snap = ctx.cell.get();
+                ok_response(
+                    "info",
+                    &format!(
+                        "\"generation\":{},\"sequences\":{},\"values\":{},\"categories\":{},\"segments\":{},\"quarantined_segments\":{},\"workers\":{},\"queue_depth\":{},\"max_parallelism\":{}",
+                        snap.generation,
+                        snap.store.len(),
+                        snap.store.total_len(),
+                        snap.alphabet.len(),
+                        snap.segment_count(),
+                        snap.quarantined.len(),
+                        ctx.workers,
+                        ctx.queue_depth,
+                        ctx.max_parallelism,
+                    ),
+                )
+            }
+            Request::Stats => {
+                self.refresh_gauges();
+                proto::stats_response(&ctx.registry)
+            }
+            Request::Metrics => {
+                self.refresh_gauges();
+                proto::metrics_response(&ctx.registry)
+            }
+            other => unreachable!("{other:?} routed to control"),
+        }
+    }
+
+    /// Query work goes through the bounded pool: the admission point.
+    fn query(&self, _: &mut (), req: Request, trace: &Trace, started: Instant) -> (String, u64) {
+        let registry = &self.ctx.registry;
+        let (tx, rx) = mpsc::channel();
+        let deadline = started + self.ctx.deadline;
+        let (ctx, trace) = (self.ctx.clone(), trace.clone());
+        let job = Box::new(move || {
+            let queue_ns = started.elapsed().as_nanos() as u64;
+            let resp = if Instant::now() > deadline {
+                ctx.registry.counter("server.deadline_exceeded").incr();
+                error_response(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline expired before a worker was available",
+                )
+            } else {
+                let job = Job {
+                    ctx: &ctx,
+                    deadline,
+                    trace,
+                };
+                run_timed(&job, req, queue_ns)
+            };
+            let _ = tx.send((resp, queue_ns));
+        });
+        let rejected = match self.pool.try_submit(job) {
+            Ok(()) => {
+                registry.counter("server.accepted").incr();
+                match rx.recv() {
+                    Ok(answered) => return answered,
+                    // Worker panicked mid-query (sender dropped); the pool
+                    // survives, this request does not.
+                    Err(_) => {
+                        registry.counter("server.internal_errors").incr();
+                        error_response(ErrorCode::Internal, "query execution failed")
+                    }
                 }
             }
-        }
-        Err(SubmitError::Overloaded) => {
-            ctx.registry.counter("server.rejected_overload").incr();
-            error_response(
-                ErrorCode::Overloaded,
-                "request queue is full; retry with backoff",
-            )
-        }
-        Err(SubmitError::ShuttingDown) => {
-            ctx.registry.counter("server.rejected_shutdown").incr();
-            error_response(ErrorCode::ShuttingDown, "server is draining")
-        }
-    };
-    let resp = clamp_oversized(resp, &ctx.registry);
-    ctx.registry
-        .histogram("server.request_ns")
-        .record(started.elapsed().as_nanos() as u64);
-    respond(stream, &resp)
-}
-
-/// Replaces a response too large for one frame with a typed error.
-/// Without this, `write_frame` rejects the oversized payload, the
-/// connection closes, and the client only sees "closed mid-request" —
-/// a broad search (large ε over a big corpus) must fail *explainably*.
-fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
-    if resp.len() <= proto::MAX_FRAME as usize {
-        return resp;
-    }
-    registry.counter("server.result_too_large").incr();
-    error_response(
-        ErrorCode::ResultTooLarge,
-        "serialized result exceeds the 4 MiB frame limit; narrow epsilon, lower max_len, or split the batch",
-    )
-}
-
-fn respond(stream: &mut TcpStream, resp: &str) -> bool {
-    write_frame(stream, resp.as_bytes()).is_ok() && stream.flush().is_ok()
-}
-
-fn control_response(req: &Request, ctx: &Ctx) -> String {
-    match req {
-        Request::Health => {
-            let snap = ctx.cell.get();
-            let quarantined = snap.quarantined.len();
-            // Degraded is still *serving* — every answer over the
-            // remaining segments is correct and labeled partial — but
-            // operators watching health see the coverage loss.
-            let status = if quarantined > 0 {
-                "degraded"
-            } else {
-                "serving"
-            };
-            ok_response(
-                "health",
-                &format!(
-                    "\"status\":\"{status}\",\"generation\":{},\"quarantined_segments\":{quarantined}",
-                    snap.generation
-                ),
-            )
-        }
-        Request::Info => {
-            let snap = ctx.cell.get();
-            ok_response(
-                "info",
-                &format!(
-                    "\"generation\":{},\"sequences\":{},\"values\":{},\"categories\":{},\"segments\":{},\"quarantined_segments\":{},\"workers\":{},\"queue_depth\":{},\"max_parallelism\":{}",
-                    snap.generation,
-                    snap.store.len(),
-                    snap.store.total_len(),
-                    snap.alphabet.len(),
-                    snap.segment_count(),
-                    snap.quarantined.len(),
-                    ctx.workers,
-                    ctx.queue_depth,
-                    ctx.max_parallelism,
-                ),
-            )
-        }
-        Request::Stats => {
-            // Sample the live fan-out right before snapshotting: the
-            // gauge counts worker subthreads currently spawned by
-            // parallel filter/post-processing regions process-wide.
-            ctx.registry
-                .gauge("server.worker_subthreads")
-                .set(warptree_core::parallel::active_subthreads() as f64);
-            // Refresh the degradation gauge from the *served* snapshot,
-            // so stats reflect what queries actually see even if no
-            // publish has run since the last quarantine.
-            ctx.registry.set_gauge(
-                "server.quarantined_segments",
-                ctx.cell.get().quarantined.len() as f64,
-            );
-            ok_response(
-                "stats",
-                &format!("\"metrics\":{}", ctx.registry.snapshot().to_json()),
-            )
-        }
-        Request::Slowlog => {
-            ok_response("slowlog", &format!("\"entries\":{}", ctx.slowlog.to_json()))
-        }
-        Request::Metrics => {
-            // Same gauge refresh as `stats`: the exposition must show
-            // what queries see right now, not the last refresh.
-            ctx.registry
-                .gauge("server.worker_subthreads")
-                .set(warptree_core::parallel::active_subthreads() as f64);
-            ctx.registry.set_gauge(
-                "server.quarantined_segments",
-                ctx.cell.get().quarantined.len() as f64,
-            );
-            ok_response(
-                "metrics",
-                &format!(
-                    "\"format\":\"prometheus-0.0.4\",\"exposition\":\"{}\"",
-                    obs_json::escape(&ctx.registry.snapshot().to_prometheus())
-                ),
-            )
-        }
-        Request::Shutdown => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            ok_response("shutdown", "\"draining\":true")
-        }
-        _ => unreachable!("non-control request routed to control_response"),
+            Err(SubmitError::Overloaded) => {
+                registry.counter("server.rejected_overload").incr();
+                error_response(
+                    ErrorCode::Overloaded,
+                    "request queue is full; retry with backoff",
+                )
+            }
+            Err(SubmitError::ShuttingDown) => {
+                registry.counter("server.rejected_shutdown").incr();
+                error_response(ErrorCode::ShuttingDown, "server is draining")
+            }
+        };
+        (rejected, 0)
     }
 }
 
-/// The subset of context a queued job captures (no pool references — a
-/// job must not be able to re-enter the queue).
-struct JobCtx {
-    cell: Arc<SnapshotCell>,
-    search_metrics: SearchMetrics,
-    registry: MetricsRegistry,
-    ingest: Arc<IngestState>,
-    max_query_len: usize,
-    /// Cap applied to the request's `parallelism` knob.
-    max_parallelism: u32,
+/// One admitted request on a worker.
+struct Job<'a> {
+    ctx: &'a Ctx,
     /// Absolute request deadline; checked at dequeue and between batch
     /// items (a single search is never interrupted mid-query).
     deadline: Instant,
-    /// The protocol version the client negotiated. Versions below 3
-    /// have no way to express `partial: true`, so a degraded answer
-    /// for them becomes a typed `partial_result_unsupported` error
-    /// instead of a silently truncated result.
-    proto_version: u32,
     /// This request's trace handle — active when the client asked for
     /// a trace or the sampler picked the request, the no-op handle
     /// otherwise. Threaded through the whole funnel (filter spans,
     /// kNN rounds, pager I/O attribution).
     trace: Trace,
-    /// Whether the *client* asked for the trace: client-requested
-    /// traces come back inline in the response; sampler-only traces go
-    /// to the slow-query ring alone.
-    trace_wanted: bool,
-    slowlog: Arc<SlowLog>,
 }
 
-/// Wraps [`execute`] with the server-side timing split: `queue_ns`
-/// (admission → dequeue) vs. `service_ns` (dequeue → response built).
-/// For v4 clients both land in a `"timings"` object on every ok
-/// response, and a client-requested trace rides along as `"trace"`;
-/// older clients get byte-identical responses to the pre-tracing
-/// protocol. Completed requests are then offered to the slow-query
-/// ring.
-fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> String {
-    let queue_ns = admitted.elapsed().as_nanos() as u64;
-    job.registry.histogram("server.queue_ns").record(queue_ns);
-    let op = req.op_label();
+/// Wraps [`execute`] in the `server.service` span and meters the
+/// worker-side split: `queue_ns` (admission → dequeue) and
+/// `service_ns` (dequeue → response built).
+fn run_timed(job: &Job, req: Request, queue_ns: u64) -> String {
+    let registry = &job.ctx.registry;
+    registry.histogram("server.queue_ns").record(queue_ns);
     let span = job.trace.span("server.service");
     if span.is_active() {
-        span.attr_str("op", op);
+        span.attr_str("op", req.op_label());
         span.attr_u64("queue_ns", queue_ns);
     }
     let service_start = Instant::now();
-    let mut resp = execute(job, req);
+    let resp = execute(job, req);
     drop(span);
-    let service_ns = service_start.elapsed().as_nanos() as u64;
-    job.registry
+    registry
         .histogram("server.service_ns")
-        .record(service_ns);
-    if job.proto_version >= 4 && resp.starts_with("{\"ok\":true") && resp.ends_with('}') {
-        resp.pop();
-        resp.push_str(&format!(
-            ",\"timings\":{{\"queue_ns\":{queue_ns},\"service_ns\":{service_ns}}}"
-        ));
-        if job.trace_wanted {
-            if let Some(data) = job.trace.finish() {
-                resp.push_str(&format!(",\"trace\":{}", data.to_json()));
-            }
-        }
-        resp.push('}');
-    }
-    job.slowlog.offer(
-        op,
-        job.cell.get().generation,
-        queue_ns.saturating_add(service_ns),
-        queue_ns,
-        &job.trace,
-    );
+        .record(service_start.elapsed().as_nanos() as u64);
     resp
 }
 
@@ -1127,10 +631,7 @@ fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> String {
 /// * corrupt tail segments detected mid-query are quarantined (one
 ///   tombstone manifest generation each, then a republish) so later
 ///   requests skip them up front;
-/// * partial answers are metered (`search.partial_queries`) and — for
-///   pre-v3 clients that cannot express `partial: true` — converted to
-///   a typed `partial_result_unsupported` error rather than being
-///   passed off as complete;
+/// * partial answers are metered (`search.partial_queries`);
 /// * corruption in the base tree (no healthy replica to fall back on)
 ///   becomes a typed `corruption_detected` error.
 ///
@@ -1138,34 +639,27 @@ fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> String {
 /// process-wide bundle; the returned copy is for per-request reporting
 /// (`explain`). On failure the `Err` is the complete response string.
 fn degraded_query(
-    job: &JobCtx,
+    job: &Job,
     snap: &DirSnapshot,
     req: &QueryRequest,
 ) -> Result<(QueryOutput, SearchStats), String> {
     match snap.run_query_degraded_traced(req, &job.trace) {
         Ok(dq) => {
-            job.search_metrics.record(&dq.stats);
+            job.ctx.search_metrics.record(&dq.stats);
             if !dq.detected.is_empty() {
                 quarantine_detected(job, &dq.detected);
             }
             if dq.output.is_partial() {
-                job.registry.counter("search.partial_queries").incr();
-                if job.proto_version < 3 {
-                    job.registry.counter("server.bad_requests").incr();
-                    return Err(error_response(
-                        ErrorCode::PartialResultUnsupported,
-                        "result is partial (segments quarantined) and this protocol version cannot express partial results; retry with version 3",
-                    ));
-                }
+                job.ctx.registry.counter("search.partial_queries").incr();
             }
             Ok((dq.output, dq.stats))
         }
         Err(DegradedError::Rejected(e)) => {
-            job.registry.counter("server.bad_requests").incr();
+            job.ctx.registry.counter("server.bad_requests").incr();
             Err(proto::core_error_response(&e))
         }
         Err(DegradedError::Corrupt(e)) => {
-            job.registry.counter("server.corruption_errors").incr();
+            job.ctx.registry.counter("server.corruption_errors").incr();
             Err(error_response(
                 ErrorCode::CorruptionDetected,
                 &e.to_string(),
@@ -1179,25 +673,24 @@ fn degraded_query(
 /// serving snapshot stops fanning out to them. Best-effort — a failed
 /// quarantine only means the *next* query re-detects and retries; the
 /// current answer is already correct without the segment.
-fn quarantine_detected(job: &JobCtx, detected: &[String]) {
-    let st = &job.ingest;
+fn quarantine_detected(job: &Job, detected: &[String]) {
+    let st = &job.ctx.ingest;
     let _guard = st.lock_writer();
     let mut committed = false;
     for segment in detected {
         match quarantine_segment_with(st.vfs.as_ref(), &st.dir, segment) {
             Ok(_) => committed = true,
-            Err(_) => job.registry.counter("server.quarantine_errors").incr(),
+            Err(_) => job.ctx.registry.counter("server.quarantine_errors").incr(),
         }
     }
     if committed && st.publish().is_err() {
-        job.registry.counter("server.quarantine_errors").incr();
+        job.ctx.registry.counter("server.quarantine_errors").incr();
     }
 }
 
 /// The `,"partial":…,"coverage":{…}` response suffix, present exactly
 /// when the output carries coverage accounting (i.e. the index is
-/// degraded); a clean index emits nothing and the response body is
-/// byte-identical to the pre-degradation protocol.
+/// degraded); a clean index emits nothing.
 fn coverage_suffix(out: &QueryOutput) -> String {
     match &out.coverage {
         Some(c) => format!(",{}", proto::encode_coverage(c)),
@@ -1205,21 +698,21 @@ fn coverage_suffix(out: &QueryOutput) -> String {
     }
 }
 
-fn execute(job: &JobCtx, req: Request) -> String {
+fn execute(job: &Job, req: Request) -> String {
     // The write path never pins a snapshot — it *produces* one.
     let req = match req {
         Request::Ingest { sequences } => return execute_ingest(job, sequences),
         other => other,
     };
     // Pin one snapshot for the whole request.
-    let snap = job.cell.get();
-    let clamp = |t: u32| t.clamp(1, job.max_parallelism.max(1));
+    let snap = job.ctx.cell.get();
+    let clamp = |t: u32| t.clamp(1, job.ctx.max_parallelism.max(1));
     // `Err` already carries the complete (typed, metered) error
     // response — produced by `degraded_query` or the batch fold.
     let result: Result<String, String> = match req {
         Request::Search { query, mut params } => {
             params.threads = clamp(params.threads);
-            let req = QueryRequest::threshold_params(&query, params).capped(job.max_query_len);
+            let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
                 let suffix = coverage_suffix(&out);
                 ok_response(
@@ -1234,7 +727,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
         }
         Request::Knn { query, mut params } => {
             params.threads = clamp(params.threads);
-            let req = QueryRequest::knn_params(&query, params).capped(job.max_query_len);
+            let req = QueryRequest::knn_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
                 let suffix = coverage_suffix(&out);
                 let matches = out.into_ranked();
@@ -1271,7 +764,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
             let threads = params.threads as usize;
             let run_item = |query: &[f64], item_params: &warptree_core::search::SearchParams| {
                 let req = QueryRequest::threshold_params(query, item_params.clone())
-                    .capped(job.max_query_len);
+                    .capped(job.ctx.max_query_len);
                 match degraded_query(job, &snap, &req) {
                     Ok((out, _)) => {
                         let suffix = coverage_suffix(&out);
@@ -1334,7 +827,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
                         results.push_str(&body);
                     }
                     Item::Expired => {
-                        job.registry.counter("server.deadline_exceeded").incr();
+                        job.ctx.registry.counter("server.deadline_exceeded").incr();
                         return error_response(
                             ErrorCode::DeadlineExceeded,
                             &format!("deadline expired after {i} of {total} batch items"),
@@ -1359,7 +852,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
             // The degraded runner meters per-request stats internally
             // and returns the snapshot, so explain gets its counters
             // while the shared bundle still accumulates the totals.
-            let req = QueryRequest::threshold_params(&query, params).capped(job.max_query_len);
+            let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, stats)| {
                 let suffix = coverage_suffix(&out);
                 ok_response(
@@ -1367,7 +860,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
                     &format!(
                         "{},\"stats\":{}{}",
                         search_body(&out.into_answer_set(), snap.generation),
-                        encode_stats(&stats),
+                        proto::encode_stats(&stats),
                         suffix
                     ),
                 )
@@ -1381,7 +874,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
     };
     match result {
         Ok(resp) => {
-            job.registry.counter("server.requests_ok").incr();
+            job.ctx.registry.counter("server.requests_ok").incr();
             resp
         }
         // Already a complete response; the failure was metered where it
@@ -1394,30 +887,32 @@ fn execute(job: &JobCtx, req: Request) -> String {
 /// (crash-safe generational commit), then synchronously reopens and
 /// publishes the new snapshot *before* responding — a client that gets
 /// `ok` can immediately query its own writes on any connection.
-fn execute_ingest(job: &JobCtx, sequences: Vec<Vec<f64>>) -> String {
+fn execute_ingest(job: &Job, sequences: Vec<Vec<f64>>) -> String {
     let started = Instant::now();
-    let st = &job.ingest;
+    let st = &job.ctx.ingest;
     let count = sequences.len();
     let store = SequenceStore::from_values(sequences);
     let _guard = st.lock_writer();
     let committed = match append_segment_with(st.vfs.as_ref(), &st.dir, &store) {
         Ok(manifest) => manifest,
         Err(DiskError::BadRecord(msg)) => {
-            job.registry.counter("server.bad_requests").incr();
+            job.ctx.registry.counter("server.bad_requests").incr();
             return error_response(ErrorCode::BadRequest, &msg);
         }
         Err(e) => {
-            job.registry.counter("server.internal_errors").incr();
+            job.ctx.registry.counter("server.internal_errors").incr();
             return error_response(ErrorCode::Internal, &format!("ingest failed: {e}"));
         }
     };
     match st.publish() {
         Ok(snap) => {
-            job.registry.counter("server.requests_ok").incr();
-            job.registry
+            job.ctx.registry.counter("server.requests_ok").incr();
+            job.ctx
+                .registry
                 .counter("server.ingested_sequences")
                 .add(count as u64);
-            job.registry
+            job.ctx
+                .registry
                 .histogram("server.ingest_ns")
                 .record(started.elapsed().as_nanos() as u64);
             ok_response(
@@ -1433,7 +928,7 @@ fn execute_ingest(job: &JobCtx, sequences: Vec<Vec<f64>>) -> String {
         // The commit is durable either way; only this process's view
         // failed to refresh (the reload watcher will retry).
         Err(e) => {
-            job.registry.counter("server.internal_errors").incr();
+            job.ctx.registry.counter("server.internal_errors").incr();
             error_response(
                 ErrorCode::Internal,
                 &format!(
@@ -1454,28 +949,6 @@ fn search_body(answers: &AnswerSet, generation: u64) -> String {
     )
 }
 
-fn encode_stats(s: &SearchStats) -> String {
-    format!(
-        "{{\"filter_cells\":{},\"nodes_visited\":{},\"nodes_expanded\":{},\"rows_pushed\":{},\"rows_unshared\":{},\"branches_pruned\":{},\"candidates\":{},\"stored_candidates\":{},\"lb2_candidates\":{},\"postprocessed\":{},\"postprocess_cells\":{},\"false_alarms\":{},\"answers\":{},\"cascade_lb_keogh_kills\":{},\"cascade_lb_improved_kills\":{},\"cascade_abandon_kills\":{}}}",
-        s.filter_cells,
-        s.nodes_visited,
-        s.nodes_expanded,
-        s.rows_pushed,
-        s.rows_unshared,
-        s.branches_pruned,
-        s.candidates,
-        s.stored_candidates,
-        s.lb2_candidates,
-        s.postprocessed,
-        s.postprocess_cells,
-        s.false_alarms,
-        s.answers,
-        s.cascade_lb_keogh_kills,
-        s.cascade_lb_improved_kills,
-        s.cascade_abandon_kills,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1486,11 +959,14 @@ mod tests {
 
     #[test]
     fn oversized_responses_become_typed_errors() {
+        let clamp = |resp: String, registry: &MetricsRegistry| {
+            serve_core::clamp_oversized(resp, registry, ShardHandler::PREFIX)
+        };
         let registry = MetricsRegistry::new();
-        let small = clamp_oversized("{\"ok\":true}".to_string(), &registry);
+        let small = clamp("{\"ok\":true}".to_string(), &registry);
         assert_eq!(small, "{\"ok\":true}");
 
-        let clamped = clamp_oversized("x".repeat(proto::MAX_FRAME as usize + 1), &registry);
+        let clamped = clamp("x".repeat(proto::MAX_FRAME as usize + 1), &registry);
         assert!(
             clamped.contains("\"code\":\"result_too_large\""),
             "{clamped}"
@@ -1506,7 +982,8 @@ mod tests {
         );
     }
 
-    fn test_job_ctx(dir: &Path, deadline: Instant) -> (JobCtx, MetricsRegistry) {
+    /// A tree-backed directory under `dir` and the context serving it.
+    fn test_ctx(dir: &Path) -> Ctx {
         let store = SequenceStore::from_values(vec![vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]);
         let alphabet = Alphabet::equal_length(&store, 3).unwrap();
         build_dir_with(
@@ -1523,7 +1000,6 @@ mod tests {
         let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16, 64).unwrap();
         let registry = MetricsRegistry::new();
         let cell = Arc::new(SnapshotCell::new(Arc::new(snap)));
-        let slowlog = Arc::new(SlowLog::new(&ServerConfig::default(), registry.clone()));
         let ingest = Arc::new(IngestState {
             vfs: real_vfs(),
             dir: dir.to_path_buf(),
@@ -1532,22 +1008,34 @@ mod tests {
             registry: registry.clone(),
             cache_pages: 16,
             cache_nodes: 64,
-            slowlog: slowlog.clone(),
+            slowlog: Arc::new(SlowLog::new("server", 128, 500, 0, registry.clone())),
         });
-        let job = JobCtx {
+        Ctx {
             cell,
             search_metrics: SearchMetrics::register(&registry),
-            registry: registry.clone(),
+            registry,
             ingest,
+            deadline: Duration::from_secs(5),
             max_query_len: 64,
+            workers: 1,
+            queue_depth: 1,
+            enable_debug_ops: false,
             max_parallelism: 8,
+        }
+    }
+
+    /// `req` run as an untraced job of `ctx` due at `deadline`.
+    fn run(ctx: &Ctx, deadline: Instant, req: Request) -> String {
+        let job = Job {
+            ctx,
             deadline,
-            proto_version: 3,
             trace: Trace::noop(),
-            trace_wanted: false,
-            slowlog,
         };
-        (job, registry)
+        execute(&job, req)
+    }
+
+    fn counter(ctx: &Ctx, name: &str) -> Option<u64> {
+        ctx.registry.snapshot().counters.get(name).copied()
     }
 
     #[test]
@@ -1560,31 +1048,19 @@ mod tests {
         let expired = Instant::now()
             .checked_sub(Duration::from_millis(10))
             .unwrap();
-        let (job, registry) = test_job_ctx(&dir, expired);
+        let ctx = test_ctx(&dir);
         let req = Request::Batch {
             queries: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
             params: SearchParams::with_epsilon(1.0),
         };
-        let resp = execute(&job, req.clone());
+        let resp = run(&ctx, expired, req.clone());
         assert!(resp.contains("\"code\":\"deadline_exceeded\""), "{resp}");
-        assert_eq!(
-            registry
-                .snapshot()
-                .counters
-                .get("server.deadline_exceeded")
-                .copied(),
-            Some(1)
-        );
+        assert_eq!(counter(&ctx, "server.deadline_exceeded"), Some(1));
 
         // A live deadline serves the whole batch normally.
-        job_with_live_deadline(job, req);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn job_with_live_deadline(mut job: JobCtx, req: Request) {
-        job.deadline = Instant::now() + Duration::from_secs(60);
-        let resp = execute(&job, req);
+        let resp = run(&ctx, Instant::now() + Duration::from_secs(60), req);
         assert!(resp.contains("\"ok\":true"), "{resp}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The batch-ordering satellite: with parallel execution, results
@@ -1599,7 +1075,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let live = Instant::now() + Duration::from_secs(60);
-        let (job, _registry) = test_job_ctx(&dir, live);
+        let mut ctx = test_ctx(&dir);
 
         // Item 0 carries far more verification work than the rest.
         let queries = vec![
@@ -1608,36 +1084,23 @@ mod tests {
             vec![6.0],
             vec![3.0, 4.0],
         ];
-        let sequential = execute(
-            &job,
-            Request::Batch {
-                queries: queries.clone(),
-                params: SearchParams::with_epsilon(10.0),
-            },
-        );
+        let batch = |threads: u32| Request::Batch {
+            queries: queries.clone(),
+            params: SearchParams::with_epsilon(10.0).parallel(threads),
+        };
+        let sequential = run(&ctx, live, batch(1));
         assert!(sequential.contains("\"ok\":true"), "{sequential}");
         for threads in [2u32, 8] {
-            let parallel = execute(
-                &job,
-                Request::Batch {
-                    queries: queries.clone(),
-                    params: SearchParams::with_epsilon(10.0).parallel(threads),
-                },
+            assert_eq!(
+                sequential,
+                run(&ctx, live, batch(threads)),
+                "threads={threads}"
             );
-            assert_eq!(sequential, parallel, "threads={threads}");
         }
         // A request asking for more than the server cap is clamped, not
         // rejected — and still answers identically.
-        let mut capped = job;
-        capped.max_parallelism = 2;
-        let clamped = execute(
-            &capped,
-            Request::Batch {
-                queries,
-                params: SearchParams::with_epsilon(10.0).parallel(64),
-            },
-        );
-        assert_eq!(sequential, clamped);
+        ctx.max_parallelism = 2;
+        assert_eq!(sequential, run(&ctx, live, batch(64)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1652,27 +1115,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let live = Instant::now() + Duration::from_secs(60);
-        // test_job_ctx builds a tree-backed directory.
-        let (job, registry) = test_job_ctx(&dir, live);
+        // test_ctx builds a tree-backed directory.
+        let ctx = test_ctx(&dir);
 
-        let resp = execute(
-            &job,
+        let resp = run(
+            &ctx,
+            live,
             Request::Search {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0).on_backend(BackendKind::Esa),
             },
         );
         assert!(resp.contains("\"code\":\"unsupported_backend\""), "{resp}");
-        assert_eq!(
-            registry
-                .snapshot()
-                .counters
-                .get("server.bad_requests")
-                .copied(),
-            Some(1)
-        );
-        let resp = execute(
-            &job,
+        assert_eq!(counter(&ctx, "server.bad_requests"), Some(1));
+        let resp = run(
+            &ctx,
+            live,
             Request::Knn {
                 query: vec![1.0, 2.0],
                 params: KnnParams::new(1).on_backend(BackendKind::Esa),
@@ -1681,15 +1139,17 @@ mod tests {
         assert!(resp.contains("\"code\":\"unsupported_backend\""), "{resp}");
 
         // The matching pin answers byte-identically to no pin at all.
-        let unpinned = execute(
-            &job,
+        let unpinned = run(
+            &ctx,
+            live,
             Request::Search {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0),
             },
         );
-        let pinned = execute(
-            &job,
+        let pinned = run(
+            &ctx,
+            live,
             Request::Search {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0).on_backend(BackendKind::Tree),
@@ -1711,23 +1171,17 @@ mod tests {
         let expired = Instant::now()
             .checked_sub(Duration::from_millis(10))
             .unwrap();
-        let (job, registry) = test_job_ctx(&dir, expired);
-        let resp = execute(
-            &job,
+        let ctx = test_ctx(&dir);
+        let resp = run(
+            &ctx,
+            expired,
             Request::Batch {
                 queries: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
                 params: SearchParams::with_epsilon(1.0).parallel(4),
             },
         );
         assert!(resp.contains("\"code\":\"deadline_exceeded\""), "{resp}");
-        assert_eq!(
-            registry
-                .snapshot()
-                .counters
-                .get("server.deadline_exceeded")
-                .copied(),
-            Some(1)
-        );
+        assert_eq!(counter(&ctx, "server.deadline_exceeded"), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,6 +9,8 @@
 //! once its last in-flight query drops it — is a unit test on
 //! `SnapshotCell`, where a `Weak` probe can be planted.)
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,7 +22,7 @@ use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
     build_dir_with, open_dir_snapshot_with, real_vfs, DirSnapshot, FaultMode, FaultVfs, TreeKind,
 };
-use warptree_server::client::search_request;
+use warptree_server::client::search_request_v4;
 use warptree_server::{proto, Client, Json, Server, ServerConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -127,8 +129,8 @@ fn generation_commit_under_traffic_swaps_without_torn_responses() {
                 let mut i = t; // desynchronize the threads
                 while !stop.load(Ordering::Relaxed) {
                     let qi = i % QUERIES.len();
-                    let body = search_request(QUERIES[qi], EPSILON, None);
-                    let resp = client.request_raw(&body).unwrap();
+                    let body = search_request_v4(QUERIES[qi], EPSILON, None);
+                    let resp = common::strip_timings(&client.request_raw(&body).unwrap());
                     seen.lock().unwrap().push((qi, resp));
                     i += 1;
                     std::thread::sleep(Duration::from_millis(2));

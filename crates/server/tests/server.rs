@@ -1,7 +1,11 @@
 //! End-to-end tests of the TCP server against a real index directory:
 //! concurrent byte-identical equivalence with the in-process search,
 //! admission control (bounded queue, typed `overloaded`), deadlines,
-//! bad-request robustness, control-op schemas, and graceful drain.
+//! bad-request robustness, control-op schemas, and — through the checks
+//! shared with the coordinator's suite (`common`) — the serving loop
+//! itself: connection cap, mid-frame stalls, oversize clamp, drain.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -11,8 +15,10 @@ use warptree_core::categorize::Alphabet;
 use warptree_core::search::{KnnParams, QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{build_dir_with, open_dir_snapshot_with, real_vfs, DirSnapshot, TreeKind};
-use warptree_server::client::search_request;
+use warptree_server::client::search_request_v4;
 use warptree_server::{proto, Client, ClientError, Server, ServerConfig};
+
+use common::strip_timings;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("warptree-server-{}-{tag}", std::process::id()));
@@ -104,7 +110,7 @@ fn concurrent_connections_match_local_search_byte_for_byte() {
     for q in &qs {
         for &eps in &epsilons {
             expected.push(expected_search_response(&snap, q, eps));
-            bodies.push(search_request(q, eps, None));
+            bodies.push(search_request_v4(q, eps, None));
             if expected.last().unwrap().contains("\"count\":0") {
                 continue;
             }
@@ -125,7 +131,7 @@ fn concurrent_connections_match_local_search_byte_for_byte() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for (body, want) in bodies.iter().zip(expected.iter()) {
-                    let got = client.request_raw(body).unwrap();
+                    let got = strip_timings(&client.request_raw(body).unwrap());
                     assert_eq!(&got, want, "response differs for request {body}");
                 }
             })
@@ -166,7 +172,7 @@ fn knn_over_the_wire_matches_local_knn() {
         "{{\"op\":\"knn\",\"query\":{},\"k\":3}}",
         warptree_server::client::encode_query(&query)
     );
-    assert_eq!(client.request_raw(&body).unwrap(), want);
+    assert_eq!(strip_timings(&client.request_raw(&body).unwrap()), want);
 
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -211,7 +217,7 @@ fn batch_composes_individual_search_bodies() {
 
     let handle = Server::start(&dir, ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
-    assert_eq!(client.request_raw(&body).unwrap(), want);
+    assert_eq!(strip_timings(&client.request_raw(&body).unwrap()), want);
 
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -420,37 +426,7 @@ fn slow_client_mid_frame_pauses_do_not_desync_the_stream() {
     let dir = tmpdir("slowclient");
     build_index(&dir);
     let handle = Server::start(&dir, ServerConfig::default()).unwrap();
-
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-
-    // Dribble one frame 2 bytes at a time with pauses longer than the
-    // server's 100 ms read timeout: every chunk boundary forces a
-    // mid-frame timeout server-side. A read path that treats those as
-    // "idle" after consuming bytes would desync and answer garbage.
-    let body = br#"{"op":"health"}"#;
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    use std::io::Write as _;
-    for chunk in frame.chunks(2) {
-        stream.write_all(chunk).unwrap();
-        stream.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(150));
-    }
-    let resp = proto::read_frame(&mut stream).unwrap().unwrap();
-    let text = String::from_utf8(resp).unwrap();
-    assert!(text.contains("\"ok\":true"), "desynced response: {text}");
-
-    // The same connection then serves a normally-written frame: the
-    // stream is still at a frame boundary.
-    stream.write_all(&frame).unwrap();
-    let resp = proto::read_frame(&mut stream).unwrap().unwrap();
-    let text = String::from_utf8(resp).unwrap();
-    assert!(text.contains("\"status\":\"serving\""), "got: {text}");
-
+    common::slow_client_mid_frame_pauses_do_not_desync_the_stream(handle.addr());
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -464,45 +440,11 @@ fn connection_cap_rejects_with_typed_overloaded_frame() {
         ..ServerConfig::default()
     };
     let handle = Server::start(&dir, config).unwrap();
-    let addr = handle.addr();
-
-    // Fill both slots; a health round-trip proves each connection
-    // thread is live (so the accept loop has counted them).
-    let mut c1 = Client::connect(addr).unwrap();
-    let mut c2 = Client::connect(addr).unwrap();
-    c1.health().unwrap();
-    c2.health().unwrap();
-
-    // The third connection is refused at accept with a typed error
-    // frame — read it without writing anything so the frame can't be
-    // lost to a reset.
-    let mut s3 = std::net::TcpStream::connect(addr).unwrap();
-    s3.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let payload = proto::read_frame(&mut s3).unwrap().unwrap();
-    let text = String::from_utf8(payload).unwrap();
-    assert!(text.contains("\"code\":\"overloaded\""), "got: {text}");
-
-    let snap = handle.registry().snapshot();
-    assert!(
-        snap.counters.get("server.rejected_conn_limit").copied() >= Some(1),
-        "connection-limit rejection not counted: {:?}",
-        snap.counters
+    common::connection_cap_rejects_with_typed_overloaded_frame(
+        handle.addr(),
+        handle.registry(),
+        "server",
     );
-
-    // Closing a connection frees its slot (after the conn thread
-    // notices the close and the accept loop reaps it).
-    drop(c1);
-    let mut served = false;
-    for _ in 0..100 {
-        let mut c = Client::connect(addr).unwrap();
-        if c.health().is_ok() {
-            served = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(served, "slot never freed after a client disconnected");
-
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -512,33 +454,25 @@ fn protocol_shutdown_drains_and_closes_the_listener() {
     let dir = tmpdir("shutdown");
     build_index(&dir);
     let handle = Server::start(&dir, ServerConfig::default()).unwrap();
-    let addr = handle.addr();
+    common::protocol_shutdown_drains_and_closes_the_listener(handle.addr(), || {
+        assert!(handle.is_shutting_down());
+        handle.join();
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
-    let mut client = Client::connect(addr).unwrap();
-    let resp = client.shutdown().unwrap();
-    assert_eq!(
-        resp.get("draining")
-            .and_then(warptree_server::Json::as_bool),
-        Some(true)
+#[test]
+fn oversized_response_becomes_result_too_large() {
+    let dir = tmpdir("oversize");
+    build_index(&dir);
+    let handle = Server::start(&dir, ServerConfig::default()).unwrap();
+    common::oversized_response_becomes_result_too_large(
+        handle.addr(),
+        80,
+        handle.registry(),
+        "server",
     );
-    assert!(handle.is_shutting_down());
-
-    // Query work is refused during the drain. Depending on timing the
-    // refusal is a typed `shutting_down` error or an already-closed
-    // connection — never a successful search.
-    match client.search(&[1.0], 1.0, None) {
-        Err(ClientError::Server { ref code, .. }) => assert_eq!(code, "shutting_down"),
-        Err(_) => {} // connection torn down by the drain
-        Ok(_) => panic!("drain accepted query work"),
-    }
-
-    handle.join();
-
-    // The listener is gone: new connections are refused (or reset).
-    assert!(
-        Client::connect(addr).is_err(),
-        "listener still accepting after drain"
-    );
+    handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -578,8 +512,13 @@ fn ingest_over_the_wire_is_immediately_searchable() {
     // matches a locally computed fan-out over the same generation.
     let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 64, 512).unwrap();
     assert_eq!(snap.generation, 2);
-    let raw = client.request_raw(&search_request(&q, 0.5, None)).unwrap();
-    assert_eq!(raw, expected_search_response(&snap, &q, 0.5));
+    let raw = client
+        .request_raw(&search_request_v4(&q, 0.5, None))
+        .unwrap();
+    assert_eq!(
+        strip_timings(&raw),
+        expected_search_response(&snap, &q, 0.5)
+    );
 
     // `info` reports the segment layout and the grown corpus.
     let info = client.info().unwrap();
@@ -589,10 +528,10 @@ fn ingest_over_the_wire_is_immediately_searchable() {
         Some(store.len() as u64 + 2)
     );
 
-    // Version negotiation: ingest predates nothing — it *requires*
-    // protocol version 2; a v1 frame gets the typed error.
+    // A frame declaring a retired protocol version gets the typed
+    // error, whatever the op.
     let err = client
-        .request("{\"op\":\"ingest\",\"sequences\":[[1.0,2.0]]}")
+        .request("{\"op\":\"ingest\",\"version\":2,\"sequences\":[[1.0,2.0]]}")
         .unwrap_err();
     match err {
         ClientError::Server { ref code, .. } => assert_eq!(code, "unsupported_version"),

@@ -1,5 +1,5 @@
 //! End-to-end tests of the per-query tracing layer over the wire:
-//! client-requested span trees (protocol v4), the queue/service
+//! client-requested span trees, the queue/service
 //! timing split, the slow-query ring, and the Prometheus metrics
 //! exposition (framed op and plain-HTTP endpoint).
 
@@ -8,11 +8,11 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use warptree_core::categorize::Alphabet;
+use warptree_core::search::SearchParams;
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{build_dir_with, real_vfs, TreeKind};
-use warptree_server::client::{encode_query, ingest_request};
 use warptree_server::json::{self, Json};
-use warptree_server::{Client, Server, ServerConfig};
+use warptree_server::{Client, Request, Server, ServerConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("warptree-trace-{}-{tag}", std::process::id()));
@@ -46,11 +46,12 @@ fn build_index(dir: &Path) -> SequenceStore {
     store
 }
 
-fn search_body_v(query: &[f64], epsilon: f64, version: u32, trace: &str) -> String {
-    format!(
-        "{{\"op\":\"search\",\"version\":{version},\"query\":{},\"epsilon\":{epsilon}{trace}}}",
-        encode_query(query)
-    )
+fn search_body(query: &[f64], epsilon: f64, trace_id: Option<&str>) -> String {
+    let req = Request::Search {
+        query: query.to_vec(),
+        params: SearchParams::with_epsilon(epsilon),
+    };
+    req.encode(trace_id)
 }
 
 fn span_names(trace: &Json) -> Vec<String> {
@@ -63,10 +64,10 @@ fn span_names(trace: &Json) -> Vec<String> {
         .collect()
 }
 
-/// The tentpole acceptance path: a v4 client asks for a trace and gets
+/// The tentpole acceptance path: a client asks for a trace and gets
 /// the whole funnel back — per-segment filter fan-out, postprocess,
 /// pager I/O attribution, the server service span — while the result
-/// bytes stay identical to the untraced (and v3) response.
+/// bytes stay identical to the untraced response.
 #[test]
 fn traced_search_returns_funnel_span_tree_with_identical_results() {
     let dir = tmpdir("funnel");
@@ -84,41 +85,25 @@ fn traced_search_returns_funnel_span_tree_with_identical_results() {
     // Ingest a tail segment so the filter fans out over base + segment
     // and the trace can attribute work per segment.
     let seg: Vec<Vec<f64>> = vec![store.iter().nth(1).unwrap().1.values().to_vec()];
-    let resp = client.request(&ingest_request(&seg)).unwrap();
+    let resp = client.ingest(&seg).unwrap();
     assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true));
 
-    let v3 = client
-        .request_raw(&search_body_v(&query, 1.5, 3, ""))
-        .unwrap();
-    let v4_plain = client
-        .request_raw(&search_body_v(&query, 1.5, 4, ""))
-        .unwrap();
-    let v4_traced = client
-        .request_raw(&search_body_v(
-            &query,
-            1.5,
-            4,
-            ",\"trace\":true,\"trace_id\":\"e2e-1\"",
-        ))
+    let plain = client.request_raw(&search_body(&query, 1.5, None)).unwrap();
+    let traced = client
+        .request_raw(&search_body(&query, 1.5, Some("e2e-1")))
         .unwrap();
 
-    // v3 responses are byte-identical to the pre-tracing protocol: no
-    // timings, no trace.
-    assert!(!v3.contains("\"timings\""), "{v3}");
-    assert!(!v3.contains("\"trace\""), "{v3}");
-    // v4 gets the timing split on every ok response; the trace only on
-    // request. The result prefix (generation/count/matches) is shared
-    // by all three, byte for byte.
-    let prefix = v3.strip_suffix('}').unwrap();
-    assert!(v4_plain.starts_with(prefix), "{v4_plain}");
-    assert!(
-        v4_plain.contains("\"timings\":{\"queue_ns\":"),
-        "{v4_plain}"
-    );
-    assert!(!v4_plain.contains("\"trace\""), "{v4_plain}");
-    assert!(v4_traced.starts_with(prefix), "{v4_traced}");
+    // Every ok response carries the timing split; the trace comes only
+    // on request. The result prefix (generation/count/matches) is
+    // shared by both, byte for byte.
+    let (prefix, timings) = plain
+        .split_once(",\"timings\":{\"queue_ns\":")
+        .expect("plain response carries timings");
+    assert!(prefix.contains("\"matches\":["), "{plain}");
+    assert!(!timings.contains("\"trace\""), "{plain}");
+    assert!(traced.starts_with(prefix), "{traced}");
 
-    let parsed = json::parse(&v4_traced).unwrap();
+    let parsed = json::parse(&traced).unwrap();
     let timings = parsed.get("timings").unwrap();
     assert!(timings.get("queue_ns").and_then(|v| v.as_u64()).is_some());
     assert!(timings.get("service_ns").and_then(|v| v.as_u64()).is_some());
@@ -168,16 +153,14 @@ fn sampled_traces_land_in_the_slowlog_ring() {
     let mut client = Client::connect(handle.addr()).unwrap();
 
     for _ in 0..3 {
-        let resp = client
-            .request_raw(&search_body_v(&query, 1.0, 4, ""))
-            .unwrap();
+        let resp = client.request_raw(&search_body(&query, 1.0, None)).unwrap();
         assert!(resp.contains("\"ok\":true"), "{resp}");
         // Sampler-only traces stay server-side: the response is not
         // burdened with a trace the client never asked for.
         assert!(!resp.contains("\"trace\""), "{resp}");
     }
 
-    let resp = client.request(r#"{"op":"slowlog","version":4}"#).unwrap();
+    let resp = client.slowlog().unwrap();
     assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true));
     let entries = resp.get("entries").and_then(|e| e.as_arr()).unwrap();
     assert!(
@@ -203,7 +186,7 @@ fn sampled_traces_land_in_the_slowlog_ring() {
         .unwrap();
     assert!(gauge >= 3.0, "gauge {gauge}");
 
-    // v3 clients cannot reach the v4 ops.
+    // A retired protocol version is refused with the typed code.
     let resp = client
         .request_raw(r#"{"op":"slowlog","version":3}"#)
         .unwrap();
@@ -228,12 +211,10 @@ fn metrics_exposition_over_frame_and_http() {
     };
     let handle = Server::start(&dir, config).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
-    let resp = client
-        .request_raw(&search_body_v(&query, 1.0, 4, ""))
-        .unwrap();
+    let resp = client.request_raw(&search_body(&query, 1.0, None)).unwrap();
     assert!(resp.contains("\"ok\":true"), "{resp}");
 
-    let framed = client.request(r#"{"op":"metrics","version":4}"#).unwrap();
+    let framed = client.metrics().unwrap();
     assert_eq!(framed.get("ok").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(
         framed.get("format").and_then(|v| v.as_str()),

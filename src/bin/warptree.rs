@@ -1257,7 +1257,7 @@ fn cmd_slowlog(args: &[String]) -> Result<(), String> {
         // Raw passthrough of the server's entries array, one line, for
         // scripts — stdout stays machine-usable.
         let raw = client
-            .request_raw("{\"op\":\"slowlog\",\"version\":4}")
+            .request_raw(&warptree::server::Request::Slowlog.encode(None))
             .map_err(|e| e.to_string())?;
         println!("{raw}");
         return Ok(());

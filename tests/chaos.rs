@@ -16,6 +16,9 @@
 //! stalled frames). The matrix runs disk-only, net-only, and both —
 //! the last concurrently with online ingest and background compaction.
 
+#[path = "../crates/server/tests/common/mod.rs"]
+mod common;
+
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -29,10 +32,10 @@ use warptree_disk::{
 };
 use warptree_obs::MetricsRegistry;
 use warptree_server::chaos::{ChaosConfig, ChaosStream};
-use warptree_server::client::{ingest_request, search_request};
+use warptree_server::client::search_request_v4;
 use warptree_server::json::{self, Json};
 use warptree_server::proto::{read_frame, write_frame};
-use warptree_server::{Client, RetryPolicy, Server, ServerConfig};
+use warptree_server::{Client, Request, RetryPolicy, Server, ServerConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("warptree-chaos-{}-{tag}", std::process::id()));
@@ -358,15 +361,6 @@ fn server_serves_partial_results_and_heals_across_restart() {
             >= 1
     );
 
-    // A v1 client (no "version" field) cannot express `partial:true`
-    // and must get the typed refusal, not a silently truncated answer.
-    let v1_body = format!(
-        "{{\"op\":\"search\",\"query\":{},\"epsilon\":{EPSILON}}}",
-        warptree_server::client::encode_query(&queries[0])
-    );
-    let err = client.request(&v1_body).unwrap_err();
-    assert_eq!(err.code(), Some("partial_result_unsupported"));
-
     // Quarantine survives a full server restart (the tombstone is a
     // committed manifest generation, not process state).
     handle.stop();
@@ -513,14 +507,14 @@ fn net_chaos_never_corrupts_answers() {
     let queries = chaos_queries();
     let bodies: Vec<String> = queries
         .iter()
-        .map(|q| search_request(q, EPSILON, None))
+        .map(|q| search_request_v4(q, EPSILON, None))
         .collect();
 
     // Clean responses over a plain client (no faults).
     let mut plain = Client::connect(handle.addr()).unwrap();
     let clean: Vec<String> = bodies
         .iter()
-        .map(|b| plain.request_raw(b).unwrap())
+        .map(|b| common::strip_timings(&plain.request_raw(b).unwrap()))
         .collect();
 
     // Fixed seed → reproducible fault schedule (the CI smoke job runs
@@ -532,7 +526,8 @@ fn net_chaos_never_corrupts_answers() {
         if let Some(payload) = conn.exchange(&bodies[i]) {
             let text = String::from_utf8(payload).expect("response is UTF-8");
             assert_eq!(
-                text, clean[i],
+                common::strip_timings(&text),
+                clean[i],
                 "response under net chaos differs from clean response"
             );
             delivered += 1;
@@ -578,7 +573,7 @@ fn retry_with_backoff_rides_out_dropped_connections() {
         deadline: Some(Duration::from_secs(10)),
     };
     let v = client
-        .request_with_retry(&search_request(&[1.0, 2.0], EPSILON, None), &policy)
+        .request_with_retry(&search_request_v4(&[1.0, 2.0], EPSILON, None), &policy)
         .unwrap();
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
     server.join().unwrap();
@@ -616,7 +611,10 @@ fn full_chaos_matrix_with_concurrent_ingest() {
         let mut client = Client::connect(addr).unwrap();
         let mut acked = 0u32;
         for batch in 0..4u64 {
-            let body = ingest_request(&gen_values(5000 + batch * 131, 12, 20));
+            let body = Request::Ingest {
+                sequences: gen_values(5000 + batch * 131, 12, 20),
+            }
+            .encode(None);
             if client.request_with_retry(&body, &policy).is_ok() {
                 acked += 1;
             }
@@ -655,7 +653,7 @@ fn full_chaos_matrix_with_concurrent_ingest() {
                 }
             }
         }
-        let body = search_request(&queries[round % queries.len()], EPSILON, None);
+        let body = search_request_v4(&queries[round % queries.len()], EPSILON, None);
         let Some(payload) = conn.exchange(&body) else {
             continue;
         };
