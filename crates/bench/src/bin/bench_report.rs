@@ -302,7 +302,10 @@ fn main() {
         let cat = Arc::new(alphabet.encode_store(&store));
         let mut resident = [0u64; 2];
         let mut out = Vec::new();
-        for (slot, backend) in [BackendKind::Tree, BackendKind::Esa].into_iter().enumerate() {
+        for (slot, backend) in [BackendKind::Tree, BackendKind::Esa]
+            .into_iter()
+            .enumerate()
+        {
             let dir = std::env::temp_dir().join(format!(
                 "warptree-bkrace-{}-{}",
                 std::process::id(),
@@ -349,9 +352,8 @@ fn main() {
                 answers += got.len() as u64;
             }
             latencies.sort_by(|a, b| a.total_cmp(b));
-            let quantile = |q: f64| -> f64 {
-                latencies[((latencies.len() - 1) as f64 * q).round() as usize]
-            };
+            let quantile =
+                |q: f64| -> f64 { latencies[((latencies.len() - 1) as f64 * q).round() as usize] };
             resident[slot] = index.resident_bytes();
             println!(
                 "{:>8} {:>5} | p50 {:>8.3} ms | p95 {:>8.3} ms | build {:>6.1} ms | resident {} KiB",

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::search::{
-    run_query, seq_scan, QueryRequest, SearchParams, SearchStats, SeqScanMode, IndexBackend,
+    run_query, seq_scan, IndexBackend, QueryRequest, SearchParams, SearchStats, SeqScanMode,
 };
 use warptree_core::sequence::SequenceStore;
 use warptree_data::{stock_corpus, QueryConfig, QueryWorkload, StockConfig};

@@ -306,17 +306,9 @@ mod tests {
         let esa_path = tmp("esa");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
 
-        let tree = AnyIndex::open_with(
-            &RealVfs,
-            &tree_path,
-            cat.clone(),
-            BackendKind::Tree,
-            8,
-            64,
-        )
-        .unwrap();
-        let esa =
-            AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8, 64).unwrap();
+        let tree = AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree, 8, 64)
+            .unwrap();
+        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8, 64).unwrap();
         assert_eq!(tree.kind(), BackendKind::Tree);
         assert_eq!(esa.kind(), BackendKind::Esa);
         assert!(tree.as_tree().is_some() && tree.as_esa().is_none());

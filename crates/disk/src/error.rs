@@ -124,7 +124,9 @@ mod tests {
         };
         assert!(c.to_string().contains("segment-000003-00.wt"));
         assert!(c.to_string().contains("page 7"));
-        let b = DiskError::UnsupportedBackend { found: "esa".into() };
+        let b = DiskError::UnsupportedBackend {
+            found: "esa".into(),
+        };
         assert!(b.to_string().contains("esa"));
     }
 }

@@ -220,9 +220,7 @@ impl DiskEsa {
             + header.rec_count * REC_BYTES
             + header.child_count * CHILD_BYTES;
         if ESA_HEADER_SIZE + body > reader.logical_len() {
-            return Err(DiskError::BadRecord(
-                "esa arrays overrun the file".into(),
-            ));
+            return Err(DiskError::BadRecord("esa arrays overrun the file".into()));
         }
         if header.rec_count == 0 || header.root as u64 >= header.rec_count {
             return Err(DiskError::BadRecord(format!(

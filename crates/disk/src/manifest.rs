@@ -787,8 +787,7 @@ pub fn build_dir_metered(
                 let timer = hist.span();
                 let sparse = matches!(kind, crate::merge::TreeKind::Sparse);
                 let esa = warptree_esa::EsaIndex::build(cat.clone(), sparse);
-                let written =
-                    crate::esa::write_esa_with(vfs.as_ref(), &esa, index_tmp).map(|_| ());
+                let written = crate::esa::write_esa_with(vfs.as_ref(), &esa, index_tmp).map(|_| ());
                 timer.end();
                 reg.counter("build.batches").incr();
                 written

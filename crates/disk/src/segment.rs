@@ -295,7 +295,14 @@ pub fn compact_once_with(
                 let (l, r) = (&old.segments[pick - 1], &old.segments[pick]);
                 l.start_seq as usize..(l.start_seq + l.seq_count + r.seq_count) as usize
             };
-            write_range_index(vfs, BackendKind::Esa, cat.clone(), range, sparse, &merged_tmp)?;
+            write_range_index(
+                vfs,
+                BackendKind::Esa,
+                cat.clone(),
+                range,
+                sparse,
+                &merged_tmp,
+            )?;
         }
     }
     let merged_len = vfs.metadata_len(&merged_tmp)?;

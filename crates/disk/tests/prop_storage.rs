@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use warptree_core::search::{run_query, QueryRequest, SearchParams, IndexBackend};
+use warptree_core::search::{run_query, IndexBackend, QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::lru::LruCache;
 use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter};

@@ -218,12 +218,20 @@ impl EsaIndex {
                         self.entry_len(e) > rec.depth,
                         "rec {ri}: leaf child must extend past the node"
                     );
-                    (e, e + 1, self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize])
+                    (
+                        e,
+                        e + 1,
+                        self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize],
+                    )
                 } else {
                     let c = &self.recs[kid as usize];
                     assert!(c.depth > rec.depth, "rec {ri}: child depth must grow");
                     let ent = self.entries[c.lo as usize];
-                    (c.lo, c.hi, self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize])
+                    (
+                        c.lo,
+                        c.hi,
+                        self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize],
+                    )
                 };
                 assert_eq!(lo, cursor, "rec {ri}: children must tile the interval");
                 cursor = hi;
@@ -251,11 +259,7 @@ impl EsaIndex {
 /// matching the tree builders' insertion order). Sentinels are unique,
 /// so Kasai LCPs never cross one — each adjacent LCP is exactly the
 /// *logical* LCP, capped at both suffixes' logical lengths.
-fn sorted_entries(
-    cat: &CatStore,
-    range: Range<usize>,
-    sparse: bool,
-) -> (Vec<Entry>, Vec<u32>) {
+fn sorted_entries(cat: &CatStore, range: Range<usize>, sparse: bool) -> (Vec<Entry>, Vec<u32>) {
     let nseq = range.len();
     let sym_base = nseq as u32 + 1;
     let mut text = Vec::new();
@@ -322,36 +326,37 @@ fn build_intervals(
 
     let entry_len =
         |i: u32| cat.seq(entries[i as usize].seq).len() as u32 - entries[i as usize].start;
-    let finalize = |frame: Frame, hi: u32, recs: &mut Vec<IntervalRec>, children: &mut Vec<u32>| -> u32 {
-        let mut attached = 0u32;
-        for &kid in &frame.kids {
-            if kid & LEAF_BIT != 0 && entry_len(kid & !LEAF_BIT) == frame.depth {
-                attached += 1;
-            } else {
-                break;
+    let finalize =
+        |frame: Frame, hi: u32, recs: &mut Vec<IntervalRec>, children: &mut Vec<u32>| -> u32 {
+            let mut attached = 0u32;
+            for &kid in &frame.kids {
+                if kid & LEAF_BIT != 0 && entry_len(kid & !LEAF_BIT) == frame.depth {
+                    attached += 1;
+                } else {
+                    break;
+                }
             }
-        }
-        let mut max_run = 0u32;
-        for &kid in &frame.kids {
-            max_run = max_run.max(if kid & LEAF_BIT != 0 {
-                entries[(kid & !LEAF_BIT) as usize].lead
-            } else {
-                recs[kid as usize].max_run
+            let mut max_run = 0u32;
+            for &kid in &frame.kids {
+                max_run = max_run.max(if kid & LEAF_BIT != 0 {
+                    entries[(kid & !LEAF_BIT) as usize].lead
+                } else {
+                    recs[kid as usize].max_run
+                });
+            }
+            let child_off = children.len() as u32;
+            children.extend_from_slice(&frame.kids[attached as usize..]);
+            recs.push(IntervalRec {
+                lo: frame.lo,
+                hi,
+                depth: frame.depth,
+                child_off,
+                child_count: frame.kids.len() as u32 - attached,
+                attached,
+                max_run,
             });
-        }
-        let child_off = children.len() as u32;
-        children.extend_from_slice(&frame.kids[attached as usize..]);
-        recs.push(IntervalRec {
-            lo: frame.lo,
-            hi,
-            depth: frame.depth,
-            child_off,
-            child_count: frame.kids.len() as u32 - attached,
-            attached,
-            max_run,
-        });
-        recs.len() as u32 - 1
-    };
+            recs.len() as u32 - 1
+        };
 
     let mut stack = vec![Frame {
         depth: 0,
@@ -359,7 +364,7 @@ fn build_intervals(
         kids: Vec::new(),
     }];
     for i in 1..=n {
-        let boundary = if i < n { lcp[i] } else { 0 };
+        let boundary = lcp.get(i).copied().unwrap_or(0);
         let mut pending = LEAF_BIT | (i as u32 - 1);
         let mut lo = i as u32 - 1;
         while stack.last().unwrap().depth > boundary {
@@ -400,7 +405,8 @@ impl IndexBackend for EsaIndex {
             return;
         }
         let rec = self.recs[n.tag as usize];
-        let kids = &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize];
+        let kids =
+            &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize];
         for &kid in kids {
             f(EsaNode {
                 tag: kid,
@@ -440,8 +446,7 @@ impl IndexBackend for EsaIndex {
                 f(e.seq, e.start, e.lead);
             }
             stack.extend_from_slice(
-                &self.children
-                    [rec.child_off as usize..(rec.child_off + rec.child_count) as usize],
+                &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize],
             );
         }
     }

@@ -56,7 +56,7 @@ fn leq3(a1: usize, a2: usize, a3: usize, b1: usize, b2: usize, b3: usize) -> boo
 /// The recursive skew step. Requires `n >= 2`, `s[n] == s[n+1] ==
 /// s[n+2] == 0`, and all of `s[..n]` in `1..=k`.
 fn skew(s: &[usize], sa: &mut [usize], n: usize, k: usize) {
-    let n0 = (n + 2) / 3;
+    let n0 = n.div_ceil(3);
     let n1 = (n + 1) / 3;
     let n2 = n / 3;
     // When n % 3 == 1 a dummy mod-1 suffix keeps the halves balanced.
@@ -82,8 +82,7 @@ fn skew(s: &[usize], sa: &mut [usize], n: usize, k: usize) {
     // Name the triples by rank.
     let mut name = 0usize;
     let (mut c0, mut c1, mut c2) = (usize::MAX, usize::MAX, usize::MAX);
-    for i in 0..n02 {
-        let p = sa12[i];
+    for &p in &sa12[..n02] {
         if s[p] != c0 || s[p + 1] != c1 || s[p + 2] != c2 {
             name += 1;
             c0 = s[p];
@@ -112,9 +111,9 @@ fn skew(s: &[usize], sa: &mut [usize], n: usize, k: usize) {
 
     // Sort mod-0 suffixes by (first char, rank of following mod-1).
     j = 0;
-    for i in 0..n02 {
-        if sa12[i] < n0 {
-            s0[j] = 3 * sa12[i];
+    for &r in &sa12[..n02] {
+        if r < n0 {
+            s0[j] = 3 * r;
             j += 1;
         }
     }
@@ -249,11 +248,14 @@ mod tests {
         };
         for len in 0..48u64 {
             for alpha in 1..5u64 {
-                let text: Vec<u32> =
-                    (0..len).map(|_| 1 + (next() % alpha) as u32).collect();
+                let text: Vec<u32> = (0..len).map(|_| 1 + (next() % alpha) as u32).collect();
                 let sa = suffix_array(&text);
                 assert_eq!(sa, naive_sa(&text), "text {text:?}");
-                assert_eq!(lcp_array(&text, &sa), naive_lcp(&text, &sa), "text {text:?}");
+                assert_eq!(
+                    lcp_array(&text, &sa),
+                    naive_lcp(&text, &sa),
+                    "text {text:?}"
+                );
             }
         }
     }

@@ -52,7 +52,9 @@ fn fingerprint<T: IndexBackend>(idx: &T) -> Fingerprint {
     }
     walk(idx, idx.root(), true, &mut nodes);
     let mut suffixes = Vec::new();
-    idx.for_each_suffix_below(idx.root(), &mut |s, st, lead| suffixes.push((s.0, st, lead)));
+    idx.for_each_suffix_below(idx.root(), &mut |s, st, lead| {
+        suffixes.push((s.0, st, lead))
+    });
     Fingerprint { nodes, suffixes }
 }
 

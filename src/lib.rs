@@ -705,10 +705,10 @@ pub mod prelude {
         open_index_dir, open_index_dir_metered, resolve_index_dir, Categorization, DiskIndexDir,
         ExplainIo, ExplainReport, Index,
     };
-    pub use warptree_core::search::BackendKind;
     pub use warptree_core::cluster::{cluster_matches, Cluster};
     pub use warptree_core::predict::{forecast, Forecast, Weighting};
     pub use warptree_core::prelude::*;
+    pub use warptree_core::search::BackendKind;
     pub use warptree_data::{
         artificial_corpus, stock_corpus, ArtificialConfig, QueryConfig, QueryWorkload, StockConfig,
     };

@@ -81,7 +81,9 @@ fn param_sets() -> Vec<(SearchParams, &'static str)> {
             "bounded",
         ),
         (
-            SearchParams::with_epsilon(3.0).windowed(2).length_range(3, 6),
+            SearchParams::with_epsilon(3.0)
+                .windowed(2)
+                .length_range(3, 6),
             "windowed+bounded",
         ),
     ]
@@ -98,8 +100,15 @@ fn build_dir(kind: BackendKind, sparse: bool, segmented: bool) -> PathBuf {
     );
     let dir = tmpdir(&tag);
     if segmented {
-        build_index_dir_backend(&batch0(), Categorization::MaxEntropy(6), sparse, 2, kind, &dir)
-            .unwrap();
+        build_index_dir_backend(
+            &batch0(),
+            Categorization::MaxEntropy(6),
+            sparse,
+            2,
+            kind,
+            &dir,
+        )
+        .unwrap();
         warptree::append_index_dir(&dir, &batch1()).unwrap();
         warptree::append_index_dir(&dir, &batch2()).unwrap();
     } else {

@@ -161,7 +161,16 @@ fn esa_backend_cli_pipeline() {
     let esa_idx = dir.join("esa-idx");
 
     run_ok(&[
-        "gen", "--kind", "walk", "--sequences", "20", "--len", "40", "--seed", "5", "--out",
+        "gen",
+        "--kind",
+        "walk",
+        "--sequences",
+        "20",
+        "--len",
+        "40",
+        "--seed",
+        "5",
+        "--out",
         csv.to_str().unwrap(),
     ]);
     let common = [
@@ -212,7 +221,15 @@ fn esa_backend_cli_pipeline() {
         }
     };
     for cmd in [
-        vec!["search", "--query", query.as_str(), "--epsilon", "2", "--limit", "5"],
+        vec![
+            "search",
+            "--query",
+            query.as_str(),
+            "--epsilon",
+            "2",
+            "--limit",
+            "5",
+        ],
         vec!["knn", "--query", query.as_str(), "--k", "3"],
     ] {
         let mut t = cmd.clone();
@@ -230,7 +247,12 @@ fn esa_backend_cli_pipeline() {
     // Unknown backend names fail cleanly at build time.
     let bogus_dir = dir.join("x");
     let mut args = common.to_vec();
-    args.extend(["--backend", "btree", "--out-dir", bogus_dir.to_str().unwrap()]);
+    args.extend([
+        "--backend",
+        "btree",
+        "--out-dir",
+        bogus_dir.to_str().unwrap(),
+    ]);
     let out = bin().args(&args).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("backend"));
