@@ -110,15 +110,21 @@ fn bench_path_and_append(c: &mut Criterion) {
                     std::process::id(),
                     rand::random::<u64>()
                 ));
-                std::fs::create_dir_all(&dir).unwrap();
-                let cat = Arc::new(alphabet.encode_store(&base));
-                warptree_disk::save_corpus(&base, &alphabet, &dir.join("corpus.wc")).unwrap();
-                let tree = warptree_suffix::build_sparse(cat);
-                warptree_disk::write_tree(&tree, &dir.join("index.wt")).unwrap();
+                warptree_disk::build_dir_with(
+                    warptree_disk::real_vfs(),
+                    &base,
+                    &alphabet,
+                    warptree_disk::TreeKind::Sparse,
+                    base.len(),
+                    1,
+                    None,
+                    &dir,
+                )
+                .unwrap();
                 dir
             },
             |dir| {
-                black_box(warptree_disk::append_to_index_dir(&dir, &extra).unwrap());
+                black_box(warptree_disk::append_segment(&dir, &extra).unwrap());
                 std::fs::remove_dir_all(&dir).unwrap();
             },
         )

@@ -25,11 +25,11 @@ pub enum DiskError {
     },
     /// A structurally invalid record was encountered.
     BadRecord(String),
-    /// The directory's `MANIFEST` file is missing, unreadable, or
-    /// references files that do not exist.
+    /// The directory's `MANIFEST` file is unreadable, of an unsupported
+    /// version, or references files that do not exist.
     BadManifest(String),
-    /// The path does not hold a committed index directory (no manifest
-    /// and no legacy `corpus.wc` + `index.wt` pair).
+    /// The path does not hold a committed index directory (it has no
+    /// `MANIFEST`).
     NotAnIndexDir(String),
     /// A page failed its CRC check while serving a read from a known
     /// segment file — the read-path integrity signal that drives

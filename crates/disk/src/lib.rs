@@ -21,9 +21,10 @@
 //!   tail segments over just the new suffixes, and a compactor folds
 //!   segments back together with the binary merge, one manifest
 //!   generation per step;
-//! * [`snapshot`] — non-mutating reopen of the committed generation
-//!   (including tail segments, with fan-out querying) and a cheap
-//!   manifest poll, the reload primitives of a live server;
+//! * [`snapshot`] — the opened directory ([`DirSnapshot`]: corpus, base
+//!   tree, tail segments, fan-out querying), its one open routine with
+//!   and without the recovery sweep, and a cheap manifest poll — the
+//!   reload primitives of a live server;
 //! * [`vfs`] — the injectable filesystem every write path goes through,
 //!   with a fault-injecting implementation for crash-consistency tests;
 //! * [`esa`](mod@esa) / [`any`] — the enhanced-suffix-array file format
@@ -32,7 +33,6 @@
 //!   value the layers above use to stay backend-agnostic.
 
 pub mod any;
-pub mod append;
 pub mod corpus;
 pub mod crc;
 pub mod error;
@@ -49,16 +49,15 @@ pub mod vfs;
 pub mod writer;
 
 pub use any::{AnyIndex, AnyNode};
-pub use append::{append_to_index_dir, append_to_index_dir_with};
 pub use corpus::{load_corpus, load_corpus_with, save_corpus, save_corpus_with};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
 pub use format::{DiskNode, DiskTree, Header, TreeReadAbort};
 pub use manifest::{
     build_dir_backend_with, build_dir_metered, build_dir_with, commit_dir_backend_with,
-    commit_dir_with, commit_update_with, quarantine_segment_with, recover_dir_with,
-    resolve_dir_with, segment_file_name, verify_dir_deep_with, verify_dir_with, FileCheck,
-    Manifest, RecoveryReport, ResolvedDir, SegmentMeta, VerifyReport, MANIFEST_NAME,
+    commit_update_with, quarantine_segment_with, recover_dir_with, resolve_dir_with,
+    segment_file_name, verify_dir_deep_with, verify_dir_with, FileCheck, Manifest, RecoveryReport,
+    ResolvedDir, SegmentMeta, VerifyReport, MANIFEST_NAME,
 };
 pub use merge::{merge_trees, merge_trees_with, IncrementalBuilder, TreeKind};
 pub use pager::{IoStats, PagedReader, PagedWriter, PAGE_DATA, PAGE_SIZE};
@@ -71,7 +70,8 @@ pub use shard::{
     ShardManifest, ShardMeta, SHARD_MANIFEST_NAME,
 };
 pub use snapshot::{
-    committed_generation_with, open_dir_snapshot_with, DegradedError, DegradedQuery, DirSnapshot,
+    committed_generation_with, open_dir_recovered_with, open_dir_snapshot_with, DegradedError,
+    DegradedQuery, DirSnapshot,
 };
 pub use vfs::{real_vfs, FaultMode, FaultVfs, MeteredVfs, RealVfs, TempGuard, Vfs, VfsFile};
 pub use writer::{write_tree, write_tree_with};

@@ -21,10 +21,8 @@
 //! it resolves the committed generation, then removes stale `*.tmp`
 //! files and generation files the manifest does not reference.
 //!
-//! Directories created by older builds — a bare `corpus.wc` + `index.wt`
-//! pair with no manifest — are still readable; they resolve as
-//! *generation 0* and are upgraded to the manifest scheme by the first
-//! append or rebuild.
+//! The `MANIFEST` is what makes a directory an index directory: one
+//! without it is [`DiskError::NotAnIndexDir`], whatever else it holds.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -45,25 +43,22 @@ use crate::vfs::{TempGuard, Vfs};
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
 const MANIFEST_MAGIC: &[u8; 8] = b"WARPMANF";
-/// Version 1: base corpus + index pair. Version 2 appends the tail
-/// segment list. Version 3 adds a per-segment flags word (bit 0:
-/// quarantined). Version 4 appends the index backend id. The encoder
-/// always emits the *minimum* version the manifest's content needs —
-/// a tree-backed directory with no tail segments is byte-identical to
-/// what version-1 builds produced, so older binaries keep reading every
-/// directory they could before; only an `esa`-backed directory promotes
-/// to version 4, which older binaries reject instead of misreading.
-const MANIFEST_VERSION: u32 = 1;
-const MANIFEST_VERSION_SEGMENTS: u32 = 2;
-const MANIFEST_VERSION_QUARANTINE: u32 = 3;
-const MANIFEST_VERSION_BACKEND: u32 = 4;
+/// The one manifest layout: magic, this version word, generation, the
+/// corpus and base-index file names and sizes, the tail-segment list
+/// (each entry with a flags word), the index backend id, and a CRC-32
+/// over everything before it. Any other version word is rejected.
+const MANIFEST_VERSION: u32 = 4;
 
-/// Backend ids as recorded in a version-4 manifest.
+/// Backend ids as recorded in the manifest.
 const BACKEND_ID_TREE: u32 = 0;
 const BACKEND_ID_ESA: u32 = 1;
 
 /// Segment flag bit: the segment is quarantined (tombstoned).
 const SEG_FLAG_QUARANTINED: u32 = 1;
+
+/// Longest file name and largest segment count the decoder accepts.
+const MAX_NAME_LEN: usize = 4096;
+const MAX_SEGMENTS: usize = 4096;
 
 /// A committed tail segment: a suffix tree over the suffixes of a
 /// contiguous run of appended sequences (the base `index` file covers
@@ -89,8 +84,7 @@ pub struct SegmentMeta {
 /// segments awaiting compaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Commit generation (monotonically increasing; 0 is reserved for
-    /// legacy manifest-less directories and never appears in a file).
+    /// Commit generation (monotonically increasing from 1).
     pub generation: u64,
     /// File name of the committed corpus.
     pub corpus: String,
@@ -104,27 +98,18 @@ pub struct Manifest {
     /// fully compacted — i.e. ordinary single-tree — directory).
     pub segments: Vec<SegmentMeta>,
     /// The index backend every data file of this generation was
-    /// committed under ([`BackendKind::Tree`] for all manifests written
-    /// before version 4).
+    /// committed under.
     pub backend: BackendKind,
 }
 
-/// Generational corpus file name (`corpus.wc` for the legacy gen 0).
+/// Generational corpus file name.
 pub fn corpus_file_name(generation: u64) -> String {
-    if generation == 0 {
-        "corpus.wc".into()
-    } else {
-        format!("corpus-{generation:06}.wc")
-    }
+    format!("corpus-{generation:06}.wc")
 }
 
-/// Generational tree file name (`index.wt` for the legacy gen 0).
+/// Generational tree file name.
 pub fn index_file_name(generation: u64) -> String {
-    if generation == 0 {
-        "index.wt".into()
-    } else {
-        format!("index-{generation:06}.wt")
-    }
+    format!("index-{generation:06}.wt")
 }
 
 /// Tail-segment tree file name: the generation that committed it plus
@@ -133,32 +118,21 @@ pub fn segment_file_name(generation: u64, ordinal: u32) -> String {
     format!("segment-{generation:06}-{ordinal:03}.wt")
 }
 
-/// Whether `name` follows an index-directory data-file pattern (legacy
-/// fixed, generational, or tail segment). Such files belong to the
-/// commit protocol and are fair game for the recovery sweep when
+/// Whether `name` follows an index-directory data-file pattern
+/// (generational corpus or tree, or tail segment). Such files belong to
+/// the commit protocol and are fair game for the recovery sweep when
 /// unreferenced.
 fn is_generation_file(name: &str) -> bool {
-    name == "corpus.wc"
-        || name == "index.wt"
-        || (name.starts_with("corpus-") && name.ends_with(".wc"))
+    (name.starts_with("corpus-") && name.ends_with(".wc"))
         || (name.starts_with("index-") && name.ends_with(".wt"))
         || (name.starts_with("segment-") && name.ends_with(".wt"))
 }
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let version = if self.backend != BackendKind::Tree {
-            MANIFEST_VERSION_BACKEND
-        } else if self.segments.is_empty() {
-            MANIFEST_VERSION
-        } else if self.segments.iter().any(|s| s.quarantined) {
-            MANIFEST_VERSION_QUARANTINE
-        } else {
-            MANIFEST_VERSION_SEGMENTS
-        };
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         out.extend_from_slice(&self.generation.to_le_bytes());
         for name in [&self.corpus, &self.index] {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -166,125 +140,102 @@ impl Manifest {
         }
         out.extend_from_slice(&self.corpus_len.to_le_bytes());
         out.extend_from_slice(&self.index_len.to_le_bytes());
-        if version >= MANIFEST_VERSION_SEGMENTS {
-            out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-            for seg in &self.segments {
-                out.extend_from_slice(&(seg.file.len() as u32).to_le_bytes());
-                out.extend_from_slice(seg.file.as_bytes());
-                out.extend_from_slice(&seg.file_len.to_le_bytes());
-                out.extend_from_slice(&seg.start_seq.to_le_bytes());
-                out.extend_from_slice(&seg.seq_count.to_le_bytes());
-                if version >= MANIFEST_VERSION_QUARANTINE {
-                    let flags = if seg.quarantined {
-                        SEG_FLAG_QUARANTINED
-                    } else {
-                        0
-                    };
-                    out.extend_from_slice(&flags.to_le_bytes());
-                }
-            }
-        }
-        if version >= MANIFEST_VERSION_BACKEND {
-            let id = match self.backend {
-                BackendKind::Tree => BACKEND_ID_TREE,
-                BackendKind::Esa => BACKEND_ID_ESA,
+        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        for seg in &self.segments {
+            out.extend_from_slice(&(seg.file.len() as u32).to_le_bytes());
+            out.extend_from_slice(seg.file.as_bytes());
+            out.extend_from_slice(&seg.file_len.to_le_bytes());
+            out.extend_from_slice(&seg.start_seq.to_le_bytes());
+            out.extend_from_slice(&seg.seq_count.to_le_bytes());
+            let flags = if seg.quarantined {
+                SEG_FLAG_QUARANTINED
+            } else {
+                0
             };
-            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&flags.to_le_bytes());
         }
+        let id = match self.backend {
+            BackendKind::Tree => BACKEND_ID_TREE,
+            BackendKind::Esa => BACKEND_ID_ESA,
+        };
+        out.extend_from_slice(&id.to_le_bytes());
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
+    /// Decodes a manifest, trusting nothing behind the CRC: every length
+    /// is bounded before it is used, file names must be plain names
+    /// inside the directory, the segment list must be ascending and
+    /// disjoint with `start_seq + seq_count` inside `u32`, no unknown
+    /// flag bit may be set, and nothing may follow the backend id — so
+    /// every accepted byte string is exactly what `encode` would emit.
     fn decode(raw: &[u8]) -> Result<Self> {
-        let bad = |m: &str| DiskError::BadManifest(m.into());
         if raw.len() < 4 {
             return Err(bad("truncated"));
         }
         let (body, tail) = raw.split_at(raw.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().unwrap());
-        if crc32(body) != stored {
+        if crc32(body) != u32::from_le_bytes(tail.try_into().expect("split four bytes off")) {
             return Err(bad("checksum mismatch"));
         }
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8]> {
-            if pos + n > body.len() {
-                return Err(bad("truncated"));
-            }
-            let s = &body[pos..pos + n];
-            pos += n;
-            Ok(s)
-        };
-        if take(8)? != MANIFEST_MAGIC {
+        let mut cur = Cursor { body, pos: 0 };
+        if cur.take(8)? != MANIFEST_MAGIC {
             return Err(bad("not a manifest file"));
         }
-        let version = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        if !(MANIFEST_VERSION..=MANIFEST_VERSION_BACKEND).contains(&version) {
+        let version = cur.u32()?;
+        if version != MANIFEST_VERSION {
             return Err(bad(&format!("unsupported manifest version {version}")));
         }
-        let generation = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let mut names = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-            if len > 4096 {
-                return Err(bad("implausible file name length"));
-            }
-            let name = std::str::from_utf8(take(len)?)
-                .map_err(|_| bad("file name is not UTF-8"))?
-                .to_string();
-            names.push(name);
+        let generation = cur.u64()?;
+        let corpus = cur.name()?;
+        let index = cur.name()?;
+        let corpus_len = cur.u64()?;
+        let index_len = cur.u64()?;
+        let count = cur.u32()? as usize;
+        if count > MAX_SEGMENTS {
+            return Err(bad("implausible segment count"));
         }
-        let corpus_len = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let index_len = u64::from_le_bytes(take(8)?.try_into().unwrap());
         let mut segments = Vec::new();
-        if version >= MANIFEST_VERSION_SEGMENTS {
-            let count = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-            if count > 4096 {
-                return Err(bad("implausible segment count"));
+        let mut covered = 0u32; // end of the previous segment's range
+        for _ in 0..count {
+            let file = cur.name()?;
+            let file_len = cur.u64()?;
+            let start_seq = cur.u32()?;
+            let seq_count = cur.u32()?;
+            let flags = cur.u32()?;
+            if flags & !SEG_FLAG_QUARANTINED != 0 {
+                return Err(bad("unknown segment flags"));
             }
-            for _ in 0..count {
-                let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                if len > 4096 {
-                    return Err(bad("implausible file name length"));
-                }
-                let file = std::str::from_utf8(take(len)?)
-                    .map_err(|_| bad("file name is not UTF-8"))?
-                    .to_string();
-                let file_len = u64::from_le_bytes(take(8)?.try_into().unwrap());
-                let start_seq = u32::from_le_bytes(take(4)?.try_into().unwrap());
-                let seq_count = u32::from_le_bytes(take(4)?.try_into().unwrap());
-                let flags = if version >= MANIFEST_VERSION_QUARANTINE {
-                    u32::from_le_bytes(take(4)?.try_into().unwrap())
-                } else {
-                    0
-                };
-                segments.push(SegmentMeta {
-                    file,
-                    file_len,
-                    start_seq,
-                    seq_count,
-                    quarantined: flags & SEG_FLAG_QUARANTINED != 0,
+            if start_seq < covered {
+                return Err(bad("segments out of order or overlapping"));
+            }
+            covered = start_seq
+                .checked_add(seq_count)
+                .ok_or_else(|| bad("segment range overflows"))?;
+            segments.push(SegmentMeta {
+                file,
+                file_len,
+                start_seq,
+                seq_count,
+                quarantined: flags & SEG_FLAG_QUARANTINED != 0,
+            });
+        }
+        let backend_id = cur.u32()?;
+        if cur.pos != body.len() {
+            return Err(bad("trailing bytes"));
+        }
+        let backend = match backend_id {
+            BACKEND_ID_TREE => BackendKind::Tree,
+            BACKEND_ID_ESA => BackendKind::Esa,
+            other => {
+                // A backend this build does not know: a typed error
+                // rather than `BadManifest`, so callers can tell "a
+                // newer format I must not touch" from corruption.
+                return Err(DiskError::UnsupportedBackend {
+                    found: format!("manifest backend id {other}"),
                 });
             }
-        }
-        let backend = if version >= MANIFEST_VERSION_BACKEND {
-            match u32::from_le_bytes(take(4)?.try_into().unwrap()) {
-                BACKEND_ID_TREE => BackendKind::Tree,
-                BACKEND_ID_ESA => BackendKind::Esa,
-                other => {
-                    // A backend this build does not know: a typed error
-                    // rather than `BadManifest`, so callers can tell "a
-                    // newer format I must not touch" from corruption.
-                    return Err(DiskError::UnsupportedBackend {
-                        found: format!("manifest backend id {other}"),
-                    });
-                }
-            }
-        } else {
-            BackendKind::Tree
         };
-        let index = names.pop().unwrap();
-        let corpus = names.pop().unwrap();
         Ok(Self {
             generation,
             corpus,
@@ -307,41 +258,79 @@ impl Manifest {
     }
 }
 
-/// Reads the directory's manifest; `Ok(None)` when none exists.
-pub fn read_manifest_with(vfs: &dyn Vfs, dir: &Path) -> Result<Option<Manifest>> {
+fn bad(message: &str) -> DiskError {
+    DiskError::BadManifest(message.into())
+}
+
+/// Bounds-checked reader over a manifest body.
+struct Cursor<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.body.len() - self.pos {
+            return Err(bad("truncated"));
+        }
+        let s = &self.body[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take(N) yields N bytes"))
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A length-prefixed file name: bounded, UTF-8, and a plain name —
+    /// the directory joins it to its own path, so a separator or `..`
+    /// would let a manifest point (and the sweep delete) outside it.
+    fn name(&mut self) -> Result<String> {
+        let len = self.u32()? as usize;
+        if len > MAX_NAME_LEN {
+            return Err(bad("implausible file name length"));
+        }
+        let name =
+            std::str::from_utf8(self.take(len)?).map_err(|_| bad("file name is not UTF-8"))?;
+        if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+            return Err(bad("file name is not a plain name"));
+        }
+        Ok(name.to_string())
+    }
+}
+
+/// Reads the directory's manifest. A directory without one is not an
+/// index directory.
+pub fn read_manifest_with(vfs: &dyn Vfs, dir: &Path) -> Result<Manifest> {
     let path = dir.join(MANIFEST_NAME);
     if !vfs.exists(&path) {
-        return Ok(None);
+        return Err(DiskError::NotAnIndexDir(format!(
+            "{}: no MANIFEST",
+            dir.display()
+        )));
     }
     let file = vfs.open(&path)?;
     let len = file.len()?;
     if len > 64 * 1024 {
-        return Err(DiskError::BadManifest("implausibly large".into()));
+        return Err(bad("implausibly large"));
     }
     let mut raw = vec![0u8; len as usize];
     file.read_at(0, &mut raw)?;
-    Manifest::decode(&raw).map(Some)
-}
-
-/// Writes `m` as the directory's manifest: `MANIFEST.tmp`, fsync,
-/// rename, directory fsync. The rename is the caller's commit point.
-pub fn write_manifest_with(vfs: &dyn Vfs, dir: &Path, m: &Manifest) -> Result<()> {
-    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-    let mut guard = TempGuard::new(vfs, vec![tmp.clone()]);
-    let mut file = vfs.create(&tmp)?;
-    file.write_at(0, &m.encode())?;
-    file.sync()?;
-    drop(file);
-    vfs.rename(&tmp, &dir.join(MANIFEST_NAME))?;
-    guard.defuse();
-    vfs.sync_dir(dir)?;
-    Ok(())
+    Manifest::decode(&raw)
 }
 
 /// The committed files of a resolved index directory.
 #[derive(Debug, Clone)]
 pub struct ResolvedDir {
-    /// Committed generation (0 for a legacy manifest-less directory).
+    /// Committed generation.
     pub generation: u64,
     /// Absolute path of the committed corpus file.
     pub corpus_path: PathBuf,
@@ -349,8 +338,8 @@ pub struct ResolvedDir {
     pub index_path: PathBuf,
     /// Absolute paths of the committed tail segments, in manifest order.
     pub segment_paths: Vec<PathBuf>,
-    /// The manifest, when one exists.
-    pub manifest: Option<Manifest>,
+    /// The committed manifest.
+    pub manifest: Manifest,
 }
 
 impl ResolvedDir {
@@ -360,63 +349,30 @@ impl ResolvedDir {
         keep.extend(self.segment_paths.iter().map(|p| p.as_path()));
         keep
     }
-
-    /// The backend the committed generation was built under — what the
-    /// manifest records, or [`BackendKind::Tree`] for legacy
-    /// manifest-less directories.
-    pub fn backend(&self) -> BackendKind {
-        self.manifest
-            .as_ref()
-            .map(|m| m.backend)
-            .unwrap_or(BackendKind::Tree)
-    }
 }
 
 /// Resolves the committed state of `dir` without touching anything:
-/// the manifest's generation when one exists, else the legacy
-/// `corpus.wc` + `index.wt` pair as generation 0.
+/// reads the manifest and checks that every file it names exists.
 pub fn resolve_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<ResolvedDir> {
-    if let Some(m) = read_manifest_with(vfs, dir)? {
-        let corpus_path = dir.join(&m.corpus);
-        let index_path = dir.join(&m.index);
-        let segment_paths: Vec<PathBuf> = m.segments.iter().map(|s| dir.join(&s.file)).collect();
-        let names = [&m.corpus, &m.index]
-            .into_iter()
-            .chain(m.segments.iter().map(|s| &s.file));
-        for (path, name) in [&corpus_path, &index_path]
-            .into_iter()
-            .chain(segment_paths.iter())
-            .zip(names)
-        {
-            if !vfs.exists(path) {
-                return Err(DiskError::BadManifest(format!(
-                    "references missing file {name}"
-                )));
-            }
+    let manifest = read_manifest_with(vfs, dir)?;
+    let path_of = |name: &String| {
+        let path = dir.join(name);
+        match vfs.exists(&path) {
+            true => Ok(path),
+            false => Err(bad(&format!("references missing file {name}"))),
         }
-        return Ok(ResolvedDir {
-            generation: m.generation,
-            corpus_path,
-            index_path,
-            segment_paths,
-            manifest: Some(m),
-        });
-    }
-    let corpus_path = dir.join(corpus_file_name(0));
-    let index_path = dir.join(index_file_name(0));
-    if vfs.exists(&corpus_path) && vfs.exists(&index_path) {
-        return Ok(ResolvedDir {
-            generation: 0,
-            corpus_path,
-            index_path,
-            segment_paths: Vec::new(),
-            manifest: None,
-        });
-    }
-    Err(DiskError::NotAnIndexDir(format!(
-        "{}: no MANIFEST and no corpus.wc + index.wt pair",
-        dir.display()
-    )))
+    };
+    Ok(ResolvedDir {
+        generation: manifest.generation,
+        corpus_path: path_of(&manifest.corpus)?,
+        index_path: path_of(&manifest.index)?,
+        segment_paths: manifest
+            .segments
+            .iter()
+            .map(|s| path_of(&s.file))
+            .collect::<Result<_>>()?,
+        manifest,
+    })
 }
 
 /// What a recovery sweep cleaned out of a directory.
@@ -501,7 +457,7 @@ pub fn recover_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<(ResolvedDir, Recov
 /// This is the generic form of the commit protocol used by the
 /// segment subsystem (append and compaction), where arbitrary subsets
 /// of the previous generation's files are carried forward unchanged —
-/// unlike [`commit_dir_with`], which always supersedes the whole
+/// unlike [`commit_dir_backend_with`], which always supersedes the whole
 /// generation.
 pub fn commit_update_with(
     vfs: &dyn Vfs,
@@ -547,9 +503,7 @@ pub fn commit_update_with(
 /// current manifest without committing a new generation. Unknown
 /// segment names are a [`DiskError::BadManifest`].
 pub fn quarantine_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Manifest> {
-    let mut m = read_manifest_with(vfs, dir)?.ok_or_else(|| {
-        DiskError::BadManifest("cannot quarantine in a manifest-less directory".into())
-    })?;
+    let mut m = read_manifest_with(vfs, dir)?;
     let seg = m
         .segments
         .iter_mut()
@@ -564,44 +518,21 @@ pub fn quarantine_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Resu
     Ok(m)
 }
 
-/// Commits the next generation of `dir` atomically. `write_corpus` and
-/// `write_index` each receive the temporary path they must produce their
-/// file at (fsynced — [`crate::PagedWriter::finish`] already does this);
-/// everything else — generational naming, renames, directory fsyncs, the
-/// manifest, cleanup of the superseded generation — is handled here.
+/// Commits the next generation of `dir` atomically, recording `backend`
+/// in the manifest. `write_corpus` and `write_index` each receive the
+/// temporary path they must produce their file at (fsynced —
+/// [`crate::PagedWriter::finish`] already does this; `write_index` must
+/// produce a file of `backend`'s format); everything else — generational
+/// naming, renames, directory fsyncs, the manifest, cleanup of the
+/// superseded generation — is handled here.
 ///
 /// On error, no trace of the attempted generation survives (temporaries
 /// and half-installed files are removed); after a crash, the recovery
 /// sweep at next open removes them instead. The old generation stays
 /// committed until the manifest rename, which is the atomic flip.
-pub fn commit_dir_with<C, I>(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    current_generation: u64,
-    write_corpus: C,
-    write_index: I,
-) -> Result<Manifest>
-where
-    C: FnOnce(&Path) -> Result<()>,
-    I: FnOnce(&Path) -> Result<()>,
-{
-    commit_dir_backend_with(
-        vfs,
-        dir,
-        current_generation,
-        BackendKind::Tree,
-        write_corpus,
-        write_index,
-    )
-}
-
-/// [`commit_dir_with`] recording an explicit index [`BackendKind`] in
-/// the committed manifest — `write_index` must produce a file of that
-/// backend's format.
 pub fn commit_dir_backend_with<C, I>(
     vfs: &dyn Vfs,
     dir: &Path,
-    current_generation: u64,
     backend: BackendKind,
     write_corpus: C,
     write_index: I,
@@ -613,16 +544,16 @@ where
     vfs.create_dir_all(dir)?;
     // The whole previous generation is superseded — including any tail
     // segments its manifest carried (a monolithic rebuild re-indexes
-    // everything).
-    let mut remove_after = vec![
-        dir.join(corpus_file_name(current_generation)),
-        dir.join(index_file_name(current_generation)),
-    ];
-    if let Ok(Some(old)) = read_manifest_with(vfs, dir) {
-        remove_after.extend(old.segments.iter().map(|s| dir.join(&s.file)));
-    }
-
-    let generation = current_generation + 1;
+    // everything). A fresh directory starts at generation 1.
+    let (generation, remove_after) = match read_manifest_with(vfs, dir) {
+        Ok(old) => {
+            let names = [&old.corpus, &old.index].into_iter();
+            let names = names.chain(old.segments.iter().map(|s| &s.file));
+            (old.generation + 1, names.map(|n| dir.join(n)).collect())
+        }
+        Err(DiskError::NotAnIndexDir(_)) => (1, Vec::new()),
+        Err(e) => return Err(e),
+    };
     let corpus_name = corpus_file_name(generation);
     let index_name = index_file_name(generation);
     let corpus_final = dir.join(&corpus_name);
@@ -743,25 +674,17 @@ pub fn build_dir_metered(
         ));
     }
     vfs.create_dir_all(dir)?;
-    // Rebuilds bump the committed generation; fresh builds start at 1.
     // Leftovers of a crashed earlier attempt are swept first so stale
     // merge work files cannot outlive this build.
-    let current = match resolve_dir_with(vfs.as_ref(), dir) {
-        Ok(resolved) => {
-            sweep_dir_with(vfs.as_ref(), dir, &resolved.keep_list())?;
-            resolved.generation
-        }
-        Err(DiskError::NotAnIndexDir(_)) => {
-            sweep_dir_with(vfs.as_ref(), dir, &[])?;
-            0
-        }
+    match resolve_dir_with(vfs.as_ref(), dir) {
+        Ok(resolved) => sweep_dir_with(vfs.as_ref(), dir, &resolved.keep_list())?,
+        Err(DiskError::NotAnIndexDir(_)) => sweep_dir_with(vfs.as_ref(), dir, &[])?,
         Err(e) => return Err(e),
     };
     let cat = Arc::new(alphabet.encode_store(store));
     commit_dir_backend_with(
         vfs.as_ref(),
         dir,
-        current,
         backend,
         |corpus_tmp| {
             crate::corpus::save_corpus_with(vfs.as_ref(), store, alphabet, corpus_tmp).map(|_| ())
@@ -877,6 +800,11 @@ fn scan_pages(vfs: &dyn Vfs, path: &Path) -> (u64, Option<String>) {
     (pages, None)
 }
 
+fn file_name(path: &Path) -> String {
+    let name = path.file_name().and_then(|n| n.to_str());
+    name.unwrap_or("?").to_string()
+}
+
 /// Verifies an index directory without modifying it: resolves the
 /// committed generation, checks every page CRC of the corpus and tree
 /// files, cross-checks their sizes against the manifest, and parses
@@ -884,45 +812,27 @@ fn scan_pages(vfs: &dyn Vfs, path: &Path) -> (u64, Option<String>) {
 /// the next open would sweep are reported, not removed.
 pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
     let resolved = resolve_dir_with(vfs, dir)?;
+    let m = &resolved.manifest;
     let mut report = VerifyReport {
         generation: resolved.generation,
         ..Default::default()
     };
 
-    let file_name = |p: &Path| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?")
-            .to_string()
-    };
-
     // Page-level CRC scan plus manifest size cross-check: the corpus,
     // the base tree, then every tail segment.
-    let mut checks: Vec<(&Path, Option<u64>, bool)> = vec![
-        (
-            &resolved.corpus_path,
-            resolved.manifest.as_ref().map(|m| m.corpus_len),
-            false,
-        ),
-        (
-            &resolved.index_path,
-            resolved.manifest.as_ref().map(|m| m.index_len),
-            false,
-        ),
+    let mut checks = vec![
+        (&resolved.corpus_path, m.corpus_len, false),
+        (&resolved.index_path, m.index_len, false),
     ];
-    if let Some(m) = &resolved.manifest {
-        for (path, seg) in resolved.segment_paths.iter().zip(&m.segments) {
-            checks.push((path, Some(seg.file_len), seg.quarantined));
-        }
+    for (path, seg) in resolved.segment_paths.iter().zip(&m.segments) {
+        checks.push((path, seg.file_len, seg.quarantined));
     }
-    for (path, expect_len, quarantined) in checks {
+    for (path, expect, quarantined) in checks {
         let (pages, mut error) = scan_pages(vfs, path);
         if error.is_none() {
-            if let Some(expect) = expect_len {
-                let actual = vfs.metadata_len(path)?;
-                if actual != expect {
-                    error = Some(format!("size {actual} does not match manifest ({expect})"));
-                }
+            let actual = vfs.metadata_len(path)?;
+            if actual != expect {
+                error = Some(format!("size {actual} does not match manifest ({expect})"));
             }
         }
         report.files.push(FileCheck {
@@ -943,29 +853,23 @@ pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
             }
             Ok((_, _, cat)) => {
                 let trees = std::iter::once(&resolved.index_path).chain(&resolved.segment_paths);
-                for (i, path) in trees.enumerate() {
-                    if report.files[i + 1].quarantined {
+                for (path, check) in trees.zip(&mut report.files[1..]) {
+                    if check.quarantined {
                         continue;
                     }
-                    if let Err(e) =
-                        AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 4, 16)
-                    {
-                        report.files[i + 1].error = Some(format!("parse failed: {e}"));
+                    if let Err(e) = AnyIndex::open_with(vfs, path, cat.clone(), m.backend, 4, 16) {
+                        check.error = Some(format!("parse failed: {e}"));
                     }
                 }
             }
         }
     }
 
+    let keep = resolved.keep_list();
     for path in vfs.read_dir(dir)? {
-        if path == resolved.corpus_path
-            || path == resolved.index_path
-            || resolved.segment_paths.contains(&path)
-        {
-            continue;
-        }
         let name = file_name(&path);
-        if name.ends_with(".tmp") || is_generation_file(&name) {
+        if !keep.contains(&path.as_path()) && (name.ends_with(".tmp") || is_generation_file(&name))
+        {
             report.stale.push(name);
         }
     }
@@ -979,15 +883,10 @@ pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
 /// plus a page scan of the corpus. Never mutates the directory.
 pub fn verify_dir_deep_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
     let resolved = resolve_dir_with(vfs, dir)?;
+    let m = &resolved.manifest;
     let mut report = VerifyReport {
         generation: resolved.generation,
         ..Default::default()
-    };
-    let file_name = |p: &Path| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?")
-            .to_string()
     };
     let (corpus_pages, corpus_err) = scan_pages(vfs, &resolved.corpus_path);
     report.files.push(FileCheck {
@@ -1005,24 +904,18 @@ pub fn verify_dir_deep_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
             return Ok(report);
         }
     };
-    let quarantined_names: Vec<&str> = resolved
-        .manifest
-        .as_ref()
-        .map(|m| m.quarantined_segments().map(|s| s.file.as_str()).collect())
-        .unwrap_or_default();
-    for path in std::iter::once(&resolved.index_path).chain(&resolved.segment_paths) {
-        let name = file_name(path);
-        let quarantined = quarantined_names.iter().any(|q| *q == name);
-        let (pages, error) =
-            match AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 2, 1) {
-                Ok(index) => match index.verify_pages() {
-                    Ok(pages) => (pages, None),
-                    Err(e) => (0, Some(e.to_string())),
-                },
-                Err(e) => (0, Some(e.to_string())),
-            };
+    let tails = resolved.segment_paths.iter().zip(&m.segments);
+    let trees = std::iter::once((&resolved.index_path, false))
+        .chain(tails.map(|(path, seg)| (path, seg.quarantined)));
+    for (path, quarantined) in trees {
+        let verified = AnyIndex::open_with(vfs, path, cat.clone(), m.backend, 2, 1)
+            .and_then(|index| index.verify_pages());
+        let (pages, error) = match verified {
+            Ok(pages) => (pages, None),
+            Err(e) => (0, Some(e.to_string())),
+        };
         report.files.push(FileCheck {
-            name,
+            name: file_name(path),
             pages,
             error,
             quarantined,
@@ -1049,19 +942,30 @@ mod tests {
         SequenceStore::from_values(vec![vec![1.0, 5.0, 3.0, 5.0, 1.0], vec![4.0, 4.0, 2.0]])
     }
 
-    #[test]
-    fn manifest_roundtrip() {
-        let m = Manifest {
+    fn sample_manifest(backend: BackendKind) -> Manifest {
+        Manifest {
             generation: 7,
             corpus: corpus_file_name(7),
             index: index_file_name(7),
             corpus_len: 8192,
             index_len: 16384,
             segments: Vec::new(),
-            backend: BackendKind::Tree,
-        };
+            backend,
+        }
+    }
+
+    /// Re-seals `raw` (a manifest encoding whose body was edited) with
+    /// the CRC of its new body.
+    fn reseal(raw: &mut [u8]) {
+        let body_end = raw.len() - 4;
+        let crc = crate::crc::crc32(&raw[..body_end]);
+        raw[body_end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn manifest_roundtrip() {
+        let m = sample_manifest(BackendKind::Tree);
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
-        // With tail segments the manifest round-trips as version 2.
         let seg = Manifest {
             segments: vec![
                 SegmentMeta {
@@ -1082,81 +986,105 @@ mod tests {
             ..m.clone()
         };
         assert_eq!(Manifest::decode(&seg.encode()).unwrap(), seg);
-        // Quarantine-free manifests stay at the version-2 byte layout.
-        assert_eq!(&seg.encode()[8..12], &2u32.to_le_bytes());
-        // A quarantined segment promotes the encoding to version 3 and
-        // the flag survives the round trip.
+        // The quarantine flag survives the round trip.
         let mut tomb = seg.clone();
         tomb.segments[1].quarantined = true;
-        let raw = tomb.encode();
-        assert_eq!(&raw[8..12], &3u32.to_le_bytes());
-        assert_eq!(Manifest::decode(&raw).unwrap(), tomb);
+        assert_eq!(Manifest::decode(&tomb.encode()).unwrap(), tomb);
         assert_eq!(tomb.live_segments().count(), 1);
         assert_eq!(tomb.quarantined_segments().count(), 1);
+        // One layout: whatever the content, the version word is the same.
+        for m in [&m, &seg, &tomb] {
+            assert_eq!(&m.encode()[8..12], &MANIFEST_VERSION.to_le_bytes());
+        }
     }
 
     #[test]
     fn esa_manifest_promotes_to_version_4_and_round_trips() {
-        let m = Manifest {
-            generation: 2,
-            corpus: corpus_file_name(2),
-            index: index_file_name(2),
-            corpus_len: 512,
-            index_len: 1024,
-            segments: Vec::new(),
-            backend: BackendKind::Esa,
-        };
+        let m = sample_manifest(BackendKind::Esa);
         let raw = m.encode();
-        assert_eq!(&raw[8..12], &MANIFEST_VERSION_BACKEND.to_le_bytes());
+        assert_eq!(&raw[8..12], &4u32.to_le_bytes());
         assert_eq!(Manifest::decode(&raw).unwrap(), m);
     }
 
     #[test]
+    fn every_other_version_is_a_typed_rejection() {
+        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+            let mut raw = sample_manifest(BackendKind::Tree).encode();
+            raw[8..12].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut raw);
+            match Manifest::decode(&raw) {
+                Err(DiskError::BadManifest(m)) => {
+                    assert_eq!(m, format!("unsupported manifest version {version}"))
+                }
+                other => panic!("version {version}: expected BadManifest, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_is_strict_behind_a_valid_crc() {
+        let seg = |start_seq, seq_count| SegmentMeta {
+            file: segment_file_name(8, start_seq),
+            file_len: 4096,
+            start_seq,
+            seq_count,
+            quarantined: false,
+        };
+        let with = |segments| Manifest {
+            segments,
+            ..sample_manifest(BackendKind::Tree)
+        };
+        let rejected = |raw: &[u8], why: &str| match Manifest::decode(raw) {
+            Err(DiskError::BadManifest(m)) => assert_eq!(m, why),
+            other => panic!("expected BadManifest({why}), got {other:?}"),
+        };
+        // Bytes after the backend id.
+        let mut raw = with(vec![seg(2, 3)]).encode();
+        raw.splice(raw.len() - 4..raw.len() - 4, [0u8; 4]);
+        reseal(&mut raw);
+        rejected(&raw, "trailing bytes");
+        // Segment lists that descend, overlap, or leave u32.
+        let order = "segments out of order or overlapping";
+        rejected(&with(vec![seg(5, 1), seg(2, 3)]).encode(), order);
+        rejected(&with(vec![seg(2, 3), seg(4, 1)]).encode(), order);
+        rejected(
+            &with(vec![seg(u32::MAX - 1, 2)]).encode(),
+            "segment range overflows",
+        );
+        // Touching ranges, and one ending exactly at u32::MAX, are fine.
+        let edge = with(vec![seg(2, 3), seg(5, 0), seg(5, u32::MAX - 5)]);
+        assert_eq!(Manifest::decode(&edge.encode()).unwrap(), edge);
+        // A flag bit this build does not know.
+        let mut raw = with(vec![seg(2, 3)]).encode();
+        let flags_at = raw.len() - 4 - 4 - 4;
+        raw[flags_at..flags_at + 4].copy_from_slice(&2u32.to_le_bytes());
+        reseal(&mut raw);
+        rejected(&raw, "unknown segment flags");
+        // Names that would resolve outside the directory.
+        for name in ["", ".", "..", "../MANIFEST", "/etc/passwd", "a\\b"] {
+            let m = Manifest {
+                corpus: name.into(),
+                ..sample_manifest(BackendKind::Tree)
+            };
+            rejected(&m.encode(), "file name is not a plain name");
+        }
+    }
+
+    #[test]
     fn unknown_backend_id_is_a_typed_rejection() {
-        // Splice an unknown backend id into a valid v4 encoding and
+        // Splice an unknown backend id into a valid encoding and
         // re-seal the CRC: the decoder must name the id, not claim
         // corruption.
-        let m = Manifest {
-            generation: 2,
-            corpus: corpus_file_name(2),
-            index: index_file_name(2),
-            corpus_len: 512,
-            index_len: 1024,
-            segments: Vec::new(),
-            backend: BackendKind::Esa,
-        };
-        let mut raw = m.encode();
+        let mut raw = sample_manifest(BackendKind::Esa).encode();
         let body_end = raw.len() - 4;
         raw[body_end - 4..body_end].copy_from_slice(&7u32.to_le_bytes());
-        let crc = crate::crc::crc32(&raw[..body_end]);
-        raw[body_end..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut raw);
         match Manifest::decode(&raw) {
             Err(DiskError::UnsupportedBackend { found }) => {
                 assert!(found.contains('7'), "{found}")
             }
             other => panic!("expected UnsupportedBackend, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn segmentless_manifest_encoding_is_version_1() {
-        // A fully compacted directory must stay readable by pre-segment
-        // builds: no tail segments -> the exact version-1 byte layout.
-        let m = Manifest {
-            generation: 3,
-            corpus: corpus_file_name(3),
-            index: index_file_name(3),
-            corpus_len: 100,
-            index_len: 200,
-            segments: Vec::new(),
-            backend: BackendKind::Tree,
-        };
-        let raw = m.encode();
-        assert_eq!(&raw[8..12], &1u32.to_le_bytes());
-        // version(4) is followed by generation/names/lens and nothing
-        // else before the CRC tail.
-        let expected_len = 8 + 4 + 8 + (4 + m.corpus.len()) + (4 + m.index.len()) + 8 + 8 + 4;
-        assert_eq!(raw.len(), expected_len);
     }
 
     #[test]
@@ -1229,22 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pair_resolves_as_generation_zero() {
-        let dir = tmpdir("legacy");
-        let store = sample_store();
-        let alphabet = Alphabet::equal_length(&store, 4).unwrap();
-        let cat = Arc::new(alphabet.encode_store(&store));
-        crate::corpus::save_corpus(&store, &alphabet, &dir.join("corpus.wc")).unwrap();
-        let tree = warptree_suffix::build_full(cat);
-        crate::writer::write_tree(&tree, &dir.join("index.wt")).unwrap();
-        let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
-        assert_eq!(resolved.generation, 0);
-        assert!(resolved.manifest.is_none());
-        assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn recovery_sweeps_stale_files() {
         let dir = tmpdir("sweep");
         let store = sample_store();
@@ -1291,7 +1203,7 @@ mod tests {
             segments: Vec::new(),
             backend: BackendKind::Tree,
         };
-        write_manifest_with(&RealVfs, &dir, &m).unwrap();
+        commit_update_with(&RealVfs, &dir, &[], &m, &[]).unwrap();
         assert!(matches!(
             resolve_dir_with(&RealVfs, &dir),
             Err(DiskError::BadManifest(_))
@@ -1306,6 +1218,129 @@ mod tests {
             resolve_dir_with(&RealVfs, &dir),
             Err(DiskError::NotAnIndexDir(_))
         ));
+        // Data files without a MANIFEST do not make one either.
+        let store = sample_store();
+        let alphabet = Alphabet::equal_length(&store, 4).unwrap();
+        let cat = Arc::new(alphabet.encode_store(&store));
+        crate::corpus::save_corpus(&store, &alphabet, &dir.join(corpus_file_name(1))).unwrap();
+        let tree = warptree_suffix::build_full(cat);
+        crate::writer::write_tree(&tree, &dir.join(index_file_name(1))).unwrap();
+        assert!(matches!(
+            recover_dir_with(&RealVfs, &dir),
+            Err(DiskError::NotAnIndexDir(_))
+        ));
+        assert!(dir.join(corpus_file_name(1)).exists(), "nothing swept");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An arbitrary *valid* manifest: 0–64 segments over ascending,
+    /// disjoint ranges anywhere in `u32`, either backend, any flags.
+    fn arb_manifest() -> impl proptest::Strategy<Value = Manifest> {
+        use proptest::prelude::*;
+        let seg = (
+            0u32..3000,
+            0u32..3000,
+            any::<bool>(),
+            any::<u64>(),
+            0u32..1000,
+        );
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            any::<u32>(),
+            prop::collection::vec(seg, 0..=64),
+        )
+            .prop_map(|((generation, corpus_len, index_len, esa), first, segs)| {
+                let mut segments = Vec::new();
+                let mut covered = first;
+                for (gap, seq_count, quarantined, file_len, ordinal) in segs {
+                    let Some(start_seq) = covered.checked_add(gap) else {
+                        break;
+                    };
+                    let Some(end) = start_seq.checked_add(seq_count) else {
+                        break;
+                    };
+                    covered = end;
+                    segments.push(SegmentMeta {
+                        file: segment_file_name(generation % 1_000_000, ordinal),
+                        file_len,
+                        start_seq,
+                        seq_count,
+                        quarantined,
+                    });
+                }
+                Manifest {
+                    generation,
+                    corpus: corpus_file_name(generation % 1_000_000),
+                    index: index_file_name(generation % 999_983),
+                    corpus_len,
+                    index_len,
+                    segments,
+                    backend: if esa {
+                        BackendKind::Esa
+                    } else {
+                        BackendKind::Tree
+                    },
+                }
+            })
+    }
+
+    /// What any accepted manifest must satisfy, however hostile the
+    /// bytes it came from: the declared caps hold and it re-encodes to
+    /// exactly those bytes (so it is no larger than its input).
+    fn assert_accepted_is_canonical(m: &Manifest, raw: &[u8]) {
+        assert!(m.segments.len() <= MAX_SEGMENTS);
+        let names = [&m.corpus, &m.index].into_iter();
+        for name in names.chain(m.segments.iter().map(|s| &s.file)) {
+            assert!(name.len() <= MAX_NAME_LEN);
+        }
+        assert_eq!(m.encode(), raw);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_inverts_encode(m in arb_manifest()) {
+            let raw = m.encode();
+            let back = Manifest::decode(&raw).unwrap();
+            assert_accepted_is_canonical(&back, &raw);
+            proptest::prop_assert_eq!(back, m);
+        }
+
+        /// Arbitrary bytes — raw, and sealed behind the magic, the
+        /// version word and a valid CRC so they reach the field
+        /// decoders — never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..400),
+        ) {
+            let _ = Manifest::decode(&bytes);
+            let mut raw = MANIFEST_MAGIC.to_vec();
+            raw.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+            raw.extend_from_slice(&bytes);
+            raw.extend_from_slice(&[0; 4]);
+            reseal(&mut raw);
+            if let Ok(m) = Manifest::decode(&raw) {
+                assert_accepted_is_canonical(&m, &raw);
+            }
+        }
+
+        /// One field of a valid encoding overwritten (1, 4 or 8 bytes
+        /// at any offset) with the CRC recomputed: a typed error or a
+        /// canonical manifest, never a panic.
+        #[test]
+        fn single_field_mutations_never_panic(
+            m in arb_manifest(),
+            at in proptest::any::<usize>(),
+            width in 0usize..3,
+            value in proptest::any::<u64>(),
+        ) {
+            let mut raw = m.encode();
+            let width = [1, 4, 8][width];
+            let at = at % (raw.len() - 4 - width + 1);
+            raw[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            reseal(&mut raw);
+            if let Ok(m) = Manifest::decode(&raw) {
+                assert_accepted_is_canonical(&m, &raw);
+            }
+        }
     }
 }

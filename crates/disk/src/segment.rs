@@ -1,12 +1,12 @@
 //! The LSM-style segment subsystem: online ingest and background
 //! compaction of an index directory.
 //!
-//! [`append_to_index_dir`](crate::append_to_index_dir) merges every
-//! append into the monolithic tree — correct, but each append pays for
-//! rewriting the whole index. [`append_segment_with`] instead commits
-//! the new sequences as a small *tail segment*: a suffix tree over just
-//! the appended suffixes, recorded in the manifest next to the base
-//! tree. Queries fan the segments out through
+//! Merging every append into the monolithic tree would be correct, but
+//! each append would pay for rewriting the whole index.
+//! [`append_segment_with`] instead commits the new sequences as a small
+//! *tail segment*: a suffix tree over just the appended suffixes,
+//! recorded in the manifest next to the base tree. Queries fan the
+//! segments out through
 //! [`SegmentedIndex`](warptree_core::search::SegmentedIndex) (results
 //! are byte-identical to a monolithic build — see that module's
 //! equivalence contract), and [`compact_once_with`] folds segments back
@@ -14,10 +14,15 @@
 //! compaction committed as a new MANIFEST generation so hot reload,
 //! crash recovery and `warptree verify` keep working unchanged.
 //!
-//! The soundness argument for appending is the same as for the merge
-//! append (boundaries never move, observed bounds only widen, the
-//! corpus is rewritten with widened bounds); the difference is purely
-//! *where* the new suffixes live. Every mutation here follows the
+//! Appending is sound because the categorization is append-stable:
+//! **boundaries never move** (re-deriving e.g. maximum-entropy quantiles
+//! over the extended data would re-label old symbols and invalidate the
+//! existing trees, so the stored boundaries are authoritative — see
+//! [`corpus`](crate::corpus)), and **observed bounds only widen** (a
+//! wider `lb..ub` only decreases point-to-interval distances, so
+//! `D_base-lb` stays a valid lower bound for all members, old and new;
+//! the corpus is rewritten with the widened bounds). Every mutation
+//! here follows the
 //! commit protocol of [`manifest`](crate::manifest): temporaries,
 //! renames, manifest flip, best-effort removal — a torn compaction or
 //! append leaves the previous complete state in force.
@@ -36,8 +41,8 @@ use crate::error::{DiskError, Result};
 use crate::esa::write_esa_with;
 use crate::format::DiskTree;
 use crate::manifest::{
-    commit_update_with, corpus_file_name, index_file_name, recover_dir_with, segment_file_name,
-    Manifest, SegmentMeta,
+    commit_update_with, corpus_file_name, index_file_name, quarantine_segment_with,
+    recover_dir_with, resolve_dir_with, segment_file_name, Manifest, SegmentMeta,
 };
 use crate::merge::merge_trees_with;
 use crate::vfs::{RealVfs, TempGuard, Vfs};
@@ -84,7 +89,8 @@ struct SegView {
 /// the directory's next generation. Returns the committed manifest.
 ///
 /// The directory must resolve to a committed index. Truncated (§8)
-/// indexes are rejected, exactly as for the merge append.
+/// indexes are rejected — their per-suffix prefix lengths depend on
+/// build-time parameters this function does not know.
 pub fn append_segment(dir: &Path, new_sequences: &SequenceStore) -> Result<Manifest> {
     append_segment_with(&RealVfs, dir, new_sequences)
 }
@@ -99,7 +105,7 @@ pub fn append_segment_with(
         return Err(DiskError::BadRecord("nothing to append".into()));
     }
     let (resolved, _recovery) = recover_dir_with(vfs, dir)?;
-    let backend = resolved.backend();
+    let backend = resolved.manifest.backend;
     let (mut store, mut alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
     let probe = AnyIndex::open_with(
         vfs,
@@ -130,12 +136,11 @@ pub fn append_segment_with(
     let last = store.len();
     let cat = Arc::new(alphabet.encode_store(&store));
 
-    let old_manifest = resolved.manifest.clone();
-    let generation = resolved.generation + 1;
-    let corpus_name = corpus_file_name(generation);
-    let ordinal = old_manifest.as_ref().map_or(0, |m| m.segments.len()) as u32;
-    let segment_name = segment_file_name(generation, ordinal);
-    let corpus_tmp = dir.join(format!("{corpus_name}.tmp"));
+    let mut manifest = resolved.manifest.clone();
+    manifest.generation += 1;
+    manifest.corpus = corpus_file_name(manifest.generation);
+    let segment_name = segment_file_name(manifest.generation, manifest.segments.len() as u32);
+    let corpus_tmp = dir.join(format!("{}.tmp", manifest.corpus));
     let segment_tmp = dir.join(format!("{segment_name}.tmp"));
 
     let mut guard = TempGuard::new(vfs, vec![corpus_tmp.clone(), segment_tmp.clone()]);
@@ -151,34 +156,14 @@ pub fn append_segment_with(
         &segment_tmp,
     )?;
 
-    let index_name = resolved
-        .index_path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .expect("resolved index path has a name")
-        .to_string();
-    let mut segments = old_manifest
-        .as_ref()
-        .map_or(Vec::new(), |m| m.segments.clone());
-    segments.push(SegmentMeta {
+    manifest.corpus_len = vfs.metadata_len(&corpus_tmp)?;
+    manifest.segments.push(SegmentMeta {
         file: segment_name.clone(),
         file_len: vfs.metadata_len(&segment_tmp)?,
         start_seq: first_new as u32,
         seq_count: (last - first_new) as u32,
         quarantined: false,
     });
-    let manifest = Manifest {
-        generation,
-        corpus: corpus_name,
-        index: index_name,
-        corpus_len: vfs.metadata_len(&corpus_tmp)?,
-        index_len: match &old_manifest {
-            Some(m) => m.index_len,
-            None => vfs.metadata_len(&resolved.index_path)?,
-        },
-        segments,
-        backend,
-    };
     // Only the corpus is superseded; the base tree and old tails are
     // carried forward by reference.
     commit_update_with(
@@ -218,9 +203,7 @@ pub fn compact_once_with(
     reg: &warptree_obs::MetricsRegistry,
 ) -> Result<Option<Manifest>> {
     let (resolved, _recovery) = recover_dir_with(vfs, dir)?;
-    let Some(old) = resolved.manifest.clone() else {
-        return Ok(None); // legacy single-tree directory
-    };
+    let old = resolved.manifest;
     if old.segments.is_empty() {
         return Ok(None);
     }
@@ -288,6 +271,8 @@ pub fn compact_once_with(
             )?;
             let sparse = base.is_sparse();
             drop(base);
+            // The sums stay inside `u32`: the manifest decoder rejects
+            // segment ranges that overlap or overflow.
             let range = if pick == 0 {
                 let s = &old.segments[0];
                 0..(s.start_seq + s.seq_count) as usize
@@ -307,15 +292,8 @@ pub fn compact_once_with(
     }
     let merged_len = vfs.metadata_len(&merged_tmp)?;
 
-    let mut manifest = Manifest {
-        generation,
-        corpus: old.corpus.clone(),
-        index: old.index.clone(),
-        corpus_len: old.corpus_len,
-        index_len: old.index_len,
-        segments: old.segments.clone(),
-        backend: old.backend,
-    };
+    let mut manifest = old.clone();
+    manifest.generation = generation;
     if pick == 0 {
         // Base absorbed the first tail.
         manifest.index = merged_name.clone();
@@ -355,11 +333,7 @@ pub fn compact_once_with(
 /// is removed only after the replacement is committed.
 pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Manifest> {
     let (resolved, _recovery) = recover_dir_with(vfs, dir)?;
-    let Some(old) = resolved.manifest.clone() else {
-        return Err(DiskError::BadManifest(
-            "cannot heal in a manifest-less directory".into(),
-        ));
-    };
+    let old = resolved.manifest;
     let idx = old
         .segments
         .iter()
@@ -461,7 +435,7 @@ pub fn scrub_dir_with(
     heal: bool,
     reg: &warptree_obs::MetricsRegistry,
 ) -> Result<ScrubReport> {
-    let resolved = crate::manifest::resolve_dir_with(vfs, dir)?;
+    let resolved = resolve_dir_with(vfs, dir)?;
     let mut report = ScrubReport {
         generation: resolved.generation,
         ..Default::default()
@@ -473,14 +447,7 @@ pub fn scrub_dir_with(
     corpus_reader.meter_crc_failures(reg, "disk.read_crc_fail");
     for p in 0..corpus_reader.page_count() {
         if let Err(e) = corpus_reader.verify_page(p) {
-            report.unrecoverable = Some(format!(
-                "corpus {}: {e}",
-                resolved
-                    .corpus_path
-                    .file_name()
-                    .unwrap_or_default()
-                    .to_string_lossy()
-            ));
+            report.unrecoverable = Some(format!("corpus {}: {e}", resolved.manifest.corpus));
             return Ok(report);
         }
         report.pages += 1;
@@ -489,19 +456,16 @@ pub fn scrub_dir_with(
 
     let (_, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
 
+    let backend = resolved.manifest.backend;
+    let verify = |path: &Path| -> Result<u64> {
+        let index = AnyIndex::open_with(vfs, path, cat.clone(), backend, 2, 1)?;
+        index.instrument(reg);
+        index.verify_pages()
+    };
+
     // Base index: corruption here is unrecoverable by quarantine.
-    let backend = resolved.backend();
-    match AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), backend, 2, 1) {
-        Ok(index) => {
-            index.instrument(reg);
-            match index.verify_pages() {
-                Ok(pages) => report.pages += pages,
-                Err(e) => {
-                    report.unrecoverable = Some(e.to_string());
-                    return Ok(report);
-                }
-            }
-        }
+    match verify(&resolved.index_path) {
+        Ok(pages) => report.pages += pages,
         Err(e) => {
             report.unrecoverable = Some(e.to_string());
             return Ok(report);
@@ -509,45 +473,31 @@ pub fn scrub_dir_with(
     }
 
     // Live tail segments: a failure here is what quarantine is for.
-    let segments: Vec<SegmentMeta> = resolved
-        .manifest
-        .as_ref()
-        .map(|m| m.segments.clone())
-        .unwrap_or_default();
-    for meta in segments.iter().filter(|s| !s.quarantined) {
-        let path = dir.join(&meta.file);
-        let failed = match AnyIndex::open_with(vfs, &path, cat.clone(), backend, 2, 1) {
-            Ok(index) => {
-                index.instrument(reg);
-                match index.verify_pages() {
-                    Ok(pages) => {
-                        report.pages += pages;
-                        false
-                    }
-                    Err(_) => true,
-                }
+    // Quarantines and heals each commit a generation; `manifest` tracks
+    // the latest.
+    let mut manifest = resolved.manifest.clone();
+    for meta in resolved.manifest.live_segments() {
+        match verify(&dir.join(&meta.file)) {
+            Ok(pages) => report.pages += pages,
+            Err(_) => {
+                manifest = quarantine_segment_with(vfs, dir, &meta.file)?;
+                report.newly_quarantined.push(meta.file.clone());
             }
-            Err(_) => true,
-        };
-        if failed {
-            crate::manifest::quarantine_segment_with(vfs, dir, &meta.file)?;
-            report.newly_quarantined.push(meta.file.clone());
         }
     }
 
     if heal {
-        let quarantined: Vec<String> = crate::manifest::read_manifest_with(vfs, dir)?
-            .map(|m| m.quarantined_segments().map(|s| s.file.clone()).collect())
-            .unwrap_or_default();
+        let quarantined: Vec<String> = manifest
+            .quarantined_segments()
+            .map(|s| s.file.clone())
+            .collect();
         for name in quarantined {
-            heal_segment_with(vfs, dir, &name)?;
+            manifest = heal_segment_with(vfs, dir, &name)?;
             report.healed.push(name);
         }
     }
 
-    if let Some(m) = crate::manifest::read_manifest_with(vfs, dir)? {
-        report.generation = m.generation;
-    }
+    report.generation = manifest.generation;
     reg.counter("scrub.runs").incr();
     reg.counter("scrub.pages").add(report.pages);
     Ok(report)
@@ -626,22 +576,8 @@ mod tests {
             assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
 
             // Queries over the segmented snapshot agree with brute force.
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 64, 256).unwrap();
-            let req = QueryRequest::threshold_params(&[5.0, 1.0], SearchParams::with_epsilon(0.75));
-            let (got, _) = snap.run_query(&req).unwrap();
-            let mut stats = warptree_core::search::SearchStats::default();
-            let expected = warptree_core::search::seq_scan(
-                &snap.store,
-                &[5.0, 1.0],
-                &SearchParams::with_epsilon(0.75),
-                warptree_core::search::SeqScanMode::Full,
-                &mut stats,
-            );
-            assert_eq!(
-                got.into_answer_set().occurrence_set(),
-                expected.occurrence_set(),
-                "sparse={sparse}"
-            );
+            let probe: [&[f64]; 1] = [&[5.0, 1.0]];
+            assert_matches_seq_scan(&dir, &probe, 0.75, &format!("tails sparse={sparse}"));
 
             // Compact to a single tree; results must not change.
             let reg = warptree_obs::MetricsRegistry::new();
@@ -650,17 +586,108 @@ mod tests {
             assert!(last.unwrap().segments.is_empty());
             assert_eq!(reg.counter("compaction.runs").get(), 2);
             assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
-            let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 64, 256).unwrap();
-            assert_eq!(snap2.segments.len(), 0);
-            let (got2, _) = snap2.run_query(&req).unwrap();
-            assert_eq!(
-                got2.into_answer_set().occurrence_set(),
-                expected.occurrence_set()
-            );
+            let snap = open_dir_snapshot_with(&RealVfs, &dir, 64, 256).unwrap();
+            assert_eq!(snap.segments.len(), 0);
+            assert_matches_seq_scan(&dir, &probe, 0.75, &format!("merged sparse={sparse}"));
             // No data files beyond the committed pair remain.
             assert!(compact_once(&dir).unwrap().is_none());
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Every probe query over the opened directory equals the exact
+    /// scan over its store.
+    fn assert_matches_seq_scan(dir: &Path, queries: &[&[f64]], epsilon: f64, context: &str) {
+        let snap = open_dir_snapshot_with(&RealVfs, dir, 32, 256).unwrap();
+        for q in queries {
+            let params = SearchParams::with_epsilon(epsilon);
+            let req = QueryRequest::threshold_params(q, params.clone());
+            let (got, _) = snap.query(&req).unwrap();
+            let mut stats = warptree_core::search::SearchStats::default();
+            let expected = warptree_core::search::seq_scan(
+                &snap.store,
+                q,
+                &params,
+                warptree_core::search::SeqScanMode::Full,
+                &mut stats,
+            );
+            assert!(
+                !expected.is_empty(),
+                "{context}: probe {q:?} matches nothing"
+            );
+            assert_eq!(
+                got.into_answer_set().occurrence_set(),
+                expected.occurrence_set(),
+                "{context} q={q:?}"
+            );
+        }
+    }
+
+    fn assert_no_tmp_files(dir: &Path) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(
+                !name.to_string_lossy().ends_with(".tmp"),
+                "stray temp file {name:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn append_preserves_exactness() {
+        for sparse in [false, true] {
+            let dir = tmpdir(&format!("exact-{sparse}"));
+            build_initial(&dir, sparse);
+            // New data includes values OUTSIDE the old range (0.0, 9.0):
+            // the widening path must keep the bounds sound, in the tail
+            // segment and in the tree compaction merges it into.
+            let extra = SequenceStore::from_values(vec![
+                vec![0.0, 9.0, 5.0, 5.0],
+                vec![3.0, 3.0, 3.0, 3.0, 3.0],
+            ]);
+            append_segment(&dir, &extra).unwrap();
+            let queries: [&[f64]; 3] = [&[5.0, 5.0], &[0.0, 9.0], &[3.0]];
+            assert_matches_seq_scan(&dir, &queries, 1.0, &format!("tail sparse={sparse}"));
+            assert_no_tmp_files(&dir);
+
+            let reg = warptree_obs::MetricsRegistry::noop();
+            assert_eq!(compact_all_with(&RealVfs, &dir, &reg).unwrap().0, 1);
+            assert_matches_seq_scan(&dir, &queries, 1.0, &format!("merged sparse={sparse}"));
+            assert_no_tmp_files(&dir);
+            let snap = open_dir_snapshot_with(&RealVfs, &dir, 32, 256).unwrap();
+            assert_eq!(snap.store.len(), 4);
+            assert!(snap.segments.is_empty());
+            // A full tree stores one suffix per element of old + new.
+            if !sparse {
+                assert_eq!(snap.tree.suffix_count(), snap.store.total_len());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn repeated_appends_accumulate() {
+        let dir = tmpdir("repeat");
+        build_initial(&dir, true);
+        for round in 0..3 {
+            let extra =
+                SequenceStore::from_values(vec![vec![2.0 + round as f64, 4.0, 6.0 - round as f64]]);
+            append_segment(&dir, &extra).unwrap();
+        }
+        // Three appends over a generation-1 build leave generation 4
+        // with three tails; folding them is three more generations.
+        let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
+        assert_eq!(resolved.generation, 4);
+        assert_eq!(resolved.manifest.segments.len(), 3);
+        assert_matches_seq_scan(&dir, &[&[4.0, 6.0]], 0.5, "tails");
+        let reg = warptree_obs::MetricsRegistry::noop();
+        let (runs, last) = compact_all_with(&RealVfs, &dir, &reg).unwrap();
+        assert_eq!((runs, last.unwrap().generation), (3, 7));
+        assert_matches_seq_scan(&dir, &[&[4.0, 6.0]], 0.5, "merged");
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 32, 256).unwrap();
+        assert_eq!((snap.store.len(), snap.segments.len()), (5, 0));
+        assert_no_tmp_files(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -674,11 +701,7 @@ mod tests {
         let before = resolve_dir_with(&RealVfs, &dir).unwrap();
         let m = compact_once(&dir).unwrap().unwrap();
         assert_eq!(m.segments.len(), 1);
-        assert_eq!(
-            m.index,
-            before.manifest.as_ref().unwrap().index,
-            "base untouched"
-        );
+        assert_eq!(m.index, before.manifest.index, "base untouched");
         assert_eq!(m.segments[0].start_seq, 2);
         assert_eq!(m.segments[0].seq_count, 2);
         std::fs::remove_dir_all(&dir).unwrap();

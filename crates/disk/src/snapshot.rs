@@ -1,17 +1,22 @@
-//! Read-only snapshot reopening for live serving.
+//! The opened index directory: one struct, one open routine, one
+//! query fan-out.
 //!
-//! A long-running reader (the `warptree-server` query process) must be
-//! able to (a) *cheaply* poll an index directory for a newer committed
-//! generation and (b) reopen the directory **without mutating it** —
-//! the recovery sweep of [`recover_dir_with`](crate::recover_dir_with)
-//! deletes files the manifest does not reference, which is exactly
-//! wrong while a concurrent writer is mid-commit (its staged next
-//! generation would be swept away). This module provides both halves:
+//! A [`DirSnapshot`] is an immutable, query-ready view of one committed
+//! generation. There are two ways in, over one body:
 //!
-//! * [`committed_generation_with`] — one small `MANIFEST` read, no
-//!   directory listing, no cleanup; cheap enough for sub-second polls.
-//! * [`open_dir_snapshot_with`] — resolve + load the committed corpus
-//!   and tree as an immutable [`DirSnapshot`], touching nothing else.
+//! * [`open_dir_snapshot_with`] resolves and loads **without mutating
+//!   the directory**. A long-running reader (the `warptree-server`
+//!   query process) needs exactly that: the recovery sweep deletes
+//!   files the manifest does not reference, which is wrong while a
+//!   concurrent writer is mid-commit (its staged next generation would
+//!   be swept away).
+//! * [`open_dir_recovered_with`] runs the recovery sweep of
+//!   [`recover_dir_with`] first — what a
+//!   process that owns the directory (the CLI, the facade) wants.
+//!
+//! [`committed_generation_with`] is the cheap poll beside them: one
+//! small `MANIFEST` read, no directory listing, no cleanup; cheap enough
+//! for sub-second polls.
 //!
 //! The commit protocol (see [`manifest`](crate::manifest)) guarantees a
 //! reopened generation is complete: data files are fully written and
@@ -22,38 +27,38 @@
 //! open error the caller simply retries (the next poll sees `N+1`).
 
 use std::path::Path;
+use std::sync::Arc;
+
+use warptree_core::categorize::{Alphabet, CatStore};
+use warptree_core::error::CoreError;
+use warptree_core::search::{
+    run_query_with, BackendKind, Coverage, QueryKind, QueryOutput, QueryRequest, SearchMetrics,
+    SearchStats, SegmentedIndex,
+};
+use warptree_core::sequence::{SeqId, SequenceStore};
 
 use crate::any::AnyIndex;
 use crate::corpus::load_corpus_with;
 use crate::error::{DiskError, Result};
-use crate::manifest::{read_manifest_with, resolve_dir_with, SegmentMeta};
+use crate::manifest::{
+    read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
+    SegmentMeta,
+};
+use crate::pager::IoStats;
 use crate::vfs::Vfs;
 
-use std::sync::Arc;
-use warptree_core::categorize::{Alphabet, CatStore};
-use warptree_core::error::CoreError;
-use warptree_core::search::{
-    run_query_with, Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats, SegmentedIndex,
-};
-use warptree_core::sequence::{SeqId, SequenceStore};
-
 /// The committed generation a poll observes, read from `MANIFEST`
-/// alone. Legacy manifest-less directories (a bare `corpus.wc` +
-/// `index.wt` pair) report generation 0; a missing or unreadable
-/// manifest in a non-legacy directory is an error.
+/// alone; a missing or unreadable manifest is an error.
 ///
 /// This never lists the directory and never removes anything, so it is
 /// safe to call at any frequency while writers are active.
 pub fn committed_generation_with(vfs: &dyn Vfs, dir: &Path) -> Result<u64> {
-    match read_manifest_with(vfs, dir)? {
-        Some(m) => Ok(m.generation),
-        None => Ok(0),
-    }
+    Ok(read_manifest_with(vfs, dir)?.generation)
 }
 
 /// An immutable, query-ready view of one committed generation of an
 /// index directory: the loaded corpus, its categorization, and the
-/// disk-resident tree.
+/// disk-resident base tree and tail segments.
 ///
 /// All parts are safe for concurrent readers (`&self` search through
 /// internally synchronized caches), so one snapshot behind an `Arc`
@@ -65,21 +70,22 @@ pub struct DirSnapshot {
     pub store: SequenceStore,
     /// The categorization alphabet.
     pub alphabet: Alphabet,
-    /// The categorized corpus shared with the tree.
+    /// The categorized corpus shared with the trees.
     pub cat: Arc<CatStore>,
     /// The disk-resident base index, of whichever backend the manifest
     /// records.
     pub tree: AnyIndex,
     /// The committed *live* tail segments (see
     /// [`segment`](crate::segment)), in manifest order — empty for a
-    /// fully compacted directory. Quarantined segments are never
+    /// fully compacted directory. Queries fan out across the base tree
+    /// and every segment with results byte-identical to a monolithic
+    /// index over the same corpus. Quarantined segments are never
     /// loaded; their metadata is kept in
     /// [`quarantined`](DirSnapshot::quarantined) for coverage
     /// accounting.
     pub segments: Vec<AnyIndex>,
     /// Manifest metadata for each loaded tail segment, parallel to
-    /// [`segments`](DirSnapshot::segments). Empty for legacy
-    /// manifest-less directories.
+    /// [`segments`](DirSnapshot::segments).
     pub segment_metas: Vec<SegmentMeta>,
     /// Manifest metadata for segments excluded at open because they are
     /// quarantined (tombstoned after a failed CRC check).
@@ -109,7 +115,7 @@ impl std::fmt::Display for DegradedError {
 
 impl std::error::Error for DegradedError {}
 
-/// The outcome of [`DirSnapshot::run_query_degraded`]: the answers
+/// The outcome of [`DirSnapshot::query_degraded`]: the answers
 /// (possibly partial, with coverage attached), the stats snapshot, and
 /// the names of segments whose corruption this very query detected —
 /// the caller is responsible for tombstoning those in the manifest (see
@@ -126,15 +132,38 @@ pub struct DegradedQuery {
     pub detected: Vec<String>,
 }
 
+/// The final stats of one query: for k-NN requests `answers` reads as
+/// the result count actually returned, not the per-round verified total.
+fn final_stats(req: &QueryRequest, out: &QueryOutput, metrics: &SearchMetrics) -> SearchStats {
+    let mut stats = metrics.snapshot();
+    if matches!(req.kind, QueryKind::Knn(_)) {
+        stats.answers = out.len() as u64;
+    }
+    stats
+}
+
 impl DirSnapshot {
+    /// Every live tree: the base, then the tail segments.
+    pub fn live_trees(&self) -> impl Iterator<Item = &AnyIndex> {
+        std::iter::once(&self.tree).chain(&self.segments)
+    }
+
     /// Total number of live trees: the base plus every tail segment.
     pub fn segment_count(&self) -> usize {
         1 + self.segments.len()
     }
 
     /// The index backend this snapshot's generation was committed under.
-    pub fn backend(&self) -> warptree_core::search::BackendKind {
+    pub fn backend(&self) -> BackendKind {
         self.tree.kind()
+    }
+
+    /// Routes every live tree's cache and CRC-failure counters into
+    /// `reg` (`disk.page_cache.*`, `disk.node_cache.*`,
+    /// `disk.read_crc_fail`); the trees share the names, so their
+    /// counts sum.
+    pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
+        self.live_trees().for_each(|t| t.instrument(reg));
     }
 
     /// Runs a typed query against this snapshot, fanning out across the
@@ -142,20 +171,17 @@ impl DirSnapshot {
     /// a fully compacted (single-tree) index over the same corpus — see
     /// [`SegmentedIndex`]'s equivalence contract. A snapshot with no
     /// tail segments queries the base tree directly.
-    pub fn run_query(
+    pub fn query(
         &self,
         req: &QueryRequest,
     ) -> std::result::Result<(QueryOutput, SearchStats), CoreError> {
         let metrics = SearchMetrics::new();
-        let out = self.run_query_with(req, &metrics)?;
-        let mut stats = metrics.snapshot();
-        if matches!(req.kind, warptree_core::search::QueryKind::Knn(_)) {
-            stats.answers = out.len() as u64;
-        }
+        let out = self.query_with(req, &metrics)?;
+        let stats = final_stats(req, &out, &metrics);
         Ok((out, stats))
     }
 
-    /// [`run_query`](DirSnapshot::run_query) recording into an external
+    /// [`query`](DirSnapshot::query) recording into an external
     /// [`SearchMetrics`] (no stats snapshot).
     ///
     /// When `metrics` carries an active trace, the query additionally
@@ -166,31 +192,45 @@ impl DirSnapshot {
     /// concurrent queries over the same snapshot bleed into the deltas;
     /// attribution is exact only for the common one-query-per-snapshot
     /// tracing setup.
-    pub fn run_query_with(
+    pub fn query_with(
         &self,
         req: &QueryRequest,
         metrics: &SearchMetrics,
     ) -> std::result::Result<QueryOutput, CoreError> {
-        if !metrics.trace.is_active() {
-            return self.run_query_untraced(req, metrics);
+        self.query_over(self.segments.iter(), req, metrics)
+    }
+
+    /// The one fan-out: runs `req` over the base tree plus `tails` —
+    /// directly on the base when there are none — with the `pager.io`
+    /// span of [`query_with`](DirSnapshot::query_with) when traced.
+    fn query_over<'a>(
+        &'a self,
+        tails: impl Iterator<Item = &'a AnyIndex>,
+        req: &QueryRequest,
+        metrics: &SearchMetrics,
+    ) -> std::result::Result<QueryOutput, CoreError> {
+        let io_before = metrics.trace.is_active().then(|| self.live_trees_io());
+        let mut tails = tails.peekable();
+        let out = if tails.peek().is_none() {
+            run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
+        } else {
+            let fanned = SegmentedIndex::new(std::iter::once(&self.tree).chain(tails).collect());
+            run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
+        };
+        if let Some(before) = io_before {
+            self.attach_io_span(metrics, &before);
         }
-        let before = self.live_trees_io();
-        let out = self.run_query_untraced(req, metrics);
-        self.attach_io_span(metrics, &before);
         out
     }
 
-    fn live_trees_io(&self) -> Vec<crate::pager::IoStats> {
-        std::iter::once(&self.tree)
-            .chain(self.segments.iter())
-            .map(|t| t.io_stats())
-            .collect()
+    fn live_trees_io(&self) -> Vec<IoStats> {
+        self.live_trees().map(|t| t.io_stats()).collect()
     }
 
     /// Closes the pager-attribution loop: a `pager.io` span whose attrs
     /// are the per-tree (and total) deltas of page reads / buffer-pool
     /// hits since `before` was sampled.
-    fn attach_io_span(&self, metrics: &SearchMetrics, before: &[crate::pager::IoStats]) {
+    fn attach_io_span(&self, metrics: &SearchMetrics, before: &[IoStats]) {
         let span = metrics.trace_span("pager.io");
         let after = self.live_trees_io();
         let (mut pages, mut hits) = (0u64, 0u64);
@@ -213,22 +253,6 @@ impl DirSnapshot {
         span.attr_u64("cache_hits", hits);
     }
 
-    fn run_query_untraced(
-        &self,
-        req: &QueryRequest,
-        metrics: &SearchMetrics,
-    ) -> std::result::Result<QueryOutput, CoreError> {
-        if self.segments.is_empty() {
-            run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
-        } else {
-            let mut trees: Vec<&AnyIndex> = Vec::with_capacity(1 + self.segments.len());
-            trees.push(&self.tree);
-            trees.extend(self.segments.iter());
-            let fanned = SegmentedIndex::new(trees);
-            run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
-        }
-    }
-
     /// Runs a typed query with degraded-mode handling: a CRC failure in
     /// a tail segment excludes that segment and retries over the
     /// remaining live trees instead of failing the query, returning an
@@ -240,19 +264,19 @@ impl DirSnapshot {
     /// Answers over the surviving segment subset are byte-identical to
     /// a clean index over that subset's sequences — corruption can only
     /// *remove* coverage, never corrupt an answer that is returned.
-    pub fn run_query_degraded(
+    pub fn query_degraded(
         &self,
         req: &QueryRequest,
     ) -> std::result::Result<DegradedQuery, DegradedError> {
-        self.run_query_degraded_traced(req, &warptree_obs::Trace::noop())
+        self.query_degraded_traced(req, &warptree_obs::Trace::noop())
     }
 
-    /// [`run_query_degraded`](DirSnapshot::run_query_degraded) with the
+    /// [`query_degraded`](DirSnapshot::query_degraded) with the
     /// query's work recorded into `trace`: each attempt's stage spans
     /// (filter / postprocess / per-segment fan-out) plus a `pager.io`
     /// attribution span land in the trace. An inactive (noop) trace
     /// makes this identical to the untraced path.
-    pub fn run_query_degraded_traced(
+    pub fn query_degraded_traced(
         &self,
         req: &QueryRequest,
         trace: &warptree_obs::Trace,
@@ -260,35 +284,14 @@ impl DirSnapshot {
         let mut detected: Vec<String> = Vec::new();
         loop {
             let metrics = SearchMetrics::new().with_trace(trace.clone());
-            let io_before = if trace.is_active() {
-                Some(self.live_trees_io())
-            } else {
-                None
-            };
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut trees: Vec<&AnyIndex> = Vec::with_capacity(1 + self.segments.len());
-                trees.push(&self.tree);
-                trees.extend(
-                    self.segments
-                        .iter()
-                        .filter(|t| !detected.iter().any(|d| d == t.source())),
-                );
-                if trees.len() == 1 {
-                    run_query_with(&self.tree, &self.alphabet, &self.store, req, &metrics)
-                } else {
-                    let fanned = SegmentedIndex::new(trees);
-                    run_query_with(&fanned, &self.alphabet, &self.store, req, &metrics)
-                }
+                let healthy = self.segments.iter();
+                let healthy = healthy.filter(|t| !detected.iter().any(|d| d == t.source()));
+                self.query_over(healthy, req, &metrics)
             }));
             match attempt {
                 Ok(Ok(mut output)) => {
-                    if let Some(before) = &io_before {
-                        self.attach_io_span(&metrics, before);
-                    }
-                    let mut stats = metrics.snapshot();
-                    if matches!(req.kind, warptree_core::search::QueryKind::Knn(_)) {
-                        stats.answers = output.len() as u64;
-                    }
+                    let stats = final_stats(req, &output, &metrics);
                     if !detected.is_empty() || !self.quarantined.is_empty() {
                         output = output.with_coverage(self.coverage(&detected));
                     }
@@ -368,7 +371,7 @@ impl DirSnapshot {
 /// Opens the committed generation of `dir` as a [`DirSnapshot`]
 /// **without mutating the directory** — no recovery sweep, no file
 /// removal — so it is safe to run concurrently with a writer committing
-/// the next generation. `cache_pages` sizes the tree's page buffer
+/// the next generation. `cache_pages` sizes each tree's page buffer
 /// pool, `cache_nodes` its decoded-node cache.
 pub fn open_dir_snapshot_with(
     vfs: &dyn Vfs,
@@ -376,38 +379,61 @@ pub fn open_dir_snapshot_with(
     cache_pages: usize,
     cache_nodes: usize,
 ) -> Result<DirSnapshot> {
-    let resolved = resolve_dir_with(vfs, dir)?;
-    let backend = resolved.backend();
-    let (store, alphabet, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
-    let tree = AnyIndex::open_with(
-        vfs,
-        &resolved.index_path,
-        cat.clone(),
-        backend,
-        cache_pages,
-        cache_nodes,
-    )?;
-    let metas: Vec<SegmentMeta> = resolved
-        .manifest
-        .as_ref()
-        .map(|m| m.segments.clone())
-        .unwrap_or_default();
-    let mut segments = Vec::with_capacity(resolved.segment_paths.len());
+    open_resolved(vfs, resolve_dir_with(vfs, dir)?, cache_pages, cache_nodes)
+}
+
+/// [`open_dir_snapshot_with`] after crash recovery: stale temporaries
+/// and uncommitted files an interrupted build or append left behind are
+/// swept first, and the sweep's findings returned beside the snapshot.
+/// For a process that owns the directory; never run it against a
+/// directory another process may be writing.
+pub fn open_dir_recovered_with(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    cache_pages: usize,
+    cache_nodes: usize,
+) -> Result<(DirSnapshot, RecoveryReport)> {
+    let (resolved, recovery) = recover_dir_with(vfs, dir)?;
+    let snapshot = open_resolved(vfs, resolved, cache_pages, cache_nodes)?;
+    Ok((snapshot, recovery))
+}
+
+/// The one open body: loads the corpus, then opens the base tree and
+/// every tail segment the manifest does not have quarantined.
+fn open_resolved(
+    vfs: &dyn Vfs,
+    resolved: ResolvedDir,
+    cache_pages: usize,
+    cache_nodes: usize,
+) -> Result<DirSnapshot> {
+    let ResolvedDir {
+        generation,
+        corpus_path,
+        index_path,
+        segment_paths,
+        manifest,
+    } = resolved;
+    let (store, alphabet, cat) = load_corpus_with(vfs, &corpus_path)?;
+    let open = |path: &Path| {
+        AnyIndex::open_with(
+            vfs,
+            path,
+            cat.clone(),
+            manifest.backend,
+            cache_pages,
+            cache_nodes,
+        )
+    };
+    let tree = open(&index_path)?;
+    let mut segments = Vec::with_capacity(segment_paths.len());
     let mut segment_metas = Vec::new();
     let mut quarantined = Vec::new();
-    for (path, meta) in resolved.segment_paths.iter().zip(metas) {
+    for (path, meta) in segment_paths.iter().zip(manifest.segments) {
         if meta.quarantined {
             quarantined.push(meta);
             continue;
         }
-        segments.push(AnyIndex::open_with(
-            vfs,
-            path,
-            cat.clone(),
-            backend,
-            cache_pages,
-            cache_nodes,
-        )?);
+        segments.push(open(path)?);
         segment_metas.push(meta);
     }
     Ok(DirSnapshot {
@@ -418,7 +444,7 @@ pub fn open_dir_snapshot_with(
         segments,
         segment_metas,
         quarantined,
-        generation: resolved.generation,
+        generation,
     })
 }
 
@@ -467,7 +493,7 @@ mod tests {
         assert_eq!(snap.generation, 1);
         assert_eq!(snap.store.len(), store.len());
         let (answers, _) = snap
-            .run_query(&QueryRequest::threshold_params(
+            .query(&QueryRequest::threshold_params(
                 &[1.0, 5.0],
                 SearchParams::with_epsilon(0.5),
             ))
@@ -500,13 +526,6 @@ mod tests {
             installed.exists(),
             "snapshot reopen must not remove staging"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn committed_generation_reports_legacy_as_zero() {
-        let dir = tmpdir("legacy");
-        assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,5 @@
 //! Fault-injection sweep over every I/O operation of build, rebuild,
-//! and append.
+//! and (tail-segment) append.
 //!
 //! Each scenario first runs against a counting [`FaultVfs`] that never
 //! fires, to learn the total number of filesystem operations `T`; it is
@@ -22,13 +22,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use warptree_core::categorize::Alphabet;
-use warptree_core::search::{
-    run_query, seq_scan, QueryRequest, SearchParams, SearchStats, SeqScanMode,
-};
+use warptree_core::search::{seq_scan, QueryRequest, SearchParams, SearchStats, SeqScanMode};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
-    append_to_index_dir_with, build_dir_with, load_corpus, recover_dir_with, resolve_dir_with,
-    verify_dir_with, DiskError, DiskTree, FaultMode, FaultVfs, RealVfs, TreeKind, Vfs,
+    append_segment_with, build_dir_with, load_corpus, open_dir_recovered_with, resolve_dir_with,
+    verify_dir_with, DiskError, FaultMode, FaultVfs, RealVfs, TreeKind, Vfs,
 };
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -85,36 +83,29 @@ fn committed_base(dir: &Path, store: &SequenceStore) {
 }
 
 /// Asserts the directory recovers to one of `expected` complete states:
-/// it resolves, sweeps clean, verifies, and answers every probe query
+/// it opens through the recovering open routine (so tail segments are
+/// searched too), sweeps clean, verifies, and answers every probe query
 /// exactly like a sequential scan over whichever store it holds.
 fn assert_recovers_to_one_of(dir: &Path, expected: &[&SequenceStore], context: &str) {
-    let (resolved, _report) = recover_dir_with(&RealVfs, dir)
+    let (snap, _report) = open_dir_recovered_with(&RealVfs, dir, 32, 256)
         .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
     assert!(no_tmp_files(dir), "{context}: *.tmp left after recovery");
-    let (store, alphabet, cat) = load_corpus(&resolved.corpus_path)
-        .unwrap_or_else(|e| panic!("{context}: corpus unreadable after recovery: {e}"));
     assert!(
-        expected.iter().any(|e| stores_equal(&store, e)),
+        expected.iter().any(|e| stores_equal(&snap.store, e)),
         "{context}: recovered store ({} sequences) is neither old nor new",
-        store.len()
+        snap.store.len()
     );
     let verify =
         verify_dir_with(&RealVfs, dir).unwrap_or_else(|e| panic!("{context}: verify errored: {e}"));
     assert!(verify.is_ok(), "{context}: verify failed:\n{verify}");
-    let tree = DiskTree::open(&resolved.index_path, cat, 32, 256)
-        .unwrap_or_else(|e| panic!("{context}: tree unreadable after recovery: {e}"));
     for q in [vec![5.0, 5.0], vec![3.0], vec![9.0, 5.0]] {
         let params = SearchParams::with_epsilon(1.0);
-        let (got, _) = run_query(
-            &tree,
-            &alphabet,
-            &store,
-            &QueryRequest::threshold_params(&q, params.clone()),
-        )
-        .unwrap();
+        let (got, _) = snap
+            .query(&QueryRequest::threshold_params(&q, params.clone()))
+            .unwrap();
         let got = got.into_answer_set();
         let mut stats = SearchStats::default();
-        let want = seq_scan(&store, &q, &params, SeqScanMode::Full, &mut stats);
+        let want = seq_scan(&snap.store, &q, &params, SeqScanMode::Full, &mut stats);
         assert_eq!(
             got.occurrence_set(),
             want.occurrence_set(),
@@ -183,7 +174,7 @@ fn append_fault_sweep() {
     let probe_dir = tmpdir("append-probe");
     committed_base(&probe_dir, &initial_store());
     let counter = FaultVfs::new(u64::MAX, FaultMode::Error);
-    append_to_index_dir_with(counter.as_ref(), &probe_dir, &extra_store()).unwrap();
+    append_segment_with(counter.as_ref(), &probe_dir, &extra_store()).unwrap();
     let total = counter.ops();
     std::fs::remove_dir_all(&probe_dir).unwrap();
     assert!(total > 10, "implausibly few operations counted: {total}");
@@ -196,7 +187,7 @@ fn append_fault_sweep() {
             let dir = tmpdir("append-sweep");
             committed_base(&dir, &old);
             let vfs = FaultVfs::new(k, mode);
-            let result = append_to_index_dir_with(vfs.as_ref(), &dir, &extra_store());
+            let result = append_segment_with(vfs.as_ref(), &dir, &extra_store());
             if mode == FaultMode::Error && result.is_err() {
                 // A transient error must have cleaned up after itself
                 // already — before any recovery pass.
@@ -271,14 +262,14 @@ fn appended_dir_survives_crash_then_appends_again() {
     let dir = tmpdir("crash-then-append");
     committed_base(&dir, &initial_store());
     let vfs = FaultVfs::new(25, FaultMode::Crash);
-    let _ = append_to_index_dir_with(vfs.as_ref(), &dir, &extra_store());
+    let _ = append_segment_with(vfs.as_ref(), &dir, &extra_store());
     assert_recovers_to_one_of(&dir, &[&initial_store(), &combined_store()], "mid");
     // The retry must succeed regardless of which state survived; append
     // again only if the first one was lost.
     let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
     let (store, _, _) = load_corpus(&resolved.corpus_path).unwrap();
     if stores_equal(&store, &initial_store()) {
-        append_to_index_dir_with(&RealVfs, &dir, &extra_store()).unwrap();
+        append_segment_with(&RealVfs, &dir, &extra_store()).unwrap();
     }
     assert_recovers_to_one_of(&dir, &[&combined_store()], "final");
     std::fs::remove_dir_all(&dir).unwrap();

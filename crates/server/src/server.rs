@@ -643,7 +643,7 @@ fn degraded_query(
     snap: &DirSnapshot,
     req: &QueryRequest,
 ) -> Result<(QueryOutput, SearchStats), String> {
-    match snap.run_query_degraded_traced(req, &job.trace) {
+    match snap.query_degraded_traced(req, &job.trace) {
         Ok(dq) => {
             job.ctx.search_metrics.record(&dq.stats);
             if !dq.detected.is_empty() {

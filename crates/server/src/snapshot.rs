@@ -35,10 +35,7 @@ use warptree_obs::MetricsRegistry;
 /// publish, scrub publish, and the reload watcher's swap — so the
 /// gauges never go stale.
 pub(crate) fn instrument_snapshot(snap: &DirSnapshot, registry: &MetricsRegistry) {
-    snap.tree.instrument(registry);
-    for seg in &snap.segments {
-        seg.instrument(registry);
-    }
+    snap.instrument(registry);
     registry.set_gauge("index.segments", snap.segment_count() as f64);
     registry.set_gauge("server.quarantined_segments", snap.quarantined.len() as f64);
 }

@@ -86,7 +86,7 @@ fn expected_responses(snap: &DirSnapshot) -> Vec<String> {
         .map(|q| {
             let params = SearchParams::with_epsilon(EPSILON);
             let (out, _) = snap
-                .run_query(&QueryRequest::threshold_params(q, params))
+                .query(&QueryRequest::threshold_params(q, params))
                 .unwrap();
             let answers = out.into_answer_set();
             proto::ok_response(

@@ -81,7 +81,7 @@ fn queries(store: &SequenceStore) -> Vec<Vec<f64>> {
 fn expected_search_response(snap: &DirSnapshot, query: &[f64], epsilon: f64) -> String {
     let params = SearchParams::with_epsilon(epsilon);
     let (out, _) = snap
-        .run_query(&QueryRequest::threshold_params(query, params))
+        .query(&QueryRequest::threshold_params(query, params))
         .unwrap();
     let answers = out.into_answer_set();
     proto::ok_response(
@@ -153,7 +153,7 @@ fn knn_over_the_wire_matches_local_knn() {
     let query = queries(&store)[0].clone();
 
     let (out, _) = snap
-        .run_query(&QueryRequest::knn_params(&query, KnnParams::new(3)))
+        .query(&QueryRequest::knn_params(&query, KnnParams::new(3)))
         .unwrap();
     let matches = out.into_ranked();
     let want = proto::ok_response(
@@ -190,7 +190,7 @@ fn batch_composes_individual_search_bodies() {
     for q in &qs[..2] {
         let params = SearchParams::with_epsilon(eps);
         let (out, _) = snap
-            .run_query(&QueryRequest::threshold_params(q, params))
+            .query(&QueryRequest::threshold_params(q, params))
             .unwrap();
         let answers = out.into_answer_set();
         parts.push(format!(

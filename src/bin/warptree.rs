@@ -84,8 +84,7 @@ fn print_usage() {
          resident size)\n\
          \u{20}  append  add sequences from a CSV to an existing index \
          as a tail segment (crash-safe)\n\
-         \u{20}          --input FILE --index-dir DIR [--merge: fold \
-         into the base tree immediately]\n\
+         \u{20}          --input FILE --index-dir DIR\n\
          \u{20}  compact fold tail segments back into the base tree \
          (binary merge, one generation per fold)\n\
          \u{20}          DIR (or --index-dir DIR)\n\
@@ -366,19 +365,6 @@ fn cmd_append(args: &[String]) -> Result<(), String> {
         return Err("input contains no sequences".into());
     }
     let t0 = std::time::Instant::now();
-    if o.flag("merge") {
-        // Legacy mode: merge the new suffixes into the base tree right
-        // now (one big rewrite, no tail segments).
-        let bytes = warptree_disk::append_to_index_dir(&dir, &new).map_err(|e| e.to_string())?;
-        println!(
-            "appended {} sequences ({} values) in {:.2?}; index now {} KiB",
-            new.len(),
-            new.total_len(),
-            t0.elapsed(),
-            bytes / 1024
-        );
-        return Ok(());
-    }
     let segments = warptree::append_index_dir(&dir, &new).map_err(|e| e.to_string())?;
     println!(
         "appended {} sequences ({} values) as a tail segment in {:.2?}; \
@@ -529,28 +515,20 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let idx = open_index(&dir)?;
     let (store, alphabet, tree) = (&idx.store, &idx.alphabet, &idx.tree);
     let backend = tree.kind();
-    let base_suffixes = warptree::core::search::IndexBackend::suffix_count(tree);
-    // Tail segments hold real suffixes too; totals must cover them or
-    // the compaction percentage drifts after every append.
-    let tail_nodes: u64 = idx.segments.iter().map(|t| t.record_count()).sum();
-    let tail_suffixes: u64 = idx
-        .segments
-        .iter()
-        .map(warptree::core::search::IndexBackend::suffix_count)
-        .sum();
-    // Resident bytes across the base and every tail: the backend-size
-    // stat the tree-vs-esa race compares.
-    let resident_bytes: u64 = std::iter::once(tree)
-        .chain(idx.segments.iter())
-        .map(|t| t.resident_bytes())
-        .sum();
-    let (_, index_path) = resolve_index_dir(&dir).map_err(|e| e.to_string())?;
-    let file_bytes = std::fs::metadata(&index_path)
+    // Totals cover the base and every tail segment — tails hold real
+    // suffixes too, or the compaction percentage would drift after every
+    // append — and resident bytes are the backend-size stat the
+    // tree-vs-esa race compares.
+    use warptree::core::search::IndexBackend;
+    let nodes: u64 = idx.live_trees().map(|t| t.record_count()).sum();
+    let suffixes: u64 = idx.live_trees().map(IndexBackend::suffix_count).sum();
+    let resident_bytes: u64 = idx.live_trees().map(|t| t.resident_bytes()).sum();
+    let resolved = warptree_disk::resolve_dir_with(&warptree_disk::RealVfs, &dir)
+        .map_err(|e| e.to_string())?;
+    let file_bytes = std::fs::metadata(&resolved.index_path)
         .map_err(|e| e.to_string())?
         .len();
-    let manifest = warptree_disk::resolve_dir_with(&warptree_disk::RealVfs, &dir)
-        .map_err(|e| e.to_string())?
-        .manifest;
+    let manifest = &resolved.manifest;
     // `--deep` materializes the tree for structural statistics; the
     // pager/cache traffic of that full scan doubles as a cache profile.
     // The ESA's records are already resident as flat arrays — there is
@@ -576,20 +554,17 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             Some((lo, hi)) => format!("[{},{}]", num(lo), num(hi)),
             None => "null".into(),
         };
-        let manifest_json = match &manifest {
-            None => "null".into(),
-            Some(m) => format!(
-                concat!(
-                    "{{\"generation\":{},\"corpus\":\"{}\",\"index\":\"{}\",",
-                    "\"corpus_bytes\":{},\"index_bytes\":{}}}"
-                ),
-                m.generation,
-                escape(&m.corpus),
-                escape(&m.index),
-                m.corpus_len,
-                m.index_len,
+        let manifest_json = format!(
+            concat!(
+                "{{\"generation\":{},\"corpus\":\"{}\",\"index\":\"{}\",",
+                "\"corpus_bytes\":{},\"index_bytes\":{}}}"
             ),
-        };
+            manifest.generation,
+            escape(&manifest.corpus),
+            escape(&manifest.index),
+            manifest.corpus_len,
+            manifest.index_len,
+        );
         let (structure_json, cache_json) = match &deep {
             None => ("null".into(), "null".into()),
             Some((structure, io, (nh, nm))) => (
@@ -630,8 +605,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             alphabet.len(),
             if tree.is_sparse() { "sparse" } else { "full" },
             backend.as_str(),
-            tree.record_count() + tail_nodes,
-            base_suffixes + tail_suffixes,
+            nodes,
+            suffixes,
             match tree.depth_limit() {
                 Some(d) => d.to_string(),
                 None => "null".into(),
@@ -673,11 +648,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             BackendKind::Esa => "esa (enhanced suffix array)",
         }
     );
-    println!("  nodes:          {}", tree.record_count() + tail_nodes);
-    println!("  stored suffixes:{}", base_suffixes + tail_suffixes);
+    println!("  nodes:          {nodes}");
+    println!("  stored suffixes:{suffixes}");
     println!(
         "  compaction:     {:.1}% of suffixes stored",
-        100.0 * (base_suffixes + tail_suffixes) as f64 / store.total_len().max(1) as f64
+        100.0 * suffixes as f64 / store.total_len().max(1) as f64
     );
     match tree.depth_limit() {
         Some(d) => println!("  depth limit:    {d} (truncated, §8)"),
@@ -693,17 +668,17 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             n - 1
         ),
     }
-    if let Some(m) = &manifest {
-        println!("manifest:");
-        println!(
-            "  corpus:         {} ({} KiB)",
-            m.corpus,
-            m.corpus_len / 1024
-        );
-        println!("  index:          {} ({} KiB)", m.index, m.index_len / 1024);
-    } else {
-        println!("manifest:         none (legacy generation-0 directory)");
-    }
+    println!("manifest:");
+    println!(
+        "  corpus:         {} ({} KiB)",
+        manifest.corpus,
+        manifest.corpus_len / 1024
+    );
+    println!(
+        "  index:          {} ({} KiB)",
+        manifest.index,
+        manifest.index_len / 1024
+    );
     if let Some((structure, io, (nh, nm))) = &deep {
         match structure {
             Some(structure) => {

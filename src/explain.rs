@@ -15,7 +15,9 @@ use warptree_core::sequence::Value;
 use warptree_obs::json::num;
 use warptree_obs::HistogramSnapshot;
 
-use crate::{DiskIndexDir, Index};
+use warptree_disk::DirSnapshot;
+
+use crate::Index;
 
 /// Cache/page traffic attributable to one explained search (deltas over
 /// the run, not totals since open).
@@ -101,7 +103,7 @@ impl ExplainReport {
     /// suffix counts aggregated across the base tree and every tail
     /// segment.
     pub fn for_dir(
-        dir: &DiskIndexDir,
+        dir: &DirSnapshot,
         query: &[Value],
         params: &SearchParams,
     ) -> Result<(AnswerSet, ExplainReport), CoreError> {
@@ -121,12 +123,7 @@ impl ExplainReport {
             node_cache_misses: io1.node_cache_misses - io0.node_cache_misses,
         };
         use warptree_core::search::IndexBackend;
-        let suffixes = IndexBackend::suffix_count(&dir.tree)
-            + dir
-                .segments
-                .iter()
-                .map(IndexBackend::suffix_count)
-                .sum::<u64>();
+        let suffixes = dir.live_trees().map(IndexBackend::suffix_count).sum();
         let report = Self::assemble(
             dir.tree.is_sparse(),
             dir.tree.kind().as_str(),
@@ -140,9 +137,9 @@ impl ExplainReport {
     }
 
     /// Cumulative cache/page traffic of every tree in the directory.
-    fn dir_io_totals(dir: &DiskIndexDir) -> ExplainIo {
+    fn dir_io_totals(dir: &DirSnapshot) -> ExplainIo {
         let mut total = ExplainIo::default();
-        for tree in std::iter::once(&dir.tree).chain(dir.segments.iter()) {
+        for tree in dir.live_trees() {
             let io = tree.io_stats();
             let nc = tree.node_cache_stats();
             total.pages_read += io.pages_read;

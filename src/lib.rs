@@ -76,7 +76,7 @@ use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
     run_query, run_query_with, seq_scan, AnswerSet, KnnParams, Match, QueryOutput, QueryRequest,
-    SearchMetrics, SearchParams, SearchStats, SegmentedIndex, SeqScanMode,
+    SearchMetrics, SearchParams, SearchStats, SeqScanMode,
 };
 use warptree_core::sequence::{SequenceStore, Value};
 use warptree_obs::MetricsRegistry;
@@ -302,15 +302,10 @@ impl Index {
     /// directory's `MANIFEST`. Returns the tree file size in bytes.
     pub fn save_to_dir(&self, dir: &std::path::Path) -> Result<u64, Box<dyn std::error::Error>> {
         let vfs = warptree_disk::RealVfs;
-        let current = match warptree_disk::resolve_dir_with(&vfs, dir) {
-            Ok(resolved) => resolved.generation,
-            Err(warptree_disk::DiskError::NotAnIndexDir(_)) => 0,
-            Err(e) => return Err(e.into()),
-        };
-        let manifest = warptree_disk::commit_dir_with(
+        let manifest = warptree_disk::commit_dir_backend_with(
             &vfs,
             dir,
-            current,
+            warptree_core::search::BackendKind::Tree,
             |corpus_tmp| {
                 warptree_disk::save_corpus_with(&vfs, &self.store, &self.alphabet, corpus_tmp)
                     .map(|_| ())
@@ -321,80 +316,33 @@ impl Index {
     }
 }
 
-/// A disk-backed index directory: the corpus file plus the base tree
-/// and any tail segments (see [`warptree_disk::segment`]), as produced
-/// by [`build_index_dir`], [`append_index_dir`] and the `warptree`
-/// CLI.
+/// A disk-backed index directory, as produced by [`build_index_dir`],
+/// [`append_index_dir`] and the `warptree` CLI, opened after crash
+/// recovery: the [`DirSnapshot`](warptree_disk::DirSnapshot) it derefs
+/// to — `store`, `alphabet`, `cat`, the base `tree`, the tail
+/// `segments`, `generation`, and `query` / `query_with` fanning out
+/// across them — plus what the recovery sweep found.
 pub struct DiskIndexDir {
-    /// The sequence database, loaded from the corpus file.
-    pub store: SequenceStore,
-    /// The categorization alphabet.
-    pub alphabet: Alphabet,
-    /// The categorized corpus (shared with the trees).
-    pub cat: Arc<CatStore>,
-    /// The disk-resident base index, of whichever
-    /// [`BackendKind`](warptree_core::search::BackendKind) the
-    /// directory's manifest records.
-    pub tree: warptree_disk::AnyIndex,
-    /// Tail segments committed by online appends, in manifest order
-    /// (empty for a fully compacted directory). Queries fan out across
-    /// the base tree and every segment with results byte-identical to
-    /// a monolithic index over the same corpus.
-    pub segments: Vec<warptree_disk::AnyIndex>,
-    /// Committed generation that was opened (0 = legacy manifest-less
-    /// directory).
-    pub generation: u64,
+    /// The opened generation.
+    pub snapshot: warptree_disk::DirSnapshot,
     /// What the recovery sweep cleaned while opening (crash leftovers).
     pub recovery: warptree_disk::RecoveryReport,
 }
 
+impl std::ops::Deref for DiskIndexDir {
+    type Target = warptree_disk::DirSnapshot;
+
+    fn deref(&self) -> &Self::Target {
+        &self.snapshot
+    }
+}
+
 impl DiskIndexDir {
-    /// Runs a typed [`QueryRequest`] against this directory, fanning
-    /// out across the base tree and every tail segment.
-    pub fn query(&self, req: &QueryRequest) -> Result<(QueryOutput, SearchStats), CoreError> {
-        if self.segments.is_empty() {
-            run_query(&self.tree, &self.alphabet, &self.store, req)
-        } else {
-            run_query(&self.fan_out(), &self.alphabet, &self.store, req)
-        }
-    }
-
-    /// [`query`](Self::query) accumulating counters and phase timings
-    /// into caller-owned [`SearchMetrics`] (no stats snapshot).
-    pub fn query_with(
-        &self,
-        req: &QueryRequest,
-        metrics: &SearchMetrics,
-    ) -> Result<QueryOutput, CoreError> {
-        if self.segments.is_empty() {
-            run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
-        } else {
-            run_query_with(&self.fan_out(), &self.alphabet, &self.store, req, metrics)
-        }
-    }
-
-    fn fan_out(&self) -> SegmentedIndex<'_, warptree_disk::AnyIndex> {
-        let mut trees: Vec<&warptree_disk::AnyIndex> = Vec::with_capacity(1 + self.segments.len());
-        trees.push(&self.tree);
-        trees.extend(self.segments.iter());
-        SegmentedIndex::new(trees)
-    }
-
-    /// Total number of live trees: the base plus every tail segment.
-    pub fn segment_count(&self) -> usize {
-        1 + self.segments.len()
-    }
-
-    /// The index backend this directory's generation was committed
-    /// under.
-    pub fn backend(&self) -> warptree_core::search::BackendKind {
-        self.tree.kind()
-    }
-
     /// Runs a complete similarity search against the on-disk index.
     ///
-    /// Panics on an invalid query; use [`query`](Self::query) to handle
-    /// validation errors.
+    /// Panics on an invalid query; use
+    /// [`query`](warptree_disk::DirSnapshot::query) to handle validation
+    /// errors.
     pub fn search(&self, query: &[Value], params: &SearchParams) -> (AnswerSet, SearchStats) {
         let (out, stats) = self
             .query(&QueryRequest::threshold_params(query, params.clone()))
@@ -420,8 +368,9 @@ impl DiskIndexDir {
 
     /// Finds the `k` nearest subsequences.
     ///
-    /// Panics on invalid parameters; use [`query`](Self::query) to
-    /// handle validation errors.
+    /// Panics on invalid parameters; use
+    /// [`query`](warptree_disk::DirSnapshot::query) to handle validation
+    /// errors.
     pub fn knn(&self, query: &[Value], params: &KnnParams) -> (Vec<Match>, SearchStats) {
         let (out, stats) = self
             .query(&QueryRequest::knn_params(query, params.clone()))
@@ -453,15 +402,8 @@ impl DiskIndexDir {
     }
 }
 
-/// Legacy (generation 0) file names inside an index directory. Newer
-/// directories carry a `MANIFEST` naming generational files; use
-/// [`resolve_index_dir`] to find the committed pair either way.
-pub fn index_dir_paths(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBuf) {
-    (dir.join("corpus.wc"), dir.join("index.wt"))
-}
-
 /// Resolves the committed corpus and tree file paths of an index
-/// directory (manifest generation, or the legacy fixed-name pair).
+/// directory, as its `MANIFEST` names them.
 pub fn resolve_index_dir(
     dir: &std::path::Path,
 ) -> Result<(std::path::PathBuf, std::path::PathBuf), Box<dyn std::error::Error>> {
@@ -518,31 +460,10 @@ pub fn build_index_dir_backend(
     )
 }
 
-/// [`build_index_dir`] with full build observability: all file I/O is
-/// metered as `disk.vfs.*` counters and the incremental builder
-/// publishes its `build.*` counters and timing histograms, all on
-/// `reg`. Pass a no-op registry to get [`build_index_dir`] behavior.
-pub fn build_index_dir_metered(
-    store: &SequenceStore,
-    cat: Categorization,
-    sparse: bool,
-    batch: usize,
-    dir: &std::path::Path,
-    reg: &MetricsRegistry,
-) -> Result<u64, Box<dyn std::error::Error>> {
-    build_index_dir_backend_metered(
-        store,
-        cat,
-        sparse,
-        batch,
-        warptree_core::search::BackendKind::Tree,
-        dir,
-        reg,
-    )
-}
-
-/// [`build_index_dir_backend`] with full build observability (see
-/// [`build_index_dir_metered`]).
+/// [`build_index_dir_backend`] with full build observability: all
+/// file I/O is metered as `disk.vfs.*` counters and the incremental
+/// builder publishes its `build.*` counters and timing histograms, all
+/// on `reg`.
 pub fn build_index_dir_backend_metered(
     store: &SequenceStore,
     cat: Categorization,
@@ -566,111 +487,43 @@ pub fn build_index_dir_backend_metered(
 }
 
 /// Opens an index directory produced by [`build_index_dir`].
-/// `cache_pages` sizes the tree's buffer pool.
+/// `cache_pages` sizes each tree's buffer pool.
 ///
 /// Opening first runs crash recovery: the committed generation is
-/// selected via the directory's `MANIFEST` (with a fallback to the
-/// legacy `corpus.wc` + `index.wt` pair) and stale temporaries or
+/// selected via the directory's `MANIFEST` and stale temporaries or
 /// uncommitted files from an interrupted build/append are swept. The
 /// sweep's findings are reported in [`DiskIndexDir::recovery`].
 pub fn open_index_dir(
     dir: &std::path::Path,
     cache_pages: usize,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
-    let vfs = warptree_disk::RealVfs;
-    let (resolved, recovery) = warptree_disk::recover_dir_with(&vfs, dir)?;
-    let backend = resolved.backend();
-    let (store, alphabet, cat) = warptree_disk::load_corpus(&resolved.corpus_path)?;
-    let tree = warptree_disk::AnyIndex::open_with(
-        &vfs,
-        &resolved.index_path,
-        cat.clone(),
-        backend,
-        cache_pages,
-        cache_pages * 8,
-    )?;
-    let mut segments = Vec::with_capacity(resolved.segment_paths.len());
-    for (i, path) in resolved.segment_paths.iter().enumerate() {
-        // Quarantined segments (tombstoned after a failed CRC check)
-        // are excluded until a scrub heals them.
-        if resolved
-            .manifest
-            .as_ref()
-            .is_some_and(|m| m.segments[i].quarantined)
-        {
-            continue;
-        }
-        segments.push(warptree_disk::AnyIndex::open_with(
-            &vfs,
-            path,
-            cat.clone(),
-            backend,
-            cache_pages,
-            cache_pages * 8,
-        )?);
-    }
-    Ok(DiskIndexDir {
-        store,
-        alphabet,
-        cat,
-        tree,
-        segments,
-        generation: resolved.generation,
-        recovery,
-    })
+    open_recovered(&warptree_disk::RealVfs, dir, cache_pages)
 }
 
 /// [`open_index_dir`] with I/O tracing: every filesystem operation is
-/// metered as `disk.vfs.*` counters, and the tree's page and node
-/// caches report as `disk.page_cache.*` / `disk.node_cache.*` — all
-/// on `reg`, which outlives the returned index and can be snapshot at
-/// any point.
+/// metered as `disk.vfs.*` counters, and the page and node caches of
+/// the base tree and every tail segment report as `disk.page_cache.*` /
+/// `disk.node_cache.*` — all on `reg`, which outlives the returned
+/// index and can be snapshot at any point.
 pub fn open_index_dir_metered(
     dir: &std::path::Path,
     cache_pages: usize,
     reg: &MetricsRegistry,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
     let vfs = warptree_disk::MeteredVfs::new(warptree_disk::real_vfs(), reg);
-    let (resolved, recovery) = warptree_disk::recover_dir_with(vfs.as_ref(), dir)?;
-    let backend = resolved.backend();
-    let (store, alphabet, cat) =
-        warptree_disk::load_corpus_with(vfs.as_ref(), &resolved.corpus_path)?;
-    let tree = warptree_disk::AnyIndex::open_with(
-        vfs.as_ref(),
-        &resolved.index_path,
-        cat.clone(),
-        backend,
-        cache_pages,
-        cache_pages * 8,
-    )?;
-    tree.instrument(reg);
-    let mut segments = Vec::with_capacity(resolved.segment_paths.len());
-    for (i, path) in resolved.segment_paths.iter().enumerate() {
-        if resolved
-            .manifest
-            .as_ref()
-            .is_some_and(|m| m.segments[i].quarantined)
-        {
-            continue;
-        }
-        segments.push(warptree_disk::AnyIndex::open_with(
-            vfs.as_ref(),
-            path,
-            cat.clone(),
-            backend,
-            cache_pages,
-            cache_pages * 8,
-        )?);
-    }
-    Ok(DiskIndexDir {
-        store,
-        alphabet,
-        cat,
-        tree,
-        segments,
-        generation: resolved.generation,
-        recovery,
-    })
+    let idx = open_recovered(vfs.as_ref(), dir, cache_pages)?;
+    idx.instrument(reg);
+    Ok(idx)
+}
+
+fn open_recovered(
+    vfs: &dyn warptree_disk::Vfs,
+    dir: &std::path::Path,
+    cache_pages: usize,
+) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
+    let (snapshot, recovery) =
+        warptree_disk::open_dir_recovered_with(vfs, dir, cache_pages, cache_pages * 8)?;
+    Ok(DiskIndexDir { snapshot, recovery })
 }
 
 /// Appends `new` to an index directory as a tail segment — O(new data)
@@ -701,9 +554,8 @@ pub fn compact_index_dir(dir: &std::path::Path) -> Result<u64, Box<dyn std::erro
 pub mod prelude {
     pub use crate::{
         append_index_dir, build_index_dir, build_index_dir_backend,
-        build_index_dir_backend_metered, build_index_dir_metered, compact_index_dir,
-        open_index_dir, open_index_dir_metered, resolve_index_dir, Categorization, DiskIndexDir,
-        ExplainIo, ExplainReport, Index,
+        build_index_dir_backend_metered, compact_index_dir, open_index_dir, open_index_dir_metered,
+        resolve_index_dir, Categorization, DiskIndexDir, ExplainIo, ExplainReport, Index,
     };
     pub use warptree_core::cluster::{cluster_matches, Cluster};
     pub use warptree_core::predict::{forecast, Forecast, Weighting};

@@ -79,7 +79,7 @@ fn build_chaos_dir(dir: &Path) -> (String, String) {
     warptree::append_index_dir(dir, &gen_store(1000, 36, 28)).unwrap();
     warptree::append_index_dir(dir, &gen_store(2000, 36, 28)).unwrap();
     let resolved = resolve_dir_with(&RealVfs, dir).unwrap();
-    let manifest = resolved.manifest.unwrap();
+    let manifest = resolved.manifest;
     assert_eq!(manifest.segments.len(), 2);
     for meta in &manifest.segments {
         let len = std::fs::metadata(dir.join(&meta.file)).unwrap().len();
@@ -163,7 +163,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
         chaos_queries()
             .iter()
             .map(|q| {
-                let dq = snap.run_query_degraded(&req(q)).unwrap();
+                let dq = snap.query_degraded(&req(q)).unwrap();
                 assert!(dq.detected.is_empty());
                 assert!(
                     dq.output.coverage.is_none(),
@@ -181,7 +181,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     // Corrupt segment 1 on disk, then reopen (a fresh process's view).
     corrupt_pages_after_first(&dir.join(&seg1));
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let dq = snap.run_query_degraded(&req(&chaos_queries()[0])).unwrap();
+    let dq = snap.query_degraded(&req(&chaos_queries()[0])).unwrap();
     assert_eq!(
         dq.detected,
         vec![seg1.clone()],
@@ -222,7 +222,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert_eq!(snap.quarantined.len(), 1);
     assert_eq!(snap.segments.len(), 1, "quarantined segment not opened");
-    let dq = snap.run_query_degraded(&req(&chaos_queries()[1])).unwrap();
+    let dq = snap.query_degraded(&req(&chaos_queries()[1])).unwrap();
     assert!(dq.detected.is_empty(), "no re-detection after quarantine");
     let cov = dq.output.coverage.expect("still partial after restart");
     assert_eq!(cov.segments_quarantined, 1);
@@ -237,7 +237,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert!(snap.quarantined.is_empty());
     for (q, want) in chaos_queries().iter().zip(&clean) {
-        let dq = snap.run_query_degraded(&req(q)).unwrap();
+        let dq = snap.query_degraded(&req(q)).unwrap();
         assert!(
             dq.output.coverage.is_none(),
             "healed index is no longer partial"
@@ -260,7 +260,7 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    match snap.run_query_degraded(&req) {
+    match snap.query_degraded(&req) {
         Err(DegradedError::Corrupt(e)) => {
             let msg = e.to_string();
             assert!(msg.contains("corruption"), "typed corruption error: {msg}");
@@ -644,11 +644,7 @@ fn full_chaos_matrix_with_concurrent_ingest() {
             // and open) just means this run exercises the net-only
             // column — the invariants below hold either way.
             if let Ok(resolved) = resolve_dir_with(&RealVfs, &dir) {
-                if let Some(meta) = resolved
-                    .manifest
-                    .as_ref()
-                    .and_then(|m| m.segments.iter().find(|s| !s.quarantined))
-                {
+                if let Some(meta) = resolved.manifest.live_segments().next() {
                     let _ = try_corrupt_pages_after_first(&dir.join(&meta.file));
                 }
             }
@@ -711,12 +707,12 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     assert!(snap.quarantined.is_empty());
     for q in &queries {
         let req = QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
-        let dq = snap.run_query_degraded(&req).unwrap();
+        let dq = snap.query_degraded(&req).unwrap();
         assert!(
             dq.output.coverage.is_none(),
             "healed index serves full coverage"
         );
-        let (clean_out, _) = snap.run_query(&req).unwrap();
+        let (clean_out, _) = snap.query(&req).unwrap();
         assert_eq!(dq.output.matches(), clean_out.matches());
     }
     let _ = partials; // may be 0 if every degraded exchange was eaten by net faults

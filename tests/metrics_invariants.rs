@@ -164,3 +164,67 @@ fn registry_snapshot_has_search_and_io_names() {
     assert!(js.contains("\"search.answers\""));
     std::fs::remove_dir_all(&d).ok();
 }
+
+/// A metered open instruments the base tree *and* every tail segment:
+/// after one query, the registry's page- and node-cache traffic is the
+/// traffic of all three trees, not of the base alone.
+///
+/// The per-tree truth comes from an unmetered open of the same
+/// directory running the same query from the same cold caches — once
+/// instrumented, the trees share the registry's counter cells, so their
+/// own `io_stats()` all read the shared total.
+#[test]
+fn metered_open_counts_tail_segment_traffic() {
+    let store = corpus();
+    let q = query(&store);
+    let params = SearchParams::with_epsilon(6.0);
+    let d = dir("tails");
+    let mut parts = (0..3).map(|part| {
+        let ids = (0..store.len()).filter(|i| i % 3 == part);
+        SequenceStore::from_values(ids.map(|i| store.get(SeqId(i as u32)).values().to_vec()))
+    });
+    let alphabet = Categorization::MaxEntropy(12);
+    build_index_dir(&parts.next().unwrap(), alphabet, false, 8, &d).unwrap();
+    for tail in parts {
+        append_index_dir(&d, &tail).unwrap();
+    }
+
+    let plain = open_index_dir(&d, 32).unwrap();
+    assert_eq!(plain.segment_count(), 3);
+    // Page and node lookups per tree (the open itself reads a header
+    // page, before any instrumenting; take the query's delta).
+    let lookups = |idx: &DiskIndexDir| -> Vec<(u64, u64)> {
+        let per_tree = idx.live_trees().map(|t| {
+            let (io, (node_hits, node_misses)) = (t.io_stats(), t.node_cache_stats());
+            (io.pages_read + io.cache_hits, node_hits + node_misses)
+        });
+        per_tree.collect()
+    };
+    let at_open = lookups(&plain);
+    let expected = plain.search_with(&q, &params, &SearchMetrics::new());
+    let per_tree: Vec<(u64, u64)> = lookups(&plain)
+        .iter()
+        .zip(&at_open)
+        .map(|(after, before)| (after.0 - before.0, after.1 - before.1))
+        .collect();
+    assert!(
+        per_tree
+            .iter()
+            .all(|&(pages, nodes)| pages > 0 && nodes > 0),
+        "every tree must see traffic for the test to mean anything: {per_tree:?}"
+    );
+    let pages: u64 = per_tree.iter().map(|t| t.0).sum();
+    let nodes: u64 = per_tree.iter().map(|t| t.1).sum();
+
+    let reg = MetricsRegistry::new();
+    let metered = open_index_dir_metered(&d, 32, &reg).unwrap();
+    let answers = metered.search_with(&q, &params, &SearchMetrics::new());
+    assert_eq!(answers.occurrence_set(), expected.occurrence_set());
+    let snap = reg.snapshot();
+    let counted = |kind: &str| {
+        snap.counters[&format!("disk.{kind}.hits")] + snap.counters[&format!("disk.{kind}.misses")]
+    };
+    assert_eq!(counted("page_cache"), pages);
+    assert_eq!(counted("node_cache"), nodes);
+    std::fs::remove_dir_all(&d).ok();
+}

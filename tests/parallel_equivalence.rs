@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use warptree::prelude::*;
 use warptree_disk::{
-    append_to_index_dir_with, build_dir_with, open_dir_snapshot_with, real_vfs, write_tree,
-    DiskTree, FaultMode, FaultVfs,
+    append_segment_with, build_dir_with, open_dir_snapshot_with, real_vfs, write_tree, DiskTree,
+    FaultMode, FaultVfs,
 };
 use warptree_suffix::{build_sparse_truncated, TruncateSpec};
 
@@ -300,7 +300,7 @@ fn torn_commit_reopen_preserves_parallel_equivalence() {
     )
     .unwrap();
     let counter = FaultVfs::new(u64::MAX, FaultMode::Error);
-    append_to_index_dir_with(counter.as_ref(), &probe, &extra).unwrap();
+    append_segment_with(counter.as_ref(), &probe, &extra).unwrap();
     let total = counter.ops();
     std::fs::remove_dir_all(&probe).unwrap();
     assert!(total > 4, "implausibly few append operations: {total}");
@@ -319,18 +319,20 @@ fn torn_commit_reopen_preserves_parallel_equivalence() {
     )
     .unwrap();
     let vfs = FaultVfs::new(total - 2, FaultMode::Crash);
-    let _ = append_to_index_dir_with(vfs.as_ref(), &dir, &extra);
+    let _ = append_segment_with(vfs.as_ref(), &dir, &extra);
 
     // Reopen with a healthy filesystem: recovery lands on the complete
     // old or complete new generation; either way the parallel contract
     // must hold on what it serves.
     let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 16, 64).unwrap();
-    for p in [
-        SearchParams::with_epsilon(0.8),
-        SearchParams::with_epsilon(5.0),
-    ] {
-        assert_search_equivalent(&snap.tree, &snap.alphabet, &snap.store, &p, "torn-reopen");
+    for tree in snap.live_trees() {
+        for p in [
+            SearchParams::with_epsilon(0.8),
+            SearchParams::with_epsilon(5.0),
+        ] {
+            assert_search_equivalent(tree, &snap.alphabet, &snap.store, &p, "torn-reopen");
+        }
+        assert_knn_equivalent(tree, &snap.alphabet, &snap.store, "torn-reopen");
     }
-    assert_knn_equivalent(&snap.tree, &snap.alphabet, &snap.store, "torn-reopen");
     std::fs::remove_dir_all(&dir).unwrap();
 }
