@@ -64,7 +64,10 @@ impl RowStat {
 /// [`truncate`](Self::truncate), which is what lets a depth-first
 /// suffix-tree traversal share table prefixes across all suffixes with a
 /// common prefix (the paper's `R_d` reduction factor).
-#[derive(Debug, Clone)]
+///
+/// Two tables are equal when they hold the same query, window, cells and
+/// cost counter — the comparison the kernel-equivalence tests make.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarpTable {
     query: Vec<Value>,
     /// Row-major cells, stride `query.len() + 1`; row 0 is the boundary
@@ -195,6 +198,57 @@ impl WarpTable {
         self.cells_computed += (hi - lo + 1) as u64;
         let dist = self.cells[r * stride + self.query.len()];
         let stat = RowStat { dist, min };
+        self.stats.push(stat);
+        stat
+    }
+
+    /// Appends a data row from its precomputed base distances:
+    /// `base[x − 1]` is the base distance between query element `x` and
+    /// the new data element, for every column (in band or not).
+    ///
+    /// Cell for cell the row [`push_row_with`](Self::push_row_with)
+    /// appends for the same distances — same `RowStat`, same
+    /// [`cells_computed`](Self::cells_computed) — written in place over
+    /// contiguous slices instead of one call and one `push` per cell.
+    /// This is the filter's row: a suffix-tree traversal meets the same
+    /// few symbols over and over, so it keeps one base row per symbol
+    /// and pays for the base distance once per query, not once per cell.
+    ///
+    /// `base` must hold no NaN (the minimum is taken with `<`).
+    ///
+    /// # Panics
+    /// Panics if `base.len()` differs from the query length.
+    pub fn push_base_row(&mut self, base: &[f64]) -> RowStat {
+        let n = self.query.len();
+        assert_eq!(base.len(), n, "one base distance per query element");
+        self.bound_state = None;
+        let stride = n + 1;
+        let r = self.stats.len() + 1; // 1-based row index being added
+        let start = r * stride;
+        // Column 0 and every out-of-band column stay infinite.
+        self.cells.resize(start + stride, f64::INFINITY);
+        let mut min = f64::INFINITY;
+        if let Some((lo, hi)) = self.band(r) {
+            let (head, cur) = self.cells.split_at_mut(start);
+            let prev = &head[start - stride..];
+            let mut left = f64::INFINITY; // γ(x-1, r)
+            let cells = cur[lo..=hi]
+                .iter_mut()
+                .zip(&base[lo - 1..hi])
+                .zip(prev[lo - 1..hi].iter().zip(&prev[lo..=hi]));
+            for ((cell, &b), (&diag, &up)) in cells {
+                // An all-infinite neighbourhood stays infinite: `b` is
+                // finite.
+                left = b + fmin(fmin(diag, up), left);
+                *cell = left;
+                min = fmin(min, left);
+            }
+            self.cells_computed += (hi - lo + 1) as u64;
+        }
+        let stat = RowStat {
+            dist: self.cells[start + n],
+            min,
+        };
         self.stats.push(stat);
         stat
     }

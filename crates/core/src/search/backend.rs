@@ -62,6 +62,50 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// What one [`IndexBackend::visit`] reports about a node, besides the
+/// children it appends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeVisit<'a> {
+    /// Label of the edge *entering* the node: non-empty for every
+    /// non-root node, empty for the root, identical on every visit.
+    /// Borrowed from the index — every backend's label is a substring
+    /// of the categorized store it holds — so a visit copies no symbols.
+    pub label: &'a [Symbol],
+    /// Maximum leading-run length among stored suffixes at or below the
+    /// node (used only by sparse search; dense backends may report
+    /// anything).
+    pub max_lead_run: u32,
+    /// Number of stored suffixes at or below the node, when the index
+    /// can answer in O(1) (tree backends annotate nodes with the count;
+    /// the ESA derives it from interval width). Used only for
+    /// observability — metering the table-sharing factor `R_d` — so
+    /// `None` simply disables that metric.
+    pub suffix_count: Option<u64>,
+}
+
+/// A child buffer seen through a handle conversion: what a view over
+/// other backends ([`SegmentedIndex`](crate::search::segmented::SegmentedIndex),
+/// a backend-dispatching enum) hands to the backend it wraps, so the
+/// wrapped [`visit`](IndexBackend::visit) appends straight into the
+/// traversal's buffer of *view* handles.
+pub struct MapChildren<'a, S, F> {
+    sink: &'a mut S,
+    wrap: F,
+}
+
+impl<'a, S, F> MapChildren<'a, S, F> {
+    /// Appends to `sink`, converting each handle with `wrap`.
+    pub fn new(sink: &'a mut S, wrap: F) -> Self {
+        Self { sink, wrap }
+    }
+}
+
+impl<A, B, S: Extend<B>, F: Fn(A) -> B> Extend<A> for MapChildren<'_, S, F> {
+    fn extend<I: IntoIterator<Item = A>>(&mut self, iter: I) {
+        self.sink.extend(iter.into_iter().map(&self.wrap));
+    }
+}
+
 /// Read-only view of an index backend: a (possibly disk-resident,
 /// possibly sparse) generalized suffix tree over categorized sequences,
 /// or anything that can emulate one top-down.
@@ -74,6 +118,11 @@ impl std::fmt::Display for BackendKind {
 ///
 /// * The concatenated edge labels from the root to any node spell the
 ///   longest common prefix of the stored suffixes below it.
+/// * A traversal learns everything about a node from **one**
+///   [`visit`](IndexBackend::visit): its label, its annotations and its
+///   children. A backend whose nodes are expensive to reach (a paged
+///   record behind a cache) therefore pays for one fetch per visited
+///   node, and the filter allocates nothing per node.
 /// * Traversal is **deterministic**: two traversals of the same index
 ///   observe identical children in identical order and identical suffix
 ///   enumerations. Byte-identical answers across thread counts, across
@@ -90,23 +139,20 @@ pub trait IndexBackend {
     /// The root node (empty path).
     fn root(&self) -> Self::Node;
 
-    /// Invokes `f` for every child of `n`, in deterministic order.
+    /// Visits `n`: appends its children to `children` — a buffer the
+    /// traversal owns and reuses (the filter passes one `Vec` for the
+    /// whole query) — and returns the node's edge label and annotations.
+    /// A view over other backends forwards the buffer through
+    /// [`MapChildren`] to re-tag the handles on the way in.
     ///
-    /// The order is part of the equivalence contract: children are
-    /// visited in ascending order of their edge's first symbol, the
+    /// The order of the appended children is part of the equivalence
+    /// contract: ascending order of their edge's first symbol, the
     /// order the tree builders maintain and the parallel filter's
     /// candidate stitching assumes. Segmented indexes may repeat a
     /// first symbol across segments (same-segment children contiguous,
     /// segments in ascending order) — see
     /// [`SegmentedIndex`](crate::search::segmented::SegmentedIndex).
-    fn for_each_child(&self, n: Self::Node, f: &mut dyn FnMut(Self::Node));
-
-    /// Appends the label of the edge *entering* `n` to `out`.
-    ///
-    /// Undefined for the root (which has no incoming edge). The label
-    /// must be non-empty for every non-root node and identical on every
-    /// call (determinism).
-    fn edge_label(&self, n: Self::Node, out: &mut Vec<Symbol>);
+    fn visit(&self, n: Self::Node, children: &mut impl Extend<Self::Node>) -> NodeVisit<'_>;
 
     /// Invokes `f(seq, start, lead_run)` for every stored suffix at or
     /// below `n`: its sequence id, 0-based start offset, and the length
@@ -116,10 +162,6 @@ pub trait IndexBackend {
     /// candidate lists — and therefore answers at every thread count —
     /// inherit their order from it.
     fn for_each_suffix_below(&self, n: Self::Node, f: &mut dyn FnMut(SeqId, u32, u32));
-
-    /// Maximum leading-run length among stored suffixes at or below `n`
-    /// (used only by sparse search; dense backends may return anything).
-    fn max_lead_run(&self, n: Self::Node) -> u32;
 
     /// `true` when this index stores only the paper's §6.1 suffix subset
     /// (first symbol differs from its predecessor).
@@ -141,16 +183,6 @@ pub trait IndexBackend {
     /// Answer-length cap of a §8-truncated index. `None` (the default)
     /// means the index supports unbounded answer lengths.
     fn depth_limit(&self) -> Option<u32> {
-        None
-    }
-
-    /// Number of stored suffixes at or below `n`, when the index can
-    /// answer in O(1) (tree backends annotate nodes with this count;
-    /// the ESA derives it from interval width). Used only for
-    /// observability — metering the table-sharing factor `R_d` — so the
-    /// default `None` simply disables that metric.
-    fn suffix_count_below(&self, n: Self::Node) -> Option<u64> {
-        let _ = n;
         None
     }
 
@@ -187,12 +219,14 @@ mod tests {
         impl IndexBackend for Nothing {
             type Node = ();
             fn root(&self) {}
-            fn for_each_child(&self, _: (), _: &mut dyn FnMut(())) {}
-            fn edge_label(&self, _: (), _: &mut Vec<Symbol>) {}
-            fn for_each_suffix_below(&self, _: (), _: &mut dyn FnMut(SeqId, u32, u32)) {}
-            fn max_lead_run(&self, _: ()) -> u32 {
-                0
+            fn visit(&self, _: (), _: &mut impl Extend<()>) -> NodeVisit<'_> {
+                NodeVisit {
+                    label: &[],
+                    max_lead_run: 0,
+                    suffix_count: None,
+                }
             }
+            fn for_each_suffix_below(&self, _: (), _: &mut dyn FnMut(SeqId, u32, u32)) {}
             fn is_sparse(&self) -> bool {
                 false
             }

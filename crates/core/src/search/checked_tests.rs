@@ -5,7 +5,7 @@
 use crate::categorize::Alphabet;
 use crate::error::CoreError;
 use crate::search::answers::{AnswerSet, SearchStats};
-use crate::search::backend::IndexBackend;
+use crate::search::backend::{IndexBackend, NodeVisit};
 use crate::search::query::QueryRequest;
 use crate::search::{run_query, SearchParams};
 use crate::sequence::{SeqId, SequenceStore, Value};
@@ -33,19 +33,18 @@ impl IndexBackend for OneSuffix {
     fn root(&self) -> usize {
         0
     }
-    fn for_each_child(&self, n: usize, f: &mut dyn FnMut(usize)) {
-        if n == 0 && !self.symbols.is_empty() {
-            f(1);
+    fn visit(&self, n: usize, children: &mut impl Extend<usize>) -> NodeVisit<'_> {
+        if n == 0 {
+            children.extend((!self.symbols.is_empty()).then_some(1));
         }
-    }
-    fn edge_label(&self, _n: usize, out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.symbols);
+        NodeVisit {
+            label: if n == 0 { &[] } else { &self.symbols },
+            max_lead_run: 1,
+            suffix_count: None,
+        }
     }
     fn for_each_suffix_below(&self, _n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
         f(SeqId(0), 0, 1);
-    }
-    fn max_lead_run(&self, _n: usize) -> u32 {
-        1
     }
     fn is_sparse(&self) -> bool {
         false

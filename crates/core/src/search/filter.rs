@@ -20,7 +20,7 @@
 use crate::categorize::{Alphabet, Symbol};
 use crate::dtw::WarpTable;
 use crate::search::answers::{Candidate, SearchParams};
-use crate::search::backend::IndexBackend;
+use crate::search::backend::{IndexBackend, NodeVisit};
 use crate::search::metrics::SearchMetrics;
 use crate::sequence::{Occurrence, SeqId, Value};
 
@@ -40,6 +40,51 @@ struct PathState {
     in_run: bool,
 }
 
+/// The per-query table of base rows: `row(sym)[x] = base(Q[x], sym)`,
+/// filled the first time the traversal meets `sym`. A traversal meets
+/// the same few symbols at every depth (and in runs along an edge), so
+/// the base distance — a closure call and, for a real alphabet, two
+/// compares — is paid `|Q|` times per *symbol*, and a table row becomes
+/// one pass over two contiguous slices.
+///
+/// Nothing is sized by the alphabet: rows are appended as symbols turn
+/// up, and the symbol → row map grows to the largest symbol met, so the
+/// large grid alphabets of the multivariate search and arbitrary `base`
+/// closures cost what they use.
+struct BaseRows {
+    /// `1 +` the symbol's row number in `rows`; `0` while unmet.
+    slot: Vec<u32>,
+    /// The filled rows back to back, `|Q|` values each.
+    rows: Vec<f64>,
+}
+
+impl BaseRows {
+    fn new() -> Self {
+        Self {
+            slot: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn row<B: Fn(Value, Symbol) -> f64>(
+        &mut self,
+        sym: Symbol,
+        query: &[Value],
+        base: &B,
+    ) -> &[f64] {
+        let (s, n) = (sym as usize, query.len());
+        if s >= self.slot.len() {
+            self.slot.resize(s + 1, 0);
+        }
+        if self.slot[s] == 0 {
+            self.rows.extend(query.iter().map(|&q| base(q, sym)));
+            self.slot[s] = (self.rows.len() / n) as u32;
+        }
+        let at = (self.slot[s] as usize - 1) * n;
+        &self.rows[at..at + n]
+    }
+}
+
 struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     tree: &'a T,
     /// Base lower-bound distance between a query element (as stored in
@@ -50,8 +95,40 @@ struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     max_len: Option<u32>,
     min_len: u32,
     table: WarpTable,
+    rows: BaseRows,
+    /// The children of every node on the current path, innermost last:
+    /// the one buffer [`IndexBackend::visit`] appends to, truncated on
+    /// backtrack like the table.
+    kids: Vec<T::Node>,
     out: Vec<Candidate>,
     metrics: &'a SearchMetrics,
+}
+
+impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
+    /// A context over `table` with nothing emitted yet — the caller's,
+    /// or a parallel fork's over its copy of the shared prefix.
+    fn new(
+        tree: &'a T,
+        base: &'a B,
+        params: &'a SearchParams,
+        table: WarpTable,
+        metrics: &'a SearchMetrics,
+    ) -> Self {
+        let query_len = table.query().len();
+        FilterCtx {
+            tree,
+            base,
+            params,
+            sparse: tree.is_sparse(),
+            max_len: params.effective_max_len(query_len),
+            min_len: params.effective_min_len(query_len),
+            table,
+            rows: BaseRows::new(),
+            kids: Vec::new(),
+            out: Vec::new(),
+            metrics,
+        }
+    }
 }
 
 /// Runs the lower-bound filter over the index, returning every candidate
@@ -116,25 +193,19 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
             "answer-length bound {max} exceeds the index's depth limit              {limit}"
         );
     }
-    let sparse = tree.is_sparse();
     // Sparse trees traverse with an *unwindowed* table even when a
     // warping window is requested: the shifted (non-stored) suffixes of
     // Definition 4 live at table rows beyond |Q| + w, where a windowed
     // table is all-infinite. The unconstrained lower bound remains valid
     // (banding a table can only raise distances), and the window is
     // enforced exactly during post-processing.
-    let table_window = if sparse { None } else { params.window };
-    let mut ctx = FilterCtx {
-        tree,
-        base,
-        params,
-        sparse,
-        max_len: params.effective_max_len(query.len()),
-        min_len: params.effective_min_len(query.len()),
-        table: WarpTable::new(query, table_window),
-        out: Vec::new(),
-        metrics,
+    let table_window = if tree.is_sparse() {
+        None
+    } else {
+        params.window
     };
+    let table = WarpTable::new(query, table_window);
+    let mut ctx = FilterCtx::new(tree, base, params, table, metrics);
     let root = tree.root();
     let state = PathState {
         depth: 0,
@@ -146,10 +217,14 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
     let threads = params.threads.max(1) as usize;
     if threads > 1 {
         descend_parallel(&mut ctx, root, state, threads);
-    } else if ctx.metrics.trace.is_active() {
-        descend_root_traced(&mut ctx, root, state);
     } else {
-        descend(&mut ctx, root, state);
+        tree.visit(root, &mut ctx.kids);
+        let root_children = 0..ctx.kids.len();
+        if ctx.metrics.trace.is_active() {
+            descend_root_traced(&mut ctx, root_children, state);
+        } else {
+            descend(&mut ctx, root_children, state);
+        }
     }
     ctx.metrics.filter_cells.add(ctx.table.cells_computed());
     ctx.metrics.candidates.add(ctx.out.len() as u64);
@@ -157,20 +232,20 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
 }
 
 /// One iteration of [`descend`]'s child loop, without the backtracking
-/// truncate: the unit of work a parallel fork executes for its subtree
-/// root (the fork's table is discarded afterwards, so nothing needs
-/// restoring).
+/// truncates: the unit of work a parallel fork executes for its subtree
+/// root (the fork's table and child buffer are discarded afterwards, so
+/// nothing needs restoring).
 fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     child: T::Node,
     state: PathState,
 ) {
     ctx.metrics.nodes_visited.incr();
-    let mut label = Vec::new();
-    ctx.tree.edge_label(child, &mut label);
-    if let Some(next) = walk_edge(ctx, child, state, &label) {
+    let below = ctx.kids.len();
+    let visit = ctx.tree.visit(child, &mut ctx.kids);
+    if let Some(next) = walk_edge(ctx, child, state, &visit) {
         ctx.metrics.nodes_expanded.incr();
-        descend(ctx, child, next);
+        descend(ctx, below..ctx.kids.len(), next);
     }
 }
 
@@ -192,7 +267,7 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     threads: usize,
 ) {
     let mut children = Vec::new();
-    ctx.tree.for_each_child(root, &mut |c| children.push(c));
+    ctx.tree.visit(root, &mut children);
     let expand = children.len() < threads;
     // The forked tasks, and per root child the (prefix-candidate end,
     // task end) watermarks used to stitch the output back together.
@@ -201,13 +276,14 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     for child in children {
         if expand {
             ctx.metrics.nodes_visited.incr();
-            let mut label = Vec::new();
-            ctx.tree.edge_label(child, &mut label);
-            if let Some(next) = walk_edge(ctx, child, state, &label) {
+            let visit = ctx.tree.visit(child, &mut ctx.kids);
+            if let Some(next) = walk_edge(ctx, child, state, &visit) {
                 ctx.metrics.nodes_expanded.incr();
-                ctx.tree
-                    .for_each_child(child, &mut |g| tasks.push((g, next, ctx.table.fork())));
+                for &g in &ctx.kids {
+                    tasks.push((g, next, ctx.table.fork()));
+                }
             }
+            ctx.kids.clear();
             ctx.table.truncate(state.depth);
         } else {
             tasks.push((child, state, ctx.table.fork()));
@@ -215,7 +291,6 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
         segments.push((ctx.out.len(), tasks.len()));
     }
     let (tree, base, params, metrics) = (ctx.tree, ctx.base, ctx.params, ctx.metrics);
-    let (sparse, max_len, min_len) = (ctx.sparse, ctx.max_len, ctx.min_len);
     let (results, scratches) = crate::parallel::parallel_map_with(
         threads,
         tasks,
@@ -226,17 +301,7 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
             // forks run concurrently, so spans overlap rather than
             // partition the filter's wall time.
             let span = scratch.trace_span("filter.task");
-            let mut fork_ctx = FilterCtx {
-                tree,
-                base,
-                params,
-                sparse,
-                max_len,
-                min_len,
-                table,
-                out: Vec::new(),
-                metrics: scratch,
-            };
+            let mut fork_ctx = FilterCtx::new(tree, base, params, table, scratch);
             visit_child(&mut fork_ctx, node, state);
             if span.is_active() {
                 if let Some(seg) = tree.segment_hint(node) {
@@ -267,24 +332,22 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
 }
 
 /// Sequential root traversal under an active trace: identical work (and
-/// work *order*) to [`descend`] at the root, but with runs of root
-/// children sharing a [`segment_hint`](IndexBackend::segment_hint)
-/// grouped under a `filter.segment` span carrying that run's counter
-/// deltas. Over a single-segment index the whole root becomes one
-/// anonymous `filter.segment` span.
+/// work *order*) to [`descend`] over the root's children
+/// `ctx.kids[children]`, but with runs of root children sharing a
+/// [`segment_hint`](IndexBackend::segment_hint) grouped under a
+/// `filter.segment` span carrying that run's counter deltas. Over a
+/// single-segment index the whole root becomes one anonymous
+/// `filter.segment` span.
 fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
-    root: T::Node,
+    children: std::ops::Range<usize>,
     state: PathState,
 ) {
-    let mut children = Vec::new();
-    ctx.tree.for_each_child(root, &mut |c| children.push(c));
-    let mut label = Vec::new();
-    let mut i = 0;
-    while i < children.len() {
-        let seg = ctx.tree.segment_hint(children[i]);
+    let (mut i, end) = (children.start, children.end);
+    while i < end {
+        let seg = ctx.tree.segment_hint(ctx.kids[i]);
         let mut j = i + 1;
-        while j < children.len() && ctx.tree.segment_hint(children[j]) == seg {
+        while j < end && ctx.tree.segment_hint(ctx.kids[j]) == seg {
             j += 1;
         }
         let span = ctx.metrics.trace_span("filter.segment");
@@ -292,16 +355,7 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             span.attr_u64("segment", s as u64);
         }
         let (out_before, before) = (ctx.out.len(), ctx.metrics.snapshot());
-        for &child in &children[i..j] {
-            ctx.metrics.nodes_visited.incr();
-            label.clear();
-            ctx.tree.edge_label(child, &mut label);
-            if let Some(next) = walk_edge(ctx, child, state, &label) {
-                ctx.metrics.nodes_expanded.incr();
-                descend(ctx, child, next);
-            }
-            ctx.table.truncate(state.depth);
-        }
+        descend(ctx, i..j, state);
         let d = ctx.metrics.snapshot();
         span.attr_u64("root_children", (j - i) as u64);
         span.attr_u64("nodes_visited", d.nodes_visited - before.nodes_visited);
@@ -315,23 +369,21 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     }
 }
 
+/// Walks the subtrees under the siblings `ctx.kids[siblings]` — the
+/// children of the node the traversal stands on, or a run of them.
+/// Everything past them in the buffer belongs to the subtree being
+/// walked and is dropped on the way back up.
 fn descend<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
-    node: T::Node,
+    siblings: std::ops::Range<usize>,
     state: PathState,
 ) {
-    let mut children = Vec::new();
-    ctx.tree.for_each_child(node, &mut |c| children.push(c));
-    let mut label = Vec::new();
-    for child in children {
-        ctx.metrics.nodes_visited.incr();
-        label.clear();
-        ctx.tree.edge_label(child, &mut label);
-        if let Some(next) = walk_edge(ctx, child, state, &label) {
-            ctx.metrics.nodes_expanded.incr();
-            descend(ctx, child, next);
-        }
-        // Backtrack: drop this edge's rows.
+    let end = ctx.kids.len();
+    for i in siblings {
+        let child = ctx.kids[i];
+        visit_child(ctx, child, state);
+        // Backtrack: drop this edge's rows and the subtree's children.
+        ctx.kids.truncate(end);
         ctx.table.truncate(state.depth);
     }
 }
@@ -343,7 +395,7 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     child: T::Node,
     mut state: PathState,
-    label: &[Symbol],
+    visit: &NodeVisit<'_>,
 ) -> Option<PathState> {
     let epsilon = ctx.params.epsilon;
     // Suffixes below `child`, fetched lazily on the first qualifying row
@@ -355,11 +407,7 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     // run: the longest stored-suffix leading run below (Definition 4's
     // p−1 bound can grow up to it). Once the run ends, the cap drops to
     // the now-frozen `lead − 1` (recomputed per symbol below).
-    let run_cap = if ctx.sparse {
-        ctx.tree.max_lead_run(child)
-    } else {
-        0
-    };
+    let run_cap = if ctx.sparse { visit.max_lead_run } else { 0 };
     // A sparse tree may usefully descend past the answer-length cap: a
     // row at depth r still yields shifted candidates of length r − k.
     let depth_allowance = if ctx.sparse {
@@ -371,11 +419,11 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     // the number of stored suffixes sharing it. Fetched only when the
     // metric is live and the index can answer cheaply.
     let unshared_weight = if ctx.metrics.rows_unshared.is_active() {
-        ctx.tree.suffix_count_below(child).unwrap_or(0)
+        visit.suffix_count.unwrap_or(0)
     } else {
         0
     };
-    for &sym in label {
+    for &sym in visit.label {
         if let Some(m) = ctx.max_len {
             if state.depth as u64 >= m as u64 + depth_allowance as u64 {
                 // Deeper rows cannot yield any in-range answer length.
@@ -387,9 +435,10 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             ctx.metrics.branches_pruned.incr();
             return None;
         }
+        let row = ctx.rows.row(sym, ctx.table.query(), ctx.base);
         if state.depth == 0 {
             state.first = sym;
-            state.dbase1 = (ctx.base)(ctx.table.query()[0], sym);
+            state.dbase1 = row[0];
             state.lead = 1;
             state.in_run = true;
         } else if state.in_run && sym == state.first {
@@ -397,8 +446,7 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         } else {
             state.in_run = false;
         }
-        let base = ctx.base;
-        let stat = ctx.table.push_row_with(|q| base(q, sym));
+        let stat = ctx.table.push_base_row(row);
         state.depth += 1;
         ctx.metrics.rows_pushed.incr();
         ctx.metrics.rows_unshared.add(unshared_weight);
@@ -535,13 +583,15 @@ mod tests {
         fn root(&self) -> usize {
             0
         }
-        fn for_each_child(&self, n: usize, f: &mut dyn FnMut(usize)) {
-            for &c in &self.nodes[n].1 {
-                f(c);
+        fn visit(&self, n: usize, children: &mut impl Extend<usize>) -> NodeVisit<'_> {
+            children.extend(self.nodes[n].1.iter().copied());
+            let mut max_lead_run = 0;
+            self.for_each_suffix_below(n, &mut |_, _, r| max_lead_run = max_lead_run.max(r));
+            NodeVisit {
+                label: &self.nodes[n].0,
+                max_lead_run,
+                suffix_count: None,
             }
-        }
-        fn edge_label(&self, n: usize, out: &mut Vec<Symbol>) {
-            out.extend_from_slice(&self.nodes[n].0);
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
             for &(s, p, r) in &self.nodes[n].2 {
@@ -550,11 +600,6 @@ mod tests {
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
             }
-        }
-        fn max_lead_run(&self, n: usize) -> u32 {
-            let mut m = 0;
-            self.for_each_suffix_below(n, &mut |_, _, r| m = m.max(r));
-            m
         }
         fn is_sparse(&self) -> bool {
             self.sparse

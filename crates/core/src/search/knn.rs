@@ -318,6 +318,7 @@ mod tests {
     use super::*;
     use crate::categorize::CatStore;
     use crate::search::answers::SearchStats;
+    use crate::search::backend::NodeVisit;
     use crate::search::query::QueryRequest;
     use crate::sequence::{Occurrence, SeqId};
 
@@ -365,13 +366,15 @@ mod tests {
         fn root(&self) -> usize {
             0
         }
-        fn for_each_child(&self, n: usize, f: &mut dyn FnMut(usize)) {
-            for &c in &self.nodes[n].1 {
-                f(c);
+        fn visit(&self, n: usize, children: &mut impl Extend<usize>) -> NodeVisit<'_> {
+            children.extend(self.nodes[n].1.iter().copied());
+            let mut max_lead_run = 0;
+            self.for_each_suffix_below(n, &mut |_, _, r| max_lead_run = max_lead_run.max(r));
+            NodeVisit {
+                label: &self.nodes[n].0,
+                max_lead_run,
+                suffix_count: None,
             }
-        }
-        fn edge_label(&self, n: usize, out: &mut Vec<u32>) {
-            out.extend_from_slice(&self.nodes[n].0);
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
             for &(s, p, r) in &self.nodes[n].2 {
@@ -380,11 +383,6 @@ mod tests {
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
             }
-        }
-        fn max_lead_run(&self, n: usize) -> u32 {
-            let mut m = 0;
-            self.for_each_suffix_below(n, &mut |_, _, r| m = m.max(r));
-            m
         }
         fn is_sparse(&self) -> bool {
             false

@@ -41,7 +41,7 @@ pub mod seqscan;
 
 pub use aligned::aligned_scan;
 pub use answers::{AnswerSet, Candidate, Match, SearchParams, SearchStats};
-pub use backend::{BackendKind, IndexBackend};
+pub use backend::{BackendKind, IndexBackend, MapChildren, NodeVisit};
 pub use cascade::QueryEnvelope;
 pub use filter::{filter_tree, filter_tree_with};
 pub use knn::KnnParams;

@@ -30,7 +30,7 @@
 //!   `rows_pushed`, …) legitimately differ — segments repeat shared
 //!   path prefixes the monolithic tree walks once.
 
-use crate::search::backend::IndexBackend;
+use crate::search::backend::{IndexBackend, MapChildren, NodeVisit};
 use crate::sequence::SeqId;
 
 /// A node of the fan-out view: the virtual root, or a node inside one
@@ -99,27 +99,29 @@ impl<T: IndexBackend> IndexBackend for SegmentedIndex<'_, T> {
         SegNode::Root
     }
 
-    fn for_each_child(&self, n: Self::Node, f: &mut dyn FnMut(Self::Node)) {
+    fn visit(&self, n: Self::Node, children: &mut impl Extend<Self::Node>) -> NodeVisit<'_> {
+        let inner = |seg: u32, node: T::Node, children: &mut _| {
+            let wrap = |node| SegNode::Inner { seg, node };
+            self.seg(seg)
+                .visit(node, &mut MapChildren::new(children, wrap))
+        };
         match n {
+            // The virtual root: every segment root's children, in
+            // segment order, under the union of the roots' annotations.
             SegNode::Root => {
+                let mut all = NodeVisit {
+                    label: &[],
+                    max_lead_run: 0,
+                    suffix_count: Some(0),
+                };
                 for (i, s) in self.segments.iter().enumerate() {
-                    let seg = i as u32;
-                    s.for_each_child(s.root(), &mut |c| f(SegNode::Inner { seg, node: c }));
+                    let v = inner(i as u32, s.root(), children);
+                    all.max_lead_run = all.max_lead_run.max(v.max_lead_run);
+                    all.suffix_count = all.suffix_count.zip(v.suffix_count).map(|(a, b)| a + b);
                 }
+                all
             }
-            SegNode::Inner { seg, node } => {
-                self.seg(seg)
-                    .for_each_child(node, &mut |c| f(SegNode::Inner { seg, node: c }));
-            }
-        }
-    }
-
-    fn edge_label(&self, n: Self::Node, out: &mut Vec<u32>) {
-        match n {
-            // The filter never asks for the root's (non-existent)
-            // incoming edge; keep the same contract here.
-            SegNode::Root => unreachable!("edge_label is undefined for the root"),
-            SegNode::Inner { seg, node } => self.seg(seg).edge_label(node, out),
+            SegNode::Inner { seg, node } => inner(seg, node, children),
         }
     }
 
@@ -131,18 +133,6 @@ impl<T: IndexBackend> IndexBackend for SegmentedIndex<'_, T> {
                 }
             }
             SegNode::Inner { seg, node } => self.seg(seg).for_each_suffix_below(node, f),
-        }
-    }
-
-    fn max_lead_run(&self, n: Self::Node) -> u32 {
-        match n {
-            SegNode::Root => self
-                .segments
-                .iter()
-                .map(|s| s.max_lead_run(s.root()))
-                .max()
-                .unwrap_or(0),
-            SegNode::Inner { seg, node } => self.seg(seg).max_lead_run(node),
         }
     }
 
@@ -165,21 +155,8 @@ impl<T: IndexBackend> IndexBackend for SegmentedIndex<'_, T> {
         self.segments[0].backend_kind()
     }
 
-    fn suffix_count_below(&self, n: Self::Node) -> Option<u64> {
-        match n {
-            SegNode::Root => {
-                let mut total = 0u64;
-                for s in &self.segments {
-                    total += s.suffix_count_below(s.root())?;
-                }
-                Some(total)
-            }
-            SegNode::Inner { seg, node } => self.seg(seg).suffix_count_below(node),
-        }
-    }
-
     fn segment_hint(&self, n: Self::Node) -> Option<u32> {
-        // `for_each_child(Root)` emits each segment's children as one
+        // `visit(Root)` appends each segment's children as one
         // contiguous run, so the filter can group root-level trace spans
         // per segment from this hint alone.
         match n {
@@ -246,13 +223,15 @@ mod tests {
         fn root(&self) -> usize {
             0
         }
-        fn for_each_child(&self, n: usize, f: &mut dyn FnMut(usize)) {
-            for &c in &self.nodes[n].1 {
-                f(c);
+        fn visit(&self, n: usize, children: &mut impl Extend<usize>) -> NodeVisit<'_> {
+            children.extend(self.nodes[n].1.iter().copied());
+            let mut max_lead_run = 0;
+            self.for_each_suffix_below(n, &mut |_, _, r| max_lead_run = max_lead_run.max(r));
+            NodeVisit {
+                label: &self.nodes[n].0,
+                max_lead_run,
+                suffix_count: None,
             }
-        }
-        fn edge_label(&self, n: usize, out: &mut Vec<u32>) {
-            out.extend_from_slice(&self.nodes[n].0);
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
             for &(s, p, r) in &self.nodes[n].2 {
@@ -261,11 +240,6 @@ mod tests {
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
             }
-        }
-        fn max_lead_run(&self, n: usize) -> u32 {
-            let mut m = 0;
-            self.for_each_suffix_below(n, &mut |_, _, r| m = m.max(r));
-            m
         }
         fn is_sparse(&self) -> bool {
             false

@@ -47,6 +47,39 @@ proptest! {
         }
     }
 
+    /// The filter's in-place row is `push_row_with`'s row bit for bit —
+    /// `RowStat`, every cell, `cells_computed` — for no window and
+    /// windows 0, 1 and 8, through rows past the band, and again after a
+    /// backtrack, on the table and on a fork of it.
+    #[test]
+    fn base_row_push_is_push_row_with(
+        (q, data) in (seq(10), seq(30)),
+        window in 0usize..4,
+        keep in 0usize..30,
+    ) {
+        let w = [None, Some(0u32), Some(1), Some(8)][window];
+        let base_row = |v: f64| q.iter().map(|&x| (x - v).abs()).collect::<Vec<f64>>();
+        let mut by_cell = WarpTable::new(&q, w);
+        let mut by_row = WarpTable::new(&q, w);
+        for &v in &data {
+            let a = by_cell.push_row_with(|x| (x - v).abs());
+            prop_assert_eq!(a, by_row.push_base_row(&base_row(v)));
+        }
+        prop_assert_eq!(&by_cell, &by_row);
+        let keep = (keep % (data.len() + 1)) as u32;
+        by_cell.truncate(keep);
+        by_row.truncate(keep);
+        let (mut cell_fork, mut row_fork) = (by_cell.fork(), by_row.fork());
+        for &v in data.iter().rev() {
+            let a = by_cell.push_row_with(|x| (x - v).abs());
+            prop_assert_eq!(a, by_row.push_base_row(&base_row(v)));
+            let a = cell_fork.push_row_with(|x| (x - v).abs());
+            prop_assert_eq!(a, row_fork.push_base_row(&base_row(v)));
+        }
+        prop_assert_eq!(&by_cell, &by_row);
+        prop_assert_eq!(&cell_fork, &row_fork);
+    }
+
     /// Early abandoning is exactly "distance ≤ ε" as a predicate.
     #[test]
     fn early_abandon_is_threshold_predicate(

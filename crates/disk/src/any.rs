@@ -15,8 +15,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use warptree_core::categorize::{CatStore, Symbol};
-use warptree_core::search::{BackendKind, IndexBackend};
+use warptree_core::categorize::CatStore;
+use warptree_core::search::{BackendKind, IndexBackend, MapChildren, NodeVisit};
 use warptree_core::sequence::SeqId;
 use warptree_esa::EsaNode;
 
@@ -219,17 +219,10 @@ impl IndexBackend for AnyIndex {
         }
     }
 
-    fn for_each_child(&self, n: AnyNode, f: &mut dyn FnMut(AnyNode)) {
+    fn visit(&self, n: AnyNode, children: &mut impl Extend<AnyNode>) -> NodeVisit<'_> {
         match self {
-            AnyIndex::Tree(t) => t.for_each_child(n.tree(), &mut |c| f(AnyNode::Tree(c))),
-            AnyIndex::Esa(e) => e.for_each_child(n.esa(), &mut |c| f(AnyNode::Esa(c))),
-        }
-    }
-
-    fn edge_label(&self, n: AnyNode, out: &mut Vec<Symbol>) {
-        match self {
-            AnyIndex::Tree(t) => t.edge_label(n.tree(), out),
-            AnyIndex::Esa(e) => e.edge_label(n.esa(), out),
+            AnyIndex::Tree(t) => t.visit(n.tree(), &mut MapChildren::new(children, AnyNode::Tree)),
+            AnyIndex::Esa(e) => e.visit(n.esa(), &mut MapChildren::new(children, AnyNode::Esa)),
         }
     }
 
@@ -237,13 +230,6 @@ impl IndexBackend for AnyIndex {
         match self {
             AnyIndex::Tree(t) => t.for_each_suffix_below(n.tree(), f),
             AnyIndex::Esa(e) => e.for_each_suffix_below(n.esa(), f),
-        }
-    }
-
-    fn max_lead_run(&self, n: AnyNode) -> u32 {
-        match self {
-            AnyIndex::Tree(t) => t.max_lead_run(n.tree()),
-            AnyIndex::Esa(e) => e.max_lead_run(n.esa()),
         }
     }
 
@@ -269,13 +255,6 @@ impl IndexBackend for AnyIndex {
         match self {
             AnyIndex::Tree(t) => t.depth_limit(),
             AnyIndex::Esa(e) => e.depth_limit(),
-        }
-    }
-
-    fn suffix_count_below(&self, n: AnyNode) -> Option<u64> {
-        match self {
-            AnyIndex::Tree(t) => t.suffix_count_below(n.tree()),
-            AnyIndex::Esa(e) => e.suffix_count_below(n.esa()),
         }
     }
 }

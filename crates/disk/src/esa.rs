@@ -37,8 +37,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use warptree_core::categorize::{CatStore, Symbol};
-use warptree_core::search::{BackendKind, IndexBackend};
+use warptree_core::categorize::CatStore;
+use warptree_core::search::{BackendKind, IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 use warptree_esa::{Entry, EsaIndex, EsaNode, IntervalRec};
 
@@ -343,20 +343,12 @@ impl IndexBackend for DiskEsa {
         self.esa.root()
     }
 
-    fn for_each_child(&self, n: EsaNode, f: &mut dyn FnMut(EsaNode)) {
-        self.esa.for_each_child(n, f)
-    }
-
-    fn edge_label(&self, n: EsaNode, out: &mut Vec<Symbol>) {
-        self.esa.edge_label(n, out)
+    fn visit(&self, n: EsaNode, children: &mut impl Extend<EsaNode>) -> NodeVisit<'_> {
+        self.esa.visit(n, children)
     }
 
     fn for_each_suffix_below(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
         self.esa.for_each_suffix_below(n, f)
-    }
-
-    fn max_lead_run(&self, n: EsaNode) -> u32 {
-        self.esa.max_lead_run(n)
     }
 
     fn is_sparse(&self) -> bool {
@@ -369,10 +361,6 @@ impl IndexBackend for DiskEsa {
 
     fn backend_kind(&self) -> BackendKind {
         BackendKind::Esa
-    }
-
-    fn suffix_count_below(&self, n: EsaNode) -> Option<u64> {
-        self.esa.suffix_count_below(n)
     }
 }
 

@@ -28,14 +28,18 @@
 //! ```
 //!
 //! All integers are little-endian. Every page carries a CRC-32, so
-//! corruption anywhere in the file is detected on first touch.
+//! corruption anywhere in the file is detected on first touch. A CRC
+//! only vouches for the bytes, not for who wrote them: [`decode_node`]
+//! also checks each record against the file and the store it indexes
+//! (see its docs), so a well-checksummed hostile record is a typed
+//! [`DiskError::BadRecord`], never an out-of-range slice.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use warptree_core::categorize::{CatStore, Symbol};
-use warptree_core::search::IndexBackend;
+use warptree_core::search::{IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 
 use crate::error::{DiskError, Result};
@@ -120,45 +124,146 @@ impl Header {
     }
 }
 
-/// A node record decoded from disk.
+/// A node record decoded from disk. Cheap to clone: the variable-length
+/// body is one shared allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskNode {
-    /// Edge label entering this node: `(seq, start, len)`.
+    /// Edge label entering this node: `(seq, start, len)`, a range
+    /// [`decode_node`] checked against the store.
     pub label: (SeqId, u32, u32),
     /// Stored suffixes at or below this node.
     pub suffix_count: u64,
     /// Maximum leading-run length at or below this node.
     pub max_lead_run: u32,
+    n_suffixes: u32,
+    /// The record body, one 12-byte entry each: `n_suffixes ×
+    /// [seq, start, lead_run]`, then per child `[first_symbol, offset
+    /// low word, offset high word]`.
+    entries: Arc<[[u32; 3]]>,
+}
+
+impl DiskNode {
     /// Suffix labels attached to this node: `(seq, start, lead_run)`.
-    pub suffixes: Vec<(SeqId, u32, u32)>,
+    pub fn suffixes(&self) -> impl ExactSizeIterator<Item = (SeqId, u32, u32)> + '_ {
+        let own = &self.entries[..self.n_suffixes as usize];
+        own.iter().map(|e| (SeqId(e[0]), e[1], e[2]))
+    }
+
     /// Children as `(first_symbol, node_offset)`, sorted by symbol.
-    pub children: Vec<(Symbol, u64)>,
+    pub fn children(&self) -> impl ExactSizeIterator<Item = (Symbol, u64)> + '_ {
+        let kids = &self.entries[self.n_suffixes as usize..];
+        kids.iter()
+            .map(|e| (e[0], u64::from(e[1]) | u64::from(e[2]) << 32))
+    }
 }
 
 /// Fixed-size prefix of a node record.
 const NODE_HEAD: usize = 32;
+/// Size of one suffix or child entry of a node record.
+const NODE_ENTRY: usize = 12;
 
-/// Serializes a node record.
-pub fn encode_node(node: &DiskNode) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(NODE_HEAD + 12 * node.suffixes.len() + 12 * node.children.len());
-    out.extend_from_slice(&node.label.0 .0.to_le_bytes());
-    out.extend_from_slice(&node.label.1.to_le_bytes());
-    out.extend_from_slice(&node.label.2.to_le_bytes());
-    out.extend_from_slice(&node.suffix_count.to_le_bytes());
-    out.extend_from_slice(&node.max_lead_run.to_le_bytes());
-    out.extend_from_slice(&(node.suffixes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(node.children.len() as u32).to_le_bytes());
-    for (seq, start, run) in &node.suffixes {
+/// Serializes a node record: the edge label entering the node, its
+/// subtree annotations, the suffixes attached to it and its children
+/// `(first_symbol, offset)` in symbol order.
+pub fn encode_node(
+    label: (SeqId, u32, u32),
+    suffix_count: u64,
+    max_lead_run: u32,
+    suffixes: &[(SeqId, u32, u32)],
+    children: &[(Symbol, u64)],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(NODE_HEAD + NODE_ENTRY * (suffixes.len() + children.len()));
+    out.extend_from_slice(&label.0 .0.to_le_bytes());
+    out.extend_from_slice(&label.1.to_le_bytes());
+    out.extend_from_slice(&label.2.to_le_bytes());
+    out.extend_from_slice(&suffix_count.to_le_bytes());
+    out.extend_from_slice(&max_lead_run.to_le_bytes());
+    out.extend_from_slice(&(suffixes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(children.len() as u32).to_le_bytes());
+    for (seq, start, run) in suffixes {
         out.extend_from_slice(&seq.0.to_le_bytes());
         out.extend_from_slice(&start.to_le_bytes());
         out.extend_from_slice(&run.to_le_bytes());
     }
-    for (first, offset) in &node.children {
+    for (first, offset) in children {
         out.extend_from_slice(&first.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
     }
     out
+}
+
+/// What [`decode_node`] made of the bytes it was given.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Decoded {
+    /// The whole record was there.
+    Node(DiskNode),
+    /// The record needs this many bytes from its offset on (at most the
+    /// rest of the file): the caller gathers them and decodes again.
+    Short(usize),
+}
+
+/// Decodes the node record at logical `offset` of a `file_len`-byte tree
+/// file over `cat`, from `bytes` — the file's content from `offset` on,
+/// as much of it as the caller has at hand (typically the rest of the
+/// record's page).
+///
+/// The bytes passed their page CRC but are otherwise untrusted. A record
+/// is [`DiskError::BadRecord`] when it overruns the file, when its edge
+/// label is not a range of a sequence of `cat` (every label is handed to
+/// the traversal as a borrowed slice of that sequence), or when a child
+/// does not precede it in the file — children are written before their
+/// parent, and a traversal that only ever moves to smaller offsets
+/// cannot be sent round a cycle.
+pub fn decode_node(bytes: &[u8], offset: u64, file_len: u64, cat: &CatStore) -> Result<Decoded> {
+    // The record's length, as far as the bytes at hand tell it: the
+    // head's, until the head is there to give the entry counts. Bound it
+    // by the file before anything is sized by it.
+    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+    let entries = if bytes.len() < NODE_HEAD {
+        0
+    } else {
+        word(24) as u64 + word(28) as u64
+    };
+    let total = NODE_HEAD as u64 + NODE_ENTRY as u64 * entries;
+    if offset + total > file_len {
+        return Err(DiskError::BadRecord(format!(
+            "node at {offset} overruns the file"
+        )));
+    }
+    let total = total as usize;
+    if bytes.len() < total {
+        return Ok(Decoded::Short(total));
+    }
+    let label = (SeqId(word(0)), word(4), word(8));
+    let (seq, start, len) = label;
+    let fits = len == 0
+        || (seq.0 as usize) < cat.len() && start as u64 + len as u64 <= cat.seq(seq).len() as u64;
+    if !fits {
+        return Err(DiskError::BadRecord(format!(
+            "node at {offset}: label ({}, {start}, {len}) is outside the corpus",
+            seq.0
+        )));
+    }
+    let entries: Arc<[[u32; 3]]> = bytes[NODE_HEAD..total]
+        .chunks_exact(NODE_ENTRY)
+        .map(|e| {
+            let word = |i: usize| u32::from_le_bytes(e[i..i + 4].try_into().unwrap());
+            [word(0), word(4), word(8)]
+        })
+        .collect();
+    let node = DiskNode {
+        label,
+        suffix_count: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
+        max_lead_run: word(20),
+        n_suffixes: word(24),
+        entries,
+    };
+    if let Some((_, child)) = node.children().find(|&(_, child)| child >= offset) {
+        return Err(DiskError::BadRecord(format!(
+            "node at {offset}: child at {child} does not precede it"
+        )));
+    }
+    Ok(Decoded::Node(node))
 }
 
 /// Panic payload used to abort a tree traversal on an unreadable node.
@@ -179,7 +284,7 @@ pub struct DiskTree {
     reader: PagedReader,
     cat: Arc<CatStore>,
     header: Header,
-    nodes: Mutex<LruCache<u64, Arc<DiskNode>>>,
+    nodes: Mutex<LruCache<u64, DiskNode>>,
     /// File name this tree was opened from — the segment identity used
     /// in [`DiskError::CorruptionDetected`].
     source: String,
@@ -249,7 +354,7 @@ impl DiskTree {
     /// this tree (CRC failures typed as `CorruptionDetected`) and the
     /// stack unwinds with [`TreeReadAbort`] for the fan-out layer to
     /// catch.
-    fn must_read(&self, offset: u64) -> Arc<DiskNode> {
+    fn must_read(&self, offset: u64) -> DiskNode {
         match self.read_node(offset) {
             Ok(n) => n,
             Err(e) => {
@@ -313,10 +418,14 @@ impl DiskTree {
         (nodes.hits(), nodes.misses())
     }
 
-    /// Routes this tree's cache counters into `reg`: the decoded-node
-    /// cache as `disk.node_cache.{hits,misses}` and the page buffer
-    /// pool as `disk.page_cache.{hits,misses}`. Counts accumulated
-    /// before the call are not carried over.
+    /// Forwards this tree's cache traffic into `reg` as well: the
+    /// decoded-node cache as `disk.node_cache.{hits,misses}` and the
+    /// page buffer pool as `disk.page_cache.{hits,misses}`, names every
+    /// tree of a directory shares (their counts sum there). Lookups made
+    /// before the call are not replayed into `reg`; the tree's own
+    /// [`io_stats`](Self::io_stats) and
+    /// [`node_cache_stats`](Self::node_cache_stats) go on reporting this
+    /// tree's traffic alone.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         self.nodes.lock().set_counters(
             reg.counter("disk.node_cache.hits"),
@@ -327,59 +436,40 @@ impl DiskTree {
         self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
     }
 
-    /// Reads (or re-uses) the node record at `offset`.
-    pub fn read_node(&self, offset: u64) -> Result<Arc<DiskNode>> {
+    /// Reads (or re-uses) the node record at `offset`, checked by
+    /// [`decode_node`].
+    pub fn read_node(&self, offset: u64) -> Result<DiskNode> {
         if let Some(n) = self.nodes.lock().get(&offset) {
             return Ok(n.clone());
         }
-        let mut head = [0u8; NODE_HEAD];
-        self.reader.read_exact_at(offset, &mut head)?;
-        let label = (
-            SeqId(u32::from_le_bytes(head[0..4].try_into().unwrap())),
-            u32::from_le_bytes(head[4..8].try_into().unwrap()),
-            u32::from_le_bytes(head[8..12].try_into().unwrap()),
-        );
-        let suffix_count = u64::from_le_bytes(head[12..20].try_into().unwrap());
-        let max_lead_run = u32::from_le_bytes(head[20..24].try_into().unwrap());
-        let n_suffixes = u32::from_le_bytes(head[24..28].try_into().unwrap()) as usize;
-        let n_children = u32::from_le_bytes(head[28..32].try_into().unwrap()) as usize;
-        // Sanity-bound the counts before allocating.
-        let body_len = 12 * n_suffixes + 12 * n_children;
-        if offset + (NODE_HEAD + body_len) as u64 > self.reader.logical_len() {
-            return Err(DiskError::BadRecord(format!(
-                "node at {offset} overruns the file"
-            )));
-        }
-        let mut body = vec![0u8; body_len];
-        self.reader
-            .read_exact_at(offset + NODE_HEAD as u64, &mut body)?;
-        let mut suffixes = Vec::with_capacity(n_suffixes);
-        for i in 0..n_suffixes {
-            let b = &body[12 * i..12 * i + 12];
-            suffixes.push((
-                SeqId(u32::from_le_bytes(b[0..4].try_into().unwrap())),
-                u32::from_le_bytes(b[4..8].try_into().unwrap()),
-                u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            ));
-        }
-        let mut children = Vec::with_capacity(n_children);
-        let cbase = 12 * n_suffixes;
-        for i in 0..n_children {
-            let b = &body[cbase + 12 * i..cbase + 12 * i + 12];
-            children.push((
-                u32::from_le_bytes(b[0..4].try_into().unwrap()),
-                u64::from_le_bytes(b[4..12].try_into().unwrap()),
-            ));
-        }
-        let node = Arc::new(DiskNode {
-            label,
-            suffix_count,
-            max_lead_run,
-            suffixes,
-            children,
-        });
+        let decode =
+            |bytes: &[u8]| decode_node(bytes, offset, self.reader.logical_len(), &self.cat);
+        // A record that ends inside its page is decoded in one page
+        // visit, straight from the frame. One that runs on is gathered
+        // first — twice when not even its fixed head fits the page,
+        // since the head tells the length.
+        let mut decoded = self.reader.with_page_tail(offset, decode)??;
+        let node = loop {
+            match decoded {
+                Decoded::Node(node) => break node,
+                Decoded::Short(len) => {
+                    let mut record = vec![0u8; len];
+                    self.reader.read_exact_at(offset, &mut record)?;
+                    decoded = decode(&record)?;
+                }
+            }
+        };
         self.nodes.lock().insert(offset, node.clone());
         Ok(node)
+    }
+
+    /// The symbols of a decoded node's edge label (a range
+    /// [`decode_node`] checked; the root's is empty).
+    fn label_symbols(&self, (seq, start, len): (SeqId, u32, u32)) -> &[Symbol] {
+        if len == 0 {
+            return &[];
+        }
+        &self.cat.seq(seq)[start as usize..(start + len) as usize]
     }
 
     /// Materializes the whole file back into an in-memory
@@ -407,14 +497,14 @@ impl DiskTree {
                 tree.attach(parent, id);
                 id
             };
-            for &(seq, start, run) in &dn.suffixes {
+            for (seq, start, run) in dn.suffixes() {
                 tree.node_mut(mem).suffixes.push(SuffixLabel {
                     seq,
                     start,
                     lead_run: run,
                 });
             }
-            for &(_, coff) in &dn.children {
+            for (_, coff) in dn.children() {
                 stack.push((coff, mem));
             }
         }
@@ -430,35 +520,26 @@ impl IndexBackend for DiskTree {
         self.header.root_offset
     }
 
-    fn for_each_child(&self, n: u64, f: &mut dyn FnMut(u64)) {
+    fn visit(&self, n: u64, children: &mut impl Extend<u64>) -> NodeVisit<'_> {
+        // The one record fetch of a node visit.
         let node = self.must_read(n);
-        for &(_, off) in &node.children {
-            f(off);
+        children.extend(node.children().map(|(_, off)| off));
+        NodeVisit {
+            label: self.label_symbols(node.label),
+            max_lead_run: node.max_lead_run,
+            suffix_count: Some(node.suffix_count),
         }
-    }
-
-    fn edge_label(&self, n: u64, out: &mut Vec<Symbol>) {
-        let node = self.must_read(n);
-        let (seq, start, len) = node.label;
-        let s = self.cat.seq(seq);
-        out.extend_from_slice(&s[start as usize..(start + len) as usize]);
     }
 
     fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
         let mut stack = vec![n];
         while let Some(off) = stack.pop() {
             let node = self.must_read(off);
-            for &(seq, start, run) in &node.suffixes {
+            for (seq, start, run) in node.suffixes() {
                 f(seq, start, run);
             }
-            for &(_, coff) in &node.children {
-                stack.push(coff);
-            }
+            stack.extend(node.children().map(|(_, coff)| coff));
         }
-    }
-
-    fn max_lead_run(&self, n: u64) -> u32 {
-        self.must_read(n).max_lead_run
     }
 
     fn is_sparse(&self) -> bool {
@@ -471,13 +552,6 @@ impl IndexBackend for DiskTree {
 
     fn depth_limit(&self) -> Option<u32> {
         self.header.depth_limit
-    }
-
-    fn suffix_count_below(&self, n: u64) -> Option<u64> {
-        // Every node record stores its subtree suffix count, and the
-        // record is (re)read through the node cache, so this is one
-        // cached lookup — cheap enough for per-edge `R_d` metering.
-        Some(self.must_read(n).suffix_count)
     }
 }
 
@@ -527,21 +601,84 @@ mod tests {
 
     #[test]
     fn node_record_roundtrip_via_encode() {
-        let node = DiskNode {
-            label: (SeqId(3), 7, 5),
-            suffix_count: 9,
-            max_lead_run: 4,
-            suffixes: vec![(SeqId(3), 7, 2), (SeqId(1), 0, 1)],
-            children: vec![(0, 64), (5, 128)],
-        };
-        let enc = encode_node(&node);
+        let cat = CatStore::from_symbols(vec![vec![0; 4], vec![1; 4], vec![2; 4], vec![0; 12]], 3);
+        let label = (SeqId(3), 7, 5);
+        let suffixes = [(SeqId(3), 7, 2), (SeqId(1), 0, 1)];
+        let children = [(0, 64), (5, (1 << 32) + 128)];
+        let enc = encode_node(label, 9, 4, &suffixes, &children);
         assert_eq!(enc.len(), 32 + 12 * 2 + 12 * 2);
-        // Decoding is exercised end-to-end by the writer tests; here we
-        // just check the head fields lay out as documented.
+        // The head fields lay out as documented.
         assert_eq!(u32::from_le_bytes(enc[0..4].try_into().unwrap()), 3);
         assert_eq!(u32::from_le_bytes(enc[8..12].try_into().unwrap()), 5);
         assert_eq!(u64::from_le_bytes(enc[12..20].try_into().unwrap()), 9);
         assert_eq!(u32::from_le_bytes(enc[24..28].try_into().unwrap()), 2);
         assert_eq!(u32::from_le_bytes(enc[28..32].try_into().unwrap()), 2);
+
+        let (offset, file_len) = (1 << 33, (1 << 33) + 4096);
+        let Decoded::Node(node) = decode_node(&enc, offset, file_len, &cat).unwrap() else {
+            panic!("the whole record was given");
+        };
+        assert_eq!(
+            (node.label, node.suffix_count, node.max_lead_run),
+            (label, 9, 4)
+        );
+        assert_eq!(node.suffixes().collect::<Vec<_>>(), suffixes);
+        assert_eq!(node.children().collect::<Vec<_>>(), children);
+        // Trailing bytes (the rest of the page) are not the record's.
+        let mut page = enc.clone();
+        page.extend_from_slice(&[0xAB; 40]);
+        assert_eq!(
+            decode_node(&page, offset, file_len, &cat).unwrap(),
+            Decoded::Node(node)
+        );
+        // A page tail too short for the head, then for the body, asks
+        // for exactly what is missing.
+        assert_eq!(
+            decode_node(&enc[..31], offset, file_len, &cat).unwrap(),
+            Decoded::Short(32)
+        );
+        assert_eq!(
+            decode_node(&enc[..40], offset, file_len, &cat).unwrap(),
+            Decoded::Short(enc.len())
+        );
+    }
+
+    #[test]
+    fn hostile_records_are_typed_errors() {
+        let cat = CatStore::from_symbols(vec![vec![0, 1, 2, 1]], 3);
+        let bad =
+            |enc: &[u8], offset: u64, file_len: u64| match decode_node(enc, offset, file_len, &cat)
+            {
+                Err(DiskError::BadRecord(m)) => m,
+                other => panic!("expected BadRecord, got {other:?}"),
+            };
+        let ok = encode_node((SeqId(0), 1, 3), 1, 1, &[(SeqId(0), 1, 1)], &[(2, 64)]);
+        assert!(matches!(
+            decode_node(&ok, 128, 4096, &cat),
+            Ok(Decoded::Node(_))
+        ));
+        // Counts that run past the end of the file, before any of the
+        // body is looked at (or allocated for).
+        assert!(bad(&ok, 128, 128 + ok.len() as u64 - 1).contains("overruns"));
+        let mut huge = ok.clone();
+        huge[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(bad(&huge, 128, 4096).contains("overruns"));
+        assert!(bad(&ok[..8], 4090, 4096).contains("overruns"));
+        // Labels that are not a range of a sequence of the store.
+        for label in [(SeqId(1), 0, 1), (SeqId(0), 2, 3), (SeqId(0), u32::MAX, 2)] {
+            let enc = encode_node(label, 1, 1, &[], &[]);
+            assert!(bad(&enc, 128, 4096).contains("outside the corpus"));
+        }
+        // A child at or after its parent.
+        for child in [128, 4000] {
+            let enc = encode_node((SeqId(0), 0, 1), 1, 1, &[], &[(0, child)]);
+            assert!(bad(&enc, 128, 4096).contains("does not precede"));
+        }
+        // The root's empty label names no sequence.
+        let root = encode_node((SeqId(9), 9, 0), 0, 0, &[], &[]);
+        assert!(matches!(
+            decode_node(&root, 64, 4096, &cat),
+            Ok(Decoded::Node(_))
+        ));
     }
 }

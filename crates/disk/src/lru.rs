@@ -4,13 +4,62 @@
 //! Implemented as a `HashMap` keyed by `K` plus an intrusive doubly-linked
 //! list threaded through a slab of entries — `O(1)` get/insert/evict, no
 //! per-operation allocation once warm.
+//!
+//! The map hashes with `KeyHasher`, one multiply per integer key: both
+//! caches of this crate are keyed by `u64` (page index, record offset)
+//! and are looked up once per page touch and once per visited node, so
+//! the hash sits on a query's hot path. The keys are positions in files
+//! this process wrote, and a cache holds at most `capacity` of them, so
+//! there is no flooding for a keyed hash to defend against.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use warptree_obs::Counter;
 
 const NIL: usize = usize::MAX;
+
+/// Multiply-and-fold hasher for small integer keys. The product's high
+/// half is well mixed and the low half is not, and the map reads both
+/// (bucket index from the low bits, control byte from the top seven),
+/// so `finish` folds the high half down.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+}
 
 struct Entry<K, V> {
     key: K,
@@ -32,13 +81,20 @@ struct Entry<K, V> {
 /// assert_eq!(c.get(&"a"), Some(&1));
 /// ```
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
     slab: Vec<Entry<K, V>>,
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: Counter,
-    misses: Counter,
+    /// This cache's own lookup totals — what [`hits`](Self::hits) and
+    /// [`misses`](Self::misses) report, whoever else is listening.
+    hits: u64,
+    misses: u64,
+    /// Where each lookup is also reported (no-ops until
+    /// [`set_counters`](Self::set_counters)). Several caches may
+    /// forward to the same registry cells; their counts sum there.
+    forward_hits: Counter,
+    forward_misses: Counter,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -46,33 +102,36 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
             capacity,
-            hits: Counter::active(),
-            misses: Counter::active(),
+            hits: 0,
+            misses: 0,
+            forward_hits: Counter::noop(),
+            forward_misses: Counter::noop(),
         }
     }
 
-    /// Rebinds the hit/miss counters — typically to registry-backed
-    /// handles so the cache meters into a shared
-    /// [`MetricsRegistry`](warptree_obs::MetricsRegistry). Counts
-    /// recorded before the swap stay with the old counters.
+    /// Forwards every later lookup to `hits` / `misses` as well —
+    /// typically registry-backed handles, so the cache meters into a
+    /// shared [`MetricsRegistry`](warptree_obs::MetricsRegistry). The
+    /// cache's own totals keep counting from where they were; lookups
+    /// made before the call are not replayed into the new counters.
     pub fn set_counters(&mut self, hits: Counter, misses: Counter) {
-        self.hits = hits;
-        self.misses = misses;
+        self.forward_hits = hits;
+        self.forward_misses = misses;
     }
 
-    /// Total lookups served from the cache.
+    /// Total lookups this cache served.
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.hits
     }
 
-    /// Total lookups that found nothing.
+    /// Total lookups on this cache that found nothing.
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        self.misses
     }
 
     /// Number of cached entries.
@@ -115,7 +174,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn get(&mut self, key: &K) -> Option<&V> {
         match self.map.get(key).copied() {
             Some(idx) => {
-                self.hits.incr();
+                self.hits += 1;
+                self.forward_hits.incr();
                 if self.head != idx {
                     self.unlink(idx);
                     self.push_front(idx);
@@ -123,42 +183,46 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 Some(&self.slab[idx].value)
             }
             None => {
-                self.misses.incr();
+                self.misses += 1;
+                self.forward_misses.incr();
                 None
             }
         }
     }
 
     /// Inserts `key -> value`, evicting the least-recently-used entry if
-    /// full. Replaces the value if the key is present.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// full. Replaces the value if the key is present. Returns the value
+    /// this displaced — the evicted entry's or the replaced one — so a
+    /// caller with expensive values (page frames) can reuse it.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         if let Some(&idx) = self.map.get(&key) {
-            self.slab[idx].value = value;
+            let old = std::mem::replace(&mut self.slab[idx].value, value);
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
             }
-            return;
+            return Some(old);
         }
-        let idx = if self.slab.len() < self.capacity {
+        let (idx, displaced) = if self.slab.len() < self.capacity {
             self.slab.push(Entry {
                 key: key.clone(),
                 value,
                 prev: NIL,
                 next: NIL,
             });
-            self.slab.len() - 1
+            (self.slab.len() - 1, None)
         } else {
             // Evict the tail.
             let idx = self.tail;
             self.unlink(idx);
             let old_key = std::mem::replace(&mut self.slab[idx].key, key.clone());
             self.map.remove(&old_key);
-            self.slab[idx].value = value;
-            idx
+            let old = std::mem::replace(&mut self.slab[idx].value, value);
+            (idx, Some(old))
         };
         self.map.insert(key, idx);
         self.push_front(idx);
+        displaced
     }
 
     /// Drops all entries, keeping the counters.
@@ -187,15 +251,55 @@ mod tests {
 
     #[test]
     fn counters_can_meter_into_a_registry() {
+        // Two caches metering into the same registry cells: the registry
+        // sees the sum, each cache still reports its own traffic, and
+        // lookups made before the wiring stay local.
         let reg = warptree_obs::MetricsRegistry::new();
-        let mut c = LruCache::new(2);
-        c.set_counters(reg.counter("cache.hits"), reg.counter("cache.misses"));
-        c.insert(1, "a");
-        c.get(&1);
-        c.get(&2);
+        let (mut a, mut b) = (LruCache::new(2), LruCache::new(2));
+        a.insert(1, "a");
+        a.get(&1);
+        for c in [&mut a, &mut b] {
+            c.set_counters(reg.counter("cache.hits"), reg.counter("cache.misses"));
+        }
+        a.get(&1);
+        a.get(&2);
+        b.get(&7);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["cache.hits"], 1);
-        assert_eq!(snap.counters["cache.misses"], 1);
+        assert_eq!(snap.counters["cache.misses"], 2);
+        assert_eq!((a.hits(), a.misses()), (2, 1));
+        assert_eq!((b.hits(), b.misses()), (0, 1));
+    }
+
+    #[test]
+    fn insert_returns_what_it_displaced() {
+        let mut c = LruCache::new(2);
+        assert_eq!(c.insert(1, 10), None);
+        assert_eq!(c.insert(2, 20), None);
+        assert_eq!(c.insert(1, 11), Some(10)); // replaced in place
+        assert_eq!(c.insert(3, 30), Some(20)); // 2 was least recently used
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn key_hasher_spreads_page_strided_offsets() {
+        // Record offsets cluster by page and page indexes are dense:
+        // both halves of the hash the map reads must vary over them.
+        use std::collections::HashSet;
+        let hash = |v: u64| {
+            let mut h = KeyHasher::default();
+            h.write_u64(v);
+            h.finish()
+        };
+        let (mut low, mut top) = (HashSet::new(), HashSet::new());
+        for i in 0..4096u64 {
+            for key in [i, i * 8188, i * 64] {
+                low.insert(hash(key) & 0xFFF);
+                top.insert(hash(key) >> 57);
+            }
+        }
+        assert!(low.len() > 3500, "low bits collapse: {}", low.len());
+        assert_eq!(top.len(), 128, "control bits collapse");
     }
 
     #[test]

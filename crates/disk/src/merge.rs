@@ -21,7 +21,7 @@ use warptree_core::sequence::SeqId;
 use warptree_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::error::Result;
-use crate::format::{encode_node, DiskNode, DiskTree, Header, HEADER_SIZE};
+use crate::format::{encode_node, DiskTree, Header, HEADER_SIZE};
 use crate::pager::PagedWriter;
 use crate::vfs::{real_vfs, Vfs};
 use crate::writer::write_tree_with;
@@ -79,9 +79,8 @@ impl<'t> MergeCtx<'t> {
     fn children(&self, v: VNode) -> Result<Vec<(Symbol, VNode)>> {
         let node = self.tree(v.side).read_node(v.offset)?;
         Ok(node
-            .children
-            .iter()
-            .map(|&(sym, off)| {
+            .children()
+            .map(|(sym, off)| {
                 (
                     sym,
                     VNode {
@@ -115,15 +114,14 @@ impl<'t> MergeCtx<'t> {
             child_entries.push((c.first, c.offset));
         }
         child_entries.sort_by_key(|&(s, _)| s);
-        let record = DiskNode {
+        let offset = self.w.position();
+        self.w.write(&encode_node(
             label,
             suffix_count,
-            max_lead_run: max_run,
-            suffixes,
-            children: child_entries,
-        };
-        let offset = self.w.position();
-        self.w.write(&encode_node(&record))?;
+            max_run,
+            &suffixes,
+            &child_entries,
+        ))?;
         self.node_count += 1;
         Ok(Written {
             first,
@@ -137,8 +135,8 @@ impl<'t> MergeCtx<'t> {
     /// `v.skip` at the top).
     fn copy_subtree(&mut self, v: VNode) -> Result<Written> {
         let node = self.tree(v.side).read_node(v.offset)?;
-        let mut out_children = Vec::with_capacity(node.children.len());
-        for &(_, off) in &node.children {
+        let mut out_children = Vec::with_capacity(node.children().len());
+        for (_, off) in node.children() {
             out_children.push(self.copy_subtree(VNode {
                 side: v.side,
                 offset: off,
@@ -148,7 +146,7 @@ impl<'t> MergeCtx<'t> {
         let (seq, start, len) = node.label;
         self.emit(
             (seq, start + v.skip, len - v.skip),
-            node.suffixes.clone(),
+            node.suffixes().collect(),
             out_children,
         )
     }
@@ -164,8 +162,8 @@ impl<'t> MergeCtx<'t> {
             // Same edge: merge suffix labels and child lists.
             let na = self.tree(Side::A).read_node(va.offset)?;
             let nb = self.tree(Side::B).read_node(vb.offset)?;
-            let mut suffixes = na.suffixes.clone();
-            suffixes.extend_from_slice(&nb.suffixes);
+            let mut suffixes: Vec<_> = na.suffixes().collect();
+            suffixes.extend(nb.suffixes());
             let children = self.merge_child_lists(self.children(va)?, self.children(vb)?)?;
             let (seq, start, len) = na.label;
             self.emit((seq, start + va.skip, len - va.skip), suffixes, children)
@@ -183,7 +181,7 @@ impl<'t> MergeCtx<'t> {
             let (seq, start, len) = na.label;
             self.emit(
                 (seq, start + va.skip, len - va.skip),
-                na.suffixes.clone(),
+                na.suffixes().collect(),
                 children,
             )
         } else if common == blen {
@@ -198,7 +196,7 @@ impl<'t> MergeCtx<'t> {
             let (seq, start, len) = nb.label;
             self.emit(
                 (seq, start + vb.skip, len - vb.skip),
-                nb.suffixes.clone(),
+                nb.suffixes().collect(),
                 children,
             )
         } else {

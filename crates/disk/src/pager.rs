@@ -150,7 +150,12 @@ impl IoStats {
 }
 
 struct ReaderInner {
+    /// Verified page frames, [`PAGE_SIZE`] bytes each (the CRC tail is
+    /// kept so a frame is filled straight from the file).
     cache: LruCache<u64, Box<[u8]>>,
+    /// The frame the last insert evicted, reused for the next miss: a
+    /// full pool reads pages without allocating or zero-filling.
+    spare: Option<Box<[u8]>>,
     /// Charged once per failed page CRC on the read path (noop until
     /// [`PagedReader::meter_crc_failures`] wires a registry counter).
     crc_fail: warptree_obs::Counter,
@@ -188,6 +193,7 @@ impl PagedReader {
             pages,
             inner: Mutex::new(ReaderInner {
                 cache: LruCache::new(cache_pages),
+                spare: None,
                 crc_fail: warptree_obs::Counter::noop(),
             }),
         })
@@ -210,7 +216,8 @@ impl PagedReader {
 
     /// Meters the buffer pool into `reg` under the given counter names
     /// (e.g. `disk.page_cache.hits` / `disk.page_cache.misses`).
-    /// Multiple readers may share the same names; their counts sum.
+    /// Multiple readers may share the same names; their counts sum
+    /// there, and [`io_stats`](Self::io_stats) stays this reader's own.
     pub fn meter_cache(&self, reg: &warptree_obs::MetricsRegistry, hits: &str, misses: &str) {
         self.inner
             .lock()
@@ -241,7 +248,7 @@ impl PagedReader {
                 size: self.logical_len,
             });
         }
-        let mut raw = vec![0u8; PAGE_SIZE];
+        let mut raw = [0u8; PAGE_SIZE];
         self.file.read_at(page_idx * PAGE_SIZE as u64, &mut raw)?;
         let stored = u32::from_le_bytes(raw[PAGE_DATA..].try_into().unwrap());
         if crc32(&raw[..PAGE_DATA]) != stored {
@@ -249,6 +256,23 @@ impl PagedReader {
             return Err(DiskError::CorruptPage { page: page_idx });
         }
         Ok(())
+    }
+
+    /// Runs `f` over the bytes from `logical` to the end of the page
+    /// holding it (at least one byte). A record that ends inside that
+    /// page is decoded in this one page visit, with no copy; a caller
+    /// whose record runs on falls back to
+    /// [`read_exact_at`](Self::read_exact_at).
+    pub fn with_page_tail<R>(&self, logical: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        if logical >= self.logical_len {
+            return Err(DiskError::OutOfBounds {
+                offset: logical,
+                len: 1,
+                size: self.logical_len,
+            });
+        }
+        let in_page = (logical % PAGE_DATA as u64) as usize;
+        self.with_page(logical / PAGE_DATA as u64, |page| f(&page[in_page..]))
     }
 
     /// Reads `buf.len()` bytes at `logical` into `buf`.
@@ -275,25 +299,35 @@ impl PagedReader {
     }
 
     /// Runs `f` over the verified payload of page `page_idx`.
-    fn with_page(&self, page_idx: u64, f: impl FnOnce(&[u8])) -> Result<()> {
+    fn with_page<R>(&self, page_idx: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         debug_assert!(page_idx < self.pages);
         let mut inner = self.inner.lock();
-        if let Some(page) = inner.cache.get(&page_idx) {
-            f(page);
-            return Ok(());
+        if let Some(frame) = inner.cache.get(&page_idx) {
+            return Ok(f(&frame[..PAGE_DATA]));
         }
-        let mut raw = vec![0u8; PAGE_SIZE];
-        self.file.read_at(page_idx * PAGE_SIZE as u64, &mut raw)?;
-        let stored = u32::from_le_bytes(raw[PAGE_DATA..].try_into().unwrap());
-        if crc32(&raw[..PAGE_DATA]) != stored {
-            inner.crc_fail.incr();
-            return Err(DiskError::CorruptPage { page: page_idx });
+        let mut frame = inner
+            .spare
+            .take()
+            .unwrap_or_else(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
+        let checked = match self.file.read_at(page_idx * PAGE_SIZE as u64, &mut frame) {
+            Err(e) => Err(e.into()),
+            Ok(()) => {
+                let stored = u32::from_le_bytes(frame[PAGE_DATA..].try_into().unwrap());
+                if crc32(&frame[..PAGE_DATA]) == stored {
+                    Ok(())
+                } else {
+                    inner.crc_fail.incr();
+                    Err(DiskError::CorruptPage { page: page_idx })
+                }
+            }
+        };
+        if let Err(e) = checked {
+            inner.spare = Some(frame);
+            return Err(e);
         }
-        raw.truncate(PAGE_DATA);
-        let page: Box<[u8]> = raw.into_boxed_slice();
-        f(&page);
-        inner.cache.insert(page_idx, page);
-        Ok(())
+        let out = f(&frame[..PAGE_DATA]);
+        inner.spare = inner.cache.insert(page_idx, frame);
+        Ok(out)
     }
 }
 

@@ -158,10 +158,12 @@ impl DirSnapshot {
         self.tree.kind()
     }
 
-    /// Routes every live tree's cache and CRC-failure counters into
+    /// Forwards every live tree's cache and CRC-failure counts into
     /// `reg` (`disk.page_cache.*`, `disk.node_cache.*`,
     /// `disk.read_crc_fail`); the trees share the names, so their
-    /// counts sum.
+    /// counts sum there, while each tree's own `io_stats()` /
+    /// `node_cache_stats()` — what the `pager.io` span and `explain`
+    /// read — stay that tree's alone.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         self.live_trees().for_each(|t| t.instrument(reg));
     }

@@ -10,7 +10,7 @@ use std::path::Path;
 use warptree_suffix::{NodeId, SuffixTree, ROOT};
 
 use crate::error::Result;
-use crate::format::{encode_node, DiskNode, Header, HEADER_SIZE};
+use crate::format::{encode_node, Header, HEADER_SIZE};
 use crate::pager::PagedWriter;
 use crate::vfs::{RealVfs, Vfs};
 
@@ -47,19 +47,19 @@ pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<
         // All children written: children offsets arrive in order because
         // each completed child pushes onto its parent's frame below.
         child_offsets.sort_by_key(|&(sym, _)| sym);
-        let record = DiskNode {
-            label: (n.label.seq, n.label.start, n.label.len),
-            suffix_count: n.suffix_count,
-            max_lead_run: n.max_lead_run,
-            suffixes: n
-                .suffixes
-                .iter()
-                .map(|s| (s.seq, s.start, s.lead_run))
-                .collect(),
-            children: child_offsets,
-        };
+        let suffixes: Vec<_> = n
+            .suffixes
+            .iter()
+            .map(|s| (s.seq, s.start, s.lead_run))
+            .collect();
         let offset = w.position();
-        w.write(&encode_node(&record))?;
+        w.write(&encode_node(
+            (n.label.seq, n.label.start, n.label.len),
+            n.suffix_count,
+            n.max_lead_run,
+            &suffixes,
+            &child_offsets,
+        ))?;
         node_count += 1;
         if node == ROOT {
             root_offset = offset;
@@ -126,7 +126,10 @@ mod tests {
         let disk = DiskTree::open(&path, cat, 8, 64).unwrap();
         assert!(disk.is_sparse());
         assert_eq!(disk.suffix_count(), 3);
-        assert_eq!(disk.max_lead_run(disk.root()), tree.node(ROOT).max_lead_run);
+        assert_eq!(
+            disk.visit(disk.root(), &mut Vec::new()).max_lead_run,
+            tree.node(ROOT).max_lead_run
+        );
         let back = disk.to_mem().unwrap();
         assert_eq!(back.canonical(), tree.canonical());
         std::fs::remove_file(&path).unwrap();

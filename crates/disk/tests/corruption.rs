@@ -33,8 +33,8 @@ fn try_traverse(tree: &DiskTree) -> Result<u64, DiskError> {
     let mut stack = vec![tree.header().root_offset];
     while let Some(off) = stack.pop() {
         let node = tree.read_node(off)?;
-        count += node.suffixes.len() as u64;
-        for &(_, c) in &node.children {
+        count += node.suffixes().len() as u64;
+        for (_, c) in node.children() {
             stack.push(c);
         }
     }

@@ -33,7 +33,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use warptree_core::categorize::{CatStore, Symbol};
-use warptree_core::search::{BackendKind, IndexBackend};
+use warptree_core::search::{BackendKind, IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 
 use crate::sa::{lcp_array, suffix_array};
@@ -400,33 +400,37 @@ impl IndexBackend for EsaIndex {
         }
     }
 
-    fn for_each_child(&self, n: EsaNode, f: &mut dyn FnMut(EsaNode)) {
-        if n.tag & LEAF_BIT != 0 {
-            return;
-        }
-        let rec = self.recs[n.tag as usize];
-        let kids =
-            &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize];
-        for &kid in kids {
-            f(EsaNode {
-                tag: kid,
-                edge_start: rec.depth,
-            });
-        }
-    }
-
-    fn edge_label(&self, n: EsaNode, out: &mut Vec<Symbol>) {
-        let (entry, depth) = if n.tag & LEAF_BIT != 0 {
+    fn visit(&self, n: EsaNode, children: &mut impl Extend<EsaNode>) -> NodeVisit<'_> {
+        // The first member suffix, the node's depth, and its
+        // annotations: a leaf is one entry, an interval a run of them.
+        let (member, depth, max_lead_run, below) = if n.tag & LEAF_BIT != 0 {
             let e = n.tag & !LEAF_BIT;
-            (self.entries[e as usize], self.entry_len(e))
+            (e, self.entry_len(e), self.entries[e as usize].lead, 1)
         } else {
             let rec = self.recs[n.tag as usize];
-            (self.entries[rec.lo as usize], rec.depth)
+            let kids =
+                &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize];
+            children.extend(kids.iter().map(|&tag| EsaNode {
+                tag,
+                edge_start: rec.depth,
+            }));
+            (rec.lo, rec.depth, rec.max_run, (rec.hi - rec.lo) as u64)
         };
-        let syms = self.cat.seq(entry.seq);
-        out.extend_from_slice(
-            &syms[(entry.start + n.edge_start) as usize..(entry.start + depth) as usize],
-        );
+        // The edge label is an LCP delta: the member's symbols between
+        // the parent's depth and this node's — none for the root, which
+        // over an empty store has no member to name either.
+        let label = if depth == n.edge_start {
+            &[][..]
+        } else {
+            let entry = self.entries[member as usize];
+            let syms = self.cat.seq(entry.seq);
+            &syms[(entry.start + n.edge_start) as usize..(entry.start + depth) as usize]
+        };
+        NodeVisit {
+            label,
+            max_lead_run,
+            suffix_count: Some(below),
+        }
     }
 
     fn for_each_suffix_below(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
@@ -451,14 +455,6 @@ impl IndexBackend for EsaIndex {
         }
     }
 
-    fn max_lead_run(&self, n: EsaNode) -> u32 {
-        if n.tag & LEAF_BIT != 0 {
-            self.entries[(n.tag & !LEAF_BIT) as usize].lead
-        } else {
-            self.recs[n.tag as usize].max_run
-        }
-    }
-
     fn is_sparse(&self) -> bool {
         self.sparse
     }
@@ -469,15 +465,6 @@ impl IndexBackend for EsaIndex {
 
     fn backend_kind(&self) -> BackendKind {
         BackendKind::Esa
-    }
-
-    fn suffix_count_below(&self, n: EsaNode) -> Option<u64> {
-        Some(if n.tag & LEAF_BIT != 0 {
-            1
-        } else {
-            let rec = self.recs[n.tag as usize];
-            (rec.hi - rec.lo) as u64
-        })
     }
 }
 
@@ -499,8 +486,9 @@ mod tests {
         let mut count = 0;
         e.for_each_suffix_below(e.root(), &mut |_, _, _| count += 1);
         assert_eq!(count, 7);
-        assert_eq!(e.max_lead_run(e.root()), 3);
-        assert_eq!(e.suffix_count_below(e.root()), Some(7));
+        let root = e.visit(e.root(), &mut Vec::new());
+        assert_eq!(root.max_lead_run, 3);
+        assert_eq!(root.suffix_count, Some(7));
     }
 
     #[test]
@@ -509,7 +497,7 @@ mod tests {
         e.check_invariants();
         assert!(e.is_sparse());
         assert_eq!(e.suffix_count(), 2); // suffixes at 0 and 3
-        assert_eq!(e.max_lead_run(e.root()), 3);
+        assert_eq!(e.visit(e.root(), &mut Vec::new()).max_lead_run, 3);
     }
 
     #[test]
@@ -520,11 +508,10 @@ mod tests {
         let e = idx(vec![vec![0, 1, 0]], 2, false);
         e.check_invariants();
         let mut kids = Vec::new();
-        e.for_each_child(e.root(), &mut |n| kids.push(n));
+        assert!(e.visit(e.root(), &mut kids).label.is_empty());
         assert_eq!(kids.len(), 2, "root children: 'a…' and 'ba'");
-        let mut label = Vec::new();
-        e.edge_label(kids[0], &mut label);
-        assert_eq!(label, vec![0], "node 'a' edge");
+        let a = e.visit(kids[0], &mut Vec::new());
+        assert_eq!(a.label, [0], "node 'a' edge");
         // Node 'a' enumerates its attached suffix (0,2) before its
         // subtree.
         let mut seen = Vec::new();
@@ -539,10 +526,8 @@ mod tests {
         let e = idx(vec![vec![0, 1], vec![1]], 2, false);
         e.check_invariants();
         let mut kids = Vec::new();
-        e.for_each_child(e.root(), &mut |n| kids.push(n));
-        let mut label = Vec::new();
-        e.edge_label(kids[1], &mut label);
-        assert_eq!(label, vec![1]);
+        e.visit(e.root(), &mut kids);
+        assert_eq!(e.visit(kids[1], &mut Vec::new()).label, [1]);
         let mut seen = Vec::new();
         e.for_each_suffix_below(kids[1], &mut |s, st, _| seen.push((s.0, st)));
         assert_eq!(seen, vec![(0, 1), (1, 0)]);
@@ -586,7 +571,7 @@ mod tests {
         e.check_invariants();
         assert_eq!(e.suffix_count(), 1);
         let mut kids = Vec::new();
-        e.for_each_child(e.root(), &mut |n| kids.push(n));
+        e.visit(e.root(), &mut kids);
         assert_eq!(kids.len(), 1);
     }
 }

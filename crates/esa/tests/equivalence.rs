@@ -19,7 +19,7 @@ use warptree_suffix::{build_full, build_full_naive, build_sparse};
 /// root suffix-enumeration order.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
-    /// Per node, in DFS order (children in `for_each_child` order):
+    /// Per node, in DFS order (children in `visit` order):
     /// (edge label, subtree suffix count, max lead run, child count).
     nodes: Vec<(Vec<Symbol>, u64, u32, usize)>,
     /// `for_each_suffix_below(root)` in emission order.
@@ -28,29 +28,20 @@ struct Fingerprint {
 
 fn fingerprint<T: IndexBackend>(idx: &T) -> Fingerprint {
     let mut nodes = Vec::new();
-    fn walk<T: IndexBackend>(
-        idx: &T,
-        n: T::Node,
-        is_root: bool,
-        out: &mut Vec<(Vec<Symbol>, u64, u32, usize)>,
-    ) {
-        let mut label = Vec::new();
-        if !is_root {
-            idx.edge_label(n, &mut label);
-        }
+    fn walk<T: IndexBackend>(idx: &T, n: T::Node, out: &mut Vec<(Vec<Symbol>, u64, u32, usize)>) {
         let mut kids = Vec::new();
-        idx.for_each_child(n, &mut |c| kids.push(c));
+        let v = idx.visit(n, &mut kids);
         out.push((
-            label,
-            idx.suffix_count_below(n).expect("both backends count"),
-            idx.max_lead_run(n),
+            v.label.to_vec(),
+            v.suffix_count.expect("both backends count"),
+            v.max_lead_run,
             kids.len(),
         ));
         for c in kids {
-            walk(idx, c, false, out);
+            walk(idx, c, out);
         }
     }
-    walk(idx, idx.root(), true, &mut nodes);
+    walk(idx, idx.root(), &mut nodes);
     let mut suffixes = Vec::new();
     idx.for_each_suffix_below(idx.root(), &mut |s, st, lead| {
         suffixes.push((s.0, st, lead))

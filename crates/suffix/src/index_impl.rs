@@ -1,8 +1,7 @@
 //! [`IndexBackend`] implementation for the in-memory tree, connecting
 //! it to the core filter algorithms.
 
-use warptree_core::categorize::Symbol;
-use warptree_core::search::IndexBackend;
+use warptree_core::search::{IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 
 use crate::tree::{NodeId, SuffixTree, ROOT};
@@ -14,14 +13,23 @@ impl IndexBackend for SuffixTree {
         ROOT
     }
 
-    fn for_each_child(&self, n: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for &c in &self.node(n).children {
-            f(c);
+    fn visit(&self, n: NodeId, children: &mut impl Extend<NodeId>) -> NodeVisit<'_> {
+        debug_assert!(self.is_finalized(), "finalize() must run before searching");
+        let node = self.node(n);
+        children.extend(node.children.iter().copied());
+        NodeVisit {
+            // The root's empty label names no sequence (the store may
+            // hold none).
+            label: if n == ROOT {
+                &[]
+            } else {
+                self.label_symbols(node.label)
+            },
+            max_lead_run: node.max_lead_run,
+            // O(1): `finalize()` annotates every node with its subtree
+            // suffix count.
+            suffix_count: Some(node.suffix_count),
         }
-    }
-
-    fn edge_label(&self, n: NodeId, out: &mut Vec<Symbol>) {
-        out.extend_from_slice(self.label_symbols(self.node(n).label));
     }
 
     fn for_each_suffix_below(&self, n: NodeId, f: &mut dyn FnMut(SeqId, u32, u32)) {
@@ -35,11 +43,6 @@ impl IndexBackend for SuffixTree {
         }
     }
 
-    fn max_lead_run(&self, n: NodeId) -> u32 {
-        debug_assert!(self.is_finalized(), "finalize() must run before searching");
-        self.node(n).max_lead_run
-    }
-
     fn is_sparse(&self) -> bool {
         SuffixTree::is_sparse(self)
     }
@@ -50,13 +53,6 @@ impl IndexBackend for SuffixTree {
 
     fn depth_limit(&self) -> Option<u32> {
         SuffixTree::depth_limit(self)
-    }
-
-    fn suffix_count_below(&self, n: NodeId) -> Option<u64> {
-        // O(1): `finalize()` annotates every node with its subtree
-        // suffix count.
-        debug_assert!(self.is_finalized(), "finalize() must run before searching");
-        Some(self.node(n).suffix_count)
     }
 }
 
@@ -74,28 +70,31 @@ mod tests {
             3,
         ));
         let t = build_full_naive(c.clone());
-        let idx: &dyn IndexBackend<Node = NodeId> = &t;
-        assert_eq!(idx.suffix_count(), 7);
-        assert!(!idx.is_sparse());
+        assert_eq!(IndexBackend::suffix_count(&t), 7);
+        assert!(!IndexBackend::is_sparse(&t));
         let mut kids = Vec::new();
-        idx.for_each_child(idx.root(), &mut |n| kids.push(n));
-        assert_eq!(kids.len(), t.node(ROOT).children.len());
-        let mut label = Vec::new();
-        idx.edge_label(kids[0], &mut label);
-        assert!(!label.is_empty());
+        let root = t.visit(t.root(), &mut kids);
+        assert_eq!(kids, t.node(ROOT).children);
+        assert!(root.label.is_empty());
+        assert_eq!(root.suffix_count, Some(7));
+        assert_eq!(root.max_lead_run, 3);
+        // A visit appends: what the buffer held stays in place.
+        let below = kids.len();
+        let first = t.visit(kids[0], &mut kids);
+        assert_eq!(first.label, t.label_symbols(t.node(kids[0]).label));
+        assert!(!first.label.is_empty());
+        assert_eq!(kids[below..], t.node(kids[0]).children);
         let mut count = 0;
-        idx.for_each_suffix_below(idx.root(), &mut |_, _, _| count += 1);
+        t.for_each_suffix_below(t.root(), &mut |_, _, _| count += 1);
         assert_eq!(count, 7);
-        assert_eq!(idx.max_lead_run(idx.root()), 3);
     }
 
     #[test]
     fn sparse_trait_view() {
         let c = Arc::new(CatStore::from_symbols(vec![vec![0, 0, 0, 1]], 2));
         let t = build_sparse(c);
-        let idx: &dyn IndexBackend<Node = NodeId> = &t;
-        assert!(idx.is_sparse());
-        assert_eq!(idx.suffix_count(), 2); // suffixes at 0 and 3
-        assert_eq!(idx.max_lead_run(idx.root()), 3);
+        assert!(IndexBackend::is_sparse(&t));
+        assert_eq!(IndexBackend::suffix_count(&t), 2); // suffixes at 0 and 3
+        assert_eq!(t.visit(t.root(), &mut Vec::new()).max_lead_run, 3);
     }
 }

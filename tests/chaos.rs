@@ -273,6 +273,77 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A page CRC vouches for bytes, not for who wrote them: a record
+/// forged *with* a valid CRC whose edge label runs off its sequence must
+/// come back as a typed `BadRecord` through the same abort → exclude →
+/// partial-answer path as a failed CRC, not as a slice panic.
+#[test]
+fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
+    use warptree_disk::{crc::crc32, DiskError, DiskTree, PAGE_DATA};
+
+    let dir = tmpdir("hostile");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
+
+    // A child of segment 1's root (every query visits all of them) whose
+    // label length word sits inside one page.
+    let path = dir.join(&seg1);
+    let label_len_at = {
+        let tree = DiskTree::open(&path, snap.tree.cat().clone(), 8, 64).unwrap();
+        let root = tree.read_node(tree.header().root_offset).unwrap();
+        let children = root.children().map(|(_, child)| child + 8);
+        let inside = |at: &u64| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64;
+        children
+            .filter(inside)
+            .last()
+            .expect("a child label inside a page")
+    };
+    drop(snap);
+    // Stretch the label far past its sequence and re-seal the page.
+    let page_at = label_len_at / PAGE_DATA as u64 * PAGE_SIZE as u64;
+    let mut f = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    let mut page = vec![0u8; PAGE_SIZE];
+    f.seek(SeekFrom::Start(page_at)).unwrap();
+    f.read_exact(&mut page).unwrap();
+    let word = (label_len_at % PAGE_DATA as u64) as usize;
+    page[word..word + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+    let crc = crc32(&page[..PAGE_DATA]);
+    page[PAGE_DATA..].copy_from_slice(&crc.to_le_bytes());
+    f.seek(SeekFrom::Start(page_at)).unwrap();
+    f.write_all(&page).unwrap();
+    f.sync_all().unwrap();
+
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    // The forged page passes every CRC check there is...
+    let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
+    forged.verify_pages().unwrap();
+    // ...the record does not pass decode...
+    let tree = forged.as_tree().unwrap();
+    match tree.read_node(label_len_at - 8) {
+        Err(DiskError::BadRecord(m)) => assert!(m.contains("outside the corpus"), "{m}"),
+        other => panic!("expected a typed BadRecord, got {other:?}"),
+    }
+    // ...and a query over the directory answers without the segment.
+    let dq = snap.query_degraded(&req).unwrap();
+    assert_eq!(dq.detected, vec![seg1]);
+    let cov = dq.output.coverage.expect("a degraded answer says so");
+    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
+    for m in dq.output.matches() {
+        assert!(
+            clean.contains(m),
+            "degraded match {m:?} not in the clean set"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Disk-only, through the server: degraded serving, protocol-version
 // gating, health/stats surfacing, restart persistence, scrub heal.

@@ -165,14 +165,13 @@ fn registry_snapshot_has_search_and_io_names() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// A metered open instruments the base tree *and* every tail segment:
-/// after one query, the registry's page- and node-cache traffic is the
-/// traffic of all three trees, not of the base alone.
-///
-/// The per-tree truth comes from an unmetered open of the same
-/// directory running the same query from the same cold caches — once
-/// instrumented, the trees share the registry's counter cells, so their
-/// own `io_stats()` all read the shared total.
+/// A metered open instruments the base tree *and* every tail segment,
+/// and instrumenting takes nothing away from the trees themselves: after
+/// one query the registry holds the page- and node-cache traffic of all
+/// three trees, while each tree's own `io_stats()` / `node_cache_stats()`
+/// still report that tree's share — the same figures, tree for tree, as
+/// an unmetered open of the directory running the query from the same
+/// cold caches.
 #[test]
 fn metered_open_counts_tail_segment_traffic() {
     let store = corpus();
@@ -189,10 +188,7 @@ fn metered_open_counts_tail_segment_traffic() {
         append_index_dir(&d, &tail).unwrap();
     }
 
-    let plain = open_index_dir(&d, 32).unwrap();
-    assert_eq!(plain.segment_count(), 3);
-    // Page and node lookups per tree (the open itself reads a header
-    // page, before any instrumenting; take the query's delta).
+    // Page and node lookups per tree.
     let lookups = |idx: &DiskIndexDir| -> Vec<(u64, u64)> {
         let per_tree = idx.live_trees().map(|t| {
             let (io, (node_hits, node_misses)) = (t.io_stats(), t.node_cache_stats());
@@ -200,31 +196,149 @@ fn metered_open_counts_tail_segment_traffic() {
         });
         per_tree.collect()
     };
-    let at_open = lookups(&plain);
-    let expected = plain.search_with(&q, &params, &SearchMetrics::new());
-    let per_tree: Vec<(u64, u64)> = lookups(&plain)
-        .iter()
-        .zip(&at_open)
-        .map(|(after, before)| (after.0 - before.0, after.1 - before.1))
-        .collect();
+    // What one query adds to them (the open itself reads a header page,
+    // before any instrumenting).
+    let query_traffic = |idx: &DiskIndexDir| {
+        let at_open = lookups(idx);
+        let answers = idx.search_with(&q, &params, &SearchMetrics::new());
+        let per_tree: Vec<(u64, u64)> = lookups(idx)
+            .iter()
+            .zip(&at_open)
+            .map(|(after, before)| (after.0 - before.0, after.1 - before.1))
+            .collect();
+        (answers, per_tree)
+    };
+
+    let plain = open_index_dir(&d, 32).unwrap();
+    assert_eq!(plain.segment_count(), 3);
+    let (expected, per_tree) = query_traffic(&plain);
     assert!(
         per_tree
             .iter()
             .all(|&(pages, nodes)| pages > 0 && nodes > 0),
         "every tree must see traffic for the test to mean anything: {per_tree:?}"
     );
-    let pages: u64 = per_tree.iter().map(|t| t.0).sum();
-    let nodes: u64 = per_tree.iter().map(|t| t.1).sum();
+    assert!(
+        per_tree.iter().any(|t| *t != per_tree[0]),
+        "trees with equal traffic could not tell a per-tree count from a shared one: {per_tree:?}"
+    );
 
     let reg = MetricsRegistry::new();
     let metered = open_index_dir_metered(&d, 32, &reg).unwrap();
-    let answers = metered.search_with(&q, &params, &SearchMetrics::new());
+    let (answers, metered_per_tree) = query_traffic(&metered);
     assert_eq!(answers.occurrence_set(), expected.occurrence_set());
+    assert_eq!(
+        metered_per_tree, per_tree,
+        "an instrumented tree reports its own traffic"
+    );
     let snap = reg.snapshot();
     let counted = |kind: &str| {
         snap.counters[&format!("disk.{kind}.hits")] + snap.counters[&format!("disk.{kind}.misses")]
     };
-    assert_eq!(counted("page_cache"), pages);
-    assert_eq!(counted("node_cache"), nodes);
+    assert_eq!(
+        counted("page_cache"),
+        per_tree.iter().map(|t| t.0).sum::<u64>()
+    );
+    assert_eq!(
+        counted("node_cache"),
+        per_tree.iter().map(|t| t.1).sum::<u64>()
+    );
     std::fs::remove_dir_all(&d).ok();
+}
+
+/// The visit contract on the paged tree: the filter fetches a node's
+/// record exactly once per visited node (plus once for each tree's
+/// root). Everything else the node cache sees comes from
+/// `for_each_suffix_below` walking the subtree under an emitting edge —
+/// counted here by a backend that wraps the real one and reads the cache
+/// counters around each walk.
+#[test]
+fn a_node_visit_is_one_record_fetch() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use warptree::core::search::{IndexBackend, NodeVisit};
+    use warptree::disk::AnyIndex;
+
+    /// `T`, with the node-cache lookups of its suffix walks summed.
+    struct CountWalks<'a, T> {
+        inner: &'a T,
+        lookups: &'a (dyn Fn() -> u64 + Sync),
+        in_walks: AtomicU64,
+    }
+    impl<T: IndexBackend> IndexBackend for CountWalks<'_, T> {
+        type Node = T::Node;
+        fn root(&self) -> T::Node {
+            self.inner.root()
+        }
+        fn visit(&self, n: T::Node, children: &mut impl Extend<T::Node>) -> NodeVisit<'_> {
+            self.inner.visit(n, children)
+        }
+        fn for_each_suffix_below(&self, n: T::Node, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            let before = (self.lookups)();
+            self.inner.for_each_suffix_below(n, f);
+            self.in_walks
+                .fetch_add((self.lookups)() - before, Ordering::Relaxed);
+        }
+        fn is_sparse(&self) -> bool {
+            self.inner.is_sparse()
+        }
+        fn suffix_count(&self) -> u64 {
+            self.inner.suffix_count()
+        }
+    }
+
+    let store = corpus();
+    let q = query(&store);
+    let params = SearchParams::with_epsilon(6.0);
+    for sparse in [false, true] {
+        let d = dir(if sparse { "visit-sp" } else { "visit-full" });
+        build_index_dir(&store, Categorization::MaxEntropy(12), sparse, 8, &d).unwrap();
+        // Two directories in one: the base alone, then base + a tail
+        // (the fan-out view visits one root per tree).
+        for with_tail in [false, true] {
+            if with_tail {
+                append_index_dir(&d, &store).unwrap();
+            }
+            let idx = open_index_dir(&d, 32).unwrap();
+            let trees: Vec<&AnyIndex> = idx.live_trees().collect();
+            let lookups = || -> u64 {
+                let per_tree = trees.iter().map(|t| t.node_cache_stats());
+                per_tree.map(|(hits, misses)| hits + misses).sum()
+            };
+            let run = |tree: &dyn Fn(&SearchMetrics) -> Vec<Candidate>| {
+                let (metrics, before) = (SearchMetrics::new(), lookups());
+                let candidates = tree(&metrics);
+                (candidates, metrics.snapshot(), lookups() - before)
+            };
+            let fanned = SegmentedIndex::new(trees.clone());
+            let counted = CountWalks {
+                inner: &fanned,
+                lookups: &lookups,
+                in_walks: AtomicU64::new(0),
+            };
+            let (candidates, stats, total) =
+                run(&|m| filter_tree(&counted, &idx.alphabet, &q, &params, m));
+            assert!(
+                stats.candidates > 0,
+                "the query must emit for walks to count"
+            );
+            let in_walks = counted.in_walks.load(Ordering::Relaxed);
+            assert!(in_walks > 0);
+            assert_eq!(
+                total - in_walks,
+                stats.nodes_visited + trees.len() as u64,
+                "sparse={sparse} tail={with_tail}: one record fetch per visited node and root"
+            );
+            // Counting changed nothing, and neither do threads: the same
+            // candidates in the same order, the same counters, the same
+            // number of record fetches.
+            for threads in [1, 2, 8] {
+                let p = params.clone().parallel(threads);
+                let (c, s, lookups) = run(&|m| filter_tree(&fanned, &idx.alphabet, &q, &p, m));
+                assert_eq!(c, candidates, "threads={threads}");
+                assert_eq!(s, stats, "threads={threads}");
+                assert_eq!(lookups, total, "threads={threads}");
+            }
+        }
+        std::fs::remove_dir_all(&d).ok();
+    }
 }

@@ -269,6 +269,12 @@ fn explain_identical_across_thread_counts() {
         // Wall times differ by nature; the deterministic work counters
         // must not.
         assert_eq!(seq_rep.stats, par_rep.stats, "threads={t}");
+        // Nor the record fetches behind them: one per visited node,
+        // however the visits are spread over threads.
+        let fetches = |io: Option<warptree::ExplainIo>| {
+            io.map(|io| io.node_cache_hits + io.node_cache_misses)
+        };
+        assert_eq!(fetches(seq_rep.io), fetches(par_rep.io), "threads={t}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
