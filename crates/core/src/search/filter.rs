@@ -85,6 +85,20 @@ impl BaseRows {
     }
 }
 
+/// What one traversal counted, in plain integers: a row push is a few
+/// nanoseconds, so its bookkeeping is an `add` on a local, and the shared
+/// [`SearchMetrics`] counters hear of it once, in [`FilterCtx::finish`].
+#[derive(Clone, Copy, Default)]
+struct Tallies {
+    rows_pushed: u64,
+    rows_unshared: u64,
+    nodes_visited: u64,
+    nodes_expanded: u64,
+    branches_pruned: u64,
+    stored_candidates: u64,
+    lb2_candidates: u64,
+}
+
 struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     tree: &'a T,
     /// Base lower-bound distance between a query element (as stored in
@@ -101,6 +115,7 @@ struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     /// backtrack like the table.
     kids: Vec<T::Node>,
     out: Vec<Candidate>,
+    tallies: Tallies,
     metrics: &'a SearchMetrics,
 }
 
@@ -126,8 +141,24 @@ impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
             rows: BaseRows::new(),
             kids: Vec::new(),
             out: Vec::new(),
+            tallies: Tallies::default(),
             metrics,
         }
+    }
+
+    /// Adds this traversal's cells and tallies to its metrics and hands
+    /// back what it emitted.
+    fn finish(self) -> Vec<Candidate> {
+        let (m, t) = (self.metrics, self.tallies);
+        m.filter_cells.add(self.table.cells_computed());
+        m.rows_pushed.add(t.rows_pushed);
+        m.rows_unshared.add(t.rows_unshared);
+        m.nodes_visited.add(t.nodes_visited);
+        m.nodes_expanded.add(t.nodes_expanded);
+        m.branches_pruned.add(t.branches_pruned);
+        m.stored_candidates.add(t.stored_candidates);
+        m.lb2_candidates.add(t.lb2_candidates);
+        self.out
     }
 }
 
@@ -164,7 +195,8 @@ pub fn filter_tree<T: IndexBackend + Sync>(
 /// sequence of point *indices* and `base` resolves them against grid
 /// cells. Any `base` that lower-bounds the true base distance yields a
 /// filter with no false dismissals (Theorem 2's argument is agnostic to
-/// where the bound comes from).
+/// where the bound comes from) — as long as it is never negative, which
+/// Theorem-1 pruning and the shift emission both build on.
 ///
 /// With `params.threads > 1` the traversal forks at the root's (and,
 /// when the root is narrow, the depth-2) subtrees across worker threads;
@@ -226,9 +258,9 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
             descend(&mut ctx, root_children, state);
         }
     }
-    ctx.metrics.filter_cells.add(ctx.table.cells_computed());
-    ctx.metrics.candidates.add(ctx.out.len() as u64);
-    ctx.out
+    let out = ctx.finish();
+    metrics.candidates.add(out.len() as u64);
+    out
 }
 
 /// One iteration of [`descend`]'s child loop, without the backtracking
@@ -240,11 +272,11 @@ fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     child: T::Node,
     state: PathState,
 ) {
-    ctx.metrics.nodes_visited.incr();
+    ctx.tallies.nodes_visited += 1;
     let below = ctx.kids.len();
     let visit = ctx.tree.visit(child, &mut ctx.kids);
     if let Some(next) = walk_edge(ctx, child, state, &visit) {
-        ctx.metrics.nodes_expanded.incr();
+        ctx.tallies.nodes_expanded += 1;
         descend(ctx, below..ctx.kids.len(), next);
     }
 }
@@ -256,8 +288,8 @@ fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
 ///
 /// Each fork gets a [`WarpTable::fork`] of the shared prefix (so
 /// Theorem-1 pruning and row sharing behave exactly as in the
-/// sequential traversal) and a scratch metrics bundle merged at the
-/// join. Candidates are re-assembled in depth-first order: for each
+/// sequential traversal) and its own tallies, added to the metrics when
+/// it ends. Candidates are re-assembled in depth-first order: for each
 /// root child, the candidates its edge emitted during fork discovery,
 /// then its forks' candidates in child order.
 fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
@@ -275,10 +307,10 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     let mut segments: Vec<(usize, usize)> = Vec::with_capacity(children.len());
     for child in children {
         if expand {
-            ctx.metrics.nodes_visited.incr();
+            ctx.tallies.nodes_visited += 1;
             let visit = ctx.tree.visit(child, &mut ctx.kids);
             if let Some(next) = walk_edge(ctx, child, state, &visit) {
-                ctx.metrics.nodes_expanded.incr();
+                ctx.tallies.nodes_expanded += 1;
                 for &g in &ctx.kids {
                     tasks.push((g, next, ctx.table.fork()));
                 }
@@ -291,40 +323,30 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
         segments.push((ctx.out.len(), tasks.len()));
     }
     let (tree, base, params, metrics) = (ctx.tree, ctx.base, ctx.params, ctx.metrics);
-    let (results, scratches) = crate::parallel::parallel_map_with(
-        threads,
-        tasks,
-        || metrics.scratch(),
-        |scratch, _i, (node, state, table)| {
-            // Under an active trace each fork gets its own span (noop
-            // otherwise — one inlined branch, per the obs contract);
-            // forks run concurrently, so spans overlap rather than
-            // partition the filter's wall time.
-            let span = scratch.trace_span("filter.task");
-            let mut fork_ctx = FilterCtx::new(tree, base, params, table, scratch);
-            visit_child(&mut fork_ctx, node, state);
-            if span.is_active() {
-                if let Some(seg) = tree.segment_hint(node) {
-                    span.attr_u64("segment", seg as u64);
-                }
-                span.attr_u64("candidates", fork_ctx.out.len() as u64);
-                span.attr_u64("cells", fork_ctx.table.cells_computed());
+    let results = crate::parallel::parallel_map(threads, tasks, |_i, (node, state, table)| {
+        // Under an active trace each fork gets its own span (noop
+        // otherwise — one inlined branch, per the obs contract);
+        // forks run concurrently, so spans overlap rather than
+        // partition the filter's wall time.
+        let span = metrics.trace_span("filter.task");
+        let mut fork_ctx = FilterCtx::new(tree, base, params, table, metrics);
+        visit_child(&mut fork_ctx, node, state);
+        if span.is_active() {
+            if let Some(seg) = tree.segment_hint(node) {
+                span.attr_u64("segment", seg as u64);
             }
-            (fork_ctx.out, fork_ctx.table.cells_computed())
-        },
-    );
-    for scratch in &scratches {
-        metrics.record(&scratch.snapshot());
-    }
-    metrics
-        .filter_cells
-        .add(results.iter().map(|(_, cells)| *cells).sum());
+            span.attr_u64("candidates", fork_ctx.out.len() as u64);
+            span.attr_u64("cells", fork_ctx.table.cells_computed());
+        }
+        // A fork's counts reach the shared counters here, once.
+        fork_ctx.finish()
+    });
     // Stitch: per root child, prefix candidates then fork outputs.
     let prefix = std::mem::take(&mut ctx.out);
     let (mut prev_out, mut prev_task) = (0usize, 0usize);
     for (out_end, task_end) in segments {
         ctx.out.extend_from_slice(&prefix[prev_out..out_end]);
-        for (cands, _) in &results[prev_task..task_end] {
+        for cands in &results[prev_task..task_end] {
             ctx.out.extend_from_slice(cands);
         }
         (prev_out, prev_task) = (out_end, task_end);
@@ -354,9 +376,9 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         if let Some(s) = seg {
             span.attr_u64("segment", s as u64);
         }
-        let (out_before, before) = (ctx.out.len(), ctx.metrics.snapshot());
+        let (out_before, before) = (ctx.out.len(), ctx.tallies);
         descend(ctx, i..j, state);
-        let d = ctx.metrics.snapshot();
+        let d = ctx.tallies;
         span.attr_u64("root_children", (j - i) as u64);
         span.attr_u64("nodes_visited", d.nodes_visited - before.nodes_visited);
         span.attr_u64(
@@ -416,23 +438,18 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         0
     };
     // Weight of each row pushed along this edge in the `R_d` metric:
-    // the number of stored suffixes sharing it. Fetched only when the
-    // metric is live and the index can answer cheaply.
-    let unshared_weight = if ctx.metrics.rows_unshared.is_active() {
-        visit.suffix_count.unwrap_or(0)
-    } else {
-        0
-    };
+    // the number of stored suffixes sharing it, when the index knows.
+    let unshared_weight = visit.suffix_count.unwrap_or(0);
     for &sym in visit.label {
         if let Some(m) = ctx.max_len {
             if state.depth as u64 >= m as u64 + depth_allowance as u64 {
                 // Deeper rows cannot yield any in-range answer length.
-                ctx.metrics.branches_pruned.incr();
+                ctx.tallies.branches_pruned += 1;
                 return None;
             }
         }
         if ctx.table.next_row_out_of_band() {
-            ctx.metrics.branches_pruned.incr();
+            ctx.tallies.branches_pruned += 1;
             return None;
         }
         let row = ctx.rows.row(sym, ctx.table.query(), ctx.base);
@@ -448,24 +465,28 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         }
         let stat = ctx.table.push_base_row(row);
         state.depth += 1;
-        ctx.metrics.rows_pushed.incr();
-        ctx.metrics.rows_unshared.add(unshared_weight);
+        ctx.tallies.rows_pushed += 1;
+        ctx.tallies.rows_unshared += unshared_weight;
         let r = state.depth;
 
-        let (min_len, max_len) = (ctx.min_len, ctx.max_len);
-        let len_ok = move |len: u32| len >= min_len && max_len.is_none_or(|m| len <= m);
         // Candidate emission: stored suffixes (D_tw-lb)...
-        if stat.dist <= epsilon && len_ok(r) {
+        if stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m) {
             emit(ctx, child, &mut leaves, 0, r, stat.dist);
         }
         // ...and, for sparse trees, non-stored suffixes (D_tw-lb2).
         if ctx.sparse {
             let max_k = state.lead.saturating_sub(1).min(r - 1);
-            for k in 1..=max_k {
-                let lb2 = stat.dist - k as f64 * state.dbase1;
-                if lb2 <= epsilon && len_ok(r - k) {
-                    emit(ctx, child, &mut leaves, k, r, lb2);
-                }
+            let (min_len, max_len) = (ctx.min_len, ctx.max_len);
+            for k in qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
+            {
+                emit(
+                    ctx,
+                    child,
+                    &mut leaves,
+                    k,
+                    r,
+                    lb2(stat.dist, k, state.dbase1),
+                );
             }
         }
 
@@ -480,11 +501,61 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         };
         let relax = max_shift_below as f64 * state.dbase1;
         if stat.min - relax > epsilon {
-            ctx.metrics.branches_pruned.incr();
+            ctx.tallies.branches_pruned += 1;
             return None;
         }
     }
     Some(state)
+}
+
+/// `D_tw-lb2` (Definition 4) of a path at distance `dist` shifted `k`
+/// symbols into a leading run whose symbol is `d1` from `Q[1]`.
+#[inline]
+fn lb2(dist: f64, k: u32, d1: f64) -> f64 {
+    dist - k as f64 * d1
+}
+
+/// The shifts `k` of `1..=max_k` a row at depth `r` emits for: those with
+/// `lb2(dist, k, d1) ≤ epsilon` and an answer length `r − k` inside
+/// `[min_len, max_len]`.
+///
+/// `d1` is a base distance, so it is not negative and `lb2` does not grow
+/// with `k` (a product and a difference round monotonically): the shifts
+/// under ε are a suffix of `1..=max_k`, and most rows have none — one
+/// test at `max_k` says so. Otherwise the first of them is near
+/// `(dist − ε) / d₁`; the walk from that guess decides with `lb2` itself,
+/// so a zero or infinite `d1`, an infinite `dist` and a difference that
+/// rounds onto ε all fall where testing every `k` would put them.
+fn qualifying_shifts(
+    dist: f64,
+    d1: f64,
+    epsilon: f64,
+    max_k: u32,
+    r: u32,
+    min_len: u32,
+    max_len: Option<u32>,
+) -> std::ops::RangeInclusive<u32> {
+    debug_assert!(d1.is_nan() || d1 >= 0.0);
+    let under = |k: u32| lb2(dist, k, d1) <= epsilon;
+    // Past `last` an answer is shorter than `min_len`; 0 leaves no shift.
+    let last = if max_k > 0 && under(max_k) {
+        max_k.min(r.saturating_sub(min_len))
+    } else {
+        0
+    };
+    if last == 0 {
+        return 1..=last;
+    }
+    // NaN and everything below 1 cast to the clamp's floor.
+    let mut first = (((dist - epsilon) / d1).ceil() as u32).clamp(1, max_k);
+    while first > 1 && under(first - 1) {
+        first -= 1;
+    }
+    while !under(first) {
+        first += 1;
+    }
+    // Before `r − max_len` an answer is longer than `max_len`.
+    first.max(r.saturating_sub(max_len.unwrap_or(u32::MAX)))..=last
 }
 
 /// Emits one candidate per stored suffix below `child`, shifted `k`
@@ -507,9 +578,9 @@ fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     // Funnel accounting: Definition 3 (stored) vs Definition 4
     // (shifted, sparse only) emissions.
     if k == 0 {
-        ctx.metrics.stored_candidates.add(list.len() as u64);
+        ctx.tallies.stored_candidates += list.len() as u64;
     } else {
-        ctx.metrics.lb2_candidates.add(list.len() as u64);
+        ctx.tallies.lb2_candidates += list.len() as u64;
     }
     for &(seq, start, run) in list.iter() {
         // `k < run` always holds by the run-structure argument (see
@@ -727,11 +798,107 @@ mod tests {
         assert!(!occs.contains(&Occurrence::new(SeqId(0), 0, 2)));
     }
 
+    /// What `qualifying_shifts` replaced, kept as its oracle: every
+    /// `k` tested, the `(k, lower-bound bits)` of those emitted.
+    fn brute_shifts(
+        (dist, d1, epsilon): (f64, f64, f64),
+        max_k: u32,
+        r: u32,
+        (min_len, max_len): (u32, Option<u32>),
+    ) -> Vec<(u32, u64)> {
+        let len_ok = |len: u32| len >= min_len && max_len.is_none_or(|m| len <= m);
+        let mut out = Vec::new();
+        for k in 1..=max_k {
+            let lb2 = dist - k as f64 * d1;
+            if lb2 <= epsilon && len_ok(r - k) {
+                out.push((k, lb2.to_bits()));
+            }
+        }
+        out
+    }
+
+    fn ranged_shifts(
+        (dist, d1, epsilon): (f64, f64, f64),
+        max_k: u32,
+        r: u32,
+        (min_len, max_len): (u32, Option<u32>),
+    ) -> Vec<(u32, u64)> {
+        qualifying_shifts(dist, d1, epsilon, max_k, r, min_len, max_len)
+            .map(|k| (k, lb2(dist, k, d1).to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Emission by range is the brute `k` loop: the same shifts with
+        /// the same lower-bound bits, for `d₁` zero, subnormal, huge and
+        /// infinite, `dist` infinite, and `dist − k·d₁` planted on ε and
+        /// one ulp to either side of it.
+        #[test]
+        fn emission_by_range_is_the_brute_loop(
+            (d1_pick, d1_free) in (0usize..12, 0u32..4000),
+            eps_q in 0u32..400,
+            (dist_pick, dist_free, plant_k) in (0usize..6, 0u32..40_000, 0u32..48),
+            (lead, r) in (1u32..48, 1u32..64),
+            (min_len, max_pick, max_free) in (1u32..12, 0usize..3, 1u32..64),
+        ) {
+            let d1 = [
+                0.0, 5e-324, f64::MIN_POSITIVE / 4.0, f64::MIN_POSITIVE, 1e-9,
+                0.1, 1.0 / 3.0, 1.0, 1e300, f64::INFINITY,
+            ].get(d1_pick).copied().unwrap_or(d1_free as f64 * 0.01);
+            let epsilon = eps_q as f64 * 0.05;
+            let planted = epsilon + plant_k as f64 * d1;
+            let dist = match dist_pick {
+                0 => f64::INFINITY,
+                1 => planted,
+                2 => f64::from_bits(planted.to_bits().wrapping_add(1)),
+                3 if planted > 0.0 => f64::from_bits(planted.to_bits() - 1),
+                _ => dist_free as f64 * 0.01,
+            };
+            let max_len = [None, Some(max_free), Some(r.saturating_sub(max_free / 8).max(1))][max_pick];
+            let max_k = (lead - 1).min(r - 1);
+            let (costs, lens) = ((dist, d1, epsilon), (min_len, max_len));
+            proptest::prop_assert_eq!(
+                ranged_shifts(costs, max_k, r, lens),
+                brute_shifts(costs, max_k, r, lens),
+                "dist={:e} d1={:e} eps={} max_k={} r={} lens={:?}", dist, d1, epsilon, max_k, r, lens
+            );
+        }
+    }
+
+    #[test]
+    fn emission_by_range_handles_the_degenerate_rows() {
+        let lens = (1, None);
+        // d₁ = 0: the shift buys nothing, so all of 1..=max_k or none.
+        assert_eq!(ranged_shifts((3.0, 0.0, 3.0), 5, 9, lens).len(), 5);
+        assert_eq!(ranged_shifts((3.5, 0.0, 3.0), 5, 9, lens), vec![]);
+        // ∞ − k·∞ is NaN, under no ε; ∞ − k·d₁ is ∞.
+        assert_eq!(
+            ranged_shifts((f64::INFINITY, f64::INFINITY, 3.0), 5, 9, lens),
+            vec![]
+        );
+        assert_eq!(ranged_shifts((f64::INFINITY, 1.0, 3.0), 5, 9, lens), vec![]);
+        // A finite distance less an infinite d₁ is under every ε.
+        assert_eq!(
+            ranged_shifts((7.0, f64::INFINITY, 0.0), 3, 9, lens).len(),
+            3
+        );
+        // dist − k·d₁ exactly ε at k = 4: 4 is the first shift emitted.
+        let on = ranged_shifts((5.0, 0.5, 3.0), 6, 9, lens);
+        assert_eq!(on.iter().map(|e| e.0).collect::<Vec<_>>(), vec![4, 5, 6]);
+        assert_eq!(on, brute_shifts((5.0, 0.5, 3.0), 6, 9, lens));
+        // The length range cuts both ends: lengths 9 − k in [4, 6].
+        let cut = ranged_shifts((0.0, 1.0, 3.0), 8, 9, (4, Some(6)));
+        assert_eq!(cut.iter().map(|e| e.0).collect::<Vec<_>>(), vec![3, 4, 5]);
+    }
+
     #[test]
     fn parallel_filter_is_byte_identical_to_sequential() {
         // Dense and sparse trees, narrow and bushy roots: candidates
         // (values AND order) and every counter must match sequential
-        // for every thread count.
+        // for every thread count — with and without a trace attached,
+        // whose root walk reads the traversal's own tallies.
         let values = vec![
             vec![1.0, 2.0, 3.0, 2.0, 2.0, 2.0, 7.0],
             vec![2.0, 2.0, 5.0, 5.0, 5.0, 1.0],
@@ -755,8 +922,13 @@ mod tests {
                 let m1 = SearchMetrics::new();
                 let base = SearchParams::with_epsilon(eps);
                 let seq_cands = filter_tree(&tree, &a, &q, &base, &m1);
-                for threads in [2u32, 3, 8] {
-                    let mp = SearchMetrics::new();
+                for (threads, traced) in
+                    [(1u32, true), (2, false), (3, true), (8, false), (8, true)]
+                {
+                    let mut mp = SearchMetrics::new();
+                    if traced {
+                        mp = mp.with_trace(warptree_obs::Trace::active("t"));
+                    }
                     let par_cands =
                         filter_tree(&tree, &a, &q, &base.clone().parallel(threads), &mp);
                     assert_eq!(
@@ -766,8 +938,30 @@ mod tests {
                     assert_eq!(
                         m1.snapshot(),
                         mp.snapshot(),
-                        "sparse={sparse} eps={eps} t={threads}"
+                        "sparse={sparse} eps={eps} t={threads} traced={traced}"
                     );
+                    let Some(trace) = mp.trace.finish() else {
+                        continue;
+                    };
+                    // Sequential: the `filter.segment` spans partition the
+                    // root, so their deltas sum to the totals.
+                    let sum = |attr: &str| -> u64 {
+                        let spans = trace.spans.iter().filter(|s| s.name == "filter.segment");
+                        let attrs = spans.flat_map(|s| &s.attrs).filter(|(k, _)| k == attr);
+                        attrs
+                            .map(|(_, v)| match v {
+                                warptree_obs::AttrValue::U64(v) => *v,
+                                other => panic!("{attr} = {other:?}"),
+                            })
+                            .sum()
+                    };
+                    if threads == 1 {
+                        let s = m1.snapshot();
+                        assert_eq!(sum("nodes_visited"), s.nodes_visited);
+                        assert_eq!(sum("branches_pruned"), s.branches_pruned);
+                        assert_eq!(sum("rows_pushed"), s.rows_pushed);
+                        assert_eq!(sum("candidates"), s.candidates);
+                    }
                 }
             }
         }

@@ -170,26 +170,6 @@ impl SearchMetrics {
         }
     }
 
-    /// A detached bundle matching `self`'s measurement mode: live when
-    /// `self` records, no-op when `self` is the no-op bundle.
-    ///
-    /// Parallel search workers accumulate into a scratch bundle each and
-    /// merge once via [`record`](Self::record) at the join point, so the
-    /// hot loop never contends on shared atomics — and a no-op caller
-    /// keeps paying nothing.
-    pub fn scratch(&self) -> SearchMetrics {
-        let mut m = if self.rows_pushed.is_active() {
-            SearchMetrics::new()
-        } else {
-            SearchMetrics::noop()
-        };
-        // The trace rides along: a parallel worker's spans belong to
-        // the same query tree its counters will be folded into.
-        m.trace = self.trace.clone();
-        m.trace_parent = self.trace_parent;
-        m
-    }
-
     /// Attaches a per-query trace: stage spans opened through
     /// [`trace_span`](SearchMetrics::trace_span) record into it.
     /// Tracing is independent of the counter mode, so a server can
@@ -314,16 +294,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_rides_with_scratch_and_nests_under() {
+    fn trace_rides_with_clones_and_nests_under() {
         let m = SearchMetrics::new().with_trace(Trace::active("t1"));
         let round = m.trace_span("knn.round");
         let per_round = m.under(&round);
         {
             let filter = per_round.trace_span("filter");
-            // A parallel worker's scratch still records into the same
-            // trace, under the same parent.
-            let scratch = per_round.scratch();
-            let _seg = scratch.trace_span("filter.segment");
+            // A clone handed to a parallel worker still records into the
+            // same trace, under the same parent.
+            let worker = per_round.clone();
+            let _seg = worker.trace_span("filter.segment");
             drop(filter);
         }
         drop(round);

@@ -29,9 +29,10 @@
 //!
 //! All integers are little-endian. Every page carries a CRC-32, so
 //! corruption anywhere in the file is detected on first touch. A CRC
-//! only vouches for the bytes, not for who wrote them: [`decode_node`]
-//! also checks each record against the file and the store it indexes
-//! (see its docs), so a well-checksummed hostile record is a typed
+//! only vouches for the bytes, not for who wrote them: [`NodeView::decode`]
+//! — the one decoder, which every reader of a record goes through — also
+//! checks each record against the file and the store it indexes (see its
+//! docs), so a well-checksummed hostile record is a typed
 //! [`DiskError::BadRecord`], never an out-of-range slice.
 
 use std::path::Path;
@@ -124,12 +125,13 @@ impl Header {
     }
 }
 
-/// A node record decoded from disk. Cheap to clone: the variable-length
-/// body is one shared allocation.
+/// A node record copied out of its page ([`NodeView::to_node`]), for
+/// readers that hold several records at once (the merge, `to_mem`).
+/// Cheap to clone: the variable-length body is one shared allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskNode {
     /// Edge label entering this node: `(seq, start, len)`, a range
-    /// [`decode_node`] checked against the store.
+    /// [`NodeView::decode`] checked against the store.
     pub label: (SeqId, u32, u32),
     /// Stored suffixes at or below this node.
     pub suffix_count: u64,
@@ -192,78 +194,164 @@ pub fn encode_node(
     out
 }
 
-/// What [`decode_node`] made of the bytes it was given.
+/// A checked node record read in place: a borrowed view over the bytes
+/// of its page frame (or of a gathered copy, for a record that straddles
+/// pages). A traversal reads a record through this and copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeView<'a> {
+    /// Exactly the record: its head, then `n_suffixes + n_children`
+    /// entries.
+    bytes: &'a [u8],
+    n_suffixes: usize,
+}
+
+/// What [`NodeView::decode`] made of the bytes it was given.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Decoded {
+pub enum Decoded<'a> {
     /// The whole record was there.
-    Node(DiskNode),
+    Node(NodeView<'a>),
     /// The record needs this many bytes from its offset on (at most the
     /// rest of the file): the caller gathers them and decodes again.
     Short(usize),
 }
 
-/// Decodes the node record at logical `offset` of a `file_len`-byte tree
-/// file over `cat`, from `bytes` — the file's content from `offset` on,
-/// as much of it as the caller has at hand (typically the rest of the
-/// record's page).
-///
-/// The bytes passed their page CRC but are otherwise untrusted. A record
-/// is [`DiskError::BadRecord`] when it overruns the file, when its edge
-/// label is not a range of a sequence of `cat` (every label is handed to
-/// the traversal as a borrowed slice of that sequence), or when a child
-/// does not precede it in the file — children are written before their
-/// parent, and a traversal that only ever moves to smaller offsets
-/// cannot be sent round a cycle.
-pub fn decode_node(bytes: &[u8], offset: u64, file_len: u64, cat: &CatStore) -> Result<Decoded> {
-    // The record's length, as far as the bytes at hand tell it: the
-    // head's, until the head is there to give the entry counts. Bound it
-    // by the file before anything is sized by it.
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
-    let entries = if bytes.len() < NODE_HEAD {
-        0
-    } else {
-        word(24) as u64 + word(28) as u64
-    };
-    let total = NODE_HEAD as u64 + NODE_ENTRY as u64 * entries;
-    if offset + total > file_len {
-        return Err(DiskError::BadRecord(format!(
-            "node at {offset} overruns the file"
-        )));
+#[inline]
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+impl<'a> NodeView<'a> {
+    /// Decodes the node record at logical `offset` of a `file_len`-byte
+    /// tree file over `cat`, from `bytes` — the file's content from
+    /// `offset` on, as much of it as the caller has at hand (typically
+    /// the rest of the record's page).
+    ///
+    /// The bytes passed their page CRC but are otherwise untrusted, and
+    /// everything a reader later takes from the view is checked here,
+    /// once. A record is [`DiskError::BadRecord`] when
+    ///
+    /// * it overruns the file;
+    /// * its edge label is not a range of a sequence of `cat` (every
+    ///   label is handed to the traversal as a borrowed slice of that
+    ///   sequence);
+    /// * a child does not precede it in the file — children are written
+    ///   before their parent, and a traversal that only ever moves to
+    ///   smaller offsets cannot be sent round a cycle;
+    /// * a suffix entry `(seq, start, lead_run)` is not a position of
+    ///   `cat` with a run that fits behind it (`seq < cat.len()`,
+    ///   `start < |seq|`, `1 ≤ lead_run ≤ |seq| − start`) — the entries
+    ///   become the occurrences post-processing slices the store with.
+    pub fn decode(
+        bytes: &'a [u8],
+        offset: u64,
+        file_len: u64,
+        cat: &CatStore,
+    ) -> Result<Decoded<'a>> {
+        // The record's length, as far as the bytes at hand tell it: the
+        // head's, until the head is there to give the entry counts. Bound
+        // it by the file before anything is sized by it.
+        let entries = if bytes.len() < NODE_HEAD {
+            0
+        } else {
+            word(bytes, 24) as u64 + word(bytes, 28) as u64
+        };
+        let total = NODE_HEAD as u64 + NODE_ENTRY as u64 * entries;
+        if offset + total > file_len {
+            return Err(DiskError::BadRecord(format!(
+                "node at {offset} overruns the file"
+            )));
+        }
+        let total = total as usize;
+        if bytes.len() < total {
+            return Ok(Decoded::Short(total));
+        }
+        let node = NodeView {
+            bytes: &bytes[..total],
+            n_suffixes: word(bytes, 24) as usize,
+        };
+        // A sequence the store does not have holds no position.
+        let seq_len = |seq: SeqId| {
+            if (seq.0 as usize) < cat.len() {
+                cat.seq(seq).len() as u64
+            } else {
+                0
+            }
+        };
+        let (seq, start, len) = node.label();
+        if len != 0 && start as u64 + len as u64 > seq_len(seq) {
+            return Err(DiskError::BadRecord(format!(
+                "node at {offset}: label ({}, {start}, {len}) is outside the corpus",
+                seq.0
+            )));
+        }
+        for (seq, start, run) in node.suffixes() {
+            let room = seq_len(seq).saturating_sub(start as u64);
+            if run == 0 || run as u64 > room {
+                return Err(DiskError::BadRecord(format!(
+                    "node at {offset}: suffix ({}, {start}, run {run}) is outside the corpus",
+                    seq.0
+                )));
+            }
+        }
+        if let Some((_, child)) = node.children().find(|&(_, child)| child >= offset) {
+            return Err(DiskError::BadRecord(format!(
+                "node at {offset}: child at {child} does not precede it"
+            )));
+        }
+        Ok(Decoded::Node(node))
     }
-    let total = total as usize;
-    if bytes.len() < total {
-        return Ok(Decoded::Short(total));
+
+    /// Edge label entering this node: `(seq, start, len)`.
+    pub fn label(&self) -> (SeqId, u32, u32) {
+        let b = self.bytes;
+        (SeqId(word(b, 0)), word(b, 4), word(b, 8))
     }
-    let label = (SeqId(word(0)), word(4), word(8));
-    let (seq, start, len) = label;
-    let fits = len == 0
-        || (seq.0 as usize) < cat.len() && start as u64 + len as u64 <= cat.seq(seq).len() as u64;
-    if !fits {
-        return Err(DiskError::BadRecord(format!(
-            "node at {offset}: label ({}, {start}, {len}) is outside the corpus",
-            seq.0
-        )));
+
+    /// Stored suffixes at or below this node.
+    pub fn suffix_count(&self) -> u64 {
+        u64::from_le_bytes(self.bytes[12..20].try_into().unwrap())
     }
-    let entries: Arc<[[u32; 3]]> = bytes[NODE_HEAD..total]
-        .chunks_exact(NODE_ENTRY)
-        .map(|e| {
-            let word = |i: usize| u32::from_le_bytes(e[i..i + 4].try_into().unwrap());
-            [word(0), word(4), word(8)]
+
+    /// Maximum leading-run length at or below this node.
+    pub fn max_lead_run(&self) -> u32 {
+        word(self.bytes, 20)
+    }
+
+    /// The record body, 12 bytes an entry: the suffixes, then the children.
+    fn entries(&self) -> std::slice::ChunksExact<'a, u8> {
+        self.bytes[NODE_HEAD..].chunks_exact(NODE_ENTRY)
+    }
+
+    /// Suffix labels attached to this node: `(seq, start, lead_run)`.
+    pub fn suffixes(&self) -> impl Iterator<Item = (SeqId, u32, u32)> + 'a {
+        let own = self.entries().take(self.n_suffixes);
+        own.map(|e| (SeqId(word(e, 0)), word(e, 4), word(e, 8)))
+    }
+
+    /// Children as `(first_symbol, node_offset)`, sorted by symbol.
+    pub fn children(&self) -> impl Iterator<Item = (Symbol, u64)> + 'a {
+        let kids = self.entries().skip(self.n_suffixes);
+        kids.map(|e| {
+            (
+                word(e, 0),
+                u64::from(word(e, 4)) | u64::from(word(e, 8)) << 32,
+            )
         })
-        .collect();
-    let node = DiskNode {
-        label,
-        suffix_count: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-        max_lead_run: word(20),
-        n_suffixes: word(24),
-        entries,
-    };
-    if let Some((_, child)) = node.children().find(|&(_, child)| child >= offset) {
-        return Err(DiskError::BadRecord(format!(
-            "node at {offset}: child at {child} does not precede it"
-        )));
     }
-    Ok(Decoded::Node(node))
+
+    /// The record as an owned [`DiskNode`].
+    pub fn to_node(&self) -> DiskNode {
+        DiskNode {
+            label: self.label(),
+            suffix_count: self.suffix_count(),
+            max_lead_run: self.max_lead_run(),
+            n_suffixes: self.n_suffixes as u32,
+            entries: self
+                .entries()
+                .map(|e| [word(e, 0), word(e, 4), word(e, 8)])
+                .collect(),
+        }
+    }
 }
 
 /// Panic payload used to abort a tree traversal on an unreadable node.
@@ -278,12 +366,14 @@ pub fn decode_node(bytes: &[u8], offset: u64, file_len: u64, cat: &CatStore) -> 
 pub struct TreeReadAbort;
 
 /// A disk-resident suffix tree, query-ready through
-/// [`IndexBackend`]. Decoded nodes are cached in an LRU keyed by
-/// offset; all reads verify page CRCs.
+/// [`IndexBackend`]. All reads verify page CRCs; a traversal reads node
+/// records in place, on their page frames.
 pub struct DiskTree {
     reader: PagedReader,
     cat: Arc<CatStore>,
     header: Header,
+    /// Owned records [`read_node`](Self::read_node) handed out, by
+    /// offset. A query never looks here.
     nodes: Mutex<LruCache<u64, DiskNode>>,
     /// File name this tree was opened from — the segment identity used
     /// in [`DiskError::CorruptionDetected`].
@@ -350,13 +440,13 @@ impl DiskTree {
         self.read_error.lock().take()
     }
 
-    /// Reads a node or aborts the traversal: the error is recorded on
-    /// this tree (CRC failures typed as `CorruptionDetected`) and the
-    /// stack unwinds with [`TreeReadAbort`] for the fan-out layer to
-    /// catch.
-    fn must_read(&self, offset: u64) -> DiskNode {
-        match self.read_node(offset) {
-            Ok(n) => n,
+    /// Reads the node at `offset` through `f`, or aborts the traversal:
+    /// the error is recorded on this tree (CRC failures typed as
+    /// `CorruptionDetected`) and the stack unwinds with
+    /// [`TreeReadAbort`] for the fan-out layer to catch.
+    fn must_read<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> R {
+        match self.with_node(offset, f) {
+            Ok(r) => r,
             Err(e) => {
                 let e = match e {
                     DiskError::CorruptPage { page } => DiskError::CorruptionDetected {
@@ -436,35 +526,60 @@ impl DiskTree {
         self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
     }
 
-    /// Reads (or re-uses) the node record at `offset`, checked by
-    /// [`decode_node`].
+    /// Runs `f` over the node record at `offset`, checked by
+    /// [`NodeView::decode`].
+    ///
+    /// A record that ends inside its page — all but a few per file — is
+    /// read where it lies, in one page visit: `f` runs on the frame,
+    /// under the pool's lock, and must not read from this tree. One that
+    /// runs on is gathered into a buffer first, one more page visit for
+    /// each further page it reaches.
+    fn with_node<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
+        let file_len = self.reader.logical_len();
+        // Taken by whichever of the two decodes below finds the record whole.
+        let mut f = Some(f);
+        let mut record = Vec::new();
+        let in_place: Result<Option<R>> = self.reader.with_page_tail(offset, |tail| {
+            Ok(match NodeView::decode(tail, offset, file_len, &self.cat)? {
+                Decoded::Node(node) => f.take().map(|f| f(node)),
+                Decoded::Short(_) => {
+                    record.extend_from_slice(tail);
+                    None
+                }
+            })
+        })?;
+        if let Some(out) = in_place? {
+            return Ok(out);
+        }
+        // The gather: the next page whole, until the record is — it ends
+        // somewhere on the last one, and decoding takes no more than it.
+        loop {
+            match NodeView::decode(&record, offset, file_len, &self.cat)? {
+                Decoded::Node(node) => {
+                    return Ok((f.take().expect("the page tail was short"))(node));
+                }
+                Decoded::Short(_) => {
+                    let at = offset + record.len() as u64;
+                    self.reader
+                        .with_page_tail(at, |tail| record.extend_from_slice(tail))?;
+                }
+            }
+        }
+    }
+
+    /// Reads (or re-uses) the node record at `offset` as an owned
+    /// [`DiskNode`]: the checked [`NodeView`] a traversal reads, copied out.
     pub fn read_node(&self, offset: u64) -> Result<DiskNode> {
         if let Some(n) = self.nodes.lock().get(&offset) {
             return Ok(n.clone());
         }
-        let decode =
-            |bytes: &[u8]| decode_node(bytes, offset, self.reader.logical_len(), &self.cat);
-        // A record that ends inside its page is decoded in one page
-        // visit, straight from the frame. One that runs on is gathered
-        // first — twice when not even its fixed head fits the page,
-        // since the head tells the length.
-        let mut decoded = self.reader.with_page_tail(offset, decode)??;
-        let node = loop {
-            match decoded {
-                Decoded::Node(node) => break node,
-                Decoded::Short(len) => {
-                    let mut record = vec![0u8; len];
-                    self.reader.read_exact_at(offset, &mut record)?;
-                    decoded = decode(&record)?;
-                }
-            }
-        };
+        let node = self.with_node(offset, |view| view.to_node())?;
         self.nodes.lock().insert(offset, node.clone());
         Ok(node)
     }
 
     /// The symbols of a decoded node's edge label (a range
-    /// [`decode_node`] checked; the root's is empty).
+    /// [`NodeView::decode`] checked; the root's is empty).
     fn label_symbols(&self, (seq, start, len): (SeqId, u32, u32)) -> &[Symbol] {
         if len == 0 {
             return &[];
@@ -521,24 +636,26 @@ impl IndexBackend for DiskTree {
     }
 
     fn visit(&self, n: u64, children: &mut impl Extend<u64>) -> NodeVisit<'_> {
-        // The one record fetch of a node visit.
-        let node = self.must_read(n);
-        children.extend(node.children().map(|(_, off)| off));
-        NodeVisit {
-            label: self.label_symbols(node.label),
-            max_lead_run: node.max_lead_run,
-            suffix_count: Some(node.suffix_count),
-        }
+        // The one record read of a node visit, in place on its page.
+        self.must_read(n, |node| {
+            children.extend(node.children().map(|(_, off)| off));
+            NodeVisit {
+                label: self.label_symbols(node.label()),
+                max_lead_run: node.max_lead_run(),
+                suffix_count: Some(node.suffix_count()),
+            }
+        })
     }
 
     fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
         let mut stack = vec![n];
         while let Some(off) = stack.pop() {
-            let node = self.must_read(off);
-            for (seq, start, run) in node.suffixes() {
-                f(seq, start, run);
-            }
-            stack.extend(node.children().map(|(_, coff)| coff));
+            self.must_read(off, |node| {
+                for (seq, start, run) in node.suffixes() {
+                    f(seq, start, run);
+                }
+                stack.extend(node.children().map(|(_, coff)| coff));
+            });
         }
     }
 
@@ -615,9 +732,17 @@ mod tests {
         assert_eq!(u32::from_le_bytes(enc[28..32].try_into().unwrap()), 2);
 
         let (offset, file_len) = (1 << 33, (1 << 33) + 4096);
-        let Decoded::Node(node) = decode_node(&enc, offset, file_len, &cat).unwrap() else {
+        let Decoded::Node(view) = NodeView::decode(&enc, offset, file_len, &cat).unwrap() else {
             panic!("the whole record was given");
         };
+        assert_eq!(
+            (view.label(), view.suffix_count(), view.max_lead_run()),
+            (label, 9, 4)
+        );
+        assert_eq!(view.suffixes().collect::<Vec<_>>(), suffixes);
+        assert_eq!(view.children().collect::<Vec<_>>(), children);
+        // The owned record is the view, copied out.
+        let node = view.to_node();
         assert_eq!(
             (node.label, node.suffix_count, node.max_lead_run),
             (label, 9, 4)
@@ -628,17 +753,17 @@ mod tests {
         let mut page = enc.clone();
         page.extend_from_slice(&[0xAB; 40]);
         assert_eq!(
-            decode_node(&page, offset, file_len, &cat).unwrap(),
-            Decoded::Node(node)
+            NodeView::decode(&page, offset, file_len, &cat).unwrap(),
+            Decoded::Node(view)
         );
         // A page tail too short for the head, then for the body, asks
         // for exactly what is missing.
         assert_eq!(
-            decode_node(&enc[..31], offset, file_len, &cat).unwrap(),
+            NodeView::decode(&enc[..31], offset, file_len, &cat).unwrap(),
             Decoded::Short(32)
         );
         assert_eq!(
-            decode_node(&enc[..40], offset, file_len, &cat).unwrap(),
+            NodeView::decode(&enc[..40], offset, file_len, &cat).unwrap(),
             Decoded::Short(enc.len())
         );
     }
@@ -646,17 +771,15 @@ mod tests {
     #[test]
     fn hostile_records_are_typed_errors() {
         let cat = CatStore::from_symbols(vec![vec![0, 1, 2, 1]], 3);
-        let bad =
-            |enc: &[u8], offset: u64, file_len: u64| match decode_node(enc, offset, file_len, &cat)
-            {
-                Err(DiskError::BadRecord(m)) => m,
-                other => panic!("expected BadRecord, got {other:?}"),
-            };
+        let decode = |enc: &[u8], offset, file_len| {
+            NodeView::decode(enc, offset, file_len, &cat).map(|d| matches!(d, Decoded::Node(_)))
+        };
+        let bad = |enc: &[u8], offset: u64, file_len: u64| match decode(enc, offset, file_len) {
+            Err(DiskError::BadRecord(m)) => m,
+            other => panic!("expected BadRecord, got {other:?}"),
+        };
         let ok = encode_node((SeqId(0), 1, 3), 1, 1, &[(SeqId(0), 1, 1)], &[(2, 64)]);
-        assert!(matches!(
-            decode_node(&ok, 128, 4096, &cat),
-            Ok(Decoded::Node(_))
-        ));
+        assert!(decode(&ok, 128, 4096).unwrap());
         // Counts that run past the end of the file, before any of the
         // body is looked at (or allocated for).
         assert!(bad(&ok, 128, 128 + ok.len() as u64 - 1).contains("overruns"));
@@ -676,9 +799,29 @@ mod tests {
         }
         // The root's empty label names no sequence.
         let root = encode_node((SeqId(9), 9, 0), 0, 0, &[], &[]);
-        assert!(matches!(
-            decode_node(&root, 64, 4096, &cat),
-            Ok(Decoded::Node(_))
-        ));
+        assert!(decode(&root, 64, 4096).unwrap());
+        // Suffix entries that are not a position of the store with its
+        // run behind it: no such sequence, a start at or past the end, a
+        // run of zero, a run past the end (the store is <0, 1, 2, 1>).
+        for suffix in [
+            (SeqId(1), 0, 1),
+            (SeqId(u32::MAX), 0, 1),
+            (SeqId(0), 4, 1),
+            (SeqId(0), u32::MAX, 1),
+            (SeqId(0), 1, 0),
+            (SeqId(0), 1, 4),
+            (SeqId(0), 3, u32::MAX),
+        ] {
+            // Behind an honest entry, so the check reaches every one.
+            let enc = encode_node((SeqId(0), 0, 1), 2, 1, &[(SeqId(0), 0, 1), suffix], &[]);
+            assert!(
+                bad(&enc, 128, 4096).contains("suffix"),
+                "{suffix:?} must be refused"
+            );
+        }
+        // The last position with a run of one, and a run to the end, fit.
+        let edge = [(SeqId(0), 3, 1), (SeqId(0), 1, 3)];
+        let enc = encode_node((SeqId(0), 0, 1), 2, 3, &edge, &[]);
+        assert!(decode(&enc, 128, 4096).unwrap());
     }
 }

@@ -52,7 +52,7 @@ pub use any::{AnyIndex, AnyNode};
 pub use corpus::{load_corpus, load_corpus_with, save_corpus, save_corpus_with};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
-pub use format::{DiskNode, DiskTree, Header, TreeReadAbort};
+pub use format::{DiskNode, DiskTree, Header, NodeView, TreeReadAbort};
 pub use manifest::{
     build_dir_backend_with, build_dir_metered, build_dir_with, commit_dir_backend_with,
     commit_update_with, quarantine_segment_with, recover_dir_with, resolve_dir_with,

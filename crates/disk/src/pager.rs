@@ -1,4 +1,4 @@
-//! Paged file storage with per-page CRC and an LRU buffer pool.
+//! Paged file storage with per-page CRC and a 2Q buffer pool.
 //!
 //! Files are a sequence of fixed-size pages; each page holds
 //! [`PAGE_DATA`] payload bytes followed by a CRC-32 of that payload.
@@ -10,9 +10,10 @@
 //!   page at a time) and can patch already-written ranges at `finish`
 //!   time (used to back-patch file headers once the root offset is
 //!   known).
-//! * [`PagedReader`] serves random reads through a [`LruCache`] of
-//!   verified pages; a failed CRC surfaces as
-//!   [`DiskError::CorruptPage`].
+//! * [`PagedReader`] serves random reads through a [`TwoQueue`] of
+//!   verified pages — a pool that keeps part of a traversal's page loop
+//!   resident where an LRU would keep none of it; a failed CRC surfaces
+//!   as [`DiskError::CorruptPage`].
 
 use std::path::Path;
 
@@ -20,7 +21,7 @@ use parking_lot::Mutex;
 
 use crate::crc::crc32;
 use crate::error::{DiskError, Result};
-use crate::lru::LruCache;
+use crate::lru::TwoQueue;
 use crate::vfs::{RealVfs, Vfs, VfsFile};
 
 /// Physical page size in bytes.
@@ -152,7 +153,7 @@ impl IoStats {
 struct ReaderInner {
     /// Verified page frames, [`PAGE_SIZE`] bytes each (the CRC tail is
     /// kept so a frame is filled straight from the file).
-    cache: LruCache<u64, Box<[u8]>>,
+    cache: TwoQueue<u64, Box<[u8]>>,
     /// The frame the last insert evicted, reused for the next miss: a
     /// full pool reads pages without allocating or zero-filling.
     spare: Option<Box<[u8]>>,
@@ -161,7 +162,7 @@ struct ReaderInner {
     crc_fail: warptree_obs::Counter,
 }
 
-/// Random-access reader over the logical byte space with an LRU buffer
+/// Random-access reader over the logical byte space with a 2Q buffer
 /// pool. Cheap to share: all mutability is behind a lock, so `&self`
 /// methods suffice (concurrent queries share the pool).
 pub struct PagedReader {
@@ -192,7 +193,7 @@ impl PagedReader {
             logical_len: pages * PAGE_DATA as u64,
             pages,
             inner: Mutex::new(ReaderInner {
-                cache: LruCache::new(cache_pages),
+                cache: TwoQueue::new(cache_pages),
                 spare: None,
                 crc_fail: warptree_obs::Counter::noop(),
             }),

@@ -28,16 +28,25 @@ fn node_cache_avoids_repeated_page_reads() {
     let path = dir.join("t.wt");
     write_tree(&tree, &path).unwrap();
     let disk = DiskTree::open(&path, cat, 4, 128).unwrap();
-    // Walk the whole tree twice; the second pass must be nearly free.
-    let mut n1 = 0u64;
-    disk.for_each_suffix_below(disk.root(), &mut |_, _, _| n1 += 1);
+    // Walk the whole tree twice through `read_node`, as the merge and
+    // `to_mem` do; the second pass must be free.
+    let walk = || {
+        let (mut suffixes, mut stack) = (0u64, vec![disk.root()]);
+        while let Some(offset) = stack.pop() {
+            let node = disk.read_node(offset).unwrap();
+            suffixes += node.suffixes().len() as u64;
+            stack.extend(node.children().map(|(_, child)| child));
+        }
+        suffixes
+    };
+    let n1 = walk();
     let after_first = disk.io_stats();
-    let mut n2 = 0u64;
-    disk.for_each_suffix_below(disk.root(), &mut |_, _, _| n2 += 1);
+    let n2 = walk();
     let after_second = disk.io_stats();
+    assert_eq!(n1, disk.suffix_count());
     assert_eq!(n1, n2);
-    // The decoded-node cache absorbs the second traversal entirely: no
-    // new page reads or page-cache hits (records never touch the pager).
+    // The decoded-node cache absorbs the second walk entirely: no new
+    // page reads or page-cache hits (records never touch the pager).
     assert_eq!(after_second.pages_read, after_first.pages_read);
     assert_eq!(after_second.cache_hits, after_first.cache_hits);
     std::fs::remove_dir_all(&dir).unwrap();

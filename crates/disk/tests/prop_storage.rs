@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::search::{run_query, IndexBackend, QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
-use warptree_disk::lru::LruCache;
-use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter};
+use warptree_disk::lru::{LruCache, TwoQueue};
+use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter, PAGE_DATA};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("warptree-propstore-{}-{tag}", std::process::id()))
@@ -117,6 +117,61 @@ proptest! {
             }
             prop_assert_eq!(lru.len(), model.len());
         }
+    }
+
+    /// The page pool over any access sequence, at any capacity: every
+    /// read returns the file's bytes, every lookup is a hit or a miss,
+    /// the pool never holds more frames than it was given, and the same
+    /// sequence misses the same number of times again — eviction depends
+    /// on nothing but the accesses.
+    #[test]
+    fn page_pool_is_correct_bounded_and_deterministic(
+        capacity in 1usize..64,
+        // Runs of nearby pages with far jumps between them, like a
+        // traversal's; `% 96` below folds them onto the file.
+        accesses in prop::collection::vec((0u64..96, 0u64..4, 1usize..12), 1..120),
+        case in 0u64..1_000_000,
+    ) {
+        const PAGES: u64 = 96;
+        let path = tmp(&format!("pool-{case}"));
+        let byte = |at: u64| (at / PAGE_DATA as u64 * 7 + at % 251) as u8;
+        let mut w = PagedWriter::create(&path).unwrap();
+        let model: Vec<u8> = (0..PAGES * PAGE_DATA as u64).map(byte).collect();
+        w.write(&model).unwrap();
+        w.finish(&[]).unwrap();
+        let pages: Vec<u64> = accesses
+            .iter()
+            .flat_map(|&(from, step, run)| (0..run as u64).map(move |i| (from + i * step) % PAGES))
+            .collect();
+
+        let replay = || {
+            let reader = PagedReader::open(&path, capacity).unwrap();
+            // The pool's policy beside it, on the same lookups, to count
+            // the frames the reader does not show.
+            let mut policy: TwoQueue<u64, ()> = TwoQueue::new(capacity);
+            for (n, &page) in pages.iter().enumerate() {
+                let at = page * PAGE_DATA as u64 + (n as u64 * 37) % (PAGE_DATA as u64 - 8);
+                let mut buf = [0u8; 8];
+                reader.read_exact_at(at, &mut buf).unwrap();
+                assert_eq!(buf[..], model[at as usize..at as usize + 8]);
+                if policy.get(&page).is_none() {
+                    policy.insert(page, ());
+                }
+                assert!(policy.len() <= capacity);
+            }
+            let io = reader.io_stats();
+            assert_eq!(io.pages_read + io.cache_hits, pages.len() as u64);
+            assert_eq!((io.pages_read, io.cache_hits), (policy.misses(), policy.hits()));
+            io.pages_read
+        };
+        let misses = replay();
+        prop_assert_eq!(replay(), misses);
+        let distinct: std::collections::HashSet<u64> = pages.iter().copied().collect();
+        prop_assert!(misses >= distinct.len() as u64);
+        if distinct.len() <= capacity {
+            prop_assert_eq!(misses, distinct.len() as u64, "nothing is evicted from a pool with room");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }
 

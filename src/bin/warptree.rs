@@ -747,20 +747,13 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
             .query_with(&req, &metrics)
             .map_err(|e| e.to_string())?
             .into_ranked();
-        println!(
+        let head = format!(
             "{} nearest subsequences in {:.2?} ({} nodes visited):",
             matches.len(),
             t0.elapsed(),
             metrics.snapshot().nodes_visited
         );
-        for m in matches {
-            println!(
-                "  {} ({})  dist {:.4}",
-                m.occ,
-                store.display_name(m.occ.seq),
-                m.dist
-            );
-        }
+        print_matches(&head, &matches, store, None)?;
     } else {
         let epsilon: f64 = o
             .require("epsilon")?
@@ -777,7 +770,7 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .into_answer_set();
         let stats = metrics.snapshot();
-        println!(
+        let head = format!(
             "{} answers within ε = {epsilon} in {:.2?} ({} candidates \
              verified, {} false alarms)",
             answers.len(),
@@ -785,17 +778,9 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
             stats.postprocessed,
             stats.false_alarms
         );
-        for m in answers.top_k(limit) {
-            println!(
-                "  {} ({})  dist {:.4}",
-                m.occ,
-                store.display_name(m.occ.seq),
-                m.dist
-            );
-        }
-        if answers.len() > limit {
-            println!("  … ({} more; raise --limit)", answers.len() - limit);
-        }
+        let more = (answers.len() > limit)
+            .then(|| format!("  … ({} more; raise --limit)", answers.len() - limit));
+        print_matches(&head, &answers.top_k(limit), store, more.as_deref())?;
     }
     if let Some(data) = trace.finish() {
         eprint!("{}", data.render());
@@ -804,6 +789,36 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         emit_stats(fmt, &reg);
     }
     Ok(())
+}
+
+/// Prints a query's report — `head`, a line per match, `tail` — through
+/// one locked, buffered stdout handle: thousands of lines are a few
+/// writes. A reader that closes the pipe early (`| head -1`) has what it
+/// came for, so a broken pipe ends the report and not the process, as it
+/// does for [`announce`].
+fn print_matches(
+    head: &str,
+    matches: &[warptree::core::search::Match],
+    store: &SequenceStore,
+    tail: Option<&str>,
+) -> Result<(), String> {
+    use std::io::Write as _;
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let mut print = || -> std::io::Result<()> {
+        writeln!(out, "{head}")?;
+        for m in matches {
+            let name = store.display_name(m.occ.seq);
+            writeln!(out, "  {} ({name})  dist {:.4}", m.occ, m.dist)?;
+        }
+        if let Some(tail) = tail {
+            writeln!(out, "{tail}")?;
+        }
+        out.flush()
+    };
+    match print() {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {

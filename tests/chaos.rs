@@ -273,13 +273,36 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Overwrites the `u32` at logical offset `at` of a paged file (inside
+/// one page) and re-seals that page's CRC: what a hostile writer, not a
+/// failing disk, leaves behind.
+fn forge_word(path: &Path, at: u64, value: u32) {
+    use warptree_disk::{crc::crc32, PAGE_DATA};
+    let page_at = at / PAGE_DATA as u64 * PAGE_SIZE as u64;
+    let mut f = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .unwrap();
+    let mut page = vec![0u8; PAGE_SIZE];
+    f.seek(SeekFrom::Start(page_at)).unwrap();
+    f.read_exact(&mut page).unwrap();
+    let word = (at % PAGE_DATA as u64) as usize;
+    page[word..word + 4].copy_from_slice(&value.to_le_bytes());
+    let crc = crc32(&page[..PAGE_DATA]);
+    page[PAGE_DATA..].copy_from_slice(&crc.to_le_bytes());
+    f.seek(SeekFrom::Start(page_at)).unwrap();
+    f.write_all(&page).unwrap();
+    f.sync_all().unwrap();
+}
+
 /// A page CRC vouches for bytes, not for who wrote them: a record
 /// forged *with* a valid CRC whose edge label runs off its sequence must
 /// come back as a typed `BadRecord` through the same abort → exclude →
 /// partial-answer path as a failed CRC, not as a slice panic.
 #[test]
 fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
-    use warptree_disk::{crc::crc32, DiskError, DiskTree, PAGE_DATA};
+    use warptree_disk::{DiskError, DiskTree, PAGE_DATA};
 
     let dir = tmpdir("hostile");
     let (seg1, _seg2) = build_chaos_dir(&dir);
@@ -303,22 +326,7 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     };
     drop(snap);
     // Stretch the label far past its sequence and re-seal the page.
-    let page_at = label_len_at / PAGE_DATA as u64 * PAGE_SIZE as u64;
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&path)
-        .unwrap();
-    let mut page = vec![0u8; PAGE_SIZE];
-    f.seek(SeekFrom::Start(page_at)).unwrap();
-    f.read_exact(&mut page).unwrap();
-    let word = (label_len_at % PAGE_DATA as u64) as usize;
-    page[word..word + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
-    let crc = crc32(&page[..PAGE_DATA]);
-    page[PAGE_DATA..].copy_from_slice(&crc.to_le_bytes());
-    f.seek(SeekFrom::Start(page_at)).unwrap();
-    f.write_all(&page).unwrap();
-    f.sync_all().unwrap();
+    forge_word(&path, label_len_at, 1_000_000);
 
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     // The forged page passes every CRC check there is...
@@ -335,6 +343,69 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     assert_eq!(dq.detected, vec![seg1]);
     let cov = dq.output.coverage.expect("a degraded answer says so");
     assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
+    for m in dq.output.matches() {
+        assert!(
+            clean.contains(m),
+            "degraded match {m:?} not in the clean set"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same for the entries a record hangs on its node: a forged
+/// `(seq, start, lead_run)` would become an occurrence post-processing
+/// slices the store with. One entry of one record the query walks — the
+/// one behind a clean answer — is sent past the end of its sequence
+/// under a valid CRC; the answer comes back partial, without the segment.
+#[test]
+fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
+    use warptree_disk::{DiskError, DiskTree, PAGE_DATA};
+
+    let dir = tmpdir("hostile-suffix");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
+
+    // The record of segment 1 holding the suffix entry some clean answer
+    // starts at, and the `start` word of that entry (inside one page).
+    let path = dir.join(&seg1);
+    let (record, start_at) = {
+        let tree = DiskTree::open(&path, snap.tree.cat().clone(), 8, 64).unwrap();
+        let is_answer = |(seq, start, _)| {
+            clean
+                .iter()
+                .any(|m| (m.occ.seq, m.occ.start) == (seq, start))
+        };
+        let inside = |at: u64| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64;
+        let mut stack = vec![tree.header().root_offset];
+        let mut found = None;
+        while let (Some(offset), None) = (stack.pop(), found) {
+            let node = tree.read_node(offset).unwrap();
+            let entry = node.suffixes().position(is_answer);
+            found = entry
+                .map(|i| (offset, offset + 32 + 12 * i as u64 + 4))
+                .filter(|&(_, at)| inside(at));
+            stack.extend(node.children().map(|(_, child)| child));
+        }
+        found.expect("a clean answer out of segment 1")
+    };
+    drop(snap);
+    forge_word(&path, start_at, u32::MAX - 1);
+
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
+    forged.verify_pages().unwrap();
+    match forged.as_tree().unwrap().read_node(record) {
+        Err(DiskError::BadRecord(m)) => assert!(m.contains("suffix"), "{m}"),
+        other => panic!("expected a typed BadRecord, got {other:?}"),
+    }
+    let dq = snap.query_degraded(&req).unwrap();
+    assert_eq!(dq.detected, vec![seg1]);
+    let cov = dq.output.coverage.expect("a degraded answer says so");
+    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
+    assert!(dq.output.matches().len() < clean.len());
     for m in dq.output.matches() {
         assert!(
             clean.contains(m),

@@ -449,6 +449,64 @@ fn query_file_accepted() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `warptree search … | head -1`: a reader that closes the pipe after the
+/// first line ends the report, not the process — exit 0 and no panic,
+/// with far more output pending than a pipe buffers.
+#[test]
+fn search_survives_a_closed_pipe() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("warptree-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, idx) = (dir.join("d.csv"), dir.join("idx"));
+    let gen = ["--kind", "stock", "--sequences", "60", "--len", "120"];
+    run_ok(&[&["gen"], &gen[..], &["--out", csv.to_str().unwrap()]].concat());
+    let build = ["--method", "me", "--categories", "16", "--sparse"];
+    let (input, out_dir) = (csv.to_str().unwrap(), idx.to_str().unwrap());
+    run_ok(
+        &[
+            &["build", "--input", input],
+            &build[..],
+            &["--out-dir", out_dir],
+        ]
+        .concat(),
+    );
+    let search = |limit: &str| {
+        let mut cmd = bin();
+        cmd.args(["search", "--index-dir", out_dir, "--epsilon", "20"]);
+        cmd.args(["--query", "30.1,30.5,31.0,30.2", "--limit", limit]);
+        cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
+        cmd.spawn().expect("binary runs")
+    };
+    // Read to the end, the report is several pipe buffers long...
+    let mut whole = String::new();
+    let mut child = search("1000000");
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut whole)
+        .unwrap();
+    assert!(child.wait().unwrap().success());
+    assert!(whole.len() > 256 * 1024, "{} bytes", whole.len());
+    // ...so a reader that stops after one line leaves the writer mid-report.
+    let mut child = search("1000000");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    drop(stdout);
+    assert!(first.contains("answers within"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "exit {:?}: {stderr}",
+        out.status.code()
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn mine_and_forecast_commands() {
     let dir = std::env::temp_dir().join(format!("warptree-cli-apps-{}", std::process::id()));

@@ -167,11 +167,12 @@ fn registry_snapshot_has_search_and_io_names() {
 
 /// A metered open instruments the base tree *and* every tail segment,
 /// and instrumenting takes nothing away from the trees themselves: after
-/// one query the registry holds the page- and node-cache traffic of all
-/// three trees, while each tree's own `io_stats()` / `node_cache_stats()`
-/// still report that tree's share — the same figures, tree for tree, as
-/// an unmetered open of the directory running the query from the same
-/// cold caches.
+/// one query (page traffic) and a few owned record reads (the node
+/// cache's — a query does not go there) the registry holds the page- and
+/// node-cache traffic of all three trees, while each tree's own
+/// `io_stats()` / `node_cache_stats()` still report that tree's share —
+/// the same figures, tree for tree, as an unmetered open of the
+/// directory doing the same from the same cold caches.
 #[test]
 fn metered_open_counts_tail_segment_traffic() {
     let store = corpus();
@@ -196,11 +197,18 @@ fn metered_open_counts_tail_segment_traffic() {
         });
         per_tree.collect()
     };
-    // What one query adds to them (the open itself reads a header page,
-    // before any instrumenting).
+    // What one query, and `i + 1` reads of tree `i`'s root record, add
+    // to them (the open itself reads a header page, before any
+    // instrumenting).
     let query_traffic = |idx: &DiskIndexDir| {
         let at_open = lookups(idx);
         let answers = idx.search_with(&q, &params, &SearchMetrics::new());
+        for (i, tree) in idx.live_trees().enumerate() {
+            let tree = tree.as_tree().expect("the default backend");
+            for _ in 0..=i {
+                tree.read_node(tree.header().root_offset).unwrap();
+            }
+        }
         let per_tree: Vec<(u64, u64)> = lookups(idx)
             .iter()
             .zip(&at_open)
@@ -246,49 +254,80 @@ fn metered_open_counts_tail_segment_traffic() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// The visit contract on the paged tree: the filter fetches a node's
-/// record exactly once per visited node (plus once for each tree's
-/// root). Everything else the node cache sees comes from
-/// `for_each_suffix_below` walking the subtree under an emitting edge —
-/// counted here by a backend that wraps the real one and reads the cache
-/// counters around each walk.
+/// The visit contract on the paged tree, in page terms: a query reads
+/// every record where it lies, so it looks a page up exactly once per
+/// visited node, once per node `for_each_suffix_below` walks under an
+/// emitting edge, once per tree root — plus once more for each further
+/// page a record straddling a page boundary reaches — and the node cache
+/// is not asked at all. A backend that wraps each tree adds up what the
+/// traversal's calls should cost from a map of the file's records made
+/// beforehand.
 #[test]
 fn a_node_visit_is_one_record_fetch() {
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use warptree::core::search::{IndexBackend, NodeVisit};
-    use warptree::disk::AnyIndex;
+    use warptree::disk::{DiskTree, PAGE_DATA};
 
-    /// `T`, with the node-cache lookups of its suffix walks summed.
-    struct CountWalks<'a, T> {
-        inner: &'a T,
-        lookups: &'a (dyn Fn() -> u64 + Sync),
-        in_walks: AtomicU64,
+    /// A record's children and how many pages it lies on.
+    type Records = HashMap<u64, (Vec<u64>, u64)>;
+    fn records(tree: &DiskTree) -> Records {
+        let (mut map, mut stack) = (Records::new(), vec![tree.root()]);
+        while let Some(offset) = stack.pop() {
+            let node = tree.read_node(offset).unwrap();
+            let children: Vec<u64> = node.children().map(|(_, child)| child).collect();
+            let len = 32 + 12 * (node.suffixes().len() + children.len()) as u64;
+            let pages = (offset + len - 1) / PAGE_DATA as u64 - offset / PAGE_DATA as u64 + 1;
+            stack.extend(&children);
+            map.insert(offset, (children, pages));
+        }
+        map
     }
-    impl<T: IndexBackend> IndexBackend for CountWalks<'_, T> {
-        type Node = T::Node;
-        fn root(&self) -> T::Node {
-            self.inner.root()
+
+    /// A tree, with the records its traversal calls read summed.
+    struct Counted<'a> {
+        tree: &'a DiskTree,
+        records: Records,
+        visited: AtomicU64,
+        walked: AtomicU64,
+        further_pages: AtomicU64,
+    }
+    impl Counted<'_> {
+        fn read(&self, n: u64, nodes: &AtomicU64) {
+            nodes.fetch_add(1, Ordering::Relaxed);
+            self.further_pages
+                .fetch_add(self.records[&n].1 - 1, Ordering::Relaxed);
         }
-        fn visit(&self, n: T::Node, children: &mut impl Extend<T::Node>) -> NodeVisit<'_> {
-            self.inner.visit(n, children)
+    }
+    impl IndexBackend for Counted<'_> {
+        type Node = u64;
+        fn root(&self) -> u64 {
+            self.tree.root()
         }
-        fn for_each_suffix_below(&self, n: T::Node, f: &mut dyn FnMut(SeqId, u32, u32)) {
-            let before = (self.lookups)();
-            self.inner.for_each_suffix_below(n, f);
-            self.in_walks
-                .fetch_add((self.lookups)() - before, Ordering::Relaxed);
+        fn visit(&self, n: u64, children: &mut impl Extend<u64>) -> NodeVisit<'_> {
+            self.read(n, &self.visited);
+            self.tree.visit(n, children)
+        }
+        fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            let mut stack = vec![n];
+            while let Some(n) = stack.pop() {
+                self.read(n, &self.walked);
+                stack.extend(&self.records[&n].0);
+            }
+            self.tree.for_each_suffix_below(n, f)
         }
         fn is_sparse(&self) -> bool {
-            self.inner.is_sparse()
+            self.tree.is_sparse()
         }
         fn suffix_count(&self) -> u64 {
-            self.inner.suffix_count()
+            self.tree.suffix_count()
         }
     }
 
     let store = corpus();
     let q = query(&store);
     let params = SearchParams::with_epsilon(6.0);
+    let mut straddlers = 0;
     for sparse in [false, true] {
         let d = dir(if sparse { "visit-sp" } else { "visit-full" });
         build_index_dir(&store, Categorization::MaxEntropy(12), sparse, 8, &d).unwrap();
@@ -299,46 +338,72 @@ fn a_node_visit_is_one_record_fetch() {
                 append_index_dir(&d, &store).unwrap();
             }
             let idx = open_index_dir(&d, 32).unwrap();
-            let trees: Vec<&AnyIndex> = idx.live_trees().collect();
-            let lookups = || -> u64 {
-                let per_tree = trees.iter().map(|t| t.node_cache_stats());
-                per_tree.map(|(hits, misses)| hits + misses).sum()
+            let trees: Vec<&DiskTree> = idx.live_trees().map(|t| t.as_tree().unwrap()).collect();
+            let counted: Vec<Counted> = trees
+                .iter()
+                .map(|&tree| Counted {
+                    tree,
+                    records: records(tree),
+                    visited: AtomicU64::new(0),
+                    walked: AtomicU64::new(0),
+                    further_pages: AtomicU64::new(0),
+                })
+                .collect();
+            // (page lookups, node-cache lookups), summed over the trees.
+            let lookups = || {
+                let per_tree = trees.iter().map(|t| (t.io_stats(), t.node_cache_stats()));
+                per_tree.fold((0, 0), |(pages, nodes), (io, (hits, misses))| {
+                    (pages + io.pages_read + io.cache_hits, nodes + hits + misses)
+                })
             };
             let run = |tree: &dyn Fn(&SearchMetrics) -> Vec<Candidate>| {
                 let (metrics, before) = (SearchMetrics::new(), lookups());
                 let candidates = tree(&metrics);
-                (candidates, metrics.snapshot(), lookups() - before)
+                let after = lookups();
+                assert_eq!(after.1, before.1, "a query asked the node cache");
+                (candidates, metrics.snapshot(), after.0 - before.0)
             };
-            let fanned = SegmentedIndex::new(trees.clone());
-            let counted = CountWalks {
-                inner: &fanned,
-                lookups: &lookups,
-                in_walks: AtomicU64::new(0),
-            };
-            let (candidates, stats, total) =
-                run(&|m| filter_tree(&counted, &idx.alphabet, &q, &params, m));
+            let fanned = SegmentedIndex::new(counted.iter().collect());
+            let (candidates, stats, pages) =
+                run(&|m| filter_tree(&fanned, &idx.alphabet, &q, &params, m));
             assert!(
                 stats.candidates > 0,
                 "the query must emit for walks to count"
             );
-            let in_walks = counted.in_walks.load(Ordering::Relaxed);
-            assert!(in_walks > 0);
+            let (visited, walked, further_pages) =
+                counted.iter().fold((0, 0, 0), |(v, w, f), c| {
+                    let of = |n: &AtomicU64| n.load(Ordering::Relaxed);
+                    (
+                        v + of(&c.visited),
+                        w + of(&c.walked),
+                        f + of(&c.further_pages),
+                    )
+                });
+            assert!(walked > 0);
+            // The fan-out view's own root is no record; each tree's is.
+            assert_eq!(visited, stats.nodes_visited + trees.len() as u64);
             assert_eq!(
-                total - in_walks,
-                stats.nodes_visited + trees.len() as u64,
-                "sparse={sparse} tail={with_tail}: one record fetch per visited node and root"
+                pages,
+                visited + walked + further_pages,
+                "sparse={sparse} tail={with_tail}: one page lookup per record read"
             );
+            straddlers += further_pages;
             // Counting changed nothing, and neither do threads: the same
             // candidates in the same order, the same counters, the same
-            // number of record fetches.
+            // number of page lookups.
+            let plain = SegmentedIndex::new(trees.clone());
             for threads in [1, 2, 8] {
                 let p = params.clone().parallel(threads);
-                let (c, s, lookups) = run(&|m| filter_tree(&fanned, &idx.alphabet, &q, &p, m));
+                let (c, s, lookups) = run(&|m| filter_tree(&plain, &idx.alphabet, &q, &p, m));
                 assert_eq!(c, candidates, "threads={threads}");
                 assert_eq!(s, stats, "threads={threads}");
-                assert_eq!(lookups, total, "threads={threads}");
+                assert_eq!(lookups, pages, "threads={threads}");
             }
         }
         std::fs::remove_dir_all(&d).ok();
     }
+    assert!(
+        straddlers > 0,
+        "no record read lay across a page boundary: the gather path went unexercised"
+    );
 }

@@ -79,6 +79,27 @@ fn assert_search_equivalent<T: IndexBackend + Sync>(
         assert_eq!(seq.matches(), par.matches(), "{tag}: matches, threads={t}");
         assert_eq!(m1.snapshot(), mp.snapshot(), "{tag}: stats, threads={t}");
     }
+    // Under an active trace the sequential root walk reports per-segment
+    // deltas of the traversal's own tallies and every fork opens a span:
+    // each tally still comes out the same, at every thread count.
+    for t in [1, 2, 3, 8] {
+        let trace = warptree::obs::Trace::active("tallies");
+        let mt = SearchMetrics::new().with_trace(trace.clone());
+        let req = QueryRequest::threshold_params(&query(), base.clone().parallel(t));
+        let traced = run_query_with(tree, alphabet, store, &req, &mt)
+            .unwrap()
+            .into_answer_set();
+        assert_eq!(
+            seq.matches(),
+            traced.matches(),
+            "{tag}: traced, threads={t}"
+        );
+        assert_eq!(m1.snapshot(), mt.snapshot(), "{tag}: traced, threads={t}");
+        let spans = trace.finish().unwrap().spans;
+        let forked = spans.iter().any(|s| s.name == "filter.task");
+        let walked = spans.iter().any(|s| s.name == "filter.segment");
+        assert_eq!((forked, walked), (t > 1, t == 1), "{tag}: threads={t}");
+    }
 }
 
 fn assert_knn_equivalent<T: IndexBackend + Sync>(
@@ -269,11 +290,16 @@ fn explain_identical_across_thread_counts() {
         // Wall times differ by nature; the deterministic work counters
         // must not.
         assert_eq!(seq_rep.stats, par_rep.stats, "threads={t}");
-        // Nor the record fetches behind them: one per visited node,
-        // however the visits are spread over threads.
+        // Nor the record reads behind them: one page lookup per visited
+        // node, however the visits are spread over threads (and none of
+        // the node cache, which a query does not go through).
         let fetches = |io: Option<warptree::ExplainIo>| {
-            io.map(|io| io.node_cache_hits + io.node_cache_misses)
+            io.map(|io| {
+                let nodes = io.node_cache_hits + io.node_cache_misses;
+                (io.pages_read + io.page_cache_hits, nodes)
+            })
         };
+        assert!(matches!(fetches(seq_rep.io), Some((1.., 0))));
         assert_eq!(fetches(seq_rep.io), fetches(par_rep.io), "threads={t}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
