@@ -28,6 +28,7 @@
 //! whole query with that error (lowest shard index wins), because the
 //! monolithic server would have failed the same way.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -668,7 +669,9 @@ fn merged_query(
     let g = scatter_gather(state, conns, req, trace, parent)?;
     let answers: Vec<Option<&Json>> = g.answers.iter().map(Option::as_ref).collect();
     let (per_shard, coverage) = matches_and_coverage(state, &answers).map_err(malformed)?;
-    let (count, matches, stats) = match req {
+    let mut resp = proto::ok_open(req.op_label());
+    resp.push(',');
+    match req {
         // Each shard's local top-k contains every global-top-k member
         // that shard holds (the ε-expansion schedule is query-derived,
         // hence identical on every shard, and overlap filtering only
@@ -677,14 +680,11 @@ fn merged_query(
         // exact global top-k.
         Request::Knn { params, .. } => {
             let merged = merge_ranked(per_shard, params.k);
-            (
-                merged.len(),
-                proto::encode_matches_ranked(&merged),
-                String::new(),
-            )
+            proto::ranked_body_into(&mut resp, g.generation, &merged);
         }
         _ => {
-            let stats = if matches!(req, Request::Explain { .. }) {
+            proto::search_body_into(&mut resp, g.generation, &merge_threshold(per_shard));
+            if matches!(req, Request::Explain { .. }) {
                 let per_shard: Vec<SearchStats> = answers
                     .iter()
                     .flatten()
@@ -695,21 +695,14 @@ fn merged_query(
                     })
                     .collect::<Result<_, _>>()
                     .map_err(malformed)?;
-                format!(",\"stats\":{}", proto::encode_stats(&sum_stats(&per_shard)))
-            } else {
-                String::new()
-            };
-            let merged = merge_threshold(per_shard);
-            (merged.len(), proto::encode_matches(&merged), stats)
+                resp.push_str(",\"stats\":");
+                resp.push_str(&proto::encode_stats(&sum_stats(&per_shard)));
+            }
         }
-    };
-    Ok(ok_response(
-        req.op_label(),
-        &format!(
-            "\"generation\":{},\"count\":{count},\"matches\":{matches}{stats}{coverage}",
-            g.generation
-        ),
-    ))
+    }
+    resp.push_str(&coverage);
+    resp.push('}');
+    Ok(resp)
 }
 
 /// `batch`: one scatter, then item `j` of the answer merges item `j`
@@ -740,29 +733,24 @@ fn batch_query(
             },
         });
     }
-    let mut results = String::from("[");
+    let mut resp = proto::ok_open("batch");
+    let _ = write!(resp, ",\"generation\":{},\"results\":[", g.generation);
     for j in 0..total {
         let items: Vec<Option<&Json>> = shard_items
             .iter()
             .map(|items| items.map(|items| &items[j]))
             .collect();
         let (per_shard, coverage) = matches_and_coverage(state, &items).map_err(malformed)?;
-        let merged = merge_threshold(per_shard);
         if j > 0 {
-            results.push(',');
+            resp.push(',');
         }
-        results.push_str(&format!(
-            "{{\"generation\":{},\"count\":{},\"matches\":{}{coverage}}}",
-            g.generation,
-            merged.len(),
-            proto::encode_matches(&merged),
-        ));
+        resp.push('{');
+        proto::search_body_into(&mut resp, g.generation, &merge_threshold(per_shard));
+        resp.push_str(&coverage);
+        resp.push('}');
     }
-    results.push(']');
-    Ok(ok_response(
-        "batch",
-        &format!("\"generation\":{},\"results\":{}", g.generation, results),
-    ))
+    resp.push_str("]}");
+    Ok(resp)
 }
 
 /// `ingest`: appends extend the *last* shard. It owns the tail of the

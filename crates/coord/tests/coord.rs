@@ -796,6 +796,15 @@ fn slow_client_mid_frame_pauses_do_not_desync_the_stream() {
     coord.stop();
 }
 
+/// Two hops a request — client to coordinator, coordinator to each of
+/// two shards — and every reply on them leaves at once.
+#[test]
+fn sequential_replies_do_not_stall() {
+    let (_shards, coord) = start_cluster("nostall", &[6, 12], CoordConfig::default());
+    common::sequential_replies_do_not_stall(coord.addr());
+    coord.stop();
+}
+
 #[test]
 fn protocol_shutdown_drains_and_closes_the_listener() {
     let (_shards, coord) = start_cluster("shutdown", &[12], CoordConfig::default());

@@ -22,16 +22,24 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Renders an `f64` as a JSON value: finite numbers in `{}` format
-/// (always containing enough precision to round-trip), non-finite
-/// values as `null` (JSON has no NaN/Infinity).
+/// (always containing enough precision to round-trip; integral floats
+/// print without a fractional part, which is still valid JSON),
+/// non-finite values as `null` (JSON has no NaN/Infinity).
 pub fn num(v: f64) -> String {
+    let mut out = String::new();
+    write_num(&mut out, v);
+    out
+}
+
+/// Appends what [`num`] renders to `out`, without the intermediate
+/// `String` — for encoders that emit one number per array element.
+pub fn write_num(out: &mut String, v: f64) {
+    use std::fmt::Write;
     if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a fractional part, which
-        // is still valid JSON — keep it.
-        s
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -52,5 +60,9 @@ mod tests {
         assert_eq!(num(3.0), "3");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
+        let mut out = String::from("[");
+        write_num(&mut out, -0.25);
+        write_num(&mut out, f64::NEG_INFINITY);
+        assert_eq!(out, "[-0.25null");
     }
 }

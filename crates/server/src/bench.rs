@@ -104,6 +104,13 @@ pub struct BenchReport {
     /// Server-reported service time (dequeue → response built),
     /// microseconds: `[p50, p95, p99]`.
     pub service_us: [u64; 3],
+    /// What the server's own timings leave of each ok request's
+    /// latency — latency − queue wait − service — microseconds:
+    /// `[p50, p95]`. This is the wire, both kernels' socket paths, the
+    /// client's response parse and (open loop) how late the generator
+    /// ran; a reply held back by the transport shows here and nowhere
+    /// in the server's split.
+    pub unattributed_us: [u64; 2],
     /// Echo of the run shape for the committed artifact.
     pub connections: usize,
     /// Pacing mode (`"closed"` or `"open@<rate>"`).
@@ -115,7 +122,7 @@ impl BenchReport {
     /// schema).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"connections\":{},\"mode\":\"{}\",\"sent\":{},\"ok\":{},\"overloaded\":{},\"deadline_exceeded\":{},\"errors\":{},\"conn_failures\":{},\"matches\":{},\"elapsed_ms\":{},\"throughput_rps\":{},\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},\"queue_wait_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"service_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
+            "{{\"connections\":{},\"mode\":\"{}\",\"sent\":{},\"ok\":{},\"overloaded\":{},\"deadline_exceeded\":{},\"errors\":{},\"conn_failures\":{},\"matches\":{},\"elapsed_ms\":{},\"throughput_rps\":{},\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},\"queue_wait_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"service_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"unattributed_us\":{{\"p50\":{},\"p95\":{}}}}}",
             self.connections,
             warptree_obs::json::escape(&self.mode),
             self.sent,
@@ -137,6 +144,8 @@ impl BenchReport {
             self.service_us[0],
             self.service_us[1],
             self.service_us[2],
+            self.unattributed_us[0],
+            self.unattributed_us[1],
         )
     }
 }
@@ -196,6 +205,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
             let mut latencies: Vec<u64> = Vec::new();
             let mut queue_waits: Vec<u64> = Vec::new();
             let mut services: Vec<u64> = Vec::new();
+            let mut unattributed: Vec<u64> = Vec::new();
             let mut counts = [0u64; 4]; // indexed by Outcome
             let mut matches = 0u64;
             let mut sent = 0u64;
@@ -224,18 +234,21 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
                 sent += 1;
                 let outcome = match conn.request(&bodies[i]) {
                     Ok(v) => {
+                        let latency_us = t0.elapsed().as_micros() as u64;
+                        latencies.push(latency_us);
                         matches += v
                             .get("count")
                             .and_then(crate::json::Json::as_u64)
                             .unwrap_or(0);
-                        if let Some(t) = v.get("timings") {
-                            if let Some(q) = t.get("queue_ns").and_then(crate::json::Json::as_u64) {
-                                queue_waits.push(q / 1000);
-                            }
-                            if let Some(s) = t.get("service_ns").and_then(crate::json::Json::as_u64)
-                            {
-                                services.push(s / 1000);
-                            }
+                        let timing = |k: &str| {
+                            v.get("timings")
+                                .and_then(|t| t.get(k))
+                                .and_then(crate::json::Json::as_u64)
+                        };
+                        if let (Some(q), Some(s)) = (timing("queue_ns"), timing("service_ns")) {
+                            queue_waits.push(q / 1000);
+                            services.push(s / 1000);
+                            unattributed.push(latency_us.saturating_sub((q + s) / 1000));
                         }
                         Outcome::Ok
                     }
@@ -250,15 +263,13 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
                     // ShardConn; they land here as plain errors.
                     Err(_) => Outcome::OtherError,
                 };
-                if outcome == Outcome::Ok {
-                    latencies.push(t0.elapsed().as_micros() as u64);
-                }
                 counts[outcome as usize] += 1;
             }
             (
                 latencies,
                 queue_waits,
                 services,
+                unattributed,
                 counts,
                 conn.conn_failures(),
                 matches,
@@ -270,15 +281,17 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
     let mut latencies: Vec<u64> = Vec::new();
     let mut queue_waits: Vec<u64> = Vec::new();
     let mut services: Vec<u64> = Vec::new();
+    let mut unattributed: Vec<u64> = Vec::new();
     let mut counts = [0u64; 4];
     let mut conn_failures = 0u64;
     let mut matches = 0u64;
     let mut sent = 0u64;
     for t in threads {
-        let (l, qw, sv, c, cf, m, s) = t.join().expect("bench thread");
+        let (l, qw, sv, un, c, cf, m, s) = t.join().expect("bench thread");
         latencies.extend(l);
         queue_waits.extend(qw);
         services.extend(sv);
+        unattributed.extend(un);
         for (acc, v) in counts.iter_mut().zip(c) {
             *acc += v;
         }
@@ -290,6 +303,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
     latencies.sort_unstable();
     queue_waits.sort_unstable();
     services.sort_unstable();
+    unattributed.sort_unstable();
     let ok = counts[Outcome::Ok as usize];
     Ok(BenchReport {
         sent,
@@ -315,6 +329,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
             quantile(&services, 0.95),
             quantile(&services, 0.99),
         ],
+        unattributed_us: [quantile(&unattributed, 0.50), quantile(&unattributed, 0.95)],
         connections,
         mode: match config.mode {
             LoopMode::Closed => "closed".to_string(),
@@ -361,6 +376,7 @@ mod tests {
             max_us: 400,
             queue_wait_us: [5, 40, 80],
             service_us: [95, 160, 220],
+            unattributed_us: [12, 31],
             connections: 4,
             mode: "closed".to_string(),
         };
@@ -387,6 +403,12 @@ mod tests {
                 .and_then(|l| l.get("p50"))
                 .and_then(crate::json::Json::as_u64),
             Some(95)
+        );
+        assert_eq!(
+            v.get("unattributed_us")
+                .and_then(|l| l.get("p95"))
+                .and_then(crate::json::Json::as_u64),
+            Some(31)
         );
         assert_eq!(
             v.get("throughput_rps").and_then(crate::json::Json::as_f64),

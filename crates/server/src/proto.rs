@@ -47,11 +47,12 @@
 //! from `bad_request` (never retry) from `result_too_large` (answer
 //! exceeds the frame cap — narrow the search) from `shutting_down`.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams, SearchStats};
-use warptree_obs::json::{escape, num};
+use warptree_obs::json::{escape, num, write_num};
 use warptree_obs::MetricsRegistry;
 
 use crate::json::{self, Json};
@@ -61,7 +62,11 @@ use crate::json::{self, Json};
 /// bounding per-connection memory.
 pub const MAX_FRAME: u32 = 4 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame — prefix and payload in **one**
+/// `write`. Two writes put the 4-byte prefix in a TCP segment of its
+/// own, and Nagle's algorithm then holds the payload until the peer's
+/// delayed ACK of that prefix (≈ 40 ms on Linux); every frame writer in
+/// the repo goes through here, so none of them pays it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
         return Err(io::Error::new(
@@ -69,8 +74,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -696,30 +703,77 @@ fn opt_backend(v: &Json) -> Result<Option<BackendKind>, String> {
 /// is what makes server responses byte-comparable to locally computed
 /// answer sets.
 pub fn encode_matches(matches: &[Match]) -> String {
-    let mut sorted: Vec<Match> = matches.to_vec();
-    sorted.sort_by_key(|m| m.occ);
-    encode_matches_ranked(&sorted)
+    let mut out = String::new();
+    encode_matches_into(&mut out, matches);
+    out
+}
+
+/// Appends what [`encode_matches`] returns to `out`. An answer set
+/// that is already in occurrence order (a merged or sorted one) is
+/// encoded where it lies; only an unordered one is copied and sorted.
+pub fn encode_matches_into(out: &mut String, matches: &[Match]) {
+    if matches.windows(2).all(|w| w[0].occ <= w[1].occ) {
+        encode_matches_ranked_into(out, matches);
+    } else {
+        let mut sorted: Vec<Match> = matches.to_vec();
+        sorted.sort_by_key(|m| m.occ);
+        encode_matches_ranked_into(out, &sorted);
+    }
 }
 
 /// Serializes matches **in the order given** — for rank-ordered
 /// results (k-NN returns nearest first; sorting by occurrence would
 /// destroy the ranking).
 pub fn encode_matches_ranked(matches: &[Match]) -> String {
-    let mut out = String::from("[");
+    let mut out = String::new();
+    encode_matches_ranked_into(&mut out, matches);
+    out
+}
+
+/// Appends what [`encode_matches_ranked`] returns to `out`: the one
+/// match encoder, writing every field straight into the response
+/// buffer.
+pub fn encode_matches_ranked_into(out: &mut String, matches: &[Match]) {
+    // 59 bytes a match on the benchmark's replies; one growth, not a
+    // doubling series.
+    out.reserve(2 + matches.len() * 64);
+    out.push('[');
     for (i, m) in matches.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"start\":{},\"len\":{},\"dist\":{}}}",
-            m.occ.seq.0,
-            m.occ.start,
-            m.occ.len,
-            num(m.dist)
-        ));
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"start\":{},\"len\":{},\"dist\":",
+            m.occ.seq.0, m.occ.start, m.occ.len
+        );
+        write_num(out, m.dist);
+        out.push('}');
     }
     out.push(']');
-    out
+}
+
+/// Appends the body every threshold answer shares —
+/// `"generation":…,"count":…,"matches":[…]`, matches in occurrence
+/// order — to `out`.
+pub fn search_body_into(out: &mut String, generation: u64, matches: &[Match]) {
+    body_head(out, generation, matches.len());
+    encode_matches_into(out, matches);
+}
+
+/// [`search_body_into`] with the matches **in the order given** — the
+/// body of a `knn` answer.
+pub fn ranked_body_into(out: &mut String, generation: u64, matches: &[Match]) {
+    body_head(out, generation, matches.len());
+    encode_matches_ranked_into(out, matches);
+}
+
+fn body_head(out: &mut String, generation: u64, count: usize) {
+    let _ = write!(
+        out,
+        "\"generation\":{generation},\"count\":{count},\"matches\":"
+    );
 }
 
 /// Serializes [`Coverage`] accounting as a response fragment:
@@ -766,22 +820,28 @@ pub fn encode_stats(s: &SearchStats) -> String {
     )
 }
 
+/// Opens a success response:
+/// `{"ok":true,"version":<PROTO_VERSION>,"op":<op>` — the caller
+/// appends `,"key":value` pairs and the closing `}` to the same
+/// buffer, which is the one [`write_frame`] sends.
+pub fn ok_open(op: &str) -> String {
+    format!(
+        "{{\"ok\":true,\"version\":{PROTO_VERSION},\"op\":\"{}\"",
+        escape(op)
+    )
+}
+
 /// Builds a success response:
 /// `{"ok":true,"version":<PROTO_VERSION>,"op":<op>,<body…>}`. `body` is
 /// a pre-rendered fragment of `"key":value` pairs (may be empty).
 pub fn ok_response(op: &str, body: &str) -> String {
-    if body.is_empty() {
-        format!(
-            "{{\"ok\":true,\"version\":{PROTO_VERSION},\"op\":\"{}\"}}",
-            escape(op)
-        )
-    } else {
-        format!(
-            "{{\"ok\":true,\"version\":{PROTO_VERSION},\"op\":\"{}\",{}}}",
-            escape(op),
-            body
-        )
+    let mut out = ok_open(op);
+    if !body.is_empty() {
+        out.push(',');
+        out.push_str(body);
     }
+    out.push('}');
+    out
 }
 
 /// Builds a typed error response.
@@ -843,6 +903,198 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Counts `write` calls; accepts at most `cap` bytes per call.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl CountingWriter {
+        fn taking(cap: usize) -> Self {
+            CountingWriter {
+                bytes: Vec::new(),
+                calls: 0,
+                cap,
+            }
+        }
+    }
+
+    impl io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(payload);
+        want
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        // Prefix and payload in separate writes are separate TCP
+        // segments, and the second waits out the peer's delayed ACK.
+        for len in [0, 1, 1_228, MAX_FRAME as usize] {
+            let payload = vec![b'x'; len];
+            let mut w = CountingWriter::taking(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte payload");
+            assert!(w.bytes == framed(&payload), "{len}-byte payload");
+        }
+        // A writer that takes one byte a call still gets every byte.
+        for len in [0, 1, 1_228] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWriter::taking(1);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, len + 4);
+            assert_eq!(w.bytes, framed(&payload));
+        }
+        let mut w = CountingWriter::taking(usize::MAX);
+        assert!(write_frame(&mut w, &vec![0u8; MAX_FRAME as usize + 1]).is_err());
+        assert_eq!(w.calls, 0);
+    }
+
+    /// Hands `data` out in pieces of `chunks[i]` bytes, cycling; a
+    /// chunk of 0 is a read timeout.
+    struct ChunkReader {
+        data: Vec<u8>,
+        pos: usize,
+        chunks: Vec<usize>,
+        next: usize,
+    }
+
+    impl io::Read for ChunkReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.chunks[self.next % self.chunks.len()];
+            self.next += 1;
+            if chunk == 0 {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"));
+            }
+            let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Drains `r` with [`read_frame_idle_aware`], skipping `Idle`.
+    fn drain_idle_aware(r: &mut impl Read, stall_limit: u32) -> (Vec<Vec<u8>>, io::Result<()>) {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame_idle_aware(r, stall_limit) {
+                Ok(FrameEvent::Frame(p)) => frames.push(p),
+                Ok(FrameEvent::Idle) => {}
+                Ok(FrameEvent::Closed) => return (frames, Ok(())),
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+    }
+
+    /// Drains `r` with [`read_frame`].
+    fn drain(r: &mut impl Read) -> (Vec<Vec<u8>>, io::Result<()>) {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(r) {
+                Ok(Some(p)) => frames.push(p),
+                Ok(None) => return (frames, Ok(())),
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever way the transport cuts the byte stream up, both
+        /// readers return exactly the frames written — and the
+        /// idle-aware one does so across read timeouts at any offset.
+        #[test]
+        fn readers_reassemble_frames_split_anywhere(
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..=300), 0..=4),
+            chunks in prop::collection::vec(0usize..=9, 1..=12),
+        ) {
+            let mut data = Vec::new();
+            for p in &payloads {
+                write_frame(&mut data, p).unwrap();
+            }
+            let mut with_stalls = chunks.clone();
+            with_stalls.push(1); // some read always makes progress
+            let stall_limit = with_stalls.len() as u32;
+            let mut r = ChunkReader { data: data.clone(), pos: 0, chunks: with_stalls, next: 0 };
+            let (frames, end) = drain_idle_aware(&mut r, stall_limit);
+            prop_assert!(end.is_ok(), "{:?}", end);
+            prop_assert_eq!(&frames, &payloads);
+
+            let no_stalls = chunks.iter().map(|&c| c.max(1)).collect();
+            let mut r = ChunkReader { data, pos: 0, chunks: no_stalls, next: 0 };
+            let (frames, end) = drain(&mut r);
+            prop_assert!(end.is_ok(), "{:?}", end);
+            prop_assert_eq!(&frames, &payloads);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Hostile bytes — any length word, the stream ending at every
+        /// offset — never panic a reader: it ends in a clean close at a
+        /// frame boundary, or in `InvalidData` (length above
+        /// `MAX_FRAME`, nothing allocated) or `UnexpectedEof`
+        /// (mid-frame), after returning the complete frames before it.
+        #[test]
+        fn readers_survive_arbitrary_bytes(
+            declared in (0u8..4, 0u32..40, any::<u32>()).prop_map(|(kind, small, wild)| match kind {
+                0 => small,
+                1 => MAX_FRAME - small,
+                2 => MAX_FRAME + 1 + small,
+                _ => wild,
+            }),
+            tail in prop::collection::vec(any::<u8>(), 0..=48),
+        ) {
+            let mut bytes = declared.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&tail);
+            for cut in 0..=bytes.len() {
+                let stream = &bytes[..cut];
+                let mut a = stream;
+                let (frames, end) = drain(&mut a);
+                let mut b = stream;
+                let (frames_b, end_b) = drain_idle_aware(&mut b, 3);
+                prop_assert_eq!(&frames, &frames_b);
+                prop_assert_eq!(
+                    end.as_ref().map_err(io::Error::kind),
+                    end_b.as_ref().map_err(io::Error::kind)
+                );
+                // Every returned frame is a well-formed prefix of the
+                // stream; what is left decides how the read ended.
+                let mut rest = stream;
+                for f in &frames {
+                    prop_assert_eq!(&rest[..4], &(f.len() as u32).to_le_bytes()[..]);
+                    prop_assert_eq!(&rest[4..4 + f.len()], &f[..]);
+                    rest = &rest[4 + f.len()..];
+                }
+                match end {
+                    Ok(()) => prop_assert!(rest.is_empty()),
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+                        prop_assert!(len > MAX_FRAME);
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                        prop_assert!(!rest.is_empty());
+                    }
+                }
+            }
+        }
     }
 
     /// A reader that interleaves timeouts between single-byte reads —
@@ -1103,6 +1355,135 @@ mod tests {
         assert_eq!(
             encoded,
             r#"[{"seq":0,"start":3,"len":2,"dist":0},{"seq":1,"start":0,"len":2,"dist":1.5}]"#
+        );
+    }
+
+    /// The encoder this module shipped before the appending one: a
+    /// copy and a sort whatever the order, two `format!` allocations a
+    /// match. Kept as the oracle the appending encoder is pinned to.
+    fn encode_matches_oracle(matches: &[Match], sort: bool) -> String {
+        let mut ordered: Vec<Match> = matches.to_vec();
+        if sort {
+            ordered.sort_by_key(|m| m.occ);
+        }
+        let mut out = String::from("[");
+        for (i, m) in ordered.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"seq\":{},\"start\":{},\"len\":{},\"dist\":{}}}",
+                m.occ.seq.0,
+                m.occ.start,
+                m.occ.len,
+                num(m.dist)
+            ));
+        }
+        out.push(']');
+        out
+    }
+
+    fn assert_encoders_agree(matches: &[Match]) {
+        assert_eq!(
+            encode_matches(matches),
+            encode_matches_oracle(matches, true)
+        );
+        assert_eq!(
+            encode_matches_ranked(matches),
+            encode_matches_oracle(matches, false)
+        );
+        // The appending forms leave what the buffer already holds.
+        let mut out = String::from("\"matches\":");
+        encode_matches_into(&mut out, matches);
+        out.push('|');
+        encode_matches_ranked_into(&mut out, matches);
+        assert_eq!(
+            out,
+            format!(
+                "\"matches\":{}|{}",
+                encode_matches_oracle(matches, true),
+                encode_matches_oracle(matches, false)
+            )
+        );
+    }
+
+    #[test]
+    fn appending_encoder_matches_the_format_oracle() {
+        let m = |s: u32, p: u32, l: u32, d: f64| Match {
+            occ: Occurrence::new(SeqId(s), p, l),
+            dist: d,
+        };
+        assert_encoders_agree(&[]);
+        assert_encoders_agree(&[m(7, 0, 1, 0.0)]);
+        // Sorted, with equal occurrences and equal prefixes.
+        assert_encoders_agree(&[
+            m(0, 3, 2, 1.25),
+            m(0, 3, 2, 0.5),
+            m(0, 3, 4, 1e-9),
+            m(2, 0, 1, 12.0),
+        ]);
+        // Out of order in each key.
+        assert_encoders_agree(&[m(1, 0, 2, 1.5), m(0, 3, 2, 0.0)]);
+        assert_encoders_agree(&[m(1, 5, 2, 1.5), m(1, 3, 2, 0.0)]);
+        assert_encoders_agree(&[m(1, 3, 4, 1.5), m(1, 3, 2, 0.0)]);
+        // JSON has no NaN or infinity; both render as null.
+        assert_encoders_agree(&[
+            m(3, 1, 1, f64::NAN),
+            m(0, 1, 1, f64::INFINITY),
+            m(u32::MAX, u32::MAX, u32::MAX, f64::NEG_INFINITY),
+            m(0, 0, 1, f64::MIN_POSITIVE),
+            m(0, 0, 2, 1e300),
+        ]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn appending_encoder_matches_the_oracle_on_any_order(
+            raw in prop::collection::vec((0u32..4, 0u32..6, 1u32..4, -50.0f64..50.0), 0..=40),
+            sorted in any::<bool>(),
+        ) {
+            let mut matches: Vec<Match> = raw
+                .into_iter()
+                .map(|(s, p, l, d)| Match { occ: Occurrence::new(SeqId(s), p, l), dist: d })
+                .collect();
+            if sorted {
+                matches.sort_by_key(|m| m.occ);
+            }
+            assert_encoders_agree(&matches);
+        }
+    }
+
+    #[test]
+    fn answer_bodies_have_stable_shape() {
+        let m = |s: u32, p: u32, d: f64| Match {
+            occ: Occurrence::new(SeqId(s), p, 2),
+            dist: d,
+        };
+        let matches = [m(1, 0, 0.5), m(0, 3, 1.0)];
+        let mut resp = ok_open("search");
+        resp.push(',');
+        search_body_into(&mut resp, 9, &matches);
+        resp.push('}');
+        assert_eq!(
+            resp,
+            ok_response(
+                "search",
+                &format!(
+                    "\"generation\":9,\"count\":2,\"matches\":{}",
+                    encode_matches_oracle(&matches, true)
+                )
+            )
+        );
+        let mut resp = String::new();
+        ranked_body_into(&mut resp, 9, &matches);
+        assert_eq!(
+            resp,
+            format!(
+                "\"generation\":9,\"count\":2,\"matches\":{}",
+                encode_matches_oracle(&matches, false)
+            )
         );
     }
 

@@ -21,7 +21,8 @@
 //! coordinator's scatters over its per-connection shard sockets.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::fmt::Write as _;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -504,6 +505,13 @@ fn handle_conn<H: Handler>(mut stream: TcpStream, core: &Core<H>) {
     {
         return;
     }
+    // One write per frame is not enough off loopback: a reply longer
+    // than one segment ends in a partial segment, which Nagle would
+    // hold for the client's delayed ACK. Every reply is a complete
+    // message, so there is nothing to coalesce it with.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let mut conn = core.handler.connect();
     loop {
         // The idle-aware reader reports a timeout as `Idle` only when
@@ -591,13 +599,16 @@ fn answer<H: Handler>(core: &Core<H>, conn: &mut H::Conn, payload: &[u8]) -> Str
     // sampler-only trace goes to the ring alone).
     if resp.starts_with("{\"ok\":true") && resp.ends_with('}') {
         resp.pop();
-        resp.push_str(&format!(
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            resp,
             ",\"timings\":{{\"queue_ns\":{queue_ns},\"service_ns\":{}}}",
             total_ns.saturating_sub(queue_ns)
-        ));
+        );
         if trace_opts.wanted {
             if let Some(data) = trace.finish() {
-                resp.push_str(&format!(",\"trace\":{}", data.to_json()));
+                resp.push_str(",\"trace\":");
+                resp.push_str(&data.to_json());
             }
         }
         resp.push('}');
@@ -625,7 +636,7 @@ pub(crate) fn clamp_oversized(resp: String, registry: &MetricsRegistry, prefix: 
 }
 
 fn respond(stream: &mut TcpStream, resp: &str) -> bool {
-    write_frame(stream, resp.as_bytes()).is_ok() && stream.flush().is_ok()
+    write_frame(stream, resp.as_bytes()).is_ok()
 }
 
 #[cfg(test)]

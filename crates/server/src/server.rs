@@ -22,6 +22,7 @@
 //! `"generation"` field reports which snapshot answered; concurrent
 //! hot reloads change which snapshot *new* requests pin, nothing else.
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use warptree_core::search::{AnswerSet, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
+use warptree_core::search::{Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
     append_segment_with, compact_once_with, open_dir_snapshot_with, quarantine_segment_with,
@@ -688,14 +689,22 @@ fn quarantine_detected(job: &Job, detected: &[String]) {
     }
 }
 
-/// The `,"partial":…,"coverage":{…}` response suffix, present exactly
-/// when the output carries coverage accounting (i.e. the index is
-/// degraded); a clean index emits nothing.
-fn coverage_suffix(out: &QueryOutput) -> String {
-    match &out.coverage {
-        Some(c) => format!(",{}", proto::encode_coverage(c)),
-        None => String::new(),
+/// Appends the `,"partial":…,"coverage":{…}` response suffix, present
+/// exactly when the output carried coverage accounting (i.e. the index
+/// is degraded); a clean index emits nothing.
+fn push_coverage(resp: &mut String, coverage: Option<&Coverage>) {
+    if let Some(c) = coverage {
+        resp.push(',');
+        resp.push_str(&proto::encode_coverage(c));
     }
+}
+
+/// Appends one threshold answer — the search body, then the coverage
+/// suffix — to `resp`: the whole `search` reply after its opening, and
+/// one element of a `batch` reply's `results`.
+fn push_answer(resp: &mut String, out: &QueryOutput, generation: u64) {
+    proto::search_body_into(resp, generation, out.matches());
+    push_coverage(resp, out.coverage.as_ref());
 }
 
 fn execute(job: &Job, req: Request) -> String {
@@ -714,33 +723,25 @@ fn execute(job: &Job, req: Request) -> String {
             params.threads = clamp(params.threads);
             let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
-                let suffix = coverage_suffix(&out);
-                ok_response(
-                    "search",
-                    &format!(
-                        "{}{}",
-                        search_body(&out.into_answer_set(), snap.generation),
-                        suffix
-                    ),
-                )
+                let mut resp = proto::ok_open("search");
+                resp.push(',');
+                push_answer(&mut resp, &out, snap.generation);
+                resp.push('}');
+                resp
             })
         }
         Request::Knn { query, mut params } => {
             params.threads = clamp(params.threads);
             let req = QueryRequest::knn_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
-                let suffix = coverage_suffix(&out);
+                let coverage = out.coverage;
                 let matches = out.into_ranked();
-                ok_response(
-                    "knn",
-                    &format!(
-                        "\"generation\":{},\"count\":{},\"matches\":{}{}",
-                        snap.generation,
-                        matches.len(),
-                        proto::encode_matches_ranked(&matches),
-                        suffix
-                    ),
-                )
+                let mut resp = proto::ok_open("knn");
+                resp.push(',');
+                proto::ranked_body_into(&mut resp, snap.generation, &matches);
+                push_coverage(&mut resp, coverage.as_ref());
+                resp.push('}');
+                resp
             })
         }
         Request::Batch {
@@ -756,7 +757,7 @@ fn execute(job: &Job, req: Request) -> String {
             // knowing the others' fates; the join below folds them back
             // in request order.
             enum Item {
-                Body(String),
+                Answer(QueryOutput),
                 Expired,
                 /// A complete error response (already typed + metered).
                 Fail(String),
@@ -766,14 +767,7 @@ fn execute(job: &Job, req: Request) -> String {
                 let req = QueryRequest::threshold_params(query, item_params.clone())
                     .capped(job.ctx.max_query_len);
                 match degraded_query(job, &snap, &req) {
-                    Ok((out, _)) => {
-                        let suffix = coverage_suffix(&out);
-                        Item::Body(format!(
-                            "{{{}{}}}",
-                            search_body(&out.into_answer_set(), snap.generation),
-                            suffix
-                        ))
-                    }
+                    Ok((out, _)) => Item::Answer(out),
                     Err(resp) => Item::Fail(resp),
                 }
             };
@@ -814,17 +808,21 @@ fn execute(job: &Job, req: Request) -> String {
                 }
                 out
             };
-            // Fold in request order; the first expiry or error (lowest
-            // index) wins, matching the sequential contract exactly.
-            let mut results = String::from("[");
+            // Fold in request order, encoding each answer straight into
+            // the reply; the first expiry or error (lowest index) wins,
+            // matching the sequential contract exactly.
+            let mut resp = proto::ok_open("batch");
+            let _ = write!(resp, ",\"generation\":{},\"results\":[", snap.generation);
             let mut outcome = Ok(());
             for (i, item) in items.into_iter().enumerate() {
                 match item {
-                    Item::Body(body) => {
+                    Item::Answer(out) => {
                         if i > 0 {
-                            results.push(',');
+                            resp.push(',');
                         }
-                        results.push_str(&body);
+                        resp.push('{');
+                        push_answer(&mut resp, &out, snap.generation);
+                        resp.push('}');
                     }
                     Item::Expired => {
                         job.ctx.registry.counter("server.deadline_exceeded").incr();
@@ -840,11 +838,8 @@ fn execute(job: &Job, req: Request) -> String {
                 }
             }
             outcome.map(|()| {
-                results.push(']');
-                ok_response(
-                    "batch",
-                    &format!("\"generation\":{},\"results\":{}", snap.generation, results),
-                )
+                resp.push_str("]}");
+                resp
             })
         }
         Request::Explain { query, mut params } => {
@@ -854,16 +849,14 @@ fn execute(job: &Job, req: Request) -> String {
             // while the shared bundle still accumulates the totals.
             let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, stats)| {
-                let suffix = coverage_suffix(&out);
-                ok_response(
-                    "explain",
-                    &format!(
-                        "{},\"stats\":{}{}",
-                        search_body(&out.into_answer_set(), snap.generation),
-                        proto::encode_stats(&stats),
-                        suffix
-                    ),
-                )
+                let mut resp = proto::ok_open("explain");
+                resp.push(',');
+                proto::search_body_into(&mut resp, snap.generation, out.matches());
+                resp.push_str(",\"stats\":");
+                resp.push_str(&proto::encode_stats(&stats));
+                push_coverage(&mut resp, out.coverage.as_ref());
+                resp.push('}');
+                resp
             })
         }
         Request::DebugSleep { ms } => {
@@ -938,15 +931,6 @@ fn execute_ingest(job: &Job, sequences: Vec<Vec<f64>>) -> String {
             )
         }
     }
-}
-
-fn search_body(answers: &AnswerSet, generation: u64) -> String {
-    format!(
-        "\"generation\":{},\"count\":{},\"matches\":{}",
-        generation,
-        answers.len(),
-        proto::encode_matches(answers.matches())
-    )
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use warptree_obs::MetricsRegistry;
+use warptree_server::client::search_request_v4;
 use warptree_server::{proto, Client, ClientError, Json};
 
 /// `resp` without the `"timings"` object every ok query response
@@ -99,6 +100,31 @@ pub fn slow_client_mid_frame_pauses_do_not_desync_the_stream(addr: SocketAddr) {
     let resp = proto::read_frame(&mut stream).unwrap().unwrap();
     let text = String::from_utf8(resp).unwrap();
     assert!(text.contains("\"status\":\"serving\""), "got: {text}");
+}
+
+/// 30 small `search` round trips, one after another on one connection,
+/// take what the searches take: a median under 10 ms. A reply that
+/// leaves in two segments, or on a socket without `TCP_NODELAY`, waits
+/// out the client's delayed ACK — ≈ 40 ms on every round trip, per hop
+/// — so the bound is loose by orders of magnitude on the working side
+/// and missed by 4× on the broken one.
+pub fn sequential_replies_do_not_stall(addr: SocketAddr) {
+    let mut client = Client::connect(addr).unwrap();
+    let body = search_request_v4(&[3.0, 4.5, 6.0], 0.5, None);
+    client.request(&body).unwrap(); // dials the shard legs, warms the caches
+    let mut ms: Vec<f64> = (0..30)
+        .map(|_| {
+            let t = Instant::now();
+            client.request(&body).unwrap();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "median round trip {median:.2} ms over {ms:.2?}: replies are stalling on the wire"
+    );
 }
 
 /// The `shutdown` op starts a drain that finishes — `join` (which

@@ -432,6 +432,16 @@ fn slow_client_mid_frame_pauses_do_not_desync_the_stream() {
 }
 
 #[test]
+fn sequential_replies_do_not_stall() {
+    let dir = tmpdir("nostall");
+    build_index(&dir);
+    let handle = Server::start(&dir, ServerConfig::default()).unwrap();
+    common::sequential_replies_do_not_stall(handle.addr());
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn connection_cap_rejects_with_typed_overloaded_frame() {
     let dir = tmpdir("connlimit");
     build_index(&dir);

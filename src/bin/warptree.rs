@@ -1365,6 +1365,10 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
         report.service_us[0],
         report.service_us[2]
     );
+    println!(
+        "  outside the server's split (wire + client parse): p50 {} µs, p95 {} µs",
+        report.unattributed_us[0], report.unattributed_us[1]
+    );
     if let Some(out) = o.get("out") {
         std::fs::write(out, report.to_json() + "\n").map_err(|e| e.to_string())?;
         println!("  wrote {out}");

@@ -591,6 +591,9 @@ struct ChaosConn {
     stream: Option<ChaosStream<TcpStream>>,
     seed: u64,
     faults: u64,
+    /// Faults the dropped streams injected, by kind: `[torn, dropped,
+    /// stalled]` (see [`ChaosConn::injected`]).
+    injected: [u64; 3],
 }
 
 impl ChaosConn {
@@ -600,7 +603,15 @@ impl ChaosConn {
             stream: None,
             seed,
             faults: 0,
+            injected: [0; 3],
         }
+    }
+
+    /// Faults injected so far over every stream this connection has
+    /// dialed, by kind: `[torn, dropped, stalled]`.
+    fn injected(&self) -> [u64; 3] {
+        let live = self.stream.as_ref().map_or([0; 3], |s| s.injected);
+        std::array::from_fn(|k| self.injected[k] + live[k])
     }
 
     fn config(&self) -> ChaosConfig {
@@ -634,6 +645,7 @@ impl ChaosConn {
                 // the torn/vanished frame as a dead client, nothing
                 // more.
                 self.faults += 1;
+                self.injected = self.injected();
                 self.stream = None;
                 None
             }
@@ -677,6 +689,13 @@ fn net_chaos_never_corrupts_answers() {
     }
     assert!(delivered > 0, "some exchanges must survive the fault mix");
     assert!(conn.faults > 0, "the fault mix must actually fire");
+    // A frame is one write, so one roll of the schedule per request:
+    // the fixed seed must still reach every kind of fault.
+    let injected = conn.injected();
+    assert!(
+        injected.iter().all(|&n| n > 0),
+        "[torn, dropped, stalled] = {injected:?}: a fault kind never fired"
+    );
 
     // The server survived every torn/dropped frame and still serves.
     let h = plain.health().unwrap();

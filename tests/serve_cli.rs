@@ -143,6 +143,16 @@ fn serve_and_bench_client_round_trip() {
         }
     }
 
+    // What the split leaves of the latency: on loopback, a fraction of
+    // a millisecond — a reply stalled by the transport reads ≈ 40 ms.
+    let unattributed = report.get("unattributed_us").expect("unattributed_us");
+    for q in ["p50", "p95"] {
+        assert!(
+            unattributed.get(q).and_then(Json::as_u64).is_some(),
+            "missing unattributed_us.{q}"
+        );
+    }
+
     // Protocol shutdown drains the server and the process exits cleanly.
     let mut client = Client::connect(&addr).unwrap();
     client.shutdown().unwrap();
