@@ -14,6 +14,7 @@
 //! | `exp_fig4` | Figure 4 — scalability in sequence length |
 //! | `exp_fig5` | Figure 5 — scalability in number of sequences |
 //! | `exp_ablation` | early-abandon / window / disk-vs-memory ablations |
+//! | `exp_factors` | the reduction factors `R_d` and `R_p` (§4.3, §5.5) |
 //!
 //! Run with `--full` for paper-scale parameters (slower); the default
 //! scale finishes in minutes and preserves every qualitative shape.
@@ -185,8 +186,6 @@ pub fn materialized_size(tree: &warptree_suffix::SuffixTree, sym_bytes: u64) -> 
 pub struct DiskIndex {
     /// The opened on-disk tree.
     pub disk: warptree_disk::DiskTree,
-    /// Size of the index file in bytes.
-    pub file_size: u64,
     path: std::path::PathBuf,
 }
 
@@ -204,16 +203,12 @@ impl Drop for DiskIndex {
 /// U-shape).
 pub fn to_disk(built: &BuiltIndex, tag: &str, cache_bytes: u64) -> DiskIndex {
     let path = std::env::temp_dir().join(format!("warptree-run-{}-{tag}.wt", std::process::id()));
-    let file_size = warptree_disk::write_tree(&built.tree, &path).unwrap();
+    warptree_disk::write_tree(&built.tree, &path).unwrap();
     let cache_pages = ((cache_bytes / warptree_disk::PAGE_SIZE as u64) as usize).max(16);
     let disk =
         warptree_disk::DiskTree::open(&path, built.cat.clone(), cache_pages, cache_pages * 8)
             .unwrap();
-    DiskIndex {
-        disk,
-        file_size,
-        path,
-    }
+    DiskIndex { disk, path }
 }
 
 /// Raw size of the numeric database in bytes (8 bytes per element), the
@@ -231,8 +226,6 @@ pub struct Measured {
     pub cells_per_query: f64,
     /// Mean answers per query.
     pub answers_per_query: f64,
-    /// Mean post-processed candidates per query.
-    pub candidates_per_query: f64,
     /// Per-query wall-clock seconds, sorted ascending.
     pub latencies: Vec<f64>,
 }
@@ -268,13 +261,11 @@ pub fn measure_index<T: IndexBackend + Sync>(
         total.secs_per_query += secs;
         total.cells_per_query += stats.total_cells() as f64;
         total.answers_per_query += answers.len() as f64;
-        total.candidates_per_query += stats.postprocessed as f64;
     }
     let n = queries.len().max(1) as f64;
     total.secs_per_query /= n;
     total.cells_per_query /= n;
     total.answers_per_query /= n;
-    total.candidates_per_query /= n;
     total
         .latencies
         .sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));

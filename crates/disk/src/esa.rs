@@ -10,7 +10,11 @@
 //! eagerly through the CRC-checked read path and serves queries from
 //! memory. Corruption therefore surfaces at *open* time as a typed
 //! [`DiskError`], which the scrub/quarantine machinery already treats
-//! exactly like a mid-query CRC failure.
+//! exactly like a mid-query CRC failure. A CRC vouches for bytes, not
+//! for who wrote them, so the loaded arrays are also checked against
+//! the corpus ([`EsaIndex::validate`]) before any query walks them: a
+//! forged count, child slice or entry is a [`DiskError::BadRecord`]
+//! at open, never a panic or an abort later.
 //!
 //! ```text
 //! header (64 bytes, logical offset 0):
@@ -216,17 +220,19 @@ impl DiskEsa {
                 cat.alphabet_len()
             )));
         }
-        let body = header.entry_count * ENTRY_BYTES
-            + header.rec_count * REC_BYTES
-            + header.child_count * CHILD_BYTES;
-        if ESA_HEADER_SIZE + body > reader.logical_len() {
+        // A forged count must not wrap the sum past the overrun check and
+        // size an allocation by it.
+        let end = [
+            (header.entry_count, ENTRY_BYTES),
+            (header.rec_count, REC_BYTES),
+            (header.child_count, CHILD_BYTES),
+        ]
+        .into_iter()
+        .try_fold(ESA_HEADER_SIZE, |end, (count, bytes)| {
+            count.checked_mul(bytes)?.checked_add(end)
+        });
+        if end.is_none_or(|end| end > reader.logical_len()) {
             return Err(DiskError::BadRecord("esa arrays overrun the file".into()));
-        }
-        if header.rec_count == 0 || header.root as u64 >= header.rec_count {
-            return Err(DiskError::BadRecord(format!(
-                "esa root {} outside {} records",
-                header.root, header.rec_count
-            )));
         }
 
         let mut off = ESA_HEADER_SIZE;
@@ -267,6 +273,8 @@ impl DiskEsa {
         }
 
         let esa = EsaIndex::from_raw(cat, header.sparse, entries, recs, children, header.root);
+        esa.validate()
+            .map_err(|m| DiskError::BadRecord(format!("esa {m}")))?;
         Ok(Self {
             reader,
             header,
@@ -438,7 +446,7 @@ mod tests {
             assert_eq!(disk.is_sparse(), sparse);
             assert_eq!(disk.suffix_count(), esa.suffix_count());
             assert_eq!(disk.backend_kind(), BackendKind::Esa);
-            disk.esa().check_invariants();
+            assert_eq!(disk.esa().validate(), Ok(()));
             // Identical suffix enumeration order end to end.
             let mut mem = Vec::new();
             esa.for_each_suffix_below(esa.root(), &mut |s, p, r| mem.push((s, p, r)));
@@ -478,6 +486,84 @@ mod tests {
             DiskEsa::open(&path, cat, 8),
             Err(DiskError::CorruptPage { .. })
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Opens `path`, which must fail as a typed `BadRecord`; returns its
+    /// message.
+    fn bad_record(path: &Path, cat: Arc<CatStore>) -> String {
+        match DiskEsa::open(path, cat, 8) {
+            Err(DiskError::BadRecord(m)) => m,
+            other => panic!("expected a BadRecord, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn forged_header_counts_are_a_bad_record_not_an_abort() {
+        let cat = sample_cat();
+        let path = tmp("forged-header");
+        // 2^62 entries of 12 bytes wrap the product to 0, and
+        // 1 + ⌊2^64 / 28⌋ records wrap the sum: either passed a wrapping
+        // overrun check and sized a `Vec` no allocator can give.
+        for (entry_count, rec_count) in [(1 << 62, 1), (1, u64::MAX / REC_BYTES)] {
+            let header = EsaHeader {
+                sparse: false,
+                alphabet_len: 3,
+                entry_count,
+                rec_count,
+                child_count: 0,
+                root: 0,
+            };
+            let mut w = PagedWriter::create(&path).unwrap();
+            w.write(&header.encode()).unwrap();
+            w.write(&[0; 64]).unwrap();
+            w.finish(&[]).unwrap();
+            let m = bad_record(&path, cat.clone());
+            assert!(m.contains("overrun"), "{m}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Arrays that pass their page CRCs yet would send a query out of
+    /// bounds, round a cycle or past the corpus are refused at open.
+    #[test]
+    fn forged_arrays_are_a_bad_record_at_open() {
+        type Forge = fn(&mut [Entry], &mut [IntervalRec], &mut [u32]);
+        // Records are written post-order: the root is the last one.
+        let forgeries: [(&str, Forge); 7] = [
+            ("child slice", |_, r, _| {
+                r.last_mut().unwrap().child_off = u32::MAX - 1
+            }),
+            ("child slice", |_, r, _| {
+                r.last_mut().unwrap().child_count = 1000
+            }),
+            ("precede", |_, r, c| {
+                let root = r.len() - 1;
+                let kid = c.iter_mut().rev().find(|k| **k >> 31 == 0).unwrap();
+                *kid = root as u32;
+            }),
+            ("outside the corpus", |e, _, _| e[0].seq = SeqId(99)),
+            ("outside the corpus", |e, _, _| e[0].start = 1000),
+            ("outside the corpus", |e, _, _| e[0].lead = 0),
+            ("max_run", |_, r, _| r.last_mut().unwrap().max_run += 1),
+        ];
+        let cat = sample_cat();
+        let good = EsaIndex::build(cat.clone(), false);
+        let path = tmp("forged-arrays");
+        for (want, forge) in forgeries {
+            let raw = good.raw();
+            let (mut e, mut r, mut c) = (
+                raw.entries.to_vec(),
+                raw.recs.to_vec(),
+                raw.children.to_vec(),
+            );
+            forge(&mut e, &mut r, &mut c);
+            let forged = EsaIndex::from_raw(cat.clone(), false, e, r, c, raw.root);
+            assert!(forged.validate().is_err(), "{want}");
+            write_esa(&forged, &path).unwrap();
+            let m = bad_record(&path, cat.clone());
+            assert!(m.contains(want), "{want}: {m}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

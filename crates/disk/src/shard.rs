@@ -224,6 +224,7 @@ pub fn write_shard_manifest(dir: &Path, m: &ShardManifest) -> Result<()> {
 mod tests {
     use super::*;
     use crate::vfs::RealVfs;
+    use proptest::prelude::*;
 
     fn sample() -> ShardManifest {
         ShardManifest {
@@ -291,6 +292,132 @@ mod tests {
         let mut hole_at_zero = sample();
         hole_at_zero.shards[0].start_seq = 1;
         assert!(hole_at_zero.validate().is_err());
+    }
+
+    /// Seals `body` with its CRC32 tail, as `encode` does: what a hostile
+    /// writer, not a failing disk, leaves behind.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    /// A body up to and including the shard count.
+    fn head(count: u32) -> Vec<u8> {
+        let mut out = SHARD_MAGIC.to_vec();
+        out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        out
+    }
+
+    /// `decode` makes a typed `BadManifest` of `raw`, or a valid
+    /// manifest inside the caps that re-encodes to exactly `raw`.
+    fn assert_decode_is_total(raw: &[u8]) {
+        match ShardManifest::decode(raw) {
+            Ok(m) => {
+                assert!(m.shards.len() <= 4096);
+                assert!(m.shards.iter().all(|s| s.dir.len() <= 4096));
+                assert!(m.validate().is_ok());
+                assert_eq!(m.encode(), raw);
+            }
+            Err(e) => assert!(matches!(e, DiskError::BadManifest(_)), "{e:?}"),
+        }
+    }
+
+    /// A count or length word: small, either side of the 4096 caps, or
+    /// anything.
+    fn word() -> impl Strategy<Value = u32> {
+        (0u8..3, 0u32..8, any::<u32>()).prop_map(|(kind, small, wild)| match kind {
+            0 => small,
+            1 => 4092 + small,
+            _ => wild,
+        })
+    }
+
+    fn manifest_strategy() -> impl Strategy<Value = ShardManifest> {
+        const DIRS: [&str; 4] = ["shard-0000", "", "é/..", "s"];
+        let shard = (0usize..DIRS.len(), 1u32..1000, any::<u64>());
+        (any::<u64>(), prop::collection::vec(shard, 1..=6)).prop_map(|(generation, shards)| {
+            let mut start_seq = 0;
+            let shards = shards
+                .into_iter()
+                .map(|(dir, seq_count, values)| {
+                    let meta = ShardMeta {
+                        dir: DIRS[dir].into(),
+                        start_seq,
+                        seq_count,
+                        values,
+                    };
+                    start_seq += seq_count;
+                    meta
+                })
+                .collect();
+            ShardManifest { generation, shards }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_valid_manifest_round_trips(m in manifest_strategy()) {
+            prop_assert_eq!(ShardManifest::decode(&m.encode()).unwrap(), m);
+        }
+
+        /// Arbitrary bodies, bodies with hostile count and length words
+        /// and arbitrary record bytes, and valid manifests with a byte
+        /// overwritten or cut short — each re-sealed with a valid CRC.
+        #[test]
+        fn decode_survives_hostile_bodies_behind_a_valid_crc(
+            noise in prop::collection::vec(any::<u8>(), 0..=96),
+            count in word(),
+            records in prop::collection::vec(
+                (word(), prop::collection::vec(any::<u8>(), 0..=24)),
+                0..=4,
+            ),
+            m in manifest_strategy(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            assert_decode_is_total(&sealed(noise));
+
+            let mut forged = head(count);
+            for (len, rest) in records {
+                forged.extend_from_slice(&len.to_le_bytes());
+                forged.extend_from_slice(&rest);
+            }
+            assert_decode_is_total(&sealed(forged));
+
+            let mut body = m.encode();
+            body.truncate(body.len() - 4);
+            let mut mangled = body.clone();
+            mangled[at % body.len()] = byte;
+            assert_decode_is_total(&sealed(mangled));
+            for cut in 0..body.len() {
+                assert_decode_is_total(&sealed(body[..cut].to_vec()));
+            }
+        }
+    }
+
+    /// Counts past the caps are refused before anything is sized by
+    /// them.
+    #[test]
+    fn decode_refuses_words_past_the_caps() {
+        for count in [4097, u32::MAX] {
+            match ShardManifest::decode(&sealed(head(count))) {
+                Err(DiskError::BadManifest(m)) => assert!(m.contains("shard count"), "{m}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        for len in [4097u32, u32::MAX] {
+            let mut body = head(1);
+            body.extend_from_slice(&len.to_le_bytes());
+            match ShardManifest::decode(&sealed(body)) {
+                Err(DiskError::BadManifest(m)) => assert!(m.contains("name length"), "{m}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl EsaIndex {
 
     /// Reassembles an index from arrays produced by [`raw`](Self::raw)
     /// (the disk loader's path). The arrays are trusted; use
-    /// [`check_invariants`](Self::check_invariants) to validate.
+    /// [`validate`](Self::validate) before querying untrusted ones.
     pub fn from_raw(
         cat: Arc<CatStore>,
         sparse: bool,
@@ -190,63 +190,109 @@ impl EsaIndex {
         self.cat.seq(e.seq).len() as u32 - e.start
     }
 
-    /// Structural self-check for tests: interval nesting, child order,
-    /// attachment placement, and run annotations.
-    pub fn check_invariants(&self) {
-        let root = &self.recs[self.root as usize];
-        assert_eq!(root.depth, 0, "root must sit at depth 0");
-        assert_eq!(root.lo, 0);
-        assert_eq!(root.hi as usize, self.entries.len());
-        for (ri, rec) in self.recs.iter().enumerate() {
-            assert!(rec.lo <= rec.hi, "rec {ri} interval inverted");
-            for a in 0..rec.attached {
-                assert_eq!(
-                    self.entry_len(rec.lo + a),
-                    rec.depth,
-                    "rec {ri}: attached entry length must equal node depth"
-                );
+    /// Structural check of the arrays against the corpus, in one linear
+    /// pass that panics on nothing: interval nesting, child order,
+    /// attachment placement and run annotations. The disk loader runs it
+    /// on every opened file — [`from_raw`](Self::from_raw) arrays passed
+    /// their page CRCs but are otherwise untrusted — and everything a
+    /// query later indexes with is checked here:
+    ///
+    /// * every entry `(seq, start, lead)` is a position of the corpus
+    ///   with a run that fits behind it (`seq < cat.len()`,
+    ///   `start < |seq|`, `1 ≤ lead ≤ |seq| − start`), as the tree
+    ///   format's `NodeView::decode` checks its suffix entries;
+    /// * every record's interval, attached run and child slice lie
+    ///   inside the arrays, and its children tile the rest of it;
+    /// * a child record comes before its parent — records are written
+    ///   post-order, and a traversal that only moves to smaller record
+    ///   indexes cannot be sent round a cycle;
+    /// * `max_run` is the maximum over the children (already checked,
+    ///   being earlier), never a rescan of the interval.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.entries.len() as u64;
+        for (i, e) in self.entries.iter().enumerate() {
+            // A sequence the store does not have holds no position.
+            let len = if (e.seq.0 as usize) < self.cat.len() {
+                self.cat.seq(e.seq).len() as u64
+            } else {
+                0
+            };
+            let room = len.saturating_sub(e.start as u64);
+            if e.lead == 0 || e.lead as u64 > room {
+                return Err(format!(
+                    "entry {i}: suffix ({}, {}, run {}) is outside the corpus",
+                    e.seq.0, e.start, e.lead
+                ));
             }
-            let kids =
-                &self.children[rec.child_off as usize..(rec.child_off + rec.child_count) as usize];
+        }
+        let root = self
+            .recs
+            .get(self.root as usize)
+            .ok_or_else(|| format!("root {} outside {} records", self.root, self.recs.len()))?;
+        if (root.lo, root.hi as u64, root.depth) != (0, n, 0) {
+            return Err(format!(
+                "root must span all {n} entries at depth 0, not [{}, {}) at {}",
+                root.lo, root.hi, root.depth
+            ));
+        }
+        for (ri, rec) in self.recs.iter().enumerate() {
+            let bad = |what: &str| Err(format!("rec {ri}: {what}"));
+            if rec.lo > rec.hi || rec.hi as u64 > n || rec.attached > rec.hi - rec.lo {
+                return bad("interval outside the entries");
+            }
+            let (off, count) = (rec.child_off as usize, rec.child_count as usize);
+            let Some(kids) = self.children.get(off..off + count) else {
+                return bad("child slice outside the child table");
+            };
+            let mut max_run = 0;
+            for a in rec.lo..rec.lo + rec.attached {
+                if self.entry_len(a) != rec.depth {
+                    return bad("attached entry length must equal node depth");
+                }
+                max_run = max_run.max(self.entries[a as usize].lead);
+            }
             let mut cursor = rec.lo + rec.attached;
             let mut prev_first: Option<Symbol> = None;
             for &kid in kids {
-                let (lo, hi, first) = if kid & LEAF_BIT != 0 {
+                let (lo, hi, run) = if kid & LEAF_BIT != 0 {
                     let e = kid & !LEAF_BIT;
-                    let ent = self.entries[e as usize];
-                    assert!(
-                        self.entry_len(e) > rec.depth,
-                        "rec {ri}: leaf child must extend past the node"
-                    );
-                    (
-                        e,
-                        e + 1,
-                        self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize],
-                    )
+                    if e as u64 >= n {
+                        return bad("leaf child outside the entries");
+                    }
+                    (e, e + 1, self.entries[e as usize].lead)
                 } else {
+                    if kid as usize >= ri {
+                        return bad("child record must precede its parent");
+                    }
                     let c = &self.recs[kid as usize];
-                    assert!(c.depth > rec.depth, "rec {ri}: child depth must grow");
-                    let ent = self.entries[c.lo as usize];
-                    (
-                        c.lo,
-                        c.hi,
-                        self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize],
-                    )
+                    if c.depth <= rec.depth || c.lo >= c.hi {
+                        return bad("child record must be non-empty and deeper");
+                    }
+                    (c.lo, c.hi, c.max_run)
                 };
-                assert_eq!(lo, cursor, "rec {ri}: children must tile the interval");
-                cursor = hi;
-                if let Some(p) = prev_first {
-                    assert!(p < first, "rec {ri}: children must ascend by first symbol");
+                if lo != cursor {
+                    return bad("children must tile the interval");
+                }
+                if self.entry_len(lo) <= rec.depth {
+                    return bad("child must extend past the node");
+                }
+                let ent = self.entries[lo as usize];
+                let first = self.cat.seq(ent.seq)[(ent.start + rec.depth) as usize];
+                if prev_first.is_some_and(|p| p >= first) {
+                    return bad("children must ascend by first symbol");
                 }
                 prev_first = Some(first);
+                cursor = hi;
+                max_run = max_run.max(run);
             }
-            assert_eq!(cursor, rec.hi, "rec {ri}: children must cover the interval");
-            let mut max_run = 0;
-            for i in rec.lo..rec.hi {
-                max_run = max_run.max(self.entries[i as usize].lead);
+            if cursor != rec.hi {
+                return bad("children must cover the interval");
             }
-            assert_eq!(rec.max_run, max_run, "rec {ri}: max_run annotation wrong");
+            if rec.max_run != max_run {
+                return bad("max_run annotation wrong");
+            }
         }
+        Ok(())
     }
 }
 
@@ -479,7 +525,7 @@ mod tests {
     #[test]
     fn full_index_stores_every_suffix() {
         let e = idx(vec![vec![0, 0, 1, 2], vec![1, 1, 1]], 3, false);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         assert_eq!(e.suffix_count(), 7);
         assert!(!e.is_sparse());
         assert_eq!(e.backend_kind(), BackendKind::Esa);
@@ -494,7 +540,7 @@ mod tests {
     #[test]
     fn sparse_index_stores_the_stored_subset() {
         let e = idx(vec![vec![0, 0, 0, 1]], 2, true);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         assert!(e.is_sparse());
         assert_eq!(e.suffix_count(), 2); // suffixes at 0 and 3
         assert_eq!(e.visit(e.root(), &mut Vec::new()).max_lead_run, 3);
@@ -506,7 +552,7 @@ mod tests {
         // "aba", so the tree has node "a" {attached: (0,2)} with leaf
         // child "ba" holding (0,0).
         let e = idx(vec![vec![0, 1, 0]], 2, false);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         let mut kids = Vec::new();
         assert!(e.visit(e.root(), &mut kids).label.is_empty());
         assert_eq!(kids.len(), 2, "root children: 'a…' and 'ba'");
@@ -524,7 +570,7 @@ mod tests {
         // Both sequences end with the suffix "b": the duplicates share
         // one node and enumerate in ascending sequence order.
         let e = idx(vec![vec![0, 1], vec![1]], 2, false);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         let mut kids = Vec::new();
         e.visit(e.root(), &mut kids);
         assert_eq!(e.visit(kids[1], &mut Vec::new()).label, [1]);
@@ -540,7 +586,7 @@ mod tests {
             2,
         ));
         let e = EsaIndex::build_range(cat, 1..3, false);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         assert_eq!(e.suffix_count(), 4);
         let mut seqs = Vec::new();
         e.for_each_suffix_below(e.root(), &mut |s, _, _| seqs.push(s.0));
@@ -560,7 +606,7 @@ mod tests {
             raw.children.to_vec(),
             raw.root,
         );
-        rebuilt.check_invariants();
+        assert_eq!(rebuilt.validate(), Ok(()));
         assert_eq!(rebuilt.suffix_count(), e.suffix_count());
         assert!(rebuilt.resident_bytes() > 0);
     }
@@ -568,7 +614,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_corpora() {
         let e = idx(vec![vec![0]], 1, false);
-        e.check_invariants();
+        assert_eq!(e.validate(), Ok(()));
         assert_eq!(e.suffix_count(), 1);
         let mut kids = Vec::new();
         e.visit(e.root(), &mut kids);

@@ -71,7 +71,7 @@ proptest! {
     fn esa_traversal_matches_full_tree((seqs, alpha) in corpus()) {
         let cat = Arc::new(CatStore::from_symbols(seqs, alpha));
         let esa = EsaIndex::build(cat.clone(), false);
-        esa.check_invariants();
+        assert_eq!(esa.validate(), Ok(()));
         let tree = build_full(cat.clone());
         prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
         let naive = build_full_naive(cat);
@@ -84,7 +84,7 @@ proptest! {
     fn esa_traversal_matches_sparse_tree((seqs, alpha) in corpus()) {
         let cat = Arc::new(CatStore::from_symbols(seqs, alpha));
         let esa = EsaIndex::build(cat.clone(), true);
-        esa.check_invariants();
+        assert_eq!(esa.validate(), Ok(()));
         prop_assert!(esa.is_sparse());
         let tree = build_sparse(cat);
         prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
@@ -98,7 +98,7 @@ proptest! {
         let n = cat.len();
         for (lo, hi) in [(0, cut), (cut, n)] {
             let esa = EsaIndex::build_range(cat.clone(), lo..hi, false);
-            esa.check_invariants();
+            assert_eq!(esa.validate(), Ok(()));
             let tree = warptree_suffix::build_full_range(cat.clone(), lo..hi);
             prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
         }

@@ -1753,4 +1753,176 @@ mod tests {
         );
         assert_eq!(cov.get("fraction").and_then(Json::as_f64), Some(0.75));
     }
+
+    /// JSON-ish fragments: sequences of them reach every branch of the
+    /// grammar and every field check, which uniformly random bytes
+    /// rarely get past the first byte to do.
+    const TOKENS: [&str; 30] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        "\\",
+        "\\u",
+        "00e9",
+        "\"op\"",
+        "\"search\"",
+        "\"query\"",
+        "\"epsilon\"",
+        "\"version\"",
+        "\"k\"",
+        "\"queries\"",
+        "\"trace_id\"",
+        "1",
+        "-",
+        "2.5",
+        "e",
+        "1e999",
+        "true",
+        "nul",
+        " ",
+        "\n",
+        "é",
+        "\u{1}",
+        "\u{fffd}",
+    ];
+
+    /// A frame payload, whatever its bytes, parses to a request or to a
+    /// typed error — never a panic — and a request is always JSON.
+    fn assert_parse_is_total(bytes: &[u8]) {
+        match Request::parse(bytes, true) {
+            Ok(_) => assert!(json::parse(std::str::from_utf8(bytes).unwrap()).is_ok()),
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e.code,
+                        ErrorCode::BadRequest | ErrorCode::UnsupportedVersion
+                    ),
+                    "{e:?}"
+                );
+                assert!(!e.message.is_empty());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_survives_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..=64),
+            tokens in prop::collection::vec(0usize..TOKENS.len(), 0..=48),
+        ) {
+            assert_parse_is_total(&bytes);
+            let text: String = tokens.iter().map(|&i| TOKENS[i]).collect();
+            assert_parse_is_total(text.as_bytes());
+        }
+
+        /// Every prefix of a real request, and the request with one
+        /// byte overwritten anywhere.
+        #[test]
+        fn parse_survives_truncated_and_mangled_requests(
+            req in request_strategy(),
+            trace_id in trace_id_strategy(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let body = req.encode(trace_id.as_deref()).into_bytes();
+            for cut in 0..=body.len() {
+                assert_parse_is_total(&body[..cut]);
+            }
+            let mut mangled = body;
+            let at = at % mangled.len();
+            mangled[at] = byte;
+            assert_parse_is_total(&mangled);
+        }
+
+        /// A nest of `[` and `{"k":` openers around a scalar parses
+        /// when closed within `MAX_DEPTH`; past it the parser gives up at
+        /// the first opener too many, closed or not.
+        #[test]
+        fn parse_stops_deep_nests_at_max_depth(
+            openers in prop::collection::vec(any::<bool>(), 0..=3 * json::MAX_DEPTH),
+            closed in any::<bool>(),
+        ) {
+            let mut text: String = openers
+                .iter()
+                .map(|&arr| if arr { "[" } else { "{\"k\":" })
+                .collect();
+            text.push('1');
+            if closed {
+                text.extend(openers.iter().rev().map(|&arr| if arr { ']' } else { '}' }));
+            }
+            let too_deep = openers.len() > json::MAX_DEPTH;
+            match json::parse(&text) {
+                Ok(_) => prop_assert!((closed || openers.is_empty()) && !too_deep),
+                Err(m) => prop_assert_eq!(m == "nesting too deep", too_deep, "{}", m),
+            }
+            assert_parse_is_total(text.as_bytes());
+        }
+    }
+
+    /// A megabyte of openers is refused at depth `MAX_DEPTH + 1`: the
+    /// parser never recurses further, so it neither overflows the stack
+    /// nor reaches the end of the input.
+    #[test]
+    fn nest_bombs_stop_at_max_depth() {
+        for opener in ["[", "{\"k\":"] {
+            let bomb = opener.repeat((1 << 20) / opener.len());
+            let err = Request::parse(bomb.as_bytes(), false).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+        }
+    }
+
+    /// Hostile request bodies parse, or fail, in time linear in their
+    /// size, as replies do (`json`'s
+    /// `parse_time_is_linear_in_the_response_size`): 1 MB in well under a
+    /// second even unoptimized, at no more than 3x the time per byte of
+    /// 64 KB.
+    #[test]
+    fn request_parse_time_is_linear_in_the_body_size() {
+        // (head, unit repeated to size, tail)
+        let shapes = [
+            (
+                r#"{"op":"batch","epsilon":1,"queries":["#,
+                "[1.5,-2e3],",
+                "[0]]}",
+            ),
+            (
+                r#"{"op":"search","query":[1],"epsilon":1,"trace_id":""#,
+                r#"é\"\\n"#,
+                r#""}"#,
+            ),
+            (r#"{"op":"health","#, r#""a":[],"#, r#""b":0}"#),
+            (r#"{"op":"health","#, " \n\t ", r#""b":0}"#),
+        ];
+        for (head, unit, tail) in shapes {
+            let body = |bytes: usize| head.to_string() + &unit.repeat(bytes / unit.len()) + tail;
+            // Fastest of five: the host's speed drifts, the minimum does not.
+            let ns_per_byte = |text: &str| {
+                (0..5)
+                    .map(|_| {
+                        let t = std::time::Instant::now();
+                        let _ = Request::parse(text.as_bytes(), false);
+                        t.elapsed().as_nanos() as f64 / text.len() as f64
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let small = ns_per_byte(&body(64 << 10));
+            let big_text = body(1 << 20);
+            let big = ns_per_byte(&big_text);
+            assert!(
+                big * (big_text.len() as f64) < 1e9,
+                "{unit:?}: 1 MB took {:.0} ms",
+                big * big_text.len() as f64 / 1e6
+            );
+            assert!(
+                big <= 3.0 * small,
+                "{unit:?}: {big:.1} ns/byte at 1 MB against {small:.1} at 64 KB"
+            );
+        }
+    }
 }

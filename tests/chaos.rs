@@ -415,6 +415,65 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The same for an enhanced-suffix-array directory, whose arrays are
+/// loaded whole at open: the root record of one tail segment gets a
+/// child slice far past the child table under a valid CRC. Open refuses
+/// the segment as a typed `BadRecord` instead of handing the arrays to
+/// the first query's `visit`; scrub quarantines it as it would a failed
+/// CRC, and the answer comes back partial, without the segment.
+#[test]
+fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
+    use warptree_core::search::BackendKind;
+    use warptree_disk::{DiskError, PAGE_DATA};
+
+    let dir = tmpdir("hostile-esa");
+    let base = gen_store(1, 24, 24);
+    let cat = Categorization::EqualLength(8);
+    warptree::build_index_dir_backend(&base, cat, false, 64, BackendKind::Esa, &dir).unwrap();
+    warptree::append_index_dir(&dir, &gen_store(1000, 36, 28)).unwrap();
+    warptree::append_index_dir(&dir, &gen_store(2000, 36, 28)).unwrap();
+    let seg1 = resolve_dir_with(&RealVfs, &dir).unwrap().manifest.segments[0]
+        .file
+        .clone();
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
+
+    // The root record's `child_off` or `child_count` word (the format's
+    // 64-byte header, 12-byte entries, 28-byte records), whichever sits
+    // inside one page.
+    let word_at = {
+        let seg = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
+        let h = seg.as_esa().unwrap().header();
+        let root_at = 64 + h.entry_count * 12 + h.root as u64 * 28;
+        [root_at + 12, root_at + 16]
+            .into_iter()
+            .find(|at| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64)
+            .unwrap()
+    };
+    drop(snap);
+    forge_word(&dir.join(&seg1), word_at, u32::MAX - 1);
+
+    match open_dir_snapshot_with(&RealVfs, &dir, 8, 64) {
+        Err(DiskError::BadRecord(m)) => assert!(m.contains("child slice"), "{m}"),
+        other => panic!("expected a typed BadRecord, got {:?}", other.map(|_| ())),
+    }
+    let report = scrub_dir_with(&RealVfs, &dir, false, &MetricsRegistry::new()).unwrap();
+    assert_eq!(report.newly_quarantined, vec![seg1]);
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let dq = snap.query_degraded(&req).unwrap();
+    let cov = dq.output.coverage.expect("a degraded answer says so");
+    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
+    for m in dq.output.matches() {
+        assert!(
+            clean.contains(m),
+            "degraded match {m:?} not in the clean set"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Disk-only, through the server: degraded serving, protocol-version
 // gating, health/stats surfacing, restart persistence, scrub heal.
