@@ -58,8 +58,9 @@ pub mod prelude {
     pub use crate::error::{CoreError, ErrorCode};
     pub use crate::search::{
         filter_tree, postprocess, run_query, run_query_with, seq_scan, AnswerSet, BackendKind,
-        Candidate, Coverage, IndexBackend, KnnParams, Match, OutputKind, QueryKind, QueryOutput,
-        QueryRequest, SearchMetrics, SearchParams, SearchStats, SegmentedIndex, SeqScanMode,
+        CandidateGroups, Coverage, IndexBackend, KnnParams, Match, OutputKind, QueryKind,
+        QueryOutput, QueryRequest, SearchMetrics, SearchParams, SearchStats, SegmentedIndex,
+        SeqScanMode,
     };
     pub use crate::sequence::{Occurrence, SeqId, Sequence, SequenceStore, Value};
 }

@@ -366,11 +366,10 @@ pub fn mv_sim_search<T: crate::search::IndexBackend + Sync>(
     params: &crate::search::SearchParams,
 ) -> (crate::search::AnswerSet, crate::search::SearchStats) {
     use crate::search::answers::Match;
-    use std::collections::HashMap;
     assert!(!query.is_empty());
     let metrics = crate::search::SearchMetrics::new();
     let idx: Vec<Value> = (0..query.len()).map(|i| i as Value).collect();
-    let candidates = crate::search::filter_tree_with(
+    let groups = crate::search::filter_tree_with(
         tree,
         &|qi, sym| grid.base_lb(query.point(qi as usize), sym),
         &idx,
@@ -378,21 +377,12 @@ pub fn mv_sim_search<T: crate::search::IndexBackend + Sync>(
         &metrics,
     );
     let mut stats = metrics.snapshot();
-    // Post-processing, sharing one table per candidate start (the same
+    // Post-processing, sharing one table per candidate group (the same
     // scheme as the univariate postprocess).
     let epsilon = params.epsilon;
-    let mut by_start: HashMap<(crate::sequence::SeqId, u32), Vec<u32>> = HashMap::new();
-    for c in &candidates {
-        by_start
-            .entry((c.occ.seq, c.occ.start))
-            .or_default()
-            .push(c.occ.len);
-    }
     let mut answers = crate::search::AnswerSet::new();
     let mut table = WarpTable::new(&idx, params.window);
-    for ((seq, start), mut lens) in by_start {
-        lens.sort_unstable();
-        lens.dedup();
+    for ((seq, start), lens) in groups.iter() {
         stats.postprocessed += lens.len() as u64;
         let s = store.get(seq);
         table.reset();
@@ -420,6 +410,7 @@ pub fn mv_sim_search<T: crate::search::IndexBackend + Sync>(
         }
     }
     stats.postprocess_cells += table.cells_computed();
+    answers.sort();
     stats.answers = answers.len() as u64;
     (answers, stats)
 }

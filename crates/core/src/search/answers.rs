@@ -2,16 +2,90 @@
 //! algorithms.
 
 use crate::error::CoreError;
-use crate::sequence::Occurrence;
+use crate::sequence::{Occurrence, SeqId};
 
-/// A candidate produced by the lower-bound filter: an occurrence plus the
-/// lower bound on its exact time-warping distance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    /// Where the candidate subsequence lies.
-    pub occ: Occurrence,
-    /// Lower bound (`D_tw-lb` or `D_tw-lb2`) on the exact distance.
-    pub lower_bound: f64,
+/// One candidate group's header: a start offset and its slice of the
+/// shared length buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub(crate) seq: SeqId,
+    pub(crate) start: u32,
+    /// `lens[lo..hi]` of the owning [`CandidateGroups`].
+    pub(crate) lens: (u32, u32),
+}
+
+/// What the lower-bound filter hands post-processing: candidate
+/// occurrences grouped by `(seq, start)`, each group's lengths ascending
+/// and distinct, no start in two groups.
+///
+/// The filter emits a group per stored suffix (and per shift into its
+/// leading run) where the traversal stops above it, and every suffix
+/// below one stopping point shares one length list — so a list is
+/// stored once in a flat buffer and each group is a 16-byte header
+/// naming its slice. Groups come in the filter's depth-first emission
+/// order, not sorted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CandidateGroups {
+    pub(crate) groups: Vec<Group>,
+    pub(crate) lens: Vec<u32>,
+}
+
+impl CandidateGroups {
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// `true` when the filter emitted nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Group `i`'s `(seq, start)` and its ascending candidate lengths.
+    pub(crate) fn get(&self, i: usize) -> ((SeqId, u32), &[u32]) {
+        let g = self.groups[i];
+        (
+            (g.seq, g.start),
+            &self.lens[g.lens.0 as usize..g.lens.1 as usize],
+        )
+    }
+
+    /// Every group, in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = ((SeqId, u32), &[u32])> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every candidate occurrence, group by group.
+    #[cfg(test)]
+    pub(crate) fn occurrences(&self) -> impl Iterator<Item = Occurrence> + '_ {
+        self.iter().flat_map(|((seq, start), lens)| {
+            lens.iter()
+                .map(move |&len| Occurrence::new(seq, start, len))
+        })
+    }
+
+    /// Total candidate occurrences (the sum of group widths).
+    #[cfg(test)]
+    pub(crate) fn candidates(&self) -> u64 {
+        self.groups
+            .iter()
+            .map(|g| u64::from(g.lens.1 - g.lens.0))
+            .sum()
+    }
+
+    /// Appends one group with its own copy of `lens`, which must be
+    /// ascending and distinct.
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, seq: SeqId, start: u32, lens: &[u32]) {
+        debug_assert!(lens.windows(2).all(|w| w[0] < w[1]));
+        let lo = self.lens.len() as u32;
+        self.lens.extend_from_slice(lens);
+        self.groups.push(Group {
+            seq,
+            start,
+            lens: (lo, self.lens.len() as u32),
+        });
+    }
 }
 
 /// A verified answer: an occurrence plus its exact time-warping distance.
@@ -290,7 +364,8 @@ pub struct SearchStats {
     pub rows_unshared: u64,
     /// Subtrees pruned by Theorem 1.
     pub branches_pruned: u64,
-    /// Candidates emitted by the filter (the paper's `n` plus exact hits).
+    /// Candidates emitted by the filter (the paper's `n` plus exact hits):
+    /// `stored_candidates + lb2_candidates`.
     pub candidates: u64,
     /// Candidates for stored suffixes (`D_tw-lb`, Definition 3).
     pub stored_candidates: u64,

@@ -81,6 +81,11 @@ pub struct NodeVisit<'a> {
     /// observability — metering the table-sharing factor `R_d` — so
     /// `None` simply disables that metric.
     pub suffix_count: Option<u64>,
+    /// Number of stored suffixes attached *at* the node — those whose
+    /// path ends here, which
+    /// [`for_each_suffix_at`](IndexBackend::for_each_suffix_at)
+    /// enumerates. Must be exact: the filter skips that call when it is 0.
+    pub attached: u32,
 }
 
 /// A child buffer seen through a handle conversion: what a view over
@@ -123,10 +128,17 @@ impl<A, B, S: Extend<B>, F: Fn(A) -> B> Extend<A> for MapChildren<'_, S, F> {
 ///   children. A backend whose nodes are expensive to reach (a paged
 ///   record behind a cache) therefore pays for one fetch per visited
 ///   node, and the filter allocates nothing per node.
+/// * Every stored suffix is either attached at a node (reported by that
+///   node's [`NodeVisit::attached`] and enumerated by
+///   [`for_each_suffix_at`](IndexBackend::for_each_suffix_at)) or below
+///   one of its children — never both. The filter enumerates each suffix
+///   once, where the traversal stops above it: below a pruned child with
+///   [`for_each_suffix_below`](IndexBackend::for_each_suffix_below), at
+///   a node it continues under with `for_each_suffix_at`.
 /// * Traversal is **deterministic**: two traversals of the same index
 ///   observe identical children in identical order and identical suffix
-///   enumerations. Byte-identical answers across thread counts, across
-///   segmentations and across backends all rest on this.
+///   enumerations. Byte-identical filter output across thread counts
+///   rests on this.
 /// * Node handles are plain `Copy + Send` values so parallel traversal
 ///   can hand subtree roots to worker threads; a handle stays valid for
 ///   the lifetime of the index it came from.
@@ -159,9 +171,14 @@ pub trait IndexBackend {
     /// of the run of equal symbols at its start (`N` in Definition 4).
     ///
     /// The enumeration must be deterministic (same order every call);
-    /// candidate lists — and therefore answers at every thread count —
-    /// inherit their order from it.
+    /// the filter's candidate groups inherit their order from it.
     fn for_each_suffix_below(&self, n: Self::Node, f: &mut dyn FnMut(SeqId, u32, u32));
+
+    /// Invokes `f(seq, start, lead_run)` for the stored suffixes attached
+    /// *at* `n` alone — [`NodeVisit::attached`] of them, in the order
+    /// [`for_each_suffix_below`](Self::for_each_suffix_below) reports
+    /// them first.
+    fn for_each_suffix_at(&self, n: Self::Node, f: &mut dyn FnMut(SeqId, u32, u32));
 
     /// `true` when this index stores only the paper's §6.1 suffix subset
     /// (first symbol differs from its predecessor).
@@ -224,9 +241,11 @@ mod tests {
                     label: &[],
                     max_lead_run: 0,
                     suffix_count: None,
+                    attached: 0,
                 }
             }
             fn for_each_suffix_below(&self, _: (), _: &mut dyn FnMut(SeqId, u32, u32)) {}
+            fn for_each_suffix_at(&self, _: (), _: &mut dyn FnMut(SeqId, u32, u32)) {}
             fn is_sparse(&self) -> bool {
                 false
             }

@@ -41,10 +41,16 @@ impl IndexBackend for OneSuffix {
             label: if n == 0 { &[] } else { &self.symbols },
             max_lead_run: 1,
             suffix_count: None,
+            attached: u32::from(n == 1),
         }
     }
     fn for_each_suffix_below(&self, _n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
         f(SeqId(0), 0, 1);
+    }
+    fn for_each_suffix_at(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        if n == 1 {
+            f(SeqId(0), 0, 1);
+        }
     }
     fn is_sparse(&self) -> bool {
         false

@@ -16,13 +16,24 @@
 //! The traversal shares one incrementally grown [`WarpTable`] across all
 //! suffixes with a common prefix (the paper's `R_d` saving) and prunes
 //! subtrees by Theorem 1 (the `R_p` saving).
+//!
+//! Emission shares the same way. A qualifying row emits nothing on the
+//! spot: it joins a stack of the path's *emitting rows*, kept beside the
+//! table and truncated with it on backtrack. Only where the traversal
+//! stops above a stored suffix — below a child it prunes, or at a node
+//! it continues under, for the suffixes attached there — does the stack
+//! become candidates. Every suffix there shares the whole path, so per
+//! shift `k` the path yields one ascending length list for all of them,
+//! stored once; each suffix then adds one [`CandidateGroups`] header per
+//! non-empty list. Each stored suffix is enumerated once per query, and
+//! each `(seq, start)` gets one complete, sorted group.
 
 use crate::categorize::{Alphabet, Symbol};
 use crate::dtw::WarpTable;
-use crate::search::answers::{Candidate, SearchParams};
+use crate::search::answers::{CandidateGroups, Group, SearchParams};
 use crate::search::backend::{IndexBackend, NodeVisit};
 use crate::search::metrics::SearchMetrics;
-use crate::sequence::{Occurrence, SeqId, Value};
+use crate::sequence::{SeqId, Value};
 
 /// State carried down the traversal that must be restored on backtrack —
 /// cheap to copy, so recursion restores it for free.
@@ -85,6 +96,37 @@ impl BaseRows {
     }
 }
 
+/// A row of the current path that qualified: its depth, whether the
+/// stored suffixes below qualify there (`D_tw-lb ≤ ε`, Definition 3),
+/// and the shifts `lo..=hi` into their leading run that do (`D_tw-lb2 ≤
+/// ε`, Definition 4; `lo > hi` for none). Every answer length it stands
+/// for is inside the length range.
+#[derive(Debug, Clone, Copy)]
+struct Emitting {
+    row: u32,
+    stored: bool,
+    shifts: (u32, u32),
+}
+
+impl Emitting {
+    /// Whether the row emits at shift `k` (`k == 0`: the stored suffix).
+    fn at(self, k: u32) -> bool {
+        if k == 0 {
+            self.stored
+        } else {
+            self.shifts.0 <= k && k <= self.shifts.1
+        }
+    }
+}
+
+/// Where a frontier's suffixes hang: attached at its node, or anywhere
+/// below it.
+#[derive(Clone, Copy)]
+enum Frontier {
+    At,
+    Below,
+}
+
 /// What one traversal counted, in plain integers: a row push is a few
 /// nanoseconds, so its bookkeeping is an `add` on a local, and the shared
 /// [`SearchMetrics`] counters hear of it once, in [`FilterCtx::finish`].
@@ -97,6 +139,13 @@ struct Tallies {
     branches_pruned: u64,
     stored_candidates: u64,
     lb2_candidates: u64,
+}
+
+impl Tallies {
+    /// Candidate occurrences emitted, stored and shifted.
+    fn candidates(&self) -> u64 {
+        self.stored_candidates + self.lb2_candidates
+    }
 }
 
 struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
@@ -114,19 +163,29 @@ struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     /// the one buffer [`IndexBackend::visit`] appends to, truncated on
     /// backtrack like the table.
     kids: Vec<T::Node>,
-    out: Vec<Candidate>,
+    /// The emitting rows of the current path, shallowest first,
+    /// truncated on backtrack like the table.
+    path: Vec<Emitting>,
+    /// A frontier's `(k, lens range)` per non-empty shift list.
+    shift_lens: Vec<(u32, (u32, u32))>,
+    out: CandidateGroups,
     tallies: Tallies,
     metrics: &'a SearchMetrics,
+    /// The per-row emitter the frontier emission replaced, run beside it.
+    #[cfg(test)]
+    oracle: Option<tests::Oracle>,
 }
 
 impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
-    /// A context over `table` with nothing emitted yet — the caller's,
-    /// or a parallel fork's over its copy of the shared prefix.
+    /// A context over `table` and its emitting rows `path` with nothing
+    /// emitted yet — the caller's, or a parallel fork's over its copy of
+    /// the shared prefix.
     fn new(
         tree: &'a T,
         base: &'a B,
         params: &'a SearchParams,
         table: WarpTable,
+        path: Vec<Emitting>,
         metrics: &'a SearchMetrics,
     ) -> Self {
         let query_len = table.query().len();
@@ -140,15 +199,19 @@ impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
             table,
             rows: BaseRows::new(),
             kids: Vec::new(),
-            out: Vec::new(),
+            path,
+            shift_lens: Vec::new(),
+            out: CandidateGroups::default(),
             tallies: Tallies::default(),
             metrics,
+            #[cfg(test)]
+            oracle: None,
         }
     }
 
     /// Adds this traversal's cells and tallies to its metrics and hands
     /// back what it emitted.
-    fn finish(self) -> Vec<Candidate> {
+    fn finish(self) -> CandidateGroups {
         let (m, t) = (self.metrics, self.tallies);
         m.filter_cells.add(self.table.cells_computed());
         m.rows_pushed.add(t.rows_pushed);
@@ -158,12 +221,14 @@ impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
         m.branches_pruned.add(t.branches_pruned);
         m.stored_candidates.add(t.stored_candidates);
         m.lb2_candidates.add(t.lb2_candidates);
+        m.candidates.add(t.candidates());
         self.out
     }
 }
 
 /// Runs the lower-bound filter over the index, returning every candidate
-/// occurrence whose lower-bound distance to `query` is `≤ ε`.
+/// occurrence whose lower-bound distance to `query` is `≤ ε`, grouped by
+/// start offset.
 ///
 /// Candidates must be verified by
 /// [`postprocess`](crate::search::postprocess::postprocess) unless the
@@ -178,7 +243,7 @@ pub fn filter_tree<T: IndexBackend + Sync>(
     query: &[Value],
     params: &SearchParams,
     metrics: &SearchMetrics,
-) -> Vec<Candidate> {
+) -> CandidateGroups {
     filter_tree_with(
         tree,
         &|q, sym| alphabet.base_lb(q, sym),
@@ -200,17 +265,30 @@ pub fn filter_tree<T: IndexBackend + Sync>(
 ///
 /// With `params.threads > 1` the traversal forks at the root's (and,
 /// when the root is narrow, the depth-2) subtrees across worker threads;
-/// each fork clones the shared cumulative-table prefix so Theorem-1
-/// pruning and `R_d` sharing are preserved per branch, and candidates
-/// join in depth-first order — the result (and every counter total) is
-/// byte-identical to the sequential traversal.
+/// each fork clones the shared cumulative-table prefix and its emitting
+/// rows, so Theorem-1 pruning and `R_d` sharing are preserved per
+/// branch, and groups join in depth-first order — the result (and every
+/// counter total) is byte-identical to the sequential traversal.
 pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     tree: &T,
     base: &B,
     query: &[Value],
     params: &SearchParams,
     metrics: &SearchMetrics,
-) -> Vec<Candidate> {
+) -> CandidateGroups {
+    let mut ctx = start(tree, base, query, params, metrics);
+    traverse(&mut ctx);
+    ctx.finish()
+}
+
+/// Checks the query against the index and sets up its traversal.
+fn start<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
+    tree: &'a T,
+    base: &'a B,
+    query: &[Value],
+    params: &'a SearchParams,
+    metrics: &'a SearchMetrics,
+) -> FilterCtx<'a, T, B> {
     params
         .validate(query.len())
         .expect("invalid search parameters");
@@ -237,8 +315,15 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
         params.window
     };
     let table = WarpTable::new(query, table_window);
-    let mut ctx = FilterCtx::new(tree, base, params, table, metrics);
-    let root = tree.root();
+    FilterCtx::new(tree, base, params, table, Vec::new(), metrics)
+}
+
+/// Walks the whole index from its root, forking across threads when the
+/// parameters ask for them.
+fn traverse<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
+    ctx: &mut FilterCtx<'_, T, B>,
+) {
+    let root = ctx.tree.root();
     let state = PathState {
         depth: 0,
         first: 0,
@@ -246,37 +331,60 @@ pub fn filter_tree_with<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sy
         lead: 0,
         in_run: true,
     };
-    let threads = params.threads.max(1) as usize;
+    let threads = ctx.params.threads.max(1) as usize;
     if threads > 1 {
-        descend_parallel(&mut ctx, root, state, threads);
+        descend_parallel(ctx, root, state, threads);
     } else {
-        tree.visit(root, &mut ctx.kids);
+        ctx.tree.visit(root, &mut ctx.kids);
         let root_children = 0..ctx.kids.len();
         if ctx.metrics.trace.is_active() {
-            descend_root_traced(&mut ctx, root_children, state);
+            descend_root_traced(ctx, root_children, state);
         } else {
-            descend(&mut ctx, root_children, state);
+            descend(ctx, root_children, state);
         }
     }
-    let out = ctx.finish();
-    metrics.candidates.add(out.len() as u64);
-    out
+}
+
+/// Enters `child`: visits it, appending its children to the buffer, and
+/// walks its edge. Where the walk prunes, the suffixes below `child` are
+/// emitted and `None` comes back; otherwise its attached suffixes are,
+/// and the state to descend with.
+fn enter<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
+    ctx: &mut FilterCtx<'_, T, B>,
+    child: T::Node,
+    state: PathState,
+) -> Option<PathState> {
+    ctx.tallies.nodes_visited += 1;
+    let visit = ctx.tree.visit(child, &mut ctx.kids);
+    let next = walk_edge(ctx, state, &visit);
+    #[cfg(test)]
+    if let Some(oracle) = ctx.oracle.as_mut() {
+        let lens = (ctx.min_len, ctx.max_len);
+        oracle.emit_edge(ctx.tree, child, ctx.sparse, ctx.params.epsilon, lens);
+    }
+    match next {
+        Some(_) => {
+            ctx.tallies.nodes_expanded += 1;
+            if visit.attached > 0 {
+                emit(ctx, child, Frontier::At);
+            }
+        }
+        None => emit(ctx, child, Frontier::Below),
+    }
+    next
 }
 
 /// One iteration of [`descend`]'s child loop, without the backtracking
 /// truncates: the unit of work a parallel fork executes for its subtree
-/// root (the fork's table and child buffer are discarded afterwards, so
+/// root (the fork's table and buffers are discarded afterwards, so
 /// nothing needs restoring).
 fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     child: T::Node,
     state: PathState,
 ) {
-    ctx.tallies.nodes_visited += 1;
     let below = ctx.kids.len();
-    let visit = ctx.tree.visit(child, &mut ctx.kids);
-    if let Some(next) = walk_edge(ctx, child, state, &visit) {
-        ctx.tallies.nodes_expanded += 1;
+    if let Some(next) = enter(ctx, child, state) {
         descend(ctx, below..ctx.kids.len(), next);
     }
 }
@@ -286,12 +394,12 @@ fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
 /// the caller's table and forks at the depth-2 subtrees instead — and
 /// runs each fork on the work-stealing pool.
 ///
-/// Each fork gets a [`WarpTable::fork`] of the shared prefix (so
-/// Theorem-1 pruning and row sharing behave exactly as in the
-/// sequential traversal) and its own tallies, added to the metrics when
-/// it ends. Candidates are re-assembled in depth-first order: for each
-/// root child, the candidates its edge emitted during fork discovery,
-/// then its forks' candidates in child order.
+/// Each fork gets a [`WarpTable::fork`] of the shared prefix and a copy
+/// of its emitting rows (so Theorem-1 pruning, row sharing and emission
+/// behave exactly as in the sequential traversal) and its own tallies,
+/// added to the metrics when it ends. Groups are re-assembled in
+/// depth-first order: for each root child, the groups its edge emitted
+/// during fork discovery, then its forks' groups in child order.
 fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     ctx: &mut FilterCtx<'_, T, B>,
     root: T::Node,
@@ -301,55 +409,77 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     let mut children = Vec::new();
     ctx.tree.visit(root, &mut children);
     let expand = children.len() < threads;
-    // The forked tasks, and per root child the (prefix-candidate end,
+    // The forked tasks, and per root child the (group end, length end,
     // task end) watermarks used to stitch the output back together.
-    let mut tasks: Vec<(T::Node, PathState, WarpTable)> = Vec::new();
-    let mut segments: Vec<(usize, usize)> = Vec::with_capacity(children.len());
+    let mut tasks: Vec<(T::Node, PathState, WarpTable, Vec<Emitting>)> = Vec::new();
+    let mut segments: Vec<(usize, usize, usize)> = Vec::with_capacity(children.len());
     for child in children {
         if expand {
-            ctx.tallies.nodes_visited += 1;
-            let visit = ctx.tree.visit(child, &mut ctx.kids);
-            if let Some(next) = walk_edge(ctx, child, state, &visit) {
-                ctx.tallies.nodes_expanded += 1;
+            if let Some(next) = enter(ctx, child, state) {
                 for &g in &ctx.kids {
-                    tasks.push((g, next, ctx.table.fork()));
+                    tasks.push((g, next, ctx.table.fork(), ctx.path.clone()));
                 }
             }
+            // Back at the root, whose path is empty.
             ctx.kids.clear();
             ctx.table.truncate(state.depth);
+            ctx.path.clear();
         } else {
-            tasks.push((child, state, ctx.table.fork()));
+            tasks.push((child, state, ctx.table.fork(), Vec::new()));
         }
-        segments.push((ctx.out.len(), tasks.len()));
+        segments.push((ctx.out.groups.len(), ctx.out.lens.len(), tasks.len()));
     }
     let (tree, base, params, metrics) = (ctx.tree, ctx.base, ctx.params, ctx.metrics);
-    let results = crate::parallel::parallel_map(threads, tasks, |_i, (node, state, table)| {
-        // Under an active trace each fork gets its own span (noop
-        // otherwise — one inlined branch, per the obs contract);
-        // forks run concurrently, so spans overlap rather than
-        // partition the filter's wall time.
-        let span = metrics.trace_span("filter.task");
-        let mut fork_ctx = FilterCtx::new(tree, base, params, table, metrics);
-        visit_child(&mut fork_ctx, node, state);
-        if span.is_active() {
-            if let Some(seg) = tree.segment_hint(node) {
-                span.attr_u64("segment", seg as u64);
+    let results =
+        crate::parallel::parallel_map(threads, tasks, |_i, (node, state, table, path)| {
+            // Under an active trace each fork gets its own span (noop
+            // otherwise — one inlined branch, per the obs contract);
+            // forks run concurrently, so spans overlap rather than
+            // partition the filter's wall time.
+            let span = metrics.trace_span("filter.task");
+            let mut fork_ctx = FilterCtx::new(tree, base, params, table, path, metrics);
+            visit_child(&mut fork_ctx, node, state);
+            if span.is_active() {
+                if let Some(seg) = tree.segment_hint(node) {
+                    span.attr_u64("segment", seg as u64);
+                }
+                span.attr_u64("candidates", fork_ctx.tallies.candidates());
+                span.attr_u64("cells", fork_ctx.table.cells_computed());
             }
-            span.attr_u64("candidates", fork_ctx.out.len() as u64);
-            span.attr_u64("cells", fork_ctx.table.cells_computed());
-        }
-        // A fork's counts reach the shared counters here, once.
-        fork_ctx.finish()
-    });
-    // Stitch: per root child, prefix candidates then fork outputs.
+            // A fork's counts reach the shared counters here, once.
+            fork_ctx.finish()
+        });
+    // Stitch: per root child, what its own edge emitted, then its forks'.
     let prefix = std::mem::take(&mut ctx.out);
-    let (mut prev_out, mut prev_task) = (0usize, 0usize);
-    for (out_end, task_end) in segments {
-        ctx.out.extend_from_slice(&prefix[prev_out..out_end]);
-        for cands in &results[prev_task..task_end] {
-            ctx.out.extend_from_slice(cands);
+    let (mut prev_group, mut prev_len, mut prev_task) = (0usize, 0usize, 0usize);
+    for (group_end, len_end, task_end) in segments {
+        ctx.out
+            .append(&prefix, prev_group..group_end, prev_len..len_end);
+        for fork in &results[prev_task..task_end] {
+            ctx.out
+                .append(fork, 0..fork.groups.len(), 0..fork.lens.len());
         }
-        (prev_out, prev_task) = (out_end, task_end);
+        (prev_group, prev_len, prev_task) = (group_end, len_end, task_end);
+    }
+}
+
+impl CandidateGroups {
+    /// Appends `other.groups[groups]`, whose lengths all lie in
+    /// `other.lens[lens]`, rebased onto a copy of those lengths.
+    fn append(
+        &mut self,
+        other: &CandidateGroups,
+        groups: std::ops::Range<usize>,
+        lens: std::ops::Range<usize>,
+    ) {
+        let (from, to) = (lens.start as u32, self.lens.len() as u32);
+        self.lens.extend_from_slice(&other.lens[lens]);
+        u32::try_from(self.lens.len()).expect("candidate lengths fit u32");
+        self.groups
+            .extend(other.groups[groups].iter().map(|g| Group {
+                lens: (g.lens.0 - from + to, g.lens.1 - from + to),
+                ..*g
+            }));
     }
 }
 
@@ -376,7 +506,7 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         if let Some(s) = seg {
             span.attr_u64("segment", s as u64);
         }
-        let (out_before, before) = (ctx.out.len(), ctx.tallies);
+        let before = ctx.tallies;
         descend(ctx, i..j, state);
         let d = ctx.tallies;
         span.attr_u64("root_children", (j - i) as u64);
@@ -386,45 +516,42 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             d.branches_pruned - before.branches_pruned,
         );
         span.attr_u64("rows_pushed", d.rows_pushed - before.rows_pushed);
-        span.attr_u64("candidates", (ctx.out.len() - out_before) as u64);
+        span.attr_u64("candidates", d.candidates() - before.candidates());
         i = j;
     }
 }
 
 /// Walks the subtrees under the siblings `ctx.kids[siblings]` — the
 /// children of the node the traversal stands on, or a run of them.
-/// Everything past them in the buffer belongs to the subtree being
+/// Everything past them in the buffers belongs to the subtree being
 /// walked and is dropped on the way back up.
 fn descend<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     siblings: std::ops::Range<usize>,
     state: PathState,
 ) {
-    let end = ctx.kids.len();
+    let (end, path) = (ctx.kids.len(), ctx.path.len());
     for i in siblings {
         let child = ctx.kids[i];
         visit_child(ctx, child, state);
-        // Backtrack: drop this edge's rows and the subtree's children.
+        // Backtrack: drop this edge's rows, emitting rows and the
+        // subtree's children.
         ctx.kids.truncate(end);
         ctx.table.truncate(state.depth);
+        ctx.path.truncate(path);
     }
 }
 
-/// Consumes the edge label into `child` one symbol at a time, emitting
-/// candidates and applying Theorem-1 pruning. Returns the state at the
-/// child when traversal should continue below it, `None` when pruned.
+/// Consumes the edge label of a visited node one symbol at a time,
+/// pushing each qualifying row onto the path's emitting rows and
+/// applying Theorem-1 pruning. Returns the state at the node when
+/// traversal should continue below it, `None` when pruned.
 fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
-    child: T::Node,
     mut state: PathState,
     visit: &NodeVisit<'_>,
 ) -> Option<PathState> {
     let epsilon = ctx.params.epsilon;
-    // Suffixes below `child`, fetched lazily on the first qualifying row
-    // and reused for every further row of this edge (adjacent rows often
-    // both qualify, and re-walking the subtree per row is the dominant
-    // cost at large ε).
-    let mut leaves: Option<Vec<(SeqId, u32, u32)>> = None;
     // Cap on the run shift below this edge while the path is still one
     // run: the longest stored-suffix leading run below (Definition 4's
     // p−1 bound can grow up to it). Once the run ends, the cap drops to
@@ -469,25 +596,27 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         ctx.tallies.rows_unshared += unshared_weight;
         let r = state.depth;
 
-        // Candidate emission: stored suffixes (D_tw-lb)...
-        if stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m) {
-            emit(ctx, child, &mut leaves, 0, r, stat.dist);
-        }
+        // Emission: stored suffixes (D_tw-lb)...
+        let stored = stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m);
         // ...and, for sparse trees, non-stored suffixes (D_tw-lb2).
-        if ctx.sparse {
-            let max_k = state.lead.saturating_sub(1).min(r - 1);
+        let max_k = state.lead.saturating_sub(1).min(r - 1);
+        let shifts = if ctx.sparse {
             let (min_len, max_len) = (ctx.min_len, ctx.max_len);
-            for k in qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
-            {
-                emit(
-                    ctx,
-                    child,
-                    &mut leaves,
-                    k,
-                    r,
-                    lb2(stat.dist, k, state.dbase1),
-                );
-            }
+            qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
+                .into_inner()
+        } else {
+            (1, 0)
+        };
+        if stored || shifts.0 <= shifts.1 {
+            ctx.path.push(Emitting {
+                row: r,
+                stored,
+                shifts,
+            });
+        }
+        #[cfg(test)]
+        if let Some(oracle) = ctx.oracle.as_mut() {
+            oracle.row(r, stat.dist, state.dbase1, max_k);
         }
 
         // Theorem-1 pruning, relaxed by the largest possible run shift
@@ -558,52 +687,73 @@ fn qualifying_shifts(
     first.max(r.saturating_sub(max_len.unwrap_or(u32::MAX)))..=last
 }
 
-/// Emits one candidate per stored suffix below `child`, shifted `k`
-/// symbols into its leading run (`k == 0` for the stored suffix itself).
-/// The suffix list is materialized once per edge into `leaves`.
+/// Turns the path's emitting rows into candidate groups for the stored
+/// suffixes at (or below) `node`, where the traversal stops above them.
+///
+/// Every one of them shares the whole path, so per shift `k` the rows
+/// yield one ascending list of answer lengths `row − k` for all of them,
+/// appended to the shared buffer once; each suffix then gets one header
+/// per non-empty list. A shift stays inside the leading run of every
+/// suffix below the rows it comes from (`k < run`, DESIGN.md §5), so a
+/// start `start + k` belongs to this suffix alone.
 fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
-    child: T::Node,
-    leaves: &mut Option<Vec<(SeqId, u32, u32)>>,
-    k: u32,
-    r: u32,
-    lower_bound: f64,
+    node: T::Node,
+    frontier: Frontier,
 ) {
-    let list = leaves.get_or_insert_with(|| {
-        let mut v = Vec::new();
-        ctx.tree
-            .for_each_suffix_below(child, &mut |seq, start, run| v.push((seq, start, run)));
-        v
-    });
-    // Funnel accounting: Definition 3 (stored) vs Definition 4
-    // (shifted, sparse only) emissions.
-    if k == 0 {
-        ctx.tallies.stored_candidates += list.len() as u64;
-    } else {
-        ctx.tallies.lb2_candidates += list.len() as u64;
+    if ctx.path.is_empty() {
+        return;
     }
-    for &(seq, start, run) in list.iter() {
-        // `k < run` always holds by the run-structure argument (see
-        // DESIGN.md §5); assert it in debug builds.
-        debug_assert!(k == 0 || k < run);
-        let _ = run;
-        ctx.out.push(Candidate {
-            occ: Occurrence::new(seq, start + k, r - k),
-            lower_bound,
-        });
+    let max_k = ctx.path.iter().map(|e| e.shifts.1).max().unwrap_or(0);
+    ctx.shift_lens.clear();
+    let (lens, path) = (&mut ctx.out.lens, &ctx.path);
+    for k in 0..=max_k {
+        let lo = lens.len();
+        lens.extend(path.iter().filter(|e| e.at(k)).map(|e| e.row - k));
+        if lens.len() > lo {
+            let hi = u32::try_from(lens.len()).expect("candidate lengths fit u32");
+            ctx.shift_lens.push((k, (lo as u32, hi)));
+        }
     }
+    let (groups, shift_lens) = (&mut ctx.out.groups, &ctx.shift_lens);
+    let mut suffixes = 0u64;
+    let mut push = |seq: SeqId, start: u32, run: u32| {
+        suffixes += 1;
+        for &(k, lens) in shift_lens {
+            debug_assert!(k == 0 || k < run);
+            let _ = run;
+            groups.push(Group {
+                seq,
+                start: start + k,
+                lens,
+            });
+        }
+    };
+    match frontier {
+        Frontier::At => ctx.tree.for_each_suffix_at(node, &mut push),
+        Frontier::Below => ctx.tree.for_each_suffix_below(node, &mut push),
+    }
+    // Funnel accounting: Definition 3 (stored) vs Definition 4 (shifted,
+    // sparse only) emissions, one per emitting row and suffix.
+    let width = |(_, (lo, hi)): &(u32, (u32, u32))| u64::from(hi - lo);
+    let stored = shift_lens.first().filter(|s| s.0 == 0).map_or(0, width);
+    let all: u64 = shift_lens.iter().map(width).sum();
+    ctx.tallies.stored_candidates += stored * suffixes;
+    ctx.tallies.lb2_candidates += (all - stored) * suffixes;
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::categorize::CatStore;
+    use crate::search::answers::SearchStats;
+    use crate::sequence::Occurrence;
 
     /// A tiny hand-built tree for unit-testing the filter without the
     /// `warptree-suffix` crate (which depends on this one).
     type ToyNode = (Vec<Symbol>, Vec<usize>, Vec<(SeqId, u32, u32)>);
 
-    struct ToyTree {
+    pub(crate) struct ToyTree {
         /// node -> (edge label, children, suffix labels (seq, start, run))
         nodes: Vec<ToyNode>,
         sparse: bool,
@@ -623,6 +773,20 @@ mod tests {
                 t.insert(&symbols, (id, start, run));
             }
             t
+        }
+
+        /// A tree over every suffix of `cs` — or, sparse, over the §6.1
+        /// subset.
+        pub(crate) fn over(cs: &CatStore, sparse: bool) -> Self {
+            let mut suffixes = Vec::new();
+            for (id, s) in cs.seqs().iter().enumerate() {
+                for p in 0..s.len() as u32 {
+                    if !sparse || cs.is_stored_suffix(SeqId(id as u32), p) {
+                        suffixes.push((id as u32, p));
+                    }
+                }
+            }
+            Self::build(cs, &suffixes, sparse)
         }
 
         /// Inserts one suffix, creating single-symbol edges (a trie, which
@@ -662,14 +826,18 @@ mod tests {
                 label: &self.nodes[n].0,
                 max_lead_run,
                 suffix_count: None,
+                attached: self.nodes[n].2.len() as u32,
             }
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
-            for &(s, p, r) in &self.nodes[n].2 {
-                f(s, p, r);
-            }
+            self.for_each_suffix_at(n, f);
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
+            }
+        }
+        fn for_each_suffix_at(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            for &(s, p, r) in &self.nodes[n].2 {
+                f(s, p, r);
             }
         }
         fn is_sparse(&self) -> bool {
@@ -679,6 +847,155 @@ mod tests {
             let mut n = 0;
             self.for_each_suffix_below(0, &mut |_, _, _| n += 1);
             n
+        }
+    }
+
+    /// What frontier emission replaced, kept as its oracle: each
+    /// qualifying row emits one candidate per stored suffix below the
+    /// edge it lies on, for itself and for each qualifying shift, with
+    /// the lower bound it qualified at.
+    #[derive(Default)]
+    pub(super) struct Oracle {
+        /// The rows of the edge being walked: `(depth, dist, d₁, max_k)`.
+        rows: Vec<(u32, f64, f64, u32)>,
+        /// Every candidate emitted, with its lower bound.
+        emitted: Vec<(Occurrence, f64)>,
+        stored: u64,
+        lb2: u64,
+        /// Every row distance met, to plant ε on.
+        dists: Vec<f64>,
+    }
+
+    impl Oracle {
+        pub(super) fn row(&mut self, r: u32, dist: f64, d1: f64, max_k: u32) {
+            self.rows.push((r, dist, d1, max_k));
+            self.dists.push(dist);
+        }
+
+        /// Emits for the rows of the edge just walked into `child`.
+        pub(super) fn emit_edge<T: IndexBackend>(
+            &mut self,
+            tree: &T,
+            child: T::Node,
+            sparse: bool,
+            epsilon: f64,
+            (min_len, max_len): (u32, Option<u32>),
+        ) {
+            let mut below = Vec::new();
+            tree.for_each_suffix_below(child, &mut |seq, start, run| below.push((seq, start, run)));
+            for (r, dist, d1, max_k) in self.rows.drain(..) {
+                if dist <= epsilon && r >= min_len && max_len.is_none_or(|m| r <= m) {
+                    self.stored += below.len() as u64;
+                    for &(seq, start, _) in &below {
+                        self.emitted.push((Occurrence::new(seq, start, r), dist));
+                    }
+                }
+                if !sparse {
+                    continue;
+                }
+                for (k, bits) in brute_shifts((dist, d1, epsilon), max_k, r, (min_len, max_len)) {
+                    self.lb2 += below.len() as u64;
+                    for &(seq, start, run) in &below {
+                        assert!(k < run, "shift {k} leaves the run of ({}, {start})", seq.0);
+                        let occ = Occurrence::new(seq, start + k, r - k);
+                        self.emitted.push((occ, f64::from_bits(bits)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One sequential filter pass with the oracle riding along.
+    fn with_oracle(
+        tree: &ToyTree,
+        a: &Alphabet,
+        q: &[f64],
+        params: &SearchParams,
+    ) -> (CandidateGroups, Oracle, SearchStats) {
+        let m = SearchMetrics::new();
+        let base = |q, sym| a.base_lb(q, sym);
+        let mut ctx = start(tree, &base, q, params, &m);
+        ctx.oracle = Some(Oracle::default());
+        traverse(&mut ctx);
+        let oracle = ctx.oracle.take().expect("attached above");
+        (ctx.finish(), oracle, m.snapshot())
+    }
+
+    /// The groups are the oracle's candidates: the same occurrences
+    /// (which never repeat), one group per start with its lengths
+    /// ascending, every bound under ε, and the same funnel counts.
+    fn assert_groups_are_the_oracle(
+        groups: &CandidateGroups,
+        oracle: &Oracle,
+        stats: &SearchStats,
+        epsilon: f64,
+        ctx: &str,
+    ) {
+        let mut got: Vec<Occurrence> = groups.occurrences().collect();
+        let mut want: Vec<Occurrence> = oracle.emitted.iter().map(|e| e.0).collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{ctx}");
+        want.dedup();
+        assert_eq!(got.len(), want.len(), "{ctx}: an occurrence emitted twice");
+        let mut starts = Vec::new();
+        for (key, lens) in groups.iter() {
+            assert!(!lens.is_empty(), "{ctx}");
+            assert!(lens.windows(2).all(|w| w[0] < w[1]), "{ctx}: {lens:?}");
+            starts.push(key);
+        }
+        starts.sort();
+        starts.dedup();
+        assert_eq!(starts.len(), groups.len(), "{ctx}: a start in two groups");
+        for (occ, lb) in &oracle.emitted {
+            assert!(*lb <= epsilon, "{ctx}: {occ} at {lb} > {epsilon}");
+        }
+        assert_eq!(stats.stored_candidates, oracle.stored, "{ctx}");
+        assert_eq!(stats.lb2_candidates, oracle.lb2, "{ctx}");
+        assert_eq!(stats.candidates, groups.candidates(), "{ctx}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
+
+        /// Frontier emission is the per-row emitter, over dense and
+        /// sparse trees, with and without a window, under length ranges,
+        /// and with ε planted exactly on a row distance the first pass
+        /// met.
+        #[test]
+        fn frontier_groups_are_the_brute_emission(
+            db in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..14), 1..4),
+            q in proptest::collection::vec(0u32..8, 1..5),
+            (sparse, categories) in (proptest::prelude::any::<bool>(), 1usize..4),
+            (window, min_len, max_len) in (0u32..5, 0u32..4, 0u32..9),
+            (eps_q, plant) in (0u32..12, 0usize..64),
+        ) {
+            let half = |v: &u32| *v as f64 * 0.5;
+            let store = crate::sequence::SequenceStore::from_values(
+                db.iter().map(|s| s.iter().map(half).collect::<Vec<f64>>()),
+            );
+            let a = if categories == 1 {
+                Alphabet::singleton(&store)
+            } else {
+                Alphabet::equal_length(&store, categories)
+            }
+            .unwrap();
+            let tree = ToyTree::over(&a.encode_store(&store), sparse);
+            let q: Vec<f64> = q.iter().map(half).collect();
+            let mut params = SearchParams::with_epsilon(eps_q as f64 * 0.5);
+            params.window = window.checked_sub(1);
+            params.min_len = min_len.max(1);
+            params.max_len = (max_len > 0).then_some(max_len);
+            let (groups, oracle, stats) = with_oracle(&tree, &a, &q, &params);
+            let ctx = format!("sparse={sparse} {params:?}");
+            assert_groups_are_the_oracle(&groups, &oracle, &stats, params.epsilon, &ctx);
+            let met: Vec<f64> = oracle.dists.iter().copied().filter(|d| d.is_finite()).collect();
+            if !met.is_empty() {
+                params.epsilon = met[plant % met.len()];
+                let (groups, oracle, stats) = with_oracle(&tree, &a, &q, &params);
+                let ctx = format!("planted: {ctx} eps={}", params.epsilon);
+                assert_groups_are_the_oracle(&groups, &oracle, &stats, params.epsilon, &ctx);
+            }
         }
     }
 
@@ -694,29 +1011,26 @@ mod tests {
     #[test]
     fn exact_filter_finds_exact_matches() {
         let (_store, a, cs) = singleton_setup(vec![vec![1.0, 2.0, 3.0, 2.0]]);
-        let suffixes: Vec<(u32, u32)> = (0..4).map(|p| (0, p)).collect();
-        let tree = ToyTree::build(&cs, &suffixes, false);
+        let tree = ToyTree::over(&cs, false);
         assert_eq!(tree.suffix_count(), 4);
-        let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(0.0);
         let q = [2.0, 3.0];
-        let cands = filter_tree(&tree, &a, &q, &params, &m);
+        let (cands, oracle, _) = with_oracle(&tree, &a, &q, &params);
         // With ε = 0 and exact base distances, only true warped matches
         // survive: S[2:3] = <2,3> and its warped extensions <2,3,?>... none
         // here; prefix matches: <2>, no (dist 1 > 0). Expect the exact
         // occurrence (0, 1, 2) plus any zero-distance warpings.
-        let occs: Vec<Occurrence> = cands.iter().map(|c| c.occ).collect();
+        let occs: Vec<Occurrence> = cands.occurrences().collect();
         assert!(occs.contains(&Occurrence::new(SeqId(0), 1, 2)));
-        for c in &cands {
-            assert_eq!(c.lower_bound, 0.0);
+        for (_, lb) in &oracle.emitted {
+            assert_eq!(*lb, 0.0);
         }
     }
 
     #[test]
     fn pruning_reduces_rows() {
         let (_store, a, cs) = singleton_setup(vec![vec![1.0, 100.0, 100.0, 100.0, 100.0]]);
-        let suffixes: Vec<(u32, u32)> = (0..5).map(|p| (0, p)).collect();
-        let tree = ToyTree::build(&cs, &suffixes, false);
+        let tree = ToyTree::over(&cs, false);
         let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(0.5);
         let q = [1.0, 1.0];
@@ -729,27 +1043,25 @@ mod tests {
     #[test]
     fn max_len_caps_depth() {
         let (_store, a, cs) = singleton_setup(vec![vec![5.0; 10]]);
-        let suffixes: Vec<(u32, u32)> = (0..10).map(|p| (0, p)).collect();
-        let tree = ToyTree::build(&cs, &suffixes, false);
+        let tree = ToyTree::over(&cs, false);
         let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(1e9).length_range(1, 3);
         let q = [5.0, 5.0];
         let cands = filter_tree(&tree, &a, &q, &params, &m);
-        assert!(cands.iter().all(|c| c.occ.len <= 3));
+        assert!(cands.occurrences().all(|o| o.len <= 3));
         assert!(!cands.is_empty());
     }
 
     #[test]
     fn min_len_skips_short_answers() {
         let (_store, a, cs) = singleton_setup(vec![vec![5.0; 6]]);
-        let suffixes: Vec<(u32, u32)> = (0..6).map(|p| (0, p)).collect();
-        let tree = ToyTree::build(&cs, &suffixes, false);
+        let tree = ToyTree::over(&cs, false);
         let m = SearchMetrics::new();
         let mut params = SearchParams::with_epsilon(1e9);
         params.min_len = 4;
         let q = [5.0, 5.0];
         let cands = filter_tree(&tree, &a, &q, &params, &m);
-        assert!(cands.iter().all(|c| c.occ.len >= 4));
+        assert!(cands.occurrences().all(|o| o.len >= 4));
         assert!(!cands.is_empty());
     }
 
@@ -758,18 +1070,17 @@ mod tests {
         // One sequence of five equal values: the sparse tree stores only
         // the first suffix, yet all shifted subsequences must surface.
         let (_store, a, cs) = singleton_setup(vec![vec![7.0; 5]]);
-        let tree = ToyTree::build(&cs, &[(0, 0)], true);
+        let tree = ToyTree::over(&cs, true);
         assert_eq!(tree.suffix_count(), 1);
         let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(0.0);
         let q = [7.0, 7.0];
         let cands = filter_tree(&tree, &a, &q, &params, &m);
-        let mut occs: Vec<Occurrence> = cands.iter().map(|c| c.occ).collect();
-        occs.sort();
-        occs.dedup();
         // Every subsequence of <7,7,7,7,7> warps onto <7,7> at distance 0:
-        // 5 + 4 + 3 + 2 + 1 = 15 occurrences.
-        assert_eq!(occs.len(), 15);
+        // 5 + 4 + 3 + 2 + 1 = 15 occurrences, one group per start.
+        assert_eq!(cands.len(), 5);
+        assert_eq!(cands.candidates(), 15);
+        let occs: Vec<Occurrence> = cands.occurrences().collect();
         assert!(occs.contains(&Occurrence::new(SeqId(0), 3, 2)));
         assert!(occs.contains(&Occurrence::new(SeqId(0), 4, 1)));
     }
@@ -792,7 +1103,7 @@ mod tests {
         let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(0.0);
         let cands = filter_tree(&tree, &a, &q, &params, &m);
-        let occs: Vec<Occurrence> = cands.iter().map(|c| c.occ).collect();
+        let occs: Vec<Occurrence> = cands.occurrences().collect();
         assert!(occs.contains(&Occurrence::new(SeqId(0), 1, 1)));
         assert!(!occs.contains(&Occurrence::new(SeqId(0), 0, 1)));
         assert!(!occs.contains(&Occurrence::new(SeqId(0), 0, 2)));
@@ -895,8 +1206,8 @@ mod tests {
 
     #[test]
     fn parallel_filter_is_byte_identical_to_sequential() {
-        // Dense and sparse trees, narrow and bushy roots: candidates
-        // (values AND order) and every counter must match sequential
+        // Dense and sparse trees, narrow and bushy roots: groups (values
+        // AND order) and every counter must match sequential
         // for every thread count — with and without a trace attached,
         // whose root walk reads the traversal's own tallies.
         let values = vec![
@@ -908,15 +1219,7 @@ mod tests {
         let a = Alphabet::equal_length(&store, 3).unwrap();
         let cs = a.encode_store(&store);
         for sparse in [false, true] {
-            let mut suffixes = Vec::new();
-            for (id, s) in cs.seqs().iter().enumerate() {
-                for p in 0..s.len() as u32 {
-                    if !sparse || cs.is_stored_suffix(SeqId(id as u32), p) {
-                        suffixes.push((id as u32, p));
-                    }
-                }
-            }
-            let tree = ToyTree::build(&cs, &suffixes, sparse);
+            let tree = ToyTree::over(&cs, sparse);
             let q = [2.0, 2.0, 5.0];
             for eps in [0.0, 2.0, 10.0] {
                 let m1 = SearchMetrics::new();
@@ -971,7 +1274,7 @@ mod tests {
     #[should_panic(expected = "invalid search parameters")]
     fn invalid_params_panic() {
         let (_store, a, cs) = singleton_setup(vec![vec![1.0]]);
-        let tree = ToyTree::build(&cs, &[(0, 0)], false);
+        let tree = ToyTree::over(&cs, false);
         let m = SearchMetrics::new();
         let params = SearchParams::with_epsilon(-1.0);
         let _ = filter_tree(&tree, &a, &[1.0], &params, &m);

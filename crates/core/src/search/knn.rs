@@ -12,7 +12,7 @@
 //! final radius.
 
 use crate::categorize::Alphabet;
-use crate::search::answers::{Match, SearchParams};
+use crate::search::answers::{CandidateGroups, Match, SearchParams};
 use crate::search::backend::IndexBackend;
 use crate::search::metrics::SearchMetrics;
 use crate::search::threshold_search_unchecked;
@@ -172,16 +172,15 @@ impl TopK {
 fn verify_topk_parallel(
     store: &SequenceStore,
     query: &[Value],
-    candidates: &[crate::search::answers::Candidate],
+    groups: &CandidateGroups,
     sp: &SearchParams,
     k: usize,
     metrics: &SearchMetrics,
 ) -> Vec<Match> {
-    use crate::search::postprocess::{group_candidates, verify_group, Verifier};
-    if candidates.is_empty() {
+    use crate::search::postprocess::{verify_group, Verifier};
+    if groups.is_empty() {
         return Vec::new();
     }
-    let groups = group_candidates(store, candidates, sp.epsilon);
     let env = sp
         .cascade
         .then(|| crate::search::cascade::QueryEnvelope::new(query, sp.window));
@@ -374,14 +373,18 @@ mod tests {
                 label: &self.nodes[n].0,
                 max_lead_run,
                 suffix_count: None,
+                attached: self.nodes[n].2.len() as u32,
             }
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
-            for &(s, p, r) in &self.nodes[n].2 {
-                f(s, p, r);
-            }
+            self.for_each_suffix_at(n, f);
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
+            }
+        }
+        fn for_each_suffix_at(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            for &(s, p, r) in &self.nodes[n].2 {
+                f(s, p, r);
             }
         }
         fn is_sparse(&self) -> bool {

@@ -10,8 +10,8 @@
 //! * [`SearchMetrics::new`] — detached live counters; used by
 //!   [`run_query`](crate::search::run_query) to produce its returned
 //!   snapshot.
-//! * [`SearchMetrics::noop`] — every update is a single inlined branch;
-//!   the zero-overhead mode benchmarked by `obs_overhead`.
+//! * [`SearchMetrics::noop`] — every update is a single inlined branch
+//!   and nothing is recorded: the zero-overhead mode.
 //! * [`SearchMetrics::register`] — counters shared with a
 //!   [`MetricsRegistry`] under `search.*` names, so multiple queries
 //!   accumulate into one process-wide view (the CLI's `--stats`).

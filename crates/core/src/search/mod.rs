@@ -40,7 +40,7 @@ pub mod segmented;
 pub mod seqscan;
 
 pub use aligned::aligned_scan;
-pub use answers::{AnswerSet, Candidate, Match, SearchParams, SearchStats};
+pub use answers::{AnswerSet, CandidateGroups, Match, SearchParams, SearchStats};
 pub use backend::{BackendKind, IndexBackend, MapChildren, NodeVisit};
 pub use cascade::QueryEnvelope;
 pub use filter::{filter_tree, filter_tree_with};

@@ -5,17 +5,17 @@
 //! candidate subsequence from the original (numeric) store, computes its
 //! exact time-warping distance, and keeps the true answers.
 //!
-//! Candidates cluster heavily by start offset (one tree path yields one
-//! candidate per qualifying depth), so verification shares a single
-//! cumulative distance table per distinct `(seq, start)`: the table's
-//! row `r` gives the exact distance of the length-`r` candidate, and
-//! Theorem-1 early abandoning rejects all longer candidates at once. This
-//! is what keeps the post-processing term `n·L̄·|Q|` of §5.5 from
+//! Candidates arrive grouped by start offset ([`CandidateGroups`]: one
+//! tree path yields one candidate per qualifying depth), so verification
+//! shares a single cumulative distance table per `(seq, start)`: the
+//! table's row `r` gives the exact distance of the length-`r` candidate,
+//! and Theorem-1 early abandoning rejects all longer candidates at once.
+//! This is what keeps the post-processing term `n·L̄·|Q|` of §5.5 from
 //! swamping the filtering savings at large ε.
 
 use crate::dtw::WarpTable;
 use crate::parallel::parallel_map_with;
-use crate::search::answers::{AnswerSet, Candidate, Match, SearchParams};
+use crate::search::answers::{AnswerSet, CandidateGroups, Match, SearchParams};
 use crate::search::cascade::QueryEnvelope;
 use crate::search::metrics::SearchMetrics;
 use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
@@ -25,143 +25,15 @@ use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
 /// small enough that stealing still balances a few thousand groups.
 const GROUPS_PER_TASK: usize = 32;
 
-/// One `(seq, start)` group: its key and its slice of the flat length
-/// buffer.
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    seq: SeqId,
-    start: u32,
-    lens: (u32, u32),
-}
-
-/// Candidate lengths grouped by `(seq, start)`, in ascending key order
-/// with each length list sorted and deduplicated — the deterministic
-/// unit of verification work (sequential and parallel paths both walk
-/// groups in this order, which is what keeps their outputs identical).
-/// Every list is a slice of one flat buffer.
-#[derive(Debug)]
-pub(crate) struct CandidateGroups {
-    groups: Vec<Group>,
-    lens: Vec<u32>,
-}
-
 impl CandidateGroups {
-    /// Number of groups.
-    pub(crate) fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Group `i`'s key and ascending candidate lengths.
-    pub(crate) fn get(&self, i: usize) -> ((SeqId, u32), &[u32]) {
-        let g = self.groups[i];
-        (
-            (g.seq, g.start),
-            &self.lens[g.lens.0 as usize..g.lens.1 as usize],
-        )
-    }
-
-    /// Contiguous runs of [`GROUPS_PER_TASK`] group indices, in order.
+    /// Contiguous runs of [`GROUPS_PER_TASK`] group indices, in order —
+    /// the deterministic unit of parallel verification work.
     pub(crate) fn tasks(&self) -> Vec<std::ops::Range<usize>> {
         (0..self.len())
             .step_by(GROUPS_PER_TASK)
             .map(|lo| lo..(lo + GROUPS_PER_TASK).min(self.len()))
             .collect()
     }
-}
-
-/// Groups `candidates` by `(seq, start)` with a counting sort over
-/// global value positions (`offset[seq] + start`): one `u32` counter
-/// per stored value — half the store's own footprint — and no hashing,
-/// no comparison sort of keys and no per-group allocation. Groups come
-/// out in key order because positions are walked in order.
-///
-/// # Panics
-/// Panics if a candidate starts outside its sequence.
-pub(crate) fn group_candidates(
-    store: &SequenceStore,
-    candidates: &[Candidate],
-    epsilon: f64,
-) -> CandidateGroups {
-    let total = u32::try_from(candidates.len()).expect("candidate count fits u32");
-    let mut offset = Vec::with_capacity(store.len() + 1);
-    let mut values = 0usize;
-    for (_, seq) in store.iter() {
-        offset.push(values);
-        values += seq.len();
-    }
-    offset.push(values);
-    // One tree path emits a start's candidates back to back, so both
-    // passes move a run at a time: one counter access per run.
-    let runs = || candidates.chunk_by(|a, b| (a.occ.seq, a.occ.start) == (b.occ.seq, b.occ.start));
-    let position = |cand: &Candidate| {
-        let (seq, start) = (cand.occ.seq.0 as usize, cand.occ.start as usize);
-        assert!(
-            start < offset[seq + 1] - offset[seq],
-            "candidate starts outside its sequence"
-        );
-        offset[seq] + start
-    };
-    // Pass 1: candidates per position.
-    let mut slot = vec![0u32; values];
-    for run in runs() {
-        slot[position(&run[0])] += run.len() as u32;
-    }
-    // Counts → where each position's lengths begin.
-    let mut sum = 0u32;
-    for s in &mut slot {
-        sum += std::mem::replace(s, sum);
-    }
-    debug_assert_eq!(sum, total);
-    // Pass 2: scatter; afterwards `slot[p]` is where p's lengths end.
-    let mut lens = vec![0u32; candidates.len()];
-    for run in runs() {
-        let s = &mut slot[position(&run[0])];
-        for (len, cand) in lens[*s as usize..].iter_mut().zip(run) {
-            // Exact, no float slack: `lower_bound` is the *same*
-            // accumulated value the filter compared against ε at
-            // emission (`stat.dist` for stored suffixes, the shifted
-            // `lb2` for sparse ones — see `filter::walk_edge`), not a
-            // recomputation, so any candidate above ε here is a genuine
-            // filter bug, not rounding noise.
-            debug_assert!(
-                cand.lower_bound <= epsilon,
-                "filter emitted a candidate above epsilon"
-            );
-            *len = cand.occ.len;
-        }
-        *s += run.len() as u32;
-    }
-    let mut groups = Vec::new();
-    let mut begin = 0u32;
-    for (id, seq) in store.iter() {
-        let base = offset[id.0 as usize];
-        if seq.is_empty() || slot[base + seq.len() - 1] == begin {
-            continue; // no candidate in this sequence
-        }
-        for (start, &end) in slot[base..base + seq.len()].iter().enumerate() {
-            if end == begin {
-                continue;
-            }
-            // One tree path emits a start's lengths in ascending order;
-            // merged paths (segments, duplicates) need the sort.
-            let list = &mut lens[begin as usize..end as usize];
-            list.sort_unstable();
-            let mut kept = 1;
-            for i in 1..list.len() {
-                if list[i] != list[kept - 1] {
-                    list[kept] = list[i];
-                    kept += 1;
-                }
-            }
-            groups.push(Group {
-                seq: id,
-                start: start as u32,
-                lens: (begin, begin + kept as u32),
-            });
-            begin = end;
-        }
-    }
-    CandidateGroups { groups, lens }
 }
 
 /// One worker's state for [`verify_group`]: the shared exact table plus
@@ -246,7 +118,12 @@ pub(crate) fn verify_group(
         abandon_kills,
     } = worker;
     *postprocessed += lens.len() as u64;
-    let values = store.get(seq).suffix(start);
+    let whole = store.get(seq);
+    assert!(
+        (start as usize) < whole.len(),
+        "candidate starts outside its sequence"
+    );
+    let values = whole.suffix(start);
     let max_len = *lens.last().expect("non-empty group") as usize;
     debug_assert!(max_len <= values.len(), "candidate outruns sequence");
     let lens: &[u32] = if let Some(env) = cascade {
@@ -348,28 +225,32 @@ pub(crate) fn verify_group(
     debug_assert_eq!(next, lens.len(), "every candidate visited");
 }
 
-/// Verifies `candidates` against the exact time-warping distance,
-/// returning the answers with `D_tw ≤ params.epsilon`.
+/// Verifies `groups` against the exact time-warping distance,
+/// returning the answers with `D_tw ≤ params.epsilon`, sorted by
+/// occurrence.
 ///
-/// Duplicate candidate occurrences are verified once. With
+/// Groups are verified in the filter's emission order and the matches
+/// sorted afterwards — there are far fewer of them than groups. With
 /// `params.threads > 1` the groups are verified across worker threads
-/// (each with its own [`Verifier`]); the answer set and
-/// every counter are identical to the sequential path, because groups
-/// are a deterministic partition and results join in group order.
+/// (each with its own [`Verifier`]); the answer set and every counter
+/// are identical to the sequential path, because every group is
+/// verified on its own.
+///
+/// # Panics
+/// Panics if a group starts outside its sequence.
 pub fn postprocess(
     store: &SequenceStore,
     query: &[Value],
-    candidates: &[Candidate],
+    groups: &CandidateGroups,
     params: &SearchParams,
     metrics: &SearchMetrics,
 ) -> AnswerSet {
     let mut answers = AnswerSet::new();
-    if candidates.is_empty() {
+    if groups.is_empty() {
         // An empty segment of a fan-out pays for no envelope or table.
         return answers;
     }
     let epsilon = params.epsilon;
-    let groups = group_candidates(store, candidates, epsilon);
     let threads = params.threads.max(1) as usize;
     // The envelopes are read-only and band-matched to the tables, so
     // one per query is shared by every group on every worker.
@@ -394,6 +275,7 @@ pub fn postprocess(
     for matches in per_task {
         answers.extend(matches);
     }
+    answers.sort();
     for worker in workers {
         worker.finish(metrics);
     }
@@ -404,12 +286,20 @@ pub fn postprocess(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn cand(seq: u32, start: u32, len: u32, lb: f64) -> Candidate {
-        Candidate {
-            occ: Occurrence::new(SeqId(seq), start, len),
-            lower_bound: lb,
+    /// Groups `(seq, start, len)` candidates the way the filter emits
+    /// them: one group per start, its lengths ascending and distinct.
+    fn groups(cands: &[(u32, u32, u32)]) -> CandidateGroups {
+        let mut by_start: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
+        for &(seq, start, len) in cands {
+            by_start.entry((seq, start)).or_default().insert(len);
         }
+        let mut out = CandidateGroups::default();
+        for ((seq, start), lens) in by_start {
+            out.push(SeqId(seq), start, &lens.into_iter().collect::<Vec<u32>>());
+        }
+        out
     }
 
     #[test]
@@ -419,7 +309,7 @@ mod tests {
         let params = SearchParams::with_epsilon(0.5);
         let m = SearchMetrics::new();
         // (0,0,2) = <1,2> exact 0; (0,2,2) = <9,2> exact >> eps.
-        let cands = vec![cand(0, 0, 2, 0.0), cand(0, 2, 2, 0.3)];
+        let cands = groups(&[(0, 0, 2), (0, 2, 2)]);
         let ans = postprocess(&store, &q, &cands, &params, &m);
         assert_eq!(ans.len(), 1);
         assert_eq!(ans.matches()[0].occ, Occurrence::new(SeqId(0), 0, 2));
@@ -430,14 +320,29 @@ mod tests {
 
     #[test]
     fn duplicates_verified_once() {
-        let store = SequenceStore::from_values(vec![vec![1.0, 1.0]]);
-        let q = [1.0];
-        let params = SearchParams::with_epsilon(0.0);
-        let m = SearchMetrics::new();
-        let cands = vec![cand(0, 0, 1, 0.0), cand(0, 0, 1, 0.0)];
-        let ans = postprocess(&store, &q, &cands, &params, &m);
-        assert_eq!(ans.len(), 1);
-        assert_eq!(m.snapshot().postprocessed, 1);
+        // Long runs reach one start along many emitting rows — and, on a
+        // sparse tree, through many shifts: every start still lands in
+        // one group, and every candidate is verified once.
+        use crate::categorize::Alphabet;
+        use crate::search::filter::{filter_tree, tests::ToyTree};
+        let store =
+            SequenceStore::from_values(vec![vec![1.0; 6], vec![1.0, 1.0, 2.0, 1.0, 1.0, 1.0]]);
+        let a = Alphabet::singleton(&store).unwrap();
+        let cs = a.encode_store(&store);
+        let q = [1.0, 1.0];
+        let params = SearchParams::with_epsilon(1.0);
+        for sparse in [false, true] {
+            let tree = ToyTree::over(&cs, sparse);
+            let m = SearchMetrics::new();
+            let cands = filter_tree(&tree, &a, &q, &params, &m);
+            let starts: BTreeSet<(SeqId, u32)> = cands.iter().map(|(key, _)| key).collect();
+            assert_eq!(starts.len(), cands.len(), "sparse={sparse}");
+            let ans = postprocess(&store, &q, &cands, &params, &m);
+            let s = m.snapshot();
+            assert_eq!(s.postprocessed, s.candidates, "sparse={sparse}");
+            assert_eq!(s.answers + s.false_alarms, s.postprocessed);
+            assert_eq!(ans.occurrence_set().len(), ans.len(), "sparse={sparse}");
+        }
     }
 
     #[test]
@@ -449,7 +354,7 @@ mod tests {
         let eps = 3.0;
         let params = SearchParams::with_epsilon(eps);
         let m = SearchMetrics::new();
-        let cands: Vec<Candidate> = (1..=6).map(|l| cand(0, 0, l, 0.0)).collect();
+        let cands = groups(&(1..=6).map(|l| (0, 0, l)).collect::<Vec<_>>());
         let ans = postprocess(&store, &q, &cands, &params, &m);
         for l in 1..=6u32 {
             let sub = store.get(SeqId(0)).subseq(0, l);
@@ -480,7 +385,7 @@ mod tests {
         let q = [1.0];
         let params = SearchParams::with_epsilon(0.5);
         let m = SearchMetrics::new();
-        let cands: Vec<Candidate> = (1..=6).map(|l| cand(0, 0, l, 0.0)).collect();
+        let cands = groups(&(1..=6).map(|l| (0, 0, l)).collect::<Vec<_>>());
         let ans = postprocess(&store, &q, &cands, &params, &m);
         assert_eq!(ans.len(), 1); // only length 1 survives
         assert_eq!(m.snapshot().false_alarms, 5);
@@ -491,17 +396,15 @@ mod tests {
     #[test]
     fn deterministic_group_order() {
         // Matches come back sorted by (seq, start) then length — not in
-        // the HashMap's arbitrary iteration order.
+        // the order the groups were emitted in.
         let store = SequenceStore::from_values(vec![vec![1.0; 8], vec![1.0; 8]]);
         let q = [1.0, 1.0];
         let params = SearchParams::with_epsilon(0.5);
         let m = SearchMetrics::new();
-        let mut cands = Vec::new();
+        let mut cands = CandidateGroups::default();
         for seq in [1u32, 0] {
             for start in [5u32, 0, 3] {
-                for len in [2u32, 1] {
-                    cands.push(cand(seq, start, len, 0.0));
-                }
+                cands.push(SeqId(seq), start, &[1, 2]);
             }
         }
         let ans = postprocess(&store, &q, &cands, &params, &m);
@@ -524,10 +427,11 @@ mod tests {
             let n = store.get(SeqId(seq)).len() as u32;
             for start in 0..n {
                 for len in 1..=(n - start) {
-                    cands.push(cand(seq, start, len, 0.0));
+                    cands.push((seq, start, len));
                 }
             }
         }
+        let cands = groups(&cands);
         for eps in [0.5, 3.0, 50.0] {
             let params = SearchParams::with_epsilon(eps);
             let m1 = SearchMetrics::new();
@@ -546,75 +450,14 @@ mod tests {
         }
     }
 
-    /// The hash-map grouping the counting sort replaced, kept as its
-    /// oracle.
-    fn group_by_hashing(candidates: &[Candidate]) -> Vec<((SeqId, u32), Vec<u32>)> {
-        let mut by_start: std::collections::HashMap<(SeqId, u32), Vec<u32>> =
-            std::collections::HashMap::new();
-        for cand in candidates {
-            by_start
-                .entry((cand.occ.seq, cand.occ.start))
-                .or_default()
-                .push(cand.occ.len);
-        }
-        let mut groups: Vec<((SeqId, u32), Vec<u32>)> = by_start.into_iter().collect();
-        groups.sort_unstable_by_key(|(key, _)| *key);
-        for (_, lens) in &mut groups {
-            lens.sort_unstable();
-            lens.dedup();
-        }
-        groups
-    }
-
-    #[test]
-    fn counting_sort_grouping_equals_hash_grouping() {
-        // Shuffled multi-sequence input with duplicates, empty
-        // sequences and sequences without candidates: the groups, their
-        // order and their length lists must be exactly the old ones.
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move |bound: u32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % u64::from(bound)) as u32
-        };
-        for case in 0..40 {
-            let seq_lens: Vec<u32> = (0..1 + next(9))
-                .map(|_| if next(5) == 0 { 0 } else { 1 + next(30) })
-                .collect();
-            let store = SequenceStore::from_values(seq_lens.iter().map(|&l| vec![1.0; l as usize]));
-            let mut cands = Vec::new();
-            for _ in 0..next(400) {
-                let seq = next(seq_lens.len() as u32);
-                if seq_lens[seq as usize] == 0 || (case % 4 == 0 && seq == 0) {
-                    continue;
-                }
-                let start = next(seq_lens[seq as usize]);
-                let len = 1 + next(seq_lens[seq as usize] - start);
-                // Paths emit runs of ascending lengths; shuffles,
-                // repeats and lone candidates mix in.
-                for extra in 0..=next(4) {
-                    let len = (len + extra).min(seq_lens[seq as usize] - start);
-                    cands.push(cand(seq, start, len, 0.0));
-                }
-            }
-            let expect = group_by_hashing(&cands);
-            let got = group_candidates(&store, &cands, 0.0);
-            let got: Vec<((SeqId, u32), Vec<u32>)> = (0..got.len())
-                .map(|i| {
-                    let (key, lens) = got.get(i);
-                    (key, lens.to_vec())
-                })
-                .collect();
-            assert_eq!(got, expect, "case {case}");
-        }
-    }
-
     #[test]
     #[should_panic(expected = "outside its sequence")]
     fn candidate_beyond_its_sequence_is_rejected() {
         let store = SequenceStore::from_values(vec![vec![1.0; 3], vec![1.0; 3]]);
-        group_candidates(&store, &[cand(0, 3, 1, 0.0)], 0.0);
+        let mut cands = CandidateGroups::default();
+        cands.push(SeqId(0), 3, &[1]);
+        let params = SearchParams::with_epsilon(1.0);
+        postprocess(&store, &[1.0], &cands, &params, &SearchMetrics::new());
     }
 
     #[test]
@@ -645,21 +488,29 @@ mod tests {
         for (id, seq) in store.iter() {
             for start in 0..seq.len() as u32 {
                 for len in (n - w)..=(n + w).min(seq.len() as u32 - start) {
-                    cands.push(cand(id.0, start, len, 0.0));
+                    cands.push((id.0, start, len));
                 }
             }
         }
+        let grouped = groups(&cands);
         for eps in [0.0, 4.0, 15.0] {
             let params = SearchParams::with_epsilon(eps).windowed(w);
             let (m_on, m_off) = (SearchMetrics::new(), SearchMetrics::new());
-            let on = postprocess(&store, &q, &cands, &params, &m_on);
-            let off = postprocess(&store, &q, &cands, &params.clone().cascaded(false), &m_off);
+            let on = postprocess(&store, &q, &grouped, &params, &m_on);
+            let off = postprocess(
+                &store,
+                &q,
+                &grouped,
+                &params.clone().cascaded(false),
+                &m_off,
+            );
             assert_eq!(on.matches(), off.matches(), "eps={eps}");
             let expect: Vec<Match> = cands
                 .iter()
-                .filter_map(|c| {
-                    let dist = crate::dtw::dtw_windowed(&q, store.occurrence_values(c.occ), w);
-                    (dist <= eps).then_some(Match { occ: c.occ, dist })
+                .filter_map(|&(seq, start, len)| {
+                    let occ = Occurrence::new(SeqId(seq), start, len);
+                    let dist = crate::dtw::dtw_windowed(&q, store.occurrence_values(occ), w);
+                    (dist <= eps).then_some(Match { occ, dist })
                 })
                 .collect();
             assert_eq!(on.matches(), expect, "eps={eps}");
@@ -687,9 +538,10 @@ mod tests {
         let mut cands = Vec::new();
         for (id, seq) in store.iter() {
             for len in 1..=seq.len() as u32 {
-                cands.push(cand(id.0, 0, len, 0.0));
+                cands.push((id.0, 0, len));
             }
         }
+        let cands = groups(&cands);
         for window in [None, Some(2)] {
             let mut params = SearchParams::with_epsilon(4.0);
             params.window = window;
@@ -714,7 +566,7 @@ mod tests {
         let store = SequenceStore::from_values(vec![vec![1.0]]);
         let params = SearchParams::with_epsilon(1.0);
         let m = SearchMetrics::new();
-        let ans = postprocess(&store, &[1.0], &[], &params, &m);
+        let ans = postprocess(&store, &[1.0], &CandidateGroups::default(), &params, &m);
         assert!(ans.is_empty());
         assert_eq!(m.snapshot().postprocessed, 0);
     }

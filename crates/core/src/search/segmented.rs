@@ -21,12 +21,16 @@
 //!   smaller max shift), and the pruning condition is sound for
 //!   exactly the shifts a segment's suffixes admit — so no candidate
 //!   the monolithic tree would emit is lost, and none is added.
-//! * Post-processing groups candidates by `(seq, start)` in sorted
-//!   order and deduplicates lengths, so the differing candidate
-//!   *order* across segments cannot leak into the results: threshold
-//!   answers, k-NN ranking and every candidate-level funnel counter
-//!   (`candidates`, `postprocessed`, `false_alarms`, `answers`) are
-//!   byte-identical. Structural traversal counters (`nodes_visited`,
+//! * The filter emits one candidate group per stored suffix (and per
+//!   shift into its leading run), holding every length the suffix's
+//!   path qualifies for. Segments hold disjoint sequences, so a
+//!   `(seq, start)` still gets exactly one group — the one the
+//!   monolithic tree would emit — only in a different *order*.
+//!   Post-processing verifies each group on its own and sorts the
+//!   matches by occurrence, so that order cannot leak into the results:
+//!   threshold answers, k-NN ranking and every candidate-level funnel
+//!   counter (`candidates`, `postprocessed`, `false_alarms`, `answers`)
+//!   are byte-identical. Structural traversal counters (`nodes_visited`,
 //!   `rows_pushed`, …) legitimately differ — segments repeat shared
 //!   path prefixes the monolithic tree walks once.
 
@@ -113,11 +117,13 @@ impl<T: IndexBackend> IndexBackend for SegmentedIndex<'_, T> {
                     label: &[],
                     max_lead_run: 0,
                     suffix_count: Some(0),
+                    attached: 0,
                 };
                 for (i, s) in self.segments.iter().enumerate() {
                     let v = inner(i as u32, s.root(), children);
                     all.max_lead_run = all.max_lead_run.max(v.max_lead_run);
                     all.suffix_count = all.suffix_count.zip(v.suffix_count).map(|(a, b)| a + b);
+                    all.attached += v.attached;
                 }
                 all
             }
@@ -133,6 +139,17 @@ impl<T: IndexBackend> IndexBackend for SegmentedIndex<'_, T> {
                 }
             }
             SegNode::Inner { seg, node } => self.seg(seg).for_each_suffix_below(node, f),
+        }
+    }
+
+    fn for_each_suffix_at(&self, n: Self::Node, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        match n {
+            SegNode::Root => {
+                for s in &self.segments {
+                    s.for_each_suffix_at(s.root(), f);
+                }
+            }
+            SegNode::Inner { seg, node } => self.seg(seg).for_each_suffix_at(node, f),
         }
     }
 
@@ -231,14 +248,18 @@ mod tests {
                 label: &self.nodes[n].0,
                 max_lead_run,
                 suffix_count: None,
+                attached: self.nodes[n].2.len() as u32,
             }
         }
         fn for_each_suffix_below(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
-            for &(s, p, r) in &self.nodes[n].2 {
-                f(s, p, r);
-            }
+            self.for_each_suffix_at(n, f);
             for &c in &self.nodes[n].1 {
                 self.for_each_suffix_below(c, f);
+            }
+        }
+        fn for_each_suffix_at(&self, n: usize, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            for &(s, p, r) in &self.nodes[n].2 {
+                f(s, p, r);
             }
         }
         fn is_sparse(&self) -> bool {

@@ -233,6 +233,13 @@ impl IndexBackend for AnyIndex {
         }
     }
 
+    fn for_each_suffix_at(&self, n: AnyNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        match self {
+            AnyIndex::Tree(t) => t.for_each_suffix_at(n.tree(), f),
+            AnyIndex::Esa(e) => e.for_each_suffix_at(n.esa(), f),
+        }
+    }
+
     fn is_sparse(&self) -> bool {
         match self {
             AnyIndex::Tree(t) => t.is_sparse(),

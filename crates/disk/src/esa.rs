@@ -359,6 +359,10 @@ impl IndexBackend for DiskEsa {
         self.esa.for_each_suffix_below(n, f)
     }
 
+    fn for_each_suffix_at(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        self.esa.for_each_suffix_at(n, f)
+    }
+
     fn is_sparse(&self) -> bool {
         self.esa.is_sparse()
     }

@@ -322,6 +322,11 @@ impl<'a> NodeView<'a> {
         self.bytes[NODE_HEAD..].chunks_exact(NODE_ENTRY)
     }
 
+    /// Number of suffix labels attached to this node.
+    pub fn attached(&self) -> u32 {
+        self.n_suffixes as u32
+    }
+
     /// Suffix labels attached to this node: `(seq, start, lead_run)`.
     pub fn suffixes(&self) -> impl Iterator<Item = (SeqId, u32, u32)> + 'a {
         let own = self.entries().take(self.n_suffixes);
@@ -643,8 +648,17 @@ impl IndexBackend for DiskTree {
                 label: self.label_symbols(node.label()),
                 max_lead_run: node.max_lead_run(),
                 suffix_count: Some(node.suffix_count()),
+                attached: node.attached(),
             }
         })
+    }
+
+    fn for_each_suffix_at(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        self.must_read(n, |node| {
+            for (seq, start, run) in node.suffixes() {
+                f(seq, start, run);
+            }
+        });
     }
 
     fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {

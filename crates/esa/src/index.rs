@@ -449,9 +449,9 @@ impl IndexBackend for EsaIndex {
     fn visit(&self, n: EsaNode, children: &mut impl Extend<EsaNode>) -> NodeVisit<'_> {
         // The first member suffix, the node's depth, and its
         // annotations: a leaf is one entry, an interval a run of them.
-        let (member, depth, max_lead_run, below) = if n.tag & LEAF_BIT != 0 {
+        let (member, depth, max_lead_run, below, attached) = if n.tag & LEAF_BIT != 0 {
             let e = n.tag & !LEAF_BIT;
-            (e, self.entry_len(e), self.entries[e as usize].lead, 1)
+            (e, self.entry_len(e), self.entries[e as usize].lead, 1, 1)
         } else {
             let rec = self.recs[n.tag as usize];
             let kids =
@@ -460,7 +460,13 @@ impl IndexBackend for EsaIndex {
                 tag,
                 edge_start: rec.depth,
             }));
-            (rec.lo, rec.depth, rec.max_run, (rec.hi - rec.lo) as u64)
+            (
+                rec.lo,
+                rec.depth,
+                rec.max_run,
+                (rec.hi - rec.lo) as u64,
+                rec.attached,
+            )
         };
         // The edge label is an LCP delta: the member's symbols between
         // the parent's depth and this node's — none for the root, which
@@ -476,6 +482,22 @@ impl IndexBackend for EsaIndex {
             label,
             max_lead_run,
             suffix_count: Some(below),
+            attached,
+        }
+    }
+
+    fn for_each_suffix_at(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        // A leaf is its one entry; an interval's attached suffixes are
+        // its leading entries.
+        let at = if n.tag & LEAF_BIT != 0 {
+            let e = n.tag & !LEAF_BIT;
+            e..e + 1
+        } else {
+            let rec = self.recs[n.tag as usize];
+            rec.lo..rec.lo + rec.attached
+        };
+        for e in &self.entries[at.start as usize..at.end as usize] {
+            f(e.seq, e.start, e.lead);
         }
     }
 

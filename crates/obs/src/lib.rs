@@ -25,8 +25,11 @@
 //! `None`, so every operation is an inlined `is_some` check and nothing
 //! else — no atomics, no clock reads, no allocation. Instrumented code
 //! can therefore thread metrics unconditionally through hot paths; the
-//! caller decides per run whether measurement happens. The
-//! `obs_overhead` benchmark in `warptree-bench` holds this contract.
+//! caller decides per run whether measurement happens. Nothing times
+//! this mode on its own; what is timed is the other end, an *active*
+//! trace, whose cost the repository benchmark reports as
+//! `obs.trace_overhead_ratio` (traced over untraced wall time) and CI
+//! gates at 1.5.
 //!
 //! The crate is deliberately `std`-only (no serde, no chrono): snapshots
 //! serialize through the hand-rolled [`json`] helpers.

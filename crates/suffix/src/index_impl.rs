@@ -29,6 +29,13 @@ impl IndexBackend for SuffixTree {
             // O(1): `finalize()` annotates every node with its subtree
             // suffix count.
             suffix_count: Some(node.suffix_count),
+            attached: node.suffixes.len() as u32,
+        }
+    }
+
+    fn for_each_suffix_at(&self, n: NodeId, f: &mut dyn FnMut(SeqId, u32, u32)) {
+        for s in &self.node(n).suffixes {
+            f(s.seq, s.start, s.lead_run);
         }
     }
 

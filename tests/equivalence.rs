@@ -136,35 +136,35 @@ proptest! {
         prop_assert_eq!(ans.occurrence_set(), base.occurrence_set());
     }
 
-    /// Theorem 2/3 observed directly: every filter candidate's lower
-    /// bound is at most the exact distance of its occurrence.
+    /// No false dismissals at the filter itself (Theorems 2/3): every
+    /// answer of the sequential scan is a candidate — its start has a
+    /// group, and the group holds its length.
     #[test]
-    fn candidate_lower_bounds_hold(
+    fn seqscan_answers_lie_in_candidate_groups(
         db in db_strategy(),
         q in query_strategy(),
+        eps_i in 0u32..8,
     ) {
-        let eps = 2.0;
+        let eps = eps_i as f64 * 0.5;
         let store = SequenceStore::from_values(db);
-        let idx = Index::sparse(&store, Categorization::EqualLength(2)).unwrap();
-        let metrics = SearchMetrics::new();
         let params = SearchParams::with_epsilon(eps);
-        let cands = filter_tree(
-            idx.tree(),
-            idx.alphabet(),
-            &q,
-            &params,
-            &metrics,
-        );
-        for c in &cands {
-            let sub = store.occurrence_values(c.occ);
-            let exact = warptree::core::dtw::dtw(&q, sub);
-            prop_assert!(
-                c.lower_bound <= exact + 1e-9,
-                "lower bound {} exceeds exact {} at {:?}",
-                c.lower_bound,
-                exact,
-                c.occ
-            );
+        let (truth, _) = Index::exact(&store).unwrap().seq_scan(&q, &params);
+        for idx in [
+            Index::sparse(&store, Categorization::EqualLength(2)).unwrap(),
+            Index::full(&store, Categorization::MaxEntropy(3)).unwrap(),
+        ] {
+            let metrics = SearchMetrics::new();
+            let groups = filter_tree(idx.tree(), idx.alphabet(), &q, &params, &metrics);
+            let by_start: std::collections::HashMap<(SeqId, u32), &[u32]> = groups.iter().collect();
+            for m in truth.matches() {
+                let lens = by_start.get(&(m.occ.seq, m.occ.start));
+                prop_assert!(
+                    lens.is_some_and(|lens| lens.binary_search(&m.occ.len).is_ok()),
+                    "{} dismissed by the filter at eps {}",
+                    m.occ,
+                    eps
+                );
+            }
         }
     }
 }

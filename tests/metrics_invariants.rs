@@ -256,16 +256,19 @@ fn metered_open_counts_tail_segment_traffic() {
 
 /// The visit contract on the paged tree, in page terms: a query reads
 /// every record where it lies, so it looks a page up exactly once per
-/// visited node, once per node `for_each_suffix_below` walks under an
-/// emitting edge, once per tree root — plus once more for each further
-/// page a record straddling a page boundary reaches — and the node cache
-/// is not asked at all. A backend that wraps each tree adds up what the
+/// visited node, once per node `for_each_suffix_below` walks under a
+/// pruned child, once per `for_each_suffix_at` at a node with attached
+/// suffixes, once per tree root — plus once more for each further page a
+/// record straddling a page boundary reaches — and the node cache is not
+/// asked at all. A backend that wraps each tree adds up what the
 /// traversal's calls should cost from a map of the file's records made
-/// beforehand.
+/// beforehand, and checks that the filter enumerates no stored suffix
+/// twice in one query.
 #[test]
 fn a_node_visit_is_one_record_fetch() {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
     use warptree::core::search::{IndexBackend, NodeVisit};
     use warptree::disk::{DiskTree, PAGE_DATA};
 
@@ -284,19 +287,32 @@ fn a_node_visit_is_one_record_fetch() {
         map
     }
 
-    /// A tree, with the records its traversal calls read summed.
+    /// A tree, with the records its traversal calls read summed and the
+    /// suffixes they enumerate listed.
     struct Counted<'a> {
         tree: &'a DiskTree,
         records: Records,
         visited: AtomicU64,
         walked: AtomicU64,
+        attached: AtomicU64,
         further_pages: AtomicU64,
+        enumerated: Mutex<Vec<(SeqId, u32)>>,
     }
     impl Counted<'_> {
         fn read(&self, n: u64, nodes: &AtomicU64) {
             nodes.fetch_add(1, Ordering::Relaxed);
             self.further_pages
                 .fetch_add(self.records[&n].1 - 1, Ordering::Relaxed);
+        }
+        /// `f`, listing each suffix it is called for.
+        fn listing<'b>(
+            &'b self,
+            f: &'b mut dyn FnMut(SeqId, u32, u32),
+        ) -> impl FnMut(SeqId, u32, u32) + 'b {
+            move |seq, start, run| {
+                self.enumerated.lock().unwrap().push((seq, start));
+                f(seq, start, run)
+            }
         }
     }
     impl IndexBackend for Counted<'_> {
@@ -314,7 +330,11 @@ fn a_node_visit_is_one_record_fetch() {
                 self.read(n, &self.walked);
                 stack.extend(&self.records[&n].0);
             }
-            self.tree.for_each_suffix_below(n, f)
+            self.tree.for_each_suffix_below(n, &mut self.listing(f))
+        }
+        fn for_each_suffix_at(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
+            self.read(n, &self.attached);
+            self.tree.for_each_suffix_at(n, &mut self.listing(f))
         }
         fn is_sparse(&self) -> bool {
             self.tree.is_sparse()
@@ -346,7 +366,9 @@ fn a_node_visit_is_one_record_fetch() {
                     records: records(tree),
                     visited: AtomicU64::new(0),
                     walked: AtomicU64::new(0),
+                    attached: AtomicU64::new(0),
                     further_pages: AtomicU64::new(0),
+                    enumerated: Mutex::new(Vec::new()),
                 })
                 .collect();
             // (page lookups, node-cache lookups), summed over the trees.
@@ -356,7 +378,7 @@ fn a_node_visit_is_one_record_fetch() {
                     (pages + io.pages_read + io.cache_hits, nodes + hits + misses)
                 })
             };
-            let run = |tree: &dyn Fn(&SearchMetrics) -> Vec<Candidate>| {
+            let run = |tree: &dyn Fn(&SearchMetrics) -> CandidateGroups| {
                 let (metrics, before) = (SearchMetrics::new(), lookups());
                 let candidates = tree(&metrics);
                 let after = lookups();
@@ -370,22 +392,40 @@ fn a_node_visit_is_one_record_fetch() {
                 stats.candidates > 0,
                 "the query must emit for walks to count"
             );
-            let (visited, walked, further_pages) =
-                counted.iter().fold((0, 0, 0), |(v, w, f), c| {
+            let (visited, walked, attached, further_pages) =
+                counted.iter().fold((0, 0, 0, 0), |(v, w, a, f), c| {
                     let of = |n: &AtomicU64| n.load(Ordering::Relaxed);
                     (
                         v + of(&c.visited),
                         w + of(&c.walked),
+                        a + of(&c.attached),
                         f + of(&c.further_pages),
                     )
                 });
-            assert!(walked > 0);
+            assert!(
+                walked > 0 && attached > 0,
+                "walked {walked}, attached {attached}"
+            );
             // The fan-out view's own root is no record; each tree's is.
             assert_eq!(visited, stats.nodes_visited + trees.len() as u64);
             assert_eq!(
                 pages,
-                visited + walked + further_pages,
+                visited + walked + attached + further_pages,
                 "sparse={sparse} tail={with_tail}: one page lookup per record read"
+            );
+            // Each stored suffix is enumerated where the traversal stops
+            // above it, and nowhere else.
+            let mut enumerated: Vec<(SeqId, u32)> = counted
+                .iter()
+                .flat_map(|c| std::mem::take(&mut *c.enumerated.lock().unwrap()))
+                .collect();
+            let listed = enumerated.len();
+            enumerated.sort();
+            enumerated.dedup();
+            assert_eq!(
+                enumerated.len(),
+                listed,
+                "sparse={sparse} tail={with_tail}: a suffix enumerated twice"
             );
             straddlers += further_pages;
             // Counting changed nothing, and neither do threads: the same
