@@ -149,11 +149,12 @@ impl fmt::Display for CoreError {
             CoreError::DepthLimitExceeded { limit, requested } => match requested {
                 Some(r) => write!(
                     f,
-                    "answer-length bound {r} exceeds the truncated index's                      depth limit {limit}"
+                    "answer-length bound {r} exceeds the truncated index's depth limit {limit}"
                 ),
                 None => write!(
                     f,
-                    "a truncated index (depth limit {limit}) requires a                      bounded answer length (window or length range)"
+                    "a truncated index (depth limit {limit}) requires a bounded answer length \
+                     (window or length range)"
                 ),
             },
             CoreError::UnsupportedBackend { requested, actual } => {
@@ -199,16 +200,24 @@ mod tests {
         assert!(CoreError::BadKnnParams("k must be positive")
             .to_string()
             .contains("k must be positive"));
+        // These two go out on the wire verbatim: pinned whole.
         let e = CoreError::DepthLimitExceeded {
             limit: 4,
             requested: Some(9),
         };
-        assert!(e.to_string().contains('9') && e.to_string().contains('4'));
+        assert_eq!(
+            e.to_string(),
+            "answer-length bound 9 exceeds the truncated index's depth limit 4"
+        );
         let e2 = CoreError::DepthLimitExceeded {
             limit: 4,
             requested: None,
         };
-        assert!(e2.to_string().contains("bounded"));
+        assert_eq!(
+            e2.to_string(),
+            "a truncated index (depth limit 4) requires a bounded answer length \
+             (window or length range)"
+        );
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn start<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             .expect("truncated index requires a bounded answer length");
         assert!(
             max <= limit,
-            "answer-length bound {max} exceeds the index's depth limit              {limit}"
+            "answer-length bound {max} exceeds the index's depth limit {limit}"
         );
     }
     // Sparse trees traverse with an *unwindowed* table even when a

@@ -414,6 +414,46 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// One flipped bit anywhere in a page — at the edges of the CRC
+    /// kernel's 16- and 64-byte folds, in the 12-byte tail no fold covers
+    /// (8176..8188), or in the stored CRC — is a `CorruptPage` on both
+    /// the read path and `verify_page`, each counted once.
+    #[test]
+    fn flip_at_every_fold_boundary_detected() {
+        let path = tmp("fold-flips");
+        let data: Vec<u8> = (0..2 * PAGE_DATA).map(|i| (i * 131 % 241) as u8).collect();
+        let mut w = PagedWriter::create(&path).unwrap();
+        w.write(&data).unwrap();
+        w.finish(&[]).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let offsets = [0, 15, 16, 63, 64, 8175]
+            .into_iter()
+            .chain(8176..PAGE_DATA)
+            .chain(PAGE_DATA..PAGE_SIZE);
+        for (n, offset) in offsets.enumerate() {
+            let mut raw = pristine.clone();
+            raw[PAGE_SIZE + offset] ^= 1 << (n % 8);
+            std::fs::write(&path, &raw).unwrap();
+            let reg = warptree_obs::MetricsRegistry::new();
+            let r = PagedReader::open(&path, 4).unwrap();
+            r.meter_crc_failures(&reg, "disk.read_crc_fail");
+            let fails = || reg.counter("disk.read_crc_fail").get();
+            let mut buf = [0u8; 8];
+            match r.read_exact_at(PAGE_DATA as u64, &mut buf) {
+                Err(DiskError::CorruptPage { page: 1 }) => {}
+                other => panic!("offset {offset}: read gave {other:?}"),
+            }
+            assert_eq!(fails(), 1, "offset {offset}");
+            match r.verify_page(1) {
+                Err(DiskError::CorruptPage { page: 1 }) => {}
+                other => panic!("offset {offset}: verify_page gave {other:?}"),
+            }
+            assert_eq!(fails(), 2, "offset {offset}");
+            r.verify_page(0).unwrap();
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn out_of_bounds_read_rejected() {
         let path = tmp("oob");
