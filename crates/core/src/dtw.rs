@@ -35,8 +35,26 @@
 //! with `|x − y| ≤ w`. Besides the usual DTW robustness benefits, the paper
 //! notes it bounds answer lengths to `|Q| ± w`, which lets the index skip
 //! suffixes/depths outside that range.
+//!
+//! # Row blocks
+//!
+//! A cell's three predecessors sit in its own row and the row above, so
+//! row `r + 1` can start on column `x` as soon as row `r` has finished
+//! it. [`WarpTable::push_base_rows`] uses this to grow the table by up
+//! to [`BLOCK_ROWS`] rows in one walk over the columns: each row's
+//! `min`→`add` chain overlaps its neighbours' instead of waiting for the
+//! row above to end, and every cell still takes the same operands in the
+//! same order, so the block is bit-identical to pushing its rows one at a
+//! time. A caller that pushes a block before knowing it needs every row
+//! (the filter does not know where Theorem 1 will cut an edge) gives the
+//! unneeded rows back with [`WarpTable::retract`], which also takes their
+//! cells out of the cost counter.
 
 use crate::sequence::Value;
+
+/// The most rows [`WarpTable::push_base_rows`] computes in one walk over
+/// the columns.
+pub const BLOCK_ROWS: usize = 4;
 
 /// Result of appending one row to a [`WarpTable`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +78,8 @@ impl RowStat {
 /// An incrementally grown cumulative time-warping distance table.
 ///
 /// The query is fixed at construction; data rows are appended with
-/// [`push_row_with`](Self::push_row_with) and removed with
+/// [`push_row_with`](Self::push_row_with) (or a block at a time with
+/// [`push_base_rows`](Self::push_base_rows)) and removed with
 /// [`truncate`](Self::truncate), which is what lets a depth-first
 /// suffix-tree traversal share table prefixes across all suffixes with a
 /// common prefix (the paper's `R_d` reduction factor).
@@ -202,55 +221,128 @@ impl WarpTable {
         stat
     }
 
-    /// Appends a data row from its precomputed base distances:
-    /// `base[x − 1]` is the base distance between query element `x` and
-    /// the new data element, for every column (in band or not).
+    /// Appends a block of 1 to [`BLOCK_ROWS`] data rows from their
+    /// precomputed base distances: `bases[i][x − 1]` is the base distance
+    /// between query element `x` and the block's `i`-th data element, for
+    /// every column (in band or not). Returns the new rows' stats.
     ///
-    /// Cell for cell the row [`push_row_with`](Self::push_row_with)
-    /// appends for the same distances — same `RowStat`, same
-    /// [`cells_computed`](Self::cells_computed) — written in place over
-    /// contiguous slices instead of one call and one `push` per cell.
-    /// This is the filter's row: a suffix-tree traversal meets the same
-    /// few symbols over and over, so it keeps one base row per symbol
-    /// and pays for the base distance once per query, not once per cell.
+    /// Row for row, the rows [`push_row_with`](Self::push_row_with)
+    /// appends for the same distances — same `RowStat` bits, same cells,
+    /// same [`cells_computed`](Self::cells_computed). This is the
+    /// filter's push: a suffix-tree traversal meets the same few symbols
+    /// over and over, so it keeps one base row per symbol and pays for
+    /// the base distance once per query, not once per cell.
     ///
-    /// `base` must hold no NaN (the minimum is taken with `<`).
+    /// The block walks the columns once. At column `x` row `i` takes the
+    /// same three operands in the same order as a lone row would — row
+    /// `i − 1`'s cells `x − 1` and `x`, its own cell `x − 1` — so the
+    /// rows' recurrences run staggered through one loop, and the
+    /// `min`→`add` chain of one row overlaps the next row's instead of
+    /// waiting behind it. An out-of-band cell adds an infinite base
+    /// distance, which keeps it infinite (every cell is `≥ 0`), so banded
+    /// and unbanded tables share the loop; each row still counts only its
+    /// own band's cells.
+    ///
+    /// A caller that pushes rows speculatively gives back the ones it did
+    /// not need with [`retract`](Self::retract).
+    ///
+    /// `bases` must hold no NaN (the minimum is taken with `<`).
     ///
     /// # Panics
-    /// Panics if `base.len()` differs from the query length.
-    pub fn push_base_row(&mut self, base: &[f64]) -> RowStat {
+    /// Panics if `bases` holds no row or more than [`BLOCK_ROWS`], or if
+    /// a row's length differs from the query length.
+    pub fn push_base_rows(&mut self, bases: &[&[f64]]) -> &[RowStat] {
+        match *bases {
+            [a] => self.push_sized([a]),
+            [a, b] => self.push_sized([a, b]),
+            [a, b, c] => self.push_sized([a, b, c]),
+            [a, b, c, d] => self.push_sized([a, b, c, d]),
+            _ => panic!("a block holds 1 to {BLOCK_ROWS} rows, not {}", bases.len()),
+        }
+        &self.stats[self.stats.len() - bases.len()..]
+    }
+
+    /// [`push_base_rows`](Self::push_base_rows) for a block of `N` rows.
+    /// Without a band every column of every row is in band, and the
+    /// kernel's copy for that case tests no column against a band.
+    fn push_sized<const N: usize>(&mut self, bases: [&[f64]; N]) {
+        if self.window.is_some() {
+            self.push_block::<N, true>(bases)
+        } else {
+            self.push_block::<N, false>(bases)
+        }
+    }
+
+    fn push_block<const N: usize, const BANDED: bool>(&mut self, bases: [&[f64]; N]) {
         let n = self.query.len();
-        assert_eq!(base.len(), n, "one base distance per query element");
+        for base in bases {
+            assert_eq!(base.len(), n, "one base distance per query element");
+        }
         self.bound_state = None;
         let stride = n + 1;
-        let r = self.stats.len() + 1; // 1-based row index being added
-        let start = r * stride;
-        // Column 0 and every out-of-band column stay infinite.
-        self.cells.resize(start + stride, f64::INFINITY);
-        let mut min = f64::INFINITY;
-        if let Some((lo, hi)) = self.band(r) {
-            let (head, cur) = self.cells.split_at_mut(start);
-            let prev = &head[start - stride..];
-            let mut left = f64::INFINITY; // γ(x-1, r)
-            let cells = cur[lo..=hi]
-                .iter_mut()
-                .zip(&base[lo - 1..hi])
-                .zip(prev[lo - 1..hi].iter().zip(&prev[lo..=hi]));
-            for ((cell, &b), (&diag, &up)) in cells {
-                // An all-infinite neighbourhood stays infinite: `b` is
-                // finite.
-                left = b + fmin(fmin(diag, up), left);
-                *cell = left;
-                min = fmin(min, left);
-            }
-            self.cells_computed += (hi - lo + 1) as u64;
-        }
-        let stat = RowStat {
-            dist: self.cells[start + n],
-            min,
+        let first = self.stats.len() + 1; // 1-based index of the block's first row
+        let start = first * stride;
+        // Column 0 and every column no row computes stay infinite.
+        self.cells.resize(start + N * stride, f64::INFINITY);
+        // Each row's in-band columns; a row wholly out of band gets an
+        // empty range. Bands only move right with depth, so the block
+        // walks from the first row's `lo` to the last `hi`.
+        let bands: [(usize, usize); N] =
+            std::array::from_fn(|i| self.band(first + i).unwrap_or((n + 1, n)));
+        let from = bands[0].0;
+        let to = bands.iter().map(|b| b.1).max().unwrap_or(0);
+        let (head, tail) = self.cells.split_at_mut(start);
+        let prev = &head[start - stride..];
+        let mut rows = tail.chunks_exact_mut(stride);
+        let cur: [&mut [f64]; N] =
+            std::array::from_fn(|_| rows.next().expect("the block's rows were allocated"));
+        let mut left = [f64::INFINITY; N]; // row i's cell x − 1
+        let mut min = [f64::INFINITY; N];
+        let mut diag = if from <= to {
+            prev[from - 1]
+        } else {
+            f64::INFINITY
         };
-        self.stats.push(stat);
-        stat
+        for x in from..=to {
+            // Row 0 reads the table's last row; row i > 0 reads row i − 1
+            // at x − 1 and x, both still in registers.
+            let mut up = prev[x];
+            let mut d = std::mem::replace(&mut diag, up);
+            for i in 0..N {
+                let (lo, hi) = bands[i];
+                let b = if !BANDED || (lo <= x && x <= hi) {
+                    bases[i][x - 1]
+                } else {
+                    f64::INFINITY
+                };
+                let cell = b + fmin(fmin(d, up), left[i]);
+                d = left[i];
+                up = cell;
+                left[i] = cell;
+                cur[i][x] = cell;
+                min[i] = fmin(min[i], cell);
+            }
+        }
+        for i in 0..N {
+            self.cells_computed += band_cells(bands[i]);
+            self.stats.push(RowStat {
+                dist: cur[i][n],
+                min: min[i],
+            });
+        }
+    }
+
+    /// Shrinks the table back to `depth` rows, like
+    /// [`truncate`](Self::truncate), and takes the dropped rows' cells
+    /// back out of [`cells_computed`](Self::cells_computed): for rows a
+    /// caller pushed ahead of a decision that then proved them unneeded.
+    /// Only rows computed since the table was created or forked may be
+    /// retracted.
+    pub fn retract(&mut self, depth: u32) {
+        let dropped = depth as usize + 1..=self.stats.len();
+        let cells: u64 = dropped.map(|r| self.band(r).map_or(0, band_cells)).sum();
+        self.cells_computed -= cells;
+        self.truncate(depth);
     }
 
     /// Appends a row for an exact numeric data element.
@@ -445,6 +537,12 @@ impl WarpTable {
             }
         }
     }
+}
+
+/// Cells in a band's inclusive column range `(lo, hi)`; none when empty.
+#[inline]
+fn band_cells((lo, hi): (usize, usize)) -> u64 {
+    (hi + 1).saturating_sub(lo) as u64
 }
 
 /// The smaller of two non-NaN values: one `minsd`, where `f64::min`

@@ -29,7 +29,7 @@
 //! each `(seq, start)` gets one complete, sorted group.
 
 use crate::categorize::{Alphabet, Symbol};
-use crate::dtw::WarpTable;
+use crate::dtw::{WarpTable, BLOCK_ROWS};
 use crate::search::answers::{CandidateGroups, Group, SearchParams};
 use crate::search::backend::{IndexBackend, NodeVisit};
 use crate::search::metrics::SearchMetrics;
@@ -55,8 +55,8 @@ struct PathState {
 /// filled the first time the traversal meets `sym`. A traversal meets
 /// the same few symbols at every depth (and in runs along an edge), so
 /// the base distance — a closure call and, for a real alphabet, two
-/// compares — is paid `|Q|` times per *symbol*, and a table row becomes
-/// one pass over two contiguous slices.
+/// compares — is paid `|Q|` times per *symbol*, and a block of table rows
+/// becomes one pass over contiguous slices.
 ///
 /// Nothing is sized by the alphabet: rows are appended as symbols turn
 /// up, and the symbol → row map grows to the largest symbol met, so the
@@ -77,12 +77,8 @@ impl BaseRows {
         }
     }
 
-    fn row<B: Fn(Value, Symbol) -> f64>(
-        &mut self,
-        sym: Symbol,
-        query: &[Value],
-        base: &B,
-    ) -> &[f64] {
+    /// Where `sym`'s row starts in `rows`, filling it first if unmet.
+    fn at<B: Fn(Value, Symbol) -> f64>(&mut self, sym: Symbol, query: &[Value], base: &B) -> usize {
         let (s, n) = (sym as usize, query.len());
         if s >= self.slot.len() {
             self.slot.resize(s + 1, 0);
@@ -91,8 +87,7 @@ impl BaseRows {
             self.rows.extend(query.iter().map(|&q| base(q, sym)));
             self.slot[s] = (self.rows.len() / n) as u32;
         }
-        let at = (self.slot[s] as usize - 1) * n;
-        &self.rows[at..at + n]
+        (self.slot[s] as usize - 1) * n
     }
 }
 
@@ -106,17 +101,6 @@ struct Emitting {
     row: u32,
     stored: bool,
     shifts: (u32, u32),
-}
-
-impl Emitting {
-    /// Whether the row emits at shift `k` (`k == 0`: the stored suffix).
-    fn at(self, k: u32) -> bool {
-        if k == 0 {
-            self.stored
-        } else {
-            self.shifts.0 <= k && k <= self.shifts.1
-        }
-    }
 }
 
 /// Where a frontier's suffixes hang: attached at its node, or anywhere
@@ -168,6 +152,8 @@ struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     path: Vec<Emitting>,
     /// A frontier's `(k, lens range)` per non-empty shift list.
     shift_lens: Vec<(u32, (u32, u32))>,
+    /// A frontier's per-shift list sizes, then write cursors.
+    shift_next: Vec<u32>,
     out: CandidateGroups,
     tallies: Tallies,
     metrics: &'a SearchMetrics,
@@ -201,6 +187,7 @@ impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
             kids: Vec::new(),
             path,
             shift_lens: Vec::new(),
+            shift_next: Vec::new(),
             out: CandidateGroups::default(),
             tallies: Tallies::default(),
             metrics,
@@ -542,10 +529,15 @@ fn descend<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     }
 }
 
-/// Consumes the edge label of a visited node one symbol at a time,
-/// pushing each qualifying row onto the path's emitting rows and
-/// applying Theorem-1 pruning. Returns the state at the node when
-/// traversal should continue below it, `None` when pruned.
+/// Consumes the edge label of a visited node, pushing each qualifying
+/// row onto the path's emitting rows and applying Theorem-1 pruning.
+/// Returns the state at the node when traversal should continue below
+/// it, `None` when pruned.
+///
+/// The table grows a block of up to [`BLOCK_ROWS`] rows at a time. A
+/// block stops at the label's end and at the depth cap, so only Theorem
+/// 1 can cut it: the rows are then judged in order, and those past a
+/// pruning row are retracted, uncounted, as if never pushed.
 fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     mut state: PathState,
@@ -564,74 +556,88 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     } else {
         0
     };
+    // The deepest row worth pushing: past it no row yields an in-range
+    // answer length. It is the band's end too: only a dense tree walks a
+    // banded table, and its `max_len` already stops at |Q| + w.
+    let last_row = ctx
+        .max_len
+        .map_or(u64::MAX, |m| m as u64 + depth_allowance as u64);
     // Weight of each row pushed along this edge in the `R_d` metric:
     // the number of stored suffixes sharing it, when the index knows.
     let unshared_weight = visit.suffix_count.unwrap_or(0);
-    for &sym in visit.label {
-        if let Some(m) = ctx.max_len {
-            if state.depth as u64 >= m as u64 + depth_allowance as u64 {
-                // Deeper rows cannot yield any in-range answer length.
+    let n = ctx.table.query().len();
+    let mut label = visit.label;
+    while !label.is_empty() {
+        let room = last_row.saturating_sub(state.depth as u64);
+        if room == 0 {
+            ctx.tallies.branches_pruned += 1;
+            return None;
+        }
+        let (block, rest) = label.split_at(label.len().min(room.min(BLOCK_ROWS as u64) as usize));
+        label = rest;
+        let mut at = [0; BLOCK_ROWS];
+        for (at, &sym) in at.iter_mut().zip(block) {
+            *at = ctx.rows.at(sym, ctx.table.query(), ctx.base);
+        }
+        // Entries past the block point at the first base row and go unused.
+        let bases: [&[f64]; BLOCK_ROWS] = std::array::from_fn(|i| &ctx.rows.rows[at[i]..at[i] + n]);
+        ctx.table.push_base_rows(&bases[..block.len()]);
+        for (&sym, base) in block.iter().zip(bases) {
+            if state.depth == 0 {
+                state.first = sym;
+                state.dbase1 = base[0];
+                state.lead = 1;
+                state.in_run = true;
+            } else if state.in_run && sym == state.first {
+                state.lead += 1;
+            } else {
+                state.in_run = false;
+            }
+            state.depth += 1;
+            ctx.tallies.rows_pushed += 1;
+            ctx.tallies.rows_unshared += unshared_weight;
+            let r = state.depth;
+            let stat = ctx.table.row_stat(r);
+
+            // Emission: stored suffixes (D_tw-lb)...
+            let stored =
+                stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m);
+            // ...and, for sparse trees, non-stored suffixes (D_tw-lb2).
+            let max_k = state.lead.saturating_sub(1).min(r - 1);
+            let shifts = if ctx.sparse {
+                let (min_len, max_len) = (ctx.min_len, ctx.max_len);
+                qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
+                    .into_inner()
+            } else {
+                (1, 0)
+            };
+            if stored || shifts.0 <= shifts.1 {
+                ctx.path.push(Emitting {
+                    row: r,
+                    stored,
+                    shifts,
+                });
+            }
+            #[cfg(test)]
+            if let Some(oracle) = ctx.oracle.as_mut() {
+                oracle.row(r, stat.dist, state.dbase1, max_k);
+            }
+
+            // Theorem-1 pruning, relaxed by the largest possible run shift
+            // below (Theorem 3 keeps this free of false dismissals).
+            let max_shift_below = if !ctx.sparse {
+                0
+            } else if state.in_run {
+                run_cap.saturating_sub(1)
+            } else {
+                state.lead.saturating_sub(1)
+            };
+            let relax = max_shift_below as f64 * state.dbase1;
+            if stat.min - relax > epsilon {
                 ctx.tallies.branches_pruned += 1;
+                ctx.table.retract(r);
                 return None;
             }
-        }
-        if ctx.table.next_row_out_of_band() {
-            ctx.tallies.branches_pruned += 1;
-            return None;
-        }
-        let row = ctx.rows.row(sym, ctx.table.query(), ctx.base);
-        if state.depth == 0 {
-            state.first = sym;
-            state.dbase1 = row[0];
-            state.lead = 1;
-            state.in_run = true;
-        } else if state.in_run && sym == state.first {
-            state.lead += 1;
-        } else {
-            state.in_run = false;
-        }
-        let stat = ctx.table.push_base_row(row);
-        state.depth += 1;
-        ctx.tallies.rows_pushed += 1;
-        ctx.tallies.rows_unshared += unshared_weight;
-        let r = state.depth;
-
-        // Emission: stored suffixes (D_tw-lb)...
-        let stored = stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m);
-        // ...and, for sparse trees, non-stored suffixes (D_tw-lb2).
-        let max_k = state.lead.saturating_sub(1).min(r - 1);
-        let shifts = if ctx.sparse {
-            let (min_len, max_len) = (ctx.min_len, ctx.max_len);
-            qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
-                .into_inner()
-        } else {
-            (1, 0)
-        };
-        if stored || shifts.0 <= shifts.1 {
-            ctx.path.push(Emitting {
-                row: r,
-                stored,
-                shifts,
-            });
-        }
-        #[cfg(test)]
-        if let Some(oracle) = ctx.oracle.as_mut() {
-            oracle.row(r, stat.dist, state.dbase1, max_k);
-        }
-
-        // Theorem-1 pruning, relaxed by the largest possible run shift
-        // below (Theorem 3 keeps this free of false dismissals).
-        let max_shift_below = if !ctx.sparse {
-            0
-        } else if state.in_run {
-            run_cap.saturating_sub(1)
-        } else {
-            state.lead.saturating_sub(1)
-        };
-        let relax = max_shift_below as f64 * state.dbase1;
-        if stat.min - relax > epsilon {
-            ctx.tallies.branches_pruned += 1;
-            return None;
         }
     }
     Some(state)
@@ -675,8 +681,10 @@ fn qualifying_shifts(
     if last == 0 {
         return 1..=last;
     }
-    // NaN and everything below 1 cast to the clamp's floor.
-    let mut first = (((dist - epsilon) / d1).ceil() as u32).clamp(1, max_k);
+    // Truncated, not rounded up: the walks below settle the guess either
+    // way, and `ceil` is a libm call on baseline x86-64. NaN and
+    // everything below 1 cast to the clamp's floor.
+    let mut first = (((dist - epsilon) / d1) as u32).clamp(1, max_k);
     while first > 1 && under(first - 1) {
         first -= 1;
     }
@@ -696,6 +704,12 @@ fn qualifying_shifts(
 /// per non-empty list. A shift stays inside the leading run of every
 /// suffix below the rows it comes from (`k < run`, DESIGN.md §5), so a
 /// start `start + k` belongs to this suffix alone.
+///
+/// The lists are built by count and scatter, in time linear in the path,
+/// the largest shift and the lengths written: each list's size is
+/// counted (the stored rows for `k = 0`, each row's shift range added to
+/// a difference array), prefix offsets place the lists back to back, and
+/// one pass in path order — rows ascending — writes every `row − k`.
 fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     ctx: &mut FilterCtx<'_, T, B>,
     node: T::Node,
@@ -704,15 +718,47 @@ fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     if ctx.path.is_empty() {
         return;
     }
-    let max_k = ctx.path.iter().map(|e| e.shifts.1).max().unwrap_or(0);
+    let max_k = ctx.path.iter().map(|e| e.shifts.1).max().unwrap_or(0) as usize;
+    // `next[k]`: first the size of list `k` (for `k ≥ 1` as differences,
+    // which wrap below zero until summed), then its write cursor.
+    let (next, path) = (&mut ctx.shift_next, &ctx.path);
+    next.clear();
+    next.resize(max_k + 2, 0);
+    for e in path {
+        next[0] += u32::from(e.stored);
+        let (lo, hi) = e.shifts;
+        if lo <= hi {
+            next[lo as usize] = next[lo as usize].wrapping_add(1);
+            next[hi as usize + 1] = next[hi as usize + 1].wrapping_sub(1);
+        }
+    }
     ctx.shift_lens.clear();
-    let (lens, path) = (&mut ctx.out.lens, &ctx.path);
-    for k in 0..=max_k {
-        let lo = lens.len();
-        lens.extend(path.iter().filter(|e| e.at(k)).map(|e| e.row - k));
-        if lens.len() > lo {
-            let hi = u32::try_from(lens.len()).expect("candidate lengths fit u32");
-            ctx.shift_lens.push((k, (lo as u32, hi)));
+    let lens = &mut ctx.out.lens;
+    let (mut end, mut open) = (lens.len(), 0u32);
+    for (k, next) in next[..=max_k].iter_mut().enumerate() {
+        let size = if k == 0 {
+            *next
+        } else {
+            open = open.wrapping_add(*next);
+            open
+        };
+        let at = u32::try_from(end).expect("candidate lengths fit u32");
+        end += size as usize;
+        if size > 0 {
+            let hi = u32::try_from(end).expect("candidate lengths fit u32");
+            ctx.shift_lens.push((k as u32, (at, hi)));
+        }
+        *next = at;
+    }
+    lens.resize(end, 0);
+    for e in path {
+        if e.stored {
+            lens[next[0] as usize] = e.row;
+            next[0] += 1;
+        }
+        for k in e.shifts.0..=e.shifts.1 {
+            lens[next[k as usize] as usize] = e.row - k;
+            next[k as usize] += 1;
         }
     }
     let (groups, shift_lens) = (&mut ctx.out.groups, &ctx.shift_lens);
@@ -772,7 +818,26 @@ pub(crate) mod tests {
                 let run = cs.run_len(id, start);
                 t.insert(&symbols, (id, start, run));
             }
+            t.compact();
             t
+        }
+
+        /// Merges each chain of single-child nodes that hold no suffix
+        /// into one edge, as a suffix tree's edges are, so a walk meets
+        /// labels longer than a row block. The merged-away nodes stay in
+        /// `nodes`, unreachable.
+        fn compact(&mut self) {
+            // Children come after their parents, so a chain is merged
+            // from its top.
+            for n in 1..self.nodes.len() {
+                while let ([c], []) = (&self.nodes[n].1[..], &self.nodes[n].2[..]) {
+                    let c = *c;
+                    let (label, children, suffixes) = std::mem::take(&mut self.nodes[c]);
+                    self.nodes[n].0.extend(label);
+                    self.nodes[n].1 = children;
+                    self.nodes[n].2 = suffixes;
+                }
+            }
         }
 
         /// A tree over every suffix of `cs` — or, sparse, over the §6.1
@@ -789,8 +854,8 @@ pub(crate) mod tests {
             Self::build(cs, &suffixes, sparse)
         }
 
-        /// Inserts one suffix, creating single-symbol edges (a trie, which
-        /// is a valid if uncompacted suffix tree for the trait contract).
+        /// Inserts one suffix, creating single-symbol edges (a trie, until
+        /// [`compact`](Self::compact) merges its chains).
         fn insert(&mut self, symbols: &[Symbol], label: (SeqId, u32, u32)) {
             let mut node = 0usize;
             for &s in symbols {
@@ -853,9 +918,12 @@ pub(crate) mod tests {
     /// What frontier emission replaced, kept as its oracle: each
     /// qualifying row emits one candidate per stored suffix below the
     /// edge it lies on, for itself and for each qualifying shift, with
-    /// the lower bound it qualified at.
-    #[derive(Default)]
+    /// the lower bound it qualified at. It also counts the cells each
+    /// row the traversal committed costs alone, in a table of
+    /// `query_len` columns banded by `window`.
     pub(super) struct Oracle {
+        query_len: usize,
+        window: Option<u32>,
         /// The rows of the edge being walked: `(depth, dist, d₁, max_k)`.
         rows: Vec<(u32, f64, f64, u32)>,
         /// Every candidate emitted, with its lower bound.
@@ -864,12 +932,34 @@ pub(crate) mod tests {
         lb2: u64,
         /// Every row distance met, to plant ε on.
         dists: Vec<f64>,
+        cells: u64,
     }
 
     impl Oracle {
+        fn new(query_len: usize, window: Option<u32>) -> Self {
+            Oracle {
+                query_len,
+                window,
+                rows: Vec::new(),
+                emitted: Vec::new(),
+                stored: 0,
+                lb2: 0,
+                dists: Vec::new(),
+                cells: 0,
+            }
+        }
+
         pub(super) fn row(&mut self, r: u32, dist: f64, d1: f64, max_k: u32) {
             self.rows.push((r, dist, d1, max_k));
             self.dists.push(dist);
+            let (y, n) = (r as usize, self.query_len);
+            self.cells += match self.window.map(|w| w as usize) {
+                None => n as u64,
+                Some(w) => {
+                    assert!(y <= n + w, "row {r} pushed past the band's end");
+                    ((y + w).min(n) + 1).saturating_sub(y.saturating_sub(w).max(1)) as u64
+                }
+            };
         }
 
         /// Emits for the rows of the edge just walked into `child`.
@@ -883,7 +973,13 @@ pub(crate) mod tests {
         ) {
             let mut below = Vec::new();
             tree.for_each_suffix_below(child, &mut |seq, start, run| below.push((seq, start, run)));
+            // A sparse tree may push rows up to its longest run − 1 past
+            // the answer-length cap, for the shifted suffixes; no deeper.
+            let run = tree.visit(child, &mut Vec::new()).max_lead_run;
+            let allowance = if sparse { run.saturating_sub(1) } else { 0 };
+            let cap = max_len.map(|m| m + allowance);
             for (r, dist, d1, max_k) in self.rows.drain(..) {
+                assert!(cap.is_none_or(|c| r <= c), "row {r} pushed past {cap:?}");
                 if dist <= epsilon && r >= min_len && max_len.is_none_or(|m| r <= m) {
                     self.stored += below.len() as u64;
                     for &(seq, start, _) in &below {
@@ -915,7 +1011,8 @@ pub(crate) mod tests {
         let m = SearchMetrics::new();
         let base = |q, sym| a.base_lb(q, sym);
         let mut ctx = start(tree, &base, q, params, &m);
-        ctx.oracle = Some(Oracle::default());
+        let table_window = params.window.filter(|_| !tree.sparse);
+        ctx.oracle = Some(Oracle::new(q.len(), table_window));
         traverse(&mut ctx);
         let oracle = ctx.oracle.take().expect("attached above");
         (ctx.finish(), oracle, m.snapshot())
@@ -923,7 +1020,9 @@ pub(crate) mod tests {
 
     /// The groups are the oracle's candidates: the same occurrences
     /// (which never repeat), one group per start with its lengths
-    /// ascending, every bound under ε, and the same funnel counts.
+    /// ascending, every bound under ε, and the same funnel counts — and
+    /// the rows and cells counted are those of the rows committed, none
+    /// pushed ahead of a prune.
     fn assert_groups_are_the_oracle(
         groups: &CandidateGroups,
         oracle: &Oracle,
@@ -953,6 +1052,8 @@ pub(crate) mod tests {
         assert_eq!(stats.stored_candidates, oracle.stored, "{ctx}");
         assert_eq!(stats.lb2_candidates, oracle.lb2, "{ctx}");
         assert_eq!(stats.candidates, groups.candidates(), "{ctx}");
+        assert_eq!(stats.rows_pushed, oracle.dists.len() as u64, "{ctx}");
+        assert_eq!(stats.filter_cells, oracle.cells, "{ctx}");
     }
 
     proptest::proptest! {
@@ -961,7 +1062,8 @@ pub(crate) mod tests {
         /// Frontier emission is the per-row emitter, over dense and
         /// sparse trees, with and without a window, under length ranges,
         /// and with ε planted exactly on a row distance the first pass
-        /// met.
+        /// met. The trees' edges are compacted, so rows go in blocks
+        /// that Theorem 1 cuts part-way.
         #[test]
         fn frontier_groups_are_the_brute_emission(
             db in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..14), 1..4),

@@ -1,7 +1,9 @@
 //! Property tests for the time-warping distance kernel (paper §3).
 
 use proptest::prelude::*;
-use warptree_core::dtw::{dtw, dtw_early_abandon, dtw_naive_recursive, dtw_windowed, WarpTable};
+use warptree_core::dtw::{
+    dtw, dtw_early_abandon, dtw_naive_recursive, dtw_windowed, WarpTable, BLOCK_ROWS,
+};
 
 fn seq(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-50i32..50).prop_map(|v| v as f64 * 0.25), 1..max_len)
@@ -47,37 +49,57 @@ proptest! {
         }
     }
 
-    /// The filter's in-place row is `push_row_with`'s row bit for bit —
-    /// `RowStat`, every cell, `cells_computed` — for no window and
-    /// windows 0, 1 and 8, through rows past the band, and again after a
-    /// backtrack, on the table and on a fork of it.
+    /// The filter's row blocks are `push_row_with`'s rows bit for bit —
+    /// `RowStat`, every cell, `cells_computed` — for blocks of 1 to 4
+    /// rows of which the last 0 to 3 are retracted and pushed again, for
+    /// no window and windows 0, 1 and 8, through rows past the band, and
+    /// again after a backtrack, on the table and on a fork of it.
     #[test]
     fn base_row_push_is_push_row_with(
         (q, data) in (seq(10), seq(30)),
         window in 0usize..4,
+        blocks in prop::collection::vec((1usize..=BLOCK_ROWS, 0usize..BLOCK_ROWS), 1..12),
         keep in 0usize..30,
     ) {
         let w = [None, Some(0u32), Some(1), Some(8)][window];
-        let base_row = |v: f64| q.iter().map(|&x| (x - v).abs()).collect::<Vec<f64>>();
+        let base_rows: Vec<Vec<f64>> =
+            data.iter().map(|&v| q.iter().map(|&x| (x - v).abs()).collect()).collect();
+        // Pushes `order` (indices into `data`) onto both tables, cycling
+        // through `blocks`: `size` rows at once, then `back` of them
+        // retracted (at least one kept) and pushed with the next block.
+        let replay = |by_cell: &mut WarpTable, by_block: &mut WarpTable, order: &[usize]| {
+            let mut plan = blocks.iter().cycle();
+            let mut i = 0;
+            while i < order.len() {
+                let &(size, back) = plan.next().expect("cycle never ends");
+                let size = size.min(order.len() - i);
+                let kept = size - back.min(size - 1);
+                let bases: Vec<&[f64]> =
+                    order[i..i + size].iter().map(|&j| &base_rows[j][..]).collect();
+                let got = by_block.push_base_rows(&bases).to_vec();
+                prop_assert_eq!(got.len(), size);
+                by_block.retract(by_block.depth() - (size - kept) as u32);
+                for (stat, &j) in got.iter().zip(&order[i..i + kept]) {
+                    let v = data[j];
+                    let want = by_cell.push_row_with(|x| (x - v).abs());
+                    prop_assert_eq!(want.dist.to_bits(), stat.dist.to_bits());
+                    prop_assert_eq!(want.min.to_bits(), stat.min.to_bits());
+                }
+                prop_assert_eq!(&*by_cell, &*by_block);
+                i += kept;
+            }
+        };
         let mut by_cell = WarpTable::new(&q, w);
-        let mut by_row = WarpTable::new(&q, w);
-        for &v in &data {
-            let a = by_cell.push_row_with(|x| (x - v).abs());
-            prop_assert_eq!(a, by_row.push_base_row(&base_row(v)));
-        }
-        prop_assert_eq!(&by_cell, &by_row);
+        let mut by_block = WarpTable::new(&q, w);
+        let forward: Vec<usize> = (0..data.len()).collect();
+        replay(&mut by_cell, &mut by_block, &forward);
         let keep = (keep % (data.len() + 1)) as u32;
         by_cell.truncate(keep);
-        by_row.truncate(keep);
-        let (mut cell_fork, mut row_fork) = (by_cell.fork(), by_row.fork());
-        for &v in data.iter().rev() {
-            let a = by_cell.push_row_with(|x| (x - v).abs());
-            prop_assert_eq!(a, by_row.push_base_row(&base_row(v)));
-            let a = cell_fork.push_row_with(|x| (x - v).abs());
-            prop_assert_eq!(a, row_fork.push_base_row(&base_row(v)));
-        }
-        prop_assert_eq!(&by_cell, &by_row);
-        prop_assert_eq!(&cell_fork, &row_fork);
+        by_block.truncate(keep);
+        let (mut cell_fork, mut block_fork) = (by_cell.fork(), by_block.fork());
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        replay(&mut by_cell, &mut by_block, &backward);
+        replay(&mut cell_fork, &mut block_fork, &backward);
     }
 
     /// Early abandoning is exactly "distance ≤ ε" as a predicate.

@@ -1899,21 +1899,22 @@ mod tests {
             (r#"{"op":"health","#, r#""a":[],"#, r#""b":0}"#),
             (r#"{"op":"health","#, " \n\t ", r#""b":0}"#),
         ];
+        let ns_per_byte = |text: &str| {
+            let t = std::time::Instant::now();
+            let _ = Request::parse(text.as_bytes(), false);
+            t.elapsed().as_nanos() as f64 / text.len() as f64
+        };
         for (head, unit, tail) in shapes {
             let body = |bytes: usize| head.to_string() + &unit.repeat(bytes / unit.len()) + tail;
-            // Fastest of five: the host's speed drifts, the minimum does not.
-            let ns_per_byte = |text: &str| {
-                (0..5)
-                    .map(|_| {
-                        let t = std::time::Instant::now();
-                        let _ = Request::parse(text.as_bytes(), false);
-                        t.elapsed().as_nanos() as f64 / text.len() as f64
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            };
-            let small = ns_per_byte(&body(64 << 10));
-            let big_text = body(1 << 20);
-            let big = ns_per_byte(&big_text);
+            let (small_text, big_text) = (body(64 << 10), body(1 << 20));
+            // Fastest of nine each, the sizes alternating: the host's
+            // speed drifts, but a slow stretch reaches both sizes and
+            // the minimum does not drift.
+            let (mut small, mut big) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..9 {
+                small = small.min(ns_per_byte(&small_text));
+                big = big.min(ns_per_byte(&big_text));
+            }
             assert!(
                 big * (big_text.len() as f64) < 1e9,
                 "{unit:?}: 1 MB took {:.0} ms",
