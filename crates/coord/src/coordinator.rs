@@ -47,7 +47,7 @@ use warptree_server::serve_core::{self, Handler, ServeHandle, SlowLog, StopThrea
 
 use crate::merge::{
     aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
-    sum_stats, ShardCoverage,
+    ShardCoverage,
 };
 
 /// Configuration of a [`Coordinator`].
@@ -685,18 +685,18 @@ fn merged_query(
         _ => {
             proto::search_body_into(&mut resp, g.generation, &merge_threshold(per_shard));
             if matches!(req, Request::Explain { .. }) {
-                let per_shard: Vec<SearchStats> = answers
-                    .iter()
-                    .flatten()
-                    .map(|v| {
-                        v.get("stats")
-                            .ok_or_else(|| "explain response missing \"stats\"".to_string())
-                            .and_then(parse_stats)
-                    })
-                    .collect::<Result<_, _>>()
-                    .map_err(malformed)?;
+                // Shards partition the corpus, so their counters add.
+                let mut total = SearchStats::default();
+                for v in answers.iter().flatten() {
+                    let stats = v
+                        .get("stats")
+                        .ok_or_else(|| "explain response missing \"stats\"".to_string())
+                        .and_then(parse_stats)
+                        .map_err(malformed)?;
+                    total.merge(&stats);
+                }
                 resp.push_str(",\"stats\":");
-                resp.push_str(&proto::encode_stats(&sum_stats(&per_shard)));
+                resp.push_str(&proto::encode_stats(&total));
             }
         }
     }

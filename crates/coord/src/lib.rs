@@ -33,5 +33,5 @@ pub mod merge;
 pub use coordinator::{CoordConfig, CoordHandle, Coordinator};
 pub use merge::{
     aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
-    sum_stats, ShardCoverage,
+    ShardCoverage,
 };

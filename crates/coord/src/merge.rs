@@ -16,8 +16,9 @@
 //!   query-derived and identical everywhere, and overlap filtering
 //!   only compares same-sequence matches, which sharding co-locates),
 //!   so the truncated merge is the exact global top-k.
-//! * **Funnel stats** sum field-wise: shards partition the sequences,
-//!   candidate work is per-suffix, so per-shard counters add exactly.
+//! * **Funnel stats** sum field-wise (`SearchStats::merge`): shards
+//!   partition the sequences, candidate work is per-suffix, so
+//!   per-shard counters add exactly.
 //! * **Coverage** sums the five accounting fields across shards; a
 //!   shard that answered cleanly contributes its totals as answered, a
 //!   down shard contributes totals with zero answered.
@@ -80,29 +81,14 @@ pub fn merge_ranked(per_shard: Vec<Vec<Match>>, k: usize) -> Vec<Match> {
 
 /// Parses the 16-field `"stats"` object of an `explain` response.
 pub fn parse_stats(v: &Json) -> Result<SearchStats, String> {
-    let field = |k: &str| {
-        v.get(k)
+    let mut stats = SearchStats::default();
+    for (name, field) in stats.fields_mut() {
+        *field = v
+            .get(name)
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("stats missing \"{k}\""))
-    };
-    Ok(SearchStats {
-        filter_cells: field("filter_cells")?,
-        nodes_visited: field("nodes_visited")?,
-        nodes_expanded: field("nodes_expanded")?,
-        rows_pushed: field("rows_pushed")?,
-        rows_unshared: field("rows_unshared")?,
-        branches_pruned: field("branches_pruned")?,
-        candidates: field("candidates")?,
-        stored_candidates: field("stored_candidates")?,
-        lb2_candidates: field("lb2_candidates")?,
-        postprocessed: field("postprocessed")?,
-        postprocess_cells: field("postprocess_cells")?,
-        false_alarms: field("false_alarms")?,
-        answers: field("answers")?,
-        cascade_lb_keogh_kills: field("cascade_lb_keogh_kills")?,
-        cascade_lb_improved_kills: field("cascade_lb_improved_kills")?,
-        cascade_abandon_kills: field("cascade_abandon_kills")?,
-    })
+            .ok_or_else(|| format!("stats missing \"{name}\""))?;
+    }
+    Ok(stats)
 }
 
 /// Parses a response's `"coverage"` object.
@@ -119,32 +105,6 @@ pub fn parse_coverage(c: &Json) -> Result<Coverage, String> {
         suffixes_total: field("suffixes_total")?,
         suffixes_answered: field("suffixes_answered")?,
     })
-}
-
-/// Sums funnel stats field-wise across shards. Exact because shards
-/// partition the corpus: every counter counts per-suffix (or per-node,
-/// per-candidate) work inside one shard's slice.
-pub fn sum_stats(per_shard: &[SearchStats]) -> SearchStats {
-    let mut total = SearchStats::default();
-    for s in per_shard {
-        total.filter_cells += s.filter_cells;
-        total.nodes_visited += s.nodes_visited;
-        total.nodes_expanded += s.nodes_expanded;
-        total.rows_pushed += s.rows_pushed;
-        total.rows_unshared += s.rows_unshared;
-        total.branches_pruned += s.branches_pruned;
-        total.candidates += s.candidates;
-        total.stored_candidates += s.stored_candidates;
-        total.lb2_candidates += s.lb2_candidates;
-        total.postprocessed += s.postprocessed;
-        total.postprocess_cells += s.postprocess_cells;
-        total.false_alarms += s.false_alarms;
-        total.answers += s.answers;
-        total.cascade_lb_keogh_kills += s.cascade_lb_keogh_kills;
-        total.cascade_lb_improved_kills += s.cascade_lb_improved_kills;
-        total.cascade_abandon_kills += s.cascade_abandon_kills;
-    }
-    total
 }
 
 /// What one shard contributed to a query, coverage-wise.
@@ -272,36 +232,76 @@ mod tests {
         assert_eq!(merge_ranked(vec![shard_b, shard_a], 3), expect);
     }
 
+    /// Every field a different value, `i + 1`: a swapped pair of names
+    /// anywhere on the way shows.
+    fn distinct_stats() -> SearchStats {
+        let mut s = SearchStats::default();
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = i as u64 + 1;
+        }
+        s
+    }
+
     #[test]
     fn stats_sum_fieldwise() {
-        let one = SearchStats {
-            filter_cells: 1,
-            nodes_visited: 2,
-            nodes_expanded: 1,
-            rows_pushed: 4,
-            rows_unshared: 8,
-            branches_pruned: 1,
-            candidates: 3,
-            stored_candidates: 2,
-            lb2_candidates: 1,
-            postprocessed: 3,
-            postprocess_cells: 30,
-            false_alarms: 1,
-            answers: 2,
-            cascade_lb_keogh_kills: 5,
-            cascade_lb_improved_kills: 2,
-            cascade_abandon_kills: 1,
-        };
-        let total = sum_stats(&[one, one]);
-        assert_eq!(total.filter_cells, 2);
-        assert_eq!(total.rows_unshared, 16);
-        assert_eq!(total.answers, 4);
-        assert_eq!(total.cascade_lb_keogh_kills, 10);
-        assert_eq!(total.cascade_lb_improved_kills, 4);
-        assert_eq!(total.cascade_abandon_kills, 2);
-        // Round-trips through the wire encoding.
-        let wire = json::parse(&warptree_server::proto::encode_stats(&one)).unwrap();
-        assert_eq!(parse_stats(&wire).unwrap(), one);
+        let one = distinct_stats();
+        let mut total = SearchStats::default();
+        for shard in [one, one] {
+            total.merge(&shard);
+        }
+        for ((name, sum), (_, v)) in total.fields().into_iter().zip(one.fields()) {
+            assert_eq!(sum, 2 * v, "{name}");
+        }
+        assert_eq!(total.since(&one), one);
+    }
+
+    /// The one list of funnel counters: its names in wire order, the
+    /// registry names `SearchMetrics` makes of them, and the wire's
+    /// `"stats"` object, which must carry every field under its own
+    /// name.
+    #[test]
+    fn funnel_counters_are_one_list() {
+        let names: Vec<&str> = SearchStats::default()
+            .fields()
+            .iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "filter_cells",
+                "nodes_visited",
+                "nodes_expanded",
+                "rows_pushed",
+                "rows_unshared",
+                "branches_pruned",
+                "candidates",
+                "stored_candidates",
+                "lb2_candidates",
+                "postprocessed",
+                "postprocess_cells",
+                "false_alarms",
+                "answers",
+                "cascade_lb_keogh_kills",
+                "cascade_lb_improved_kills",
+                "cascade_abandon_kills",
+            ]
+        );
+        let reg = warptree_obs::MetricsRegistry::new();
+        let metrics = warptree_core::search::SearchMetrics::register(&reg);
+        let s = distinct_stats();
+        metrics.add(&s);
+        let counters = reg.snapshot().counters;
+        let registered: Vec<(String, u64)> = counters.into_iter().collect();
+        let mut want: Vec<(String, u64)> = s
+            .fields()
+            .iter()
+            .map(|&(n, v)| (format!("search.{n}"), v))
+            .collect();
+        want.sort();
+        assert_eq!(registered, want);
+        let wire = json::parse(&warptree_server::proto::encode_stats(&s)).unwrap();
+        assert_eq!(parse_stats(&wire).unwrap(), s);
     }
 
     #[test]

@@ -340,11 +340,13 @@ impl SearchParams {
 /// machine-independent, so they reproduce the paper's complexity analysis
 /// (§4.3, §5.5, §6.4) regardless of hardware.
 ///
-/// This is a plain-data *snapshot*; the live handles the algorithms
-/// write through are a [`SearchMetrics`](crate::search::SearchMetrics)
-/// bundle. Wall-clock timings deliberately never appear here — they
-/// live in the metrics histograms — which keeps snapshots `Eq` and
-/// identical across identical runs.
+/// This is plain data: an algorithm counts into a local `SearchStats`
+/// and hands it to a [`SearchMetrics`](crate::search::SearchMetrics)
+/// bundle once. [`fields_mut`](Self::fields_mut) is the one list of the
+/// counters; the registry names, the wire's `"stats"` object and the
+/// trace attributes all come from it. Wall-clock timings deliberately
+/// never appear here — they live in the metrics histograms — which
+/// keeps snapshots `Eq` and identical across identical runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Cumulative-distance-table cells computed during filtering.
@@ -402,24 +404,53 @@ impl SearchStats {
         self.filter_cells + self.postprocess_cells
     }
 
+    /// Every counter with its name, in wire order: the one place the
+    /// counters are listed.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 16] {
+        [
+            ("filter_cells", &mut self.filter_cells),
+            ("nodes_visited", &mut self.nodes_visited),
+            ("nodes_expanded", &mut self.nodes_expanded),
+            ("rows_pushed", &mut self.rows_pushed),
+            ("rows_unshared", &mut self.rows_unshared),
+            ("branches_pruned", &mut self.branches_pruned),
+            ("candidates", &mut self.candidates),
+            ("stored_candidates", &mut self.stored_candidates),
+            ("lb2_candidates", &mut self.lb2_candidates),
+            ("postprocessed", &mut self.postprocessed),
+            ("postprocess_cells", &mut self.postprocess_cells),
+            ("false_alarms", &mut self.false_alarms),
+            ("answers", &mut self.answers),
+            ("cascade_lb_keogh_kills", &mut self.cascade_lb_keogh_kills),
+            (
+                "cascade_lb_improved_kills",
+                &mut self.cascade_lb_improved_kills,
+            ),
+            ("cascade_abandon_kills", &mut self.cascade_abandon_kills),
+        ]
+    }
+
+    /// [`fields_mut`](Self::fields_mut) by value.
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &SearchStats) {
-        self.filter_cells += other.filter_cells;
-        self.nodes_visited += other.nodes_visited;
-        self.nodes_expanded += other.nodes_expanded;
-        self.rows_pushed += other.rows_pushed;
-        self.rows_unshared += other.rows_unshared;
-        self.branches_pruned += other.branches_pruned;
-        self.candidates += other.candidates;
-        self.stored_candidates += other.stored_candidates;
-        self.lb2_candidates += other.lb2_candidates;
-        self.postprocessed += other.postprocessed;
-        self.postprocess_cells += other.postprocess_cells;
-        self.false_alarms += other.false_alarms;
-        self.answers += other.answers;
-        self.cascade_lb_keogh_kills += other.cascade_lb_keogh_kills;
-        self.cascade_lb_improved_kills += other.cascade_lb_improved_kills;
-        self.cascade_abandon_kills += other.cascade_abandon_kills;
+        for ((_, v), (_, add)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *v += add;
+        }
+    }
+
+    /// What was counted since `before`, an earlier reading of the same
+    /// counters.
+    pub fn since(&self, before: &SearchStats) -> SearchStats {
+        let mut delta = *self;
+        for ((_, v), (_, was)) in delta.fields_mut().into_iter().zip(before.fields()) {
+            *v -= was;
+        }
+        delta
     }
 }
 

@@ -30,9 +30,9 @@
 
 use crate::categorize::{Alphabet, Symbol};
 use crate::dtw::{WarpTable, BLOCK_ROWS};
-use crate::search::answers::{CandidateGroups, Group, SearchParams};
+use crate::search::answers::{CandidateGroups, Group, SearchParams, SearchStats};
 use crate::search::backend::{IndexBackend, NodeVisit};
-use crate::search::metrics::SearchMetrics;
+use crate::search::metrics::{attach, SearchMetrics};
 use crate::sequence::{SeqId, Value};
 
 /// State carried down the traversal that must be restored on backtrack —
@@ -111,27 +111,6 @@ enum Frontier {
     Below,
 }
 
-/// What one traversal counted, in plain integers: a row push is a few
-/// nanoseconds, so its bookkeeping is an `add` on a local, and the shared
-/// [`SearchMetrics`] counters hear of it once, in [`FilterCtx::finish`].
-#[derive(Clone, Copy, Default)]
-struct Tallies {
-    rows_pushed: u64,
-    rows_unshared: u64,
-    nodes_visited: u64,
-    nodes_expanded: u64,
-    branches_pruned: u64,
-    stored_candidates: u64,
-    lb2_candidates: u64,
-}
-
-impl Tallies {
-    /// Candidate occurrences emitted, stored and shifted.
-    fn candidates(&self) -> u64 {
-        self.stored_candidates + self.lb2_candidates
-    }
-}
-
 struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     tree: &'a T,
     /// Base lower-bound distance between a query element (as stored in
@@ -155,7 +134,10 @@ struct FilterCtx<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> {
     /// A frontier's per-shift list sizes, then write cursors.
     shift_next: Vec<u32>,
     out: CandidateGroups,
-    tallies: Tallies,
+    /// What this traversal counted, cells aside: a row push is a few
+    /// nanoseconds, so its bookkeeping is an `add` on a local, and the
+    /// shared metrics hear of it once, in [`finish`](Self::finish).
+    tallies: SearchStats,
     metrics: &'a SearchMetrics,
     /// The per-row emitter the frontier emission replaced, run beside it.
     #[cfg(test)]
@@ -189,26 +171,25 @@ impl<'a, T: IndexBackend, B: Fn(Value, Symbol) -> f64> FilterCtx<'a, T, B> {
             shift_lens: Vec::new(),
             shift_next: Vec::new(),
             out: CandidateGroups::default(),
-            tallies: Tallies::default(),
+            tallies: SearchStats::default(),
             metrics,
             #[cfg(test)]
             oracle: None,
         }
     }
 
-    /// Adds this traversal's cells and tallies to its metrics and hands
-    /// back what it emitted.
+    /// Everything this traversal has counted so far, its cells included.
+    fn counted(&self) -> SearchStats {
+        SearchStats {
+            filter_cells: self.table.cells_computed(),
+            ..self.tallies
+        }
+    }
+
+    /// Adds this traversal's counts to its metrics and hands back what
+    /// it emitted.
     fn finish(self) -> CandidateGroups {
-        let (m, t) = (self.metrics, self.tallies);
-        m.filter_cells.add(self.table.cells_computed());
-        m.rows_pushed.add(t.rows_pushed);
-        m.rows_unshared.add(t.rows_unshared);
-        m.nodes_visited.add(t.nodes_visited);
-        m.nodes_expanded.add(t.nodes_expanded);
-        m.branches_pruned.add(t.branches_pruned);
-        m.stored_candidates.add(t.stored_candidates);
-        m.lb2_candidates.add(t.lb2_candidates);
-        m.candidates.add(t.candidates());
+        self.metrics.add(&self.counted());
         self.out
     }
 }
@@ -430,8 +411,8 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
                 if let Some(seg) = tree.segment_hint(node) {
                     span.attr_u64("segment", seg as u64);
                 }
-                span.attr_u64("candidates", fork_ctx.tallies.candidates());
-                span.attr_u64("cells", fork_ctx.table.cells_computed());
+                // A fork starts from zero, so its counts are its own.
+                attach(&span, &fork_ctx.counted());
             }
             // A fork's counts reach the shared counters here, once.
             fork_ctx.finish()
@@ -493,17 +474,10 @@ fn descend_root_traced<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         if let Some(s) = seg {
             span.attr_u64("segment", s as u64);
         }
-        let before = ctx.tallies;
+        let before = ctx.counted();
         descend(ctx, i..j, state);
-        let d = ctx.tallies;
         span.attr_u64("root_children", (j - i) as u64);
-        span.attr_u64("nodes_visited", d.nodes_visited - before.nodes_visited);
-        span.attr_u64(
-            "branches_pruned",
-            d.branches_pruned - before.branches_pruned,
-        );
-        span.attr_u64("rows_pushed", d.rows_pushed - before.rows_pushed);
-        span.attr_u64("candidates", d.candidates() - before.candidates());
+        attach(&span, &ctx.counted().since(&before));
         i = j;
     }
 }
@@ -786,13 +760,13 @@ fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     let all: u64 = shift_lens.iter().map(width).sum();
     ctx.tallies.stored_candidates += stored * suffixes;
     ctx.tallies.lb2_candidates += (all - stored) * suffixes;
+    ctx.tallies.candidates += all * suffixes;
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::categorize::CatStore;
-    use crate::search::answers::SearchStats;
     use crate::sequence::Occurrence;
 
     /// A tiny hand-built tree for unit-testing the filter without the
@@ -1366,6 +1340,7 @@ pub(crate) mod tests {
                         assert_eq!(sum("branches_pruned"), s.branches_pruned);
                         assert_eq!(sum("rows_pushed"), s.rows_pushed);
                         assert_eq!(sum("candidates"), s.candidates);
+                        assert_eq!(sum("filter_cells"), s.filter_cells);
                     }
                 }
             }

@@ -12,7 +12,7 @@
 //! final radius.
 
 use crate::categorize::Alphabet;
-use crate::search::answers::{CandidateGroups, Match, SearchParams};
+use crate::search::answers::{Match, SearchParams};
 use crate::search::backend::IndexBackend;
 use crate::search::metrics::SearchMetrics;
 use crate::search::threshold_search_unchecked;
@@ -36,17 +36,14 @@ pub struct KnnParams {
     /// discarded — "k distinct regions" rather than "k (mostly nested)
     /// subsequences".
     pub non_overlapping: bool,
-    /// Worker threads for filtering and candidate verification. `0` and
-    /// `1` both mean sequential. The returned matches are identical at
-    /// every value; with overlaps allowed, verification additionally
-    /// shares a top-k heap whose threshold tightens as results land, so
-    /// the *work* counters (cells, false alarms) may then be lower than
-    /// the sequential path's.
+    /// Worker threads for each round's filtering and candidate
+    /// verification. `0` and `1` both mean sequential. Every round is
+    /// a threshold search, so the returned matches and the work
+    /// counters are identical at every value.
     pub threads: u32,
     /// Runs the lower-bound cascade ahead of exact verification in
-    /// every expansion round (sound against the shrinking top-k limit:
-    /// `lb > limit` proves the candidate cannot rank among the k
-    /// best). Matches are identical either way. On by default.
+    /// every expansion round. Matches are identical either way. On by
+    /// default.
     pub cascade: bool,
     /// Optional backend-family pin (see
     /// [`SearchParams::backend`]): forwarded into
@@ -131,101 +128,6 @@ impl KnnParams {
     }
 }
 
-/// The shared top-k accumulator of the parallel verification path: a
-/// mutex-guarded set of the best matches seen so far, with the
-/// threshold workers verify against tightening globally once `k`
-/// answers are known.
-///
-/// Ties at the k-th distance are all retained (eviction compares
-/// distances only), so the final `(dist, occ)` sort and cut at `k`
-/// resolves ties exactly like the sequential path does.
-struct TopK {
-    k: usize,
-    /// Current verification limit: starts at the round's ε, drops to
-    /// the k-th best distance once `k` matches are in. Never below the
-    /// true k-th distance, so no true top-k answer is ever abandoned.
-    threshold: f64,
-    items: Vec<Match>,
-}
-
-impl TopK {
-    fn insert(&mut self, batch: Vec<Match>) {
-        self.items.extend(batch);
-        if self.items.len() >= self.k {
-            self.items.sort_by(|a, b| {
-                a.dist
-                    .partial_cmp(&b.dist)
-                    .expect("finite distances")
-                    .then(a.occ.cmp(&b.occ))
-            });
-            let d_k = self.items[self.k - 1].dist;
-            self.items.retain(|m| m.dist <= d_k);
-            self.threshold = d_k;
-        }
-    }
-}
-
-/// Verifies filter candidates across worker threads against a shared
-/// [`TopK`] heap, returning every match that can rank among the k
-/// best (all ties at the k-th distance included) — or every match
-/// within ε when fewer than `k` exist.
-fn verify_topk_parallel(
-    store: &SequenceStore,
-    query: &[Value],
-    groups: &CandidateGroups,
-    sp: &SearchParams,
-    k: usize,
-    metrics: &SearchMetrics,
-) -> Vec<Match> {
-    use crate::search::postprocess::{verify_group, Verifier};
-    if groups.is_empty() {
-        return Vec::new();
-    }
-    let env = sp
-        .cascade
-        .then(|| crate::search::cascade::QueryEnvelope::new(query, sp.window));
-    let env = env.as_ref();
-    let shared = std::sync::Mutex::new(TopK {
-        k,
-        threshold: sp.epsilon,
-        items: Vec::new(),
-    });
-    let (_, workers) = crate::parallel::parallel_map_with(
-        sp.threads.max(1) as usize,
-        groups.tasks(),
-        || Verifier::new(query, sp.window),
-        |worker, _i, range| {
-            let limit = shared.lock().expect("top-k heap poisoned").threshold;
-            let mut out = Vec::new();
-            for i in range {
-                let (key, lens) = groups.get(i);
-                verify_group(store, worker, key, lens, limit, env, &mut out);
-            }
-            if !out.is_empty() {
-                shared.lock().expect("top-k heap poisoned").insert(out);
-            }
-        },
-    );
-    for worker in workers {
-        worker.finish(metrics);
-    }
-    let top = shared.into_inner().expect("top-k heap poisoned");
-    metrics.answers.add(top.items.len() as u64);
-    top.items
-}
-
-/// Greedily drops matches that overlap a better match in the same
-/// sequence. `matches` must be sorted by ascending distance.
-fn filter_overlaps(matches: &[Match]) -> Vec<Match> {
-    let mut picked: Vec<Match> = Vec::new();
-    for m in matches {
-        if !picked.iter().any(|p| p.occ.overlaps(&m.occ)) {
-            picked.push(*m);
-        }
-    }
-    picked
-}
-
 /// The k-NN engine: ε-expansion rounds over the threshold engine,
 /// metered into `metrics` (`answers` accumulates per-round verified
 /// answers, not the final `k`). Callers must have validated the
@@ -271,33 +173,12 @@ pub(crate) fn knn_unchecked<T: IndexBackend + Sync>(
             metrics
         };
 
-        let mut sorted: Vec<Match> = if params.threads > 1 && !params.non_overlapping {
-            // Parallel verification through a shared top-k heap: the
-            // acceptance/abandon threshold tightens globally once k
-            // answers land, which is sound here because overlaps are
-            // allowed — the final answer is exactly the k best matches,
-            // and every match that could rank ≤ k survives the bound.
-            let candidates = {
-                let _timer = m.filter_ns.span();
-                crate::search::filter_tree(tree, alphabet, query, &sp, m)
-            };
-            let _timer = m.postprocess_ns.span();
-            verify_topk_parallel(store, query, &candidates, &sp, params.k, m)
-        } else {
-            threshold_search_unchecked(tree, alphabet, store, query, &sp, m)
-                .matches()
-                .to_vec()
-        };
-        sorted.sort_by(|a, b| {
-            a.dist
-                .partial_cmp(&b.dist)
-                .expect("finite distances")
-                .then(a.occ.cmp(&b.occ))
-        });
+        let answers = threshold_search_unchecked(tree, alphabet, store, query, &sp, m);
+        // Ranked by ascending `(distance, occurrence)`.
         let candidates = if params.non_overlapping {
-            filter_overlaps(&sorted)
+            answers.non_overlapping()
         } else {
-            sorted
+            answers.top_k(answers.len())
         };
         round_span.attr_u64("round_answers", candidates.len() as u64);
         if candidates.len() >= params.k {
@@ -498,27 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_heap_keeps_ties_and_tightens() {
-        let mut top = TopK {
-            k: 2,
-            threshold: 10.0,
-            items: Vec::new(),
-        };
-        let m = |start: u32, dist: f64| Match {
-            occ: Occurrence::new(SeqId(0), start, 1),
-            dist,
-        };
-        top.insert(vec![m(0, 5.0)]);
-        assert_eq!(top.threshold, 10.0, "below k: no tightening");
-        top.insert(vec![m(1, 3.0), m(2, 5.0), m(3, 7.0)]);
-        // k-th best distance is 5.0; the 7.0 item is evicted, both
-        // 5.0 ties survive for deterministic (dist, occ) resolution.
-        assert_eq!(top.threshold, 5.0);
-        assert_eq!(top.items.len(), 3);
-        assert!(top.items.iter().all(|x| x.dist <= 5.0));
-    }
-
-    #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         let (store, alphabet, tree) = setup();
@@ -529,7 +389,7 @@ mod tests {
             &store,
             &[1.0],
             &params,
-            &SearchMetrics::noop(),
+            &SearchMetrics::new(),
         );
     }
 

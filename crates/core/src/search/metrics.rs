@@ -2,19 +2,19 @@
 //! [`SearchStats`](crate::search::answers::SearchStats).
 //!
 //! [`SearchMetrics`] is a bundle of [`warptree_obs`] handles threaded
-//! through the search algorithms. `SearchStats` remains the plain-data
-//! *snapshot* (cheap to copy, `Eq`, deterministic); `SearchMetrics` is
-//! what the algorithms write while running. The three constructors give
-//! the three measurement modes:
+//! through the search algorithms. `SearchStats` remains the plain data
+//! an algorithm counts into (cheap to copy, `Eq`, deterministic); each
+//! algorithm hands its counts to the bundle once, through
+//! [`SearchMetrics::add`]. The two constructors give the two
+//! measurement modes:
 //!
 //! * [`SearchMetrics::new`] — detached live counters; used by
 //!   [`run_query`](crate::search::run_query) to produce its returned
 //!   snapshot.
-//! * [`SearchMetrics::noop`] — every update is a single inlined branch
-//!   and nothing is recorded: the zero-overhead mode.
 //! * [`SearchMetrics::register`] — counters shared with a
-//!   [`MetricsRegistry`] under `search.*` names, so multiple queries
-//!   accumulate into one process-wide view (the CLI's `--stats`).
+//!   [`MetricsRegistry`] under `search.<field>` names, so multiple
+//!   queries accumulate into one process-wide view (the CLI's
+//!   `--stats`).
 //!
 //! Phase wall times (`filter_ns`, `postprocess_ns`) are histograms
 //! only: they never enter `SearchStats`, which keeps snapshots
@@ -31,53 +31,14 @@ use crate::search::answers::SearchStats;
 /// same totals.
 #[derive(Clone, Debug)]
 pub struct SearchMetrics {
-    /// Cumulative-distance-table cells computed during filtering.
-    pub filter_cells: Counter,
-    /// Tree nodes visited (edges considered) by the filter traversal.
-    pub nodes_visited: Counter,
-    /// Nodes whose subtree was fully descended into (not pruned), so
-    /// `nodes_visited == nodes_expanded + branches_pruned`.
-    pub nodes_expanded: Counter,
-    /// Edge symbols consumed (table rows pushed) during traversal.
-    pub rows_pushed: Counter,
-    /// Table rows weighted by the suffixes sharing them: the rows a
-    /// per-suffix scan would have computed. `rows_unshared /
-    /// rows_pushed` is the paper's table-sharing factor `R_d`. Metered
-    /// only when the index can report subtree suffix counts.
-    pub rows_unshared: Counter,
-    /// Subtrees pruned by Theorem 1 (plus depth/band cut-offs).
-    pub branches_pruned: Counter,
-    /// Candidates emitted by the filter (stored + shifted).
-    pub candidates: Counter,
-    /// Candidates emitted for *stored* suffixes via `D_tw-lb`
-    /// (Definition 3).
-    pub stored_candidates: Counter,
-    /// Candidates emitted for *non-stored* suffixes via `D_tw-lb2`
-    /// (Definition 4) — nonzero only on sparse indexes.
-    pub lb2_candidates: Counter,
-    /// Candidate (start, length) pairs whose exact distance was
-    /// computed in post-processing.
-    pub postprocessed: Counter,
-    /// Table cells computed during post-processing.
-    pub postprocess_cells: Counter,
-    /// Candidates rejected by exact verification (false alarms).
-    pub false_alarms: Counter,
-    /// Verified answers.
-    pub answers: Counter,
-    /// Candidates killed by the cascade's tier-1 envelope bound
-    /// (LB_Keogh) before any table cell was computed.
-    pub cascade_lb_keogh_kills: Counter,
-    /// Never incremented: the tier-2 refinement (LB_Improved) no
-    /// longer runs. Kept for the stats wire format.
-    pub cascade_lb_improved_kills: Counter,
-    /// Candidates killed by Theorem-1 early abandoning in the
-    /// cascade's exact tier.
-    pub cascade_abandon_kills: Counter,
+    /// One counter per [`SearchStats`] field, in
+    /// [`SearchStats::fields`] order.
+    counters: [Counter; 16],
     /// Wall time of the filter phase, nanoseconds per query.
     pub filter_ns: Histogram,
     /// Wall time of the post-processing phase, nanoseconds per query.
     pub postprocess_ns: Histogram,
-    /// The per-query span tree stage spans record into. All three
+    /// The per-query span tree stage spans record into. Both
     /// constructors leave this as [`Trace::noop`]; a caller that wants
     /// a trace attaches one via [`SearchMetrics::with_trace`], so
     /// tracing is sampled per query while the counters stay shared.
@@ -93,22 +54,7 @@ impl SearchMetrics {
     /// Live metrics detached from any registry.
     pub fn new() -> Self {
         SearchMetrics {
-            filter_cells: Counter::active(),
-            nodes_visited: Counter::active(),
-            nodes_expanded: Counter::active(),
-            rows_pushed: Counter::active(),
-            rows_unshared: Counter::active(),
-            branches_pruned: Counter::active(),
-            candidates: Counter::active(),
-            stored_candidates: Counter::active(),
-            lb2_candidates: Counter::active(),
-            postprocessed: Counter::active(),
-            postprocess_cells: Counter::active(),
-            false_alarms: Counter::active(),
-            answers: Counter::active(),
-            cascade_lb_keogh_kills: Counter::active(),
-            cascade_lb_improved_kills: Counter::active(),
-            cascade_abandon_kills: Counter::active(),
+            counters: std::array::from_fn(|_| Counter::active()),
             filter_ns: Histogram::active(),
             postprocess_ns: Histogram::active(),
             trace: Trace::noop(),
@@ -116,53 +62,13 @@ impl SearchMetrics {
         }
     }
 
-    /// Metrics that ignore every update (one inlined branch per
-    /// update, no atomics, no clock reads).
-    pub fn noop() -> Self {
-        SearchMetrics {
-            filter_cells: Counter::noop(),
-            nodes_visited: Counter::noop(),
-            nodes_expanded: Counter::noop(),
-            rows_pushed: Counter::noop(),
-            rows_unshared: Counter::noop(),
-            branches_pruned: Counter::noop(),
-            candidates: Counter::noop(),
-            stored_candidates: Counter::noop(),
-            lb2_candidates: Counter::noop(),
-            postprocessed: Counter::noop(),
-            postprocess_cells: Counter::noop(),
-            false_alarms: Counter::noop(),
-            answers: Counter::noop(),
-            cascade_lb_keogh_kills: Counter::noop(),
-            cascade_lb_improved_kills: Counter::noop(),
-            cascade_abandon_kills: Counter::noop(),
-            filter_ns: Histogram::noop(),
-            postprocess_ns: Histogram::noop(),
-            trace: Trace::noop(),
-            trace_parent: None,
-        }
-    }
-
-    /// Metrics registered under `search.*` names in `reg`; handles
-    /// obtained from repeated calls share totals through the registry.
+    /// Metrics registered under `search.<field>` names in `reg`;
+    /// handles obtained from repeated calls share totals through the
+    /// registry.
     pub fn register(reg: &MetricsRegistry) -> Self {
+        let names = SearchStats::default().fields();
         SearchMetrics {
-            filter_cells: reg.counter("search.filter_cells"),
-            nodes_visited: reg.counter("search.nodes_visited"),
-            nodes_expanded: reg.counter("search.nodes_expanded"),
-            rows_pushed: reg.counter("search.rows_pushed"),
-            rows_unshared: reg.counter("search.rows_unshared"),
-            branches_pruned: reg.counter("search.branches_pruned"),
-            candidates: reg.counter("search.candidates"),
-            stored_candidates: reg.counter("search.stored_candidates"),
-            lb2_candidates: reg.counter("search.lb2_candidates"),
-            postprocessed: reg.counter("search.postprocessed"),
-            postprocess_cells: reg.counter("search.postprocess_cells"),
-            false_alarms: reg.counter("search.false_alarms"),
-            answers: reg.counter("search.answers"),
-            cascade_lb_keogh_kills: reg.counter("search.cascade_lb_keogh_kills"),
-            cascade_lb_improved_kills: reg.counter("search.cascade_lb_improved_kills"),
-            cascade_abandon_kills: reg.counter("search.cascade_abandon_kills"),
+            counters: names.map(|(name, _)| reg.counter(&format!("search.{name}"))),
             filter_ns: reg.histogram("search.filter_ns"),
             postprocess_ns: reg.histogram("search.postprocess_ns"),
             trace: Trace::noop(),
@@ -202,56 +108,37 @@ impl SearchMetrics {
         m
     }
 
-    /// The current counter totals as a plain-data snapshot (phase
-    /// timings excluded — those stay in the histograms).
+    /// The current counter totals (phase timings excluded — those stay
+    /// in the histograms).
     pub fn snapshot(&self) -> SearchStats {
-        SearchStats {
-            filter_cells: self.filter_cells.get(),
-            nodes_visited: self.nodes_visited.get(),
-            nodes_expanded: self.nodes_expanded.get(),
-            rows_pushed: self.rows_pushed.get(),
-            rows_unshared: self.rows_unshared.get(),
-            branches_pruned: self.branches_pruned.get(),
-            candidates: self.candidates.get(),
-            stored_candidates: self.stored_candidates.get(),
-            lb2_candidates: self.lb2_candidates.get(),
-            postprocessed: self.postprocessed.get(),
-            postprocess_cells: self.postprocess_cells.get(),
-            false_alarms: self.false_alarms.get(),
-            answers: self.answers.get(),
-            cascade_lb_keogh_kills: self.cascade_lb_keogh_kills.get(),
-            cascade_lb_improved_kills: self.cascade_lb_improved_kills.get(),
-            cascade_abandon_kills: self.cascade_abandon_kills.get(),
+        let mut s = SearchStats::default();
+        for ((_, v), c) in s.fields_mut().into_iter().zip(&self.counters) {
+            *v = c.get();
         }
+        s
     }
 
-    /// Folds a plain-data snapshot into the counters — the bridge for
-    /// algorithms that report through `SearchStats` (e.g. the
-    /// sequential-scan baseline) into a registry-backed view.
-    pub fn record(&self, s: &SearchStats) {
-        self.filter_cells.add(s.filter_cells);
-        self.nodes_visited.add(s.nodes_visited);
-        self.nodes_expanded.add(s.nodes_expanded);
-        self.rows_pushed.add(s.rows_pushed);
-        self.rows_unshared.add(s.rows_unshared);
-        self.branches_pruned.add(s.branches_pruned);
-        self.candidates.add(s.candidates);
-        self.stored_candidates.add(s.stored_candidates);
-        self.lb2_candidates.add(s.lb2_candidates);
-        self.postprocessed.add(s.postprocessed);
-        self.postprocess_cells.add(s.postprocess_cells);
-        self.false_alarms.add(s.false_alarms);
-        self.answers.add(s.answers);
-        self.cascade_lb_keogh_kills.add(s.cascade_lb_keogh_kills);
-        self.cascade_lb_improved_kills
-            .add(s.cascade_lb_improved_kills);
-        self.cascade_abandon_kills.add(s.cascade_abandon_kills);
+    /// Adds what an algorithm counted to the totals.
+    pub fn add(&self, s: &SearchStats) {
+        for ((_, v), c) in s.fields().into_iter().zip(&self.counters) {
+            c.add(v);
+        }
     }
 }
 
 impl Default for SearchMetrics {
     fn default() -> Self {
         SearchMetrics::new()
+    }
+}
+
+/// Attaches each nonzero counter of `stats` to `span` under its field
+/// name.
+pub(crate) fn attach(span: &TraceSpan, stats: &SearchStats) {
+    for (name, v) in stats.fields() {
+        if v != 0 {
+            span.attr_u64(name, v);
+        }
     }
 }
 
@@ -262,25 +149,30 @@ mod tests {
     #[test]
     fn snapshot_reflects_updates() {
         let m = SearchMetrics::new();
-        m.nodes_visited.add(3);
-        m.branches_pruned.incr();
-        m.nodes_expanded.add(2);
+        let walk = SearchStats {
+            nodes_visited: 3,
+            branches_pruned: 1,
+            nodes_expanded: 2,
+            ..SearchStats::default()
+        };
+        m.add(&walk);
+        m.add(&walk);
         let s = m.snapshot();
-        assert_eq!(s.nodes_visited, 3);
-        assert_eq!(s.branches_pruned, 1);
-        assert_eq!(s.nodes_expanded, 2);
+        assert_eq!(s.nodes_visited, 6);
         assert_eq!(s.nodes_visited, s.nodes_expanded + s.branches_pruned);
     }
 
     #[test]
     fn record_round_trips_a_snapshot() {
+        let mut s = SearchStats::default();
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = i as u64 + 1;
+        }
         let m = SearchMetrics::new();
-        m.candidates.add(5);
-        m.answers.add(2);
-        let s = m.snapshot();
-        let m2 = SearchMetrics::new();
-        m2.record(&s);
-        assert_eq!(m2.snapshot(), s);
+        m.add(&s);
+        assert_eq!(m.snapshot(), s);
+        m.add(&s);
+        assert_eq!(m.snapshot().since(&s), s);
     }
 
     #[test]
@@ -288,8 +180,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = SearchMetrics::register(&reg);
         let b = SearchMetrics::register(&reg);
-        a.rows_pushed.add(4);
-        b.rows_pushed.add(6);
+        let rows = |n| SearchStats {
+            rows_pushed: n,
+            ..SearchStats::default()
+        };
+        a.add(&rows(4));
+        b.add(&rows(6));
         assert_eq!(reg.snapshot().counters["search.rows_pushed"], 10);
     }
 
@@ -326,10 +222,31 @@ mod tests {
     }
 
     #[test]
-    fn noop_metrics_stay_zero() {
-        let m = SearchMetrics::noop();
-        m.filter_cells.add(100);
+    fn timings_never_enter_the_snapshot() {
+        let m = SearchMetrics::new();
         m.filter_ns.record(1);
+        m.postprocess_ns.record(2);
+        m.add(&SearchStats::default());
         assert_eq!(m.snapshot(), SearchStats::default());
+    }
+
+    #[test]
+    fn stage_spans_carry_nonzero_counters_by_name() {
+        let trace = Trace::active("t");
+        let span = trace.span_with_parent(None, "filter");
+        let stats = SearchStats {
+            candidates: 5,
+            answers: 2,
+            ..SearchStats::default()
+        };
+        attach(&span, &stats);
+        drop(span);
+        let data = trace.finish().expect("trace attached");
+        let names: Vec<&str> = data.spans[0]
+            .attrs
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(names, ["candidates", "answers"]);
     }
 }

@@ -80,9 +80,10 @@ pub(crate) fn threshold_search_unchecked<T: IndexBackend + Sync>(
         return postprocess(store, query, &candidates, params, metrics);
     }
     // Traced variant: identical work, plus a span per funnel stage
-    // carrying the stage's counter deltas (per-tier kill counts). The
-    // deltas subtract a before-snapshot, so they stay per-stage even
-    // when `metrics` accumulates across rounds or queries.
+    // carrying the stage's nonzero counter deltas (per-tier kill
+    // counts). The deltas subtract a before-snapshot, so they stay
+    // per-stage even when `metrics` accumulates across rounds or
+    // queries.
     let candidates = {
         let span = metrics.trace_span("filter");
         let scoped = metrics.under(&span);
@@ -91,19 +92,7 @@ pub(crate) fn threshold_search_unchecked<T: IndexBackend + Sync>(
             let _timer = metrics.filter_ns.span();
             filter_tree(tree, alphabet, query, params, &scoped)
         };
-        let d = metrics.snapshot();
-        span.attr_u64("nodes_visited", d.nodes_visited - before.nodes_visited);
-        span.attr_u64(
-            "branches_pruned",
-            d.branches_pruned - before.branches_pruned,
-        );
-        span.attr_u64("filter_cells", d.filter_cells - before.filter_cells);
-        span.attr_u64(
-            "stored_candidates",
-            d.stored_candidates - before.stored_candidates,
-        );
-        span.attr_u64("lb2_candidates", d.lb2_candidates - before.lb2_candidates);
-        span.attr_u64("candidates", d.candidates - before.candidates);
+        metrics::attach(&span, &metrics.snapshot().since(&before));
         candidates
     };
     let span = metrics.trace_span("postprocess");
@@ -113,25 +102,6 @@ pub(crate) fn threshold_search_unchecked<T: IndexBackend + Sync>(
         let _timer = metrics.postprocess_ns.span();
         postprocess(store, query, &candidates, params, &scoped)
     };
-    let d = metrics.snapshot();
-    span.attr_u64("postprocessed", d.postprocessed - before.postprocessed);
-    span.attr_u64(
-        "postprocess_cells",
-        d.postprocess_cells - before.postprocess_cells,
-    );
-    span.attr_u64("false_alarms", d.false_alarms - before.false_alarms);
-    span.attr_u64("answers", d.answers - before.answers);
-    span.attr_u64(
-        "cascade_lb_keogh_kills",
-        d.cascade_lb_keogh_kills - before.cascade_lb_keogh_kills,
-    );
-    span.attr_u64(
-        "cascade_lb_improved_kills",
-        d.cascade_lb_improved_kills - before.cascade_lb_improved_kills,
-    );
-    span.attr_u64(
-        "cascade_abandon_kills",
-        d.cascade_abandon_kills - before.cascade_abandon_kills,
-    );
+    metrics::attach(&span, &metrics.snapshot().since(&before));
     answers
 }

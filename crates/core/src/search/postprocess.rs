@@ -15,7 +15,7 @@
 
 use crate::dtw::WarpTable;
 use crate::parallel::parallel_map_with;
-use crate::search::answers::{AnswerSet, CandidateGroups, Match, SearchParams};
+use crate::search::answers::{AnswerSet, CandidateGroups, Match, SearchParams, SearchStats};
 use crate::search::cascade::QueryEnvelope;
 use crate::search::metrics::SearchMetrics;
 use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
@@ -28,7 +28,7 @@ const GROUPS_PER_TASK: usize = 32;
 impl CandidateGroups {
     /// Contiguous runs of [`GROUPS_PER_TASK`] group indices, in order —
     /// the deterministic unit of parallel verification work.
-    pub(crate) fn tasks(&self) -> Vec<std::ops::Range<usize>> {
+    fn tasks(&self) -> Vec<std::ops::Range<usize>> {
         (0..self.len())
             .step_by(GROUPS_PER_TASK)
             .map(|lo| lo..(lo + GROUPS_PER_TASK).min(self.len()))
@@ -42,7 +42,7 @@ impl CandidateGroups {
 /// groups a query produces. The tallies reach the query's metrics
 /// once, through [`finish`](Self::finish).
 #[derive(Debug)]
-pub(crate) struct Verifier {
+struct Verifier {
     table: WarpTable,
     /// Candidate lengths still alive after tier 1.
     survivors: Vec<u32>,
@@ -50,33 +50,27 @@ pub(crate) struct Verifier {
     /// threshold-pruned rows (reversed LB_Keogh over the candidate's
     /// value range).
     rem: Vec<f64>,
-    postprocessed: u64,
-    false_alarms: u64,
-    lb_keogh_kills: u64,
-    abandon_kills: u64,
+    /// What this worker counted, cells aside.
+    tallies: SearchStats,
 }
 
 impl Verifier {
     /// A worker for `query` under an optional Sakoe–Chiba band.
-    pub(crate) fn new(query: &[Value], window: Option<u32>) -> Self {
+    fn new(query: &[Value], window: Option<u32>) -> Self {
         Verifier {
             table: WarpTable::new(query, window),
             survivors: Vec::new(),
             rem: Vec::new(),
-            postprocessed: 0,
-            false_alarms: 0,
-            lb_keogh_kills: 0,
-            abandon_kills: 0,
+            tallies: SearchStats::default(),
         }
     }
 
-    /// Adds this worker's cells and tallies to `metrics`.
-    pub(crate) fn finish(self, metrics: &SearchMetrics) {
-        metrics.postprocess_cells.add(self.table.cells_computed());
-        metrics.postprocessed.add(self.postprocessed);
-        metrics.false_alarms.add(self.false_alarms);
-        metrics.cascade_lb_keogh_kills.add(self.lb_keogh_kills);
-        metrics.cascade_abandon_kills.add(self.abandon_kills);
+    /// Everything this worker counted, its cells included.
+    fn finish(self) -> SearchStats {
+        SearchStats {
+            postprocess_cells: self.table.cells_computed(),
+            ..self.tallies
+        }
     }
 }
 
@@ -97,9 +91,7 @@ impl Verifier {
 /// One shared table serves every surviving length of the group (row `r`
 /// is the exact distance of the length-`r` candidate) and Theorem-1
 /// early abandoning rejects all remaining longer lengths at once.
-/// `limit` is ε for threshold search; the k-NN heap passes a tighter
-/// bound once k answers are known (see [`crate::search::knn`]).
-pub(crate) fn verify_group(
+fn verify_group(
     store: &SequenceStore,
     worker: &mut Verifier,
     (seq, start): (SeqId, u32),
@@ -112,12 +104,9 @@ pub(crate) fn verify_group(
         table,
         survivors,
         rem,
-        postprocessed,
-        false_alarms,
-        lb_keogh_kills,
-        abandon_kills,
+        tallies,
     } = worker;
-    *postprocessed += lens.len() as u64;
+    tallies.postprocessed += lens.len() as u64;
     let whole = store.get(seq);
     assert!(
         (start as usize) < whole.len(),
@@ -170,8 +159,8 @@ pub(crate) fn verify_group(
             }
         }
         let tier1_kills = (lens.len() - survivors.len()) as u64;
-        *lb_keogh_kills += tier1_kills;
-        *false_alarms += tier1_kills;
+        tallies.cascade_lb_keogh_kills += tier1_kills;
+        tallies.false_alarms += tier1_kills;
         if survivors.is_empty() {
             return;
         }
@@ -206,7 +195,7 @@ pub(crate) fn verify_group(
                     dist: stat.dist,
                 });
             } else {
-                *false_alarms += 1;
+                tallies.false_alarms += 1;
             }
             next += 1;
         }
@@ -214,9 +203,9 @@ pub(crate) fn verify_group(
             // Theorem 1: every remaining (longer) candidate of this
             // start is a false alarm.
             let rest = (lens.len() - next) as u64;
-            *false_alarms += rest;
+            tallies.false_alarms += rest;
             if cascade.is_some() {
-                *abandon_kills += rest;
+                tallies.cascade_abandon_kills += rest;
             }
             next = lens.len();
             break;
@@ -276,10 +265,14 @@ pub fn postprocess(
         answers.extend(matches);
     }
     answers.sort();
+    let mut counted = SearchStats {
+        answers: answers.len() as u64,
+        ..SearchStats::default()
+    };
     for worker in workers {
-        worker.finish(metrics);
+        counted.merge(&worker.finish());
     }
-    metrics.answers.add(answers.len() as u64);
+    metrics.add(&counted);
     answers
 }
 

@@ -189,6 +189,17 @@ impl QueryRequest {
             _ => Err(CoreError::DepthLimitExceeded { limit, requested }),
         }
     }
+
+    /// The stats of this request once it has answered `out` under
+    /// `metrics`: for k-NN requests `answers` reads as the result count
+    /// actually returned, not the per-round verified total.
+    pub fn final_stats(&self, out: &QueryOutput, metrics: &SearchMetrics) -> SearchStats {
+        let mut stats = metrics.snapshot();
+        if matches!(self.kind, QueryKind::Knn(_)) {
+            stats.answers = out.len() as u64;
+        }
+        stats
+    }
 }
 
 /// Coverage accounting for a query that may have run over a partially
@@ -369,10 +380,8 @@ pub fn run_query_with<T: IndexBackend + Sync>(
     }
 }
 
-/// [`run_query_with`] on fresh metrics, returning the final
-/// [`SearchStats`] snapshot alongside the output. For k-NN requests the
-/// snapshot's `answers` field reads as the result count actually
-/// returned, not the per-round verified total.
+/// [`run_query_with`] on fresh metrics, returning the request's
+/// [`final_stats`](QueryRequest::final_stats) alongside the output.
 pub fn run_query<T: IndexBackend + Sync>(
     tree: &T,
     alphabet: &Alphabet,
@@ -381,10 +390,7 @@ pub fn run_query<T: IndexBackend + Sync>(
 ) -> Result<(QueryOutput, SearchStats), CoreError> {
     let metrics = SearchMetrics::new();
     let out = run_query_with(tree, alphabet, store, req, &metrics)?;
-    let mut stats = metrics.snapshot();
-    if matches!(req.kind, QueryKind::Knn(_)) {
-        stats.answers = out.len() as u64;
-    }
+    let stats = req.final_stats(&out, &metrics);
     Ok((out, stats))
 }
 

@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use warptree_core::categorize::{CatStore, Symbol};
+use warptree_core::parallel::parallel_map;
 use warptree_core::sequence::SeqId;
 use warptree_obs::{Counter, Histogram, MetricsRegistry};
 
@@ -433,23 +434,24 @@ impl IncrementalBuilder {
     fn build_inner(&self, out: &Path) -> Result<u64> {
         self.vfs.create_dir_all(&self.work_dir)?;
         // Level 0: one file per batch, built in parallel.
-        let mut ranges: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         let n = self.cat.len();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + self.batch_size).min(n);
-            ranges.push((ranges.len(), start..end));
-            start = end;
-        }
-        let level: Vec<PathBuf> = self.parallel_map(&ranges, |(idx, range)| {
+        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(self.batch_size)
+            .map(|start| start..(start + self.batch_size).min(n))
+            .collect();
+        // Batches and same-level merges are independent; the first error
+        // in input order wins.
+        let level = parallel_map(self.threads, ranges, |idx, range| {
             let span = self.metrics.batch_ns.span();
-            let tree = self.build_batch(range.clone());
-            let path = self.tmp_path(0, *idx);
+            let tree = self.build_batch(range);
+            let path = self.tmp_path(0, idx);
             write_tree_with(self.vfs.as_ref(), &tree, &path)?;
             drop(span);
             self.metrics.batches.incr();
             Ok(path)
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<PathBuf>>>()?;
         if level.is_empty() {
             // Empty database: a root-only tree.
             let mut t =
@@ -465,28 +467,26 @@ impl IncrementalBuilder {
         let mut level = level;
         let mut depth = 1usize;
         while level.len() > 1 {
-            let pairs: Vec<(usize, Vec<PathBuf>)> = level
-                .chunks(2)
-                .enumerate()
-                .map(|(i, pair)| (i, pair.to_vec()))
-                .collect();
-            level = self.parallel_map(&pairs, |(i, pair)| {
+            let pairs: Vec<Vec<PathBuf>> = level.chunks(2).map(<[PathBuf]>::to_vec).collect();
+            level = parallel_map(self.threads, pairs, |i, mut pair| {
                 if pair.len() == 1 {
-                    return Ok(pair[0].clone());
+                    return Ok(pair.remove(0));
                 }
                 let span = self.metrics.merge_ns.span();
                 let ta =
                     DiskTree::open_with(self.vfs.as_ref(), &pair[0], self.cat.clone(), 64, 1024)?;
                 let tb =
                     DiskTree::open_with(self.vfs.as_ref(), &pair[1], self.cat.clone(), 64, 1024)?;
-                let path = self.tmp_path(depth, *i);
+                let path = self.tmp_path(depth, i);
                 merge_trees_with(self.vfs.as_ref(), &ta, &tb, &self.cat, &path)?;
                 self.vfs.remove_file(&pair[0])?;
                 self.vfs.remove_file(&pair[1])?;
                 drop(span);
                 self.metrics.merges.incr();
                 Ok(path)
-            })?;
+            })
+            .into_iter()
+            .collect::<Result<Vec<PathBuf>>>()?;
             depth += 1;
         }
         self.vfs.rename(&level[0], out)?;
@@ -550,38 +550,6 @@ impl IncrementalBuilder {
                 tree
             }
         }
-    }
-
-    /// Applies `f` to every item, using up to `self.threads` workers,
-    /// preserving input order. Sequential when `threads == 1`.
-    fn parallel_map<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(&T) -> Result<R> + Sync,
-    ) -> Result<Vec<R>> {
-        if self.threads == 1 || items.len() <= 1 {
-            return items.iter().map(&f).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<parking_lot::Mutex<Option<Result<R>>>> = items
-            .iter()
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(items.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(f(&items[i]));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("worker filled every slot"))
-            .collect()
     }
 
     fn tmp_path(&self, depth: usize, idx: usize) -> PathBuf {

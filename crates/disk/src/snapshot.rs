@@ -32,8 +32,8 @@ use std::sync::Arc;
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
-    run_query_with, BackendKind, Coverage, QueryKind, QueryOutput, QueryRequest, SearchMetrics,
-    SearchStats, SegmentedIndex,
+    run_query_with, BackendKind, Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats,
+    SegmentedIndex,
 };
 use warptree_core::sequence::{SeqId, SequenceStore};
 
@@ -132,16 +132,6 @@ pub struct DegradedQuery {
     pub detected: Vec<String>,
 }
 
-/// The final stats of one query: for k-NN requests `answers` reads as
-/// the result count actually returned, not the per-round verified total.
-fn final_stats(req: &QueryRequest, out: &QueryOutput, metrics: &SearchMetrics) -> SearchStats {
-    let mut stats = metrics.snapshot();
-    if matches!(req.kind, QueryKind::Knn(_)) {
-        stats.answers = out.len() as u64;
-    }
-    stats
-}
-
 impl DirSnapshot {
     /// Every live tree: the base, then the tail segments.
     pub fn live_trees(&self) -> impl Iterator<Item = &AnyIndex> {
@@ -179,7 +169,7 @@ impl DirSnapshot {
     ) -> std::result::Result<(QueryOutput, SearchStats), CoreError> {
         let metrics = SearchMetrics::new();
         let out = self.query_with(req, &metrics)?;
-        let stats = final_stats(req, &out, &metrics);
+        let stats = req.final_stats(&out, &metrics);
         Ok((out, stats))
     }
 
@@ -293,7 +283,7 @@ impl DirSnapshot {
             }));
             match attempt {
                 Ok(Ok(mut output)) => {
-                    let stats = final_stats(req, &output, &metrics);
+                    let stats = req.final_stats(&output, &metrics);
                     if !detected.is_empty() || !self.quarantined.is_empty() {
                         output = output.with_coverage(self.coverage(&detected));
                     }

@@ -799,25 +799,13 @@ pub fn encode_coverage(c: &warptree_core::search::Coverage) -> String {
 /// `explain` response — one encoder for the shard server and the
 /// coordinator's merged stats, so the two are byte-comparable.
 pub fn encode_stats(s: &SearchStats) -> String {
-    format!(
-        "{{\"filter_cells\":{},\"nodes_visited\":{},\"nodes_expanded\":{},\"rows_pushed\":{},\"rows_unshared\":{},\"branches_pruned\":{},\"candidates\":{},\"stored_candidates\":{},\"lb2_candidates\":{},\"postprocessed\":{},\"postprocess_cells\":{},\"false_alarms\":{},\"answers\":{},\"cascade_lb_keogh_kills\":{},\"cascade_lb_improved_kills\":{},\"cascade_abandon_kills\":{}}}",
-        s.filter_cells,
-        s.nodes_visited,
-        s.nodes_expanded,
-        s.rows_pushed,
-        s.rows_unshared,
-        s.branches_pruned,
-        s.candidates,
-        s.stored_candidates,
-        s.lb2_candidates,
-        s.postprocessed,
-        s.postprocess_cells,
-        s.false_alarms,
-        s.answers,
-        s.cascade_lb_keogh_kills,
-        s.cascade_lb_improved_kills,
-        s.cascade_abandon_kills,
-    )
+    let mut out = String::from("{");
+    for (i, (name, v)) in s.fields().into_iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{name}\":{v}");
+    }
+    out.push('}');
+    out
 }
 
 /// Opens a success response:

@@ -646,7 +646,7 @@ fn degraded_query(
 ) -> Result<(QueryOutput, SearchStats), String> {
     match snap.query_degraded_traced(req, &job.trace) {
         Ok(dq) => {
-            job.ctx.search_metrics.record(&dq.stats);
+            job.ctx.search_metrics.add(&dq.stats);
             if !dq.detected.is_empty() {
                 quarantine_detected(job, &dq.detected);
             }

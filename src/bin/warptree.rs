@@ -1410,7 +1410,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         // The scan reports through the plain snapshot; bridge it into a
         // registry so the dump has the same shape as the indexed paths.
         let reg = MetricsRegistry::new();
-        SearchMetrics::register(&reg).record(&stats);
+        SearchMetrics::register(&reg).add(&stats);
         emit_stats(fmt, &reg);
     }
     Ok(())

@@ -235,26 +235,10 @@ impl Index {
         threads: usize,
         metrics: &SearchMetrics,
     ) -> Vec<AnswerSet> {
-        let threads = threads.max(1).min(queries.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut results: Vec<Option<AnswerSet>> = vec![None; queries.len()];
-        let slots = std::sync::Mutex::new(&mut results);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let answers = self.search_with(&queries[i], params, metrics);
-                    slots.lock().unwrap()[i] = Some(answers);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect()
+        let queries: Vec<&[Value]> = queries.iter().map(Vec::as_slice).collect();
+        warptree_core::parallel::parallel_map(threads, queries, |_, q| {
+            self.search_with(q, params, metrics)
+        })
     }
 
     /// Explains a match: the exact warping path aligning the query with
