@@ -35,6 +35,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use warptree_core::parallel::parallel_map;
 use warptree_core::search::{Match, SearchStats};
 use warptree_disk::{read_shard_manifest, ShardManifest};
 use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
@@ -484,9 +485,7 @@ fn call_shard(
 }
 
 /// Fans `body` out to every shard over up to `state.workers` lanes.
-/// With one lane this is a plain sequential loop; with more, shards
-/// are chunked across scoped threads and every reply lands in its
-/// shard's slot, so reply order never depends on completion order.
+/// Replies come back in shard order, whatever order they complete in.
 fn scatter(
     state: &CoordState,
     conns: &mut [ShardConn],
@@ -494,39 +493,10 @@ fn scatter(
     trace: &Trace,
     parent: Option<u32>,
 ) -> Vec<ShardReply> {
-    let n = conns.len();
-    let lanes = state.workers.min(n).max(1);
-    if lanes == 1 {
-        return conns
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| call_shard(state, i, c, body, trace, parent))
-            .collect();
-    }
-    let chunk = n.div_ceil(lanes);
-    let mut replies: Vec<Option<ShardReply>> = Vec::with_capacity(n);
-    replies.resize_with(n, || None);
-    std::thread::scope(|s| {
-        for (ci, (conn_chunk, reply_chunk)) in conns
-            .chunks_mut(chunk)
-            .zip(replies.chunks_mut(chunk))
-            .enumerate()
-        {
-            s.spawn(move || {
-                for (j, (conn, slot)) in conn_chunk
-                    .iter_mut()
-                    .zip(reply_chunk.iter_mut())
-                    .enumerate()
-                {
-                    *slot = Some(call_shard(state, ci * chunk + j, conn, body, trace, parent));
-                }
-            });
-        }
-    });
-    replies
-        .into_iter()
-        .map(|r| r.expect("scatter filled every slot"))
-        .collect()
+    let lanes = state.workers.min(conns.len());
+    parallel_map(lanes, conns.iter_mut().collect(), |i, conn| {
+        call_shard(state, i, conn, body, trace, parent)
+    })
 }
 
 /// Outcomes of gathering one scatter: either every answering shard

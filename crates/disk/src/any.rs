@@ -21,10 +21,92 @@ use warptree_core::sequence::SeqId;
 use warptree_esa::EsaNode;
 
 use crate::error::{DiskError, Result};
-use crate::esa::DiskEsa;
-use crate::format::{DiskTree, Header};
-use crate::pager::IoStats;
+use crate::esa::{DiskEsa, EsaHeader};
+use crate::format::{DiskTree, Header, HEADER_SIZE};
+use crate::pager::{IoStats, PagedReader};
 use crate::vfs::Vfs;
+
+/// What a committed index's 64-byte header records of its shape: all
+/// that append, heal and compaction need to build a segment that
+/// matches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexShape {
+    /// Alphabet length the symbols were drawn from.
+    pub alphabet_len: u32,
+    /// `true` when only the §6.1 suffix subset is stored.
+    pub sparse: bool,
+    /// Answer-length cap of a §8-truncated tree (`None` = full).
+    pub depth_limit: Option<u32>,
+}
+
+/// The 64-byte header of either index format.
+pub(crate) trait IndexHeader: Sized {
+    /// Parses and validates the header bytes.
+    fn parse(buf: &[u8]) -> Result<Self>;
+    /// What the header records of the index's shape.
+    fn shape(&self) -> IndexShape;
+}
+
+impl IndexHeader for Header {
+    fn parse(buf: &[u8]) -> Result<Self> {
+        Header::decode(buf)
+    }
+
+    fn shape(&self) -> IndexShape {
+        IndexShape {
+            alphabet_len: self.alphabet_len,
+            sparse: self.sparse,
+            depth_limit: self.depth_limit,
+        }
+    }
+}
+
+impl IndexHeader for EsaHeader {
+    fn parse(buf: &[u8]) -> Result<Self> {
+        EsaHeader::decode(buf)
+    }
+
+    fn shape(&self) -> IndexShape {
+        IndexShape {
+            alphabet_len: self.alphabet_len,
+            sparse: self.sparse,
+            depth_limit: None,
+        }
+    }
+}
+
+/// The first half of opening an index file of either format: its pager
+/// (a pool of `cache_pages`), its header, whose alphabet must be
+/// `alphabet` when one is given, and its file name — the segment
+/// identity its errors and reports carry.
+pub(crate) fn open_headed<H: IndexHeader>(
+    vfs: &dyn Vfs,
+    path: &Path,
+    cache_pages: usize,
+    alphabet: Option<u32>,
+) -> Result<(PagedReader, H, String)> {
+    let reader = PagedReader::open_with(vfs, path, cache_pages)?;
+    let mut buf = [0u8; HEADER_SIZE as usize];
+    reader.read_exact_at(0, &mut buf)?;
+    let header = H::parse(&buf)?;
+    let file = header.shape().alphabet_len;
+    if let Some(store) = alphabet.filter(|&store| store != file) {
+        return Err(DiskError::BadHeader(format!(
+            "alphabet mismatch: file {file} vs store {store}"
+        )));
+    }
+    let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+    Ok((reader, header, name.unwrap_or_default()))
+}
+
+/// The shape of the `backend` index at `path`, read from its header
+/// alone (one page, whatever the size of the index).
+pub fn index_shape(vfs: &dyn Vfs, path: &Path, backend: BackendKind) -> Result<IndexShape> {
+    Ok(match backend {
+        BackendKind::Tree => open_headed::<Header>(vfs, path, 1, None)?.1.shape(),
+        BackendKind::Esa => open_headed::<EsaHeader>(vfs, path, 1, None)?.1.shape(),
+    })
+}
 
 /// A disk-resident index of either backend, opened per the manifest's
 /// recorded [`BackendKind`].
@@ -84,19 +166,10 @@ impl AnyIndex {
         cache_nodes: usize,
     ) -> Result<Self> {
         match backend {
-            BackendKind::Tree => Ok(AnyIndex::Tree(DiskTree::open_with(
-                vfs,
-                path,
-                cat,
-                cache_pages,
-                cache_nodes,
-            )?)),
-            BackendKind::Esa => Ok(AnyIndex::Esa(DiskEsa::open_with(
-                vfs,
-                path,
-                cat,
-                cache_pages,
-            )?)),
+            BackendKind::Tree => {
+                DiskTree::open_with(vfs, path, cat, cache_pages, cache_nodes).map(AnyIndex::Tree)
+            }
+            BackendKind::Esa => DiskEsa::open_with(vfs, path, cat, cache_pages).map(AnyIndex::Esa),
         }
     }
 
@@ -172,12 +245,19 @@ impl AnyIndex {
         }
     }
 
-    /// Walks every physical page of the file through the CRC check,
-    /// bypassing caches (the scrub / `verify --deep` primitive).
-    pub fn verify_pages(&self) -> Result<u64> {
-        match self {
-            AnyIndex::Tree(t) => t.verify_pages(),
-            AnyIndex::Esa(e) => e.verify_pages(),
+    /// The parse step of a committed index file's check (the one `verify`
+    /// and scrub run): opens `path` as `backend`, which validates an
+    /// ESA's arrays whole, and decodes every record of a tree
+    /// ([`DiskTree::verify_records`]).
+    pub fn check(
+        vfs: &dyn Vfs,
+        path: &Path,
+        cat: Arc<CatStore>,
+        backend: BackendKind,
+    ) -> Result<()> {
+        match Self::open_with(vfs, path, cat, backend, 2, 1)? {
+            AnyIndex::Tree(t) => t.verify_records(),
+            AnyIndex::Esa(_) => Ok(()),
         }
     }
 
@@ -310,7 +390,19 @@ mod tests {
             IndexBackend::suffix_count(&esa)
         );
         assert!(esa.resident_bytes() > 0);
-        assert!(esa.verify_pages().unwrap() >= 1);
+        // Both files pass the committed-file check, and their headers
+        // give the same shape.
+        for (path, backend) in [
+            (&tree_path, BackendKind::Tree),
+            (&esa_path, BackendKind::Esa),
+        ] {
+            AnyIndex::check(&RealVfs, path, tree.cat().clone(), backend).unwrap();
+            let shape = index_shape(&RealVfs, path, backend).unwrap();
+            assert_eq!(
+                (shape.alphabet_len, shape.sparse, shape.depth_limit),
+                (2, false, None)
+            );
+        }
 
         std::fs::remove_file(&tree_path).unwrap();
         std::fs::remove_file(&esa_path).unwrap();

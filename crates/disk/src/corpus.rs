@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! paged stream:
-//!   magic   [u8;8] = "WARPCORP", version u32 = 1
+//!   magic   [u8;8] = "WARPCORP", version u32 = 2
 //!   method  u32    (0 EL, 1 ME, 2 singleton, 3 k-means)
 //!   n_categories u32
 //!   n_sequences  u32
@@ -21,14 +21,17 @@
 //!                    len u32, len × f64 }
 //! ```
 //!
-//! Version 1 files (no name fields) are still readable.
+//! The decoder reads the stream's bytes once and trusts no count in
+//! them: each is checked against the bytes left before anything is
+//! sized by it, so a forged one is a typed error, not an allocation.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use warptree_core::categorize::{Alphabet, CatStore, CategorizationMethod};
+use warptree_core::categorize::{Alphabet, CatStore, CategorizationMethod, Category};
 use warptree_core::sequence::{Sequence, SequenceStore};
 
+use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
 use crate::pager::{PagedReader, PagedWriter};
 use crate::vfs::{RealVfs, Vfs};
@@ -36,28 +39,14 @@ use crate::vfs::{RealVfs, Vfs};
 const MAGIC: &[u8; 8] = b"WARPCORP";
 const VERSION: u32 = 2;
 
-fn method_code(m: CategorizationMethod) -> u32 {
-    match m {
-        CategorizationMethod::EqualLength => 0,
-        CategorizationMethod::MaxEntropy => 1,
-        CategorizationMethod::Singleton => 2,
-        CategorizationMethod::KMeans => 3,
-    }
-}
-
-fn method_from_code(code: u32) -> Result<CategorizationMethod> {
-    Ok(match code {
-        0 => CategorizationMethod::EqualLength,
-        1 => CategorizationMethod::MaxEntropy,
-        2 => CategorizationMethod::Singleton,
-        3 => CategorizationMethod::KMeans,
-        m => {
-            return Err(DiskError::BadHeader(format!(
-                "unknown categorization method {m}"
-            )))
-        }
-    })
-}
+/// Categorization methods by their code in the file (0 EL, 1 ME, 2
+/// singleton, 3 k-means).
+const METHODS: [CategorizationMethod; 4] = [
+    CategorizationMethod::EqualLength,
+    CategorizationMethod::MaxEntropy,
+    CategorizationMethod::Singleton,
+    CategorizationMethod::KMeans,
+];
 
 /// Saves the store and alphabet to `path`, returning the file's logical
 /// size in bytes.
@@ -75,7 +64,8 @@ pub fn save_corpus_with(
     let mut w = PagedWriter::create_with(vfs, path)?;
     w.write(MAGIC)?;
     w.write(&VERSION.to_le_bytes())?;
-    w.write(&method_code(alphabet.method()).to_le_bytes())?;
+    let method = METHODS.iter().position(|&m| m == alphabet.method());
+    w.write(&(method.expect("every method has a code") as u32).to_le_bytes())?;
     w.write(&(alphabet.len() as u32).to_le_bytes())?;
     w.write(&(store.len() as u32).to_le_bytes())?;
     for c in alphabet.categories() {
@@ -95,45 +85,6 @@ pub fn save_corpus_with(
     w.finish(&[])
 }
 
-/// A reader cursor over the logical byte space.
-struct Cursor<'a> {
-    r: &'a PagedReader,
-    pos: u64,
-}
-
-impl Cursor<'_> {
-    fn u32(&mut self) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.r.read_exact_at(self.pos, &mut b)?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        let mut b = [0u8; 8];
-        self.r.read_exact_at(self.pos, &mut b)?;
-        self.pos += 8;
-        Ok(f64::from_le_bytes(b))
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>> {
-        let mut raw = vec![0u8; n];
-        self.r.read_exact_at(self.pos, &mut raw)?;
-        self.pos += n as u64;
-        Ok(raw)
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>> {
-        let mut raw = vec![0u8; 8 * n];
-        self.r.read_exact_at(self.pos, &mut raw)?;
-        self.pos += 8 * n as u64;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
 /// Loads a corpus file: the sequence store, the alphabet, and the
 /// re-derived categorized store.
 pub fn load_corpus(path: &Path) -> Result<(SequenceStore, Alphabet, Arc<CatStore>)> {
@@ -145,74 +96,56 @@ pub fn load_corpus_with(
     vfs: &dyn Vfs,
     path: &Path,
 ) -> Result<(SequenceStore, Alphabet, Arc<CatStore>)> {
-    let r = PagedReader::open_with(vfs, path, 16)?;
-    let mut magic = [0u8; 8];
-    r.read_exact_at(0, &mut magic)?;
-    if &magic != MAGIC {
+    let r = PagedReader::open_with(vfs, path, 2)?;
+    // The logical bytes, read once: every count below is bounded by the
+    // bytes there are before anything is sized by it.
+    let mut raw = vec![0u8; r.logical_len() as usize];
+    r.read_exact_at(0, &mut raw)?;
+    let mut cur = Cursor::new(&raw, DiskError::BadRecord);
+    if cur.take(8)? != MAGIC {
         return Err(DiskError::BadHeader("not a corpus file".into()));
     }
-    let mut cur = Cursor { r: &r, pos: 8 };
     let version = cur.u32()?;
-    if version != 1 && version != VERSION {
+    if version != VERSION {
         return Err(DiskError::BadHeader(format!(
             "unsupported corpus version {version}"
         )));
     }
-    let method = cur.u32()?;
+    let code = cur.u32()?;
+    let method = *(METHODS.get(code as usize))
+        .ok_or_else(|| DiskError::BadHeader(format!("unknown categorization method {code}")))?;
     let n_cats = cur.u32()? as usize;
-    let n_seqs = cur.u32()? as usize;
-    let mut boundaries = Vec::with_capacity(n_cats);
-    for _ in 0..n_cats {
-        let lo = cur.f64()?;
-        let hi = cur.f64()?;
-        let lb = cur.f64()?;
-        let ub = cur.f64()?;
-        boundaries.push((lo, hi, lb, ub));
-    }
+    let n_seqs = cur.u32()?;
+    let bounds = cur.f64s(n_cats.saturating_mul(4))?;
+    let categories: Vec<Category> = (bounds.chunks_exact(4))
+        .map(|b| Category {
+            lo: b[0],
+            hi: b[1],
+            lb: b[2],
+            ub: b[3],
+        })
+        .collect();
     let mut store = SequenceStore::new();
     for _ in 0..n_seqs {
-        let name = if version >= 2 {
-            let name_len = cur.u32()? as usize;
-            if name_len > 4096 {
-                return Err(DiskError::BadRecord(
-                    "implausible sequence name length".into(),
-                ));
-            }
-            let raw = cur.bytes(name_len)?;
-            let text = String::from_utf8(raw)
-                .map_err(|_| DiskError::BadRecord("sequence name is not UTF-8".into()))?;
-            if text.is_empty() {
-                None
-            } else {
-                Some(text)
-            }
-        } else {
-            None
-        };
+        let name = cur.text(4096, "sequence name")?;
         let len = cur.u32()? as usize;
         let values = cur.f64s(len)?;
         if values.iter().any(|v| !v.is_finite()) {
             return Err(DiskError::BadRecord("non-finite value in corpus".into()));
         }
         match name {
-            Some(n) => store.push_named(Sequence::new(values), n),
-            None => store.push(Sequence::new(values)),
+            "" => store.push(Sequence::new(values)),
+            name => store.push_named(Sequence::new(values), name),
         };
     }
-    let method = method_from_code(method)?;
-    let categories: Vec<warptree_core::categorize::Category> = boundaries
-        .iter()
-        .map(|&(lo, hi, lb, ub)| warptree_core::categorize::Category { lo, hi, lb, ub })
-        .collect();
-    for c in &categories {
-        if !(c.lo <= c.hi && c.lb <= c.ub) {
-            return Err(DiskError::BadRecord("category bounds out of order".into()));
-        }
+    if categories.is_empty() {
+        return Err(DiskError::BadRecord("corpus has no categories".into()));
     }
-    for w in categories.windows(2) {
-        if w[0].lo > w[1].lo {
-            return Err(DiskError::BadRecord("categories not ordered".into()));
-        }
+    if categories.iter().any(|c| !(c.lo <= c.hi && c.lb <= c.ub)) {
+        return Err(DiskError::BadRecord("category bounds out of order".into()));
+    }
+    if categories.windows(2).any(|w| w[0].lo > w[1].lo) {
+        return Err(DiskError::BadRecord("categories not ordered".into()));
     }
     let alphabet = Alphabet::from_parts(categories, method);
     let cat = Arc::new(alphabet.encode_store(&store));
@@ -277,6 +210,49 @@ mod tests {
         use warptree_core::sequence::SeqId;
         assert_eq!(s2.name(SeqId(0)), Some("AAPL"));
         assert_eq!(s2.name(SeqId(1)), None);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A count forged to `u32::MAX` behind a re-sealed page CRC — the
+    /// category count, or one sequence's length — asks the decoder for
+    /// up to 128 GiB. It must come back as a typed error, sized by the
+    /// bytes the file has, never as an allocation of what it claims.
+    #[test]
+    fn forged_counts_are_typed_errors_not_allocations() {
+        use crate::pager::{PAGE_DATA, PAGE_SIZE};
+        let store = SequenceStore::from_values(vec![vec![1.0, 5.0, 9.0], vec![3.0, 3.0]]);
+        let alpha = Alphabet::equal_length(&store, 4).unwrap();
+        // Logical offsets, all on the first page: the header's
+        // `n_categories`, then the first sequence's `len`, behind its
+        // empty name.
+        let first_len_at = 24 + 32 * alpha.len() + 4;
+        let path = tmp("forged");
+        for at in [16, first_len_at] {
+            save_corpus(&store, &alpha, &path).unwrap();
+            let mut raw = std::fs::read(&path).unwrap();
+            raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let crc = crate::crc::crc32(&raw[..PAGE_DATA]);
+            raw[PAGE_DATA..PAGE_SIZE].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &raw).unwrap();
+            match load_corpus(&path) {
+                Err(DiskError::BadRecord(m)) => assert_eq!(m, "truncated", "offset {at}"),
+                other => panic!(
+                    "offset {at}: expected a BadRecord, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        // No categories at all: an alphabet needs at least one.
+        let mut w = PagedWriter::create(&path).unwrap();
+        w.write(MAGIC).unwrap();
+        for word in [VERSION, 0, 0, 0] {
+            w.write(&word.to_le_bytes()).unwrap();
+        }
+        w.finish(&[]).unwrap();
+        match load_corpus(&path) {
+            Err(DiskError::BadRecord(m)) => assert_eq!(m, "corpus has no categories"),
+            other => panic!("expected a BadRecord, got {:?}", other.map(|_| ())),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

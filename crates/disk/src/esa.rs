@@ -46,6 +46,7 @@ use warptree_core::search::{BackendKind, IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 use warptree_esa::{Entry, EsaIndex, EsaNode, IntervalRec};
 
+use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::pager::{IoStats, PagedReader, PagedWriter};
 use crate::vfs::{RealVfs, Vfs};
@@ -184,8 +185,8 @@ pub fn write_esa_with(vfs: &dyn Vfs, esa: &EsaIndex, path: &Path) -> Result<u64>
 
 /// A disk-resident enhanced suffix array, query-ready through
 /// [`IndexBackend`]. The flat arrays are loaded eagerly through the
-/// CRC-checked pager at open; the reader is kept only for
-/// [`verify_pages`](Self::verify_pages) and I/O accounting.
+/// CRC-checked pager at open; the reader is kept only for I/O
+/// accounting.
 pub struct DiskEsa {
     reader: PagedReader,
     header: EsaHeader,
@@ -197,7 +198,7 @@ pub struct DiskEsa {
 impl DiskEsa {
     /// Opens an ESA file against the categorized store its entries
     /// reference. `cache_pages` sizes the page buffer pool used for the
-    /// eager load and later page verification.
+    /// eager load.
     pub fn open(path: &Path, cat: Arc<CatStore>, cache_pages: usize) -> Result<Self> {
         Self::open_with(&RealVfs, path, cat, cache_pages)
     }
@@ -209,17 +210,8 @@ impl DiskEsa {
         cat: Arc<CatStore>,
         cache_pages: usize,
     ) -> Result<Self> {
-        let reader = PagedReader::open_with(vfs, path, cache_pages.max(2))?;
-        let mut buf = vec![0u8; ESA_HEADER_SIZE as usize];
-        reader.read_exact_at(0, &mut buf)?;
-        let header = EsaHeader::decode(&buf)?;
-        if header.alphabet_len != cat.alphabet_len() {
-            return Err(DiskError::BadHeader(format!(
-                "alphabet mismatch: file {} vs store {}",
-                header.alphabet_len,
-                cat.alphabet_len()
-            )));
-        }
+        let (reader, header, source) =
+            open_headed::<EsaHeader>(vfs, path, cache_pages.max(2), Some(cat.alphabet_len()))?;
         // A forged count must not wrap the sum past the overrun check and
         // size an allocation by it.
         let end = [
@@ -231,46 +223,35 @@ impl DiskEsa {
         .try_fold(ESA_HEADER_SIZE, |end, (count, bytes)| {
             count.checked_mul(bytes)?.checked_add(end)
         });
-        if end.is_none_or(|end| end > reader.logical_len()) {
+        let Some(end) = end.filter(|&end| end <= reader.logical_len()) else {
             return Err(DiskError::BadRecord("esa arrays overrun the file".into()));
-        }
-
-        let mut off = ESA_HEADER_SIZE;
-        let mut entries = Vec::with_capacity(header.entry_count as usize);
-        let mut raw = vec![0u8; (header.entry_count * ENTRY_BYTES) as usize];
-        reader.read_exact_at(off, &mut raw)?;
-        for c in raw.chunks_exact(ENTRY_BYTES as usize) {
-            entries.push(Entry {
-                seq: SeqId(u32::from_le_bytes(c[0..4].try_into().unwrap())),
-                start: u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                lead: u32::from_le_bytes(c[8..12].try_into().unwrap()),
-            });
-        }
-        off += header.entry_count * ENTRY_BYTES;
-
-        let mut recs = Vec::with_capacity(header.rec_count as usize);
-        let mut raw = vec![0u8; (header.rec_count * REC_BYTES) as usize];
-        reader.read_exact_at(off, &mut raw)?;
-        for c in raw.chunks_exact(REC_BYTES as usize) {
-            let w = |i: usize| u32::from_le_bytes(c[4 * i..4 * i + 4].try_into().unwrap());
-            recs.push(IntervalRec {
-                lo: w(0),
-                hi: w(1),
-                depth: w(2),
-                child_off: w(3),
-                child_count: w(4),
-                attached: w(5),
-                max_run: w(6),
-            });
-        }
-        off += header.rec_count * REC_BYTES;
-
-        let mut children = Vec::with_capacity(header.child_count as usize);
-        let mut raw = vec![0u8; (header.child_count * CHILD_BYTES) as usize];
-        reader.read_exact_at(off, &mut raw)?;
-        for c in raw.chunks_exact(CHILD_BYTES as usize) {
-            children.push(u32::from_le_bytes(c.try_into().unwrap()));
-        }
+        };
+        // The arrays lie back to back behind the header: one read, then
+        // one little-endian word at a time.
+        let mut body = vec![0u8; (end - ESA_HEADER_SIZE) as usize];
+        reader.read_exact_at(ESA_HEADER_SIZE, &mut body)?;
+        let mut words =
+            (body.chunks_exact(4)).map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")));
+        let mut word = || words.next().expect("the header's counts size the body");
+        let entries = (0..header.entry_count)
+            .map(|_| Entry {
+                seq: SeqId(word()),
+                start: word(),
+                lead: word(),
+            })
+            .collect();
+        let recs = (0..header.rec_count)
+            .map(|_| IntervalRec {
+                lo: word(),
+                hi: word(),
+                depth: word(),
+                child_off: word(),
+                child_count: word(),
+                attached: word(),
+                max_run: word(),
+            })
+            .collect();
+        let children = (0..header.child_count).map(|_| word()).collect();
 
         let esa = EsaIndex::from_raw(cat, header.sparse, entries, recs, children, header.root);
         esa.validate()
@@ -279,10 +260,7 @@ impl DiskEsa {
             reader,
             header,
             esa,
-            source: path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
+            source,
         })
     }
 
@@ -316,23 +294,6 @@ impl DiskEsa {
     /// metric; excludes the shared corpus).
     pub fn resident_bytes(&self) -> u64 {
         self.esa.resident_bytes()
-    }
-
-    /// Walks every physical page of the file through the CRC check,
-    /// bypassing the page cache (the scrub / `verify --deep` primitive).
-    /// Returns the page count, or the first corruption typed with this
-    /// file's name.
-    pub fn verify_pages(&self) -> Result<u64> {
-        for p in 0..self.reader.page_count() {
-            self.reader.verify_page(p).map_err(|e| match e {
-                DiskError::CorruptPage { page } => DiskError::CorruptionDetected {
-                    segment: self.source.clone(),
-                    page,
-                },
-                other => other,
-            })?;
-        }
-        Ok(self.reader.page_count())
     }
 
     /// Routes this file's CRC-failure counter into `reg` (the ESA has
@@ -446,7 +407,7 @@ mod tests {
             let path = tmp(&format!("roundtrip-{sparse}"));
             let len = write_esa(&esa, &path).unwrap();
             assert!(len > ESA_HEADER_SIZE);
-            let disk = DiskEsa::open(&path, cat, 8).unwrap();
+            let disk = DiskEsa::open(&path, cat.clone(), 8).unwrap();
             assert_eq!(disk.is_sparse(), sparse);
             assert_eq!(disk.suffix_count(), esa.suffix_count());
             assert_eq!(disk.backend_kind(), BackendKind::Esa);
@@ -458,7 +419,12 @@ mod tests {
             disk.for_each_suffix_below(disk.root(), &mut |s, p, r| back.push((s, p, r)));
             assert_eq!(mem, back);
             assert_eq!(disk.resident_bytes(), esa.resident_bytes());
-            assert_eq!(disk.verify_pages().unwrap(), 1);
+            // One page, read once; its header alone gives the shape, and
+            // the file passes the committed-file check.
+            assert_eq!(disk.io_stats().pages_read, 1);
+            let shape = crate::any::index_shape(&RealVfs, &path, BackendKind::Esa).unwrap();
+            assert_eq!((shape.alphabet_len, shape.sparse), (3, sparse));
+            crate::any::AnyIndex::check(&RealVfs, &path, cat, BackendKind::Esa).unwrap();
             std::fs::remove_file(&path).unwrap();
         }
     }

@@ -43,6 +43,7 @@ use warptree_core::categorize::{CatStore, Symbol};
 use warptree_core::search::{IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
 
+use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::lru::LruCache;
 use crate::pager::{IoStats, PagedReader};
@@ -409,26 +410,14 @@ impl DiskTree {
         cache_pages: usize,
         cache_nodes: usize,
     ) -> Result<Self> {
-        let reader = PagedReader::open_with(vfs, path, cache_pages)?;
-        let mut buf = vec![0u8; HEADER_SIZE as usize];
-        reader.read_exact_at(0, &mut buf)?;
-        let header = Header::decode(&buf)?;
-        if header.alphabet_len != cat.alphabet_len() {
-            return Err(DiskError::BadHeader(format!(
-                "alphabet mismatch: file {} vs store {}",
-                header.alphabet_len,
-                cat.alphabet_len()
-            )));
-        }
+        let (reader, header, source) =
+            open_headed(vfs, path, cache_pages, Some(cat.alphabet_len()))?;
         Ok(Self {
             reader,
             cat,
             header,
             nodes: Mutex::new(LruCache::new(cache_nodes.max(1))),
-            source: path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
+            source,
             read_error: Mutex::new(None),
         })
     }
@@ -470,21 +459,30 @@ impl DiskTree {
         }
     }
 
-    /// Walks every physical page of the file through the CRC check,
-    /// bypassing the page cache (the scrub / `verify --deep` primitive).
-    /// Returns the page count, or the first corruption typed with this
-    /// tree's file name.
-    pub fn verify_pages(&self) -> Result<u64> {
-        for p in 0..self.reader.page_count() {
-            self.reader.verify_page(p).map_err(|e| match e {
-                DiskError::CorruptPage { page } => DiskError::CorruptionDetected {
-                    segment: self.source.clone(),
-                    page,
-                },
-                other => other,
-            })?;
+    /// Decodes every record of the file through [`NodeView::decode`], in
+    /// file order: the tree's part of the committed-file check. Records
+    /// lie back to back from the header on, written post-order, so the
+    /// walk must meet the header's `node_count` records and end on the
+    /// one at `root_offset`. Each step passes at least one record head,
+    /// so the work is bounded by the file's length.
+    pub fn verify_records(&self) -> Result<()> {
+        let Header {
+            node_count,
+            root_offset,
+            ..
+        } = self.header;
+        let (mut at, mut count) = (HEADER_SIZE, 1);
+        while at < root_offset {
+            at += self.with_node(at, |node| node.bytes.len() as u64)?;
+            count += 1;
         }
-        Ok(self.reader.page_count())
+        self.with_node(at, |_| ())?;
+        if (at, count) != (root_offset, node_count) {
+            return Err(DiskError::BadRecord(format!(
+                "{count} records end at {at}, not the header's {node_count} at {root_offset}"
+            )));
+        }
+        Ok(())
     }
 
     /// The file header.

@@ -16,7 +16,7 @@
 //!   categorization;
 //! * [`manifest`] — atomic directory commits (temp file + rename +
 //!   directory fsync + CRC-protected `MANIFEST`), recovery on open, and
-//!   offline verification;
+//!   the one check of a committed file that verification and scrub run;
 //! * [`segment`] — LSM-style online ingest: appends commit as small
 //!   tail segments over just the new suffixes, and a compactor folds
 //!   segments back together with the binary merge, one manifest
@@ -35,6 +35,7 @@
 pub mod any;
 pub mod corpus;
 pub mod crc;
+mod cursor;
 pub mod error;
 pub mod esa;
 pub mod format;
@@ -48,7 +49,7 @@ pub mod snapshot;
 pub mod vfs;
 pub mod writer;
 
-pub use any::{AnyIndex, AnyNode};
+pub use any::{index_shape, AnyIndex, AnyNode, IndexShape};
 pub use corpus::{load_corpus, load_corpus_with, save_corpus, save_corpus_with};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
@@ -56,8 +57,8 @@ pub use format::{DiskNode, DiskTree, Header, NodeView, TreeReadAbort};
 pub use manifest::{
     build_dir_backend_with, build_dir_metered, build_dir_with, commit_dir_backend_with,
     commit_update_with, quarantine_segment_with, recover_dir_with, resolve_dir_with,
-    segment_file_name, verify_dir_deep_with, verify_dir_with, FileCheck, Manifest, RecoveryReport,
-    ResolvedDir, SegmentMeta, VerifyReport, MANIFEST_NAME,
+    segment_file_name, verify_dir_with, FileCheck, Manifest, RecoveryReport, ResolvedDir,
+    SegmentMeta, VerifyReport, MANIFEST_NAME,
 };
 pub use merge::{merge_trees, merge_trees_with, IncrementalBuilder, TreeKind};
 pub use pager::{IoStats, PagedReader, PagedWriter, PAGE_DATA, PAGE_SIZE};

@@ -31,12 +31,14 @@ use std::sync::Arc;
 use warptree_core::categorize::Alphabet;
 use warptree_core::search::BackendKind;
 use warptree_core::sequence::SequenceStore;
+use warptree_obs::MetricsRegistry;
 
 use crate::any::AnyIndex;
 use crate::corpus::load_corpus_with;
 use crate::crc::crc32;
+use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
-use crate::pager::{PagedReader, PAGE_DATA};
+use crate::pager::PagedReader;
 use crate::vfs::{TempGuard, Vfs};
 
 /// File name of the commit manifest.
@@ -118,12 +120,12 @@ pub fn segment_file_name(generation: u64, ordinal: u32) -> String {
     format!("segment-{generation:06}-{ordinal:03}.wt")
 }
 
-/// Whether `name` follows an index-directory data-file pattern
-/// (generational corpus or tree, or tail segment). Such files belong to
-/// the commit protocol and are fair game for the recovery sweep when
-/// unreferenced.
-fn is_generation_file(name: &str) -> bool {
-    (name.starts_with("corpus-") && name.ends_with(".wc"))
+/// Whether the recovery sweep removes `name` when the manifest does not
+/// reference it: a `*.tmp` file, or a file of the commit protocol's
+/// data-file patterns (generational corpus or tree, or tail segment).
+fn is_sweepable(name: &str) -> bool {
+    name.ends_with(".tmp")
+        || (name.starts_with("corpus-") && name.ends_with(".wc"))
         || (name.starts_with("index-") && name.ends_with(".wt"))
         || (name.starts_with("segment-") && name.ends_with(".wt"))
 }
@@ -178,7 +180,7 @@ impl Manifest {
         if crc32(body) != u32::from_le_bytes(tail.try_into().expect("split four bytes off")) {
             return Err(bad("checksum mismatch"));
         }
-        let mut cur = Cursor { body, pos: 0 };
+        let mut cur = Cursor::new(body, DiskError::BadManifest);
         if cur.take(8)? != MANIFEST_MAGIC {
             return Err(bad("not a manifest file"));
         }
@@ -187,8 +189,8 @@ impl Manifest {
             return Err(bad(&format!("unsupported manifest version {version}")));
         }
         let generation = cur.u64()?;
-        let corpus = cur.name()?;
-        let index = cur.name()?;
+        let corpus = plain_name(&mut cur)?;
+        let index = plain_name(&mut cur)?;
         let corpus_len = cur.u64()?;
         let index_len = cur.u64()?;
         let count = cur.u32()? as usize;
@@ -198,7 +200,7 @@ impl Manifest {
         let mut segments = Vec::new();
         let mut covered = 0u32; // end of the previous segment's range
         for _ in 0..count {
-            let file = cur.name()?;
+            let file = plain_name(&mut cur)?;
             let file_len = cur.u64()?;
             let start_seq = cur.u32()?;
             let seq_count = cur.u32()?;
@@ -221,7 +223,7 @@ impl Manifest {
             });
         }
         let backend_id = cur.u32()?;
-        if cur.pos != body.len() {
+        if !cur.is_done() {
             return Err(bad("trailing bytes"));
         }
         let backend = match backend_id {
@@ -262,49 +264,15 @@ fn bad(message: &str) -> DiskError {
     DiskError::BadManifest(message.into())
 }
 
-/// Bounds-checked reader over a manifest body.
-struct Cursor<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if n > self.body.len() - self.pos {
-            return Err(bad("truncated"));
-        }
-        let s = &self.body[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// A length-prefixed file name: bounded, UTF-8, and a plain name — the
+/// directory joins it to its own path, so a separator or `..` would let
+/// a manifest point (and the sweep delete) outside it.
+fn plain_name(cur: &mut Cursor) -> Result<String> {
+    let name = cur.text(MAX_NAME_LEN, "file name")?;
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(bad("file name is not a plain name"));
     }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        Ok(self.take(N)?.try_into().expect("take(N) yields N bytes"))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// A length-prefixed file name: bounded, UTF-8, and a plain name —
-    /// the directory joins it to its own path, so a separator or `..`
-    /// would let a manifest point (and the sweep delete) outside it.
-    fn name(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        if len > MAX_NAME_LEN {
-            return Err(bad("implausible file name length"));
-        }
-        let name =
-            std::str::from_utf8(self.take(len)?).map_err(|_| bad("file name is not UTF-8"))?;
-        if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
-            return Err(bad("file name is not a plain name"));
-        }
-        Ok(name.to_string())
-    }
+    Ok(name.to_string())
 }
 
 /// Reads the directory's manifest. A directory without one is not an
@@ -415,22 +383,23 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// Removes every `*.tmp` file and every generation-pattern data file of
-/// `dir` not listed in `keep`. Fsyncs the directory when anything was
-/// removed.
+/// The files of `dir` the recovery sweep removes: every sweepable one
+/// not listed in `keep`.
+fn stale_files(vfs: &dyn Vfs, dir: &Path, keep: &[&Path]) -> Result<Vec<PathBuf>> {
+    let mut paths = vfs.read_dir(dir)?;
+    paths.retain(|path| !keep.contains(&path.as_path()) && is_sweepable(&file_name(path)));
+    Ok(paths)
+}
+
+/// Removes the [`stale_files`] of `dir`. Fsyncs the directory when
+/// anything was removed.
 fn sweep_dir_with(vfs: &dyn Vfs, dir: &Path, keep: &[&Path]) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
-    for path in vfs.read_dir(dir)? {
-        if keep.iter().any(|k| *k == path) {
-            continue;
-        }
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.ends_with(".tmp") {
-            vfs.remove_file(&path)?;
-            report.removed_tmp.push(path);
-        } else if is_generation_file(name) {
-            vfs.remove_file(&path)?;
-            report.removed_orphans.push(path);
+    for path in stale_files(vfs, dir, keep)? {
+        vfs.remove_file(&path)?;
+        match file_name(&path).ends_with(".tmp") {
+            true => report.removed_tmp.push(path),
+            false => report.removed_orphans.push(path),
         }
     }
     if !report.is_clean() {
@@ -719,12 +688,14 @@ pub fn build_dir_metered(
     )
 }
 
-/// Per-file outcome of [`verify_dir_with`].
+/// Per-file outcome of the check [`verify_dir_with`] reports and
+/// [`scrub_dir_with`](crate::scrub_dir_with) acts on.
 #[derive(Debug, Clone)]
 pub struct FileCheck {
     /// File name inside the directory.
     pub name: String,
-    /// Pages scanned before an error (all of them when `error` is none).
+    /// Pages that passed their CRC (all of them, unless the size or a
+    /// page failed).
     pub pages: u64,
     /// First problem found, if any.
     pub error: Option<String>,
@@ -737,7 +708,8 @@ pub struct FileCheck {
 pub struct VerifyReport {
     /// Committed generation that was checked.
     pub generation: u64,
-    /// Per-file page-scan and parse outcomes.
+    /// Per-file outcomes: the corpus, the base index, then every tail
+    /// segment.
     pub files: Vec<FileCheck>,
     /// Stale `*.tmp` / orphaned generation files present (not removed —
     /// verification never mutates the directory).
@@ -783,145 +755,87 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Scans every page of `path`, returning the page count or the first
-/// CRC/size failure.
-fn scan_pages(vfs: &dyn Vfs, path: &Path) -> (u64, Option<String>) {
-    let reader = match PagedReader::open_with(vfs, path, 2) {
-        Ok(r) => r,
-        Err(e) => return (0, Some(e.to_string())),
-    };
-    let pages = reader.logical_len() / PAGE_DATA as u64;
-    let mut buf = vec![0u8; PAGE_DATA];
-    for page in 0..pages {
-        if let Err(e) = reader.read_exact_at(page * PAGE_DATA as u64, &mut buf) {
-            return (page, Some(e.to_string()));
-        }
-    }
-    (pages, None)
-}
-
 fn file_name(path: &Path) -> String {
     let name = path.file_name().and_then(|n| n.to_str());
     name.unwrap_or("?").to_string()
 }
 
-/// Verifies an index directory without modifying it: resolves the
-/// committed generation, checks every page CRC of the corpus and tree
-/// files, cross-checks their sizes against the manifest, and parses
-/// both files end to end (corpus decode + tree open). Stale files that
-/// the next open would sweep are reported, not removed.
-pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
-    let resolved = resolve_dir_with(vfs, dir)?;
-    let m = &resolved.manifest;
-    let mut report = VerifyReport {
-        generation: resolved.generation,
-        ..Default::default()
-    };
-
-    // Page-level CRC scan plus manifest size cross-check: the corpus,
-    // the base tree, then every tail segment.
-    let mut checks = vec![
-        (&resolved.corpus_path, m.corpus_len, false),
-        (&resolved.index_path, m.index_len, false),
-    ];
-    for (path, seg) in resolved.segment_paths.iter().zip(&m.segments) {
-        checks.push((path, seg.file_len, seg.quarantined));
-    }
-    for (path, expect, quarantined) in checks {
-        let (pages, mut error) = scan_pages(vfs, path);
-        if error.is_none() {
-            let actual = vfs.metadata_len(path)?;
-            if actual != expect {
-                error = Some(format!("size {actual} does not match manifest ({expect})"));
-            }
+/// The one check of a committed file, which `verify` reports and
+/// `scrub` acts on: the file's size must be the manifest's `expect`,
+/// every page must pass its CRC read past the pool (a failure counts in
+/// `reg`'s `disk.read_crc_fail`), and then `parse` must accept the file.
+fn check_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+    expect: u64,
+    quarantined: bool,
+    reg: &MetricsRegistry,
+    parse: impl FnOnce() -> Result<()>,
+) -> FileCheck {
+    let mut pages = 0;
+    let error = (|| {
+        let actual = vfs.metadata_len(path).map_err(|e| e.to_string())?;
+        if actual != expect {
+            return Err(format!("size {actual} does not match manifest ({expect})"));
         }
-        report.files.push(FileCheck {
-            name: file_name(path),
-            pages,
-            error,
-            quarantined,
-        });
-    }
-
-    // Semantic parse: the corpus must decode, every healthy tree must
-    // open against the decoded alphabet (quarantined segments are
-    // already known-bad; opening them would just repeat the scan error).
-    if report.is_ok() {
-        match load_corpus_with(vfs, &resolved.corpus_path) {
-            Err(e) => {
-                report.files[0].error = Some(format!("parse failed: {e}"));
-            }
-            Ok((_, _, cat)) => {
-                let trees = std::iter::once(&resolved.index_path).chain(&resolved.segment_paths);
-                for (path, check) in trees.zip(&mut report.files[1..]) {
-                    if check.quarantined {
-                        continue;
-                    }
-                    if let Err(e) = AnyIndex::open_with(vfs, path, cat.clone(), m.backend, 4, 16) {
-                        check.error = Some(format!("parse failed: {e}"));
-                    }
-                }
-            }
+        let reader = PagedReader::open_with(vfs, path, 1).map_err(|e| e.to_string())?;
+        reader.meter_crc_failures(reg, "disk.read_crc_fail");
+        for page in 0..reader.page_count() {
+            reader.verify_page(page).map_err(|e| e.to_string())?;
+            pages += 1;
         }
+        parse().map_err(|e| format!("parse failed: {e}"))
+    })()
+    .err();
+    FileCheck {
+        name: file_name(path),
+        pages,
+        error,
+        quarantined,
     }
-
-    let keep = resolved.keep_list();
-    for path in vfs.read_dir(dir)? {
-        let name = file_name(&path);
-        if !keep.contains(&path.as_path()) && (name.ends_with(".tmp") || is_generation_file(&name))
-        {
-            report.stale.push(name);
-        }
-    }
-    Ok(report)
 }
 
-/// Deep verification: every index file (base and every tail segment,
-/// quarantined ones included) is opened as the manifest's backend and
-/// walked page by page through [`AnyIndex::verify_pages`] — exactly the
-/// CRC-checked, cache-bypassing routine the background scrubber uses —
-/// plus a page scan of the corpus. Never mutates the directory.
-pub fn verify_dir_deep_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
-    let resolved = resolve_dir_with(vfs, dir)?;
+/// Runs [`check_file`] over every committed file of `resolved`: the
+/// corpus, the base index, then every tail segment, quarantined ones
+/// included. The corpus parses by decoding; each index parses through
+/// [`AnyIndex::check`] against the decoded corpus — except a quarantined
+/// tail, which its manifest flag already marks bad, and every index
+/// when the corpus failed.
+pub(crate) fn check_dir(
+    vfs: &dyn Vfs,
+    resolved: &ResolvedDir,
+    reg: &MetricsRegistry,
+) -> Vec<FileCheck> {
     let m = &resolved.manifest;
-    let mut report = VerifyReport {
-        generation: resolved.generation,
-        ..Default::default()
-    };
-    let (corpus_pages, corpus_err) = scan_pages(vfs, &resolved.corpus_path);
-    report.files.push(FileCheck {
-        name: file_name(&resolved.corpus_path),
-        pages: corpus_pages,
-        error: corpus_err,
-        quarantined: false,
+    let mut cat = None;
+    let corpus = check_file(vfs, &resolved.corpus_path, m.corpus_len, false, reg, || {
+        cat = Some(load_corpus_with(vfs, &resolved.corpus_path)?.2);
+        Ok(())
     });
-    let cat = match load_corpus_with(vfs, &resolved.corpus_path) {
-        Ok((_, _, cat)) => cat,
-        Err(e) => {
-            if report.files[0].error.is_none() {
-                report.files[0].error = Some(format!("parse failed: {e}"));
-            }
-            return Ok(report);
-        }
-    };
-    let tails = resolved.segment_paths.iter().zip(&m.segments);
-    let trees = std::iter::once((&resolved.index_path, false))
-        .chain(tails.map(|(path, seg)| (path, seg.quarantined)));
-    for (path, quarantined) in trees {
-        let verified = AnyIndex::open_with(vfs, path, cat.clone(), m.backend, 2, 1)
-            .and_then(|index| index.verify_pages());
-        let (pages, error) = match verified {
-            Ok(pages) => (pages, None),
-            Err(e) => (0, Some(e.to_string())),
-        };
-        report.files.push(FileCheck {
-            name: file_name(path),
-            pages,
-            error,
-            quarantined,
-        });
-    }
-    Ok(report)
+    let tails = (resolved.segment_paths.iter().zip(&m.segments))
+        .map(|(path, seg)| (path, seg.file_len, seg.quarantined));
+    let indexes = std::iter::once((&resolved.index_path, m.index_len, false)).chain(tails);
+    let mut files = vec![corpus];
+    files.extend(indexes.map(|(path, len, quarantined)| {
+        check_file(vfs, path, len, quarantined, reg, || match &cat {
+            Some(cat) if !quarantined => AnyIndex::check(vfs, path, cat.clone(), m.backend),
+            _ => Ok(()),
+        })
+    }));
+    files
+}
+
+/// Verifies an index directory without modifying it: runs the check
+/// ([`check_dir`]) over every committed file, and lists the stale files
+/// the next open would sweep.
+pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
+    let resolved = resolve_dir_with(vfs, dir)?;
+    let stale = stale_files(vfs, dir, &resolved.keep_list())?;
+    Ok(VerifyReport {
+        generation: resolved.generation,
+        files: check_dir(vfs, &resolved, &MetricsRegistry::noop()),
+        stale: stale.iter().map(|path| file_name(path)).collect(),
+    })
 }
 
 #[cfg(test)]

@@ -238,22 +238,30 @@ impl PagedReader {
         self.pages
     }
 
-    /// Re-reads page `page_idx` from disk and verifies its CRC,
-    /// bypassing the buffer pool — the scrub/deep-verify primitive: a
-    /// cached (already verified) page must not mask on-disk rot.
+    /// Re-reads page `page_idx` (below [`page_count`](Self::page_count))
+    /// from disk and verifies its CRC, bypassing the buffer pool — the
+    /// committed-file check's page walk: a cached (already verified) page
+    /// must not mask on-disk rot.
     pub fn verify_page(&self, page_idx: u64) -> Result<()> {
-        if page_idx >= self.pages {
-            return Err(DiskError::OutOfBounds {
-                offset: page_idx * PAGE_DATA as u64,
-                len: PAGE_DATA as u64,
-                size: self.logical_len,
-            });
-        }
-        let mut raw = [0u8; PAGE_SIZE];
-        self.file.read_at(page_idx * PAGE_SIZE as u64, &mut raw)?;
-        let stored = u32::from_le_bytes(raw[PAGE_DATA..].try_into().unwrap());
-        if crc32(&raw[..PAGE_DATA]) != stored {
-            self.inner.lock().crc_fail.incr();
+        let crc_fail = self.inner.lock().crc_fail.clone();
+        self.read_checked(page_idx, &mut [0u8; PAGE_SIZE], &crc_fail)
+    }
+
+    /// Reads page `page_idx` whole into `frame` and checks its CRC —
+    /// the one step of both the pool's miss path and
+    /// [`verify_page`](Self::verify_page). A mismatch is counted in
+    /// `crc_fail` and typed [`DiskError::CorruptPage`].
+    #[inline(always)]
+    fn read_checked(
+        &self,
+        page_idx: u64,
+        frame: &mut [u8],
+        crc_fail: &warptree_obs::Counter,
+    ) -> Result<()> {
+        self.file.read_at(page_idx * PAGE_SIZE as u64, frame)?;
+        let stored = u32::from_le_bytes(frame[PAGE_DATA..].try_into().expect("a 4-byte CRC tail"));
+        if crc32(&frame[..PAGE_DATA]) != stored {
+            crc_fail.incr();
             return Err(DiskError::CorruptPage { page: page_idx });
         }
         Ok(())
@@ -310,19 +318,7 @@ impl PagedReader {
             .spare
             .take()
             .unwrap_or_else(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
-        let checked = match self.file.read_at(page_idx * PAGE_SIZE as u64, &mut frame) {
-            Err(e) => Err(e.into()),
-            Ok(()) => {
-                let stored = u32::from_le_bytes(frame[PAGE_DATA..].try_into().unwrap());
-                if crc32(&frame[..PAGE_DATA]) == stored {
-                    Ok(())
-                } else {
-                    inner.crc_fail.incr();
-                    Err(DiskError::CorruptPage { page: page_idx })
-                }
-            }
-        };
-        if let Err(e) = checked {
+        if let Err(e) = self.read_checked(page_idx, &mut frame, &inner.crc_fail) {
             inner.spare = Some(frame);
             return Err(e);
         }

@@ -32,16 +32,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use warptree_core::categorize::CatStore;
-use warptree_core::search::{BackendKind, IndexBackend};
+use warptree_core::search::BackendKind;
 use warptree_core::sequence::SequenceStore;
 
-use crate::any::AnyIndex;
+use crate::any::index_shape;
 use crate::corpus::{load_corpus_with, save_corpus_with};
 use crate::error::{DiskError, Result};
 use crate::esa::write_esa_with;
 use crate::format::DiskTree;
 use crate::manifest::{
-    commit_update_with, corpus_file_name, index_file_name, quarantine_segment_with,
+    check_dir, commit_update_with, corpus_file_name, index_file_name, quarantine_segment_with,
     recover_dir_with, resolve_dir_with, segment_file_name, Manifest, SegmentMeta,
 };
 use crate::merge::merge_trees_with;
@@ -76,13 +76,6 @@ fn write_range_index(
     Ok(())
 }
 
-/// One entry of the uniform segment view used by compaction: the base
-/// tree and every tail presented alike.
-struct SegView {
-    file: String,
-    file_len: u64,
-}
-
 /// Appends `new_sequences` as a new tail segment of the index directory
 /// (O(new data) work — the existing trees are carried forward
 /// untouched), committing the widened corpus plus the segment tree as
@@ -106,24 +99,13 @@ pub fn append_segment_with(
     }
     let (resolved, _recovery) = recover_dir_with(vfs, dir)?;
     let backend = resolved.manifest.backend;
-    let (mut store, mut alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
-    let probe = AnyIndex::open_with(
-        vfs,
-        &resolved.index_path,
-        // Temporary encode just to read the base index's shape; replaced
-        // below.
-        Arc::new(alphabet.encode_store(&store)),
-        backend,
-        16,
-        16,
-    )?;
-    if probe.depth_limit().is_some() {
+    let shape = index_shape(vfs, &resolved.index_path, backend)?;
+    if shape.depth_limit.is_some() {
         return Err(DiskError::BadRecord(
             "cannot append to a truncated (§8) index".into(),
         ));
     }
-    let sparse = probe.is_sparse();
-    drop(probe);
+    let (mut store, mut alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
 
     // Admit the new values: widen observed bounds, extend the store.
     // Old symbols are unchanged — only lb/ub widen — so the base tree
@@ -152,7 +134,7 @@ pub fn append_segment_with(
         backend,
         cat.clone(),
         first_new..last,
-        sparse,
+        shape.sparse,
         &segment_tmp,
     )?;
 
@@ -218,15 +200,12 @@ pub fn compact_once_with(
 
     let (_, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
 
-    // Uniform view: base first, then the tails, in sequence order.
-    let mut view = vec![SegView {
-        file: old.index.clone(),
-        file_len: old.index_len,
-    }];
-    view.extend(old.segments.iter().map(|s| SegView {
-        file: s.file.clone(),
-        file_len: s.file_len,
-    }));
+    // Uniform view of `(file, size)`: base first, then the tails, in
+    // sequence order.
+    let tails = old.segments.iter().map(|s| (&s.file, s.file_len));
+    let view: Vec<_> = std::iter::once((&old.index, old.index_len))
+        .chain(tails)
+        .collect();
 
     // Cheapest adjacent pair first, ties to the right (file sizes are
     // page-quantized, so ties are common): small tails coalesce among
@@ -234,7 +213,7 @@ pub fn compact_once_with(
     // what keeps total merge work O(n log n).
     let pick = (0..view.len() - 1)
         .rev()
-        .min_by_key(|&i| view[i].file_len + view[i + 1].file_len)
+        .min_by_key(|&i| view[i].1 + view[i + 1].1)
         .expect("at least one adjacent pair");
 
     let generation = old.generation + 1;
@@ -246,8 +225,8 @@ pub fn compact_once_with(
     let merged_tmp = dir.join(format!("{merged_name}.tmp"));
     let mut guard = TempGuard::new(vfs, vec![merged_tmp.clone()]);
 
-    let left_path = dir.join(&view[pick].file);
-    let right_path = dir.join(&view[pick + 1].file);
+    let left_path = dir.join(view[pick].0);
+    let right_path = dir.join(view[pick + 1].0);
     match old.backend {
         BackendKind::Tree => {
             // The paper's §4.1 binary merge: one sequential pass over
@@ -261,16 +240,7 @@ pub fn compact_once_with(
             // merged segment is rebuilt canonically from the corpus
             // over the union of the two sequence ranges — which also
             // guarantees it is byte-identical to a from-scratch build.
-            let base = AnyIndex::open_with(
-                vfs,
-                &resolved.index_path,
-                cat.clone(),
-                BackendKind::Esa,
-                16,
-                16,
-            )?;
-            let sparse = base.is_sparse();
-            drop(base);
+            let sparse = index_shape(vfs, &resolved.index_path, BackendKind::Esa)?.sparse;
             // The sums stay inside `u32`: the manifest decoder rejects
             // segment ranges that overlap or overflow.
             let range = if pick == 0 {
@@ -340,11 +310,8 @@ pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Man
         .position(|s| s.file == segment && s.quarantined)
         .ok_or_else(|| DiskError::BadManifest(format!("no quarantined segment named {segment}")))?;
     let meta = old.segments[idx].clone();
-    let (store, alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
-    let cat = Arc::new(alphabet.encode_store(&store));
-    let probe = AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), old.backend, 16, 16)?;
-    let sparse = probe.is_sparse();
-    drop(probe);
+    let (store, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
+    let sparse = index_shape(vfs, &resolved.index_path, old.backend)?.sparse;
     let first = meta.start_seq as usize;
     let last = first + meta.seq_count as usize;
     if last > store.len() {
@@ -422,13 +389,14 @@ impl std::fmt::Display for ScrubReport {
     }
 }
 
-/// One scrub pass over an index directory: walks every page of the
-/// corpus, the base tree and every live tail segment through the
-/// CRC-checked pager path (bypassing caches), quarantines tail segments
-/// found corrupt, and — when `heal` is set — rebuilds every quarantined
-/// segment from the corpus. Corruption of the corpus or base tree is
-/// reported as unrecoverable (nothing to rebuild them from) and aborts
-/// the pass without mutating the directory.
+/// One scrub pass over an index directory: the committed-file check
+/// [`verify_dir_with`](crate::verify_dir_with) reports — size, every
+/// page read past the caches, parse — metered into `reg`, plus its
+/// consequences. A corpus or base index that fails is reported
+/// unrecoverable (there is nothing to rebuild it from) and the pass
+/// ends without mutating the directory; a live tail segment that fails
+/// is quarantined; and when `heal` is set, every quarantined segment is
+/// rebuilt from the corpus.
 pub fn scrub_dir_with(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -436,54 +404,25 @@ pub fn scrub_dir_with(
     reg: &warptree_obs::MetricsRegistry,
 ) -> Result<ScrubReport> {
     let resolved = resolve_dir_with(vfs, dir)?;
+    let files = check_dir(vfs, &resolved, reg);
     let mut report = ScrubReport {
         generation: resolved.generation,
+        pages: files.iter().map(|f| f.pages).sum(),
         ..Default::default()
     };
-
-    // The corpus is the source of truth every heal rebuilds from; check
-    // it first, uncached, via a throwaway reader.
-    let corpus_reader = crate::pager::PagedReader::open_with(vfs, &resolved.corpus_path, 2)?;
-    corpus_reader.meter_crc_failures(reg, "disk.read_crc_fail");
-    for p in 0..corpus_reader.page_count() {
-        if let Err(e) = corpus_reader.verify_page(p) {
-            report.unrecoverable = Some(format!("corpus {}: {e}", resolved.manifest.corpus));
-            return Ok(report);
-        }
-        report.pages += 1;
-    }
-    drop(corpus_reader);
-
-    let (_, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
-
-    let backend = resolved.manifest.backend;
-    let verify = |path: &Path| -> Result<u64> {
-        let index = AnyIndex::open_with(vfs, path, cat.clone(), backend, 2, 1)?;
-        index.instrument(reg);
-        index.verify_pages()
-    };
-
-    // Base index: corruption here is unrecoverable by quarantine.
-    match verify(&resolved.index_path) {
-        Ok(pages) => report.pages += pages,
-        Err(e) => {
-            report.unrecoverable = Some(e.to_string());
-            return Ok(report);
-        }
+    // The corpus and the base index come first.
+    let (base, tails) = files.split_at(2);
+    if let Some((name, error)) = base.iter().find_map(|f| Some((&f.name, f.error.as_ref()?))) {
+        report.unrecoverable = Some(format!("{name}: {error}"));
+        return Ok(report);
     }
 
-    // Live tail segments: a failure here is what quarantine is for.
     // Quarantines and heals each commit a generation; `manifest` tracks
     // the latest.
     let mut manifest = resolved.manifest.clone();
-    for meta in resolved.manifest.live_segments() {
-        match verify(&dir.join(&meta.file)) {
-            Ok(pages) => report.pages += pages,
-            Err(_) => {
-                manifest = quarantine_segment_with(vfs, dir, &meta.file)?;
-                report.newly_quarantined.push(meta.file.clone());
-            }
-        }
+    for tail in tails.iter().filter(|f| f.error.is_some() && !f.quarantined) {
+        manifest = quarantine_segment_with(vfs, dir, &tail.name)?;
+        report.newly_quarantined.push(tail.name.clone());
     }
 
     if heal {
@@ -525,7 +464,7 @@ mod tests {
     use crate::manifest::{resolve_dir_with, verify_dir_with};
     use crate::snapshot::open_dir_snapshot_with;
     use warptree_core::categorize::Alphabet;
-    use warptree_core::search::{QueryRequest, SearchParams};
+    use warptree_core::search::{IndexBackend, QueryRequest, SearchParams};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("warptree-segment-{}-{tag}", std::process::id()));

@@ -19,6 +19,7 @@
 use std::path::Path;
 
 use crate::crc::crc32;
+use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
 use crate::vfs::{TempGuard, Vfs};
 
@@ -126,49 +127,31 @@ impl ShardManifest {
         if crc32(body) != stored {
             return Err(bad("checksum mismatch"));
         }
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8]> {
-            if pos + n > body.len() {
-                return Err(bad("truncated"));
-            }
-            let s = &body[pos..pos + n];
-            pos += n;
-            Ok(s)
-        };
-        if take(8)? != SHARD_MAGIC {
+        let mut cur = Cursor::new(body, DiskError::BadManifest);
+        if cur.take(8)? != SHARD_MAGIC {
             return Err(bad("not a shard manifest"));
         }
-        let version = u32::from_le_bytes(take(4)?.try_into().unwrap());
+        let version = cur.u32()?;
         if version != SHARD_VERSION {
             return Err(bad(&format!(
                 "unsupported shard manifest version {version}"
             )));
         }
-        let generation = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let count = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
+        let generation = cur.u64()?;
+        let count = cur.u32()? as usize;
         if count > 4096 {
             return Err(bad("implausible shard count"));
         }
         let mut shards = Vec::with_capacity(count);
         for _ in 0..count {
-            let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-            if len > 4096 {
-                return Err(bad("implausible directory name length"));
-            }
-            let dir = std::str::from_utf8(take(len)?)
-                .map_err(|_| bad("directory name is not UTF-8"))?
-                .to_string();
-            let start_seq = u32::from_le_bytes(take(4)?.try_into().unwrap());
-            let seq_count = u32::from_le_bytes(take(4)?.try_into().unwrap());
-            let values = u64::from_le_bytes(take(8)?.try_into().unwrap());
             shards.push(ShardMeta {
-                dir,
-                start_seq,
-                seq_count,
-                values,
+                dir: cur.text(4096, "directory name")?.to_string(),
+                start_seq: cur.u32()?,
+                seq_count: cur.u32()?,
+                values: cur.u64()?,
             });
         }
-        if pos != body.len() {
+        if !cur.is_done() {
             return Err(bad("trailing bytes"));
         }
         let m = Self { generation, shards };

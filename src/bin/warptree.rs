@@ -90,9 +90,9 @@ fn print_usage() {
          \u{20}          DIR (or --index-dir DIR)\n\
          \u{20}  info    print index statistics\n\
          \u{20}          --index-dir DIR [--deep] [--json]\n\
-         \u{20}  verify  check every page CRC and the commit manifest\n\
-         \u{20}          DIR (or --index-dir DIR) [--deep: read every \
-         page through the query read path]\n\
+         \u{20}  verify  check every committed file: its size against \
+         the manifest, every page CRC, every record\n\
+         \u{20}          DIR (or --index-dir DIR)\n\
          \u{20}  scrub   verify every page and repair: quarantine \
          corrupt tail segments, rebuild them from the corpus\n\
          \u{20}          DIR (or --index-dir DIR) [--check-only]\n\
@@ -428,9 +428,10 @@ fn report_recovery(idx: &DiskIndexDir) {
 }
 
 /// Splits a positional directory out of `args`, wherever it appears
-/// (`verify ./idx --deep` and `verify --deep ./idx` both work). Flags
-/// in `valued` consume the following token as their value, so a
-/// directory can't be mistaken for one flag's argument or vice versa.
+/// (`scrub ./idx --check-only` and `scrub --check-only ./idx` both
+/// work). Flags in `valued` consume the following token as their value,
+/// so a directory can't be mistaken for one flag's argument or vice
+/// versa.
 fn split_positional_dir(args: &[String], valued: &[&str]) -> (Option<PathBuf>, Vec<String>) {
     let mut dir = None;
     let mut rest = Vec::new();
@@ -465,16 +466,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         Some(d) => d,
         None => PathBuf::from(o.require("index-dir")?),
     };
-    // `--deep` reads every committed page back through the CRC-checked
-    // pager path — the exact read path queries use — instead of the
-    // flat whole-file checksum walk. Slower, but it proves the index is
-    // *servable*, not just byte-stable.
-    let report = if o.flag("deep") {
-        warptree_disk::verify_dir_deep_with(&warptree_disk::RealVfs, &dir)
-            .map_err(|e| e.to_string())?
-    } else {
-        warptree_disk::verify_dir_with(&warptree_disk::RealVfs, &dir).map_err(|e| e.to_string())?
-    };
+    let report =
+        warptree_disk::verify_dir_with(&warptree_disk::RealVfs, &dir).map_err(|e| e.to_string())?;
     println!("{report}");
     if report.is_ok() {
         Ok(())

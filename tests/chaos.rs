@@ -28,7 +28,8 @@ use warptree::{build_index_dir, Categorization};
 use warptree_core::search::{QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
-    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, DegradedError, RealVfs, PAGE_SIZE,
+    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, DegradedError,
+    RealVfs, PAGE_SIZE,
 };
 use warptree_obs::MetricsRegistry;
 use warptree_server::chaos::{ChaosConfig, ChaosStream};
@@ -296,25 +297,16 @@ fn forge_word(path: &Path, at: u64, value: u32) {
     f.sync_all().unwrap();
 }
 
-/// A page CRC vouches for bytes, not for who wrote them: a record
-/// forged *with* a valid CRC whose edge label runs off its sequence must
-/// come back as a typed `BadRecord` through the same abort → exclude →
-/// partial-answer path as a failed CRC, not as a slice panic.
-#[test]
-fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
-    use warptree_disk::{DiskError, DiskTree, PAGE_DATA};
+/// Stretches the edge label of one child of tail segment `seg`'s root
+/// (every query visits all of them) far past its sequence, under a
+/// re-sealed page CRC. Returns the forged record's offset.
+fn forge_root_child_label(dir: &Path, seg: &str) -> u64 {
+    use warptree_disk::{DiskTree, PAGE_DATA};
 
-    let dir = tmpdir("hostile");
-    let (seg1, _seg2) = build_chaos_dir(&dir);
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
-
-    // A child of segment 1's root (every query visits all of them) whose
-    // label length word sits inside one page.
-    let path = dir.join(&seg1);
+    // A child whose label length word sits inside one page.
+    let path = dir.join(seg);
     let label_len_at = {
+        let snap = open_dir_snapshot_with(&RealVfs, dir, 8, 64).unwrap();
         let tree = DiskTree::open(&path, snap.tree.cat().clone(), 8, 64).unwrap();
         let root = tree.read_node(tree.header().root_offset).unwrap();
         let children = root.children().map(|(_, child)| child + 8);
@@ -324,17 +316,46 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
             .last()
             .expect("a child label inside a page")
     };
-    drop(snap);
-    // Stretch the label far past its sequence and re-seal the page.
     forge_word(&path, label_len_at, 1_000_000);
+    label_len_at - 8
+}
 
+/// The committed-file check `verify` and scrub run passes every page of
+/// `seg` and fails it on a record that does not decode (`why`).
+fn assert_check_fails_on_a_record(dir: &Path, seg: &str, why: &str) {
+    let report = verify_dir_with(&RealVfs, dir).unwrap();
+    assert!(!report.is_ok(), "{report}");
+    let check = report.files.iter().find(|f| f.name == seg).unwrap();
+    let pages = std::fs::metadata(dir.join(seg)).unwrap().len() / PAGE_SIZE as u64;
+    assert_eq!(check.pages, pages, "every page passes its CRC: {report}");
+    let error = check.error.as_deref().unwrap_or_default();
+    assert!(error.contains(why), "{report}");
+}
+
+/// A page CRC vouches for bytes, not for who wrote them: a record
+/// forged *with* a valid CRC whose edge label runs off its sequence must
+/// come back as a typed `BadRecord` through the same abort → exclude →
+/// partial-answer path as a failed CRC, not as a slice panic.
+#[test]
+fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
+    use warptree_disk::DiskError;
+
+    let dir = tmpdir("hostile");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let clean = {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        snap.query_degraded(&req).unwrap().output.matches().to_vec()
+    };
+    let record = forge_root_child_label(&dir, &seg1);
+
+    // The forged page passes every CRC check there is, and the record
+    // does not pass decode...
+    assert_check_fails_on_a_record(&dir, &seg1, "outside the corpus");
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    // The forged page passes every CRC check there is...
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
-    forged.verify_pages().unwrap();
-    // ...the record does not pass decode...
-    let tree = forged.as_tree().unwrap();
-    match tree.read_node(label_len_at - 8) {
+    match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("outside the corpus"), "{m}"),
         other => panic!("expected a typed BadRecord, got {other:?}"),
     }
@@ -349,6 +370,40 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
             "degraded match {m:?} not in the clean set"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The committed-file check decodes every tree record, so a record
+/// forged behind a valid CRC is found before any query trips on it:
+/// `verify` names the segment, and scrub quarantines it and heals it
+/// from the corpus, after which every answer is the clean one.
+#[test]
+fn scrub_finds_and_heals_a_hostile_record_behind_a_valid_crc() {
+    let dir = tmpdir("hostile-scrub");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let answers = || {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        let req =
+            |q: &[f64]| QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
+        (chaos_queries().iter())
+            .map(|q| {
+                let dq = snap.query_degraded(&req(q)).unwrap();
+                assert!(dq.detected.is_empty() && dq.output.coverage.is_none());
+                dq.output.matches().to_vec()
+            })
+            .collect::<Vec<_>>()
+    };
+    let clean = answers();
+    forge_root_child_label(&dir, &seg1);
+
+    assert_check_fails_on_a_record(&dir, &seg1, "outside the corpus");
+    let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
+    assert_eq!(report.newly_quarantined, vec![seg1.clone()], "{report}");
+    assert_eq!(report.healed, vec![seg1], "{report}");
+    assert!(report.unrecoverable.is_none(), "{report}");
+    let verified = verify_dir_with(&RealVfs, &dir).unwrap();
+    assert!(verified.is_ok(), "{verified}");
+    assert_eq!(answers(), clean, "healed answers are the clean ones");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -394,9 +449,9 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     drop(snap);
     forge_word(&path, start_at, u32::MAX - 1);
 
+    assert_check_fails_on_a_record(&dir, &seg1, "suffix");
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
-    forged.verify_pages().unwrap();
     match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("suffix"), "{m}"),
         other => panic!("expected a typed BadRecord, got {other:?}"),
