@@ -77,7 +77,8 @@ pub struct CoordConfig {
     pub retry: RetryPolicy,
     /// Maximum concurrent client connections.
     pub max_conns: usize,
-    /// How often the health monitor polls each shard's `info`.
+    /// How often the health monitor polls each shard's `info`. Must be
+    /// nonzero.
     pub health_interval: Duration,
     /// Slow-query threshold in milliseconds for the coordinator's own
     /// slow-query ring; `0` disables threshold capture.
@@ -184,6 +185,10 @@ impl Coordinator {
         manifest
             .validate()
             .map_err(|e| io::Error::other(format!("invalid shard manifest: {e}")))?;
+        if config.health_interval.is_zero() {
+            // A zero interval would poll every shard in a hot loop.
+            return Err(io::Error::other("health_interval must be nonzero"));
+        }
         if config.shard_addrs.len() != manifest.shards.len() {
             return Err(io::Error::other(format!(
                 "manifest has {} shards but {} addresses were given",

@@ -751,6 +751,24 @@ fn coordinator_control_plane_and_errors() {
     coord.stop();
 }
 
+/// A zero health interval is refused with an error naming the field,
+/// not run as a loop of `info` requests to every shard.
+#[test]
+fn zero_health_interval_is_refused() {
+    let root = tmpdir("zero-health");
+    let store = corpus();
+    let alphabet = Alphabet::equal_length(&store, 6).unwrap();
+    build_shard_layout(&root, &store, &alphabet, &[12]);
+    let config = CoordConfig {
+        shard_addrs: vec!["127.0.0.1:1".to_string()],
+        health_interval: Duration::ZERO,
+        ..CoordConfig::default()
+    };
+    let err = Coordinator::start(&root, config).err().expect("refused");
+    assert!(err.to_string().contains("health_interval"), "{err}");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// One shard server per cut of [`corpus`] and a coordinator over them,
 /// for the serving-loop checks below.
 fn start_cluster(

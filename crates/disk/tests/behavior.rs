@@ -1,11 +1,17 @@
 //! Behavioural tests of the disk layer: node-cache effectiveness,
-//! merge preconditions, and builder edge cases.
+//! merge preconditions, builder edge cases, and the whole pipeline from
+//! a persisted corpus through a merged tree to a search.
 
 use std::sync::Arc;
-use warptree_core::categorize::CatStore;
-use warptree_core::search::IndexBackend;
-use warptree_disk::{merge_trees, write_tree, DiskTree, IncrementalBuilder, TreeKind};
-use warptree_suffix::{build_full, build_full_truncated, TruncateSpec};
+use warptree_core::categorize::{Alphabet, CatStore};
+use warptree_core::search::{
+    run_query, seq_scan, IndexBackend, QueryRequest, SearchParams, SearchStats, SeqScanMode,
+};
+use warptree_core::sequence::{SeqId, SequenceStore};
+use warptree_disk::{
+    load_corpus, merge_trees, save_corpus, write_tree, DiskTree, IncrementalBuilder, TreeKind,
+};
+use warptree_suffix::{build_full, build_full_range, build_full_truncated, TruncateSpec};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let p = std::env::temp_dir().join(format!("warptree-behavior-{}-{tag}", std::process::id()));
@@ -102,5 +108,55 @@ fn reopening_with_tiny_caches_matches_large_caches() {
         v
     };
     assert_eq!(collect(1, 1), collect(64, 1024));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A straight-line scenario through the whole disk pipeline: corpus
+/// persistence, a two-way merge, reopening, and searching the merged tree
+/// through the buffer pool.
+#[test]
+fn full_disk_pipeline() {
+    let dir = tmpdir("pipeline");
+    let store = SequenceStore::from_values(
+        (0..24)
+            .map(|i| (0..60).map(|j| ((i * 31 + j * 7) % 23) as f64).collect())
+            .collect::<Vec<Vec<f64>>>(),
+    );
+    let alphabet = Alphabet::max_entropy(&store, 10).unwrap();
+    let cat = Arc::new(alphabet.encode_store(&store));
+
+    // Persist and reload the corpus.
+    let corpus_path = dir.join("corpus.wc");
+    save_corpus(&store, &alphabet, &corpus_path).unwrap();
+    let (store2, alphabet2, cat2) = load_corpus(&corpus_path).unwrap();
+    assert_eq!(store2.len(), store.len());
+    assert_eq!(cat2.seqs(), cat.seqs());
+
+    // Build two halves and merge them.
+    let (p1, p2, pm) = (dir.join("h1.wt"), dir.join("h2.wt"), dir.join("merged.wt"));
+    write_tree(&build_full_range(cat.clone(), 0..12), &p1).unwrap();
+    write_tree(&build_full_range(cat.clone(), 12..24), &p2).unwrap();
+    let d1 = DiskTree::open(&p1, cat.clone(), 16, 64).unwrap();
+    let d2 = DiskTree::open(&p2, cat.clone(), 16, 64).unwrap();
+    merge_trees(&d1, &d2, &cat, &pm).unwrap();
+    let merged = DiskTree::open(&pm, cat2, 32, 256).unwrap();
+
+    // Search the merged tree over the reloaded corpus.
+    let params = SearchParams::with_epsilon(3.0);
+    for i in 0..5 {
+        let q = store2.get(SeqId(i * 4)).subseq(i * 5, 8).to_vec();
+        let req = QueryRequest::threshold_params(&q, params.clone());
+        let (out, stats) = run_query(&merged, &alphabet2, &store2, &req).unwrap();
+        let mut scan_stats = SearchStats::default();
+        let scan = seq_scan(&store2, &q, &params, SeqScanMode::Full, &mut scan_stats);
+        assert_eq!(
+            out.into_answer_set().occurrence_set(),
+            scan.occurrence_set()
+        );
+        // The index does less table work than the scan.
+        assert!(stats.filter_cells <= scan_stats.filter_cells);
+    }
+    // The buffer pool served repeated reads.
+    assert!(merged.io_stats().cache_hits > 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }

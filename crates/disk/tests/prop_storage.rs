@@ -291,4 +291,37 @@ proptest! {
         prop_assert_eq!(c2.seqs(), cat.seqs());
         std::fs::remove_file(&path).unwrap();
     }
+
+    /// Incremental (batched, merged) construction equals direct
+    /// construction, node for node, for full and sparse trees.
+    #[test]
+    fn incremental_build_equals_direct(
+        db in prop::collection::vec(
+            prop::collection::vec((0i32..10).prop_map(|v| v as f64), 1..14),
+            1..6,
+        ),
+        batch in 1usize..4,
+        case in 0u64..1_000_000,
+    ) {
+        use warptree_disk::{IncrementalBuilder, TreeKind};
+        let dir = tmp(&format!("incr-{case}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = SequenceStore::from_values(db);
+        let alphabet = warptree_core::categorize::Alphabet::equal_length(&store, 2).unwrap();
+        let cat = Arc::new(alphabet.encode_store(&store));
+        for (kind, sparse) in [(TreeKind::Full, false), (TreeKind::Sparse, true)] {
+            let out = dir.join(format!("incr-{sparse}.wt"));
+            IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone())
+                .build(&out)
+                .unwrap();
+            let disk = DiskTree::open(&out, cat.clone(), 8, 32).unwrap();
+            let direct = if sparse {
+                warptree_suffix::build_sparse(cat.clone())
+            } else {
+                warptree_suffix::build_full(cat.clone())
+            };
+            prop_assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

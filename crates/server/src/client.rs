@@ -6,7 +6,7 @@
 
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use warptree_core::search::{KnnParams, SearchParams};
@@ -71,7 +71,7 @@ impl ClientError {
     }
 }
 
-/// Backoff policy for [`Client::request_with_retry`]: capped
+/// Backoff policy for [`ShardConn::request_with_retry`]: capped
 /// exponential backoff with full jitter (each sleep is uniform in
 /// `[0, min(base·2^attempt, max_backoff))` — jitter decorrelates a
 /// thundering herd of clients all rejected by the same overload).
@@ -122,19 +122,17 @@ fn jitter_seed() -> u64 {
 }
 
 /// Runs `attempt` until it succeeds, fails with a non-transient error,
-/// or `policy` is spent. Each retry hands `attempt` the error it is
-/// retrying after (`None` the first time), and is preceded by a sleep
-/// uniform in `[0, min(base·2^attempt, max_backoff))`.
+/// or `policy` is spent. Each retry is preceded by a sleep uniform in
+/// `[0, min(base·2^attempt, max_backoff))`.
 fn with_retry(
     policy: &RetryPolicy,
-    mut attempt: impl FnMut(Option<&ClientError>) -> Result<Json, ClientError>,
+    mut attempt: impl FnMut() -> Result<Json, ClientError>,
 ) -> Result<Json, ClientError> {
     let started = Instant::now();
     let mut rng = jitter_seed();
-    let mut failed: Option<ClientError> = None;
     let mut retries: u32 = 0;
     loop {
-        let err = match attempt(failed.as_ref()) {
+        let err = match attempt() {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => e,
             Err(e) => return Err(e),
@@ -154,17 +152,15 @@ fn with_retry(
             }
         }
         std::thread::sleep(sleep);
-        failed = Some(err);
         retries += 1;
     }
 }
 
-/// A blocking connection to a warptree server.
+/// A blocking connection to a warptree server. It does not retry: a
+/// caller that wants re-dials and backoff wraps the address in a
+/// [`ShardConn`] instead.
 pub struct Client {
     stream: TcpStream,
-    /// Remembered for [`Client::reconnect`] after a transport failure.
-    peer: Option<SocketAddr>,
-    timeout: Option<Duration>,
 }
 
 impl Client {
@@ -172,54 +168,12 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let peer = stream.peer_addr().ok();
-        Ok(Client {
-            stream,
-            peer,
-            timeout: None,
-        })
+        Ok(Client { stream })
     }
 
     /// Sets the per-response read timeout (`None` blocks forever).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.timeout = timeout;
         self.stream.set_read_timeout(timeout)
-    }
-
-    /// Re-dials the peer this client was connected to, preserving the
-    /// configured timeout. Used by the retry path after a transport
-    /// error leaves the old socket unusable.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let peer = self
-            .peer
-            .ok_or_else(|| io::Error::other("peer address unknown; cannot reconnect"))?;
-        let stream = TcpStream::connect(peer)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(self.timeout)?;
-        self.stream = stream;
-        Ok(())
-    }
-
-    /// [`Client::request`] with retries on transient failures
-    /// ([`ClientError::is_transient`]): `overloaded` rejections back
-    /// off with full jitter, transport errors reconnect first. Hard
-    /// (typed, deterministic) errors return immediately; the policy's
-    /// deadline bounds the total time spent, sleeps included.
-    pub fn request_with_retry(
-        &mut self,
-        body: &str,
-        policy: &RetryPolicy,
-    ) -> Result<Json, ClientError> {
-        with_retry(policy, |failed| {
-            // A dead socket fails every future request on this
-            // connection; re-dial before retrying. Reconnect failure is
-            // itself transient (the server may be restarting), so it
-            // just consumes this attempt.
-            if failed.is_some_and(|e| !matches!(e, ClientError::Server { .. })) {
-                let _ = self.reconnect();
-            }
-            self.request(body)
-        })
     }
 
     /// Sends `body` (a JSON request object) and returns the **raw**
@@ -447,7 +401,7 @@ impl ShardConn {
         body: &str,
         policy: &RetryPolicy,
     ) -> Result<Json, ClientError> {
-        with_retry(policy, |_| self.request(body))
+        with_retry(policy, || self.request(body))
     }
 }
 

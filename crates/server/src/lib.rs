@@ -70,7 +70,7 @@ pub use pool::{SubmitError, WorkerPool};
 pub use proto::{ErrorCode, ParseError, Request, MAX_FRAME, PROTO_VERSION};
 pub use serve_core::{Handler, ServeHandle, SlowLog, StopThread};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use snapshot::{ReloadWatcher, SnapshotCell};
+pub use snapshot::SnapshotCell;
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,7 +42,7 @@ use crate::http::MetricsHttp;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{self, error_response, ok_response, ErrorCode, Request};
 use crate::serve_core::{self, next_trace_id, Handler, ServeHandle, SlowLog, StopThread};
-use crate::snapshot::{instrument_snapshot, ReloadWatcher, SnapshotCell};
+use crate::snapshot::{instrument_snapshot, spawn_reload_watcher, SnapshotCell, WatcherCtx};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -62,7 +62,8 @@ pub struct ServerConfig {
     /// mid-query, so cap per-query cost with
     /// [`ServerConfig::max_query_len`].
     pub deadline: Duration,
-    /// How often the reload watcher polls the commit manifest.
+    /// How often the reload watcher polls the commit manifest. Must be
+    /// nonzero.
     pub reload_interval: Duration,
     /// Longest accepted query; longer ones fail `bad_request` (the
     /// filter cost is quadratic in query length, so this caps
@@ -93,6 +94,7 @@ pub struct ServerConfig {
     /// accumulate until an offline `warptree compact`.
     pub compact_threshold: usize,
     /// How often the compaction worker checks the tail-segment count.
+    /// Must be nonzero while compaction is on.
     pub compact_interval: Duration,
     /// How often the background scrubber walks every committed page
     /// through the CRC-checked read path, tombstoning segments that
@@ -195,8 +197,7 @@ impl IngestState {
 /// queries keep their pinned snapshots, so compaction is invisible to
 /// readers except in `info`'s segment count.
 fn compact_loop(state: &IngestState, threshold: usize, interval: Duration, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(interval);
+    while StopThread::sleep(stop, interval) {
         // Fold until back under threshold; each iteration re-reads the
         // published snapshot, so concurrent ingests extend the loop and
         // a failed fold ends it (retried after the next sleep).
@@ -332,6 +333,16 @@ impl Server {
         config: ServerConfig,
         registry: MetricsRegistry,
     ) -> io::Result<ServerHandle> {
+        // A zero interval would turn its ticker into a hot loop.
+        let compacting = config.compact_threshold > 0;
+        for (field, interval, used) in [
+            ("reload_interval", config.reload_interval, true),
+            ("compact_interval", config.compact_interval, compacting),
+        ] {
+            if used && interval.is_zero() {
+                return Err(io::Error::other(format!("{field} must be nonzero")));
+            }
+        }
         let snapshot =
             open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages, config.cache_nodes)
                 .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
@@ -378,16 +389,18 @@ impl Server {
             Some(addr) => Some(MetricsHttp::spawn(addr, registry.clone())?),
             None => None,
         };
-        let watcher = ReloadWatcher::spawn(
-            vfs,
-            dir.to_path_buf(),
-            cell,
-            registry.clone(),
+        let watcher = spawn_reload_watcher(
+            WatcherCtx {
+                vfs,
+                dir: dir.to_path_buf(),
+                cell,
+                registry: registry.clone(),
+                cache_pages: config.cache_pages,
+                cache_nodes: config.cache_nodes,
+            },
             config.reload_interval,
-            config.cache_pages,
-            config.cache_nodes,
-        );
-        let compactor = if config.compact_threshold > 0 {
+        )?;
+        let compactor = if compacting {
             let (state, threshold, interval) = (
                 ingest.clone(),
                 config.compact_threshold,
@@ -431,7 +444,7 @@ impl Server {
 pub struct ServerBackground {
     _compactor: Option<StopThread>,
     _scrubber: Option<StopThread>,
-    _watcher: ReloadWatcher,
+    _watcher: StopThread,
     metrics_http: Option<MetricsHttp>,
 }
 
@@ -761,56 +774,47 @@ fn execute(job: &Job, req: Request) -> String {
                 Expired,
                 /// A complete error response (already typed + metered).
                 Fail(String),
+                /// Not run: a lower-indexed item already failed or expired.
+                Skipped,
             }
-            let threads = params.threads as usize;
-            let run_item = |query: &[f64], item_params: &warptree_core::search::SearchParams| {
-                let req = QueryRequest::threshold_params(query, item_params.clone())
-                    .capped(job.ctx.max_query_len);
-                match degraded_query(job, &snap, &req) {
-                    Ok((out, _)) => Item::Answer(out),
-                    Err(resp) => Item::Fail(resp),
-                }
-            };
-            let items: Vec<Item> = if threads > 1 && total > 1 {
-                // The parallelism budget is spent *across* items (the
-                // coarsest grain available), so each item runs its own
-                // search sequentially. Results are pinned by item index
-                // — a slow first item never reorders the response.
-                let mut item_params = params.clone();
+            // With several items the parallelism budget is spent *across*
+            // them (the coarsest grain available), so each runs its own
+            // search sequentially; a single item keeps its intra-query
+            // threads. Results are pinned by item index, so a slow first
+            // item never reorders the response.
+            let (lanes, mut item_params) = (params.threads as usize, params);
+            if total > 1 {
                 item_params.threads = 1;
-                warptree_core::parallel::parallel_map(threads, queries, |_i, query| {
-                    // The same between-items deadline checkpoint as the
-                    // sequential path: checked before an item starts, a
-                    // running search is never interrupted.
-                    if Instant::now() > job.deadline {
-                        return Item::Expired;
-                    }
-                    run_item(&query, &item_params)
-                })
-            } else {
-                let mut out = Vec::with_capacity(total);
-                for query in &queries {
-                    // The deadline checkpoint between items: one batch
-                    // can carry many searches, so this is where an
-                    // admitted request can overstay its deadline by more
-                    // than one query's worth of work.
-                    if Instant::now() > job.deadline {
-                        out.push(Item::Expired);
-                        break;
-                    }
-                    match run_item(query, &params) {
-                        fail @ Item::Fail(_) => {
-                            out.push(fail);
-                            break;
-                        }
-                        item => out.push(item),
-                    }
+            }
+            let first_failed = AtomicUsize::new(usize::MAX);
+            let items = warptree_core::parallel::parallel_map(lanes, queries, |i, query| {
+                if first_failed.load(Ordering::SeqCst) < i {
+                    return Item::Skipped;
                 }
-                out
-            };
+                // The deadline checkpoint between items, checked before an
+                // item starts (a running search is never interrupted): one
+                // batch can carry many searches, so this is where an
+                // admitted request can overstay its deadline by more than
+                // one query's worth of work.
+                let item = if Instant::now() > job.deadline {
+                    Item::Expired
+                } else {
+                    let req = QueryRequest::threshold_params(&query, item_params.clone())
+                        .capped(job.ctx.max_query_len);
+                    match degraded_query(job, &snap, &req) {
+                        Ok((out, _)) => Item::Answer(out),
+                        Err(resp) => Item::Fail(resp),
+                    }
+                };
+                if !matches!(item, Item::Answer(_)) {
+                    first_failed.fetch_min(i, Ordering::SeqCst);
+                }
+                item
+            });
             // Fold in request order, encoding each answer straight into
-            // the reply; the first expiry or error (lowest index) wins,
-            // matching the sequential contract exactly.
+            // the reply; the first expiry or error (lowest index) wins.
+            // One lane runs the items in order and stops at the first
+            // failure, exactly as a sequential loop with an early break.
             let mut resp = proto::ok_open("batch");
             let _ = write!(resp, ",\"generation\":{},\"results\":[", snap.generation);
             let mut outcome = Ok(());
@@ -835,6 +839,8 @@ fn execute(job: &Job, req: Request) -> String {
                         outcome = Err(e);
                         break;
                     }
+                    // Only ever behind the failure that caused it.
+                    Item::Skipped => break,
                 }
             }
             outcome.map(|()| {

@@ -18,14 +18,15 @@
 //! after the open fully succeeds; an interrupted or failing commit
 //! leaves the server on the old generation, serving uninterrupted.
 
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use warptree_disk::{committed_generation_with, open_dir_snapshot_with, DirSnapshot, Vfs};
 use warptree_obs::MetricsRegistry;
+
+use crate::serve_core::StopThread;
 
 /// Wires a freshly opened snapshot into the server's metrics registry:
 /// the base tree and every live segment meter their CRC failures into
@@ -73,92 +74,30 @@ impl SnapshotCell {
     }
 }
 
-/// Polls the commit manifest and hot-swaps newer generations into a
-/// [`SnapshotCell`].
-pub struct ReloadWatcher {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// What the reload watcher polls and swaps, with the cache sizes for
+/// newly opened generations. It meters `server.reloads` /
+/// `server.reload_errors` counters and the `server.generation` gauge.
+pub(crate) struct WatcherCtx {
+    pub(crate) vfs: Arc<dyn Vfs>,
+    pub(crate) dir: PathBuf,
+    pub(crate) cell: Arc<SnapshotCell>,
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) cache_pages: usize,
+    pub(crate) cache_nodes: usize,
 }
 
-/// What the watcher meters: `server.reloads` / `server.reload_errors`
-/// counters and the `server.generation` gauge.
-struct WatcherCtx {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    cell: Arc<SnapshotCell>,
-    registry: MetricsRegistry,
-    cache_pages: usize,
-    cache_nodes: usize,
-}
-
-impl ReloadWatcher {
-    /// Spawns the watcher thread, polling every `interval`. The cache
-    /// sizes are used for newly opened generations.
-    pub fn spawn(
-        vfs: Arc<dyn Vfs>,
-        dir: PathBuf,
-        cell: Arc<SnapshotCell>,
-        registry: MetricsRegistry,
-        interval: Duration,
-        cache_pages: usize,
-        cache_nodes: usize,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let ctx = WatcherCtx {
-            vfs,
-            dir,
-            cell,
-            registry,
-            cache_pages,
-            cache_nodes,
-        };
-        ctx.registry
-            .set_gauge("server.generation", ctx.cell.generation() as f64);
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("warptree-reload".to_string())
-            .spawn(move || watcher_loop(&ctx, &stop2, interval))
-            .expect("spawn reload watcher");
-        ReloadWatcher {
-            stop,
-            handle: Some(handle),
+/// Spawns the reload watcher: a [`StopThread`] that polls the commit
+/// manifest once at start, then every `interval`, and hot-swaps newer
+/// generations into the cell. The server refuses a zero `interval`.
+pub(crate) fn spawn_reload_watcher(ctx: WatcherCtx, interval: Duration) -> io::Result<StopThread> {
+    ctx.registry
+        .set_gauge("server.generation", ctx.cell.generation() as f64);
+    StopThread::spawn("warptree-reload", move |stop| {
+        poll_once(&ctx);
+        while StopThread::sleep(stop, interval) {
+            poll_once(&ctx);
         }
-    }
-
-    /// Asks the watcher to exit and waits for it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReloadWatcher {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn watcher_loop(ctx: &WatcherCtx, stop: &AtomicBool, interval: Duration) {
-    // Sleep in small slices so stop() returns promptly even with a
-    // long poll interval.
-    let slice = interval
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(1));
-    let mut elapsed = interval; // poll immediately on start
-    while !stop.load(Ordering::SeqCst) {
-        if elapsed < interval {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            continue;
-        }
-        elapsed = Duration::ZERO;
-        poll_once(ctx);
-    }
+    })
 }
 
 fn poll_once(ctx: &WatcherCtx) {
@@ -260,15 +199,15 @@ mod tests {
             open_dir_snapshot_with(vfs.as_ref(), &dir, 4, 16).unwrap(),
         )));
         let reg = MetricsRegistry::new();
-        let watcher = ReloadWatcher::spawn(
+        let ctx = WatcherCtx {
             vfs,
-            dir.clone(),
-            cell.clone(),
-            reg.clone(),
-            Duration::from_millis(5),
-            4,
-            16,
-        );
+            dir: dir.clone(),
+            cell: cell.clone(),
+            registry: reg.clone(),
+            cache_pages: 4,
+            cache_nodes: 16,
+        };
+        let watcher = spawn_reload_watcher(ctx, Duration::from_millis(5)).unwrap();
         build(&dir, vec![vec![4.0, 5.0], vec![6.0]]);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while cell.generation() != 2 {
@@ -279,7 +218,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(cell.get().store.len(), 2);
-        watcher.stop();
+        drop(watcher);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["server.reloads"], 1);
         assert_eq!(snap.gauges["server.generation"], 2.0);

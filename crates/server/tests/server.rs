@@ -588,3 +588,39 @@ fn background_compactor_folds_tail_segments() {
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A zero poll interval is refused with an error naming the field, not
+/// run as a hot loop: the reload watcher's always, the compactor's while
+/// compaction is on. A zero scrub interval still means "off".
+#[test]
+fn zero_intervals_are_refused() {
+    let dir = tmpdir("zero-intervals");
+    build_index(&dir);
+    for (field, config) in [
+        (
+            "reload_interval",
+            ServerConfig {
+                reload_interval: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "compact_interval",
+            ServerConfig {
+                compact_interval: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+        ),
+    ] {
+        let err = Server::start(&dir, config).err().expect("refused");
+        assert!(err.to_string().contains(field), "{err}");
+    }
+    let off = ServerConfig {
+        compact_threshold: 0,
+        compact_interval: Duration::ZERO,
+        scrub_interval: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    Server::start(&dir, off).unwrap().stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

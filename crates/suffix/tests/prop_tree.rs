@@ -4,7 +4,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::categorize::{CatStore, Symbol};
 use warptree_core::sequence::SeqId;
-use warptree_suffix::{build_full, build_full_naive, build_sparse, compaction_ratio};
+use warptree_suffix::{
+    build_full, build_full_naive, build_full_truncated, build_sparse, build_sparse_truncated,
+    compaction_ratio, SuffixTree, TruncateSpec,
+};
 
 /// Random categorized corpora: up to 5 sequences of up to 24 symbols from
 /// small alphabets (small alphabets maximize shared prefixes and runs —
@@ -87,11 +90,12 @@ proptest! {
     }
 
     /// Structural suffix-tree property: every unlabeled internal node
-    /// branches, and node count is linear in input size.
+    /// branches, node count is linear in input size, and §8 truncation
+    /// at any depth never grows the full or the sparse tree.
     #[test]
-    fn structural_bounds((seqs, alpha) in corpus()) {
+    fn structural_bounds((seqs, alpha) in corpus(), depth in 1u32..6) {
         let cat = Arc::new(CatStore::from_symbols(seqs.clone(), alpha));
-        let tree = build_full(cat);
+        let tree = build_full(cat.clone());
         let total: u64 = seqs.iter().map(|s| s.len() as u64).sum();
         prop_assert!(tree.node_count() as u64 <= 2 * total + 1);
         for id in 1..tree.node_count() as u32 {
@@ -100,7 +104,52 @@ proptest! {
                 prop_assert!(n.children.len() >= 2);
             }
         }
+        let spec = TruncateSpec { max_answer_len: depth, min_answer_len: 1 };
+        let truncated = build_full_truncated(cat.clone(), spec);
+        truncated.check_invariants();
+        prop_assert_eq!(truncated.depth_limit(), Some(depth));
+        prop_assert!(truncated.node_count() <= tree.node_count());
+        let sparse_truncated = build_sparse_truncated(cat.clone(), spec);
+        sparse_truncated.check_invariants();
+        prop_assert!(sparse_truncated.node_count() <= build_sparse(cat).node_count());
     }
+}
+
+/// §8 truncation at depth 24 keeps at most half the stored label symbols
+/// (the paper's index-space metric with inline labels) over long, slowly
+/// wandering sequences: the long leaf edges are cut.
+#[test]
+fn truncated_index_is_smaller() {
+    let mut state = 0x2545_F491_u64;
+    let seqs: Vec<Vec<Symbol>> = (0..40)
+        .map(|i| {
+            let mut level = 10i64;
+            (0..100 + i)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    level = (level + (state >> 33) as i64 % 3 - 1).clamp(0, 19);
+                    level as Symbol
+                })
+                .collect()
+        })
+        .collect();
+    let cat = Arc::new(CatStore::from_symbols(seqs, 20));
+    let full = build_full(cat.clone());
+    let spec = TruncateSpec {
+        max_answer_len: 24,
+        min_answer_len: 8,
+    };
+    let truncated = build_full_truncated(cat, spec);
+    let label_symbols = |t: &SuffixTree| -> u64 {
+        (0..t.node_count() as u32)
+            .map(|id| t.node(id).label.len as u64)
+            .sum()
+    };
+    let (fs, ts) = (label_symbols(&full), label_symbols(&truncated));
+    assert!(ts * 2 < fs, "truncation kept {ts} of {fs} label symbols");
+    assert!(truncated.node_count() <= full.node_count());
 }
 
 /// Larger-alphabet, longer-sequence stress for the Ukkonen builder

@@ -36,7 +36,7 @@ use warptree_server::chaos::{ChaosConfig, ChaosStream};
 use warptree_server::client::search_request_v4;
 use warptree_server::json::{self, Json};
 use warptree_server::proto::{read_frame, write_frame};
-use warptree_server::{Client, Request, RetryPolicy, Server, ServerConfig};
+use warptree_server::{Client, Request, RetryPolicy, Server, ServerConfig, ShardConn};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("warptree-chaos-{}-{tag}", std::process::id()));
@@ -823,7 +823,7 @@ fn retry_with_backoff_rides_out_dropped_connections() {
     // A flaky fake server: drops the first two accepted connections on
     // the floor (the client sees EOF mid-exchange — a transient
     // transport fault), then serves canned responses. The retry loop
-    // must reconnect and land the request without surfacing an error.
+    // must re-dial and land the request without surfacing an error.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
@@ -840,7 +840,7 @@ fn retry_with_backoff_rides_out_dropped_connections() {
             write_frame(&mut conn, br#"{"ok":true,"count":0,"matches":[]}"#).unwrap();
         }
     });
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = ShardConn::new(addr.to_string());
     let policy = RetryPolicy {
         max_retries: 5,
         base: Duration::from_millis(5),
@@ -883,7 +883,7 @@ fn full_chaos_matrix_with_concurrent_ingest() {
             max_backoff: Duration::from_millis(100),
             deadline: Some(Duration::from_secs(20)),
         };
-        let mut client = Client::connect(addr).unwrap();
+        let mut client = ShardConn::new(addr.to_string());
         let mut acked = 0u32;
         for batch in 0..4u64 {
             let body = Request::Ingest {

@@ -1,201 +1,136 @@
-//! The headline guarantee of the paper, verified end-to-end: for any
-//! database, query and threshold, every index-based search returns
-//! *exactly* the answer set of the exact sequential scan — no false
-//! dismissals (Theorems 1–3) and, after post-processing, no false
-//! alarms.
+//! The equivalence matrix over random grid corpora and the fixed corpora
+//! no other target runs in full, and the paper's own example. The harness
+//! — `Config`, the corpora, the oracle and the one comparison — lives in
+//! `tests/matrix/mod.rs`.
 
+mod matrix;
+
+use matrix::*;
 use proptest::prelude::*;
 use warptree::prelude::*;
+use warptree_disk::DiskError;
 
-/// Small random databases of value sequences. Values are drawn from a
-/// coarse grid so categorized forms contain runs and shared prefixes (the
-/// structurally hard cases for the sparse tree).
-fn db_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(
-        prop::collection::vec((0i32..12).prop_map(|v| v as f64 * 0.5), 1..16),
-        1..5,
-    )
-}
-
-fn query_strategy() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec((0i32..12).prop_map(|v| v as f64 * 0.5), 1..5)
-}
-
-fn check_all_indexes(
-    db: Vec<Vec<f64>>,
-    q: Vec<f64>,
-    eps: f64,
-    params: SearchParams,
-) -> Result<(), TestCaseError> {
-    let store = SequenceStore::from_values(db);
-    let exact = Index::exact(&store).unwrap();
-    let (base, base_stats) = exact.seq_scan(&q, &params);
-    let baseline = base.occurrence_set();
-    let variants: Vec<(&str, Index)> = vec![
-        ("ST", Index::exact(&store).unwrap()),
-        (
-            "ST_C/EL",
-            Index::full(&store, Categorization::EqualLength(3)).unwrap(),
-        ),
-        (
-            "ST_C/ME",
-            Index::full(&store, Categorization::MaxEntropy(3)).unwrap(),
-        ),
-        (
-            "ST_C/KM",
-            Index::full(&store, Categorization::KMeans(3)).unwrap(),
-        ),
-        (
-            "SST_C/EL",
-            Index::sparse(&store, Categorization::EqualLength(3)).unwrap(),
-        ),
-        (
-            "SST_C/ME",
-            Index::sparse(&store, Categorization::MaxEntropy(3)).unwrap(),
-        ),
-        (
-            "SST(exact)",
-            Index::sparse(&store, Categorization::Exact).unwrap(),
-        ),
-    ];
-    for (name, idx) in &variants {
-        let (ans, stats) = idx.search(&q, &params);
-        prop_assert_eq!(
-            ans.occurrence_set(),
-            baseline.clone(),
-            "answer set mismatch for {} (eps {})",
-            name,
-            eps
-        );
-        // Distances must be the exact (windowed, when applicable) DTW.
-        for m in ans.matches() {
-            let sub = store.occurrence_values(m.occ);
-            let expected = match params.window {
-                Some(w) => warptree::core::dtw::dtw_windowed(&q, sub, w),
-                None => warptree::core::dtw::dtw(&q, sub),
-            };
-            prop_assert!(
-                (m.dist - expected).abs() < 1e-9,
-                "distance mismatch for {}",
-                name
-            );
-            prop_assert!(m.dist <= eps + 1e-9);
-        }
-        prop_assert_eq!(stats.answers, base_stats.answers);
-    }
-    Ok(())
+/// Full and sparse in-memory trees over every categorization.
+fn every_tree(base: Config) -> Sweep {
+    let cats = [Cat::Exact, Cat::EqualLength, Cat::MaxEntropy, Cat::KMeans];
+    Sweep::of(base)
+        .vary(&[false, true], |c, v| c.sparse = v)
+        .vary(&cats, |c, v| c.cat = v)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All seven index variants equal SeqScan exactly.
+    /// Every in-memory index variant equals the sequential scan.
     #[test]
-    fn all_indexes_equal_seqscan(
-        db in db_strategy(),
-        q in query_strategy(),
-        eps_i in 0u32..8,
-    ) {
-        let eps = eps_i as f64 * 0.5;
-        check_all_indexes(db, q, eps, SearchParams::with_epsilon(eps))?;
+    fn all_indexes_equal_seqscan(corpus in grid_corpus()) {
+        Lab::new(corpus).pinned(every_tree(BASE));
     }
 
-    /// Same equality under a warping-window constraint (paper §8).
+    /// The same under the warping window (paper §8).
     #[test]
-    fn windowed_searches_agree(
-        db in db_strategy(),
-        q in query_strategy(),
-        eps_i in 0u32..6,
-        w in 0u32..4,
-    ) {
-        let eps = eps_i as f64 * 0.5;
-        let params = SearchParams::with_epsilon(eps).windowed(w);
-        check_all_indexes(db, q, eps, params)?;
+    fn windowed_searches_agree(corpus in grid_corpus()) {
+        Lab::new(corpus).pinned(every_tree(Config { window: true, ..BASE }));
     }
 
-    /// Length-range restriction agrees across algorithms.
+    /// The same under a length range; every answer lies inside it.
     #[test]
-    fn length_bounded_searches_agree(
-        db in db_strategy(),
-        q in query_strategy(),
-        min_len in 1u32..4,
-        extra in 0u32..4,
-    ) {
-        let eps = 1.0;
-        let params = SearchParams::with_epsilon(eps)
-            .length_range(min_len, min_len + extra);
-        let store = SequenceStore::from_values(db);
-        let exact = Index::exact(&store).unwrap();
-        let (base, _) = exact.seq_scan(&q, &params);
-        for m in base.matches() {
-            prop_assert!(m.occ.len >= min_len && m.occ.len <= min_len + extra);
-        }
-        let sparse =
-            Index::sparse(&store, Categorization::MaxEntropy(3)).unwrap();
-        let (ans, _) = sparse.search(&q, &params);
-        prop_assert_eq!(ans.occurrence_set(), base.occurrence_set());
+    fn length_bounded_searches_agree(corpus in grid_corpus()) {
+        let cfg = Config { sparse: true, cat: Cat::MaxEntropy, range: true, ..BASE };
+        Lab::new(corpus).pinned(Sweep::of(cfg));
     }
 
-    /// No false dismissals at the filter itself (Theorems 2/3): every
-    /// answer of the sequential scan is a candidate — its start has a
-    /// group, and the group holds its length.
+    /// No false dismissals at the filter itself (Theorems 2 and 3): every
+    /// answer of the sequential scan lies in a candidate group.
     #[test]
-    fn seqscan_answers_lie_in_candidate_groups(
-        db in db_strategy(),
-        q in query_strategy(),
-        eps_i in 0u32..8,
-    ) {
-        let eps = eps_i as f64 * 0.5;
-        let store = SequenceStore::from_values(db);
-        let params = SearchParams::with_epsilon(eps);
-        let (truth, _) = Index::exact(&store).unwrap().seq_scan(&q, &params);
-        for idx in [
-            Index::sparse(&store, Categorization::EqualLength(2)).unwrap(),
-            Index::full(&store, Categorization::MaxEntropy(3)).unwrap(),
-        ] {
-            let metrics = SearchMetrics::new();
-            let groups = filter_tree(idx.tree(), idx.alphabet(), &q, &params, &metrics);
-            let by_start: std::collections::HashMap<(SeqId, u32), &[u32]> = groups.iter().collect();
-            for m in truth.matches() {
-                let lens = by_start.get(&(m.occ.seq, m.occ.start));
-                prop_assert!(
-                    lens.is_some_and(|lens| lens.binary_search(&m.occ.len).is_ok()),
-                    "{} dismissed by the filter at eps {}",
-                    m.occ,
-                    eps
-                );
-            }
-        }
+    fn seqscan_answers_lie_in_candidate_groups(corpus in grid_corpus()) {
+        let sparse = Config { sparse: true, cat: Cat::EqualLength, ..BASE };
+        let full = Config { cat: Cat::MaxEntropy, ..BASE };
+        Lab::new(corpus).pinned(Sweep::of(sparse).and(Sweep::of(full)));
     }
 }
 
-/// Deterministic regression: the paper's own intro example.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The covering set, disk ESA included, on random corpora.
+    #[test]
+    fn grid_corpora_cover_every_pair(corpus in grid_corpus()) {
+        Lab::new(corpus).matrix();
+    }
+}
+
+/// The covering set on the inputs proptest once shrank failures to.
+#[test]
+fn shrunk_corpora_cover_every_pair() {
+    for corpus in shrunk_corpora() {
+        Lab::new(corpus).matrix();
+    }
+}
+
+/// The covering set on the segment-boundary batches.
+#[test]
+fn segment_boundary_batches() {
+    boundary_lab().matrix();
+}
+
+/// The covering set on the branch-rich corpus.
+#[test]
+fn branch_rich_corpus() {
+    branch_lab().matrix();
+}
+
+/// The paper's own introductory example: S1 as a whole warps onto Q at
+/// distance 0, and Q matches itself inside S2.
 #[test]
 fn intro_example_all_variants() {
-    let store = SequenceStore::from_values(vec![
-        vec![20.0, 20.0, 21.0, 21.0, 20.0, 20.0, 23.0, 23.0],
-        vec![20.0, 21.0, 20.0, 23.0],
-    ]);
-    let q = [20.0, 21.0, 20.0, 23.0];
-    let params = SearchParams::with_epsilon(0.0);
-    for idx in [
-        Index::exact(&store).unwrap(),
-        Index::full(&store, Categorization::EqualLength(4)).unwrap(),
-        Index::sparse(&store, Categorization::MaxEntropy(4)).unwrap(),
+    let q = vec![20.0, 21.0, 20.0, 23.0];
+    let s1 = vec![20.0, 20.0, 21.0, 21.0, 20.0, 20.0, 23.0, 23.0];
+    let corpus = Corpus::new(
+        "intro",
+        vec![vec![s1, q.clone()]],
+        4,
+        vec![(q, 0.0)],
+        1,
+        (4, 8),
+    );
+    let lab = Lab::new(corpus);
+    for (backend, sparse, cat) in [
+        (Backend::Memory, false, Cat::Exact),
+        (Backend::DiskTree, false, Cat::EqualLength),
+        (Backend::DiskEsa, true, Cat::MaxEntropy),
     ] {
-        let (ans, _) = idx.search(&q, &params);
-        // S1 as a whole warps onto Q exactly.
-        assert!(
-            ans.matches().iter().any(|m| m.occ.seq == SeqId(0)
-                && m.occ.start == 0
-                && m.occ.len == 8
-                && m.dist == 0.0),
-            "intro warping match missing"
-        );
-        // And Q matches itself inside S2.
-        assert!(ans
-            .matches()
-            .iter()
-            .any(|m| m.occ.seq == SeqId(1) && m.occ.len == 4 && m.dist == 0.0));
+        let cfg = Config {
+            backend,
+            sparse,
+            cat,
+            ..BASE
+        };
+        let found = &lab.check(cfg)[0].matches;
+        let exact = |seq, len| {
+            let hit = |m: &&Match| m.occ.seq == SeqId(seq) && m.occ.len == len;
+            found.iter().find(hit).is_some_and(|m| m.dist == 0.0)
+        };
+        assert!(exact(0, 8) && exact(1, 4), "{cfg:?}: {found:?}");
     }
+}
+
+/// What [`Config::valid`] leaves out for the ESA, refused with a typed
+/// error: `build_dir` will not truncate an ESA (§8).
+#[test]
+fn truncated_esa_build_is_refused() {
+    let corpus = boundary_batches();
+    let alphabet = corpus.alphabet(Cat::MaxEntropy);
+    let (path, spec) = (TempDir::new("esa-truncated"), Some(corpus.truncate));
+    let err = build_dir(
+        &path,
+        &corpus.store,
+        &alphabet,
+        false,
+        spec,
+        BackendKind::Esa,
+    );
+    let err = err.unwrap_err();
+    let refused = matches!(&err, DiskError::BadRecord(m) if m.contains("esa"));
+    assert!(refused, "{err}");
 }

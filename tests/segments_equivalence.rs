@@ -1,290 +1,93 @@
-//! The multi-segment equivalence contract (the tentpole of the online
-//! ingest work): an index grown by segment appends answers every query
-//! **byte-identically** to the same data folded into one monolithic
-//! tree — before compaction, mid-compaction, after full compaction,
-//! at every thread count, and after a torn compaction commit has been
-//! recovered.
-//!
-//! Identity is checked at two levels:
-//! * final results — matches and distances, for `search` and `knn`;
-//! * the candidate-level funnel (`candidates`, `stored_candidates`,
-//!   `lb2_candidates`, `postprocessed`, `postprocess_cells`,
-//!   `false_alarms`, `answers`) — the numbers `explain` reports.
-//!   Structural counters (`nodes_visited`, `filter_cells`, …) may
-//!   legitimately differ: N small trees are traversed instead of one
-//!   big one. The candidate set they produce may not.
+//! Segmented layouts answer like one tree: three segments, two, and a
+//! full fold over the segment-boundary batches, the boundary match itself
+//! and a torn compaction. Harness in `tests/matrix/mod.rs`.
 
-use std::path::{Path, PathBuf};
+mod matrix;
 
+use std::path::Path;
+
+use matrix::*;
 use warptree::prelude::*;
-use warptree::{build_index_dir, open_index_dir, Categorization, DiskIndexDir};
-use warptree_disk::{verify_dir_with, FaultMode, FaultVfs, RealVfs};
+use warptree_disk::{compact_once_with, FaultMode, FaultVfs};
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("warptree-seg-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    std::fs::create_dir_all(&p).unwrap();
-    p
+/// The disk tree every segment test starts from.
+const DISK: Config = Config {
+    backend: Backend::DiskTree,
+    sparse: true,
+    cat: Cat::MaxEntropy,
+    layout: Layout::Segments3,
+    ..BASE
+};
+
+/// `base`'s threshold and k-NN queries at 1 and 8 threads.
+fn queries(base: Config) -> Sweep {
+    Sweep::of(base)
+        .vary(&[1, 8], |c, v| c.threads = v)
+        .vary(&[Kind::Threshold, Kind::Knn(3, false)], |c, v| c.kind = v)
 }
 
-fn copy_dir(from: &Path, to: &Path) {
-    let _ = std::fs::remove_dir_all(to);
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
-    }
-}
-
-/// Base corpus (segment 0 after build).
-fn batch0() -> SequenceStore {
-    SequenceStore::from_values(vec![
-        vec![1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0, 1.0, 2.0, 3.0],
-        vec![5.0, 5.0, 4.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        vec![2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 5.0],
-    ])
-}
-
-/// First append. The last sequence *ends* in the exact pattern
-/// `[6.0, 7.0, 8.0]` — its best match sits in the final `query_len`
-/// positions of a tail-segment sequence, so finding it proves the tail
-/// tree indexes suffixes right up to the segment boundary.
-fn batch1() -> SequenceStore {
-    SequenceStore::from_values(vec![
-        vec![4.0, 3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 4.0],
-        vec![1.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-    ])
-}
-
-/// Second append; carries a *near miss* of the boundary query
-/// (`[6.0, 7.0, 9.5]`, distance > 1 from `[6.0, 7.0, 8.0]`) that a
-/// sloppy fan-out would confuse with the batch1 ending.
-fn batch2() -> SequenceStore {
-    SequenceStore::from_values(vec![
-        vec![6.0, 7.0, 9.5, 3.0, 2.0, 2.0, 1.0],
-        vec![3.0, 4.0, 4.0, 5.0, 5.0, 6.0, 6.0, 5.0, 4.0],
-    ])
-}
-
-fn queries() -> Vec<Vec<f64>> {
-    vec![
-        vec![6.0, 7.0, 8.0], // the segment-boundary pattern
-        vec![2.0, 3.0, 4.0],
-        vec![5.0, 4.0, 3.0, 2.0],
-        vec![3.0, 3.0],
-    ]
-}
-
-/// Builds the segmented directory: base build + two appends
-/// (3 live segments), for both tree kinds.
-fn build_segmented(dir: &Path, sparse: bool) {
-    build_index_dir(&batch0(), Categorization::MaxEntropy(6), sparse, 2, dir).unwrap();
-    warptree::append_index_dir(dir, &batch1()).unwrap();
-    warptree::append_index_dir(dir, &batch2()).unwrap();
-}
-
-/// The candidate-level slice of the funnel — what must be identical
-/// across segment layouts.
-fn funnel(s: &SearchStats) -> [u64; 7] {
-    [
-        s.candidates,
-        s.stored_candidates,
-        s.lb2_candidates,
-        s.postprocessed,
-        s.postprocess_cells,
-        s.false_alarms,
-        s.answers,
-    ]
-}
-
-/// Asserts `got` answers every query/knn byte-identically to `want`,
-/// including the candidate-level funnel, at 1 and 8 threads.
-fn assert_equivalent(got: &DiskIndexDir, want: &DiskIndexDir, context: &str) {
-    for q in queries() {
-        for threads in [1u32, 8] {
-            let req = QueryRequest::threshold_params(&q, SearchParams::with_epsilon(1.0))
-                .parallel(threads);
-            let (w, ws) = want.query(&req).unwrap();
-            let (g, gs) = got.query(&req).unwrap();
-            assert_eq!(
-                w.into_answer_set().matches(),
-                g.into_answer_set().matches(),
-                "{context}: search q={q:?} threads={threads}"
-            );
-            assert_eq!(
-                funnel(&ws),
-                funnel(&gs),
-                "{context}: funnel q={q:?} threads={threads}"
-            );
-
-            let req = QueryRequest::knn_params(&q, KnnParams::new(3)).parallel(threads);
-            let (w, _) = want.query(&req).unwrap();
-            let (g, _) = got.query(&req).unwrap();
-            assert_eq!(
-                w.into_ranked(),
-                g.into_ranked(),
-                "{context}: knn q={q:?} threads={threads}"
-            );
-        }
-    }
-}
-
-/// Every layout of the same data answers identically: 3 segments,
-/// 2 segments (mid-compaction), and 1 merged tree — and all of them
-/// agree with the exact sequential scan.
+/// Full and sparse trees in three segments, two after one
+/// `compact_once`, and one after a full compaction, against the
+/// monolithic in-memory reference.
 #[test]
 fn segmented_layouts_answer_byte_identically() {
-    for sparse in [false, true] {
-        let tag = if sparse { "sp" } else { "fu" };
-        let seg = tmpdir(&format!("layout-{tag}"));
-        build_segmented(&seg, sparse);
-
-        // Fold the segmented directory copy step by step.
-        let mid = tmpdir(&format!("layout-{tag}-mid"));
-        copy_dir(&seg, &mid);
-        assert!(warptree_disk::compact_once(&mid).unwrap().is_some());
-
-        let mono = tmpdir(&format!("layout-{tag}-mono"));
-        copy_dir(&mid, &mono);
-        let folds = warptree::compact_index_dir(&mono).unwrap();
-        assert_eq!(folds, 1, "one fold left after the mid-compaction step");
-
-        let seg_idx = open_index_dir(&seg, 64).unwrap();
-        let mid_idx = open_index_dir(&mid, 64).unwrap();
-        let mono_idx = open_index_dir(&mono, 64).unwrap();
-        assert_eq!(seg_idx.segment_count(), 3);
-        assert_eq!(mid_idx.segment_count(), 2);
-        assert_eq!(mono_idx.segment_count(), 1);
-        for dir in [&seg, &mid, &mono] {
-            let report = verify_dir_with(&RealVfs, dir).unwrap();
-            assert!(report.is_ok(), "sparse={sparse}: verify failed:\n{report}");
-        }
-
-        assert_equivalent(&seg_idx, &mono_idx, &format!("sparse={sparse} 3-seg"));
-        assert_equivalent(&mid_idx, &mono_idx, &format!("sparse={sparse} 2-seg"));
-
-        // Ground truth: the fan-out is also *exact* (paper's
-        // no-false-dismissal contract), not merely self-consistent.
-        for q in queries() {
-            let params = SearchParams::with_epsilon(1.0);
-            let (out, _) = seg_idx
-                .query(&QueryRequest::threshold_params(&q, params.clone()))
-                .unwrap();
-            let mut stats = SearchStats::default();
-            let scan = seq_scan(&seg_idx.store, &q, &params, SeqScanMode::Full, &mut stats);
-            assert_eq!(
-                out.into_answer_set().occurrence_set(),
-                scan.occurrence_set(),
-                "sparse={sparse}: fan-out diverges from seq_scan for q={q:?}"
-            );
-        }
-
-        for d in [&seg, &mid, &mono] {
-            std::fs::remove_dir_all(d).unwrap();
-        }
-    }
+    let layouts = [Layout::Segments3, Layout::Segments2, Layout::Compacted];
+    let sweep = queries(DISK)
+        .vary(&[false, true], |c, v| c.sparse = v)
+        .vary(&layouts, |c, v| c.layout = v);
+    boundary_lab().pinned(sweep);
 }
 
-/// The segment-boundary satellite: the best match of the boundary
-/// query ends exactly at the end of a sequence that lives in tail
-/// segment 1, and the near-miss in tail segment 2 stays excluded.
+/// The best match of `[6, 7, 8]` ends exactly at the end of a sequence in
+/// tail segment 1, and the near miss in tail segment 2 stays out.
 #[test]
 fn boundary_suffixes_of_tail_segments_are_found() {
-    let dir = tmpdir("boundary");
-    build_segmented(&dir, true);
-    let idx = open_index_dir(&dir, 64).unwrap();
-    assert_eq!(idx.segment_count(), 3);
-
-    let q = vec![6.0, 7.0, 8.0];
-    let (out, _) = idx.query(&QueryRequest::threshold(&q, 0.5)).unwrap();
-    let answers = out.into_answer_set();
-    // batch1's second sequence is global SeqId 4; the match occupies
-    // its last three positions (start 5 of a len-8 sequence).
-    assert!(
-        answers
-            .matches()
-            .iter()
-            .any(|m| m.occ.seq == SeqId(4) && m.occ.start == 5 && m.dist == 0.0),
-        "exact boundary match missing: {:?}",
-        answers.matches()
-    );
-    // The batch2 near-miss ([6.0, 7.0, 9.5], SeqId 5) is outside ε.
-    assert!(
-        answers.matches().iter().all(|m| m.occ.seq != SeqId(5)),
-        "near-miss leaked in: {:?}",
-        answers.matches()
-    );
-
-    // knn(1) ranks the boundary match first.
-    let (out, _) = idx
-        .query(&QueryRequest::knn_params(&q, KnnParams::new(1)))
-        .unwrap();
-    let top = out.into_ranked();
-    assert_eq!(top.len(), 1);
-    assert_eq!(top[0].occ.seq, SeqId(4));
-    assert_eq!(top[0].occ.start, 5);
-    assert_eq!(top[0].dist, 0.0);
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    let lab = boundary_lab();
+    let boundary = |m: &Match| m.occ.seq == SeqId(4) && m.occ.start == 5 && m.dist == 0.0;
+    let found = &lab.check(DISK)[0].matches;
+    assert!(found.iter().any(boundary), "{found:?}");
+    assert!(found.iter().all(|m| m.occ.seq != SeqId(5)), "{found:?}");
+    let kind = Kind::Knn(1, false);
+    let top = &lab.check(Config { kind, ..DISK })[0].matches;
+    assert!(top.len() == 1 && boundary(&top[0]), "{top:?}");
 }
 
-/// Torn compaction commits: whatever single filesystem operation fails
-/// (transiently or as a hard crash) mid-fold, reopening the directory
-/// recovers a committed generation that still answers byte-identically
-/// to the fully compacted reference — and a healthy retry completes
-/// the fold.
+/// Torn compaction: whatever single filesystem operation of a fold fails,
+/// transiently or as a crash, the reopened directory answers like the
+/// reference, a reported commit holds the folded state, and a healthy
+/// retry completes the fold.
 #[test]
 fn recovered_torn_compaction_answers_identically() {
-    // References: the 3-segment build and its fully compacted twin.
-    let seg = tmpdir("torn-ref");
-    build_segmented(&seg, true);
-    let mono = tmpdir("torn-mono");
-    copy_dir(&seg, &mono);
-    warptree::compact_index_dir(&mono).unwrap();
-    let mono_idx = open_index_dir(&mono, 64).unwrap();
-
-    // Count the fold's filesystem operations on a throwaway copy.
-    let probe = tmpdir("torn-probe");
-    copy_dir(&seg, &probe);
-    let counter = FaultVfs::new(u64::MAX, FaultMode::Error);
-    let reg = MetricsRegistry::noop();
-    warptree_disk::compact_once_with(counter.as_ref(), &probe, &reg)
-        .unwrap()
-        .expect("probe fold ran");
-    let total = counter.ops();
-    std::fs::remove_dir_all(&probe).unwrap();
-    assert!(total > 10, "implausibly few operations counted: {total}");
-
-    for mode in [FaultMode::Error, FaultMode::Crash] {
-        for k in 1..=total {
-            let context = format!("compact {mode:?} k={k}");
-            let dir = tmpdir("torn-sweep");
-            copy_dir(&seg, &dir);
-            let vfs = FaultVfs::new(k, mode);
-            let result = warptree_disk::compact_once_with(vfs.as_ref(), &dir, &reg);
-
-            // Reopen with a healthy filesystem: the recovery sweep runs
-            // and the committed generation — old or new — must answer
-            // exactly like the monolithic reference.
-            let idx = open_index_dir(&dir, 64)
-                .unwrap_or_else(|e| panic!("{context}: unrecoverable: {e}"));
-            let report = verify_dir_with(&RealVfs, &dir).unwrap();
-            assert!(report.is_ok(), "{context}: verify failed:\n{report}");
-            assert_equivalent(&idx, &mono_idx, &context);
-            if result.is_ok() {
-                // A reported commit must actually hold the folded state.
-                assert_eq!(idx.segment_count(), 2, "{context}: lost a commit");
-            }
-            drop(idx);
-
-            // A healthy retry finishes the job.
-            warptree::compact_index_dir(&dir).unwrap();
-            let idx = open_index_dir(&dir, 64).unwrap();
-            assert_eq!(idx.segment_count(), 1, "{context}: retry left tails");
-            assert_equivalent(&idx, &mono_idx, &format!("{context} after retry"));
-            std::fs::remove_dir_all(&dir).unwrap();
+    let lab = boundary_lab();
+    let seg = lab.corpus.commit(&DISK);
+    // Checks a directory's every query, in the layout its live trees
+    // give, and returns how many there are.
+    let check = |path: &Path| {
+        let built = Built::open(path);
+        let live = built.dir().segment_count();
+        let layout = [Layout::Compacted, Layout::Segments2, Layout::Segments3][live - 1];
+        for cfg in queries(Config { layout, ..DISK }).0 {
+            lab.check_on(&built, cfg);
         }
-    }
-    std::fs::remove_dir_all(&seg).unwrap();
-    std::fs::remove_dir_all(&mono).unwrap();
+        live
+    };
+    let reg = MetricsRegistry::noop();
+    let counter = FaultVfs::new(u64::MAX, FaultMode::Error);
+    let probe = compact_once_with(counter.as_ref(), &seg.copy("probe"), &reg);
+    assert!(probe.unwrap().is_some(), "the probe folds");
+    let total = counter.ops();
+    assert!(total > 10, "implausibly few operations counted: {total}");
+    let modes = [FaultMode::Error, FaultMode::Crash];
+    let faults = modes
+        .into_iter()
+        .flat_map(|mode| (1..=total).map(move |k| (mode, k)));
+    on_two_threads(faults.collect(), |(mode, k)| {
+        let path = seg.copy("sweep");
+        let vfs = FaultVfs::new(k, mode);
+        let folded = compact_once_with(vfs.as_ref(), &path, &reg).is_ok();
+        let live = check(&path);
+        assert!(!folded || live == 2, "{mode:?} k={k}: lost a commit");
+        compact_index_dir(&path).unwrap();
+        assert_eq!(check(&path), 1, "{mode:?} k={k}: the retry left tails");
+    });
 }

@@ -161,3 +161,44 @@ fn serve_and_bench_client_round_trip() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `--reload-ms 0` is refused at startup with a non-zero exit, instead
+/// of a watcher re-reading `MANIFEST` in a hot loop.
+#[test]
+fn serve_refuses_a_zero_reload_interval() {
+    let dir = std::env::temp_dir().join(format!("warptree-serve-zero-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = warptree::prelude::SequenceStore::from_values(vec![vec![1.0, 2.0, 3.0]]);
+    let categories = warptree::Categorization::EqualLength(2);
+    warptree::build_index_dir(&store, categories, false, 1, &dir).unwrap();
+    let mut serve = bin()
+        .args([
+            "serve",
+            dir.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--reload-ms",
+            "0",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    // Bounded: a server that accepted the interval would never exit.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = serve.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            serve.kill().unwrap();
+            panic!("serve accepted --reload-ms 0");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(!status.success());
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut serve.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("reload_interval"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
