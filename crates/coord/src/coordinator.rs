@@ -6,8 +6,8 @@
 //!
 //! The accept loop, the connection threads and everything on the wire
 //! are `warptree_server::serve_core`'s — the same loop the shard server
-//! runs under; this module is its [`Handler`]. There is no worker pool
-//! at this layer — the shards do the query work, the coordinator's
+//! runs under; this module is its [`Handler`]. There is no admission
+//! gate at this layer — the shards do the query work, the coordinator's
 //! per-request cost is parsing and merging — so each connection thread
 //! scatters directly over its own private [`ShardConn`] set (sockets
 //! are never shared across requests on different connections). The

@@ -9,13 +9,13 @@
 //!
 //! # Scheduling
 //!
-//! Items are identified by index. Each worker starts with a contiguous
-//! slice of the index range behind its own mutex; when a worker drains
-//! its slice it *steals* the upper half of the richest remaining slice.
-//! Contention is one uncontended lock per item plus one scan per steal,
-//! which is negligible next to the per-item work (table rows, exact
-//! `D_tw` verifications) — the counters stay per-worker and are merged
-//! once at the end, so there are no contended atomics on the hot loop.
+//! The items sit behind one lock as an enumerated iterator; a worker
+//! claims the next `(index, item)` under it and runs it outside, so a
+//! slow item holds up only its own worker while the others keep taking
+//! the rest. That is one short lock per item, negligible next to the
+//! per-item work (table rows, exact `D_tw` verifications) — the counters
+//! stay per-worker and are merged once at the end, so there are no
+//! contended atomics on the hot loop.
 //!
 //! # Determinism
 //!
@@ -56,90 +56,6 @@ impl Drop for SubthreadGuard {
     }
 }
 
-/// Work-stealing index ranges: `ranges[w]` is worker `w`'s half-open
-/// `[next, end)` slice of the item indices.
-struct StealQueue {
-    ranges: Vec<Mutex<(usize, usize)>>,
-}
-
-impl StealQueue {
-    /// Splits `0..n` into `workers` contiguous chunks (the leading
-    /// chunks take the remainder, so sizes differ by at most one).
-    fn new(n: usize, workers: usize) -> Self {
-        let base = n / workers;
-        let extra = n % workers;
-        let mut ranges = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            ranges.push(Mutex::new((start, start + len)));
-            start += len;
-        }
-        debug_assert_eq!(start, n);
-        StealQueue { ranges }
-    }
-
-    /// Claims the next index of worker `w`'s own range, if any.
-    fn pop(&self, w: usize) -> Option<usize> {
-        let mut r = self.ranges[w].lock().expect("queue poisoned");
-        if r.0 < r.1 {
-            let i = r.0;
-            r.0 += 1;
-            Some(i)
-        } else {
-            None
-        }
-    }
-
-    /// Steals the upper half of the richest other range into worker
-    /// `w`'s own range and claims its first index. Returns `None` when
-    /// no range holds unclaimed work (the region is draining).
-    fn steal(&self, w: usize) -> Option<usize> {
-        loop {
-            // Pick the victim with the most remaining items.
-            let mut victim = None;
-            let mut most = 0usize;
-            for (v, range) in self.ranges.iter().enumerate() {
-                if v == w {
-                    continue;
-                }
-                let r = range.lock().expect("queue poisoned");
-                let len = r.1 - r.0;
-                if len > most {
-                    most = len;
-                    victim = Some(v);
-                }
-            }
-            let victim = victim?;
-            // Re-lock and re-check: the victim may have drained since
-            // the scan.
-            let stolen = {
-                let mut r = self.ranges[victim].lock().expect("queue poisoned");
-                let len = r.1 - r.0;
-                if len == 0 {
-                    None
-                } else {
-                    let take = len.div_ceil(2);
-                    let stolen = (r.1 - take, r.1);
-                    r.1 -= take;
-                    Some(stolen)
-                }
-            };
-            let Some((lo, hi)) = stolen else {
-                continue; // raced; rescan
-            };
-            let mut own = self.ranges[w].lock().expect("queue poisoned");
-            debug_assert!(own.0 >= own.1, "stealing with local work left");
-            *own = (lo + 1, hi);
-            return Some(lo);
-        }
-    }
-
-    fn next(&self, w: usize) -> Option<usize> {
-        self.pop(w).or_else(|| self.steal(w))
-    }
-}
-
 /// Maps `f` over `items` across up to `threads` OS threads (the caller
 /// participates, so `threads == 1` spawns nothing), with a per-worker
 /// state from `init` threaded through every call that worker makes.
@@ -148,10 +64,10 @@ impl StealQueue {
 /// states (for merging per-worker scratch counters); the states vector
 /// length equals the number of workers actually used.
 ///
-/// Item indices are claimed exactly once via work stealing, so the
-/// assignment of items to workers is nondeterministic — only state that
-/// is merged commutatively (counters) or keyed by item index (results)
-/// should live in `S`.
+/// Each item is claimed exactly once, in index order, by whichever
+/// worker asks next, so the assignment of items to workers is
+/// nondeterministic — only state that is merged commutatively
+/// (counters) or keyed by item index (results) should live in `S`.
 pub fn parallel_map_with<T, R, S, I, F>(
     threads: usize,
     items: Vec<T>,
@@ -176,17 +92,13 @@ where
             .collect();
         return (out, vec![state]);
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let queue = StealQueue::new(n, workers);
-    let run_worker = |w: usize| {
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The guard drops with the statement: `f` runs outside the lock.
+    let claim = || queue.lock().expect("queue poisoned").next();
+    let run_worker = || {
         let mut state = init();
         let mut out: Vec<(usize, R)> = Vec::with_capacity(n / workers + 1);
-        while let Some(i) = queue.next(w) {
-            let item = slots[i]
-                .lock()
-                .expect("slot poisoned")
-                .take()
-                .expect("item claimed twice");
+        while let Some((i, item)) = claim() {
             out.push((i, f(&mut state, i, item)));
         }
         (out, state)
@@ -195,14 +107,14 @@ where
     let mut states: Vec<S> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
         let handles: Vec<_> = (1..workers)
-            .map(|w| {
-                s.spawn(move || {
+            .map(|_| {
+                s.spawn(|| {
                     let _guard = SubthreadGuard::enter();
-                    run_worker(w)
+                    run_worker()
                 })
             })
             .collect();
-        let (out0, state0) = run_worker(0);
+        let (out0, state0) = run_worker();
         indexed.extend(out0);
         states.push(state0);
         for h in handles {
@@ -271,8 +183,9 @@ mod tests {
 
     #[test]
     fn uneven_work_is_stolen() {
-        // Front-loaded work: without stealing, worker 0 would do almost
-        // everything. The test only asserts completion and order (the
+        // Front-loaded work: workers claim one item at a time, so the
+        // slow leading items spread over the workers instead of queueing
+        // on one. The test only asserts completion and order (the
         // speedup itself is covered by the benches).
         let items: Vec<u32> = (0..64).collect();
         let out = parallel_map(8, items, |_, v| {

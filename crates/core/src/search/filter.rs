@@ -360,7 +360,7 @@ fn visit_child<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
 /// Parallel traversal: forks the tree at root-level subtrees — or, when
 /// the root has fewer children than workers, walks each root edge on
 /// the caller's table and forks at the depth-2 subtrees instead — and
-/// runs each fork on the work-stealing pool.
+/// runs the forks through [`parallel_map_with`](crate::parallel::parallel_map_with).
 ///
 /// Each fork gets a [`WarpTable::fork`] of the shared prefix and a copy
 /// of its emitting rows (so Theorem-1 pruning, row sharing and emission

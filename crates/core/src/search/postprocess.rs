@@ -21,8 +21,9 @@ use crate::search::metrics::SearchMetrics;
 use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
 
 /// Groups per work item of the parallel paths: large enough that an
-/// item's result buffer and queue slot are amortised over real work,
-/// small enough that stealing still balances a few thousand groups.
+/// item's result buffer and its claim are amortised over real work,
+/// small enough that claiming one at a time still balances a few
+/// thousand groups.
 const GROUPS_PER_TASK: usize = 32;
 
 impl CandidateGroups {

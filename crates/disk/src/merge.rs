@@ -275,8 +275,8 @@ pub fn merge_trees_with(
     out: &Path,
 ) -> Result<u64> {
     assert_eq!(
-        a.is_sparse_flag(),
-        b.is_sparse_flag(),
+        a.header().sparse,
+        b.header().sparse,
         "cannot merge sparse with non-sparse trees"
     );
     assert_eq!(
@@ -305,7 +305,7 @@ pub fn merge_trees_with(
         },
     )?;
     let header = Header {
-        sparse: a.is_sparse_flag(),
+        sparse: a.header().sparse,
         alphabet_len: cat.alphabet_len(),
         node_count: ctx.node_count,
         suffix_count: root.suffix_count,
@@ -516,52 +516,18 @@ impl IncrementalBuilder {
             (TreeKind::Sparse, None) => {
                 warptree_suffix::build::build_sparse_range(self.cat.clone(), range)
             }
-            (kind, Some(spec)) => {
-                // The truncated builders have no range form; build over a
-                // range by filtering at insertion. Small batches keep
-                // this cheap.
-                use warptree_core::sequence::SeqId;
-                use warptree_suffix::insert_suffix_prefix;
-                let sparse = kind == TreeKind::Sparse;
-                let mut tree = warptree_suffix::SuffixTree::empty(self.cat.clone(), sparse);
-                for i in range {
-                    let seq = SeqId(i as u32);
-                    let s = &self.cat.seqs()[i];
-                    for start in 0..s.len() as u32 {
-                        if s.len() as u32 - start < spec.min_answer_len {
-                            if sparse {
-                                continue;
-                            }
-                            break;
-                        }
-                        let keep = if sparse {
-                            if !self.cat.is_stored_suffix(seq, start) {
-                                continue;
-                            }
-                            spec.max_answer_len + self.cat.run_len(seq, start) - 1
-                        } else {
-                            spec.max_answer_len
-                        };
-                        insert_suffix_prefix(&mut tree, seq, start, keep);
-                    }
-                }
-                tree.set_depth_limit(spec.max_answer_len);
-                tree.finalize();
-                tree
-            }
+            (kind, Some(spec)) => warptree_suffix::build_truncated_range(
+                self.cat.clone(),
+                kind == TreeKind::Sparse,
+                spec,
+                range,
+            ),
         }
     }
 
     fn tmp_path(&self, depth: usize, idx: usize) -> PathBuf {
         // The `.tmp` suffix puts work files inside the recovery sweep.
         self.work_dir.join(format!("merge-{depth}-{idx}.wt.tmp"))
-    }
-}
-
-impl DiskTree {
-    /// The sparse flag from the header (internal helper for merging).
-    pub fn is_sparse_flag(&self) -> bool {
-        self.header().sparse
     }
 }
 
@@ -639,7 +605,7 @@ mod tests {
         let b = IncrementalBuilder::new(c.clone(), TreeKind::Sparse, 1, dir.clone());
         b.build(&out).unwrap();
         let disk = DiskTree::open(&out, c.clone(), 8, 64).unwrap();
-        assert!(disk.is_sparse_flag());
+        assert!(disk.header().sparse);
         let direct = build_sparse(c);
         assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -677,19 +643,26 @@ mod tests {
             vec![vec![0, 0, 1, 2, 1, 0], vec![2, 1, 0, 0], vec![1, 1, 1, 2]],
             3,
         );
-        let spec = warptree_suffix::TruncateSpec {
-            max_answer_len: 3,
-            min_answer_len: 1,
-        };
-        for kind in [TreeKind::Full, TreeKind::Sparse] {
-            let dir = tmpdir(&format!("incr-trunc-{kind:?}"));
+        // `u32::MAX` keeps whole suffixes: the sparse keep
+        // `max_answer_len + lead_run − 1` must saturate, not overflow.
+        for (max_answer_len, kind) in [
+            (3, TreeKind::Full),
+            (3, TreeKind::Sparse),
+            (u32::MAX, TreeKind::Full),
+            (u32::MAX, TreeKind::Sparse),
+        ] {
+            let spec = warptree_suffix::TruncateSpec {
+                max_answer_len,
+                min_answer_len: 1,
+            };
+            let dir = tmpdir(&format!("incr-trunc-{kind:?}-{max_answer_len}"));
             let out = dir.join("index.wt");
             IncrementalBuilder::new(c.clone(), kind, 1, dir.clone())
                 .with_truncation(spec)
                 .build(&out)
                 .unwrap();
             let disk = DiskTree::open(&out, c.clone(), 8, 64).unwrap();
-            assert_eq!(disk.header().depth_limit, Some(3));
+            assert_eq!(disk.header().depth_limit, Some(max_answer_len));
             let direct = match kind {
                 TreeKind::Full => warptree_suffix::build_full_truncated(c.clone(), spec),
                 TreeKind::Sparse => warptree_suffix::build_sparse_truncated(c.clone(), spec),

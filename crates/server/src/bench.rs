@@ -95,13 +95,13 @@ pub struct BenchReport {
     pub p99_us: u64,
     /// Maximum latency, microseconds.
     pub max_us: u64,
-    /// Server-reported queue wait (admission → dequeue), microseconds:
+    /// Server-reported queue wait (arrival → admission), microseconds:
     /// `[p50, p95, p99]`. Split out of end-to-end latency via the
     /// protocol-v4 `"timings"` object, so an overloaded run shows
-    /// *where* the time went — waiting for a worker vs. doing the
+    /// *where* the time went — waiting for a turn vs. doing the
     /// search.
     pub queue_wait_us: [u64; 3],
-    /// Server-reported service time (dequeue → response built),
+    /// Server-reported service time (admission → response built),
     /// microseconds: `[p50, p95, p99]`.
     pub service_us: [u64; 3],
     /// What the server's own timings leave of each ok request's

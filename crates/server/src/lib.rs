@@ -12,8 +12,9 @@
 //! * [`json`] — a minimal JSON value parser for the wire protocol.
 //! * [`proto`] — length-prefixed JSON framing, request parsing and
 //!   response/error encoding (typed error codes, e.g. `overloaded`).
-//! * [`pool`] — a fixed-size worker thread pool with a **bounded**
-//!   request queue: admission control instead of unbounded latency.
+//! * [`pool`] — the admission gate: at most `workers` queries run at
+//!   once, a **bounded** FIFO of waiters behind them, `overloaded`
+//!   beyond it — admission control instead of unbounded latency.
 //! * [`snapshot`] — an `Arc`-swapped immutable
 //!   [`DirSnapshot`](warptree_disk::DirSnapshot) plus the hot-reload
 //!   watcher that polls the commit `MANIFEST` and swaps generations
@@ -21,8 +22,8 @@
 //! * [`serve_core`] — the one serving loop shared with the shard
 //!   coordinator: accept, connection cap, framing, parse, per-query
 //!   tracing, the slow-query ring, graceful drain on shutdown.
-//! * [`server`] — the shard server's handler under that loop: worker
-//!   pool admission, per-request deadlines, ingest, background
+//! * [`server`] — the shard server's handler under that loop: gate
+//!   admission, per-request deadlines, ingest, background
 //!   compaction and scrubbing.
 //! * [`http`] — the plain-HTTP `GET /metrics` Prometheus exposition
 //!   endpoint (enabled by `ServerConfig::metrics_addr`).
@@ -38,7 +39,7 @@
 //!
 //! Queries run through the typed [`QueryRequest`] API
 //! (`warptree_core::search`), validated before execution, so malformed
-//! input returns a typed error frame and can never kill a worker.
+//! input returns a typed error frame and can never kill a connection.
 //! Every query executes against one `Arc<DirSnapshot>` taken at
 //! dispatch, so a mid-traffic generation commit is invisible to
 //! in-flight requests: they finish on the old snapshot while new
@@ -66,7 +67,6 @@ pub use bench::{BenchConfig, BenchReport, LoopMode};
 pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::{Client, ClientError, RetryPolicy, ShardConn};
 pub use json::Json;
-pub use pool::{SubmitError, WorkerPool};
 pub use proto::{ErrorCode, ParseError, Request, MAX_FRAME, PROTO_VERSION};
 pub use serve_core::{Handler, ServeHandle, SlowLog, StopThread};
 pub use server::{Server, ServerConfig, ServerHandle};
@@ -79,11 +79,11 @@ mod tests {
     #[test]
     fn concurrent_contract_is_send_sync() {
         // The server shares these across the accept loop, connection
-        // threads, workers and the reload watcher; assert the contract
+        // threads and the reload watcher; assert the contract
         // at compile time.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SnapshotCell>();
-        assert_send_sync::<WorkerPool>();
+        assert_send_sync::<pool::Gate>();
         assert_send_sync::<warptree_disk::DirSnapshot>();
         assert_send_sync::<warptree_obs::MetricsRegistry>();
         assert_send_sync::<warptree_core::search::SearchMetrics>();

@@ -17,8 +17,9 @@
 //! over-long response for `result_too_large`, and writes the frame.
 //!
 //! What differs between the two front ends is the [`Handler`]: the
-//! shard server's admits query work to its worker pool, the
-//! coordinator's scatters over its per-connection shard sockets.
+//! shard server's runs query work right here on the connection thread
+//! once its admission gate lets it in, the coordinator's scatters over
+//! its per-connection shard sockets.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -464,7 +465,7 @@ fn accept_loop<H: Handler>(listener: TcpListener, core: Arc<Core<H>>) {
         }
     }
     // Drain: connections first — they still need the handler (its
-    // workers, its shard sockets) for their in-flight requests. The
+    // gate, its shard sockets) for their in-flight requests. The
     // last reference to the handler held by the loop goes with `core`.
     for h in conns {
         let _ = h.join();

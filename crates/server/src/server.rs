@@ -6,13 +6,14 @@
 //!
 //! The accept loop, the connection threads and everything on the wire
 //! are [`serve_core`](crate::serve_core)'s; this module is its
-//! [`Handler`]. Control ops answer inline on the connection thread;
-//! query work is submitted to a fixed-size [`WorkerPool`]. Submission
-//! is the admission point: a full queue fails the request *now* with
-//! `overloaded` rather than queueing unbounded latency, and a request
-//! whose deadline passes while queued is dropped at dequeue with
-//! `deadline_exceeded` (the work is never started — wasted-work
-//! avoidance under overload).
+//! [`Handler`]. Every op answers on the connection thread that read it;
+//! the server spawns no query threads of its own. Query ops first pass
+//! the admission [`Gate`]: at most `workers` run at once, up to
+//! `queue_depth` more wait their turn in arrival order, and one beyond
+//! that fails *now* with `overloaded` rather than queueing unbounded
+//! latency. A request whose deadline passes while it waits is dropped
+//! when its turn comes with `deadline_exceeded` (the work is never
+//! started — wasted-work avoidance under overload).
 //!
 //! ## Snapshot discipline
 //!
@@ -25,9 +26,10 @@
 use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use warptree_core::search::{Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
@@ -39,7 +41,7 @@ use warptree_disk::{
 use warptree_obs::{MetricsRegistry, Trace};
 
 use crate::http::MetricsHttp;
-use crate::pool::{SubmitError, WorkerPool};
+use crate::pool::Gate;
 use crate::proto::{self, error_response, ok_response, ErrorCode, Request};
 use crate::serve_core::{self, next_trace_id, Handler, ServeHandle, SlowLog, StopThread};
 use crate::snapshot::{instrument_snapshot, spawn_reload_watcher, SnapshotCell, WatcherCtx};
@@ -50,16 +52,16 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServeHandle::addr`]).
     pub addr: String,
-    /// Worker threads executing queries.
+    /// Queries running at once.
     pub workers: usize,
-    /// Bounded queue capacity — the admission-control knob. Requests
-    /// beyond `workers` running + `queue_depth` queued are rejected
-    /// `overloaded`.
+    /// Bound on the requests waiting for a turn — the admission-control
+    /// knob. Requests beyond `workers` running + `queue_depth` waiting
+    /// are rejected `overloaded`.
     pub queue_depth: usize,
-    /// Per-request deadline, measured from admission. Enforced at
-    /// dequeue (expired requests are dropped unstarted) and between
-    /// `batch` items; a single running search is never interrupted
-    /// mid-query, so cap per-query cost with
+    /// Per-request deadline, measured from arrival. Enforced when the
+    /// request's turn comes (expired requests are dropped unstarted)
+    /// and between `batch` items; a single running search is never
+    /// interrupted mid-query, so cap per-query cost with
     /// [`ServerConfig::max_query_len`].
     pub deadline: Duration,
     /// How often the reload watcher polls the commit manifest. Must be
@@ -102,13 +104,13 @@ pub struct ServerConfig {
     /// corpus. [`Duration::ZERO`] disables background scrubbing (the
     /// offline `warptree scrub` command remains available).
     pub scrub_interval: Duration,
-    /// Slow-query threshold in milliseconds: any pool-executed request
+    /// Slow-query threshold in milliseconds: any query request
     /// (or background job) whose total latency — queue wait included —
     /// reaches this lands in the in-memory slow-query ring served by
     /// `{"op":"slowlog"}`. `0` disables threshold capture (sampled
     /// traces still land in the ring).
     pub slow_ms: u64,
-    /// Trace 1 in N pool-executed requests end to end (span tree over
+    /// Trace 1 in N query requests end to end (span tree over
     /// the whole search funnel) even when the client didn't ask; the
     /// resulting traces land in the slow-query ring. `0` disables
     /// sampling — clients can still request a trace per query
@@ -295,9 +297,7 @@ fn scrub_loop(state: &IngestState, interval: Duration, stop: &AtomicBool) {
     }
 }
 
-/// Everything a connection thread or a queued job needs, shared behind
-/// one `Arc` (no pool reference — a job must not be able to re-enter
-/// the queue).
+/// Everything a query needs on its connection thread.
 struct Ctx {
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
@@ -366,7 +366,7 @@ impl Server {
             slowlog: slowlog.clone(),
         });
         let handler = Arc::new(ShardHandler {
-            ctx: Arc::new(Ctx {
+            ctx: Ctx {
                 cell: cell.clone(),
                 registry: registry.clone(),
                 search_metrics: SearchMetrics::register(&registry),
@@ -377,8 +377,8 @@ impl Server {
                 queue_depth: config.queue_depth,
                 enable_debug_ops: config.enable_debug_ops,
                 max_parallelism: config.max_parallelism,
-            }),
-            pool: WorkerPool::new(
+            },
+            gate: Gate::new(
                 config.workers,
                 config.queue_depth,
                 registry.gauge("server.queue_depth"),
@@ -460,12 +460,10 @@ impl ServeHandle<ServerBackground> {
 }
 
 /// The shard server's side of the serving loop: control ops from the
-/// served snapshot, query ops through the bounded pool.
+/// served snapshot, query ops behind the admission gate.
 struct ShardHandler {
-    ctx: Arc<Ctx>,
-    /// Dropped with the handler when the accept loop ends, which runs
-    /// everything already queued and joins the workers.
-    pool: WorkerPool,
+    ctx: Ctx,
+    gate: Gate,
 }
 
 impl ShardHandler {
@@ -553,85 +551,71 @@ impl Handler for ShardHandler {
         }
     }
 
-    /// Query work goes through the bounded pool: the admission point.
+    /// Query work runs here, on the connection thread, once the gate
+    /// admits it: the admission point.
     fn query(&self, _: &mut (), req: Request, trace: &Trace, started: Instant) -> (String, u64) {
         let registry = &self.ctx.registry;
-        let (tx, rx) = mpsc::channel();
-        let deadline = started + self.ctx.deadline;
-        let (ctx, trace) = (self.ctx.clone(), trace.clone());
-        let job = Box::new(move || {
-            let queue_ns = started.elapsed().as_nanos() as u64;
-            let resp = if Instant::now() > deadline {
-                ctx.registry.counter("server.deadline_exceeded").incr();
-                error_response(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired before a worker was available",
-                )
-            } else {
-                let job = Job {
-                    ctx: &ctx,
-                    deadline,
-                    trace,
-                };
-                run_timed(&job, req, queue_ns)
-            };
-            let _ = tx.send((resp, queue_ns));
-        });
-        let rejected = match self.pool.try_submit(job) {
-            Ok(()) => {
-                registry.counter("server.accepted").incr();
-                match rx.recv() {
-                    Ok(answered) => return answered,
-                    // Worker panicked mid-query (sender dropped); the pool
-                    // survives, this request does not.
-                    Err(_) => {
-                        registry.counter("server.internal_errors").incr();
-                        error_response(ErrorCode::Internal, "query execution failed")
-                    }
-                }
-            }
-            Err(SubmitError::Overloaded) => {
-                registry.counter("server.rejected_overload").incr();
-                error_response(
-                    ErrorCode::Overloaded,
-                    "request queue is full; retry with backoff",
-                )
-            }
-            Err(SubmitError::ShuttingDown) => {
-                registry.counter("server.rejected_shutdown").incr();
-                error_response(ErrorCode::ShuttingDown, "server is draining")
-            }
+        let Some(_slot) = self.gate.enter() else {
+            registry.counter("server.rejected_overload").incr();
+            let resp = error_response(
+                ErrorCode::Overloaded,
+                "request queue is full; retry with backoff",
+            );
+            return (resp, 0);
         };
-        (rejected, 0)
+        registry.counter("server.accepted").incr();
+        let queue_ns = started.elapsed().as_nanos() as u64;
+        let deadline = started + self.ctx.deadline;
+        if Instant::now() > deadline {
+            registry.counter("server.deadline_exceeded").incr();
+            let resp = error_response(
+                ErrorCode::DeadlineExceeded,
+                "deadline expired while waiting for admission",
+            );
+            return (resp, queue_ns);
+        }
+        let work = Work {
+            ctx: &self.ctx,
+            deadline,
+            trace,
+        };
+        // A panicking query answers `internal`; its slot is released by
+        // the unwind and the connection keeps serving.
+        let resp = panic::catch_unwind(AssertUnwindSafe(|| run_timed(&work, req, queue_ns)))
+            .unwrap_or_else(|_| {
+                registry.counter("server.internal_errors").incr();
+                error_response(ErrorCode::Internal, "query execution failed")
+            });
+        (resp, queue_ns)
     }
 }
 
-/// One admitted request on a worker.
-struct Job<'a> {
+/// One admitted request on its connection thread.
+struct Work<'a> {
     ctx: &'a Ctx,
-    /// Absolute request deadline; checked at dequeue and between batch
-    /// items (a single search is never interrupted mid-query).
+    /// Absolute request deadline; checked at admission and between
+    /// batch items (a single search is never interrupted mid-query).
     deadline: Instant,
     /// This request's trace handle — active when the client asked for
     /// a trace or the sampler picked the request, the no-op handle
     /// otherwise. Threaded through the whole funnel (filter spans,
     /// kNN rounds, pager I/O attribution).
-    trace: Trace,
+    trace: &'a Trace,
 }
 
 /// Wraps [`execute`] in the `server.service` span and meters the
-/// worker-side split: `queue_ns` (admission → dequeue) and
-/// `service_ns` (dequeue → response built).
-fn run_timed(job: &Job, req: Request, queue_ns: u64) -> String {
-    let registry = &job.ctx.registry;
+/// split: `queue_ns` (frame read → slot) and `service_ns` (slot →
+/// response built).
+fn run_timed(work: &Work, req: Request, queue_ns: u64) -> String {
+    let registry = &work.ctx.registry;
     registry.histogram("server.queue_ns").record(queue_ns);
-    let span = job.trace.span("server.service");
+    let span = work.trace.span("server.service");
     if span.is_active() {
         span.attr_str("op", req.op_label());
         span.attr_u64("queue_ns", queue_ns);
     }
     let service_start = Instant::now();
-    let resp = execute(job, req);
+    let resp = execute(work, req);
     drop(span);
     registry
         .histogram("server.service_ns")
@@ -653,27 +637,27 @@ fn run_timed(job: &Job, req: Request, queue_ns: u64) -> String {
 /// process-wide bundle; the returned copy is for per-request reporting
 /// (`explain`). On failure the `Err` is the complete response string.
 fn degraded_query(
-    job: &Job,
+    work: &Work,
     snap: &DirSnapshot,
     req: &QueryRequest,
 ) -> Result<(QueryOutput, SearchStats), String> {
-    match snap.query_degraded_traced(req, &job.trace) {
+    match snap.query_degraded_traced(req, work.trace) {
         Ok(dq) => {
-            job.ctx.search_metrics.add(&dq.stats);
+            work.ctx.search_metrics.add(&dq.stats);
             if !dq.detected.is_empty() {
-                quarantine_detected(job, &dq.detected);
+                quarantine_detected(work, &dq.detected);
             }
             if dq.output.is_partial() {
-                job.ctx.registry.counter("search.partial_queries").incr();
+                work.ctx.registry.counter("search.partial_queries").incr();
             }
             Ok((dq.output, dq.stats))
         }
         Err(DegradedError::Rejected(e)) => {
-            job.ctx.registry.counter("server.bad_requests").incr();
+            work.ctx.registry.counter("server.bad_requests").incr();
             Err(proto::core_error_response(&e))
         }
         Err(DegradedError::Corrupt(e)) => {
-            job.ctx.registry.counter("server.corruption_errors").incr();
+            work.ctx.registry.counter("server.corruption_errors").incr();
             Err(error_response(
                 ErrorCode::CorruptionDetected,
                 &e.to_string(),
@@ -687,18 +671,18 @@ fn degraded_query(
 /// serving snapshot stops fanning out to them. Best-effort — a failed
 /// quarantine only means the *next* query re-detects and retries; the
 /// current answer is already correct without the segment.
-fn quarantine_detected(job: &Job, detected: &[String]) {
-    let st = &job.ctx.ingest;
+fn quarantine_detected(work: &Work, detected: &[String]) {
+    let st = &work.ctx.ingest;
     let _guard = st.lock_writer();
     let mut committed = false;
     for segment in detected {
         match quarantine_segment_with(st.vfs.as_ref(), &st.dir, segment) {
             Ok(_) => committed = true,
-            Err(_) => job.ctx.registry.counter("server.quarantine_errors").incr(),
+            Err(_) => work.ctx.registry.counter("server.quarantine_errors").incr(),
         }
     }
     if committed && st.publish().is_err() {
-        job.ctx.registry.counter("server.quarantine_errors").incr();
+        work.ctx.registry.counter("server.quarantine_errors").incr();
     }
 }
 
@@ -720,22 +704,22 @@ fn push_answer(resp: &mut String, out: &QueryOutput, generation: u64) {
     push_coverage(resp, out.coverage.as_ref());
 }
 
-fn execute(job: &Job, req: Request) -> String {
+fn execute(work: &Work, req: Request) -> String {
     // The write path never pins a snapshot — it *produces* one.
     let req = match req {
-        Request::Ingest { sequences } => return execute_ingest(job, sequences),
+        Request::Ingest { sequences } => return execute_ingest(work, sequences),
         other => other,
     };
     // Pin one snapshot for the whole request.
-    let snap = job.ctx.cell.get();
-    let clamp = |t: u32| t.clamp(1, job.ctx.max_parallelism.max(1));
+    let snap = work.ctx.cell.get();
+    let clamp = |t: u32| t.clamp(1, work.ctx.max_parallelism.max(1));
     // `Err` already carries the complete (typed, metered) error
     // response — produced by `degraded_query` or the batch fold.
     let result: Result<String, String> = match req {
         Request::Search { query, mut params } => {
             params.threads = clamp(params.threads);
-            let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
-            degraded_query(job, &snap, &req).map(|(out, _)| {
+            let req = QueryRequest::threshold_params(&query, params).capped(work.ctx.max_query_len);
+            degraded_query(work, &snap, &req).map(|(out, _)| {
                 let mut resp = proto::ok_open("search");
                 resp.push(',');
                 push_answer(&mut resp, &out, snap.generation);
@@ -745,8 +729,8 @@ fn execute(job: &Job, req: Request) -> String {
         }
         Request::Knn { query, mut params } => {
             params.threads = clamp(params.threads);
-            let req = QueryRequest::knn_params(&query, params).capped(job.ctx.max_query_len);
-            degraded_query(job, &snap, &req).map(|(out, _)| {
+            let req = QueryRequest::knn_params(&query, params).capped(work.ctx.max_query_len);
+            degraded_query(work, &snap, &req).map(|(out, _)| {
                 let coverage = out.coverage;
                 let matches = out.into_ranked();
                 let mut resp = proto::ok_open("knn");
@@ -796,12 +780,12 @@ fn execute(job: &Job, req: Request) -> String {
                 // batch can carry many searches, so this is where an
                 // admitted request can overstay its deadline by more than
                 // one query's worth of work.
-                let item = if Instant::now() > job.deadline {
+                let item = if Instant::now() > work.deadline {
                     Item::Expired
                 } else {
                     let req = QueryRequest::threshold_params(&query, item_params.clone())
-                        .capped(job.ctx.max_query_len);
-                    match degraded_query(job, &snap, &req) {
+                        .capped(work.ctx.max_query_len);
+                    match degraded_query(work, &snap, &req) {
                         Ok((out, _)) => Item::Answer(out),
                         Err(resp) => Item::Fail(resp),
                     }
@@ -829,7 +813,7 @@ fn execute(job: &Job, req: Request) -> String {
                         resp.push('}');
                     }
                     Item::Expired => {
-                        job.ctx.registry.counter("server.deadline_exceeded").incr();
+                        work.ctx.registry.counter("server.deadline_exceeded").incr();
                         return error_response(
                             ErrorCode::DeadlineExceeded,
                             &format!("deadline expired after {i} of {total} batch items"),
@@ -853,8 +837,8 @@ fn execute(job: &Job, req: Request) -> String {
             // The degraded runner meters per-request stats internally
             // and returns the snapshot, so explain gets its counters
             // while the shared bundle still accumulates the totals.
-            let req = QueryRequest::threshold_params(&query, params).capped(job.ctx.max_query_len);
-            degraded_query(job, &snap, &req).map(|(out, stats)| {
+            let req = QueryRequest::threshold_params(&query, params).capped(work.ctx.max_query_len);
+            degraded_query(work, &snap, &req).map(|(out, stats)| {
                 let mut resp = proto::ok_open("explain");
                 resp.push(',');
                 proto::search_body_into(&mut resp, snap.generation, out.matches());
@@ -869,11 +853,11 @@ fn execute(job: &Job, req: Request) -> String {
             std::thread::sleep(Duration::from_millis(ms));
             Ok(ok_response("debug_sleep", &format!("\"slept_ms\":{ms}")))
         }
-        control => unreachable!("control op {control:?} reached a worker"),
+        control => unreachable!("control op {control:?} reached the query path"),
     };
     match result {
         Ok(resp) => {
-            job.ctx.registry.counter("server.requests_ok").incr();
+            work.ctx.registry.counter("server.requests_ok").incr();
             resp
         }
         // Already a complete response; the failure was metered where it
@@ -886,31 +870,31 @@ fn execute(job: &Job, req: Request) -> String {
 /// (crash-safe generational commit), then synchronously reopens and
 /// publishes the new snapshot *before* responding — a client that gets
 /// `ok` can immediately query its own writes on any connection.
-fn execute_ingest(job: &Job, sequences: Vec<Vec<f64>>) -> String {
+fn execute_ingest(work: &Work, sequences: Vec<Vec<f64>>) -> String {
     let started = Instant::now();
-    let st = &job.ctx.ingest;
+    let st = &work.ctx.ingest;
     let count = sequences.len();
     let store = SequenceStore::from_values(sequences);
     let _guard = st.lock_writer();
     let committed = match append_segment_with(st.vfs.as_ref(), &st.dir, &store) {
         Ok(manifest) => manifest,
         Err(DiskError::BadRecord(msg)) => {
-            job.ctx.registry.counter("server.bad_requests").incr();
+            work.ctx.registry.counter("server.bad_requests").incr();
             return error_response(ErrorCode::BadRequest, &msg);
         }
         Err(e) => {
-            job.ctx.registry.counter("server.internal_errors").incr();
+            work.ctx.registry.counter("server.internal_errors").incr();
             return error_response(ErrorCode::Internal, &format!("ingest failed: {e}"));
         }
     };
     match st.publish() {
         Ok(snap) => {
-            job.ctx.registry.counter("server.requests_ok").incr();
-            job.ctx
+            work.ctx.registry.counter("server.requests_ok").incr();
+            work.ctx
                 .registry
                 .counter("server.ingested_sequences")
                 .add(count as u64);
-            job.ctx
+            work.ctx
                 .registry
                 .histogram("server.ingest_ns")
                 .record(started.elapsed().as_nanos() as u64);
@@ -927,7 +911,7 @@ fn execute_ingest(job: &Job, sequences: Vec<Vec<f64>>) -> String {
         // The commit is durable either way; only this process's view
         // failed to refresh (the reload watcher will retry).
         Err(e) => {
-            job.ctx.registry.counter("server.internal_errors").incr();
+            work.ctx.registry.counter("server.internal_errors").incr();
             error_response(
                 ErrorCode::Internal,
                 &format!(
@@ -1014,14 +998,14 @@ mod tests {
         }
     }
 
-    /// `req` run as an untraced job of `ctx` due at `deadline`.
+    /// `req` run untraced against `ctx`, due at `deadline`.
     fn run(ctx: &Ctx, deadline: Instant, req: Request) -> String {
-        let job = Job {
+        let work = Work {
             ctx,
             deadline,
-            trace: Trace::noop(),
+            trace: &Trace::noop(),
         };
-        execute(&job, req)
+        execute(&work, req)
     }
 
     fn counter(ctx: &Ctx, name: &str) -> Option<u64> {
@@ -1147,6 +1131,77 @@ mod tests {
         );
         assert!(unpinned.contains("\"ok\":true"), "{unpinned}");
         assert_eq!(unpinned, pinned);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A drain answers every request already waiting at the gate when
+    /// it starts, and query work that arrives after it gets the typed
+    /// `shutting_down` error.
+    #[test]
+    fn shutdown_drains_queued_jobs_then_rejects() {
+        use crate::Client;
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join(format!("warptree-unit-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        drop(test_ctx(&dir));
+        let config = ServerConfig {
+            workers: 1,
+            queue_depth: 8,
+            enable_debug_ops: true,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(&dir, config).unwrap();
+        let addr = handle.addr();
+        let counter = |name: &str| handle.registry().snapshot().counters.get(name).copied();
+        let waiting = || handle.registry().snapshot().gauges["server.queue_depth"];
+        let until = Instant::now() + Duration::from_secs(10);
+        let wait_for = |cond: &dyn Fn() -> bool| {
+            while !cond() {
+                assert!(Instant::now() < until, "the server never got there");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let sleep_on_new_conn = |ms: u64| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.request(&format!("{{\"op\":\"debug_sleep\",\"ms\":{ms}}}"))
+            })
+        };
+
+        // One running, five waiting behind it.
+        let busy = sleep_on_new_conn(500);
+        wait_for(&|| counter("server.accepted") == Some(1));
+        let queued: Vec<_> = (0..5).map(|_| sleep_on_new_conn(1)).collect();
+        wait_for(&|| waiting() == 5.0);
+
+        // A frame begun before the drain and finished after it: its
+        // connection thread is reading it when the drain starts (a
+        // drain closes connections only between frames), so it reads
+        // it whole and refuses it.
+        let body = br#"{"op":"search","query":[1.0,2.0],"epsilon":1}"#;
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(body);
+        let mut late = std::net::TcpStream::connect(addr).unwrap();
+        late.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        late.write_all(&frame[..6]).unwrap();
+        wait_for(&|| counter("server.connections") == Some(7));
+        handle.request_shutdown();
+        late.write_all(&frame[6..]).unwrap();
+        let refused = String::from_utf8(proto::read_frame(&mut late).unwrap().unwrap()).unwrap();
+        assert!(refused.contains("\"code\":\"shutting_down\""), "{refused}");
+
+        busy.join().unwrap().unwrap();
+        for q in queued {
+            let resp = q
+                .join()
+                .unwrap()
+                .expect("a waiting request was dropped by the drain");
+            assert_eq!(resp.get("slept_ms").and_then(crate::Json::as_u64), Some(1));
+        }
+        assert_eq!(waiting(), 0.0);
+        handle.join();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

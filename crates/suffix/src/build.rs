@@ -184,49 +184,47 @@ impl TruncateSpec {
 /// `max_answer_len` (via window or `SearchParams::length_range`); the
 /// filter enforces this.
 pub fn build_full_truncated(cat: Arc<CatStore>, spec: TruncateSpec) -> SuffixTree {
-    assert!(spec.max_answer_len >= 1);
-    let mut tree = SuffixTree::empty(cat.clone(), false);
-    for (i, s) in cat.seqs().iter().enumerate() {
-        let seq = SeqId(i as u32);
-        for start in 0..s.len() as u32 {
-            if s.len() as u32 - start < spec.min_answer_len {
-                break; // remaining suffixes are shorter still
-            }
-            insert_suffix_prefix(&mut tree, seq, start, spec.max_answer_len);
-        }
-    }
-    tree.set_depth_limit(spec.max_answer_len);
-    tree.finalize();
-    tree
+    let n = cat.len();
+    build_truncated_range(cat, false, spec, 0..n)
 }
 
 /// Builds a §8-truncated sparse suffix tree. Each stored suffix keeps
 /// `max_answer_len + lead_run − 1` symbols so the shifted (non-stored)
 /// suffixes of Definition 4 still reach every in-range answer length.
 pub fn build_sparse_truncated(cat: Arc<CatStore>, spec: TruncateSpec) -> SuffixTree {
+    let n = cat.len();
+    build_truncated_range(cat, true, spec, 0..n)
+}
+
+/// [`build_full_truncated`] (or, when `sparse`, [`build_sparse_truncated`])
+/// over only the sequences in `range` — the per-batch step of the
+/// incremental disk construction of a truncated index.
+pub fn build_truncated_range(
+    cat: Arc<CatStore>,
+    sparse: bool,
+    spec: TruncateSpec,
+    range: std::ops::Range<usize>,
+) -> SuffixTree {
     assert!(spec.max_answer_len >= 1);
-    let mut tree = SuffixTree::empty(cat.clone(), true);
-    for (i, s) in cat.seqs().iter().enumerate() {
+    let mut tree = SuffixTree::empty(cat.clone(), sparse);
+    for i in range {
         let seq = SeqId(i as u32);
-        for start in 0..s.len() as u32 {
-            if !cat.is_stored_suffix(seq, start) {
+        let len = cat.seqs()[i].len() as u32;
+        // Suffixes only shorten from here: stop at the first one too
+        // short to host a minimum-length answer.
+        for start in (0..len).take_while(|&start| len - start >= spec.min_answer_len) {
+            let keep = if !sparse {
+                spec.max_answer_len
+            } else if cat.is_stored_suffix(seq, start) {
+                // Saturating: a pathological `max_answer_len` near
+                // u32::MAX must keep the whole suffix, not wrap to a
+                // short prefix.
+                spec.max_answer_len
+                    .saturating_add(cat.run_len(seq, start) - 1)
+            } else {
                 continue;
-            }
-            let run = cat.run_len(seq, start);
-            // The longest shifted suffix this stored suffix represents
-            // starts run−1 symbols in; skip only if even that one is too
-            // short to host a minimum-length answer.
-            if s.len() as u32 - start < spec.min_answer_len {
-                continue;
-            }
-            // Saturating: a pathological `max_answer_len` near u32::MAX
-            // must keep the whole suffix, not wrap to a short prefix.
-            insert_suffix_prefix(
-                &mut tree,
-                seq,
-                start,
-                spec.max_answer_len.saturating_add(run - 1),
-            );
+            };
+            insert_suffix_prefix(&mut tree, seq, start, keep);
         }
     }
     tree.set_depth_limit(spec.max_answer_len);

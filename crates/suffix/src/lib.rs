@@ -46,7 +46,8 @@ pub mod ukkonen;
 pub use analysis::{distinct_subsequence_count, longest_repeated, top_motifs, Motif};
 pub use build::{
     build_full_naive, build_full_truncated, build_sparse, build_sparse_range,
-    build_sparse_truncated, compaction_ratio, insert_suffix, insert_suffix_prefix, TruncateSpec,
+    build_sparse_truncated, build_truncated_range, compaction_ratio, insert_suffix,
+    insert_suffix_prefix, TruncateSpec,
 };
 pub use stats::TreeStats;
 pub use tree::{LabelRef, Node, NodeId, SuffixLabel, SuffixTree, ROOT};
