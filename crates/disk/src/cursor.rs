@@ -63,6 +63,11 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(raw).map_err(|_| self.bad(&format!("{what} is not UTF-8")))
     }
 
+    /// How many bytes have been read.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
     /// Whether every byte has been read.
     pub(crate) fn is_done(&self) -> bool {
         self.pos == self.body.len()

@@ -6,10 +6,10 @@
 //! of all payloads — and never see page boundaries, so records may span
 //! pages freely.
 //!
-//! * [`PagedWriter`] writes the logical stream sequentially (buffered, one
-//!   page at a time) and can patch already-written ranges at `finish`
-//!   time (used to back-patch file headers once the root offset is
-//!   known).
+//! * [`PagedWriter`] writes the logical stream sequentially, sealing
+//!   each page with its CRC and writing runs of up to 32 pages with one
+//!   `write_at`; it can patch already-written ranges at `finish` time
+//!   (used to back-patch file headers once the root offset is known).
 //! * [`PagedReader`] serves random reads through a [`TwoQueue`] of
 //!   verified pages — a pool that keeps part of a traversal's page loop
 //!   resident where an LRU would keep none of it; a failed CRC surfaces
@@ -29,13 +29,17 @@ pub const PAGE_SIZE: usize = 8192;
 /// Payload bytes per page (the tail 4 bytes hold the CRC).
 pub const PAGE_DATA: usize = PAGE_SIZE - 4;
 
+/// Full pages a [`PagedWriter`] gathers before one `write_at`.
+const RUN_PAGES: usize = 32;
+
 /// Sequential writer over the logical byte space.
 pub struct PagedWriter {
     file: Box<dyn VfsFile>,
-    /// Payload buffer of the page currently being filled.
-    buf: Vec<u8>,
-    /// Logical offset of the first byte of `buf`.
-    page_base: u64,
+    /// Sealed pages not yet written ([`PAGE_SIZE`] bytes each, CRC
+    /// included), then the payload of the page being filled.
+    run: Vec<u8>,
+    /// Logical offset of the first byte of `run`.
+    run_base: u64,
 }
 
 impl PagedWriter {
@@ -50,40 +54,53 @@ impl PagedWriter {
         let file = vfs.create(path)?;
         Ok(Self {
             file,
-            buf: Vec::with_capacity(PAGE_DATA),
-            page_base: 0,
+            run: Vec::with_capacity(RUN_PAGES * PAGE_SIZE),
+            run_base: 0,
         })
     }
 
     /// The logical offset the next write lands at.
     pub fn position(&self) -> u64 {
-        self.page_base + self.buf.len() as u64
+        let sealed = self.run.len() / PAGE_SIZE;
+        self.run_base + (sealed * PAGE_DATA + self.run.len() % PAGE_SIZE) as u64
     }
 
     /// Appends `data` to the logical stream.
     pub fn write(&mut self, mut data: &[u8]) -> Result<()> {
         while !data.is_empty() {
-            let room = PAGE_DATA - self.buf.len();
-            let take = room.min(data.len());
-            self.buf.extend_from_slice(&data[..take]);
+            let fill = self.run.len() % PAGE_SIZE;
+            let take = (PAGE_DATA - fill).min(data.len());
+            self.run.extend_from_slice(&data[..take]);
             data = &data[take..];
-            if self.buf.len() == PAGE_DATA {
-                self.flush_page()?;
+            if fill + take == PAGE_DATA {
+                self.seal_page()?;
             }
         }
         Ok(())
     }
 
-    fn flush_page(&mut self) -> Result<()> {
-        // Pad the final (partial) page with zeros.
-        let mut page = [0u8; PAGE_SIZE];
-        page[..self.buf.len()].copy_from_slice(&self.buf);
-        let crc = crc32(&page[..PAGE_DATA]);
-        page[PAGE_DATA..].copy_from_slice(&crc.to_le_bytes());
-        let physical = self.page_base / PAGE_DATA as u64 * PAGE_SIZE as u64;
-        self.file.write_at(physical, &page)?;
-        self.page_base += PAGE_DATA as u64;
-        self.buf.clear();
+    /// Pads the page being filled with zeros, appends its CRC, and
+    /// writes the run once it holds [`RUN_PAGES`] pages.
+    fn seal_page(&mut self) -> Result<()> {
+        let start = self.run.len() / PAGE_SIZE * PAGE_SIZE;
+        self.run.resize(start + PAGE_DATA, 0);
+        let crc = crc32(&self.run[start..]);
+        self.run.extend_from_slice(&crc.to_le_bytes());
+        if self.run.len() == RUN_PAGES * PAGE_SIZE {
+            self.flush_run()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the sealed pages of the run with one `write_at`.
+    fn flush_run(&mut self) -> Result<()> {
+        if self.run.is_empty() {
+            return Ok(());
+        }
+        let physical = self.run_base / PAGE_DATA as u64 * PAGE_SIZE as u64;
+        self.file.write_at(physical, &self.run)?;
+        self.run_base += (self.run.len() / PAGE_SIZE * PAGE_DATA) as u64;
+        self.run.clear();
         Ok(())
     }
 
@@ -93,9 +110,10 @@ impl PagedWriter {
     /// logical length of the stream.
     pub fn finish(mut self, patches: &[(u64, Vec<u8>)]) -> Result<u64> {
         let logical_len = self.position();
-        if !self.buf.is_empty() {
-            self.flush_page()?;
+        if !self.run.len().is_multiple_of(PAGE_SIZE) {
+            self.seal_page()?;
         }
+        self.flush_run()?;
         for (offset, bytes) in patches {
             assert!(
                 offset + bytes.len() as u64 <= logical_len,
@@ -373,6 +391,44 @@ mod tests {
         let mut all = vec![0u8; data.len()];
         r.read_exact_at(0, &mut all).unwrap();
         assert_eq!(all, data);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Page runs change how many `write_at`s a stream takes, never its
+    /// bytes: whatever the write sizes, the file is each page's payload,
+    /// zero-padded, then its CRC — and 71 pages go out in three writes.
+    #[test]
+    fn page_runs_write_the_page_layout() {
+        let path = tmp("runs");
+        let data: Vec<u8> = (0..70 * PAGE_DATA + 1234)
+            .map(|i| (i * 7 % 253) as u8)
+            .collect();
+        let reg = warptree_obs::MetricsRegistry::new();
+        let vfs = crate::vfs::MeteredVfs::new(crate::vfs::real_vfs(), &reg);
+        let mut w = PagedWriter::create_with(vfs.as_ref(), &path).unwrap();
+        let mut rest = &data[..];
+        for size in [1, 7, PAGE_DATA - 8, PAGE_DATA + 1, 40 * PAGE_DATA, 3]
+            .iter()
+            .cycle()
+        {
+            let (head, tail) = rest.split_at((*size).min(rest.len()));
+            w.write(head).unwrap();
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(w.finish(&[]).unwrap(), data.len() as u64);
+        let mut want = Vec::new();
+        for payload in data.chunks(PAGE_DATA) {
+            let mut page = payload.to_vec();
+            page.resize(PAGE_DATA, 0);
+            let crc = crc32(&page);
+            want.extend_from_slice(&page);
+            want.extend_from_slice(&crc.to_le_bytes());
+        }
+        assert!(std::fs::read(&path).unwrap() == want, "page layout differs");
+        assert_eq!(reg.counter("disk.vfs.writes").get(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 

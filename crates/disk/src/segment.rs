@@ -20,9 +20,11 @@
 //! existing trees, so the stored boundaries are authoritative — see
 //! [`corpus`](crate::corpus)), and **observed bounds only widen** (a
 //! wider `lb..ub` only decreases point-to-interval distances, so
-//! `D_base-lb` stays a valid lower bound for all members, old and new;
-//! the corpus is rewritten with the widened bounds). Every mutation
-//! here follows the
+//! `D_base-lb` stays a valid lower bound for all members, old and new).
+//! An append's work is `O(new)`: the corpus is carried forward as the
+//! committed bytes, checked and copied behind a header with the widened
+//! bounds (`corpus::append_corpus_with`), and only the new sequences
+//! are encoded for the tail. Every mutation here follows the
 //! commit protocol of [`manifest`](crate::manifest): temporaries,
 //! renames, manifest flip, best-effort removal — a torn compaction or
 //! append leaves the previous complete state in force.
@@ -36,7 +38,7 @@ use warptree_core::search::BackendKind;
 use warptree_core::sequence::SequenceStore;
 
 use crate::any::index_shape;
-use crate::corpus::{load_corpus_with, save_corpus_with};
+use crate::corpus::{append_corpus_with, load_corpus_with};
 use crate::error::{DiskError, Result};
 use crate::esa::write_esa_with;
 use crate::format::DiskTree;
@@ -78,8 +80,9 @@ fn write_range_index(
 
 /// Appends `new_sequences` as a new tail segment of the index directory
 /// (O(new data) work — the existing trees are carried forward
-/// untouched), committing the widened corpus plus the segment tree as
-/// the directory's next generation. Returns the committed manifest.
+/// untouched, the corpus as checked bytes), committing the widened
+/// corpus plus the segment tree as the directory's next generation.
+/// Returns the committed manifest.
 ///
 /// The directory must resolve to a committed index. Truncated (§8)
 /// indexes are rejected — their per-suffix prefix lengths depend on
@@ -105,19 +108,6 @@ pub fn append_segment_with(
             "cannot append to a truncated (§8) index".into(),
         ));
     }
-    let (mut store, mut alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
-
-    // Admit the new values: widen observed bounds, extend the store.
-    // Old symbols are unchanged — only lb/ub widen — so the base tree
-    // and every existing tail stay valid over the re-encoded corpus.
-    alphabet.widen(new_sequences);
-    let first_new = store.len();
-    for (_, s) in new_sequences.iter() {
-        store.push(s.clone());
-    }
-    let last = store.len();
-    let cat = Arc::new(alphabet.encode_store(&store));
-
     let mut manifest = resolved.manifest.clone();
     manifest.generation += 1;
     manifest.corpus = corpus_file_name(manifest.generation);
@@ -126,13 +116,29 @@ pub fn append_segment_with(
     let segment_tmp = dir.join(format!("{segment_name}.tmp"));
 
     let mut guard = TempGuard::new(vfs, vec![corpus_tmp.clone(), segment_tmp.clone()]);
-    save_corpus_with(vfs, &store, &alphabet, &corpus_tmp)?;
+    // Admit the new values: widen observed bounds, carry the committed
+    // records forward as checked bytes, serialize only the new ones.
+    // Old symbols are unchanged — only lb/ub widen — so the base tree
+    // and every existing tail stay valid over the widened corpus.
+    let (alphabet, first_new) =
+        append_corpus_with(vfs, &resolved.corpus_path, new_sequences, &corpus_tmp)?;
+    let last = first_new + new_sequences.len();
     // The tail indexes only the new suffixes, with corpus-global
     // sequence ids, and must match the base index's backend and kind.
+    // The range builders read nothing outside their range, so only the
+    // new sequences are encoded; the committed ids stay empty.
+    let old = std::iter::repeat_with(Vec::new).take(first_new);
+    let new = new_sequences
+        .iter()
+        .map(|(_, s)| alphabet.encode(s.values()));
+    let cat = Arc::new(CatStore::from_symbols(
+        old.chain(new).collect(),
+        alphabet.len() as u32,
+    ));
     write_range_index(
         vfs,
         backend,
-        cat.clone(),
+        cat,
         first_new..last,
         shape.sparse,
         &segment_tmp,
@@ -465,6 +471,7 @@ mod tests {
     use crate::snapshot::open_dir_snapshot_with;
     use warptree_core::categorize::Alphabet;
     use warptree_core::search::{IndexBackend, QueryRequest, SearchParams};
+    use warptree_core::sequence::SeqId;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("warptree-segment-{}-{tag}", std::process::id()));
@@ -643,6 +650,173 @@ mod tests {
         assert_eq!(m.index, before.manifest.index, "base untouched");
         assert_eq!(m.segments[0].start_seq, 2);
         assert_eq!(m.segments[0].seq_count, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The carried-forward corpus is the file a full re-serialization
+    /// writes, and the tail built from the batch's symbols alone is the
+    /// one built from the fully encoded store. Three appends cover named
+    /// and unnamed sequences, an old stream ending exactly on a page
+    /// boundary, a batch whose first record straddles one, and values
+    /// that widen the bounds, for tree and ESA, full and sparse.
+    #[test]
+    fn carried_forward_files_are_the_full_reserialization() {
+        use crate::corpus::{load_corpus, save_corpus};
+        use crate::pager::{PAGE_DATA, PAGE_SIZE};
+        use warptree_core::sequence::Sequence;
+        let wave = |n: usize, k: usize, scale: f64| -> Sequence {
+            Sequence::new(
+                (0..n)
+                    .map(|i| (i as f64 * 0.37 * k as f64).sin() * scale)
+                    .collect(),
+            )
+        };
+        let stream_len = |store: &SequenceStore, categories: usize| -> usize {
+            let records = store
+                .iter()
+                .map(|(id, s)| 8 + store.name(id).map_or(0, str::len) + 8 * s.len());
+            24 + 32 * categories + records.sum::<usize>()
+        };
+        let mut base = SequenceStore::new();
+        for k in 0..9 {
+            match k % 2 {
+                0 => base.push_named(wave(100, k + 1, 10.0), format!("s{k}")),
+                _ => base.push(wave(100, k + 1, 10.0)),
+            };
+        }
+        let mut alphabet = Alphabet::max_entropy(&base, 6).unwrap();
+        // The last base sequence's name pads the stream to one page.
+        let pad = PAGE_DATA - stream_len(&base, alphabet.len()) - 8 - 8 * 50;
+        let padding = SequenceStore::from_values(vec![wave(50, 11, 10.0).values().to_vec()]);
+        alphabet.widen(&padding);
+        base.push_named(padding.get(SeqId(0)).clone(), "p".repeat(pad));
+        assert_eq!(stream_len(&base, alphabet.len()), PAGE_DATA);
+
+        let mut named = SequenceStore::new();
+        named.push_named(wave(30, 13, 10.0), "a");
+        named.push(wave(20, 14, 10.0));
+        let straddling = SequenceStore::from_values(vec![
+            wave(1100, 15, 15.0).values().to_vec(),
+            wave(5, 16, 10.0).values().to_vec(),
+        ]);
+        let mut below = SequenceStore::new();
+        below.push_named(Sequence::new(vec![-20.0, 3.0, 3.0, -20.0]), "c");
+        let batches = [named, straddling, below];
+
+        for (backend, sparse) in [
+            (BackendKind::Tree, false),
+            (BackendKind::Tree, true),
+            (BackendKind::Esa, false),
+            (BackendKind::Esa, true),
+        ] {
+            let context = format!("{backend:?} sparse={sparse}");
+            let dir = tmpdir(&format!("reserialize-{backend:?}-{sparse}"));
+            let kind = match sparse {
+                true => crate::merge::TreeKind::Sparse,
+                false => crate::merge::TreeKind::Full,
+            };
+            let vfs = crate::vfs::real_vfs();
+            crate::manifest::build_dir_backend_with(
+                vfs, &base, &alphabet, kind, 1, 1, None, backend, &dir,
+            )
+            .unwrap();
+            let first = resolve_dir_with(&RealVfs, &dir).unwrap();
+            let corpus_len = std::fs::metadata(&first.corpus_path).unwrap().len();
+            assert_eq!(corpus_len, PAGE_SIZE as u64, "{context}: one full page");
+
+            for (k, batch) in batches.iter().enumerate() {
+                let before = resolve_dir_with(&RealVfs, &dir).unwrap();
+                let (mut model, mut widened, _) = load_corpus(&before.corpus_path).unwrap();
+                let end = stream_len(&model, widened.len());
+                if k == 1 {
+                    let first_record = 8 + 8 * batch.get(SeqId(0)).len();
+                    assert!(
+                        end % PAGE_DATA + first_record > PAGE_DATA,
+                        "{context}: no straddle"
+                    );
+                }
+                let m = append_segment(&dir, batch).unwrap();
+                let first_new = model.len();
+                for (_, s) in batch.iter() {
+                    model.push(s.clone());
+                }
+                widened.widen(batch);
+
+                let want = dir.join("want.tmp");
+                save_corpus(&model, &widened, &want).unwrap();
+                let got = std::fs::read(dir.join(&m.corpus)).unwrap();
+                assert!(
+                    got == std::fs::read(&want).unwrap(),
+                    "{context}: corpus {k}"
+                );
+                let cat = Arc::new(widened.encode_store(&model));
+                let range = first_new..model.len();
+                write_range_index(&RealVfs, backend, cat, range, sparse, &want).unwrap();
+                let tail = &m.segments.last().unwrap().file;
+                let got = std::fs::read(dir.join(tail)).unwrap();
+                assert!(got == std::fs::read(&want).unwrap(), "{context}: tail {k}");
+                std::fs::remove_file(&want).unwrap();
+            }
+            assert!(
+                verify_dir_with(&RealVfs, &dir).unwrap().is_ok(),
+                "{context}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A name the corpus could not hold is refused by a build and by an
+    /// append alike, before anything is committed, and the generation in
+    /// force stays openable; the longest name it holds round-trips.
+    #[test]
+    fn long_names_are_refused_before_a_commit() {
+        use crate::corpus::MAX_NAME_BYTES;
+        use warptree_core::sequence::Sequence;
+        let dir = tmpdir("long-name");
+        let store = build_initial(&dir, true);
+        let alphabet = Alphabet::max_entropy(&store, 6).unwrap();
+        let named = |len: usize| {
+            let mut s = SequenceStore::new();
+            s.push_named(Sequence::new(vec![2.0, 4.0, 3.0]), "n".repeat(len));
+            s
+        };
+        let build = |s: &SequenceStore| {
+            let kind = crate::merge::TreeKind::Sparse;
+            crate::manifest::build_dir_with(
+                crate::vfs::real_vfs(),
+                s,
+                &alphabet,
+                kind,
+                1,
+                1,
+                None,
+                &dir,
+            )
+        };
+        let generation = resolve_dir_with(&RealVfs, &dir).unwrap().generation;
+        let too_long = named(MAX_NAME_BYTES + 1);
+        for (what, result) in [
+            ("build", build(&too_long).map(|_| ())),
+            ("append", append_segment(&dir, &too_long).map(|_| ())),
+        ] {
+            assert!(
+                matches!(result, Err(DiskError::BadRecord(_))),
+                "{what}: {result:?}"
+            );
+            assert_eq!(
+                resolve_dir_with(&RealVfs, &dir).unwrap().generation,
+                generation
+            );
+            assert_no_tmp_files(&dir);
+            let snap = open_dir_snapshot_with(&RealVfs, &dir, 32, 256).unwrap();
+            assert_eq!(snap.store.len(), store.len(), "{what}");
+        }
+        build(&named(MAX_NAME_BYTES)).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 32, 256).unwrap();
+        assert_eq!(
+            snap.store.name(SeqId(0)).map(str::len),
+            Some(MAX_NAME_BYTES)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
