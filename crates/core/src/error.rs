@@ -119,6 +119,15 @@ pub enum CoreError {
         /// The family the index actually belongs to (stable name).
         actual: &'static str,
     },
+    /// A stored page failed its check while the query read it, in a
+    /// file no answer can leave out (the base index), so there is no
+    /// honest partial answer to give.
+    CorruptionDetected {
+        /// Name of the failing file inside its index directory.
+        file: String,
+        /// Index of the bad page inside that file.
+        page: u64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -163,6 +172,9 @@ impl fmt::Display for CoreError {
                     "request pinned the {requested} backend but the index is {actual}"
                 )
             }
+            CoreError::CorruptionDetected { file, page } => {
+                write!(f, "corruption detected in {file} (page {page})")
+            }
         }
     }
 }
@@ -171,13 +183,14 @@ impl std::error::Error for CoreError {}
 
 impl CoreError {
     /// The wire-level classification of this error. Backend mismatches
-    /// get their dedicated code so clients (and shard coordinators) can
-    /// distinguish them from garden-variety bad requests; everything
-    /// else reflects invalid caller input and maps to
-    /// [`ErrorCode::BadRequest`].
+    /// and corruption get their dedicated codes so clients (and shard
+    /// coordinators) can distinguish them from garden-variety bad
+    /// requests; everything else reflects invalid caller input and maps
+    /// to [`ErrorCode::BadRequest`].
     pub fn code(&self) -> ErrorCode {
         match self {
             CoreError::UnsupportedBackend { .. } => ErrorCode::UnsupportedBackend,
+            CoreError::CorruptionDetected { .. } => ErrorCode::CorruptionDetected,
             _ => ErrorCode::BadRequest,
         }
     }
@@ -238,7 +251,8 @@ mod tests {
             assert_eq!(code.to_string(), code.as_str());
         }
         assert_eq!(ErrorCode::parse("no_such_code"), None);
-        // Core errors are the caller's fault, except backend pins.
+        // Core errors are the caller's fault, except backend pins and
+        // corruption.
         assert_eq!(CoreError::EmptyQuery.code(), ErrorCode::BadRequest);
         let pin = CoreError::UnsupportedBackend {
             requested: "esa",
@@ -246,5 +260,14 @@ mod tests {
         };
         assert_eq!(pin.code(), ErrorCode::UnsupportedBackend);
         assert!(pin.to_string().contains("esa") && pin.to_string().contains("tree"));
+        let corrupt = CoreError::CorruptionDetected {
+            file: "index-000003.wt".into(),
+            page: 7,
+        };
+        assert_eq!(corrupt.code(), ErrorCode::CorruptionDetected);
+        assert_eq!(
+            corrupt.to_string(),
+            "corruption detected in index-000003.wt (page 7)"
+        );
     }
 }

@@ -118,7 +118,8 @@ where
         indexed.extend(out0);
         states.push(state0);
         for h in handles {
-            let (out, state) = h.join().expect("worker panicked");
+            // A worker's unwind carries on here with its own payload.
+            let (out, state) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             indexed.extend(out);
             states.push(state);
         }

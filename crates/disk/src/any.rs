@@ -78,7 +78,8 @@ impl IndexHeader for EsaHeader {
 /// The first half of opening an index file of either format: its pager
 /// (a pool of `cache_pages`), its header, whose alphabet must be
 /// `alphabet` when one is given, and its file name — the segment
-/// identity its errors and reports carry.
+/// identity its errors and reports carry. A header page that fails its
+/// CRC is a [`DiskError::CorruptionDetected`] naming the file.
 pub(crate) fn open_headed<H: IndexHeader>(
     vfs: &dyn Vfs,
     path: &Path,
@@ -87,7 +88,9 @@ pub(crate) fn open_headed<H: IndexHeader>(
 ) -> Result<(PagedReader, H, String)> {
     let reader = PagedReader::open_with(vfs, path, cache_pages)?;
     let mut buf = [0u8; HEADER_SIZE as usize];
-    reader.read_exact_at(0, &mut buf)?;
+    reader
+        .read_exact_at(0, &mut buf)
+        .map_err(|e| e.in_file(path))?;
     let header = H::parse(&buf)?;
     let file = header.shape().alphabet_len;
     if let Some(store) = alphabet.filter(|&store| store != file) {
@@ -232,16 +235,6 @@ impl AnyIndex {
         match self {
             AnyIndex::Tree(t) => t.node_cache_stats(),
             AnyIndex::Esa(_) => (0, 0),
-        }
-    }
-
-    /// Takes the read failure recorded by an aborted traversal, if any.
-    /// The ESA serves queries from memory (its CRC checks run at open),
-    /// so only the tree backend can record one.
-    pub fn take_read_error(&self) -> Option<DiskError> {
-        match self {
-            AnyIndex::Tree(t) => t.take_read_error(),
-            AnyIndex::Esa(_) => None,
         }
     }
 

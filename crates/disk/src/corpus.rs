@@ -198,11 +198,12 @@ pub fn load_corpus_with(
 }
 
 /// The logical bytes of the paged file at `path`, every page
-/// CRC-checked, read once.
+/// CRC-checked, read once. A page that fails its CRC is a
+/// [`DiskError::CorruptionDetected`] naming the file.
 fn read_stream(vfs: &dyn Vfs, path: &Path) -> Result<Vec<u8>> {
     let r = PagedReader::open_with(vfs, path, 2)?;
     let mut raw = vec![0u8; r.logical_len() as usize];
-    r.read_exact_at(0, &mut raw)?;
+    r.read_exact_at(0, &mut raw).map_err(|e| e.in_file(path))?;
     Ok(raw)
 }
 

@@ -31,12 +31,12 @@ pub enum DiskError {
     /// The path does not hold a committed index directory (it has no
     /// `MANIFEST`).
     NotAnIndexDir(String),
-    /// A page failed its CRC check while serving a read from a known
-    /// segment file — the read-path integrity signal that drives
-    /// quarantine and degraded (partial-result) serving.
+    /// A page of a known file of an index directory failed its CRC
+    /// check: [`CorruptPage`](DiskError::CorruptPage) with the file
+    /// named, as an open reports it.
     CorruptionDetected {
-        /// Manifest file name of the corrupt segment.
-        segment: String,
+        /// Name of the corrupt file inside its directory.
+        file: String,
         /// Index of the bad page inside that file.
         page: u64,
     },
@@ -68,8 +68,8 @@ impl fmt::Display for DiskError {
             DiskError::NotAnIndexDir(m) => {
                 write!(f, "not an index directory: {m}")
             }
-            DiskError::CorruptionDetected { segment, page } => {
-                write!(f, "corruption detected in segment {segment} (page {page})")
+            DiskError::CorruptionDetected { file, page } => {
+                write!(f, "corruption detected in {file} (page {page})")
             }
             DiskError::UnsupportedBackend { found } => {
                 write!(
@@ -79,6 +79,21 @@ impl fmt::Display for DiskError {
                 )
             }
         }
+    }
+}
+
+impl DiskError {
+    /// Names the file at `path` in a failed page check, turning
+    /// [`CorruptPage`](DiskError::CorruptPage) into
+    /// [`CorruptionDetected`](DiskError::CorruptionDetected); any other
+    /// error comes back as it was.
+    pub(crate) fn in_file(self, path: &std::path::Path) -> DiskError {
+        let DiskError::CorruptPage { page } = self else {
+            return self;
+        };
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        let file = file.into_owned();
+        DiskError::CorruptionDetected { file, page }
     }
 }
 
@@ -118,12 +133,15 @@ mod tests {
         assert!(e.to_string().contains("exceeds"));
         let io: DiskError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
-        let c = DiskError::CorruptionDetected {
-            segment: "segment-000003-00.wt".into(),
-            page: 7,
-        };
-        assert!(c.to_string().contains("segment-000003-00.wt"));
-        assert!(c.to_string().contains("page 7"));
+        let c = DiskError::CorruptPage { page: 7 }.in_file("dir/segment-000003-00.wt".as_ref());
+        assert_eq!(
+            c.to_string(),
+            "corruption detected in segment-000003-00.wt (page 7)"
+        );
+        assert!(matches!(
+            DiskError::BadHeader("x".into()).in_file("dir/f.wt".as_ref()),
+            DiskError::BadHeader(_)
+        ));
         let b = DiskError::UnsupportedBackend {
             found: "esa".into(),
         };

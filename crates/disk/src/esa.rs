@@ -447,14 +447,16 @@ mod tests {
         let path = tmp("corrupt");
         write_esa(&esa, &path).unwrap();
         // Flip a byte inside the array region: the eager CRC-checked
-        // load must refuse the file.
+        // load must refuse the file. The byte lies in the header page,
+        // so the refusal names the file.
         let mut raw = std::fs::read(&path).unwrap();
         let mid = 128;
         raw[mid] ^= 0x5a;
         std::fs::write(&path, &raw).unwrap();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(matches!(
             DiskEsa::open(&path, cat, 8),
-            Err(DiskError::CorruptPage { .. })
+            Err(DiskError::CorruptionDetected { file, page: 0 }) if file == name
         ));
         std::fs::remove_file(&path).unwrap();
     }

@@ -46,7 +46,7 @@ use warptree_core::sequence::SeqId;
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::lru::LruCache;
-use crate::pager::{IoStats, PagedReader};
+use crate::pager::{IoStats, PagedReader, PAGE_DATA};
 use crate::vfs::{RealVfs, Vfs};
 
 /// Size of the file header in logical bytes.
@@ -364,12 +364,13 @@ impl<'a> NodeView<'a> {
 ///
 /// The [`IndexBackend`] trait's walk callbacks are infallible, so a
 /// mid-traversal read failure cannot return an `Err` through them.
-/// Instead the failing [`DiskTree`] records the typed error (see
-/// [`DiskTree::take_read_error`]) and unwinds with this marker; the
-/// fan-out layer catches the unwind (`std::panic::catch_unwind`),
-/// downcasts to `TreeReadAbort`, and turns the recorded error into a
-/// quarantine + degraded answer instead of a crash.
-pub struct TreeReadAbort;
+/// Instead the failing [`DiskTree`] records the page that failed (see
+/// [`DiskTree::take_read_error`]) and unwinds with this marker;
+/// [`DirSnapshot::query_with`](crate::DirSnapshot::query_with) catches
+/// the unwind, leaves a failing tail segment out of a retry and labels
+/// the answer partial, or answers a failing base index with
+/// `CoreError::CorruptionDetected`.
+pub(crate) struct TreeReadAbort;
 
 /// A disk-resident suffix tree, query-ready through
 /// [`IndexBackend`]. All reads verify page CRCs; a traversal reads node
@@ -381,12 +382,12 @@ pub struct DiskTree {
     /// Owned records [`read_node`](Self::read_node) handed out, by
     /// offset. A query never looks here.
     nodes: Mutex<LruCache<u64, DiskNode>>,
-    /// File name this tree was opened from — the segment identity used
-    /// in [`DiskError::CorruptionDetected`].
+    /// File name this tree was opened from — the segment identity a
+    /// failed read is reported under.
     source: String,
-    /// First read failure observed during a traversal (set by
-    /// [`must_read`](Self::must_read) before unwinding).
-    read_error: Mutex<Option<DiskError>>,
+    /// The page of the first read failure observed during a traversal
+    /// (set by [`must_read`](Self::must_read) before unwinding).
+    read_error: Mutex<Option<u64>>,
 }
 
 impl DiskTree {
@@ -427,36 +428,37 @@ impl DiskTree {
         &self.source
     }
 
-    /// Takes the read failure recorded by an aborted traversal, if any.
-    /// `CorruptPage` failures arrive here already labelled as
-    /// [`DiskError::CorruptionDetected`] with this tree's file name.
-    pub fn take_read_error(&self) -> Option<DiskError> {
+    /// Takes the page of the read failure recorded by an aborted
+    /// traversal, if any.
+    pub(crate) fn take_read_error(&self) -> Option<u64> {
         self.read_error.lock().take()
     }
 
     /// Reads the node at `offset` through `f`, or aborts the traversal:
-    /// the error is recorded on this tree (CRC failures typed as
-    /// `CorruptionDetected`) and the stack unwinds with
-    /// [`TreeReadAbort`] for the fan-out layer to catch.
+    /// the failing page is recorded on this tree — the one that failed
+    /// its CRC, or the one holding the record that does not decode —
+    /// and the stack unwinds with [`TreeReadAbort`] for the fan-out
+    /// layer to catch.
     fn must_read<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> R {
         match self.with_node(offset, f) {
             Ok(r) => r,
-            Err(e) => {
-                let e = match e {
-                    DiskError::CorruptPage { page } => DiskError::CorruptionDetected {
-                        segment: self.source.clone(),
-                        page,
-                    },
-                    other => other,
-                };
-                let mut slot = self.read_error.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                drop(slot);
-                std::panic::panic_any(TreeReadAbort);
-            }
+            Err(e) => self.abort(offset, e),
         }
+    }
+
+    /// The failing half of [`must_read`](Self::must_read), kept out of
+    /// the traversal's hot loop.
+    #[cold]
+    #[inline(never)]
+    fn abort(&self, offset: u64, e: DiskError) -> ! {
+        let page = match e {
+            DiskError::CorruptPage { page } => page,
+            _ => offset / PAGE_DATA as u64,
+        };
+        self.read_error.lock().get_or_insert(page);
+        // An expected unwind, caught by the fan-out: no panic hook, so
+        // nothing is printed.
+        std::panic::resume_unwind(Box::new(TreeReadAbort))
     }
 
     /// Decodes every record of the file through [`NodeView::decode`], in

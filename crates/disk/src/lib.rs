@@ -53,7 +53,7 @@ pub use any::{index_shape, AnyIndex, AnyNode, IndexShape};
 pub use corpus::{load_corpus, load_corpus_with, save_corpus, save_corpus_with};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
-pub use format::{DiskNode, DiskTree, Header, NodeView, TreeReadAbort};
+pub use format::{DiskNode, DiskTree, Header, NodeView};
 pub use manifest::{
     build_dir_backend_with, build_dir_metered, build_dir_with, commit_dir_backend_with,
     commit_update_with, quarantine_segment_with, recover_dir_with, resolve_dir_with,
@@ -71,8 +71,7 @@ pub use shard::{
     ShardManifest, ShardMeta, SHARD_MANIFEST_NAME,
 };
 pub use snapshot::{
-    committed_generation_with, open_dir_recovered_with, open_dir_snapshot_with, DegradedError,
-    DegradedQuery, DirSnapshot,
+    committed_generation_with, open_dir_recovered_with, open_dir_snapshot_with, DirSnapshot,
 };
 pub use vfs::{real_vfs, FaultMode, FaultVfs, MeteredVfs, RealVfs, TempGuard, Vfs, VfsFile};
 pub use writer::{write_tree, write_tree_with};

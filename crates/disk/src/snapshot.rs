@@ -2,7 +2,11 @@
 //! query fan-out.
 //!
 //! A [`DirSnapshot`] is an immutable, query-ready view of one committed
-//! generation. There are two ways in, over one body:
+//! generation, and [`DirSnapshot::query_with`] is the one query over
+//! it: every caller — the server, the CLI, `explain`, the library —
+//! gets the same answer, the same partial-answer labeling and the same
+//! typed error when a file is corrupt. There are two ways in, over one
+//! open body:
 //!
 //! * [`open_dir_snapshot_with`] resolves and loads **without mutating
 //!   the directory**. A long-running reader (the `warptree-server`
@@ -29,6 +33,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
@@ -39,7 +45,8 @@ use warptree_core::sequence::{SeqId, SequenceStore};
 
 use crate::any::AnyIndex;
 use crate::corpus::load_corpus_with;
-use crate::error::{DiskError, Result};
+use crate::error::Result;
+use crate::format::DiskTree;
 use crate::manifest::{
     read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
     SegmentMeta,
@@ -92,44 +99,10 @@ pub struct DirSnapshot {
     pub quarantined: Vec<SegmentMeta>,
     /// The committed generation this snapshot materializes.
     pub generation: u64,
-}
-
-/// Why a degraded query could not produce an answer at all.
-#[derive(Debug)]
-pub enum DegradedError {
-    /// The request itself was invalid — the caller's fault.
-    Rejected(CoreError),
-    /// A CRC failure in the base tree (which every query needs) left no
-    /// healthy subset to answer from.
-    Corrupt(DiskError),
-}
-
-impl std::fmt::Display for DegradedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DegradedError::Rejected(e) => e.fmt(f),
-            DegradedError::Corrupt(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for DegradedError {}
-
-/// The outcome of [`DirSnapshot::query_degraded`]: the answers
-/// (possibly partial, with coverage attached), the stats snapshot, and
-/// the names of segments whose corruption this very query detected —
-/// the caller is responsible for tombstoning those in the manifest (see
-/// [`quarantine_segment_with`](crate::quarantine_segment_with)).
-#[derive(Debug)]
-pub struct DegradedQuery {
-    /// The answers; `output.coverage` is `Some` iff any segment was
-    /// excluded (pre-quarantined or newly detected).
-    pub output: QueryOutput,
-    /// Search statistics for the attempt that succeeded.
-    pub stats: SearchStats,
-    /// Segment file names that failed a CRC check *during this query*
-    /// and are not yet tombstoned in the manifest.
-    pub detected: Vec<String>,
+    /// `(file, page)` of each tree a query over this snapshot caught
+    /// failing a read. Later queries leave such a tail out up front and
+    /// answer a failed base with its error at once.
+    failed: Mutex<Vec<(String, u64)>>,
 }
 
 impl DirSnapshot {
@@ -158,41 +131,113 @@ impl DirSnapshot {
         self.live_trees().for_each(|t| t.instrument(reg));
     }
 
-    /// Runs a typed query against this snapshot, fanning out across the
-    /// base tree and every tail segment. Results are byte-identical to
-    /// a fully compacted (single-tree) index over the same corpus — see
-    /// [`SegmentedIndex`]'s equivalence contract. A snapshot with no
-    /// tail segments queries the base tree directly.
+    /// Runs a typed query against this snapshot:
+    /// [`query_with`](DirSnapshot::query_with) plus the stats of the
+    /// attempt that answered.
     pub fn query(
         &self,
         req: &QueryRequest,
     ) -> std::result::Result<(QueryOutput, SearchStats), CoreError> {
-        let metrics = SearchMetrics::new();
-        let out = self.query_with(req, &metrics)?;
+        let (out, metrics) = self.answer(req, SearchMetrics::new)?;
         let stats = req.final_stats(&out, &metrics);
         Ok((out, stats))
     }
 
-    /// [`query`](DirSnapshot::query) recording into an external
-    /// [`SearchMetrics`] (no stats snapshot).
+    /// The one query over an opened directory: fans `req` out across
+    /// the base tree and every live tail segment, with results
+    /// byte-identical to a fully compacted (single-tree) index over the
+    /// same corpus — see [`SegmentedIndex`]'s equivalence contract.
     ///
-    /// When `metrics` carries an active trace, the query additionally
-    /// attaches a `pager.io` span attributing page reads and buffer-pool
-    /// hits to each live tree (base + tail segments) over the query's
-    /// lifetime — deltas of the trees' cumulative I/O counters, so they
-    /// are per-query even though the pager accumulates per tree. Other
-    /// concurrent queries over the same snapshot bleed into the deltas;
-    /// attribution is exact only for the common one-query-per-snapshot
-    /// tracing setup.
+    /// A tail whose read fails mid-query (a page CRC, or a record that
+    /// does not decode) is left out and the query re-runs over the
+    /// others; this snapshot remembers the tail
+    /// ([`failed_tails`](DirSnapshot::failed_tails)) and later queries
+    /// skip it up front. Whenever a segment is missing — quarantined at
+    /// open or caught failing — the output carries its [`Coverage`], so
+    /// a partial answer is always labeled one. Answers over the
+    /// surviving segments are byte-identical to a clean index over their
+    /// sequences. A failure in the base index cannot be left out: it is
+    /// [`CoreError::CorruptionDetected`].
+    ///
+    /// Counters and phase timings reach `metrics` from the attempt that
+    /// answered only; every attempt's stage spans land in its trace.
+    /// When the trace is active, each attempt also attaches a `pager.io`
+    /// span attributing page reads and buffer-pool hits to each live
+    /// tree — deltas of the trees' cumulative I/O counters, so other
+    /// queries running on the snapshot at the same time bleed into them.
     pub fn query_with(
         &self,
         req: &QueryRequest,
         metrics: &SearchMetrics,
     ) -> std::result::Result<QueryOutput, CoreError> {
-        self.query_over(self.segments.iter(), req, metrics)
+        let (out, answered) = self.answer(req, || metrics.fresh())?;
+        metrics.absorb(&answered);
+        Ok(out)
     }
 
-    /// The one fan-out: runs `req` over the base tree plus `tails` —
+    /// The tail segments a query over this snapshot caught failing, by
+    /// file name. Nothing here is tombstoned in `MANIFEST`: a process
+    /// that owns the directory may quarantine them
+    /// ([`quarantine_segment_with`](crate::quarantine_segment_with)).
+    pub fn failed_tails(&self) -> Vec<String> {
+        let failed = self.failed.lock();
+        let tails = failed.iter().filter(|(file, _)| file != self.tree.source());
+        tails.map(|(file, _)| file.clone()).collect()
+    }
+
+    /// The catch-and-retry loop behind
+    /// [`query_with`](DirSnapshot::query_with): each attempt counts into
+    /// metrics of its own from `fresh`, and the answering attempt's are
+    /// returned beside its output.
+    fn answer(
+        &self,
+        req: &QueryRequest,
+        fresh: impl Fn() -> SearchMetrics,
+    ) -> std::result::Result<(QueryOutput, SearchMetrics), CoreError> {
+        loop {
+            let skip = self.failed.lock().clone();
+            let skipped = |t: &AnyIndex| skip.iter().any(|(file, _)| file == t.source());
+            let base = skip.iter().find(|(file, _)| file == self.tree.source());
+            if let Some((file, page)) = base.cloned() {
+                return Err(CoreError::CorruptionDetected { file, page });
+            }
+            let metrics = fresh();
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let healthy = self.segments.iter().filter(|t| !skipped(t));
+                self.query_over(healthy, req, &metrics)
+            }));
+            let payload = match attempt {
+                Ok(out) => {
+                    let mut out = out?;
+                    if !skip.is_empty() || !self.quarantined.is_empty() {
+                        out = out.with_coverage(self.coverage(&skip));
+                    }
+                    return Ok((out, metrics));
+                }
+                Err(payload) => payload,
+            };
+            // A read failed mid-query. The failing tree recorded its page
+            // before unwinding (the payload does not say which tree; the
+            // ESA serves from memory and never fails here). A query that
+            // ran at the same time may have taken the record first: any
+            // failure new since this attempt started means a retry, and
+            // none means the unwind was not a failed read.
+            let mut failed = self.failed.lock();
+            for t in self.live_trees() {
+                if let Some(page) = t.as_tree().and_then(DiskTree::take_read_error) {
+                    if !failed.iter().any(|(file, _)| file == t.source()) {
+                        failed.push((t.source().to_string(), page));
+                    }
+                }
+            }
+            if failed.len() == skip.len() {
+                drop(failed);
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
+
+    /// One attempt: runs `req` over the base tree plus `tails` —
     /// directly on the base when there are none — with the `pager.io`
     /// span of [`query_with`](DirSnapshot::query_with) when traced.
     fn query_over<'a>(
@@ -245,118 +290,29 @@ impl DirSnapshot {
         span.attr_u64("cache_hits", hits);
     }
 
-    /// Runs a typed query with degraded-mode handling: a CRC failure in
-    /// a tail segment excludes that segment and retries over the
-    /// remaining live trees instead of failing the query, returning an
-    /// honestly-labeled partial answer ([`Coverage`] attached) plus the
-    /// names of the segments it newly detected as corrupt. A CRC
-    /// failure in the base tree is unrecoverable here and comes back as
-    /// [`DegradedError::Corrupt`].
-    ///
-    /// Answers over the surviving segment subset are byte-identical to
-    /// a clean index over that subset's sequences — corruption can only
-    /// *remove* coverage, never corrupt an answer that is returned.
-    pub fn query_degraded(
-        &self,
-        req: &QueryRequest,
-    ) -> std::result::Result<DegradedQuery, DegradedError> {
-        self.query_degraded_traced(req, &warptree_obs::Trace::noop())
-    }
-
-    /// [`query_degraded`](DirSnapshot::query_degraded) with the
-    /// query's work recorded into `trace`: each attempt's stage spans
-    /// (filter / postprocess / per-segment fan-out) plus a `pager.io`
-    /// attribution span land in the trace. An inactive (noop) trace
-    /// makes this identical to the untraced path.
-    pub fn query_degraded_traced(
-        &self,
-        req: &QueryRequest,
-        trace: &warptree_obs::Trace,
-    ) -> std::result::Result<DegradedQuery, DegradedError> {
-        let mut detected: Vec<String> = Vec::new();
-        loop {
-            let metrics = SearchMetrics::new().with_trace(trace.clone());
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let healthy = self.segments.iter();
-                let healthy = healthy.filter(|t| !detected.iter().any(|d| d == t.source()));
-                self.query_over(healthy, req, &metrics)
-            }));
-            match attempt {
-                Ok(Ok(mut output)) => {
-                    let stats = req.final_stats(&output, &metrics);
-                    if !detected.is_empty() || !self.quarantined.is_empty() {
-                        output = output.with_coverage(self.coverage(&detected));
-                    }
-                    return Ok(DegradedQuery {
-                        output,
-                        stats,
-                        detected,
-                    });
-                }
-                Ok(Err(e)) => return Err(DegradedError::Rejected(e)),
-                Err(payload) => {
-                    // A read failed its CRC check mid-query. The failing
-                    // tree recorded a typed error before unwinding (the
-                    // panic payload itself may be a worker-join message,
-                    // so the error cells are the source of truth).
-                    if let Some(e) = self.tree.take_read_error() {
-                        return Err(DegradedError::Corrupt(e));
-                    }
-                    let before = detected.len();
-                    for t in &self.segments {
-                        if t.take_read_error().is_some() {
-                            let name = t.source().to_string();
-                            if !detected.contains(&name) {
-                                detected.push(name);
-                            }
-                        }
-                    }
-                    if detected.len() == before {
-                        // Not a corruption unwind — propagate.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Coverage accounting for this snapshot with `detected` segment
-    /// file names additionally excluded: suffix counts are derived from
-    /// the (intact) corpus via each excluded segment's sequence range,
-    /// so they are exact even though the excluded trees are unreadable.
-    pub fn coverage(&self, detected: &[String]) -> Coverage {
-        let excluded = self
-            .segment_metas
-            .iter()
-            .filter(|m| detected.contains(&m.file))
-            .count();
-        let segments_total = 1 + self.segments.len() + self.quarantined.len();
-        let mut missing = 0u64;
-        for m in self.quarantined.iter().chain(
-            self.segment_metas
-                .iter()
-                .filter(|m| detected.contains(&m.file)),
-        ) {
-            missing += self.range_suffixes(m);
-        }
+    /// Coverage accounting for this snapshot with the `skipped` tails
+    /// left out as well: suffix counts are derived from the (intact)
+    /// corpus via each excluded segment's sequence range, so they are
+    /// exact even though the excluded trees are unreadable.
+    fn coverage(&self, skipped: &[(String, u64)]) -> Coverage {
+        let is_skipped = |m: &&SegmentMeta| skipped.iter().any(|(file, _)| *file == m.file);
+        let excluded: Vec<_> = self.segment_metas.iter().filter(is_skipped).collect();
+        let suffixes = |m: &SegmentMeta| -> u64 {
+            let seqs = m.start_seq..m.start_seq.saturating_add(m.seq_count);
+            let seqs = seqs.filter(|&i| (i as usize) < self.store.len());
+            seqs.map(|i| self.store.get(SeqId(i)).len() as u64).sum()
+        };
+        let missing: u64 = (self.quarantined.iter().chain(excluded.iter().copied()))
+            .map(suffixes)
+            .sum();
         let suffixes_total = self.store.total_len();
         Coverage {
-            segments_total,
-            segments_answered: 1 + self.segments.len() - excluded,
-            segments_quarantined: self.quarantined.len() + excluded,
+            segments_total: 1 + self.segments.len() + self.quarantined.len(),
+            segments_answered: 1 + self.segments.len() - excluded.len(),
+            segments_quarantined: self.quarantined.len() + excluded.len(),
             suffixes_total,
             suffixes_answered: suffixes_total.saturating_sub(missing),
         }
-    }
-
-    /// Number of corpus suffixes (positions) inside a segment's
-    /// sequence range, computed from the corpus rather than the
-    /// (possibly unreadable) segment tree.
-    fn range_suffixes(&self, m: &SegmentMeta) -> u64 {
-        (m.start_seq..m.start_seq.saturating_add(m.seq_count))
-            .filter(|&i| (i as usize) < self.store.len())
-            .map(|i| self.store.get(SeqId(i)).len() as u64)
-            .sum()
     }
 }
 
@@ -437,6 +393,7 @@ fn open_resolved(
         segment_metas,
         quarantined,
         generation,
+        failed: Mutex::new(Vec::new()),
     })
 }
 

@@ -145,3 +145,68 @@ fn corpus_truncation_detected() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A base index, one tail segment and a corpus of three pages or more.
+fn build_dir(tag: &str) -> (std::path::PathBuf, warptree_disk::ResolvedDir) {
+    use warptree_disk::{append_segment_with, build_dir_with, real_vfs, resolve_dir_with, RealVfs};
+    let dir = std::env::temp_dir().join(format!("warptree-corrupt-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let walk = |seed: usize, n: usize| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                (0..400)
+                    .map(|j| ((seed + i * 7 + j * 3) % 23) as f64)
+                    .collect()
+            })
+            .collect()
+    };
+    let store = SequenceStore::from_values(walk(1, 12));
+    let alphabet = Alphabet::equal_length(&store, 6).unwrap();
+    let kind = warptree_disk::TreeKind::Full;
+    build_dir_with(real_vfs(), &store, &alphabet, kind, 4, 1, None, &dir).unwrap();
+    append_segment_with(&RealVfs, &dir, &SequenceStore::from_values(walk(5, 4))).unwrap();
+    let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
+    (dir, resolved)
+}
+
+/// Flips one byte of page `page` of the paged file at `path`.
+fn flip_page(path: &std::path::Path, page: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[(page * warptree_disk::PAGE_SIZE as u64) as usize + 17] ^= 0xA5;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// The number of pages of the paged file at `path`.
+fn pages(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).unwrap().len() / warptree_disk::PAGE_SIZE as u64
+}
+
+/// A directory whose open trips a page CRC names the file and the page:
+/// a tail's header page, the base index's header page, a corpus page.
+#[test]
+fn an_open_that_trips_a_crc_names_the_file() {
+    use warptree_disk::{open_dir_snapshot_with, RealVfs, ResolvedDir};
+    type Case = fn(&ResolvedDir) -> (std::path::PathBuf, u64);
+    let cases: [Case; 3] = [
+        |r| (r.segment_paths[0].clone(), 0),
+        |r| (r.index_path.clone(), 0),
+        |r| (r.corpus_path.clone(), pages(&r.corpus_path) / 2),
+    ];
+    for (i, case) in cases.into_iter().enumerate() {
+        let (dir, resolved) = build_dir(&format!("open-names-{i}"));
+        assert!(pages(&resolved.corpus_path) >= 3);
+        let (path, page) = case(&resolved);
+        flip_page(&path, page);
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        match open_dir_snapshot_with(&RealVfs, &dir, 8, 16) {
+            Err(DiskError::CorruptionDetected { file, page: p }) => {
+                assert_eq!((file, p), (name, page));
+            }
+            other => panic!(
+                "{name}: expected a named corruption, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

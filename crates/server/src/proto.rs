@@ -551,19 +551,6 @@ impl Request {
         out.push('}');
         out
     }
-
-    /// The backend pin a query op carries, if any — `None` for control
-    /// and write ops. The coordinator uses this to forward the pin
-    /// verbatim to every shard.
-    pub fn backend_pin(&self) -> Option<BackendKind> {
-        match self {
-            Request::Search { params, .. }
-            | Request::Batch { params, .. }
-            | Request::Explain { params, .. } => params.backend,
-            Request::Knn { params, .. } => params.backend,
-            _ => None,
-        }
-    }
 }
 
 /// Per-request tracing options.
@@ -1312,8 +1299,14 @@ mod tests {
                 None,
             ),
         ] {
-            let req = Request::parse(frame, false).unwrap();
-            assert_eq!(req.backend_pin(), want, "{frame:?}");
+            let backend = match Request::parse(frame, false).unwrap() {
+                Request::Search { params, .. }
+                | Request::Batch { params, .. }
+                | Request::Explain { params, .. } => params.backend,
+                Request::Knn { params, .. } => params.backend,
+                other => panic!("not a query op: {other:?}"),
+            };
+            assert_eq!(backend, want, "{frame:?}");
         }
         // Unknown families and non-string values are plain bad requests.
         for frame in [
@@ -1323,13 +1316,11 @@ mod tests {
             let err = Request::parse(frame, false).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{frame:?}");
         }
-        // Control ops carry no pin.
-        assert_eq!(
-            Request::parse(br#"{"op":"health"}"#, false)
-                .unwrap()
-                .backend_pin(),
-            None
-        );
+        // Control ops carry no pin: they parse without query params.
+        assert!(matches!(
+            Request::parse(br#"{"op":"health"}"#, false).unwrap(),
+            Request::Health
+        ));
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! never re-reading the cell mid-request. The response's
 //! `"generation"` field reports which snapshot answered; concurrent
 //! hot reloads change which snapshot *new* requests pin, nothing else.
+//!
+//! A query runs [`DirSnapshot::query_with`], the query path every
+//! caller of a directory shares (a failing tail is left out, a failing
+//! base is `corruption_detected`); only the server then quarantines the
+//! tails a snapshot caught failing, once each, and republishes.
 
 use std::fmt::Write as _;
 use std::io;
@@ -32,11 +37,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use warptree_core::error::CoreError;
 use warptree_core::search::{Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
     append_segment_with, compact_once_with, open_dir_snapshot_with, quarantine_segment_with,
-    real_vfs, scrub_dir_with, DegradedError, DirSnapshot, DiskError, Vfs,
+    real_vfs, scrub_dir_with, DirSnapshot, DiskError, Vfs,
 };
 use warptree_obs::{MetricsRegistry, Trace};
 
@@ -623,60 +629,69 @@ fn run_timed(work: &Work, req: Request, queue_ns: u64) -> String {
     resp
 }
 
-/// Runs one query through the degraded fan-out path and applies the
-/// server-side consequences of what it found:
+/// Runs one query over the pinned snapshot and applies the server-side
+/// consequences of what it found:
 ///
-/// * corrupt tail segments detected mid-query are quarantined (one
-///   tombstone manifest generation each, then a republish) so later
-///   requests skip them up front;
+/// * tail segments the snapshot caught failing a read are quarantined
+///   (one tombstone manifest generation each, then a republish) so
+///   later requests skip them up front;
 /// * partial answers are metered (`search.partial_queries`);
-/// * corruption in the base tree (no healthy replica to fall back on)
-///   becomes a typed `corruption_detected` error.
+/// * an error is typed and metered as a bad request, or as corruption
+///   (`corruption_detected`: a failed base index, which no answer can
+///   leave out).
 ///
 /// On success the stats have already been folded into the shared
 /// process-wide bundle; the returned copy is for per-request reporting
 /// (`explain`). On failure the `Err` is the complete response string.
-fn degraded_query(
+fn run_query(
     work: &Work,
     snap: &DirSnapshot,
     req: &QueryRequest,
 ) -> Result<(QueryOutput, SearchStats), String> {
-    match snap.query_degraded_traced(req, work.trace) {
-        Ok(dq) => {
-            work.ctx.search_metrics.add(&dq.stats);
-            if !dq.detected.is_empty() {
-                quarantine_detected(work, &dq.detected);
-            }
-            if dq.output.is_partial() {
+    let metrics = SearchMetrics::new().with_trace(work.trace.clone());
+    let out = snap.query_with(req, &metrics);
+    quarantine_failed(work, snap);
+    match out {
+        Ok(out) => {
+            let stats = req.final_stats(&out, &metrics);
+            work.ctx.search_metrics.add(&stats);
+            if out.is_partial() {
                 work.ctx.registry.counter("search.partial_queries").incr();
             }
-            Ok((dq.output, dq.stats))
+            Ok((out, stats))
         }
-        Err(DegradedError::Rejected(e)) => {
-            work.ctx.registry.counter("server.bad_requests").incr();
+        Err(e) => {
+            let counter = match e {
+                CoreError::CorruptionDetected { .. } => "server.corruption_errors",
+                _ => "server.bad_requests",
+            };
+            work.ctx.registry.counter(counter).incr();
             Err(proto::core_error_response(&e))
-        }
-        Err(DegradedError::Corrupt(e)) => {
-            work.ctx.registry.counter("server.corruption_errors").incr();
-            Err(error_response(
-                ErrorCode::CorruptionDetected,
-                &e.to_string(),
-            ))
         }
     }
 }
 
-/// Tombstones segments a degraded query caught failing CRC: one
-/// idempotent quarantine commit per segment, then a republish so the
-/// serving snapshot stops fanning out to them. Best-effort — a failed
-/// quarantine only means the *next* query re-detects and retries; the
-/// current answer is already correct without the segment.
-fn quarantine_detected(work: &Work, detected: &[String]) {
+/// Tombstones the tails `snap` caught failing that the published
+/// snapshot still serves as live: one idempotent quarantine commit per
+/// segment, then a republish so the serving snapshot stops fanning out
+/// to them. A tail is quarantined once, not once per query over a
+/// stale snapshot. Best-effort — a failed quarantine only means a later
+/// query re-detects and retries; the current answer is already correct
+/// without the segment.
+fn quarantine_failed(work: &Work, snap: &DirSnapshot) {
+    let failed = snap.failed_tails();
+    if failed.is_empty() {
+        return;
+    }
     let st = &work.ctx.ingest;
     let _guard = st.lock_writer();
+    let live = work.ctx.cell.get();
     let mut committed = false;
-    for segment in detected {
-        match quarantine_segment_with(st.vfs.as_ref(), &st.dir, segment) {
+    for segment in failed {
+        if !live.segment_metas.iter().any(|m| m.file == segment) {
+            continue;
+        }
+        match quarantine_segment_with(st.vfs.as_ref(), &st.dir, &segment) {
             Ok(_) => committed = true,
             Err(_) => work.ctx.registry.counter("server.quarantine_errors").incr(),
         }
@@ -714,12 +729,12 @@ fn execute(work: &Work, req: Request) -> String {
     let snap = work.ctx.cell.get();
     let clamp = |t: u32| t.clamp(1, work.ctx.max_parallelism.max(1));
     // `Err` already carries the complete (typed, metered) error
-    // response — produced by `degraded_query` or the batch fold.
+    // response — produced by `run_query` or the batch fold.
     let result: Result<String, String> = match req {
         Request::Search { query, mut params } => {
             params.threads = clamp(params.threads);
             let req = QueryRequest::threshold_params(&query, params).capped(work.ctx.max_query_len);
-            degraded_query(work, &snap, &req).map(|(out, _)| {
+            run_query(work, &snap, &req).map(|(out, _)| {
                 let mut resp = proto::ok_open("search");
                 resp.push(',');
                 push_answer(&mut resp, &out, snap.generation);
@@ -730,7 +745,7 @@ fn execute(work: &Work, req: Request) -> String {
         Request::Knn { query, mut params } => {
             params.threads = clamp(params.threads);
             let req = QueryRequest::knn_params(&query, params).capped(work.ctx.max_query_len);
-            degraded_query(work, &snap, &req).map(|(out, _)| {
+            run_query(work, &snap, &req).map(|(out, _)| {
                 let coverage = out.coverage;
                 let matches = out.into_ranked();
                 let mut resp = proto::ok_open("knn");
@@ -785,7 +800,7 @@ fn execute(work: &Work, req: Request) -> String {
                 } else {
                     let req = QueryRequest::threshold_params(&query, item_params.clone())
                         .capped(work.ctx.max_query_len);
-                    match degraded_query(work, &snap, &req) {
+                    match run_query(work, &snap, &req) {
                         Ok((out, _)) => Item::Answer(out),
                         Err(resp) => Item::Fail(resp),
                     }
@@ -834,11 +849,11 @@ fn execute(work: &Work, req: Request) -> String {
         }
         Request::Explain { query, mut params } => {
             params.threads = clamp(params.threads);
-            // The degraded runner meters per-request stats internally
+            // `run_query` meters per-request stats internally
             // and returns the snapshot, so explain gets its counters
             // while the shared bundle still accumulates the totals.
             let req = QueryRequest::threshold_params(&query, params).capped(work.ctx.max_query_len);
-            degraded_query(work, &snap, &req).map(|(out, stats)| {
+            run_query(work, &snap, &req).map(|(out, stats)| {
                 let mut resp = proto::ok_open("explain");
                 resp.push(',');
                 proto::search_body_into(&mut resp, snap.generation, out.matches());

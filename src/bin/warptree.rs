@@ -24,6 +24,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use warptree::core::search::Coverage;
 use warptree::prelude::*;
 use warptree::{
     build_index_dir_backend, build_index_dir_backend_metered, open_index_dir,
@@ -419,6 +420,26 @@ fn open_index_metered(dir: &Path, reg: &MetricsRegistry) -> Result<DiskIndexDir,
     Ok(idx)
 }
 
+/// Says on stderr that an answer is partial: how much of the directory
+/// answered and which segments it left out. The CLI never writes to the
+/// directory, so healing is left to `scrub`.
+fn report_partial(dir: &Path, idx: &DiskIndexDir, coverage: Option<&Coverage>) {
+    let Some(c) = coverage.filter(|c| c.is_partial()) else {
+        return;
+    };
+    let quarantined = idx.quarantined.iter().map(|m| m.file.clone());
+    let excluded: Vec<String> = quarantined.chain(idx.failed_tails()).collect();
+    eprintln!(
+        "partial: {}/{} segments answered, {:.1}% of suffixes; excluded {}; \
+         run `warptree scrub {}` to heal",
+        c.segments_answered,
+        c.segments_total,
+        100.0 * c.fraction(),
+        excluded.join(", "),
+        dir.display()
+    );
+}
+
 fn report_recovery(idx: &DiskIndexDir) {
     if !idx.recovery.is_clean() {
         for line in idx.recovery.to_string().lines() {
@@ -736,10 +757,9 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         params.threads = threads;
         params.cascade = cascade;
         let req = QueryRequest::knn_params(&query, params);
-        let matches = idx
-            .query_with(&req, &metrics)
-            .map_err(|e| e.to_string())?
-            .into_ranked();
+        let out = idx.query_with(&req, &metrics).map_err(|e| e.to_string())?;
+        report_partial(&dir, &idx, out.coverage.as_ref());
+        let matches = out.into_ranked();
         let head = format!(
             "{} nearest subsequences in {:.2?} ({} nodes visited):",
             matches.len(),
@@ -758,10 +778,9 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         params.threads = threads;
         params.cascade = cascade;
         let req = QueryRequest::threshold_params(&query, params);
-        let answers = idx
-            .query_with(&req, &metrics)
-            .map_err(|e| e.to_string())?
-            .into_answer_set();
+        let out = idx.query_with(&req, &metrics).map_err(|e| e.to_string())?;
+        report_partial(&dir, &idx, out.coverage.as_ref());
+        let answers = out.into_answer_set();
         let stats = metrics.snapshot();
         let head = format!(
             "{} answers within ε = {epsilon} in {:.2?} ({} candidates \
@@ -829,6 +848,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     params.cascade = !o.flag("no-cascade");
     let idx = open_index(&dir)?;
     let (_, report) = idx.explain(&query, &params).map_err(|e| e.to_string())?;
+    report_partial(&dir, &idx, report.coverage.as_ref());
     if o.flag("json") {
         println!("{}", report.to_json());
     } else {
@@ -903,6 +923,7 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
     let (out, _) = idx
         .query(&QueryRequest::threshold_params(&query, params))
         .map_err(|e| e.to_string())?;
+    report_partial(&dir, &idx, out.coverage.as_ref());
     let episodes = out.into_answer_set().non_overlapping();
     if episodes.is_empty() {
         return Err("no similar episodes found — raise --epsilon".into());

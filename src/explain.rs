@@ -10,12 +10,15 @@
 //! cost in page and node-cache traffic.
 
 use warptree_core::error::CoreError;
-use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
+use warptree_core::search::{
+    AnswerSet, Coverage, QueryRequest, SearchMetrics, SearchParams, SearchStats,
+};
 use warptree_core::sequence::Value;
 use warptree_obs::json::num;
 use warptree_obs::HistogramSnapshot;
 
 use warptree_disk::DirSnapshot;
+use warptree_server::proto::encode_coverage;
 
 use crate::Index;
 
@@ -68,6 +71,10 @@ pub struct ExplainReport {
     pub postprocess: HistogramSnapshot,
     /// Cache/page traffic of the run (disk indexes only).
     pub io: Option<ExplainIo>,
+    /// What part of a directory answered, when a segment was missing
+    /// (quarantined, or caught failing by this run); `None` for a
+    /// complete answer.
+    pub coverage: Option<Coverage>,
 }
 
 impl ExplainReport {
@@ -109,12 +116,12 @@ impl ExplainReport {
     ) -> Result<(AnswerSet, ExplainReport), CoreError> {
         let io0 = Self::dir_io_totals(dir);
         let metrics = SearchMetrics::new();
-        let answers = dir
-            .query_with(
-                &QueryRequest::threshold_params(query, params.clone()),
-                &metrics,
-            )?
-            .into_answer_set();
+        let out = dir.query_with(
+            &QueryRequest::threshold_params(query, params.clone()),
+            &metrics,
+        )?;
+        let coverage = out.coverage;
+        let answers = out.into_answer_set();
         let io1 = Self::dir_io_totals(dir);
         let io = ExplainIo {
             pages_read: io1.pages_read - io0.pages_read,
@@ -133,7 +140,7 @@ impl ExplainReport {
             &metrics,
             Some(io),
         );
-        Ok((answers, report))
+        Ok((answers, ExplainReport { coverage, ..report }))
     }
 
     /// Cumulative cache/page traffic of every tree in the directory.
@@ -169,6 +176,7 @@ impl ExplainReport {
             filter: metrics.filter_ns.snapshot(),
             postprocess: metrics.postprocess_ns.snapshot(),
             io,
+            coverage: None,
         }
     }
 
@@ -247,7 +255,7 @@ impl ExplainReport {
                 "\"cells\":{{\"filter\":{},\"postprocess\":{},",
                 "\"rows_pushed\":{},\"rows_unshared\":{}}},",
                 "\"time_ms\":{{\"filter\":{},\"postprocess\":{}}},",
-                "\"io\":{}}}"
+                "\"io\":{},{}}}"
             ),
             self.kind,
             self.backend,
@@ -277,6 +285,8 @@ impl ExplainReport {
             num(self.filter.sum as f64 / 1e6),
             num(self.postprocess.sum as f64 / 1e6),
             io,
+            (self.coverage.as_ref())
+                .map_or(r#""partial":false,"coverage":null"#.into(), encode_coverage),
         )
     }
 }
@@ -450,6 +460,7 @@ mod tests {
         assert!(j.contains("\"cascade\""));
         assert!(j.contains("\"lb_keogh_kills\""));
         assert!(j.contains("\"io\":null"));
+        assert!(j.ends_with(",\"partial\":false,\"coverage\":null}"));
         let text = r.to_string();
         assert!(text.contains("filter funnel"));
         assert!(text.contains("exact DTW checks"));

@@ -304,8 +304,9 @@ impl Index {
 /// [`append_index_dir`] and the `warptree` CLI, opened after crash
 /// recovery: the [`DirSnapshot`](warptree_disk::DirSnapshot) it derefs
 /// to — `store`, `alphabet`, `cat`, the base `tree`, the tail
-/// `segments`, `generation`, and `query` / `query_with` fanning out
-/// across them — plus what the recovery sweep found.
+/// `segments`, `generation`, and `query` / `query_with`, the one query
+/// over them (a corrupt tail makes a labeled partial answer, a corrupt
+/// base a typed error) — plus what the recovery sweep found.
 pub struct DiskIndexDir {
     /// The opened generation.
     pub snapshot: warptree_disk::DirSnapshot,
@@ -322,59 +323,6 @@ impl std::ops::Deref for DiskIndexDir {
 }
 
 impl DiskIndexDir {
-    /// Runs a complete similarity search against the on-disk index.
-    ///
-    /// Panics on an invalid query; use
-    /// [`query`](warptree_disk::DirSnapshot::query) to handle validation
-    /// errors.
-    pub fn search(&self, query: &[Value], params: &SearchParams) -> (AnswerSet, SearchStats) {
-        let (out, stats) = self
-            .query(&QueryRequest::threshold_params(query, params.clone()))
-            .expect("invalid query");
-        (out.into_answer_set(), stats)
-    }
-
-    /// [`search`](Self::search) accumulating counters and phase timings
-    /// into caller-owned [`SearchMetrics`].
-    pub fn search_with(
-        &self,
-        query: &[Value],
-        params: &SearchParams,
-        metrics: &SearchMetrics,
-    ) -> AnswerSet {
-        self.query_with(
-            &QueryRequest::threshold_params(query, params.clone()),
-            metrics,
-        )
-        .expect("invalid query")
-        .into_answer_set()
-    }
-
-    /// Finds the `k` nearest subsequences.
-    ///
-    /// Panics on invalid parameters; use
-    /// [`query`](warptree_disk::DirSnapshot::query) to handle validation
-    /// errors.
-    pub fn knn(&self, query: &[Value], params: &KnnParams) -> (Vec<Match>, SearchStats) {
-        let (out, stats) = self
-            .query(&QueryRequest::knn_params(query, params.clone()))
-            .expect("invalid query");
-        (out.into_ranked(), stats)
-    }
-
-    /// [`knn`](Self::knn) accumulating counters into caller-owned
-    /// [`SearchMetrics`].
-    pub fn knn_with(
-        &self,
-        query: &[Value],
-        params: &KnnParams,
-        metrics: &SearchMetrics,
-    ) -> Vec<Match> {
-        self.query_with(&QueryRequest::knn_params(query, params.clone()), metrics)
-            .expect("invalid query")
-            .into_ranked()
-    }
-
     /// Explains one search: runs it and reports the filter funnel,
     /// table work, timings, and this query's cache/page traffic.
     pub fn explain(
@@ -652,7 +600,8 @@ mod tests {
         let q = store.get(SeqId(1)).subseq(2, 5).to_vec();
         let params = SearchParams::with_epsilon(1.5);
         let (a, _) = index.search(&q, &params);
-        let (b, _) = opened.search(&q, &params);
+        let req = QueryRequest::threshold_params(&q, params);
+        let b = opened.query(&req).unwrap().0.into_answer_set();
         assert_eq!(a.occurrence_set(), b.occurrence_set());
         // Names survive the round trip.
         assert_eq!(opened.store.name(SeqId(0)), store.name(SeqId(0)));
@@ -672,12 +621,13 @@ mod tests {
         assert_eq!(opened.store.len(), store.len());
         let q = store.get(SeqId(2)).subseq(3, 6).to_vec();
         let params = SearchParams::with_epsilon(2.0);
-        let (disk_answers, _) = opened.search(&q, &params);
+        let req = QueryRequest::threshold_params(&q, params.clone());
+        let disk_answers = opened.query(&req).unwrap().0.into_answer_set();
         let mem = Index::sparse(&store, Categorization::MaxEntropy(8)).unwrap();
         let (mem_answers, _) = mem.search(&q, &params);
         assert_eq!(disk_answers.occurrence_set(), mem_answers.occurrence_set());
-        let (top, _) = opened.knn(&q, &KnnParams::new(2));
-        assert_eq!(top.len(), 2);
+        let top = opened.query(&QueryRequest::knn(&q, 2)).unwrap().0;
+        assert_eq!(top.into_ranked().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,11 +25,11 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use warptree::{build_index_dir, Categorization};
-use warptree_core::search::{QueryRequest, SearchParams};
+use warptree_core::error::CoreError;
+use warptree_core::search::{Coverage, QueryRequest, SearchMetrics, SearchParams};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
-    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, DegradedError,
-    RealVfs, PAGE_SIZE,
+    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, RealVfs, PAGE_SIZE,
 };
 use warptree_obs::MetricsRegistry;
 use warptree_server::chaos::{ChaosConfig, ChaosStream};
@@ -164,13 +164,10 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
         chaos_queries()
             .iter()
             .map(|q| {
-                let dq = snap.query_degraded(&req(q)).unwrap();
-                assert!(dq.detected.is_empty());
-                assert!(
-                    dq.output.coverage.is_none(),
-                    "clean index carries no coverage"
-                );
-                dq.output.matches().to_vec()
+                let (out, _) = snap.query(&req(q)).unwrap();
+                assert!(snap.failed_tails().is_empty());
+                assert!(out.coverage.is_none(), "clean index carries no coverage");
+                out.matches().to_vec()
             })
             .collect()
     };
@@ -182,16 +179,13 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     // Corrupt segment 1 on disk, then reopen (a fresh process's view).
     corrupt_pages_after_first(&dir.join(&seg1));
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let dq = snap.query_degraded(&req(&chaos_queries()[0])).unwrap();
+    let (out, _) = snap.query(&req(&chaos_queries()[0])).unwrap();
     assert_eq!(
-        dq.detected,
+        snap.failed_tails(),
         vec![seg1.clone()],
         "CRC failure detected mid-query"
     );
-    let cov = dq
-        .output
-        .coverage
-        .expect("degraded answer carries coverage");
+    let cov = out.coverage.expect("degraded answer carries coverage");
     assert!(cov.is_partial());
     assert_eq!(
         (
@@ -208,7 +202,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     );
     // Partial answers are a subset of the clean answers — corruption
     // removes coverage, it never invents or perturbs matches.
-    for m in dq.output.matches() {
+    for m in out.matches() {
         assert!(
             clean[0].contains(m),
             "degraded match {m:?} not in clean answer set"
@@ -223,9 +217,12 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert_eq!(snap.quarantined.len(), 1);
     assert_eq!(snap.segments.len(), 1, "quarantined segment not opened");
-    let dq = snap.query_degraded(&req(&chaos_queries()[1])).unwrap();
-    assert!(dq.detected.is_empty(), "no re-detection after quarantine");
-    let cov = dq.output.coverage.expect("still partial after restart");
+    let (out, _) = snap.query(&req(&chaos_queries()[1])).unwrap();
+    assert!(
+        snap.failed_tails().is_empty(),
+        "no re-detection after quarantine"
+    );
+    let cov = out.coverage.expect("still partial after restart");
     assert_eq!(cov.segments_quarantined, 1);
 
     // Heal: scrub rebuilds the quarantined segment from the corpus.
@@ -238,13 +235,10 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert!(snap.quarantined.is_empty());
     for (q, want) in chaos_queries().iter().zip(&clean) {
-        let dq = snap.query_degraded(&req(q)).unwrap();
-        assert!(
-            dq.output.coverage.is_none(),
-            "healed index is no longer partial"
-        );
+        let (out, _) = snap.query(&req(q)).unwrap();
+        assert!(out.coverage.is_none(), "healed index is no longer partial");
         assert_eq!(
-            dq.output.matches(),
+            out.matches(),
             &want[..],
             "healed answers identical for {q:?}"
         );
@@ -261,8 +255,8 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    match snap.query_degraded(&req) {
-        Err(DegradedError::Corrupt(e)) => {
+    match snap.query(&req) {
+        Err(e @ CoreError::CorruptionDetected { .. }) => {
             let msg = e.to_string();
             assert!(msg.contains("corruption"), "typed corruption error: {msg}");
         }
@@ -271,6 +265,145 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     // And the scrub pass reports it unrecoverable without mutating.
     let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
     assert!(report.unrecoverable.is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One query path: `DirSnapshot::query` over a tail that fails its CRC
+/// answers exactly as a clean directory of the surviving sequences does
+/// — answers and every counter, which come from the attempt that
+/// answered alone — and labels the answer with the missing tail's
+/// coverage. `query_with` counts the same into the caller's metrics.
+#[test]
+fn a_corrupt_tail_answers_like_a_clean_directory_of_the_survivors() {
+    let dir = tmpdir("one-path-tail");
+    let (_seg1, seg2) = build_chaos_dir(&dir);
+    corrupt_pages_after_first(&dir.join(&seg2));
+    // The same base and first tail, without the second.
+    let survivors = tmpdir("one-path-survivors");
+    let base = gen_store(1, 24, 24);
+    build_index_dir(&base, Categorization::EqualLength(8), false, 64, &survivors).unwrap();
+    warptree::append_index_dir(&survivors, &gen_store(1000, 36, 28)).unwrap();
+    let clean = open_dir_snapshot_with(&RealVfs, &survivors, 8, 64).unwrap();
+    let open = || open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let total = open().store.total_len();
+    let coverage = Coverage {
+        segments_total: 3,
+        segments_answered: 2,
+        segments_quarantined: 1,
+        suffixes_total: total,
+        suffixes_answered: total - gen_store(2000, 36, 28).total_len(),
+    };
+    for q in chaos_queries() {
+        let req = QueryRequest::threshold_params(&q, SearchParams::with_epsilon(EPSILON));
+        let (want, want_stats) = clean.query(&req).unwrap();
+        // A fresh snapshot each time, so every query trips over the tail.
+        let snap = open();
+        let (out, stats) = snap.query(&req).unwrap();
+        assert_eq!(snap.failed_tails(), vec![seg2.clone()]);
+        assert_eq!(out.coverage, Some(coverage), "{q:?}");
+        assert_eq!(out.matches(), want.matches(), "{q:?}");
+        assert_eq!(stats, want_stats, "{q:?}");
+        let snap = open();
+        let metrics = SearchMetrics::new();
+        let out = snap.query_with(&req, &metrics).unwrap();
+        assert_eq!(out.coverage, Some(coverage), "{q:?}");
+        assert_eq!(metrics.snapshot(), want_stats, "{q:?}");
+        // Later queries on the snapshot leave the tail out up front.
+        let (again, again_stats) = snap.query(&req).unwrap();
+        assert_eq!(
+            (again.coverage, again.matches()),
+            (out.coverage, want.matches())
+        );
+        assert_eq!(again_stats, want_stats);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&survivors).unwrap();
+}
+
+/// Queries racing over one snapshot trip over the same corrupt tail
+/// together: each one answers, partially and identically — none sees
+/// the failure recorded by another as an unexplained unwind.
+#[test]
+fn racing_queries_over_a_corrupt_tail_all_answer() {
+    let dir = tmpdir("one-path-race");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    corrupt_pages_after_first(&dir.join(&seg1));
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    for _ in 0..4 {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        let outs: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..6).map(|_| s.spawn(|| snap.query(&req))).collect();
+            runs.into_iter()
+                .map(|r| r.join().unwrap().unwrap().0)
+                .collect()
+        });
+        assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
+        for out in &outs {
+            assert!(out.is_partial());
+            assert_eq!(out.matches(), outs[0].matches());
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A tail quarantined in `MANIFEST` is never opened, and the answer
+/// without it says so.
+#[test]
+fn a_quarantined_tail_labels_the_answer_partial() {
+    let dir = tmpdir("one-path-quarantined");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    warptree_disk::quarantine_segment_with(&RealVfs, &dir, &seg1).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[1], SearchParams::with_epsilon(EPSILON));
+    let (out, _) = snap.query(&req).unwrap();
+    let cov = out
+        .coverage
+        .expect("an answer without a tail is labeled partial");
+    assert!(cov.is_partial());
+    assert_eq!(
+        (
+            cov.segments_total,
+            cov.segments_answered,
+            cov.segments_quarantined
+        ),
+        (3, 2, 1)
+    );
+    let missing = cov.suffixes_total - cov.suffixes_answered;
+    assert_eq!(missing, gen_store(1000, 36, 28).total_len());
+    assert!(snap.failed_tails().is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A base index that fails its CRC is `CorruptionDetected`, naming the
+/// file and the page, from `query` and `query_with` alike, and from
+/// every later query on the snapshot.
+#[test]
+fn a_corrupt_base_is_a_typed_error_naming_the_file() {
+    let dir = tmpdir("one-path-base");
+    build_chaos_dir(&dir);
+    let index = resolve_dir_with(&RealVfs, &dir).unwrap().index_path;
+    corrupt_pages_after_first(&index);
+    let name = index.file_name().unwrap().to_string_lossy().into_owned();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let req =
+        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let errors = [
+        snap.query(&req).map(|_| ()),
+        snap.query_with(&req, &SearchMetrics::new()).map(|_| ()),
+        snap.query(&req).map(|_| ()),
+    ];
+    for e in errors {
+        match e {
+            Err(CoreError::CorruptionDetected { file, page }) => {
+                assert_eq!(file, name);
+                assert!(page >= 1, "page 0 is the intact header page");
+            }
+            other => panic!("expected a typed corruption error, got {other:?}"),
+        }
+    }
+    assert!(snap.failed_tails().is_empty(), "the base is not a tail");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -346,7 +479,7 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
     let clean = {
         let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-        snap.query_degraded(&req).unwrap().output.matches().to_vec()
+        snap.query(&req).unwrap().0.matches().to_vec()
     };
     let record = forge_root_child_label(&dir, &seg1);
 
@@ -360,11 +493,11 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
         other => panic!("expected a typed BadRecord, got {other:?}"),
     }
     // ...and a query over the directory answers without the segment.
-    let dq = snap.query_degraded(&req).unwrap();
-    assert_eq!(dq.detected, vec![seg1]);
-    let cov = dq.output.coverage.expect("a degraded answer says so");
+    let (out, _) = snap.query(&req).unwrap();
+    assert_eq!(snap.failed_tails(), vec![seg1]);
+    let cov = out.coverage.expect("a degraded answer says so");
     assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    for m in dq.output.matches() {
+    for m in out.matches() {
         assert!(
             clean.contains(m),
             "degraded match {m:?} not in the clean set"
@@ -387,9 +520,9 @@ fn scrub_finds_and_heals_a_hostile_record_behind_a_valid_crc() {
             |q: &[f64]| QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
         (chaos_queries().iter())
             .map(|q| {
-                let dq = snap.query_degraded(&req(q)).unwrap();
-                assert!(dq.detected.is_empty() && dq.output.coverage.is_none());
-                dq.output.matches().to_vec()
+                let (out, _) = snap.query(&req(q)).unwrap();
+                assert!(snap.failed_tails().is_empty() && out.coverage.is_none());
+                out.matches().to_vec()
             })
             .collect::<Vec<_>>()
     };
@@ -421,7 +554,7 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
+    let clean = snap.query(&req).unwrap().0.matches().to_vec();
 
     // The record of segment 1 holding the suffix entry some clean answer
     // starts at, and the `start` word of that entry (inside one page).
@@ -456,12 +589,12 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("suffix"), "{m}"),
         other => panic!("expected a typed BadRecord, got {other:?}"),
     }
-    let dq = snap.query_degraded(&req).unwrap();
-    assert_eq!(dq.detected, vec![seg1]);
-    let cov = dq.output.coverage.expect("a degraded answer says so");
+    let (out, _) = snap.query(&req).unwrap();
+    assert_eq!(snap.failed_tails(), vec![seg1]);
+    let cov = out.coverage.expect("a degraded answer says so");
     assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    assert!(dq.output.matches().len() < clean.len());
-    for m in dq.output.matches() {
+    assert!(out.matches().len() < clean.len());
+    for m in out.matches() {
         assert!(
             clean.contains(m),
             "degraded match {m:?} not in the clean set"
@@ -493,7 +626,7 @@ fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let clean = snap.query_degraded(&req).unwrap().output.matches().to_vec();
+    let clean = snap.query(&req).unwrap().0.matches().to_vec();
 
     // The root record's `child_off` or `child_count` word (the format's
     // 64-byte header, 12-byte entries, 28-byte records), whichever sits
@@ -517,10 +650,10 @@ fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
     let report = scrub_dir_with(&RealVfs, &dir, false, &MetricsRegistry::new()).unwrap();
     assert_eq!(report.newly_quarantined, vec![seg1]);
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let dq = snap.query_degraded(&req).unwrap();
-    let cov = dq.output.coverage.expect("a degraded answer says so");
+    let (out, _) = snap.query(&req).unwrap();
+    let cov = out.coverage.expect("a degraded answer says so");
     assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    for m in dq.output.matches() {
+    for m in out.matches() {
         assert!(
             clean.contains(m),
             "degraded match {m:?} not in the clean set"
@@ -982,13 +1115,10 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     assert!(snap.quarantined.is_empty());
     for q in &queries {
         let req = QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
-        let dq = snap.query_degraded(&req).unwrap();
-        assert!(
-            dq.output.coverage.is_none(),
-            "healed index serves full coverage"
-        );
+        let (out, _) = snap.query(&req).unwrap();
+        assert!(out.coverage.is_none(), "healed index serves full coverage");
         let (clean_out, _) = snap.query(&req).unwrap();
-        assert_eq!(dq.output.matches(), clean_out.matches());
+        assert_eq!(out.matches(), clean_out.matches());
     }
     let _ = partials; // may be 0 if every degraded exchange was eaten by net faults
     std::fs::remove_dir_all(&dir).unwrap();

@@ -594,3 +594,230 @@ fn mine_and_forecast_commands() {
     assert!(out.contains("+2:"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A base index over 30 generated sequences and one tail segment over
+/// 20 more, in a fresh scratch directory. Returns the scratch
+/// directory, the index directory, the base CSV and a query drawn from
+/// the tail's data.
+fn base_and_tail(tag: &str) -> (PathBuf, PathBuf, PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("warptree-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (base, more, idx) = (dir.join("base.csv"), dir.join("more.csv"), dir.join("idx"));
+    for (csv, n, seed) in [(&base, "30", "7"), (&more, "20", "8")] {
+        let csv = csv.to_str().unwrap();
+        run_ok(&[
+            "gen",
+            "--sequences",
+            n,
+            "--len",
+            "60",
+            "--seed",
+            seed,
+            "--out",
+            csv,
+        ]);
+    }
+    let (base_s, more_s, idx_s) = (
+        base.to_str().unwrap(),
+        more.to_str().unwrap(),
+        idx.to_str().unwrap(),
+    );
+    run_ok(&[
+        "build",
+        "--input",
+        base_s,
+        "--categories",
+        "12",
+        "--out-dir",
+        idx_s,
+    ]);
+    run_ok(&["append", "--input", more_s, "--index-dir", idx_s]);
+    let line = std::fs::read_to_string(&more).unwrap();
+    let query = line.lines().nth(3).unwrap().split(',').skip(20).take(8);
+    (dir, idx, base, query.collect::<Vec<_>>().join(","))
+}
+
+/// The one file of `idx` whose name starts with `prefix`.
+fn data_file(idx: &std::path::Path, prefix: &str) -> PathBuf {
+    let mut found = std::fs::read_dir(idx)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(prefix));
+    let path = found.next().expect("a committed file");
+    assert!(found.next().is_none());
+    path
+}
+
+/// Flips one byte in every page of `path` from page `from` on.
+fn corrupt_pages_from(path: &std::path::Path, from: usize) {
+    const PAGE: usize = 8192;
+    let mut bytes = std::fs::read(path).unwrap();
+    let pages = bytes.len() / PAGE;
+    assert!(pages > from.max(2), "{} is too small", path.display());
+    for page in from..pages {
+        bytes[page * PAGE + 17] ^= 0xA5;
+    }
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// Runs the CLI; returns its exit code, stdout and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = bin().args(args).output().expect("binary runs");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// The `partial:` line a query over `idx` without `segment` prints.
+fn assert_partial_line(stderr: &str, segment: &str) {
+    let line = stderr.lines().find(|l| l.starts_with("partial: "));
+    let line = line.unwrap_or_else(|| panic!("no partial: line in\n{stderr}"));
+    assert!(line.contains("1/2 segments answered"), "{line}");
+    assert!(line.contains("% of suffixes"), "{line}");
+    assert!(line.contains(segment), "{line}");
+    assert!(line.contains("run `warptree scrub"), "{line}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A tail whose pages fail their CRC: `search`, `knn` and `explain`
+/// answer from the base alone, exit 0 and say so on stderr — the
+/// answers are exactly the sequential scan's over the base's sequences.
+#[test]
+fn a_corrupt_tail_answers_partially_from_the_base() {
+    let (dir, idx, base, query) = base_and_tail("corrupt-tail");
+    let seg = data_file(&idx, "segment-");
+    corrupt_pages_from(&seg, 1);
+    let name = seg.file_name().unwrap().to_str().unwrap();
+    let idx = idx.to_str().unwrap();
+    let q = query.as_str();
+
+    let (code, stdout, stderr) = run(&[
+        "search",
+        "--index-dir",
+        idx,
+        "--query",
+        q,
+        "--epsilon",
+        "4",
+        "--limit",
+        "100000",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_partial_line(&stderr, name);
+    let store = warptree::data::load_csv(&base).unwrap();
+    let values: Vec<f64> = query.split(',').map(|v| v.parse().unwrap()).collect();
+    let params = warptree::core::search::SearchParams::with_epsilon(4.0);
+    let mut stats = warptree::core::search::SearchStats::default();
+    use warptree::core::search::{seq_scan, SeqScanMode};
+    let scan = seq_scan(&store, &values, &params, SeqScanMode::Full, &mut stats);
+    assert!(!scan.is_empty(), "the comparison needs answers");
+    let mut want: Vec<String> = (scan.matches().iter())
+        .map(|m| {
+            format!(
+                "  {} ({})  dist {:.4}",
+                m.occ,
+                store.display_name(m.occ.seq),
+                m.dist
+            )
+        })
+        .collect();
+    let mut got: Vec<String> = stdout.lines().skip(1).map(str::to_string).collect();
+    want.sort();
+    got.sort();
+    assert_eq!(got, want);
+    assert!(
+        stdout.starts_with(&format!("{} answers", scan.len())),
+        "{stdout}"
+    );
+
+    let (code, stdout, stderr) = run(&["knn", "--index-dir", idx, "--query", q, "--k", "3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.starts_with("3 nearest"), "{stdout}");
+    assert_partial_line(&stderr, name);
+
+    let (code, stdout, stderr) = run(&[
+        "explain",
+        "--index-dir",
+        idx,
+        "--query",
+        q,
+        "--epsilon",
+        "4",
+        "--json",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("\"coverage\":{\"segments_total\":2,\"segments_answered\":1"),
+        "{stdout}"
+    );
+    assert_partial_line(&stderr, name);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// After `scrub --check-only` quarantines the corrupt tail, `search`
+/// no longer reads it, and still says the answer is partial.
+#[test]
+fn a_quarantined_tail_answers_partially() {
+    let (dir, idx, _, query) = base_and_tail("quarantined-tail");
+    let seg = data_file(&idx, "segment-");
+    corrupt_pages_from(&seg, 1);
+    let name = seg.file_name().unwrap().to_str().unwrap();
+    let idx = idx.to_str().unwrap();
+    run(&["scrub", "--check-only", idx]);
+    let (code, stdout, stderr) = run(&[
+        "search",
+        "--index-dir",
+        idx,
+        "--query",
+        &query,
+        "--epsilon",
+        "4",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("answers within"), "{stdout}");
+    assert_partial_line(&stderr, name);
+    // `explain` says so too.
+    let (_, _, stderr) = run(&[
+        "explain",
+        "--index-dir",
+        idx,
+        "--query",
+        &query,
+        "--epsilon",
+        "4",
+    ]);
+    assert_partial_line(&stderr, name);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A base index whose pages fail their CRC cannot be left out: the
+/// query is a typed error naming the file, exit code 1, no panic.
+#[test]
+fn a_corrupt_base_is_an_error_naming_the_file() {
+    let (dir, idx, _, query) = base_and_tail("corrupt-base");
+    let index = data_file(&idx, "index-");
+    let pages = std::fs::metadata(&index).unwrap().len() as usize / 8192;
+    corrupt_pages_from(&index, pages / 2);
+    let idx = idx.to_str().unwrap();
+    for args in [
+        &[
+            "search",
+            "--index-dir",
+            idx,
+            "--query",
+            &query,
+            "--epsilon",
+            "4",
+        ][..],
+        &["knn", "--index-dir", idx, "--query", &query],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.starts_with("error: corruption detected in index-"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -31,6 +31,18 @@ fn query(store: &SequenceStore) -> Vec<f64> {
         .clone()
 }
 
+/// One threshold search over an opened directory, counted into
+/// `metrics`.
+fn search_with(
+    idx: &warptree::disk::DirSnapshot,
+    q: &[f64],
+    params: &SearchParams,
+    metrics: &SearchMetrics,
+) -> AnswerSet {
+    let req = QueryRequest::threshold_params(q, params.clone());
+    idx.query_with(&req, metrics).unwrap().into_answer_set()
+}
+
 fn dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("warptree-minv-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&d).ok();
@@ -48,7 +60,7 @@ fn funnel_invariants_on_disk_dirs() {
         build_index_dir(&store, Categorization::MaxEntropy(12), sparse, 8, &d).unwrap();
         let idx = open_index_dir(&d, 32).unwrap();
         let metrics = SearchMetrics::new();
-        let answers = idx.search_with(&q, &params, &metrics);
+        let answers = search_with(&idx, &q, &params, &metrics);
         let s = metrics.snapshot();
 
         // Every visited node is either expanded or pruned (Theorem 1).
@@ -87,8 +99,8 @@ fn counters_identical_across_identical_runs() {
     build_index_dir(&store, Categorization::MaxEntropy(12), true, 8, &d).unwrap();
     let idx = open_index_dir(&d, 32).unwrap();
     let (m1, m2) = (SearchMetrics::new(), SearchMetrics::new());
-    let a1 = idx.search_with(&q, &params, &m1);
-    let a2 = idx.search_with(&q, &params, &m2);
+    let a1 = search_with(&idx, &q, &params, &m1);
+    let a2 = search_with(&idx, &q, &params, &m2);
     assert_eq!(a1.occurrence_set(), a2.occurrence_set());
     assert_eq!(m1.snapshot(), m2.snapshot());
     std::fs::remove_dir_all(&d).ok();
@@ -136,7 +148,7 @@ fn registry_snapshot_has_search_and_io_names() {
     let reg = MetricsRegistry::new();
     let idx = open_index_dir_metered(&d, 32, &reg).unwrap();
     let metrics = SearchMetrics::register(&reg);
-    let answers = idx.search_with(&q, &params, &metrics);
+    let answers = search_with(&idx, &q, &params, &metrics);
     let snap = reg.snapshot();
     for name in [
         "search.candidates",
@@ -202,7 +214,7 @@ fn metered_open_counts_tail_segment_traffic() {
     // instrumenting).
     let query_traffic = |idx: &DiskIndexDir| {
         let at_open = lookups(idx);
-        let answers = idx.search_with(&q, &params, &SearchMetrics::new());
+        let answers = search_with(idx, &q, &params, &SearchMetrics::new());
         for (i, tree) in idx.live_trees().enumerate() {
             let tree = tree.as_tree().expect("the default backend");
             for _ in 0..=i {
