@@ -128,6 +128,14 @@ pub enum CoreError {
         /// Index of the bad page inside that file.
         page: u64,
     },
+    /// Mining was asked of an index that leaves suffixes out: a sparse
+    /// one (paper §6.1) or one truncated at a depth (paper §8).
+    PartialIndex {
+        /// The index stores only the sparse suffix subset.
+        sparse: bool,
+        /// The truncated index's depth limit.
+        depth_limit: Option<u32>,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -174,6 +182,16 @@ impl fmt::Display for CoreError {
             }
             CoreError::CorruptionDetected { file, page } => {
                 write!(f, "corruption detected in {file} (page {page})")
+            }
+            CoreError::PartialIndex {
+                sparse,
+                depth_limit,
+            } => {
+                let what = match depth_limit {
+                    Some(d) if !sparse => format!("truncated at depth {d}"),
+                    _ => "sparse".to_string(),
+                };
+                write!(f, "mining needs every suffix, but the index is {what}")
             }
         }
     }
@@ -231,6 +249,19 @@ mod tests {
             "a truncated index (depth limit 4) requires a bounded answer length \
              (window or length range)"
         );
+        let sparse = CoreError::PartialIndex {
+            sparse: true,
+            depth_limit: None,
+        };
+        assert_eq!(
+            sparse.to_string(),
+            "mining needs every suffix, but the index is sparse"
+        );
+        let truncated = CoreError::PartialIndex {
+            sparse: false,
+            depth_limit: Some(6),
+        };
+        assert!(truncated.to_string().ends_with("truncated at depth 6"));
     }
 
     #[test]

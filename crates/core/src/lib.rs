@@ -10,7 +10,8 @@
 //! algorithms (`SimSearch-ST`, `SimSearch-ST_C`, `SimSearch-SST_C`)
 //! together with the sequential-scanning baseline.
 //!
-//! This crate is index-structure agnostic: the searches run over any
+//! This crate is index-structure agnostic: the searches, and the §8
+//! mining and structure stats of [`analysis`], run over any
 //! implementation of [`search::IndexBackend`]. The companion crates
 //! `warptree-suffix` (in-memory trees) and `warptree-disk` (paged
 //! on-disk trees) provide the index structures; `warptree-data` provides
@@ -37,14 +38,12 @@
 //!     .any(|m| m.occ.seq == SeqId(0) && m.dist == 0.0));
 //! ```
 
+pub mod analysis;
 pub mod bounds;
 pub mod categorize;
-pub mod cluster;
 pub mod dtw;
-pub mod dtw_path;
 pub mod error;
 pub mod multivariate;
-pub mod normalize;
 pub mod parallel;
 pub mod predict;
 pub mod search;
@@ -54,7 +53,6 @@ pub mod sequence;
 pub mod prelude {
     pub use crate::categorize::{Alphabet, CatStore, CategorizationMethod, Category, Symbol};
     pub use crate::dtw::{dtw, dtw_early_abandon, dtw_windowed, WarpTable};
-    pub use crate::dtw_path::{dtw_with_path, Alignment};
     pub use crate::error::{CoreError, ErrorCode};
     pub use crate::search::{
         filter_tree, postprocess, run_query, run_query_with, seq_scan, AnswerSet, BackendKind,

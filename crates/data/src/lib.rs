@@ -16,5 +16,5 @@ pub use gen::{
     artificial_corpus, band_for_index, stock_corpus, ArtificialConfig, StockConfig, PRICE_BANDS,
 };
 pub use io::{load_csv, load_ucr_tsv, save_csv};
-pub use signals::{ecg_corpus, heartbeat, planted_corpus, resample, EcgConfig, PlantConfig};
+pub use signals::{planted_corpus, resample, PlantConfig};
 pub use workload::{Query, QueryConfig, QueryWorkload};

@@ -1,15 +1,13 @@
-//! Signal-shaped generators: synthetic ECG traces and planted-motif
-//! corpora with ground truth.
+//! Planted-motif corpora with ground truth.
 //!
-//! [`ecg_corpus`] reproduces the paper's medical motivation (heartbeats
-//! whose duration varies with heart rate); [`planted_corpus`] embeds a
-//! known pattern — time-stretched and noised — into background noise and
-//! returns the exact plant locations, enabling recall measurements for
-//! examples and tests.
+//! [`planted_corpus`] embeds a known pattern — time-stretched and
+//! noised — into background noise and returns the exact plant
+//! locations, so `tests/recall.rs` can measure the title claim's recall
+//! exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use warptree_core::sequence::{Occurrence, SeqId, Sequence, SequenceStore};
+use warptree_core::sequence::{Occurrence, SeqId, SequenceStore};
 
 fn normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -22,8 +20,8 @@ fn gauss(t: f64, mu: f64, sigma: f64) -> f64 {
 }
 
 /// One synthetic heartbeat sampled with `width` points (P wave, QRS
-/// complex, T wave).
-pub fn heartbeat(width: usize, amplitude: f64) -> Vec<f64> {
+/// complex, T wave): the default planted pattern.
+fn heartbeat(width: usize, amplitude: f64) -> Vec<f64> {
     (0..width)
         .map(|i| {
             let t = i as f64 / width as f64;
@@ -35,57 +33,6 @@ pub fn heartbeat(width: usize, amplitude: f64) -> Vec<f64> {
             amplitude * (p + q + r + s + tw)
         })
         .collect()
-}
-
-/// Configuration of the ECG generator.
-#[derive(Debug, Clone)]
-pub struct EcgConfig {
-    /// Number of traces.
-    pub traces: usize,
-    /// Beats per trace.
-    pub beats_per_trace: usize,
-    /// Minimum and maximum beat width in samples (heart-rate range).
-    pub beat_width: (usize, usize),
-    /// Additive noise standard deviation.
-    pub noise_std: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for EcgConfig {
-    fn default() -> Self {
-        Self {
-            traces: 8,
-            beats_per_trace: 16,
-            beat_width: (18, 34),
-            noise_std: 0.03,
-            seed: 0xEC6_0001,
-        }
-    }
-}
-
-/// Generates ECG-like traces; returns the store and the ground-truth
-/// beat locations.
-pub fn ecg_corpus(cfg: &EcgConfig) -> (SequenceStore, Vec<Occurrence>) {
-    assert!(cfg.beat_width.0 >= 2 && cfg.beat_width.0 <= cfg.beat_width.1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = SequenceStore::new();
-    let mut truth = Vec::new();
-    for t in 0..cfg.traces {
-        let mut values = Vec::new();
-        for _ in 0..cfg.beats_per_trace {
-            let width = rng.gen_range(cfg.beat_width.0..=cfg.beat_width.1);
-            let start = values.len() as u32;
-            let mut beat = heartbeat(width, 1.0);
-            for v in &mut beat {
-                *v += normal(&mut rng) * cfg.noise_std;
-            }
-            values.extend(beat);
-            truth.push(Occurrence::new(SeqId(t as u32), start, width as u32));
-        }
-        store.push(Sequence::new(values));
-    }
-    (store, truth)
 }
 
 /// Configuration of the planted-motif generator.
@@ -207,27 +154,6 @@ mod tests {
         // The R peak is near 46 % of the beat and dominates.
         assert!((0.35..0.6).contains(&(imax as f64 / 30.0)));
         assert!(max > 0.8);
-    }
-
-    #[test]
-    fn ecg_corpus_truth_covers_every_beat() {
-        let cfg = EcgConfig {
-            traces: 3,
-            beats_per_trace: 5,
-            ..Default::default()
-        };
-        let (store, truth) = ecg_corpus(&cfg);
-        assert_eq!(store.len(), 3);
-        assert_eq!(truth.len(), 15);
-        // Beats tile each trace exactly.
-        for t in 0..3u32 {
-            let mut pos = 0u32;
-            for occ in truth.iter().filter(|o| o.seq == SeqId(t)) {
-                assert_eq!(occ.start, pos);
-                pos += occ.len;
-            }
-            assert_eq!(pos as usize, store.get(SeqId(t)).len());
-        }
     }
 
     #[test]

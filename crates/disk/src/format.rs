@@ -593,7 +593,8 @@ impl DiskTree {
     }
 
     /// Materializes the whole file back into an in-memory
-    /// [`warptree_suffix::SuffixTree`] (testing / migration utility).
+    /// [`warptree_suffix::SuffixTree`]: what the merge and writer tests
+    /// compare round trips with.
     pub fn to_mem(&self) -> Result<warptree_suffix::SuffixTree> {
         use warptree_suffix::{LabelRef, SuffixLabel, SuffixTree, ROOT};
         let mut tree = SuffixTree::empty(self.cat.clone(), self.header.sparse);

@@ -1,180 +1,15 @@
-//! Sequence-mining utilities on top of the suffix tree.
-//!
-//! The paper motivates the index with downstream mining: *"the
-//! subsequences found by similarity searches can be used for
-//! predictions, hypothesis testing, clustering and rule discovery"*
-//! (§8). A generalized suffix tree answers several such questions
-//! directly — these helpers expose them over full (non-sparse) trees:
-//!
-//! * [`longest_repeated`] — the longest categorized subsequence that
-//!   occurs at least `min_count` times;
-//! * [`top_motifs`] — the most frequent categorized subsequences of a
-//!   given length (shape motifs);
-//! * [`distinct_subsequence_count`] — how many distinct categorized
-//!   subsequences the database contains (the classic Σ-label-length
-//!   suffix-tree identity).
-
-use warptree_core::categorize::Symbol;
-use warptree_core::sequence::SeqId;
-
-use crate::tree::{NodeId, SuffixTree, ROOT};
-
-/// A repeated categorized subsequence and where it occurs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Motif {
-    /// The motif's symbol string.
-    pub symbols: Vec<Symbol>,
-    /// Number of occurrences in the database.
-    pub count: u64,
-    /// Occurrence positions `(seq, start)`.
-    pub occurrences: Vec<(SeqId, u32)>,
-}
-
-fn assert_analyzable(tree: &SuffixTree) {
-    assert!(
-        !tree.is_sparse() && tree.depth_limit().is_none(),
-        "analysis requires a full, untruncated suffix tree"
-    );
-    assert!(tree.is_finalized(), "finalize() must run before analysis");
-}
-
-/// The longest categorized subsequence occurring at least `min_count`
-/// (≥ 2) times, with its occurrences. Ties resolve to the
-/// lexicographically smallest traversal. Returns `None` when nothing
-/// repeats.
-pub fn longest_repeated(tree: &SuffixTree, min_count: u64) -> Option<Motif> {
-    assert_analyzable(tree);
-    let min_count = min_count.max(2);
-    // Deepest (by symbol depth) position whose subtree holds >= min_count
-    // suffixes. Internal positions inherit the node's suffix_count, and
-    // any prefix of an edge has the same count as the edge's child node,
-    // so it suffices to inspect nodes (full edges).
-    let mut best: Option<(usize, NodeId)> = None;
-    let mut stack: Vec<(NodeId, usize)> = vec![(ROOT, 0)];
-    while let Some((n, depth)) = stack.pop() {
-        for &c in &tree.node(n).children {
-            let child = tree.node(c);
-            if child.suffix_count < min_count {
-                continue;
-            }
-            let cdepth = depth + child.label.len as usize;
-            if best.is_none_or(|(d, _)| cdepth > d) {
-                best = Some((cdepth, c));
-            }
-            stack.push((c, cdepth));
-        }
-    }
-    let (_, node) = best?;
-    let symbols = path_symbols(tree, node);
-    let occurrences = occurrences_below(tree, node);
-    Some(Motif {
-        count: occurrences.len() as u64,
-        symbols,
-        occurrences,
-    })
-}
-
-/// The `k` most frequent categorized subsequences of exactly `len`
-/// symbols, ordered by descending count (ties by symbol string).
-///
-/// ```
-/// use std::sync::Arc;
-/// use warptree_core::categorize::CatStore;
-/// use warptree_suffix::{build_full, top_motifs};
-/// // "banana" (b=0, a=1, n=2): the most frequent pair is "an".
-/// let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1, 2, 1, 2, 1]], 3));
-/// let tree = build_full(cat);
-/// let motifs = top_motifs(&tree, 2, 1);
-/// assert_eq!(motifs[0].symbols, vec![1, 2]);
-/// assert_eq!(motifs[0].count, 2);
-/// ```
-pub fn top_motifs(tree: &SuffixTree, len: u32, k: usize) -> Vec<Motif> {
-    assert_analyzable(tree);
-    assert!(len >= 1);
-    // Every distinct length-`len` subsequence is a unique depth-`len`
-    // position in the tree; its count is the subtree's suffix count.
-    let mut found: Vec<(u64, Vec<Symbol>, NodeId)> = Vec::new();
-    let mut stack: Vec<(NodeId, u32)> = vec![(ROOT, 0)];
-    while let Some((n, depth)) = stack.pop() {
-        for &c in &tree.node(n).children {
-            let child = tree.node(c);
-            let cdepth = depth + child.label.len;
-            if cdepth >= len {
-                // The depth-`len` prefix of this edge's path.
-                let mut symbols = path_symbols(tree, c);
-                symbols.truncate(len as usize);
-                found.push((child.suffix_count, symbols, c));
-            } else {
-                stack.push((c, cdepth));
-            }
-        }
-    }
-    found.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    found
-        .into_iter()
-        .take(k)
-        .map(|(count, symbols, node)| {
-            let mut occurrences = occurrences_below(tree, node);
-            occurrences.sort_unstable_by_key(|&(s, p)| (s, p));
-            Motif {
-                symbols,
-                count,
-                occurrences,
-            }
-        })
-        .collect()
-}
-
-/// Number of distinct categorized subsequences in the database — the
-/// classic suffix-tree identity: the sum of all edge-label lengths.
-pub fn distinct_subsequence_count(tree: &SuffixTree) -> u64 {
-    assert_analyzable(tree);
-    (0..tree.node_count() as NodeId)
-        .map(|id| tree.node(id).label.len as u64)
-        .sum()
-}
-
-/// Concatenated edge labels from the root to `node`.
-fn path_symbols(tree: &SuffixTree, node: NodeId) -> Vec<Symbol> {
-    // Parent pointers are not stored; rebuild by walking down with
-    // locate-style search using any suffix below.
-    let below = tree.suffixes_below(node);
-    let probe = below.first().expect("non-empty subtree");
-    let full = tree.cat().seq(probe.seq);
-    // The path is a prefix of the probe suffix; its length is the symbol
-    // depth of `node`, recovered by walking from the root.
-    let mut depth = 0usize;
-    let mut cur = ROOT;
-    'walk: while cur != node {
-        let next_sym = full[probe.start as usize + depth];
-        let child = tree
-            .child_by_symbol(cur, next_sym)
-            .expect("path must exist");
-        depth += tree.node(child).label.len as usize;
-        cur = child;
-        if depth > full.len() {
-            break 'walk;
-        }
-    }
-    full[probe.start as usize..probe.start as usize + depth].to_vec()
-}
-
-/// All `(seq, start)` occurrences of the path ending at `node`.
-fn occurrences_below(tree: &SuffixTree, node: NodeId) -> Vec<(SeqId, u32)> {
-    tree.suffixes_below(node)
-        .iter()
-        .map(|l| (l.seq, l.start))
-        .collect()
-}
+//! The mining walks of `warptree_core::analysis` over the suffix
+//! trees, against brute force.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::build::build_full_naive;
     use crate::ukkonen::build_full;
     use std::collections::HashMap;
     use std::sync::Arc;
-    use warptree_core::categorize::CatStore;
+    use warptree_core::analysis::{longest_repeated, top_motifs, TreeStats};
+    use warptree_core::categorize::{CatStore, Symbol};
+    use warptree_core::error::CoreError;
 
     fn cat(seqs: Vec<Vec<Symbol>>, alpha: u32) -> Arc<CatStore> {
         Arc::new(CatStore::from_symbols(seqs, alpha))
@@ -196,7 +31,7 @@ mod tests {
         // banana: b=0 a=1 n=2; longest repeat is "ana".
         let c = cat(vec![vec![0, 1, 2, 1, 2, 1]], 3);
         let tree = build_full(c);
-        let motif = longest_repeated(&tree, 2).expect("repeats exist");
+        let motif = longest_repeated(&tree, 2).unwrap().expect("repeats exist");
         assert_eq!(motif.symbols, vec![1, 2, 1]);
         assert_eq!(motif.count, 2);
         let mut starts: Vec<u32> = motif.occurrences.iter().map(|&(_, p)| p).collect();
@@ -208,7 +43,7 @@ mod tests {
     fn longest_repeated_across_sequences() {
         let c = cat(vec![vec![0, 1, 2, 3], vec![9 % 4, 1, 2, 3]], 4);
         let tree = build_full(c);
-        let motif = longest_repeated(&tree, 2).unwrap();
+        let motif = longest_repeated(&tree, 2).unwrap().unwrap();
         assert_eq!(motif.symbols, vec![1, 2, 3]);
         assert_eq!(motif.count, 2);
     }
@@ -217,7 +52,7 @@ mod tests {
     fn no_repeats_returns_none() {
         let c = cat(vec![vec![0, 1, 2, 3]], 4);
         let tree = build_full(c);
-        assert!(longest_repeated(&tree, 2).is_none());
+        assert!(longest_repeated(&tree, 2).unwrap().is_none());
     }
 
     #[test]
@@ -231,7 +66,7 @@ mod tests {
         let tree = build_full(c);
         for len in 1..=4usize {
             let brute = brute_counts(&seqs, len);
-            let motifs = top_motifs(&tree, len as u32, 100);
+            let motifs = top_motifs(&tree, len as u32, 100).unwrap();
             // Same number of distinct subsequences of this length.
             assert_eq!(motifs.len(), brute.len(), "len {len}");
             for m in &motifs {
@@ -267,15 +102,22 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(distinct_subsequence_count(&tree), distinct.len() as u64);
+            assert_eq!(
+                TreeStats::compute(&tree).label_symbols,
+                distinct.len() as u64
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "full, untruncated")]
     fn sparse_tree_rejected() {
         let c = cat(vec![vec![0, 0, 1]], 2);
         let tree = crate::build::build_sparse(c);
-        let _ = longest_repeated(&tree, 2);
+        let refused = CoreError::PartialIndex {
+            sparse: true,
+            depth_limit: None,
+        };
+        assert_eq!(longest_repeated(&tree, 2), Err(refused.clone()));
+        assert_eq!(top_motifs(&tree, 1, 1), Err(refused));
     }
 }

@@ -36,19 +36,22 @@
 //!     .any(|m| m.occ.start == 1 && m.occ.len == 2));
 //! ```
 
-pub mod analysis;
 pub mod build;
 pub mod index_impl;
-pub mod stats;
 pub mod tree;
 pub mod ukkonen;
 
-pub use analysis::{distinct_subsequence_count, longest_repeated, top_motifs, Motif};
 pub use build::{
     build_full_naive, build_full_truncated, build_sparse, build_sparse_range,
     build_sparse_truncated, build_truncated_range, compaction_ratio, insert_suffix,
     insert_suffix_prefix, TruncateSpec,
 };
-pub use stats::TreeStats;
 pub use tree::{LabelRef, Node, NodeId, SuffixLabel, SuffixTree, ROOT};
 pub use ukkonen::{build_full, build_full_range};
+
+// `warptree_core::analysis` over these trees, against brute force and
+// the trees' own counts.
+#[cfg(test)]
+mod analysis;
+#[cfg(test)]
+mod stats;

@@ -1,154 +1,31 @@
-//! Structural statistics of a suffix tree — the numbers behind the
-//! paper's index-size and `R_d` discussions, exposed for tooling
-//! (`warptree info --deep`) and experiments.
-
-use warptree_obs::MetricsRegistry;
-
-use crate::tree::{SuffixTree, ROOT};
-
-/// Aggregate structural facts about a tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeStats {
-    /// Total nodes, including the root.
-    pub nodes: u64,
-    /// Nodes with at least one child.
-    pub internal: u64,
-    /// Nodes with no children (leaves).
-    pub leaves: u64,
-    /// Stored suffix labels.
-    pub suffixes: u64,
-    /// Maximum node depth (edges from the root).
-    pub max_node_depth: u32,
-    /// Maximum symbol depth (label symbols from the root).
-    pub max_symbol_depth: u32,
-    /// Mean children per internal node.
-    pub avg_branching: f64,
-    /// Total label symbols across all edges — the count of *distinct*
-    /// subsequences for a full tree, and the inline-label size driver.
-    pub label_symbols: u64,
-    /// Mean shared-prefix depth per stored suffix: symbol depth of its
-    /// node weighted over suffixes. High values mean high table sharing
-    /// (the paper's `R_d`).
-    pub mean_suffix_depth: f64,
-}
-
-impl TreeStats {
-    /// Computes statistics in one traversal.
-    pub fn compute(tree: &SuffixTree) -> Self {
-        let mut internal = 0u64;
-        let mut leaves = 0u64;
-        let mut suffixes = 0u64;
-        let mut max_node_depth = 0u32;
-        let mut max_symbol_depth = 0u32;
-        let mut child_links = 0u64;
-        let mut label_symbols = 0u64;
-        let mut suffix_depth_sum = 0u64;
-        let mut stack: Vec<(u32, u32, u32)> = vec![(ROOT, 0, 0)];
-        while let Some((n, nd, sd)) = stack.pop() {
-            let node = tree.node(n);
-            label_symbols += node.label.len as u64;
-            suffixes += node.suffixes.len() as u64;
-            suffix_depth_sum += node.suffixes.len() as u64 * sd as u64;
-            max_node_depth = max_node_depth.max(nd);
-            max_symbol_depth = max_symbol_depth.max(sd);
-            if node.children.is_empty() {
-                leaves += 1;
-            } else {
-                internal += 1;
-                child_links += node.children.len() as u64;
-            }
-            for &c in &node.children {
-                let cl = tree.node(c).label.len;
-                stack.push((c, nd + 1, sd + cl));
-            }
-        }
-        Self {
-            nodes: tree.node_count() as u64,
-            internal,
-            leaves,
-            suffixes,
-            max_node_depth,
-            max_symbol_depth,
-            avg_branching: if internal == 0 {
-                0.0
-            } else {
-                child_links as f64 / internal as f64
-            },
-            label_symbols,
-            mean_suffix_depth: if suffixes == 0 {
-                0.0
-            } else {
-                suffix_depth_sum as f64 / suffixes as f64
-            },
-        }
-    }
-
-    /// Publishes the statistics as `tree.*` gauges on `reg` (no-op for
-    /// a no-op registry).
-    pub fn export(&self, reg: &MetricsRegistry) {
-        reg.set_gauge("tree.nodes", self.nodes as f64);
-        reg.set_gauge("tree.internal", self.internal as f64);
-        reg.set_gauge("tree.leaves", self.leaves as f64);
-        reg.set_gauge("tree.suffixes", self.suffixes as f64);
-        reg.set_gauge("tree.max_node_depth", self.max_node_depth as f64);
-        reg.set_gauge("tree.max_symbol_depth", self.max_symbol_depth as f64);
-        reg.set_gauge("tree.avg_branching", self.avg_branching);
-        reg.set_gauge("tree.label_symbols", self.label_symbols as f64);
-        reg.set_gauge("tree.mean_suffix_depth", self.mean_suffix_depth);
-    }
-
-    /// Serializes the statistics as one JSON object (stable key names,
-    /// matching the gauge names without the `tree.` prefix).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"nodes\":{},\"internal\":{},\"leaves\":{},\"suffixes\":{},",
-                "\"max_node_depth\":{},\"max_symbol_depth\":{},\"avg_branching\":{},",
-                "\"label_symbols\":{},\"mean_suffix_depth\":{}}}"
-            ),
-            self.nodes,
-            self.internal,
-            self.leaves,
-            self.suffixes,
-            self.max_node_depth,
-            self.max_symbol_depth,
-            warptree_obs::json::num(self.avg_branching),
-            self.label_symbols,
-            warptree_obs::json::num(self.mean_suffix_depth),
-        )
-    }
-}
-
-impl std::fmt::Display for TreeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "nodes:             {}", self.nodes)?;
-        writeln!(f, "  internal/leaves: {} / {}", self.internal, self.leaves)?;
-        writeln!(f, "stored suffixes:   {}", self.suffixes)?;
-        writeln!(
-            f,
-            "depth (nodes/syms):{} / {}",
-            self.max_node_depth, self.max_symbol_depth
-        )?;
-        writeln!(f, "avg branching:     {:.2}", self.avg_branching)?;
-        writeln!(f, "label symbols:     {}", self.label_symbols)?;
-        write!(
-            f,
-            "mean suffix depth: {:.1} symbols",
-            self.mean_suffix_depth
-        )
-    }
-}
+//! `warptree_core::analysis::TreeStats` over the suffix trees, against
+//! the trees' own counts.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::build::{build_full_naive, build_sparse};
     use crate::ukkonen::build_full;
     use std::sync::Arc;
+    use warptree_core::analysis::TreeStats;
     use warptree_core::categorize::CatStore;
 
     fn cat(seqs: Vec<Vec<u32>>, alpha: u32) -> Arc<CatStore> {
         Arc::new(CatStore::from_symbols(seqs, alpha))
+    }
+
+    /// `(max_node_depth, max_symbol_depth)` read off the arena.
+    fn depth_stats(tree: &crate::SuffixTree) -> (u32, u32) {
+        let mut max_nodes = 0;
+        let mut max_symbols = 0;
+        let mut stack = vec![(crate::ROOT, 0u32, 0u32)];
+        while let Some((n, nd, sd)) = stack.pop() {
+            max_nodes = max_nodes.max(nd);
+            max_symbols = max_symbols.max(sd);
+            for &c in &tree.node(n).children {
+                stack.push((c, nd + 1, sd + tree.node(c).label.len));
+            }
+        }
+        (max_nodes, max_symbols)
     }
 
     #[test]
@@ -159,14 +36,15 @@ mod tests {
         assert_eq!(s.nodes, tree.node_count() as u64);
         assert_eq!(s.internal + s.leaves, s.nodes);
         assert_eq!(s.suffixes, 9);
-        assert_eq!(
-            s.label_symbols,
-            crate::analysis::distinct_subsequence_count(&tree)
-        );
+        // The walk's label total is the arena's, node for node.
+        let arena: u64 = (0..tree.node_count() as crate::NodeId)
+            .map(|id| tree.node(id).label.len as u64)
+            .sum();
+        assert_eq!(s.label_symbols, arena);
         // Label-bearing internal nodes may have a single child, so the
         // mean can dip below 2, but never below 1.
         assert!(s.avg_branching >= 1.0);
-        let (nd, sd) = tree.depth_stats();
+        let (nd, sd) = depth_stats(&tree);
         assert_eq!((s.max_node_depth, s.max_symbol_depth), (nd, sd));
     }
 
@@ -189,14 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn export_and_json() {
+    fn json_renders() {
         let c = cat(vec![vec![0, 1, 0]], 2);
         let s = TreeStats::compute(&build_full(c));
-        let reg = MetricsRegistry::new();
-        s.export(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauges["tree.suffixes"], s.suffixes as f64);
-        assert_eq!(snap.gauges["tree.nodes"], s.nodes as f64);
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains(&format!("\"suffixes\":{}", s.suffixes)));

@@ -251,22 +251,6 @@ impl SuffixTree {
         self.finalized
     }
 
-    /// Depth statistics `(max_node_depth, max_symbol_depth)`.
-    pub fn depth_stats(&self) -> (u32, u32) {
-        let mut max_nodes = 0;
-        let mut max_symbols = 0;
-        let mut stack = vec![(ROOT, 0u32, 0u32)];
-        while let Some((n, nd, sd)) = stack.pop() {
-            max_nodes = max_nodes.max(nd);
-            max_symbols = max_symbols.max(sd);
-            for &c in &self.nodes[n as usize].children {
-                let cl = self.nodes[c as usize].label.len;
-                stack.push((c, nd + 1, sd + cl));
-            }
-        }
-        (max_nodes, max_symbols)
-    }
-
     /// Estimated in-memory footprint in bytes (nodes, child lists, suffix
     /// labels; the shared `CatStore` is excluded).
     pub fn mem_size_estimate(&self) -> u64 {

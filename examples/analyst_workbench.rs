@@ -1,13 +1,11 @@
 //! The paper's §8 application loop on one screen: **search** a recent
-//! price history against the market, **cluster** the matching episodes
-//! into regimes, and **forecast** what followed each regime — the
-//! "predictions, clustering and rule discovery" the paper motivates.
+//! price history against the market and **forecast** what followed the
+//! matching episodes — the "predictions" the paper motivates.
 //!
 //! ```text
 //! cargo run --release --example analyst_workbench
 //! ```
 
-use warptree::core::cluster::cluster_matches;
 use warptree::core::predict::{forecast, Weighting};
 use warptree::prelude::*;
 
@@ -53,49 +51,7 @@ fn main() {
     );
     assert!(episodes.len() >= 4, "need episodes to analyze");
 
-    // --- cluster -----------------------------------------------------------
-    let clusters = cluster_matches(&store, &episodes, 3, 25);
-    println!("\nregimes (k-medoids over D_tw):");
-    for (i, c) in clusters.iter().enumerate() {
-        let medoid = &episodes[c.medoid];
-        println!(
-            "  regime {}: {} episodes, exemplar {} ({} days), \
-             within-cost {:.1}",
-            i + 1,
-            c.members.len(),
-            medoid.occ,
-            medoid.occ.len,
-            c.cost
-        );
-    }
-
     // --- forecast ----------------------------------------------------------
-    println!("\nwhat followed each regime (5-day horizon, Δ from last close):");
-    for (i, c) in clusters.iter().enumerate() {
-        let members: Vec<Match> = c.members.iter().map(|&m| episodes[m]).collect();
-        match forecast(
-            &store,
-            &members,
-            5,
-            Weighting::InverseDistance { lambda: 0.5 },
-        ) {
-            Some(f) => {
-                let path: Vec<String> = f.mean.iter().map(|d| format!("{d:+.2}")).collect();
-                println!(
-                    "  regime {}: mean {}  (day-1 range {:+.2}..{:+.2}, \
-                     support {})",
-                    i + 1,
-                    path.join(" → "),
-                    f.low[0],
-                    f.high[0],
-                    f.support[0]
-                );
-            }
-            None => println!("  regime {}: no continuations", i + 1),
-        }
-    }
-
-    // Sanity: the overall forecast is available too.
     let overall = forecast(
         &store,
         &episodes,
@@ -103,6 +59,14 @@ fn main() {
         Weighting::InverseDistance { lambda: 0.5 },
     )
     .expect("episodes have continuations");
+    let path: Vec<String> = overall.mean.iter().map(|d| format!("{d:+.2}")).collect();
+    println!(
+        "\nwhat followed (5-day horizon, Δ from last close): {}  \
+         (day-1 range {:+.2}..{:+.2})",
+        path.join(" → "),
+        overall.low[0],
+        overall.high[0]
+    );
     let last = *history.last().unwrap();
     println!(
         "\nblended 1-day-ahead estimate: {:.2} (today {:.2}, {} episodes)",

@@ -7,30 +7,27 @@
 //! ```
 //!
 //! Pipeline:
-//! 1. z-normalize the price series (match shape, not level);
-//! 2. categorize and build a full suffix tree;
-//! 3. mine the top length-8 motifs and the longest repeated shape
+//! 1. categorize the price series and build a full suffix tree;
+//! 2. mine the top length-8 motifs and the longest repeated shape
 //!    directly from the tree structure;
-//! 4. turn the best motif back into a numeric query (category midpoints)
+//! 3. turn the best motif back into a numeric query (category midpoints)
 //!    and run the time-warping search to count near-occurrences of any
 //!    length.
 
 use std::sync::Arc;
-use warptree::core::normalize::{normalize_store, z_normalize};
+use warptree::core::analysis::{longest_repeated, top_motifs};
 use warptree::prelude::*;
-use warptree_suffix::{build_full, longest_repeated, top_motifs};
+use warptree_suffix::build_full;
 
 fn main() {
-    // Raw market data, then shape-normalized.
-    let raw = stock_corpus(&StockConfig {
+    let store = stock_corpus(&StockConfig {
         sequences: 120,
         mean_len: 160,
         seed: 0x40E1F,
         ..Default::default()
     });
-    let store = normalize_store(&raw, z_normalize);
     println!(
-        "normalized {} series ({} points) to unit shape space",
+        "market: {} series ({} points)",
         store.len(),
         store.total_len()
     );
@@ -47,7 +44,7 @@ fn main() {
 
     // --- mine ------------------------------------------------------------
     let motif_len = 8;
-    let motifs = top_motifs(&tree, motif_len, 5);
+    let motifs = top_motifs(&tree, motif_len, 5).expect("a full tree");
     println!("\ntop length-{motif_len} shape motifs:");
     for (rank, m) in motifs.iter().enumerate() {
         println!(
@@ -57,7 +54,9 @@ fn main() {
             render(&m.symbols, alphabet.len())
         );
     }
-    let longest = longest_repeated(&tree, 3).expect("repeats exist");
+    let longest = longest_repeated(&tree, 3)
+        .expect("a full tree")
+        .expect("repeats exist");
     println!(
         "\nlongest shape repeated ≥ 3 times: {} symbols, {} occurrences",
         longest.symbols.len(),

@@ -24,6 +24,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use warptree::core::analysis::{longest_repeated, top_motifs, TreeStats};
 use warptree::core::search::Coverage;
 use warptree::prelude::*;
 use warptree::{
@@ -113,7 +114,7 @@ fn print_usage() {
          \u{20}\n\
          \u{20}  build, search, knn and scan accept --stats[=json] to dump \
          a metrics snapshot to stderr\n\
-         \u{20}  mine    most frequent shape motifs (full index only)\n\
+         \u{20}  mine    most frequent shape motifs over the whole corpus\n\
          \u{20}          --index-dir DIR [--len L] [--k K]\n\
          \u{20}  forecast  aggregate what followed similar histories\n\
          \u{20}          --index-dir DIR --query v1,v2,… --epsilon E \
@@ -543,24 +544,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .len();
     let manifest = &resolved.manifest;
-    // `--deep` materializes the tree for structural statistics; the
-    // pager/cache traffic of that full scan doubles as a cache profile.
-    // The ESA's records are already resident as flat arrays — there is
-    // no tree to materialize, so structure is reported as null.
-    let deep = if o.flag("deep") {
-        let structure = match tree.as_tree() {
-            Some(t) => {
-                let mem = t.to_mem().map_err(|e| e.to_string())?;
-                Some(warptree_suffix::TreeStats::compute(&mem))
-            }
-            None => None,
-        };
-        let io = tree.io_stats();
-        let node_cache = tree.node_cache_stats();
-        Some((structure, io, node_cache))
-    } else {
-        None
-    };
+    // `--deep` walks the base index for structural statistics; the
+    // pager traffic of that full walk doubles as a cache profile.
+    let deep = o
+        .flag("deep")
+        .then(|| (TreeStats::compute(tree), tree.io_stats()));
 
     if json {
         use warptree::obs::json::{escape, num};
@@ -581,21 +569,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         );
         let (structure_json, cache_json) = match &deep {
             None => ("null".into(), "null".into()),
-            Some((structure, io, (nh, nm))) => (
-                structure
-                    .as_ref()
-                    .map_or("null".to_string(), |s| s.to_json()),
+            Some((structure, io)) => (
+                structure.to_json(),
                 format!(
-                    concat!(
-                        "{{\"pages_read\":{},\"page_cache_hits\":{},",
-                        "\"page_hit_rate\":{},\"node_cache_hits\":{},",
-                        "\"node_cache_misses\":{}}}"
-                    ),
+                    "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
                     io.pages_read,
                     io.cache_hits,
                     num(io.hit_rate()),
-                    nh,
-                    nm,
                 ),
             ),
         };
@@ -693,15 +673,10 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         manifest.index,
         manifest.index_len / 1024
     );
-    if let Some((structure, io, (nh, nm))) = &deep {
-        match structure {
-            Some(structure) => {
-                println!("structure:");
-                for line in structure.to_string().lines() {
-                    println!("  {line}");
-                }
-            }
-            None => println!("structure:        n/a (esa backend holds flat arrays, not a tree)"),
+    if let Some((structure, io)) = &deep {
+        println!("structure:");
+        for line in structure.to_string().lines() {
+            println!("  {line}");
         }
         println!("cache (full-scan profile):");
         println!(
@@ -710,7 +685,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             io.cache_hits,
             100.0 * io.hit_rate()
         );
-        println!("  node cache:     {nh} hits / {nm} misses");
     }
     Ok(())
 }
@@ -863,18 +837,10 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     let len: u32 = o.parse_num("len", 8)?;
     let k: usize = o.parse_num("k", 5)?;
     let idx = open_index(&dir)?;
-    if idx.tree.is_sparse() {
-        return Err("motif mining needs a full index (rebuild without --sparse)".into());
-    }
-    // Mining materializes the suffix tree in memory; the ESA backend
-    // has no tree file to materialize from.
-    let Some(base) = idx.tree.as_tree() else {
-        return Err(
-            "motif mining needs the tree backend (rebuild with --backend tree)".to_string(),
-        );
-    };
-    let mem = base.to_mem().map_err(|e| e.to_string())?;
-    let motifs = warptree_suffix::top_motifs(&mem, len, k);
+    // One full ESA over the whole corpus — the base and every tail —
+    // whatever backend and sparseness the directory was built with.
+    let esa = warptree_esa::EsaIndex::build(idx.cat.clone(), false);
+    let motifs = top_motifs(&esa, len, k).map_err(|e| e.to_string())?;
     println!("top {} motifs of length {len}:", motifs.len());
     for (rank, m) in motifs.iter().enumerate() {
         let exemplar = m.occurrences[0];
@@ -895,7 +861,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             values
         );
     }
-    if let Some(longest) = warptree_suffix::longest_repeated(&mem, 2) {
+    if let Some(longest) = longest_repeated(&esa, 2).map_err(|e| e.to_string())? {
         println!(
             "longest repeated shape: {} symbols, {} occurrences",
             longest.symbols.len(),

@@ -241,17 +241,6 @@ impl Index {
         })
     }
 
-    /// Explains a match: the exact warping path aligning the query with
-    /// the matched subsequence (paper Figure 1(b)'s element mapping).
-    pub fn explain(
-        &self,
-        query: &[Value],
-        m: &warptree_core::search::Match,
-    ) -> warptree_core::dtw_path::Alignment {
-        let sub = self.store.occurrence_values(m.occ);
-        warptree_core::dtw_path::dtw_with_path(query, sub)
-    }
-
     /// The exact baseline over the same store (paper §4.3). Identical
     /// answers, no index.
     pub fn seq_scan(&self, query: &[Value], params: &SearchParams) -> (AnswerSet, SearchStats) {
@@ -489,7 +478,6 @@ pub mod prelude {
         build_index_dir_backend_metered, compact_index_dir, open_index_dir, open_index_dir_metered,
         resolve_index_dir, Categorization, DiskIndexDir, ExplainIo, ExplainReport, Index,
     };
-    pub use warptree_core::cluster::{cluster_matches, Cluster};
     pub use warptree_core::predict::{forecast, Forecast, Weighting};
     pub use warptree_core::prelude::*;
     pub use warptree_core::search::BackendKind;
@@ -567,23 +555,6 @@ mod tests {
             let (seq, _) = index.search(q, &params);
             assert_eq!(got.occurrence_set(), seq.occurrence_set());
         }
-    }
-
-    #[test]
-    fn explain_returns_consistent_alignment() {
-        let store = SequenceStore::from_values(vec![vec![1.0, 1.0, 5.0, 5.0, 9.0]]);
-        let index = Index::exact(&store).unwrap();
-        let q = [1.0, 5.0, 9.0];
-        let (answers, _) = index.search(&q, &SearchParams::with_epsilon(0.0));
-        let m = answers
-            .matches()
-            .iter()
-            .find(|m| m.occ.len == 5)
-            .expect("whole-sequence match");
-        let al = index.explain(&q, m);
-        assert_eq!(al.dist, m.dist);
-        assert_eq!(al.path.first(), Some(&(0, 0)));
-        assert_eq!(al.path.last(), Some(&(2, 4)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The §8 application loop (search → cluster → forecast) as a
-//! deterministic integration test: planted regimes must be recovered as
-//! clusters, and their known continuations must drive the forecast.
+//! The §8 application loop (mine or search → forecast) as a
+//! deterministic integration test: planted regimes' known continuations
+//! must drive the forecast.
 
-use warptree::core::cluster::cluster_matches;
+use warptree::core::analysis::top_motifs;
 use warptree::core::predict::{forecast, Weighting};
 use warptree::prelude::*;
 
@@ -57,33 +57,15 @@ fn regimes_cluster_and_forecast_correctly() {
     assert_eq!(all.high[0], 5.0);
     assert_eq!(all.support, vec![8, 8, 8, 8]);
 
-    // Clustering the matches *with their continuations appended* splits
-    // bull from bear.
-    let extended: Vec<Match> = matches
-        .iter()
-        .map(|m| Match {
-            occ: Occurrence::new(m.occ.seq, m.occ.start, m.occ.len + 4),
-            dist: m.dist,
-        })
-        .collect();
-    let clusters = cluster_matches(&store, &extended, 2, 20);
-    assert_eq!(clusters.len(), 2);
-    for c in &clusters {
-        assert_eq!(c.members.len(), 4, "balanced regimes");
-        // All members of a cluster share the same parity (regime).
-        let parity: Vec<u32> = c
-            .members
+    // Forecasting within one regime is decisive.
+    for parity in [0, 1] {
+        let members: Vec<Match> = matches
             .iter()
-            .map(|&m| extended[m].occ.seq.0 % 2)
+            .copied()
+            .filter(|m| m.occ.seq.0 % 2 == parity)
             .collect();
-        assert!(
-            parity.iter().all(|&p| p == parity[0]),
-            "mixed regime in cluster: {parity:?}"
-        );
-        // And forecasting within the cluster is decisive.
-        let members: Vec<Match> = c.members.iter().map(|&m| matches[m]).collect();
         let f = forecast(&store, &members, 4, Weighting::Uniform).unwrap();
-        let expected = if parity[0] == 0 { 5.0 } else { -5.0 };
+        let expected = if parity == 0 { 5.0 } else { -5.0 };
         assert_eq!(
             f.mean,
             vec![expected, 2.0 * expected, 3.0 * expected, 4.0 * expected]
@@ -97,13 +79,13 @@ fn motif_to_forecast_pipeline() {
     // Mine the most frequent shape, then forecast its continuations —
     // the full rule-discovery loop without any hand-picked query.
     use std::sync::Arc;
-    use warptree_suffix::{build_full, top_motifs};
+    use warptree_suffix::build_full;
 
     let (store, _) = regime_corpus();
     let alphabet = Alphabet::max_entropy(&store, 12).unwrap();
     let cat = Arc::new(alphabet.encode_store(&store));
     let tree = build_full(cat);
-    let motifs = top_motifs(&tree, 3, 3);
+    let motifs = top_motifs(&tree, 3, 3).unwrap();
     assert!(!motifs.is_empty());
     // The planted pattern occurs 8 times; it must be the top length-3
     // motif (the preamble repeats too, but is only 1 window per seq).

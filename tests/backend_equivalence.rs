@@ -1,10 +1,11 @@
 //! The disk ESA against the suffix tree and the sequential scan over the
-//! segment-boundary batches (harness in `tests/matrix/mod.rs`), and the
-//! backend pin.
+//! segment-boundary batches (harness in `tests/matrix/mod.rs`), the
+//! backend pin, and the analysis layer over every backend.
 
 mod matrix;
 
 use matrix::*;
+use proptest::prelude::*;
 use warptree::prelude::*;
 
 /// The ESA's sparse Max-Entropy index, monolithic.
@@ -76,5 +77,26 @@ fn pinned_requests_enforce_backend_identity() {
         let err = idx.query(&QueryRequest::knn(&q, 2).on_backend(other));
         let err = err.unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedBackend { .. }), "{err}");
+    }
+}
+
+/// Motifs, longest repeats and structure stats are one answer over the
+/// in-memory and disk trees and ESAs, on the fixed corpora.
+#[test]
+fn analysis_is_backend_neutral() {
+    boundary_lab().analysis();
+    branch_lab().analysis();
+    for corpus in shrunk_corpora() {
+        Lab::new(corpus).analysis();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same, over the grid corpora.
+    #[test]
+    fn analysis_is_backend_neutral_on_grid_corpora(corpus in grid_corpus()) {
+        Lab::new(corpus).analysis();
     }
 }

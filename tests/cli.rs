@@ -558,13 +558,13 @@ fn mine_and_forecast_commands() {
     assert!(out.contains("top 2 motifs"), "mine output:\n{out}");
     assert!(out.contains("STK"), "ticker names shown:\n{out}");
 
-    // mine refuses a sparse index with a helpful message.
-    let out = bin()
-        .args(["mine", "--index-dir", sparse_idx.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("full index"));
+    // mine counts the corpus, not the index: a sparse directory mines
+    // the same motifs as the full one.
+    let mine = |idx: &PathBuf| {
+        let dir = idx.to_str().unwrap();
+        run_ok(&["mine", "--index-dir", dir, "--len", "4", "--k", "2"])
+    };
+    assert_eq!(mine(&sparse_idx), mine(&full_idx));
 
     // forecast produces a horizon of estimates.
     let line = std::fs::read_to_string(&csv)
@@ -592,6 +592,127 @@ fn mine_and_forecast_commands() {
     ]);
     assert!(out.contains("+1:"), "forecast output:\n{out}");
     assert!(out.contains("+2:"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writes 24 sequences over the values 0..=9 to `path` as CSV. The
+/// first line holds both 0 and 9, so an equal-length alphabet fit on
+/// any prefix of the file is the one fit on the whole file.
+fn write_levels_csv(path: &std::path::Path) -> Vec<String> {
+    let lines: Vec<String> = (0..24u32)
+        .map(|s| {
+            let values = (0..30u32).map(|i| match (s, i) {
+                (0, 0) => 0,
+                (0, 1) => 9,
+                _ => (s * 7 + i * i * 3 + i / 4) % 10,
+            });
+            values.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
+        })
+        .collect();
+    std::fs::write(path, lines.join("\n") + "\n").unwrap();
+    lines
+}
+
+/// `mine` answers over every live sequence: a directory built from a
+/// CSV's first half and appended its second half mines exactly what a
+/// directory built from the whole CSV does, on either backend.
+#[test]
+fn mine_counts_appended_sequences() {
+    let dir = std::env::temp_dir().join(format!("warptree-cli-mine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let whole = dir.join("whole.csv");
+    let lines = write_levels_csv(&whole);
+    let (first, second) = (dir.join("first.csv"), dir.join("second.csv"));
+    std::fs::write(&first, lines[..12].join("\n") + "\n").unwrap();
+    std::fs::write(&second, lines[12..].join("\n") + "\n").unwrap();
+    let build = |csv: &PathBuf, backend: &str, out: &PathBuf| {
+        run_ok(&[
+            "build",
+            "--input",
+            csv.to_str().unwrap(),
+            "--method",
+            "el",
+            "--categories",
+            "5",
+            "--backend",
+            backend,
+            "--out-dir",
+            out.to_str().unwrap(),
+        ]);
+    };
+    let mine = |idx: &PathBuf| {
+        let dir = idx.to_str().unwrap();
+        run_ok(&["mine", "--index-dir", dir, "--len", "3", "--k", "6"])
+    };
+    let mut outputs = Vec::new();
+    for backend in ["tree", "esa"] {
+        let (appended, one_go) = (dir.join(format!("{backend}-appended")), dir.join(backend));
+        build(&first, backend, &appended);
+        let appended_s = appended.to_str().unwrap();
+        run_ok(&[
+            "append",
+            "--input",
+            second.to_str().unwrap(),
+            "--index-dir",
+            appended_s,
+        ]);
+        build(&whole, backend, &one_go);
+        let out = mine(&one_go);
+        assert!(out.contains("top 6 motifs of length 3"), "{out}");
+        assert_eq!(mine(&appended), out, "{backend}: appended vs one build");
+        outputs.push(out);
+    }
+    assert_eq!(outputs[0], outputs[1], "tree vs esa");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `info --deep --json` reports one `structure` object for tree and
+/// ESA builds of the same CSV: both present the same logical tree.
+#[test]
+fn info_deep_structure_is_backend_neutral() {
+    use warptree::server::json::{parse, Json};
+    let dir = std::env::temp_dir().join(format!("warptree-cli-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("levels.csv");
+    write_levels_csv(&csv);
+    for sparse in [false, true] {
+        let structure = |backend: &str| -> Json {
+            let idx = dir.join(format!("{backend}-{sparse}"));
+            let mut args = vec![
+                "build",
+                "--input",
+                csv.to_str().unwrap(),
+                "--categories",
+                "5",
+            ];
+            args.extend(["--backend", backend, "--out-dir", idx.to_str().unwrap()]);
+            if sparse {
+                args.push("--sparse");
+            }
+            run_ok(&args);
+            let out = run_ok(&[
+                "info",
+                "--index-dir",
+                idx.to_str().unwrap(),
+                "--deep",
+                "--json",
+            ]);
+            let info = parse(&out).unwrap();
+            let structure = info.get("structure").unwrap().clone();
+            let suffixes = info.get("index").and_then(|i| i.get("suffixes")).cloned();
+            assert_eq!(structure.get("suffixes").cloned(), suffixes, "{backend}");
+            assert!(info
+                .get("cache")
+                .and_then(|c| c.get("node_cache_hits"))
+                .is_none());
+            structure
+        };
+        let tree = structure("tree");
+        assert!(tree.get("nodes").and_then(Json::as_u64).unwrap() > 1);
+        assert_eq!(tree, structure("esa"), "sparse: {sparse}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -38,11 +38,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
+use warptree::core::analysis::{longest_repeated, top_motifs, Motif, TreeStats};
 use warptree::prelude::*;
 use warptree::ExplainIo;
 use warptree_disk::{
     build_dir_backend_with, compact_once, real_vfs, verify_dir_with, DiskError, Manifest, RealVfs,
 };
+use warptree_esa::EsaIndex;
 use warptree_suffix::{build_full_truncated, build_sparse_truncated, TruncateSpec};
 
 // ---------------------------------------------------------------------
@@ -739,12 +741,87 @@ impl Built {
         Built::Dir(Box::new(open_index_dir(path, 64).unwrap()))
     }
 
+    /// [`Analysis::of`] the in-memory tree, or the directory's base.
+    pub fn analysis(&self) -> Analysis {
+        match self {
+            Built::Memory { tree, .. } => Analysis::of(tree),
+            Built::Dir(dir) => Analysis::of(&dir.tree),
+        }
+    }
+
     pub fn dir(&self) -> &DiskIndexDir {
         match self {
             Built::Dir(dir) => dir,
             Built::Memory { .. } => panic!("an in-memory index has no directory"),
         }
     }
+}
+
+/// What the analysis layer reports of one index.
+#[derive(Debug, PartialEq)]
+pub struct Analysis {
+    /// Every motif of each length 1..=4, ranked.
+    pub motifs: Result<Vec<Vec<Motif>>, CoreError>,
+    /// The longest subsequence repeated at least 2, then 3, times.
+    pub longest: Result<Vec<Option<Motif>>, CoreError>,
+    pub stats: TreeStats,
+}
+
+impl Analysis {
+    pub fn of(index: &impl IndexBackend) -> Analysis {
+        Analysis {
+            motifs: (1..=4)
+                .map(|len| top_motifs(index, len, usize::MAX))
+                .collect(),
+            longest: [2, 3]
+                .into_iter()
+                .map(|min| longest_repeated(index, min))
+                .collect(),
+            stats: TreeStats::compute(index),
+        }
+    }
+}
+
+/// [`Analysis`]'s motifs and longest repeats by counting every
+/// subsequence of `cat`.
+pub fn brute_mining(cat: &CatStore) -> (Vec<Vec<Motif>>, Vec<Option<Motif>>) {
+    let mut all: HashMap<&[Symbol], Vec<(SeqId, u32)>> = HashMap::new();
+    for id in 0..cat.len() as u32 {
+        let seq = cat.seq(SeqId(id));
+        for start in 0..seq.len() {
+            for end in start + 1..=seq.len() {
+                let at = (SeqId(id), start as u32);
+                all.entry(&seq[start..end]).or_default().push(at);
+            }
+        }
+    }
+    // Occurrences are pushed in ascending order.
+    let motif = |(symbols, occurrences): (&&[Symbol], &Vec<(SeqId, u32)>)| Motif {
+        symbols: symbols.to_vec(),
+        count: occurrences.len() as u64,
+        occurrences: occurrences.clone(),
+    };
+    let motifs = (1..=4).map(|len| {
+        let mut ranked: Vec<Motif> = all
+            .iter()
+            .filter(|(s, _)| s.len() == len)
+            .map(motif)
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.count
+                .cmp(&a.count)
+                .then_with(|| a.symbols.cmp(&b.symbols))
+        });
+        ranked
+    });
+    let longest = [2, 3].into_iter().map(|min| {
+        let repeated = all.iter().filter(|(_, at)| at.len() >= min).map(motif);
+        repeated.min_by(|a, b| {
+            let longer = b.symbols.len().cmp(&a.symbols.len());
+            longer.then_with(|| a.symbols.cmp(&b.symbols))
+        })
+    });
+    (motifs.collect(), longest.collect())
 }
 
 /// One configuration's answer to one query.
@@ -859,6 +936,71 @@ impl Lab {
         // Written past the harness's output capture, so every run shows it.
         let line = format!("{}: {covered} configurations", self.corpus.name);
         let _ = writeln!(std::io::stderr(), "equivalence matrix: {line}");
+    }
+
+    /// Holds the analysis layer to one answer over this corpus: the
+    /// in-memory tree's motifs and longest repeats are brute force's, and
+    /// the disk tree, the in-memory ESA and the disk ESA (monolithic and,
+    /// when the corpus splits, compacted) report the same motifs, repeats
+    /// and structure stats. Sparse indexes agree on their stats too, and
+    /// mining refuses them, and truncated ones, with a typed error.
+    pub fn analysis(&self) {
+        let c = &self.corpus;
+        let layouts: &[Layout] = match c.batches.is_empty() {
+            true => &[Layout::Mono],
+            false => &[Layout::Mono, Layout::Compacted],
+        };
+        for cat in [Cat::Exact, Cat::MaxEntropy] {
+            let base = Config { cat, ..BASE };
+            let built = self.built(&base);
+            let Built::Memory { tree, .. } = &*built else {
+                unreachable!("the base configuration is in memory")
+            };
+            let want = Analysis::of(tree);
+            let (motifs, longest) = brute_mining(tree.cat());
+            assert_eq!(want.motifs, Ok(motifs), "{}: {cat:?}: brute", c.name);
+            assert_eq!(want.longest, Ok(longest), "{}: {cat:?}: brute", c.name);
+            let esa = EsaIndex::build(tree.cat().clone(), false);
+            assert_eq!(Analysis::of(&esa), want, "{}: {cat:?}: memory esa", c.name);
+            for backend in [Backend::DiskTree, Backend::DiskEsa] {
+                for &layout in layouts {
+                    let cfg = Config {
+                        backend,
+                        layout,
+                        ..base
+                    };
+                    assert_eq!(self.built(&cfg).analysis(), want, "{}: {cfg:?}", c.name);
+                }
+            }
+            let sparse_base = Config {
+                sparse: true,
+                ..base
+            };
+            let sparse_stats = self.built(&sparse_base).analysis().stats;
+            for (backend, sparse, truncate) in [
+                (Backend::Memory, true, false),
+                (Backend::DiskTree, true, false),
+                (Backend::DiskEsa, true, false),
+                (Backend::Memory, false, true),
+                (Backend::DiskTree, false, true),
+            ] {
+                let cfg = Config {
+                    backend,
+                    sparse,
+                    truncate,
+                    ..base
+                };
+                let got = self.built(&cfg).analysis();
+                let refused = CoreError::PartialIndex {
+                    sparse,
+                    depth_limit: truncate.then_some(c.truncate.max_answer_len),
+                };
+                assert_eq!(got.motifs, Err(refused.clone()), "{}: {cfg:?}", c.name);
+                assert_eq!(got.longest, Err(refused), "{}: {cfg:?}", c.name);
+                let stats_agree = truncate || got.stats == sparse_stats;
+                assert!(stats_agree, "{}: {cfg:?}: stats", c.name);
+            }
+        }
     }
 
     /// Runs a test's pinned configurations, each one the product accepts.
