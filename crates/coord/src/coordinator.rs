@@ -47,7 +47,7 @@ use warptree_server::proto::{
 use warptree_server::serve_core::{self, Handler, ServeHandle, SlowLog, StopThread};
 
 use crate::merge::{
-    aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
+    aggregate_coverage, encode_coverage, merge_ranked, merge_threshold, parse_matches, parse_stats,
     ShardCoverage,
 };
 
@@ -335,8 +335,9 @@ impl Handler for CoordState {
         let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
         match req {
             Request::Health => {
-                // Degraded when any shard is unreachable *or* any shard is
-                // itself degraded — either way answers are partial.
+                // Degraded when any shard is unreachable (answers are
+                // partial) *or* any shard has quarantined segments
+                // (its answers come by sequential scan).
                 let status = if up == infos.len() && quarantined == 0 {
                     "serving"
                 } else {
@@ -555,23 +556,21 @@ fn gather(replies: Vec<ShardReply>) -> Result<Gathered, String> {
     })
 }
 
-/// One shard's coverage contribution for a response `v` (or a down
-/// shard's, from the cache, when `v` is `None`).
-fn coverage_of(state: &CoordState, idx: usize, v: Option<&Json>) -> Result<ShardCoverage, String> {
+/// One shard's coverage contribution: a complete answer when it
+/// `answered`, a down shard's totals from the cache otherwise.
+fn coverage_of(state: &CoordState, idx: usize, answered: bool) -> ShardCoverage {
     let info = state.shards[idx].snapshot();
-    match v {
-        Some(v) => match v.get("coverage") {
-            Some(c) => Ok(ShardCoverage::Partial(parse_coverage(c)?)),
-            None => Ok(ShardCoverage::Full {
-                segments: info.segments,
-                suffixes: info.values,
-            }),
-        },
-        None => Ok(ShardCoverage::Down {
+    if answered {
+        ShardCoverage::Full {
+            segments: info.segments,
+            suffixes: info.values,
+        }
+    } else {
+        ShardCoverage::Down {
             segments: info.segments,
             quarantined: info.quarantined,
             suffixes: info.values,
-        }),
+        }
     }
 }
 
@@ -606,7 +605,7 @@ fn matches_and_coverage(
     let mut per_shard = Vec::with_capacity(items.len());
     let mut covs = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        covs.push(coverage_of(state, i, *item)?);
+        covs.push(coverage_of(state, i, item.is_some()));
         if let Some(v) = item {
             let arr = v
                 .get("matches")
@@ -617,7 +616,7 @@ fn matches_and_coverage(
     let suffix = match aggregate_coverage(&covs) {
         Some(c) => {
             state.registry.counter("coord.partial_queries").incr();
-            format!(",{}", proto::encode_coverage(&c))
+            format!(",{}", encode_coverage(&c))
         }
         None => String::new(),
     };

@@ -23,7 +23,9 @@
 //!
 //! Degradation is honest: a shard that stops answering makes results
 //! `"partial":true` with a coverage block aggregated across shards,
-//! and the coordinator's `health` op reports per-shard status.
+//! and the coordinator's `health` op reports per-shard status. A shard
+//! that answers always answers completely: a damaged index of its own
+//! answers by sequential scan.
 
 #![warn(missing_docs)]
 
@@ -32,6 +34,6 @@ pub mod merge;
 
 pub use coordinator::{CoordConfig, CoordHandle, Coordinator};
 pub use merge::{
-    aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
-    ShardCoverage,
+    aggregate_coverage, encode_coverage, merge_ranked, merge_threshold, parse_matches, parse_stats,
+    Coverage, ShardCoverage,
 };

@@ -19,13 +19,72 @@
 //! * **Funnel stats** sum field-wise (`SearchStats::merge`): shards
 //!   partition the sequences, candidate work is per-suffix, so
 //!   per-shard counters add exactly.
-//! * **Coverage** sums the five accounting fields across shards; a
-//!   shard that answered cleanly contributes its totals as answered, a
-//!   down shard contributes totals with zero answered.
+//! * **Coverage** sums the five accounting fields across shards: a
+//!   shard that answered contributes its totals as answered (a shard
+//!   always answers completely — a damaged index of its own answers by
+//!   sequential scan), a down shard contributes totals with zero
+//!   answered.
 
-use warptree_core::search::{Coverage, Match, SearchStats};
+use warptree_core::search::{Match, SearchStats};
 use warptree_core::sequence::{Occurrence, SeqId};
+use warptree_obs::json::num;
 use warptree_server::json::Json;
+
+/// Coverage accounting for a merged answer with a shard down: how many
+/// segments answered, how many are quarantined, and what fraction of
+/// stored suffixes the answer covers. Attached to the response as
+/// `"partial":true,"coverage":{…}`, so a client can never mistake an
+/// incomplete answer for a complete one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Coverage {
+    /// Segments the shards hold in total (base trees included).
+    pub segments_total: usize,
+    /// Segments that actually contributed to this answer.
+    pub segments_answered: usize,
+    /// Segments the down shards had quarantined (tombstoned in their
+    /// manifests after a failed check).
+    pub segments_quarantined: usize,
+    /// Suffixes indexed across the whole corpus.
+    pub suffixes_total: u64,
+    /// Suffixes inside the segments that answered.
+    pub suffixes_answered: u64,
+}
+
+impl Coverage {
+    /// Fraction of stored suffixes covered by the answer, in `[0, 1]`.
+    /// An empty index counts as fully covered.
+    pub fn fraction(&self) -> f64 {
+        if self.suffixes_total == 0 {
+            1.0
+        } else {
+            self.suffixes_answered as f64 / self.suffixes_total as f64
+        }
+    }
+
+    /// `true` when at least one segment did not answer.
+    pub fn is_partial(&self) -> bool {
+        self.segments_answered < self.segments_total
+    }
+}
+
+/// Serializes [`Coverage`] accounting as a response fragment:
+/// `"partial":true,"coverage":{…}`. The fraction is rendered with the
+/// shared canonical number formatter so degraded responses stay
+/// byte-comparable.
+pub fn encode_coverage(c: &Coverage) -> String {
+    format!(
+        "\"partial\":{},\"coverage\":{{\"segments_total\":{},\"segments_answered\":{},\
+         \"segments_quarantined\":{},\"suffixes_total\":{},\"suffixes_answered\":{},\
+         \"fraction\":{}}}",
+        c.is_partial(),
+        c.segments_total,
+        c.segments_answered,
+        c.segments_quarantined,
+        c.suffixes_total,
+        c.suffixes_answered,
+        num(c.fraction())
+    )
+}
 
 /// Parses a response's `"matches"` array into core [`Match`]es,
 /// remapping shard-local sequence ids to global ones by `start_seq`.
@@ -91,28 +150,12 @@ pub fn parse_stats(v: &Json) -> Result<SearchStats, String> {
     Ok(stats)
 }
 
-/// Parses a response's `"coverage"` object.
-pub fn parse_coverage(c: &Json) -> Result<Coverage, String> {
-    let field = |k: &str| {
-        c.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("coverage missing \"{k}\""))
-    };
-    Ok(Coverage {
-        segments_total: field("segments_total")? as usize,
-        segments_answered: field("segments_answered")? as usize,
-        segments_quarantined: field("segments_quarantined")? as usize,
-        suffixes_total: field("suffixes_total")?,
-        suffixes_answered: field("suffixes_answered")?,
-    })
-}
-
 /// What one shard contributed to a query, coverage-wise.
 #[derive(Debug, Clone)]
 pub enum ShardCoverage {
-    /// The shard answered with no coverage block — a shard carrying
-    /// quarantined segments always reports its own partial coverage,
-    /// so a clean response means everything the shard holds answered.
+    /// The shard answered: everything it holds answered, since a
+    /// shard answers over a damaged index of its own by sequential
+    /// scan.
     Full {
         /// The shard's live segment count (base + live tails — the
         /// `segments` field of its `info` response).
@@ -120,8 +163,6 @@ pub enum ShardCoverage {
         /// Values (suffix positions) the shard holds.
         suffixes: u64,
     },
-    /// The shard answered partially and reported its own coverage.
-    Partial(Coverage),
     /// The shard did not answer; its totals (from the coordinator's
     /// cached view or the shard manifest) count as unanswered.
     Down {
@@ -155,14 +196,6 @@ pub fn aggregate_coverage(shards: &[ShardCoverage]) -> Option<Coverage> {
                 agg.segments_answered += *segments as usize;
                 agg.suffixes_total += *suffixes;
                 agg.suffixes_answered += *suffixes;
-            }
-            ShardCoverage::Partial(c) => {
-                agg.segments_total += c.segments_total;
-                agg.segments_answered += c.segments_answered;
-                agg.segments_quarantined += c.segments_quarantined;
-                agg.suffixes_total += c.suffixes_total;
-                agg.suffixes_answered += c.suffixes_answered;
-                any_partial = true;
             }
             ShardCoverage::Down {
                 segments,
@@ -306,6 +339,44 @@ mod tests {
 
     #[test]
     fn coverage_parses_the_wire_shape() {
+        for c in [
+            Coverage {
+                segments_total: 7,
+                segments_answered: 4,
+                segments_quarantined: 2,
+                suffixes_total: 3000,
+                suffixes_answered: 1000,
+            },
+            Coverage {
+                segments_total: 2,
+                segments_answered: 2,
+                segments_quarantined: 0,
+                suffixes_total: 0,
+                suffixes_answered: 0,
+            },
+        ] {
+            let v = json::parse(&format!("{{{}}}", encode_coverage(&c))).unwrap();
+            assert_eq!(
+                v.get("partial").and_then(Json::as_bool),
+                Some(c.is_partial())
+            );
+            let cov = v.get("coverage").unwrap();
+            let field = |k: &str| cov.get(k).and_then(Json::as_u64).unwrap();
+            let back = Coverage {
+                segments_total: field("segments_total") as usize,
+                segments_answered: field("segments_answered") as usize,
+                segments_quarantined: field("segments_quarantined") as usize,
+                suffixes_total: field("suffixes_total"),
+                suffixes_answered: field("suffixes_answered"),
+            };
+            assert_eq!(back, c);
+            let fraction = cov.get("fraction").and_then(Json::as_f64).unwrap();
+            assert!((fraction - c.fraction()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn coverage_fragment_is_stable_and_parseable() {
         let c = Coverage {
             segments_total: 3,
             segments_answered: 2,
@@ -313,10 +384,52 @@ mod tests {
             suffixes_total: 100,
             suffixes_answered: 75,
         };
-        let frag = format!("{{{}}}", warptree_server::proto::encode_coverage(&c));
-        let v = json::parse(&frag).unwrap();
-        assert_eq!(parse_coverage(v.get("coverage").unwrap()).unwrap(), c);
-        assert!(parse_coverage(&json::parse("{}").unwrap()).is_err());
+        let frag = encode_coverage(&c);
+        assert_eq!(
+            frag,
+            r#""partial":true,"coverage":{"segments_total":3,"segments_answered":2,"segments_quarantined":1,"suffixes_total":100,"suffixes_answered":75,"fraction":0.75}"#
+        );
+        let resp = warptree_server::proto::ok_response("search", &format!("\"matches\":[],{frag}"));
+        let parsed = json::parse(&resp).unwrap();
+        assert_eq!(parsed.get("partial").and_then(Json::as_bool), Some(true));
+        let cov = parsed.get("coverage").unwrap();
+        assert_eq!(
+            cov.get("segments_quarantined").and_then(Json::as_u64),
+            Some(1)
+        );
+        assert_eq!(cov.get("fraction").and_then(Json::as_f64), Some(0.75));
+    }
+
+    #[test]
+    fn coverage_fraction_and_partial_flag() {
+        let full = Coverage {
+            segments_total: 3,
+            segments_answered: 3,
+            segments_quarantined: 0,
+            suffixes_total: 100,
+            suffixes_answered: 100,
+        };
+        assert!(!full.is_partial());
+        assert_eq!(full.fraction(), 1.0);
+        let degraded = Coverage {
+            segments_total: 3,
+            segments_answered: 2,
+            segments_quarantined: 1,
+            suffixes_total: 100,
+            suffixes_answered: 75,
+        };
+        assert!(degraded.is_partial());
+        assert_eq!(degraded.fraction(), 0.75);
+        // An empty index is trivially fully covered.
+        let empty = Coverage {
+            segments_total: 0,
+            segments_answered: 0,
+            segments_quarantined: 0,
+            suffixes_total: 0,
+            suffixes_answered: 0,
+        };
+        assert_eq!(empty.fraction(), 1.0);
+        assert!(!empty.is_partial());
     }
 
     #[test]
@@ -361,25 +474,5 @@ mod tests {
         assert_eq!(c.segments_total, 3);
         assert_eq!(c.segments_quarantined, 1);
         assert_eq!(c.segments_answered, 0);
-        // A shard's own partial coverage folds in verbatim.
-        let nested = vec![
-            ShardCoverage::Partial(Coverage {
-                segments_total: 3,
-                segments_answered: 2,
-                segments_quarantined: 1,
-                suffixes_total: 80,
-                suffixes_answered: 60,
-            }),
-            ShardCoverage::Full {
-                segments: 1,
-                suffixes: 20,
-            },
-        ];
-        let c = aggregate_coverage(&nested).unwrap();
-        assert_eq!(c.segments_total, 4);
-        assert_eq!(c.segments_answered, 3);
-        assert_eq!(c.segments_quarantined, 1);
-        assert_eq!(c.suffixes_total, 100);
-        assert_eq!(c.suffixes_answered, 80);
     }
 }

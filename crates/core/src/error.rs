@@ -28,8 +28,9 @@ pub enum ErrorCode {
     UnsupportedVersion,
     /// Anything else — an internal invariant failure or I/O error.
     Internal,
-    /// A stored page failed its CRC check while serving the request and
-    /// no healthy copy could answer instead.
+    /// A stored file failed its check and nothing could answer instead.
+    /// A shard server never sends it for a query: a damaged index
+    /// answers by sequential scan over the CRC-verified corpus.
     CorruptionDetected,
     /// The index belongs to a backend family this binary (or this
     /// request) does not support — an old binary opening a manifest
@@ -119,15 +120,6 @@ pub enum CoreError {
         /// The family the index actually belongs to (stable name).
         actual: &'static str,
     },
-    /// A stored page failed its check while the query read it, in a
-    /// file no answer can leave out (the base index), so there is no
-    /// honest partial answer to give.
-    CorruptionDetected {
-        /// Name of the failing file inside its index directory.
-        file: String,
-        /// Index of the bad page inside that file.
-        page: u64,
-    },
     /// Mining was asked of an index that leaves suffixes out: a sparse
     /// one (paper §6.1) or one truncated at a depth (paper §8).
     PartialIndex {
@@ -180,9 +172,6 @@ impl fmt::Display for CoreError {
                     "request pinned the {requested} backend but the index is {actual}"
                 )
             }
-            CoreError::CorruptionDetected { file, page } => {
-                write!(f, "corruption detected in {file} (page {page})")
-            }
             CoreError::PartialIndex {
                 sparse,
                 depth_limit,
@@ -208,7 +197,6 @@ impl CoreError {
     pub fn code(&self) -> ErrorCode {
         match self {
             CoreError::UnsupportedBackend { .. } => ErrorCode::UnsupportedBackend,
-            CoreError::CorruptionDetected { .. } => ErrorCode::CorruptionDetected,
             _ => ErrorCode::BadRequest,
         }
     }
@@ -282,8 +270,7 @@ mod tests {
             assert_eq!(code.to_string(), code.as_str());
         }
         assert_eq!(ErrorCode::parse("no_such_code"), None);
-        // Core errors are the caller's fault, except backend pins and
-        // corruption.
+        // Core errors are the caller's fault, except backend pins.
         assert_eq!(CoreError::EmptyQuery.code(), ErrorCode::BadRequest);
         let pin = CoreError::UnsupportedBackend {
             requested: "esa",
@@ -291,14 +278,5 @@ mod tests {
         };
         assert_eq!(pin.code(), ErrorCode::UnsupportedBackend);
         assert!(pin.to_string().contains("esa") && pin.to_string().contains("tree"));
-        let corrupt = CoreError::CorruptionDetected {
-            file: "index-000003.wt".into(),
-            page: 7,
-        };
-        assert_eq!(corrupt.code(), ErrorCode::CorruptionDetected);
-        assert_eq!(
-            corrupt.to_string(),
-            "corruption detected in index-000003.wt (page 7)"
-        );
     }
 }

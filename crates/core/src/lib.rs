@@ -55,8 +55,8 @@ pub mod prelude {
     pub use crate::dtw::{dtw, dtw_early_abandon, dtw_windowed, WarpTable};
     pub use crate::error::{CoreError, ErrorCode};
     pub use crate::search::{
-        filter_tree, postprocess, run_query, run_query_with, seq_scan, AnswerSet, BackendKind,
-        CandidateGroups, Coverage, IndexBackend, KnnParams, Match, OutputKind, QueryKind,
+        filter_tree, postprocess, run_query, run_query_with, scan_query_with, seq_scan, AnswerSet,
+        BackendKind, CandidateGroups, IndexBackend, KnnParams, Match, OutputKind, QueryKind,
         QueryOutput, QueryRequest, SearchMetrics, SearchParams, SearchStats, SegmentedIndex,
         SeqScanMode,
     };

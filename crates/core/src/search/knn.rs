@@ -5,18 +5,16 @@
 //! me the k most similar subsequences" form is obtained by *ε expansion*:
 //! run the threshold search with a small ε, and geometrically enlarge it
 //! until at least `k` answers (optionally non-overlapping) exist, then
-//! keep the k best. Every round reuses the same index and the guarantee
-//! of no false dismissals, so the result is exactly the k nearest — not
-//! an approximation. Small-ε rounds are cheap (aggressive Theorem-1
+//! keep the k best. Every round is an exact threshold query — over the
+//! index, with its guarantee of no false dismissals, or by sequential
+//! scan — so the result is exactly the k nearest — not an
+//! approximation. Small-ε rounds are cheap (aggressive Theorem-1
 //! pruning), which keeps the total cost close to a single search at the
 //! final radius.
 
-use crate::categorize::Alphabet;
-use crate::search::answers::{Match, SearchParams};
-use crate::search::backend::IndexBackend;
+use crate::search::answers::{AnswerSet, Match, SearchParams};
 use crate::search::metrics::SearchMetrics;
-use crate::search::threshold_search_unchecked;
-use crate::sequence::{SequenceStore, Value};
+use crate::sequence::Value;
 
 /// Parameters of a k-NN subsequence search.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,19 +126,18 @@ impl KnnParams {
     }
 }
 
-/// The k-NN engine: ε-expansion rounds over the threshold engine,
-/// metered into `metrics` (`answers` accumulates per-round verified
-/// answers, not the final `k`). Callers must have validated the
-/// query/parameters — this is the body behind
-/// [`run_query_with`](crate::search::run_query_with) for
+/// The k-NN engine: ε-expansion rounds, each one threshold query run by
+/// `threshold` (the index's engine or the sequential scan), metered into
+/// `metrics` (`answers` accumulates per-round verified answers, not the
+/// final `k`). Callers must have validated the query/parameters — this
+/// is the body behind [`run_query_with`](crate::search::run_query_with)
+/// and [`scan_query_with`](crate::search::scan_query_with) for
 /// [`QueryKind::Knn`](crate::search::QueryKind) requests.
-pub(crate) fn knn_unchecked<T: IndexBackend + Sync>(
-    tree: &T,
-    alphabet: &Alphabet,
-    store: &SequenceStore,
+pub(crate) fn knn_unchecked(
     query: &[Value],
     params: &KnnParams,
     metrics: &SearchMetrics,
+    threshold: impl Fn(&SearchParams, &SearchMetrics) -> AnswerSet,
 ) -> Vec<Match> {
     assert!(params.k > 0, "k must be positive");
     assert!(params.growth > 1.0, "growth must exceed 1");
@@ -173,7 +170,7 @@ pub(crate) fn knn_unchecked<T: IndexBackend + Sync>(
             metrics
         };
 
-        let answers = threshold_search_unchecked(tree, alphabet, store, query, &sp, m);
+        let answers = threshold(&sp, m);
         // Ranked by ascending `(distance, occurrence)`.
         let candidates = if params.non_overlapping {
             answers.non_overlapping()
@@ -196,11 +193,12 @@ pub(crate) fn knn_unchecked<T: IndexBackend + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::categorize::CatStore;
+    use crate::categorize::{Alphabet, CatStore};
     use crate::search::answers::SearchStats;
+    use crate::search::backend::IndexBackend;
     use crate::search::backend::NodeVisit;
     use crate::search::query::QueryRequest;
-    use crate::sequence::{Occurrence, SeqId};
+    use crate::sequence::{Occurrence, SeqId, SequenceStore};
 
     type ToyNode = (Vec<u32>, Vec<usize>, Vec<(SeqId, u32, u32)>);
 
@@ -383,14 +381,10 @@ mod tests {
     fn zero_k_panics() {
         let (store, alphabet, tree) = setup();
         let params = KnnParams::new(0);
-        let _ = knn_unchecked(
-            &tree,
-            &alphabet,
-            &store,
-            &[1.0],
-            &params,
-            &SearchMetrics::new(),
-        );
+        let threshold = |p: &SearchParams, m: &SearchMetrics| {
+            crate::search::threshold_search_unchecked(&tree, &alphabet, &store, &[1.0], p, m)
+        };
+        let _ = knn_unchecked(&[1.0], &params, &SearchMetrics::new(), threshold);
     }
 
     fn knn_checked(

@@ -18,7 +18,8 @@
 //! * [`knn`] — exact k-nearest-neighbour search by ε expansion (an
 //!   extension beyond the paper's threshold queries).
 //! * [`query`] — the unified typed query API: [`QueryRequest`] +
-//!   [`QueryKind`], executed by [`run_query`] / [`run_query_with`].
+//!   [`QueryKind`], executed by [`run_query`] / [`run_query_with`], or
+//!   by sequential scan with [`scan_query_with`].
 //! * [`segmented`] — [`SegmentedIndex`], the multi-segment fan-out view
 //!   presenting N partial suffix trees as one [`IndexBackend`].
 //! * [`answers`] — answer/candidate types, statistics, parameters.
@@ -48,7 +49,7 @@ pub use knn::KnnParams;
 pub use metrics::SearchMetrics;
 pub use postprocess::postprocess;
 pub use query::{
-    run_query, run_query_with, Coverage, OutputKind, QueryKind, QueryOutput, QueryRequest,
+    run_query, run_query_with, scan_query_with, OutputKind, QueryKind, QueryOutput, QueryRequest,
 };
 pub use segmented::SegmentedIndex;
 pub use seqscan::{seq_scan, SeqScanMode};

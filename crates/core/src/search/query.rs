@@ -6,7 +6,9 @@
 //! check (parameter validation, non-finite values, the serving length
 //! cap, truncated-index depth rules), and one executor pair —
 //! [`run_query`] / [`run_query_with`] — runs the search over any
-//! [`IndexBackend`].
+//! [`IndexBackend`]. [`scan_query_with`] answers the same request by
+//! sequential scan, without an index; both executors are thin callers
+//! of one `match` over the kind.
 //!
 //! This module *owns* the index seam: [`IndexBackend`] and
 //! [`BackendKind`] live in [`backend`](crate::search::backend) and are
@@ -18,8 +20,10 @@ use crate::categorize::Alphabet;
 use crate::error::CoreError;
 use crate::search::answers::{AnswerSet, Match, SearchParams, SearchStats};
 use crate::search::backend::IndexBackend;
-use crate::search::knn::KnnParams;
-use crate::search::metrics::SearchMetrics;
+use crate::search::knn::{knn_unchecked, KnnParams};
+use crate::search::metrics::{attach, SearchMetrics};
+use crate::search::seqscan::{seq_scan, SeqScanMode};
+use crate::search::threshold_search_unchecked;
 use crate::sequence::{SequenceStore, Value};
 
 pub use crate::search::backend::BackendKind;
@@ -190,6 +194,22 @@ impl QueryRequest {
         }
     }
 
+    /// [`validate_for`](Self::validate_for) against `index`, after the
+    /// request's backend pin ([`QueryRequest::backend`]) is checked
+    /// against the index's family.
+    pub fn validate_on(&self, index: &impl IndexBackend) -> Result<(), CoreError> {
+        if let Some(want) = self.backend {
+            let got = index.backend_kind();
+            if got != want {
+                return Err(CoreError::UnsupportedBackend {
+                    requested: want.as_str(),
+                    actual: got.as_str(),
+                });
+            }
+        }
+        self.validate_for(index.depth_limit())
+    }
+
     /// The stats of this request once it has answered `out` under
     /// `metrics`: for k-NN requests `answers` reads as the result count
     /// actually returned, not the per-round verified total.
@@ -199,44 +219,6 @@ impl QueryRequest {
             stats.answers = out.len() as u64;
         }
         stats
-    }
-}
-
-/// Coverage accounting for a query that may have run over a partially
-/// available index: how many segments answered, how many were
-/// quarantined, and what fraction of stored suffixes the answer
-/// actually covers. Attached to [`QueryOutput`] when a degraded
-/// (partial) result is served, so callers can never mistake an
-/// incomplete answer for a complete one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Coverage {
-    /// Segments the index holds in total (base tree included).
-    pub segments_total: usize,
-    /// Segments that actually contributed to this answer.
-    pub segments_answered: usize,
-    /// Segments excluded because they are quarantined (tombstoned in
-    /// the manifest after a failed CRC check).
-    pub segments_quarantined: usize,
-    /// Suffixes indexed across the whole corpus.
-    pub suffixes_total: u64,
-    /// Suffixes inside the segments that answered.
-    pub suffixes_answered: u64,
-}
-
-impl Coverage {
-    /// Fraction of stored suffixes covered by the answer, in `[0, 1]`.
-    /// An empty index counts as fully covered.
-    pub fn fraction(&self) -> f64 {
-        if self.suffixes_total == 0 {
-            1.0
-        } else {
-            self.suffixes_answered as f64 / self.suffixes_total as f64
-        }
-    }
-
-    /// `true` when at least one segment did not answer.
-    pub fn is_partial(&self) -> bool {
-        self.segments_answered < self.segments_total
     }
 }
 
@@ -251,43 +233,27 @@ pub enum OutputKind {
     Ranked(Vec<Match>),
 }
 
-/// The result of a [`run_query`]: the answers plus optional coverage
-/// accounting when the index could only answer partially.
+/// The result of a [`run_query`] or a [`scan_query_with`]: always the
+/// complete answer.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
     /// The answers.
     pub kind: OutputKind,
-    /// `Some` when the query ran degraded — one or more segments were
-    /// quarantined and excluded. `None` means full coverage.
-    pub coverage: Option<Coverage>,
 }
 
 impl QueryOutput {
-    /// Wraps threshold answers with full coverage.
+    /// Wraps threshold answers.
     pub fn answers(a: AnswerSet) -> Self {
         QueryOutput {
             kind: OutputKind::Matches(a),
-            coverage: None,
         }
     }
 
-    /// Wraps ranked (k-NN) answers with full coverage.
+    /// Wraps ranked (k-NN) answers.
     pub fn ranked(v: Vec<Match>) -> Self {
         QueryOutput {
             kind: OutputKind::Ranked(v),
-            coverage: None,
         }
-    }
-
-    /// Attaches coverage accounting (builder style).
-    pub fn with_coverage(mut self, coverage: Coverage) -> Self {
-        self.coverage = Some(coverage);
-        self
-    }
-
-    /// `true` when the answer is honestly labeled as incomplete.
-    pub fn is_partial(&self) -> bool {
-        self.coverage.is_some_and(|c| c.is_partial())
     }
 
     /// `true` when the answers are a ranked (k-NN) list.
@@ -348,9 +314,8 @@ impl QueryOutput {
 /// caller-supplied [`SearchMetrics`]. This is THE query path: the CLI,
 /// the server and the facade all funnel through here.
 ///
-/// Validation runs first ([`QueryRequest::validate_for`] against the
-/// tree's depth limit), so malformed requests return a typed
-/// [`CoreError`] and never panic.
+/// Validation runs first ([`QueryRequest::validate_on`]), so malformed
+/// requests return a typed [`CoreError`] and never panic.
 pub fn run_query_with<T: IndexBackend + Sync>(
     tree: &T,
     alphabet: &Alphabet,
@@ -358,25 +323,50 @@ pub fn run_query_with<T: IndexBackend + Sync>(
     req: &QueryRequest,
     metrics: &SearchMetrics,
 ) -> Result<QueryOutput, CoreError> {
-    if let Some(want) = req.backend {
-        let got = tree.backend_kind();
-        if got != want {
-            return Err(CoreError::UnsupportedBackend {
-                requested: want.as_str(),
-                actual: got.as_str(),
-            });
-        }
-    }
-    req.validate_for(tree.depth_limit())?;
+    req.validate_on(tree)?;
+    Ok(dispatch(req, metrics, |params, m| {
+        threshold_search_unchecked(tree, alphabet, store, &req.query, params, m)
+    }))
+}
+
+/// Answers a validated query by sequential scan over `store`, with no
+/// index at all: every threshold round is [`seq_scan`] in
+/// [`SeqScanMode::Cascade`] (in [`SeqScanMode::EarlyAbandon`] when the
+/// request turns the cascade off), counted into `metrics`. `seq_scan`
+/// is the ground truth every index plan is held to, so a directory
+/// with a damaged index answers through here. Only [`QueryRequest::validate`] runs: a caller
+/// answering for an index validates against it first.
+pub fn scan_query_with(
+    store: &SequenceStore,
+    req: &QueryRequest,
+    metrics: &SearchMetrics,
+) -> Result<QueryOutput, CoreError> {
+    req.validate()?;
+    Ok(dispatch(req, metrics, |params, m| {
+        let mode = match params.cascade {
+            true => SeqScanMode::Cascade,
+            false => SeqScanMode::EarlyAbandon,
+        };
+        let span = m.trace_span("seqscan");
+        let mut stats = SearchStats::default();
+        let answers = seq_scan(store, &req.query, params, mode, &mut stats);
+        m.add(&stats);
+        attach(&span, &stats);
+        answers
+    }))
+}
+
+/// The one `match` over [`QueryKind`]: a threshold request is one
+/// `threshold` search, a k-NN request the ε-expansion rounds of
+/// [`knn_unchecked`] over it.
+fn dispatch(
+    req: &QueryRequest,
+    metrics: &SearchMetrics,
+    threshold: impl Fn(&SearchParams, &SearchMetrics) -> AnswerSet,
+) -> QueryOutput {
     match &req.kind {
-        QueryKind::Threshold(p) => Ok(QueryOutput::answers(
-            crate::search::threshold_search_unchecked(
-                tree, alphabet, store, &req.query, p, metrics,
-            ),
-        )),
-        QueryKind::Knn(p) => Ok(QueryOutput::ranked(crate::search::knn::knn_unchecked(
-            tree, alphabet, store, &req.query, p, metrics,
-        ))),
+        QueryKind::Threshold(p) => QueryOutput::answers(threshold(p, metrics)),
+        QueryKind::Knn(p) => QueryOutput::ranked(knn_unchecked(&req.query, p, metrics, threshold)),
     }
 }
 
@@ -498,44 +488,9 @@ mod tests {
         a.push(m(1, 1.0));
         let out = QueryOutput::answers(a);
         assert_eq!(out.len(), 2);
-        assert!(!out.is_partial(), "no coverage means full coverage");
         let ranked = out.into_ranked();
         assert_eq!(ranked[0].occ.start, 1, "threshold answers rank by distance");
         let back = QueryOutput::ranked(ranked).into_answer_set();
         assert_eq!(back.len(), 2);
-    }
-
-    #[test]
-    fn coverage_fraction_and_partial_flag() {
-        let full = Coverage {
-            segments_total: 3,
-            segments_answered: 3,
-            segments_quarantined: 0,
-            suffixes_total: 100,
-            suffixes_answered: 100,
-        };
-        assert!(!full.is_partial());
-        assert_eq!(full.fraction(), 1.0);
-        let degraded = Coverage {
-            segments_total: 3,
-            segments_answered: 2,
-            segments_quarantined: 1,
-            suffixes_total: 100,
-            suffixes_answered: 75,
-        };
-        assert!(degraded.is_partial());
-        assert_eq!(degraded.fraction(), 0.75);
-        let out = QueryOutput::answers(AnswerSet::new()).with_coverage(degraded);
-        assert!(out.is_partial());
-        // An empty index is trivially fully covered.
-        let empty = Coverage {
-            segments_total: 0,
-            segments_answered: 0,
-            segments_quarantined: 0,
-            suffixes_total: 0,
-            suffixes_answered: 0,
-        };
-        assert_eq!(empty.fraction(), 1.0);
-        assert!(!empty.is_partial());
     }
 }

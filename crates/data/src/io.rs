@@ -57,64 +57,6 @@ pub fn load_csv(path: &Path) -> std::io::Result<SequenceStore> {
     Ok(store)
 }
 
-/// Loads a UCR-archive-style TSV file: one series per line, the first
-/// field an integer class label, remaining fields the values, separated
-/// by tabs (or any whitespace). The class label becomes the sequence
-/// name `"class<label>#<ordinal>"` so downstream tooling can stratify
-/// by class.
-pub fn load_ucr_tsv(path: &Path) -> std::io::Result<SequenceStore> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut store = SequenceStore::new();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    let mut per_class: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-    while reader.read_line(&mut line)? != 0 {
-        lineno += 1;
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            let mut tokens = trimmed.split_whitespace();
-            let label: i64 = tokens
-                .next()
-                .expect("non-empty line has a token")
-                .parse()
-                .map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("line {lineno}: bad class label: {e}"),
-                    )
-                })?;
-            let mut values = Vec::new();
-            for tok in tokens {
-                let v: f64 = tok.parse().map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("line {lineno}: bad value {tok:?}: {e}"),
-                    )
-                })?;
-                if !v.is_finite() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("line {lineno}: non-finite value"),
-                    ));
-                }
-                values.push(v);
-            }
-            if values.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("line {lineno}: class label without values"),
-                ));
-            }
-            let ordinal = per_class.entry(label).or_insert(0);
-            store.push_named(Sequence::new(values), format!("class{label}#{ordinal}"));
-            *ordinal += 1;
-        }
-        line.clear();
-    }
-    Ok(store)
-}
-
 /// Writes a store in the [`load_csv`] format.
 pub fn save_csv(store: &SequenceStore, path: &Path) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
@@ -194,46 +136,6 @@ mod tests {
         std::fs::write(&path, "1,banana,3\n").unwrap();
         let err = load_csv(&path).unwrap_err();
         assert!(err.to_string().contains("banana"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn ucr_tsv_loads_with_class_names() {
-        let path = tmp("ucr.tsv");
-        std::fs::write(
-            &path,
-            "1	0.5	0.6	0.7
-2	9.0	9.1
-1	0.4	0.5	0.6
-",
-        )
-        .unwrap();
-        let store = load_ucr_tsv(&path).unwrap();
-        use warptree_core::sequence::SeqId;
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.name(SeqId(0)), Some("class1#0"));
-        assert_eq!(store.name(SeqId(1)), Some("class2#0"));
-        assert_eq!(store.name(SeqId(2)), Some("class1#1"));
-        assert_eq!(store.get(SeqId(1)).values(), &[9.0, 9.1]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn ucr_tsv_rejects_bad_rows() {
-        let path = tmp("ucr-bad.tsv");
-        std::fs::write(
-            &path,
-            "notanumber	1.0
-",
-        )
-        .unwrap();
-        assert!(load_ucr_tsv(&path).is_err());
-        std::fs::write(
-            &path, "3
-",
-        )
-        .unwrap();
-        assert!(load_ucr_tsv(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -15,6 +15,6 @@ pub mod workload;
 pub use gen::{
     artificial_corpus, band_for_index, stock_corpus, ArtificialConfig, StockConfig, PRICE_BANDS,
 };
-pub use io::{load_csv, load_ucr_tsv, save_csv};
+pub use io::{load_csv, save_csv};
 pub use signals::{planted_corpus, resample, PlantConfig};
 pub use workload::{Query, QueryConfig, QueryWorkload};

@@ -367,9 +367,8 @@ impl<'a> NodeView<'a> {
 /// Instead the failing [`DiskTree`] records the page that failed (see
 /// [`DiskTree::take_read_error`]) and unwinds with this marker;
 /// [`DirSnapshot::query_with`](crate::DirSnapshot::query_with) catches
-/// the unwind, leaves a failing tail segment out of a retry and labels
-/// the answer partial, or answers a failing base index with
-/// `CoreError::CorruptionDetected`.
+/// the unwind, records the tree as damaged and answers the query by
+/// sequential scan over the corpus instead.
 pub(crate) struct TreeReadAbort;
 
 /// A disk-resident suffix tree, query-ready through

@@ -196,8 +196,8 @@ pub fn compact_once_with(
         return Ok(None);
     }
     // A quarantined segment cannot be merged (its file is known-bad) and
-    // merging around it would reorder the sequence ranges the coverage
-    // accounting relies on. Heal first, then compact.
+    // merging around it would reorder the sequence ranges the segments
+    // cover. Heal first, then compact.
     if old.segments.iter().any(|s| s.quarantined) {
         return Ok(None);
     }

@@ -4,8 +4,11 @@
 //! A [`DirSnapshot`] is an immutable, query-ready view of one committed
 //! generation, and [`DirSnapshot::query_with`] is the one query over
 //! it: every caller — the server, the CLI, `explain`, the library —
-//! gets the same answer, the same partial-answer labeling and the same
-//! typed error when a file is corrupt. There are two ways in, over one
+//! gets the same answer. An index is a filter over the CRC-verified
+//! corpus, so a damaged one costs time, never answers: while any index
+//! of the snapshot is damaged (quarantined, failed at open, or caught
+//! failing a read), every query answers by sequential scan, the ground
+//! truth every index plan is held to. There are two ways in, over one
 //! open body:
 //!
 //! * [`open_dir_snapshot_with`] resolves and loads **without mutating
@@ -38,14 +41,14 @@ use parking_lot::Mutex;
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
-    run_query_with, BackendKind, Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats,
-    SegmentedIndex,
+    run_query_with, scan_query_with, BackendKind, QueryOutput, QueryRequest, SearchMetrics,
+    SearchStats, SegmentedIndex,
 };
-use warptree_core::sequence::{SeqId, SequenceStore};
+use warptree_core::sequence::SequenceStore;
 
 use crate::any::AnyIndex;
 use crate::corpus::load_corpus_with;
-use crate::error::Result;
+use crate::error::{DiskError, Result};
 use crate::format::DiskTree;
 use crate::manifest::{
     read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
@@ -82,27 +85,24 @@ pub struct DirSnapshot {
     /// The disk-resident base index, of whichever backend the manifest
     /// records.
     pub tree: AnyIndex,
-    /// The committed *live* tail segments (see
-    /// [`segment`](crate::segment)), in manifest order — empty for a
-    /// fully compacted directory. Queries fan out across the base tree
-    /// and every segment with results byte-identical to a monolithic
-    /// index over the same corpus. Quarantined segments are never
-    /// loaded; their metadata is kept in
-    /// [`quarantined`](DirSnapshot::quarantined) for coverage
-    /// accounting.
+    /// The committed tail segments (see [`segment`](crate::segment))
+    /// that opened, in manifest order — empty for a fully compacted
+    /// directory. Queries fan out across the base tree and every
+    /// segment with results byte-identical to a monolithic index over
+    /// the same corpus. Quarantined segments are never loaded.
     pub segments: Vec<AnyIndex>,
-    /// Manifest metadata for each loaded tail segment, parallel to
-    /// [`segments`](DirSnapshot::segments).
+    /// Manifest metadata for each tail the manifest does not have
+    /// quarantined, in manifest order: those in
+    /// [`segments`](DirSnapshot::segments) and any that failed to open.
     pub segment_metas: Vec<SegmentMeta>,
     /// Manifest metadata for segments excluded at open because they are
-    /// quarantined (tombstoned after a failed CRC check).
+    /// quarantined (tombstoned after a failed check).
     pub quarantined: Vec<SegmentMeta>,
     /// The committed generation this snapshot materializes.
     pub generation: u64,
-    /// `(file, page)` of each tree a query over this snapshot caught
-    /// failing a read. Later queries leave such a tail out up front and
-    /// answer a failed base with its error at once.
-    failed: Mutex<Vec<(String, u64)>>,
+    /// File names of the trees found damaged: tails that failed their
+    /// checks at open, and every tree a query caught failing a read.
+    failed: Mutex<Vec<String>>,
 }
 
 impl DirSnapshot {
@@ -133,7 +133,7 @@ impl DirSnapshot {
 
     /// Runs a typed query against this snapshot:
     /// [`query_with`](DirSnapshot::query_with) plus the stats of the
-    /// attempt that answered.
+    /// plan that answered.
     pub fn query(
         &self,
         req: &QueryRequest,
@@ -143,28 +143,30 @@ impl DirSnapshot {
         Ok((out, stats))
     }
 
-    /// The one query over an opened directory: fans `req` out across
-    /// the base tree and every live tail segment, with results
-    /// byte-identical to a fully compacted (single-tree) index over the
-    /// same corpus — see [`SegmentedIndex`]'s equivalence contract.
+    /// The one query over an opened directory. A clean snapshot fans
+    /// `req` out across the base tree and every tail segment, with
+    /// results byte-identical to a fully compacted (single-tree) index
+    /// over the same corpus — see [`SegmentedIndex`]'s equivalence
+    /// contract.
     ///
-    /// A tail whose read fails mid-query (a page CRC, or a record that
-    /// does not decode) is left out and the query re-runs over the
-    /// others; this snapshot remembers the tail
-    /// ([`failed_tails`](DirSnapshot::failed_tails)) and later queries
-    /// skip it up front. Whenever a segment is missing — quarantined at
-    /// open or caught failing — the output carries its [`Coverage`], so
-    /// a partial answer is always labeled one. Answers over the
-    /// surviving segments are byte-identical to a clean index over their
-    /// sequences. A failure in the base index cannot be left out: it is
-    /// [`CoreError::CorruptionDetected`].
+    /// While any index is [`damaged`](DirSnapshot::damaged) — a tail
+    /// quarantined or failing at open, or any tree, the base included,
+    /// caught failing a read (a page CRC, or a record that does not
+    /// decode) — the whole request is answered by sequential scan over
+    /// [`store`](DirSnapshot::store) instead ([`scan_query_with`]): the
+    /// answers the index is held to, at the scan's cost. A read that
+    /// fails mid-query is recorded, and that query is answered by the
+    /// scan.
+    /// Either way the request is validated against the base index, so
+    /// an invalid request gets the same typed error.
     ///
-    /// Counters and phase timings reach `metrics` from the attempt that
-    /// answered only; every attempt's stage spans land in its trace.
-    /// When the trace is active, each attempt also attaches a `pager.io`
-    /// span attributing page reads and buffer-pool hits to each live
-    /// tree — deltas of the trees' cumulative I/O counters, so other
-    /// queries running on the snapshot at the same time bleed into them.
+    /// Counters and phase timings reach `metrics` from the plan that
+    /// answered only; a failed index attempt's stage spans still land in
+    /// its trace. When the trace is active, the index plan also attaches
+    /// a `pager.io` span attributing page reads and buffer-pool hits to
+    /// each live tree — deltas of the trees' cumulative I/O counters, so
+    /// other queries running on the snapshot at the same time bleed into
+    /// them.
     pub fn query_with(
         &self,
         req: &QueryRequest,
@@ -175,83 +177,95 @@ impl DirSnapshot {
         Ok(out)
     }
 
-    /// The tail segments a query over this snapshot caught failing, by
+    /// The tail segments found damaged other than by quarantine — that
+    /// failed their checks at open, or that a query caught failing — by
     /// file name. Nothing here is tombstoned in `MANIFEST`: a process
     /// that owns the directory may quarantine them
     /// ([`quarantine_segment_with`](crate::quarantine_segment_with)).
     pub fn failed_tails(&self) -> Vec<String> {
         let failed = self.failed.lock();
-        let tails = failed.iter().filter(|(file, _)| file != self.tree.source());
-        tails.map(|(file, _)| file.clone()).collect()
+        let tails = failed.iter().filter(|file| *file != self.tree.source());
+        tails.cloned().collect()
     }
 
-    /// The catch-and-retry loop behind
-    /// [`query_with`](DirSnapshot::query_with): each attempt counts into
-    /// metrics of its own from `fresh`, and the answering attempt's are
-    /// returned beside its output.
+    /// Every damaged index file of this snapshot, by name: the
+    /// quarantined tails, then the trees found failing, the base
+    /// included. Once non-empty, every query answers by sequential scan.
+    pub fn damaged(&self) -> Vec<String> {
+        let quarantined = self.quarantined.iter().map(|m| m.file.clone());
+        quarantined
+            .chain(self.failed.lock().iter().cloned())
+            .collect()
+    }
+
+    /// `true` once any index of this snapshot is
+    /// [`damaged`](DirSnapshot::damaged): every query answers by scan.
+    pub fn is_damaged(&self) -> bool {
+        !self.quarantined.is_empty() || !self.failed.lock().is_empty()
+    }
+
+    /// [`query_with`](DirSnapshot::query_with)'s body: the index plan
+    /// while nothing is damaged, the scan otherwise or once the index
+    /// attempt fails a read. Each plan counts into metrics of its own
+    /// from `fresh`, and the answering plan's are returned beside its
+    /// output.
     fn answer(
         &self,
         req: &QueryRequest,
         fresh: impl Fn() -> SearchMetrics,
     ) -> std::result::Result<(QueryOutput, SearchMetrics), CoreError> {
-        loop {
-            let skip = self.failed.lock().clone();
-            let skipped = |t: &AnyIndex| skip.iter().any(|(file, _)| file == t.source());
-            let base = skip.iter().find(|(file, _)| file == self.tree.source());
-            if let Some((file, page)) = base.cloned() {
-                return Err(CoreError::CorruptionDetected { file, page });
-            }
+        let scan = || {
+            req.validate_on(&self.tree)?;
             let metrics = fresh();
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let healthy = self.segments.iter().filter(|t| !skipped(t));
-                self.query_over(healthy, req, &metrics)
-            }));
-            let payload = match attempt {
-                Ok(out) => {
-                    let mut out = out?;
-                    if !skip.is_empty() || !self.quarantined.is_empty() {
-                        out = out.with_coverage(self.coverage(&skip));
-                    }
-                    return Ok((out, metrics));
-                }
-                Err(payload) => payload,
-            };
-            // A read failed mid-query. The failing tree recorded its page
-            // before unwinding (the payload does not say which tree; the
-            // ESA serves from memory and never fails here). A query that
-            // ran at the same time may have taken the record first: any
-            // failure new since this attempt started means a retry, and
-            // none means the unwind was not a failed read.
-            let mut failed = self.failed.lock();
-            for t in self.live_trees() {
-                if let Some(page) = t.as_tree().and_then(DiskTree::take_read_error) {
-                    if !failed.iter().any(|(file, _)| file == t.source()) {
-                        failed.push((t.source().to_string(), page));
-                    }
-                }
-            }
-            if failed.len() == skip.len() {
-                drop(failed);
-                std::panic::resume_unwind(payload);
+            Ok((scan_query_with(&self.store, req, &metrics)?, metrics))
+        };
+        if self.is_damaged() {
+            return scan();
+        }
+        let metrics = fresh();
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.query_over(req, &metrics)
+        }));
+        let payload = match attempt {
+            Ok(out) => return Ok((out?, metrics)),
+            Err(payload) => payload,
+        };
+        // A read failed mid-query. The failing tree recorded its page
+        // before unwinding (the payload does not say which tree; the
+        // ESA serves from memory and never fails here). A query that
+        // ran at the same time may have taken the record first: any
+        // failure recorded at all — there was none when this attempt
+        // started — means the scan answers, and none means the unwind
+        // was not a failed read.
+        let mut failed = self.failed.lock();
+        for t in self.live_trees() {
+            if t.as_tree().and_then(DiskTree::take_read_error).is_some()
+                && !failed.iter().any(|file| file == t.source())
+            {
+                failed.push(t.source().to_string());
             }
         }
+        if failed.is_empty() {
+            drop(failed);
+            std::panic::resume_unwind(payload);
+        }
+        drop(failed);
+        scan()
     }
 
-    /// One attempt: runs `req` over the base tree plus `tails` —
-    /// directly on the base when there are none — with the `pager.io`
-    /// span of [`query_with`](DirSnapshot::query_with) when traced.
-    fn query_over<'a>(
-        &'a self,
-        tails: impl Iterator<Item = &'a AnyIndex>,
+    /// The index plan: runs `req` over every live tree — directly on
+    /// the base when there are no tails — with the `pager.io` span of
+    /// [`query_with`](DirSnapshot::query_with) when traced.
+    fn query_over(
+        &self,
         req: &QueryRequest,
         metrics: &SearchMetrics,
     ) -> std::result::Result<QueryOutput, CoreError> {
         let io_before = metrics.trace.is_active().then(|| self.live_trees_io());
-        let mut tails = tails.peekable();
-        let out = if tails.peek().is_none() {
+        let out = if self.segments.is_empty() {
             run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
         } else {
-            let fanned = SegmentedIndex::new(std::iter::once(&self.tree).chain(tails).collect());
+            let fanned = SegmentedIndex::new(self.live_trees().collect());
             run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
         };
         if let Some(before) = io_before {
@@ -289,31 +303,6 @@ impl DirSnapshot {
         span.attr_u64("pages_read", pages);
         span.attr_u64("cache_hits", hits);
     }
-
-    /// Coverage accounting for this snapshot with the `skipped` tails
-    /// left out as well: suffix counts are derived from the (intact)
-    /// corpus via each excluded segment's sequence range, so they are
-    /// exact even though the excluded trees are unreadable.
-    fn coverage(&self, skipped: &[(String, u64)]) -> Coverage {
-        let is_skipped = |m: &&SegmentMeta| skipped.iter().any(|(file, _)| *file == m.file);
-        let excluded: Vec<_> = self.segment_metas.iter().filter(is_skipped).collect();
-        let suffixes = |m: &SegmentMeta| -> u64 {
-            let seqs = m.start_seq..m.start_seq.saturating_add(m.seq_count);
-            let seqs = seqs.filter(|&i| (i as usize) < self.store.len());
-            seqs.map(|i| self.store.get(SeqId(i)).len() as u64).sum()
-        };
-        let missing: u64 = (self.quarantined.iter().chain(excluded.iter().copied()))
-            .map(suffixes)
-            .sum();
-        let suffixes_total = self.store.total_len();
-        Coverage {
-            segments_total: 1 + self.segments.len() + self.quarantined.len(),
-            segments_answered: 1 + self.segments.len() - excluded.len(),
-            segments_quarantined: self.quarantined.len() + excluded.len(),
-            suffixes_total,
-            suffixes_answered: suffixes_total.saturating_sub(missing),
-        }
-    }
 }
 
 /// Opens the committed generation of `dir` as a [`DirSnapshot`]
@@ -347,7 +336,12 @@ pub fn open_dir_recovered_with(
 }
 
 /// The one open body: loads the corpus, then opens the base tree and
-/// every tail segment the manifest does not have quarantined.
+/// every tail segment the manifest does not have quarantined. A tail
+/// that fails its own checks at open (a header page's CRC, a record the
+/// ESA refuses) does not fail the open: it is recorded damaged, like a
+/// tail a query caught failing, and the corpus answers for it. A
+/// corrupt corpus or base fails the open, and so does an I/O error
+/// (a superseded generation's file unlinked under a poll: retry).
 fn open_resolved(
     vfs: &dyn Vfs,
     resolved: ResolvedDir,
@@ -376,12 +370,17 @@ fn open_resolved(
     let mut segments = Vec::with_capacity(segment_paths.len());
     let mut segment_metas = Vec::new();
     let mut quarantined = Vec::new();
+    let mut failed = Vec::new();
     for (path, meta) in segment_paths.iter().zip(manifest.segments) {
         if meta.quarantined {
             quarantined.push(meta);
             continue;
         }
-        segments.push(open(path)?);
+        match open(path) {
+            Ok(tail) => segments.push(tail),
+            Err(e @ DiskError::Io(_)) => return Err(e),
+            Err(_) => failed.push(meta.file.clone()),
+        }
         segment_metas.push(meta);
     }
     Ok(DirSnapshot {
@@ -393,7 +392,7 @@ fn open_resolved(
         segment_metas,
         quarantined,
         generation,
-        failed: Mutex::new(Vec::new()),
+        failed: Mutex::new(failed),
     })
 }
 

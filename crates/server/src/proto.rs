@@ -206,8 +206,9 @@ pub use warptree_core::error::ErrorCode;
 
 /// The one protocol version (stamped on every response): the op set
 /// `search`, `knn`, `batch`, `explain`, `ingest`, `info`, `health`,
-/// `stats`, `slowlog`, `metrics`, `shutdown`; degraded answers carry
-/// `"partial":true` plus a `"coverage"` object; query ops accept
+/// `stats`, `slowlog`, `metrics`, `shutdown`; a coordinator's answer
+/// with a shard down carries `"partial":true` plus a `"coverage"`
+/// object; query ops accept
 /// `"trace":true` / `"trace_id":"…"` and a `"backend"` pin; every ok
 /// query response carries `"timings":{"queue_ns":…,"service_ns":…}`
 /// and, when the client asked, the span tree under `"trace"`.
@@ -761,25 +762,6 @@ fn body_head(out: &mut String, generation: u64, count: usize) {
         out,
         "\"generation\":{generation},\"count\":{count},\"matches\":"
     );
-}
-
-/// Serializes [`Coverage`] accounting as a response fragment:
-/// `"partial":true,"coverage":{…}`. The fraction
-/// is rendered with the shared canonical number formatter so degraded
-/// responses stay byte-comparable.
-pub fn encode_coverage(c: &warptree_core::search::Coverage) -> String {
-    format!(
-        "\"partial\":{},\"coverage\":{{\"segments_total\":{},\"segments_answered\":{},\
-         \"segments_quarantined\":{},\"suffixes_total\":{},\"suffixes_answered\":{},\
-         \"fraction\":{}}}",
-        c.is_partial(),
-        c.segments_total,
-        c.segments_answered,
-        c.segments_quarantined,
-        c.suffixes_total,
-        c.suffixes_answered,
-        num(c.fraction())
-    )
 }
 
 /// Serializes funnel stats as the 16-field `"stats"` object of an
@@ -1706,31 +1688,6 @@ mod tests {
             let err = Request::parse(frame, false).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{frame:?}");
         }
-    }
-
-    #[test]
-    fn coverage_fragment_is_stable_and_parseable() {
-        let c = warptree_core::search::Coverage {
-            segments_total: 3,
-            segments_answered: 2,
-            segments_quarantined: 1,
-            suffixes_total: 100,
-            suffixes_answered: 75,
-        };
-        let frag = encode_coverage(&c);
-        assert_eq!(
-            frag,
-            r#""partial":true,"coverage":{"segments_total":3,"segments_answered":2,"segments_quarantined":1,"suffixes_total":100,"suffixes_answered":75,"fraction":0.75}"#
-        );
-        let resp = ok_response("search", &format!("\"matches\":[],{frag}"));
-        let parsed = crate::json::parse(&resp).unwrap();
-        assert_eq!(parsed.get("partial").and_then(Json::as_bool), Some(true));
-        let cov = parsed.get("coverage").unwrap();
-        assert_eq!(
-            cov.get("segments_quarantined").and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(cov.get("fraction").and_then(Json::as_f64), Some(0.75));
     }
 
     /// JSON-ish fragments: sequences of them reach every branch of the

@@ -24,9 +24,9 @@
 //! hot reloads change which snapshot *new* requests pin, nothing else.
 //!
 //! A query runs [`DirSnapshot::query_with`], the query path every
-//! caller of a directory shares (a failing tail is left out, a failing
-//! base is `corruption_detected`); only the server then quarantines the
-//! tails a snapshot caught failing, once each, and republishes.
+//! caller of a directory shares (while any index is damaged, the whole
+//! answer comes by sequential scan); only the server then quarantines
+//! the tails a snapshot found failing, once each, and republishes.
 
 use std::fmt::Write as _;
 use std::io;
@@ -37,8 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use warptree_core::error::CoreError;
-use warptree_core::search::{Coverage, QueryOutput, QueryRequest, SearchMetrics, SearchStats};
+use warptree_core::search::{QueryOutput, QueryRequest, SearchMetrics, SearchStats};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
     append_segment_with, compact_once_with, open_dir_snapshot_with, quarantine_segment_with,
@@ -511,10 +510,11 @@ impl Handler for ShardHandler {
             Request::Health => {
                 let snap = ctx.cell.get();
                 let quarantined = snap.quarantined.len();
-                // Degraded is still *serving* — every answer over the
-                // remaining segments is correct and labeled partial — but
-                // operators watching health see the coverage loss.
-                let status = if quarantined > 0 {
+                // Degraded is still *serving* — every answer over a
+                // damaged index comes by sequential scan and is complete —
+                // but operators watching health see that it costs time
+                // until scrub heals it.
+                let status = if snap.is_damaged() {
                     "degraded"
                 } else {
                     "serving"
@@ -635,10 +635,9 @@ fn run_timed(work: &Work, req: Request, queue_ns: u64) -> String {
 /// * tail segments the snapshot caught failing a read are quarantined
 ///   (one tombstone manifest generation each, then a republish) so
 ///   later requests skip them up front;
-/// * partial answers are metered (`search.partial_queries`);
-/// * an error is typed and metered as a bad request, or as corruption
-///   (`corruption_detected`: a failed base index, which no answer can
-///   leave out).
+/// * answers over a damaged snapshot, which come by sequential scan,
+///   are metered (`search.scan_queries`);
+/// * an error is typed and metered as a bad request.
 ///
 /// On success the stats have already been folded into the shared
 /// process-wide bundle; the returned copy is for per-request reporting
@@ -655,17 +654,13 @@ fn run_query(
         Ok(out) => {
             let stats = req.final_stats(&out, &metrics);
             work.ctx.search_metrics.add(&stats);
-            if out.is_partial() {
-                work.ctx.registry.counter("search.partial_queries").incr();
+            if snap.is_damaged() {
+                work.ctx.registry.counter("search.scan_queries").incr();
             }
             Ok((out, stats))
         }
         Err(e) => {
-            let counter = match e {
-                CoreError::CorruptionDetected { .. } => "server.corruption_errors",
-                _ => "server.bad_requests",
-            };
-            work.ctx.registry.counter(counter).incr();
+            work.ctx.registry.counter("server.bad_requests").incr();
             Err(proto::core_error_response(&e))
         }
     }
@@ -676,8 +671,8 @@ fn run_query(
 /// segment, then a republish so the serving snapshot stops fanning out
 /// to them. A tail is quarantined once, not once per query over a
 /// stale snapshot. Best-effort — a failed quarantine only means a later
-/// query re-detects and retries; the current answer is already correct
-/// without the segment.
+/// query re-detects and retries; the current answer came by scan and is
+/// already complete.
 fn quarantine_failed(work: &Work, snap: &DirSnapshot) {
     let failed = snap.failed_tails();
     if failed.is_empty() {
@@ -701,24 +696,6 @@ fn quarantine_failed(work: &Work, snap: &DirSnapshot) {
     }
 }
 
-/// Appends the `,"partial":…,"coverage":{…}` response suffix, present
-/// exactly when the output carried coverage accounting (i.e. the index
-/// is degraded); a clean index emits nothing.
-fn push_coverage(resp: &mut String, coverage: Option<&Coverage>) {
-    if let Some(c) = coverage {
-        resp.push(',');
-        resp.push_str(&proto::encode_coverage(c));
-    }
-}
-
-/// Appends one threshold answer — the search body, then the coverage
-/// suffix — to `resp`: the whole `search` reply after its opening, and
-/// one element of a `batch` reply's `results`.
-fn push_answer(resp: &mut String, out: &QueryOutput, generation: u64) {
-    proto::search_body_into(resp, generation, out.matches());
-    push_coverage(resp, out.coverage.as_ref());
-}
-
 fn execute(work: &Work, req: Request) -> String {
     // The write path never pins a snapshot — it *produces* one.
     let req = match req {
@@ -737,7 +714,7 @@ fn execute(work: &Work, req: Request) -> String {
             run_query(work, &snap, &req).map(|(out, _)| {
                 let mut resp = proto::ok_open("search");
                 resp.push(',');
-                push_answer(&mut resp, &out, snap.generation);
+                proto::search_body_into(&mut resp, snap.generation, out.matches());
                 resp.push('}');
                 resp
             })
@@ -746,12 +723,10 @@ fn execute(work: &Work, req: Request) -> String {
             params.threads = clamp(params.threads);
             let req = QueryRequest::knn_params(&query, params).capped(work.ctx.max_query_len);
             run_query(work, &snap, &req).map(|(out, _)| {
-                let coverage = out.coverage;
                 let matches = out.into_ranked();
                 let mut resp = proto::ok_open("knn");
                 resp.push(',');
                 proto::ranked_body_into(&mut resp, snap.generation, &matches);
-                push_coverage(&mut resp, coverage.as_ref());
                 resp.push('}');
                 resp
             })
@@ -824,7 +799,7 @@ fn execute(work: &Work, req: Request) -> String {
                             resp.push(',');
                         }
                         resp.push('{');
-                        push_answer(&mut resp, &out, snap.generation);
+                        proto::search_body_into(&mut resp, snap.generation, out.matches());
                         resp.push('}');
                     }
                     Item::Expired => {
@@ -859,7 +834,6 @@ fn execute(work: &Work, req: Request) -> String {
                 proto::search_body_into(&mut resp, snap.generation, out.matches());
                 resp.push_str(",\"stats\":");
                 resp.push_str(&proto::encode_stats(&stats));
-                push_coverage(&mut resp, out.coverage.as_ref());
                 resp.push('}');
                 resp
             })
@@ -876,7 +850,7 @@ fn execute(work: &Work, req: Request) -> String {
             resp
         }
         // Already a complete response; the failure was metered where it
-        // was classified (bad request vs. corruption vs. partial).
+        // was classified.
         Err(resp) => resp,
     }
 }

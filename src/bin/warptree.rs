@@ -25,7 +25,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use warptree::core::analysis::{longest_repeated, top_motifs, TreeStats};
-use warptree::core::search::Coverage;
 use warptree::prelude::*;
 use warptree::{
     build_index_dir_backend, build_index_dir_backend_metered, open_index_dir,
@@ -421,22 +420,18 @@ fn open_index_metered(dir: &Path, reg: &MetricsRegistry) -> Result<DiskIndexDir,
     Ok(idx)
 }
 
-/// Says on stderr that an answer is partial: how much of the directory
-/// answered and which segments it left out. The CLI never writes to the
-/// directory, so healing is left to `scrub`.
-fn report_partial(dir: &Path, idx: &DiskIndexDir, coverage: Option<&Coverage>) {
-    let Some(c) = coverage.filter(|c| c.is_partial()) else {
+/// Says on stderr that the answer came by sequential scan because an
+/// index file is damaged, and names it. The answer is complete; the CLI
+/// never writes to the directory, so healing is left to `scrub`.
+fn report_degraded(dir: &Path, idx: &DiskIndexDir) {
+    let damaged = idx.damaged();
+    if damaged.is_empty() {
         return;
-    };
-    let quarantined = idx.quarantined.iter().map(|m| m.file.clone());
-    let excluded: Vec<String> = quarantined.chain(idx.failed_tails()).collect();
+    }
     eprintln!(
-        "partial: {}/{} segments answered, {:.1}% of suffixes; excluded {}; \
+        "degraded: answered by sequential scan; damaged {}; \
          run `warptree scrub {}` to heal",
-        c.segments_answered,
-        c.segments_total,
-        100.0 * c.fraction(),
-        excluded.join(", "),
+        damaged.join(", "),
         dir.display()
     );
 }
@@ -732,7 +727,7 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         params.cascade = cascade;
         let req = QueryRequest::knn_params(&query, params);
         let out = idx.query_with(&req, &metrics).map_err(|e| e.to_string())?;
-        report_partial(&dir, &idx, out.coverage.as_ref());
+        report_degraded(&dir, &idx);
         let matches = out.into_ranked();
         let head = format!(
             "{} nearest subsequences in {:.2?} ({} nodes visited):",
@@ -753,7 +748,7 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         params.cascade = cascade;
         let req = QueryRequest::threshold_params(&query, params);
         let out = idx.query_with(&req, &metrics).map_err(|e| e.to_string())?;
-        report_partial(&dir, &idx, out.coverage.as_ref());
+        report_degraded(&dir, &idx);
         let answers = out.into_answer_set();
         let stats = metrics.snapshot();
         let head = format!(
@@ -822,7 +817,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     params.cascade = !o.flag("no-cascade");
     let idx = open_index(&dir)?;
     let (_, report) = idx.explain(&query, &params).map_err(|e| e.to_string())?;
-    report_partial(&dir, &idx, report.coverage.as_ref());
+    report_degraded(&dir, &idx);
     if o.flag("json") {
         println!("{}", report.to_json());
     } else {
@@ -889,7 +884,7 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
     let (out, _) = idx
         .query(&QueryRequest::threshold_params(&query, params))
         .map_err(|e| e.to_string())?;
-    report_partial(&dir, &idx, out.coverage.as_ref());
+    report_degraded(&dir, &idx);
     let episodes = out.into_answer_set().non_overlapping();
     if episodes.is_empty() {
         return Err("no similar episodes found — raise --epsilon".into());

@@ -10,15 +10,12 @@
 //! cost in page and node-cache traffic.
 
 use warptree_core::error::CoreError;
-use warptree_core::search::{
-    AnswerSet, Coverage, QueryRequest, SearchMetrics, SearchParams, SearchStats,
-};
+use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
 use warptree_core::sequence::Value;
 use warptree_obs::json::num;
 use warptree_obs::HistogramSnapshot;
 
 use warptree_disk::DirSnapshot;
-use warptree_server::proto::encode_coverage;
 
 use crate::Index;
 
@@ -71,10 +68,10 @@ pub struct ExplainReport {
     pub postprocess: HistogramSnapshot,
     /// Cache/page traffic of the run (disk indexes only).
     pub io: Option<ExplainIo>,
-    /// What part of a directory answered, when a segment was missing
-    /// (quarantined, or caught failing by this run); `None` for a
-    /// complete answer.
-    pub coverage: Option<Coverage>,
+    /// How the query was answered: `"index"`, or `"scan"` — the
+    /// sequential scan a directory with a damaged index answers by
+    /// (see [`DirSnapshot::query_with`]).
+    pub plan: &'static str,
 }
 
 impl ExplainReport {
@@ -120,7 +117,7 @@ impl ExplainReport {
             &QueryRequest::threshold_params(query, params.clone()),
             &metrics,
         )?;
-        let coverage = out.coverage;
+        let plan = if dir.is_damaged() { "scan" } else { "index" };
         let answers = out.into_answer_set();
         let io1 = Self::dir_io_totals(dir);
         let io = ExplainIo {
@@ -140,7 +137,7 @@ impl ExplainReport {
             &metrics,
             Some(io),
         );
-        Ok((answers, ExplainReport { coverage, ..report }))
+        Ok((answers, ExplainReport { plan, ..report }))
     }
 
     /// Cumulative cache/page traffic of every tree in the directory.
@@ -176,7 +173,7 @@ impl ExplainReport {
             filter: metrics.filter_ns.snapshot(),
             postprocess: metrics.postprocess_ns.snapshot(),
             io,
-            coverage: None,
+            plan: "index",
         }
     }
 
@@ -255,7 +252,7 @@ impl ExplainReport {
                 "\"cells\":{{\"filter\":{},\"postprocess\":{},",
                 "\"rows_pushed\":{},\"rows_unshared\":{}}},",
                 "\"time_ms\":{{\"filter\":{},\"postprocess\":{}}},",
-                "\"io\":{},{}}}"
+                "\"io\":{},\"plan\":\"{}\"}}"
             ),
             self.kind,
             self.backend,
@@ -285,8 +282,7 @@ impl ExplainReport {
             num(self.filter.sum as f64 / 1e6),
             num(self.postprocess.sum as f64 / 1e6),
             io,
-            (self.coverage.as_ref())
-                .map_or(r#""partial":false,"coverage":null"#.into(), encode_coverage),
+            self.plan,
         )
     }
 }
@@ -300,6 +296,7 @@ impl std::fmt::Display for ExplainReport {
             "index:  {} {}, {} stored suffixes",
             self.kind, self.backend, self.suffixes
         )?;
+        writeln!(f, "plan:   {}", self.plan)?;
         writeln!(f, "filter funnel:")?;
         writeln!(
             f,
@@ -460,7 +457,7 @@ mod tests {
         assert!(j.contains("\"cascade\""));
         assert!(j.contains("\"lb_keogh_kills\""));
         assert!(j.contains("\"io\":null"));
-        assert!(j.ends_with(",\"partial\":false,\"coverage\":null}"));
+        assert!(j.ends_with(",\"plan\":\"index\"}"));
         let text = r.to_string();
         assert!(text.contains("filter funnel"));
         assert!(text.contains("exact DTW checks"));

@@ -294,8 +294,8 @@ impl Index {
 /// recovery: the [`DirSnapshot`](warptree_disk::DirSnapshot) it derefs
 /// to — `store`, `alphabet`, `cat`, the base `tree`, the tail
 /// `segments`, `generation`, and `query` / `query_with`, the one query
-/// over them (a corrupt tail makes a labeled partial answer, a corrupt
-/// base a typed error) — plus what the recovery sweep found.
+/// over them (while an index file is damaged, it answers completely by
+/// sequential scan) — plus what the recovery sweep found.
 pub struct DiskIndexDir {
     /// The opened generation.
     pub snapshot: warptree_disk::DirSnapshot,

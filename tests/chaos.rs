@@ -5,10 +5,10 @@
 //! server under fault injection **never returns a wrong answer**.
 //! Every response is one of
 //!
-//! * byte-identical to the clean answer (matches and distances),
-//! * a typed error frame (`corruption_detected`, `overloaded`, …), or
-//! * an honestly-labeled partial result — `"partial":true` with
-//!   coverage accounting that matches the quarantined-segment set.
+//! * byte-identical to the clean answer (matches and distances) — over
+//!   a damaged index too, which answers by sequential scan over the
+//!   CRC-verified corpus, or
+//! * a typed error frame (`overloaded`, `deadline_exceeded`, …).
 //!
 //! Disk faults are real on-disk corruption (bit flips in committed
 //! pages, caught by the pager's per-page CRC); network faults come
@@ -25,8 +25,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use warptree::{build_index_dir, Categorization};
-use warptree_core::error::CoreError;
-use warptree_core::search::{Coverage, QueryRequest, SearchMetrics, SearchParams};
+use warptree_core::search::Match;
+use warptree_core::search::{
+    seq_scan, QueryRequest, SearchMetrics, SearchParams, SearchStats, SeqScanMode,
+};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
     open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, RealVfs, PAGE_SIZE,
@@ -147,6 +149,30 @@ fn chaos_queries() -> Vec<Vec<f64>> {
 
 const EPSILON: f64 = 3.0;
 
+fn chaos_request(q: &[f64]) -> QueryRequest {
+    QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON))
+}
+
+/// What `seq_scan(Cascade)` counts for `q` over `store`: the stats of a
+/// query a damaged directory answers by scan.
+fn scan_stats(store: &SequenceStore, q: &[f64]) -> SearchStats {
+    let mut stats = SearchStats::default();
+    let params = SearchParams::with_epsilon(EPSILON);
+    seq_scan(store, q, &params, SeqScanMode::Cascade, &mut stats);
+    stats
+}
+
+/// Every chaos query's answer over the directory at `dir`, which must
+/// be clean.
+fn clean_answers(dir: &Path) -> Vec<Vec<Match>> {
+    let snap = open_dir_snapshot_with(&RealVfs, dir, 8, 64).unwrap();
+    let answers = (chaos_queries().iter())
+        .map(|q| snap.query(&chaos_request(q)).unwrap().0.matches().to_vec())
+        .collect();
+    assert!(!snap.is_damaged(), "the baseline directory is clean");
+    answers
+}
+
 // ---------------------------------------------------------------------
 // Disk-only: direct API round trip (detection → quarantine → restart →
 // heal → full coverage), the recovery-on-open proof.
@@ -156,21 +182,10 @@ const EPSILON: f64 = 3.0;
 fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     let dir = tmpdir("roundtrip");
     let (seg1, _seg2) = build_chaos_dir(&dir);
-    let req = |q: &[f64]| QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
+    let req = chaos_request;
 
     // Clean baseline.
-    let clean: Vec<_> = {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-        chaos_queries()
-            .iter()
-            .map(|q| {
-                let (out, _) = snap.query(&req(q)).unwrap();
-                assert!(snap.failed_tails().is_empty());
-                assert!(out.coverage.is_none(), "clean index carries no coverage");
-                out.matches().to_vec()
-            })
-            .collect()
-    };
+    let clean = clean_answers(&dir);
     assert!(
         clean.iter().any(|m| !m.is_empty()),
         "baseline must find matches or the equivalence checks are vacuous"
@@ -185,35 +200,16 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
         vec![seg1.clone()],
         "CRC failure detected mid-query"
     );
-    let cov = out.coverage.expect("degraded answer carries coverage");
-    assert!(cov.is_partial());
-    assert_eq!(
-        (
-            cov.segments_total,
-            cov.segments_answered,
-            cov.segments_quarantined
-        ),
-        (3, 2, 1)
-    );
-    assert!(
-        cov.fraction() > 0.0 && cov.fraction() < 1.0,
-        "{}",
-        cov.fraction()
-    );
-    // Partial answers are a subset of the clean answers — corruption
-    // removes coverage, it never invents or perturbs matches.
-    for m in out.matches() {
-        assert!(
-            clean[0].contains(m),
-            "degraded match {m:?} not in clean answer set"
-        );
-    }
+    assert_eq!(snap.damaged(), vec![seg1.clone()]);
+    // Corruption costs the index, never an answer: the corpus answers
+    // for the failed segment, exactly.
+    assert_eq!(out.matches(), &clean[0][..]);
 
     // Tombstone it, as the server would after detection.
     warptree_disk::quarantine_segment_with(&RealVfs, &dir, &seg1).unwrap();
 
     // "Restart": a fresh open must skip the quarantined segment up
-    // front (no per-query re-detection) and still label answers.
+    // front (no per-query re-detection) and still answer completely.
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert_eq!(snap.quarantined.len(), 1);
     assert_eq!(snap.segments.len(), 1, "quarantined segment not opened");
@@ -222,8 +218,8 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
         snap.failed_tails().is_empty(),
         "no re-detection after quarantine"
     );
-    let cov = out.coverage.expect("still partial after restart");
-    assert_eq!(cov.segments_quarantined, 1);
+    assert_eq!(snap.damaged(), vec![seg1.clone()]);
+    assert_eq!(out.matches(), &clean[1][..]);
 
     // Heal: scrub rebuilds the quarantined segment from the corpus.
     let reg = MetricsRegistry::new();
@@ -231,105 +227,78 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     assert_eq!(report.healed, vec![seg1]);
     assert!(report.unrecoverable.is_none());
 
-    // Full coverage resumes, byte-identical to the clean baseline.
+    // The index answers again, byte-identical to the clean baseline.
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     assert!(snap.quarantined.is_empty());
-    for (q, want) in chaos_queries().iter().zip(&clean) {
-        let (out, _) = snap.query(&req(q)).unwrap();
-        assert!(out.coverage.is_none(), "healed index is no longer partial");
-        assert_eq!(
-            out.matches(),
-            &want[..],
-            "healed answers identical for {q:?}"
-        );
-    }
+    assert_eq!(clean_answers(&dir), clean, "healed answers identical");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A base index whose pages fail their CRC past the header answers
+/// every query by sequential scan, exactly, and scrub reports it
+/// unrecoverable without mutating (a base is not rebuilt in place).
 #[test]
-fn base_tree_corruption_is_a_typed_hard_error() {
+fn base_tree_corruption_answers_by_scan_and_scrub_refuses_it() {
     let dir = tmpdir("basecorrupt");
     build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
     let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
     corrupt_pages_after_first(&resolved.index_path);
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    match snap.query(&req) {
-        Err(e @ CoreError::CorruptionDetected { .. }) => {
-            let msg = e.to_string();
-            assert!(msg.contains("corruption"), "typed corruption error: {msg}");
-        }
-        other => panic!("base-tree corruption must be a hard typed error, got {other:?}"),
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let (out, stats) = snap.query(&chaos_request(q)).unwrap();
+        assert_eq!(out.matches(), &want[..], "{q:?}");
+        assert_eq!(stats, scan_stats(&snap.store, q), "{q:?}");
     }
-    // And the scrub pass reports it unrecoverable without mutating.
     let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
     assert!(report.unrecoverable.is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// One query path: `DirSnapshot::query` over a tail that fails its CRC
-/// answers exactly as a clean directory of the surviving sequences does
-/// — answers and every counter, which come from the attempt that
-/// answered alone — and labels the answer with the missing tail's
-/// coverage. `query_with` counts the same into the caller's metrics.
+/// answers exactly as the clean directory does, by sequential scan —
+/// its counters are `seq_scan(Cascade)`'s, from the plan that answered
+/// alone. `query_with` counts the same into the caller's metrics, and
+/// later queries on the snapshot scan up front.
 #[test]
-fn a_corrupt_tail_answers_like_a_clean_directory_of_the_survivors() {
+fn a_corrupt_tail_answers_like_the_clean_directory() {
     let dir = tmpdir("one-path-tail");
     let (_seg1, seg2) = build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
     corrupt_pages_after_first(&dir.join(&seg2));
-    // The same base and first tail, without the second.
-    let survivors = tmpdir("one-path-survivors");
-    let base = gen_store(1, 24, 24);
-    build_index_dir(&base, Categorization::EqualLength(8), false, 64, &survivors).unwrap();
-    warptree::append_index_dir(&survivors, &gen_store(1000, 36, 28)).unwrap();
-    let clean = open_dir_snapshot_with(&RealVfs, &survivors, 8, 64).unwrap();
     let open = || open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let total = open().store.total_len();
-    let coverage = Coverage {
-        segments_total: 3,
-        segments_answered: 2,
-        segments_quarantined: 1,
-        suffixes_total: total,
-        suffixes_answered: total - gen_store(2000, 36, 28).total_len(),
-    };
-    for q in chaos_queries() {
-        let req = QueryRequest::threshold_params(&q, SearchParams::with_epsilon(EPSILON));
-        let (want, want_stats) = clean.query(&req).unwrap();
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let req = chaos_request(q);
         // A fresh snapshot each time, so every query trips over the tail.
         let snap = open();
+        let want_stats = scan_stats(&snap.store, q);
         let (out, stats) = snap.query(&req).unwrap();
         assert_eq!(snap.failed_tails(), vec![seg2.clone()]);
-        assert_eq!(out.coverage, Some(coverage), "{q:?}");
-        assert_eq!(out.matches(), want.matches(), "{q:?}");
+        assert_eq!(out.matches(), &want[..], "{q:?}");
         assert_eq!(stats, want_stats, "{q:?}");
         let snap = open();
         let metrics = SearchMetrics::new();
         let out = snap.query_with(&req, &metrics).unwrap();
-        assert_eq!(out.coverage, Some(coverage), "{q:?}");
+        assert_eq!(out.matches(), &want[..], "{q:?}");
         assert_eq!(metrics.snapshot(), want_stats, "{q:?}");
-        // Later queries on the snapshot leave the tail out up front.
+        // Later queries on the snapshot scan up front.
         let (again, again_stats) = snap.query(&req).unwrap();
-        assert_eq!(
-            (again.coverage, again.matches()),
-            (out.coverage, want.matches())
-        );
+        assert_eq!(again.matches(), &want[..]);
         assert_eq!(again_stats, want_stats);
     }
     std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&survivors).unwrap();
 }
 
 /// Queries racing over one snapshot trip over the same corrupt tail
-/// together: each one answers, partially and identically — none sees
-/// the failure recorded by another as an unexplained unwind.
+/// together: each one answers, completely — none sees the failure
+/// recorded by another as an unexplained unwind.
 #[test]
 fn racing_queries_over_a_corrupt_tail_all_answer() {
     let dir = tmpdir("one-path-race");
     let (seg1, _seg2) = build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
     corrupt_pages_after_first(&dir.join(&seg1));
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
+    let req = chaos_request(&chaos_queries()[0]);
     for _ in 0..4 {
         let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
         let outs: Vec<_> = std::thread::scope(|s| {
@@ -340,70 +309,139 @@ fn racing_queries_over_a_corrupt_tail_all_answer() {
         });
         assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
         for out in &outs {
-            assert!(out.is_partial());
-            assert_eq!(out.matches(), outs[0].matches());
+            assert_eq!(out.matches(), &clean[0][..]);
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A tail quarantined in `MANIFEST` is never opened, and the answer
-/// without it says so.
+/// without its index is the clean one: the corpus answers for it.
 #[test]
-fn a_quarantined_tail_labels_the_answer_partial() {
+fn a_quarantined_tail_answers_like_the_clean_directory() {
     let dir = tmpdir("one-path-quarantined");
     let (seg1, _seg2) = build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
     warptree_disk::quarantine_segment_with(&RealVfs, &dir, &seg1).unwrap();
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[1], SearchParams::with_epsilon(EPSILON));
-    let (out, _) = snap.query(&req).unwrap();
-    let cov = out
-        .coverage
-        .expect("an answer without a tail is labeled partial");
-    assert!(cov.is_partial());
-    assert_eq!(
-        (
-            cov.segments_total,
-            cov.segments_answered,
-            cov.segments_quarantined
-        ),
-        (3, 2, 1)
-    );
-    let missing = cov.suffixes_total - cov.suffixes_answered;
-    assert_eq!(missing, gen_store(1000, 36, 28).total_len());
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let (out, stats) = snap.query(&chaos_request(q)).unwrap();
+        assert_eq!(out.matches(), &want[..], "{q:?}");
+        assert_eq!(stats, scan_stats(&snap.store, q), "{q:?}");
+    }
+    assert_eq!(snap.damaged(), vec![seg1]);
     assert!(snap.failed_tails().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A base index that fails its CRC is `CorruptionDetected`, naming the
-/// file and the page, from `query` and `query_with` alike, and from
-/// every later query on the snapshot.
+/// A base index that fails its CRC past the header answers `query` and
+/// `query_with` alike, on the first query and every later one, exactly
+/// as the clean directory does; an invalid request still gets the typed
+/// error the clean directory gives. A base whose *header* page fails
+/// fails the open, with a typed error naming the file.
 #[test]
-fn a_corrupt_base_is_a_typed_error_naming_the_file() {
+fn a_corrupt_base_answers_like_the_clean_directory() {
     let dir = tmpdir("one-path-base");
     build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
     let index = resolve_dir_with(&RealVfs, &dir).unwrap().index_path;
-    corrupt_pages_after_first(&index);
     let name = index.file_name().unwrap().to_string_lossy().into_owned();
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    let errors = [
-        snap.query(&req).map(|_| ()),
-        snap.query_with(&req, &SearchMetrics::new()).map(|_| ()),
-        snap.query(&req).map(|_| ()),
+    let invalid = [
+        chaos_request(&[]),
+        chaos_request(&[1.0]).on_backend(warptree_core::search::BackendKind::Esa),
     ];
-    for e in errors {
-        match e {
-            Err(CoreError::CorruptionDetected { file, page }) => {
-                assert_eq!(file, name);
-                assert!(page >= 1, "page 0 is the intact header page");
-            }
-            other => panic!("expected a typed corruption error, got {other:?}"),
-        }
+    let clean_errors: Vec<_> = {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        invalid.iter().map(|r| snap.query(r).unwrap_err()).collect()
+    };
+    corrupt_pages_after_first(&index);
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let req = chaos_request(&chaos_queries()[0]);
+    let answers = [
+        snap.query(&req).unwrap().0,
+        snap.query_with(&req, &SearchMetrics::new()).unwrap(),
+        snap.query(&req).unwrap().0,
+    ];
+    for out in answers {
+        assert_eq!(out.matches(), &clean[0][..]);
     }
+    assert_eq!(snap.damaged(), vec![name.clone()]);
     assert!(snap.failed_tails().is_empty(), "the base is not a tail");
+    for (r, want) in invalid.iter().zip(&clean_errors) {
+        assert_eq!(&snap.query(r).unwrap_err(), want, "{r:?}");
+    }
+    // The header page is what the open reads: it cannot be answered
+    // around.
+    drop(snap);
+    let mut bytes = std::fs::read(&index).unwrap();
+    bytes[17] ^= 0xA5;
+    std::fs::write(&index, &bytes).unwrap();
+    match open_dir_snapshot_with(&RealVfs, &dir, 8, 64) {
+        Err(e @ warptree_disk::DiskError::CorruptionDetected { .. }) => {
+            assert_eq!(
+                e.to_string(),
+                format!("corruption detected in {name} (page 0)")
+            );
+        }
+        other => panic!(
+            "expected a typed corruption error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A tail whose header page fails its CRC does not fail the open: it is
+/// recorded damaged, named by `failed_tails`, and every query — threshold
+/// and k-NN — answers like the clean directory, by scan. A server
+/// started over it serves, reports `degraded`, and quarantines it on the
+/// first query.
+#[test]
+fn a_tail_whose_header_fails_answers_like_the_clean_directory() {
+    let dir = tmpdir("tail-header");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
+    let knn = QueryRequest::knn(&chaos_queries()[0], 5);
+    let clean_knn = {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        snap.query(&knn).unwrap().0.matches().to_vec()
+    };
+    let path = dir.join(&seg1);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[17] ^= 0xA5;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
+    assert_eq!(snap.segments.len(), 1, "the failed tail is not opened");
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let (out, stats) = snap.query(&chaos_request(q)).unwrap();
+        assert_eq!(out.matches(), &want[..], "{q:?}");
+        assert_eq!(stats, scan_stats(&snap.store, q), "{q:?}");
+    }
+    assert_eq!(snap.query(&knn).unwrap().0.matches(), &clean_knn[..]);
+    drop(snap);
+
+    let handle = Server::start(&dir, server_config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let h = client.health().unwrap();
+    assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
+    let v = client.search(&chaos_queries()[0], EPSILON, None).unwrap();
+    assert!(v.get("partial").is_none() && v.get("coverage").is_none());
+    let count = v.get("count").and_then(Json::as_u64).unwrap();
+    assert_eq!(count as usize, clean[0].len());
+    let h = client.health().unwrap();
+    assert_eq!(
+        h.get("quarantined_segments").and_then(Json::as_u64),
+        Some(1),
+        "the first query quarantines the tail"
+    );
+    handle.stop();
+    let manifest = resolve_dir_with(&RealVfs, &dir).unwrap().manifest;
+    assert!(manifest
+        .segments
+        .iter()
+        .any(|m| m.file == seg1 && m.quarantined));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -467,20 +505,16 @@ fn assert_check_fails_on_a_record(dir: &Path, seg: &str, why: &str) {
 
 /// A page CRC vouches for bytes, not for who wrote them: a record
 /// forged *with* a valid CRC whose edge label runs off its sequence must
-/// come back as a typed `BadRecord` through the same abort → exclude →
-/// partial-answer path as a failed CRC, not as a slice panic.
+/// come back as a typed `BadRecord` through the same abort → record →
+/// scan path as a failed CRC, not as a slice panic.
 #[test]
 fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     use warptree_disk::DiskError;
 
     let dir = tmpdir("hostile");
     let (seg1, _seg2) = build_chaos_dir(&dir);
-    let req =
-        QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    let clean = {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-        snap.query(&req).unwrap().0.matches().to_vec()
-    };
+    let req = chaos_request(&chaos_queries()[0]);
+    let clean = clean_answers(&dir).swap_remove(0);
     let record = forge_root_child_label(&dir, &seg1);
 
     // The forged page passes every CRC check there is, and the record
@@ -492,17 +526,10 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("outside the corpus"), "{m}"),
         other => panic!("expected a typed BadRecord, got {other:?}"),
     }
-    // ...and a query over the directory answers without the segment.
+    // ...and a query over the directory answers by scan, exactly.
     let (out, _) = snap.query(&req).unwrap();
     assert_eq!(snap.failed_tails(), vec![seg1]);
-    let cov = out.coverage.expect("a degraded answer says so");
-    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    for m in out.matches() {
-        assert!(
-            clean.contains(m),
-            "degraded match {m:?} not in the clean set"
-        );
-    }
+    assert_eq!(out.matches(), &clean[..]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -514,18 +541,7 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
 fn scrub_finds_and_heals_a_hostile_record_behind_a_valid_crc() {
     let dir = tmpdir("hostile-scrub");
     let (seg1, _seg2) = build_chaos_dir(&dir);
-    let answers = || {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
-        let req =
-            |q: &[f64]| QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
-        (chaos_queries().iter())
-            .map(|q| {
-                let (out, _) = snap.query(&req(q)).unwrap();
-                assert!(snap.failed_tails().is_empty() && out.coverage.is_none());
-                out.matches().to_vec()
-            })
-            .collect::<Vec<_>>()
-    };
+    let answers = || clean_answers(&dir);
     let clean = answers();
     forge_root_child_label(&dir, &seg1);
 
@@ -544,7 +560,7 @@ fn scrub_finds_and_heals_a_hostile_record_behind_a_valid_crc() {
 /// `(seq, start, lead_run)` would become an occurrence post-processing
 /// slices the store with. One entry of one record the query walks — the
 /// one behind a clean answer — is sent past the end of its sequence
-/// under a valid CRC; the answer comes back partial, without the segment.
+/// under a valid CRC; the answer comes back by scan, still the clean one.
 #[test]
 fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     use warptree_disk::{DiskError, DiskTree, PAGE_DATA};
@@ -591,15 +607,7 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     }
     let (out, _) = snap.query(&req).unwrap();
     assert_eq!(snap.failed_tails(), vec![seg1]);
-    let cov = out.coverage.expect("a degraded answer says so");
-    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    assert!(out.matches().len() < clean.len());
-    for m in out.matches() {
-        assert!(
-            clean.contains(m),
-            "degraded match {m:?} not in the clean set"
-        );
-    }
+    assert_eq!(out.matches(), &clean[..]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -607,8 +615,9 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
 /// loaded whole at open: the root record of one tail segment gets a
 /// child slice far past the child table under a valid CRC. Open refuses
 /// the segment as a typed `BadRecord` instead of handing the arrays to
-/// the first query's `visit`; scrub quarantines it as it would a failed
-/// CRC, and the answer comes back partial, without the segment.
+/// the first query's `visit`, and records it damaged: the open succeeds
+/// and the answer comes back by scan, the clean one. Scrub quarantines
+/// the segment as it would a failed CRC, and the answer stays clean.
 #[test]
 fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
     use warptree_core::search::BackendKind;
@@ -640,25 +649,27 @@ fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
             .find(|at| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64)
             .unwrap()
     };
+    let cat = snap.cat.clone();
     drop(snap);
     forge_word(&dir.join(&seg1), word_at, u32::MAX - 1);
 
-    match open_dir_snapshot_with(&RealVfs, &dir, 8, 64) {
+    // The open refuses the segment alone as a typed `BadRecord`...
+    let path = dir.join(&seg1);
+    match warptree_disk::AnyIndex::open_with(&RealVfs, &path, cat, BackendKind::Esa, 8, 64) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("child slice"), "{m}"),
         other => panic!("expected a typed BadRecord, got {:?}", other.map(|_| ())),
     }
+    // ...and the directory opens with it recorded damaged.
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
+    let (out, _) = snap.query(&req).unwrap();
+    assert_eq!(out.matches(), &clean[..]);
+    drop(snap);
     let report = scrub_dir_with(&RealVfs, &dir, false, &MetricsRegistry::new()).unwrap();
     assert_eq!(report.newly_quarantined, vec![seg1]);
     let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
     let (out, _) = snap.query(&req).unwrap();
-    let cov = out.coverage.expect("a degraded answer says so");
-    assert_eq!((cov.segments_answered, cov.segments_quarantined), (2, 1));
-    for m in out.matches() {
-        assert!(
-            clean.contains(m),
-            "degraded match {m:?} not in the clean set"
-        );
-    }
+    assert_eq!(out.matches(), &clean[..]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -683,7 +694,7 @@ fn counts_and_matches(v: &Json) -> (u64, String) {
 }
 
 #[test]
-fn server_serves_partial_results_and_heals_across_restart() {
+fn server_serves_complete_results_and_heals_across_restart() {
     let dir = tmpdir("server");
     let (seg1, _seg2) = build_chaos_dir(&dir);
     let queries = chaos_queries();
@@ -696,7 +707,7 @@ fn server_serves_partial_results_and_heals_across_restart() {
             .iter()
             .map(|q| {
                 let v = client.search(q, EPSILON, None).unwrap();
-                assert!(v.get("partial").is_none(), "clean serving is not partial");
+                assert!(v.get("partial").is_none(), "clean serving is complete");
                 counts_and_matches(&v)
             })
             .collect();
@@ -709,23 +720,20 @@ fn server_serves_partial_results_and_heals_across_restart() {
     let handle = Server::start(&dir, server_config()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    // First query detects, quarantines, and answers partially.
+    // First query detects, quarantines, and answers by scan: the clean
+    // answer, with no partial label.
     let v = client.search(&queries[0], EPSILON, None).unwrap();
-    assert_eq!(v.get("partial").and_then(Json::as_bool), Some(true));
-    let cov = v
-        .get("coverage")
-        .expect("partial response carries coverage");
-    assert_eq!(cov.get("segments_total").and_then(Json::as_u64), Some(3));
-    assert_eq!(cov.get("segments_answered").and_then(Json::as_u64), Some(2));
-    assert_eq!(
-        cov.get("segments_quarantined").and_then(Json::as_u64),
-        Some(1)
-    );
-    let fraction = cov.get("fraction").and_then(Json::as_f64).unwrap();
-    assert!(fraction > 0.0 && fraction < 1.0, "{fraction}");
+    assert!(v.get("partial").is_none() && v.get("coverage").is_none());
+    assert_eq!(counts_and_matches(&v), clean[0]);
+    // Every later query scans up front, and answers the same.
+    for (q, want) in queries.iter().zip(&clean) {
+        let v = client.search(q, EPSILON, None).unwrap();
+        assert!(v.get("partial").is_none());
+        assert_eq!(&counts_and_matches(&v), want);
+    }
 
     // Health reports degraded (still serving); stats expose the gauge
-    // and the partial-query counter.
+    // and the scan-query counter.
     let h = client.health().unwrap();
     assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
     assert_eq!(
@@ -744,10 +752,10 @@ fn server_serves_partial_results_and_heals_across_restart() {
     assert!(
         metrics
             .get("counters")
-            .and_then(|c| c.get("search.partial_queries"))
+            .and_then(|c| c.get("search.scan_queries"))
             .and_then(Json::as_u64)
             .unwrap_or(0)
-            >= 1
+            >= 5
     );
 
     // Quarantine survives a full server restart (the tombstone is a
@@ -757,6 +765,8 @@ fn server_serves_partial_results_and_heals_across_restart() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let h = client.health().unwrap();
     assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
+    let v = client.search(&queries[1], EPSILON, None).unwrap();
+    assert_eq!(counts_and_matches(&v), clean[1]);
 
     // Offline scrub heals while the server is live; the reload watcher
     // picks up the healed generation.
@@ -819,9 +829,47 @@ fn background_scrub_worker_quarantines_and_heals() {
     }
     let h = client.health().unwrap();
     assert_eq!(h.get("status").and_then(Json::as_str), Some("serving"));
-    // Healed index answers with full coverage.
+    // The healed index answers, with no partial label.
     let v = client.search(&chaos_queries()[1], EPSILON, None).unwrap();
     assert!(v.get("partial").is_none());
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `health` says `degraded` once the published snapshot holds a failed
+/// tree, the base included: a base that fails its CRC mid-query answers
+/// by scan — the clean answer — and is counted as a scan query.
+#[test]
+fn health_is_degraded_while_the_base_is_corrupt() {
+    let dir = tmpdir("server-base");
+    build_chaos_dir(&dir);
+    let handle = Server::start(&dir, server_config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let clean: Vec<_> = (chaos_queries().iter())
+        .map(|q| counts_and_matches(&client.search(q, EPSILON, None).unwrap()))
+        .collect();
+    handle.stop();
+
+    let index = resolve_dir_with(&RealVfs, &dir).unwrap().index_path;
+    corrupt_pages_after_first(&index);
+    let handle = Server::start(&dir, server_config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let h = client.health().unwrap();
+    assert_eq!(h.get("status").and_then(Json::as_str), Some("serving"));
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let v = client.search(q, EPSILON, None).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(&counts_and_matches(&v), want);
+    }
+    let h = client.health().unwrap();
+    assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
+    assert_eq!(
+        h.get("quarantined_segments").and_then(Json::as_u64),
+        Some(0),
+        "a base is not quarantined"
+    );
+    let counters = handle.registry().snapshot().counters;
+    assert_eq!(counters.get("search.scan_queries").copied(), Some(4));
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -1036,14 +1084,12 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     let allowed_errors = [
         "overloaded",
         "deadline_exceeded",
-        "corruption_detected",
         "result_too_large",
         "shutting_down",
         "internal",
     ];
     let mut conn = ChaosConn::new(addr, 0xDEADBEEF);
     let mut parsed = 0u64;
-    let mut partials = 0u64;
     for round in 0..80 {
         if round == 30 {
             // The compactor may already have folded the original
@@ -1066,27 +1112,13 @@ fn full_chaos_matrix_with_concurrent_ingest() {
         parsed += 1;
         match v.get("ok").and_then(Json::as_bool) {
             Some(true) => {
-                // Structural honesty: count matches the match array; a
-                // partial flag always comes with consistent coverage.
+                // Structural honesty: count matches the match array, and
+                // a shard's answer is never partial.
                 let count = v.get("count").and_then(Json::as_u64).unwrap();
                 let matches = v.get("matches").and_then(Json::as_arr).unwrap();
                 assert_eq!(count as usize, matches.len(), "{text}");
-                if v.get("partial").and_then(Json::as_bool) == Some(true) {
-                    partials += 1;
-                    let cov = v.get("coverage").expect("partial implies coverage");
-                    let total = cov.get("segments_total").and_then(Json::as_u64).unwrap();
-                    let answered = cov.get("segments_answered").and_then(Json::as_u64).unwrap();
-                    let quarantined = cov
-                        .get("segments_quarantined")
-                        .and_then(Json::as_u64)
-                        .unwrap();
-                    assert!(answered < total, "{text}");
-                    assert_eq!(answered + quarantined, total, "{text}");
-                    let f = cov.get("fraction").and_then(Json::as_f64).unwrap();
-                    assert!(f > 0.0 && f <= 1.0, "{text}");
-                } else {
-                    assert!(v.get("coverage").is_none(), "{text}");
-                }
+                assert!(v.get("partial").is_none(), "{text}");
+                assert!(v.get("coverage").is_none(), "{text}");
             }
             Some(false) => {
                 let code = v
@@ -1116,10 +1148,9 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     for q in &queries {
         let req = QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));
         let (out, _) = snap.query(&req).unwrap();
-        assert!(out.coverage.is_none(), "healed index serves full coverage");
+        assert!(!snap.is_damaged(), "the healed index answers");
         let (clean_out, _) = snap.query(&req).unwrap();
         assert_eq!(out.matches(), clean_out.matches());
     }
-    let _ = partials; // may be 0 if every degraded exchange was eaten by net faults
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -789,115 +789,145 @@ fn run(args: &[&str]) -> (Option<i32>, String, String) {
     (out.status.code(), text(out.stdout), text(out.stderr))
 }
 
-/// The `partial:` line a query over `idx` without `segment` prints.
-fn assert_partial_line(stderr: &str, segment: &str) {
-    let line = stderr.lines().find(|l| l.starts_with("partial: "));
-    let line = line.unwrap_or_else(|| panic!("no partial: line in\n{stderr}"));
-    assert!(line.contains("1/2 segments answered"), "{line}");
-    assert!(line.contains("% of suffixes"), "{line}");
-    assert!(line.contains(segment), "{line}");
+/// The `degraded:` line a query over `idx` with `file` damaged prints.
+fn assert_degraded_line(stderr: &str, file: &str) {
+    let line = stderr.lines().find(|l| l.starts_with("degraded: "));
+    let line = line.unwrap_or_else(|| panic!("no degraded: line in\n{stderr}"));
+    let head = "degraded: answered by sequential scan; damaged ";
+    assert!(line.starts_with(head), "{line}");
+    assert!(line.contains(file), "{line}");
     assert!(line.contains("run `warptree scrub"), "{line}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
-/// A tail whose pages fail their CRC: `search`, `knn` and `explain`
-/// answer from the base alone, exit 0 and say so on stderr — the
-/// answers are exactly the sequential scan's over the base's sequences.
-#[test]
-fn a_corrupt_tail_answers_partially_from_the_base() {
-    let (dir, idx, base, query) = base_and_tail("corrupt-tail");
-    let seg = data_file(&idx, "segment-");
-    corrupt_pages_from(&seg, 1);
-    let name = seg.file_name().unwrap().to_str().unwrap();
-    let idx = idx.to_str().unwrap();
-    let q = query.as_str();
+/// A query report's match lines. The head line carries the wall time
+/// and the funnel counts of the plan that answered, so it is left out.
+fn match_lines(stdout: &str) -> Vec<String> {
+    stdout.lines().skip(1).map(str::to_string).collect()
+}
 
-    let (code, stdout, stderr) = run(&[
+/// `search` (every match) and `knn` over `idx`: exit 0, and the match
+/// lines of each, and stderr.
+fn search_and_knn(idx: &str, query: &str) -> [(Vec<String>, String); 2] {
+    let search = [
         "search",
         "--index-dir",
         idx,
         "--query",
-        q,
+        query,
         "--epsilon",
         "4",
         "--limit",
         "100000",
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert_partial_line(&stderr, name);
-    let store = warptree::data::load_csv(&base).unwrap();
+    ];
+    let knn = ["knn", "--index-dir", idx, "--query", query, "--k", "3"];
+    [&search[..], &knn[..]].map(|args| {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(0), "{stderr}");
+        (match_lines(&stdout), stderr)
+    })
+}
+
+/// A tail whose pages fail their CRC: `search`, `knn` and `explain`
+/// answer by sequential scan, exit 0 and say so on stderr — and the
+/// answers are the clean directory's, which are the sequential scan's
+/// over the whole corpus.
+#[test]
+fn a_corrupt_tail_answers_like_the_clean_directory() {
+    let (dir, idx, _, query) = base_and_tail("corrupt-tail");
+    let seg = data_file(&idx, "segment-");
+    let name = seg.file_name().unwrap().to_str().unwrap();
+    let q = query.as_str();
+    let explain = |idx: &str| {
+        let args = [
+            "explain",
+            "--index-dir",
+            idx,
+            "--query",
+            q,
+            "--epsilon",
+            "4",
+            "--json",
+        ];
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, Some(0), "{stderr}");
+        let v = warptree::server::json::parse(stdout.trim()).unwrap();
+        let answers = v.get("funnel").and_then(|f| f.get("answers"));
+        let plan = v.get("plan").and_then(|p| p.as_str().map(str::to_string));
+        (answers.and_then(|a| a.as_u64()), plan.unwrap(), stderr)
+    };
+
+    let clean = {
+        let idx = idx.to_str().unwrap();
+        let [search, knn] = search_and_knn(idx, q);
+        assert!(
+            search.1.is_empty() && knn.1.is_empty(),
+            "{}{}",
+            search.1,
+            knn.1
+        );
+        let (answers, plan, _) = explain(idx);
+        assert_eq!(plan, "index");
+        (search.0, knn.0, answers)
+    };
+    // The clean answer is the sequential scan's over the whole corpus.
+    let opened = warptree::open_index_dir(&idx, 64).unwrap();
     let values: Vec<f64> = query.split(',').map(|v| v.parse().unwrap()).collect();
     let params = warptree::core::search::SearchParams::with_epsilon(4.0);
     let mut stats = warptree::core::search::SearchStats::default();
     use warptree::core::search::{seq_scan, SeqScanMode};
-    let scan = seq_scan(&store, &values, &params, SeqScanMode::Full, &mut stats);
+    let scan = seq_scan(
+        &opened.store,
+        &values,
+        &params,
+        SeqScanMode::Full,
+        &mut stats,
+    );
     assert!(!scan.is_empty(), "the comparison needs answers");
     let mut want: Vec<String> = (scan.matches().iter())
         .map(|m| {
-            format!(
-                "  {} ({})  dist {:.4}",
-                m.occ,
-                store.display_name(m.occ.seq),
-                m.dist
-            )
+            let name = opened.store.display_name(m.occ.seq);
+            format!("  {} ({name})  dist {:.4}", m.occ, m.dist)
         })
         .collect();
-    let mut got: Vec<String> = stdout.lines().skip(1).map(str::to_string).collect();
+    let mut got = clean.0.clone();
     want.sort();
     got.sort();
     assert_eq!(got, want);
-    assert!(
-        stdout.starts_with(&format!("{} answers", scan.len())),
-        "{stdout}"
-    );
+    assert_eq!(clean.2, Some(scan.len() as u64));
+    drop(opened);
 
-    let (code, stdout, stderr) = run(&["knn", "--index-dir", idx, "--query", q, "--k", "3"]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.starts_with("3 nearest"), "{stdout}");
-    assert_partial_line(&stderr, name);
-
-    let (code, stdout, stderr) = run(&[
-        "explain",
-        "--index-dir",
-        idx,
-        "--query",
-        q,
-        "--epsilon",
-        "4",
-        "--json",
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(
-        stdout.contains("\"coverage\":{\"segments_total\":2,\"segments_answered\":1"),
-        "{stdout}"
-    );
-    assert_partial_line(&stderr, name);
+    corrupt_pages_from(&seg, 1);
+    let idx = idx.to_str().unwrap();
+    let [search, knn] = search_and_knn(idx, q);
+    assert_eq!(search.0, clean.0);
+    assert_degraded_line(&search.1, name);
+    assert_eq!(knn.0, clean.1);
+    assert_eq!(knn.0.len(), 3);
+    assert_degraded_line(&knn.1, name);
+    let (answers, plan, stderr) = explain(idx);
+    assert_eq!((answers, plan.as_str()), (clean.2, "scan"));
+    assert_degraded_line(&stderr, name);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// After `scrub --check-only` quarantines the corrupt tail, `search`
-/// no longer reads it, and still says the answer is partial.
+/// no longer reads it, still answers like the clean directory, and
+/// says the answer came by scan; `explain` says so too.
 #[test]
-fn a_quarantined_tail_answers_partially() {
+fn a_quarantined_tail_answers_like_the_clean_directory() {
     let (dir, idx, _, query) = base_and_tail("quarantined-tail");
     let seg = data_file(&idx, "segment-");
-    corrupt_pages_from(&seg, 1);
     let name = seg.file_name().unwrap().to_str().unwrap();
     let idx = idx.to_str().unwrap();
+    let [clean, clean_knn] = search_and_knn(idx, &query);
+    assert!(!clean.0.is_empty(), "the comparison needs answers");
+    corrupt_pages_from(&seg, 1);
     run(&["scrub", "--check-only", idx]);
-    let (code, stdout, stderr) = run(&[
-        "search",
-        "--index-dir",
-        idx,
-        "--query",
-        &query,
-        "--epsilon",
-        "4",
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("answers within"), "{stdout}");
-    assert_partial_line(&stderr, name);
-    // `explain` says so too.
+    let [search, knn] = search_and_knn(idx, &query);
+    assert_eq!(search.0, clean.0);
+    assert_degraded_line(&search.1, name);
+    assert_eq!(knn.0, clean_knn.0);
     let (_, _, stderr) = run(&[
         "explain",
         "--index-dir",
@@ -907,19 +937,30 @@ fn a_quarantined_tail_answers_partially() {
         "--epsilon",
         "4",
     ]);
-    assert_partial_line(&stderr, name);
+    assert_degraded_line(&stderr, name);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A base index whose pages fail their CRC cannot be left out: the
-/// query is a typed error naming the file, exit code 1, no panic.
+/// A base index whose pages fail their CRC past the header answers like
+/// the clean directory, by scan, exit 0, naming the file on stderr. A
+/// base whose header page fails cannot be answered around: the open is
+/// a typed error naming the file, exit code 1, no panic.
 #[test]
-fn a_corrupt_base_is_an_error_naming_the_file() {
+fn a_corrupt_base_answers_like_the_clean_directory() {
     let (dir, idx, _, query) = base_and_tail("corrupt-base");
     let index = data_file(&idx, "index-");
+    let name = index.file_name().unwrap().to_str().unwrap();
     let pages = std::fs::metadata(&index).unwrap().len() as usize / 8192;
-    corrupt_pages_from(&index, pages / 2);
     let idx = idx.to_str().unwrap();
+    let clean = search_and_knn(idx, &query);
+    corrupt_pages_from(&index, pages / 2);
+    for (got, want) in search_and_knn(idx, &query).iter().zip(&clean) {
+        assert_eq!(got.0, want.0);
+        assert_degraded_line(&got.1, name);
+    }
+    let mut bytes = std::fs::read(&index).unwrap();
+    bytes[17] ^= 0xA5;
+    std::fs::write(&index, &bytes).unwrap();
     for args in [
         &[
             "search",
@@ -935,7 +976,7 @@ fn a_corrupt_base_is_an_error_naming_the_file() {
         let (code, _, stderr) = run(args);
         assert_eq!(code, Some(1), "{stderr}");
         assert!(
-            stderr.starts_with("error: corruption detected in index-"),
+            stderr.starts_with(&format!("error: corruption detected in {name} (page 0)")),
             "{stderr}"
         );
         assert!(!stderr.contains("panicked"), "{stderr}");

@@ -256,7 +256,7 @@ impl Config {
 /// deterministic: each step takes the first uncovered pair and, among
 /// the valid configurations holding it, the one covering the most pairs
 /// still uncovered.
-fn covering_set() -> &'static [Config] {
+pub fn covering_set() -> &'static [Config] {
     static SET: OnceLock<Vec<Config>> = OnceLock::new();
     SET.get_or_init(|| {
         // Value `v` of dimension `d` is number `start[d] + v`, and the
@@ -1001,6 +1001,55 @@ impl Lab {
                 assert!(stats_agree, "{}: {cfg:?}: stats", c.name);
             }
         }
+    }
+
+    /// [`check`](Lab::check) for a directory whose index is damaged,
+    /// which answers by sequential scan: the matches are the
+    /// reference's, in its order, and bit for bit the oracle's once
+    /// sorted; the stats are `seq_scan(Cascade)`'s for the same request
+    /// (`EarlyAbandon`'s with the cascade off), a k-NN request's those
+    /// of its expansion rounds; an invalid request gets the typed error
+    /// the clean directory gives. Returns the files the directory
+    /// reports damaged.
+    pub fn check_scanned(&self, built: &Built, cfg: Config) -> Vec<String> {
+        let (c, dir) = (&self.corpus, built.dir());
+        let clean = self.built(&cfg);
+        let other = match cfg.backend.kind() {
+            BackendKind::Tree => BackendKind::Esa,
+            BackendKind::Esa => BackendKind::Tree,
+        };
+        for (i, (q, epsilon)) in c.queries.iter().enumerate() {
+            let ctx = format!("{}: scanned {cfg:?} q={q:?} eps={epsilon}", c.name);
+            let req = cfg.request(c, q, *epsilon);
+            let (out, stats) = dir.query(&req).unwrap();
+            let expected = self.expected(&cfg, i);
+            assert_eq!(out.matches(), &expected.0.matches[..], "{ctx}: matches");
+            let want = if cfg.knn() {
+                let metrics = SearchMetrics::new();
+                let scanned = scan_query_with(&c.store, &req, &metrics).unwrap();
+                req.final_stats(&scanned, &metrics)
+            } else {
+                let mut sorted = out.matches().to_vec();
+                sorted.sort_by_key(|m| m.occ);
+                assert_eq!(sorted, expected.1, "{ctx}: against seq_scan");
+                let mode = [SeqScanMode::EarlyAbandon, SeqScanMode::Cascade][cfg.cascade as usize];
+                let mut want = SearchStats::default();
+                seq_scan(&c.store, q, &cfg.params(c, *epsilon), mode, &mut want);
+                want
+            };
+            assert_eq!(stats, want, "{ctx}: stats");
+            let empty = QueryRequest {
+                query: Vec::new(),
+                ..req.clone()
+            };
+            for invalid in [empty, req.on_backend(other)] {
+                let got = dir.query(&invalid).map(|_| ());
+                assert!(got.is_err(), "{ctx}: {invalid:?} answered");
+                let want = clean.dir().query(&invalid).map(|_| ());
+                assert_eq!(got, want, "{ctx}: {invalid:?}");
+            }
+        }
+        dir.damaged()
     }
 
     /// Runs a test's pinned configurations, each one the product accepts.

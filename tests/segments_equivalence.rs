@@ -1,6 +1,7 @@
 //! Segmented layouts answer like one tree: three segments, two, and a
 //! full fold over the segment-boundary batches, the boundary match itself
-//! and a torn compaction. Harness in `tests/matrix/mod.rs`.
+//! and a torn compaction; and a directory with a damaged index answers
+//! like the oracle, by scan. Harness in `tests/matrix/mod.rs`.
 
 mod matrix;
 
@@ -8,7 +9,10 @@ use std::path::Path;
 
 use matrix::*;
 use warptree::prelude::*;
-use warptree_disk::{compact_once_with, FaultMode, FaultVfs};
+use warptree_disk::{
+    compact_once_with, quarantine_segment_with, resolve_dir_with, FaultMode, FaultVfs, RealVfs,
+    PAGE_SIZE,
+};
 
 /// The disk tree every segment test starts from.
 const DISK: Config = Config {
@@ -89,5 +93,60 @@ fn recovered_torn_compaction_answers_identically() {
         assert!(!folded || live == 2, "{mode:?} k={k}: lost a commit");
         compact_index_dir(&path).unwrap();
         assert_eq!(check(&path), 1, "{mode:?} k={k}: the retry left tails");
+    });
+}
+
+/// The branch-rich corpus's generator at a scale where the first
+/// batch's tree spans several pages: twelve sequences of 60–115 cents.
+fn multi_page() -> Corpus {
+    let mut state = 0x9E3779B9_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % 1000) as f64 / 100.0
+    };
+    let seqs: Vec<Vec<f64>> = (0..12)
+        .map(|i| (0..60 + 5 * i).map(|_| next()).collect())
+        .collect();
+    let batches = vec![seqs[..6].to_vec(), seqs[6..9].to_vec(), seqs[9..].to_vec()];
+    let queries = branch_rich().queries;
+    Corpus::new("multi page", batches, 6, queries, 2, (1, 7))
+}
+
+/// A damaged index costs time, never answers. For every segmented
+/// configuration of the covering set — tree and ESA, threshold and
+/// k-NN, 1, 2 and 8 threads — a copy with its first tail quarantined,
+/// and for the tree a copy whose base fails its page CRC mid-query,
+/// answers like the reference and the oracle, with `seq_scan(Cascade)`'s
+/// stats.
+#[test]
+fn damaged_directories_answer_like_the_oracle() {
+    let lab = Lab::new(multi_page());
+    let runs = covering_set().iter().filter(|cfg| cfg.segmented());
+    on_two_threads(runs.copied().collect(), |cfg| {
+        let clean = lab.corpus.commit(&cfg);
+        let quarantined = clean.copy("quarantined");
+        let manifest = resolve_dir_with(&RealVfs, &quarantined).unwrap().manifest;
+        let first = &manifest.segments[0].file;
+        quarantine_segment_with(&RealVfs, &quarantined, first).unwrap();
+        let built = Built::Dir(Box::new(open_index_dir(&quarantined, 64).unwrap()));
+        assert_eq!(lab.check_scanned(&built, cfg), vec![first.clone()]);
+        if cfg.backend != Backend::DiskTree {
+            return;
+        }
+        // Every page past the header fails its CRC, so the base opens
+        // and the first query trips over it.
+        let corrupt = clean.copy("corrupt-base");
+        let index = resolve_dir_with(&RealVfs, &corrupt).unwrap().index_path;
+        let mut bytes = std::fs::read(&index).unwrap();
+        assert!(bytes.len() > PAGE_SIZE, "{cfg:?}: a one-page base");
+        for page in bytes.chunks_mut(PAGE_SIZE).skip(1) {
+            page[0] ^= 0xA5;
+        }
+        std::fs::write(&index, &bytes).unwrap();
+        let built = Built::Dir(Box::new(open_index_dir(&corrupt, 64).unwrap()));
+        let name = index.file_name().unwrap().to_string_lossy();
+        assert_eq!(lab.check_scanned(&built, cfg), vec![name.into_owned()]);
     });
 }
