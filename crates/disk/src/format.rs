@@ -127,7 +127,7 @@ impl Header {
 }
 
 /// A node record copied out of its page ([`NodeView::to_node`]), for
-/// readers that hold several records at once (the merge, `to_mem`).
+/// readers that hold several records at once (`to_mem`, tests).
 /// Cheap to clone: the variable-length body is one shared allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskNode {
@@ -165,25 +165,29 @@ const NODE_HEAD: usize = 32;
 /// Size of one suffix or child entry of a node record.
 const NODE_ENTRY: usize = 12;
 
-/// Serializes a node record: the edge label entering the node, its
-/// subtree annotations, the suffixes attached to it and its children
-/// `(first_symbol, offset)` in symbol order.
+/// Serializes a node record onto the end of `out`: the edge label
+/// entering the node, its subtree annotations, the suffixes attached to
+/// it — given as runs written back to back — and its children
+/// `(first_symbol, offset)` in symbol order. A writer that emits many
+/// records reuses one buffer.
 pub fn encode_node(
+    out: &mut Vec<u8>,
     label: (SeqId, u32, u32),
     suffix_count: u64,
     max_lead_run: u32,
-    suffixes: &[(SeqId, u32, u32)],
+    suffixes: &[&[(SeqId, u32, u32)]],
     children: &[(Symbol, u64)],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(NODE_HEAD + NODE_ENTRY * (suffixes.len() + children.len()));
+) {
+    let n_suffixes: usize = suffixes.iter().map(|run| run.len()).sum();
+    out.reserve(NODE_HEAD + NODE_ENTRY * (n_suffixes + children.len()));
     out.extend_from_slice(&label.0 .0.to_le_bytes());
     out.extend_from_slice(&label.1.to_le_bytes());
     out.extend_from_slice(&label.2.to_le_bytes());
     out.extend_from_slice(&suffix_count.to_le_bytes());
     out.extend_from_slice(&max_lead_run.to_le_bytes());
-    out.extend_from_slice(&(suffixes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(n_suffixes as u32).to_le_bytes());
     out.extend_from_slice(&(children.len() as u32).to_le_bytes());
-    for (seq, start, run) in suffixes {
+    for &(seq, start, run) in suffixes.iter().copied().flatten() {
         out.extend_from_slice(&seq.0.to_le_bytes());
         out.extend_from_slice(&start.to_le_bytes());
         out.extend_from_slice(&run.to_le_bytes());
@@ -192,7 +196,6 @@ pub fn encode_node(
         out.extend_from_slice(&first.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
     }
-    out
 }
 
 /// A checked node record read in place: a borrowed view over the bytes
@@ -538,7 +541,7 @@ impl DiskTree {
     /// under the pool's lock, and must not read from this tree. One that
     /// runs on is gathered into a buffer first, one more page visit for
     /// each further page it reaches.
-    fn with_node<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
+    pub(crate) fn with_node<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
         let file_len = self.reader.logical_len();
         // Taken by whichever of the two decodes below finds the record whole.
         let mut f = Some(f);
@@ -690,6 +693,20 @@ impl IndexBackend for DiskTree {
 mod tests {
     use super::*;
 
+    /// One record, encoded on its own.
+    fn encoded(
+        label: (SeqId, u32, u32),
+        suffix_count: u64,
+        max_lead_run: u32,
+        suffixes: &[(SeqId, u32, u32)],
+        children: &[(Symbol, u64)],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        let runs = [suffixes];
+        encode_node(&mut out, label, suffix_count, max_lead_run, &runs, children);
+        out
+    }
+
     #[test]
     fn header_roundtrip() {
         let h = Header {
@@ -736,7 +753,7 @@ mod tests {
         let label = (SeqId(3), 7, 5);
         let suffixes = [(SeqId(3), 7, 2), (SeqId(1), 0, 1)];
         let children = [(0, 64), (5, (1 << 32) + 128)];
-        let enc = encode_node(label, 9, 4, &suffixes, &children);
+        let enc = encoded(label, 9, 4, &suffixes, &children);
         assert_eq!(enc.len(), 32 + 12 * 2 + 12 * 2);
         // The head fields lay out as documented.
         assert_eq!(u32::from_le_bytes(enc[0..4].try_into().unwrap()), 3);
@@ -792,7 +809,7 @@ mod tests {
             Err(DiskError::BadRecord(m)) => m,
             other => panic!("expected BadRecord, got {other:?}"),
         };
-        let ok = encode_node((SeqId(0), 1, 3), 1, 1, &[(SeqId(0), 1, 1)], &[(2, 64)]);
+        let ok = encoded((SeqId(0), 1, 3), 1, 1, &[(SeqId(0), 1, 1)], &[(2, 64)]);
         assert!(decode(&ok, 128, 4096).unwrap());
         // Counts that run past the end of the file, before any of the
         // body is looked at (or allocated for).
@@ -803,16 +820,16 @@ mod tests {
         assert!(bad(&ok[..8], 4090, 4096).contains("overruns"));
         // Labels that are not a range of a sequence of the store.
         for label in [(SeqId(1), 0, 1), (SeqId(0), 2, 3), (SeqId(0), u32::MAX, 2)] {
-            let enc = encode_node(label, 1, 1, &[], &[]);
+            let enc = encoded(label, 1, 1, &[], &[]);
             assert!(bad(&enc, 128, 4096).contains("outside the corpus"));
         }
         // A child at or after its parent.
         for child in [128, 4000] {
-            let enc = encode_node((SeqId(0), 0, 1), 1, 1, &[], &[(0, child)]);
+            let enc = encoded((SeqId(0), 0, 1), 1, 1, &[], &[(0, child)]);
             assert!(bad(&enc, 128, 4096).contains("does not precede"));
         }
         // The root's empty label names no sequence.
-        let root = encode_node((SeqId(9), 9, 0), 0, 0, &[], &[]);
+        let root = encoded((SeqId(9), 9, 0), 0, 0, &[], &[]);
         assert!(decode(&root, 64, 4096).unwrap());
         // Suffix entries that are not a position of the store with its
         // run behind it: no such sequence, a start at or past the end, a
@@ -827,7 +844,7 @@ mod tests {
             (SeqId(0), 3, u32::MAX),
         ] {
             // Behind an honest entry, so the check reaches every one.
-            let enc = encode_node((SeqId(0), 0, 1), 2, 1, &[(SeqId(0), 0, 1), suffix], &[]);
+            let enc = encoded((SeqId(0), 0, 1), 2, 1, &[(SeqId(0), 0, 1), suffix], &[]);
             assert!(
                 bad(&enc, 128, 4096).contains("suffix"),
                 "{suffix:?} must be refused"
@@ -835,7 +852,7 @@ mod tests {
         }
         // The last position with a run of one, and a run to the end, fit.
         let edge = [(SeqId(0), 3, 1), (SeqId(0), 1, 3)];
-        let enc = encode_node((SeqId(0), 0, 1), 2, 3, &edge, &[]);
+        let enc = encoded((SeqId(0), 0, 1), 2, 3, &edge, &[]);
         assert!(decode(&enc, 128, 4096).unwrap());
     }
 }

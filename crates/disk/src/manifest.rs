@@ -33,7 +33,7 @@ use warptree_core::search::BackendKind;
 use warptree_core::sequence::SequenceStore;
 use warptree_obs::MetricsRegistry;
 
-use crate::any::AnyIndex;
+use crate::any::{index_shape, AnyIndex};
 use crate::corpus::load_corpus_with;
 use crate::crc::crc32;
 use crate::cursor::Cursor;
@@ -798,9 +798,11 @@ fn check_file(
 /// Runs [`check_file`] over every committed file of `resolved`: the
 /// corpus, the base index, then every tail segment, quarantined ones
 /// included. The corpus parses by decoding; each index parses through
-/// [`AnyIndex::check`] against the decoded corpus — except a quarantined
-/// tail, which its manifest flag already marks bad, and every index
-/// when the corpus failed.
+/// [`AnyIndex::check`] against the decoded corpus, and a tail must have
+/// the base's shape (sparse flag and depth limit), without which it
+/// cannot be fanned out with the base — except a quarantined tail,
+/// which its manifest flag already marks bad, and every index when the
+/// corpus failed.
 pub(crate) fn check_dir(
     vfs: &dyn Vfs,
     resolved: &ResolvedDir,
@@ -815,10 +817,21 @@ pub(crate) fn check_dir(
     let tails = (resolved.segment_paths.iter().zip(&m.segments))
         .map(|(path, seg)| (path, seg.file_len, seg.quarantined));
     let indexes = std::iter::once((&resolved.index_path, m.index_len, false)).chain(tails);
+    let base = index_shape(vfs, &resolved.index_path, m.backend).ok();
     let mut files = vec![corpus];
     files.extend(indexes.map(|(path, len, quarantined)| {
         check_file(vfs, path, len, quarantined, reg, || match &cat {
-            Some(cat) if !quarantined => AnyIndex::check(vfs, path, cat.clone(), m.backend),
+            Some(cat) if !quarantined => {
+                AnyIndex::check(vfs, path, cat.clone(), m.backend)?;
+                match base {
+                    Some(base) if index_shape(vfs, path, m.backend)? != base => {
+                        Err(DiskError::BadHeader(
+                            "sparse flag or depth limit differs from the base index's".into(),
+                        ))
+                    }
+                    _ => Ok(()),
+                }
+            }
             _ => Ok(()),
         })
     }));

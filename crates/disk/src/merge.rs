@@ -5,13 +5,17 @@
 //! sequences are constructed in memory, flushed to disk, and pairwise
 //! merged. [`merge_trees`] performs one binary merge in a simultaneous
 //! pre-order traversal of both inputs, combining paths with common label
-//! prefixes and copying disjoint subtrees verbatim; the output is written
-//! post-order in a single sequential pass. Both inputs must reference the
-//! same [`CatStore`] (they index disjoint *suffix* sets of one database).
+//! prefixes and copying disjoint subtrees record by record; the output is
+//! written post-order in a single sequential pass. The traversal keeps
+//! its own stack, so a tree as deep as a flat-lined series is long
+//! merges on any thread, and reads each input record once, in place on
+//! its page. Both inputs must reference the same [`CatStore`] (they
+//! index disjoint *suffix* sets of one database).
 //!
 //! [`IncrementalBuilder`] drives the whole paper pipeline: batch →
 //! in-memory build → flush → level-by-level binary merges of trees of
-//! increasing size.
+//! increasing size. Its batch trees and all but the last merge are work
+//! files, never fsynced; only the file it hands back is.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -21,11 +25,11 @@ use warptree_core::parallel::parallel_map;
 use warptree_core::sequence::SeqId;
 use warptree_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::error::Result;
+use crate::error::{DiskError, Result};
 use crate::format::{encode_node, DiskTree, Header, HEADER_SIZE};
 use crate::pager::PagedWriter;
 use crate::vfs::{real_vfs, Vfs};
-use crate::writer::write_tree_with;
+use crate::writer::{write_tree_as, write_tree_with};
 
 /// Which input tree a cursor points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +38,54 @@ enum Side {
     B,
 }
 
+/// A half-open range of one of the merge's arenas.
+type Span = (usize, usize);
+
+/// A record read into the merge's arenas: its edge label, its suffix
+/// entries and its children.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    label: (SeqId, u32, u32),
+    suffixes: Span,
+    children: Span,
+}
+
 /// A node of an input tree with `skip` leading label symbols already
-/// consumed (the "rest of an edge" after a conceptual split).
+/// consumed (the "rest of an edge" after a conceptual split). A rest
+/// carries the record its split read, so no record is read twice.
 #[derive(Debug, Clone, Copy)]
 struct VNode {
     side: Side,
     offset: u64,
     skip: u32,
+    rec: Option<Rec>,
+}
+
+impl VNode {
+    fn at(side: Side, offset: u64) -> Self {
+        Self {
+            side,
+            offset,
+            skip: 0,
+            rec: None,
+        }
+    }
+
+    /// The rest of this node's edge past `common` more symbols.
+    fn rest(self, rec: Rec, common: u32) -> Self {
+        Self {
+            skip: self.skip + common,
+            rec: Some(rec),
+            ..self
+        }
+    }
+
+    /// The label this node's output record carries: its record's,
+    /// less the consumed symbols.
+    fn trimmed(self, rec: Rec) -> (SeqId, u32, u32) {
+        let (seq, start, len) = rec.label;
+        (seq, start + self.skip, len - self.skip)
+    }
 }
 
 /// Aggregate facts about a written output node, needed by its parent.
@@ -52,78 +97,224 @@ struct Written {
     max_run: u32,
 }
 
+/// One output node of the merge in progress: what its record carries
+/// of its own, and the child lists still to be merged (cursors into the
+/// `kids` arena, advanced from the front). The node is written once
+/// both lists are spent, after every child.
+struct Frame {
+    label: (SeqId, u32, u32),
+    /// Suffix entries attached to the node, A's before B's.
+    own: [Span; 2],
+    a: Span,
+    b: Span,
+    /// Whether `a` and `b` merge by first symbol (the recursive §4.1
+    /// step), or all of `a` goes before all of `b` (a copied subtree,
+    /// and the two rests below a split).
+    by_symbol: bool,
+    /// The arena lengths when the node was opened: everything it pushed
+    /// lies above them.
+    marks: [usize; 3],
+}
+
+/// What a frame does next.
+enum Step {
+    Copy(VNode),
+    Merge(VNode, VNode),
+    Emit,
+}
+
+/// The binary merge's state. Records are read once each, through the
+/// checked [`DiskTree::with_node`] path, into three arenas that grow
+/// and shrink with the explicit stack of [`Frame`]s: a frame's entries
+/// stay put until it is written, so a rest can point at the entries of
+/// the record its split read.
 struct MergeCtx<'t> {
     a: &'t DiskTree,
     b: &'t DiskTree,
     cat: &'t CatStore,
     w: PagedWriter,
     node_count: u64,
+    suffixes: Vec<(SeqId, u32, u32)>,
+    kids: Vec<(Symbol, VNode)>,
+    done: Vec<Written>,
+    /// One record's child entries and encoding, reused for every node.
+    entries: Vec<(Symbol, u64)>,
+    record: Vec<u8>,
 }
 
 impl<'t> MergeCtx<'t> {
-    fn tree(&self, side: Side) -> &'t DiskTree {
-        match side {
+    fn marks(&self) -> [usize; 3] {
+        [self.suffixes.len(), self.kids.len(), self.done.len()]
+    }
+
+    /// The record of `v`: the one its split read, or read now.
+    fn load(&mut self, v: VNode) -> Result<Rec> {
+        if let Some(rec) = v.rec {
+            return Ok(rec);
+        }
+        let tree = match v.side {
             Side::A => self.a,
             Side::B => self.b,
+        };
+        let (s0, k0) = (self.suffixes.len(), self.kids.len());
+        let (suffixes, kids) = (&mut self.suffixes, &mut self.kids);
+        let label = tree.with_node(v.offset, |node| {
+            suffixes.extend(node.suffixes());
+            kids.extend(
+                node.children()
+                    .map(|(sym, off)| (sym, VNode::at(v.side, off))),
+            );
+            node.label()
+        })?;
+        Ok(Rec {
+            label,
+            suffixes: (s0, self.suffixes.len()),
+            children: (k0, self.kids.len()),
+        })
+    }
+
+    /// Remaining label symbols of a vnode (a range the decode checked).
+    fn label(&self, v: VNode, rec: Rec) -> &'t [Symbol] {
+        let (seq, start, len) = rec.label;
+        if len == 0 {
+            return &[];
         }
+        &self.cat.seq(seq)[(start + v.skip) as usize..(start + len) as usize]
     }
 
-    /// Remaining label symbols of a vnode.
-    fn label(&self, v: VNode) -> Result<&'t [Symbol]> {
-        let node = self.tree(v.side).read_node(v.offset)?;
-        let (seq, start, len) = node.label;
-        let s = self.cat.seq(seq);
-        Ok(&s[(start + v.skip) as usize..(start + len) as usize])
+    /// Pushes one child entry, returning its one-entry list.
+    fn push_kid(&mut self, v: VNode, rec: Rec) -> Span {
+        let first = self.label(v, rec)[0];
+        self.kids.push((first, v));
+        (self.kids.len() - 1, self.kids.len())
     }
 
-    /// Children of a vnode's underlying node, as fresh vnodes.
-    fn children(&self, v: VNode) -> Result<Vec<(Symbol, VNode)>> {
-        let node = self.tree(v.side).read_node(v.offset)?;
-        Ok(node
-            .children()
-            .map(|(sym, off)| {
-                (
-                    sym,
-                    VNode {
-                        side: v.side,
-                        offset: off,
-                        skip: 0,
-                    },
-                )
-            })
-            .collect())
+    /// Opens the copy of the subtree at `v`, its label trimmed by
+    /// `v.skip`.
+    fn open_copy(&mut self, v: VNode) -> Result<Frame> {
+        let marks = self.marks();
+        let rec = self.load(v)?;
+        Ok(Frame {
+            label: v.trimmed(rec),
+            own: [rec.suffixes, (0, 0)],
+            a: rec.children,
+            b: (0, 0),
+            by_symbol: false,
+            marks,
+        })
     }
 
-    /// Writes one output node, returning its aggregate.
-    fn emit(
-        &mut self,
-        label: (SeqId, u32, u32),
-        suffixes: Vec<(SeqId, u32, u32)>,
-        children: Vec<Written>,
-    ) -> Result<Written> {
+    /// Opens the merge of two vnodes whose remaining labels start with
+    /// the same symbol (or are both empty, for the roots).
+    fn open_merge(&mut self, va: VNode, vb: VNode) -> Result<Frame> {
+        let marks = self.marks();
+        let ra = self.load(va)?;
+        let rb = self.load(vb)?;
+        let (la, lb) = (self.label(va, ra), self.label(vb, rb));
+        let common = la.iter().zip(lb).take_while(|(x, y)| x == y).count() as u32;
+        let (alen, blen) = (la.len() as u32, lb.len() as u32);
+        let mut frame = Frame {
+            label: va.trimmed(ra),
+            own: [ra.suffixes, (0, 0)],
+            a: ra.children,
+            b: rb.children,
+            by_symbol: true,
+            marks,
+        };
+        if common == alen && common == blen {
+            // Same edge: merge suffix labels and child lists.
+            frame.own[1] = rb.suffixes;
+        } else if common == alen {
+            // A's edge is a proper prefix of B's: B continues below A's
+            // node as one extra (virtual) child.
+            frame.b = self.push_kid(vb.rest(rb, common), rb);
+        } else if common == blen {
+            frame.label = vb.trimmed(rb);
+            frame.own[0] = rb.suffixes;
+            frame.a = self.push_kid(va.rest(ra, common), ra);
+        } else {
+            // Labels diverge inside both edges: fresh internal node for
+            // the common prefix, the two rests become its children, A's
+            // written first.
+            let (seq, start, _) = frame.label;
+            frame.label = (seq, start, common);
+            frame.own[0] = (0, 0);
+            frame.a = self.push_kid(va.rest(ra, common), ra);
+            frame.b = self.push_kid(vb.rest(rb, common), rb);
+            frame.by_symbol = false;
+        }
+        Ok(frame)
+    }
+
+    /// The next step of `frame`: a two-pointer merge of its child lists
+    /// sorted by first symbol (children sharing one merge), then the
+    /// rest of `a`, then the rest of `b` — or, once both are spent,
+    /// writing the node.
+    fn step(&self, frame: &mut Frame) -> Step {
+        let (a, b) = (&mut frame.a, &mut frame.b);
+        if frame.by_symbol && a.0 < a.1 && b.0 < b.1 {
+            let ((sa, va), (sb, vb)) = (self.kids[a.0], self.kids[b.0]);
+            return match sa.cmp(&sb) {
+                std::cmp::Ordering::Less => {
+                    a.0 += 1;
+                    Step::Copy(va)
+                }
+                std::cmp::Ordering::Greater => {
+                    b.0 += 1;
+                    Step::Copy(vb)
+                }
+                std::cmp::Ordering::Equal => {
+                    a.0 += 1;
+                    b.0 += 1;
+                    Step::Merge(va, vb)
+                }
+            };
+        }
+        for list in [a, b] {
+            if list.0 < list.1 {
+                list.0 += 1;
+                return Step::Copy(self.kids[list.0 - 1].1);
+            }
+        }
+        Step::Emit
+    }
+
+    /// Writes `frame`'s node — its children are the last entries of
+    /// `done` — and releases everything it pushed.
+    fn emit(&mut self, frame: &Frame) -> Result<Written> {
+        let [s0, k0, d0] = frame.marks;
+        let label = frame.label;
         let first = if label.2 == 0 {
             0
         } else {
             self.cat.seq(label.0)[label.1 as usize]
         };
-        let mut suffix_count = suffixes.len() as u64;
-        let mut max_run = suffixes.iter().map(|&(_, _, r)| r).max().unwrap_or(0);
-        let mut child_entries = Vec::with_capacity(children.len());
-        for c in &children {
+        let own = frame.own.map(|(lo, hi)| &self.suffixes[lo..hi]);
+        let mut suffix_count = (own[0].len() + own[1].len()) as u64;
+        let runs = own.iter().flat_map(|run| run.iter().map(|&(_, _, r)| r));
+        let mut max_run = runs.max().unwrap_or(0);
+        self.entries.clear();
+        for c in &self.done[d0..] {
             suffix_count += c.suffix_count;
             max_run = max_run.max(c.max_run);
-            child_entries.push((c.first, c.offset));
+            self.entries.push((c.first, c.offset));
         }
-        child_entries.sort_by_key(|&(s, _)| s);
-        let offset = self.w.position();
-        self.w.write(&encode_node(
+        self.entries.sort_by_key(|&(s, _)| s);
+        self.record.clear();
+        encode_node(
+            &mut self.record,
             label,
             suffix_count,
             max_run,
-            &suffixes,
-            &child_entries,
-        ))?;
+            &own,
+            &self.entries,
+        );
+        let offset = self.w.position();
+        self.w.write(&self.record)?;
         self.node_count += 1;
+        self.suffixes.truncate(s0);
+        self.kids.truncate(k0);
+        self.done.truncate(d0);
         Ok(Written {
             first,
             offset,
@@ -132,130 +323,31 @@ impl<'t> MergeCtx<'t> {
         })
     }
 
-    /// Copies the subtree rooted at `v` verbatim (label trimmed by
-    /// `v.skip` at the top).
-    fn copy_subtree(&mut self, v: VNode) -> Result<Written> {
-        let node = self.tree(v.side).read_node(v.offset)?;
-        let mut out_children = Vec::with_capacity(node.children().len());
-        for (_, off) in node.children() {
-            out_children.push(self.copy_subtree(VNode {
-                side: v.side,
-                offset: off,
-                skip: 0,
-            })?);
-        }
-        let (seq, start, len) = node.label;
-        self.emit(
-            (seq, start + v.skip, len - v.skip),
-            node.suffixes().collect(),
-            out_children,
-        )
-    }
-
-    /// Merges two vnodes whose remaining labels start with the same
-    /// symbol (or are both empty, for the roots).
-    fn merge_nodes(&mut self, va: VNode, vb: VNode) -> Result<Written> {
-        let la = self.label(va)?;
-        let lb = self.label(vb)?;
-        let common = la.iter().zip(lb.iter()).take_while(|(x, y)| x == y).count() as u32;
-        let (alen, blen) = (la.len() as u32, lb.len() as u32);
-        if common == alen && common == blen {
-            // Same edge: merge suffix labels and child lists.
-            let na = self.tree(Side::A).read_node(va.offset)?;
-            let nb = self.tree(Side::B).read_node(vb.offset)?;
-            let mut suffixes: Vec<_> = na.suffixes().collect();
-            suffixes.extend(nb.suffixes());
-            let children = self.merge_child_lists(self.children(va)?, self.children(vb)?)?;
-            let (seq, start, len) = na.label;
-            self.emit((seq, start + va.skip, len - va.skip), suffixes, children)
-        } else if common == alen {
-            // A's edge is a proper prefix of B's: B continues below A's
-            // node as one extra (virtual) child.
-            let na = self.tree(Side::A).read_node(va.offset)?;
-            let b_rest = VNode {
-                side: Side::B,
-                offset: vb.offset,
-                skip: vb.skip + common,
+    /// Merges the two roots, writing every output node post-order;
+    /// returns the root's aggregate.
+    fn run(&mut self) -> Result<Written> {
+        let roots = (
+            VNode::at(Side::A, self.a.header().root_offset),
+            VNode::at(Side::B, self.b.header().root_offset),
+        );
+        let mut stack = vec![self.open_merge(roots.0, roots.1)?];
+        loop {
+            let top = stack.last_mut().expect("the root frame is written last");
+            let next = match self.step(top) {
+                Step::Copy(v) => self.open_copy(v)?,
+                Step::Merge(va, vb) => self.open_merge(va, vb)?,
+                Step::Emit => {
+                    let frame = stack.pop().expect("the frame just stepped");
+                    let written = self.emit(&frame)?;
+                    if stack.is_empty() {
+                        return Ok(written);
+                    }
+                    self.done.push(written);
+                    continue;
+                }
             };
-            let b_first = self.label(b_rest)?[0];
-            let children = self.merge_child_lists(self.children(va)?, vec![(b_first, b_rest)])?;
-            let (seq, start, len) = na.label;
-            self.emit(
-                (seq, start + va.skip, len - va.skip),
-                na.suffixes().collect(),
-                children,
-            )
-        } else if common == blen {
-            let nb = self.tree(Side::B).read_node(vb.offset)?;
-            let a_rest = VNode {
-                side: Side::A,
-                offset: va.offset,
-                skip: va.skip + common,
-            };
-            let a_first = self.label(a_rest)?[0];
-            let children = self.merge_child_lists(vec![(a_first, a_rest)], self.children(vb)?)?;
-            let (seq, start, len) = nb.label;
-            self.emit(
-                (seq, start + vb.skip, len - vb.skip),
-                nb.suffixes().collect(),
-                children,
-            )
-        } else {
-            // Labels diverge inside both edges: fresh internal node for
-            // the common prefix, the two rests become its children.
-            let na = self.tree(Side::A).read_node(va.offset)?;
-            let a_rest = self.copy_subtree(VNode {
-                side: Side::A,
-                offset: va.offset,
-                skip: va.skip + common,
-            })?;
-            let b_rest = self.copy_subtree(VNode {
-                side: Side::B,
-                offset: vb.offset,
-                skip: vb.skip + common,
-            })?;
-            let (seq, start, _) = na.label;
-            self.emit(
-                (seq, start + va.skip, common),
-                Vec::new(),
-                vec![a_rest, b_rest],
-            )
+            stack.push(next);
         }
-    }
-
-    /// Two-pointer merge of child lists sorted by first symbol; children
-    /// sharing a first symbol are merged recursively.
-    fn merge_child_lists(
-        &mut self,
-        a: Vec<(Symbol, VNode)>,
-        b: Vec<(Symbol, VNode)>,
-    ) -> Result<Vec<Written>> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.copy_subtree(a[i].1)?);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(self.copy_subtree(b[j].1)?);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.merge_nodes(a[i].1, b[j].1)?);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for &(_, v) in &a[i..] {
-            out.push(self.copy_subtree(v)?);
-        }
-        for &(_, v) in &b[j..] {
-            out.push(self.copy_subtree(v)?);
-        }
-        Ok(out)
     }
 }
 
@@ -266,7 +358,9 @@ pub fn merge_trees(a: &DiskTree, b: &DiskTree, cat: &CatStore, out: &Path) -> Re
     merge_trees_with(&crate::vfs::RealVfs, a, b, cat, out)
 }
 
-/// [`merge_trees`] through an explicit [`Vfs`].
+/// [`merge_trees`] through an explicit [`Vfs`]. Two trees that disagree
+/// on the sparse flag or the depth limit do not merge: a
+/// [`DiskError::BadHeader`].
 pub fn merge_trees_with(
     vfs: &dyn Vfs,
     a: &DiskTree,
@@ -274,45 +368,61 @@ pub fn merge_trees_with(
     cat: &CatStore,
     out: &Path,
 ) -> Result<u64> {
-    assert_eq!(
-        a.header().sparse,
-        b.header().sparse,
-        "cannot merge sparse with non-sparse trees"
-    );
-    assert_eq!(
-        a.header().depth_limit,
-        b.header().depth_limit,
-        "cannot merge trees with different depth limits"
-    );
+    merge_trees_as(vfs, a, b, cat, out, true)
+}
+
+/// [`merge_trees_with`], fsyncing the output only when `sync` is set:
+/// a merge below the builder's last is a work file.
+fn merge_trees_as(
+    vfs: &dyn Vfs,
+    a: &DiskTree,
+    b: &DiskTree,
+    cat: &CatStore,
+    out: &Path,
+    sync: bool,
+) -> Result<u64> {
+    let (ha, hb) = (a.header(), b.header());
+    if ha.sparse != hb.sparse {
+        return Err(DiskError::BadHeader(format!(
+            "cannot merge {} with {}: the sparse flag differs ({} and {})",
+            a.source(),
+            b.source(),
+            ha.sparse,
+            hb.sparse
+        )));
+    }
+    if ha.depth_limit != hb.depth_limit {
+        return Err(DiskError::BadHeader(format!(
+            "cannot merge {} with {}: the depth limit differs ({:?} and {:?})",
+            a.source(),
+            b.source(),
+            ha.depth_limit,
+            hb.depth_limit
+        )));
+    }
     let mut ctx = MergeCtx {
         a,
         b,
         cat,
         w: PagedWriter::create_with(vfs, out)?,
         node_count: 0,
+        suffixes: Vec::new(),
+        kids: Vec::new(),
+        done: Vec::new(),
+        entries: Vec::new(),
+        record: Vec::new(),
     };
-    ctx.w.write(&vec![0u8; HEADER_SIZE as usize])?;
-    let root = ctx.merge_nodes(
-        VNode {
-            side: Side::A,
-            offset: a.header().root_offset,
-            skip: 0,
-        },
-        VNode {
-            side: Side::B,
-            offset: b.header().root_offset,
-            skip: 0,
-        },
-    )?;
+    ctx.w.write(&[0u8; HEADER_SIZE as usize])?;
+    let root = ctx.run()?;
     let header = Header {
-        sparse: a.header().sparse,
+        sparse: ha.sparse,
         alphabet_len: cat.alphabet_len(),
         node_count: ctx.node_count,
         suffix_count: root.suffix_count,
         root_offset: root.offset,
-        depth_limit: a.header().depth_limit,
+        depth_limit: ha.depth_limit,
     };
-    ctx.w.finish(&[(0, header.encode())])
+    ctx.w.finish_as(&[(0, header.encode())], sync)
 }
 
 /// How partial trees are built by the [`IncrementalBuilder`].
@@ -440,12 +550,16 @@ impl IncrementalBuilder {
             .map(|start| start..(start + self.batch_size).min(n))
             .collect();
         // Batches and same-level merges are independent; the first error
-        // in input order wins.
+        // in input order wins. Only the file that becomes `out` is
+        // fsynced — a lone batch tree, or the last merge's output: the
+        // rest are work files, merged and deleted before the caller
+        // commits anything.
+        let lone = ranges.len() == 1;
         let level = parallel_map(self.threads, ranges, |idx, range| {
             let span = self.metrics.batch_ns.span();
             let tree = self.build_batch(range);
             let path = self.tmp_path(0, idx);
-            write_tree_with(self.vfs.as_ref(), &tree, &path)?;
+            write_tree_as(self.vfs.as_ref(), &tree, &path, lone)?;
             drop(span);
             self.metrics.batches.incr();
             Ok(path)
@@ -468,17 +582,18 @@ impl IncrementalBuilder {
         let mut depth = 1usize;
         while level.len() > 1 {
             let pairs: Vec<Vec<PathBuf>> = level.chunks(2).map(<[PathBuf]>::to_vec).collect();
+            let last = pairs.len() == 1;
             level = parallel_map(self.threads, pairs, |i, mut pair| {
                 if pair.len() == 1 {
                     return Ok(pair.remove(0));
                 }
                 let span = self.metrics.merge_ns.span();
-                let ta =
-                    DiskTree::open_with(self.vfs.as_ref(), &pair[0], self.cat.clone(), 64, 1024)?;
-                let tb =
-                    DiskTree::open_with(self.vfs.as_ref(), &pair[1], self.cat.clone(), 64, 1024)?;
+                // The merge reads records in place: no node cache.
+                let open =
+                    |path| DiskTree::open_with(self.vfs.as_ref(), path, self.cat.clone(), 64, 1);
+                let (ta, tb) = (open(&pair[0])?, open(&pair[1])?);
                 let path = self.tmp_path(depth, i);
-                merge_trees_with(self.vfs.as_ref(), &ta, &tb, &self.cat, &path)?;
+                merge_trees_as(self.vfs.as_ref(), &ta, &tb, &self.cat, &path, last)?;
                 self.vfs.remove_file(&pair[0])?;
                 self.vfs.remove_file(&pair[1])?;
                 drop(span);

@@ -9,7 +9,8 @@
 //! * [`PagedWriter`] writes the logical stream sequentially, sealing
 //!   each page with its CRC and writing runs of up to 32 pages with one
 //!   `write_at`; it can patch already-written ranges at `finish` time
-//!   (used to back-patch file headers once the root offset is known).
+//!   (used to back-patch file headers once the root offset is known),
+//!   and fsyncs only a file that gets committed.
 //! * [`PagedReader`] serves random reads through a [`TwoQueue`] of
 //!   verified pages — a pool that keeps part of a traversal's page loop
 //!   resident where an LRU would keep none of it; a failed CRC surfaces
@@ -104,11 +105,19 @@ impl PagedWriter {
         Ok(())
     }
 
-    /// Flushes the trailing partial page and fsyncs, then applies
-    /// `patches` — `(logical_offset, bytes)` pairs rewriting
-    /// already-written ranges (page CRCs are recomputed). Returns the
-    /// logical length of the stream.
-    pub fn finish(mut self, patches: &[(u64, Vec<u8>)]) -> Result<u64> {
+    /// Flushes the trailing partial page, applies `patches` —
+    /// `(logical_offset, bytes)` pairs rewriting already-written ranges
+    /// (page CRCs are recomputed) — and fsyncs. Returns the logical
+    /// length of the stream.
+    pub fn finish(self, patches: &[(u64, Vec<u8>)]) -> Result<u64> {
+        self.finish_as(patches, true)
+    }
+
+    /// [`finish`](Self::finish), fsyncing only when `sync` is set. A
+    /// work file — merged and deleted before anything is committed —
+    /// skips the fsync: only a file that gets committed needs one, and
+    /// the crash sweep removes `*.tmp` work files a crash leaves behind.
+    pub(crate) fn finish_as(mut self, patches: &[(u64, Vec<u8>)], sync: bool) -> Result<u64> {
         let logical_len = self.position();
         if !self.run.len().is_multiple_of(PAGE_SIZE) {
             self.seal_page()?;
@@ -121,7 +130,9 @@ impl PagedWriter {
             );
             patch(self.file.as_mut(), *offset, bytes)?;
         }
-        self.file.sync()?;
+        if sync {
+            self.file.sync()?;
+        }
         Ok(logical_len)
     }
 }

@@ -236,9 +236,10 @@ pub fn compact_once_with(
     match old.backend {
         BackendKind::Tree => {
             // The paper's §4.1 binary merge: one sequential pass over
-            // the two tree files.
-            let left = DiskTree::open_with(vfs, &left_path, cat.clone(), 256, 2048)?;
-            let right = DiskTree::open_with(vfs, &right_path, cat.clone(), 256, 2048)?;
+            // the two tree files, which reads records in place (no node
+            // cache).
+            let left = DiskTree::open_with(vfs, &left_path, cat.clone(), 256, 1)?;
+            let right = DiskTree::open_with(vfs, &right_path, cat.clone(), 256, 1)?;
             merge_trees_with(vfs, &left, &right, &cat, &merged_tmp)?;
         }
         BackendKind::Esa => {

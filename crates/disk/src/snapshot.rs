@@ -41,8 +41,8 @@ use parking_lot::Mutex;
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
-    run_query_with, scan_query_with, BackendKind, QueryOutput, QueryRequest, SearchMetrics,
-    SearchStats, SegmentedIndex,
+    run_query_with, scan_query_with, BackendKind, IndexBackend, QueryOutput, QueryRequest,
+    SearchMetrics, SearchStats, SegmentedIndex,
 };
 use warptree_core::sequence::SequenceStore;
 
@@ -338,10 +338,12 @@ pub fn open_dir_recovered_with(
 /// The one open body: loads the corpus, then opens the base tree and
 /// every tail segment the manifest does not have quarantined. A tail
 /// that fails its own checks at open (a header page's CRC, a record the
-/// ESA refuses) does not fail the open: it is recorded damaged, like a
-/// tail a query caught failing, and the corpus answers for it. A
-/// corrupt corpus or base fails the open, and so does an I/O error
-/// (a superseded generation's file unlinked under a poll: retry).
+/// ESA refuses), or whose header disagrees with the base's on the sparse
+/// flag or the depth limit (which the fan-out cannot mix), does not fail
+/// the open: it is recorded damaged, like a tail a query caught failing,
+/// and the corpus answers for it. A corrupt corpus or base fails the
+/// open, and so does an I/O error (a superseded generation's file
+/// unlinked under a poll: retry).
 fn open_resolved(
     vfs: &dyn Vfs,
     resolved: ResolvedDir,
@@ -377,9 +379,9 @@ fn open_resolved(
             continue;
         }
         match open(path) {
-            Ok(tail) => segments.push(tail),
+            Ok(tail) if same_shape(&tail, &tree) => segments.push(tail),
             Err(e @ DiskError::Io(_)) => return Err(e),
-            Err(_) => failed.push(meta.file.clone()),
+            Ok(_) | Err(_) => failed.push(meta.file.clone()),
         }
         segment_metas.push(meta);
     }
@@ -394,6 +396,12 @@ fn open_resolved(
         generation,
         failed: Mutex::new(failed),
     })
+}
+
+/// Whether `tail` can be fanned out with `base`: the same sparse flag
+/// and depth limit, as [`SegmentedIndex`] requires.
+fn same_shape(tail: &AnyIndex, base: &AnyIndex) -> bool {
+    (tail.is_sparse(), tail.depth_limit()) == (base.is_sparse(), base.depth_limit())
 }
 
 #[cfg(test)]

@@ -22,13 +22,25 @@ pub fn write_tree(tree: &SuffixTree, path: &Path) -> Result<u64> {
 
 /// [`write_tree`] through an explicit [`Vfs`].
 pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<u64> {
+    write_tree_as(vfs, tree, path, true)
+}
+
+/// [`write_tree_with`], fsyncing the file only when `sync` is set: the
+/// incremental builder's batch trees are work files, merged away before
+/// anything is committed (see [`PagedWriter::finish_as`]).
+pub(crate) fn write_tree_as(
+    vfs: &dyn Vfs,
+    tree: &SuffixTree,
+    path: &Path,
+    sync: bool,
+) -> Result<u64> {
     assert!(
         tree.is_finalized(),
         "finalize() must run before writing a tree"
     );
     let mut w = PagedWriter::create_with(vfs, path)?;
     // Reserve the header; the real one is patched in at finish.
-    w.write(&vec![0u8; HEADER_SIZE as usize])?;
+    w.write(&[0u8; HEADER_SIZE as usize])?;
 
     // Iterative post-order: each frame is (node, next child index,
     // offsets of already-written children).
@@ -36,6 +48,8 @@ pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<
     let mut node_count: u64 = 0;
     let mut root_offset: u64 = 0;
     let mut stack: Vec<Frame> = vec![(ROOT, 0, Vec::new())];
+    // One record's suffix entries and encoding, reused for every node.
+    let (mut suffixes, mut record) = (Vec::new(), Vec::new());
     while let Some((node, child_idx, mut child_offsets)) = stack.pop() {
         let n = tree.node(node);
         if child_idx < n.children.len() {
@@ -47,19 +61,19 @@ pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<
         // All children written: children offsets arrive in order because
         // each completed child pushes onto its parent's frame below.
         child_offsets.sort_by_key(|&(sym, _)| sym);
-        let suffixes: Vec<_> = n
-            .suffixes
-            .iter()
-            .map(|s| (s.seq, s.start, s.lead_run))
-            .collect();
-        let offset = w.position();
-        w.write(&encode_node(
+        suffixes.clear();
+        suffixes.extend(n.suffixes.iter().map(|s| (s.seq, s.start, s.lead_run)));
+        record.clear();
+        encode_node(
+            &mut record,
             (n.label.seq, n.label.start, n.label.len),
             n.suffix_count,
             n.max_lead_run,
-            &suffixes,
+            &[&suffixes],
             &child_offsets,
-        ))?;
+        );
+        let offset = w.position();
+        w.write(&record)?;
         node_count += 1;
         if node == ROOT {
             root_offset = offset;
@@ -77,8 +91,7 @@ pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<
         root_offset,
         depth_limit: tree.depth_limit(),
     };
-    let len = w.finish(&[(0, header.encode())])?;
-    Ok(len)
+    w.finish_as(&[(0, header.encode())], sync)
 }
 
 #[cfg(test)]

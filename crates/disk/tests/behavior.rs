@@ -1,6 +1,7 @@
 //! Behavioural tests of the disk layer: node-cache effectiveness,
-//! merge preconditions, builder edge cases, and the whole pipeline from
-//! a persisted corpus through a merged tree to a search.
+//! merge preconditions, builder edge cases, merges of trees deeper than
+//! a thread's stack would hold, and the whole pipeline from a persisted
+//! corpus through a merged tree to a search.
 
 use std::sync::Arc;
 use warptree_core::categorize::{Alphabet, CatStore};
@@ -9,7 +10,8 @@ use warptree_core::search::{
 };
 use warptree_core::sequence::{SeqId, SequenceStore};
 use warptree_disk::{
-    load_corpus, merge_trees, save_corpus, write_tree, DiskTree, IncrementalBuilder, TreeKind,
+    load_corpus, merge_trees, save_corpus, write_tree, DiskError, DiskTree, IncrementalBuilder,
+    TreeKind,
 };
 use warptree_suffix::{build_full, build_full_range, build_full_truncated, TruncateSpec};
 
@@ -34,8 +36,8 @@ fn node_cache_avoids_repeated_page_reads() {
     let path = dir.join("t.wt");
     write_tree(&tree, &path).unwrap();
     let disk = DiskTree::open(&path, cat, 4, 128).unwrap();
-    // Walk the whole tree twice through `read_node`, as the merge and
-    // `to_mem` do; the second pass must be free.
+    // Walk the whole tree twice through `read_node`, as `to_mem` does;
+    // the second pass must be free.
     let walk = || {
         let (mut suffixes, mut stack) = (0u64, vec![disk.root()]);
         while let Some(offset) = stack.pop() {
@@ -58,8 +60,9 @@ fn node_cache_avoids_repeated_page_reads() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Trees that disagree on the depth limit do not merge: a typed
+/// `BadHeader`, before the output file is created.
 #[test]
-#[should_panic(expected = "depth limits")]
 fn merge_rejects_mismatched_depth_limits() {
     let cat = small_cat();
     let full = build_full(cat.clone());
@@ -76,7 +79,12 @@ fn merge_rejects_mismatched_depth_limits() {
     write_tree(&trunc, &p2).unwrap();
     let a = DiskTree::open(&p1, cat.clone(), 4, 16).unwrap();
     let b = DiskTree::open(&p2, cat.clone(), 4, 16).unwrap();
-    let _ = merge_trees(&a, &b, &cat, &dir.join("m.wt"));
+    match merge_trees(&a, &b, &cat, &dir.join("m.wt")) {
+        Err(DiskError::BadHeader(m)) => assert!(m.contains("depth limit differs"), "{m}"),
+        other => panic!("expected a typed BadHeader, got {other:?}"),
+    }
+    assert!(!dir.join("m.wt").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -159,4 +167,65 @@ fn full_disk_pipeline() {
     // The buffer pool served repeated reads.
     assert!(merged.io_stats().cache_hits > 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs `f` on a thread with a 2 MiB stack — what a spawned thread gets
+/// by default, the server's background compaction thread included — and
+/// waits for it.
+fn on_a_2_mib_stack(f: impl FnOnce() + Send + 'static) {
+    let thread = std::thread::Builder::new().stack_size(2 << 20);
+    thread.spawn(f).unwrap().join().unwrap();
+}
+
+/// A flat-lined series categorizes to one symbol repeated, whose suffix
+/// tree is a chain as deep as the series is long.
+const FLAT: usize = 20_000;
+
+/// The merge walks its inputs with an explicit stack, not the thread's:
+/// the build of two flat 20,000-value sequences at one per batch merges
+/// two 20,000-deep chains on a 2 MiB stack.
+#[test]
+fn a_deep_build_merges_on_a_small_stack() {
+    let cat = Arc::new(CatStore::from_symbols(vec![vec![0; FLAT]; 2], 1));
+    let dir = tmpdir("deep-build");
+    on_a_2_mib_stack(move || {
+        let out = dir.join("index.wt");
+        IncrementalBuilder::new(cat.clone(), TreeKind::Full, 1, dir.clone())
+            .build(&out)
+            .unwrap();
+        let disk = DiskTree::open(&out, cat, 4, 16).unwrap();
+        assert_eq!(disk.suffix_count(), 2 * FLAT as u64);
+        disk.verify_records().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// The same for compaction: a flat base and a flat tail fold into one
+/// tree on a 2 MiB stack.
+#[test]
+fn a_deep_compaction_runs_on_a_small_stack() {
+    use warptree_disk::{append_segment, build_dir_with, compact_once, real_vfs};
+    let flat = || SequenceStore::from_values(vec![vec![5.0; FLAT]]);
+    let dir = tmpdir("deep-compact");
+    let alphabet = Alphabet::equal_length(&flat(), 4).unwrap();
+    build_dir_with(
+        real_vfs(),
+        &flat(),
+        &alphabet,
+        TreeKind::Full,
+        1,
+        1,
+        None,
+        &dir,
+    )
+    .unwrap();
+    append_segment(&dir, &flat()).unwrap();
+    on_a_2_mib_stack(move || {
+        let manifest = compact_once(&dir).unwrap().unwrap();
+        assert!(manifest.segments.is_empty());
+        let snap = warptree_disk::open_dir_snapshot_with(&warptree_disk::RealVfs, &dir, 4, 16);
+        let snap = snap.unwrap();
+        assert_eq!(snap.tree.suffix_count(), 2 * FLAT as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
 }

@@ -468,6 +468,56 @@ fn forge_word(path: &Path, at: u64, value: u32) {
     f.sync_all().unwrap();
 }
 
+/// A tail header that passes its CRC but disagrees with the base on the
+/// sparse flag or the depth limit — forged behind a re-sealed CRC —
+/// cannot be fanned out with the base. The open records the tail
+/// damaged, named by `failed_tails`, and every query answers like the
+/// clean directory, by scan; `verify` names it, compaction refuses to
+/// merge it with a typed error and commits nothing, and scrub
+/// quarantines and heals it.
+#[test]
+fn a_tail_whose_header_disagrees_with_the_base_answers_like_the_clean_directory() {
+    use warptree_disk::{compact_once, DiskError};
+
+    // The flags word (bit 0: sparse) and the depth-limit word of the
+    // tree header.
+    for (what, at, value) in [("sparse flag", 12, 1), ("depth limit", 44, 7)] {
+        let dir = tmpdir(&format!("tail-shape-{at}"));
+        let (seg1, _seg2) = build_chaos_dir(&dir);
+        let clean = clean_answers(&dir);
+        forge_word(&dir.join(&seg1), at, value);
+
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        assert_eq!(snap.failed_tails(), vec![seg1.clone()], "{what}");
+        for (q, want) in chaos_queries().iter().zip(&clean) {
+            let (out, stats) = snap.query(&chaos_request(q)).unwrap();
+            assert_eq!(out.matches(), &want[..], "{what}: {q:?}");
+            assert_eq!(stats, scan_stats(&snap.store, q), "{what}: {q:?}");
+        }
+        drop(snap);
+
+        let report = verify_dir_with(&RealVfs, &dir).unwrap();
+        let check = report.files.iter().find(|f| f.name == seg1).unwrap();
+        let error = check.error.as_deref().unwrap_or_default();
+        assert!(error.contains("differs from the base"), "{what}: {report}");
+        let generation = resolve_dir_with(&RealVfs, &dir).unwrap().generation;
+        match compact_once(&dir) {
+            Err(DiskError::BadHeader(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("{what}: expected a typed BadHeader, got {other:?}"),
+        }
+        assert_eq!(
+            resolve_dir_with(&RealVfs, &dir).unwrap().generation,
+            generation
+        );
+
+        let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
+        assert_eq!(report.newly_quarantined, vec![seg1.clone()], "{report}");
+        assert_eq!(report.healed, vec![seg1], "{report}");
+        assert_eq!(clean_answers(&dir), clean, "{what}: healed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Stretches the edge label of one child of tail segment `seg`'s root
 /// (every query visits all of them) far past its sequence, under a
 /// re-sealed page CRC. Returns the forged record's offset.
