@@ -15,6 +15,15 @@
 //! * **Definition 4 / Theorem 3** — for `p = 2..N`,
 //!   `D_tw-lb2(S_i, CS_j[p:-]) = D_tw-lb(S_i, CS_j) − (p−1)·D_base-lb(S_i[1], CS_j[1])`
 //!   and `D_tw-lb2 ≤ D_tw-lb(S_i, CS_j[p:-]) ≤ D_tw(S_i, S_j[p:-])`.
+//! * **The first-cell floor** — `CS_j[p:-]` starts inside the run, on a
+//!   symbol equal to `CS_j[1]`, so every warping path over it opens on
+//!   cell (1,1), which costs `d₁ = D_base-lb(S_i[1], CS_j[1])` in
+//!   `D_tw-lb` and at least that in `D_tw` (the value lies in the
+//!   category). Later cells only add non-negative terms, and float
+//!   addition rounds monotonically, so `d₁ ≤ D_tw-lb(S_i, CS_j[p:-])`
+//!   holds exactly. [`dtw_lb2`] returns `max(D_tw-lb2, d₁)`: once
+//!   `d₁ > ε` no shift into the run can qualify, however far
+//!   `D_tw-lb − (p−1)·d₁` falls.
 //!
 //! The functions here materialize full tables; the tree search uses the
 //! incremental [`crate::dtw::WarpTable`] with the same base
@@ -47,9 +56,10 @@ pub fn dtw_lb_prefixes(q: &[Value], cs: &[Symbol], alphabet: &Alphabet) -> Vec<f
         .collect()
 }
 
-/// `D_tw-lb2(q, cs[p:-])` (Definition 4): lower bound for a non-stored
-/// suffix that starts `shift = p − 1` symbols into the leading run of
-/// `cs`.
+/// `D_tw-lb2(q, cs[p:-])` (Definition 4) floored at its first cell: lower
+/// bound for a non-stored suffix that starts `shift = p − 1` symbols into
+/// the leading run of `cs`, `max(D_tw-lb(q, cs) − shift·d₁, d₁)` with
+/// `d₁ = D_base-lb(q[1], cs[1])`.
 ///
 /// # Panics
 /// Panics unless `1 <= shift < leading run length of cs`. Theorem 3
@@ -67,7 +77,8 @@ pub fn dtw_lb2(q: &[Value], cs: &[Symbol], shift: u32, alphabet: &Alphabet) -> f
         "shift must stay inside the leading run"
     );
     let full = dtw_lb(q, cs, alphabet);
-    full - shift as f64 * alphabet.base_lb(q[0], cs[0])
+    let d1 = alphabet.base_lb(q[0], cs[0]);
+    (full - shift as f64 * d1).max(d1)
 }
 
 /// Length of the run of equal symbols at the start of `cs` (the `N` of

@@ -11,7 +11,10 @@
 //! * When the index reports itself sparse, the filter additionally emits
 //!   candidates for the *non-stored* suffixes via `D_tw-lb2`
 //!   (Definition 4) and relaxes Theorem-1 pruning accordingly —
-//!   `Filter-SST_C`.
+//!   `Filter-SST_C`. Both are floored at the first cell: a shifted
+//!   suffix starts inside the leading run, so every warping path over it
+//!   opens on cell (1,1) and costs at least `d₁ = D_base-lb(Q[1], c₁)`.
+//!   Once `d₁ > ε` no shift qualifies and no relaxation is applied.
 //!
 //! The traversal shares one incrementally grown [`WarpTable`] across all
 //! suffixes with a common prefix (the paper's `R_d` saving) and prunes
@@ -508,6 +511,12 @@ fn descend<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
 /// Returns the state at the node when traversal should continue below
 /// it, `None` when pruned.
 ///
+/// On a sparse tree, Theorem 3 relaxes the pruning by the largest run
+/// shift below times `d₁`, but only while `d₁ ≤ ε`: every suffix that
+/// starts inside the run is at least `d₁` from `Q` at its first cell, so
+/// past `d₁ > ε` the path prunes on its own row minimum (which, holding
+/// cell (1,1), is then over ε at the first row).
+///
 /// The table grows a block of up to [`BLOCK_ROWS`] rows at a time. A
 /// block stops at the label's end and at the depth cap, so only Theorem
 /// 1 can cut it: the rows are then judged in order, and those past a
@@ -598,7 +607,9 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             }
 
             // Theorem-1 pruning, relaxed by the largest possible run shift
-            // below (Theorem 3 keeps this free of false dismissals).
+            // below (Theorem 3 keeps this free of false dismissals) while
+            // a shift can still qualify: past `d₁ > ε` every shifted
+            // suffix is already over ε at its first cell.
             let max_shift_below = if !ctx.sparse {
                 0
             } else if state.in_run {
@@ -606,7 +617,11 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             } else {
                 state.lead.saturating_sub(1)
             };
-            let relax = max_shift_below as f64 * state.dbase1;
+            let relax = if state.dbase1 <= epsilon {
+                max_shift_below as f64 * state.dbase1
+            } else {
+                0.0
+            };
             if stat.min - relax > epsilon {
                 ctx.tallies.branches_pruned += 1;
                 ctx.table.retract(r);
@@ -618,10 +633,13 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
 }
 
 /// `D_tw-lb2` (Definition 4) of a path at distance `dist` shifted `k`
-/// symbols into a leading run whose symbol is `d1` from `Q[1]`.
+/// symbols into a leading run whose symbol is `d1` from `Q[1]`, floored
+/// at `d1`: the shifted suffix starts on a value of that run, so every
+/// warping path over it opens on cell (1,1), which costs at least `d1`,
+/// and its later cells only add non-negative terms.
 #[inline]
 fn lb2(dist: f64, k: u32, d1: f64) -> f64 {
-    dist - k as f64 * d1
+    (dist - k as f64 * d1).max(d1)
 }
 
 /// The shifts `k` of `1..=max_k` a row at depth `r` emits for: those with
@@ -629,12 +647,13 @@ fn lb2(dist: f64, k: u32, d1: f64) -> f64 {
 /// `[min_len, max_len]`.
 ///
 /// `d1` is a base distance, so it is not negative and `lb2` does not grow
-/// with `k` (a product and a difference round monotonically): the shifts
-/// under ε are a suffix of `1..=max_k`, and most rows have none — one
-/// test at `max_k` says so. Otherwise the first of them is near
-/// `(dist − ε) / d₁`; the walk from that guess decides with `lb2` itself,
-/// so a zero or infinite `d1`, an infinite `dist` and a difference that
-/// rounds onto ε all fall where testing every `k` would put them.
+/// with `k` (a product, a difference and a maximum round monotonically):
+/// the shifts under ε are a suffix of `1..=max_k`, and most rows have
+/// none — one test at `max_k` says so, and it fails for every `k` once
+/// `d1 > ε`. Otherwise the first of them is near `(dist − ε) / d₁`; the
+/// walk from that guess decides with `lb2` itself, so a zero `d1`, an
+/// infinite `dist` and a difference that rounds onto ε all fall where
+/// testing every `k` would put them.
 fn qualifying_shifts(
     dist: f64,
     d1: f64,
@@ -1075,6 +1094,101 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every occurrence of `cs` with its own `D_tw-lb` to `q`: one fresh
+    /// table per start, banded by `window` as a dense tree's table is.
+    fn own_bounds(
+        cs: &CatStore,
+        a: &Alphabet,
+        q: &[f64],
+        window: Option<u32>,
+    ) -> Vec<(Occurrence, f64)> {
+        let mut out = Vec::new();
+        for (id, s) in cs.seqs().iter().enumerate() {
+            for start in 0..s.len() {
+                let mut table = WarpTable::new(q, window);
+                for (len, &sym) in (1..).zip(&s[start..]) {
+                    let dist = table.push_row_with(|qv| a.base_lb(qv, sym)).dist;
+                    out.push((Occurrence::new(SeqId(id as u32), start as u32, len), dist));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// No false dismissals, by no formula of the filter's own: every
+        /// occurrence whose length is in range and whose own `D_tw-lb`
+        /// is within ε is a candidate, over dense and sparse trees, with
+        /// and without a window, under length ranges, with ε planted on
+        /// an occurrence's bound. The first sequence may open on a run of
+        /// one low value, which `match_rest` makes the rest of the query:
+        /// with `Q[1]` drawn from twice the corpus's range, and ε half the
+        /// time a bound under the run's `d₁`, that run's category often
+        /// lies more than ε from `Q[1]` while its later cells cost
+        /// nothing — the paths Definition 4's floor and Theorem 3's
+        /// relaxation decide.
+        #[test]
+        fn filter_dismisses_no_occurrence_within_epsilon(
+            db in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..10), 1..4),
+            (run_v, run_n) in (0u32..3, 0usize..6),
+            (q_first, q_rest, match_rest) in (
+                0u32..16,
+                proptest::collection::vec(0u32..8, 0..4),
+                proptest::prelude::any::<bool>(),
+            ),
+            (sparse, categories) in (proptest::prelude::any::<bool>(), 1usize..4),
+            (window, min_len, max_len) in (0u32..5, 0u32..4, 0u32..9),
+            (plant, under_run) in (0usize..256, proptest::prelude::any::<bool>()),
+        ) {
+            let half = |v: &u32| *v as f64 * 0.5;
+            let mut db = db;
+            db[0].splice(0..0, std::iter::repeat_n(run_v, run_n));
+            let store = crate::sequence::SequenceStore::from_values(
+                db.iter().map(|s| s.iter().map(half).collect::<Vec<f64>>()),
+            );
+            let a = if categories == 1 {
+                Alphabet::singleton(&store)
+            } else {
+                Alphabet::equal_length(&store, categories)
+            }
+            .unwrap();
+            let cs = a.encode_store(&store);
+            let tree = ToyTree::over(&cs, sparse);
+            let rest = if match_rest { vec![run_v; q_rest.len()] } else { q_rest };
+            let q: Vec<f64> = std::iter::once(&q_first).chain(&rest).map(half).collect();
+            let mut params = SearchParams::with_epsilon(0.0);
+            params.window = window.checked_sub(1);
+            params.min_len = min_len.max(1);
+            params.max_len = (max_len > 0).then_some(max_len);
+            let (lo, hi) = (params.effective_min_len(q.len()), params.effective_max_len(q.len()));
+            let mut own: Vec<(Occurrence, f64)> = own_bounds(&cs, &a, &q, params.window)
+                .into_iter()
+                .filter(|(o, lb)| lb.is_finite() && o.len >= lo && hi.is_none_or(|m| o.len <= m))
+                .collect();
+            if own.is_empty() {
+                return Ok(());
+            }
+            // Half the time ε is a bound under the first run's d₁, when
+            // one is.
+            let d1 = a.base_lb(q[0], cs.seq(SeqId(0))[0]);
+            let under = own.iter().filter(|(_, lb)| *lb < d1).count();
+            own.sort_by(|x, y| x.1.total_cmp(&y.1));
+            let among = if under_run && under > 0 { under } else { own.len() };
+            params.epsilon = own[plant % among].1;
+            let m = SearchMetrics::new();
+            let cands: std::collections::HashSet<Occurrence> =
+                filter_tree(&tree, &a, &q, &params, &m).occurrences().collect();
+            for (occ, lb) in &own {
+                proptest::prop_assert!(
+                    *lb > params.epsilon || cands.contains(occ),
+                    "{occ} at {lb} dismissed: sparse={sparse} q={q:?} {params:?}"
+                );
+            }
+        }
+    }
+
     fn singleton_setup(
         values: Vec<Vec<f64>>,
     ) -> (crate::sequence::SequenceStore, Alphabet, CatStore) {
@@ -1163,30 +1277,44 @@ pub(crate) mod tests {
 
     #[test]
     fn sparse_shift_uses_lb2_slack() {
-        // Category bounds make d₁ > 0; a shifted suffix can qualify even
-        // when the stored path distance exceeds ε.
-        let store = crate::sequence::SequenceStore::from_values(vec![vec![0.0, 0.0, 10.0]]);
-        let a = Alphabet::equal_length(&store, 2).unwrap();
-        let cs = a.encode_store(&store);
-        assert_eq!(cs.seq(SeqId(0)), &[0, 0, 1]);
-        let tree = ToyTree::build(&cs, &[(0, 0), (0, 2)], true);
-        // d₁ = D_base-lb(3, C0) = 3 (C0 observed = [0, 0]). The stored
-        // path <C0, C0> has lb 3 (warping absorbs the second 0 against
-        // q[2] = 0), so at ε = 0 no stored candidate is emitted at depth
-        // 2 — but the k = 1 shift gives lb2 = 3 − 3 = 0 ≤ ε, surfacing the
-        // non-stored suffix's subsequence (0, 1, 1).
-        let q = [3.0, 0.0];
+        // A shifted suffix can qualify when the stored path distance
+        // exceeds ε. Singleton alphabet over <0, 0, 0>: the sparse tree
+        // stores only (0, 0), and d₁ = |1 − 0| = 1 ≤ ε = 1. Every stored
+        // prefix is 1 + 0.5 = 1.5 from Q, over ε, but D_tw-lb2 admits the
+        // shifts (0, 1, 1), (0, 1, 2) and (0, 2, 1): max(1.5 − k, 1) = 1.
+        let (_store, a, cs) = singleton_setup(vec![vec![0.0; 3]]);
+        let tree = ToyTree::over(&cs, true);
+        assert_eq!(tree.suffix_count(), 1);
+        let params = SearchParams::with_epsilon(1.0);
+        let (cands, oracle, stats) = with_oracle(&tree, &a, &[1.0, 0.5], &params);
+        let mut occs: Vec<Occurrence> = cands.occurrences().collect();
+        occs.sort();
+        let want =
+            [(1, 1), (1, 2), (2, 1)].map(|(start, len)| Occurrence::new(SeqId(0), start, len));
+        assert_eq!(occs, want);
+        assert_eq!((stats.stored_candidates, stats.lb2_candidates), (0, 3));
+        assert!(oracle.emitted.iter().all(|e| e.1 == 1.0));
+    }
+
+    #[test]
+    fn a_shift_over_epsilon_at_its_first_cell_is_never_reached() {
+        // The same tree, Q = <3, 0>, ε = 1: d₁ = 3 > ε, so every suffix
+        // starting in the run is at least 3 from Q, and D_tw-lb − k·d₁
+        // (3 − 3 = 0 at k = 1) must not admit one. Nor does Theorem 3
+        // hold the branch open: its first row's minimum, 3, prunes it.
+        let (_store, a, cs) = singleton_setup(vec![vec![0.0; 3]]);
+        let tree = ToyTree::over(&cs, true);
         let m = SearchMetrics::new();
-        let params = SearchParams::with_epsilon(0.0);
-        let cands = filter_tree(&tree, &a, &q, &params, &m);
-        let occs: Vec<Occurrence> = cands.occurrences().collect();
-        assert!(occs.contains(&Occurrence::new(SeqId(0), 1, 1)));
-        assert!(!occs.contains(&Occurrence::new(SeqId(0), 0, 1)));
-        assert!(!occs.contains(&Occurrence::new(SeqId(0), 0, 2)));
+        let cands = filter_tree(&tree, &a, &[3.0, 0.0], &SearchParams::with_epsilon(1.0), &m);
+        assert!(cands.is_empty());
+        let stats = m.snapshot();
+        assert_eq!(stats.lb2_candidates, 0);
+        assert_eq!(stats.rows_pushed, 1);
     }
 
     /// What `qualifying_shifts` replaced, kept as its oracle: every
-    /// `k` tested, the `(k, lower-bound bits)` of those emitted.
+    /// `k` tested against Definition 4 floored at `d₁`, the `(k,
+    /// lower-bound bits)` of those emitted.
     fn brute_shifts(
         (dist, d1, epsilon): (f64, f64, f64),
         max_k: u32,
@@ -1196,7 +1324,7 @@ pub(crate) mod tests {
         let len_ok = |len: u32| len >= min_len && max_len.is_none_or(|m| len <= m);
         let mut out = Vec::new();
         for k in 1..=max_k {
-            let lb2 = dist - k as f64 * d1;
+            let lb2 = f64::max(dist - k as f64 * d1, d1);
             if lb2 <= epsilon && len_ok(r - k) {
                 out.push((k, lb2.to_bits()));
             }
@@ -1266,11 +1394,14 @@ pub(crate) mod tests {
             vec![]
         );
         assert_eq!(ranged_shifts((f64::INFINITY, 1.0, 3.0), 5, 9, lens), vec![]);
-        // A finite distance less an infinite d₁ is under every ε.
-        assert_eq!(
-            ranged_shifts((7.0, f64::INFINITY, 0.0), 3, 9, lens).len(),
-            3
-        );
+        // A finite distance less an infinite d₁ is −∞, but the shifted
+        // suffix's first cell alone costs d₁: no shift.
+        assert_eq!(ranged_shifts((7.0, f64::INFINITY, 0.0), 3, 9, lens), vec![]);
+        // Nor does a finite d₁ over ε admit one, however far dist − k·d₁
+        // falls.
+        assert_eq!(ranged_shifts((7.0, 4.0, 3.0), 3, 9, lens), vec![]);
+        // At d₁ = ε the floor is ε itself, and every shift is emitted.
+        assert_eq!(ranged_shifts((6.0, 3.0, 3.0), 3, 9, lens).len(), 3);
         // dist − k·d₁ exactly ε at k = 4: 4 is the first shift emitted.
         let on = ranged_shifts((5.0, 0.5, 3.0), 6, 9, lens);
         assert_eq!(on.iter().map(|e| e.0).collect::<Vec<_>>(), vec![4, 5, 6]);

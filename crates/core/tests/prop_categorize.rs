@@ -135,7 +135,8 @@ proptest! {
         }
     }
 
-    /// Theorem 3 for run-prefixed suffixes: `lb2 ≤ lb ≤ exact`.
+    /// Theorem 3 for run-prefixed suffixes: `lb2 ≤ lb ≤ exact`, and the
+    /// first cell's `d₁` floors both bounds with no slack at all.
     #[test]
     fn theorem3_all_methods(
         run_sym in 0usize..3,
@@ -158,6 +159,9 @@ proptest! {
             let exact = dtw(&q, &values[shift..]);
             prop_assert!(lb2 <= lb + 1e-9, "lb2 {lb2} > lb {lb}");
             prop_assert!(lb <= exact + 1e-9, "lb {lb} > exact {exact}");
+            let d1 = a.base_lb(q[0], cs[0]);
+            prop_assert!(d1 <= lb, "d1 {d1} > lb {lb}");
+            prop_assert!(d1 <= exact, "d1 {d1} > exact {exact}");
         }
     }
 
