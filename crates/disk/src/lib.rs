@@ -50,7 +50,7 @@ pub mod vfs;
 pub mod writer;
 
 pub use any::{index_shape, AnyIndex, AnyNode, IndexShape};
-pub use corpus::{load_corpus, load_corpus_with, save_corpus, save_corpus_with};
+pub use corpus::{corpus_decimals, load_corpus, load_corpus_with, save_corpus, save_corpus_with};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
 pub use format::{DiskNode, DiskTree, Header, NodeView};

@@ -656,62 +656,92 @@ mod tests {
 
     /// The carried-forward corpus is the file a full re-serialization
     /// writes, and the tail built from the batch's symbols alone is the
-    /// one built from the fully encoded store. Three appends cover named
+    /// one built from the fully encoded store. The appends cover named
     /// and unnamed sequences, an old stream ending exactly on a page
-    /// boundary, a batch whose first record straddles one, and values
-    /// that widen the bounds, for tree and ESA, full and sparse.
+    /// boundary, a batch whose first record straddles one, values that
+    /// widen the bounds, and every change of scale: a batch on the
+    /// committed scale, one on a finer scale, one on none, one into a
+    /// raw corpus, and a committed version 2 file — for tree and ESA,
+    /// full and sparse.
     #[test]
     fn carried_forward_files_are_the_full_reserialization() {
-        use crate::corpus::{load_corpus, save_corpus};
+        use crate::corpus::{corpus_decimals, load_corpus, save_corpus, save_corpus_v2};
+        use crate::manifest::commit_update_with;
         use crate::pager::{PAGE_DATA, PAGE_SIZE};
         use warptree_core::sequence::Sequence;
-        let wave = |n: usize, k: usize, scale: f64| -> Sequence {
+        // A wave on the grid of `decimals`; `+ 0.0` turns `-0.0`, which
+        // is on no grid, into `0.0`.
+        let wave = |n: usize, k: usize, scale: f64, decimals: i32| -> Sequence {
+            let grid = 10f64.powi(decimals);
+            let on_grid = |x: f64| (x * scale * grid).round() / grid + 0.0;
             Sequence::new(
                 (0..n)
-                    .map(|i| (i as f64 * 0.37 * k as f64).sin() * scale)
+                    .map(|i| on_grid((i as f64 * 0.37 * k as f64).sin()))
                     .collect(),
             )
         };
-        let stream_len = |store: &SequenceStore, categories: usize| -> usize {
-            let records = store
-                .iter()
-                .map(|(id, s)| 8 + store.name(id).map_or(0, str::len) + 8 * s.len());
-            24 + 32 * categories + records.sum::<usize>()
+        let stream_len = |store: &SequenceStore, alphabet: &Alphabet, at: &Path| {
+            save_corpus(store, alphabet, at).unwrap() as usize
         };
+        let extend = |model: &mut SequenceStore, batch: &SequenceStore| {
+            for (id, s) in batch.iter() {
+                match batch.name(id) {
+                    Some(name) => model.push_named(s.clone(), name),
+                    None => model.push(s.clone()),
+                };
+            }
+        };
+        let scratch = tmpdir("reserialize-len");
+        let at = scratch.join("len.tmp");
         let mut base = SequenceStore::new();
         for k in 0..9 {
             match k % 2 {
-                0 => base.push_named(wave(100, k + 1, 10.0), format!("s{k}")),
-                _ => base.push(wave(100, k + 1, 10.0)),
+                0 => base.push_named(wave(300, k + 1, 10.0, 2), format!("s{k}")),
+                _ => base.push(wave(300, k + 1, 10.0, 2)),
             };
         }
         let mut alphabet = Alphabet::max_entropy(&base, 6).unwrap();
         // The last base sequence's name pads the stream to one page.
-        let pad = PAGE_DATA - stream_len(&base, alphabet.len()) - 8 - 8 * 50;
-        let padding = SequenceStore::from_values(vec![wave(50, 11, 10.0).values().to_vec()]);
+        let padding = SequenceStore::from_values(vec![wave(50, 11, 10.0, 2).values().to_vec()]);
         alphabet.widen(&padding);
+        let mut padded = base.clone();
+        padded.push(padding.get(SeqId(0)).clone());
+        let pad = PAGE_DATA - stream_len(&padded, &alphabet, &at);
         base.push_named(padding.get(SeqId(0)).clone(), "p".repeat(pad));
-        assert_eq!(stream_len(&base, alphabet.len()), PAGE_DATA);
+        assert_eq!(stream_len(&base, &alphabet, &at), PAGE_DATA);
 
         let mut named = SequenceStore::new();
-        named.push_named(wave(30, 13, 10.0), "a");
-        named.push(wave(20, 14, 10.0));
+        named.push_named(wave(30, 13, 10.0, 2), "a");
+        named.push(wave(20, 14, 10.0, 2));
         let straddling = SequenceStore::from_values(vec![
-            wave(1100, 15, 15.0).values().to_vec(),
-            wave(5, 16, 10.0).values().to_vec(),
+            wave(4200, 15, 15.0, 2).values().to_vec(),
+            wave(5, 16, 10.0, 2).values().to_vec(),
         ]);
         let mut below = SequenceStore::new();
         below.push_named(Sequence::new(vec![-20.0, 3.0, 3.0, -20.0]), "c");
-        let batches = [named, straddling, below];
+        let finer = SequenceStore::from_values(vec![wave(40, 17, 10.0, 3).values().to_vec()]);
+        let mut off_grid = SequenceStore::new();
+        off_grid.push_named(Sequence::new(vec![1.0 / 3.0, 2.0, -0.0]), "d");
+        let into_raw = SequenceStore::from_values(vec![wave(60, 18, 10.0, 2).values().to_vec()]);
+        // Each batch and the scale the corpus is stored at after it.
+        let batches = [
+            (named, Some(2)),
+            (straddling, Some(2)),
+            (below, Some(2)),
+            (finer, Some(3)),
+            (off_grid, None),
+            (into_raw, None),
+        ];
 
-        for (backend, sparse) in [
-            (BackendKind::Tree, false),
-            (BackendKind::Tree, true),
-            (BackendKind::Esa, false),
-            (BackendKind::Esa, true),
+        for (backend, sparse, v2) in [
+            (BackendKind::Tree, false, false),
+            (BackendKind::Tree, true, false),
+            (BackendKind::Esa, false, false),
+            (BackendKind::Esa, true, false),
+            (BackendKind::Tree, true, true),
         ] {
-            let context = format!("{backend:?} sparse={sparse}");
-            let dir = tmpdir(&format!("reserialize-{backend:?}-{sparse}"));
+            let context = format!("{backend:?} sparse={sparse} v2={v2}");
+            let dir = tmpdir(&format!("reserialize-{backend:?}-{sparse}-{v2}"));
             let kind = match sparse {
                 true => crate::merge::TreeKind::Sparse,
                 false => crate::merge::TreeKind::Full,
@@ -724,13 +754,26 @@ mod tests {
             let first = resolve_dir_with(&RealVfs, &dir).unwrap();
             let corpus_len = std::fs::metadata(&first.corpus_path).unwrap().len();
             assert_eq!(corpus_len, PAGE_SIZE as u64, "{context}: one full page");
+            assert_eq!(corpus_decimals(&first.corpus_path).unwrap(), Some(2));
+            if v2 {
+                // The same corpus as a previous build wrote it.
+                let staged = dir.join("v2.tmp");
+                save_corpus_v2(&base, &alphabet, &staged).unwrap();
+                let mut manifest = first.manifest.clone();
+                manifest.corpus_len = std::fs::metadata(&staged).unwrap().len();
+                let commit = [(staged, first.corpus_path.clone())];
+                commit_update_with(&RealVfs, &dir, &commit, &manifest, &[]).unwrap();
+                assert_eq!(corpus_decimals(&first.corpus_path).unwrap(), None);
+            }
 
-            for (k, batch) in batches.iter().enumerate() {
+            for (k, (batch, decimals)) in batches.iter().enumerate() {
                 let before = resolve_dir_with(&RealVfs, &dir).unwrap();
                 let (mut model, mut widened, _) = load_corpus(&before.corpus_path).unwrap();
-                let end = stream_len(&model, widened.len());
-                if k == 1 {
-                    let first_record = 8 + 8 * batch.get(SeqId(0)).len();
+                if k == 1 && !v2 {
+                    let end = stream_len(&model, &widened, &at);
+                    let one =
+                        SequenceStore::from_values(vec![batch.get(SeqId(0)).values().to_vec()]);
+                    let first_record = stream_len(&one, &widened, &at) - 28 - 32 * widened.len();
                     assert!(
                         end % PAGE_DATA + first_record > PAGE_DATA,
                         "{context}: no straddle"
@@ -738,9 +781,7 @@ mod tests {
                 }
                 let m = append_segment(&dir, batch).unwrap();
                 let first_new = model.len();
-                for (_, s) in batch.iter() {
-                    model.push(s.clone());
-                }
+                extend(&mut model, batch);
                 widened.widen(batch);
 
                 let want = dir.join("want.tmp");
@@ -750,6 +791,8 @@ mod tests {
                     got == std::fs::read(&want).unwrap(),
                     "{context}: corpus {k}"
                 );
+                let decimals_now = corpus_decimals(&dir.join(&m.corpus)).unwrap();
+                assert_eq!(decimals_now, *decimals, "{context}: corpus {k}");
                 let cat = Arc::new(widened.encode_store(&model));
                 let range = first_new..model.len();
                 write_range_index(&RealVfs, backend, cat, range, sparse, &want).unwrap();
@@ -758,12 +801,20 @@ mod tests {
                 assert!(got == std::fs::read(&want).unwrap(), "{context}: tail {k}");
                 std::fs::remove_file(&want).unwrap();
             }
+            let (loaded, _, _) =
+                load_corpus(&resolve_dir_with(&RealVfs, &dir).unwrap().corpus_path).unwrap();
+            assert_eq!(
+                loaded.name(SeqId(base.len() as u32)),
+                Some("a"),
+                "{context}"
+            );
             assert!(
                 verify_dir_with(&RealVfs, &dir).unwrap().is_ok(),
                 "{context}"
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }
+        std::fs::remove_dir_all(&scratch).unwrap();
     }
 
     /// A name the corpus could not hold is refused by a build and by an

@@ -151,11 +151,13 @@ fn build_dir(tag: &str) -> (std::path::PathBuf, warptree_disk::ResolvedDir) {
     use warptree_disk::{append_segment_with, build_dir_with, real_vfs, resolve_dir_with, RealVfs};
     let dir = std::env::temp_dir().join(format!("warptree-corrupt-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    // Thirds sit on no decimal grid: the corpus is stored raw, eight
+    // bytes a value, and spans several pages.
     let walk = |seed: usize, n: usize| -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| {
                 (0..400)
-                    .map(|j| ((seed + i * 7 + j * 3) % 23) as f64)
+                    .map(|j| ((seed + i * 7 + j * 3) % 23) as f64 / 3.0)
                     .collect()
             })
             .collect()

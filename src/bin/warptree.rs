@@ -539,6 +539,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .len();
     let manifest = &resolved.manifest;
+    let corpus_decimals =
+        warptree_disk::corpus_decimals(&resolved.corpus_path).map_err(|e| e.to_string())?;
+    let corpus_file_bytes = std::fs::metadata(&resolved.corpus_path)
+        .map_err(|e| e.to_string())?
+        .len();
     // `--deep` walks the base index for structural statistics; the
     // pager traffic of that full walk doubles as a cache profile.
     let deep = o
@@ -577,7 +582,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         println!(
             concat!(
                 "{{\"corpus\":{{\"sequences\":{},\"elements\":{},",
-                "\"mean_len\":{},\"value_range\":{}}},",
+                "\"mean_len\":{},\"value_range\":{},",
+                "\"decimals\":{},\"file_bytes\":{}}},",
                 "\"categorization\":{{\"method\":\"{}\",\"categories\":{}}},",
                 "\"index\":{{\"kind\":\"{}\",\"backend\":\"{}\",",
                 "\"nodes\":{},\"suffixes\":{},",
@@ -590,6 +596,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             store.total_len(),
             num(store.mean_len()),
             value_range,
+            corpus_decimals.map_or("null".into(), |d| d.to_string()),
+            corpus_file_bytes,
             escape(&alphabet.method().to_string()),
             alphabet.len(),
             if tree.is_sparse() { "sparse" } else { "full" },
@@ -618,6 +626,14 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     if let Some((lo, hi)) = store.value_range() {
         println!("  value range:    [{lo}, {hi}]");
     }
+    let storage = match corpus_decimals {
+        Some(d) => format!("{d}-decimal delta varints"),
+        None => "raw f64".into(),
+    };
+    println!(
+        "  stored as:      {storage}, {} KiB",
+        corpus_file_bytes / 1024
+    );
     println!("categorization:");
     println!("  method:         {}", alphabet.method());
     println!("  categories:     {}", alphabet.len());

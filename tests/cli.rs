@@ -297,6 +297,57 @@ fn help_lists_commands() {
     let _ = PathBuf::new();
 }
 
+/// An append keeps the names its CSV gives: a match in an appended
+/// sequence is reported under its name, and `info` says how the corpus
+/// holds its whole-cent values.
+#[test]
+fn appended_sequences_keep_their_names() {
+    let dir = std::env::temp_dir().join(format!("warptree-cli-named-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv1, csv2, idx) = (dir.join("one.csv"), dir.join("two.csv"), dir.join("idx"));
+    std::fs::write(
+        &csv1,
+        "BASE1, 10.25, 11.50, 12.75, 11.00, 10.00\nBASE2, 20.00, 21.10, 19.95\n",
+    )
+    .unwrap();
+    std::fs::write(&csv2, "NEWCO, 30.10, 31.20, 32.30, 31.40\n40.00, 41.00\n").unwrap();
+    let idx_s = idx.to_str().unwrap();
+    run_ok(&[
+        "build",
+        "--input",
+        csv1.to_str().unwrap(),
+        "--categories",
+        "4",
+        "--out-dir",
+        idx_s,
+    ]);
+    run_ok(&[
+        "append",
+        "--input",
+        csv2.to_str().unwrap(),
+        "--index-dir",
+        idx_s,
+    ]);
+    let out = run_ok(&[
+        "search",
+        "--index-dir",
+        idx_s,
+        "--query",
+        "30.10,31.20,32.30",
+        "--epsilon",
+        "0.01",
+    ]);
+    assert!(out.contains("NEWCO"), "appended name lost:\n{out}");
+    let out = run_ok(&["info", "--index-dir", idx_s]);
+    assert!(out.contains("2-decimal delta varints"), "info:\n{out}");
+    let json = run_ok(&["info", "--index-dir", idx_s, "--json"]);
+    assert!(
+        json.contains("\"decimals\":2,\"file_bytes\":8192}"),
+        "info --json:\n{json}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn append_extends_a_built_index() {
     let dir = std::env::temp_dir().join(format!("warptree-cli-append-{}", std::process::id()));

@@ -105,6 +105,27 @@ fn golden_fixtures_remain_readable_and_searchable() {
     }
 }
 
+/// The corpus fixture a version 2 build wrote — values as raw doubles,
+/// no `decimals` word — still loads, every value bit for bit and every
+/// name, under the same alphabet.
+#[test]
+fn golden_v2_corpus_still_loads() {
+    let (want, want_alphabet) = golden_store();
+    let path = fixture_dir().join("golden-v2.corpus");
+    let (store, alphabet, cat) = load_corpus(&path).unwrap();
+    assert_eq!(store.len(), want.len());
+    for (id, s) in want.iter() {
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(store.get(id).values()), bits(s.values()), "{id}");
+        assert_eq!(store.name(id), want.name(id), "{id}");
+    }
+    assert_eq!(alphabet.categories(), want_alphabet.categories());
+    assert_eq!(cat.seqs(), want_alphabet.encode_store(&want).seqs());
+    assert_eq!(warptree_disk::corpus_decimals(&path).unwrap(), None);
+    let current = fixture_dir().join("golden.corpus");
+    assert_eq!(warptree_disk::corpus_decimals(&current).unwrap(), Some(1));
+}
+
 /// FNV-1a (64-bit) of a file's bytes: pins a file too large, or too
 /// many, to keep as a fixture.
 fn digest(path: &Path) -> String {
