@@ -3,10 +3,11 @@
 //! The manifest records which [`BackendKind`] a directory was committed
 //! under; [`AnyIndex`] is the runtime counterpart — one value that holds
 //! either a [`DiskTree`] or a [`DiskEsa`] and serves queries through
-//! [`IndexBackend`] by dispatching per call. Every layer above the file
-//! formats (snapshots, segment fan-out, the scrubber, the facade, the
-//! server) works with `AnyIndex` and stays backend-agnostic; the match
-//! lives here, once.
+//! [`IndexBackend`] by dispatching per call, to the tree or straight to
+//! the ESA's in-memory [`EsaIndex`](warptree_esa::EsaIndex). Every
+//! layer above the file formats (snapshots, segment fan-out, the
+//! scrubber, the facade, the server) works with `AnyIndex` and stays
+//! backend-agnostic; the match lives here, once.
 //!
 //! Traversal-visible behavior is identical across variants — that is
 //! the ESA's isomorphism contract (see `warptree-esa`) — so the
@@ -157,22 +158,20 @@ impl AnyNode {
 
 impl AnyIndex {
     /// Opens `path` as `backend`, against the categorized store its
-    /// labels reference. `cache_pages` sizes the page buffer pool;
-    /// `cache_nodes` the tree's decoded-node cache (unused by the ESA,
-    /// which loads eagerly).
+    /// labels reference. `cache_pages` sizes the tree's page buffer pool;
+    /// the ESA reads its file whole at open and keeps no pool.
     pub fn open_with(
         vfs: &dyn Vfs,
         path: &Path,
         cat: Arc<CatStore>,
         backend: BackendKind,
         cache_pages: usize,
-        cache_nodes: usize,
     ) -> Result<Self> {
         match backend {
             BackendKind::Tree => {
-                DiskTree::open_with(vfs, path, cat, cache_pages, cache_nodes).map(AnyIndex::Tree)
+                DiskTree::open_with(vfs, path, cat, cache_pages).map(AnyIndex::Tree)
             }
-            BackendKind::Esa => DiskEsa::open_with(vfs, path, cat, cache_pages).map(AnyIndex::Esa),
+            BackendKind::Esa => DiskEsa::open_with(vfs, path, cat).map(AnyIndex::Esa),
         }
     }
 
@@ -217,25 +216,24 @@ impl AnyIndex {
     pub fn cat(&self) -> &Arc<CatStore> {
         match self {
             AnyIndex::Tree(t) => t.cat(),
-            AnyIndex::Esa(e) => e.cat(),
+            AnyIndex::Esa(e) => e.esa().cat(),
         }
     }
 
-    /// Page-level I/O counters.
+    /// Page-level I/O counters of the tree's buffer pool. The ESA reads
+    /// no page after its open, so it reports zeros.
     pub fn io_stats(&self) -> IoStats {
         match self {
             AnyIndex::Tree(t) => t.io_stats(),
-            AnyIndex::Esa(e) => e.io_stats(),
+            AnyIndex::Esa(_) => IoStats::default(),
         }
     }
 
-    /// Decoded-node cache `(hits, misses)`. The ESA has no node cache
-    /// (its records live decoded in memory), so it reports zeros.
+    /// Always `(0, 0)`: there is no decoded-node cache. Kept only so the
+    /// repo benchmark, which still reads it, builds; ROADMAP item 1a
+    /// deletes it.
     pub fn node_cache_stats(&self) -> (u64, u64) {
-        match self {
-            AnyIndex::Tree(t) => t.node_cache_stats(),
-            AnyIndex::Esa(_) => (0, 0),
-        }
+        (0, 0)
     }
 
     /// The parse step of a committed index file's check (the one `verify`
@@ -248,17 +246,17 @@ impl AnyIndex {
         cat: Arc<CatStore>,
         backend: BackendKind,
     ) -> Result<()> {
-        match Self::open_with(vfs, path, cat, backend, 2, 1)? {
+        match Self::open_with(vfs, path, cat, backend, 2)? {
             AnyIndex::Tree(t) => t.verify_records(),
             AnyIndex::Esa(_) => Ok(()),
         }
     }
 
-    /// Routes the index's cache/CRC counters into `reg`.
+    /// Routes the tree's page-pool and CRC-failure counters into `reg`.
+    /// The ESA has none: it reads no page after its open.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        match self {
-            AnyIndex::Tree(t) => t.instrument(reg),
-            AnyIndex::Esa(e) => e.instrument(reg),
+        if let AnyIndex::Tree(t) = self {
+            t.instrument(reg)
         }
     }
 
@@ -277,7 +275,7 @@ impl AnyIndex {
     pub fn resident_bytes(&self) -> u64 {
         match self {
             AnyIndex::Tree(t) => t.logical_len(),
-            AnyIndex::Esa(e) => e.resident_bytes(),
+            AnyIndex::Esa(e) => e.esa().resident_bytes(),
         }
     }
 }
@@ -288,42 +286,44 @@ impl IndexBackend for AnyIndex {
     fn root(&self) -> AnyNode {
         match self {
             AnyIndex::Tree(t) => AnyNode::Tree(t.root()),
-            AnyIndex::Esa(e) => AnyNode::Esa(e.root()),
+            AnyIndex::Esa(e) => AnyNode::Esa(e.esa().root()),
         }
     }
 
     fn visit(&self, n: AnyNode, children: &mut impl Extend<AnyNode>) -> NodeVisit<'_> {
         match self {
             AnyIndex::Tree(t) => t.visit(n.tree(), &mut MapChildren::new(children, AnyNode::Tree)),
-            AnyIndex::Esa(e) => e.visit(n.esa(), &mut MapChildren::new(children, AnyNode::Esa)),
+            AnyIndex::Esa(e) => e
+                .esa()
+                .visit(n.esa(), &mut MapChildren::new(children, AnyNode::Esa)),
         }
     }
 
     fn for_each_suffix_below(&self, n: AnyNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
         match self {
             AnyIndex::Tree(t) => t.for_each_suffix_below(n.tree(), f),
-            AnyIndex::Esa(e) => e.for_each_suffix_below(n.esa(), f),
+            AnyIndex::Esa(e) => e.esa().for_each_suffix_below(n.esa(), f),
         }
     }
 
     fn for_each_suffix_at(&self, n: AnyNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
         match self {
             AnyIndex::Tree(t) => t.for_each_suffix_at(n.tree(), f),
-            AnyIndex::Esa(e) => e.for_each_suffix_at(n.esa(), f),
+            AnyIndex::Esa(e) => e.esa().for_each_suffix_at(n.esa(), f),
         }
     }
 
     fn is_sparse(&self) -> bool {
         match self {
             AnyIndex::Tree(t) => t.is_sparse(),
-            AnyIndex::Esa(e) => e.is_sparse(),
+            AnyIndex::Esa(e) => e.esa().is_sparse(),
         }
     }
 
     fn suffix_count(&self) -> u64 {
         match self {
             AnyIndex::Tree(t) => IndexBackend::suffix_count(t),
-            AnyIndex::Esa(e) => e.suffix_count(),
+            AnyIndex::Esa(e) => e.esa().suffix_count(),
         }
     }
 
@@ -334,7 +334,7 @@ impl IndexBackend for AnyIndex {
     fn depth_limit(&self) -> Option<u32> {
         match self {
             AnyIndex::Tree(t) => t.depth_limit(),
-            AnyIndex::Esa(e) => e.depth_limit(),
+            AnyIndex::Esa(e) => e.esa().depth_limit(),
         }
     }
 }
@@ -365,9 +365,9 @@ mod tests {
         let esa_path = tmp("esa");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
 
-        let tree = AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree, 8, 64)
-            .unwrap();
-        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8, 64).unwrap();
+        let tree =
+            AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree, 8).unwrap();
+        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8).unwrap();
         assert_eq!(tree.kind(), BackendKind::Tree);
         assert_eq!(esa.kind(), BackendKind::Esa);
         assert!(tree.as_tree().is_some() && tree.as_esa().is_none());
@@ -406,8 +406,7 @@ mod tests {
         let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 2));
         let esa_path = tmp("wrongway");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
-        let err =
-            AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree, 4, 16).unwrap_err();
+        let err = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree, 4).unwrap_err();
         assert!(matches!(
             err,
             DiskError::UnsupportedBackend { ref found } if found == "esa"

@@ -6,15 +6,15 @@
 //! format, so `verify`, scrub, quarantine and the commit protocol
 //! compose unchanged. Unlike the tree format there is no node heap to
 //! page in lazily: the arrays are compact (12 bytes per suffix, 28 per
-//! interval, 4 per child edge), so [`DiskEsa::open_with`] loads them
-//! eagerly through the CRC-checked read path and serves queries from
-//! memory. Corruption therefore surfaces at *open* time as a typed
-//! [`DiskError`], which the scrub/quarantine machinery already treats
-//! exactly like a mid-query CRC failure. A CRC vouches for bytes, not
-//! for who wrote them, so the loaded arrays are also checked against
-//! the corpus ([`EsaIndex::validate`]) before any query walks them: a
-//! forged count, child slice or entry is a [`DiskError::BadRecord`]
-//! at open, never a panic or an abort later.
+//! interval, 4 per child edge), so [`DiskEsa::open_with`] reads them
+//! once through the CRC-checked read path, keeps them, and drops the
+//! reader. Corruption therefore surfaces at *open* time as a typed
+//! [`DiskError`] naming the file, which the scrub/quarantine machinery
+//! already treats exactly like a mid-query CRC failure. A CRC vouches
+//! for bytes, not for who wrote them, so the loaded arrays are also
+//! checked against the corpus ([`EsaIndex::validate`]) before any query
+//! walks them: a forged count, child slice or entry is a
+//! [`DiskError::BadRecord`] at open, never a panic or an abort later.
 //!
 //! ```text
 //! header (64 bytes, logical offset 0):
@@ -42,13 +42,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use warptree_core::categorize::CatStore;
-use warptree_core::search::{BackendKind, IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
-use warptree_esa::{Entry, EsaIndex, EsaNode, IntervalRec};
+use warptree_esa::{Entry, EsaIndex, IntervalRec};
 
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
-use crate::pager::{IoStats, PagedReader, PagedWriter};
+use crate::pager::PagedWriter;
 use crate::vfs::{RealVfs, Vfs};
 
 /// Size of the ESA file header in logical bytes.
@@ -183,12 +182,11 @@ pub fn write_esa_with(vfs: &dyn Vfs, esa: &EsaIndex, path: &Path) -> Result<u64>
     w.finish(&[])
 }
 
-/// A disk-resident enhanced suffix array, query-ready through
-/// [`IndexBackend`]. The flat arrays are loaded eagerly through the
-/// CRC-checked pager at open; the reader is kept only for I/O
-/// accounting.
+/// A disk-resident enhanced suffix array, opened: its flat arrays,
+/// parsed and validated at open. The file is read once, there, and no
+/// reader or page pool outlives the open; queries walk
+/// [`esa`](Self::esa).
 pub struct DiskEsa {
-    reader: PagedReader,
     header: EsaHeader,
     esa: EsaIndex,
     /// File name this index was opened from (its segment identity).
@@ -197,21 +195,17 @@ pub struct DiskEsa {
 
 impl DiskEsa {
     /// Opens an ESA file against the categorized store its entries
-    /// reference. `cache_pages` sizes the page buffer pool used for the
-    /// eager load.
-    pub fn open(path: &Path, cat: Arc<CatStore>, cache_pages: usize) -> Result<Self> {
-        Self::open_with(&RealVfs, path, cat, cache_pages)
+    /// reference.
+    pub fn open(path: &Path, cat: Arc<CatStore>) -> Result<Self> {
+        Self::open_with(&RealVfs, path, cat)
     }
 
-    /// [`open`](Self::open) through an explicit [`Vfs`].
-    pub fn open_with(
-        vfs: &dyn Vfs,
-        path: &Path,
-        cat: Arc<CatStore>,
-        cache_pages: usize,
-    ) -> Result<Self> {
+    /// [`open`](Self::open) through an explicit [`Vfs`]. A page that
+    /// fails its CRC, header or body, is a
+    /// [`DiskError::CorruptionDetected`] naming the file.
+    pub fn open_with(vfs: &dyn Vfs, path: &Path, cat: Arc<CatStore>) -> Result<Self> {
         let (reader, header, source) =
-            open_headed::<EsaHeader>(vfs, path, cache_pages.max(2), Some(cat.alphabet_len()))?;
+            open_headed::<EsaHeader>(vfs, path, 2, Some(cat.alphabet_len()))?;
         // A forged count must not wrap the sum past the overrun check and
         // size an allocation by it.
         let end = [
@@ -229,7 +223,9 @@ impl DiskEsa {
         // The arrays lie back to back behind the header: one read, then
         // one little-endian word at a time.
         let mut body = vec![0u8; (end - ESA_HEADER_SIZE) as usize];
-        reader.read_exact_at(ESA_HEADER_SIZE, &mut body)?;
+        reader
+            .read_exact_at(ESA_HEADER_SIZE, &mut body)
+            .map_err(|e| e.in_file(path))?;
         let mut words =
             (body.chunks_exact(4)).map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")));
         let mut word = || words.next().expect("the header's counts size the body");
@@ -257,7 +253,6 @@ impl DiskEsa {
         esa.validate()
             .map_err(|m| DiskError::BadRecord(format!("esa {m}")))?;
         Ok(Self {
-            reader,
             header,
             esa,
             source,
@@ -278,69 +273,13 @@ impl DiskEsa {
     pub fn esa(&self) -> &EsaIndex {
         &self.esa
     }
-
-    /// The categorized store the entries reference.
-    pub fn cat(&self) -> &Arc<CatStore> {
-        self.esa.cat()
-    }
-
-    /// Page-level I/O counters (accumulated at open and verify time —
-    /// queries are served from memory).
-    pub fn io_stats(&self) -> IoStats {
-        self.reader.io_stats()
-    }
-
-    /// Resident bytes of the loaded index arrays (the backend-race
-    /// metric; excludes the shared corpus).
-    pub fn resident_bytes(&self) -> u64 {
-        self.esa.resident_bytes()
-    }
-
-    /// Routes this file's CRC-failure counter into `reg` (the ESA has
-    /// no lazily decoded node cache to meter).
-    pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        self.reader
-            .meter_cache(reg, "disk.page_cache.hits", "disk.page_cache.misses");
-        self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
-    }
-}
-
-impl IndexBackend for DiskEsa {
-    type Node = EsaNode;
-
-    fn root(&self) -> EsaNode {
-        self.esa.root()
-    }
-
-    fn visit(&self, n: EsaNode, children: &mut impl Extend<EsaNode>) -> NodeVisit<'_> {
-        self.esa.visit(n, children)
-    }
-
-    fn for_each_suffix_below(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
-        self.esa.for_each_suffix_below(n, f)
-    }
-
-    fn for_each_suffix_at(&self, n: EsaNode, f: &mut dyn FnMut(SeqId, u32, u32)) {
-        self.esa.for_each_suffix_at(n, f)
-    }
-
-    fn is_sparse(&self) -> bool {
-        self.esa.is_sparse()
-    }
-
-    fn suffix_count(&self) -> u64 {
-        self.esa.suffix_count()
-    }
-
-    fn backend_kind(&self) -> BackendKind {
-        BackendKind::Esa
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use warptree_core::categorize::CatStore;
+    use warptree_core::search::{BackendKind, IndexBackend};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -407,21 +346,20 @@ mod tests {
             let path = tmp(&format!("roundtrip-{sparse}"));
             let len = write_esa(&esa, &path).unwrap();
             assert!(len > ESA_HEADER_SIZE);
-            let disk = DiskEsa::open(&path, cat.clone(), 8).unwrap();
-            assert_eq!(disk.is_sparse(), sparse);
-            assert_eq!(disk.suffix_count(), esa.suffix_count());
-            assert_eq!(disk.backend_kind(), BackendKind::Esa);
-            assert_eq!(disk.esa().validate(), Ok(()));
+            let disk = DiskEsa::open(&path, cat.clone()).unwrap();
+            let back_esa = disk.esa();
+            assert_eq!(back_esa.is_sparse(), sparse);
+            assert_eq!(back_esa.suffix_count(), esa.suffix_count());
+            assert_eq!(back_esa.validate(), Ok(()));
             // Identical suffix enumeration order end to end.
             let mut mem = Vec::new();
             esa.for_each_suffix_below(esa.root(), &mut |s, p, r| mem.push((s, p, r)));
             let mut back = Vec::new();
-            disk.for_each_suffix_below(disk.root(), &mut |s, p, r| back.push((s, p, r)));
+            back_esa.for_each_suffix_below(back_esa.root(), &mut |s, p, r| back.push((s, p, r)));
             assert_eq!(mem, back);
-            assert_eq!(disk.resident_bytes(), esa.resident_bytes());
-            // One page, read once; its header alone gives the shape, and
-            // the file passes the committed-file check.
-            assert_eq!(disk.io_stats().pages_read, 1);
+            assert_eq!(back_esa.resident_bytes(), esa.resident_bytes());
+            // Its header alone gives the shape, and the file passes the
+            // committed-file check.
             let shape = crate::any::index_shape(&RealVfs, &path, BackendKind::Esa).unwrap();
             assert_eq!((shape.alphabet_len, shape.sparse), (3, sparse));
             crate::any::AnyIndex::check(&RealVfs, &path, cat, BackendKind::Esa).unwrap();
@@ -436,7 +374,7 @@ mod tests {
         let path = tmp("alpha");
         write_esa(&esa, &path).unwrap();
         let other = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 7));
-        assert!(DiskEsa::open(&path, other, 8).is_err());
+        assert!(DiskEsa::open(&path, other).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -446,16 +384,15 @@ mod tests {
         let esa = EsaIndex::build(cat.clone(), false);
         let path = tmp("corrupt");
         write_esa(&esa, &path).unwrap();
-        // Flip a byte inside the array region: the eager CRC-checked
-        // load must refuse the file. The byte lies in the header page,
-        // so the refusal names the file.
+        // Flip a byte inside the array region: the CRC-checked read at
+        // open must refuse the file, naming it.
         let mut raw = std::fs::read(&path).unwrap();
         let mid = 128;
         raw[mid] ^= 0x5a;
         std::fs::write(&path, &raw).unwrap();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(matches!(
-            DiskEsa::open(&path, cat, 8),
+            DiskEsa::open(&path, cat),
             Err(DiskError::CorruptionDetected { file, page: 0 }) if file == name
         ));
         std::fs::remove_file(&path).unwrap();
@@ -464,7 +401,7 @@ mod tests {
     /// Opens `path`, which must fail as a typed `BadRecord`; returns its
     /// message.
     fn bad_record(path: &Path, cat: Arc<CatStore>) -> String {
-        match DiskEsa::open(path, cat, 8) {
+        match DiskEsa::open(path, cat) {
             Err(DiskError::BadRecord(m)) => m,
             other => panic!("expected a BadRecord, got {:?}", other.map(|_| ())),
         }

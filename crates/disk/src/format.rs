@@ -45,7 +45,6 @@ use warptree_core::sequence::SeqId;
 
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
-use crate::lru::LruCache;
 use crate::pager::{IoStats, PagedReader, PAGE_DATA};
 use crate::vfs::{RealVfs, Vfs};
 
@@ -381,9 +380,6 @@ pub struct DiskTree {
     reader: PagedReader,
     cat: Arc<CatStore>,
     header: Header,
-    /// Owned records [`read_node`](Self::read_node) handed out, by
-    /// offset. A query never looks here.
-    nodes: Mutex<LruCache<u64, DiskNode>>,
     /// File name this tree was opened from — the segment identity a
     /// failed read is reported under.
     source: String,
@@ -394,15 +390,9 @@ pub struct DiskTree {
 
 impl DiskTree {
     /// Opens a tree file against the categorized store its labels
-    /// reference. `cache_pages` sizes the page buffer pool;
-    /// `cache_nodes` the decoded-node cache.
-    pub fn open(
-        path: &Path,
-        cat: Arc<CatStore>,
-        cache_pages: usize,
-        cache_nodes: usize,
-    ) -> Result<Self> {
-        Self::open_with(&RealVfs, path, cat, cache_pages, cache_nodes)
+    /// reference. `cache_pages` sizes the page buffer pool.
+    pub fn open(path: &Path, cat: Arc<CatStore>, cache_pages: usize) -> Result<Self> {
+        Self::open_with(&RealVfs, path, cat, cache_pages)
     }
 
     /// [`open`](Self::open) through an explicit [`Vfs`].
@@ -411,7 +401,6 @@ impl DiskTree {
         path: &Path,
         cat: Arc<CatStore>,
         cache_pages: usize,
-        cache_nodes: usize,
     ) -> Result<Self> {
         let (reader, header, source) =
             open_headed(vfs, path, cache_pages, Some(cat.alphabet_len()))?;
@@ -419,7 +408,6 @@ impl DiskTree {
             reader,
             cat,
             header,
-            nodes: Mutex::new(LruCache::new(cache_nodes.max(1))),
             source,
             read_error: Mutex::new(None),
         })
@@ -509,25 +497,14 @@ impl DiskTree {
         self.reader.logical_len()
     }
 
-    /// Decoded-node cache hit/miss totals, `(hits, misses)`.
-    pub fn node_cache_stats(&self) -> (u64, u64) {
-        let nodes = self.nodes.lock();
-        (nodes.hits(), nodes.misses())
-    }
-
-    /// Forwards this tree's cache traffic into `reg` as well: the
-    /// decoded-node cache as `disk.node_cache.{hits,misses}` and the
-    /// page buffer pool as `disk.page_cache.{hits,misses}`, names every
-    /// tree of a directory shares (their counts sum there). Lookups made
-    /// before the call are not replayed into `reg`; the tree's own
-    /// [`io_stats`](Self::io_stats) and
-    /// [`node_cache_stats`](Self::node_cache_stats) go on reporting this
-    /// tree's traffic alone.
+    /// Forwards this tree's page buffer pool traffic into `reg` as well,
+    /// as `disk.page_cache.{hits,misses}`, names every tree of a
+    /// directory shares (their counts sum there), and its read-path CRC
+    /// failures as `disk.read_crc_fail`. Lookups made before the call are
+    /// not replayed into `reg`; the tree's own
+    /// [`io_stats`](Self::io_stats) goes on reporting this tree's
+    /// traffic alone.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        self.nodes.lock().set_counters(
-            reg.counter("disk.node_cache.hits"),
-            reg.counter("disk.node_cache.misses"),
-        );
         self.reader
             .meter_cache(reg, "disk.page_cache.hits", "disk.page_cache.misses");
         self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
@@ -574,15 +551,10 @@ impl DiskTree {
         }
     }
 
-    /// Reads (or re-uses) the node record at `offset` as an owned
-    /// [`DiskNode`]: the checked [`NodeView`] a traversal reads, copied out.
+    /// Reads the node record at `offset` as an owned [`DiskNode`]: the
+    /// checked [`NodeView`] a traversal reads, copied out.
     pub fn read_node(&self, offset: u64) -> Result<DiskNode> {
-        if let Some(n) = self.nodes.lock().get(&offset) {
-            return Ok(n.clone());
-        }
-        let node = self.with_node(offset, |view| view.to_node())?;
-        self.nodes.lock().insert(offset, node.clone());
-        Ok(node)
+        self.with_node(offset, |view| view.to_node())
     }
 
     /// The symbols of a decoded node's edge label (a range

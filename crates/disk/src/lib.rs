@@ -4,7 +4,8 @@
 //!
 //! Disk-based suffix-tree storage for the Park et al. (ICDE 2000) index:
 //!
-//! * [`pager`] — paged files with per-page CRC-32 and an LRU buffer pool;
+//! * [`pager`] / [`lru`] — paged files with per-page CRC-32 and a 2Q buffer
+//!   pool, the one cache on the read path;
 //! * [`format`](mod@format) / [`writer`] — the tree file format, written post-order in
 //!   one sequential pass; [`DiskTree`] serves queries straight from disk
 //!   through the same [`IndexBackend`](warptree_core::search::IndexBackend)

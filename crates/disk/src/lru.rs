@@ -1,16 +1,14 @@
-//! The two small, allocation-friendly caches of this crate: [`LruCache`]
-//! for decoded node records and [`TwoQueue`], the page pool's 2Q.
+//! [`TwoQueue`], the page pool's 2Q: the one cache of this crate.
 //!
-//! Each is a `HashMap` keyed by `K` plus intrusive doubly-linked lists
+//! It is a `HashMap` keyed by `K` plus intrusive doubly-linked lists
 //! threaded through a slab of entries — `O(1)` get/insert/evict, no
 //! per-operation allocation once warm.
 //!
-//! The maps hash with `KeyHasher`, one multiply per integer key: both
-//! caches are keyed by `u64` (page index, record offset) and the pool is
-//! looked up once per visited node, so the hash sits on a query's hot
-//! path. The keys are positions in files this process wrote, and a cache
-//! holds a bounded number of them, so there is no flooding for a keyed
-//! hash to defend against.
+//! The map hashes with `KeyHasher`, one multiply per integer key: the
+//! pool is keyed by `u64` page index and looked up once per visited
+//! node, so the hash sits on a query's hot path. The keys are positions
+//! in files this process wrote, and the pool holds a bounded number of
+//! them, so there is no flooding for a keyed hash to defend against.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -68,14 +66,14 @@ struct Entry<K, V> {
     next: usize,
 }
 
-/// A cache's lookup counts.
+/// The pool's lookup counts.
 struct Lookups {
-    /// The cache's own totals — what its `hits()` and `misses()` report,
+    /// The pool's own totals — what its `hits()` and `misses()` report,
     /// whoever else is listening.
     hits: u64,
     misses: u64,
-    /// Where each lookup is also reported (no-ops until the cache's
-    /// `set_counters`). Several caches may forward to the same registry
+    /// Where each lookup is also reported (no-ops until the pool's
+    /// `set_counters`). Several pools may forward to the same registry
     /// cells; their counts sum there.
     forward_hits: Counter,
     forward_misses: Counter,
@@ -159,123 +157,6 @@ impl List {
             self.unlink(slab, idx);
             self.push_front(slab, idx);
         }
-    }
-}
-
-/// An LRU cache holding at most `capacity` entries.
-///
-/// ```
-/// use warptree_disk::lru::LruCache;
-/// let mut c = LruCache::new(2);
-/// c.insert("a", 1);
-/// c.insert("b", 2);
-/// c.get(&"a");            // refresh "a"
-/// c.insert("c", 3);       // evicts "b", the least recently used
-/// assert_eq!(c.get(&"b"), None);
-/// assert_eq!(c.get(&"a"), Some(&1));
-/// ```
-pub struct LruCache<K, V> {
-    map: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
-    slab: Vec<Entry<K, V>>,
-    list: List,
-    capacity: usize,
-    lookups: Lookups,
-}
-
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache with the given capacity (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
-            slab: Vec::with_capacity(capacity),
-            list: List::new(),
-            capacity,
-            lookups: Lookups::new(),
-        }
-    }
-
-    /// Forwards every later lookup to `hits` / `misses` as well —
-    /// typically registry-backed handles, so the cache meters into a
-    /// shared [`MetricsRegistry`](warptree_obs::MetricsRegistry). The
-    /// cache's own totals keep counting from where they were; lookups
-    /// made before the call are not replayed into the new counters.
-    pub fn set_counters(&mut self, hits: Counter, misses: Counter) {
-        self.lookups.forward_to(hits, misses);
-    }
-
-    /// Total lookups this cache served.
-    pub fn hits(&self) -> u64 {
-        self.lookups.hits
-    }
-
-    /// Total lookups on this cache that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.lookups.misses
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up `key`, marking it most-recently used.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.lookups.hit();
-                self.list.touch(&mut self.slab, idx);
-                Some(&self.slab[idx].value)
-            }
-            None => {
-                self.lookups.miss();
-                None
-            }
-        }
-    }
-
-    /// Inserts `key -> value`, evicting the least-recently-used entry if
-    /// full. Replaces the value if the key is present. Returns the value
-    /// this displaced — the evicted entry's or the replaced one — so a
-    /// caller with expensive values (page frames) can reuse it.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if let Some(&idx) = self.map.get(&key) {
-            let old = std::mem::replace(&mut self.slab[idx].value, value);
-            self.list.touch(&mut self.slab, idx);
-            return Some(old);
-        }
-        let (idx, displaced) = if self.slab.len() < self.capacity {
-            self.slab.push(Entry {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            (self.slab.len() - 1, None)
-        } else {
-            // Evict the tail.
-            let idx = self.list.tail;
-            self.list.unlink(&mut self.slab, idx);
-            let old_key = std::mem::replace(&mut self.slab[idx].key, key.clone());
-            self.map.remove(&old_key);
-            let old = std::mem::replace(&mut self.slab[idx].value, value);
-            (idx, Some(old))
-        };
-        self.map.insert(key, idx);
-        self.list.push_front(&mut self.slab, idx);
-        displaced
-    }
-
-    /// Drops all entries, keeping the counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.list = List::new();
     }
 }
 
@@ -366,8 +247,11 @@ impl<K: Eq + Hash + Clone, V> TwoQueue<K, V> {
         }
     }
 
-    /// Forwards every later lookup to `hits` / `misses` as well, like
-    /// [`LruCache::set_counters`].
+    /// Forwards every later lookup to `hits` / `misses` as well —
+    /// typically registry-backed handles, so the pool meters into a
+    /// shared [`MetricsRegistry`](warptree_obs::MetricsRegistry). The
+    /// pool's own totals keep counting from where they were; lookups
+    /// made before the call are not replayed into the new counters.
     pub fn set_counters(&mut self, hits: Counter, misses: Counter) {
         self.lookups.forward_to(hits, misses);
     }
@@ -506,7 +390,7 @@ mod tests {
 
     #[test]
     fn basic_insert_get() {
-        let mut c = LruCache::new(2);
+        let mut c = TwoQueue::new(2);
         c.insert(1, "a");
         c.insert(2, "b");
         assert_eq!(c.get(&1), Some(&"a"));
@@ -517,11 +401,11 @@ mod tests {
 
     #[test]
     fn counters_can_meter_into_a_registry() {
-        // Two caches metering into the same registry cells: the registry
-        // sees the sum, each cache still reports its own traffic, and
+        // Two pools metering into the same registry cells: the registry
+        // sees the sum, each pool still reports its own traffic, and
         // lookups made before the wiring stay local.
         let reg = warptree_obs::MetricsRegistry::new();
-        let (mut a, mut b) = (LruCache::new(2), LruCache::new(2));
+        let (mut a, mut b) = (TwoQueue::new(2), TwoQueue::new(2));
         a.insert(1, "a");
         a.get(&1);
         for c in [&mut a, &mut b] {
@@ -535,16 +419,6 @@ mod tests {
         assert_eq!(snap.counters["cache.misses"], 2);
         assert_eq!((a.hits(), a.misses()), (2, 1));
         assert_eq!((b.hits(), b.misses()), (0, 1));
-    }
-
-    #[test]
-    fn insert_returns_what_it_displaced() {
-        let mut c = LruCache::new(2);
-        assert_eq!(c.insert(1, 10), None);
-        assert_eq!(c.insert(2, 20), None);
-        assert_eq!(c.insert(1, 11), Some(10)); // replaced in place
-        assert_eq!(c.insert(3, 30), Some(20)); // 2 was least recently used
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -569,44 +443,27 @@ mod tests {
     }
 
     #[test]
-    fn evicts_least_recently_used() {
-        let mut c = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.get(&1); // 2 is now LRU
-        c.insert(3, 30);
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&1), Some(&10));
-        assert_eq!(c.get(&3), Some(&30));
-    }
-
-    #[test]
-    fn reinsert_updates_value_and_recency() {
-        let mut c = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(1, 11); // refresh 1; 2 becomes LRU
-        c.insert(3, 30);
-        assert_eq!(c.get(&1), Some(&11));
-        assert_eq!(c.get(&2), None);
-    }
-
-    #[test]
     fn capacity_one() {
-        let mut c = LruCache::new(1);
-        c.insert('a', 1);
-        c.insert('b', 2);
+        // There is a value to give back on every insert.
+        let mut c = TwoQueue::new(1);
+        assert_eq!(c.insert('a', 1), None);
+        assert_eq!(c.insert('b', 2), Some(1));
         assert_eq!(c.get(&'a'), None);
         assert_eq!(c.get(&'b'), Some(&2));
+        assert!(!c.is_empty());
     }
 
     #[test]
     fn heavy_churn_stays_bounded() {
-        let mut c = LruCache::new(8);
+        // A scan of new keys: the values, the ghosts and the slab that
+        // holds both all stay within the capacity's bounds.
+        let mut c = TwoQueue::new(8);
         for i in 0..1000u32 {
             c.insert(i, i * 2);
         }
         assert_eq!(c.len(), 8);
+        assert!(c.ghosts.len <= 8 / GHOST_DIV);
+        assert!(c.slab.len() <= 8 + 8 / GHOST_DIV + 1);
         for i in 992..1000 {
             assert_eq!(c.get(&i), Some(&(i * 2)));
         }
@@ -652,14 +509,20 @@ mod tests {
         // a depth-first traversal a little larger than the pool.
         let (capacity, distinct, laps) = (40usize, 56u32, 20u64);
         let mut two_q = TwoQueue::new(capacity);
-        let mut lru = LruCache::new(capacity);
+        // The LRU it is compared with: keys, most recent last.
+        let (mut lru, mut lru_misses) = (Vec::new(), 0u64);
         let mut last_lap = 0;
         for lap in 0..laps {
             let before = two_q.misses();
             for key in 0..distinct {
                 touch(&mut two_q, key);
-                if lru.get(&key).is_none() {
-                    lru.insert(key, key);
+                match lru.iter().position(|&k| k == key) {
+                    Some(at) => drop(lru.remove(at)),
+                    None => lru_misses += 1,
+                }
+                lru.push(key);
+                if lru.len() > capacity {
+                    lru.remove(0);
                 }
                 assert!(two_q.len() <= capacity);
             }
@@ -669,7 +532,7 @@ mod tests {
                 "lap {lap}: {last_lap}"
             );
         }
-        assert_eq!(lru.misses(), laps * distinct as u64, "an LRU misses on all");
+        assert_eq!(lru_misses, laps * distinct as u64, "an LRU misses on all");
         // Settled: what does not fit goes round probation, the rest stays.
         assert!(last_lap <= distinct as u64 / 2, "{last_lap} misses a lap");
     }
@@ -685,22 +548,5 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&1), Some(&12));
         assert_eq!(c.get(&3), Some(&30));
-        // Capacity one: there is a value to give back on every insert.
-        let mut one = TwoQueue::new(1);
-        assert_eq!(one.insert('a', 1), None);
-        assert_eq!(one.insert('b', 2), Some(1));
-        assert_eq!(one.get(&'a'), None);
-        assert_eq!(one.get(&'b'), Some(&2));
-        assert!(!one.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = LruCache::new(4);
-        c.insert(1, 1);
-        c.clear();
-        assert!(c.is_empty());
-        c.insert(2, 2);
-        assert_eq!(c.get(&2), Some(&2));
     }
 }

@@ -121,12 +121,11 @@ impl DirSnapshot {
         self.tree.kind()
     }
 
-    /// Forwards every live tree's cache and CRC-failure counts into
-    /// `reg` (`disk.page_cache.*`, `disk.node_cache.*`,
-    /// `disk.read_crc_fail`); the trees share the names, so their
-    /// counts sum there, while each tree's own `io_stats()` /
-    /// `node_cache_stats()` — what the `pager.io` span and `explain`
-    /// read — stay that tree's alone.
+    /// Forwards every live tree's page-pool and CRC-failure counts into
+    /// `reg` (`disk.page_cache.*`, `disk.read_crc_fail`); the trees share
+    /// the names, so their counts sum there, while each tree's own
+    /// `io_stats()` — what the `pager.io` span and `explain` read — stays
+    /// that tree's alone.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         self.live_trees().for_each(|t| t.instrument(reg));
     }
@@ -309,14 +308,13 @@ impl DirSnapshot {
 /// **without mutating the directory** — no recovery sweep, no file
 /// removal — so it is safe to run concurrently with a writer committing
 /// the next generation. `cache_pages` sizes each tree's page buffer
-/// pool, `cache_nodes` its decoded-node cache.
+/// pool.
 pub fn open_dir_snapshot_with(
     vfs: &dyn Vfs,
     dir: &Path,
     cache_pages: usize,
-    cache_nodes: usize,
 ) -> Result<DirSnapshot> {
-    open_resolved(vfs, resolve_dir_with(vfs, dir)?, cache_pages, cache_nodes)
+    open_resolved(vfs, resolve_dir_with(vfs, dir)?, cache_pages)
 }
 
 /// [`open_dir_snapshot_with`] after crash recovery: stale temporaries
@@ -328,10 +326,9 @@ pub fn open_dir_recovered_with(
     vfs: &dyn Vfs,
     dir: &Path,
     cache_pages: usize,
-    cache_nodes: usize,
 ) -> Result<(DirSnapshot, RecoveryReport)> {
     let (resolved, recovery) = recover_dir_with(vfs, dir)?;
-    let snapshot = open_resolved(vfs, resolved, cache_pages, cache_nodes)?;
+    let snapshot = open_resolved(vfs, resolved, cache_pages)?;
     Ok((snapshot, recovery))
 }
 
@@ -344,12 +341,7 @@ pub fn open_dir_recovered_with(
 /// and the corpus answers for it. A corrupt corpus or base fails the
 /// open, and so does an I/O error (a superseded generation's file
 /// unlinked under a poll: retry).
-fn open_resolved(
-    vfs: &dyn Vfs,
-    resolved: ResolvedDir,
-    cache_pages: usize,
-    cache_nodes: usize,
-) -> Result<DirSnapshot> {
+fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir, cache_pages: usize) -> Result<DirSnapshot> {
     let ResolvedDir {
         generation,
         corpus_path,
@@ -358,16 +350,8 @@ fn open_resolved(
         manifest,
     } = resolved;
     let (store, alphabet, cat) = load_corpus_with(vfs, &corpus_path)?;
-    let open = |path: &Path| {
-        AnyIndex::open_with(
-            vfs,
-            path,
-            cat.clone(),
-            manifest.backend,
-            cache_pages,
-            cache_nodes,
-        )
-    };
+    let open =
+        |path: &Path| AnyIndex::open_with(vfs, path, cat.clone(), manifest.backend, cache_pages);
     let tree = open(&index_path)?;
     let mut segments = Vec::with_capacity(segment_paths.len());
     let mut segment_metas = Vec::new();
@@ -445,7 +429,7 @@ mod tests {
         let dir = tmpdir("generations");
         let store = build(&dir, vec![vec![1.0, 5.0, 3.0, 5.0, 1.0], vec![4.0, 4.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 1);
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 32).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
         assert_eq!(snap.generation, 1);
         assert_eq!(snap.store.len(), store.len());
         let (answers, _) = snap
@@ -459,7 +443,7 @@ mod tests {
         // observe it.
         build(&dir, vec![vec![9.0, 9.0, 9.0], vec![2.0, 2.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 2);
-        let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 8, 32).unwrap();
+        let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
         assert_eq!(snap2.generation, 2);
         assert_eq!(snap2.store.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -475,7 +459,7 @@ mod tests {
         let installed = dir.join("index-000002.wt");
         std::fs::write(&staged, b"writer in flight").unwrap();
         std::fs::write(&installed, b"writer in flight").unwrap();
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 4, 16).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 4).unwrap();
         assert_eq!(snap.generation, 1);
         assert!(staged.exists(), "snapshot reopen must not remove staging");
         assert!(

@@ -1,5 +1,5 @@
-//! Behavioural tests of the disk layer: node-cache effectiveness,
-//! merge preconditions, builder edge cases, merges of trees deeper than
+//! Behavioural tests of the disk layer: merge preconditions, page-pool
+//! size independence, builder edge cases, merges of trees deeper than
 //! a thread's stack would hold, and the whole pipeline from a persisted
 //! corpus through a merged tree to a search.
 
@@ -28,38 +28,6 @@ fn small_cat() -> Arc<CatStore> {
     ))
 }
 
-#[test]
-fn node_cache_avoids_repeated_page_reads() {
-    let cat = small_cat();
-    let tree = build_full(cat.clone());
-    let dir = tmpdir("cache");
-    let path = dir.join("t.wt");
-    write_tree(&tree, &path).unwrap();
-    let disk = DiskTree::open(&path, cat, 4, 128).unwrap();
-    // Walk the whole tree twice through `read_node`, as `to_mem` does;
-    // the second pass must be free.
-    let walk = || {
-        let (mut suffixes, mut stack) = (0u64, vec![disk.root()]);
-        while let Some(offset) = stack.pop() {
-            let node = disk.read_node(offset).unwrap();
-            suffixes += node.suffixes().len() as u64;
-            stack.extend(node.children().map(|(_, child)| child));
-        }
-        suffixes
-    };
-    let n1 = walk();
-    let after_first = disk.io_stats();
-    let n2 = walk();
-    let after_second = disk.io_stats();
-    assert_eq!(n1, disk.suffix_count());
-    assert_eq!(n1, n2);
-    // The decoded-node cache absorbs the second walk entirely: no new
-    // page reads or page-cache hits (records never touch the pager).
-    assert_eq!(after_second.pages_read, after_first.pages_read);
-    assert_eq!(after_second.cache_hits, after_first.cache_hits);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Trees that disagree on the depth limit do not merge: a typed
 /// `BadHeader`, before the output file is created.
 #[test]
@@ -77,8 +45,8 @@ fn merge_rejects_mismatched_depth_limits() {
     let (p1, p2) = (dir.join("a.wt"), dir.join("b.wt"));
     write_tree(&full, &p1).unwrap();
     write_tree(&trunc, &p2).unwrap();
-    let a = DiskTree::open(&p1, cat.clone(), 4, 16).unwrap();
-    let b = DiskTree::open(&p2, cat.clone(), 4, 16).unwrap();
+    let a = DiskTree::open(&p1, cat.clone(), 4).unwrap();
+    let b = DiskTree::open(&p2, cat.clone(), 4).unwrap();
     match merge_trees(&a, &b, &cat, &dir.join("m.wt")) {
         Err(DiskError::BadHeader(m)) => assert!(m.contains("depth limit differs"), "{m}"),
         other => panic!("expected a typed BadHeader, got {other:?}"),
@@ -95,7 +63,7 @@ fn incremental_builder_handles_empty_store() {
     IncrementalBuilder::new(cat.clone(), TreeKind::Sparse, 4, dir.clone())
         .build(&out)
         .unwrap();
-    let disk = DiskTree::open(&out, cat, 4, 16).unwrap();
+    let disk = DiskTree::open(&out, cat, 4).unwrap();
     assert_eq!(disk.suffix_count(), 0);
     assert!(disk.is_sparse());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -108,14 +76,14 @@ fn reopening_with_tiny_caches_matches_large_caches() {
     let dir = tmpdir("caches");
     let path = dir.join("t.wt");
     write_tree(&tree, &path).unwrap();
-    let collect = |pages: usize, nodes: usize| {
-        let disk = DiskTree::open(&path, cat.clone(), pages, nodes).unwrap();
+    let collect = |pages: usize| {
+        let disk = DiskTree::open(&path, cat.clone(), pages).unwrap();
         let mut v = Vec::new();
         disk.for_each_suffix_below(disk.root(), &mut |s, p, r| v.push((s, p, r)));
         v.sort();
         v
     };
-    assert_eq!(collect(1, 1), collect(64, 1024));
+    assert_eq!(collect(1), collect(64));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -144,10 +112,10 @@ fn full_disk_pipeline() {
     let (p1, p2, pm) = (dir.join("h1.wt"), dir.join("h2.wt"), dir.join("merged.wt"));
     write_tree(&build_full_range(cat.clone(), 0..12), &p1).unwrap();
     write_tree(&build_full_range(cat.clone(), 12..24), &p2).unwrap();
-    let d1 = DiskTree::open(&p1, cat.clone(), 16, 64).unwrap();
-    let d2 = DiskTree::open(&p2, cat.clone(), 16, 64).unwrap();
+    let d1 = DiskTree::open(&p1, cat.clone(), 16).unwrap();
+    let d2 = DiskTree::open(&p2, cat.clone(), 16).unwrap();
     merge_trees(&d1, &d2, &cat, &pm).unwrap();
-    let merged = DiskTree::open(&pm, cat2, 32, 256).unwrap();
+    let merged = DiskTree::open(&pm, cat2, 32).unwrap();
 
     // Search the merged tree over the reloaded corpus.
     let params = SearchParams::with_epsilon(3.0);
@@ -193,7 +161,7 @@ fn a_deep_build_merges_on_a_small_stack() {
         IncrementalBuilder::new(cat.clone(), TreeKind::Full, 1, dir.clone())
             .build(&out)
             .unwrap();
-        let disk = DiskTree::open(&out, cat, 4, 16).unwrap();
+        let disk = DiskTree::open(&out, cat, 4).unwrap();
         assert_eq!(disk.suffix_count(), 2 * FLAT as u64);
         disk.verify_records().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -223,7 +191,7 @@ fn a_deep_compaction_runs_on_a_small_stack() {
     on_a_2_mib_stack(move || {
         let manifest = compact_once(&dir).unwrap().unwrap();
         assert!(manifest.segments.is_empty());
-        let snap = warptree_disk::open_dir_snapshot_with(&warptree_disk::RealVfs, &dir, 4, 16);
+        let snap = warptree_disk::open_dir_snapshot_with(&warptree_disk::RealVfs, &dir, 4);
         let snap = snap.unwrap();
         assert_eq!(snap.tree.suffix_count(), 2 * FLAT as u64);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -54,7 +54,7 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        let outcome = DiskTree::open(&path, cat, 8, 16)
+        let outcome = DiskTree::open(&path, cat, 8)
             .and_then(|t| try_traverse(&t));
         prop_assert!(
             outcome.is_err(),
@@ -71,7 +71,7 @@ proptest! {
         let bytes = std::fs::read(&path).unwrap();
         let keep = bytes.len() * keep_fraction as usize / 100;
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        let outcome = DiskTree::open(&path, cat, 8, 16)
+        let outcome = DiskTree::open(&path, cat, 8)
             .and_then(|t| try_traverse(&t));
         prop_assert!(outcome.is_err(), "truncation to {keep} undetected");
         std::fs::remove_file(&path).unwrap();
@@ -82,7 +82,7 @@ proptest! {
 #[test]
 fn pristine_file_traverses() {
     let (path, cat) = build_file("pristine");
-    let tree = DiskTree::open(&path, cat, 8, 16).unwrap();
+    let tree = DiskTree::open(&path, cat, 8).unwrap();
     let suffixes = try_traverse(&tree).unwrap();
     assert_eq!(suffixes, tree.suffix_count());
     std::fs::remove_file(&path).unwrap();
@@ -146,9 +146,14 @@ fn corpus_truncation_detected() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A base index, one tail segment and a corpus of three pages or more.
-fn build_dir(tag: &str) -> (std::path::PathBuf, warptree_disk::ResolvedDir) {
-    use warptree_disk::{append_segment_with, build_dir_with, real_vfs, resolve_dir_with, RealVfs};
+/// A base index of `backend`, one tail segment and a corpus of three
+/// pages or more.
+fn build_dir(
+    tag: &str,
+    backend: warptree_core::search::BackendKind,
+) -> (std::path::PathBuf, warptree_disk::ResolvedDir) {
+    use warptree_disk::RealVfs;
+    use warptree_disk::{append_segment_with, build_dir_backend_with, real_vfs, resolve_dir_with};
     let dir = std::env::temp_dir().join(format!("warptree-corrupt-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // Thirds sit on no decimal grid: the corpus is stored raw, eight
@@ -165,7 +170,18 @@ fn build_dir(tag: &str) -> (std::path::PathBuf, warptree_disk::ResolvedDir) {
     let store = SequenceStore::from_values(walk(1, 12));
     let alphabet = Alphabet::equal_length(&store, 6).unwrap();
     let kind = warptree_disk::TreeKind::Full;
-    build_dir_with(real_vfs(), &store, &alphabet, kind, 4, 1, None, &dir).unwrap();
+    build_dir_backend_with(
+        real_vfs(),
+        &store,
+        &alphabet,
+        kind,
+        4,
+        1,
+        None,
+        backend,
+        &dir,
+    )
+    .unwrap();
     append_segment_with(&RealVfs, &dir, &SequenceStore::from_values(walk(5, 4))).unwrap();
     let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
     (dir, resolved)
@@ -184,31 +200,41 @@ fn pages(path: &std::path::Path) -> u64 {
 }
 
 /// A directory whose open trips a page CRC names the file and the page:
-/// the base index's header page, a corpus page. A tail's header page
-/// does not fail the open: the snapshot names the tail as failed, and
-/// the corpus answers for it.
+/// the base index's header page, a body page of a base ESA (read whole
+/// at open), a corpus page. A tail's header page, or a body page of a
+/// tail ESA, does not fail the open: the snapshot names the tail as
+/// failed, and the corpus answers for it.
 #[test]
 fn an_open_that_trips_a_crc_names_the_file() {
+    use warptree_core::search::BackendKind::{self, Esa, Tree};
     use warptree_disk::{open_dir_snapshot_with, RealVfs, ResolvedDir};
-    type Case = fn(&ResolvedDir) -> (std::path::PathBuf, u64);
-    let cases: [Case; 3] = [
-        |r| (r.segment_paths[0].clone(), 0),
-        |r| (r.index_path.clone(), 0),
-        |r| (r.corpus_path.clone(), pages(&r.corpus_path) / 2),
+    type Pick = fn(&ResolvedDir) -> std::path::PathBuf;
+    let tail: Pick = |r| r.segment_paths[0].clone();
+    let (base, corpus): (Pick, Pick) = (|r| r.index_path.clone(), |r| r.corpus_path.clone());
+    // (backend, file, whether the flipped page is the middle one rather
+    // than the header)
+    let cases: [(BackendKind, Pick, bool); 5] = [
+        (Tree, tail, false),
+        (Tree, base, false),
+        (Tree, corpus, true),
+        (Esa, base, true),
+        (Esa, tail, true),
     ];
-    for (i, case) in cases.into_iter().enumerate() {
-        let (dir, resolved) = build_dir(&format!("open-names-{i}"));
+    for (i, (backend, pick, body)) in cases.into_iter().enumerate() {
+        let (dir, resolved) = build_dir(&format!("open-names-{i}"), backend);
         assert!(pages(&resolved.corpus_path) >= 3);
-        let (path, page) = case(&resolved);
+        let path = pick(&resolved);
+        let page = if body { pages(&path) / 2 } else { 0 };
+        assert!(!body || page > 0, "{path:?} has a body page to flip");
         flip_page(&path, page);
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if i == 0 {
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 16).unwrap();
+        if path == resolved.segment_paths[0] {
+            let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
             assert_eq!(snap.failed_tails(), vec![name]);
             std::fs::remove_dir_all(&dir).unwrap();
             continue;
         }
-        match open_dir_snapshot_with(&RealVfs, &dir, 8, 16) {
+        match open_dir_snapshot_with(&RealVfs, &dir, 8) {
             Err(DiskError::CorruptionDetected { file, page: p }) => {
                 assert_eq!((file, p), (name, page));
             }

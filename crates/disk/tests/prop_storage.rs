@@ -1,12 +1,12 @@
 //! Model-based property tests for the storage layer: the paged file
-//! against a plain byte vector, the LRU cache against a naive reference,
+//! against a plain byte vector, the page pool against its own policy,
 //! and concurrent disk-tree queries.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::search::{run_query, IndexBackend, QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
-use warptree_disk::lru::{LruCache, TwoQueue};
+use warptree_disk::lru::TwoQueue;
 use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter, PAGE_DATA};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -76,47 +76,6 @@ proptest! {
         r.read_exact_at(0, &mut buf).unwrap();
         prop_assert_eq!(buf, model);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The LRU cache behaves exactly like a reference implementation
-    /// (ordered vector with move-to-front).
-    #[test]
-    fn lru_matches_reference(
-        capacity in 1usize..6,
-        ops in prop::collection::vec((0u8..2, 0u32..12, 0u32..100), 1..200),
-    ) {
-        let mut lru: LruCache<u32, u32> = LruCache::new(capacity);
-        // Reference: front = most recently used.
-        let mut model: Vec<(u32, u32)> = Vec::new();
-        for &(op, key, value) in &ops {
-            match op {
-                0 => {
-                    // insert
-                    lru.insert(key, value);
-                    if let Some(pos) =
-                        model.iter().position(|&(k, _)| k == key)
-                    {
-                        model.remove(pos);
-                    }
-                    model.insert(0, (key, value));
-                    model.truncate(capacity);
-                }
-                _ => {
-                    // get
-                    let got = lru.get(&key).copied();
-                    let expect = model
-                        .iter()
-                        .position(|&(k, _)| k == key)
-                        .map(|pos| {
-                            let e = model.remove(pos);
-                            model.insert(0, e);
-                            e.1
-                        });
-                    prop_assert_eq!(got, expect);
-                }
-            }
-            prop_assert_eq!(lru.len(), model.len());
-        }
     }
 
     /// The page pool over any access sequence, at any capacity: every
@@ -194,8 +153,8 @@ fn concurrent_disk_queries_agree() {
     let tree = warptree_suffix::build_sparse(cat.clone());
     let path = tmp("conc");
     write_tree(&tree, &path).unwrap();
-    // Tiny caches to force heavy concurrent pool churn.
-    let disk = DiskTree::open(&path, cat, 2, 4).unwrap();
+    // A tiny pool to force heavy concurrent pool churn.
+    let disk = DiskTree::open(&path, cat, 2).unwrap();
     assert!(disk.suffix_count() > 0);
 
     let queries: Vec<Vec<f64>> = (0..8)
@@ -314,7 +273,7 @@ proptest! {
             IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone())
                 .build(&out)
                 .unwrap();
-            let disk = DiskTree::open(&out, cat.clone(), 8, 32).unwrap();
+            let disk = DiskTree::open(&out, cat.clone(), 8).unwrap();
             let direct = if sparse {
                 warptree_suffix::build_sparse(cat.clone())
             } else {

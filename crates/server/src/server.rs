@@ -78,7 +78,9 @@ pub struct ServerConfig {
     pub max_query_len: usize,
     /// Page-cache size for newly opened snapshots.
     pub cache_pages: usize,
-    /// Node-cache size for newly opened snapshots.
+    /// Ignored: there is no decoded-node cache. Kept only so the repo
+    /// benchmark, which still sets it, builds; ROADMAP item 1a deletes
+    /// it.
     pub cache_nodes: usize,
     /// Maximum concurrent connections (the server is
     /// thread-per-connection, so this bounds connection threads).
@@ -139,7 +141,7 @@ impl Default for ServerConfig {
             reload_interval: Duration::from_millis(200),
             max_query_len: 4096,
             cache_pages: 256,
-            cache_nodes: 4096,
+            cache_nodes: 0,
             max_conns: 256,
             enable_debug_ops: false,
             max_parallelism: 1,
@@ -168,7 +170,6 @@ struct IngestState {
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
     cache_pages: usize,
-    cache_nodes: usize,
     /// Background jobs (compaction, scrub) report into the same ring
     /// as slow requests, so `slowlog` shows *everything* that ate time.
     slowlog: Arc<SlowLog>,
@@ -183,7 +184,6 @@ impl IngestState {
             self.vfs.as_ref(),
             &self.dir,
             self.cache_pages,
-            self.cache_nodes,
         )?);
         instrument_snapshot(&snap, &self.registry);
         self.cell.swap(snap.clone());
@@ -348,9 +348,8 @@ impl Server {
                 return Err(io::Error::other(format!("{field} must be nonzero")));
             }
         }
-        let snapshot =
-            open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages, config.cache_nodes)
-                .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
+        let snapshot = open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages)
+            .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
         instrument_snapshot(&snapshot, &registry);
         let cell = Arc::new(SnapshotCell::new(Arc::new(snapshot)));
         let slowlog = Arc::new(SlowLog::new(
@@ -367,7 +366,6 @@ impl Server {
             cell: cell.clone(),
             registry: registry.clone(),
             cache_pages: config.cache_pages,
-            cache_nodes: config.cache_nodes,
             slowlog: slowlog.clone(),
         });
         let handler = Arc::new(ShardHandler {
@@ -401,7 +399,6 @@ impl Server {
                 cell,
                 registry: registry.clone(),
                 cache_pages: config.cache_pages,
-                cache_nodes: config.cache_nodes,
             },
             config.reload_interval,
         )?;
@@ -960,7 +957,7 @@ mod tests {
             dir,
         )
         .unwrap();
-        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16, 64).unwrap();
+        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16).unwrap();
         let registry = MetricsRegistry::new();
         let cell = Arc::new(SnapshotCell::new(Arc::new(snap)));
         let ingest = Arc::new(IngestState {
@@ -970,7 +967,6 @@ mod tests {
             cell: cell.clone(),
             registry: registry.clone(),
             cache_pages: 16,
-            cache_nodes: 64,
             slowlog: Arc::new(SlowLog::new("server", 128, 500, 0, registry.clone())),
         });
         Ctx {

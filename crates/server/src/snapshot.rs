@@ -74,8 +74,8 @@ impl SnapshotCell {
     }
 }
 
-/// What the reload watcher polls and swaps, with the cache sizes for
-/// newly opened generations. It meters `server.reloads` /
+/// What the reload watcher polls and swaps, with the page-pool size
+/// for newly opened generations. It meters `server.reloads` /
 /// `server.reload_errors` counters and the `server.generation` gauge.
 pub(crate) struct WatcherCtx {
     pub(crate) vfs: Arc<dyn Vfs>,
@@ -83,7 +83,6 @@ pub(crate) struct WatcherCtx {
     pub(crate) cell: Arc<SnapshotCell>,
     pub(crate) registry: MetricsRegistry,
     pub(crate) cache_pages: usize,
-    pub(crate) cache_nodes: usize,
 }
 
 /// Spawns the reload watcher: a [`StopThread`] that polls the commit
@@ -115,7 +114,7 @@ fn poll_once(ctx: &WatcherCtx) {
     if committed == serving {
         return;
     }
-    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir, ctx.cache_pages, ctx.cache_nodes) {
+    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir, ctx.cache_pages) {
         Ok(next) => {
             let next_gen = next.generation;
             instrument_snapshot(&next, &ctx.registry);
@@ -169,11 +168,11 @@ mod tests {
     fn swap_pins_old_generation_for_inflight_users() {
         let dir = tmpdir("pin");
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
-        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4, 16).unwrap());
+        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
         let cell = SnapshotCell::new(snap1);
         let pinned = cell.get(); // an in-flight request
         build(&dir, vec![vec![9.0, 8.0]]);
-        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4, 16).unwrap());
+        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
         let prev = cell.swap(snap2);
         assert_eq!(prev.generation, 1);
         assert_eq!(cell.generation(), 2);
@@ -196,7 +195,7 @@ mod tests {
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
         let vfs = real_vfs();
         let cell = Arc::new(SnapshotCell::new(Arc::new(
-            open_dir_snapshot_with(vfs.as_ref(), &dir, 4, 16).unwrap(),
+            open_dir_snapshot_with(vfs.as_ref(), &dir, 4).unwrap(),
         )));
         let reg = MetricsRegistry::new();
         let ctx = WatcherCtx {
@@ -205,7 +204,6 @@ mod tests {
             cell: cell.clone(),
             registry: reg.clone(),
             cache_pages: 4,
-            cache_nodes: 16,
         };
         let watcher = spawn_reload_watcher(ctx, Duration::from_millis(5)).unwrap();
         build(&dir, vec![vec![4.0, 5.0], vec![6.0]]);

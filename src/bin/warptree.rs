@@ -544,11 +544,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let corpus_file_bytes = std::fs::metadata(&resolved.corpus_path)
         .map_err(|e| e.to_string())?
         .len();
-    // `--deep` walks the base index for structural statistics; the
-    // pager traffic of that full walk doubles as a cache profile.
-    let deep = o
-        .flag("deep")
-        .then(|| (TreeStats::compute(tree), tree.io_stats()));
+    // `--deep` walks the base index for structural statistics; a tree's
+    // pager traffic of that full walk doubles as a cache profile. An ESA
+    // is loaded whole at open and has no page pool to profile.
+    let deep = o.flag("deep").then(|| {
+        let structure = TreeStats::compute(tree);
+        (structure, tree.as_tree().map(|t| t.io_stats()))
+    });
 
     if json {
         use warptree::obs::json::{escape, num};
@@ -571,12 +573,14 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             None => ("null".into(), "null".into()),
             Some((structure, io)) => (
                 structure.to_json(),
-                format!(
-                    "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
-                    io.pages_read,
-                    io.cache_hits,
-                    num(io.hit_rate()),
-                ),
+                io.map_or("null".into(), |io| {
+                    format!(
+                        "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
+                        io.pages_read,
+                        io.cache_hits,
+                        num(io.hit_rate()),
+                    )
+                }),
             ),
         };
         println!(
@@ -690,12 +694,15 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             println!("  {line}");
         }
         println!("cache (full-scan profile):");
-        println!(
-            "  pages read:     {} ({} pool hits, {:.1}% hit rate)",
-            io.pages_read,
-            io.cache_hits,
-            100.0 * io.hit_rate()
-        );
+        match io {
+            Some(io) => println!(
+                "  pages read:     {} ({} pool hits, {:.1}% hit rate)",
+                io.pages_read,
+                io.cache_hits,
+                100.0 * io.hit_rate()
+            ),
+            None => println!("  none:           the esa is loaded at open and has no page pool"),
+        }
     }
     Ok(())
 }
@@ -966,7 +973,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.reload_interval = std::time::Duration::from_millis(o.parse_num("reload-ms", 200u64)?);
     config.max_query_len = o.parse_num("max-query-len", config.max_query_len)?;
     config.cache_pages = o.parse_num("cache-pages", config.cache_pages)?;
-    config.cache_nodes = config.cache_pages * 8;
     config.max_conns = o.parse_num("max-conns", config.max_conns)?;
     config.max_parallelism = o.parse_num("threads", config.max_parallelism)?;
     config.compact_threshold = o.parse_num("compact-threshold", config.compact_threshold)?;

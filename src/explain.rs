@@ -7,7 +7,7 @@
 //! each lower bound admitted (`D_tw-lb` for stored suffixes, `D_tw-lb2`
 //! for the non-stored ones of a sparse tree), how many survived exact
 //! post-processing, and — for disk-resident indexes — what the query
-//! cost in page and node-cache traffic.
+//! cost in page-pool traffic.
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
@@ -19,7 +19,7 @@ use warptree_disk::DirSnapshot;
 
 use crate::Index;
 
-/// Cache/page traffic attributable to one explained search (deltas over
+/// Page-pool traffic attributable to one explained search (deltas over
 /// the run, not totals since open).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExplainIo {
@@ -27,10 +27,6 @@ pub struct ExplainIo {
     pub pages_read: u64,
     /// Page requests served from the buffer pool.
     pub page_cache_hits: u64,
-    /// Decoded-node cache hits.
-    pub node_cache_hits: u64,
-    /// Decoded-node cache misses (records decoded from pages).
-    pub node_cache_misses: u64,
 }
 
 impl ExplainIo {
@@ -123,8 +119,6 @@ impl ExplainReport {
         let io = ExplainIo {
             pages_read: io1.pages_read - io0.pages_read,
             page_cache_hits: io1.page_cache_hits - io0.page_cache_hits,
-            node_cache_hits: io1.node_cache_hits - io0.node_cache_hits,
-            node_cache_misses: io1.node_cache_misses - io0.node_cache_misses,
         };
         use warptree_core::search::IndexBackend;
         let suffixes = dir.live_trees().map(IndexBackend::suffix_count).sum();
@@ -140,16 +134,13 @@ impl ExplainReport {
         Ok((answers, ExplainReport { plan, ..report }))
     }
 
-    /// Cumulative cache/page traffic of every tree in the directory.
+    /// Cumulative page-pool traffic of every tree in the directory.
     fn dir_io_totals(dir: &DirSnapshot) -> ExplainIo {
         let mut total = ExplainIo::default();
         for tree in dir.live_trees() {
             let io = tree.io_stats();
-            let nc = tree.node_cache_stats();
             total.pages_read += io.pages_read;
             total.page_cache_hits += io.cache_hits;
-            total.node_cache_hits += nc.0;
-            total.node_cache_misses += nc.1;
         }
         total
     }
@@ -224,16 +215,10 @@ impl ExplainReport {
         let io = match &self.io {
             None => "null".to_string(),
             Some(io) => format!(
-                concat!(
-                    "{{\"pages_read\":{},\"page_cache_hits\":{},",
-                    "\"page_hit_rate\":{},\"node_cache_hits\":{},",
-                    "\"node_cache_misses\":{}}}"
-                ),
+                "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
                 io.pages_read,
                 io.page_cache_hits,
                 num(io.page_hit_rate()),
-                io.node_cache_hits,
-                io.node_cache_misses,
             ),
         };
         format!(
@@ -367,17 +352,12 @@ impl std::fmt::Display for ExplainReport {
         if let Some(io) = &self.io {
             writeln!(f)?;
             writeln!(f, "io:")?;
-            writeln!(
+            write!(
                 f,
                 "  pages read {}, page-cache hits {} ({:.1}% hit rate)",
                 io.pages_read,
                 io.page_cache_hits,
                 100.0 * io.page_hit_rate()
-            )?;
-            write!(
-                f,
-                "  node-cache hits {}, misses {}",
-                io.node_cache_hits, io.node_cache_misses
             )?;
         }
         Ok(())

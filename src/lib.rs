@@ -422,10 +422,9 @@ pub fn open_index_dir(
 }
 
 /// [`open_index_dir`] with I/O tracing: every filesystem operation is
-/// metered as `disk.vfs.*` counters, and the page and node caches of
-/// the base tree and every tail segment report as `disk.page_cache.*` /
-/// `disk.node_cache.*` — all on `reg`, which outlives the returned
-/// index and can be snapshot at any point.
+/// metered as `disk.vfs.*` counters, and the page pools of the base tree
+/// and every tail segment report as `disk.page_cache.*` — all on `reg`,
+/// which outlives the returned index and can be snapshot at any point.
 pub fn open_index_dir_metered(
     dir: &std::path::Path,
     cache_pages: usize,
@@ -442,8 +441,7 @@ fn open_recovered(
     dir: &std::path::Path,
     cache_pages: usize,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
-    let (snapshot, recovery) =
-        warptree_disk::open_dir_recovered_with(vfs, dir, cache_pages, cache_pages * 8)?;
+    let (snapshot, recovery) = warptree_disk::open_dir_recovered_with(vfs, dir, cache_pages)?;
     Ok(DiskIndexDir { snapshot, recovery })
 }
 

@@ -1170,11 +1170,6 @@ fn compare(cfg: &Config, got: &Outcome, want: &Outcome, truth: &[Match], ctx: &s
         let (suffixes_want, kind_want, _) = want.explained.expect("the reference explains");
         assert_eq!((suffixes, kind), (suffixes_want, kind_want), "{ctx}");
         assert_eq!(backend, cfg.backend.kind().as_str(), "{ctx}: explain");
-        if let Some(io) = got.io {
-            // A query reads records in place; only merges decode nodes.
-            let nodes = io.node_cache_hits + io.node_cache_misses;
-            assert_eq!(nodes, 0, "{ctx}: node-cache traffic");
-        }
     }
     if cfg.trace {
         let has = |name: &str| got.spans.iter().any(|s| s == name);

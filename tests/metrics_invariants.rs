@@ -136,8 +136,8 @@ fn explain_report_agrees_with_checked_search() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// A registry-backed run surfaces the search funnel, the page/node
-/// caches, and the VFS trace under their dotted names in one snapshot.
+/// A registry-backed run surfaces the search funnel, the page pool,
+/// and the VFS trace under their dotted names in one snapshot.
 #[test]
 fn registry_snapshot_has_search_and_io_names() {
     let store = corpus();
@@ -157,13 +157,17 @@ fn registry_snapshot_has_search_and_io_names() {
         "disk.vfs.reads",
         "disk.vfs.read_bytes",
         "disk.page_cache.hits",
-        "disk.node_cache.misses",
     ] {
         assert!(
             snap.counters.contains_key(name),
             "metric {name} missing from registry snapshot"
         );
     }
+    let node_cache = snap
+        .counters
+        .keys()
+        .find(|k| k.starts_with("disk.node_cache."));
+    assert_eq!(node_cache, None, "there is no node cache to meter");
     assert_eq!(snap.counters["search.answers"], answers.len() as u64);
     assert!(snap.counters["disk.vfs.reads"] > 0, "open must read files");
     assert!(snap.histograms.contains_key("search.filter_ns"));
@@ -179,12 +183,11 @@ fn registry_snapshot_has_search_and_io_names() {
 
 /// A metered open instruments the base tree *and* every tail segment,
 /// and instrumenting takes nothing away from the trees themselves: after
-/// one query (page traffic) and a few owned record reads (the node
-/// cache's — a query does not go there) the registry holds the page- and
-/// node-cache traffic of all three trees, while each tree's own
-/// `io_stats()` / `node_cache_stats()` still report that tree's share —
-/// the same figures, tree for tree, as an unmetered open of the
-/// directory doing the same from the same cold caches.
+/// one query and a few owned record reads the registry holds the page
+/// traffic of all three trees, while each tree's own `io_stats()` still
+/// reports that tree's share — the same figures, tree for tree, as an
+/// unmetered open of the directory doing the same from the same cold
+/// pools.
 #[test]
 fn metered_open_counts_tail_segment_traffic() {
     let store = corpus();
@@ -201,13 +204,10 @@ fn metered_open_counts_tail_segment_traffic() {
         append_index_dir(&d, &tail).unwrap();
     }
 
-    // Page and node lookups per tree.
-    let lookups = |idx: &DiskIndexDir| -> Vec<(u64, u64)> {
-        let per_tree = idx.live_trees().map(|t| {
-            let (io, (node_hits, node_misses)) = (t.io_stats(), t.node_cache_stats());
-            (io.pages_read + io.cache_hits, node_hits + node_misses)
-        });
-        per_tree.collect()
+    // Page lookups per tree.
+    let lookups = |idx: &DiskIndexDir| -> Vec<u64> {
+        let per_tree = idx.live_trees().map(|t| t.io_stats());
+        per_tree.map(|io| io.pages_read + io.cache_hits).collect()
     };
     // What one query, and `i + 1` reads of tree `i`'s root record, add
     // to them (the open itself reads a header page, before any
@@ -221,10 +221,10 @@ fn metered_open_counts_tail_segment_traffic() {
                 tree.read_node(tree.header().root_offset).unwrap();
             }
         }
-        let per_tree: Vec<(u64, u64)> = lookups(idx)
+        let per_tree: Vec<u64> = lookups(idx)
             .iter()
             .zip(&at_open)
-            .map(|(after, before)| (after.0 - before.0, after.1 - before.1))
+            .map(|(after, before)| after - before)
             .collect();
         (answers, per_tree)
     };
@@ -233,9 +233,7 @@ fn metered_open_counts_tail_segment_traffic() {
     assert_eq!(plain.segment_count(), 3);
     let (expected, per_tree) = query_traffic(&plain);
     assert!(
-        per_tree
-            .iter()
-            .all(|&(pages, nodes)| pages > 0 && nodes > 0),
+        per_tree.iter().all(|&pages| pages > 0),
         "every tree must see traffic for the test to mean anything: {per_tree:?}"
     );
     assert!(
@@ -252,16 +250,9 @@ fn metered_open_counts_tail_segment_traffic() {
         "an instrumented tree reports its own traffic"
     );
     let snap = reg.snapshot();
-    let counted = |kind: &str| {
-        snap.counters[&format!("disk.{kind}.hits")] + snap.counters[&format!("disk.{kind}.misses")]
-    };
     assert_eq!(
-        counted("page_cache"),
-        per_tree.iter().map(|t| t.0).sum::<u64>()
-    );
-    assert_eq!(
-        counted("node_cache"),
-        per_tree.iter().map(|t| t.1).sum::<u64>()
+        snap.counters["disk.page_cache.hits"] + snap.counters["disk.page_cache.misses"],
+        per_tree.iter().sum::<u64>()
     );
     std::fs::remove_dir_all(&d).ok();
 }
@@ -271,8 +262,7 @@ fn metered_open_counts_tail_segment_traffic() {
 /// visited node, once per node `for_each_suffix_below` walks under a
 /// pruned child, once per `for_each_suffix_at` at a node with attached
 /// suffixes, once per tree root — plus once more for each further page a
-/// record straddling a page boundary reaches — and the node cache is not
-/// asked at all. A backend that wraps each tree adds up what the
+/// record straddling a page boundary reaches. A backend that wraps each tree adds up what the
 /// traversal's calls should cost from a map of the file's records made
 /// beforehand, and checks that the filter enumerates no stored suffix
 /// twice in one query.
@@ -383,19 +373,17 @@ fn a_node_visit_is_one_record_fetch() {
                     enumerated: Mutex::new(Vec::new()),
                 })
                 .collect();
-            // (page lookups, node-cache lookups), summed over the trees.
+            // Page lookups, summed over the trees.
             let lookups = || {
-                let per_tree = trees.iter().map(|t| (t.io_stats(), t.node_cache_stats()));
-                per_tree.fold((0, 0), |(pages, nodes), (io, (hits, misses))| {
-                    (pages + io.pages_read + io.cache_hits, nodes + hits + misses)
-                })
+                let per_tree = trees.iter().map(|t| t.io_stats());
+                per_tree
+                    .map(|io| io.pages_read + io.cache_hits)
+                    .sum::<u64>()
             };
             let run = |tree: &dyn Fn(&SearchMetrics) -> CandidateGroups| {
                 let (metrics, before) = (SearchMetrics::new(), lookups());
                 let candidates = tree(&metrics);
-                let after = lookups();
-                assert_eq!(after.1, before.1, "a query asked the node cache");
-                (candidates, metrics.snapshot(), after.0 - before.0)
+                (candidates, metrics.snapshot(), lookups() - before)
             };
             let fanned = SegmentedIndex::new(counted.iter().collect());
             let (candidates, stats, pages) =

@@ -80,9 +80,9 @@ fn disk_tree_search_identical_across_thread_counts() {
 }
 
 /// `explain`'s record reads: the same page lookups at every thread
-/// count, none through the decoded-node cache, and at least one for the
-/// tree (the ESA reads its arrays once, at open). The lab is this test's
-/// own: another test's queries would move the shared indexes' counters.
+/// count, at least one for the tree and none for the ESA (which reads
+/// its arrays once, at open). The lab is this test's own: another
+/// test's queries would move the shared indexes' counters.
 #[test]
 fn explain_identical_across_thread_counts() {
     let lab = Lab::new(branch_rich());
