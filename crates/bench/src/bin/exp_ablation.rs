@@ -70,12 +70,12 @@ fn main() {
     }
 
     // --- C: disk vs. memory traversal ------------------------------------
-    println!("\n[C] same SST_C/ME(40) tree: in-memory vs. on-disk cursor");
+    println!("\n[C] same SST_C/ME(40) tree: in-memory vs. read from its file");
     let dir = std::env::temp_dir().join(format!("warptree-ablation-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tree_path = dir.join("ablation.wt");
     let size = warptree_disk::write_tree(&built.tree, &tree_path).unwrap();
-    let disk = DiskTree::open(&tree_path, built.cat.clone(), 256).unwrap();
+    let disk = DiskTree::open(&tree_path, built.cat.clone()).unwrap();
     let mem = measure_index(&built.tree, &built.alphabet, &store, &queries, &params);
     let dsk = measure_index(&disk, &built.alphabet, &store, &queries, &params);
     println!(
@@ -86,10 +86,9 @@ fn main() {
         dsk.secs_per_query / mem.secs_per_query,
         kib(size)
     );
-    let io = disk.io_stats();
     println!(
-        "    pager: {} pages read, {} cache hits",
-        io.pages_read, io.cache_hits
+        "    file: {} pages, read once at open",
+        disk.io_stats().pages_read
     );
 
     // --- D: merge fan-in --------------------------------------------------
@@ -120,7 +119,7 @@ fn main() {
     // Verify the incremental result answers like the direct tree.
     let incr_path = dir.join(format!("incr-{}.wt", 1.max(store.len() / 16)));
     if incr_path.exists() {
-        let incr = DiskTree::open(&incr_path, built.cat.clone(), 256).unwrap();
+        let incr = DiskTree::open(&incr_path, built.cat.clone()).unwrap();
         let a = measure_index(&incr, &built.alphabet, &store, &queries, &params);
         assert_eq!(a.answers_per_query, mem.answers_per_query);
         println!("    (merged index verified: identical answers)");

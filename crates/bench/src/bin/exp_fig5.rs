@@ -6,8 +6,8 @@
 //! of sequences; the index's advantage is maintained throughout.
 
 use warptree_bench::{
-    banner, build_index, csv_row, csv_sink, database_size, measure_index, measure_seqscan, to_disk,
-    IndexKind, Method, Scale,
+    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, to_disk, IndexKind,
+    Method, Scale,
 };
 use warptree_core::search::{SearchParams, SeqScanMode};
 use warptree_data::{artificial_corpus, ArtificialConfig, QueryConfig, QueryWorkload};
@@ -54,7 +54,7 @@ fn main() {
         let params = SearchParams::with_epsilon(epsilon);
         let scan = measure_seqscan(&store, &queries, &params, SeqScanMode::Full);
         let built = build_index(&store, IndexKind::Sparse, Method::Me, cats);
-        let dsk = to_disk(&built, "fig", database_size(&store));
+        let dsk = to_disk(&built, "fig");
         let idx = measure_index(&dsk.disk, &built.alphabet, &store, &queries, &params);
         println!(
             "{:>8} | {:>12.3} {:>12.3} | {:>7.1}x | {:>10.2}",

@@ -12,8 +12,8 @@
 //! * answer counts grow steeply with ε.
 
 use warptree_bench::{
-    banner, build_index, csv_row, csv_sink, database_size, measure_index, measure_seqscan, to_disk,
-    IndexKind, Method, Scale,
+    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, to_disk, IndexKind,
+    Method, Scale,
 };
 use warptree_core::search::{SearchParams, SeqScanMode};
 
@@ -28,12 +28,11 @@ fn main() {
         Scale::Full => vec![5.0, 10.0, 20.0, 30.0, 40.0, 50.0],
     };
 
-    let cache = database_size(&store);
     let indexes: Vec<_> = cats
         .iter()
         .map(|&c| {
             let built = build_index(&store, IndexKind::Sparse, Method::Me, c);
-            let disk = to_disk(&built, &format!("t3-{c}"), cache);
+            let disk = to_disk(&built, &format!("t3-{c}"));
             (built, disk)
         })
         .collect();

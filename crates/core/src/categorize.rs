@@ -70,14 +70,43 @@ impl std::fmt::Display for CategorizationMethod {
     }
 }
 
+/// The lower boundaries of `categories[1..]`, padded with `+∞` to the
+/// next power of two above their count: the layout
+/// [`Alphabet::symbol_for`] searches.
+fn padded_cuts(categories: &[Category]) -> Vec<Value> {
+    let cuts = categories.iter().skip(1).map(|c| c.lo);
+    let len = categories.len().next_power_of_two();
+    cuts.chain(std::iter::repeat(Value::INFINITY))
+        .take(len)
+        .collect()
+}
+
+/// The symbol of `v` over `cuts` laid out by [`padded_cuts`]: the number
+/// of cuts at or below `v` (values below the covered range fall into
+/// category 0, values above into the last). The cuts are a power of two
+/// long with at least one `+∞` pad, so the count is below their length
+/// and is found a bit at a time, high to low: one compare and one
+/// conditional add per halving, no branch on the data.
+#[inline(always)]
+fn rank(cuts: &[Value], v: Value) -> Symbol {
+    let (mut at, mut half) = (0, cuts.len() / 2);
+    while half > 0 {
+        let below = cuts[(at + half - 1) & (cuts.len() - 1)] <= v;
+        at += std::hint::select_unpredictable(below, half, 0);
+        half /= 2;
+    }
+    at as Symbol
+}
+
 /// A complete categorization: ordered, non-overlapping categories covering
 /// the value range of the database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Alphabet {
     categories: Vec<Category>,
-    /// Lower boundaries of categories `1..n`; used for `O(log c)` symbol
-    /// lookup by binary search (a value belongs to the last category whose
-    /// lower boundary does not exceed it).
+    /// Lower boundaries of categories `1..n`, padded with `+∞` to a
+    /// power of two longer than them ([`padded_cuts`]): the `O(log c)`
+    /// symbol lookup of [`symbol_for`](Self::symbol_for) (a value belongs
+    /// to the last category whose lower boundary does not exceed it).
     cuts: Vec<Value>,
     method: CategorizationMethod,
 }
@@ -95,10 +124,9 @@ impl Alphabet {
                 ub: hi,
             })
             .collect();
-        let cuts = categories.iter().skip(1).map(|c| c.lo).collect();
         Self {
+            cuts: padded_cuts(&categories),
             categories,
-            cuts,
             method,
         }
     }
@@ -219,10 +247,9 @@ impl Alphabet {
                 ub: v,
             })
             .collect();
-        let cuts = categories.iter().skip(1).map(|c| c.lo).collect();
         Ok(Self {
+            cuts: padded_cuts(&categories),
             categories,
-            cuts,
             method: CategorizationMethod::Singleton,
         })
     }
@@ -307,10 +334,9 @@ impl Alphabet {
                 "categories must be ordered by lower boundary"
             );
         }
-        let cuts = categories.iter().skip(1).map(|c| c.lo).collect();
         Self {
+            cuts: padded_cuts(&categories),
             categories,
-            cuts,
             method,
         }
     }
@@ -408,10 +434,7 @@ impl Alphabet {
     #[inline]
     pub fn symbol_for(&self, v: Value) -> Symbol {
         debug_assert!(v.is_finite());
-        // Last category whose lower boundary does not exceed v; values
-        // below the covered range fall into category 0, values above into
-        // the last category.
-        self.cuts.partition_point(|&lo| lo <= v) as Symbol
+        rank(&self.cuts, v)
     }
 
     /// The paper's `D_base-lb(a, B)` (Definition 3): the smallest possible
@@ -440,7 +463,27 @@ impl Alphabet {
     /// Encodes a numeric sequence into category symbols (the paper's
     /// `CS_j`).
     pub fn encode(&self, values: &[Value]) -> Vec<Symbol> {
-        values.iter().map(|&v| self.symbol_for(v)).collect()
+        /// `values` ranked over cuts `N` long: a length the compiler
+        /// knows, so it unrolls each search into a straight run of
+        /// compares and conditional moves, and the searches of
+        /// consecutive values overlap.
+        fn unrolled<const N: usize>(cuts: &[Value], values: &[Value]) -> Vec<Symbol> {
+            let cuts: &[Value; N] = cuts.try_into().expect("cuts N long");
+            values.iter().map(|&v| rank(cuts, v)).collect()
+        }
+        let cuts = &self.cuts[..];
+        match cuts.len() {
+            1 => unrolled::<1>(cuts, values),
+            2 => unrolled::<2>(cuts, values),
+            4 => unrolled::<4>(cuts, values),
+            8 => unrolled::<8>(cuts, values),
+            16 => unrolled::<16>(cuts, values),
+            32 => unrolled::<32>(cuts, values),
+            64 => unrolled::<64>(cuts, values),
+            128 => unrolled::<128>(cuts, values),
+            256 => unrolled::<256>(cuts, values),
+            _ => values.iter().map(|&v| rank(cuts, v)).collect(),
+        }
     }
 
     /// Encodes every sequence of the store, preserving ids.

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use warptree_core::bounds::{dtw_lb, dtw_lb2, lead_run};
-use warptree_core::categorize::Alphabet;
+use warptree_core::categorize::{Alphabet, CategorizationMethod, Category};
 use warptree_core::dtw::dtw;
 use warptree_core::sequence::SequenceStore;
 
@@ -23,8 +23,59 @@ fn alphabets(store: &SequenceStore, c: usize) -> Vec<Alphabet> {
     ]
 }
 
+/// An alphabet over the sorted lower boundaries `los`, the last
+/// category closing at `top`.
+fn over_boundaries(los: &[f64], top: f64) -> Alphabet {
+    let his = los.iter().skip(1).copied().chain([top]);
+    let categories = (los.iter().zip(his))
+        .map(|(&lo, hi)| Category {
+            lo,
+            hi,
+            lb: lo,
+            ub: hi,
+        })
+        .collect();
+    Alphabet::from_parts(categories, CategorizationMethod::MaxEntropy)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The symbol lookup is the binary search it replaces: for 1, 2 and
+    /// up to 40 categories — boundaries repeated or not — every value
+    /// maps to the number of cuts at or below it, whether it is drawn at
+    /// random, equals a cut, sits one ulp either side of one, or lies
+    /// below or above the whole range.
+    #[test]
+    fn symbol_lookup_is_partition_point(
+        mut los in prop::collection::vec((-60i32..60).prop_map(|v| v as f64 * 0.25), 1..40),
+        probes in prop::collection::vec(-1e3f64..1e3, 0..40),
+        two in any::<bool>(),
+    ) {
+        if two {
+            los.truncate(2);
+        }
+        los.sort_by(f64::total_cmp);
+        let top = los[los.len() - 1] + 1.0;
+        let a = over_boundaries(&los, top);
+        let cuts = &los[1..];
+        let mut values = probes;
+        for &cut in cuts {
+            values.extend([cut, cut.next_down(), cut.next_up()]);
+        }
+        values.extend([los[0] - 1e9, -f64::MAX, top, top + 1e9, f64::MAX, 0.0, -0.0]);
+        for v in values {
+            let want = cuts.partition_point(|&lo| lo <= v) as u32;
+            prop_assert_eq!(a.symbol_for(v), want, "value {} over {:?}", v, los);
+        }
+        // And a whole sequence encodes value by value.
+        let store = SequenceStore::from_values(vec![cuts.to_vec(), vec![top]]);
+        let want: Vec<Vec<u32>> = store
+            .iter()
+            .map(|(_, s)| s.values().iter().map(|&v| cuts.partition_point(|&lo| lo <= v) as u32).collect())
+            .collect();
+        prop_assert_eq!(a.encode_store(&store).seqs(), &want[..]);
+    }
 
     /// Every stored value maps to a category whose observed bounds
     /// contain it, so its base lower bound is zero.

@@ -23,8 +23,8 @@ use warptree_esa::EsaNode;
 
 use crate::error::{DiskError, Result};
 use crate::esa::{DiskEsa, EsaHeader};
-use crate::format::{DiskTree, Header, HEADER_SIZE};
-use crate::pager::{IoStats, PagedReader};
+use crate::format::{DiskTree, Header};
+use crate::pager::{read_pages, IoStats, Pages};
 use crate::vfs::Vfs;
 
 /// What a committed index's 64-byte header records of its shape: all
@@ -76,23 +76,24 @@ impl IndexHeader for EsaHeader {
     }
 }
 
-/// The first half of opening an index file of either format: its pager
-/// (a pool of `cache_pages`), its header, whose alphabet must be
-/// `alphabet` when one is given, and its file name — the segment
-/// identity its errors and reports carry. A header page that fails its
-/// CRC is a [`DiskError::CorruptionDetected`] naming the file.
+/// The first half of opening an index file of either format: its
+/// first `pages` pages, read by [`read_pages`], its header, whose
+/// alphabet must be `alphabet` when one is given, and its file name —
+/// the segment identity its errors and reports carry. A header page
+/// that fails its CRC is a [`DiskError::CorruptionDetected`] naming the
+/// file; a later page that fails is left to the caller, in
+/// [`Pages::bad`].
 pub(crate) fn open_headed<H: IndexHeader>(
     vfs: &dyn Vfs,
     path: &Path,
-    cache_pages: usize,
+    pages: u64,
     alphabet: Option<u32>,
-) -> Result<(PagedReader, H, String)> {
-    let reader = PagedReader::open_with(vfs, path, cache_pages)?;
-    let mut buf = [0u8; HEADER_SIZE as usize];
-    reader
-        .read_exact_at(0, &mut buf)
-        .map_err(|e| e.in_file(path))?;
-    let header = H::parse(&buf)?;
+) -> Result<(Pages, H, String)> {
+    let pages = read_pages(vfs, path, pages)?;
+    if pages.bad == Some(0) {
+        return Err(DiskError::CorruptPage { page: 0 }.in_file(path));
+    }
+    let header = H::parse(&pages.bytes)?;
     let file = header.shape().alphabet_len;
     if let Some(store) = alphabet.filter(|&store| store != file) {
         return Err(DiskError::BadHeader(format!(
@@ -100,7 +101,7 @@ pub(crate) fn open_headed<H: IndexHeader>(
         )));
     }
     let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-    Ok((reader, header, name.unwrap_or_default()))
+    Ok((pages, header, name.unwrap_or_default()))
 }
 
 /// The shape of the `backend` index at `path`, read from its header
@@ -158,19 +159,16 @@ impl AnyNode {
 
 impl AnyIndex {
     /// Opens `path` as `backend`, against the categorized store its
-    /// labels reference. `cache_pages` sizes the tree's page buffer pool;
-    /// the ESA reads its file whole at open and keeps no pool.
+    /// labels reference. Either backend reads its file whole, here, and
+    /// no page after.
     pub fn open_with(
         vfs: &dyn Vfs,
         path: &Path,
         cat: Arc<CatStore>,
         backend: BackendKind,
-        cache_pages: usize,
     ) -> Result<Self> {
         match backend {
-            BackendKind::Tree => {
-                DiskTree::open_with(vfs, path, cat, cache_pages).map(AnyIndex::Tree)
-            }
+            BackendKind::Tree => DiskTree::open_with(vfs, path, cat).map(AnyIndex::Tree),
             BackendKind::Esa => DiskEsa::open_with(vfs, path, cat).map(AnyIndex::Esa),
         }
     }
@@ -220,12 +218,12 @@ impl AnyIndex {
         }
     }
 
-    /// Page-level I/O counters of the tree's buffer pool. The ESA reads
-    /// no page after its open, so it reports zeros.
+    /// What the open read: every page of the file, once. No query
+    /// reads a page, so the counts never move after the open.
     pub fn io_stats(&self) -> IoStats {
         match self {
             AnyIndex::Tree(t) => t.io_stats(),
-            AnyIndex::Esa(_) => IoStats::default(),
+            AnyIndex::Esa(e) => e.io_stats(),
         }
     }
 
@@ -246,14 +244,14 @@ impl AnyIndex {
         cat: Arc<CatStore>,
         backend: BackendKind,
     ) -> Result<()> {
-        match Self::open_with(vfs, path, cat, backend, 2)? {
+        match Self::open_with(vfs, path, cat, backend)? {
             AnyIndex::Tree(t) => t.verify_records(),
             AnyIndex::Esa(_) => Ok(()),
         }
     }
 
-    /// Routes the tree's page-pool and CRC-failure counters into `reg`.
-    /// The ESA has none: it reads no page after its open.
+    /// Counts a tree page that failed its CRC at open into `reg`. An
+    /// ESA that fails one does not open, so it has nothing to count.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         if let AnyIndex::Tree(t) = self {
             t.instrument(reg)
@@ -269,9 +267,8 @@ impl AnyIndex {
         }
     }
 
-    /// Resident bytes the index needs to serve queries: the tree pages
-    /// its node heap on demand, so its logical file length is the bound;
-    /// the ESA holds exactly its three flat arrays.
+    /// Resident bytes the index holds to serve queries: the tree its
+    /// logical file bytes, the ESA exactly its three flat arrays.
     pub fn resident_bytes(&self) -> u64 {
         match self {
             AnyIndex::Tree(t) => t.logical_len(),
@@ -366,8 +363,8 @@ mod tests {
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
 
         let tree =
-            AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree, 8).unwrap();
-        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8).unwrap();
+            AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree).unwrap();
+        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa).unwrap();
         assert_eq!(tree.kind(), BackendKind::Tree);
         assert_eq!(esa.kind(), BackendKind::Esa);
         assert!(tree.as_tree().is_some() && tree.as_esa().is_none());
@@ -406,7 +403,7 @@ mod tests {
         let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 2));
         let esa_path = tmp("wrongway");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
-        let err = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree, 4).unwrap_err();
+        let err = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree).unwrap_err();
         assert!(matches!(
             err,
             DiskError::UnsupportedBackend { ref found } if found == "esa"

@@ -29,7 +29,10 @@
 //! bit for bit — one IEEE division, correctly rounded, gives back the
 //! stored double — and stores the values raw when no `d` does. A corpus
 //! of prices in whole cents takes one or two bytes a value instead of
-//! eight. Version 2 files, the same stream without the `decimals` word
+//! eight. The one exception to bit for bit is `-0.0`: it is on every
+//! grid as `k = 0` and loads as `+0.0`. No distance changes, since
+//! `|q − (−0)| = |q − 0|`, and one stray `-0.0` does not store a whole
+//! corpus raw. Version 2 files, the same stream without the `decimals` word
 //! and with raw values, still load.
 //!
 //! One decoder, `parse`, reads the stream's bytes once and trusts no
@@ -54,7 +57,7 @@ use warptree_core::sequence::{Sequence, SequenceStore};
 
 use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
-use crate::pager::{PagedReader, PagedWriter};
+use crate::pager::{read_pages, read_stream, PagedWriter};
 use crate::vfs::{RealVfs, Vfs};
 
 const MAGIC: &[u8; 8] = b"WARPCORP";
@@ -333,7 +336,9 @@ fn put_varint(out: &mut [u8], mut z: u64) -> usize {
 }
 
 /// The integer `k`, `|k| ≤ 2^53`, with `k as f64 / 10^d` equal to `v`
-/// bit for bit, if there is one (`-0.0` has none).
+/// bit for bit, if there is one — or equal as a number, which `-0.0`
+/// is to `k = 0` and no other double is to anything it is not bit for
+/// bit.
 #[inline]
 fn on_grid(v: f64, d: u32) -> Option<i64> {
     let p = POW10[d as usize];
@@ -346,7 +351,7 @@ fn on_grid(v: f64, d: u32) -> Option<i64> {
     } else {
         return None;
     };
-    match k.abs() <= MAX_K && (k as f64 / p).to_bits() == v.to_bits() {
+    match k.abs() <= MAX_K && k as f64 / p == v {
         true => Some(k),
         false => near_grid(v, p, k),
     }
@@ -356,7 +361,7 @@ fn on_grid(v: f64, d: u32) -> Option<i64> {
 /// the rounding of `v` and of the product, up to two units near 2^53.
 #[cold]
 fn near_grid(v: f64, p: f64, k: i64) -> Option<i64> {
-    let exact = |k: i64| k.abs() <= MAX_K && (k as f64 / p).to_bits() == v.to_bits();
+    let exact = |k: i64| k.abs() <= MAX_K && k as f64 / p == v;
     [k - 1, k + 1, k - 2, k + 2].into_iter().find(|&k| exact(k))
 }
 
@@ -384,20 +389,8 @@ pub fn load_corpus_with(
 /// delta varints of multiples of `10^-d`, `None` for raw doubles (every
 /// version 2 file). Reads the header alone.
 pub fn corpus_decimals(path: &Path) -> Result<Option<u32>> {
-    let r = PagedReader::open_with(&RealVfs, path, 1)?;
-    let mut head = vec![0u8; (r.logical_len() as usize).min(HEADER_BYTES)];
-    r.read_exact_at(0, &mut head).map_err(|e| e.in_file(path))?;
+    let head = read_pages(&RealVfs, path, 1)?.verified(path)?;
     Ok(header(&mut Cursor::new(&head, DiskError::BadRecord))?.decimals)
-}
-
-/// The logical bytes of the paged file at `path`, every page
-/// CRC-checked, read once. A page that fails its CRC is a
-/// [`DiskError::CorruptionDetected`] naming the file.
-fn read_stream(vfs: &dyn Vfs, path: &Path) -> Result<Vec<u8>> {
-    let r = PagedReader::open_with(vfs, path, 2)?;
-    let mut raw = vec![0u8; r.logical_len() as usize];
-    r.read_exact_at(0, &mut raw).map_err(|e| e.in_file(path))?;
-    Ok(raw)
 }
 
 /// The little-endian `f64` in the 8 bytes of `c`.
@@ -889,7 +882,8 @@ mod tests {
         let (back, _, _) = load_corpus(path).unwrap();
         assert_eq!(back.len(), store.len());
         for (id, s) in store.iter() {
-            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            // Bit for bit, but for `-0.0`, which loads as `+0.0`.
+            let bits = |v: &[f64]| v.iter().map(|v| (v + 0.0).to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(back.get(id).values()), bits(s.values()), "{id}");
             assert_eq!(back.name(id), store.name(id), "{id}");
         }
@@ -953,13 +947,14 @@ mod tests {
     fn scale_edges_roundtrip() {
         let path = tmp("edges");
         let max = MAX_K as f64;
-        let cases: [(Vec<f64>, Option<u32>); 9] = [
+        let cases: [(Vec<f64>, Option<u32>); 10] = [
             (vec![1.0, 2.0, 3.0], Some(0)),
             (vec![19.99, 20.0, 0.01], Some(2)),
             (vec![1.0, 3.5], Some(1)),
             (vec![1e-9, -2e-9], Some(9)),
             (vec![1e-10], None),
-            (vec![0.0, -0.0], None),
+            (vec![0.0, -0.0], Some(0)),
+            (vec![-0.0, 19.99], Some(2)),
             (vec![max - 1.0, max, -max, 0.0], Some(0)),
             // 2^53 + 1 rounds to 2^53 + 2, past the scale's reach.
             (vec![max + 2.0], None),
@@ -972,6 +967,45 @@ mod tests {
             assert_eq!(roundtrip(&store, &path), want, "{values:?}");
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A whole-cent corpus with one `-0.0` among its values is stored at
+    /// two decimals, byte for byte the file of its `+0.0` twin, and the
+    /// two answer a query alike (both are saved with the twin's
+    /// alphabet: the codec is what is under test).
+    #[test]
+    fn a_negative_zero_keeps_the_corpus_on_its_grid() {
+        use warptree_core::search::{seq_scan, SearchParams, SearchStats, SeqScanMode};
+        let cents = |i: i64| (0..60).map(move |j| ((i * 37 + j * 11) % 401 - 200) as f64 / 100.0);
+        let mut values: Vec<Vec<f64>> = (0..8).map(|i| cents(i).collect()).collect();
+        values[3][10] = 0.0;
+        let twin = SequenceStore::from_values(values.clone());
+        values[3][10] = -0.0;
+        let signed = SequenceStore::from_values(values);
+        let alphabet = Alphabet::max_entropy(&twin, 8).unwrap();
+        let (a, b) = (tmp("zero-signed"), tmp("zero-twin"));
+        save_corpus(&signed, &alphabet, &a).unwrap();
+        save_corpus(&twin, &alphabet, &b).unwrap();
+        assert_eq!(corpus_decimals(&a).unwrap(), Some(2));
+        assert!(std::fs::read(&a).unwrap() == std::fs::read(&b).unwrap());
+        let q = [0.05, -0.1, 0.0, 0.3];
+        let params = SearchParams::with_epsilon(0.5);
+        let answers = |store: &SequenceStore| {
+            seq_scan(
+                store,
+                &q,
+                &params,
+                SeqScanMode::Full,
+                &mut SearchStats::default(),
+            )
+            .occurrence_set()
+        };
+        let want = answers(&twin);
+        assert!(!want.is_empty());
+        assert_eq!(answers(&signed), want);
+        assert_eq!(answers(&load_corpus(&a).unwrap().0), want);
+        std::fs::remove_file(&a).unwrap();
+        std::fs::remove_file(&b).unwrap();
     }
 
     /// A name is at most `MAX_NAME_BYTES` on both sides: the longest

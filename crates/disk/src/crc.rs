@@ -2,11 +2,11 @@
 //!
 //! Implemented in-house (reflected polynomial `0xEDB88320`) to keep the
 //! crate dependency-free; every page of a tree or corpus file carries a
-//! CRC so torn writes and bit rot are detected at read time. Every page
-//! that misses the buffer pool pays for one CRC over
-//! [`PAGE_DATA`](crate::pager::PAGE_DATA) bytes — hundreds of pages on a
-//! query whose working set does not fit the pool — so the checksum's
-//! throughput is query latency.
+//! CRC so torn writes and bit rot are detected at read time. Every open
+//! reads each of its files whole and pays one CRC over
+//! [`PAGE_DATA`](crate::pager::PAGE_DATA) bytes a page — hundreds of
+//! pages for a served index, on every reopen of a live directory — so
+//! the checksum's throughput is open latency.
 //!
 //! [`crc32`] runs one of two kernels, chosen at run time by the CPU
 //! alone (no flag, feature or build setting selects one):

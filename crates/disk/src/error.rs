@@ -14,15 +14,6 @@ pub enum DiskError {
     },
     /// The file is not a warptree file or has an unsupported version.
     BadHeader(String),
-    /// A read past the logical end of the file.
-    OutOfBounds {
-        /// Requested logical offset.
-        offset: u64,
-        /// Requested length.
-        len: u64,
-        /// Logical file size.
-        size: u64,
-    },
     /// A structurally invalid record was encountered.
     BadRecord(String),
     /// The directory's `MANIFEST` file is unreadable, of an unsupported
@@ -58,11 +49,6 @@ impl fmt::Display for DiskError {
                 write!(f, "page {page} failed its CRC check")
             }
             DiskError::BadHeader(m) => write!(f, "bad file header: {m}"),
-            DiskError::OutOfBounds { offset, len, size } => write!(
-                f,
-                "read of {len} bytes at logical offset {offset} exceeds \
-                 file size {size}"
-            ),
             DiskError::BadRecord(m) => write!(f, "bad record: {m}"),
             DiskError::BadManifest(m) => write!(f, "bad manifest: {m}"),
             DiskError::NotAnIndexDir(m) => {
@@ -125,12 +111,6 @@ mod tests {
             .to_string()
             .contains("page 3"));
         assert!(DiskError::BadHeader("x".into()).to_string().contains("x"));
-        let e = DiskError::OutOfBounds {
-            offset: 1,
-            len: 2,
-            size: 3,
-        };
-        assert!(e.to_string().contains("exceeds"));
         let io: DiskError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
         let c = DiskError::CorruptPage { page: 7 }.in_file("dir/segment-000003-00.wt".as_ref());

@@ -4,13 +4,13 @@
 //! [`warptree_esa::EsaIndex`] — SA entries, LCP-interval records, and
 //! the packed child table — through the same CRC'd pager as the tree
 //! format, so `verify`, scrub, quarantine and the commit protocol
-//! compose unchanged. Unlike the tree format there is no node heap to
-//! page in lazily: the arrays are compact (12 bytes per suffix, 28 per
-//! interval, 4 per child edge), so [`DiskEsa::open_with`] reads them
-//! once through the CRC-checked read path, keeps them, and drops the
-//! reader. Corruption therefore surfaces at *open* time as a typed
-//! [`DiskError`] naming the file, which the scrub/quarantine machinery
-//! already treats exactly like a mid-query CRC failure. A CRC vouches
+//! compose unchanged. Like a tree, [`DiskEsa::open_with`] reads the file
+//! whole through the CRC-checked read path; unlike a tree, it then
+//! parses the arrays (12 bytes per suffix, 28 per interval, 4 per child
+//! edge) and keeps those instead of the bytes. Corruption therefore
+//! surfaces at *open* time as a typed [`DiskError`] naming the file,
+//! which the scrub/quarantine machinery treats like a damaged tree
+//! page. A CRC vouches
 //! for bytes, not for who wrote them, so the loaded arrays are also
 //! checked against the corpus ([`EsaIndex::validate`]) before any query
 //! walks them: a forged count, child slice or entry is a
@@ -36,7 +36,7 @@
 //! ```
 //!
 //! Every page carries a CRC-32, so corruption anywhere in the file is
-//! detected on first touch.
+//! detected at open.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -47,7 +47,7 @@ use warptree_esa::{Entry, EsaIndex, IntervalRec};
 
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
-use crate::pager::PagedWriter;
+use crate::pager::{IoStats, PagedWriter};
 use crate::vfs::{RealVfs, Vfs};
 
 /// Size of the ESA file header in logical bytes.
@@ -184,13 +184,14 @@ pub fn write_esa_with(vfs: &dyn Vfs, esa: &EsaIndex, path: &Path) -> Result<u64>
 
 /// A disk-resident enhanced suffix array, opened: its flat arrays,
 /// parsed and validated at open. The file is read once, there, and no
-/// reader or page pool outlives the open; queries walk
-/// [`esa`](Self::esa).
+/// reader outlives the open; queries walk [`esa`](Self::esa).
 pub struct DiskEsa {
     header: EsaHeader,
     esa: EsaIndex,
     /// File name this index was opened from (its segment identity).
     source: String,
+    /// Pages the open read.
+    pages: u64,
 }
 
 impl DiskEsa {
@@ -204,8 +205,10 @@ impl DiskEsa {
     /// fails its CRC, header or body, is a
     /// [`DiskError::CorruptionDetected`] naming the file.
     pub fn open_with(vfs: &dyn Vfs, path: &Path, cat: Arc<CatStore>) -> Result<Self> {
-        let (reader, header, source) =
-            open_headed::<EsaHeader>(vfs, path, 2, Some(cat.alphabet_len()))?;
+        let (pages, header, source) =
+            open_headed::<EsaHeader>(vfs, path, u64::MAX, Some(cat.alphabet_len()))?;
+        let page_count = pages.count();
+        let file = pages.verified(path)?;
         // A forged count must not wrap the sum past the overrun check and
         // size an allocation by it.
         let end = [
@@ -217,15 +220,12 @@ impl DiskEsa {
         .try_fold(ESA_HEADER_SIZE, |end, (count, bytes)| {
             count.checked_mul(bytes)?.checked_add(end)
         });
-        let Some(end) = end.filter(|&end| end <= reader.logical_len()) else {
+        let Some(end) = end.filter(|&end| end <= file.len() as u64) else {
             return Err(DiskError::BadRecord("esa arrays overrun the file".into()));
         };
-        // The arrays lie back to back behind the header: one read, then
-        // one little-endian word at a time.
-        let mut body = vec![0u8; (end - ESA_HEADER_SIZE) as usize];
-        reader
-            .read_exact_at(ESA_HEADER_SIZE, &mut body)
-            .map_err(|e| e.in_file(path))?;
+        // The arrays lie back to back behind the header: one little-endian
+        // word at a time.
+        let body = &file[ESA_HEADER_SIZE as usize..end as usize];
         let mut words =
             (body.chunks_exact(4)).map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")));
         let mut word = || words.next().expect("the header's counts size the body");
@@ -256,7 +256,16 @@ impl DiskEsa {
             header,
             esa,
             source,
+            pages: page_count,
         })
+    }
+
+    /// What the open read: every page of the file, once.
+    pub fn io_stats(&self) -> IoStats {
+        IoStats {
+            pages_read: self.pages,
+            cache_hits: 0,
+        }
     }
 
     /// The file header.

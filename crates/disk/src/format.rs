@@ -27,8 +27,9 @@
 //!   n_children × { first_symbol u32, offset u64 }   (sorted by symbol)
 //! ```
 //!
-//! All integers are little-endian. Every page carries a CRC-32, so
-//! corruption anywhere in the file is detected on first touch. A CRC
+//! All integers are little-endian. Every page carries a CRC-32, and a
+//! tree is read whole at open, so corruption anywhere in the file is
+//! detected there. A CRC
 //! only vouches for the bytes, not for who wrote them: [`NodeView::decode`]
 //! — the one decoder, which every reader of a record goes through — also
 //! checks each record against the file and the store it indexes (see its
@@ -45,7 +46,7 @@ use warptree_core::sequence::SeqId;
 
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
-use crate::pager::{IoStats, PagedReader, PAGE_DATA};
+use crate::pager::{IoStats, PAGE_DATA};
 use crate::vfs::{RealVfs, Vfs};
 
 /// Size of the file header in logical bytes.
@@ -125,7 +126,7 @@ impl Header {
     }
 }
 
-/// A node record copied out of its page ([`NodeView::to_node`]), for
+/// A node record copied out of the tree ([`NodeView::to_node`]), for
 /// readers that hold several records at once (`to_mem`, tests).
 /// Cheap to clone: the variable-length body is one shared allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,9 +198,9 @@ pub fn encode_node(
     }
 }
 
-/// A checked node record read in place: a borrowed view over the bytes
-/// of its page frame (or of a gathered copy, for a record that straddles
-/// pages). A traversal reads a record through this and copies nothing.
+/// A checked node record read in place: a borrowed view over the
+/// tree's bytes. A traversal reads a record through this and copies
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeView<'a> {
     /// Exactly the record: its head, then `n_suffixes + n_children`
@@ -208,28 +209,16 @@ pub struct NodeView<'a> {
     n_suffixes: usize,
 }
 
-/// What [`NodeView::decode`] made of the bytes it was given.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Decoded<'a> {
-    /// The whole record was there.
-    Node(NodeView<'a>),
-    /// The record needs this many bytes from its offset on (at most the
-    /// rest of the file): the caller gathers them and decodes again.
-    Short(usize),
-}
-
 #[inline]
 fn word(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
 impl<'a> NodeView<'a> {
-    /// Decodes the node record at logical `offset` of a `file_len`-byte
-    /// tree file over `cat`, from `bytes` — the file's content from
-    /// `offset` on, as much of it as the caller has at hand (typically
-    /// the rest of the record's page).
+    /// Decodes the node record at logical `offset` of `file`, the
+    /// logical bytes of a tree file over `cat`.
     ///
-    /// The bytes passed their page CRC but are otherwise untrusted, and
+    /// The bytes passed their page CRCs but are otherwise untrusted, and
     /// everything a reader later takes from the view is checked here,
     /// once. A record is [`DiskError::BadRecord`] when
     ///
@@ -244,32 +233,21 @@ impl<'a> NodeView<'a> {
     ///   `cat` with a run that fits behind it (`seq < cat.len()`,
     ///   `start < |seq|`, `1 ≤ lead_run ≤ |seq| − start`) — the entries
     ///   become the occurrences post-processing slices the store with.
-    pub fn decode(
-        bytes: &'a [u8],
-        offset: u64,
-        file_len: u64,
-        cat: &CatStore,
-    ) -> Result<Decoded<'a>> {
-        // The record's length, as far as the bytes at hand tell it: the
-        // head's, until the head is there to give the entry counts. Bound
-        // it by the file before anything is sized by it.
-        let entries = if bytes.len() < NODE_HEAD {
-            0
-        } else {
-            word(bytes, 24) as u64 + word(bytes, 28) as u64
-        };
+    pub fn decode(file: &'a [u8], offset: u64, cat: &CatStore) -> Result<Self> {
+        let overrun = || DiskError::BadRecord(format!("node at {offset} overruns the file"));
+        // Bound the record by the file before anything is sized by it.
+        let bytes = usize::try_from(offset)
+            .ok()
+            .and_then(|at| file.get(at..))
+            .filter(|rest| rest.len() >= NODE_HEAD)
+            .ok_or_else(overrun)?;
+        let entries = word(bytes, 24) as u64 + word(bytes, 28) as u64;
         let total = NODE_HEAD as u64 + NODE_ENTRY as u64 * entries;
-        if offset + total > file_len {
-            return Err(DiskError::BadRecord(format!(
-                "node at {offset} overruns the file"
-            )));
-        }
-        let total = total as usize;
-        if bytes.len() < total {
-            return Ok(Decoded::Short(total));
+        if total > bytes.len() as u64 {
+            return Err(overrun());
         }
         let node = NodeView {
-            bytes: &bytes[..total],
+            bytes: &bytes[..total as usize],
             n_suffixes: word(bytes, 24) as usize,
         };
         // A sequence the store does not have holds no position.
@@ -301,7 +279,7 @@ impl<'a> NodeView<'a> {
                 "node at {offset}: child at {child} does not precede it"
             )));
         }
-        Ok(Decoded::Node(node))
+        Ok(node)
     }
 
     /// Edge label entering this node: `(seq, start, len)`.
@@ -365,51 +343,57 @@ impl<'a> NodeView<'a> {
 /// Panic payload used to abort a tree traversal on an unreadable node.
 ///
 /// The [`IndexBackend`] trait's walk callbacks are infallible, so a
-/// mid-traversal read failure cannot return an `Err` through them.
-/// Instead the failing [`DiskTree`] records the page that failed (see
+/// record that does not decode cannot return an `Err` through them.
+/// Instead the failing [`DiskTree`] records the page that holds it (see
 /// [`DiskTree::take_read_error`]) and unwinds with this marker;
 /// [`DirSnapshot::query_with`](crate::DirSnapshot::query_with) catches
 /// the unwind, records the tree as damaged and answers the query by
 /// sequential scan over the corpus instead.
 pub(crate) struct TreeReadAbort;
 
-/// A disk-resident suffix tree, query-ready through
-/// [`IndexBackend`]. All reads verify page CRCs; a traversal reads node
-/// records in place, on their page frames.
+/// A disk-resident suffix tree, query-ready through [`IndexBackend`]:
+/// the file's logical bytes, read whole and CRC-checked at open, with
+/// every node record decoded in place on each visit.
 pub struct DiskTree {
-    reader: PagedReader,
+    /// The logical bytes of the file (the final page's padding
+    /// included).
+    bytes: Vec<u8>,
     cat: Arc<CatStore>,
     header: Header,
     /// File name this tree was opened from — the segment identity a
     /// failed read is reported under.
     source: String,
-    /// The page of the first read failure observed during a traversal
-    /// (set by [`must_read`](Self::must_read) before unwinding).
+    /// A page after the header that failed its CRC at open: the tree
+    /// then reads no record (each is a [`DiskError::CorruptPage`]).
+    damage: Option<u64>,
+    /// The page of the first read failure not yet taken: the damaged
+    /// page from the open, or a record that did not decode (set by
+    /// [`must_read`](Self::must_read) before unwinding).
     read_error: Mutex<Option<u64>>,
 }
 
 impl DiskTree {
     /// Opens a tree file against the categorized store its labels
-    /// reference. `cache_pages` sizes the page buffer pool.
-    pub fn open(path: &Path, cat: Arc<CatStore>, cache_pages: usize) -> Result<Self> {
-        Self::open_with(&RealVfs, path, cat, cache_pages)
+    /// reference.
+    pub fn open(path: &Path, cat: Arc<CatStore>) -> Result<Self> {
+        Self::open_with(&RealVfs, path, cat)
     }
 
-    /// [`open`](Self::open) through an explicit [`Vfs`].
-    pub fn open_with(
-        vfs: &dyn Vfs,
-        path: &Path,
-        cat: Arc<CatStore>,
-        cache_pages: usize,
-    ) -> Result<Self> {
-        let (reader, header, source) =
-            open_headed(vfs, path, cache_pages, Some(cat.alphabet_len()))?;
+    /// [`open`](Self::open) through an explicit [`Vfs`]: one read of
+    /// the whole file. A header page that fails its CRC fails the open
+    /// as a [`DiskError::CorruptionDetected`] naming the file; a later
+    /// one opens the tree damaged: it reads no record, and a snapshot
+    /// answers by scan instead.
+    pub fn open_with(vfs: &dyn Vfs, path: &Path, cat: Arc<CatStore>) -> Result<Self> {
+        let (pages, header, source) =
+            open_headed::<Header>(vfs, path, u64::MAX, Some(cat.alphabet_len()))?;
         Ok(Self {
-            reader,
+            bytes: pages.bytes,
             cat,
             header,
             source,
-            read_error: Mutex::new(None),
+            damage: pages.bad,
+            read_error: Mutex::new(pages.bad),
         })
     }
 
@@ -418,17 +402,18 @@ impl DiskTree {
         &self.source
     }
 
-    /// Takes the page of the read failure recorded by an aborted
-    /// traversal, if any.
+    /// Takes the page of the read failure this tree recorded, if any: a
+    /// page that failed its CRC at open, or the page of a record an
+    /// aborted traversal could not decode.
     pub(crate) fn take_read_error(&self) -> Option<u64> {
         self.read_error.lock().take()
     }
 
     /// Reads the node at `offset` through `f`, or aborts the traversal:
-    /// the failing page is recorded on this tree — the one that failed
-    /// its CRC, or the one holding the record that does not decode —
-    /// and the stack unwinds with [`TreeReadAbort`] for the fan-out
-    /// layer to catch.
+    /// the failing page is recorded on this tree — the damaged one, or
+    /// the one holding the record that does not decode — and the stack
+    /// unwinds with [`TreeReadAbort`] for the fan-out layer to catch.
+    #[inline]
     fn must_read<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> R {
         match self.with_node(offset, f) {
             Ok(r) => r,
@@ -487,68 +472,36 @@ impl DiskTree {
         &self.cat
     }
 
-    /// Page-level I/O counters.
+    /// What the open read: every page of the file, once.
     pub fn io_stats(&self) -> IoStats {
-        self.reader.io_stats()
+        IoStats {
+            pages_read: (self.bytes.len() / PAGE_DATA) as u64,
+            cache_hits: 0,
+        }
     }
 
-    /// Logical length of the file in bytes (the paper's "index size").
+    /// Logical length of the file in bytes (the paper's "index size"),
+    /// all of which the tree holds.
     pub fn logical_len(&self) -> u64 {
-        self.reader.logical_len()
+        self.bytes.len() as u64
     }
 
-    /// Forwards this tree's page buffer pool traffic into `reg` as well,
-    /// as `disk.page_cache.{hits,misses}`, names every tree of a
-    /// directory shares (their counts sum there), and its read-path CRC
-    /// failures as `disk.read_crc_fail`. Lookups made before the call are
-    /// not replayed into `reg`; the tree's own
-    /// [`io_stats`](Self::io_stats) goes on reporting this tree's
-    /// traffic alone.
+    /// Counts a page that failed its CRC at open into `reg`'s
+    /// `disk.read_crc_fail`, a name every tree of a directory shares.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        self.reader
-            .meter_cache(reg, "disk.page_cache.hits", "disk.page_cache.misses");
-        self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
+        if self.damage.is_some() {
+            reg.counter("disk.read_crc_fail").incr();
+        }
     }
 
-    /// Runs `f` over the node record at `offset`, checked by
-    /// [`NodeView::decode`].
-    ///
-    /// A record that ends inside its page — all but a few per file — is
-    /// read where it lies, in one page visit: `f` runs on the frame,
-    /// under the pool's lock, and must not read from this tree. One that
-    /// runs on is gathered into a buffer first, one more page visit for
-    /// each further page it reaches.
+    /// Runs `f` over the node record at `offset`, decoded in place and
+    /// checked by [`NodeView::decode`]. A damaged tree reads none.
+    #[inline]
     pub(crate) fn with_node<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
-        let file_len = self.reader.logical_len();
-        // Taken by whichever of the two decodes below finds the record whole.
-        let mut f = Some(f);
-        let mut record = Vec::new();
-        let in_place: Result<Option<R>> = self.reader.with_page_tail(offset, |tail| {
-            Ok(match NodeView::decode(tail, offset, file_len, &self.cat)? {
-                Decoded::Node(node) => f.take().map(|f| f(node)),
-                Decoded::Short(_) => {
-                    record.extend_from_slice(tail);
-                    None
-                }
-            })
-        })?;
-        if let Some(out) = in_place? {
-            return Ok(out);
+        if let Some(page) = self.damage {
+            return Err(DiskError::CorruptPage { page });
         }
-        // The gather: the next page whole, until the record is — it ends
-        // somewhere on the last one, and decoding takes no more than it.
-        loop {
-            match NodeView::decode(&record, offset, file_len, &self.cat)? {
-                Decoded::Node(node) => {
-                    return Ok((f.take().expect("the page tail was short"))(node));
-                }
-                Decoded::Short(_) => {
-                    let at = offset + record.len() as u64;
-                    self.reader
-                        .with_page_tail(at, |tail| record.extend_from_slice(tail))?;
-                }
-            }
-        }
+        Ok(f(NodeView::decode(&self.bytes, offset, &self.cat)?))
     }
 
     /// Reads the node record at `offset` as an owned [`DiskNode`]: the
@@ -719,12 +672,22 @@ mod tests {
         ));
     }
 
+    /// A `file_len`-byte file with `record` at `offset` (cut at the
+    /// end of the file) and zeros around it.
+    fn file_with(record: &[u8], offset: u64, file_len: u64) -> Vec<u8> {
+        let mut file = vec![0u8; file_len as usize];
+        let at = offset as usize;
+        let fits = record.len().min(file.len() - at);
+        file[at..at + fits].copy_from_slice(&record[..fits]);
+        file
+    }
+
     #[test]
     fn node_record_roundtrip_via_encode() {
         let cat = CatStore::from_symbols(vec![vec![0; 4], vec![1; 4], vec![2; 4], vec![0; 12]], 3);
         let label = (SeqId(3), 7, 5);
         let suffixes = [(SeqId(3), 7, 2), (SeqId(1), 0, 1)];
-        let children = [(0, 64), (5, (1 << 32) + 128)];
+        let children = [(0, 64), (5, 200)];
         let enc = encoded(label, 9, 4, &suffixes, &children);
         assert_eq!(enc.len(), 32 + 12 * 2 + 12 * 2);
         // The head fields lay out as documented.
@@ -733,11 +696,15 @@ mod tests {
         assert_eq!(u64::from_le_bytes(enc[12..20].try_into().unwrap()), 9);
         assert_eq!(u32::from_le_bytes(enc[24..28].try_into().unwrap()), 2);
         assert_eq!(u32::from_le_bytes(enc[28..32].try_into().unwrap()), 2);
+        // A child offset is a whole little-endian u64, high word last.
+        let far = encoded(label, 9, 4, &[], &[(5, (1 << 32) + 128)]);
+        assert_eq!(&far[32..], [5, 0, 0, 0, 128, 0, 0, 0, 1, 0, 0, 0]);
 
-        let (offset, file_len) = (1 << 33, (1 << 33) + 4096);
-        let Decoded::Node(view) = NodeView::decode(&enc, offset, file_len, &cat).unwrap() else {
-            panic!("the whole record was given");
-        };
+        // Trailing bytes (the rest of the file) are not the record's.
+        let offset = 1000;
+        let file = file_with(&enc, offset, 4096);
+        let view = NodeView::decode(&file, offset, &cat).unwrap();
+        assert_eq!(view.bytes, &enc[..]);
         assert_eq!(
             (view.label(), view.suffix_count(), view.max_lead_run()),
             (label, 9, 4)
@@ -752,30 +719,13 @@ mod tests {
         );
         assert_eq!(node.suffixes().collect::<Vec<_>>(), suffixes);
         assert_eq!(node.children().collect::<Vec<_>>(), children);
-        // Trailing bytes (the rest of the page) are not the record's.
-        let mut page = enc.clone();
-        page.extend_from_slice(&[0xAB; 40]);
-        assert_eq!(
-            NodeView::decode(&page, offset, file_len, &cat).unwrap(),
-            Decoded::Node(view)
-        );
-        // A page tail too short for the head, then for the body, asks
-        // for exactly what is missing.
-        assert_eq!(
-            NodeView::decode(&enc[..31], offset, file_len, &cat).unwrap(),
-            Decoded::Short(32)
-        );
-        assert_eq!(
-            NodeView::decode(&enc[..40], offset, file_len, &cat).unwrap(),
-            Decoded::Short(enc.len())
-        );
     }
 
     #[test]
     fn hostile_records_are_typed_errors() {
         let cat = CatStore::from_symbols(vec![vec![0, 1, 2, 1]], 3);
         let decode = |enc: &[u8], offset, file_len| {
-            NodeView::decode(enc, offset, file_len, &cat).map(|d| matches!(d, Decoded::Node(_)))
+            NodeView::decode(&file_with(enc, offset, file_len), offset, &cat).map(|_| true)
         };
         let bad = |enc: &[u8], offset: u64, file_len: u64| match decode(enc, offset, file_len) {
             Err(DiskError::BadRecord(m)) => m,
@@ -790,6 +740,14 @@ mod tests {
         huge[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(bad(&huge, 128, 4096).contains("overruns"));
         assert!(bad(&ok[..8], 4090, 4096).contains("overruns"));
+        // An offset at or past the end of the file.
+        for offset in [4096, u64::MAX] {
+            let file = file_with(&ok, 128, 4096);
+            assert!(matches!(
+                NodeView::decode(&file, offset, &cat),
+                Err(DiskError::BadRecord(m)) if m.contains("overruns")
+            ));
+        }
         // Labels that are not a range of a sequence of the store.
         for label in [(SeqId(1), 0, 1), (SeqId(0), 2, 3), (SeqId(0), u32::MAX, 2)] {
             let enc = encoded(label, 1, 1, &[], &[]);

@@ -4,12 +4,14 @@
 //!
 //! Disk-based suffix-tree storage for the Park et al. (ICDE 2000) index:
 //!
-//! * [`pager`] / [`lru`] — paged files with per-page CRC-32 and a 2Q buffer
-//!   pool, the one cache on the read path;
+//! * [`pager`] — paged files with per-page CRC-32, written in page runs
+//!   and read back whole ([`read_stream`]): every file is read once, at
+//!   open, and no query reads a page;
 //! * [`format`](mod@format) / [`writer`] — the tree file format, written post-order in
-//!   one sequential pass; [`DiskTree`] serves queries straight from disk
-//!   through the same [`IndexBackend`](warptree_core::search::IndexBackend)
-//!   trait the in-memory tree implements;
+//!   one sequential pass; [`DiskTree`] serves queries from the file's
+//!   bytes, decoding each node record in place, through the same
+//!   [`IndexBackend`](warptree_core::search::IndexBackend) trait the
+//!   in-memory tree implements;
 //! * [`merge`] — binary merge of tree files and the [`IncrementalBuilder`]
 //!   that constructs a large index batch-by-batch in limited memory
 //!   (paper §4.1, after Bieganski et al.);
@@ -40,7 +42,6 @@ mod cursor;
 pub mod error;
 pub mod esa;
 pub mod format;
-pub mod lru;
 pub mod manifest;
 pub mod merge;
 pub mod pager;
@@ -62,7 +63,7 @@ pub use manifest::{
     SegmentMeta, VerifyReport, MANIFEST_NAME,
 };
 pub use merge::{merge_trees, merge_trees_with, IncrementalBuilder, TreeKind};
-pub use pager::{IoStats, PagedReader, PagedWriter, PAGE_DATA, PAGE_SIZE};
+pub use pager::{read_stream, IoStats, PagedWriter, PAGE_DATA, PAGE_SIZE};
 pub use segment::{
     append_segment, append_segment_with, compact_all_with, compact_once, compact_once_with,
     heal_segment_with, scrub_dir_with, ScrubReport,

@@ -38,7 +38,7 @@ use crate::corpus::load_corpus_with;
 use crate::crc::crc32;
 use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
-use crate::pager::PagedReader;
+use crate::pager::read_pages;
 use crate::vfs::{TempGuard, Vfs};
 
 /// File name of the commit manifest.
@@ -762,8 +762,9 @@ fn file_name(path: &Path) -> String {
 
 /// The one check of a committed file, which `verify` reports and
 /// `scrub` acts on: the file's size must be the manifest's `expect`,
-/// every page must pass its CRC read past the pool (a failure counts in
-/// `reg`'s `disk.read_crc_fail`), and then `parse` must accept the file.
+/// every page must pass its CRC, read from disk afresh (a failure counts
+/// in `reg`'s `disk.read_crc_fail`), and then `parse` must accept the
+/// file.
 fn check_file(
     vfs: &dyn Vfs,
     path: &Path,
@@ -778,11 +779,11 @@ fn check_file(
         if actual != expect {
             return Err(format!("size {actual} does not match manifest ({expect})"));
         }
-        let reader = PagedReader::open_with(vfs, path, 1).map_err(|e| e.to_string())?;
-        reader.meter_crc_failures(reg, "disk.read_crc_fail");
-        for page in 0..reader.page_count() {
-            reader.verify_page(page).map_err(|e| e.to_string())?;
-            pages += 1;
+        let read = read_pages(vfs, path, u64::MAX).map_err(|e| e.to_string())?;
+        pages = read.bad.unwrap_or(read.count());
+        if let Some(page) = read.bad {
+            reg.counter("disk.read_crc_fail").incr();
+            return Err(DiskError::CorruptPage { page }.to_string());
         }
         parse().map_err(|e| format!("parse failed: {e}"))
     })()

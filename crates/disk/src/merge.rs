@@ -588,8 +588,7 @@ impl IncrementalBuilder {
                     return Ok(pair.remove(0));
                 }
                 let span = self.metrics.merge_ns.span();
-                let open =
-                    |path| DiskTree::open_with(self.vfs.as_ref(), path, self.cat.clone(), 64);
+                let open = |path| DiskTree::open_with(self.vfs.as_ref(), path, self.cat.clone());
                 let (ta, tb) = (open(&pair[0])?, open(&pair[1])?);
                 let path = self.tmp_path(depth, i);
                 merge_trees_as(self.vfs.as_ref(), &ta, &tb, &self.cat, &path, last)?;
@@ -680,10 +679,10 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone(), 8).unwrap();
-        let db = DiskTree::open(&p2, c.clone(), 8).unwrap();
+        let da = DiskTree::open(&p1, c.clone()).unwrap();
+        let db = DiskTree::open(&p2, c.clone()).unwrap();
         merge_trees(&da, &db, &c, &pm).unwrap();
-        let merged = DiskTree::open(&pm, c.clone(), 8).unwrap();
+        let merged = DiskTree::open(&pm, c.clone()).unwrap();
         let direct = build_full(c);
         assert_eq!(merged.to_mem().unwrap().canonical(), direct.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -705,7 +704,7 @@ mod tests {
         let out = dir.join("index.wt");
         let b = IncrementalBuilder::new(c.clone(), TreeKind::Full, 2, dir.clone());
         b.build(&out).unwrap();
-        let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
+        let disk = DiskTree::open(&out, c.clone()).unwrap();
         let direct = build_full(c);
         assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -718,7 +717,7 @@ mod tests {
         let out = dir.join("index.wt");
         let b = IncrementalBuilder::new(c.clone(), TreeKind::Sparse, 1, dir.clone());
         b.build(&out).unwrap();
-        let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
+        let disk = DiskTree::open(&out, c.clone()).unwrap();
         assert!(disk.header().sparse);
         let direct = build_sparse(c);
         assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
@@ -742,8 +741,8 @@ mod tests {
             .with_threads(4)
             .build(&par_out)
             .unwrap();
-        let a = DiskTree::open(&seq_out, c.clone(), 8).unwrap();
-        let b = DiskTree::open(&par_out, c.clone(), 8).unwrap();
+        let a = DiskTree::open(&seq_out, c.clone()).unwrap();
+        let b = DiskTree::open(&par_out, c.clone()).unwrap();
         assert_eq!(
             a.to_mem().unwrap().canonical(),
             b.to_mem().unwrap().canonical()
@@ -775,7 +774,7 @@ mod tests {
                 .with_truncation(spec)
                 .build(&out)
                 .unwrap();
-            let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
+            let disk = DiskTree::open(&out, c.clone()).unwrap();
             assert_eq!(disk.header().depth_limit, Some(max_answer_len));
             let direct = match kind {
                 TreeKind::Full => warptree_suffix::build_full_truncated(c.clone(), spec),
@@ -817,10 +816,10 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone(), 8).unwrap();
-        let db = DiskTree::open(&p2, c.clone(), 8).unwrap();
+        let da = DiskTree::open(&p1, c.clone()).unwrap();
+        let db = DiskTree::open(&p2, c.clone()).unwrap();
         merge_trees(&da, &db, &c, &pm).unwrap();
-        let merged = DiskTree::open(&pm, c.clone(), 8).unwrap();
+        let merged = DiskTree::open(&pm, c.clone()).unwrap();
         assert_eq!(merged.to_mem().unwrap().canonical(), t1.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
     }

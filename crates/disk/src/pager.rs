@@ -1,4 +1,4 @@
-//! Paged file storage with per-page CRC and a 2Q buffer pool.
+//! Paged file storage with per-page CRC.
 //!
 //! Files are a sequence of fixed-size pages; each page holds
 //! [`PAGE_DATA`] payload bytes followed by a CRC-32 of that payload.
@@ -11,18 +11,15 @@
 //!   `write_at`; it can patch already-written ranges at `finish` time
 //!   (used to back-patch file headers once the root offset is known),
 //!   and fsyncs only a file that gets committed.
-//! * [`PagedReader`] serves random reads through a [`TwoQueue`] of
-//!   verified pages — a pool that keeps part of a traversal's page loop
-//!   resident where an LRU would keep none of it; a failed CRC surfaces
-//!   as [`DiskError::CorruptPage`].
+//! * [`read_stream`] reads a file back whole: one `read_at`, every
+//!   page's CRC checked, the payloads packed into the logical bytes. A
+//!   reader keeps those bytes and reads records in place; no page is
+//!   read after the open, so there is no buffer pool.
 
 use std::path::Path;
 
-use parking_lot::Mutex;
-
 use crate::crc::crc32;
 use crate::error::{DiskError, Result};
-use crate::lru::TwoQueue;
 use crate::vfs::{RealVfs, Vfs, VfsFile};
 
 /// Physical page size in bytes.
@@ -157,204 +154,79 @@ fn patch(file: &mut dyn VfsFile, logical_offset: u64, bytes: &[u8]) -> Result<()
     Ok(())
 }
 
-/// Counters describing a reader's I/O behaviour.
+/// What a paged file's open read, for the repo benchmark's cache
+/// metrics: every index is read whole at open and no query reads a
+/// page, so these count that one read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Page requests that missed the buffer pool (each one is a disk
-    /// page fetch).
+    /// Pages the open read (and CRC-checked).
     pub pages_read: u64,
-    /// Page requests served from the buffer pool.
+    /// Always 0: there is no buffer pool. Kept only so the repo
+    /// benchmark, which still reads it, builds; ROADMAP item 1a deletes
+    /// it.
     pub cache_hits: u64,
 }
 
-impl IoStats {
-    /// Buffer-pool hit rate in `[0, 1]` (0 when nothing was requested).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.pages_read + self.cache_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
+/// A paged file read by [`read_pages`]: the payloads of the pages read,
+/// back to back, and the first of them that failed its CRC.
+pub(crate) struct Pages {
+    /// The logical bytes (a failed page's bytes included, unchecked).
+    pub(crate) bytes: Vec<u8>,
+    /// The first page whose CRC did not match, if any.
+    pub(crate) bad: Option<u64>,
+}
+
+impl Pages {
+    /// Number of pages read.
+    pub(crate) fn count(&self) -> u64 {
+        (self.bytes.len() / PAGE_DATA) as u64
+    }
+
+    /// The bytes, when every page passed its CRC; otherwise a
+    /// [`DiskError::CorruptionDetected`] naming `path` and the page.
+    pub(crate) fn verified(self, path: &Path) -> Result<Vec<u8>> {
+        match self.bad {
+            None => Ok(self.bytes),
+            Some(page) => Err(DiskError::CorruptPage { page }.in_file(path)),
         }
     }
 }
 
-struct ReaderInner {
-    /// Verified page frames, [`PAGE_SIZE`] bytes each (the CRC tail is
-    /// kept so a frame is filled straight from the file).
-    cache: TwoQueue<u64, Box<[u8]>>,
-    /// The frame the last insert evicted, reused for the next miss: a
-    /// full pool reads pages without allocating or zero-filling.
-    spare: Option<Box<[u8]>>,
-    /// Charged once per failed page CRC on the read path (noop until
-    /// [`PagedReader::meter_crc_failures`] wires a registry counter).
-    crc_fail: warptree_obs::Counter,
+/// Reads the first `limit` pages of the paged file at `path` (all of
+/// them, if it has fewer) with one `read_at`, checks every page's CRC,
+/// and packs the payloads down to the logical bytes in place. The one
+/// read of a paged file: a tree, an ESA, a corpus, and the committed
+/// file check all go through it (or [`read_stream`]).
+pub(crate) fn read_pages(vfs: &dyn Vfs, path: &Path, limit: u64) -> Result<Pages> {
+    let file = vfs.open(path)?;
+    let physical = file.len()?;
+    if physical % PAGE_SIZE as u64 != 0 {
+        return Err(DiskError::BadHeader(format!(
+            "file size {physical} is not page-aligned"
+        )));
+    }
+    let pages = (physical / PAGE_SIZE as u64).min(limit) as usize;
+    let mut bytes = vec![0u8; pages * PAGE_SIZE];
+    file.read_at(0, &mut bytes)?;
+    let mut bad = None;
+    for page in 0..pages {
+        let at = page * PAGE_SIZE;
+        let (payload, tail) = bytes[at..at + PAGE_SIZE].split_at(PAGE_DATA);
+        let stored = u32::from_le_bytes(tail.try_into().expect("a 4-byte CRC tail"));
+        if bad.is_none() && crc32(payload) != stored {
+            bad = Some(page as u64);
+        }
+        bytes.copy_within(at..at + PAGE_DATA, page * PAGE_DATA);
+    }
+    bytes.truncate(pages * PAGE_DATA);
+    Ok(Pages { bytes, bad })
 }
 
-/// Random-access reader over the logical byte space with a 2Q buffer
-/// pool. Cheap to share: all mutability is behind a lock, so `&self`
-/// methods suffice (concurrent queries share the pool).
-pub struct PagedReader {
-    file: Box<dyn VfsFile>,
-    logical_len: u64,
-    pages: u64,
-    inner: Mutex<ReaderInner>,
-}
-
-impl PagedReader {
-    /// Opens `path` with a buffer pool of `cache_pages` pages.
-    pub fn open(path: &Path, cache_pages: usize) -> Result<Self> {
-        Self::open_with(&RealVfs, path, cache_pages)
-    }
-
-    /// [`open`](Self::open) through an explicit [`Vfs`].
-    pub fn open_with(vfs: &dyn Vfs, path: &Path, cache_pages: usize) -> Result<Self> {
-        let file = vfs.open(path)?;
-        let physical = file.len()?;
-        if physical % PAGE_SIZE as u64 != 0 {
-            return Err(DiskError::BadHeader(format!(
-                "file size {physical} is not page-aligned"
-            )));
-        }
-        let pages = physical / PAGE_SIZE as u64;
-        Ok(Self {
-            file,
-            logical_len: pages * PAGE_DATA as u64,
-            pages,
-            inner: Mutex::new(ReaderInner {
-                cache: TwoQueue::new(cache_pages),
-                spare: None,
-                crc_fail: warptree_obs::Counter::noop(),
-            }),
-        })
-    }
-
-    /// Logical byte length (includes the final page's zero padding).
-    pub fn logical_len(&self) -> u64 {
-        self.logical_len
-    }
-
-    /// A snapshot of the I/O counters (derived from the buffer pool's
-    /// hit/miss counters — there is no second set of plumbing).
-    pub fn io_stats(&self) -> IoStats {
-        let inner = self.inner.lock();
-        IoStats {
-            pages_read: inner.cache.misses(),
-            cache_hits: inner.cache.hits(),
-        }
-    }
-
-    /// Meters the buffer pool into `reg` under the given counter names
-    /// (e.g. `disk.page_cache.hits` / `disk.page_cache.misses`).
-    /// Multiple readers may share the same names; their counts sum
-    /// there, and [`io_stats`](Self::io_stats) stays this reader's own.
-    pub fn meter_cache(&self, reg: &warptree_obs::MetricsRegistry, hits: &str, misses: &str) {
-        self.inner
-            .lock()
-            .cache
-            .set_counters(reg.counter(hits), reg.counter(misses));
-    }
-
-    /// Meters read-path CRC failures into `reg` under `name` (e.g.
-    /// `disk.read_crc_fail`). Multiple readers may share the name;
-    /// their counts sum.
-    pub fn meter_crc_failures(&self, reg: &warptree_obs::MetricsRegistry, name: &str) {
-        self.inner.lock().crc_fail = reg.counter(name);
-    }
-
-    /// Number of physical pages in the file.
-    pub fn page_count(&self) -> u64 {
-        self.pages
-    }
-
-    /// Re-reads page `page_idx` (below [`page_count`](Self::page_count))
-    /// from disk and verifies its CRC, bypassing the buffer pool — the
-    /// committed-file check's page walk: a cached (already verified) page
-    /// must not mask on-disk rot.
-    pub fn verify_page(&self, page_idx: u64) -> Result<()> {
-        let crc_fail = self.inner.lock().crc_fail.clone();
-        self.read_checked(page_idx, &mut [0u8; PAGE_SIZE], &crc_fail)
-    }
-
-    /// Reads page `page_idx` whole into `frame` and checks its CRC —
-    /// the one step of both the pool's miss path and
-    /// [`verify_page`](Self::verify_page). A mismatch is counted in
-    /// `crc_fail` and typed [`DiskError::CorruptPage`].
-    #[inline(always)]
-    fn read_checked(
-        &self,
-        page_idx: u64,
-        frame: &mut [u8],
-        crc_fail: &warptree_obs::Counter,
-    ) -> Result<()> {
-        self.file.read_at(page_idx * PAGE_SIZE as u64, frame)?;
-        let stored = u32::from_le_bytes(frame[PAGE_DATA..].try_into().expect("a 4-byte CRC tail"));
-        if crc32(&frame[..PAGE_DATA]) != stored {
-            crc_fail.incr();
-            return Err(DiskError::CorruptPage { page: page_idx });
-        }
-        Ok(())
-    }
-
-    /// Runs `f` over the bytes from `logical` to the end of the page
-    /// holding it (at least one byte). A record that ends inside that
-    /// page is decoded in this one page visit, with no copy; a caller
-    /// whose record runs on falls back to
-    /// [`read_exact_at`](Self::read_exact_at).
-    pub fn with_page_tail<R>(&self, logical: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        if logical >= self.logical_len {
-            return Err(DiskError::OutOfBounds {
-                offset: logical,
-                len: 1,
-                size: self.logical_len,
-            });
-        }
-        let in_page = (logical % PAGE_DATA as u64) as usize;
-        self.with_page(logical / PAGE_DATA as u64, |page| f(&page[in_page..]))
-    }
-
-    /// Reads `buf.len()` bytes at `logical` into `buf`.
-    pub fn read_exact_at(&self, logical: u64, buf: &mut [u8]) -> Result<()> {
-        if logical + buf.len() as u64 > self.logical_len {
-            return Err(DiskError::OutOfBounds {
-                offset: logical,
-                len: buf.len() as u64,
-                size: self.logical_len,
-            });
-        }
-        let mut done = 0usize;
-        while done < buf.len() {
-            let pos = logical + done as u64;
-            let page_idx = pos / PAGE_DATA as u64;
-            let in_page = (pos % PAGE_DATA as u64) as usize;
-            let take = (PAGE_DATA - in_page).min(buf.len() - done);
-            self.with_page(page_idx, |page| {
-                buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
-            })?;
-            done += take;
-        }
-        Ok(())
-    }
-
-    /// Runs `f` over the verified payload of page `page_idx`.
-    fn with_page<R>(&self, page_idx: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        debug_assert!(page_idx < self.pages);
-        let mut inner = self.inner.lock();
-        if let Some(frame) = inner.cache.get(&page_idx) {
-            return Ok(f(&frame[..PAGE_DATA]));
-        }
-        let mut frame = inner
-            .spare
-            .take()
-            .unwrap_or_else(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
-        if let Err(e) = self.read_checked(page_idx, &mut frame, &inner.crc_fail) {
-            inner.spare = Some(frame);
-            return Err(e);
-        }
-        let out = f(&frame[..PAGE_DATA]);
-        inner.spare = inner.cache.insert(page_idx, frame);
-        Ok(out)
-    }
+/// The logical bytes of the paged file at `path` (the final page's zero
+/// padding included), read once with every page CRC-checked. A page
+/// that fails is a [`DiskError::CorruptionDetected`] naming the file.
+pub fn read_stream(vfs: &dyn Vfs, path: &Path) -> Result<Vec<u8>> {
+    read_pages(vfs, path, u64::MAX)?.verified(path)
 }
 
 #[cfg(test)]
@@ -376,10 +248,10 @@ mod tests {
         assert_eq!(w.position(), 11);
         let len = w.finish(&[]).unwrap();
         assert_eq!(len, 11);
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = [0u8; 11];
-        r.read_exact_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"hello world");
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        assert_eq!(bytes.len(), PAGE_DATA, "one page, zero-padded");
+        assert_eq!(&bytes[..11], b"hello world");
+        assert!(bytes[11..].iter().all(|&b| b == 0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -392,16 +264,12 @@ mod tests {
         let mut w = PagedWriter::create(&path).unwrap();
         w.write(&data).unwrap();
         w.finish(&[]).unwrap();
-        let r = PagedReader::open(&path, 2).unwrap();
-        // Read a range crossing two page boundaries.
-        let start = PAGE_DATA - 100;
-        let mut buf = vec![0u8; PAGE_DATA + 200];
-        r.read_exact_at(start as u64, &mut buf).unwrap();
-        assert_eq!(&buf[..], &data[start..start + buf.len()]);
-        // And the whole stream.
-        let mut all = vec![0u8; data.len()];
-        r.read_exact_at(0, &mut all).unwrap();
-        assert_eq!(all, data);
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        assert_eq!(&bytes[..data.len()], &data[..]);
+        // A limit reads that many pages, the header readers' one page.
+        let head = read_pages(&RealVfs, &path, 1).unwrap();
+        assert_eq!((head.count(), head.bad), (1, None));
+        assert_eq!(&head.bytes[..], &data[..PAGE_DATA]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -440,6 +308,9 @@ mod tests {
         }
         assert!(std::fs::read(&path).unwrap() == want, "page layout differs");
         assert_eq!(reg.counter("disk.vfs.writes").get(), 3);
+        // The file reads back in one `read_at`.
+        read_stream(vfs.as_ref(), &path).unwrap();
+        assert_eq!(reg.counter("disk.vfs.reads").get(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -449,12 +320,10 @@ mod tests {
         let mut w = PagedWriter::create(&path).unwrap();
         w.write(&vec![0u8; 2 * PAGE_DATA]).unwrap();
         // Patch across the page boundary.
-        let off = (PAGE_DATA - 2) as u64;
-        w.finish(&[(off, b"ABCD".to_vec())]).unwrap();
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = [0u8; 4];
-        r.read_exact_at(off, &mut buf).unwrap();
-        assert_eq!(&buf, b"ABCD");
+        let off = PAGE_DATA - 2;
+        w.finish(&[(off as u64, b"ABCD".to_vec())]).unwrap();
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        assert_eq!(&bytes[off..off + 4], b"ABCD");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -468,23 +337,22 @@ mod tests {
         let mut raw = std::fs::read(&path).unwrap();
         raw[50] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = [0u8; 100];
-        match r.read_exact_at(0, &mut buf) {
-            Err(DiskError::CorruptPage { page: 0 }) => {}
-            other => panic!("expected CorruptPage, got {other:?}"),
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        match read_stream(&RealVfs, &path) {
+            Err(DiskError::CorruptionDetected { file, page: 0 }) if file == name => {}
+            other => panic!("expected a named corruption, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     /// One flipped bit anywhere in a page — at the edges of the CRC
     /// kernel's 16- and 64-byte folds, in the 12-byte tail no fold covers
-    /// (8176..8188), or in the stored CRC — is a `CorruptPage` on both
-    /// the read path and `verify_page`, each counted once.
+    /// (8176..8188), or in the stored CRC — fails that page, and that
+    /// page alone, however many pages the read takes.
     #[test]
     fn flip_at_every_fold_boundary_detected() {
         let path = tmp("fold-flips");
-        let data: Vec<u8> = (0..2 * PAGE_DATA).map(|i| (i * 131 % 241) as u8).collect();
+        let data: Vec<u8> = (0..3 * PAGE_DATA).map(|i| (i * 131 % 241) as u8).collect();
         let mut w = PagedWriter::create(&path).unwrap();
         w.write(&data).unwrap();
         w.finish(&[]).unwrap();
@@ -497,54 +365,15 @@ mod tests {
             let mut raw = pristine.clone();
             raw[PAGE_SIZE + offset] ^= 1 << (n % 8);
             std::fs::write(&path, &raw).unwrap();
-            let reg = warptree_obs::MetricsRegistry::new();
-            let r = PagedReader::open(&path, 4).unwrap();
-            r.meter_crc_failures(&reg, "disk.read_crc_fail");
-            let fails = || reg.counter("disk.read_crc_fail").get();
-            let mut buf = [0u8; 8];
-            match r.read_exact_at(PAGE_DATA as u64, &mut buf) {
-                Err(DiskError::CorruptPage { page: 1 }) => {}
+            let pages = read_pages(&RealVfs, &path, u64::MAX).unwrap();
+            assert_eq!((pages.count(), pages.bad), (3, Some(1)), "offset {offset}");
+            assert_eq!(&pages.bytes[2 * PAGE_DATA..], &data[2 * PAGE_DATA..]);
+            assert_eq!(read_pages(&RealVfs, &path, 1).unwrap().bad, None);
+            match read_stream(&RealVfs, &path) {
+                Err(DiskError::CorruptionDetected { page: 1, .. }) => {}
                 other => panic!("offset {offset}: read gave {other:?}"),
             }
-            assert_eq!(fails(), 1, "offset {offset}");
-            match r.verify_page(1) {
-                Err(DiskError::CorruptPage { page: 1 }) => {}
-                other => panic!("offset {offset}: verify_page gave {other:?}"),
-            }
-            assert_eq!(fails(), 2, "offset {offset}");
-            r.verify_page(0).unwrap();
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn out_of_bounds_read_rejected() {
-        let path = tmp("oob");
-        let w = PagedWriter::create(&path).unwrap();
-        w.finish(&[]).unwrap();
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = [0u8; 1];
-        assert!(matches!(
-            r.read_exact_at(0, &mut buf),
-            Err(DiskError::OutOfBounds { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cache_hits_accumulate() {
-        let path = tmp("cache");
-        let mut w = PagedWriter::create(&path).unwrap();
-        w.write(&[1u8; 10]).unwrap();
-        w.finish(&[]).unwrap();
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = [0u8; 1];
-        for _ in 0..5 {
-            r.read_exact_at(3, &mut buf).unwrap();
-        }
-        let s = r.io_stats();
-        assert_eq!(s.pages_read, 1);
-        assert_eq!(s.cache_hits, 4);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -553,7 +382,7 @@ mod tests {
         let path = tmp("misaligned");
         std::fs::write(&path, vec![0u8; PAGE_SIZE + 7]).unwrap();
         assert!(matches!(
-            PagedReader::open(&path, 4),
+            read_stream(&RealVfs, &path),
             Err(DiskError::BadHeader(_))
         ));
         std::fs::remove_file(&path).unwrap();

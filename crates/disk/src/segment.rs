@@ -238,8 +238,8 @@ pub fn compact_once_with(
             // The paper's §4.1 binary merge: one sequential pass over
             // the two tree files, which reads records in place (no node
             // cache).
-            let left = DiskTree::open_with(vfs, &left_path, cat.clone(), 256)?;
-            let right = DiskTree::open_with(vfs, &right_path, cat.clone(), 256)?;
+            let left = DiskTree::open_with(vfs, &left_path, cat.clone())?;
+            let right = DiskTree::open_with(vfs, &right_path, cat.clone())?;
             merge_trees_with(vfs, &left, &right, &cat, &merged_tmp)?;
         }
         BackendKind::Esa => {
@@ -533,7 +533,7 @@ mod tests {
             assert!(last.unwrap().segments.is_empty());
             assert_eq!(reg.counter("compaction.runs").get(), 2);
             assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 64).unwrap();
+            let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
             assert_eq!(snap.segments.len(), 0);
             assert_matches_seq_scan(&dir, &probe, 0.75, &format!("merged sparse={sparse}"));
             // No data files beyond the committed pair remain.
@@ -545,7 +545,7 @@ mod tests {
     /// Every probe query over the opened directory equals the exact
     /// scan over its store.
     fn assert_matches_seq_scan(dir: &Path, queries: &[&[f64]], epsilon: f64, context: &str) {
-        let snap = open_dir_snapshot_with(&RealVfs, dir, 32).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, dir).unwrap();
         for q in queries {
             let params = SearchParams::with_epsilon(epsilon);
             let req = QueryRequest::threshold_params(q, params.clone());
@@ -601,7 +601,7 @@ mod tests {
             assert_eq!(compact_all_with(&RealVfs, &dir, &reg).unwrap().0, 1);
             assert_matches_seq_scan(&dir, &queries, 1.0, &format!("merged sparse={sparse}"));
             assert_no_tmp_files(&dir);
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 32).unwrap();
+            let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
             assert_eq!(snap.store.len(), 4);
             assert!(snap.segments.is_empty());
             // A full tree stores one suffix per element of old + new.
@@ -631,7 +631,7 @@ mod tests {
         let (runs, last) = compact_all_with(&RealVfs, &dir, &reg).unwrap();
         assert_eq!((runs, last.unwrap().generation), (3, 7));
         assert_matches_seq_scan(&dir, &[&[4.0, 6.0]], 0.5, "merged");
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 32).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!((snap.store.len(), snap.segments.len()), (5, 0));
         assert_no_tmp_files(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -860,11 +860,11 @@ mod tests {
                 generation
             );
             assert_no_tmp_files(&dir);
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 32).unwrap();
+            let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
             assert_eq!(snap.store.len(), store.len(), "{what}");
         }
         build(&named(MAX_NAME_BYTES)).unwrap();
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 32).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!(
             snap.store.name(SeqId(0)).map(str::len),
             Some(MAX_NAME_BYTES)

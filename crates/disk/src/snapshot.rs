@@ -8,7 +8,9 @@
 //! corpus, so a damaged one costs time, never answers: while any index
 //! of the snapshot is damaged (quarantined, failed at open, or caught
 //! failing a read), every query answers by sequential scan, the ground
-//! truth every index plan is held to. There are two ways in, over one
+//! truth every index plan is held to. Every index is read whole, and
+//! its page CRCs checked, when the snapshot opens, so a damaged page is
+//! found there, not by a query. There are two ways in, over one
 //! open body:
 //!
 //! * [`open_dir_snapshot_with`] resolves and loads **without mutating
@@ -54,7 +56,6 @@ use crate::manifest::{
     read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
     SegmentMeta,
 };
-use crate::pager::IoStats;
 use crate::vfs::Vfs;
 
 /// The committed generation a poll observes, read from `MANIFEST`
@@ -70,8 +71,8 @@ pub fn committed_generation_with(vfs: &dyn Vfs, dir: &Path) -> Result<u64> {
 /// index directory: the loaded corpus, its categorization, and the
 /// disk-resident base tree and tail segments.
 ///
-/// All parts are safe for concurrent readers (`&self` search through
-/// internally synchronized caches), so one snapshot behind an `Arc`
+/// All parts are safe for concurrent readers (`&self` search over bytes
+/// no query writes), so one snapshot behind an `Arc`
 /// serves any number of worker threads; swapping the `Arc` for a newer
 /// generation retires the old snapshot once its last in-flight query
 /// drops it.
@@ -100,8 +101,9 @@ pub struct DirSnapshot {
     pub quarantined: Vec<SegmentMeta>,
     /// The committed generation this snapshot materializes.
     pub generation: u64,
-    /// File names of the trees found damaged: tails that failed their
-    /// checks at open, and every tree a query caught failing a read.
+    /// File names of the indexes found damaged: those that failed a page
+    /// CRC or their checks at open, and every tree a query caught with a
+    /// record that does not decode.
     failed: Mutex<Vec<String>>,
 }
 
@@ -121,11 +123,8 @@ impl DirSnapshot {
         self.tree.kind()
     }
 
-    /// Forwards every live tree's page-pool and CRC-failure counts into
-    /// `reg` (`disk.page_cache.*`, `disk.read_crc_fail`); the trees share
-    /// the names, so their counts sum there, while each tree's own
-    /// `io_stats()` — what the `pager.io` span and `explain` read — stays
-    /// that tree's alone.
+    /// Counts every live tree's page that failed its CRC at open into
+    /// `reg`'s `disk.read_crc_fail`.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         self.live_trees().for_each(|t| t.instrument(reg));
     }
@@ -149,23 +148,19 @@ impl DirSnapshot {
     /// contract.
     ///
     /// While any index is [`damaged`](DirSnapshot::damaged) — a tail
-    /// quarantined or failing at open, or any tree, the base included,
-    /// caught failing a read (a page CRC, or a record that does not
-    /// decode) — the whole request is answered by sequential scan over
-    /// [`store`](DirSnapshot::store) instead ([`scan_query_with`]): the
-    /// answers the index is held to, at the scan's cost. A read that
-    /// fails mid-query is recorded, and that query is answered by the
-    /// scan.
+    /// quarantined, any index, the base included, with a page that
+    /// failed its CRC or a check at open, or any tree caught with a
+    /// record that does not decode — the whole request is answered by
+    /// sequential scan over [`store`](DirSnapshot::store) instead
+    /// ([`scan_query_with`]): the answers the index is held to, at the
+    /// scan's cost. A record that fails to decode mid-query is recorded,
+    /// and that query is answered by the scan.
     /// Either way the request is validated against the base index, so
     /// an invalid request gets the same typed error.
     ///
     /// Counters and phase timings reach `metrics` from the plan that
     /// answered only; a failed index attempt's stage spans still land in
-    /// its trace. When the trace is active, the index plan also attaches
-    /// a `pager.io` span attributing page reads and buffer-pool hits to
-    /// each live tree — deltas of the trees' cumulative I/O counters, so
-    /// other queries running on the snapshot at the same time bleed into
-    /// them.
+    /// its trace.
     pub fn query_with(
         &self,
         req: &QueryRequest,
@@ -177,9 +172,9 @@ impl DirSnapshot {
     }
 
     /// The tail segments found damaged other than by quarantine — that
-    /// failed their checks at open, or that a query caught failing — by
-    /// file name. Nothing here is tombstoned in `MANIFEST`: a process
-    /// that owns the directory may quarantine them
+    /// failed a page CRC or their checks at open, or that a query caught
+    /// failing — by file name. Nothing here is tombstoned in
+    /// `MANIFEST`: a process that owns the directory may quarantine them
     /// ([`quarantine_segment_with`](crate::quarantine_segment_with)).
     pub fn failed_tails(&self) -> Vec<String> {
         let failed = self.failed.lock();
@@ -205,9 +200,9 @@ impl DirSnapshot {
 
     /// [`query_with`](DirSnapshot::query_with)'s body: the index plan
     /// while nothing is damaged, the scan otherwise or once the index
-    /// attempt fails a read. Each plan counts into metrics of its own
-    /// from `fresh`, and the answering plan's are returned beside its
-    /// output.
+    /// attempt meets a record that does not decode. Each plan counts into
+    /// metrics of its own from `fresh`, and the answering plan's are
+    /// returned beside its output.
     fn answer(
         &self,
         req: &QueryRequest,
@@ -229,13 +224,13 @@ impl DirSnapshot {
             Ok(out) => return Ok((out?, metrics)),
             Err(payload) => payload,
         };
-        // A read failed mid-query. The failing tree recorded its page
-        // before unwinding (the payload does not say which tree; the
-        // ESA serves from memory and never fails here). A query that
-        // ran at the same time may have taken the record first: any
-        // failure recorded at all — there was none when this attempt
-        // started — means the scan answers, and none means the unwind
-        // was not a failed read.
+        // A record failed to decode mid-query. The failing tree recorded
+        // its page before unwinding (the payload does not say which tree;
+        // the ESA's arrays are validated at open and never fail here). A
+        // query that ran at the same time may have taken the record
+        // first: any failure recorded at all — there was none when this
+        // attempt started — means the scan answers, and none means the
+        // unwind was not a failed read.
         let mut failed = self.failed.lock();
         for t in self.live_trees() {
             if t.as_tree().and_then(DiskTree::take_read_error).is_some()
@@ -253,68 +248,27 @@ impl DirSnapshot {
     }
 
     /// The index plan: runs `req` over every live tree — directly on
-    /// the base when there are no tails — with the `pager.io` span of
-    /// [`query_with`](DirSnapshot::query_with) when traced.
+    /// the base when there are no tails.
     fn query_over(
         &self,
         req: &QueryRequest,
         metrics: &SearchMetrics,
     ) -> std::result::Result<QueryOutput, CoreError> {
-        let io_before = metrics.trace.is_active().then(|| self.live_trees_io());
-        let out = if self.segments.is_empty() {
+        if self.segments.is_empty() {
             run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
         } else {
             let fanned = SegmentedIndex::new(self.live_trees().collect());
             run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
-        };
-        if let Some(before) = io_before {
-            self.attach_io_span(metrics, &before);
         }
-        out
-    }
-
-    fn live_trees_io(&self) -> Vec<IoStats> {
-        self.live_trees().map(|t| t.io_stats()).collect()
-    }
-
-    /// Closes the pager-attribution loop: a `pager.io` span whose attrs
-    /// are the per-tree (and total) deltas of page reads / buffer-pool
-    /// hits since `before` was sampled.
-    fn attach_io_span(&self, metrics: &SearchMetrics, before: &[IoStats]) {
-        let span = metrics.trace_span("pager.io");
-        let after = self.live_trees_io();
-        let (mut pages, mut hits) = (0u64, 0u64);
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            let (p, h) = (
-                a.pages_read.saturating_sub(b.pages_read),
-                a.cache_hits.saturating_sub(b.cache_hits),
-            );
-            let label = if i == 0 {
-                "base".to_string()
-            } else {
-                format!("seg{}", i - 1)
-            };
-            span.attr_u64(&format!("{label}_pages_read"), p);
-            span.attr_u64(&format!("{label}_cache_hits"), h);
-            pages += p;
-            hits += h;
-        }
-        span.attr_u64("pages_read", pages);
-        span.attr_u64("cache_hits", hits);
     }
 }
 
 /// Opens the committed generation of `dir` as a [`DirSnapshot`]
 /// **without mutating the directory** — no recovery sweep, no file
 /// removal — so it is safe to run concurrently with a writer committing
-/// the next generation. `cache_pages` sizes each tree's page buffer
-/// pool.
-pub fn open_dir_snapshot_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    cache_pages: usize,
-) -> Result<DirSnapshot> {
-    open_resolved(vfs, resolve_dir_with(vfs, dir)?, cache_pages)
+/// the next generation.
+pub fn open_dir_snapshot_with(vfs: &dyn Vfs, dir: &Path) -> Result<DirSnapshot> {
+    open_resolved(vfs, resolve_dir_with(vfs, dir)?)
 }
 
 /// [`open_dir_snapshot_with`] after crash recovery: stale temporaries
@@ -322,26 +276,25 @@ pub fn open_dir_snapshot_with(
 /// swept first, and the sweep's findings returned beside the snapshot.
 /// For a process that owns the directory; never run it against a
 /// directory another process may be writing.
-pub fn open_dir_recovered_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    cache_pages: usize,
-) -> Result<(DirSnapshot, RecoveryReport)> {
+pub fn open_dir_recovered_with(vfs: &dyn Vfs, dir: &Path) -> Result<(DirSnapshot, RecoveryReport)> {
     let (resolved, recovery) = recover_dir_with(vfs, dir)?;
-    let snapshot = open_resolved(vfs, resolved, cache_pages)?;
+    let snapshot = open_resolved(vfs, resolved)?;
     Ok((snapshot, recovery))
 }
 
 /// The one open body: loads the corpus, then opens the base tree and
-/// every tail segment the manifest does not have quarantined. A tail
-/// that fails its own checks at open (a header page's CRC, a record the
-/// ESA refuses), or whose header disagrees with the base's on the sparse
-/// flag or the depth limit (which the fan-out cannot mix), does not fail
-/// the open: it is recorded damaged, like a tail a query caught failing,
-/// and the corpus answers for it. A corrupt corpus or base fails the
-/// open, and so does an I/O error (a superseded generation's file
-/// unlinked under a poll: retry).
-fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir, cache_pages: usize) -> Result<DirSnapshot> {
+/// every tail segment the manifest does not have quarantined, each read
+/// whole. A tree page after the header that fails its CRC, base or
+/// tail, does not fail the open: the tree opens and is recorded
+/// damaged, like a tree a query caught failing, and the corpus answers
+/// for it. Neither does a tail that fails its own checks at open (a
+/// header page's CRC, any page or record of an ESA), or whose header
+/// disagrees with the base's on the sparse flag or the depth limit
+/// (which the fan-out cannot mix): it is recorded damaged too. A corrupt
+/// corpus, base header page or base ESA fails the open, and so does an
+/// I/O error (a superseded generation's file unlinked under a poll:
+/// retry).
+fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir) -> Result<DirSnapshot> {
     let ResolvedDir {
         generation,
         corpus_path,
@@ -350,20 +303,27 @@ fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir, cache_pages: usize) -> Re
         manifest,
     } = resolved;
     let (store, alphabet, cat) = load_corpus_with(vfs, &corpus_path)?;
-    let open =
-        |path: &Path| AnyIndex::open_with(vfs, path, cat.clone(), manifest.backend, cache_pages);
+    let open = |path: &Path| AnyIndex::open_with(vfs, path, cat.clone(), manifest.backend);
     let tree = open(&index_path)?;
+    let mut failed = Vec::new();
+    if opened_damaged(&tree) {
+        failed.push(tree.source().to_string());
+    }
     let mut segments = Vec::with_capacity(segment_paths.len());
     let mut segment_metas = Vec::new();
     let mut quarantined = Vec::new();
-    let mut failed = Vec::new();
     for (path, meta) in segment_paths.iter().zip(manifest.segments) {
         if meta.quarantined {
             quarantined.push(meta);
             continue;
         }
         match open(path) {
-            Ok(tail) if same_shape(&tail, &tree) => segments.push(tail),
+            Ok(tail) if same_shape(&tail, &tree) => {
+                if opened_damaged(&tail) {
+                    failed.push(meta.file.clone());
+                }
+                segments.push(tail);
+            }
             Err(e @ DiskError::Io(_)) => return Err(e),
             Ok(_) | Err(_) => failed.push(meta.file.clone()),
         }
@@ -380,6 +340,15 @@ fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir, cache_pages: usize) -> Re
         generation,
         failed: Mutex::new(failed),
     })
+}
+
+/// Whether `index` is a tree that opened with a page failing its CRC
+/// (the record of it taken, so no query takes it again).
+fn opened_damaged(index: &AnyIndex) -> bool {
+    index
+        .as_tree()
+        .and_then(DiskTree::take_read_error)
+        .is_some()
 }
 
 /// Whether `tail` can be fanned out with `base`: the same sparse flag
@@ -429,7 +398,7 @@ mod tests {
         let dir = tmpdir("generations");
         let store = build(&dir, vec![vec![1.0, 5.0, 3.0, 5.0, 1.0], vec![4.0, 4.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 1);
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!(snap.generation, 1);
         assert_eq!(snap.store.len(), store.len());
         let (answers, _) = snap
@@ -443,7 +412,7 @@ mod tests {
         // observe it.
         build(&dir, vec![vec![9.0, 9.0, 9.0], vec![2.0, 2.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 2);
-        let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap2 = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!(snap2.generation, 2);
         assert_eq!(snap2.store.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -459,7 +428,7 @@ mod tests {
         let installed = dir.join("index-000002.wt");
         std::fs::write(&staged, b"writer in flight").unwrap();
         std::fs::write(&installed, b"writer in flight").unwrap();
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 4).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!(snap.generation, 1);
         assert!(staged.exists(), "snapshot reopen must not remove staging");
         assert!(

@@ -24,9 +24,8 @@ use warptree_obs::{Counter, MetricsRegistry};
 /// An open file handle behind the [`Vfs`] abstraction.
 ///
 /// All access is positioned (`read_at`/`write_at`); sequential callers
-/// track their own cursor. Reads take `&self` so a reader can be shared
-/// behind a lock-free handle the way [`PagedReader`](crate::PagedReader)
-/// shares its buffer pool.
+/// track their own cursor. Reads take `&self`, so an open handle can be
+/// shared without a lock.
 pub trait VfsFile: Send + Sync {
     /// Reads exactly `buf.len()` bytes at `offset`.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()>;

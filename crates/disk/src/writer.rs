@@ -119,7 +119,7 @@ mod tests {
         let path = tmp("full");
         let size = write_tree(&tree, &path).unwrap();
         assert!(size > HEADER_SIZE);
-        let disk = DiskTree::open(&path, cat, 8).unwrap();
+        let disk = DiskTree::open(&path, cat).unwrap();
         assert_eq!(disk.header().node_count, tree.node_count() as u64);
         assert_eq!(disk.suffix_count(), tree.suffix_count());
         assert!(!disk.is_sparse());
@@ -136,7 +136,7 @@ mod tests {
         let tree = build_sparse(cat.clone());
         let path = tmp("sparse");
         write_tree(&tree, &path).unwrap();
-        let disk = DiskTree::open(&path, cat, 8).unwrap();
+        let disk = DiskTree::open(&path, cat).unwrap();
         assert!(disk.is_sparse());
         assert_eq!(disk.suffix_count(), 3);
         assert_eq!(
@@ -155,7 +155,7 @@ mod tests {
         let path = tmp("alpha");
         write_tree(&tree, &path).unwrap();
         let other = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 5));
-        assert!(DiskTree::open(&path, other, 8).is_err());
+        assert!(DiskTree::open(&path, other).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -168,7 +168,7 @@ mod tests {
         let tree = build_full(cat.clone());
         let path = tmp("trav");
         write_tree(&tree, &path).unwrap();
-        let disk = DiskTree::open(&path, cat, 8).unwrap();
+        let disk = DiskTree::open(&path, cat).unwrap();
         // Same multiset of suffixes below the root.
         let mut mem_suffixes = Vec::new();
         tree.for_each_suffix_below(ROOT, &mut |s, p, r| mem_suffixes.push((s, p, r)));

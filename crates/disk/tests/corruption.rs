@@ -1,6 +1,7 @@
 //! Corruption robustness: any byte flip anywhere in a tree *or corpus*
 //! file must be *detected* (surfaced as an error), never silently change
-//! answers or panic the reader — every page is covered by its CRC.
+//! answers or panic the reader — every page is covered by its CRC, and
+//! every file is read whole, its CRCs checked, at open.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,8 +45,9 @@ fn try_traverse(tree: &DiskTree) -> Result<u64, DiskError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flipping any single byte of the file is detected at open or
-    /// during a full traversal.
+    /// Flipping any single byte of the file is detected at open (a page
+    /// CRC: the header's fails the open, a later one every record read)
+    /// or during a full traversal (a record that does not decode).
     #[test]
     fn single_byte_flip_detected(pos_seed in any::<u64>(), bit in 0u8..8) {
         let (path, cat) = build_file(&format!("flip-{pos_seed}-{bit}"));
@@ -54,7 +56,7 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        let outcome = DiskTree::open(&path, cat, 8)
+        let outcome = DiskTree::open(&path, cat)
             .and_then(|t| try_traverse(&t));
         prop_assert!(
             outcome.is_err(),
@@ -71,7 +73,7 @@ proptest! {
         let bytes = std::fs::read(&path).unwrap();
         let keep = bytes.len() * keep_fraction as usize / 100;
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        let outcome = DiskTree::open(&path, cat, 8)
+        let outcome = DiskTree::open(&path, cat)
             .and_then(|t| try_traverse(&t));
         prop_assert!(outcome.is_err(), "truncation to {keep} undetected");
         std::fs::remove_file(&path).unwrap();
@@ -82,9 +84,40 @@ proptest! {
 #[test]
 fn pristine_file_traverses() {
     let (path, cat) = build_file("pristine");
-    let tree = DiskTree::open(&path, cat, 8).unwrap();
+    let tree = DiskTree::open(&path, cat).unwrap();
     let suffixes = try_traverse(&tree).unwrap();
     assert_eq!(suffixes, tree.suffix_count());
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A tree whose page after the header fails its CRC opens — the header
+/// page is sound — but reads no record: every read, the root's
+/// included, is that page's `CorruptPage`, even where the flipped byte
+/// is only the page's stored CRC and every record would still decode.
+#[test]
+fn a_damaged_page_fails_every_record_read() {
+    let cat = Arc::new(CatStore::from_symbols(
+        (0..40)
+            .map(|i| (0..60).map(|j| ((i * 7 + j * 3) % 5) as u32).collect())
+            .collect(),
+        5,
+    ));
+    let path = tmp("damaged-page");
+    write_tree(&build_full(cat.clone()), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let page_size = warptree_disk::PAGE_SIZE;
+    let last = bytes.len() / page_size - 1;
+    assert!(last >= 2, "the tree spans pages after the header's");
+    bytes[(last + 1) * page_size - 1] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+    let tree = DiskTree::open(&path, cat).unwrap();
+    let root = tree.header().root_offset;
+    for offset in [root, 64] {
+        match tree.read_node(offset) {
+            Err(DiskError::CorruptPage { page }) => assert_eq!(page, last as u64),
+            other => panic!("record at {offset}: expected CorruptPage, got {other:?}"),
+        }
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -201,21 +234,33 @@ fn pages(path: &std::path::Path) -> u64 {
 
 /// A directory whose open trips a page CRC names the file and the page:
 /// the base index's header page, a body page of a base ESA (read whole
-/// at open), a corpus page. A tail's header page, or a body page of a
-/// tail ESA, does not fail the open: the snapshot names the tail as
-/// failed, and the corpus answers for it.
+/// at open), a corpus page. A tree page after the header, base or tail,
+/// and a tail's header page or any page of a tail ESA, does not fail the
+/// open: the snapshot names the file damaged — a tail among
+/// `failed_tails()` — and the corpus answers every query by scan, the
+/// answers of the clean directory.
 #[test]
 fn an_open_that_trips_a_crc_names_the_file() {
     use warptree_core::search::BackendKind::{self, Esa, Tree};
-    use warptree_disk::{open_dir_snapshot_with, RealVfs, ResolvedDir};
+    use warptree_core::search::{QueryRequest, SearchParams};
+    use warptree_disk::{open_dir_snapshot_with, DirSnapshot, RealVfs, ResolvedDir};
     type Pick = fn(&ResolvedDir) -> std::path::PathBuf;
     let tail: Pick = |r| r.segment_paths[0].clone();
     let (base, corpus): (Pick, Pick) = (|r| r.index_path.clone(), |r| r.corpus_path.clone());
+    let answers = |snap: &DirSnapshot| {
+        let q: Vec<f64> =
+            snap.store.get(warptree_core::sequence::SeqId(3)).values()[7..13].to_vec();
+        let req = QueryRequest::threshold_params(&q, SearchParams::with_epsilon(2.0));
+        let (out, stats) = snap.query(&req).unwrap();
+        (out.into_answer_set().occurrence_set(), stats.candidates)
+    };
     // (backend, file, whether the flipped page is the middle one rather
     // than the header)
-    let cases: [(BackendKind, Pick, bool); 5] = [
+    let cases: [(BackendKind, Pick, bool); 7] = [
         (Tree, tail, false),
+        (Tree, tail, true),
         (Tree, base, false),
+        (Tree, base, true),
         (Tree, corpus, true),
         (Esa, base, true),
         (Esa, tail, true),
@@ -223,18 +268,25 @@ fn an_open_that_trips_a_crc_names_the_file() {
     for (i, (backend, pick, body)) in cases.into_iter().enumerate() {
         let (dir, resolved) = build_dir(&format!("open-names-{i}"), backend);
         assert!(pages(&resolved.corpus_path) >= 3);
+        let clean = answers(&open_dir_snapshot_with(&RealVfs, &dir).unwrap());
+        assert!(clean.1 > 0, "the clean directory answers by its index");
         let path = pick(&resolved);
         let page = if body { pages(&path) / 2 } else { 0 };
         assert!(!body || page > 0, "{path:?} has a body page to flip");
         flip_page(&path, page);
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if path == resolved.segment_paths[0] {
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
-            assert_eq!(snap.failed_tails(), vec![name]);
+        let is_tail = path == resolved.segment_paths[0];
+        if is_tail || (backend == Tree && path == resolved.index_path && body) {
+            let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
+            assert_eq!(snap.damaged(), vec![name.clone()]);
+            let tails = if is_tail { vec![name] } else { vec![] };
+            assert_eq!(snap.failed_tails(), tails);
+            let (scanned, candidates) = answers(&snap);
+            assert_eq!((scanned, candidates), (clean.0, 0), "answered by scan");
             std::fs::remove_dir_all(&dir).unwrap();
             continue;
         }
-        match open_dir_snapshot_with(&RealVfs, &dir, 8) {
+        match open_dir_snapshot_with(&RealVfs, &dir) {
             Err(DiskError::CorruptionDetected { file, page: p }) => {
                 assert_eq!((file, p), (name, page));
             }

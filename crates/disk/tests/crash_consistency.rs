@@ -87,7 +87,7 @@ fn committed_base(dir: &Path, store: &SequenceStore) {
 /// searched too), sweeps clean, verifies, and answers every probe query
 /// exactly like a sequential scan over whichever store it holds.
 fn assert_recovers_to_one_of(dir: &Path, expected: &[&SequenceStore], context: &str) {
-    let (snap, _report) = open_dir_recovered_with(&RealVfs, dir, 32)
+    let (snap, _report) = open_dir_recovered_with(&RealVfs, dir)
         .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
     assert!(no_tmp_files(dir), "{context}: *.tmp left after recovery");
     assert!(

@@ -1,13 +1,11 @@
 //! Model-based property tests for the storage layer: the paged file
-//! against a plain byte vector, the page pool against its own policy,
-//! and concurrent disk-tree queries.
+//! against a plain byte vector, and concurrent disk-tree queries.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::search::{run_query, IndexBackend, QueryRequest, SearchParams};
 use warptree_core::sequence::SequenceStore;
-use warptree_disk::lru::TwoQueue;
-use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter, PAGE_DATA};
+use warptree_disk::{read_stream, write_tree, DiskTree, PagedWriter, RealVfs, PAGE_DATA};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("warptree-propstore-{}-{tag}", std::process::id()))
@@ -16,8 +14,9 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Whatever chunk pattern is written, every read range returns the
-    /// model bytes — including ranges spanning page boundaries.
+    /// Whatever chunk pattern is written, the file reads back as the
+    /// model bytes — every range, those spanning page boundaries
+    /// included — then zeros to the end of the last page.
     #[test]
     fn paged_file_equals_byte_model(
         chunks in prop::collection::vec(
@@ -35,16 +34,16 @@ proptest! {
         }
         let len = w.finish(&[]).unwrap();
         prop_assert_eq!(len as usize, model.len());
-        let r = PagedReader::open(&path, 3).unwrap();
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        prop_assert_eq!(bytes.len(), model.len().div_ceil(PAGE_DATA) * PAGE_DATA);
+        prop_assert!(bytes[model.len()..].iter().all(|&b| b == 0));
         for &(start, rlen) in &reads {
             if model.is_empty() {
                 break;
             }
             let start = start % model.len();
             let rlen = rlen.min(model.len() - start);
-            let mut buf = vec![0u8; rlen];
-            r.read_exact_at(start as u64, &mut buf).unwrap();
-            prop_assert_eq!(&buf[..], &model[start..start + rlen]);
+            prop_assert_eq!(&bytes[start..start + rlen], &model[start..start + rlen]);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -71,72 +70,40 @@ proptest! {
             applied.push((off as u64, bytes[..take].to_vec()));
         }
         w.finish(&applied).unwrap();
-        let r = PagedReader::open(&path, 4).unwrap();
-        let mut buf = vec![0u8; model.len()];
-        r.read_exact_at(0, &mut buf).unwrap();
-        prop_assert_eq!(buf, model);
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        prop_assert_eq!(&bytes[..model.len()], &model[..]);
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The page pool over any access sequence, at any capacity: every
-    /// read returns the file's bytes, every lookup is a hit or a miss,
-    /// the pool never holds more frames than it was given, and the same
-    /// sequence misses the same number of times again — eviction depends
-    /// on nothing but the accesses.
+    /// The one read of a paged file is the file: its pages' payloads,
+    /// back to back, each CRC-checked — whatever the file's length, its
+    /// contents, and wherever the payloads' bytes land in a page.
     #[test]
-    fn page_pool_is_correct_bounded_and_deterministic(
-        capacity in 1usize..64,
-        // Runs of nearby pages with far jumps between them, like a
-        // traversal's; `% 96` below folds them onto the file.
-        accesses in prop::collection::vec((0u64..96, 0u64..4, 1usize..12), 1..120),
+    fn read_stream_is_the_files_payloads(
+        pages in 0u64..40,
+        salt in any::<u8>(),
         case in 0u64..1_000_000,
     ) {
-        const PAGES: u64 = 96;
-        let path = tmp(&format!("pool-{case}"));
-        let byte = |at: u64| (at / PAGE_DATA as u64 * 7 + at % 251) as u8;
+        let path = tmp(&format!("whole-{case}"));
+        let byte = |at: u64| (at / PAGE_DATA as u64 * 7 + at % 251) as u8 ^ salt;
         let mut w = PagedWriter::create(&path).unwrap();
-        let model: Vec<u8> = (0..PAGES * PAGE_DATA as u64).map(byte).collect();
+        let model: Vec<u8> = (0..pages * PAGE_DATA as u64).map(byte).collect();
         w.write(&model).unwrap();
         w.finish(&[]).unwrap();
-        let pages: Vec<u64> = accesses
-            .iter()
-            .flat_map(|&(from, step, run)| (0..run as u64).map(move |i| (from + i * step) % PAGES))
+        let raw = std::fs::read(&path).unwrap();
+        let payloads: Vec<u8> = raw
+            .chunks(warptree_disk::PAGE_SIZE)
+            .flat_map(|page| page[..PAGE_DATA].iter().copied())
             .collect();
-
-        let replay = || {
-            let reader = PagedReader::open(&path, capacity).unwrap();
-            // The pool's policy beside it, on the same lookups, to count
-            // the frames the reader does not show.
-            let mut policy: TwoQueue<u64, ()> = TwoQueue::new(capacity);
-            for (n, &page) in pages.iter().enumerate() {
-                let at = page * PAGE_DATA as u64 + (n as u64 * 37) % (PAGE_DATA as u64 - 8);
-                let mut buf = [0u8; 8];
-                reader.read_exact_at(at, &mut buf).unwrap();
-                assert_eq!(buf[..], model[at as usize..at as usize + 8]);
-                if policy.get(&page).is_none() {
-                    policy.insert(page, ());
-                }
-                assert!(policy.len() <= capacity);
-            }
-            let io = reader.io_stats();
-            assert_eq!(io.pages_read + io.cache_hits, pages.len() as u64);
-            assert_eq!((io.pages_read, io.cache_hits), (policy.misses(), policy.hits()));
-            io.pages_read
-        };
-        let misses = replay();
-        prop_assert_eq!(replay(), misses);
-        let distinct: std::collections::HashSet<u64> = pages.iter().copied().collect();
-        prop_assert!(misses >= distinct.len() as u64);
-        if distinct.len() <= capacity {
-            prop_assert_eq!(misses, distinct.len() as u64, "nothing is evicted from a pool with room");
-        }
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        prop_assert!(bytes == payloads, "the read is not the file's payloads");
+        prop_assert!(bytes == model);
         std::fs::remove_file(&path).unwrap();
     }
 }
 
 /// Concurrent queries over one shared `DiskTree` return the same answers
-/// as sequential queries (the buffer pool is behind a lock; results must
-/// be independent of interleaving).
+/// as sequential queries (results must be independent of interleaving).
 #[test]
 fn concurrent_disk_queries_agree() {
     let store = SequenceStore::from_values(
@@ -154,7 +121,7 @@ fn concurrent_disk_queries_agree() {
     let path = tmp("conc");
     write_tree(&tree, &path).unwrap();
     // A tiny pool to force heavy concurrent pool churn.
-    let disk = DiskTree::open(&path, cat, 2).unwrap();
+    let disk = DiskTree::open(&path, cat).unwrap();
     assert!(disk.suffix_count() > 0);
 
     let queries: Vec<Vec<f64>> = (0..8)
@@ -273,7 +240,7 @@ proptest! {
             IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone())
                 .build(&out)
                 .unwrap();
-            let disk = DiskTree::open(&out, cat.clone(), 8).unwrap();
+            let disk = DiskTree::open(&out, cat.clone()).unwrap();
             let direct = if sparse {
                 warptree_suffix::build_sparse(cat.clone())
             } else {

@@ -76,7 +76,9 @@ pub struct ServerConfig {
     /// filter cost is quadratic in query length, so this caps
     /// per-request work).
     pub max_query_len: usize,
-    /// Page-cache size for newly opened snapshots.
+    /// Ignored: there is no page pool (an index is read whole at open).
+    /// Kept only so the repo benchmark, which still sets it, builds;
+    /// ROADMAP item 1a deletes it.
     pub cache_pages: usize,
     /// Ignored: there is no decoded-node cache. Kept only so the repo
     /// benchmark, which still sets it, builds; ROADMAP item 1a deletes
@@ -140,7 +142,7 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(5),
             reload_interval: Duration::from_millis(200),
             max_query_len: 4096,
-            cache_pages: 256,
+            cache_pages: 0,
             cache_nodes: 0,
             max_conns: 256,
             enable_debug_ops: false,
@@ -169,7 +171,6 @@ struct IngestState {
     writer: Mutex<()>,
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
-    cache_pages: usize,
     /// Background jobs (compaction, scrub) report into the same ring
     /// as slow requests, so `slowlog` shows *everything* that ate time.
     slowlog: Arc<SlowLog>,
@@ -180,11 +181,7 @@ impl IngestState {
     /// committing request observes its own write immediately instead
     /// of waiting for the reload watcher's next poll.
     fn publish(&self) -> Result<Arc<DirSnapshot>, DiskError> {
-        let snap = Arc::new(open_dir_snapshot_with(
-            self.vfs.as_ref(),
-            &self.dir,
-            self.cache_pages,
-        )?);
+        let snap = Arc::new(open_dir_snapshot_with(self.vfs.as_ref(), &self.dir)?);
         instrument_snapshot(&snap, &self.registry);
         self.cell.swap(snap.clone());
         Ok(snap)
@@ -348,7 +345,7 @@ impl Server {
                 return Err(io::Error::other(format!("{field} must be nonzero")));
             }
         }
-        let snapshot = open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages)
+        let snapshot = open_dir_snapshot_with(vfs.as_ref(), dir)
             .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
         instrument_snapshot(&snapshot, &registry);
         let cell = Arc::new(SnapshotCell::new(Arc::new(snapshot)));
@@ -365,7 +362,6 @@ impl Server {
             writer: Mutex::new(()),
             cell: cell.clone(),
             registry: registry.clone(),
-            cache_pages: config.cache_pages,
             slowlog: slowlog.clone(),
         });
         let handler = Arc::new(ShardHandler {
@@ -398,7 +394,6 @@ impl Server {
                 dir: dir.to_path_buf(),
                 cell,
                 registry: registry.clone(),
-                cache_pages: config.cache_pages,
             },
             config.reload_interval,
         )?;
@@ -957,7 +952,7 @@ mod tests {
             dir,
         )
         .unwrap();
-        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16).unwrap();
+        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir).unwrap();
         let registry = MetricsRegistry::new();
         let cell = Arc::new(SnapshotCell::new(Arc::new(snap)));
         let ingest = Arc::new(IngestState {
@@ -966,7 +961,6 @@ mod tests {
             writer: Mutex::new(()),
             cell: cell.clone(),
             registry: registry.clone(),
-            cache_pages: 16,
             slowlog: Arc::new(SlowLog::new("server", 128, 500, 0, registry.clone())),
         });
         Ctx {

@@ -29,8 +29,9 @@ use warptree_obs::MetricsRegistry;
 use crate::serve_core::StopThread;
 
 /// Wires a freshly opened snapshot into the server's metrics registry:
-/// the base tree and every live segment meter their CRC failures into
-/// the shared `disk.read_crc_fail` counter, and the degradation gauges
+/// the base tree and every live segment count a page that failed its
+/// CRC at open into the shared `disk.read_crc_fail` counter, and the
+/// degradation gauges
 /// (`index.segments`, `server.quarantined_segments`) track the
 /// published view. Called on every publish path — initial open, ingest
 /// publish, scrub publish, and the reload watcher's swap — so the
@@ -74,15 +75,13 @@ impl SnapshotCell {
     }
 }
 
-/// What the reload watcher polls and swaps, with the page-pool size
-/// for newly opened generations. It meters `server.reloads` /
+/// What the reload watcher polls and swaps. It meters `server.reloads` /
 /// `server.reload_errors` counters and the `server.generation` gauge.
 pub(crate) struct WatcherCtx {
     pub(crate) vfs: Arc<dyn Vfs>,
     pub(crate) dir: PathBuf,
     pub(crate) cell: Arc<SnapshotCell>,
     pub(crate) registry: MetricsRegistry,
-    pub(crate) cache_pages: usize,
 }
 
 /// Spawns the reload watcher: a [`StopThread`] that polls the commit
@@ -114,7 +113,7 @@ fn poll_once(ctx: &WatcherCtx) {
     if committed == serving {
         return;
     }
-    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir, ctx.cache_pages) {
+    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir) {
         Ok(next) => {
             let next_gen = next.generation;
             instrument_snapshot(&next, &ctx.registry);
@@ -168,11 +167,11 @@ mod tests {
     fn swap_pins_old_generation_for_inflight_users() {
         let dir = tmpdir("pin");
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
-        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
+        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap());
         let cell = SnapshotCell::new(snap1);
         let pinned = cell.get(); // an in-flight request
         build(&dir, vec![vec![9.0, 8.0]]);
-        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
+        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap());
         let prev = cell.swap(snap2);
         assert_eq!(prev.generation, 1);
         assert_eq!(cell.generation(), 2);
@@ -195,7 +194,7 @@ mod tests {
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
         let vfs = real_vfs();
         let cell = Arc::new(SnapshotCell::new(Arc::new(
-            open_dir_snapshot_with(vfs.as_ref(), &dir, 4).unwrap(),
+            open_dir_snapshot_with(vfs.as_ref(), &dir).unwrap(),
         )));
         let reg = MetricsRegistry::new();
         let ctx = WatcherCtx {
@@ -203,7 +202,6 @@ mod tests {
             dir: dir.clone(),
             cell: cell.clone(),
             registry: reg.clone(),
-            cache_pages: 4,
         };
         let watcher = spawn_reload_watcher(ctx, Duration::from_millis(5)).unwrap();
         build(&dir, vec![vec![4.0, 5.0], vec![6.0]]);

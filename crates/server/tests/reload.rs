@@ -107,7 +107,7 @@ fn generation_commit_under_traffic_swaps_without_torn_responses() {
     let dir = tmpdir("midtraffic");
     commit(&dir, &store_v1());
     let expected_v1 =
-        expected_responses(&open_dir_snapshot_with(real_vfs().as_ref(), &dir, 32).unwrap());
+        expected_responses(&open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap());
 
     let config = ServerConfig {
         reload_interval: Duration::from_millis(50),
@@ -160,7 +160,7 @@ fn generation_commit_under_traffic_swaps_without_torn_responses() {
     // The real commit succeeds; capture gen-2 ground truth.
     commit(&dir, &store_v2());
     let expected_v2 =
-        expected_responses(&open_dir_snapshot_with(real_vfs().as_ref(), &dir, 32).unwrap());
+        expected_responses(&open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap());
 
     // Wait (via the protocol, like a real operator) for the watcher to
     // swap generations.

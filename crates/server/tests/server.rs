@@ -99,7 +99,7 @@ fn expected_search_response(snap: &DirSnapshot, query: &[f64], epsilon: f64) -> 
 fn concurrent_connections_match_local_search_byte_for_byte() {
     let dir = tmpdir("equivalence");
     let store = build_index(&dir);
-    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 64).unwrap();
+    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap();
     let qs = queries(&store);
     let epsilons = [0.5, 1.0, 2.5];
 
@@ -149,7 +149,7 @@ fn concurrent_connections_match_local_search_byte_for_byte() {
 fn knn_over_the_wire_matches_local_knn() {
     let dir = tmpdir("knn");
     let store = build_index(&dir);
-    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 64).unwrap();
+    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap();
     let query = queries(&store)[0].clone();
 
     let (out, _) = snap
@@ -182,7 +182,7 @@ fn knn_over_the_wire_matches_local_knn() {
 fn batch_composes_individual_search_bodies() {
     let dir = tmpdir("batch");
     let store = build_index(&dir);
-    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 64).unwrap();
+    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap();
     let qs = queries(&store);
     let eps = 1.0;
 
@@ -520,7 +520,7 @@ fn ingest_over_the_wire_is_immediately_searchable() {
 
     // Byte-identical contract holds across segments: the wire response
     // matches a locally computed fan-out over the same generation.
-    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 64).unwrap();
+    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir).unwrap();
     assert_eq!(snap.generation, 2);
     let raw = client
         .request_raw(&search_request_v4(&q, 0.5, None))

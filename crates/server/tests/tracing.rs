@@ -115,13 +115,7 @@ fn traced_search_returns_funnel_span_tree_with_identical_results() {
         Some("e2e-1")
     );
     let names = span_names(trace);
-    for want in [
-        "server.service",
-        "filter",
-        "filter.segment",
-        "postprocess",
-        "pager.io",
-    ] {
+    for want in ["server.service", "filter", "filter.segment", "postprocess"] {
         assert!(
             names.iter().any(|n| n == want),
             "span {want:?} missing from {names:?}"

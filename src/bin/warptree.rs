@@ -408,14 +408,14 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
 }
 
 fn open_index(dir: &Path) -> Result<DiskIndexDir, String> {
-    let idx = open_index_dir(dir, 1024).map_err(|e| e.to_string())?;
+    let idx = open_index_dir(dir, 0).map_err(|e| e.to_string())?;
     report_recovery(&idx);
     Ok(idx)
 }
 
 /// [`open_index`] with `disk.*` I/O metering on `reg`.
 fn open_index_metered(dir: &Path, reg: &MetricsRegistry) -> Result<DiskIndexDir, String> {
-    let idx = open_index_dir_metered(dir, 1024, reg).map_err(|e| e.to_string())?;
+    let idx = open_index_dir_metered(dir, reg).map_err(|e| e.to_string())?;
     report_recovery(&idx);
     Ok(idx)
 }
@@ -544,13 +544,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let corpus_file_bytes = std::fs::metadata(&resolved.corpus_path)
         .map_err(|e| e.to_string())?
         .len();
-    // `--deep` walks the base index for structural statistics; a tree's
-    // pager traffic of that full walk doubles as a cache profile. An ESA
-    // is loaded whole at open and has no page pool to profile.
-    let deep = o.flag("deep").then(|| {
-        let structure = TreeStats::compute(tree);
-        (structure, tree.as_tree().map(|t| t.io_stats()))
-    });
+    // `--deep` walks the base index for structural statistics.
+    let deep = o.flag("deep").then(|| TreeStats::compute(tree));
 
     if json {
         use warptree::obs::json::{escape, num};
@@ -569,20 +564,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             manifest.corpus_len,
             manifest.index_len,
         );
-        let (structure_json, cache_json) = match &deep {
-            None => ("null".into(), "null".into()),
-            Some((structure, io)) => (
-                structure.to_json(),
-                io.map_or("null".into(), |io| {
-                    format!(
-                        "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
-                        io.pages_read,
-                        io.cache_hits,
-                        num(io.hit_rate()),
-                    )
-                }),
-            ),
-        };
+        let structure_json = deep.as_ref().map_or("null".into(), TreeStats::to_json);
         println!(
             concat!(
                 "{{\"corpus\":{{\"sequences\":{},\"elements\":{},",
@@ -594,7 +576,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
                 "\"depth_limit\":{},\"file_bytes\":{},\"resident_bytes\":{},",
                 "\"generation\":{},",
                 "\"segments\":{}}},",
-                "\"manifest\":{},\"structure\":{},\"cache\":{}}}"
+                "\"manifest\":{},\"structure\":{}}}"
             ),
             store.len(),
             store.total_len(),
@@ -618,7 +600,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             idx.segment_count(),
             manifest_json,
             structure_json,
-            cache_json,
         );
         return Ok(());
     }
@@ -688,20 +669,10 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         manifest.index,
         manifest.index_len / 1024
     );
-    if let Some((structure, io)) = &deep {
+    if let Some(structure) = &deep {
         println!("structure:");
         for line in structure.to_string().lines() {
             println!("  {line}");
-        }
-        println!("cache (full-scan profile):");
-        match io {
-            Some(io) => println!(
-                "  pages read:     {} ({} pool hits, {:.1}% hit rate)",
-                io.pages_read,
-                io.cache_hits,
-                100.0 * io.hit_rate()
-            ),
-            None => println!("  none:           the esa is loaded at open and has no page pool"),
         }
     }
     Ok(())
@@ -972,7 +943,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.deadline = std::time::Duration::from_millis(o.parse_num("deadline-ms", 5000u64)?);
     config.reload_interval = std::time::Duration::from_millis(o.parse_num("reload-ms", 200u64)?);
     config.max_query_len = o.parse_num("max-query-len", config.max_query_len)?;
-    config.cache_pages = o.parse_num("cache-pages", config.cache_pages)?;
     config.max_conns = o.parse_num("max-conns", config.max_conns)?;
     config.max_parallelism = o.parse_num("threads", config.max_parallelism)?;
     config.compact_threshold = o.parse_num("compact-threshold", config.compact_threshold)?;

@@ -5,9 +5,8 @@
 //! search: how many stored suffixes the index holds, how much of the
 //! tree the filter walked vs pruned under Theorem 1, how many candidates
 //! each lower bound admitted (`D_tw-lb` for stored suffixes, `D_tw-lb2`
-//! for the non-stored ones of a sparse tree), how many survived exact
-//! post-processing, and — for disk-resident indexes — what the query
-//! cost in page-pool traffic.
+//! for the non-stored ones of a sparse tree), and how many survived
+//! exact post-processing.
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
@@ -19,30 +18,8 @@ use warptree_disk::DirSnapshot;
 
 use crate::Index;
 
-/// Page-pool traffic attributable to one explained search (deltas over
-/// the run, not totals since open).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExplainIo {
-    /// Pages fetched from the file (page-cache misses).
-    pub pages_read: u64,
-    /// Page requests served from the buffer pool.
-    pub page_cache_hits: u64,
-}
-
-impl ExplainIo {
-    /// Page-cache hit rate in `[0, 1]`.
-    pub fn page_hit_rate(&self) -> f64 {
-        let total = self.pages_read + self.page_cache_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.page_cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The full account of one similarity search: funnel counters, table
-/// work, phase wall times, and (for disk indexes) I/O traffic.
+/// work and phase wall times.
 #[derive(Debug, Clone)]
 pub struct ExplainReport {
     /// `"sparse"` (SST_C) or `"full"` (ST_C / ST).
@@ -62,8 +39,6 @@ pub struct ExplainReport {
     pub filter: HistogramSnapshot,
     /// Post-processing wall time (one sample).
     pub postprocess: HistogramSnapshot,
-    /// Cache/page traffic of the run (disk indexes only).
-    pub io: Option<ExplainIo>,
     /// How the query was answered: `"index"`, or `"scan"` — the
     /// sequential scan a directory with a damaged index answers by
     /// (see [`DirSnapshot::query_with`]).
@@ -92,22 +67,19 @@ impl ExplainReport {
             params.epsilon,
             warptree_core::search::IndexBackend::suffix_count(index.tree()),
             &metrics,
-            None,
         );
         Ok((answers, report))
     }
 
     /// Runs a checked search against a disk-backed index directory and
-    /// explains it, including the query's cache/page traffic. Multi-
-    /// segment directories fan the query out and report traffic and
-    /// suffix counts aggregated across the base tree and every tail
+    /// explains it. Multi-segment directories fan the query out and
+    /// report suffix counts summed over the base tree and every tail
     /// segment.
     pub fn for_dir(
         dir: &DirSnapshot,
         query: &[Value],
         params: &SearchParams,
     ) -> Result<(AnswerSet, ExplainReport), CoreError> {
-        let io0 = Self::dir_io_totals(dir);
         let metrics = SearchMetrics::new();
         let out = dir.query_with(
             &QueryRequest::threshold_params(query, params.clone()),
@@ -115,11 +87,6 @@ impl ExplainReport {
         )?;
         let plan = if dir.is_damaged() { "scan" } else { "index" };
         let answers = out.into_answer_set();
-        let io1 = Self::dir_io_totals(dir);
-        let io = ExplainIo {
-            pages_read: io1.pages_read - io0.pages_read,
-            page_cache_hits: io1.page_cache_hits - io0.page_cache_hits,
-        };
         use warptree_core::search::IndexBackend;
         let suffixes = dir.live_trees().map(IndexBackend::suffix_count).sum();
         let report = Self::assemble(
@@ -129,20 +96,8 @@ impl ExplainReport {
             params.epsilon,
             suffixes,
             &metrics,
-            Some(io),
         );
         Ok((answers, ExplainReport { plan, ..report }))
-    }
-
-    /// Cumulative page-pool traffic of every tree in the directory.
-    fn dir_io_totals(dir: &DirSnapshot) -> ExplainIo {
-        let mut total = ExplainIo::default();
-        for tree in dir.live_trees() {
-            let io = tree.io_stats();
-            total.pages_read += io.pages_read;
-            total.page_cache_hits += io.cache_hits;
-        }
-        total
     }
 
     fn assemble(
@@ -152,7 +107,6 @@ impl ExplainReport {
         epsilon: f64,
         suffixes: u64,
         metrics: &SearchMetrics,
-        io: Option<ExplainIo>,
     ) -> ExplainReport {
         ExplainReport {
             kind: if sparse { "sparse" } else { "full" },
@@ -163,7 +117,6 @@ impl ExplainReport {
             stats: metrics.snapshot(),
             filter: metrics.filter_ns.snapshot(),
             postprocess: metrics.postprocess_ns.snapshot(),
-            io,
             plan: "index",
         }
     }
@@ -208,19 +161,9 @@ impl ExplainReport {
         }
     }
 
-    /// Serializes the report as one JSON object (stable keys; `io` is
-    /// `null` for in-memory indexes).
+    /// Serializes the report as one JSON object (stable keys).
     pub fn to_json(&self) -> String {
         let s = &self.stats;
-        let io = match &self.io {
-            None => "null".to_string(),
-            Some(io) => format!(
-                "{{\"pages_read\":{},\"page_cache_hits\":{},\"page_hit_rate\":{}}}",
-                io.pages_read,
-                io.page_cache_hits,
-                num(io.page_hit_rate()),
-            ),
-        };
         format!(
             concat!(
                 "{{\"kind\":\"{}\",\"backend\":\"{}\",",
@@ -237,7 +180,7 @@ impl ExplainReport {
                 "\"cells\":{{\"filter\":{},\"postprocess\":{},",
                 "\"rows_pushed\":{},\"rows_unshared\":{}}},",
                 "\"time_ms\":{{\"filter\":{},\"postprocess\":{}}},",
-                "\"io\":{},\"plan\":\"{}\"}}"
+                "\"plan\":\"{}\"}}"
             ),
             self.kind,
             self.backend,
@@ -266,7 +209,6 @@ impl ExplainReport {
             s.rows_unshared,
             num(self.filter.sum as f64 / 1e6),
             num(self.postprocess.sum as f64 / 1e6),
-            io,
             self.plan,
         )
     }
@@ -348,19 +290,7 @@ impl std::fmt::Display for ExplainReport {
             f,
             "  postprocess  {:>10.3} ms",
             self.postprocess.sum as f64 / 1e6
-        )?;
-        if let Some(io) = &self.io {
-            writeln!(f)?;
-            writeln!(f, "io:")?;
-            write!(
-                f,
-                "  pages read {}, page-cache hits {} ({:.1}% hit rate)",
-                io.pages_read,
-                io.page_cache_hits,
-                100.0 * io.page_hit_rate()
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -392,7 +322,6 @@ mod tests {
         assert_eq!(answers.occurrence_set(), checked.occurrence_set());
         assert_eq!(report.stats, stats);
         assert_eq!(report.kind, "sparse");
-        assert!(report.io.is_none());
         assert_eq!(report.filter.count, 1);
         assert_eq!(report.postprocess.count, 1);
     }
@@ -436,7 +365,6 @@ mod tests {
         assert!(j.contains("\"funnel\""));
         assert!(j.contains("\"cascade\""));
         assert!(j.contains("\"lb_keogh_kills\""));
-        assert!(j.contains("\"io\":null"));
         assert!(j.ends_with(",\"plan\":\"index\"}"));
         let text = r.to_string();
         assert!(text.contains("filter funnel"));

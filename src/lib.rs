@@ -68,7 +68,7 @@ pub use warptree_suffix as suffix;
 
 mod explain;
 
-pub use explain::{ExplainIo, ExplainReport};
+pub use explain::ExplainReport;
 
 use std::sync::Arc;
 
@@ -407,8 +407,10 @@ pub fn build_index_dir_backend_metered(
     Ok(manifest.index_len)
 }
 
-/// Opens an index directory produced by [`build_index_dir`].
-/// `cache_pages` sizes each tree's buffer pool.
+/// Opens an index directory produced by [`build_index_dir`], reading
+/// every index file whole. `cache_pages` is ignored: there is no page
+/// pool. It is kept only so the repo benchmark, which still passes it,
+/// builds; ROADMAP item 1a deletes it.
 ///
 /// Opening first runs crash recovery: the committed generation is
 /// selected via the directory's `MANIFEST` and stale temporaries or
@@ -416,22 +418,21 @@ pub fn build_index_dir_backend_metered(
 /// sweep's findings are reported in [`DiskIndexDir::recovery`].
 pub fn open_index_dir(
     dir: &std::path::Path,
-    cache_pages: usize,
+    _cache_pages: usize,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
-    open_recovered(&warptree_disk::RealVfs, dir, cache_pages)
+    open_recovered(&warptree_disk::RealVfs, dir)
 }
 
 /// [`open_index_dir`] with I/O tracing: every filesystem operation is
-/// metered as `disk.vfs.*` counters, and the page pools of the base tree
-/// and every tail segment report as `disk.page_cache.*` — all on `reg`,
-/// which outlives the returned index and can be snapshot at any point.
+/// metered as `disk.vfs.*` counters, and a tree page that failed its CRC
+/// at open as `disk.read_crc_fail` — all on `reg`, which outlives the
+/// returned index and can be snapshot at any point.
 pub fn open_index_dir_metered(
     dir: &std::path::Path,
-    cache_pages: usize,
     reg: &MetricsRegistry,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
     let vfs = warptree_disk::MeteredVfs::new(warptree_disk::real_vfs(), reg);
-    let idx = open_recovered(vfs.as_ref(), dir, cache_pages)?;
+    let idx = open_recovered(vfs.as_ref(), dir)?;
     idx.instrument(reg);
     Ok(idx)
 }
@@ -439,9 +440,8 @@ pub fn open_index_dir_metered(
 fn open_recovered(
     vfs: &dyn warptree_disk::Vfs,
     dir: &std::path::Path,
-    cache_pages: usize,
 ) -> Result<DiskIndexDir, Box<dyn std::error::Error>> {
-    let (snapshot, recovery) = warptree_disk::open_dir_recovered_with(vfs, dir, cache_pages)?;
+    let (snapshot, recovery) = warptree_disk::open_dir_recovered_with(vfs, dir)?;
     Ok(DiskIndexDir { snapshot, recovery })
 }
 
@@ -474,7 +474,7 @@ pub mod prelude {
     pub use crate::{
         append_index_dir, build_index_dir, build_index_dir_backend,
         build_index_dir_backend_metered, compact_index_dir, open_index_dir, open_index_dir_metered,
-        resolve_index_dir, Categorization, DiskIndexDir, ExplainIo, ExplainReport, Index,
+        resolve_index_dir, Categorization, DiskIndexDir, ExplainReport, Index,
     };
     pub use warptree_core::predict::{forecast, Forecast, Weighting};
     pub use warptree_core::prelude::*;

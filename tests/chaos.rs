@@ -165,7 +165,7 @@ fn scan_stats(store: &SequenceStore, q: &[f64]) -> SearchStats {
 /// Every chaos query's answer over the directory at `dir`, which must
 /// be clean.
 fn clean_answers(dir: &Path) -> Vec<Vec<Match>> {
-    let snap = open_dir_snapshot_with(&RealVfs, dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, dir).unwrap();
     let answers = (chaos_queries().iter())
         .map(|q| snap.query(&chaos_request(q)).unwrap().0.matches().to_vec())
         .collect();
@@ -193,7 +193,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
 
     // Corrupt segment 1 on disk, then reopen (a fresh process's view).
     corrupt_pages_after_first(&dir.join(&seg1));
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let (out, _) = snap.query(&req(&chaos_queries()[0])).unwrap();
     assert_eq!(
         snap.failed_tails(),
@@ -210,7 +210,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
 
     // "Restart": a fresh open must skip the quarantined segment up
     // front (no per-query re-detection) and still answer completely.
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     assert_eq!(snap.quarantined.len(), 1);
     assert_eq!(snap.segments.len(), 1, "quarantined segment not opened");
     let (out, _) = snap.query(&req(&chaos_queries()[1])).unwrap();
@@ -228,7 +228,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     assert!(report.unrecoverable.is_none());
 
     // The index answers again, byte-identical to the clean baseline.
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     assert!(snap.quarantined.is_empty());
     assert_eq!(clean_answers(&dir), clean, "healed answers identical");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -244,7 +244,7 @@ fn base_tree_corruption_answers_by_scan_and_scrub_refuses_it() {
     let clean = clean_answers(&dir);
     let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
     corrupt_pages_after_first(&resolved.index_path);
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let (out, stats) = snap.query(&chaos_request(q)).unwrap();
         assert_eq!(out.matches(), &want[..], "{q:?}");
@@ -266,7 +266,7 @@ fn a_corrupt_tail_answers_like_the_clean_directory() {
     let (_seg1, seg2) = build_chaos_dir(&dir);
     let clean = clean_answers(&dir);
     corrupt_pages_after_first(&dir.join(&seg2));
-    let open = || open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let open = || open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let req = chaos_request(q);
         // A fresh snapshot each time, so every query trips over the tail.
@@ -300,7 +300,7 @@ fn racing_queries_over_a_corrupt_tail_all_answer() {
     corrupt_pages_after_first(&dir.join(&seg1));
     let req = chaos_request(&chaos_queries()[0]);
     for _ in 0..4 {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         let outs: Vec<_> = std::thread::scope(|s| {
             let runs: Vec<_> = (0..6).map(|_| s.spawn(|| snap.query(&req))).collect();
             runs.into_iter()
@@ -323,7 +323,7 @@ fn a_quarantined_tail_answers_like_the_clean_directory() {
     let (seg1, _seg2) = build_chaos_dir(&dir);
     let clean = clean_answers(&dir);
     warptree_disk::quarantine_segment_with(&RealVfs, &dir, &seg1).unwrap();
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let (out, stats) = snap.query(&chaos_request(q)).unwrap();
         assert_eq!(out.matches(), &want[..], "{q:?}");
@@ -351,11 +351,11 @@ fn a_corrupt_base_answers_like_the_clean_directory() {
         chaos_request(&[1.0]).on_backend(warptree_core::search::BackendKind::Esa),
     ];
     let clean_errors: Vec<_> = {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         invalid.iter().map(|r| snap.query(r).unwrap_err()).collect()
     };
     corrupt_pages_after_first(&index);
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let req = chaos_request(&chaos_queries()[0]);
     let answers = [
         snap.query(&req).unwrap().0,
@@ -376,7 +376,7 @@ fn a_corrupt_base_answers_like_the_clean_directory() {
     let mut bytes = std::fs::read(&index).unwrap();
     bytes[17] ^= 0xA5;
     std::fs::write(&index, &bytes).unwrap();
-    match open_dir_snapshot_with(&RealVfs, &dir, 8) {
+    match open_dir_snapshot_with(&RealVfs, &dir) {
         Err(e @ warptree_disk::DiskError::CorruptionDetected { .. }) => {
             assert_eq!(
                 e.to_string(),
@@ -403,7 +403,7 @@ fn a_tail_whose_header_fails_answers_like_the_clean_directory() {
     let clean = clean_answers(&dir);
     let knn = QueryRequest::knn(&chaos_queries()[0], 5);
     let clean_knn = {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         snap.query(&knn).unwrap().0.matches().to_vec()
     };
     let path = dir.join(&seg1);
@@ -411,7 +411,7 @@ fn a_tail_whose_header_fails_answers_like_the_clean_directory() {
     bytes[17] ^= 0xA5;
     std::fs::write(&path, &bytes).unwrap();
 
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
     assert_eq!(snap.segments.len(), 1, "the failed tail is not opened");
     for (q, want) in chaos_queries().iter().zip(&clean) {
@@ -487,7 +487,7 @@ fn a_tail_whose_header_disagrees_with_the_base_answers_like_the_clean_directory(
         let clean = clean_answers(&dir);
         forge_word(&dir.join(&seg1), at, value);
 
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
         assert_eq!(snap.failed_tails(), vec![seg1.clone()], "{what}");
         for (q, want) in chaos_queries().iter().zip(&clean) {
             let (out, stats) = snap.query(&chaos_request(q)).unwrap();
@@ -527,8 +527,8 @@ fn forge_root_child_label(dir: &Path, seg: &str) -> u64 {
     // A child whose label length word sits inside one page.
     let path = dir.join(seg);
     let label_len_at = {
-        let snap = open_dir_snapshot_with(&RealVfs, dir, 8).unwrap();
-        let tree = DiskTree::open(&path, snap.tree.cat().clone(), 8).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, dir).unwrap();
+        let tree = DiskTree::open(&path, snap.tree.cat().clone()).unwrap();
         let root = tree.read_node(tree.header().root_offset).unwrap();
         let children = root.children().map(|(_, child)| child + 8);
         let inside = |at: &u64| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64;
@@ -570,7 +570,7 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     // The forged page passes every CRC check there is, and the record
     // does not pass decode...
     assert_check_fails_on_a_record(&dir, &seg1, "outside the corpus");
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
     match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("outside the corpus"), "{m}"),
@@ -619,14 +619,14 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     let (seg1, _seg2) = build_chaos_dir(&dir);
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let clean = snap.query(&req).unwrap().0.matches().to_vec();
 
     // The record of segment 1 holding the suffix entry some clean answer
     // starts at, and the `start` word of that entry (inside one page).
     let path = dir.join(&seg1);
     let (record, start_at) = {
-        let tree = DiskTree::open(&path, snap.tree.cat().clone(), 8).unwrap();
+        let tree = DiskTree::open(&path, snap.tree.cat().clone()).unwrap();
         let is_answer = |(seq, start, _)| {
             clean
                 .iter()
@@ -649,7 +649,7 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     forge_word(&path, start_at, u32::MAX - 1);
 
     assert_check_fails_on_a_record(&dir, &seg1, "suffix");
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
     match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("suffix"), "{m}"),
@@ -684,7 +684,7 @@ fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
         .clone();
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let clean = snap.query(&req).unwrap().0.matches().to_vec();
 
     // The root record's `child_off` or `child_count` word (the format's
@@ -705,19 +705,19 @@ fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
 
     // The open refuses the segment alone as a typed `BadRecord`...
     let path = dir.join(&seg1);
-    match warptree_disk::AnyIndex::open_with(&RealVfs, &path, cat, BackendKind::Esa, 8) {
+    match warptree_disk::AnyIndex::open_with(&RealVfs, &path, cat, BackendKind::Esa) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("child slice"), "{m}"),
         other => panic!("expected a typed BadRecord, got {:?}", other.map(|_| ())),
     }
     // ...and the directory opens with it recorded damaged.
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     assert_eq!(snap.failed_tails(), vec![seg1.clone()]);
     let (out, _) = snap.query(&req).unwrap();
     assert_eq!(out.matches(), &clean[..]);
     drop(snap);
     let report = scrub_dir_with(&RealVfs, &dir, false, &MetricsRegistry::new()).unwrap();
     assert_eq!(report.newly_quarantined, vec![seg1]);
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     let (out, _) = snap.query(&req).unwrap();
     assert_eq!(out.matches(), &clean[..]);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -887,8 +887,9 @@ fn background_scrub_worker_quarantines_and_heals() {
 }
 
 /// `health` says `degraded` once the published snapshot holds a failed
-/// tree, the base included: a base that fails its CRC mid-query answers
-/// by scan — the clean answer — and is counted as a scan query.
+/// tree, the base included: a base page that fails its CRC is found when
+/// the server opens the directory, and every query answers by scan — the
+/// clean answer — and is counted as a scan query.
 #[test]
 fn health_is_degraded_while_the_base_is_corrupt() {
     let dir = tmpdir("server-base");
@@ -904,8 +905,9 @@ fn health_is_degraded_while_the_base_is_corrupt() {
     corrupt_pages_after_first(&index);
     let handle = Server::start(&dir, server_config()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
+    // The damaged page is found when the base opens, before any query.
     let h = client.health().unwrap();
-    assert_eq!(h.get("status").and_then(Json::as_str), Some("serving"));
+    assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let v = client.search(q, EPSILON, None).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
@@ -1097,7 +1099,6 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     let config = ServerConfig {
         compact_threshold: 3,
         compact_interval: Duration::from_millis(50),
-        cache_pages: 4,
         ..server_config()
     };
     let handle = Server::start(&dir, config).unwrap();
@@ -1192,7 +1193,7 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     // answers exactly like a clean snapshot of the same (final) corpus.
     let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
     assert!(report.unrecoverable.is_none(), "{report}");
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     assert!(snap.quarantined.is_empty());
     for q in &queries {
         let req = QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));

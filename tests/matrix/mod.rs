@@ -40,7 +40,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use proptest::prelude::*;
 use warptree::core::analysis::{longest_repeated, top_motifs, Motif, TreeStats};
 use warptree::prelude::*;
-use warptree::ExplainIo;
 use warptree_disk::{
     build_dir_backend_with, compact_once, real_vfs, verify_dir_with, DiskError, Manifest, RealVfs,
 };
@@ -470,7 +469,6 @@ impl Corpus {
             outcome.matches = answers.matches().to_vec();
             outcome.stats = report.stats;
             outcome.explained = Some((report.suffixes, report.kind, report.backend));
-            outcome.io = report.io;
             return outcome;
         }
         let trace = match cfg.trace {
@@ -834,7 +832,6 @@ pub struct Outcome {
     pub stats: SearchStats,
     /// `explain`'s stored suffixes, index kind and backend name.
     pub explained: Option<(u64, &'static str, &'static str)>,
-    pub io: Option<ExplainIo>,
     pub spans: Vec<String>,
 }
 
@@ -1179,6 +1176,5 @@ fn compare(cfg: &Config, got: &Outcome, want: &Outcome, truth: &[Match], ctx: &s
         assert_eq!(has("filter.segment"), cfg.threads == 1, "{ctx}");
         assert!(cfg.threads > 1 || !has("filter.task"), "{ctx}");
         assert_eq!(has("knn.round"), cfg.knn(), "{ctx}");
-        assert_eq!(has("pager.io"), cfg.backend != Backend::Memory, "{ctx}");
     }
 }

@@ -76,7 +76,7 @@ fn medium_stock_corpus_all_variants() {
                         if eps == 5.0 && qi == 0 {
                             let path = dir.join(format!("{name}-{kind}.wt"));
                             write_tree(&tree, &path).unwrap();
-                            let disk = DiskTree::open(&path, cat.clone(), 16).unwrap();
+                            let disk = DiskTree::open(&path, cat.clone()).unwrap();
                             let (d, _) = run_query(
                                 &disk,
                                 alphabet,

@@ -107,7 +107,7 @@ fn counters_identical_across_identical_runs() {
 }
 
 /// The EXPLAIN report carries exactly the stats of the checked search
-/// it ran, and its I/O profile is present on disk indexes.
+/// it ran, and the plan that answered it.
 #[test]
 fn explain_report_agrees_with_checked_search() {
     let store = corpus();
@@ -128,16 +128,12 @@ fn explain_report_agrees_with_checked_search() {
         report.suffixes,
         warptree::core::search::IndexBackend::suffix_count(&idx.tree)
     );
-    let io = report.io.expect("disk explain reports I/O");
-    assert!(
-        io.pages_read + io.page_cache_hits > 0,
-        "a search must touch pages"
-    );
+    assert_eq!(report.plan, "index");
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// A registry-backed run surfaces the search funnel, the page pool,
-/// and the VFS trace under their dotted names in one snapshot.
+/// A registry-backed run surfaces the search funnel and the VFS trace
+/// under their dotted names in one snapshot.
 #[test]
 fn registry_snapshot_has_search_and_io_names() {
     let store = corpus();
@@ -146,7 +142,7 @@ fn registry_snapshot_has_search_and_io_names() {
     let d = dir("reg");
     build_index_dir(&store, Categorization::MaxEntropy(12), false, 8, &d).unwrap();
     let reg = MetricsRegistry::new();
-    let idx = open_index_dir_metered(&d, 32, &reg).unwrap();
+    let idx = open_index_dir_metered(&d, &reg).unwrap();
     let metrics = SearchMetrics::register(&reg);
     let answers = search_with(&idx, &q, &params, &metrics);
     let snap = reg.snapshot();
@@ -156,18 +152,17 @@ fn registry_snapshot_has_search_and_io_names() {
         "search.nodes_visited",
         "disk.vfs.reads",
         "disk.vfs.read_bytes",
-        "disk.page_cache.hits",
     ] {
         assert!(
             snap.counters.contains_key(name),
             "metric {name} missing from registry snapshot"
         );
     }
-    let node_cache = snap
+    let caches = snap
         .counters
         .keys()
-        .find(|k| k.starts_with("disk.node_cache."));
-    assert_eq!(node_cache, None, "there is no node cache to meter");
+        .find(|k| k.starts_with("disk.node_cache.") || k.starts_with("disk.page_cache."));
+    assert_eq!(caches, None, "there is no cache to meter");
     assert_eq!(snap.counters["search.answers"], answers.len() as u64);
     assert!(snap.counters["disk.vfs.reads"] > 0, "open must read files");
     assert!(snap.histograms.contains_key("search.filter_ns"));
@@ -181,13 +176,10 @@ fn registry_snapshot_has_search_and_io_names() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// A metered open instruments the base tree *and* every tail segment,
-/// and instrumenting takes nothing away from the trees themselves: after
-/// one query and a few owned record reads the registry holds the page
-/// traffic of all three trees, while each tree's own `io_stats()` still
-/// reports that tree's share — the same figures, tree for tree, as an
-/// unmetered open of the directory doing the same from the same cold
-/// pools.
+/// A metered open reads the base tree *and* every tail segment whole,
+/// once each: every tree's `io_stats()` is its file's page count, the
+/// same for a metered and a plain open, and no query or record read
+/// adds to it.
 #[test]
 fn metered_open_counts_tail_segment_traffic() {
     let store = corpus();
@@ -203,17 +195,23 @@ fn metered_open_counts_tail_segment_traffic() {
     for tail in parts {
         append_index_dir(&d, &tail).unwrap();
     }
+    let resolved = warptree::disk::resolve_dir_with(&warptree::disk::RealVfs, &d).unwrap();
+    let files: Vec<u64> = std::iter::once(&resolved.index_path)
+        .chain(&resolved.segment_paths)
+        .map(|path| std::fs::metadata(path).unwrap().len())
+        .collect();
+    let file_pages: Vec<u64> = files
+        .iter()
+        .map(|len| len / warptree::disk::PAGE_SIZE as u64)
+        .collect();
 
-    // Page lookups per tree.
-    let lookups = |idx: &DiskIndexDir| -> Vec<u64> {
-        let per_tree = idx.live_trees().map(|t| t.io_stats());
-        per_tree.map(|io| io.pages_read + io.cache_hits).collect()
+    // Pages read per tree, before and after one query and `i + 1` reads
+    // of tree `i`'s root record.
+    let pages = |idx: &DiskIndexDir| -> Vec<u64> {
+        idx.live_trees().map(|t| t.io_stats().pages_read).collect()
     };
-    // What one query, and `i + 1` reads of tree `i`'s root record, add
-    // to them (the open itself reads a header page, before any
-    // instrumenting).
     let query_traffic = |idx: &DiskIndexDir| {
-        let at_open = lookups(idx);
+        let at_open = pages(idx);
         let answers = search_with(idx, &q, &params, &SearchMetrics::new());
         for (i, tree) in idx.live_trees().enumerate() {
             let tree = tree.as_tree().expect("the default backend");
@@ -221,70 +219,52 @@ fn metered_open_counts_tail_segment_traffic() {
                 tree.read_node(tree.header().root_offset).unwrap();
             }
         }
-        let per_tree: Vec<u64> = lookups(idx)
-            .iter()
-            .zip(&at_open)
-            .map(|(after, before)| after - before)
-            .collect();
-        (answers, per_tree)
+        assert_eq!(pages(idx), at_open, "no query reads a page");
+        (answers, at_open)
     };
 
     let plain = open_index_dir(&d, 32).unwrap();
     assert_eq!(plain.segment_count(), 3);
     let (expected, per_tree) = query_traffic(&plain);
-    assert!(
-        per_tree.iter().all(|&pages| pages > 0),
-        "every tree must see traffic for the test to mean anything: {per_tree:?}"
-    );
-    assert!(
-        per_tree.iter().any(|t| *t != per_tree[0]),
-        "trees with equal traffic could not tell a per-tree count from a shared one: {per_tree:?}"
-    );
+    assert_eq!(per_tree, file_pages);
 
     let reg = MetricsRegistry::new();
-    let metered = open_index_dir_metered(&d, 32, &reg).unwrap();
+    let metered = open_index_dir_metered(&d, &reg).unwrap();
     let (answers, metered_per_tree) = query_traffic(&metered);
     assert_eq!(answers.occurrence_set(), expected.occurrence_set());
-    assert_eq!(
-        metered_per_tree, per_tree,
-        "an instrumented tree reports its own traffic"
-    );
+    assert_eq!(metered_per_tree, per_tree);
+    // Every byte of every tree came through the metered VFS.
     let snap = reg.snapshot();
-    assert_eq!(
-        snap.counters["disk.page_cache.hits"] + snap.counters["disk.page_cache.misses"],
-        per_tree.iter().sum::<u64>()
-    );
+    assert!(snap.counters["disk.vfs.read_bytes"] >= files.iter().sum::<u64>());
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// The visit contract on the paged tree, in page terms: a query reads
-/// every record where it lies, so it looks a page up exactly once per
-/// visited node, once per node `for_each_suffix_below` walks under a
-/// pruned child, once per `for_each_suffix_at` at a node with attached
-/// suffixes, once per tree root — plus once more for each further page a
-/// record straddling a page boundary reaches. A backend that wraps each tree adds up what the
-/// traversal's calls should cost from a map of the file's records made
-/// beforehand, and checks that the filter enumerates no stored suffix
-/// twice in one query.
+/// The visit contract on the disk tree: a query decodes every record
+/// where it lies, once per visited node, once per node
+/// `for_each_suffix_below` walks under a pruned child, once per
+/// `for_each_suffix_at` at a node with attached suffixes, once per tree
+/// root — and reads no page, the tree having read its file whole at
+/// open. A backend that wraps each tree adds up what the traversal's
+/// calls read from a map of the file's records made beforehand, and
+/// checks that the filter enumerates no stored suffix twice in one
+/// query.
 #[test]
 fn a_node_visit_is_one_record_fetch() {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
     use warptree::core::search::{IndexBackend, NodeVisit};
-    use warptree::disk::{DiskTree, PAGE_DATA};
+    use warptree::disk::DiskTree;
 
-    /// A record's children and how many pages it lies on.
-    type Records = HashMap<u64, (Vec<u64>, u64)>;
+    /// Each record's children.
+    type Records = HashMap<u64, Vec<u64>>;
     fn records(tree: &DiskTree) -> Records {
         let (mut map, mut stack) = (Records::new(), vec![tree.root()]);
         while let Some(offset) = stack.pop() {
             let node = tree.read_node(offset).unwrap();
             let children: Vec<u64> = node.children().map(|(_, child)| child).collect();
-            let len = 32 + 12 * (node.suffixes().len() + children.len()) as u64;
-            let pages = (offset + len - 1) / PAGE_DATA as u64 - offset / PAGE_DATA as u64 + 1;
             stack.extend(&children);
-            map.insert(offset, (children, pages));
+            map.insert(offset, children);
         }
         map
     }
@@ -297,14 +277,11 @@ fn a_node_visit_is_one_record_fetch() {
         visited: AtomicU64,
         walked: AtomicU64,
         attached: AtomicU64,
-        further_pages: AtomicU64,
         enumerated: Mutex<Vec<(SeqId, u32)>>,
     }
     impl Counted<'_> {
-        fn read(&self, n: u64, nodes: &AtomicU64) {
+        fn read(&self, nodes: &AtomicU64) {
             nodes.fetch_add(1, Ordering::Relaxed);
-            self.further_pages
-                .fetch_add(self.records[&n].1 - 1, Ordering::Relaxed);
         }
         /// `f`, listing each suffix it is called for.
         fn listing<'b>(
@@ -323,19 +300,19 @@ fn a_node_visit_is_one_record_fetch() {
             self.tree.root()
         }
         fn visit(&self, n: u64, children: &mut impl Extend<u64>) -> NodeVisit<'_> {
-            self.read(n, &self.visited);
+            self.read(&self.visited);
             self.tree.visit(n, children)
         }
         fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
             let mut stack = vec![n];
             while let Some(n) = stack.pop() {
-                self.read(n, &self.walked);
-                stack.extend(&self.records[&n].0);
+                self.read(&self.walked);
+                stack.extend(&self.records[&n]);
             }
             self.tree.for_each_suffix_below(n, &mut self.listing(f))
         }
         fn for_each_suffix_at(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
-            self.read(n, &self.attached);
+            self.read(&self.attached);
             self.tree.for_each_suffix_at(n, &mut self.listing(f))
         }
         fn is_sparse(&self) -> bool {
@@ -349,7 +326,6 @@ fn a_node_visit_is_one_record_fetch() {
     let store = corpus();
     let q = query(&store);
     let params = SearchParams::with_epsilon(6.0);
-    let mut straddlers = 0;
     for sparse in [false, true] {
         let d = dir(if sparse { "visit-sp" } else { "visit-full" });
         build_index_dir(&store, Categorization::MaxEntropy(12), sparse, 8, &d).unwrap();
@@ -369,16 +345,13 @@ fn a_node_visit_is_one_record_fetch() {
                     visited: AtomicU64::new(0),
                     walked: AtomicU64::new(0),
                     attached: AtomicU64::new(0),
-                    further_pages: AtomicU64::new(0),
                     enumerated: Mutex::new(Vec::new()),
                 })
                 .collect();
-            // Page lookups, summed over the trees.
+            // Pages read, summed over the trees.
             let lookups = || {
                 let per_tree = trees.iter().map(|t| t.io_stats());
-                per_tree
-                    .map(|io| io.pages_read + io.cache_hits)
-                    .sum::<u64>()
+                per_tree.map(|io| io.pages_read).sum::<u64>()
             };
             let run = |tree: &dyn Fn(&SearchMetrics) -> CandidateGroups| {
                 let (metrics, before) = (SearchMetrics::new(), lookups());
@@ -392,16 +365,10 @@ fn a_node_visit_is_one_record_fetch() {
                 stats.candidates > 0,
                 "the query must emit for walks to count"
             );
-            let (visited, walked, attached, further_pages) =
-                counted.iter().fold((0, 0, 0, 0), |(v, w, a, f), c| {
-                    let of = |n: &AtomicU64| n.load(Ordering::Relaxed);
-                    (
-                        v + of(&c.visited),
-                        w + of(&c.walked),
-                        a + of(&c.attached),
-                        f + of(&c.further_pages),
-                    )
-                });
+            let (visited, walked, attached) = counted.iter().fold((0, 0, 0), |(v, w, a), c| {
+                let of = |n: &AtomicU64| n.load(Ordering::Relaxed);
+                (v + of(&c.visited), w + of(&c.walked), a + of(&c.attached))
+            });
             assert!(
                 walked > 0 && attached > 0,
                 "walked {walked}, attached {attached}"
@@ -409,9 +376,8 @@ fn a_node_visit_is_one_record_fetch() {
             // The fan-out view's own root is no record; each tree's is.
             assert_eq!(visited, stats.nodes_visited + trees.len() as u64);
             assert_eq!(
-                pages,
-                visited + walked + attached + further_pages,
-                "sparse={sparse} tail={with_tail}: one page lookup per record read"
+                pages, 0,
+                "sparse={sparse} tail={with_tail}: a query reads no page"
             );
             // Each stored suffix is enumerated where the traversal stops
             // above it, and nowhere else.
@@ -427,10 +393,9 @@ fn a_node_visit_is_one_record_fetch() {
                 listed,
                 "sparse={sparse} tail={with_tail}: a suffix enumerated twice"
             );
-            straddlers += further_pages;
             // Counting changed nothing, and neither do threads: the same
-            // candidates in the same order, the same counters, the same
-            // number of page lookups.
+            // candidates in the same order, the same counters, and still
+            // no page read.
             let plain = SegmentedIndex::new(trees.clone());
             for threads in [1, 2, 8] {
                 let p = params.clone().parallel(threads);
@@ -442,8 +407,4 @@ fn a_node_visit_is_one_record_fetch() {
         }
         std::fs::remove_dir_all(&d).ok();
     }
-    assert!(
-        straddlers > 0,
-        "no record read lay across a page boundary: the gather path went unexercised"
-    );
 }

@@ -79,29 +79,26 @@ fn disk_tree_search_identical_across_thread_counts() {
     branch_lab().pinned(sweep);
 }
 
-/// `explain`'s record reads: the same page lookups at every thread
-/// count, at least one for the tree and none for the ESA (which reads
-/// its arrays once, at open). The lab is this test's own: another
-/// test's queries would move the shared indexes' counters.
+/// `explain` reports the same at every thread count: the funnel stats
+/// and the index it describes, for either backend.
 #[test]
 fn explain_identical_across_thread_counts() {
     let lab = Lab::new(branch_rich());
     for backend in [Backend::DiskTree, Backend::DiskEsa] {
-        let lookups = |threads| -> Vec<u64> {
+        let reports = |threads| -> Vec<_> {
             let cfg = Config {
                 backend,
                 threads,
                 kind: Kind::Explain,
                 ..ME
             };
-            let io = lab.check(cfg).into_iter().map(|o| o.io.expect("disk io"));
-            io.map(|io| io.pages_read + io.page_cache_hits).collect()
+            let outcomes = lab.check(cfg).into_iter();
+            outcomes.map(|o| (o.stats, o.explained)).collect()
         };
-        let one = lookups(1);
-        let tree = backend == Backend::DiskTree;
-        assert!(one.iter().all(|&n| (n > 0) == tree), "{one:?}");
+        let one = reports(1);
+        assert!(one.iter().all(|(_, explained)| explained.is_some()));
         for threads in [2, 8] {
-            assert_eq!(lookups(threads), one, "{backend:?} threads={threads}");
+            assert_eq!(reports(threads), one, "{backend:?} threads={threads}");
         }
     }
 }
