@@ -108,24 +108,6 @@ impl SearchMetrics {
         m
     }
 
-    /// Fresh counters and timings that record their stage spans where
-    /// this bundle would: one attempt of a query whose counts reach this
-    /// bundle only through [`absorb`](SearchMetrics::absorb), if at all.
-    pub fn fresh(&self) -> SearchMetrics {
-        SearchMetrics {
-            trace: self.trace.clone(),
-            trace_parent: self.trace_parent,
-            ..SearchMetrics::new()
-        }
-    }
-
-    /// Adds everything `other` counted and timed to this bundle.
-    pub fn absorb(&self, other: &SearchMetrics) {
-        self.add(&other.snapshot());
-        self.filter_ns.absorb(&other.filter_ns.snapshot());
-        self.postprocess_ns.absorb(&other.postprocess_ns.snapshot());
-    }
-
     /// The current counter totals (phase timings excluded — those stay
     /// in the histograms).
     pub fn snapshot(&self) -> SearchStats {
@@ -191,29 +173,6 @@ mod tests {
         assert_eq!(m.snapshot(), s);
         m.add(&s);
         assert_eq!(m.snapshot().since(&s), s);
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_timings() {
-        let reg = MetricsRegistry::new();
-        let shared = SearchMetrics::register(&reg);
-        let attempt = shared.fresh();
-        attempt.add(&SearchStats {
-            answers: 3,
-            ..SearchStats::default()
-        });
-        attempt.filter_ns.record(40);
-        attempt.postprocess_ns.record(9);
-        assert_eq!(shared.snapshot(), SearchStats::default());
-        shared.absorb(&attempt);
-        shared.absorb(&attempt);
-        assert_eq!(shared.snapshot().answers, 6);
-        let filter = reg.histogram("search.filter_ns").snapshot();
-        assert_eq!(
-            (filter.count, filter.sum, filter.min, filter.max),
-            (2, 80, 40, 40)
-        );
-        assert_eq!(reg.histogram("search.postprocess_ns").snapshot().sum, 18);
     }
 
     #[test]

@@ -236,8 +236,9 @@ impl AnyIndex {
 
     /// The parse step of a committed index file's check (the one `verify`
     /// and scrub run): opens `path` as `backend`, which validates an
-    /// ESA's arrays whole, and decodes every record of a tree
-    /// ([`DiskTree::verify_records`]).
+    /// ESA's arrays whole and checks every record of a tree. A tree that
+    /// opens [`damaged`](DiskTree::damage) fails with what the open
+    /// found.
     pub fn check(
         vfs: &dyn Vfs,
         path: &Path,
@@ -245,7 +246,7 @@ impl AnyIndex {
         backend: BackendKind,
     ) -> Result<()> {
         match Self::open_with(vfs, path, cat, backend)? {
-            AnyIndex::Tree(t) => t.verify_records(),
+            AnyIndex::Tree(t) => t.damage().map_or(Ok(()), Err),
             AnyIndex::Esa(_) => Ok(()),
         }
     }

@@ -29,17 +29,19 @@
 //!
 //! All integers are little-endian. Every page carries a CRC-32, and a
 //! tree is read whole at open, so corruption anywhere in the file is
-//! detected there. A CRC
-//! only vouches for the bytes, not for who wrote them: [`NodeView::decode`]
-//! — the one decoder, which every reader of a record goes through — also
-//! checks each record against the file and the store it indexes (see its
-//! docs), so a well-checksummed hostile record is a typed
-//! [`DiskError::BadRecord`], never an out-of-range slice.
+//! detected there. A CRC only vouches for the bytes, not for who wrote
+//! them, so the open also checks every record once
+//! ([`DiskTree::open_with`]): [`NodeView::decode`]'s checks against the
+//! file and the store it indexes, and that every child is the start of
+//! an earlier record. A well-checksummed hostile record opens the tree
+//! damaged, as a typed [`DiskError::BadRecord`], before any query; a
+//! query reads the checked records in place and checks nothing again.
+//! The §4.1 merge, which opens no tree, checks each record it reads
+//! through [`NodeView::decode`].
 
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use warptree_core::categorize::{CatStore, Symbol};
 use warptree_core::search::{IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
@@ -214,6 +216,10 @@ fn word(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
+fn overrun(offset: u64) -> String {
+    format!("node at {offset} overruns the file")
+}
+
 impl<'a> NodeView<'a> {
     /// Decodes the node record at logical `offset` of `file`, the
     /// logical bytes of a tree file over `cat`.
@@ -233,53 +239,72 @@ impl<'a> NodeView<'a> {
     ///   `cat` with a run that fits behind it (`seq < cat.len()`,
     ///   `start < |seq|`, `1 ≤ lead_run ≤ |seq| − start`) — the entries
     ///   become the occurrences post-processing slices the store with.
+    ///
+    /// The open of a [`DiskTree`] runs the same checks over every record
+    /// and adds one: a child must be the start of a record.
     pub fn decode(file: &'a [u8], offset: u64, cat: &CatStore) -> Result<Self> {
-        let overrun = || DiskError::BadRecord(format!("node at {offset} overruns the file"));
+        let node = Self::at(file, offset).ok_or_else(|| overrun(offset));
+        let seq_len = |seq: SeqId| cat.seqs().get(seq.0 as usize).map_or(0, |s| s.len() as u64);
+        node.and_then(|node| node.check(offset, seq_len, |_| true).map(|()| node))
+            .map_err(DiskError::BadRecord)
+    }
+
+    /// The record at `offset` of `file`, sized by its counts, its fields
+    /// unchecked; `None` when it overruns the file.
+    #[inline]
+    fn at(file: &'a [u8], offset: u64) -> Option<Self> {
         // Bound the record by the file before anything is sized by it.
-        let bytes = usize::try_from(offset)
-            .ok()
-            .and_then(|at| file.get(at..))
-            .filter(|rest| rest.len() >= NODE_HEAD)
-            .ok_or_else(overrun)?;
-        let entries = word(bytes, 24) as u64 + word(bytes, 28) as u64;
+        let bytes = file.get(usize::try_from(offset).ok()?..)?;
+        let head = bytes.get(..NODE_HEAD)?;
+        let n_suffixes = word(head, 24) as usize;
+        let entries = n_suffixes as u64 + u64::from(word(head, 28));
         let total = NODE_HEAD as u64 + NODE_ENTRY as u64 * entries;
-        if total > bytes.len() as u64 {
-            return Err(overrun());
-        }
-        let node = NodeView {
-            bytes: &bytes[..total as usize],
-            n_suffixes: word(bytes, 24) as usize,
-        };
-        // A sequence the store does not have holds no position.
-        let seq_len = |seq: SeqId| {
-            if (seq.0 as usize) < cat.len() {
-                cat.seq(seq).len() as u64
-            } else {
-                0
-            }
-        };
-        let (seq, start, len) = node.label();
+        Some(NodeView {
+            bytes: bytes.get(..usize::try_from(total).ok()?)?,
+            n_suffixes,
+        })
+    }
+
+    /// [`decode`](Self::decode)'s checks of the record at `offset`
+    /// against the store's sequence lengths (`seq_len`, 0 for a sequence
+    /// the store does not have); `is_record` must also hold of each
+    /// child. A failure is the [`DiskError::BadRecord`] message.
+    #[inline]
+    fn check(
+        &self,
+        offset: u64,
+        seq_len: impl Fn(SeqId) -> u64,
+        is_record: impl Fn(u64) -> bool,
+    ) -> std::result::Result<(), String> {
+        let (seq, start, len) = self.label();
         if len != 0 && start as u64 + len as u64 > seq_len(seq) {
-            return Err(DiskError::BadRecord(format!(
+            return Err(format!(
                 "node at {offset}: label ({}, {start}, {len}) is outside the corpus",
                 seq.0
-            )));
+            ));
         }
-        for (seq, start, run) in node.suffixes() {
+        for (seq, start, run) in self.suffixes() {
             let room = seq_len(seq).saturating_sub(start as u64);
             if run == 0 || run as u64 > room {
-                return Err(DiskError::BadRecord(format!(
+                return Err(format!(
                     "node at {offset}: suffix ({}, {start}, run {run}) is outside the corpus",
                     seq.0
-                )));
+                ));
             }
         }
-        if let Some((_, child)) = node.children().find(|&(_, child)| child >= offset) {
-            return Err(DiskError::BadRecord(format!(
-                "node at {offset}: child at {child} does not precede it"
-            )));
+        for (_, child) in self.children() {
+            if child >= offset {
+                return Err(format!(
+                    "node at {offset}: child at {child} does not precede it"
+                ));
+            }
+            if !is_record(child) {
+                return Err(format!(
+                    "node at {offset}: child at {child} is not the start of a record"
+                ));
+            }
         }
-        Ok(node)
+        Ok(())
     }
 
     /// Edge label entering this node: `(seq, start, len)`.
@@ -340,36 +365,30 @@ impl<'a> NodeView<'a> {
     }
 }
 
-/// Panic payload used to abort a tree traversal on an unreadable node.
-///
-/// The [`IndexBackend`] trait's walk callbacks are infallible, so a
-/// record that does not decode cannot return an `Err` through them.
-/// Instead the failing [`DiskTree`] records the page that holds it (see
-/// [`DiskTree::take_read_error`]) and unwinds with this marker;
-/// [`DirSnapshot::query_with`](crate::DirSnapshot::query_with) catches
-/// the unwind, records the tree as damaged and answers the query by
-/// sequential scan over the corpus instead.
-pub(crate) struct TreeReadAbort;
+/// What the open of a [`DiskTree`] found wrong with its file: the tree
+/// then serves nothing.
+#[derive(Debug)]
+enum Damage {
+    /// A page after the header failed its CRC.
+    Page(u64),
+    /// A record failed its checks (the [`DiskError::BadRecord`] message).
+    Record(String),
+}
 
 /// A disk-resident suffix tree, query-ready through [`IndexBackend`]:
-/// the file's logical bytes, read whole and CRC-checked at open, with
-/// every node record decoded in place on each visit.
+/// the file's logical bytes, read whole and CRC-checked at open, every
+/// record checked there once, and every node record read in place on
+/// each visit.
 pub struct DiskTree {
     /// The logical bytes of the file (the final page's padding
     /// included).
     bytes: Vec<u8>,
     cat: Arc<CatStore>,
     header: Header,
-    /// File name this tree was opened from — the segment identity a
-    /// failed read is reported under.
+    /// File name this tree was opened from — the segment identity its
+    /// damage is reported under.
     source: String,
-    /// A page after the header that failed its CRC at open: the tree
-    /// then reads no record (each is a [`DiskError::CorruptPage`]).
-    damage: Option<u64>,
-    /// The page of the first read failure not yet taken: the damaged
-    /// page from the open, or a record that did not decode (set by
-    /// [`must_read`](Self::must_read) before unwinding).
-    read_error: Mutex<Option<u64>>,
+    damage: Option<Damage>,
 }
 
 impl DiskTree {
@@ -380,20 +399,27 @@ impl DiskTree {
     }
 
     /// [`open`](Self::open) through an explicit [`Vfs`]: one read of
-    /// the whole file. A header page that fails its CRC fails the open
-    /// as a [`DiskError::CorruptionDetected`] naming the file; a later
-    /// one opens the tree damaged: it reads no record, and a snapshot
-    /// answers by scan instead.
+    /// the whole file, then one pass that checks each of its records
+    /// (see the module docs). A header page that fails its CRC fails the
+    /// open as a [`DiskError::CorruptionDetected`] naming the file. A
+    /// later page that fails, or a record that fails its checks, opens
+    /// the tree [`damaged`](Self::damage): it serves nothing, and a
+    /// snapshot answers by scan instead.
     pub fn open_with(vfs: &dyn Vfs, path: &Path, cat: Arc<CatStore>) -> Result<Self> {
         let (pages, header, source) =
             open_headed::<Header>(vfs, path, u64::MAX, Some(cat.alphabet_len()))?;
+        let damage = match pages.bad {
+            Some(page) => Some(Damage::Page(page)),
+            None => check_records(&pages.bytes, &header, &cat)
+                .err()
+                .map(Damage::Record),
+        };
         Ok(Self {
             bytes: pages.bytes,
             cat,
             header,
             source,
-            damage: pages.bad,
-            read_error: Mutex::new(pages.bad),
+            damage,
         })
     }
 
@@ -402,64 +428,15 @@ impl DiskTree {
         &self.source
     }
 
-    /// Takes the page of the read failure this tree recorded, if any: a
-    /// page that failed its CRC at open, or the page of a record an
-    /// aborted traversal could not decode.
-    pub(crate) fn take_read_error(&self) -> Option<u64> {
-        self.read_error.lock().take()
-    }
-
-    /// Reads the node at `offset` through `f`, or aborts the traversal:
-    /// the failing page is recorded on this tree — the damaged one, or
-    /// the one holding the record that does not decode — and the stack
-    /// unwinds with [`TreeReadAbort`] for the fan-out layer to catch.
-    #[inline]
-    fn must_read<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> R {
-        match self.with_node(offset, f) {
-            Ok(r) => r,
-            Err(e) => self.abort(offset, e),
-        }
-    }
-
-    /// The failing half of [`must_read`](Self::must_read), kept out of
-    /// the traversal's hot loop.
-    #[cold]
-    #[inline(never)]
-    fn abort(&self, offset: u64, e: DiskError) -> ! {
-        let page = match e {
-            DiskError::CorruptPage { page } => page,
-            _ => offset / PAGE_DATA as u64,
-        };
-        self.read_error.lock().get_or_insert(page);
-        // An expected unwind, caught by the fan-out: no panic hook, so
-        // nothing is printed.
-        std::panic::resume_unwind(Box::new(TreeReadAbort))
-    }
-
-    /// Decodes every record of the file through [`NodeView::decode`], in
-    /// file order: the tree's part of the committed-file check. Records
-    /// lie back to back from the header on, written post-order, so the
-    /// walk must meet the header's `node_count` records and end on the
-    /// one at `root_offset`. Each step passes at least one record head,
-    /// so the work is bounded by the file's length.
-    pub fn verify_records(&self) -> Result<()> {
-        let Header {
-            node_count,
-            root_offset,
-            ..
-        } = self.header;
-        let (mut at, mut count) = (HEADER_SIZE, 1);
-        while at < root_offset {
-            at += self.with_node(at, |node| node.bytes.len() as u64)?;
-            count += 1;
-        }
-        self.with_node(at, |_| ())?;
-        if (at, count) != (root_offset, node_count) {
-            return Err(DiskError::BadRecord(format!(
-                "{count} records end at {at}, not the header's {node_count} at {root_offset}"
-            )));
-        }
-        Ok(())
+    /// What the open found wrong, if anything: the page that failed its
+    /// CRC ([`DiskError::CorruptPage`]) or the record that failed its
+    /// checks ([`DiskError::BadRecord`]). A damaged tree reads no record
+    /// and answers no query.
+    pub fn damage(&self) -> Option<DiskError> {
+        self.damage.as_ref().map(|d| match d {
+            Damage::Page(page) => DiskError::CorruptPage { page: *page },
+            Damage::Record(m) => DiskError::BadRecord(m.clone()),
+        })
     }
 
     /// The file header.
@@ -489,29 +466,29 @@ impl DiskTree {
     /// Counts a page that failed its CRC at open into `reg`'s
     /// `disk.read_crc_fail`, a name every tree of a directory shares.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        if self.damage.is_some() {
+        if let Some(Damage::Page(_)) = self.damage {
             reg.counter("disk.read_crc_fail").incr();
         }
     }
 
-    /// Runs `f` over the node record at `offset`, decoded in place and
-    /// checked by [`NodeView::decode`]. A damaged tree reads none.
-    #[inline]
-    pub(crate) fn with_node<R>(&self, offset: u64, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
-        if let Some(page) = self.damage {
-            return Err(DiskError::CorruptPage { page });
-        }
-        Ok(f(NodeView::decode(&self.bytes, offset, &self.cat)?))
-    }
-
-    /// Reads the node record at `offset` as an owned [`DiskNode`]: the
-    /// checked [`NodeView`] a traversal reads, copied out.
+    /// Reads the node record at `offset` as an owned [`DiskNode`],
+    /// through [`NodeView::decode`]'s checks (the offset is the
+    /// caller's). A damaged tree reads none: its [`damage`](Self::damage).
     pub fn read_node(&self, offset: u64) -> Result<DiskNode> {
-        self.with_node(offset, |view| view.to_node())
+        if let Some(e) = self.damage() {
+            return Err(e);
+        }
+        Ok(NodeView::decode(&self.bytes, offset, &self.cat)?.to_node())
     }
 
-    /// The symbols of a decoded node's edge label (a range
-    /// [`NodeView::decode`] checked; the root's is empty).
+    /// The record at `offset`, one the open checked: a child or the root
+    /// of this undamaged tree.
+    #[inline]
+    fn node(&self, offset: u64) -> NodeView<'_> {
+        NodeView::at(&self.bytes, offset).expect("a record the open checked")
+    }
+
+    /// The symbols of a checked node's edge label (the root's is empty).
     fn label_symbols(&self, (seq, start, len): (SeqId, u32, u32)) -> &[Symbol] {
         if len == 0 {
             return &[];
@@ -561,43 +538,92 @@ impl DiskTree {
     }
 }
 
+/// Checks every record of `bytes`, a tree file with `header` over `cat`,
+/// once, in file order: [`NodeView::decode`]'s checks, and that every
+/// child is the start of a record before its parent. Records lie back
+/// to back from the header on, written post-order, so the walk must
+/// meet the header's `node_count` records and end on the one at
+/// `root_offset`; every record is 4-aligned, so one bit per 4-byte word
+/// marks the starts it has passed. Each step passes at least one record
+/// head, so the work is bounded by the file's length.
+///
+/// Every offset a traversal reads comes from the root or a checked
+/// child, so a tree that passes reads its records unchecked.
+fn check_records(bytes: &[u8], header: &Header, cat: &CatStore) -> std::result::Result<(), String> {
+    let lens: Vec<u64> = cat.seqs().iter().map(|s| s.len() as u64).collect();
+    let seq_len = |seq: SeqId| lens.get(seq.0 as usize).copied().unwrap_or(0);
+    // One bit per 4-byte word of the file, set at each record start
+    // passed: a word of `starts` and the bit in it.
+    let mut starts = vec![0u64; bytes.len().div_ceil(256)];
+    let bit = |at: u64| ((at / 256) as usize, 1u64 << (at / 4 % 64));
+    let Header {
+        node_count,
+        root_offset,
+        ..
+    } = *header;
+    let (mut at, mut count) = (HEADER_SIZE, 1);
+    loop {
+        let node = NodeView::at(bytes, at).ok_or_else(|| overrun(at))?;
+        // `check` asks only of a child before `at`, inside the file.
+        let is_record = |child: u64| {
+            let (word, mask) = bit(child);
+            child.is_multiple_of(4) && starts[word] & mask != 0
+        };
+        node.check(at, seq_len, is_record)?;
+        if at >= root_offset {
+            break;
+        }
+        let (word, mask) = bit(at);
+        starts[word] |= mask;
+        at += node.bytes.len() as u64;
+        count += 1;
+    }
+    if (at, count) != (root_offset, node_count) {
+        return Err(format!(
+            "{count} records end at {at}, not the header's {node_count} at {root_offset}"
+        ));
+    }
+    Ok(())
+}
+
 impl IndexBackend for DiskTree {
     type Node = u64;
 
+    /// The root record. A damaged tree answers no query: this panics
+    /// (a snapshot answers by scan instead, and never asks it).
     fn root(&self) -> u64 {
+        if let Some(e) = self.damage() {
+            panic!("query over the damaged tree {}: {e}", self.source);
+        }
         self.header.root_offset
     }
 
     fn visit(&self, n: u64, children: &mut impl Extend<u64>) -> NodeVisit<'_> {
-        // The one record read of a node visit, in place on its page.
-        self.must_read(n, |node| {
-            children.extend(node.children().map(|(_, off)| off));
-            NodeVisit {
-                label: self.label_symbols(node.label()),
-                max_lead_run: node.max_lead_run(),
-                suffix_count: Some(node.suffix_count()),
-                attached: node.attached(),
-            }
-        })
+        // The one record read of a node visit, in place.
+        let node = self.node(n);
+        children.extend(node.children().map(|(_, off)| off));
+        NodeVisit {
+            label: self.label_symbols(node.label()),
+            max_lead_run: node.max_lead_run(),
+            suffix_count: Some(node.suffix_count()),
+            attached: node.attached(),
+        }
     }
 
     fn for_each_suffix_at(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
-        self.must_read(n, |node| {
-            for (seq, start, run) in node.suffixes() {
-                f(seq, start, run);
-            }
-        });
+        for (seq, start, run) in self.node(n).suffixes() {
+            f(seq, start, run);
+        }
     }
 
     fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
         let mut stack = vec![n];
         while let Some(off) = stack.pop() {
-            self.must_read(off, |node| {
-                for (seq, start, run) in node.suffixes() {
-                    f(seq, start, run);
-                }
-                stack.extend(node.children().map(|(_, coff)| coff));
-            });
+            let node = self.node(off);
+            for (seq, start, run) in node.suffixes() {
+                f(seq, start, run);
+            }
+            stack.extend(node.children().map(|(_, coff)| coff));
         }
     }
 

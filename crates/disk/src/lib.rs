@@ -8,8 +8,9 @@
 //!   and read back whole ([`read_stream`]): every file is read once, at
 //!   open, and no query reads a page;
 //! * [`format`](mod@format) / [`writer`] — the tree file format, written post-order in
-//!   one sequential pass; [`DiskTree`] serves queries from the file's
-//!   bytes, decoding each node record in place, through the same
+//!   one sequential pass; [`DiskTree`] checks every record once at
+//!   open and serves queries from the file's bytes, reading each node
+//!   record in place, through the same
 //!   [`IndexBackend`](warptree_core::search::IndexBackend) trait the
 //!   in-memory tree implements;
 //! * [`merge`] — binary merge of tree files and the [`IncrementalBuilder`]

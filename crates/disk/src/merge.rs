@@ -8,9 +8,11 @@
 //! prefixes and copying disjoint subtrees record by record; the output is
 //! written post-order in a single sequential pass. The traversal keeps
 //! its own stack, so a tree as deep as a flat-lined series is long
-//! merges on any thread, and reads each input record once, in place on
-//! its page. Both inputs must reference the same [`CatStore`] (they
-//! index disjoint *suffix* sets of one database).
+//! merges on any thread, and reads each input record once, in place in
+//! the file's bytes, through [`NodeView::decode`]'s checks: the merge
+//! opens no [`DiskTree`](crate::DiskTree), so it skips the open's
+//! whole-file record pass. Both inputs must reference the same
+//! [`CatStore`] (they index disjoint *suffix* sets of one database).
 //!
 //! [`IncrementalBuilder`] drives the whole paper pipeline: batch →
 //! in-memory build → flush → level-by-level binary merges of trees of
@@ -25,8 +27,9 @@ use warptree_core::parallel::parallel_map;
 use warptree_core::sequence::SeqId;
 use warptree_obs::{Counter, Histogram, MetricsRegistry};
 
+use crate::any::open_headed;
 use crate::error::{DiskError, Result};
-use crate::format::{encode_node, DiskTree, Header, HEADER_SIZE};
+use crate::format::{encode_node, Header, NodeView, HEADER_SIZE};
 use crate::pager::PagedWriter;
 use crate::vfs::{real_vfs, Vfs};
 use crate::writer::{write_tree_as, write_tree_with};
@@ -123,14 +126,14 @@ enum Step {
     Emit,
 }
 
-/// The binary merge's state. Records are read once each, through the
-/// checked [`DiskTree::with_node`] path, into three arenas that grow
-/// and shrink with the explicit stack of [`Frame`]s: a frame's entries
-/// stay put until it is written, so a rest can point at the entries of
-/// the record its split read.
+/// The binary merge's state. Records are read once each, through
+/// [`NodeView::decode`], into three arenas that grow and shrink with
+/// the explicit stack of [`Frame`]s: a frame's entries stay put until it
+/// is written, so a rest can point at the entries of the record its
+/// split read.
 struct MergeCtx<'t> {
-    a: &'t DiskTree,
-    b: &'t DiskTree,
+    a: &'t [u8],
+    b: &'t [u8],
     cat: &'t CatStore,
     w: PagedWriter,
     node_count: u64,
@@ -152,22 +155,19 @@ impl<'t> MergeCtx<'t> {
         if let Some(rec) = v.rec {
             return Ok(rec);
         }
-        let tree = match v.side {
+        let file = match v.side {
             Side::A => self.a,
             Side::B => self.b,
         };
         let (s0, k0) = (self.suffixes.len(), self.kids.len());
-        let (suffixes, kids) = (&mut self.suffixes, &mut self.kids);
-        let label = tree.with_node(v.offset, |node| {
-            suffixes.extend(node.suffixes());
-            kids.extend(
-                node.children()
-                    .map(|(sym, off)| (sym, VNode::at(v.side, off))),
-            );
-            node.label()
-        })?;
+        let node = NodeView::decode(file, v.offset, self.cat)?;
+        self.suffixes.extend(node.suffixes());
+        let kids = node
+            .children()
+            .map(|(sym, off)| (sym, VNode::at(v.side, off)));
+        self.kids.extend(kids);
         Ok(Rec {
-            label,
+            label: node.label(),
             suffixes: (s0, self.suffixes.len()),
             children: (k0, self.kids.len()),
         })
@@ -323,13 +323,10 @@ impl<'t> MergeCtx<'t> {
         })
     }
 
-    /// Merges the two roots, writing every output node post-order;
-    /// returns the root's aggregate.
-    fn run(&mut self) -> Result<Written> {
-        let roots = (
-            VNode::at(Side::A, self.a.header().root_offset),
-            VNode::at(Side::B, self.b.header().root_offset),
-        );
+    /// Merges the roots at `roots`, writing every output node
+    /// post-order; returns the root's aggregate.
+    fn run(&mut self, roots: (u64, u64)) -> Result<Written> {
+        let roots = (VNode::at(Side::A, roots.0), VNode::at(Side::B, roots.1));
         let mut stack = vec![self.open_merge(roots.0, roots.1)?];
         loop {
             let top = stack.last_mut().expect("the root frame is written last");
@@ -351,20 +348,22 @@ impl<'t> MergeCtx<'t> {
     }
 }
 
-/// Merges the trees in files `a` and `b` (both over `cat`, storing
+/// Merges the tree files `a` and `b` (both over `cat`, storing
 /// disjoint suffix sets) into a new tree file at `out`. Returns the
 /// output file's logical size in bytes.
-pub fn merge_trees(a: &DiskTree, b: &DiskTree, cat: &CatStore, out: &Path) -> Result<u64> {
+pub fn merge_trees(a: &Path, b: &Path, cat: &CatStore, out: &Path) -> Result<u64> {
     merge_trees_with(&crate::vfs::RealVfs, a, b, cat, out)
 }
 
-/// [`merge_trees`] through an explicit [`Vfs`]. Two trees that disagree
-/// on the sparse flag or the depth limit do not merge: a
-/// [`DiskError::BadHeader`].
+/// [`merge_trees`] through an explicit [`Vfs`]. An input page that
+/// fails its CRC is a [`DiskError::CorruptionDetected`] naming the
+/// file, and a record that fails [`NodeView::decode`] a
+/// [`DiskError::BadRecord`]. Two trees that disagree on the sparse flag
+/// or the depth limit do not merge: a [`DiskError::BadHeader`].
 pub fn merge_trees_with(
     vfs: &dyn Vfs,
-    a: &DiskTree,
-    b: &DiskTree,
+    a: &Path,
+    b: &Path,
     cat: &CatStore,
     out: &Path,
 ) -> Result<u64> {
@@ -375,34 +374,35 @@ pub fn merge_trees_with(
 /// a merge below the builder's last is a work file.
 fn merge_trees_as(
     vfs: &dyn Vfs,
-    a: &DiskTree,
-    b: &DiskTree,
+    a: &Path,
+    b: &Path,
     cat: &CatStore,
     out: &Path,
     sync: bool,
 ) -> Result<u64> {
-    let (ha, hb) = (a.header(), b.header());
+    // Each input whole, every page CRC-checked: its bytes, header and
+    // file name.
+    let read = |path: &Path| {
+        let (pages, header, name) =
+            open_headed::<Header>(vfs, path, u64::MAX, Some(cat.alphabet_len()))?;
+        Ok::<_, DiskError>((pages.verified(path)?, header, name))
+    };
+    let ((a, ha, na), (b, hb, nb)) = (read(a)?, read(b)?);
     if ha.sparse != hb.sparse {
         return Err(DiskError::BadHeader(format!(
-            "cannot merge {} with {}: the sparse flag differs ({} and {})",
-            a.source(),
-            b.source(),
-            ha.sparse,
-            hb.sparse
+            "cannot merge {na} with {nb}: the sparse flag differs ({} and {})",
+            ha.sparse, hb.sparse
         )));
     }
     if ha.depth_limit != hb.depth_limit {
         return Err(DiskError::BadHeader(format!(
-            "cannot merge {} with {}: the depth limit differs ({:?} and {:?})",
-            a.source(),
-            b.source(),
-            ha.depth_limit,
-            hb.depth_limit
+            "cannot merge {na} with {nb}: the depth limit differs ({:?} and {:?})",
+            ha.depth_limit, hb.depth_limit
         )));
     }
     let mut ctx = MergeCtx {
-        a,
-        b,
+        a: &a,
+        b: &b,
         cat,
         w: PagedWriter::create_with(vfs, out)?,
         node_count: 0,
@@ -413,7 +413,7 @@ fn merge_trees_as(
         record: Vec::new(),
     };
     ctx.w.write(&[0u8; HEADER_SIZE as usize])?;
-    let root = ctx.run()?;
+    let root = ctx.run((ha.root_offset, hb.root_offset))?;
     let header = Header {
         sparse: ha.sparse,
         alphabet_len: cat.alphabet_len(),
@@ -588,10 +588,9 @@ impl IncrementalBuilder {
                     return Ok(pair.remove(0));
                 }
                 let span = self.metrics.merge_ns.span();
-                let open = |path| DiskTree::open_with(self.vfs.as_ref(), path, self.cat.clone());
-                let (ta, tb) = (open(&pair[0])?, open(&pair[1])?);
                 let path = self.tmp_path(depth, i);
-                merge_trees_as(self.vfs.as_ref(), &ta, &tb, &self.cat, &path, last)?;
+                let vfs = self.vfs.as_ref();
+                merge_trees_as(vfs, &pair[0], &pair[1], &self.cat, &path, last)?;
                 self.vfs.remove_file(&pair[0])?;
                 self.vfs.remove_file(&pair[1])?;
                 drop(span);
@@ -647,6 +646,7 @@ impl IncrementalBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::DiskTree;
     use crate::writer::write_tree;
     use warptree_suffix::ukkonen::build_full_range;
     use warptree_suffix::{build_full, build_sparse};
@@ -679,9 +679,7 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone()).unwrap();
-        let db = DiskTree::open(&p2, c.clone()).unwrap();
-        merge_trees(&da, &db, &c, &pm).unwrap();
+        merge_trees(&p1, &p2, &c, &pm).unwrap();
         let merged = DiskTree::open(&pm, c.clone()).unwrap();
         let direct = build_full(c);
         assert_eq!(merged.to_mem().unwrap().canonical(), direct.canonical());
@@ -816,9 +814,7 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone()).unwrap();
-        let db = DiskTree::open(&p2, c.clone()).unwrap();
-        merge_trees(&da, &db, &c, &pm).unwrap();
+        merge_trees(&p1, &p2, &c, &pm).unwrap();
         let merged = DiskTree::open(&pm, c.clone()).unwrap();
         assert_eq!(merged.to_mem().unwrap().canonical(), t1.canonical());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -41,7 +41,6 @@ use crate::any::index_shape;
 use crate::corpus::{append_corpus_with, load_corpus_with};
 use crate::error::{DiskError, Result};
 use crate::esa::write_esa_with;
-use crate::format::DiskTree;
 use crate::manifest::{
     check_dir, commit_update_with, corpus_file_name, index_file_name, quarantine_segment_with,
     recover_dir_with, resolve_dir_with, segment_file_name, Manifest, SegmentMeta,
@@ -236,11 +235,8 @@ pub fn compact_once_with(
     match old.backend {
         BackendKind::Tree => {
             // The paper's §4.1 binary merge: one sequential pass over
-            // the two tree files, which reads records in place (no node
-            // cache).
-            let left = DiskTree::open_with(vfs, &left_path, cat.clone())?;
-            let right = DiskTree::open_with(vfs, &right_path, cat.clone())?;
-            merge_trees_with(vfs, &left, &right, &cat, &merged_tmp)?;
+            // the two tree files, which reads records in place.
+            merge_trees_with(vfs, &left_path, &right_path, &cat, &merged_tmp)?;
         }
         BackendKind::Esa => {
             // No binary merge exists for the ESA's flat arrays; the

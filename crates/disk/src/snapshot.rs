@@ -6,12 +6,12 @@
 //! it: every caller — the server, the CLI, `explain`, the library —
 //! gets the same answer. An index is a filter over the CRC-verified
 //! corpus, so a damaged one costs time, never answers: while any index
-//! of the snapshot is damaged (quarantined, failed at open, or caught
-//! failing a read), every query answers by sequential scan, the ground
-//! truth every index plan is held to. Every index is read whole, and
-//! its page CRCs checked, when the snapshot opens, so a damaged page is
-//! found there, not by a query. There are two ways in, over one
-//! open body:
+//! of the snapshot is damaged (quarantined, or found failing at open),
+//! every query answers by sequential scan, the ground truth every index
+//! plan is held to. Every index is read whole, its page CRCs and its
+//! records checked, when the snapshot opens, so damage is found there,
+//! never by a query, and a snapshot does not change once open. There
+//! are two ways in, over one open body:
 //!
 //! * [`open_dir_snapshot_with`] resolves and loads **without mutating
 //!   the directory**. A long-running reader (the `warptree-server`
@@ -38,8 +38,6 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::error::CoreError;
 use warptree_core::search::{
@@ -51,7 +49,6 @@ use warptree_core::sequence::SequenceStore;
 use crate::any::AnyIndex;
 use crate::corpus::load_corpus_with;
 use crate::error::{DiskError, Result};
-use crate::format::DiskTree;
 use crate::manifest::{
     read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
     SegmentMeta,
@@ -101,10 +98,10 @@ pub struct DirSnapshot {
     pub quarantined: Vec<SegmentMeta>,
     /// The committed generation this snapshot materializes.
     pub generation: u64,
-    /// File names of the indexes found damaged: those that failed a page
-    /// CRC or their checks at open, and every tree a query caught with a
-    /// record that does not decode.
-    failed: Mutex<Vec<String>>,
+    /// File names of the indexes found damaged at open: those with a
+    /// page that failed its CRC or a record or array that failed its
+    /// checks.
+    failed: Vec<String>,
 }
 
 impl DirSnapshot {
@@ -136,7 +133,8 @@ impl DirSnapshot {
         &self,
         req: &QueryRequest,
     ) -> std::result::Result<(QueryOutput, SearchStats), CoreError> {
-        let (out, metrics) = self.answer(req, SearchMetrics::new)?;
+        let metrics = SearchMetrics::new();
+        let out = self.query_with(req, &metrics)?;
         let stats = req.final_stats(&out, &metrics);
         Ok((out, stats))
     }
@@ -148,37 +146,39 @@ impl DirSnapshot {
     /// contract.
     ///
     /// While any index is [`damaged`](DirSnapshot::damaged) — a tail
-    /// quarantined, any index, the base included, with a page that
-    /// failed its CRC or a check at open, or any tree caught with a
-    /// record that does not decode — the whole request is answered by
-    /// sequential scan over [`store`](DirSnapshot::store) instead
-    /// ([`scan_query_with`]): the answers the index is held to, at the
-    /// scan's cost. A record that fails to decode mid-query is recorded,
-    /// and that query is answered by the scan.
-    /// Either way the request is validated against the base index, so
-    /// an invalid request gets the same typed error.
-    ///
-    /// Counters and phase timings reach `metrics` from the plan that
-    /// answered only; a failed index attempt's stage spans still land in
-    /// its trace.
+    /// quarantined, or any index, the base included, with a page that
+    /// failed its CRC or a record or array that failed its checks at
+    /// open — the whole request is answered by sequential scan over
+    /// [`store`](DirSnapshot::store) instead ([`scan_query_with`]): the
+    /// answers the index is held to, at the scan's cost. Either way the
+    /// request is validated against the base index, so an invalid
+    /// request gets the same typed error.
     pub fn query_with(
         &self,
         req: &QueryRequest,
         metrics: &SearchMetrics,
     ) -> std::result::Result<QueryOutput, CoreError> {
-        let (out, answered) = self.answer(req, || metrics.fresh())?;
-        metrics.absorb(&answered);
-        Ok(out)
+        if self.is_damaged() {
+            req.validate_on(&self.tree)?;
+            scan_query_with(&self.store, req, metrics)
+        } else if self.segments.is_empty() {
+            run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
+        } else {
+            let fanned = SegmentedIndex::new(self.live_trees().collect());
+            run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
+        }
     }
 
-    /// The tail segments found damaged other than by quarantine — that
-    /// failed a page CRC or their checks at open, or that a query caught
-    /// failing — by file name. Nothing here is tombstoned in
-    /// `MANIFEST`: a process that owns the directory may quarantine them
-    /// ([`quarantine_segment_with`](crate::quarantine_segment_with)).
+    /// The tail segments found damaged at open other than by
+    /// quarantine — with a page that failed its CRC or a record or array
+    /// that failed its checks — by file name. Nothing here is tombstoned
+    /// in `MANIFEST`: a process that owns the directory may quarantine
+    /// them ([`quarantine_segment_with`](crate::quarantine_segment_with)).
     pub fn failed_tails(&self) -> Vec<String> {
-        let failed = self.failed.lock();
-        let tails = failed.iter().filter(|file| *file != self.tree.source());
+        let tails = self
+            .failed
+            .iter()
+            .filter(|file| *file != self.tree.source());
         tails.cloned().collect()
     }
 
@@ -187,79 +187,13 @@ impl DirSnapshot {
     /// included. Once non-empty, every query answers by sequential scan.
     pub fn damaged(&self) -> Vec<String> {
         let quarantined = self.quarantined.iter().map(|m| m.file.clone());
-        quarantined
-            .chain(self.failed.lock().iter().cloned())
-            .collect()
+        quarantined.chain(self.failed.iter().cloned()).collect()
     }
 
-    /// `true` once any index of this snapshot is
+    /// `true` when any index of this snapshot is
     /// [`damaged`](DirSnapshot::damaged): every query answers by scan.
     pub fn is_damaged(&self) -> bool {
-        !self.quarantined.is_empty() || !self.failed.lock().is_empty()
-    }
-
-    /// [`query_with`](DirSnapshot::query_with)'s body: the index plan
-    /// while nothing is damaged, the scan otherwise or once the index
-    /// attempt meets a record that does not decode. Each plan counts into
-    /// metrics of its own from `fresh`, and the answering plan's are
-    /// returned beside its output.
-    fn answer(
-        &self,
-        req: &QueryRequest,
-        fresh: impl Fn() -> SearchMetrics,
-    ) -> std::result::Result<(QueryOutput, SearchMetrics), CoreError> {
-        let scan = || {
-            req.validate_on(&self.tree)?;
-            let metrics = fresh();
-            Ok((scan_query_with(&self.store, req, &metrics)?, metrics))
-        };
-        if self.is_damaged() {
-            return scan();
-        }
-        let metrics = fresh();
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.query_over(req, &metrics)
-        }));
-        let payload = match attempt {
-            Ok(out) => return Ok((out?, metrics)),
-            Err(payload) => payload,
-        };
-        // A record failed to decode mid-query. The failing tree recorded
-        // its page before unwinding (the payload does not say which tree;
-        // the ESA's arrays are validated at open and never fail here). A
-        // query that ran at the same time may have taken the record
-        // first: any failure recorded at all — there was none when this
-        // attempt started — means the scan answers, and none means the
-        // unwind was not a failed read.
-        let mut failed = self.failed.lock();
-        for t in self.live_trees() {
-            if t.as_tree().and_then(DiskTree::take_read_error).is_some()
-                && !failed.iter().any(|file| file == t.source())
-            {
-                failed.push(t.source().to_string());
-            }
-        }
-        if failed.is_empty() {
-            drop(failed);
-            std::panic::resume_unwind(payload);
-        }
-        drop(failed);
-        scan()
-    }
-
-    /// The index plan: runs `req` over every live tree — directly on
-    /// the base when there are no tails.
-    fn query_over(
-        &self,
-        req: &QueryRequest,
-        metrics: &SearchMetrics,
-    ) -> std::result::Result<QueryOutput, CoreError> {
-        if self.segments.is_empty() {
-            run_query_with(&self.tree, &self.alphabet, &self.store, req, metrics)
-        } else {
-            let fanned = SegmentedIndex::new(self.live_trees().collect());
-            run_query_with(&fanned, &self.alphabet, &self.store, req, metrics)
-        }
+        !self.quarantined.is_empty() || !self.failed.is_empty()
     }
 }
 
@@ -284,11 +218,12 @@ pub fn open_dir_recovered_with(vfs: &dyn Vfs, dir: &Path) -> Result<(DirSnapshot
 
 /// The one open body: loads the corpus, then opens the base tree and
 /// every tail segment the manifest does not have quarantined, each read
-/// whole. A tree page after the header that fails its CRC, base or
-/// tail, does not fail the open: the tree opens and is recorded
-/// damaged, like a tree a query caught failing, and the corpus answers
-/// for it. Neither does a tail that fails its own checks at open (a
-/// header page's CRC, any page or record of an ESA), or whose header
+/// whole and checked. A tree page after the header that fails its CRC,
+/// or a tree record that fails its checks, base or tail, does not fail
+/// the open: the tree opens and is recorded damaged, and the corpus
+/// answers for it. Neither does a tail that fails its own checks at
+/// open (a header page's CRC, any page or record of an ESA), or whose
+/// header
 /// disagrees with the base's on the sparse flag or the depth limit
 /// (which the fan-out cannot mix): it is recorded damaged too. A corrupt
 /// corpus, base header page or base ESA fails the open, and so does an
@@ -338,17 +273,13 @@ fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir) -> Result<DirSnapshot> {
         segment_metas,
         quarantined,
         generation,
-        failed: Mutex::new(failed),
+        failed,
     })
 }
 
-/// Whether `index` is a tree that opened with a page failing its CRC
-/// (the record of it taken, so no query takes it again).
+/// Whether `index` is a tree that opened [`damaged`](crate::DiskTree::damage).
 fn opened_damaged(index: &AnyIndex) -> bool {
-    index
-        .as_tree()
-        .and_then(DiskTree::take_read_error)
-        .is_some()
+    index.as_tree().is_some_and(|t| t.damage().is_some())
 }
 
 /// Whether `tail` can be fanned out with `base`: the same sparse flag

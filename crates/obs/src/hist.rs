@@ -130,21 +130,6 @@ impl Histogram {
         }
     }
 
-    /// Adds every sample of `s` to this histogram, as if each had been
-    /// recorded here.
-    pub fn absorb(&self, s: &HistogramSnapshot) {
-        let Some(inner) = self.0.as_ref().filter(|_| s.count > 0) else {
-            return;
-        };
-        for (b, &n) in inner.buckets.iter().zip(&s.buckets) {
-            b.fetch_add(n, Ordering::Relaxed);
-        }
-        inner.count.fetch_add(s.count, Ordering::Relaxed);
-        inner.sum.fetch_add(s.sum, Ordering::Relaxed);
-        inner.min.fetch_min(s.min, Ordering::Relaxed);
-        inner.max.fetch_max(s.max, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0

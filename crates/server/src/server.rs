@@ -26,7 +26,8 @@
 //! A query runs [`DirSnapshot::query_with`], the query path every
 //! caller of a directory shares (while any index is damaged, the whole
 //! answer comes by sequential scan); only the server then quarantines
-//! the tails a snapshot found failing, once each, and republishes.
+//! the tails a snapshot's open found failing, once each, and
+//! republishes.
 
 use std::fmt::Write as _;
 use std::io;
@@ -624,9 +625,9 @@ fn run_timed(work: &Work, req: Request, queue_ns: u64) -> String {
 /// Runs one query over the pinned snapshot and applies the server-side
 /// consequences of what it found:
 ///
-/// * tail segments the snapshot caught failing a read are quarantined
+/// * tail segments the snapshot's open found damaged are quarantined
 ///   (one tombstone manifest generation each, then a republish) so
-///   later requests skip them up front;
+///   later snapshots do not open them;
 /// * answers over a damaged snapshot, which come by sequential scan,
 ///   are metered (`search.scan_queries`);
 /// * an error is typed and metered as a bad request.
@@ -658,13 +659,13 @@ fn run_query(
     }
 }
 
-/// Tombstones the tails `snap` caught failing that the published
+/// Tombstones the tails `snap`'s open found damaged that the published
 /// snapshot still serves as live: one idempotent quarantine commit per
 /// segment, then a republish so the serving snapshot stops fanning out
 /// to them. A tail is quarantined once, not once per query over a
 /// stale snapshot. Best-effort — a failed quarantine only means a later
-/// query re-detects and retries; the current answer came by scan and is
-/// already complete.
+/// query retries it; the current answer came by scan and is already
+/// complete.
 fn quarantine_failed(work: &Work, snap: &DirSnapshot) {
     let failed = snap.failed_tails();
     if failed.is_empty() {

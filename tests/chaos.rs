@@ -24,14 +24,15 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use warptree::{build_index_dir, Categorization};
+use warptree::{build_index_dir, Categorization, ExplainReport};
 use warptree_core::search::Match;
 use warptree_core::search::{
     seq_scan, QueryRequest, SearchMetrics, SearchParams, SearchStats, SeqScanMode,
 };
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
-    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, RealVfs, PAGE_SIZE,
+    open_dir_snapshot_with, resolve_dir_with, scrub_dir_with, verify_dir_with, DirSnapshot,
+    RealVfs, PAGE_SIZE,
 };
 use warptree_obs::MetricsRegistry;
 use warptree_server::chaos::{ChaosConfig, ChaosStream};
@@ -198,7 +199,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     assert_eq!(
         snap.failed_tails(),
         vec![seg1.clone()],
-        "CRC failure detected mid-query"
+        "the open found the CRC failure"
     );
     assert_eq!(snap.damaged(), vec![seg1.clone()]);
     // Corruption costs the index, never an answer: the corpus answers
@@ -259,7 +260,7 @@ fn base_tree_corruption_answers_by_scan_and_scrub_refuses_it() {
 /// answers exactly as the clean directory does, by sequential scan —
 /// its counters are `seq_scan(Cascade)`'s, from the plan that answered
 /// alone. `query_with` counts the same into the caller's metrics, and
-/// later queries on the snapshot scan up front.
+/// later queries on the snapshot scan too.
 #[test]
 fn a_corrupt_tail_answers_like_the_clean_directory() {
     let dir = tmpdir("one-path-tail");
@@ -269,7 +270,7 @@ fn a_corrupt_tail_answers_like_the_clean_directory() {
     let open = || open_dir_snapshot_with(&RealVfs, &dir).unwrap();
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let req = chaos_request(q);
-        // A fresh snapshot each time, so every query trips over the tail.
+        // A fresh snapshot each time: each open finds the tail damaged.
         let snap = open();
         let want_stats = scan_stats(&snap.store, q);
         let (out, stats) = snap.query(&req).unwrap();
@@ -281,7 +282,7 @@ fn a_corrupt_tail_answers_like_the_clean_directory() {
         let out = snap.query_with(&req, &metrics).unwrap();
         assert_eq!(out.matches(), &want[..], "{q:?}");
         assert_eq!(metrics.snapshot(), want_stats, "{q:?}");
-        // Later queries on the snapshot scan up front.
+        // Later queries on the snapshot scan too.
         let (again, again_stats) = snap.query(&req).unwrap();
         assert_eq!(again.matches(), &want[..]);
         assert_eq!(again_stats, want_stats);
@@ -289,9 +290,8 @@ fn a_corrupt_tail_answers_like_the_clean_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Queries racing over one snapshot trip over the same corrupt tail
-/// together: each one answers, completely — none sees the failure
-/// recorded by another as an unexplained unwind.
+/// Queries racing over one snapshot whose tail the open found corrupt
+/// each answer, completely, by scan.
 #[test]
 fn racing_queries_over_a_corrupt_tail_all_answer() {
     let dir = tmpdir("one-path-race");
@@ -334,8 +334,8 @@ fn a_quarantined_tail_answers_like_the_clean_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A base index that fails its CRC past the header answers `query` and
-/// `query_with` alike, on the first query and every later one, exactly
+/// A base index that fails its CRC past the header, found damaged at
+/// open, answers `query` and `query_with` alike, on every query, exactly
 /// as the clean directory does; an invalid request still gets the typed
 /// error the clean directory gives. A base whose *header* page fails
 /// fails the open, with a typed error naming the file.
@@ -394,8 +394,8 @@ fn a_corrupt_base_answers_like_the_clean_directory() {
 /// A tail whose header page fails its CRC does not fail the open: it is
 /// recorded damaged, named by `failed_tails`, and every query — threshold
 /// and k-NN — answers like the clean directory, by scan. A server
-/// started over it serves, reports `degraded`, and quarantines it on the
-/// first query.
+/// started over it serves, reports `degraded` before any query, and
+/// quarantines it once a query has run.
 #[test]
 fn a_tail_whose_header_fails_answers_like_the_clean_directory() {
     let dir = tmpdir("tail-header");
@@ -434,7 +434,7 @@ fn a_tail_whose_header_fails_answers_like_the_clean_directory() {
     assert_eq!(
         h.get("quarantined_segments").and_then(Json::as_u64),
         Some(1),
-        "the first query quarantines the tail"
+        "the server quarantines the tail the open found once a query has run"
     );
     handle.stop();
     let manifest = resolve_dir_with(&RealVfs, &dir).unwrap().manifest;
@@ -553,10 +553,22 @@ fn assert_check_fails_on_a_record(dir: &Path, seg: &str, why: &str) {
     assert!(error.contains(why), "{report}");
 }
 
+/// What the open of a directory whose tail `seg` holds a record forged
+/// behind a valid CRC reports before any query has run: the tail failed,
+/// the snapshot damaged, and `explain` answering by scan.
+fn assert_found_at_open(snap: &DirSnapshot, seg: &str) {
+    assert_eq!(snap.failed_tails(), vec![seg.to_string()]);
+    assert!(snap.is_damaged());
+    let params = SearchParams::with_epsilon(EPSILON);
+    let (_, report) = ExplainReport::for_dir(snap, &chaos_queries()[0], &params).unwrap();
+    assert_eq!(report.plan, "scan");
+}
+
 /// A page CRC vouches for bytes, not for who wrote them: a record
-/// forged *with* a valid CRC whose edge label runs off its sequence must
-/// come back as a typed `BadRecord` through the same abort → record →
-/// scan path as a failed CRC, not as a slice panic.
+/// forged *with* a valid CRC whose edge label runs off its sequence is
+/// found by the open, as a typed `BadRecord`, before any query: the tail
+/// is recorded damaged, as one with a failed CRC is, and the answer
+/// comes by scan — never a slice panic.
 #[test]
 fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     use warptree_disk::DiskError;
@@ -571,6 +583,7 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     // does not pass decode...
     assert_check_fails_on_a_record(&dir, &seg1, "outside the corpus");
     let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
+    assert_found_at_open(&snap, &seg1);
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
     match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("outside the corpus"), "{m}"),
@@ -583,8 +596,8 @@ fn hostile_record_behind_a_valid_crc_degrades_the_answer() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The committed-file check decodes every tree record, so a record
-/// forged behind a valid CRC is found before any query trips on it:
+/// The committed-file check is the open, which checks every tree record,
+/// so a record forged behind a valid CRC is found before any query:
 /// `verify` names the segment, and scrub quarantines it and heals it
 /// from the corpus, after which every answer is the clean one.
 #[test]
@@ -610,7 +623,8 @@ fn scrub_finds_and_heals_a_hostile_record_behind_a_valid_crc() {
 /// `(seq, start, lead_run)` would become an occurrence post-processing
 /// slices the store with. One entry of one record the query walks — the
 /// one behind a clean answer — is sent past the end of its sequence
-/// under a valid CRC; the answer comes back by scan, still the clean one.
+/// under a valid CRC; the open finds it, and the answer comes back by
+/// scan, still the clean one.
 #[test]
 fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     use warptree_disk::{DiskError, DiskTree, PAGE_DATA};
@@ -650,6 +664,7 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
 
     assert_check_fails_on_a_record(&dir, &seg1, "suffix");
     let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
+    assert_found_at_open(&snap, &seg1);
     let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
     match forged.as_tree().unwrap().read_node(record) {
         Err(DiskError::BadRecord(m)) => assert!(m.contains("suffix"), "{m}"),
@@ -661,12 +676,71 @@ fn hostile_suffix_entry_behind_a_valid_crc_degrades_the_answer() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The open's one check beyond the decoder's: a child must be the start
+/// of a record. One child offset of tail segment 1's root is sent into
+/// the record it named, to a 4-aligned offset where the decoder alone
+/// reads a record — inside an earlier record, so it still precedes its
+/// parent — under a re-sealed CRC. The open records the tail damaged
+/// with a typed `BadRecord`, `verify` names it, and every query answers
+/// like the clean directory, by scan.
+#[test]
+fn a_child_inside_an_earlier_record_is_found_at_open() {
+    use warptree_disk::{read_stream, DiskError, DiskTree, NodeView, PAGE_DATA};
+
+    let dir = tmpdir("child-start");
+    let (seg1, _seg2) = build_chaos_dir(&dir);
+    let clean = clean_answers(&dir);
+    // The low word of one of the root's child offsets (inside one page),
+    // and the offset forged into it.
+    let path = dir.join(&seg1);
+    let (word_at, forged) = {
+        let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
+        let cat = snap.tree.cat();
+        let tree = DiskTree::open(&path, cat.clone()).unwrap();
+        let bytes = read_stream(&RealVfs, &path).unwrap();
+        let inner = |child: u64| {
+            let node = tree.read_node(child).unwrap();
+            let entries = node.suffixes().len() + node.children().len();
+            let end = child + 32 + 12 * entries as u64;
+            let decodes = |&at: &u64| NodeView::decode(&bytes, at, cat).is_ok();
+            (child + 4..end).step_by(4).find(decodes)
+        };
+        let root_at = tree.header().root_offset;
+        let root = tree.read_node(root_at).unwrap();
+        let entries = root_at + 32 + 12 * root.suffixes().len() as u64;
+        let words = root.children().enumerate();
+        let words = words.map(|(i, (_, child))| (entries + 12 * i as u64 + 4, child));
+        let inside = |&(at, _): &(u64, u64)| at % PAGE_DATA as u64 + 4 <= PAGE_DATA as u64;
+        let found = words
+            .filter(inside)
+            .find_map(|(at, child)| Some((at, inner(child)?)));
+        found.expect("a child offset inside a page, and a record inside its record")
+    };
+    forge_word(&path, word_at, forged as u32);
+
+    let snap = open_dir_snapshot_with(&RealVfs, &dir).unwrap();
+    assert_found_at_open(&snap, &seg1);
+    let forged = snap.segments.iter().find(|t| t.source() == seg1).unwrap();
+    match forged.as_tree().unwrap().damage() {
+        Some(DiskError::BadRecord(m)) => assert!(m.contains("not the start of a record"), "{m}"),
+        other => panic!("expected a typed BadRecord, got {other:?}"),
+    }
+    for (q, want) in chaos_queries().iter().zip(&clean) {
+        let (out, stats) = snap.query(&chaos_request(q)).unwrap();
+        assert_eq!(out.matches(), &want[..], "{q:?}");
+        assert_eq!(stats, scan_stats(&snap.store, q), "{q:?}");
+    }
+    drop(snap);
+    assert_check_fails_on_a_record(&dir, &seg1, "not the start of a record");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The same for an enhanced-suffix-array directory, whose arrays are
 /// loaded whole at open: the root record of one tail segment gets a
 /// child slice far past the child table under a valid CRC. Open refuses
-/// the segment as a typed `BadRecord` instead of handing the arrays to
-/// the first query's `visit`, and records it damaged: the open succeeds
-/// and the answer comes back by scan, the clean one. Scrub quarantines
+/// the segment as a typed `BadRecord`, as it does a tree record that
+/// fails its checks, and records it damaged: the open succeeds and the
+/// answer comes back by scan, the clean one. Scrub quarantines
 /// the segment as it would a failed CRC, and the answer stays clean.
 #[test]
 fn hostile_esa_record_behind_a_valid_crc_degrades_the_answer() {
@@ -770,8 +844,8 @@ fn server_serves_complete_results_and_heals_across_restart() {
     let handle = Server::start(&dir, server_config()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    // First query detects, quarantines, and answers by scan: the clean
-    // answer, with no partial label.
+    // The open found the damage; the first query quarantines the tail
+    // and answers by scan: the clean answer, with no partial label.
     let v = client.search(&queries[0], EPSILON, None).unwrap();
     assert!(v.get("partial").is_none() && v.get("coverage").is_none());
     assert_eq!(counts_and_matches(&v), clean[0]);

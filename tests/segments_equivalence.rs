@@ -117,8 +117,8 @@ fn multi_page() -> Corpus {
 /// A damaged index costs time, never answers. For every segmented
 /// configuration of the covering set — tree and ESA, threshold and
 /// k-NN, 1, 2 and 8 threads — a copy with its first tail quarantined,
-/// and for the tree a copy whose base fails its page CRC mid-query,
-/// answers like the reference and the oracle, with `seq_scan(Cascade)`'s
+/// and for the tree a copy whose base fails its page CRCs, found at
+/// open, answers like the reference and the oracle, with `seq_scan(Cascade)`'s
 /// stats.
 #[test]
 fn damaged_directories_answer_like_the_oracle() {
@@ -136,7 +136,7 @@ fn damaged_directories_answer_like_the_oracle() {
             return;
         }
         // Every page past the header fails its CRC, so the base opens
-        // and the first query trips over it.
+        // damaged and every query answers by scan.
         let corrupt = clean.copy("corrupt-base");
         let index = resolve_dir_with(&RealVfs, &corrupt).unwrap().index_path;
         let mut bytes = std::fs::read(&index).unwrap();
