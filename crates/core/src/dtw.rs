@@ -105,6 +105,9 @@ pub struct WarpTable {
     /// `truncate`/`reset`), in which case the next bounded push rescans
     /// the previous row.
     bound_state: Option<(usize, usize)>,
+    /// Row index before the first row of the latest free start
+    /// ([`start_here`](Self::start_here)); 0 for a table with one start.
+    lag: u32,
 }
 
 impl WarpTable {
@@ -125,6 +128,7 @@ impl WarpTable {
             window,
             cells_computed: 0,
             bound_state: None,
+            lag: 0,
         }
     }
 
@@ -510,16 +514,44 @@ impl WarpTable {
         self.cells.truncate((depth + 1) * (self.query.len() + 1));
     }
 
-    /// Clears all data rows, keeping the query (reuse across suffixes in
-    /// `SeqScan`).
+    /// Clears all data rows and free starts, keeping the query (reuse
+    /// across suffixes in `SeqScan`).
     #[inline]
     pub fn reset(&mut self) {
         self.truncate(0);
+        self.lag = 0;
+    }
+
+    /// Lets a warping path also start on the next row (SPRING's free
+    /// start, Sakurai, Faloutsos & Yamamuro, ICDE 2007): column 0 of the
+    /// last row reads 0, as row 0's does, so the next row's first cell
+    /// is a fresh table's first cell. Rounding `fl(b + ·)` is monotone,
+    /// so it commutes with `min`: every later cell is, bit for bit, the
+    /// least of the cells the tables begun at each start would hold at
+    /// it, and a pruned push keeps that exact wherever it is `≤ limit`.
+    ///
+    /// Under a window, row `r` then runs over the hull of the starts'
+    /// bands, `[max(1, r − o − w), min(|Q|, r + w)]` for the latest
+    /// start's offset `o`: each start's own band lies inside it, so
+    /// every cell stays at most the least of the starts' banded cells.
+    /// [`reset`](Self::reset) clears the starts; a
+    /// [`truncate`](Self::truncate) below the latest one keeps its
+    /// (wider) hull.
+    pub(crate) fn start_here(&mut self) {
+        let r = self.stats.len();
+        let stride = self.query.len() + 1;
+        self.cells[r * stride] = 0.0;
+        self.lag = r as u32;
+        if let Some((first, last)) = self.bound_state {
+            // Column 0 is viable now, whatever else was.
+            self.bound_state = Some((0, if first == stride { 0 } else { last }));
+        }
     }
 
     /// Inclusive column range `[lo, hi]` (1-based) of in-band cells for row
     /// `r`, or `None` when the whole row falls outside the band. Without a
-    /// window this is `[1, |Q|]`.
+    /// window this is `[1, |Q|]`; with free starts, the hull of their
+    /// bands (see [`start_here`](Self::start_here)).
     #[inline]
     fn band(&self, r: usize) -> Option<(usize, usize)> {
         match self.window {
@@ -527,7 +559,7 @@ impl WarpTable {
             Some(w) => {
                 let w = w as i64;
                 let r = r as i64;
-                let lo = (r - w).max(1) as usize;
+                let lo = (r - i64::from(self.lag) - w).max(1) as usize;
                 let hi = (r + w).min(self.query.len() as i64).max(0) as usize;
                 if hi < lo {
                     None

@@ -24,10 +24,20 @@ pub(crate) struct Group {
 /// stored once in a flat buffer and each group is a 16-byte header
 /// naming its slice. Groups come in the filter's depth-first emission
 /// order, not sorted.
+///
+/// One stored suffix's groups — its own (`k = 0`) group, if any, then
+/// one per shift `k` into its leading run, starts ascending — lie back
+/// to back and form a *family*; `families` marks where each begins.
+/// The marks are written by the filter, which knows which suffix a
+/// group belongs to: two adjacent groups of one sequence need not be
+/// one suffix's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CandidateGroups {
     pub(crate) groups: Vec<Group>,
     pub(crate) lens: Vec<u32>,
+    /// The index of each family's first group, ascending; `families[0]
+    /// == 0` whenever there is a group.
+    pub(crate) families: Vec<u32>,
 }
 
 impl CandidateGroups {
@@ -48,6 +58,17 @@ impl CandidateGroups {
             (g.seq, g.start),
             &self.lens[g.lens.0 as usize..g.lens.1 as usize],
         )
+    }
+
+    /// Number of families.
+    pub(crate) fn family_count(&self) -> usize {
+        self.families.len()
+    }
+
+    /// The group indices of family `f`.
+    pub(crate) fn family(&self, f: usize) -> std::ops::Range<usize> {
+        let end = self.families.get(f + 1).map_or(self.len(), |&g| g as usize);
+        self.families[f] as usize..end
     }
 
     /// Every group, in emission order.
@@ -73,11 +94,12 @@ impl CandidateGroups {
             .sum()
     }
 
-    /// Appends one group with its own copy of `lens`, which must be
-    /// ascending and distinct.
+    /// Appends one group, a family of its own, with its own copy of
+    /// `lens`, which must be ascending and distinct.
     #[cfg(test)]
     pub(crate) fn push(&mut self, seq: SeqId, start: u32, lens: &[u32]) {
         debug_assert!(lens.windows(2).all(|w| w[0] < w[1]));
+        self.families.push(self.groups.len() as u32);
         let lo = self.lens.len() as u32;
         self.lens.extend_from_slice(lens);
         self.groups.push(Group {
@@ -392,8 +414,11 @@ pub struct SearchStats {
     /// so the stats wire format and its readers stay put.
     pub cascade_lb_improved_kills: u64,
     /// Candidates killed by Theorem-1 early abandoning *inside the
-    /// cascade's exact tier* (zero when the cascade is off, where the
-    /// same rejections count only as `false_alarms`).
+    /// cascade's exact tier*, and on a sparse index by the family
+    /// free-start table ahead of it (see
+    /// [`postprocess`](crate::search::postprocess())): zero when the
+    /// cascade is off, where the same rejections count only as
+    /// `false_alarms`.
     pub cascade_abandon_kills: u64,
 }
 

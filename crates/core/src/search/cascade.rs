@@ -56,6 +56,25 @@
 //! is kept (always 0) so the stats wire format stays put. DESIGN.md
 //! §17 has the measurements.
 //!
+//! # Where a family's free-start table sits
+//!
+//! On a sparse index a stored suffix's groups — its own and one per
+//! shift into its leading run — arrive as one family, and
+//! [`postprocess`](crate::search::postprocess()) runs one free-start
+//! table over the family's extent before any of its groups reaches
+//! tier 1. It runs with the cascade off too, for it is no bound of its own:
+//! it is the per-start table of tier 3 with a zero in column 0 on each
+//! start's first row. Each of its cells takes the same operands in the
+//! same order as the matching cell of each start's own table, then the
+//! least of them; rounding `fl(b + ·)` is monotone and so commutes
+//! with that `min`, which makes every cell within ε *equal*, bit for
+//! bit, to the least of the starts' own cells — not a second sum that
+//! could round past them, as LB_Improved's did. (In a window it runs
+//! over the hull of the starts' bands, which only admits more paths:
+//! a cell is then at most the least of theirs.) A length it kills is
+//! above ε for its own start; with the cascade on it counts in
+//! `cascade_abandon_kills`, the counter of the table it extends.
+//!
 //! `lb_keogh ≤ lb_keogh + endpoints ≤ D_tw` makes tier 1
 //! no-false-dismissal, mirroring the `D_tw-lb2 ≤ D_tw-lb ≤ D_tw`
 //! guarantees of the categorized filter; kills use the strict `lb > ε`

@@ -436,7 +436,9 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
 
 impl CandidateGroups {
     /// Appends `other.groups[groups]`, whose lengths all lie in
-    /// `other.lens[lens]`, rebased onto a copy of those lengths.
+    /// `other.lens[lens]`, rebased onto a copy of those lengths, with
+    /// the marks of the families they form (a family is emitted whole,
+    /// so `groups` starts one and ends one).
     fn append(
         &mut self,
         other: &CandidateGroups,
@@ -446,6 +448,13 @@ impl CandidateGroups {
         let (from, to) = (lens.start as u32, self.lens.len() as u32);
         self.lens.extend_from_slice(&other.lens[lens]);
         u32::try_from(self.lens.len()).expect("candidate lengths fit u32");
+        let (first, at) = (groups.start as u32, self.groups.len() as u32);
+        let families = &other.families;
+        let marks = families.partition_point(|&g| g < first)
+            ..families.partition_point(|&g| (g as usize) < groups.end);
+        debug_assert!(groups.is_empty() || families.get(marks.start) == Some(&first));
+        self.families
+            .extend(families[marks].iter().map(|&g| g - first + at));
         self.groups
             .extend(other.groups[groups].iter().map(|g| Group {
                 lens: (g.lens.0 - from + to, g.lens.1 - from + to),
@@ -754,10 +763,13 @@ fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             next[k as usize] += 1;
         }
     }
-    let (groups, shift_lens) = (&mut ctx.out.groups, &ctx.shift_lens);
+    let (out, shift_lens) = (&mut ctx.out, &ctx.shift_lens);
+    let (groups, families) = (&mut out.groups, &mut out.families);
     let mut suffixes = 0u64;
+    // Each suffix's groups are one family: `start + k`, `k` ascending.
     let mut push = |seq: SeqId, start: u32, run: u32| {
         suffixes += 1;
+        families.push(u32::try_from(groups.len()).expect("candidate groups fit u32"));
         for &(k, lens) in shift_lens {
             debug_assert!(k == 0 || k < run);
             let _ = run;
@@ -1414,9 +1426,9 @@ pub(crate) mod tests {
     #[test]
     fn parallel_filter_is_byte_identical_to_sequential() {
         // Dense and sparse trees, narrow and bushy roots: groups (values
-        // AND order) and every counter must match sequential
-        // for every thread count — with and without a trace attached,
-        // whose root walk reads the traversal's own tallies.
+        // AND order), the family marks and every counter must match
+        // sequential for every thread count — with and without a trace
+        // attached, whose root walk reads the traversal's own tallies.
         let values = vec![
             vec![1.0, 2.0, 3.0, 2.0, 2.0, 2.0, 7.0],
             vec![2.0, 2.0, 5.0, 5.0, 5.0, 1.0],
@@ -1432,6 +1444,17 @@ pub(crate) mod tests {
                 let m1 = SearchMetrics::new();
                 let base = SearchParams::with_epsilon(eps);
                 let seq_cands = filter_tree(&tree, &a, &q, &base, &m1);
+                // One family per stored suffix emitted: a lone group on
+                // the dense tree; on the sparse one, at the widest ε, some
+                // suffix also carries its shifts.
+                let families: Vec<usize> = (0..seq_cands.family_count())
+                    .map(|f| seq_cands.family(f).len())
+                    .collect();
+                assert_eq!(families.iter().sum::<usize>(), seq_cands.len());
+                assert!(families.iter().all(|&g| g > 0));
+                let shifted = families.iter().any(|&g| g > 1);
+                assert!(sparse || !shifted, "eps={eps}: {families:?}");
+                assert!(!sparse || eps < 10.0 || shifted, "eps={eps}");
                 for (threads, traced) in
                     [(1u32, true), (2, false), (3, true), (8, false), (8, true)]
                 {
@@ -1441,6 +1464,10 @@ pub(crate) mod tests {
                     }
                     let par_cands =
                         filter_tree(&tree, &a, &q, &base.clone().parallel(threads), &mp);
+                    assert_eq!(
+                        seq_cands.families, par_cands.families,
+                        "sparse={sparse} eps={eps} t={threads}"
+                    );
                     assert_eq!(
                         seq_cands, par_cands,
                         "sparse={sparse} eps={eps} t={threads}"

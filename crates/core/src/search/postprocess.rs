@@ -8,10 +8,21 @@
 //! Candidates arrive grouped by start offset ([`CandidateGroups`]: one
 //! tree path yields one candidate per qualifying depth), so verification
 //! shares a single cumulative distance table per `(seq, start)`: the
-//! table's row `r` gives the exact distance of the length-`r` candidate,
-//! and Theorem-1 early abandoning rejects all longer candidates at once.
-//! This is what keeps the post-processing term `n·L̄·|Q|` of §5.5 from
-//! swamping the filtering savings at large ε.
+//! table's row `r` gives the exact distance of the length-`r`
+//! candidate, and Theorem-1 early abandoning rejects all longer
+//! candidates at once. This is what keeps the post-processing term
+//! `n·L̄·|Q|` of §5.5 from swamping the filtering savings at large ε.
+//!
+//! On a sparse index one stored suffix also stands for the shifted
+//! starts inside its leading run (`D_tw-lb2`, Definition 4), and its
+//! groups arrive as one *family*. Before any group of a family gets
+//! its own table, one free-start table (SPRING's, Sakurai, Faloutsos &
+//! Yamamuro, ICDE 2007) runs over the family's whole extent: its
+//! column 0 is 0 on the row before each start's first row and ∞
+//! elsewhere, so each cell is the least of the started starts' own
+//! cells, and a length no start can finish within ε dies without a
+//! table of its own ([`run_family`]). The lengths it keeps are
+//! verified per start as before.
 
 use crate::dtw::WarpTable;
 use crate::parallel::parallel_map_with;
@@ -27,24 +38,62 @@ use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
 const GROUPS_PER_TASK: usize = 32;
 
 impl CandidateGroups {
-    /// Contiguous runs of [`GROUPS_PER_TASK`] group indices, in order —
-    /// the deterministic unit of parallel verification work.
+    /// Contiguous runs of whole families, in order, each closed once it
+    /// holds [`GROUPS_PER_TASK`] groups — the deterministic unit of
+    /// parallel verification work.
     fn tasks(&self) -> Vec<std::ops::Range<usize>> {
-        (0..self.len())
-            .step_by(GROUPS_PER_TASK)
-            .map(|lo| lo..(lo + GROUPS_PER_TASK).min(self.len()))
-            .collect()
+        let mut tasks = Vec::new();
+        let mut lo = 0;
+        for f in 0..self.family_count() {
+            if self.family(f).end - self.family(lo).start >= GROUPS_PER_TASK {
+                tasks.push(lo..f + 1);
+                lo = f + 1;
+            }
+        }
+        if lo < self.family_count() {
+            tasks.push(lo..self.family_count());
+        }
+        tasks
     }
 }
 
-/// One worker's state for [`verify_group`]: the shared exact table plus
-/// reusable buffers and plain-integer tallies, so screening a group
-/// costs zero allocations and zero shared-counter traffic however many
-/// groups a query produces. The tallies reach the query's metrics
-/// once, through [`finish`](Self::finish).
+/// Runs `table` as the free-start table of one family over `values` —
+/// `C[s₀ .. E)`, from the family's first start to the end of its
+/// longest candidate — with a start at each of `offsets` (ascending,
+/// the first 0): row `y`'s last column is then the least of the starts'
+/// own distances at `C[s₀ + y)`, exact wherever it is `≤ limit`
+/// ([`WarpTable::start_here`]). Rows are threshold-pruned at `limit`,
+/// as tier 3's are; the table stops once no cell is viable and no
+/// start remains.
+fn run_family(table: &mut WarpTable, values: &[Value], offsets: &[u32], limit: f64) {
+    debug_assert_eq!(offsets.first(), Some(&0));
+    table.reset();
+    let mut starts = offsets.iter().peekable();
+    for (row, &v) in (0u32..).zip(values) {
+        if starts.next_if_eq(&&row).is_some() {
+            table.start_here();
+        }
+        let stat = table.push_value_pruned(v, limit, &[]);
+        if stat.prunes(limit) && starts.peek().is_none() {
+            break;
+        }
+    }
+}
+
+/// One worker's state for [`verify_family`]: the family and shared
+/// exact tables plus reusable buffers and plain-integer tallies, so
+/// screening a family costs zero allocations and zero shared-counter
+/// traffic however many groups a query produces. The tallies reach the
+/// query's metrics once, through [`finish`](Self::finish).
 #[derive(Debug)]
 struct Verifier {
     table: WarpTable,
+    /// The free-start table of [`run_family`].
+    family: WarpTable,
+    /// A family's start offsets from its first start.
+    offsets: Vec<u32>,
+    /// A group's lengths the family table kept.
+    kept: Vec<u32>,
     /// Candidate lengths still alive after tier 1.
     survivors: Vec<u32>,
     /// Per-query-column completion remainders for tier 3's
@@ -60,6 +109,9 @@ impl Verifier {
     fn new(query: &[Value], window: Option<u32>) -> Self {
         Verifier {
             table: WarpTable::new(query, window),
+            family: WarpTable::new(query, window),
+            offsets: Vec::new(),
+            kept: Vec::new(),
             survivors: Vec::new(),
             rem: Vec::new(),
             tallies: SearchStats::default(),
@@ -69,10 +121,77 @@ impl Verifier {
     /// Everything this worker counted, its cells included.
     fn finish(self) -> SearchStats {
         SearchStats {
-            postprocess_cells: self.table.cells_computed(),
+            postprocess_cells: self.table.cells_computed() + self.family.cells_computed(),
             ..self.tallies
         }
     }
+}
+
+/// Verifies family `family` of `groups`, pushing its matches onto `out`.
+///
+/// A family of one group goes straight to [`verify_group`]. A larger
+/// one first runs its free-start table ([`run_family`]): a length `ℓ`
+/// of the start at offset `o` is kept only if the table's last column
+/// at row `o + ℓ` is `≤ limit`. Since that cell is the least of every start's exact
+/// distance there, a killed length is above `limit` for its own start
+/// too — a false alarm, and, with the cascade on, one of
+/// `cascade_abandon_kills`. The kept lengths go through
+/// [`verify_group`] unchanged, so answers and distances are those of
+/// the per-start tables.
+fn verify_family(
+    store: &SequenceStore,
+    worker: &mut Verifier,
+    groups: &CandidateGroups,
+    family: std::ops::Range<usize>,
+    limit: f64,
+    cascade: Option<&QueryEnvelope>,
+    out: &mut Vec<Match>,
+) {
+    if family.len() == 1 {
+        let (key, lens) = groups.get(family.start);
+        verify_group(store, worker, key, lens, limit, cascade, out);
+        return;
+    }
+    let ((seq, first), _) = groups.get(family.start);
+    let whole = store.get(seq);
+    assert!(
+        (first as usize) < whole.len(),
+        "candidate starts outside its sequence"
+    );
+    worker.offsets.clear();
+    let mut end = first;
+    for i in family.clone() {
+        let ((_, start), lens) = groups.get(i);
+        worker.offsets.push(start - first);
+        end = end.max(start + lens.last().expect("non-empty group"));
+    }
+    let values = &whole.suffix(first)[..(end - first) as usize];
+    run_family(&mut worker.family, values, &worker.offsets, limit);
+    let depth = worker.family.depth();
+    let (mut kept, offsets) = (
+        std::mem::take(&mut worker.kept),
+        std::mem::take(&mut worker.offsets),
+    );
+    for (i, &offset) in family.zip(&offsets) {
+        let (key, lens) = groups.get(i);
+        kept.clear();
+        let table = &worker.family;
+        kept.extend(lens.iter().filter(|&&len| {
+            let row = offset + len;
+            row <= depth && table.row_stat(row).dist <= limit
+        }));
+        let killed = (lens.len() - kept.len()) as u64;
+        let tallies = &mut worker.tallies;
+        tallies.postprocessed += killed;
+        tallies.false_alarms += killed;
+        if cascade.is_some() {
+            tallies.cascade_abandon_kills += killed;
+        }
+        if !kept.is_empty() {
+            verify_group(store, worker, key, &kept, limit, cascade, out);
+        }
+    }
+    (worker.kept, worker.offsets) = (kept, offsets);
 }
 
 /// Verifies one `(seq, start)` group against the exact distance, pushing
@@ -106,6 +225,7 @@ fn verify_group(
         survivors,
         rem,
         tallies,
+        ..
     } = worker;
     tallies.postprocessed += lens.len() as u64;
     let whole = store.get(seq);
@@ -255,9 +375,9 @@ pub fn postprocess(
         || Verifier::new(query, params.window),
         |worker, _i, range| {
             let mut out = Vec::new();
-            for i in range {
-                let (key, lens) = groups.get(i);
-                verify_group(store, worker, key, lens, epsilon, env, &mut out);
+            for f in range {
+                let family = groups.family(f);
+                verify_family(store, worker, groups, family, epsilon, env, &mut out);
             }
             out
         },
@@ -409,6 +529,102 @@ mod tests {
         assert_eq!(ans.len(), 12);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The family table is each start's own table, taken at the
+        /// least: on a grid of tenths (which binary floating point does
+        /// not hold exactly), with starts anywhere in the extent and ε
+        /// planted on a distance some start reaches, or half a tenth
+        /// either side of it. Unbanded, a row's last column is `≤ ε`
+        /// exactly where the least of the starts' `push_value` distances
+        /// there is, and then equals it bit for bit. Banded, it is
+        /// `≤ ε` wherever some start's banded distance is — no length
+        /// within ε is killed.
+        #[test]
+        fn family_table_is_the_least_of_its_starts(
+            values in proptest::collection::vec(0u32..40, 1..24),
+            q in proptest::collection::vec(0u32..40, 1..6),
+            starts in proptest::collection::vec(0u32..24, 1..6),
+            window in 0u32..5,
+            (plant, side) in (0usize..512, 0u32..3),
+        ) {
+            let tenth = |v: &u32| *v as f64 * 0.1;
+            let values: Vec<f64> = values.iter().map(tenth).collect();
+            let q: Vec<f64> = q.iter().map(tenth).collect();
+            let window = window.checked_sub(1);
+            let mut starts: Vec<u32> = starts
+                .into_iter()
+                .filter(|&s| (s as usize) < values.len())
+                .collect();
+            starts.sort_unstable();
+            starts.dedup();
+            if starts.is_empty() {
+                starts.push(0);
+            }
+            let first = starts[0];
+            let extent = &values[first as usize..];
+            let offsets: Vec<u32> = starts.iter().map(|s| s - first).collect();
+            // own[i][ℓ − 1]: start i's own distance at length ℓ.
+            let own: Vec<Vec<f64>> = offsets
+                .iter()
+                .map(|&o| {
+                    let mut t = WarpTable::new(&q, window);
+                    extent[o as usize..].iter().map(|&v| t.push_value(v).dist).collect()
+                })
+                .collect();
+            let met: Vec<f64> = own.iter().flatten().copied().filter(|d| d.is_finite()).collect();
+            let eps = match met.get(plant % met.len().max(1)) {
+                None => 1.0,
+                Some(&d) => [d, d + 0.05, (d - 0.05).max(0.0)][side as usize],
+            };
+            let mut family = WarpTable::new(&q, window);
+            run_family(&mut family, extent, &offsets, eps);
+            for y in 1..=extent.len() {
+                // Rows past the table's stop hold nothing within ε.
+                let last = if y as u32 <= family.depth() {
+                    family.row_stat(y as u32).dist
+                } else {
+                    f64::INFINITY
+                };
+                let least = offsets
+                    .iter()
+                    .zip(&own)
+                    .filter(|(&o, _)| (o as usize) < y)
+                    .map(|(&o, d)| d[y - 1 - o as usize])
+                    .fold(f64::INFINITY, f64::min);
+                let ctx = format!("row {y} of {extent:?} from {offsets:?}, q {q:?}, w {window:?}, eps {eps}");
+                if least <= eps {
+                    proptest::prop_assert!(last <= least, "{ctx}: {last} > {least}");
+                }
+                if window.is_none() && last <= eps {
+                    proptest::prop_assert_eq!(last.to_bits(), least.to_bits(), "{}", ctx);
+                }
+            }
+        }
+    }
+
+    /// Candidates of a sparse tree over one long run (forty values of
+    /// one category, then a few of another) and two short
+    /// sequences: a shifted query meets the run's stored suffix at
+    /// almost every shift, so one family outgrows a task.
+    fn long_family() -> (SequenceStore, crate::categorize::Alphabet, Vec<f64>) {
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut tenth = move |lo: u32, hi: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lo + (state >> 33) as u32 % (hi - lo)) as f64 * 0.1
+        };
+        let mut run: Vec<f64> = (0..40).map(|_| tenth(0, 20)).collect();
+        run.extend((0..6).map(|_| tenth(80, 100)));
+        let short =
+            |t: &mut dyn FnMut(u32, u32) -> f64| (0..9).map(|i| t(i * 10, i * 10 + 20)).collect();
+        let store = SequenceStore::from_values(vec![run, short(&mut tenth), short(&mut tenth)]);
+        let a = crate::categorize::Alphabet::equal_length(&store, 2).unwrap();
+        (store, a, vec![1.0, 1.5, 0.7])
+    }
+
     #[test]
     fn parallel_postprocess_matches_sequential() {
         let store = SequenceStore::from_values(vec![
@@ -440,6 +656,90 @@ mod tests {
                     "eps={eps} t={threads}"
                 );
                 assert_eq!(m1.snapshot(), mp.snapshot(), "eps={eps} t={threads}");
+            }
+        }
+        // Real sparse-filter output, one family wider than a task: the
+        // family is verified whole on whichever worker claims it.
+        use crate::search::filter::{filter_tree, tests::ToyTree};
+        let (store, a, q) = long_family();
+        let tree = ToyTree::over(&a.encode_store(&store), true);
+        for eps in [0.5, 2.0, 6.0] {
+            let params = SearchParams::with_epsilon(eps);
+            let cands = filter_tree(&tree, &a, &q, &params, &SearchMetrics::new());
+            let widest = (0..cands.family_count())
+                .map(|f| cands.family(f).len())
+                .max();
+            assert!(widest > Some(GROUPS_PER_TASK), "eps={eps}: {widest:?}");
+            let m1 = SearchMetrics::new();
+            let seq_ans = postprocess(&store, &q, &cands, &params, &m1);
+            assert!(m1.snapshot().cascade_abandon_kills > 0, "eps={eps}");
+            for threads in [2u32, 8] {
+                let mp = SearchMetrics::new();
+                let par_ans =
+                    postprocess(&store, &q, &cands, &params.clone().parallel(threads), &mp);
+                assert_eq!(
+                    seq_ans.matches(),
+                    par_ans.matches(),
+                    "eps={eps} t={threads}"
+                );
+                assert_eq!(m1.snapshot(), mp.snapshot(), "eps={eps} t={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn families_kill_only_false_alarms() {
+        // The long family's candidates, verified once as families and
+        // once with every group a family of its own: the same answers,
+        // each the brute-force distance of a candidate within ε, and
+        // the same funnel, cascade on and off — the family table only
+        // moves cells and the counter of what killed a false alarm.
+        use crate::search::filter::{filter_tree, tests::ToyTree};
+        let (store, a, q) = long_family();
+        let tree = ToyTree::over(&a.encode_store(&store), true);
+        for eps in [0.5, 2.0, 6.0] {
+            for window in [None, Some(2)] {
+                let mut params = SearchParams::with_epsilon(eps);
+                params.window = window;
+                let cands = filter_tree(&tree, &a, &q, &params, &SearchMetrics::new());
+                let mut alone = CandidateGroups::default();
+                for ((seq, start), lens) in cands.iter() {
+                    alone.push(seq, start, lens);
+                }
+                let expect: Vec<Match> = {
+                    let mut v: Vec<Match> = cands
+                        .occurrences()
+                        .filter_map(|occ| {
+                            let c = store.occurrence_values(occ);
+                            let dist = match window {
+                                None => crate::dtw::dtw(&q, c),
+                                Some(w) => crate::dtw::dtw_windowed(&q, c, w),
+                            };
+                            (dist <= eps).then_some(Match { occ, dist })
+                        })
+                        .collect();
+                    v.sort_by_key(|m| m.occ);
+                    v
+                };
+                let ctx = format!("eps={eps} w={window:?}");
+                let mut funnels = Vec::new();
+                for cascade in [true, false] {
+                    let params = params.clone().cascaded(cascade);
+                    let (mf, ma) = (SearchMetrics::new(), SearchMetrics::new());
+                    let fam = postprocess(&store, &q, &cands, &params, &mf);
+                    let own = postprocess(&store, &q, &alone, &params, &ma);
+                    assert_eq!(fam.matches(), &expect[..], "{ctx} cascade={cascade}");
+                    assert_eq!(own.matches(), &expect[..], "{ctx} cascade={cascade}");
+                    let (f, o) = (mf.snapshot(), ma.snapshot());
+                    assert_eq!(f.postprocessed, o.postprocessed, "{ctx}");
+                    assert_eq!(f.false_alarms, o.false_alarms, "{ctx}");
+                    assert_eq!(f.postprocessed, f.answers + f.false_alarms, "{ctx}");
+                    funnels.push(f);
+                }
+                assert!(
+                    funnels[0].postprocess_cells <= funnels[1].postprocess_cells,
+                    "{ctx}"
+                );
             }
         }
     }
