@@ -27,7 +27,11 @@
 //!
 //! The functions here materialize full tables; the tree search uses the
 //! incremental [`crate::dtw::WarpTable`] with the same base
-//! distances, sharing rows across suffixes.
+//! distances, sharing rows across suffixes. [`dtw_lb2`] is the paper's
+//! Definition 4 kept as a reference, tested against Theorem 3: the
+//! sparse filter does not use it. It walks a leading run as one table
+//! row instead, which is every shift's own `D_tw-lb` table's floor
+//! with no slack (`search::filter`'s module docs).
 
 use crate::categorize::{Alphabet, Symbol};
 use crate::dtw::WarpTable;

@@ -151,6 +151,14 @@ impl WarpTable {
         self.stats[(r - 1) as usize]
     }
 
+    /// The cells of row `r` (1-based), columns `1..=|Q|`.
+    #[cfg(test)]
+    pub(crate) fn row_cells(&self, r: u32) -> &[f64] {
+        let stride = self.query.len() + 1;
+        let at = r as usize * stride;
+        &self.cells[at + 1..at + stride]
+    }
+
     /// Total cells computed so far (cost counter).
     #[inline]
     pub fn cells_computed(&self) -> u64 {

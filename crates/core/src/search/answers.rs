@@ -379,7 +379,9 @@ pub struct SearchStats {
     /// `nodes_visited == nodes_expanded + branches_pruned` for the
     /// tree-filter searches.
     pub nodes_expanded: u64,
-    /// Edge symbols consumed (rows pushed) during traversal.
+    /// Table rows computed during traversal: one per edge symbol
+    /// consumed, except on a sparse index, where a repeat of the path's
+    /// leading run pushes none.
     pub rows_pushed: u64,
     /// Rows a per-suffix scan would have computed (each shared row
     /// weighted by the suffixes below it) — `rows_unshared /
@@ -393,8 +395,9 @@ pub struct SearchStats {
     pub candidates: u64,
     /// Candidates for stored suffixes (`D_tw-lb`, Definition 3).
     pub stored_candidates: u64,
-    /// Candidates for non-stored suffixes (`D_tw-lb2`, Definition 4) —
-    /// nonzero only on sparse indexes.
+    /// Candidates at shifted starts: the non-stored suffixes inside a
+    /// stored suffix's leading run (the paper's Definition 4 suffixes) —
+    /// nonzero only on sparse indexes. The name is the wire's.
     pub lb2_candidates: u64,
     /// Candidates whose exact distance was computed in post-processing.
     pub postprocessed: u64,

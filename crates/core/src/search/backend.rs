@@ -14,9 +14,9 @@
 //!   LCP-interval tree presents the *same* logical tree at a fraction of
 //!   the memory (see DESIGN.md §18).
 //!
-//! Because Theorem 1, `D_tw-lb`/`D_tw-lb2` and the lower-bound cascade
-//! only consume this trait, every pruning argument carries over to any
-//! conforming backend unchanged; the headline cross-backend test asserts
+//! Because Theorem 1, `D_tw-lb`, the sparse filter's run row and the
+//! lower-bound cascade only consume this trait, every pruning argument
+//! carries over to any conforming backend unchanged; the headline cross-backend test asserts
 //! byte-identical answers and funnel statistics between the two families.
 
 use crate::categorize::Symbol;

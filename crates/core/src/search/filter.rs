@@ -8,13 +8,22 @@
 //!   `Filter-ST` over the plain suffix tree.
 //! * With a real categorization, the filter computes `D_tw-lb`
 //!   (Definition 3) — `Filter-ST_C`.
-//! * When the index reports itself sparse, the filter additionally emits
-//!   candidates for the *non-stored* suffixes via `D_tw-lb2`
-//!   (Definition 4) and relaxes Theorem-1 pruning accordingly —
-//!   `Filter-SST_C`. Both are floored at the first cell: a shifted
-//!   suffix starts inside the leading run, so every warping path over it
-//!   opens on cell (1,1) and costs at least `d₁ = D_base-lb(Q[1], c₁)`.
-//!   Once `d₁ > ε` no shift qualifies and no relaxation is applied.
+//! * When the index reports itself sparse, the filter also emits
+//!   candidates for the *non-stored* suffixes, the shifted starts inside
+//!   a stored suffix's leading run — `Filter-SST_C`. It walks the path's
+//!   leading run as **one table row**: a repeat of the run's symbol
+//!   pushes none. Over a run of one category `c`, a fresh table's row
+//!   `m` is `R_m(x) = S(x) + (m − x)⁺·M(x)`, with `S` the prefix sum and
+//!   `M` the prefix minimum of `c`'s base row, so `R_m` does not fall as
+//!   `m` grows — cell by cell in `f64` too, since `fl(b + ·)` is
+//!   monotone — and neither does anything the DTW recurrence builds on
+//!   it. The collapsed table is therefore, at every later row, at most
+//!   the own `D_tw-lb` table of the stored suffix and of every shift
+//!   into its run: one distance within ε emits them all, and one row
+//!   minimum over ε prunes them all (plain Theorem 1). The paper's
+//!   `D_tw-lb2` (Definition 4) and Theorem-3 relaxation assume the worst
+//!   case at every column instead; [`crate::bounds::dtw_lb2`] keeps them
+//!   as a reference.
 //!
 //! The traversal shares one incrementally grown [`WarpTable`] across all
 //! suffixes with a common prefix (the paper's `R_d` saving) and prunes
@@ -39,15 +48,18 @@ use crate::search::metrics::{attach, SearchMetrics};
 use crate::sequence::{SeqId, Value};
 
 /// State carried down the traversal that must be restored on backtrack —
-/// cheap to copy, so recursion restores it for free.
+/// cheap to copy, so recursion restores it for free. The leading run
+/// (`lead`, `in_run`) is tracked on a sparse tree only: a dense one
+/// shifts nothing.
 #[derive(Clone, Copy)]
 struct PathState {
-    /// Current depth == rows in the table.
+    /// Length of the path.
     depth: u32,
+    /// Rows in the table: the path's length less, on a sparse tree, the
+    /// repeats of its leading run, which push none.
+    rows: u32,
     /// First symbol of the path (valid when `depth > 0`).
     first: Symbol,
-    /// `D_base-lb(Q[1], first)`, the `d₁` of Definition 4.
-    dbase1: f64,
     /// Length of the leading run of the path label.
     lead: u32,
     /// `true` while the whole path is still one run (`lead == depth`).
@@ -94,11 +106,10 @@ impl BaseRows {
     }
 }
 
-/// A row of the current path that qualified: its depth, whether the
-/// stored suffixes below qualify there (`D_tw-lb ≤ ε`, Definition 3),
-/// and the shifts `lo..=hi` into their leading run that do (`D_tw-lb2 ≤
-/// ε`, Definition 4; `lo > hi` for none). Every answer length it stands
-/// for is inside the length range.
+/// A row of the current path whose table distance is within ε: its
+/// depth, whether the stored suffixes below are candidates there, and
+/// the shifts `lo..=hi` into their leading run that are (`lo > hi` for
+/// none). Every answer length it stands for is inside the length range.
 #[derive(Debug, Clone, Copy)]
 struct Emitting {
     row: u32,
@@ -297,8 +308,8 @@ fn traverse<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
     let root = ctx.tree.root();
     let state = PathState {
         depth: 0,
+        rows: 0,
         first: 0,
-        dbase1: 0.0,
         lead: 0,
         in_run: true,
     };
@@ -393,7 +404,7 @@ fn descend_parallel<T: IndexBackend + Sync, B: Fn(Value, Symbol) -> f64 + Sync>(
             }
             // Back at the root, whose path is empty.
             ctx.kids.clear();
-            ctx.table.truncate(state.depth);
+            ctx.table.truncate(state.rows);
             ctx.path.clear();
         } else {
             tasks.push((child, state, ctx.table.fork(), Vec::new()));
@@ -510,21 +521,19 @@ fn descend<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         // Backtrack: drop this edge's rows, emitting rows and the
         // subtree's children.
         ctx.kids.truncate(end);
-        ctx.table.truncate(state.depth);
+        ctx.table.truncate(state.rows);
         ctx.path.truncate(path);
     }
 }
 
-/// Consumes the edge label of a visited node, pushing each qualifying
-/// row onto the path's emitting rows and applying Theorem-1 pruning.
+/// Consumes the edge label of a visited node, noting each row within ε
+/// among the path's emitting rows and applying Theorem-1 pruning.
 /// Returns the state at the node when traversal should continue below
 /// it, `None` when pruned.
 ///
-/// On a sparse tree, Theorem 3 relaxes the pruning by the largest run
-/// shift below times `d₁`, but only while `d₁ ≤ ε`: every suffix that
-/// starts inside the run is at least `d₁` from `Q` at its first cell, so
-/// past `d₁ > ε` the path prunes on its own row minimum (which, holding
-/// cell (1,1), is then over ε at the first row).
+/// On a sparse tree a repeat of the path's leading run pushes no row:
+/// the table keeps the run's one row (module docs), whose minimum was
+/// judged when it was pushed, so the run's rows only emit.
 ///
 /// The table grows a block of up to [`BLOCK_ROWS`] rows at a time. A
 /// block stops at the label's end and at the depth cap, so only Theorem
@@ -535,16 +544,11 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     mut state: PathState,
     visit: &NodeVisit<'_>,
 ) -> Option<PathState> {
-    let epsilon = ctx.params.epsilon;
-    // Cap on the run shift below this edge while the path is still one
-    // run: the longest stored-suffix leading run below (Definition 4's
-    // p−1 bound can grow up to it). Once the run ends, the cap drops to
-    // the now-frozen `lead − 1` (recomputed per symbol below).
-    let run_cap = if ctx.sparse { visit.max_lead_run } else { 0 };
     // A sparse tree may usefully descend past the answer-length cap: a
-    // row at depth r still yields shifted candidates of length r − k.
+    // row at depth r still yields shifted candidates of length r − k,
+    // for k up to the longest stored-suffix leading run below, less one.
     let depth_allowance = if ctx.sparse {
-        run_cap.saturating_sub(1)
+        visit.max_lead_run.saturating_sub(1)
     } else {
         0
     };
@@ -565,7 +569,31 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
             ctx.tallies.branches_pruned += 1;
             return None;
         }
-        let (block, rest) = label.split_at(label.len().min(room.min(BLOCK_ROWS as u64) as usize));
+        let room = usize::try_from(room).unwrap_or(usize::MAX);
+        if ctx.sparse && state.in_run && state.depth > 0 {
+            // The run goes on: each repeat emits at the run's one row.
+            let repeats = label
+                .iter()
+                .take(room)
+                .take_while(|&&sym| sym == state.first)
+                .count();
+            let dist = ctx.table.row_stat(state.rows).dist;
+            for _ in 0..repeats {
+                state.depth += 1;
+                state.lead += 1;
+                note_row(ctx, state, dist);
+            }
+            label = &label[repeats..];
+            state.in_run = repeats > 0;
+            continue;
+        }
+        // A sparse path's first symbol goes alone: its repeats push none.
+        let fits = if ctx.sparse && state.depth == 0 {
+            1
+        } else {
+            room.min(BLOCK_ROWS)
+        };
+        let (block, rest) = label.split_at(label.len().min(fits));
         label = rest;
         let mut at = [0; BLOCK_ROWS];
         for (at, &sym) in at.iter_mut().zip(block) {
@@ -574,66 +602,25 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         // Entries past the block point at the first base row and go unused.
         let bases: [&[f64]; BLOCK_ROWS] = std::array::from_fn(|i| &ctx.rows.rows[at[i]..at[i] + n]);
         ctx.table.push_base_rows(&bases[..block.len()]);
-        for (&sym, base) in block.iter().zip(bases) {
+        for &sym in block {
             if state.depth == 0 {
                 state.first = sym;
-                state.dbase1 = base[0];
                 state.lead = 1;
                 state.in_run = true;
-            } else if state.in_run && sym == state.first {
-                state.lead += 1;
-            } else {
-                state.in_run = false;
             }
             state.depth += 1;
+            state.rows += 1;
             ctx.tallies.rows_pushed += 1;
             ctx.tallies.rows_unshared += unshared_weight;
-            let r = state.depth;
-            let stat = ctx.table.row_stat(r);
-
-            // Emission: stored suffixes (D_tw-lb)...
-            let stored =
-                stat.dist <= epsilon && r >= ctx.min_len && ctx.max_len.is_none_or(|m| r <= m);
-            // ...and, for sparse trees, non-stored suffixes (D_tw-lb2).
-            let max_k = state.lead.saturating_sub(1).min(r - 1);
-            let shifts = if ctx.sparse {
-                let (min_len, max_len) = (ctx.min_len, ctx.max_len);
-                qualifying_shifts(stat.dist, state.dbase1, epsilon, max_k, r, min_len, max_len)
-                    .into_inner()
-            } else {
-                (1, 0)
-            };
-            if stored || shifts.0 <= shifts.1 {
-                ctx.path.push(Emitting {
-                    row: r,
-                    stored,
-                    shifts,
-                });
-            }
             #[cfg(test)]
             if let Some(oracle) = ctx.oracle.as_mut() {
-                oracle.row(r, stat.dist, state.dbase1, max_k);
+                oracle.pushed(state.rows);
             }
-
-            // Theorem-1 pruning, relaxed by the largest possible run shift
-            // below (Theorem 3 keeps this free of false dismissals) while
-            // a shift can still qualify: past `d₁ > ε` every shifted
-            // suffix is already over ε at its first cell.
-            let max_shift_below = if !ctx.sparse {
-                0
-            } else if state.in_run {
-                run_cap.saturating_sub(1)
-            } else {
-                state.lead.saturating_sub(1)
-            };
-            let relax = if state.dbase1 <= epsilon {
-                max_shift_below as f64 * state.dbase1
-            } else {
-                0.0
-            };
-            if stat.min - relax > epsilon {
+            let stat = ctx.table.row_stat(state.rows);
+            note_row(ctx, state, stat.dist);
+            if stat.prunes(ctx.params.epsilon) {
                 ctx.tallies.branches_pruned += 1;
-                ctx.table.retract(r);
+                ctx.table.retract(state.rows);
                 return None;
             }
         }
@@ -641,60 +628,49 @@ fn walk_edge<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
     Some(state)
 }
 
-/// `D_tw-lb2` (Definition 4) of a path at distance `dist` shifted `k`
-/// symbols into a leading run whose symbol is `d1` from `Q[1]`, floored
-/// at `d1`: the shifted suffix starts on a value of that run, so every
-/// warping path over it opens on cell (1,1), which costs at least `d1`,
-/// and its later cells only add non-negative terms.
-#[inline]
-fn lb2(dist: f64, k: u32, d1: f64) -> f64 {
-    (dist - k as f64 * d1).max(d1)
+/// Notes path row `state.depth`, whose table distance is `dist`, among
+/// the path's emitting rows when that distance is within ε: the stored
+/// suffixes below are candidates there, and on a sparse tree so is every
+/// shift into their leading run, each where its answer length lies in
+/// the length range.
+fn note_row<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
+    ctx: &mut FilterCtx<'_, T, B>,
+    state: PathState,
+    dist: f64,
+) {
+    let r = state.depth;
+    let max_k = if ctx.sparse { state.lead - 1 } else { 0 };
+    #[cfg(test)]
+    if let Some(oracle) = ctx.oracle.as_mut() {
+        oracle.row(r, dist, max_k);
+    }
+    if dist > ctx.params.epsilon {
+        return;
+    }
+    let (min_len, max_len) = (ctx.min_len, ctx.max_len);
+    let stored = r >= min_len && max_len.is_none_or(|m| r <= m);
+    let shifts = in_range_shifts(max_k, r, min_len, max_len).into_inner();
+    if stored || shifts.0 <= shifts.1 {
+        ctx.path.push(Emitting {
+            row: r,
+            stored,
+            shifts,
+        });
+    }
 }
 
-/// The shifts `k` of `1..=max_k` a row at depth `r` emits for: those with
-/// `lb2(dist, k, d1) ≤ epsilon` and an answer length `r − k` inside
-/// `[min_len, max_len]`.
-///
-/// `d1` is a base distance, so it is not negative and `lb2` does not grow
-/// with `k` (a product, a difference and a maximum round monotonically):
-/// the shifts under ε are a suffix of `1..=max_k`, and most rows have
-/// none — one test at `max_k` says so, and it fails for every `k` once
-/// `d1 > ε`. Otherwise the first of them is near `(dist − ε) / d₁`; the
-/// walk from that guess decides with `lb2` itself, so a zero `d1`, an
-/// infinite `dist` and a difference that rounds onto ε all fall where
-/// testing every `k` would put them.
-fn qualifying_shifts(
-    dist: f64,
-    d1: f64,
-    epsilon: f64,
+/// The shifts `k` of `1..=max_k` whose answer length `r − k` at path row
+/// `r` lies in `[min_len, max_len]`; `min_len` is at least 1, so every
+/// one leaves a length.
+fn in_range_shifts(
     max_k: u32,
     r: u32,
     min_len: u32,
     max_len: Option<u32>,
 ) -> std::ops::RangeInclusive<u32> {
-    debug_assert!(d1.is_nan() || d1 >= 0.0);
-    let under = |k: u32| lb2(dist, k, d1) <= epsilon;
-    // Past `last` an answer is shorter than `min_len`; 0 leaves no shift.
-    let last = if max_k > 0 && under(max_k) {
-        max_k.min(r.saturating_sub(min_len))
-    } else {
-        0
-    };
-    if last == 0 {
-        return 1..=last;
-    }
-    // Truncated, not rounded up: the walks below settle the guess either
-    // way, and `ceil` is a libm call on baseline x86-64. NaN and
-    // everything below 1 cast to the clamp's floor.
-    let mut first = (((dist - epsilon) / d1) as u32).clamp(1, max_k);
-    while first > 1 && under(first - 1) {
-        first -= 1;
-    }
-    while !under(first) {
-        first += 1;
-    }
-    // Before `r − max_len` an answer is longer than `max_len`.
-    first.max(r.saturating_sub(max_len.unwrap_or(u32::MAX)))..=last
+    debug_assert!(min_len >= 1 && max_k < r);
+    let lo = r.saturating_sub(max_len.unwrap_or(u32::MAX)).max(1);
+    lo..=max_k.min(r.saturating_sub(min_len))
 }
 
 /// Turns the path's emitting rows into candidate groups for the stored
@@ -784,8 +760,8 @@ fn emit<T: IndexBackend, B: Fn(Value, Symbol) -> f64>(
         Frontier::At => ctx.tree.for_each_suffix_at(node, &mut push),
         Frontier::Below => ctx.tree.for_each_suffix_below(node, &mut push),
     }
-    // Funnel accounting: Definition 3 (stored) vs Definition 4 (shifted,
-    // sparse only) emissions, one per emitting row and suffix.
+    // Funnel accounting: stored-suffix vs shifted-start (sparse only)
+    // emissions, one per emitting row and suffix.
     let width = |(_, (lo, hi)): &(u32, (u32, u32))| u64::from(hi - lo);
     let stored = shift_lens.first().filter(|s| s.0 == 0).map_or(0, width);
     let all: u64 = shift_lens.iter().map(width).sum();
@@ -920,23 +896,24 @@ pub(crate) mod tests {
         }
     }
 
-    /// What frontier emission replaced, kept as its oracle: each
-    /// qualifying row emits one candidate per stored suffix below the
-    /// edge it lies on, for itself and for each qualifying shift, with
-    /// the lower bound it qualified at. It also counts the cells each
-    /// row the traversal committed costs alone, in a table of
-    /// `query_len` columns banded by `window`.
+    /// What frontier emission replaced, kept as its oracle: each row
+    /// within ε emits one candidate per stored suffix below the edge it
+    /// lies on, for itself and for each shift into the path's leading
+    /// run, with the row's distance as its bound. It also counts the
+    /// rows the traversal committed to the table and the cells each costs
+    /// alone, in a table of `query_len` columns banded by `window`.
     pub(super) struct Oracle {
         query_len: usize,
         window: Option<u32>,
-        /// The rows of the edge being walked: `(depth, dist, d₁, max_k)`.
-        rows: Vec<(u32, f64, f64, u32)>,
+        /// The rows of the edge being walked: `(depth, dist, max_k)`.
+        rows: Vec<(u32, f64, u32)>,
         /// Every candidate emitted, with its lower bound.
         emitted: Vec<(Occurrence, f64)>,
         stored: u64,
-        lb2: u64,
+        shifted: u64,
         /// Every row distance met, to plant ε on.
         dists: Vec<f64>,
+        pushed: u64,
         cells: u64,
     }
 
@@ -948,20 +925,26 @@ pub(crate) mod tests {
                 rows: Vec::new(),
                 emitted: Vec::new(),
                 stored: 0,
-                lb2: 0,
+                shifted: 0,
                 dists: Vec::new(),
+                pushed: 0,
                 cells: 0,
             }
         }
 
-        pub(super) fn row(&mut self, r: u32, dist: f64, d1: f64, max_k: u32) {
-            self.rows.push((r, dist, d1, max_k));
+        pub(super) fn row(&mut self, r: u32, dist: f64, max_k: u32) {
+            self.rows.push((r, dist, max_k));
             self.dists.push(dist);
-            let (y, n) = (r as usize, self.query_len);
+        }
+
+        /// Counts table row `y`, just pushed.
+        pub(super) fn pushed(&mut self, y: u32) {
+            self.pushed += 1;
+            let (y, n) = (y as usize, self.query_len);
             self.cells += match self.window.map(|w| w as usize) {
                 None => n as u64,
                 Some(w) => {
-                    assert!(y <= n + w, "row {r} pushed past the band's end");
+                    assert!(y <= n + w, "row {y} pushed past the band's end");
                     ((y + w).min(n) + 1).saturating_sub(y.saturating_sub(w).max(1)) as u64
                 }
             };
@@ -978,28 +961,26 @@ pub(crate) mod tests {
         ) {
             let mut below = Vec::new();
             tree.for_each_suffix_below(child, &mut |seq, start, run| below.push((seq, start, run)));
-            // A sparse tree may push rows up to its longest run − 1 past
+            // A sparse tree may walk rows up to its longest run − 1 past
             // the answer-length cap, for the shifted suffixes; no deeper.
             let run = tree.visit(child, &mut Vec::new()).max_lead_run;
             let allowance = if sparse { run.saturating_sub(1) } else { 0 };
             let cap = max_len.map(|m| m + allowance);
-            for (r, dist, d1, max_k) in self.rows.drain(..) {
-                assert!(cap.is_none_or(|c| r <= c), "row {r} pushed past {cap:?}");
+            for (r, dist, max_k) in self.rows.drain(..) {
+                assert!(cap.is_none_or(|c| r <= c), "row {r} walked past {cap:?}");
+                assert!(sparse || max_k == 0, "a dense row {r} shifts");
                 if dist <= epsilon && r >= min_len && max_len.is_none_or(|m| r <= m) {
                     self.stored += below.len() as u64;
                     for &(seq, start, _) in &below {
                         self.emitted.push((Occurrence::new(seq, start, r), dist));
                     }
                 }
-                if !sparse {
-                    continue;
-                }
-                for (k, bits) in brute_shifts((dist, d1, epsilon), max_k, r, (min_len, max_len)) {
-                    self.lb2 += below.len() as u64;
+                for k in brute_shifts((dist, epsilon), max_k, r, (min_len, max_len)) {
+                    self.shifted += below.len() as u64;
                     for &(seq, start, run) in &below {
                         assert!(k < run, "shift {k} leaves the run of ({}, {start})", seq.0);
                         let occ = Occurrence::new(seq, start + k, r - k);
-                        self.emitted.push((occ, f64::from_bits(bits)));
+                        self.emitted.push((occ, dist));
                     }
                 }
             }
@@ -1055,9 +1036,9 @@ pub(crate) mod tests {
             assert!(*lb <= epsilon, "{ctx}: {occ} at {lb} > {epsilon}");
         }
         assert_eq!(stats.stored_candidates, oracle.stored, "{ctx}");
-        assert_eq!(stats.lb2_candidates, oracle.lb2, "{ctx}");
+        assert_eq!(stats.lb2_candidates, oracle.shifted, "{ctx}");
         assert_eq!(stats.candidates, groups.candidates(), "{ctx}");
-        assert_eq!(stats.rows_pushed, oracle.dists.len() as u64, "{ctx}");
+        assert_eq!(stats.rows_pushed, oracle.pushed, "{ctx}");
         assert_eq!(stats.filter_cells, oracle.cells, "{ctx}");
     }
 
@@ -1068,7 +1049,8 @@ pub(crate) mod tests {
         /// sparse trees, with and without a window, under length ranges,
         /// and with ε planted exactly on a row distance the first pass
         /// met. The trees' edges are compacted, so rows go in blocks
-        /// that Theorem 1 cuts part-way.
+        /// that Theorem 1 cuts part-way, and a sparse path walks its
+        /// leading run on one row.
         #[test]
         fn frontier_groups_are_the_brute_emission(
             db in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..14), 1..4),
@@ -1139,12 +1121,13 @@ pub(crate) mod tests {
         /// with `Q[1]` drawn from twice the corpus's range, and ε half the
         /// time a bound under the run's `d₁`, that run's category often
         /// lies more than ε from `Q[1]` while its later cells cost
-        /// nothing — the paths Definition 4's floor and Theorem 3's
-        /// relaxation decide.
+        /// nothing — the paths the run's one table row decides. The run
+        /// may outlast three row blocks, and `max_len` often caps the
+        /// answers below its length.
         #[test]
         fn filter_dismisses_no_occurrence_within_epsilon(
             db in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..10), 1..4),
-            (run_v, run_n) in (0u32..3, 0usize..6),
+            (run_v, run_n) in (0u32..3, 0usize..3 * BLOCK_ROWS + 2),
             (q_first, q_rest, match_rest) in (
                 0u32..16,
                 proptest::collection::vec(0u32..8, 0..4),
@@ -1289,31 +1272,37 @@ pub(crate) mod tests {
 
     #[test]
     fn sparse_shift_uses_lb2_slack() {
-        // A shifted suffix can qualify when the stored path distance
-        // exceeds ε. Singleton alphabet over <0, 0, 0>: the sparse tree
-        // stores only (0, 0), and d₁ = |1 − 0| = 1 ≤ ε = 1. Every stored
-        // prefix is 1 + 0.5 = 1.5 from Q, over ε, but D_tw-lb2 admits the
-        // shifts (0, 1, 1), (0, 1, 2) and (0, 2, 1): max(1.5 − k, 1) = 1.
-        let (_store, a, cs) = singleton_setup(vec![vec![0.0; 3]]);
+        // A shifted start can be a candidate where its stored suffix is
+        // not. Singleton alphabet over <0, 0, 0, 3>: the sparse tree
+        // stores (0, 0) and (0, 3). Against Q = <1, 3> the run's own rows
+        // are R₁ = [1, 4], R₂ = [2, 4], R₃ = [3, 4]; the 3 after the run
+        // turns R₃ into [5, 3], so the stored prefix of length 4 is 3
+        // from Q, over ε = 1. The path keeps the run as R₁ alone, which
+        // the 3 turns into [3, 1]: within ε, so the shifts (0, 1, 3) and
+        // (0, 2, 2) become candidates beside it — and <0, 3> is 1 from Q.
+        // The run's rows, at 4 > ε, emit nothing.
+        let (_store, a, cs) = singleton_setup(vec![vec![0.0, 0.0, 0.0, 3.0]]);
         let tree = ToyTree::over(&cs, true);
-        assert_eq!(tree.suffix_count(), 1);
+        assert_eq!(tree.suffix_count(), 2);
         let params = SearchParams::with_epsilon(1.0);
-        let (cands, oracle, stats) = with_oracle(&tree, &a, &[1.0, 0.5], &params);
+        let (cands, oracle, stats) = with_oracle(&tree, &a, &[1.0, 3.0], &params);
         let mut occs: Vec<Occurrence> = cands.occurrences().collect();
         occs.sort();
         let want =
-            [(1, 1), (1, 2), (2, 1)].map(|(start, len)| Occurrence::new(SeqId(0), start, len));
+            [(0, 4), (1, 3), (2, 2)].map(|(start, len)| Occurrence::new(SeqId(0), start, len));
         assert_eq!(occs, want);
-        assert_eq!((stats.stored_candidates, stats.lb2_candidates), (0, 3));
+        assert_eq!((stats.stored_candidates, stats.lb2_candidates), (1, 2));
         assert!(oracle.emitted.iter().all(|e| e.1 == 1.0));
+        // Two rows for the run and the 3 after it, one for the lone 3.
+        assert_eq!(stats.rows_pushed, 3);
     }
 
     #[test]
     fn a_shift_over_epsilon_at_its_first_cell_is_never_reached() {
-        // The same tree, Q = <3, 0>, ε = 1: d₁ = 3 > ε, so every suffix
-        // starting in the run is at least 3 from Q, and D_tw-lb − k·d₁
-        // (3 − 3 = 0 at k = 1) must not admit one. Nor does Theorem 3
-        // hold the branch open: its first row's minimum, 3, prunes it.
+        // Singleton alphabet over <0, 0, 0>, Q = <3, 0>, ε = 1: the run's
+        // one row is [3, 3], since every cell holds cell (1,1) at
+        // d₁ = 3 > ε. Its minimum prunes the run at once, so no suffix
+        // starting in it becomes a candidate.
         let (_store, a, cs) = singleton_setup(vec![vec![0.0; 3]]);
         let tree = ToyTree::over(&cs, true);
         let m = SearchMetrics::new();
@@ -1324,103 +1313,109 @@ pub(crate) mod tests {
         assert_eq!(stats.rows_pushed, 1);
     }
 
-    /// What `qualifying_shifts` replaced, kept as its oracle: every
-    /// `k` tested against Definition 4 floored at `d₁`, the `(k,
-    /// lower-bound bits)` of those emitted.
+    /// What `in_range_shifts` replaced, kept as its oracle: every `k` of
+    /// `1..=max_k` tested, emitted when the row's distance is within ε
+    /// and its length `r − k` in range.
     fn brute_shifts(
-        (dist, d1, epsilon): (f64, f64, f64),
+        (dist, epsilon): (f64, f64),
         max_k: u32,
         r: u32,
         (min_len, max_len): (u32, Option<u32>),
-    ) -> Vec<(u32, u64)> {
+    ) -> Vec<u32> {
         let len_ok = |len: u32| len >= min_len && max_len.is_none_or(|m| len <= m);
-        let mut out = Vec::new();
-        for k in 1..=max_k {
-            let lb2 = f64::max(dist - k as f64 * d1, d1);
-            if lb2 <= epsilon && len_ok(r - k) {
-                out.push((k, lb2.to_bits()));
-            }
-        }
-        out
+        (1..=max_k)
+            .filter(|&k| dist <= epsilon && len_ok(r - k))
+            .collect()
     }
 
-    fn ranged_shifts(
-        (dist, d1, epsilon): (f64, f64, f64),
-        max_k: u32,
-        r: u32,
-        (min_len, max_len): (u32, Option<u32>),
-    ) -> Vec<(u32, u64)> {
-        qualifying_shifts(dist, d1, epsilon, max_k, r, min_len, max_len)
-            .map(|k| (k, lb2(dist, k, d1).to_bits()))
-            .collect()
+    fn ranged_shifts(max_k: u32, r: u32, min_len: u32, max_len: Option<u32>) -> Vec<u32> {
+        in_range_shifts(max_k, r, min_len, max_len).collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
 
-        /// Emission by range is the brute `k` loop: the same shifts with
-        /// the same lower-bound bits, for `d₁` zero, subnormal, huge and
-        /// infinite, `dist` infinite, and `dist − k·d₁` planted on ε and
-        /// one ulp to either side of it.
+        /// Emission by range is the brute `k` loop: the same shifts for
+        /// every run and row, under no cap, a free one, and one within a
+        /// few rows of the row.
         #[test]
         fn emission_by_range_is_the_brute_loop(
-            (d1_pick, d1_free) in (0usize..12, 0u32..4000),
-            eps_q in 0u32..400,
-            (dist_pick, dist_free, plant_k) in (0usize..6, 0u32..40_000, 0u32..48),
             (lead, r) in (1u32..48, 1u32..64),
             (min_len, max_pick, max_free) in (1u32..12, 0usize..3, 1u32..64),
         ) {
-            let d1 = [
-                0.0, 5e-324, f64::MIN_POSITIVE / 4.0, f64::MIN_POSITIVE, 1e-9,
-                0.1, 1.0 / 3.0, 1.0, 1e300, f64::INFINITY,
-            ].get(d1_pick).copied().unwrap_or(d1_free as f64 * 0.01);
-            let epsilon = eps_q as f64 * 0.05;
-            let planted = epsilon + plant_k as f64 * d1;
-            let dist = match dist_pick {
-                0 => f64::INFINITY,
-                1 => planted,
-                2 => f64::from_bits(planted.to_bits().wrapping_add(1)),
-                3 if planted > 0.0 => f64::from_bits(planted.to_bits() - 1),
-                _ => dist_free as f64 * 0.01,
-            };
+            let max_k = lead.min(r) - 1;
             let max_len = [None, Some(max_free), Some(r.saturating_sub(max_free / 8).max(1))][max_pick];
-            let max_k = (lead - 1).min(r - 1);
-            let (costs, lens) = ((dist, d1, epsilon), (min_len, max_len));
             proptest::prop_assert_eq!(
-                ranged_shifts(costs, max_k, r, lens),
-                brute_shifts(costs, max_k, r, lens),
-                "dist={:e} d1={:e} eps={} max_k={} r={} lens={:?}", dist, d1, epsilon, max_k, r, lens
+                ranged_shifts(max_k, r, min_len, max_len),
+                brute_shifts((0.0, 0.0), max_k, r, (min_len, max_len)),
+                "max_k={} r={} lens={:?}", max_k, r, (min_len, max_len)
             );
         }
     }
 
     #[test]
     fn emission_by_range_handles_the_degenerate_rows() {
-        let lens = (1, None);
-        // d₁ = 0: the shift buys nothing, so all of 1..=max_k or none.
-        assert_eq!(ranged_shifts((3.0, 0.0, 3.0), 5, 9, lens).len(), 5);
-        assert_eq!(ranged_shifts((3.5, 0.0, 3.0), 5, 9, lens), vec![]);
-        // ∞ − k·∞ is NaN, under no ε; ∞ − k·d₁ is ∞.
-        assert_eq!(
-            ranged_shifts((f64::INFINITY, f64::INFINITY, 3.0), 5, 9, lens),
-            vec![]
-        );
-        assert_eq!(ranged_shifts((f64::INFINITY, 1.0, 3.0), 5, 9, lens), vec![]);
-        // A finite distance less an infinite d₁ is −∞, but the shifted
-        // suffix's first cell alone costs d₁: no shift.
-        assert_eq!(ranged_shifts((7.0, f64::INFINITY, 0.0), 3, 9, lens), vec![]);
-        // Nor does a finite d₁ over ε admit one, however far dist − k·d₁
-        // falls.
-        assert_eq!(ranged_shifts((7.0, 4.0, 3.0), 3, 9, lens), vec![]);
-        // At d₁ = ε the floor is ε itself, and every shift is emitted.
-        assert_eq!(ranged_shifts((6.0, 3.0, 3.0), 3, 9, lens).len(), 3);
-        // dist − k·d₁ exactly ε at k = 4: 4 is the first shift emitted.
-        let on = ranged_shifts((5.0, 0.5, 3.0), 6, 9, lens);
-        assert_eq!(on.iter().map(|e| e.0).collect::<Vec<_>>(), vec![4, 5, 6]);
-        assert_eq!(on, brute_shifts((5.0, 0.5, 3.0), 6, 9, lens));
+        // No run to shift into.
+        assert_eq!(ranged_shifts(0, 9, 1, None), vec![]);
+        // Every shift of the run, each leaving at least one value.
+        assert_eq!(ranged_shifts(8, 9, 1, None), (1..=8).collect::<Vec<_>>());
         // The length range cuts both ends: lengths 9 − k in [4, 6].
-        let cut = ranged_shifts((0.0, 1.0, 3.0), 8, 9, (4, Some(6)));
-        assert_eq!(cut.iter().map(|e| e.0).collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert_eq!(ranged_shifts(8, 9, 4, Some(6)), vec![3, 4, 5]);
+        // One length allowed: one shift.
+        assert_eq!(ranged_shifts(8, 9, 7, Some(7)), vec![2]);
+        // A row shorter than `min_len` less nothing.
+        assert_eq!(ranged_shifts(2, 3, 3, None), vec![]);
+        // A row past the cap by more than its run.
+        assert_eq!(ranged_shifts(2, 9, 1, Some(5)), vec![]);
+        // The widest cap a length can have.
+        assert_eq!(ranged_shifts(3, 4, 1, Some(u32::MAX)), vec![1, 2, 3]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The rule the sparse filter prunes and emits by: over `lead`
+        /// rows of one base row and then any rows, the table that keeps
+        /// the run as its first row alone is, cell by cell and with no
+        /// slack, at most the own table of the stored suffix (`k = 0`)
+        /// and of every shift `k < lead` — at each of the shift's run
+        /// rows against the run's one row, and at every row after the
+        /// run. Base distances are tenths, which `f64` holds inexactly,
+        /// so the sums round.
+        #[test]
+        fn collapsed_run_row_lower_bounds_every_shift(
+            (lead, n) in (1usize..12, 1usize..7),
+            run in proptest::collection::vec(0u32..40, 6),
+            after in proptest::collection::vec(proptest::collection::vec(0u32..40, 6), 0..6),
+        ) {
+            let tenths = |row: &[u32]| row[..n].iter().map(|&v| v as f64 * 0.1).collect::<Vec<f64>>();
+            let (run, after) = (tenths(&run), after.iter().map(|r| tenths(r)).collect::<Vec<_>>());
+            // The table reads its query only for the number of columns.
+            let q = vec![0.0; n];
+            let table = |run_rows: usize| {
+                let mut t = WarpTable::new(&q, None);
+                for row in std::iter::repeat_n(&run, run_rows).chain(&after) {
+                    t.push_base_rows(&[row.as_slice()]);
+                }
+                t
+            };
+            let collapsed = table(1);
+            for k in 0..lead {
+                let (own, own_run) = (table(lead - k), (lead - k) as u32);
+                let pairs = (1..=own_run)
+                    .map(|y| (y, 1))
+                    .chain((1..=after.len() as u32).map(|i| (own_run + i, 1 + i)));
+                for (y, c) in pairs {
+                    let (own_row, low) = (own.row_cells(y), collapsed.row_cells(c));
+                    for (x, (o, l)) in own_row.iter().zip(low).enumerate() {
+                        proptest::prop_assert!(
+                            o >= l,
+                            "shift {k} of {lead}: row {y} column {} holds {o} < {l}", x + 1
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

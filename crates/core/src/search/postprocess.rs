@@ -14,7 +14,7 @@
 //! `n·L̄·|Q|` of §5.5 from swamping the filtering savings at large ε.
 //!
 //! On a sparse index one stored suffix also stands for the shifted
-//! starts inside its leading run (`D_tw-lb2`, Definition 4), and its
+//! starts inside its leading run (the paper's Definition 4), and its
 //! groups arrive as one *family*. Before any group of a family gets
 //! its own table, one free-start table (SPRING's, Sakurai, Faloutsos &
 //! Yamamuro, ICDE 2007) runs over the family's whole extent: its

@@ -16,10 +16,11 @@
 //! * Every stored suffix lives in exactly one segment, with its
 //!   *global* `SeqId` and lead run, so candidate emission per suffix is
 //!   governed by the same per-suffix data as in the monolithic tree.
-//!   Theorem-1/3 pruning bounds (`max_lead_run` of the subtree) can
-//!   only be *tighter* within a segment (fewer suffixes below a node ⇒
-//!   smaller max shift), and the pruning condition is sound for
-//!   exactly the shifts a segment's suffixes admit — so no candidate
+//!   Theorem-1 pruning reads the path's own table alone. The one bound
+//!   read off the subtree, `max_lead_run`, only sets how far past
+//!   `max_len` a sparse path may go; it can only be *smaller* within a
+//!   segment (fewer suffixes below a node ⇒ shorter runs), by rows no
+//!   suffix of the segment has an in-range length at — so no candidate
 //!   the monolithic tree would emit is lost, and none is added.
 //! * The filter emits one candidate group per stored suffix (and per
 //!   shift into its leading run), holding every length the suffix's

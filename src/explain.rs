@@ -4,9 +4,9 @@
 //! A report answers "where did the work go?" for a single similarity
 //! search: how many stored suffixes the index holds, how much of the
 //! tree the filter walked vs pruned under Theorem 1, how many candidates
-//! each lower bound admitted (`D_tw-lb` for stored suffixes, `D_tw-lb2`
-//! for the non-stored ones of a sparse tree), and how many survived
-//! exact post-processing.
+//! it emitted (for stored suffixes, and on a sparse tree for the shifted
+//! starts inside their leading runs), and how many survived exact
+//! post-processing.
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
@@ -235,7 +235,7 @@ impl std::fmt::Display for ExplainReport {
         )?;
         writeln!(
             f,
-            "  candidate lists   {:>10}  ({} stored-suffix, {} via D_tw-lb2)",
+            "  candidate lists   {:>10}  ({} stored-suffix, {} shifted starts)",
             s.candidates, s.stored_candidates, s.lb2_candidates
         )?;
         writeln!(f, "  exact DTW checks  {:>10}", s.postprocessed)?;
