@@ -6,8 +6,8 @@
 //!   optimization of bounding answer lengths via a Sakoe–Chiba band.
 //! * **C — disk vs. memory traversal**: the cost of paging + CRC +
 //!   record decoding on the same tree.
-//! * **D — merge fan-in**: incremental construction cost vs. batch
-//!   size (paper §4.1's binary-merge pipeline).
+//! * **D — merge fan-in**: incremental construction time and bytes
+//!   written vs. batch size (paper §4.1's binary-merge pipeline).
 //! * **E — §8 truncated index**: space and time when query lengths are
 //!   known in advance.
 //! * **F — segment-aligned matching (paper ref [14])**: how many true
@@ -21,7 +21,8 @@ use warptree_bench::{
     Scale,
 };
 use warptree_core::search::{SearchParams, SeqScanMode};
-use warptree_disk::{DiskTree, IncrementalBuilder, TreeKind};
+use warptree_disk::{real_vfs, DiskTree, IncrementalBuilder, MeteredVfs, TreeKind};
+use warptree_obs::MetricsRegistry;
 
 fn main() {
     let scale = Scale::from_args();
@@ -92,7 +93,7 @@ fn main() {
     );
 
     // --- D: merge fan-in --------------------------------------------------
-    println!("\n[D] incremental construction: build time vs. batch size");
+    println!("\n[D] incremental construction: build time and bytes written vs. batch size");
     let batches = match scale {
         Scale::Quick => vec![store.len(), store.len() / 4, store.len() / 16],
         Scale::Full => vec![
@@ -105,14 +106,18 @@ fn main() {
     for batch in batches {
         let batch = batch.max(1);
         let out = dir.join(format!("incr-{batch}.wt"));
+        // Every byte the build submits to the filesystem.
+        let reg = MetricsRegistry::new();
         let t0 = Instant::now();
-        let size = IncrementalBuilder::new(built.cat.clone(), TreeKind::Sparse, batch, dir.clone())
+        let size = IncrementalBuilder::new(built.cat.clone(), TreeKind::Sparse, batch)
+            .with_vfs(MeteredVfs::new(real_vfs(), &reg))
             .build(&out)
             .unwrap();
         println!(
-            "    batch {:>5}: {:>7.2}s, final file {:>9} KiB",
+            "    batch {:>5}: {:>7.2}s, {:>9} KiB written, final file {:>9} KiB",
             batch,
             t0.elapsed().as_secs_f64(),
+            kib(reg.counter("disk.vfs.write_bytes").get()),
             kib(size)
         );
     }

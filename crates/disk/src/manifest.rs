@@ -643,8 +643,8 @@ pub fn build_dir_metered(
         ));
     }
     vfs.create_dir_all(dir)?;
-    // Leftovers of a crashed earlier attempt are swept first so stale
-    // merge work files cannot outlive this build.
+    // The `*.tmp` and orphaned generation files a crashed earlier
+    // attempt left are swept first, so none outlives this build.
     match resolve_dir_with(vfs.as_ref(), dir) {
         Ok(resolved) => sweep_dir_with(vfs.as_ref(), dir, &resolved.keep_list())?,
         Err(DiskError::NotAnIndexDir(_)) => sweep_dir_with(vfs.as_ref(), dir, &[])?,
@@ -660,15 +660,10 @@ pub fn build_dir_metered(
         },
         |index_tmp| match backend {
             BackendKind::Tree => {
-                let mut builder = crate::merge::IncrementalBuilder::new(
-                    cat.clone(),
-                    kind,
-                    batch,
-                    dir.to_path_buf(),
-                )
-                .with_vfs(vfs.clone())
-                .with_threads(threads)
-                .with_metrics(reg);
+                let mut builder = crate::merge::IncrementalBuilder::new(cat.clone(), kind, batch)
+                    .with_vfs(vfs.clone())
+                    .with_threads(threads)
+                    .with_metrics(reg);
                 if let Some(spec) = truncate {
                     builder = builder.with_truncation(spec);
                 }
@@ -1102,7 +1097,7 @@ mod tests {
         .unwrap();
         // Plant the kinds of litter a crash can leave behind.
         std::fs::write(dir.join("corpus-000002.wc.tmp"), b"junk").unwrap();
-        std::fs::write(dir.join("merge-0-0.wt.tmp"), b"junk").unwrap();
+        std::fs::write(dir.join("index-000002.wt.tmp"), b"junk").unwrap();
         std::fs::write(dir.join("index-000002.wt"), b"junk").unwrap();
         std::fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
         let verify = verify_dir_with(&RealVfs, &dir).unwrap();
@@ -1112,7 +1107,7 @@ mod tests {
         assert_eq!(report.removed_tmp.len(), 2);
         assert_eq!(report.removed_orphans.len(), 1);
         assert!(!dir.join("corpus-000002.wc.tmp").exists());
-        assert!(!dir.join("merge-0-0.wt.tmp").exists());
+        assert!(!dir.join("index-000002.wt.tmp").exists());
         assert!(!dir.join("index-000002.wt").exists());
         assert!(dir.join("unrelated.txt").exists());
         assert!(recover_dir_with(&RealVfs, &dir).unwrap().1.is_clean());

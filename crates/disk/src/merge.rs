@@ -2,24 +2,27 @@
 //!
 //! Following Bieganski et al., a suffix tree for a large sequence set is
 //! built incrementally: partial trees over disjoint subsets of the
-//! sequences are constructed in memory, flushed to disk, and pairwise
-//! merged. [`merge_trees`] performs one binary merge in a simultaneous
-//! pre-order traversal of both inputs, combining paths with common label
-//! prefixes and copying disjoint subtrees record by record; the output is
-//! written post-order in a single sequential pass. The traversal keeps
-//! its own stack, so a tree as deep as a flat-lined series is long
-//! merges on any thread, and reads each input record once, in place in
-//! the file's bytes, through [`NodeView::decode`]'s checks: the merge
-//! opens no [`DiskTree`](crate::DiskTree), so it skips the open's
-//! whole-file record pass. Both inputs must reference the same
-//! [`CatStore`] (they index disjoint *suffix* sets of one database).
+//! sequences are constructed in memory and pairwise merged. [`merge_trees`]
+//! performs one binary merge in a simultaneous pre-order traversal of
+//! both inputs, combining paths with common label prefixes and copying
+//! disjoint subtrees record by record; the output is written post-order
+//! in a single sequential pass. The traversal keeps its own stack, so a
+//! tree as deep as a flat-lined series is long merges on any thread, and
+//! reads each input record once, in place in the tree's logical bytes,
+//! through [`NodeView::decode`]'s checks: the merge opens no
+//! [`DiskTree`](crate::DiskTree), so it skips the open's whole-file
+//! record pass. Both inputs must reference the same [`CatStore`] (they
+//! index disjoint *suffix* sets of one database).
 //!
 //! [`IncrementalBuilder`] drives the whole paper pipeline: batch →
-//! in-memory build → flush → level-by-level binary merges of trees of
-//! increasing size. Its batch trees and all but the last merge are work
-//! files, never fsynced; only the file it hands back is.
+//! in-memory build → level-by-level binary merges of trees of
+//! increasing size. The paper flushes each partial tree to disk because
+//! it need not fit in memory; here a merge reads both inputs whole
+//! anyway, so the batch trees and every merge but the last stay
+//! in-memory images of their files' logical bytes, and the builder
+//! writes one file: the index it hands back.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use warptree_core::categorize::{CatStore, Symbol};
@@ -30,9 +33,9 @@ use warptree_obs::{Counter, Histogram, MetricsRegistry};
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::format::{encode_node, Header, NodeView, HEADER_SIZE};
-use crate::pager::PagedWriter;
+use crate::pager::{PagedWriter, Sink};
 use crate::vfs::{real_vfs, Vfs};
-use crate::writer::{write_tree_as, write_tree_with};
+use crate::writer::{encode_tree, image, TreeImage};
 
 /// Which input tree a cursor points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,11 +134,11 @@ enum Step {
 /// the explicit stack of [`Frame`]s: a frame's entries stay put until it
 /// is written, so a rest can point at the entries of the record its
 /// split read.
-struct MergeCtx<'t> {
+struct MergeCtx<'t, S> {
     a: &'t [u8],
     b: &'t [u8],
     cat: &'t CatStore,
-    w: PagedWriter,
+    w: &'t mut S,
     node_count: u64,
     suffixes: Vec<(SeqId, u32, u32)>,
     kids: Vec<(Symbol, VNode)>,
@@ -145,7 +148,7 @@ struct MergeCtx<'t> {
     record: Vec<u8>,
 }
 
-impl<'t> MergeCtx<'t> {
+impl<'t, S: Sink> MergeCtx<'t, S> {
     fn marks(&self) -> [usize; 3] {
         [self.suffixes.len(), self.kids.len(), self.done.len()]
     }
@@ -359,26 +362,14 @@ pub fn merge_trees(a: &Path, b: &Path, cat: &CatStore, out: &Path) -> Result<u64
 /// fails its CRC is a [`DiskError::CorruptionDetected`] naming the
 /// file, and a record that fails [`NodeView::decode`] a
 /// [`DiskError::BadRecord`]. Two trees that disagree on the sparse flag
-/// or the depth limit do not merge: a [`DiskError::BadHeader`].
+/// or the depth limit do not merge: a [`DiskError::BadHeader`], before
+/// `out` is created.
 pub fn merge_trees_with(
     vfs: &dyn Vfs,
     a: &Path,
     b: &Path,
     cat: &CatStore,
     out: &Path,
-) -> Result<u64> {
-    merge_trees_as(vfs, a, b, cat, out, true)
-}
-
-/// [`merge_trees_with`], fsyncing the output only when `sync` is set:
-/// a merge below the builder's last is a work file.
-fn merge_trees_as(
-    vfs: &dyn Vfs,
-    a: &Path,
-    b: &Path,
-    cat: &CatStore,
-    out: &Path,
-    sync: bool,
 ) -> Result<u64> {
     // Each input whole, every page CRC-checked: its bytes, header and
     // file name.
@@ -400,11 +391,25 @@ fn merge_trees_as(
             ha.depth_limit, hb.depth_limit
         )));
     }
+    let mut w = PagedWriter::create_with(vfs, out)?;
+    let header = merge_into(&mut w, (&a, ha), (&b, hb), cat)?;
+    w.finish(&[(0, header.encode())])
+}
+
+/// Merges two trees of one shape — each its logical bytes and header —
+/// into `w`, behind a zeroed header; returns the header to patch in.
+fn merge_into(
+    w: &mut impl Sink,
+    (a, ha): (&[u8], Header),
+    (b, hb): (&[u8], Header),
+    cat: &CatStore,
+) -> Result<Header> {
+    w.write(&[0u8; HEADER_SIZE as usize])?;
     let mut ctx = MergeCtx {
-        a: &a,
-        b: &b,
+        a,
+        b,
         cat,
-        w: PagedWriter::create_with(vfs, out)?,
+        w,
         node_count: 0,
         suffixes: Vec::new(),
         kids: Vec::new(),
@@ -412,17 +417,15 @@ fn merge_trees_as(
         entries: Vec::new(),
         record: Vec::new(),
     };
-    ctx.w.write(&[0u8; HEADER_SIZE as usize])?;
     let root = ctx.run((ha.root_offset, hb.root_offset))?;
-    let header = Header {
+    Ok(Header {
         sparse: ha.sparse,
         alphabet_len: cat.alphabet_len(),
         node_count: ctx.node_count,
         suffix_count: root.suffix_count,
         root_offset: root.offset,
         depth_limit: ha.depth_limit,
-    };
-    ctx.w.finish_as(&[(0, header.encode())], sync)
+    })
 }
 
 /// How partial trees are built by the [`IncrementalBuilder`].
@@ -465,16 +468,16 @@ impl BuildMetrics {
     }
 }
 
-/// Incremental disk-based index construction (paper §4.1): sequences are
+/// Incremental index construction (paper §4.1): sequences are
 /// processed in batches; each batch's tree is built in memory with
-/// Ukkonen (or sparse insertion) and flushed, then files are merged
-/// pairwise, level by level, so each merge combines trees of similar
-/// (increasing) size.
+/// Ukkonen (or sparse insertion) and encoded to an image of its file's
+/// logical bytes, then images are merged pairwise, level by level, so
+/// each merge combines trees of similar (increasing) size. Only the
+/// last merge — or a lone batch — is written, to the output file.
 pub struct IncrementalBuilder {
     cat: Arc<CatStore>,
     kind: TreeKind,
     batch_size: usize,
-    work_dir: PathBuf,
     truncate: Option<warptree_suffix::TruncateSpec>,
     threads: usize,
     vfs: Arc<dyn Vfs>,
@@ -482,13 +485,13 @@ pub struct IncrementalBuilder {
 }
 
 impl IncrementalBuilder {
-    /// Creates a builder writing temporaries into `work_dir`.
-    pub fn new(cat: Arc<CatStore>, kind: TreeKind, batch_size: usize, work_dir: PathBuf) -> Self {
+    /// Creates a builder over every sequence of `cat`, `batch_size`
+    /// sequences a batch.
+    pub fn new(cat: Arc<CatStore>, kind: TreeKind, batch_size: usize) -> Self {
         Self {
             cat,
             kind,
             batch_size: batch_size.max(1),
-            work_dir,
             truncate: None,
             threads: 1,
             vfs: real_vfs(),
@@ -504,8 +507,8 @@ impl IncrementalBuilder {
 
     /// Publishes build-pipeline metrics on `reg`: `build.batches` /
     /// `build.merges` counters and `build.batch_ns` / `build.merge_ns`
-    /// wall-time histograms (one sample per batch flushed / per binary
-    /// merge performed).
+    /// wall-time histograms (one sample per batch tree built / per
+    /// binary merge performed).
     pub fn with_metrics(mut self, reg: &MetricsRegistry) -> Self {
         self.metrics = BuildMetrics::register(reg);
         self
@@ -527,96 +530,67 @@ impl IncrementalBuilder {
     }
 
     /// Builds the index for all sequences of the store into `out`,
-    /// returning the final file size in bytes.
-    ///
-    /// Work files are named `merge-<level>-<i>.wt.tmp` inside the work
-    /// directory; on any error they are removed (best-effort) before the
-    /// error propagates, and the recovery sweep at next open catches
-    /// whatever a simulated crash left behind.
+    /// returning the final file size in bytes. `out` is the one file the
+    /// build writes; on an error it may be left partly written, for the
+    /// caller to remove.
     pub fn build(&self, out: &Path) -> Result<u64> {
-        let result = self.build_inner(out);
-        if result.is_err() {
-            self.cleanup_work_files();
-        }
-        result
-    }
-
-    fn build_inner(&self, out: &Path) -> Result<u64> {
-        self.vfs.create_dir_all(&self.work_dir)?;
-        // Level 0: one file per batch, built in parallel.
+        // An empty database is one empty batch: a root-only tree.
         let n = self.cat.len();
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+        let ranges: Vec<std::ops::Range<usize>> = (0..n.max(1))
             .step_by(self.batch_size)
             .map(|start| start..(start + self.batch_size).min(n))
             .collect();
-        // Batches and same-level merges are independent; the first error
-        // in input order wins. Only the file that becomes `out` is
-        // fsynced — a lone batch tree, or the last merge's output: the
-        // rest are work files, merged and deleted before the caller
-        // commits anything.
-        let lone = ranges.len() == 1;
-        let level = parallel_map(self.threads, ranges, |idx, range| {
+        // Level 0: one image per batch, built in parallel. Batches and
+        // same-level merges are independent; the first error in input
+        // order wins.
+        let mut level = parallel_map(self.threads, ranges, |_, range| {
             let span = self.metrics.batch_ns.span();
             let tree = self.build_batch(range);
-            let path = self.tmp_path(0, idx);
-            write_tree_as(self.vfs.as_ref(), &tree, &path, lone)?;
+            let image = image(|w| encode_tree(&tree, w));
             drop(span);
             self.metrics.batches.incr();
-            Ok(path)
+            image
         })
         .into_iter()
-        .collect::<Result<Vec<PathBuf>>>()?;
-        if level.is_empty() {
-            // Empty database: a root-only tree.
-            let mut t =
-                warptree_suffix::SuffixTree::empty(self.cat.clone(), self.kind == TreeKind::Sparse);
-            if let Some(spec) = self.truncate {
-                t.set_depth_limit(spec.max_answer_len);
+        .collect::<Result<Vec<TreeImage>>>()?;
+        // Merge level by level (binary merges of increasing size), the
+        // odd tree out carried up; merges within a level run in
+        // parallel, each dropping its inputs once merged.
+        while level.len() > 2 {
+            let mut trees = level.into_iter();
+            let mut pairs = Vec::new();
+            while let Some(a) = trees.next() {
+                pairs.push((a, trees.next()));
             }
-            t.finalize();
-            return write_tree_with(self.vfs.as_ref(), &t, out);
-        }
-        // Merge level by level (binary merges of increasing size);
-        // merges within a level run in parallel.
-        let mut level = level;
-        let mut depth = 1usize;
-        while level.len() > 1 {
-            let pairs: Vec<Vec<PathBuf>> = level.chunks(2).map(<[PathBuf]>::to_vec).collect();
-            let last = pairs.len() == 1;
-            level = parallel_map(self.threads, pairs, |i, mut pair| {
-                if pair.len() == 1 {
-                    return Ok(pair.remove(0));
-                }
-                let span = self.metrics.merge_ns.span();
-                let path = self.tmp_path(depth, i);
-                let vfs = self.vfs.as_ref();
-                merge_trees_as(vfs, &pair[0], &pair[1], &self.cat, &path, last)?;
-                self.vfs.remove_file(&pair[0])?;
-                self.vfs.remove_file(&pair[1])?;
-                drop(span);
-                self.metrics.merges.incr();
-                Ok(path)
+            level = parallel_map(self.threads, pairs, |_, pair| match pair {
+                (a, None) => Ok(a),
+                (a, Some(b)) => image(|w| self.merge(&a, &b, w)),
             })
             .into_iter()
-            .collect::<Result<Vec<PathBuf>>>()?;
-            depth += 1;
+            .collect::<Result<Vec<TreeImage>>>()?;
         }
-        self.vfs.rename(&level[0], out)?;
+        // The last merge, or a lone tree, streams to `out`.
+        let vfs = self.vfs.as_ref();
+        let mut w = PagedWriter::create_with(vfs, out)?;
+        let header = match <[TreeImage; 2]>::try_from(level) {
+            Ok([a, b]) => self.merge(&a, &b, &mut w)?,
+            Err(lone) => {
+                w.write(&lone[0].0)?;
+                lone[0].1
+            }
+        };
+        w.finish(&[(0, header.encode())])?;
         // Report physical size (logical is page-rounded away).
-        Ok(self.vfs.metadata_len(out)?)
+        Ok(vfs.metadata_len(out)?)
     }
 
-    /// Best-effort removal of leftover `merge-*.wt.tmp` work files.
-    fn cleanup_work_files(&self) {
-        let Ok(entries) = self.vfs.read_dir(&self.work_dir) else {
-            return;
-        };
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("merge-") && name.ends_with(".wt.tmp") {
-                let _ = self.vfs.remove_file(&path);
-            }
-        }
+    /// One binary merge of `a` and `b` into `w`, timed and counted.
+    fn merge(&self, a: &TreeImage, b: &TreeImage, w: &mut impl Sink) -> Result<Header> {
+        let span = self.metrics.merge_ns.span();
+        let header = merge_into(w, (&a.0, a.1), (&b.0, b.1), &self.cat)?;
+        drop(span);
+        self.metrics.merges.incr();
+        Ok(header)
     }
 
     /// Builds one batch's in-memory tree per the configured kind/spec.
@@ -636,11 +610,6 @@ impl IncrementalBuilder {
             ),
         }
     }
-
-    fn tmp_path(&self, depth: usize, idx: usize) -> PathBuf {
-        // The `.tmp` suffix puts work files inside the recovery sweep.
-        self.work_dir.join(format!("merge-{depth}-{idx}.wt.tmp"))
-    }
 }
 
 #[cfg(test)]
@@ -648,6 +617,7 @@ mod tests {
     use super::*;
     use crate::format::DiskTree;
     use crate::writer::write_tree;
+    use std::path::PathBuf;
     use warptree_suffix::ukkonen::build_full_range;
     use warptree_suffix::{build_full, build_sparse};
 
@@ -700,7 +670,7 @@ mod tests {
         );
         let dir = tmpdir("incr-full");
         let out = dir.join("index.wt");
-        let b = IncrementalBuilder::new(c.clone(), TreeKind::Full, 2, dir.clone());
+        let b = IncrementalBuilder::new(c.clone(), TreeKind::Full, 2);
         b.build(&out).unwrap();
         let disk = DiskTree::open(&out, c.clone()).unwrap();
         let direct = build_full(c);
@@ -713,7 +683,7 @@ mod tests {
         let c = cat(vec![vec![0, 0, 0, 1, 1], vec![1, 0, 0], vec![2, 2, 2]], 3);
         let dir = tmpdir("incr-sparse");
         let out = dir.join("index.wt");
-        let b = IncrementalBuilder::new(c.clone(), TreeKind::Sparse, 1, dir.clone());
+        let b = IncrementalBuilder::new(c.clone(), TreeKind::Sparse, 1);
         b.build(&out).unwrap();
         let disk = DiskTree::open(&out, c.clone()).unwrap();
         assert!(disk.header().sparse);
@@ -732,10 +702,10 @@ mod tests {
         );
         let dir = tmpdir("parallel");
         let (seq_out, par_out) = (dir.join("seq.wt"), dir.join("par.wt"));
-        IncrementalBuilder::new(c.clone(), TreeKind::Full, 3, dir.clone())
+        IncrementalBuilder::new(c.clone(), TreeKind::Full, 3)
             .build(&seq_out)
             .unwrap();
-        IncrementalBuilder::new(c.clone(), TreeKind::Full, 3, dir.clone())
+        IncrementalBuilder::new(c.clone(), TreeKind::Full, 3)
             .with_threads(4)
             .build(&par_out)
             .unwrap();
@@ -768,7 +738,7 @@ mod tests {
             };
             let dir = tmpdir(&format!("incr-trunc-{kind:?}-{max_answer_len}"));
             let out = dir.join("index.wt");
-            IncrementalBuilder::new(c.clone(), kind, 1, dir.clone())
+            IncrementalBuilder::new(c.clone(), kind, 1)
                 .with_truncation(spec)
                 .build(&out)
                 .unwrap();
@@ -792,7 +762,7 @@ mod tests {
         let dir = tmpdir("metrics");
         let out = dir.join("index.wt");
         let reg = MetricsRegistry::new();
-        IncrementalBuilder::new(c.clone(), TreeKind::Full, 1, dir.clone())
+        IncrementalBuilder::new(c.clone(), TreeKind::Full, 1)
             .with_metrics(&reg)
             .build(&out)
             .unwrap();

@@ -10,7 +10,10 @@
 //!   each page with its CRC and writing runs of up to 32 pages with one
 //!   `write_at`; it can patch already-written ranges at `finish` time
 //!   (used to back-patch file headers once the root offset is known),
-//!   and fsyncs only a file that gets committed.
+//!   and fsyncs the file: every file it writes gets committed.
+//! * `Sink` is the logical stream a tree is written to: a
+//!   [`PagedWriter`] for a file, or a `Vec<u8>` image holding the same
+//!   logical bytes without page CRCs.
 //! * [`read_stream`] reads a file back whole: one `read_at`, every
 //!   page's CRC checked, the payloads packed into the logical bytes. A
 //!   reader keeps those bytes and reads records in place; no page is
@@ -106,15 +109,7 @@ impl PagedWriter {
     /// `(logical_offset, bytes)` pairs rewriting already-written ranges
     /// (page CRCs are recomputed) — and fsyncs. Returns the logical
     /// length of the stream.
-    pub fn finish(self, patches: &[(u64, Vec<u8>)]) -> Result<u64> {
-        self.finish_as(patches, true)
-    }
-
-    /// [`finish`](Self::finish), fsyncing only when `sync` is set. A
-    /// work file — merged and deleted before anything is committed —
-    /// skips the fsync: only a file that gets committed needs one, and
-    /// the crash sweep removes `*.tmp` work files a crash leaves behind.
-    pub(crate) fn finish_as(mut self, patches: &[(u64, Vec<u8>)], sync: bool) -> Result<u64> {
+    pub fn finish(mut self, patches: &[(u64, Vec<u8>)]) -> Result<u64> {
         let logical_len = self.position();
         if !self.run.len().is_multiple_of(PAGE_SIZE) {
             self.seal_page()?;
@@ -127,10 +122,38 @@ impl PagedWriter {
             );
             patch(self.file.as_mut(), *offset, bytes)?;
         }
-        if sync {
-            self.file.sync()?;
-        }
+        self.file.sync()?;
         Ok(logical_len)
+    }
+}
+
+/// A logical byte stream records are appended to, at known offsets.
+pub(crate) trait Sink {
+    /// The logical offset the next write lands at.
+    fn position(&self) -> u64;
+    /// Appends `data`.
+    fn write(&mut self, data: &[u8]) -> Result<()>;
+}
+
+impl Sink for PagedWriter {
+    fn position(&self) -> u64 {
+        PagedWriter::position(self)
+    }
+
+    fn write(&mut self, data: &[u8]) -> Result<()> {
+        PagedWriter::write(self, data)
+    }
+}
+
+/// An in-memory image: the logical bytes a [`PagedWriter`] would page.
+impl Sink for Vec<u8> {
+    fn position(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn write(&mut self, data: &[u8]) -> Result<()> {
+        self.extend_from_slice(data);
+        Ok(())
     }
 }
 

@@ -1,8 +1,9 @@
 //! Writing an in-memory suffix tree to the disk format.
 //!
 //! Nodes are emitted in post-order (children before parents) so every
-//! child offset is known when its parent record is serialized; the file
-//! is produced in one sequential pass, and the root offset is
+//! child offset is known when its parent record is serialized; the
+//! stream — a file, or the in-memory image the incremental builder
+//! merges — is produced in one sequential pass, and the root offset is
 //! back-patched into the header at the end.
 
 use std::path::Path;
@@ -11,7 +12,7 @@ use warptree_suffix::{NodeId, SuffixTree, ROOT};
 
 use crate::error::Result;
 use crate::format::{encode_node, Header, HEADER_SIZE};
-use crate::pager::PagedWriter;
+use crate::pager::{PagedWriter, Sink};
 use crate::vfs::{RealVfs, Vfs};
 
 /// Serializes `tree` to `path`, returning the logical file length in
@@ -22,24 +23,32 @@ pub fn write_tree(tree: &SuffixTree, path: &Path) -> Result<u64> {
 
 /// [`write_tree`] through an explicit [`Vfs`].
 pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<u64> {
-    write_tree_as(vfs, tree, path, true)
+    let mut w = PagedWriter::create_with(vfs, path)?;
+    let header = encode_tree(tree, &mut w)?;
+    w.finish(&[(0, header.encode())])
 }
 
-/// [`write_tree_with`], fsyncing the file only when `sync` is set: the
-/// incremental builder's batch trees are work files, merged away before
-/// anything is committed (see [`PagedWriter::finish_as`]).
-pub(crate) fn write_tree_as(
-    vfs: &dyn Vfs,
-    tree: &SuffixTree,
-    path: &Path,
-    sync: bool,
-) -> Result<u64> {
+/// A tree file's logical bytes held in memory — header included, no
+/// page CRCs or padding — and its header.
+pub(crate) type TreeImage = (Vec<u8>, Header);
+
+/// The image of what `encode` writes behind a zeroed header, the
+/// header it returns patched in.
+pub(crate) fn image(encode: impl FnOnce(&mut Vec<u8>) -> Result<Header>) -> Result<TreeImage> {
+    let mut bytes = Vec::new();
+    let header = encode(&mut bytes)?;
+    bytes[..HEADER_SIZE as usize].copy_from_slice(&header.encode());
+    Ok((bytes, header))
+}
+
+/// Writes `tree`'s records to `w` behind a zeroed header, returning
+/// the header to patch in.
+pub(crate) fn encode_tree(tree: &SuffixTree, w: &mut impl Sink) -> Result<Header> {
     assert!(
         tree.is_finalized(),
         "finalize() must run before writing a tree"
     );
-    let mut w = PagedWriter::create_with(vfs, path)?;
-    // Reserve the header; the real one is patched in at finish.
+    // Reserve the header; the real one is patched in at the end.
     w.write(&[0u8; HEADER_SIZE as usize])?;
 
     // Iterative post-order: each frame is (node, next child index,
@@ -83,15 +92,14 @@ pub(crate) fn write_tree_as(
         }
     }
 
-    let header = Header {
+    Ok(Header {
         sparse: tree.is_sparse(),
         alphabet_len: tree.cat().alphabet_len(),
         node_count,
         suffix_count: tree.suffix_count(),
         root_offset,
         depth_limit: tree.depth_limit(),
-    };
-    w.finish_as(&[(0, header.encode())], sync)
+    })
 }
 
 #[cfg(test)]

@@ -53,17 +53,33 @@ fn merge_rejects_mismatched_depth_limits() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An empty store builds a root-only tree of the configured shape:
+/// full or sparse, truncated or not.
 #[test]
 fn incremental_builder_handles_empty_store() {
     let cat = Arc::new(CatStore::from_symbols(vec![], 2));
     let dir = tmpdir("empty");
     let out = dir.join("index.wt");
-    IncrementalBuilder::new(cat.clone(), TreeKind::Sparse, 4, dir.clone())
-        .build(&out)
-        .unwrap();
-    let disk = DiskTree::open(&out, cat).unwrap();
-    assert_eq!(disk.suffix_count(), 0);
-    assert!(disk.is_sparse());
+    let spec = TruncateSpec {
+        max_answer_len: 5,
+        min_answer_len: 1,
+    };
+    for kind in [TreeKind::Full, TreeKind::Sparse] {
+        for truncate in [None, Some(spec)] {
+            let mut builder = IncrementalBuilder::new(cat.clone(), kind, 4);
+            if let Some(spec) = truncate {
+                builder = builder.with_truncation(spec);
+            }
+            builder.build(&out).unwrap();
+            let disk = DiskTree::open(&out, cat.clone()).unwrap();
+            assert_eq!(disk.suffix_count(), 0);
+            assert_eq!(disk.is_sparse(), kind == TreeKind::Sparse);
+            assert_eq!(
+                disk.header().depth_limit,
+                truncate.map(|s| s.max_answer_len)
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -155,7 +171,7 @@ fn a_deep_build_merges_on_a_small_stack() {
     let dir = tmpdir("deep-build");
     on_a_2_mib_stack(move || {
         let out = dir.join("index.wt");
-        IncrementalBuilder::new(cat.clone(), TreeKind::Full, 1, dir.clone())
+        IncrementalBuilder::new(cat.clone(), TreeKind::Full, 1)
             .build(&out)
             .unwrap();
         let disk = DiskTree::open(&out, cat).unwrap();

@@ -237,7 +237,7 @@ proptest! {
         let cat = Arc::new(alphabet.encode_store(&store));
         for (kind, sparse) in [(TreeKind::Full, false), (TreeKind::Sparse, true)] {
             let out = dir.join(format!("incr-{sparse}.wt"));
-            IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone())
+            IncrementalBuilder::new(cat.clone(), kind, batch)
                 .build(&out)
                 .unwrap();
             let disk = DiskTree::open(&out, cat.clone()).unwrap();

@@ -36,11 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Build the sparse index in batches of 50 sequences, merging partial
-    // trees pairwise — bounded memory regardless of database size.
+    // trees pairwise in memory: only the final index is written.
     let index_path = dir.join("market.sstc");
     let t0 = std::time::Instant::now();
-    let index_bytes = IncrementalBuilder::new(cat.clone(), TreeKind::Sparse, 50, dir.clone())
-        .build(&index_path)?;
+    let index_bytes =
+        IncrementalBuilder::new(cat.clone(), TreeKind::Sparse, 50).build(&index_path)?;
     println!(
         "index: built incrementally (batches of 50, binary merges) in \
          {:.2?} -> {} KiB on disk",

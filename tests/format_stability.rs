@@ -16,7 +16,7 @@ use std::sync::Arc;
 use warptree::prelude::*;
 use warptree_disk::{
     append_segment, build_dir_metered, build_dir_with, compact_all_with, load_corpus, real_vfs,
-    resolve_dir_with, save_corpus, write_tree, DiskTree, MeteredVfs, RealVfs,
+    resolve_dir_with, save_corpus, write_tree, DiskTree, MeteredVfs, RealVfs, PAGE_SIZE,
 };
 use warptree_suffix::TruncateSpec;
 
@@ -180,7 +180,7 @@ fn incremental_builds_write_pinned_bytes() {
     for (name, kind, spec) in kinds {
         for batch in [1, 3, 16] {
             let out = dir.join(format!("{name}-{batch}.wt"));
-            let mut builder = IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone());
+            let mut builder = IncrementalBuilder::new(cat.clone(), kind, batch);
             if let Some(spec) = spec {
                 builder = builder.with_truncation(spec);
             }
@@ -228,8 +228,11 @@ fn compaction_writes_pinned_bytes() {
     assert_eq!(got, ["full: 4a059bbdf124a0f4", "sparse: 3b2c11b41bed0dc6"]);
 }
 
-/// Work files are not synced; the file a build commits is, once. So
-/// the fsyncs of one build — file and directory — do not depend on how
+/// A build writes only what it commits. Its batch trees and inner
+/// merges stay in memory, so the bytes it submits are the committed
+/// files' — corpus, index and `MANIFEST` — plus the one page the index's
+/// header patch rewrites, and each committed file is fsynced once. So
+/// neither its bytes nor its fsyncs (file and directory) depend on how
 /// many batch trees it merges: the same for 9 batches as for one.
 #[test]
 fn a_build_syncs_only_what_it_commits() {
@@ -252,9 +255,19 @@ fn a_build_syncs_only_what_it_commits() {
             &reg,
         )
         .unwrap();
+        let committed: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum();
+        let written = reg.counter("disk.vfs.write_bytes").get();
+        assert_eq!(
+            written,
+            committed + PAGE_SIZE as u64,
+            "batch {batch}: bytes written beyond the committed files"
+        );
         let batches = reg.counter("build.batches").get();
-        got.push((batches, reg.counter("disk.vfs.syncs").get()));
+        got.push((batches, reg.counter("disk.vfs.syncs").get(), written));
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(got, [(9, 6), (1, 6)]);
+    assert_eq!(got, [(9, 6, 82_007), (1, 6, 82_007)]);
 }
