@@ -114,6 +114,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// How many bytes have been read.
+    #[cfg(test)]
     pub(crate) fn pos(&self) -> usize {
         self.pos
     }

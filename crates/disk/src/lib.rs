@@ -22,9 +22,10 @@
 //!   directory fsync + CRC-protected `MANIFEST`), recovery on open, and
 //!   the one check of a committed file that verification and scrub run;
 //! * [`segment`] — LSM-style online ingest: appends commit as small
-//!   tail segments over just the new suffixes, and a compactor folds
-//!   segments back together with the binary merge, one manifest
-//!   generation per step;
+//!   tail segments, each an index over just the new suffixes and a
+//!   corpus of just the new sequences, and a compactor folds segments
+//!   (index and corpus) back together with the binary merge, one
+//!   manifest generation per step;
 //! * [`snapshot`] — the opened directory ([`DirSnapshot`]: corpus, base
 //!   tree, tail segments, fan-out querying), its one open routine with
 //!   and without the recovery sweep, and a cheap manifest poll — the
@@ -53,15 +54,18 @@ pub mod vfs;
 pub mod writer;
 
 pub use any::{index_shape, AnyIndex, AnyNode, IndexShape};
-pub use corpus::{corpus_decimals, load_corpus, load_corpus_with, save_corpus, save_corpus_with};
+pub use corpus::{
+    corpus_decimals, load_corpora_with, load_corpus, load_corpus_with, save_corpus,
+    save_corpus_with, CorpusFile,
+};
 pub use error::{DiskError, Result};
 pub use esa::{write_esa, write_esa_with, DiskEsa, EsaHeader};
 pub use format::{DiskNode, DiskTree, Header, NodeView};
 pub use manifest::{
     build_dir_backend_with, build_dir_metered, build_dir_with, commit_dir_backend_with,
     commit_update_with, quarantine_segment_with, recover_dir_with, resolve_dir_with,
-    segment_file_name, verify_dir_with, FileCheck, Manifest, RecoveryReport, ResolvedDir,
-    SegmentMeta, VerifyReport, MANIFEST_NAME,
+    segment_corpus_file_name, segment_file_name, verify_dir_with, FileCheck, Manifest,
+    RecoveryReport, ResolvedDir, SegmentMeta, VerifyReport, MANIFEST_NAME,
 };
 pub use merge::{merge_trees, merge_trees_with, IncrementalBuilder, TreeKind};
 pub use pager::{read_stream, IoStats, PagedWriter, PAGE_DATA, PAGE_SIZE};

@@ -1,15 +1,17 @@
 //! Atomic index-directory commits, recovery on open, and verification.
 //!
-//! An index directory is a pair of paged files — the corpus and the tree
-//! — plus a small `MANIFEST` naming the committed *generation* of each.
-//! Every mutation of the directory (initial build, rebuild, append)
-//! follows one protocol:
+//! An index directory is a base corpus and a base index, plus one corpus
+//! and one index per tail segment, all paged files, and a small
+//! `MANIFEST` naming the committed *generation* of each. Every mutation
+//! of the directory (build, rebuild, append, compaction, heal) follows
+//! one protocol:
 //!
 //! 1. the next generation's files are written to `*.tmp` names and
 //!    fsynced;
 //! 2. each is renamed to its final generational name
-//!    (`corpus-NNNNNN.wc`, `index-NNNNNN.wt`) and the directory is
-//!    fsynced;
+//!    (`corpus-NNNNNN.wc`, `index-NNNNNN.wt`, a tail's
+//!    `segment-NNNNNN-OOO.wt` and `segment-NNNNNN-OOO.wc`) and the
+//!    directory is fsynced;
 //! 3. a new manifest is written to `MANIFEST.tmp`, fsynced, and renamed
 //!    over `MANIFEST` — **this rename is the commit point**;
 //! 4. the directory is fsynced again and the previous generation's files
@@ -23,6 +25,13 @@
 //!
 //! The `MANIFEST` is what makes a directory an index directory: one
 //! without it is [`DiskError::NotAnIndexDir`], whatever else it holds.
+//!
+//! One compatibility rule covers older directories: a version 4
+//! `MANIFEST`, whose tails had no corpus of their own, decodes as
+//! version 5 with every tail's corpus empty, meaning the base corpus
+//! holds its sequences. Such a directory opens, appends (committing
+//! version 5) and compacts; an empty tail corpus only ever precedes the
+//! tails that have one.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -34,7 +43,7 @@ use warptree_core::sequence::SequenceStore;
 use warptree_obs::MetricsRegistry;
 
 use crate::any::{index_shape, AnyIndex};
-use crate::corpus::load_corpus_with;
+use crate::corpus::{CorpusFile, CorpusLoader};
 use crate::crc::crc32;
 use crate::cursor::Cursor;
 use crate::error::{DiskError, Result};
@@ -45,11 +54,15 @@ use crate::vfs::{TempGuard, Vfs};
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
 const MANIFEST_MAGIC: &[u8; 8] = b"WARPMANF";
-/// The one manifest layout: magic, this version word, generation, the
-/// corpus and base-index file names and sizes, the tail-segment list
-/// (each entry with a flags word), the index backend id, and a CRC-32
-/// over everything before it. Any other version word is rejected.
-const MANIFEST_VERSION: u32 = 4;
+/// The manifest layout: magic, this version word, generation, the
+/// base corpus and base-index file names and sizes, the tail-segment
+/// list (each entry its index's name and size, its corpus's name and
+/// size, its sequence range and a flags word), the index backend id,
+/// and a CRC-32 over everything before it.
+const MANIFEST_VERSION: u32 = 5;
+/// The previous layout, which [`Manifest::decode`] still reads: the same
+/// but for the tail entries' corpus name and size.
+const MANIFEST_VERSION_4: u32 = 4;
 
 /// Backend ids as recorded in the manifest.
 const BACKEND_ID_TREE: u32 = 0;
@@ -62,15 +75,23 @@ const SEG_FLAG_QUARANTINED: u32 = 1;
 const MAX_NAME_LEN: usize = 4096;
 const MAX_SEGMENTS: usize = 4096;
 
-/// A committed tail segment: a suffix tree over the suffixes of a
-/// contiguous run of appended sequences (the base `index` file covers
-/// every sequence before the first tail segment).
+/// A committed tail segment: an index over the suffixes of a contiguous
+/// run of appended sequences, and the corpus file holding them (the base
+/// `index` and `corpus` cover every sequence before the first tail
+/// segment).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File name of the segment's tree inside the directory.
     pub file: String,
     /// Physical size of the segment file at commit time.
     pub file_len: u64,
+    /// File name of the corpus holding the segment's sequences; empty
+    /// when the base corpus holds them (a tail a version 4 `MANIFEST`
+    /// committed).
+    pub corpus: String,
+    /// Physical size of that corpus file at commit time (0 when
+    /// `corpus` is empty).
+    pub corpus_len: u64,
     /// Corpus-global id of the first sequence this segment indexes.
     pub start_seq: u32,
     /// Number of consecutive sequences it indexes.
@@ -79,6 +100,18 @@ pub struct SegmentMeta {
     /// disk as a tombstone (never silently deleted), excluded from
     /// queries until a scrub heals it by rebuilding from the corpus.
     pub quarantined: bool,
+}
+
+impl SegmentMeta {
+    /// The segment's own corpus file in `dir`, when it has one.
+    pub fn corpus_file(&self, dir: &Path) -> Option<CorpusFile> {
+        (!self.corpus.is_empty()).then(|| CorpusFile {
+            path: dir.join(&self.corpus),
+            file_len: self.corpus_len,
+            first: self.start_seq as usize,
+            count: Some(self.seq_count as usize),
+        })
+    }
 }
 
 /// The committed state of an index directory: which generation of the
@@ -120,14 +153,20 @@ pub fn segment_file_name(generation: u64, ordinal: u32) -> String {
     format!("segment-{generation:06}-{ordinal:03}.wt")
 }
 
+/// Tail-segment corpus file name, beside [`segment_file_name`].
+pub fn segment_corpus_file_name(generation: u64, ordinal: u32) -> String {
+    format!("segment-{generation:06}-{ordinal:03}.wc")
+}
+
 /// Whether the recovery sweep removes `name` when the manifest does not
 /// reference it: a `*.tmp` file, or a file of the commit protocol's
-/// data-file patterns (generational corpus or tree, or tail segment).
+/// data-file patterns (generational corpus or tree, or a tail
+/// segment's tree or corpus).
 fn is_sweepable(name: &str) -> bool {
     name.ends_with(".tmp")
         || (name.starts_with("corpus-") && name.ends_with(".wc"))
         || (name.starts_with("index-") && name.ends_with(".wt"))
-        || (name.starts_with("segment-") && name.ends_with(".wt"))
+        || (name.starts_with("segment-") && (name.ends_with(".wt") || name.ends_with(".wc")))
 }
 
 impl Manifest {
@@ -144,9 +183,11 @@ impl Manifest {
         out.extend_from_slice(&self.index_len.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for seg in &self.segments {
-            out.extend_from_slice(&(seg.file.len() as u32).to_le_bytes());
-            out.extend_from_slice(seg.file.as_bytes());
-            out.extend_from_slice(&seg.file_len.to_le_bytes());
+            for (name, len) in [(&seg.file, seg.file_len), (&seg.corpus, seg.corpus_len)] {
+                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+            }
             out.extend_from_slice(&seg.start_seq.to_le_bytes());
             out.extend_from_slice(&seg.seq_count.to_le_bytes());
             let flags = if seg.quarantined {
@@ -169,9 +210,12 @@ impl Manifest {
     /// Decodes a manifest, trusting nothing behind the CRC: every length
     /// is bounded before it is used, file names must be plain names
     /// inside the directory, the segment list must be ascending and
-    /// disjoint with `start_seq + seq_count` inside `u32`, no unknown
+    /// disjoint with `start_seq + seq_count` inside `u32`, a tail
+    /// without a corpus (size 0) may not follow one with, no unknown
     /// flag bit may be set, and nothing may follow the backend id — so
-    /// every accepted byte string is exactly what `encode` would emit.
+    /// every accepted version 5 byte string is exactly what `encode`
+    /// would emit. A version 4 one decodes with every tail's corpus
+    /// empty.
     fn decode(raw: &[u8]) -> Result<Self> {
         if raw.len() < 4 {
             return Err(bad("truncated"));
@@ -185,7 +229,7 @@ impl Manifest {
             return Err(bad("not a manifest file"));
         }
         let version = cur.u32()?;
-        if version != MANIFEST_VERSION {
+        if version != MANIFEST_VERSION && version != MANIFEST_VERSION_4 {
             return Err(bad(&format!("unsupported manifest version {version}")));
         }
         let generation = cur.u64()?;
@@ -199,9 +243,21 @@ impl Manifest {
         }
         let mut segments = Vec::new();
         let mut covered = 0u32; // end of the previous segment's range
+        let mut own_corpus = false; // whether an earlier tail had one
         for _ in 0..count {
             let file = plain_name(&mut cur)?;
             let file_len = cur.u64()?;
+            let (corpus, corpus_len) = match version {
+                MANIFEST_VERSION_4 => (String::new(), 0),
+                _ => (optional_name(&mut cur)?, cur.u64()?),
+            };
+            if corpus.is_empty() && corpus_len != 0 {
+                return Err(bad("size of an absent segment corpus"));
+            }
+            if corpus.is_empty() && own_corpus {
+                return Err(bad("a segment without a corpus follows one with"));
+            }
+            own_corpus |= !corpus.is_empty();
             let start_seq = cur.u32()?;
             let seq_count = cur.u32()?;
             let flags = cur.u32()?;
@@ -217,6 +273,8 @@ impl Manifest {
             segments.push(SegmentMeta {
                 file,
                 file_len,
+                corpus,
+                corpus_len,
                 start_seq,
                 seq_count,
                 quarantined: flags & SEG_FLAG_QUARANTINED != 0,
@@ -268,8 +326,16 @@ fn bad(message: &str) -> DiskError {
 /// directory joins it to its own path, so a separator or `..` would let
 /// a manifest point (and the sweep delete) outside it.
 fn plain_name(cur: &mut Cursor) -> Result<String> {
+    match optional_name(cur)? {
+        name if name.is_empty() => Err(bad("file name is not a plain name")),
+        name => Ok(name),
+    }
+}
+
+/// A [`plain_name`], or the empty name.
+fn optional_name(cur: &mut Cursor) -> Result<String> {
     let name = cur.text(MAX_NAME_LEN, "file name")?;
-    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+    if name == "." || name == ".." || name.contains(['/', '\\']) {
         return Err(bad("file name is not a plain name"));
     }
     Ok(name.to_string())
@@ -300,8 +366,11 @@ pub fn read_manifest_with(vfs: &dyn Vfs, dir: &Path) -> Result<Manifest> {
 pub struct ResolvedDir {
     /// Committed generation.
     pub generation: u64,
-    /// Absolute path of the committed corpus file.
+    /// Absolute path of the committed base corpus file.
     pub corpus_path: PathBuf,
+    /// Every committed corpus file — the base's, then each tail's that
+    /// has one, in manifest order: the directory's store, concatenated.
+    pub corpus_files: Vec<CorpusFile>,
     /// Absolute path of the committed (base) tree file.
     pub index_path: PathBuf,
     /// Absolute paths of the committed tail segments, in manifest order.
@@ -311,9 +380,10 @@ pub struct ResolvedDir {
 }
 
 impl ResolvedDir {
-    /// Every committed data file: corpus, base tree, tail segments.
+    /// Every committed data file: the corpora, base tree, tail segments.
     fn keep_list(&self) -> Vec<&Path> {
-        let mut keep = vec![self.corpus_path.as_path(), self.index_path.as_path()];
+        let mut keep: Vec<&Path> = self.corpus_files.iter().map(|f| f.path.as_path()).collect();
+        keep.push(self.index_path.as_path());
         keep.extend(self.segment_paths.iter().map(|p| p.as_path()));
         keep
     }
@@ -330,9 +400,26 @@ pub fn resolve_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<ResolvedDir> {
             false => Err(bad(&format!("references missing file {name}"))),
         }
     };
+    let corpus_path = path_of(&manifest.corpus)?;
+    for seg in manifest.segments.iter().filter(|s| !s.corpus.is_empty()) {
+        path_of(&seg.corpus)?;
+    }
+    let tails: Vec<CorpusFile> = (manifest.segments.iter())
+        .filter_map(|s| s.corpus_file(dir))
+        .collect();
+    // The base corpus holds every sequence before the first tail with a
+    // corpus of its own.
+    let base = CorpusFile {
+        path: corpus_path.clone(),
+        file_len: manifest.corpus_len,
+        first: 0,
+        count: tails.first().map(|f| f.first),
+    };
+    let corpus_files = std::iter::once(base).chain(tails).collect();
     Ok(ResolvedDir {
         generation: manifest.generation,
-        corpus_path: path_of(&manifest.corpus)?,
+        corpus_path,
+        corpus_files,
         index_path: path_of(&manifest.index)?,
         segment_paths: manifest
             .segments
@@ -517,7 +604,8 @@ where
     let (generation, remove_after) = match read_manifest_with(vfs, dir) {
         Ok(old) => {
             let names = [&old.corpus, &old.index].into_iter();
-            let names = names.chain(old.segments.iter().map(|s| &s.file));
+            let tails = old.segments.iter().flat_map(|s| [&s.file, &s.corpus]);
+            let names = names.chain(tails.filter(|n| !n.is_empty()));
             (old.generation + 1, names.map(|n| dir.join(n)).collect())
         }
         Err(DiskError::NotAnIndexDir(_)) => (1, Vec::new()),
@@ -703,8 +791,8 @@ pub struct FileCheck {
 pub struct VerifyReport {
     /// Committed generation that was checked.
     pub generation: u64,
-    /// Per-file outcomes: the corpus, the base index, then every tail
-    /// segment.
+    /// Per-file outcomes: every corpus file (the base's, then the
+    /// tails'), the base index, then every tail segment's index.
     pub files: Vec<FileCheck>,
     /// Stale `*.tmp` / orphaned generation files present (not removed —
     /// verification never mutates the directory).
@@ -791,30 +879,41 @@ fn check_file(
     }
 }
 
-/// Runs [`check_file`] over every committed file of `resolved`: the
-/// corpus, the base index, then every tail segment, quarantined ones
-/// included. The corpus parses by decoding; each index parses through
-/// [`AnyIndex::check`] against the decoded corpus, and a tail must have
-/// the base's shape (sparse flag and depth limit), without which it
-/// cannot be fanned out with the base — except a quarantined tail,
-/// which its manifest flag already marks bad, and every index when the
-/// corpus failed.
+/// Runs [`check_file`] over every committed file of `resolved`: every
+/// corpus file (the base's, then the tails'), the base index, then every
+/// tail segment's index, quarantined ones included. The corpus files
+/// parse through the directory's one loader, in order, each checked
+/// against the ones before it and against its `MANIFEST` entry (after a
+/// corpus file fails, each later one is checked alone). Each index
+/// parses through [`AnyIndex::check`] against the loaded corpus, and a
+/// tail must have the base's shape (sparse flag and depth limit),
+/// without which it cannot be fanned out with the base — except a
+/// quarantined tail, which its manifest flag already marks bad, and
+/// every index when a corpus file failed.
 pub(crate) fn check_dir(
     vfs: &dyn Vfs,
     resolved: &ResolvedDir,
     reg: &MetricsRegistry,
 ) -> Vec<FileCheck> {
     let m = &resolved.manifest;
-    let mut cat = None;
-    let corpus = check_file(vfs, &resolved.corpus_path, m.corpus_len, false, reg, || {
-        cat = Some(load_corpus_with(vfs, &resolved.corpus_path)?.2);
-        Ok(())
-    });
+    let mut loader = CorpusLoader::new(0);
+    let mut whole = true;
+    let mut files = Vec::new();
+    for file in &resolved.corpus_files {
+        if !whole {
+            loader = CorpusLoader::new(file.first);
+        }
+        let check = check_file(vfs, &file.path, file.file_len, false, reg, || {
+            loader.add(vfs, file)
+        });
+        whole &= check.error.is_none();
+        files.push(check);
+    }
+    let cat = whole.then(|| loader.finish().2);
     let tails = (resolved.segment_paths.iter().zip(&m.segments))
         .map(|(path, seg)| (path, seg.file_len, seg.quarantined));
     let indexes = std::iter::once((&resolved.index_path, m.index_len, false)).chain(tails);
     let base = index_shape(vfs, &resolved.index_path, m.backend).ok();
-    let mut files = vec![corpus];
     files.extend(indexes.map(|(path, len, quarantined)| {
         check_file(vfs, path, len, quarantined, reg, || match &cat {
             Some(cat) if !quarantined => {
@@ -845,6 +944,39 @@ pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
         files: check_dir(vfs, &resolved, &MetricsRegistry::noop()),
         stale: stale.iter().map(|path| file_name(path)).collect(),
     })
+}
+
+/// `m` in the version 4 layout, which had no tail corpora: each
+/// tail entry is its index's name and size, its range and flags.
+#[cfg(test)]
+pub(crate) fn encode_v4(m: &Manifest) -> Vec<u8> {
+    let mut out = MANIFEST_MAGIC.to_vec();
+    out.extend_from_slice(&MANIFEST_VERSION_4.to_le_bytes());
+    out.extend_from_slice(&m.generation.to_le_bytes());
+    for name in [&m.corpus, &m.index] {
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+    }
+    out.extend_from_slice(&m.corpus_len.to_le_bytes());
+    out.extend_from_slice(&m.index_len.to_le_bytes());
+    out.extend_from_slice(&(m.segments.len() as u32).to_le_bytes());
+    for seg in &m.segments {
+        assert!(seg.corpus.is_empty(), "version 4 has no tail corpus");
+        out.extend_from_slice(&(seg.file.len() as u32).to_le_bytes());
+        out.extend_from_slice(seg.file.as_bytes());
+        out.extend_from_slice(&seg.file_len.to_le_bytes());
+        out.extend_from_slice(&seg.start_seq.to_le_bytes());
+        out.extend_from_slice(&seg.seq_count.to_le_bytes());
+        out.extend_from_slice(&u32::from(seg.quarantined).to_le_bytes());
+    }
+    let id = match m.backend {
+        BackendKind::Tree => BACKEND_ID_TREE,
+        BackendKind::Esa => BACKEND_ID_ESA,
+    };
+    out.extend_from_slice(&id.to_le_bytes());
+    let crc = crate::crc::crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 #[cfg(test)]
@@ -885,35 +1017,44 @@ mod tests {
         raw[body_end..].copy_from_slice(&crc.to_le_bytes());
     }
 
+    /// A tail segment over `start_seq..start_seq + seq_count`, with a
+    /// corpus of its own when `own`.
+    fn tail(ordinal: u32, start_seq: u32, seq_count: u32, own: bool) -> SegmentMeta {
+        SegmentMeta {
+            file: segment_file_name(8, ordinal),
+            file_len: 4096,
+            corpus: match own {
+                true => segment_corpus_file_name(8, ordinal),
+                false => String::new(),
+            },
+            corpus_len: if own { 8192 } else { 0 },
+            start_seq,
+            seq_count,
+            quarantined: false,
+        }
+    }
+
     #[test]
     fn manifest_roundtrip() {
         let m = sample_manifest(BackendKind::Tree);
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
         let seg = Manifest {
             segments: vec![
-                SegmentMeta {
-                    file: segment_file_name(8, 0),
-                    file_len: 4096,
-                    start_seq: 2,
-                    seq_count: 3,
-                    quarantined: false,
-                },
-                SegmentMeta {
-                    file: segment_file_name(9, 1),
-                    file_len: 12288,
-                    start_seq: 5,
-                    seq_count: 1,
-                    quarantined: false,
-                },
+                tail(0, 2, 3, false),
+                tail(1, 5, 1, true),
+                tail(2, 6, 4, true),
             ],
             ..m.clone()
         };
         assert_eq!(Manifest::decode(&seg.encode()).unwrap(), seg);
+        // A directory without tails writes the version 4 bytes but for
+        // the version word: the same length.
+        assert_eq!(m.encode().len(), encode_v4(&m).len());
         // The quarantine flag survives the round trip.
         let mut tomb = seg.clone();
         tomb.segments[1].quarantined = true;
         assert_eq!(Manifest::decode(&tomb.encode()).unwrap(), tomb);
-        assert_eq!(tomb.live_segments().count(), 1);
+        assert_eq!(tomb.live_segments().count(), 2);
         assert_eq!(tomb.quarantined_segments().count(), 1);
         // One layout: whatever the content, the version word is the same.
         for m in [&m, &seg, &tomb] {
@@ -922,16 +1063,34 @@ mod tests {
     }
 
     #[test]
-    fn esa_manifest_promotes_to_version_4_and_round_trips() {
+    fn esa_manifest_promotes_to_version_5_and_round_trips() {
         let m = sample_manifest(BackendKind::Esa);
         let raw = m.encode();
-        assert_eq!(&raw[8..12], &4u32.to_le_bytes());
+        assert_eq!(&raw[8..12], &5u32.to_le_bytes());
         assert_eq!(Manifest::decode(&raw).unwrap(), m);
+    }
+
+    /// The one compatibility rule: a version 4 `MANIFEST` decodes as
+    /// version 5 with every tail's corpus empty — the base corpus holds
+    /// its sequences — and re-encodes as version 5.
+    #[test]
+    fn version_4_decodes_with_every_tail_corpus_empty() {
+        for backend in [BackendKind::Tree, BackendKind::Esa] {
+            let mut m = Manifest {
+                segments: vec![tail(0, 2, 3, false), tail(1, 5, 1, false)],
+                ..sample_manifest(backend)
+            };
+            m.segments[1].quarantined = true;
+            let old = Manifest::decode(&encode_v4(&m)).unwrap();
+            assert_eq!(old, m);
+            assert_eq!(&old.encode()[8..12], &5u32.to_le_bytes());
+            assert_eq!(Manifest::decode(&old.encode()).unwrap(), m);
+        }
     }
 
     #[test]
     fn every_other_version_is_a_typed_rejection() {
-        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 6, u32::MAX] {
             let mut raw = sample_manifest(BackendKind::Tree).encode();
             raw[8..12].copy_from_slice(&version.to_le_bytes());
             reseal(&mut raw);
@@ -946,13 +1105,7 @@ mod tests {
 
     #[test]
     fn decoder_is_strict_behind_a_valid_crc() {
-        let seg = |start_seq, seq_count| SegmentMeta {
-            file: segment_file_name(8, start_seq),
-            file_len: 4096,
-            start_seq,
-            seq_count,
-            quarantined: false,
-        };
+        let seg = |start_seq, seq_count| tail(start_seq, start_seq, seq_count, true);
         let with = |segments| Manifest {
             segments,
             ..sample_manifest(BackendKind::Tree)
@@ -983,6 +1136,23 @@ mod tests {
         raw[flags_at..flags_at + 4].copy_from_slice(&2u32.to_le_bytes());
         reseal(&mut raw);
         rejected(&raw, "unknown segment flags");
+        // A tail without a corpus after one with, or with a size.
+        rejected(
+            &with(vec![tail(0, 2, 3, true), tail(1, 5, 1, false)]).encode(),
+            "a segment without a corpus follows one with",
+        );
+        let mut sized = tail(0, 2, 3, false);
+        sized.corpus_len = 8192;
+        rejected(
+            &with(vec![sized]).encode(),
+            "size of an absent segment corpus",
+        );
+        let mut outside = tail(0, 2, 3, true);
+        outside.corpus = "../corpus-000001.wc".into();
+        rejected(
+            &with(vec![outside]).encode(),
+            "file name is not a plain name",
+        );
         // Names that would resolve outside the directory.
         for name in ["", ".", "..", "../MANIFEST", "/etc/passwd", "a\\b"] {
             let m = Manifest {
@@ -1021,6 +1191,8 @@ mod tests {
             segments: vec![SegmentMeta {
                 file: segment_file_name(1, 0),
                 file_len: 3,
+                corpus: segment_corpus_file_name(1, 0),
+                corpus_len: 4,
                 start_seq: 1,
                 seq_count: 1,
                 quarantined: true,
@@ -1166,6 +1338,7 @@ mod tests {
             any::<bool>(),
             any::<u64>(),
             0u32..1000,
+            (any::<bool>(), any::<u64>()),
         );
         (
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
@@ -1175,7 +1348,8 @@ mod tests {
             .prop_map(|((generation, corpus_len, index_len, esa), first, segs)| {
                 let mut segments = Vec::new();
                 let mut covered = first;
-                for (gap, seq_count, quarantined, file_len, ordinal) in segs {
+                let mut own = false;
+                for (gap, seq_count, quarantined, file_len, ordinal, corpus_len) in segs {
                     let Some(start_seq) = covered.checked_add(gap) else {
                         break;
                     };
@@ -1183,9 +1357,17 @@ mod tests {
                         break;
                     };
                     covered = end;
+                    // Tails without a corpus come first.
+                    own |= corpus_len.0;
+                    let corpus_len = own.then_some(corpus_len.1);
                     segments.push(SegmentMeta {
                         file: segment_file_name(generation % 1_000_000, ordinal),
                         file_len,
+                        corpus: match corpus_len {
+                            Some(_) => segment_corpus_file_name(generation % 1_000_000, ordinal),
+                            None => String::new(),
+                        },
+                        corpus_len: corpus_len.unwrap_or_default(),
                         start_seq,
                         seq_count,
                         quarantined,
@@ -1209,14 +1391,19 @@ mod tests {
 
     /// What any accepted manifest must satisfy, however hostile the
     /// bytes it came from: the declared caps hold and it re-encodes to
-    /// exactly those bytes (so it is no larger than its input).
+    /// exactly those bytes (so it is no larger than its input), in the
+    /// layout of their version word.
     fn assert_accepted_is_canonical(m: &Manifest, raw: &[u8]) {
         assert!(m.segments.len() <= MAX_SEGMENTS);
         let names = [&m.corpus, &m.index].into_iter();
-        for name in names.chain(m.segments.iter().map(|s| &s.file)) {
+        let tails = m.segments.iter().flat_map(|s| [&s.file, &s.corpus]);
+        for name in names.chain(tails) {
             assert!(name.len() <= MAX_NAME_LEN);
         }
-        assert_eq!(m.encode(), raw);
+        match raw[8..12] == MANIFEST_VERSION_4.to_le_bytes() {
+            true => assert_eq!(encode_v4(m), raw),
+            false => assert_eq!(m.encode(), raw),
+        }
     }
 
     proptest::proptest! {

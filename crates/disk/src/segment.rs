@@ -21,13 +21,18 @@
 //! [`corpus`](crate::corpus)), and **observed bounds only widen** (a
 //! wider `lb..ub` only decreases point-to-interval distances, so
 //! `D_base-lb` stays a valid lower bound for all members, old and new).
-//! An append's work is `O(new)`: the corpus is carried forward as the
-//! committed bytes, checked and copied behind a header with the widened
-//! bounds (`corpus::append_corpus_with`), and only the new sequences
-//! are encoded for the tail. Every mutation here follows the
-//! commit protocol of [`manifest`](crate::manifest): temporaries,
-//! renames, manifest flip, best-effort removal — a torn compaction or
-//! append leaves the previous complete state in force.
+//! A segment is an index and a corpus: an append writes the new
+//! sequences, and only them, as the tail's own corpus file (under the
+//! directory's alphabet widened over the batch, at the batch's own
+//! scale), and indexes only their suffixes. It reads no committed record,
+//! only the corpus headers, so its work is `O(new)`. Compaction folds the
+//! corpora of the pair it merges into one file, so a corpus file never
+//! outlives its index, and the base corpus is rewritten only when the
+//! base absorbs a tail; compaction and heal read only the corpora of the
+//! ranges they touch. Every mutation here follows the commit protocol
+//! of [`manifest`](crate::manifest): temporaries, renames, manifest
+//! flip, best-effort removal — a torn compaction or append leaves the
+//! previous complete state in force.
 
 use std::ops::Range;
 use std::path::Path;
@@ -38,12 +43,13 @@ use warptree_core::search::BackendKind;
 use warptree_core::sequence::SequenceStore;
 
 use crate::any::index_shape;
-use crate::corpus::{append_corpus_with, load_corpus_with};
+use crate::corpus::{load_corpora_with, save_corpus_with, CorpusFile, CorpusLoader};
 use crate::error::{DiskError, Result};
 use crate::esa::write_esa_with;
 use crate::manifest::{
     check_dir, commit_update_with, corpus_file_name, index_file_name, quarantine_segment_with,
-    recover_dir_with, resolve_dir_with, segment_file_name, Manifest, SegmentMeta,
+    recover_dir_with, resolve_dir_with, segment_corpus_file_name, segment_file_name, Manifest,
+    SegmentMeta,
 };
 use crate::merge::merge_trees_with;
 use crate::vfs::{RealVfs, TempGuard, Vfs};
@@ -78,10 +84,9 @@ fn write_range_index(
 }
 
 /// Appends `new_sequences` as a new tail segment of the index directory
-/// (O(new data) work — the existing trees are carried forward
-/// untouched, the corpus as checked bytes), committing the widened
-/// corpus plus the segment tree as the directory's next generation.
-/// Returns the committed manifest.
+/// (O(new data) work — the existing trees and corpora are carried
+/// forward untouched), committing the segment's corpus and tree as the
+/// directory's next generation. Returns the committed manifest.
 ///
 /// The directory must resolve to a committed index. Truncated (§8)
 /// indexes are rejected — their per-suffix prefix lengths depend on
@@ -107,21 +112,32 @@ pub fn append_segment_with(
             "cannot append to a truncated (§8) index".into(),
         ));
     }
+    // The directory's alphabet and sequence count, from the corpus
+    // headers alone, widened over the new values: old symbols are
+    // unchanged — only lb/ub widen — so the base tree and every
+    // existing tail stay valid.
+    let mut heads = CorpusLoader::new(0);
+    for file in &resolved.corpus_files {
+        heads.add_head(vfs, file)?;
+    }
+    let (first_new, mut alphabet) = heads.alphabet();
+    let last = first_new + new_sequences.len();
+    if last > u32::MAX as usize {
+        return Err(DiskError::BadRecord(
+            "corpus sequence count overflows".into(),
+        ));
+    }
+    alphabet.widen(new_sequences);
+
     let mut manifest = resolved.manifest.clone();
     manifest.generation += 1;
-    manifest.corpus = corpus_file_name(manifest.generation);
-    let segment_name = segment_file_name(manifest.generation, manifest.segments.len() as u32);
-    let corpus_tmp = dir.join(format!("{}.tmp", manifest.corpus));
+    let ordinal = manifest.segments.len() as u32;
+    let segment_name = segment_file_name(manifest.generation, ordinal);
+    let corpus_name = segment_corpus_file_name(manifest.generation, ordinal);
+    let corpus_tmp = dir.join(format!("{corpus_name}.tmp"));
     let segment_tmp = dir.join(format!("{segment_name}.tmp"));
-
     let mut guard = TempGuard::new(vfs, vec![corpus_tmp.clone(), segment_tmp.clone()]);
-    // Admit the new values: widen observed bounds, carry the committed
-    // records forward as checked bytes, serialize only the new ones.
-    // Old symbols are unchanged — only lb/ub widen — so the base tree
-    // and every existing tail stay valid over the widened corpus.
-    let (alphabet, first_new) =
-        append_corpus_with(vfs, &resolved.corpus_path, new_sequences, &corpus_tmp)?;
-    let last = first_new + new_sequences.len();
+    save_corpus_with(vfs, new_sequences, &alphabet, &corpus_tmp)?;
     // The tail indexes only the new suffixes, with corpus-global
     // sequence ids, and must match the base index's backend and kind.
     // The range builders read nothing outside their range, so only the
@@ -143,25 +159,26 @@ pub fn append_segment_with(
         &segment_tmp,
     )?;
 
-    manifest.corpus_len = vfs.metadata_len(&corpus_tmp)?;
     manifest.segments.push(SegmentMeta {
         file: segment_name.clone(),
         file_len: vfs.metadata_len(&segment_tmp)?,
+        corpus: corpus_name.clone(),
+        corpus_len: vfs.metadata_len(&corpus_tmp)?,
         start_seq: first_new as u32,
         seq_count: (last - first_new) as u32,
         quarantined: false,
     });
-    // Only the corpus is superseded; the base tree and old tails are
-    // carried forward by reference.
+    // Nothing is superseded: every committed file is carried forward
+    // by reference.
     commit_update_with(
         vfs,
         dir,
         &[
-            (corpus_tmp, dir.join(&manifest.corpus)),
+            (corpus_tmp, dir.join(&corpus_name)),
             (segment_tmp, dir.join(&segment_name)),
         ],
         &manifest,
-        std::slice::from_ref(&resolved.corpus_path),
+        &[],
     )?;
     guard.defuse();
     Ok(manifest)
@@ -173,10 +190,11 @@ pub fn append_segment_with(
 /// generation. Returns `Ok(None)` when the directory has no tail
 /// segments — i.e. is already fully compacted.
 ///
-/// Compaction never touches the corpus and never changes query results;
-/// it only reduces the segment count by one. Interrupting it at any
-/// point leaves the previous generation in force (the next recovery
-/// sweep removes the torn merge's leftovers).
+/// Compaction folds the pair's corpora into one file along with their
+/// indexes (the base corpus is rewritten only when the base absorbs a
+/// tail), never changes query results, and reduces the segment count by
+/// one. Interrupting it at any point leaves the previous generation in
+/// force (the next recovery sweep removes the torn merge's leftovers).
 pub fn compact_once(dir: &Path) -> Result<Option<Manifest>> {
     compact_once_with(&RealVfs, dir, &warptree_obs::MetricsRegistry::noop())
 }
@@ -203,8 +221,6 @@ pub fn compact_once_with(
     let hist = reg.histogram("compaction.ns");
     let timer = hist.span();
 
-    let (_, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
-
     // Uniform view of `(file, size)`: base first, then the tails, in
     // sequence order.
     let tails = old.segments.iter().map(|s| (&s.file, s.file_len));
@@ -229,6 +245,35 @@ pub fn compact_once_with(
     };
     let merged_tmp = dir.join(format!("{merged_name}.tmp"));
     let mut guard = TempGuard::new(vfs, vec![merged_tmp.clone()]);
+
+    // The corpora of the pair's two ranges, and only those: the left
+    // tail's, or else the base corpus (which also holds any tail without
+    // a corpus of its own), then the right tail's, if it has one.
+    let own = |i: usize| match i {
+        0 => None,
+        i => old.segments[i - 1].corpus_file(dir),
+    };
+    let (left_own, right_own) = (own(pick), own(pick + 1));
+    let left = (left_own.clone()).unwrap_or_else(|| resolved.corpus_files[0].clone());
+    let corpora: Vec<CorpusFile> = std::iter::once(left).chain(right_own.clone()).collect();
+    let (store, alphabet, cat) = load_corpora_with(vfs, &corpora)?;
+    // The two fold into one file for the merged range: the merged tail's
+    // corpus, or a new base corpus when the left range is the base
+    // corpus's. A right tail without a corpus leaves every corpus as it
+    // is.
+    let folded = match (&left_own, &right_own) {
+        (_, None) => None,
+        (Some(_), Some(_)) => Some(segment_corpus_file_name(generation, (pick - 1) as u32)),
+        (None, Some(_)) => Some(corpus_file_name(generation)),
+    };
+    let folded = folded.map(|name| {
+        let tmp = dir.join(format!("{name}.tmp"));
+        (name, tmp)
+    });
+    if let Some((_, tmp)) = &folded {
+        guard.add(tmp.clone());
+        save_corpus_with(vfs, &store, &alphabet, tmp)?;
+    }
 
     let left_path = dir.join(view[pick].0);
     let right_path = dir.join(view[pick + 1].0);
@@ -264,9 +309,17 @@ pub fn compact_once_with(
         }
     }
     let merged_len = vfs.metadata_len(&merged_tmp)?;
+    let (mut tail_corpus, mut tail_corpus_len) = (String::new(), 0);
 
     let mut manifest = old.clone();
     manifest.generation = generation;
+    if let Some((name, tmp)) = &folded {
+        let len = vfs.metadata_len(tmp)?;
+        match left_own {
+            Some(_) => (tail_corpus, tail_corpus_len) = (name.clone(), len),
+            None => (manifest.corpus, manifest.corpus_len) = (name.clone(), len),
+        }
+    }
     if pick == 0 {
         // Base absorbed the first tail.
         manifest.index = merged_name.clone();
@@ -279,18 +332,20 @@ pub fn compact_once_with(
         manifest.segments[pick - 1] = SegmentMeta {
             file: merged_name.clone(),
             file_len: merged_len,
+            corpus: tail_corpus,
+            corpus_len: tail_corpus_len,
             start_seq: left_meta.start_seq,
             seq_count: left_meta.seq_count + right_meta.seq_count,
             quarantined: false,
         };
     }
-    commit_update_with(
-        vfs,
-        dir,
-        &[(merged_tmp, dir.join(&merged_name))],
-        &manifest,
-        &[left_path, right_path],
-    )?;
+    let mut staged = vec![(merged_tmp, dir.join(&merged_name))];
+    let mut superseded = vec![left_path, right_path];
+    if let Some((name, tmp)) = folded {
+        staged.push((tmp, dir.join(name)));
+        superseded.extend(corpora.into_iter().map(|f| f.path));
+    }
+    commit_update_with(vfs, dir, &staged, &manifest, &superseded)?;
     guard.defuse();
     timer.end();
     reg.counter("compaction.runs").incr();
@@ -298,12 +353,14 @@ pub fn compact_once_with(
     Ok(Some(manifest))
 }
 
-/// Heals a quarantined tail segment by rebuilding its tree from the
+/// Heals a quarantined tail segment by rebuilding its tree from its
 /// (intact) corpus — the suffixes of a tail segment are fully derivable
 /// from its `start_seq..start_seq+seq_count` sequence range, so the
 /// corrupt file is replaced by a freshly built one and the quarantine
-/// flag cleared, all as one new manifest generation. The tombstone file
-/// is removed only after the replacement is committed.
+/// flag cleared, all as one new manifest generation. Only the corpus
+/// holding that range is read: the tail's own, or the base corpus for a
+/// tail without one. The tombstone file is removed only after the
+/// replacement is committed.
 pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Manifest> {
     let (resolved, _recovery) = recover_dir_with(vfs, dir)?;
     let old = resolved.manifest;
@@ -313,11 +370,12 @@ pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Man
         .position(|s| s.file == segment && s.quarantined)
         .ok_or_else(|| DiskError::BadManifest(format!("no quarantined segment named {segment}")))?;
     let meta = old.segments[idx].clone();
-    let (store, _, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
+    let corpus = (meta.corpus_file(dir)).unwrap_or_else(|| resolved.corpus_files[0].clone());
+    let (_, _, cat) = load_corpora_with(vfs, &[corpus])?;
     let sparse = index_shape(vfs, &resolved.index_path, old.backend)?.sparse;
     let first = meta.start_seq as usize;
     let last = first + meta.seq_count as usize;
-    if last > store.len() {
+    if last > cat.len() {
         return Err(DiskError::BadManifest(format!(
             "segment {segment} covers sequences beyond the corpus"
         )));
@@ -332,9 +390,8 @@ pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Man
     manifest.segments[idx] = SegmentMeta {
         file: new_name.clone(),
         file_len: vfs.metadata_len(&tmp)?,
-        start_seq: meta.start_seq,
-        seq_count: meta.seq_count,
         quarantined: false,
+        ..meta.clone()
     };
     commit_update_with(
         vfs,
@@ -360,8 +417,8 @@ pub struct ScrubReport {
     /// Previously quarantined segments this pass rebuilt from the
     /// corpus.
     pub healed: Vec<String>,
-    /// Corruption in a file quarantine cannot cover (the corpus or the
-    /// base tree) — serving is compromised until a rebuild.
+    /// Corruption in a file quarantine cannot cover (a corpus file or
+    /// the base tree) — serving is compromised until a rebuild.
     pub unrecoverable: Option<String>,
 }
 
@@ -395,11 +452,11 @@ impl std::fmt::Display for ScrubReport {
 /// One scrub pass over an index directory: the committed-file check
 /// [`verify_dir_with`](crate::verify_dir_with) reports — size, every
 /// page read past the caches, parse — metered into `reg`, plus its
-/// consequences. A corpus or base index that fails is reported
-/// unrecoverable (there is nothing to rebuild it from) and the pass
-/// ends without mutating the directory; a live tail segment that fails
-/// is quarantined; and when `heal` is set, every quarantined segment is
-/// rebuilt from the corpus.
+/// consequences. A corpus file (the base's or a tail's) or base index
+/// that fails is reported unrecoverable (there is nothing to rebuild it
+/// from) and the pass ends without mutating the directory; a live tail
+/// segment's index that fails is quarantined; and when `heal` is set,
+/// every quarantined segment is rebuilt from its corpus.
 pub fn scrub_dir_with(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -413,8 +470,8 @@ pub fn scrub_dir_with(
         pages: files.iter().map(|f| f.pages).sum(),
         ..Default::default()
     };
-    // The corpus and the base index come first.
-    let (base, tails) = files.split_at(2);
+    // The corpus files and the base index come first.
+    let (base, tails) = files.split_at(files.len() - resolved.segment_paths.len());
     if let Some((name, error)) = base.iter().find_map(|f| Some((&f.name, f.error.as_ref()?))) {
         report.unrecoverable = Some(format!("{name}: {error}"));
         return Ok(report);
@@ -650,83 +707,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The carried-forward corpus is the file a full re-serialization
-    /// writes, and the tail built from the batch's symbols alone is the
-    /// one built from the fully encoded store. The appends cover named
-    /// and unnamed sequences, an old stream ending exactly on a page
-    /// boundary, a batch whose first record straddles one, values that
-    /// widen the bounds, and every change of scale: a batch on the
-    /// committed scale, one on a finer scale, one on none, one into a
-    /// raw corpus, and a committed version 2 file — for tree and ESA,
-    /// full and sparse.
+    /// The sequences of a directory as one store: its corpus files,
+    /// loaded in `MANIFEST` order.
+    fn dir_store(dir: &Path) -> (SequenceStore, Alphabet) {
+        let resolved = resolve_dir_with(&RealVfs, dir).unwrap();
+        let (store, alphabet, _) = load_corpora_with(&RealVfs, &resolved.corpus_files).unwrap();
+        (store, alphabet)
+    }
+
+    /// Whether two stores hold the same sequences, names included.
+    fn same_store(a: &SequenceStore, b: &SequenceStore) -> bool {
+        a.len() == b.len()
+            && (a.iter().zip(b.iter()))
+                .all(|((i, x), (j, y))| x.values() == y.values() && a.name(i) == b.name(j))
+    }
+
+    /// Every file of `dir` but `MANIFEST`, by name, with its bytes.
+    fn files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        (entries.map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), p)))
+            .filter(|(name, _)| name != crate::manifest::MANIFEST_NAME)
+            .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// An append writes its batch and only its batch: the tail's corpus
+    /// is the file [`save_corpus`](crate::corpus::save_corpus) writes for
+    /// the batch under the directory's alphabet widened over it, at the
+    /// batch's own scale, and every committed file stays byte for byte
+    /// as it was. The tail built from the batch's symbols alone is the
+    /// one built from the fully encoded store, and the directory loads
+    /// as the union of its batches under the widened alphabet, before
+    /// and after a full compaction. The appends cover named and unnamed
+    /// sequences, values that widen the bounds, a batch on the base's
+    /// scale, one on a finer scale, one on none and one on the base's
+    /// again, over a scaled and over a version 2 base corpus — for tree
+    /// and ESA, full and sparse.
     #[test]
-    fn carried_forward_files_are_the_full_reserialization() {
-        use crate::corpus::{corpus_decimals, load_corpus, save_corpus, save_corpus_v2};
+    fn a_tail_corpus_holds_its_batch_alone() {
+        use crate::corpus::{corpus_decimals, save_corpus, save_corpus_v2};
         use crate::manifest::commit_update_with;
-        use crate::pager::{PAGE_DATA, PAGE_SIZE};
         use warptree_core::sequence::Sequence;
-        // A wave on the grid of `decimals`; `+ 0.0` turns `-0.0`, which
-        // is on no grid, into `0.0`.
-        let wave = |n: usize, k: usize, scale: f64, decimals: i32| -> Sequence {
+        let wave = |n: usize, k: usize, decimals: i32| -> Vec<f64> {
             let grid = 10f64.powi(decimals);
-            let on_grid = |x: f64| (x * scale * grid).round() / grid + 0.0;
-            Sequence::new(
-                (0..n)
-                    .map(|i| on_grid((i as f64 * 0.37 * k as f64).sin()))
-                    .collect(),
-            )
+            let on_grid = |x: f64| (x * 10.0 * grid).round() / grid + 0.0;
+            (0..n)
+                .map(|i| on_grid((i as f64 * 0.37 * k as f64).sin()))
+                .collect()
         };
-        let stream_len = |store: &SequenceStore, alphabet: &Alphabet, at: &Path| {
-            save_corpus(store, alphabet, at).unwrap() as usize
-        };
-        let extend = |model: &mut SequenceStore, batch: &SequenceStore| {
-            for (id, s) in batch.iter() {
-                match batch.name(id) {
-                    Some(name) => model.push_named(s.clone(), name),
-                    None => model.push(s.clone()),
-                };
-            }
-        };
-        let scratch = tmpdir("reserialize-len");
-        let at = scratch.join("len.tmp");
         let mut base = SequenceStore::new();
         for k in 0..9 {
             match k % 2 {
-                0 => base.push_named(wave(300, k + 1, 10.0, 2), format!("s{k}")),
-                _ => base.push(wave(300, k + 1, 10.0, 2)),
+                0 => base.push_named(Sequence::new(wave(300, k + 1, 2)), format!("s{k}")),
+                _ => base.push(Sequence::new(wave(300, k + 1, 2))),
             };
         }
-        let mut alphabet = Alphabet::max_entropy(&base, 6).unwrap();
-        // The last base sequence's name pads the stream to one page.
-        let padding = SequenceStore::from_values(vec![wave(50, 11, 10.0, 2).values().to_vec()]);
-        alphabet.widen(&padding);
-        let mut padded = base.clone();
-        padded.push(padding.get(SeqId(0)).clone());
-        let pad = PAGE_DATA - stream_len(&padded, &alphabet, &at);
-        base.push_named(padding.get(SeqId(0)).clone(), "p".repeat(pad));
-        assert_eq!(stream_len(&base, &alphabet, &at), PAGE_DATA);
-
+        let alphabet = Alphabet::max_entropy(&base, 6).unwrap();
         let mut named = SequenceStore::new();
-        named.push_named(wave(30, 13, 10.0, 2), "a");
-        named.push(wave(20, 14, 10.0, 2));
-        let straddling = SequenceStore::from_values(vec![
-            wave(4200, 15, 15.0, 2).values().to_vec(),
-            wave(5, 16, 10.0, 2).values().to_vec(),
-        ]);
+        named.push_named(Sequence::new(wave(30, 13, 2)), "a");
+        named.push(Sequence::new(wave(20, 14, 2)));
         let mut below = SequenceStore::new();
         below.push_named(Sequence::new(vec![-20.0, 3.0, 3.0, -20.0]), "c");
-        let finer = SequenceStore::from_values(vec![wave(40, 17, 10.0, 3).values().to_vec()]);
+        let finer = SequenceStore::from_values(vec![wave(40, 17, 3)]);
         let mut off_grid = SequenceStore::new();
         off_grid.push_named(Sequence::new(vec![1.0 / 3.0, 2.0, -0.0]), "d");
-        let into_raw = SequenceStore::from_values(vec![wave(60, 18, 10.0, 2).values().to_vec()]);
-        // Each batch and the scale the corpus is stored at after it.
+        let after_raw = SequenceStore::from_values(vec![wave(60, 18, 2)]);
+        // Each batch and the scale its corpus is stored at.
         let batches = [
             (named, Some(2)),
-            (straddling, Some(2)),
-            (below, Some(2)),
+            (below, Some(0)),
             (finer, Some(3)),
             (off_grid, None),
-            (into_raw, None),
+            (after_raw, Some(2)),
         ];
 
         for (backend, sparse, v2) in [
@@ -737,7 +789,7 @@ mod tests {
             (BackendKind::Tree, true, true),
         ] {
             let context = format!("{backend:?} sparse={sparse} v2={v2}");
-            let dir = tmpdir(&format!("reserialize-{backend:?}-{sparse}-{v2}"));
+            let dir = tmpdir(&format!("tail-corpus-{backend:?}-{sparse}-{v2}"));
             let kind = match sparse {
                 true => crate::merge::TreeKind::Sparse,
                 false => crate::merge::TreeKind::Full,
@@ -748,8 +800,6 @@ mod tests {
             )
             .unwrap();
             let first = resolve_dir_with(&RealVfs, &dir).unwrap();
-            let corpus_len = std::fs::metadata(&first.corpus_path).unwrap().len();
-            assert_eq!(corpus_len, PAGE_SIZE as u64, "{context}: one full page");
             assert_eq!(corpus_decimals(&first.corpus_path).unwrap(), Some(2));
             if v2 {
                 // The same corpus as a previous build wrote it.
@@ -762,55 +812,330 @@ mod tests {
                 assert_eq!(corpus_decimals(&first.corpus_path).unwrap(), None);
             }
 
+            let (mut model, mut widened) = (base.clone(), alphabet.clone());
             for (k, (batch, decimals)) in batches.iter().enumerate() {
-                let before = resolve_dir_with(&RealVfs, &dir).unwrap();
-                let (mut model, mut widened, _) = load_corpus(&before.corpus_path).unwrap();
-                if k == 1 && !v2 {
-                    let end = stream_len(&model, &widened, &at);
-                    let one =
-                        SequenceStore::from_values(vec![batch.get(SeqId(0)).values().to_vec()]);
-                    let first_record = stream_len(&one, &widened, &at) - 28 - 32 * widened.len();
-                    assert!(
-                        end % PAGE_DATA + first_record > PAGE_DATA,
-                        "{context}: no straddle"
-                    );
-                }
+                let before = files(&dir);
                 let m = append_segment(&dir, batch).unwrap();
                 let first_new = model.len();
-                extend(&mut model, batch);
+                for (id, s) in batch.iter() {
+                    match batch.name(id) {
+                        Some(name) => model.push_named(s.clone(), name),
+                        None => model.push(s.clone()),
+                    };
+                }
                 widened.widen(batch);
 
+                let after = files(&dir);
+                for (name, bytes) in &before {
+                    assert!(after.get(name) == Some(bytes), "{context}: {name} moved");
+                }
+                let tail = m.segments.last().unwrap();
                 let want = dir.join("want.tmp");
-                save_corpus(&model, &widened, &want).unwrap();
-                let got = std::fs::read(dir.join(&m.corpus)).unwrap();
+                save_corpus(batch, &widened, &want).unwrap();
+                let got = &after[&tail.corpus];
                 assert!(
-                    got == std::fs::read(&want).unwrap(),
+                    *got == std::fs::read(&want).unwrap(),
                     "{context}: corpus {k}"
                 );
-                let decimals_now = corpus_decimals(&dir.join(&m.corpus)).unwrap();
+                assert_eq!(tail.corpus_len, got.len() as u64, "{context}: corpus {k}");
+                let decimals_now = corpus_decimals(&dir.join(&tail.corpus)).unwrap();
                 assert_eq!(decimals_now, *decimals, "{context}: corpus {k}");
                 let cat = Arc::new(widened.encode_store(&model));
                 let range = first_new..model.len();
                 write_range_index(&RealVfs, backend, cat, range, sparse, &want).unwrap();
-                let tail = &m.segments.last().unwrap().file;
-                let got = std::fs::read(dir.join(tail)).unwrap();
-                assert!(got == std::fs::read(&want).unwrap(), "{context}: tail {k}");
+                let got = &after[&tail.file];
+                assert!(*got == std::fs::read(&want).unwrap(), "{context}: tail {k}");
                 std::fs::remove_file(&want).unwrap();
+
+                let (store, loaded) = dir_store(&dir);
+                assert!(same_store(&store, &model), "{context}: store {k}");
+                assert_eq!(loaded, widened, "{context}: alphabet {k}");
             }
-            let (loaded, _, _) =
-                load_corpus(&resolve_dir_with(&RealVfs, &dir).unwrap().corpus_path).unwrap();
-            assert_eq!(
-                loaded.name(SeqId(base.len() as u32)),
-                Some("a"),
-                "{context}"
-            );
             assert!(
                 verify_dir_with(&RealVfs, &dir).unwrap().is_ok(),
                 "{context}"
             );
+            let reg = warptree_obs::MetricsRegistry::noop();
+            compact_all_with(&RealVfs, &dir, &reg).unwrap();
+            let (store, loaded) = dir_store(&dir);
+            assert!(same_store(&store, &model), "{context}: compacted");
+            assert_eq!(loaded, widened, "{context}: compacted");
+            let corpora = files(&dir).into_keys().filter(|n| n.ends_with(".wc"));
+            assert_eq!(corpora.count(), 1, "{context}: one corpus file left");
             std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    /// The matches of `queries` over the opened directory.
+    fn answers(dir: &Path, queries: &[&[f64]]) -> Vec<Vec<warptree_core::search::Match>> {
+        let snap = open_dir_snapshot_with(&RealVfs, dir).unwrap();
+        let params = SearchParams::with_epsilon(1.0);
+        let ask = |q: &&[f64]| QueryRequest::threshold_params(q, params.clone());
+        let run = |q| snap.query(&ask(q)).unwrap().0.matches().to_vec();
+        queries.iter().map(run).collect()
+    }
+
+    /// A directory a version 4 `MANIFEST` committed — its tails without
+    /// corpora, the base corpus holding every sequence — written here
+    /// from that layout's bytes, opens with the answers of the same
+    /// directory in today's layout, appends (committing version 5, the
+    /// new tail with a corpus of its own), verifies, and compacts step by
+    /// step to one tree and one corpus, answering alike at every step.
+    #[test]
+    fn a_version_4_directory_opens_appends_and_compacts() {
+        use crate::corpus::save_corpus;
+        use crate::manifest::{encode_v4, MANIFEST_NAME};
+        let base = SequenceStore::from_values(vec![
+            vec![1.0, 5.0, 3.0, 5.0, 1.0],
+            vec![4.0, 4.0, 2.0, 6.0],
+            vec![2.0, 3.0, 2.0, 1.0, 0.5],
+        ]);
+        let batches = [
+            SequenceStore::from_values(vec![vec![0.0, 9.0, 5.0], vec![3.0, 3.0, 4.0]]),
+            SequenceStore::from_values(vec![vec![5.0, 1.0, 2.0, 2.0]]),
+            SequenceStore::from_values(vec![vec![6.5, 5.0, 1.0], vec![2.25, 3.0]]),
+        ];
+        let queries: [&[f64]; 4] = [&[5.0, 1.0], &[3.0, 3.0], &[0.0, 9.0], &[2.0, 2.0, 1.0]];
+        for backend in [BackendKind::Tree, BackendKind::Esa] {
+            let context = format!("{backend:?}");
+            let (new, old) = (tmpdir("v4-today"), tmpdir("v4-old"));
+            let alphabet = Alphabet::max_entropy(&base, 4).unwrap();
+            let kind = crate::merge::TreeKind::Sparse;
+            for dir in [&new, &old] {
+                let vfs = crate::vfs::real_vfs();
+                crate::manifest::build_dir_backend_with(
+                    vfs, &base, &alphabet, kind, 1, 1, None, backend, dir,
+                )
+                .unwrap();
+            }
+            for batch in &batches[..2] {
+                append_segment(&new, batch).unwrap();
+            }
+
+            // The same two tails as the previous layout wrote them: one
+            // corpus of every sequence, and tails that name none.
+            let mut union = base.clone();
+            let mut widened = alphabet.clone();
+            let mut manifest = resolve_dir_with(&RealVfs, &old).unwrap().manifest;
+            for batch in &batches[..2] {
+                let first = union.len();
+                for (_, s) in batch.iter() {
+                    union.push(s.clone());
+                }
+                widened.widen(batch);
+                manifest.generation += 1;
+                let file = segment_file_name(manifest.generation, manifest.segments.len() as u32);
+                let cat = Arc::new(widened.encode_store(&union));
+                write_range_index(
+                    &RealVfs,
+                    backend,
+                    cat,
+                    first..union.len(),
+                    true,
+                    &old.join(&file),
+                )
+                .unwrap();
+                manifest.segments.push(SegmentMeta {
+                    file_len: std::fs::metadata(old.join(&file)).unwrap().len(),
+                    file,
+                    corpus: String::new(),
+                    corpus_len: 0,
+                    start_seq: first as u32,
+                    seq_count: batch.len() as u32,
+                    quarantined: false,
+                });
+            }
+            manifest.corpus = corpus_file_name(manifest.generation);
+            save_corpus(&union, &widened, &old.join(&manifest.corpus)).unwrap();
+            manifest.corpus_len = std::fs::metadata(old.join(&manifest.corpus)).unwrap().len();
+            std::fs::write(old.join(MANIFEST_NAME), encode_v4(&manifest)).unwrap();
+
+            assert_eq!(
+                answers(&old, &queries),
+                answers(&new, &queries),
+                "{context}"
+            );
+            for dir in [&new, &old] {
+                append_segment(dir, &batches[2]).unwrap();
+            }
+            let raw = std::fs::read(old.join(MANIFEST_NAME)).unwrap();
+            assert_eq!(&raw[8..12], &5u32.to_le_bytes(), "{context}");
+            let m = resolve_dir_with(&RealVfs, &old).unwrap().manifest;
+            let own: Vec<bool> = m.segments.iter().map(|s| !s.corpus.is_empty()).collect();
+            assert_eq!(own, [false, false, true], "{context}");
+            let want = answers(&new, &queries);
+            assert!(want.iter().all(|a| !a.is_empty()), "{context}: {want:?}");
+            assert_eq!(answers(&old, &queries), want, "{context}: appended");
+            assert!(
+                verify_dir_with(&RealVfs, &old).unwrap().is_ok(),
+                "{context}"
+            );
+            while compact_once(&old).unwrap().is_some() {
+                assert_eq!(answers(&old, &queries), want, "{context}: compacting");
+                assert!(
+                    verify_dir_with(&RealVfs, &old).unwrap().is_ok(),
+                    "{context}"
+                );
+            }
+            let (store, _) = dir_store(&old);
+            assert!(same_store(&store, &dir_store(&new).0), "{context}");
+            let corpora = files(&old).into_keys().filter(|n| n.ends_with(".wc"));
+            assert_eq!(corpora.count(), 1, "{context}: one corpus file left");
+            std::fs::remove_dir_all(&new).unwrap();
+            std::fs::remove_dir_all(&old).unwrap();
+        }
+    }
+
+    /// Random schedules of append, compaction step, full compaction,
+    /// quarantine and heal, over the tree and the ESA, full and sparse:
+    /// after every step the directory's store, its alphabet's bounds and
+    /// its answers to a fixed query set are those of a one-shot build
+    /// over the union under the base's boundaries widened over every
+    /// batch. The second append's batch is on a finer grid than the base
+    /// (three decimals against two), and no append moves a byte of the
+    /// base corpus file.
+    #[test]
+    fn random_schedules_load_and_answer_like_a_one_shot_build() {
+        use crate::manifest::{build_dir_backend_with, quarantine_segment_with};
+        use rand::{Rng, SeedableRng};
+        let queries: [&[f64]; 4] = [&[5.0, 6.0, 5.5], &[10.0, 10.5], &[1.0, 2.0], &[15.25]];
+        for (backend, sparse) in [
+            (BackendKind::Tree, false),
+            (BackendKind::Tree, true),
+            (BackendKind::Esa, false),
+            (BackendKind::Esa, true),
+        ] {
+            for seed in 0..3u64 {
+                let context = format!("{backend:?} sparse={sparse} seed {seed}");
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let batch = |rng: &mut rand::rngs::StdRng, decimals: i32| {
+                    let scale = 10f64.powi(decimals);
+                    let top = (20.0 * scale) as i64;
+                    let seq = |rng: &mut rand::rngs::StdRng| {
+                        let len = rng.gen_range(5..15usize);
+                        (0..len)
+                            .map(|_| rng.gen_range(0..top) as f64 / scale)
+                            .collect()
+                    };
+                    let count = rng.gen_range(1..4usize);
+                    SequenceStore::from_values((0..count).map(|_| seq(rng)).collect::<Vec<_>>())
+                };
+                let mut model = batch(&mut rng, 2);
+                let mut widened = Alphabet::max_entropy(&model, 6).unwrap();
+                let kind = match sparse {
+                    true => crate::merge::TreeKind::Sparse,
+                    false => crate::merge::TreeKind::Full,
+                };
+                let (dir, oneshot) = (tmpdir("schedule"), tmpdir("schedule-oneshot"));
+                let vfs = crate::vfs::real_vfs();
+                build_dir_backend_with(vfs, &model, &widened, kind, 1, 1, None, backend, &dir)
+                    .unwrap();
+                for step in 0..10 {
+                    let m = resolve_dir_with(&RealVfs, &dir).unwrap().manifest;
+                    let live: Vec<&SegmentMeta> = m.live_segments().collect();
+                    let quarantined: Vec<&SegmentMeta> = m.quarantined_segments().collect();
+                    let op = match step {
+                        0 | 1 => 0,
+                        _ => rng.gen_range(0..5),
+                    };
+                    let did = match op {
+                        0 => {
+                            let decimals = if step == 1 { 3 } else { 2 };
+                            let b = batch(&mut rng, decimals);
+                            let base = std::fs::read(dir.join(&m.corpus)).unwrap();
+                            let tail = append_segment(&dir, &b).unwrap().segments.pop().unwrap();
+                            assert!(std::fs::read(dir.join(&m.corpus)).unwrap() == base);
+                            let stored = crate::corpus::corpus_decimals(&dir.join(&tail.corpus));
+                            assert_eq!(stored.unwrap(), Some(decimals as u32), "{context}");
+                            for (_, s) in b.iter() {
+                                model.push(s.clone());
+                            }
+                            widened.widen(&b);
+                            "append"
+                        }
+                        1 => {
+                            compact_once(&dir).unwrap();
+                            "compact"
+                        }
+                        2 => {
+                            let reg = warptree_obs::MetricsRegistry::noop();
+                            compact_all_with(&RealVfs, &dir, &reg).unwrap();
+                            "compact all"
+                        }
+                        3 if !live.is_empty() => {
+                            let s = live[rng.gen_range(0..live.len())];
+                            quarantine_segment_with(&RealVfs, &dir, &s.file).unwrap();
+                            "quarantine"
+                        }
+                        4 if !quarantined.is_empty() => {
+                            let s = quarantined[rng.gen_range(0..quarantined.len())];
+                            heal_segment_with(&RealVfs, &dir, &s.file).unwrap();
+                            "heal"
+                        }
+                        _ => "nothing",
+                    };
+                    let context = format!("{context} step {step} ({did})");
+                    let (store, alphabet) = dir_store(&dir);
+                    assert!(same_store(&store, &model), "{context}");
+                    assert_eq!(alphabet, widened, "{context}");
+                    let vfs = crate::vfs::real_vfs();
+                    build_dir_backend_with(
+                        vfs, &model, &widened, kind, 1, 1, None, backend, &oneshot,
+                    )
+                    .unwrap();
+                    let want = answers(&oneshot, &queries);
+                    assert!(want.iter().any(|a| !a.is_empty()), "{context}");
+                    assert_eq!(answers(&dir, &queries), want, "{context}");
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+                std::fs::remove_dir_all(&oneshot).unwrap();
+            }
+        }
+    }
+
+    /// An append writes its batch's corpus bytes whatever the directory
+    /// already holds: the same batch appended to a directory of one
+    /// sequence and to one of 500 writes the same bytes, less its tail
+    /// index (and the index's one header-patch page) and `MANIFEST` —
+    /// exactly the tail corpus file.
+    #[test]
+    fn an_append_writes_the_same_corpus_bytes_whatever_the_directory_holds() {
+        use crate::manifest::{build_dir_with, MANIFEST_NAME};
+        use crate::pager::PAGE_SIZE;
+        let walk = |seed: usize, len: usize| -> Vec<f64> {
+            let step = |i: usize| ((seed * 31 + i * 17) % 23) as f64 / 4.0;
+            (0..len).map(step).collect()
+        };
+        let batch = SequenceStore::from_values((0..4).map(|i| walk(1000 + i, 40)));
+        let mut written = Vec::new();
+        for size in [1, 500] {
+            let dir = tmpdir(&format!("same-bytes-{size}"));
+            let store = SequenceStore::from_values((0..size).map(|i| walk(i, 60)));
+            let alphabet = Alphabet::max_entropy(&store, 8).unwrap();
+            let kind = crate::merge::TreeKind::Sparse;
+            build_dir_with(
+                crate::vfs::real_vfs(),
+                &store,
+                &alphabet,
+                kind,
+                64,
+                1,
+                None,
+                &dir,
+            )
+            .unwrap();
+            let reg = warptree_obs::MetricsRegistry::new();
+            let vfs = crate::vfs::MeteredVfs::new(crate::vfs::real_vfs(), &reg);
+            let m = append_segment_with(vfs.as_ref(), &dir, &batch).unwrap();
+            let tail = m.segments.last().unwrap();
+            let manifest = std::fs::metadata(dir.join(MANIFEST_NAME)).unwrap().len();
+            let all = reg.counter("disk.vfs.write_bytes").get();
+            let corpus = all - (tail.file_len + PAGE_SIZE as u64) - manifest;
+            assert_eq!(corpus, tail.corpus_len, "{size} sequences");
+            written.push(corpus);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(written[0], written[1]);
     }
 
     /// A name the corpus could not hold is refused by a build and by an

@@ -47,7 +47,7 @@ use warptree_core::search::{
 use warptree_core::sequence::SequenceStore;
 
 use crate::any::AnyIndex;
-use crate::corpus::load_corpus_with;
+use crate::corpus::load_corpora_with;
 use crate::error::{DiskError, Result};
 use crate::manifest::{
     read_manifest_with, recover_dir_with, resolve_dir_with, RecoveryReport, ResolvedDir,
@@ -216,28 +216,30 @@ pub fn open_dir_recovered_with(vfs: &dyn Vfs, dir: &Path) -> Result<(DirSnapshot
     Ok((snapshot, recovery))
 }
 
-/// The one open body: loads the corpus, then opens the base tree and
+/// The one open body: loads the corpus — every corpus file, those of
+/// quarantined tails included, as one store — then opens the base tree and
 /// every tail segment the manifest does not have quarantined, each read
 /// whole and checked. A tree page after the header that fails its CRC,
 /// or a tree record that fails its checks, base or tail, does not fail
 /// the open: the tree opens and is recorded damaged, and the corpus
 /// answers for it. Neither does a tail that fails its own checks at
 /// open (a header page's CRC, any page or record of an ESA), or whose
-/// header
-/// disagrees with the base's on the sparse flag or the depth limit
-/// (which the fan-out cannot mix): it is recorded damaged too. A corrupt
-/// corpus, base header page or base ESA fails the open, and so does an
+/// header disagrees with the base's on the sparse flag or the depth
+/// limit (which the fan-out cannot mix): it is recorded damaged too. A
+/// corrupt corpus file (the base's or a tail's), base header page or
+/// base ESA fails the open, and so does an
 /// I/O error (a superseded generation's file unlinked under a poll:
 /// retry).
 fn open_resolved(vfs: &dyn Vfs, resolved: ResolvedDir) -> Result<DirSnapshot> {
     let ResolvedDir {
         generation,
-        corpus_path,
+        corpus_files,
         index_path,
         segment_paths,
         manifest,
+        ..
     } = resolved;
-    let (store, alphabet, cat) = load_corpus_with(vfs, &corpus_path)?;
+    let (store, alphabet, cat) = load_corpora_with(vfs, &corpus_files)?;
     let open = |path: &Path| AnyIndex::open_with(vfs, path, cat.clone(), manifest.backend);
     let tree = open(&index_path)?;
     let mut failed = Vec::new();

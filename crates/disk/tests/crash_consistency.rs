@@ -1,5 +1,6 @@
 //! Fault-injection sweep over every I/O operation of build, rebuild,
-//! and (tail-segment) append.
+//! and (tail-segment) append. The compaction sweep is
+//! `segments_equivalence.rs`'s `recovered_torn_compaction_answers_identically`.
 //!
 //! Each scenario first runs against a counting [`FaultVfs`] that never
 //! fires, to learn the total number of filesystem operations `T`; it is
@@ -25,8 +26,8 @@ use warptree_core::categorize::Alphabet;
 use warptree_core::search::{seq_scan, QueryRequest, SearchParams, SearchStats, SeqScanMode};
 use warptree_core::sequence::SequenceStore;
 use warptree_disk::{
-    append_segment_with, build_dir_with, load_corpus, open_dir_recovered_with, resolve_dir_with,
-    verify_dir_with, DiskError, FaultMode, FaultVfs, RealVfs, TreeKind, Vfs,
+    append_segment_with, build_dir_with, load_corpora_with, load_corpus, open_dir_recovered_with,
+    resolve_dir_with, verify_dir_with, DiskError, FaultMode, FaultVfs, RealVfs, TreeKind, Vfs,
 };
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -63,6 +64,42 @@ fn no_tmp_files(dir: &Path) -> bool {
     std::fs::read_dir(dir)
         .unwrap()
         .all(|e| !e.unwrap().file_name().to_string_lossy().ends_with(".tmp"))
+}
+
+/// The directory's store: every corpus file its `MANIFEST` names, the
+/// base's and each tail's, loaded in order.
+fn dir_store(dir: &Path) -> SequenceStore {
+    let resolved = resolve_dir_with(&RealVfs, dir).unwrap();
+    load_corpora_with(&RealVfs, &resolved.corpus_files)
+        .unwrap()
+        .0
+}
+
+/// The data files of a recovered directory are its `MANIFEST`'s: one
+/// corpus file for the base and one for each tail segment, live or
+/// quarantined, each beside its index, and no orphan of either kind.
+fn assert_one_corpus_per_segment(dir: &Path, context: &str) {
+    let resolved = resolve_dir_with(&RealVfs, dir).unwrap();
+    let m = &resolved.manifest;
+    let tails = m.segments.iter().flat_map(|s| [&s.file, &s.corpus]);
+    let mut want: Vec<&str> = [&m.corpus, &m.index]
+        .into_iter()
+        .chain(tails)
+        .map(|n| n.as_str())
+        .collect();
+    want.sort_unstable();
+    let names = std::fs::read_dir(dir).unwrap();
+    let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+    let mut got: Vec<String> = names
+        .filter(|n| n.ends_with(".wc") || n.ends_with(".wt"))
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "{context}: data files are not the manifest's");
+    assert_eq!(
+        resolved.corpus_files.len(),
+        1 + m.segments.len(),
+        "{context}"
+    );
 }
 
 /// Builds a committed (generation 1) index directory with the real
@@ -194,13 +231,13 @@ fn append_fault_sweep() {
                 assert!(no_tmp_files(&dir), "{context}: error path leaked *.tmp");
             }
             // Whatever happened, the directory must reopen to the
-            // complete old or complete new state.
+            // complete old or complete new state, with one corpus file
+            // per segment.
             assert_recovers_to_one_of(&dir, &[&old, &new], &context);
+            assert_one_corpus_per_segment(&dir, &context);
             if result.is_ok() {
-                let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
-                let (store, _, _) = load_corpus(&resolved.corpus_path).unwrap();
                 assert!(
-                    stores_equal(&store, &new),
+                    stores_equal(&dir_store(&dir), &new),
                     "{context}: append reported success but holds the old state"
                 );
             }
@@ -266,9 +303,7 @@ fn appended_dir_survives_crash_then_appends_again() {
     assert_recovers_to_one_of(&dir, &[&initial_store(), &combined_store()], "mid");
     // The retry must succeed regardless of which state survived; append
     // again only if the first one was lost.
-    let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
-    let (store, _, _) = load_corpus(&resolved.corpus_path).unwrap();
-    if stores_equal(&store, &initial_store()) {
+    if stores_equal(&dir_store(&dir), &initial_store()) {
         append_segment_with(&RealVfs, &dir, &extra_store()).unwrap();
     }
     assert_recovers_to_one_of(&dir, &[&combined_store()], "final");

@@ -539,11 +539,20 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .len();
     let manifest = &resolved.manifest;
-    let corpus_decimals =
-        warptree_disk::corpus_decimals(&resolved.corpus_path).map_err(|e| e.to_string())?;
-    let corpus_file_bytes = std::fs::metadata(&resolved.corpus_path)
-        .map_err(|e| e.to_string())?
-        .len();
+    // Every corpus file — the base's, then each tail's — with its scale
+    // and size; the corpus's bytes are their sum.
+    let mut corpus_files = Vec::new();
+    for file in &resolved.corpus_files {
+        let name = file.path.file_name().unwrap_or_default().to_string_lossy();
+        let decimals = warptree_disk::corpus_decimals(&file.path).map_err(|e| e.to_string())?;
+        let bytes = std::fs::metadata(&file.path)
+            .map_err(|e| e.to_string())?
+            .len();
+        corpus_files.push((name.into_owned(), decimals, bytes));
+    }
+    let corpus_decimals = corpus_files[0].1;
+    let corpus_file_bytes: u64 = corpus_files.iter().map(|f| f.2).sum();
+    let manifest_corpus_bytes: u64 = resolved.corpus_files.iter().map(|f| f.file_len).sum();
     // `--deep` walks the base index for structural statistics.
     let deep = o.flag("deep").then(|| TreeStats::compute(tree));
 
@@ -561,15 +570,25 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             manifest.generation,
             escape(&manifest.corpus),
             escape(&manifest.index),
-            manifest.corpus_len,
+            manifest_corpus_bytes,
             manifest.index_len,
         );
+        let decimals_json = |d: Option<u32>| d.map_or("null".into(), |d| d.to_string());
+        let files_json: Vec<String> = (corpus_files.iter())
+            .map(|(name, decimals, bytes)| {
+                format!(
+                    "{{\"name\":\"{}\",\"decimals\":{},\"file_bytes\":{bytes}}}",
+                    escape(name),
+                    decimals_json(*decimals)
+                )
+            })
+            .collect();
         let structure_json = deep.as_ref().map_or("null".into(), TreeStats::to_json);
         println!(
             concat!(
                 "{{\"corpus\":{{\"sequences\":{},\"elements\":{},",
                 "\"mean_len\":{},\"value_range\":{},",
-                "\"decimals\":{},\"file_bytes\":{}}},",
+                "\"decimals\":{},\"file_bytes\":{},\"files\":[{}]}},",
                 "\"categorization\":{{\"method\":\"{}\",\"categories\":{}}},",
                 "\"index\":{{\"kind\":\"{}\",\"backend\":\"{}\",",
                 "\"nodes\":{},\"suffixes\":{},",
@@ -582,8 +601,9 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             store.total_len(),
             num(store.mean_len()),
             value_range,
-            corpus_decimals.map_or("null".into(), |d| d.to_string()),
+            decimals_json(corpus_decimals),
             corpus_file_bytes,
+            files_json.join(","),
             escape(&alphabet.method().to_string()),
             alphabet.len(),
             if tree.is_sparse() { "sparse" } else { "full" },
@@ -611,14 +631,27 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     if let Some((lo, hi)) = store.value_range() {
         println!("  value range:    [{lo}, {hi}]");
     }
-    let storage = match corpus_decimals {
+    let storage = |decimals: Option<u32>| match decimals {
         Some(d) => format!("{d}-decimal delta varints"),
         None => "raw f64".into(),
     };
-    println!(
-        "  stored as:      {storage}, {} KiB",
-        corpus_file_bytes / 1024
-    );
+    match &corpus_files[..] {
+        [_] => println!(
+            "  stored as:      {}, {} KiB",
+            storage(corpus_decimals),
+            corpus_file_bytes / 1024
+        ),
+        files => {
+            println!(
+                "  stored as:      {} files, {} KiB",
+                files.len(),
+                corpus_file_bytes / 1024
+            );
+            for (name, decimals, bytes) in files {
+                println!("    {name}: {}, {} KiB", storage(*decimals), bytes / 1024);
+            }
+        }
+    }
     println!("categorization:");
     println!("  method:         {}", alphabet.method());
     println!("  categories:     {}", alphabet.len());
@@ -660,9 +693,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     }
     println!("manifest:");
     println!(
-        "  corpus:         {} ({} KiB)",
+        "  corpus:         {} ({} KiB; {} KiB in all {} corpus files)",
         manifest.corpus,
-        manifest.corpus_len / 1024
+        manifest.corpus_len / 1024,
+        manifest_corpus_bytes / 1024,
+        resolved.corpus_files.len()
     );
     println!(
         "  index:          {} ({} KiB)",

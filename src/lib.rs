@@ -323,8 +323,10 @@ impl DiskIndexDir {
     }
 }
 
-/// Resolves the committed corpus and tree file paths of an index
-/// directory, as its `MANIFEST` names them.
+/// Resolves the committed base corpus and base tree file paths of an
+/// index directory, as its `MANIFEST` names them (each tail segment has
+/// a corpus and an index of its own: see
+/// [`warptree_disk::ResolvedDir`]).
 pub fn resolve_index_dir(
     dir: &std::path::Path,
 ) -> Result<(std::path::PathBuf, std::path::PathBuf), Box<dyn std::error::Error>> {

@@ -256,6 +256,65 @@ fn base_tree_corruption_answers_by_scan_and_scrub_refuses_it() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A tail segment's corpus is read whole and checked at every open, as
+/// the base's is, and nothing can rebuild it. One forged behind a
+/// re-sealed CRC — its sequence count one short of its segment's — fails
+/// the open with a typed error naming it; `verify` names it; scrub
+/// reports it unrecoverable and commits nothing. A page of one that
+/// fails its CRC fails the open too, naming the file and the page, and
+/// one longer than its `MANIFEST` size fails `verify`.
+#[test]
+fn a_damaged_tail_corpus_is_a_typed_error_at_open() {
+    use warptree_disk::DiskError;
+    let dir = tmpdir("tail-corpus");
+    build_chaos_dir(&dir);
+    let manifest = resolve_dir_with(&RealVfs, &dir).unwrap().manifest;
+    let tail = manifest.segments[1].clone();
+    let path = dir.join(&tail.corpus);
+    let pristine = std::fs::read(&path).unwrap();
+
+    // The header's sequence count, after the magic, the version, the
+    // method and the category count.
+    forge_word(&path, 20, tail.seq_count - 1);
+    match open_dir_snapshot_with(&RealVfs, &dir) {
+        Err(DiskError::BadRecord(m)) => {
+            assert!(m.contains(&tail.corpus) && m.contains("holds"), "{m}")
+        }
+        other => panic!("expected a typed BadRecord, got {:?}", other.map(|_| ())),
+    }
+    let report = verify_dir_with(&RealVfs, &dir).unwrap();
+    let check = report.files.iter().find(|f| f.name == tail.corpus).unwrap();
+    let error = check.error.as_deref().unwrap_or_default();
+    assert!(!report.is_ok() && error.contains("holds"), "{report}");
+    let scrub = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
+    let unrecoverable = scrub.unrecoverable.as_deref().unwrap_or_default();
+    assert!(unrecoverable.starts_with(&tail.corpus), "{scrub}");
+    assert_eq!(scrub.generation, manifest.generation, "{scrub}");
+    let after = resolve_dir_with(&RealVfs, &dir).unwrap().manifest;
+    assert_eq!(after, manifest, "scrub committed nothing");
+
+    let mut flipped = pristine.clone();
+    flipped[17] ^= 0xA5;
+    std::fs::write(&path, &flipped).unwrap();
+    match open_dir_snapshot_with(&RealVfs, &dir) {
+        Err(DiskError::CorruptionDetected { file, page }) => {
+            assert_eq!((file, page), (tail.corpus.clone(), 0))
+        }
+        other => panic!("expected CorruptionDetected, got {:?}", other.map(|_| ())),
+    }
+
+    let mut longer = pristine.clone();
+    longer.extend_from_slice(&pristine[pristine.len() - PAGE_SIZE..]);
+    std::fs::write(&path, &longer).unwrap();
+    let report = verify_dir_with(&RealVfs, &dir).unwrap();
+    let check = report.files.iter().find(|f| f.name == tail.corpus).unwrap();
+    let error = check.error.as_deref().unwrap_or_default();
+    assert!(error.contains("does not match manifest"), "{report}");
+    std::fs::write(&path, &pristine).unwrap();
+    assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One query path: `DirSnapshot::query` over a tail that fails its CRC
 /// answers exactly as the clean directory does, by sequential scan —
 /// its counters are `seq_scan(Cascade)`'s, from the plan that answered

@@ -298,8 +298,9 @@ fn help_lists_commands() {
 }
 
 /// An append keeps the names its CSV gives: a match in an appended
-/// sequence is reported under its name, and `info` says how the corpus
-/// holds its whole-cent values.
+/// sequence is reported under its name, and `info` says how each corpus
+/// file holds its values — the base's whole cents at two decimals, the
+/// tail's whole dimes at one — and counts the corpus's bytes over both.
 #[test]
 fn appended_sequences_keep_their_names() {
     let dir = std::env::temp_dir().join(format!("warptree-cli-named-{}", std::process::id()));
@@ -339,10 +340,23 @@ fn appended_sequences_keep_their_names() {
     ]);
     assert!(out.contains("NEWCO"), "appended name lost:\n{out}");
     let out = run_ok(&["info", "--index-dir", idx_s]);
-    assert!(out.contains("2-decimal delta varints"), "info:\n{out}");
-    let json = run_ok(&["info", "--index-dir", idx_s, "--json"]);
     assert!(
-        json.contains("\"decimals\":2,\"file_bytes\":8192}"),
+        out.contains("stored as:      2 files, 16 KiB"),
+        "info:\n{out}"
+    );
+    assert!(
+        out.contains("segment-000002-000.wc: 1-decimal delta varints, 8 KiB"),
+        "info:\n{out}"
+    );
+    let json = run_ok(&["info", "--index-dir", idx_s, "--json"]);
+    let files = concat!(
+        "\"decimals\":2,\"file_bytes\":16384,\"files\":[",
+        "{\"name\":\"corpus-000001.wc\",\"decimals\":2,\"file_bytes\":8192},",
+        "{\"name\":\"segment-000002-000.wc\",\"decimals\":1,\"file_bytes\":8192}]}"
+    );
+    assert!(json.contains(files), "info --json:\n{json}");
+    assert!(
+        json.contains("\"corpus_bytes\":16384,"),
         "info --json:\n{json}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -808,12 +822,14 @@ fn base_and_tail(tag: &str) -> (PathBuf, PathBuf, PathBuf, String) {
     (dir, idx, base, query.collect::<Vec<_>>().join(","))
 }
 
-/// The one file of `idx` whose name starts with `prefix`.
+/// The one index file (`*.wt`) of `idx` whose name starts with
+/// `prefix`: a tail segment's corpus shares its index's name stem.
 fn data_file(idx: &std::path::Path, prefix: &str) -> PathBuf {
+    let is_index = |name: &str| name.starts_with(prefix) && name.ends_with(".wt");
     let mut found = std::fs::read_dir(idx)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(prefix));
+        .filter(|p| is_index(&p.file_name().unwrap().to_string_lossy()));
     let path = found.next().expect("a committed file");
     assert!(found.next().is_none());
     path

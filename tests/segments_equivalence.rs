@@ -56,10 +56,35 @@ fn boundary_suffixes_of_tail_segments_are_found() {
     assert!(top.len() == 1 && boundary(&top[0]), "{top:?}");
 }
 
+/// The data files of a recovered directory are its `MANIFEST`'s: one
+/// corpus file for the base and one for each tail segment, live or
+/// quarantined, each beside its index, and no orphan of either kind.
+fn assert_one_corpus_per_segment(path: &Path, context: &str) {
+    let resolved = resolve_dir_with(&RealVfs, path).unwrap();
+    let m = &resolved.manifest;
+    let tails = m.segments.iter().flat_map(|s| [&s.file, &s.corpus]);
+    let names = [&m.corpus, &m.index].into_iter().chain(tails);
+    let mut want: Vec<&str> = names.map(|n| n.as_str()).collect();
+    want.sort_unstable();
+    let files = std::fs::read_dir(path).unwrap();
+    let files = files.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+    let mut got: Vec<String> = files
+        .filter(|n| n.ends_with(".wc") || n.ends_with(".wt"))
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "{context}: data files are not the manifest's");
+    assert_eq!(
+        resolved.corpus_files.len(),
+        1 + m.segments.len(),
+        "{context}"
+    );
+}
+
 /// Torn compaction: whatever single filesystem operation of a fold fails,
 /// transiently or as a crash, the reopened directory answers like the
-/// reference, a reported commit holds the folded state, and a healthy
-/// retry completes the fold.
+/// reference, a reported commit holds the folded state (its two tails'
+/// corpora folded into one file), and a healthy retry completes the
+/// fold; after each, the directory holds one corpus file per segment.
 #[test]
 fn recovered_torn_compaction_answers_identically() {
     let lab = boundary_lab();
@@ -90,9 +115,12 @@ fn recovered_torn_compaction_answers_identically() {
         let vfs = FaultVfs::new(k, mode);
         let folded = compact_once_with(vfs.as_ref(), &path, &reg).is_ok();
         let live = check(&path);
-        assert!(!folded || live == 2, "{mode:?} k={k}: lost a commit");
+        let context = format!("{mode:?} k={k}");
+        assert!(!folded || live == 2, "{context}: lost a commit");
+        assert_one_corpus_per_segment(&path, &context);
         compact_index_dir(&path).unwrap();
-        assert_eq!(check(&path), 1, "{mode:?} k={k}: the retry left tails");
+        assert_eq!(check(&path), 1, "{context}: the retry left tails");
+        assert_one_corpus_per_segment(&path, &context);
     });
 }
 
