@@ -4,8 +4,9 @@
 //!   speed-up is pruning alone, without any index?
 //! * **B — warping-window depth limiting (paper §8)**: the future-work
 //!   optimization of bounding answer lengths via a Sakoe–Chiba band.
-//! * **C — disk vs. memory traversal**: the cost of paging + CRC +
-//!   record decoding on the same tree.
+//! * **C — the encode step**: what turning a built pointer tree into
+//!   the bytes every query walks (encode + the record check) costs,
+//!   against the pointer-tree build.
 //! * **D — merge fan-in**: incremental construction time and bytes
 //!   written vs. batch size (paper §4.1's binary-merge pipeline).
 //! * **E — §8 truncated index**: space and time when query lengths are
@@ -27,7 +28,7 @@ use warptree_obs::MetricsRegistry;
 fn main() {
     let scale = Scale::from_args();
     banner(
-        "Ablations: pruning, window, disk overhead, merge fan-in",
+        "Ablations: pruning, window, encode cost, merge fan-in",
         scale,
     );
     let store = scale.stock();
@@ -70,30 +71,31 @@ fn main() {
         );
     }
 
-    // --- C: disk vs. memory traversal ------------------------------------
-    println!("\n[C] same SST_C/ME(40) tree: in-memory vs. read from its file");
-    let dir = std::env::temp_dir().join(format!("warptree-ablation-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let tree_path = dir.join("ablation.wt");
-    let size = warptree_disk::write_tree(&built.tree, &tree_path).unwrap();
-    let disk = DiskTree::open(&tree_path, built.cat.clone()).unwrap();
-    let mem = measure_index(&built.tree, &built.alphabet, &store, &queries, &params);
-    let dsk = measure_index(&disk, &built.alphabet, &store, &queries, &params);
-    println!(
-        "    memory: {:>8.3} s/query   disk: {:>8.3} s/query \
-         ({:.2}x overhead, {} KiB file)",
-        mem.secs_per_query,
-        dsk.secs_per_query,
-        dsk.secs_per_query / mem.secs_per_query,
-        kib(size)
-    );
-    println!(
-        "    file: {} pages, read once at open",
-        disk.io_stats().pages_read
-    );
+    // --- C: the encode step ----------------------------------------------
+    println!("\n[C] ME(40): pointer-tree build vs. encode + record check (median of 5)");
+    for (name, kind) in [("ST_C", IndexKind::Full), ("SST_C", IndexKind::Sparse)] {
+        let runs: Vec<_> = (0..5)
+            .map(|_| build_index(&store, kind, Method::Me, 40))
+            .collect();
+        let median = |secs: fn(&warptree_bench::BuiltIndex) -> f64| {
+            let mut v: Vec<f64> = runs.iter().map(secs).collect();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (build, encode) = (median(|b| b.build_secs), median(|b| b.encode_secs));
+        println!(
+            "    {name:<5}: build {:>8.2} ms   encode + check {:>7.2} ms ({:>4.1}% of the build, {} KiB)",
+            build * 1e3,
+            encode * 1e3,
+            100.0 * encode / build,
+            kib(runs[0].tree.logical_len())
+        );
+    }
 
     // --- D: merge fan-in --------------------------------------------------
     println!("\n[D] incremental construction: build time and bytes written vs. batch size");
+    let dir = std::env::temp_dir().join(format!("warptree-ablation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let batches = match scale {
         Scale::Quick => vec![store.len(), store.len() / 4, store.len() / 16],
         Scale::Full => vec![
@@ -126,7 +128,7 @@ fn main() {
     if incr_path.exists() {
         let incr = DiskTree::open(&incr_path, built.cat.clone()).unwrap();
         let a = measure_index(&incr, &built.alphabet, &store, &queries, &params);
-        assert_eq!(a.answers_per_query, mem.answers_per_query);
+        assert_eq!(a.answers_per_query, unconstrained.answers_per_query);
         println!("    (merged index verified: identical answers)");
     }
     // --- E: §8 truncated index -------------------------------------------
@@ -135,10 +137,8 @@ fn main() {
     let t0 = Instant::now();
     let trunc = warptree_suffix::build_sparse_truncated(built.cat.clone(), spec);
     let trunc_build = t0.elapsed().as_secs_f64();
-    let trunc_path = dir.join("trunc.wt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trunc_size = warptree_disk::write_tree(&trunc, &trunc_path).unwrap();
-    let full_size = warptree_disk::write_tree(&built.tree, &tree_path).unwrap();
+    let trunc = DiskTree::from_tree(&trunc);
+    let (trunc_size, full_size) = (trunc.logical_len(), built.tree.logical_len());
     let wp = SearchParams::with_epsilon(epsilon).windowed(5);
     let full_m = measure_index(&built.tree, &built.alphabet, &store, &queries, &wp);
     let trunc_m = measure_index(&trunc, &built.alphabet, &store, &queries, &wp);

@@ -7,8 +7,8 @@
 //! with the length; the index stays well below the scan everywhere.
 
 use warptree_bench::{
-    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, to_disk, IndexKind,
-    Method, Scale,
+    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, IndexKind, Method,
+    Scale,
 };
 use warptree_core::search::{SearchParams, SeqScanMode};
 use warptree_data::{artificial_corpus, ArtificialConfig, QueryConfig, QueryWorkload};
@@ -58,8 +58,7 @@ fn main() {
         let params = SearchParams::with_epsilon(epsilon);
         let scan = measure_seqscan(&store, &queries, &params, SeqScanMode::Full);
         let built = build_index(&store, IndexKind::Sparse, Method::Me, cats);
-        let dsk = to_disk(&built, "fig");
-        let idx = measure_index(&dsk.disk, &built.alphabet, &store, &queries, &params);
+        let idx = measure_index(&built.tree, &built.alphabet, &store, &queries, &params);
         println!(
             "{:>8} | {:>12.3} {:>12.3} | {:>7.1}x | {:>14.2e} {:>14.2e}",
             len,

@@ -11,8 +11,8 @@
 //!   flat runs that EL lumps into one bucket).
 
 use warptree_bench::{
-    banner, build_index, database_size, disk_size, group_digits, kib, materialized_size, IndexKind,
-    Method, Scale,
+    banner, build_index, database_size, group_digits, kib, materialized_size, IndexKind, Method,
+    Scale,
 };
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     );
 
     let exact = build_index(&store, IndexKind::Exact, Method::El, 0);
-    let st_size = disk_size(&exact.tree, "t1-st");
+    let st_size = exact.tree.logical_len();
     // The paper's trees inline edge labels; ours store (seq,start,len)
     // references. Both metrics are reported: "ref" is our file size,
     // "inline" matches the paper's representation (raw 8-byte values for
@@ -41,7 +41,7 @@ fn main() {
          built in {:.2}s",
         kib(st_size),
         kib(st_inline),
-        group_digits(exact.tree.node_count() as u64),
+        group_digits(exact.tree.header().node_count),
         exact.build_secs
     );
 
@@ -61,7 +61,7 @@ fn main() {
             ] {
                 let built = build_index(&store, kind, method, c);
                 row.push(if metric == "ref" {
-                    disk_size(&built.tree, &format!("t1-{c}"))
+                    built.tree.logical_len()
                 } else {
                     materialized_size(&built.tree, 4)
                 });

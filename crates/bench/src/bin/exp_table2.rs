@@ -11,7 +11,7 @@
 //!   120–200 categories);
 //! * `SimSearch-SST_C` ≤ `SimSearch-ST_C` on similar-size indexes.
 
-use warptree_bench::{banner, build_index, measure_index, to_disk, IndexKind, Method, Scale};
+use warptree_bench::{banner, build_index, measure_index, IndexKind, Method, Scale};
 use warptree_core::search::SearchParams;
 
 fn main() {
@@ -32,11 +32,10 @@ fn main() {
         queries.len()
     );
 
-    // All indexes are measured as served: read whole from their files,
-    // every record decoded and checked on each visit.
+    // All indexes are measured as served: the bytes of their files,
+    // each node record read in place on every visit.
     let exact = build_index(&store, IndexKind::Exact, Method::El, 0);
-    let st_disk = to_disk(&exact, "t2-st");
-    let st = measure_index(&st_disk.disk, &exact.alphabet, &store, &queries, &params);
+    let st = measure_index(&exact.tree, &exact.alphabet, &store, &queries, &params);
     println!(
         "SimSearch-ST: {:.3} s/query ({:.1}M cells, {:.0} answers)\n",
         st.secs_per_query,
@@ -58,8 +57,7 @@ fn main() {
             (IndexKind::Sparse, Method::Me),
         ] {
             let built = build_index(&store, kind, method, c);
-            let dsk = to_disk(&built, &format!("t2-{c}"));
-            let m = measure_index(&dsk.disk, &built.alphabet, &store, &queries, &params);
+            let m = measure_index(&built.tree, &built.alphabet, &store, &queries, &params);
             cols.push(m);
         }
         println!(

@@ -12,8 +12,8 @@
 //! * answer counts grow steeply with ε.
 
 use warptree_bench::{
-    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, to_disk, IndexKind,
-    Method, Scale,
+    banner, build_index, csv_row, csv_sink, measure_index, measure_seqscan, IndexKind, Method,
+    Scale,
 };
 use warptree_core::search::{SearchParams, SeqScanMode};
 
@@ -30,11 +30,7 @@ fn main() {
 
     let indexes: Vec<_> = cats
         .iter()
-        .map(|&c| {
-            let built = build_index(&store, IndexKind::Sparse, Method::Me, c);
-            let disk = to_disk(&built, &format!("t3-{c}"));
-            (built, disk)
-        })
+        .map(|&c| build_index(&store, IndexKind::Sparse, Method::Me, c))
         .collect();
 
     let mut csv = csv_sink(
@@ -50,9 +46,9 @@ fn main() {
         let params = SearchParams::with_epsilon(eps);
         let scan = measure_seqscan(&store, &queries, &params, SeqScanMode::Full);
         let mut cols = Vec::new();
-        for (built, disk) in &indexes {
+        for built in &indexes {
             cols.push(measure_index(
-                &disk.disk,
+                &built.tree,
                 &built.alphabet,
                 &store,
                 &queries,

@@ -13,7 +13,7 @@
 //! | `exp_table3` | Table 3 — SeqScan vs. SimSearch-SST_C over ε |
 //! | `exp_fig4` | Figure 4 — scalability in sequence length |
 //! | `exp_fig5` | Figure 5 — scalability in number of sequences |
-//! | `exp_ablation` | early-abandon / window / disk-vs-memory ablations |
+//! | `exp_ablation` | early-abandon / window / encode-cost ablations |
 //! | `exp_factors` | the reduction factors `R_d` and `R_p` (§4.3, §5.5) |
 //!
 //! Run with `--full` for paper-scale parameters (slower); the default
@@ -29,6 +29,7 @@ use warptree_core::search::{
 };
 use warptree_core::sequence::SequenceStore;
 use warptree_data::{stock_corpus, QueryConfig, QueryWorkload, StockConfig};
+use warptree_disk::DiskTree;
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,10 +118,15 @@ pub struct BuiltIndex {
     pub alphabet: Alphabet,
     /// The categorized corpus.
     pub cat: Arc<CatStore>,
-    /// The suffix tree.
-    pub tree: warptree_suffix::SuffixTree,
-    /// Wall-clock build time in seconds.
+    /// The suffix tree, as the bytes its file holds: the tree every
+    /// query walks.
+    pub tree: DiskTree,
+    /// Wall-clock seconds to categorize the corpus and build the pointer
+    /// tree.
     pub build_secs: f64,
+    /// Wall-clock seconds to encode the pointer tree to its bytes and
+    /// check every record, the step between a build and a query.
+    pub encode_secs: f64,
 }
 
 /// Builds an index over `store`.
@@ -137,25 +143,20 @@ pub fn build_index(
         (_, Method::Me) => Alphabet::max_entropy(store, categories).unwrap(),
     };
     let cat = Arc::new(alphabet.encode_store(store));
-    let tree = match kind {
+    let pointer = match kind {
         IndexKind::Sparse => warptree_suffix::build_sparse(cat.clone()),
         _ => warptree_suffix::build_full(cat.clone()),
     };
+    let build_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let tree = DiskTree::from_tree(&pointer);
     BuiltIndex {
         alphabet,
         cat,
         tree,
-        build_secs: t0.elapsed().as_secs_f64(),
+        build_secs,
+        encode_secs: t1.elapsed().as_secs_f64(),
     }
-}
-
-/// Serialized (on-disk) size of an index in bytes — the paper's "index
-/// size" metric. Writes to a temp file and removes it.
-pub fn disk_size(tree: &warptree_suffix::SuffixTree, tag: &str) -> u64 {
-    let path = std::env::temp_dir().join(format!("warptree-size-{}-{tag}.wt", std::process::id()));
-    let size = warptree_disk::write_tree(tree, &path).unwrap();
-    std::fs::remove_file(&path).ok();
-    size
 }
 
 /// Index size with edge labels *materialized* (inlined) instead of stored
@@ -165,44 +166,20 @@ pub fn disk_size(tree: &warptree_suffix::SuffixTree, tag: &str) -> u64 {
 ///
 /// Our reference-compressed format makes even the uncategorized ST small;
 /// this metric restores comparability with the paper's Table 1.
-pub fn materialized_size(tree: &warptree_suffix::SuffixTree, sym_bytes: u64) -> u64 {
-    let mut size = 0u64;
-    for id in 0..tree.node_count() as u32 {
-        let n = tree.node(id);
+pub fn materialized_size(tree: &DiskTree, sym_bytes: u64) -> u64 {
+    let (mut size, mut stack) = (0u64, vec![tree.root()]);
+    while let Some(n) = stack.pop() {
+        let below = stack.len();
+        let node = tree.visit(n, &mut stack);
         // Fixed head (annotations + counts), suffix labels, child
         // pointers, plus the inlined label symbols.
         size += 24
-            + 12 * n.suffixes.len() as u64
-            + 12 * n.children.len() as u64
+            + 12 * u64::from(node.attached)
+            + 12 * (stack.len() - below) as u64
             + 4
-            + n.label.len as u64 * sym_bytes;
+            + node.label.len() as u64 * sym_bytes;
     }
     size
-}
-
-/// A disk-resident copy of a built index, opened from its file (read
-/// whole; see [`to_disk`]).
-pub struct DiskIndex {
-    /// The opened on-disk tree.
-    pub disk: warptree_disk::DiskTree,
-    path: std::path::PathBuf,
-}
-
-impl Drop for DiskIndex {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.path).ok();
-    }
-}
-
-/// Writes `built` to a temp file and reopens it, read whole. Measuring
-/// through this path charges record decoding and its checks to every
-/// traversal; it charges no page I/O, which the paper's *disk-based*
-/// index pays per node (see EXPERIMENTS.md, "Disk residency").
-pub fn to_disk(built: &BuiltIndex, tag: &str) -> DiskIndex {
-    let path = std::env::temp_dir().join(format!("warptree-run-{}-{tag}.wt", std::process::id()));
-    warptree_disk::write_tree(&built.tree, &path).unwrap();
-    let disk = warptree_disk::DiskTree::open(&path, built.cat.clone()).unwrap();
-    DiskIndex { disk, path }
 }
 
 /// Raw size of the numeric database in bytes (8 bytes per element), the
@@ -402,8 +379,7 @@ mod tests {
         });
         let full = build_index(&store, IndexKind::Full, Method::Me, 10);
         let sparse = build_index(&store, IndexKind::Sparse, Method::Me, 10);
-        let fs = disk_size(&full.tree, "t-full");
-        let ss = disk_size(&sparse.tree, "t-sparse");
+        let (fs, ss) = (full.tree.logical_len(), sparse.tree.logical_len());
         assert!(fs > 0 && ss > 0);
         assert!(ss < fs, "sparse index ({ss}) not smaller than full ({fs})");
     }

@@ -49,11 +49,11 @@ pub struct Motif {
 /// use std::sync::Arc;
 /// use warptree_core::analysis::top_motifs;
 /// use warptree_core::categorize::CatStore;
-/// use warptree_suffix::build_full;
+/// use warptree_esa::EsaIndex;
 /// // "banana" (b=0, a=1, n=2): the most frequent pair is "an".
 /// let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1, 2, 1, 2, 1]], 3));
-/// let tree = build_full(cat);
-/// let motifs = top_motifs(&tree, 2, 1).unwrap();
+/// let esa = EsaIndex::build(cat, false);
+/// let motifs = top_motifs(&esa, 2, 1).unwrap();
 /// assert_eq!(motifs[0].symbols, vec![1, 2]);
 /// assert_eq!(motifs[0].count, 2);
 /// ```

@@ -13,8 +13,9 @@
 //! This crate is index-structure agnostic: the searches, and the §8
 //! mining and structure stats of [`analysis`], run over any
 //! implementation of [`search::IndexBackend`]. The companion crates
-//! `warptree-suffix` (in-memory trees) and `warptree-disk` (paged
-//! on-disk trees) provide the index structures; `warptree-data` provides
+//! `warptree-suffix` (the build-time pointer trees), `warptree-disk`
+//! (the tree as its file's bytes, which every tree query walks) and
+//! `warptree-esa` provide the index structures; `warptree-data` provides
 //! the evaluation workloads.
 //!
 //! ## Quick start

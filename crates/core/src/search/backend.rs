@@ -6,9 +6,10 @@
 //! possibly disk-resident) generalized suffix t**rie** over categorized
 //! sequences. Two families implement it:
 //!
-//! * **Suffix trees** ([`BackendKind::Tree`]): the in-memory tree of
-//!   `warptree-suffix` and the paged on-disk tree of `warptree-disk` —
-//!   the paper's ST / ST_C / SST_C layouts.
+//! * **Suffix trees** ([`BackendKind::Tree`]): the tree file of
+//!   `warptree-disk`, served from its bytes whether read from disk or
+//!   encoded in memory from a `warptree-suffix` build — the paper's
+//!   ST / ST_C / SST_C layouts.
 //! * **Enhanced suffix arrays** ([`BackendKind::Esa`]): the categorized
 //!   SA + LCP + child-interval table of `warptree-esa`, whose
 //!   LCP-interval tree presents the *same* logical tree at a fraction of
@@ -115,9 +116,9 @@ impl<A, B, S: Extend<B>, F: Fn(A) -> B> Extend<A> for MapChildren<'_, S, F> {
 /// possibly sparse) generalized suffix tree over categorized sequences,
 /// or anything that can emulate one top-down.
 ///
-/// The filter drives any implementation of this trait; `warptree-suffix`
-/// provides the in-memory tree, `warptree-disk` the paged on-disk tree,
-/// and `warptree-esa` the enhanced-suffix-array emulation.
+/// The filter drives any implementation of this trait; `warptree-disk`
+/// provides the suffix tree (its file's bytes) and `warptree-esa` the
+/// enhanced-suffix-array emulation.
 ///
 /// # Traversal contract
 ///

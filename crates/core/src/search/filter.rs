@@ -777,7 +777,7 @@ pub(crate) mod tests {
     use crate::sequence::Occurrence;
 
     /// A tiny hand-built tree for unit-testing the filter without the
-    /// `warptree-suffix` crate (which depends on this one).
+    /// index crates (which depend on this one).
     type ToyNode = (Vec<Symbol>, Vec<usize>, Vec<(SeqId, u32, u32)>);
 
     pub(crate) struct ToyTree {

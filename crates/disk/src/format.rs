@@ -45,11 +45,13 @@ use std::sync::Arc;
 use warptree_core::categorize::{CatStore, Symbol};
 use warptree_core::search::{IndexBackend, NodeVisit};
 use warptree_core::sequence::SeqId;
+use warptree_suffix::SuffixTree;
 
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::pager::{IoStats, PAGE_DATA};
 use crate::vfs::{RealVfs, Vfs};
+use crate::writer::{encode_tree, image, write_file};
 
 /// Size of the file header in logical bytes.
 pub const HEADER_SIZE: u64 = 64;
@@ -375,18 +377,20 @@ enum Damage {
     Record(String),
 }
 
-/// A disk-resident suffix tree, query-ready through [`IndexBackend`]:
-/// the file's logical bytes, read whole and CRC-checked at open, every
-/// record checked there once, and every node record read in place on
-/// each visit.
+/// A suffix tree as its file's bytes, query-ready through
+/// [`IndexBackend`]: the logical bytes of a file, read whole and
+/// CRC-checked at [`open`](Self::open), or of a built tree
+/// ([`from_tree`](Self::from_tree)); every record checked once, and
+/// every node record read in place on each visit. It is the one query
+/// implementation of a tree.
 pub struct DiskTree {
-    /// The logical bytes of the file (the final page's padding
-    /// included).
+    /// The logical bytes of the file (an opened file's final page's
+    /// padding included).
     bytes: Vec<u8>,
     cat: Arc<CatStore>,
     header: Header,
     /// File name this tree was opened from — the segment identity its
-    /// damage is reported under.
+    /// damage is reported under (empty for a tree made in memory).
     source: String,
     damage: Option<Damage>,
 }
@@ -408,22 +412,55 @@ impl DiskTree {
     pub fn open_with(vfs: &dyn Vfs, path: &Path, cat: Arc<CatStore>) -> Result<Self> {
         let (pages, header, source) =
             open_headed::<Header>(vfs, path, u64::MAX, Some(cat.alphabet_len()))?;
-        let damage = match pages.bad {
+        Ok(Self::checked(pages.bytes, header, cat, source, pages.bad))
+    }
+
+    /// The tree a built [`SuffixTree`] encodes to, held in memory: the
+    /// logical bytes [`write_tree`](crate::writer::write_tree) would
+    /// commit, checked record by record as an open checks a file's. The
+    /// pointer tree is a build structure; this is how it is queried.
+    pub fn from_tree(tree: &SuffixTree) -> Self {
+        let (bytes, header) =
+            image(|w| encode_tree(tree, w)).expect("an encode into memory does not fail");
+        Self::checked(bytes, header, tree.cat().clone(), String::new(), None)
+    }
+
+    /// The tail of every way to make a tree: a page that failed its CRC
+    /// at open, or else the record pass over `bytes`, decides its damage.
+    fn checked(
+        bytes: Vec<u8>,
+        header: Header,
+        cat: Arc<CatStore>,
+        source: String,
+        bad_page: Option<u64>,
+    ) -> Self {
+        let damage = match bad_page {
             Some(page) => Some(Damage::Page(page)),
-            None => check_records(&pages.bytes, &header, &cat)
+            None => check_records(&bytes, &header, &cat)
                 .err()
                 .map(Damage::Record),
         };
-        Ok(Self {
-            bytes: pages.bytes,
+        Self {
+            bytes,
             cat,
             header,
             source,
             damage,
+        }
+    }
+
+    /// Writes this tree to `path` as a tree file (the way the builder
+    /// writes a lone batch's image), returning its logical length (an
+    /// opened file's padding is written back as it was read).
+    pub fn write_with(&self, vfs: &dyn Vfs, path: &Path) -> Result<u64> {
+        write_file(vfs, path, |w| {
+            w.write(&self.bytes)?;
+            Ok(self.header)
         })
     }
 
-    /// The file name this tree was opened from (its segment identity).
+    /// The file name this tree was opened from (its segment identity;
+    /// empty for a tree made in memory).
     pub fn source(&self) -> &str {
         &self.source
     }
@@ -455,6 +492,12 @@ impl DiskTree {
             pages_read: (self.bytes.len() / PAGE_DATA) as u64,
             cache_hits: 0,
         }
+    }
+
+    /// The logical bytes this tree serves: a file's (its final page's
+    /// zero padding included), or the image a built tree encodes to.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Logical length of the file in bytes (the paper's "index size"),
@@ -656,6 +699,57 @@ mod tests {
         let runs = [suffixes];
         encode_node(&mut out, label, suffix_count, max_lead_run, &runs, children);
         out
+    }
+
+    /// The labels of the records at `kids`, in order.
+    fn labels(t: &DiskTree, kids: &[u64]) -> Vec<Vec<Symbol>> {
+        let label = |&k: &u64| t.visit(k, &mut Vec::new()).label.to_vec();
+        kids.iter().map(label).collect()
+    }
+
+    /// The labels of `n`'s children in the pointer tree, in order.
+    fn mem_labels(mem: &SuffixTree, n: warptree_suffix::NodeId) -> Vec<Vec<Symbol>> {
+        let label = |&c: &warptree_suffix::NodeId| mem.label_symbols(mem.node(c).label).to_vec();
+        mem.node(n).children.iter().map(label).collect()
+    }
+
+    #[test]
+    fn trait_view_matches_tree() {
+        use warptree_suffix::ROOT;
+        let c = Arc::new(CatStore::from_symbols(
+            vec![vec![0, 0, 1, 2], vec![1, 1, 1]],
+            3,
+        ));
+        let mem = warptree_suffix::build_full_naive(c);
+        let t = DiskTree::from_tree(&mem);
+        assert_eq!(t.damage().map(|e| e.to_string()), None);
+        assert_eq!(IndexBackend::suffix_count(&t), 7);
+        assert!(!IndexBackend::is_sparse(&t));
+        let mut kids = Vec::new();
+        let root = t.visit(t.root(), &mut kids);
+        assert_eq!(labels(&t, &kids), mem_labels(&mem, ROOT));
+        assert!(root.label.is_empty());
+        assert_eq!(root.suffix_count, Some(7));
+        assert_eq!(root.max_lead_run, 3);
+        // A visit appends: what the buffer held stays in place.
+        let below = kids.len();
+        let first = t.visit(kids[0], &mut kids);
+        let mem_first = mem.node(ROOT).children[0];
+        assert_eq!(first.label, mem.label_symbols(mem.node(mem_first).label));
+        assert!(!first.label.is_empty());
+        assert_eq!(labels(&t, &kids[below..]), mem_labels(&mem, mem_first));
+        let mut count = 0;
+        t.for_each_suffix_below(t.root(), &mut |_, _, _| count += 1);
+        assert_eq!(count, 7);
+    }
+
+    #[test]
+    fn sparse_trait_view() {
+        let c = Arc::new(CatStore::from_symbols(vec![vec![0, 0, 0, 1]], 2));
+        let t = DiskTree::from_tree(&warptree_suffix::build_sparse(c));
+        assert!(IndexBackend::is_sparse(&t));
+        assert_eq!(IndexBackend::suffix_count(&t), 2); // suffixes at 0 and 3
+        assert_eq!(t.visit(t.root(), &mut Vec::new()).max_lead_run, 3);
     }
 
     #[test]

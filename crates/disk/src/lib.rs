@@ -10,9 +10,11 @@
 //! * [`format`](mod@format) / [`writer`] — the tree file format, written post-order in
 //!   one sequential pass; [`DiskTree`] checks every record once at
 //!   open and serves queries from the file's bytes, reading each node
-//!   record in place, through the same
-//!   [`IndexBackend`](warptree_core::search::IndexBackend) trait the
-//!   in-memory tree implements;
+//!   record in place, through the core crate's
+//!   [`IndexBackend`](warptree_core::search::IndexBackend) trait. It is
+//!   the one query implementation of a tree: a built
+//!   `warptree_suffix::SuffixTree` is queried as the bytes it encodes to
+//!   ([`DiskTree::from_tree`]);
 //! * [`merge`] — binary merge of tree files and the [`IncrementalBuilder`]
 //!   that constructs a large index batch-by-batch in limited memory
 //!   (paper §4.1, after Bieganski et al.);
@@ -82,3 +84,10 @@ pub use snapshot::{
 };
 pub use vfs::{real_vfs, FaultMode, FaultVfs, MeteredVfs, RealVfs, TempGuard, Vfs, VfsFile};
 pub use writer::{write_tree, write_tree_with};
+
+// `warptree_core::analysis` over trees served from their bytes, against
+// brute force and the pointer trees' own counts.
+#[cfg(test)]
+mod analysis;
+#[cfg(test)]
+mod stats;

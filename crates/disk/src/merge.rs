@@ -33,9 +33,9 @@ use warptree_obs::{Counter, Histogram, MetricsRegistry};
 use crate::any::open_headed;
 use crate::error::{DiskError, Result};
 use crate::format::{encode_node, Header, NodeView, HEADER_SIZE};
-use crate::pager::{PagedWriter, Sink};
+use crate::pager::Sink;
 use crate::vfs::{real_vfs, Vfs};
-use crate::writer::{encode_tree, image, TreeImage};
+use crate::writer::{encode_tree, image, write_file, TreeImage};
 
 /// Which input tree a cursor points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,9 +391,7 @@ pub fn merge_trees_with(
             ha.depth_limit, hb.depth_limit
         )));
     }
-    let mut w = PagedWriter::create_with(vfs, out)?;
-    let header = merge_into(&mut w, (&a, ha), (&b, hb), cat)?;
-    w.finish(&[(0, header.encode())])
+    write_file(vfs, out, |w| merge_into(w, (&a, ha), (&b, hb), cat))
 }
 
 /// Merges two trees of one shape — each its logical bytes and header —
@@ -571,15 +569,13 @@ impl IncrementalBuilder {
         }
         // The last merge, or a lone tree, streams to `out`.
         let vfs = self.vfs.as_ref();
-        let mut w = PagedWriter::create_with(vfs, out)?;
-        let header = match <[TreeImage; 2]>::try_from(level) {
-            Ok([a, b]) => self.merge(&a, &b, &mut w)?,
+        write_file(vfs, out, |w| match <[TreeImage; 2]>::try_from(level) {
+            Ok([a, b]) => self.merge(&a, &b, w),
             Err(lone) => {
                 w.write(&lone[0].0)?;
-                lone[0].1
+                Ok(lone[0].1)
             }
-        };
-        w.finish(&[(0, header.encode())])?;
+        })?;
         // Report physical size (logical is page-rounded away).
         Ok(vfs.metadata_len(out)?)
     }

@@ -23,8 +23,19 @@ pub fn write_tree(tree: &SuffixTree, path: &Path) -> Result<u64> {
 
 /// [`write_tree`] through an explicit [`Vfs`].
 pub fn write_tree_with(vfs: &dyn Vfs, tree: &SuffixTree, path: &Path) -> Result<u64> {
+    write_file(vfs, path, |w| encode_tree(tree, w))
+}
+
+/// Writes one tree file to `path`: what `fill` writes behind a zeroed
+/// header, the header it returns patched in last. Every tree file is
+/// written through here; returns the logical length.
+pub(crate) fn write_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+    fill: impl FnOnce(&mut PagedWriter) -> Result<Header>,
+) -> Result<u64> {
     let mut w = PagedWriter::create_with(vfs, path)?;
-    let header = encode_tree(tree, &mut w)?;
+    let header = fill(&mut w)?;
     w.finish(&[(0, header.encode())])
 }
 
@@ -178,8 +189,8 @@ mod tests {
         write_tree(&tree, &path).unwrap();
         let disk = DiskTree::open(&path, cat).unwrap();
         // Same multiset of suffixes below the root.
-        let mut mem_suffixes = Vec::new();
-        tree.for_each_suffix_below(ROOT, &mut |s, p, r| mem_suffixes.push((s, p, r)));
+        let suffixes = tree.suffixes_below(ROOT).into_iter();
+        let mut mem_suffixes: Vec<_> = suffixes.map(|s| (s.seq, s.start, s.lead_run)).collect();
         let mut disk_suffixes = Vec::new();
         disk.for_each_suffix_below(disk.root(), &mut |s, p, r| disk_suffixes.push((s, p, r)));
         mem_suffixes.sort();

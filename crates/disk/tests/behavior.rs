@@ -84,7 +84,8 @@ fn incremental_builder_handles_empty_store() {
 }
 
 /// A tree read back from its file enumerates the suffixes of the
-/// in-memory tree it was written from, in the same order.
+/// in-memory tree it was written from, in the same order, and so does
+/// the in-memory tree's own bytes.
 #[test]
 fn reopening_matches_the_in_memory_tree() {
     let cat = small_cat();
@@ -93,11 +94,16 @@ fn reopening_matches_the_in_memory_tree() {
     let path = dir.join("t.wt");
     write_tree(&tree, &path).unwrap();
     let disk = DiskTree::open(&path, cat.clone()).unwrap();
-    let (mut mem, mut read) = (Vec::new(), Vec::new());
-    tree.for_each_suffix_below(tree.root(), &mut |s, p, r| mem.push((s, p, r)));
-    disk.for_each_suffix_below(disk.root(), &mut |s, p, r| read.push((s, p, r)));
+    let suffixes = |t: &DiskTree| {
+        let mut out = Vec::new();
+        t.for_each_suffix_below(t.root(), &mut |s, p, r| out.push((s, p, r)));
+        out
+    };
+    let below = tree.suffixes_below(warptree_suffix::ROOT).into_iter();
+    let mem: Vec<_> = below.map(|l| (l.seq, l.start, l.lead_run)).collect();
     assert!(!mem.is_empty());
-    assert_eq!(read, mem);
+    assert_eq!(suffixes(&disk), mem);
+    assert_eq!(suffixes(&DiskTree::from_tree(&tree)), mem);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

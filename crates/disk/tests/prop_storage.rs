@@ -251,3 +251,68 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// Everything a query or the analysis layer reads of a tree: the
+/// `visit` walk in DFS child order (label, subtree count, lead run,
+/// attached and child counts, each node's own suffixes), then the
+/// motifs of each length 1..=4, the longest repeats and the stats.
+fn served(t: &DiskTree) -> String {
+    use warptree_core::analysis::{longest_repeated, top_motifs, TreeStats};
+    let mut walk = Vec::new();
+    let mut stack = vec![t.root()];
+    while let Some(n) = stack.pop() {
+        let mut kids = Vec::new();
+        let v = t.visit(n, &mut kids);
+        let mut own = Vec::new();
+        t.for_each_suffix_at(n, &mut |s, p, r| own.push((s.0, p, r)));
+        let node = (v.label, v.suffix_count, v.max_lead_run, v.attached);
+        walk.push(format!("{node:?} {} {own:?}", kids.len()));
+        stack.extend(kids.into_iter().rev());
+    }
+    let motifs: Vec<_> = (1..=4).map(|len| top_motifs(t, len, usize::MAX)).collect();
+    let longest: Vec<_> = [2, 3].map(|min| longest_repeated(t, min)).to_vec();
+    let stats = TreeStats::compute(t);
+    format!("{walk:?}\n{motifs:?}\n{longest:?}\n{stats:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-memory tree serves exactly what a directory stores: for a
+    /// full, sparse or §8-truncated tree over a random corpus, the image
+    /// `DiskTree::from_tree` holds is the logical bytes of the file
+    /// `write_tree` commits, zero page padding aside, and the two trees
+    /// give the same walk and the same analysis.
+    #[test]
+    fn an_in_memory_tree_is_the_file_it_writes(
+        seqs in prop::collection::vec(prop::collection::vec(0u32..3, 1..20), 1..6),
+        sparse in any::<bool>(),
+        depth in 0u32..6,
+        case in 0u64..1_000_000,
+    ) {
+        use warptree_suffix::{
+            build_full, build_full_truncated, build_sparse, build_sparse_truncated, TruncateSpec,
+        };
+        let cat = Arc::new(warptree_core::categorize::CatStore::from_symbols(seqs, 3));
+        // A depth of 0 is an untruncated tree.
+        let spec = (depth > 0).then_some(TruncateSpec { max_answer_len: depth, min_answer_len: 1 });
+        let tree = match (sparse, spec) {
+            (false, None) => build_full(cat.clone()),
+            (true, None) => build_sparse(cat.clone()),
+            (false, Some(spec)) => build_full_truncated(cat.clone(), spec),
+            (true, Some(spec)) => build_sparse_truncated(cat.clone(), spec),
+        };
+        let mem = DiskTree::from_tree(&tree);
+        prop_assert!(mem.damage().is_none());
+        let path = tmp(&format!("image-{case}"));
+        let len = write_tree(&tree, &path).unwrap() as usize;
+        let file = read_stream(&RealVfs, &path).unwrap();
+        prop_assert_eq!(mem.bytes().len(), len);
+        prop_assert!(file[..len] == *mem.bytes());
+        prop_assert!(file[len..].iter().all(|&b| b == 0));
+        prop_assert!(file.len() - len < PAGE_DATA);
+        let disk = DiskTree::open(&path, cat).unwrap();
+        prop_assert_eq!(served(&mem), served(&disk));
+        std::fs::remove_file(&path).unwrap();
+    }
+}

@@ -2,7 +2,8 @@
 //!
 //! The contract under test: on any categorized corpus, full or sparse,
 //! the enhanced suffix array presents the *identical logical tree* as
-//! the suffix-tree builders — same nodes in the same deterministic
+//! the suffix-tree builders' trees, served from the bytes they encode
+//! to — same nodes in the same deterministic
 //! child order, same edge labels, same per-node annotations, and the
 //! same suffix-enumeration order. This is what makes merge tie-breaks
 //! and parallel splits byte-stable across backends.
@@ -11,6 +12,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::categorize::{CatStore, Symbol};
 use warptree_core::search::IndexBackend;
+use warptree_disk::DiskTree;
 use warptree_esa::EsaIndex;
 use warptree_suffix::{build_full, build_full_naive, build_sparse};
 
@@ -72,9 +74,9 @@ proptest! {
         let cat = Arc::new(CatStore::from_symbols(seqs, alpha));
         let esa = EsaIndex::build(cat.clone(), false);
         assert_eq!(esa.validate(), Ok(()));
-        let tree = build_full(cat.clone());
+        let tree = DiskTree::from_tree(&build_full(cat.clone()));
         prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
-        let naive = build_full_naive(cat);
+        let naive = DiskTree::from_tree(&build_full_naive(cat));
         prop_assert_eq!(fingerprint(&esa), fingerprint(&naive));
         prop_assert_eq!(esa.suffix_count(), tree.suffix_count());
     }
@@ -86,7 +88,7 @@ proptest! {
         let esa = EsaIndex::build(cat.clone(), true);
         assert_eq!(esa.validate(), Ok(()));
         prop_assert!(esa.is_sparse());
-        let tree = build_sparse(cat);
+        let tree = DiskTree::from_tree(&build_sparse(cat));
         prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
     }
 
@@ -99,7 +101,7 @@ proptest! {
         for (lo, hi) in [(0, cut), (cut, n)] {
             let esa = EsaIndex::build_range(cat.clone(), lo..hi, false);
             assert_eq!(esa.validate(), Ok(()));
-            let tree = warptree_suffix::build_full_range(cat.clone(), lo..hi);
+            let tree = DiskTree::from_tree(&warptree_suffix::build_full_range(cat.clone(), lo..hi));
             prop_assert_eq!(fingerprint(&esa), fingerprint(&tree));
         }
     }

@@ -2,8 +2,9 @@
 
 //! # warptree-suffix
 //!
-//! In-memory generalized suffix trees over categorized sequences — the
-//! index structures of Park et al. (ICDE 2000):
+//! The builders of the generalized suffix trees over categorized
+//! sequences that index Park et al. (ICDE 2000), as in-memory pointer
+//! trees:
 //!
 //! * [`build_full`] — the full generalized suffix tree (`ST` / `ST_C`),
 //!   built in linear time with Ukkonen's algorithm;
@@ -13,31 +14,29 @@
 //! * [`build_full_naive`] — a quadratic reference builder used to
 //!   validate Ukkonen structurally.
 //!
-//! All trees implement
-//! [`IndexBackend`](warptree_core::search::IndexBackend), so the
-//! core crate's `run_query` runs over them directly.
+//! A tree here is a build structure: `warptree-disk` encodes it to its
+//! file's bytes, and a `DiskTree` over those bytes answers every query.
+//! Its structural lookups ([`SuffixTree::locate`],
+//! [`SuffixTree::suffixes_below`], [`SuffixTree::check_invariants`])
+//! are what the tests hold the builders to.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use warptree_core::prelude::*;
+//! use warptree_core::categorize::CatStore;
 //! use warptree_suffix::build_full;
 //!
-//! let store = SequenceStore::from_values(vec![vec![1.0, 5.0, 5.5, 1.0]]);
-//! let alphabet = Alphabet::equal_length(&store, 2).unwrap();
-//! let cat = Arc::new(alphabet.encode_store(&store));
+//! // "banana" (b=0, a=1, n=2): "ana" starts at 1 and at 3.
+//! let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1, 2, 1, 2, 1]], 3));
 //! let tree = build_full(cat);
-//!
-//! let req = QueryRequest::threshold(&[5.0, 5.0], 1.0);
-//! let (out, _stats) = run_query(&tree, &alphabet, &store, &req).unwrap();
-//! assert!(out
-//!     .into_answer_set()
-//!     .matches()
-//!     .iter()
-//!     .any(|m| m.occ.start == 1 && m.occ.len == 2));
+//! tree.check_invariants();
+//! assert_eq!(tree.suffix_count(), 6);
+//! let (node, _) = tree.locate(&[1, 2, 1]).unwrap();
+//! let mut starts: Vec<u32> = tree.suffixes_below(node).iter().map(|s| s.start).collect();
+//! starts.sort_unstable();
+//! assert_eq!(starts, vec![1, 3]);
 //! ```
 
 pub mod build;
-pub mod index_impl;
 pub mod tree;
 pub mod ukkonen;
 
@@ -48,10 +47,3 @@ pub use build::{
 };
 pub use tree::{LabelRef, Node, NodeId, SuffixLabel, SuffixTree, ROOT};
 pub use ukkonen::{build_full, build_full_range};
-
-// `warptree_core::analysis` over these trees, against brute force and
-// the trees' own counts.
-#[cfg(test)]
-mod analysis;
-#[cfg(test)]
-mod stats;

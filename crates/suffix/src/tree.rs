@@ -251,17 +251,6 @@ impl SuffixTree {
         self.finalized
     }
 
-    /// Estimated in-memory footprint in bytes (nodes, child lists, suffix
-    /// labels; the shared `CatStore` is excluded).
-    pub fn mem_size_estimate(&self) -> u64 {
-        let mut size = (self.nodes.len() * std::mem::size_of::<Node>()) as u64;
-        for n in &self.nodes {
-            size += (n.children.len() * std::mem::size_of::<NodeId>()) as u64;
-            size += (n.suffixes.len() * std::mem::size_of::<SuffixLabel>()) as u64;
-        }
-        size
-    }
-
     /// Follows `path` from the root, returning the node reached when the
     /// whole path matches a root-to-node label concatenation exactly
     /// (classic suffix-tree lookup; the end may fall inside an edge, in
@@ -284,23 +273,6 @@ impl SuffixTree {
             node = child;
         }
         Some((node, 0))
-    }
-
-    /// All occurrences of an exact symbol pattern: classic suffix-tree
-    /// lookup in `O(|pattern| log σ + occurrences)`. Returns `(seq,
-    /// start)` pairs, sorted. Over a full tree this is every exact
-    /// occurrence; over a sparse tree, only those at stored suffixes.
-    pub fn find_occurrences(&self, pattern: &[Symbol]) -> Vec<(SeqId, u32)> {
-        let Some((node, _)) = self.locate(pattern) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(SeqId, u32)> = self
-            .suffixes_below(node)
-            .iter()
-            .map(|l| (l.seq, l.start))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// Collects every stored suffix at or below `n`.
@@ -492,13 +464,23 @@ mod tests {
             crate::build::insert_suffix(&mut t, SeqId(0), start);
         }
         t.finalize();
-        assert_eq!(
-            t.find_occurrences(&[1, 2, 1]),
-            vec![(SeqId(0), 1), (SeqId(0), 3)]
-        );
-        assert_eq!(t.find_occurrences(&[2, 1]).len(), 2);
-        assert!(t.find_occurrences(&[0, 0]).is_empty());
-        assert_eq!(t.find_occurrences(&[]).len(), 6); // every suffix
+        // Every stored suffix below where an exact pattern ends.
+        let find = |pattern: &[Symbol]| -> Vec<(SeqId, u32)> {
+            let Some((node, _)) = t.locate(pattern) else {
+                return Vec::new();
+            };
+            let mut out: Vec<_> = t
+                .suffixes_below(node)
+                .iter()
+                .map(|l| (l.seq, l.start))
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        assert_eq!(find(&[1, 2, 1]), vec![(SeqId(0), 1), (SeqId(0), 3)]);
+        assert_eq!(find(&[2, 1]).len(), 2);
+        assert!(find(&[0, 0]).is_empty());
+        assert_eq!(find(&[]).len(), 6); // every suffix
     }
 
     #[test]

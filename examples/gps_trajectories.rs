@@ -14,7 +14,6 @@
 use std::sync::Arc;
 use warptree::core::multivariate::{mv_seq_scan, mv_sim_search, GridAlphabet, MvSequence, MvStore};
 use warptree::prelude::*;
-use warptree_suffix::build_sparse;
 
 /// Where the planted loops start.
 const PLAZA: (f64, f64) = (60.0, 40.0);
@@ -91,7 +90,7 @@ fn main() {
 
     let grid = GridAlphabet::equal_length(store.seqs(), 12).unwrap();
     let cat = Arc::new(store.encode(&grid));
-    let tree = build_sparse(cat);
+    let tree = DiskTree::from_tree(&build_sparse(cat));
     println!(
         "grid: {} × {} cells; sparse tree over grid symbols",
         grid.axes()[0].len(),

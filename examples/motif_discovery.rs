@@ -17,7 +17,6 @@
 use std::sync::Arc;
 use warptree::core::analysis::{longest_repeated, top_motifs};
 use warptree::prelude::*;
-use warptree_suffix::build_full;
 
 fn main() {
     let store = stock_corpus(&StockConfig {
@@ -35,10 +34,10 @@ fn main() {
     // Coarse alphabet: motifs should generalize, not memorize.
     let alphabet = Alphabet::max_entropy(&store, 8).unwrap();
     let cat = Arc::new(alphabet.encode_store(&store));
-    let tree = build_full(cat.clone());
+    let tree = DiskTree::from_tree(&build_full(cat.clone()));
     println!(
         "full suffix tree: {} nodes over an alphabet of {}",
-        tree.node_count(),
+        tree.header().node_count,
         alphabet.len()
     );
 

@@ -27,7 +27,7 @@ fn main() {
         "indexed {} sequences ({} elements) into {} tree nodes",
         store.len(),
         store.total_len(),
-        index.tree().node_count()
+        index.tree().header().node_count
     );
 
     // Query: the pattern of S2. Find every subsequence within warping

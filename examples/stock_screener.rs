@@ -39,7 +39,7 @@ fn main() {
         Index::sparse(&store, Categorization::MaxEntropy(60)).expect("valid categorization");
     println!(
         "built SST_C/ME(60) index: {} nodes in {:.2?}",
-        index.tree().node_count(),
+        index.tree().header().node_count,
         t0.elapsed()
     );
 

@@ -23,6 +23,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 use warptree::core::analysis::{longest_repeated, top_motifs, TreeStats};
 use warptree::prelude::*;
@@ -31,6 +32,36 @@ use warptree::{
     open_index_dir_metered, resolve_index_dir,
 };
 use warptree_data::{load_csv, save_csv};
+
+/// How writing stdout failed, once it has: `None` when the reader
+/// closed the pipe, else the error.
+static STDOUT_FAILED: OnceLock<Option<String>> = OnceLock::new();
+
+/// Writes `text` to stdout; every command's output goes through here
+/// (`outln!` is its `println!`). A reader that closes the pipe early
+/// (`warptree info … | head -1`, or a script that reads a server's
+/// first banner line) has what it came for: a broken pipe drops the
+/// rest of the output quietly, and the command runs to its end (a
+/// server keeps serving) and exits 0. Any other write error drops the
+/// rest too, and fails the command once it returns.
+fn emit(text: &str) {
+    use std::io::Write as _;
+    if STDOUT_FAILED.get().is_some() {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        let broken = e.kind() == std::io::ErrorKind::BrokenPipe;
+        let _ = STDOUT_FAILED.set((!broken).then(|| e.to_string()));
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,6 +90,10 @@ fn main() -> ExitCode {
         }
         Some(other) => Err(format!("unknown command {other:?}")),
     };
+    let result = result.and_then(|()| match STDOUT_FAILED.get() {
+        Some(Some(e)) => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -70,7 +105,7 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
+    outln!(
         "warptree — time-warping subsequence similarity search \
          (Park et al., ICDE 2000)\n\n\
          commands:\n\
@@ -296,7 +331,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown --kind {other:?}")),
     };
     save_csv(&store, &out).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} sequences ({} values) to {}",
         store.len(),
         store.total_len(),
@@ -344,7 +379,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         }
     };
     let (corpus_path, index_path) = resolve_index_dir(&out_dir).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "built {} {} index over {} sequences: {} KiB in {:.2?}",
         if sparse { "sparse" } else { "full" },
         backend.as_str(),
@@ -352,8 +387,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         bytes / 1024,
         t0.elapsed()
     );
-    println!("  corpus: {}", corpus_path.display());
-    println!("  index:  {}", index_path.display());
+    outln!("  corpus: {}", corpus_path.display());
+    outln!("  index:  {}", index_path.display());
     Ok(())
 }
 
@@ -367,7 +402,7 @@ fn cmd_append(args: &[String]) -> Result<(), String> {
     }
     let t0 = std::time::Instant::now();
     let segments = warptree::append_index_dir(&dir, &new).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "appended {} sequences ({} values) as a tail segment in {:.2?}; \
          {segments} segments live (run `warptree compact` to fold them)",
         new.len(),
@@ -392,12 +427,12 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let runs = warptree::compact_index_dir(&dir).map_err(|e| e.to_string())?;
     if runs == 0 {
-        println!(
+        outln!(
             "nothing to compact ({} has no tail segments)",
             dir.display()
         );
     } else {
-        println!(
+        outln!(
             "compacted {} in {runs} merge{} ({:.2?}); index is monolithic again",
             dir.display(),
             if runs == 1 { "" } else { "s" },
@@ -485,7 +520,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     };
     let report =
         warptree_disk::verify_dir_with(&warptree_disk::RealVfs, &dir).map_err(|e| e.to_string())?;
-    println!("{report}");
+    outln!("{report}");
     if report.is_ok() {
         Ok(())
     } else {
@@ -509,7 +544,7 @@ fn cmd_scrub(args: &[String]) -> Result<(), String> {
     let reg = MetricsRegistry::new();
     let report = warptree_disk::scrub_dir_with(&warptree_disk::RealVfs, &dir, heal, &reg)
         .map_err(|e| e.to_string())?;
-    println!("{report}");
+    outln!("{report}");
     match &report.unrecoverable {
         None => Ok(()),
         Some(file) => Err(format!(
@@ -584,7 +619,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             })
             .collect();
         let structure_json = deep.as_ref().map_or("null".into(), TreeStats::to_json);
-        println!(
+        outln!(
             concat!(
                 "{{\"corpus\":{{\"sequences\":{},\"elements\":{},",
                 "\"mean_len\":{},\"value_range\":{},",
@@ -624,39 +659,39 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    println!("corpus:");
-    println!("  sequences:      {}", store.len());
-    println!("  elements:       {}", store.total_len());
-    println!("  mean length:    {:.1}", store.mean_len());
+    outln!("corpus:");
+    outln!("  sequences:      {}", store.len());
+    outln!("  elements:       {}", store.total_len());
+    outln!("  mean length:    {:.1}", store.mean_len());
     if let Some((lo, hi)) = store.value_range() {
-        println!("  value range:    [{lo}, {hi}]");
+        outln!("  value range:    [{lo}, {hi}]");
     }
     let storage = |decimals: Option<u32>| match decimals {
         Some(d) => format!("{d}-decimal delta varints"),
         None => "raw f64".into(),
     };
     match &corpus_files[..] {
-        [_] => println!(
+        [_] => outln!(
             "  stored as:      {}, {} KiB",
             storage(corpus_decimals),
             corpus_file_bytes / 1024
         ),
         files => {
-            println!(
+            outln!(
                 "  stored as:      {} files, {} KiB",
                 files.len(),
                 corpus_file_bytes / 1024
             );
             for (name, decimals, bytes) in files {
-                println!("    {name}: {}, {} KiB", storage(*decimals), bytes / 1024);
+                outln!("    {name}: {}, {} KiB", storage(*decimals), bytes / 1024);
             }
         }
     }
-    println!("categorization:");
-    println!("  method:         {}", alphabet.method());
-    println!("  categories:     {}", alphabet.len());
-    println!("index:");
-    println!(
+    outln!("categorization:");
+    outln!("  method:         {}", alphabet.method());
+    outln!("  categories:     {}", alphabet.len());
+    outln!("index:");
+    outln!(
         "  kind:           {}",
         if tree.is_sparse() {
             "sparse (SST_C)"
@@ -664,50 +699,50 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             "full (ST_C)"
         }
     );
-    println!(
+    outln!(
         "  backend:        {}",
         match backend {
             BackendKind::Tree => "tree (suffix tree)",
             BackendKind::Esa => "esa (enhanced suffix array)",
         }
     );
-    println!("  nodes:          {nodes}");
-    println!("  stored suffixes:{suffixes}");
-    println!(
+    outln!("  nodes:          {nodes}");
+    outln!("  stored suffixes:{suffixes}");
+    outln!(
         "  compaction:     {:.1}% of suffixes stored",
         100.0 * suffixes as f64 / store.total_len().max(1) as f64
     );
     match tree.depth_limit() {
-        Some(d) => println!("  depth limit:    {d} (truncated, §8)"),
-        None => println!("  depth limit:    none"),
+        Some(d) => outln!("  depth limit:    {d} (truncated, §8)"),
+        None => outln!("  depth limit:    none"),
     }
-    println!("  file size:      {} KiB", file_bytes / 1024);
-    println!("  resident size:  {} KiB", resident_bytes / 1024);
-    println!("  generation:     {}", idx.generation);
+    outln!("  file size:      {} KiB", file_bytes / 1024);
+    outln!("  resident size:  {} KiB", resident_bytes / 1024);
+    outln!("  generation:     {}", idx.generation);
     match idx.segment_count() {
-        1 => println!("  segments:       1 (monolithic)"),
-        n => println!(
+        1 => outln!("  segments:       1 (monolithic)"),
+        n => outln!(
             "  segments:       {n} (1 base + {} tail; `warptree compact` folds them)",
             n - 1
         ),
     }
-    println!("manifest:");
-    println!(
+    outln!("manifest:");
+    outln!(
         "  corpus:         {} ({} KiB; {} KiB in all {} corpus files)",
         manifest.corpus,
         manifest.corpus_len / 1024,
         manifest_corpus_bytes / 1024,
         resolved.corpus_files.len()
     );
-    println!(
+    outln!(
         "  index:          {} ({} KiB)",
         manifest.index,
         manifest.index_len / 1024
     );
     if let Some(structure) = &deep {
-        println!("structure:");
+        outln!("structure:");
         for line in structure.to_string().lines() {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
     Ok(())
@@ -764,7 +799,7 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
             t0.elapsed(),
             metrics.snapshot().nodes_visited
         );
-        print_matches(&head, &matches, store, None)?;
+        print_matches(&head, &matches, store, None);
     } else {
         let epsilon: f64 = o
             .require("epsilon")?
@@ -790,7 +825,7 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
         );
         let more = (answers.len() > limit)
             .then(|| format!("  … ({} more; raise --limit)", answers.len() - limit));
-        print_matches(&head, &answers.top_k(limit), store, more.as_deref())?;
+        print_matches(&head, &answers.top_k(limit), store, more.as_deref());
     }
     if let Some(data) = trace.finish() {
         eprint!("{}", data.render());
@@ -801,34 +836,24 @@ fn cmd_search(args: &[String], knn: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints a query's report — `head`, a line per match, `tail` — through
-/// one locked, buffered stdout handle: thousands of lines are a few
-/// writes. A reader that closes the pipe early (`| head -1`) has what it
-/// came for, so a broken pipe ends the report and not the process, as it
-/// does for [`announce`].
+/// Prints a query's report — `head`, a line per match, `tail` — as one
+/// write: thousands of lines are a few system calls.
 fn print_matches(
     head: &str,
     matches: &[warptree::core::search::Match],
     store: &SequenceStore,
     tail: Option<&str>,
-) -> Result<(), String> {
-    use std::io::Write as _;
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let mut print = || -> std::io::Result<()> {
-        writeln!(out, "{head}")?;
-        for m in matches {
-            let name = store.display_name(m.occ.seq);
-            writeln!(out, "  {} ({name})  dist {:.4}", m.occ, m.dist)?;
-        }
-        if let Some(tail) = tail {
-            writeln!(out, "{tail}")?;
-        }
-        out.flush()
-    };
-    match print() {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
-        _ => Ok(()),
+) {
+    use std::fmt::Write as _;
+    let mut text = format!("{head}\n");
+    for m in matches {
+        let name = store.display_name(m.occ.seq);
+        let _ = writeln!(text, "  {} ({name})  dist {:.4}", m.occ, m.dist);
     }
+    if let Some(tail) = tail {
+        let _ = writeln!(text, "{tail}");
+    }
+    emit(&text);
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
@@ -848,9 +873,9 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let (_, report) = idx.explain(&query, &params).map_err(|e| e.to_string())?;
     report_degraded(&dir, &idx);
     if o.flag("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!("{report}");
+        outln!("{report}");
     }
     Ok(())
 }
@@ -865,7 +890,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     // whatever backend and sparseness the directory was built with.
     let esa = warptree_esa::EsaIndex::build(idx.cat.clone(), false);
     let motifs = top_motifs(&esa, len, k).map_err(|e| e.to_string())?;
-    println!("top {} motifs of length {len}:", motifs.len());
+    outln!("top {} motifs of length {len}:", motifs.len());
     for (rank, m) in motifs.iter().enumerate() {
         let exemplar = m.occurrences[0];
         let values = idx
@@ -876,7 +901,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             .map(|v| format!("{v:.2}"))
             .collect::<Vec<_>>()
             .join(", ");
-        println!(
+        outln!(
             "  #{}: {} occurrences, e.g. {}[{}..] = [{}]",
             rank + 1,
             m.count,
@@ -886,7 +911,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(longest) = longest_repeated(&esa, 2).map_err(|e| e.to_string())? {
-        println!(
+        outln!(
             "longest repeated shape: {} symbols, {} occurrences",
             longest.symbols.len(),
             longest.count
@@ -927,12 +952,12 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
         None => Err("episodes have no continuations".into()),
         Some(f) => {
             let last = *query.last().expect("non-empty query");
-            println!(
+            outln!(
                 "{} distinct episodes; forecast from last value {last:.2}:",
                 episodes.len()
             );
             for step in 0..f.mean.len() {
-                println!(
+                outln!(
                     "  +{}: {:>8.2}  (range {:.2}..{:.2}, {} continuations)",
                     step + 1,
                     last + f.mean[step],
@@ -944,17 +969,6 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-/// Prints a long-running command's start-up banner. Unlike `println!`
-/// it tolerates a closed stdout: a script that reads the first line for
-/// the bound address and then drops the pipe must not take the server
-/// down with a broken-pipe panic on the banner's remaining lines.
-fn announce(banner: &str) {
-    use std::io::Write as _;
-    let mut out = std::io::stdout().lock();
-    let _ = out.write_all(banner.as_bytes());
-    let _ = out.flush();
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
@@ -1020,7 +1034,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(maddr) = handle.metrics_addr() {
         banner += &format!("  metrics exposition on http://{maddr}/metrics\n");
     }
-    announce(&banner);
+    emit(&banner);
     // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1128,7 +1142,7 @@ fn cmd_shard_init(args: &[String]) -> Result<(), String> {
             &shard_dir,
         )
         .map_err(|e| format!("building {dir_name}: {e}"))?;
-        println!(
+        outln!(
             "  {dir_name}: sequences [{start}, {end}) — {} values",
             slice.total_len()
         );
@@ -1145,14 +1159,14 @@ fn cmd_shard_init(args: &[String]) -> Result<(), String> {
         shards: metas,
     };
     warptree_disk::write_shard_manifest(&out_dir, &manifest).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "sharded {} sequences ({} values) into {shards} shard directories under {} in {:.2?}",
         store.len(),
         store.total_len(),
         out_dir.display(),
         t0.elapsed()
     );
-    println!(
+    outln!(
         "  serve each with `warptree serve {}/shard-NNNN`, then \
          `warptree shard-coordinator {} --shards ADDR,…`",
         out_dir.display(),
@@ -1220,7 +1234,7 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
         config.max_conns,
         config.health_interval
     );
-    announce(&banner);
+    emit(&banner);
     // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1251,17 +1265,17 @@ fn cmd_slowlog(args: &[String]) -> Result<(), String> {
         let raw = client
             .request_raw(&warptree::server::Request::Slowlog.encode(None))
             .map_err(|e| e.to_string())?;
-        println!("{raw}");
+        outln!("{raw}");
         return Ok(());
     }
     if entries.is_empty() {
-        println!("slow-query ring is empty");
+        outln!("slow-query ring is empty");
         return Ok(());
     }
-    println!("{} slow-query entries (newest first):", entries.len());
+    outln!("{} slow-query entries (newest first):", entries.len());
     for e in entries {
         let ms = |key: &str| e.get(key).and_then(Json::as_u64).unwrap_or(0) as f64 / 1e6;
-        println!(
+        outln!(
             "  {:>10.3} ms  (queue {:>8.3} ms)  {}  gen {}  trace {}",
             ms("dur_ns"),
             ms("queue_ns"),
@@ -1279,7 +1293,7 @@ fn cmd_slowlog(args: &[String]) -> Result<(), String> {
                 .and_then(Json::as_arr)
             {
                 for s in spans {
-                    println!(
+                    outln!(
                         "      {:>10.3} ms  {}",
                         s.get("dur_ns").and_then(Json::as_u64).unwrap_or(0) as f64 / 1e6,
                         s.get("name").and_then(Json::as_str).unwrap_or("?"),
@@ -1345,35 +1359,44 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
     };
     let t0 = std::time::Instant::now();
     let report = warptree::server::bench::run(&config).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} requests over {} connections ({}) in {:.2?}:",
         report.sent,
         report.connections,
         report.mode,
         t0.elapsed()
     );
-    println!(
+    outln!(
         "  ok {}, overloaded {}, deadline_exceeded {}, errors {} ({} connection failures)",
-        report.ok, report.overloaded, report.deadline_exceeded, report.errors, report.conn_failures
+        report.ok,
+        report.overloaded,
+        report.deadline_exceeded,
+        report.errors,
+        report.conn_failures
     );
-    println!(
+    outln!(
         "  throughput {:.1} req/s; latency p50 {} µs, p95 {} µs, p99 {} µs, max {} µs",
-        report.throughput, report.p50_us, report.p95_us, report.p99_us, report.max_us
+        report.throughput,
+        report.p50_us,
+        report.p95_us,
+        report.p99_us,
+        report.max_us
     );
-    println!(
+    outln!(
         "  server split: queue wait p50 {} µs, p99 {} µs; service p50 {} µs, p99 {} µs",
         report.queue_wait_us[0],
         report.queue_wait_us[2],
         report.service_us[0],
         report.service_us[2]
     );
-    println!(
+    outln!(
         "  outside the server's split (wire + client parse): p50 {} µs, p95 {} µs",
-        report.unattributed_us[0], report.unattributed_us[1]
+        report.unattributed_us[0],
+        report.unattributed_us[1]
     );
     if let Some(out) = o.get("out") {
         std::fs::write(out, report.to_json() + "\n").map_err(|e| e.to_string())?;
-        println!("  wrote {out}");
+        outln!("  wrote {out}");
     }
     Ok(())
 }
@@ -1398,7 +1421,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         SeqScanMode::EarlyAbandon,
         &mut stats,
     );
-    println!(
+    outln!(
         "{} answers within ε = {epsilon} in {:.2?} (exact scan, {} table \
          cells)",
         answers.len(),
@@ -1406,7 +1429,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         stats.total_cells()
     );
     for m in answers.top_k(20) {
-        println!("  {}  dist {:.4}", m.occ, m.dist);
+        outln!("  {}  dist {:.4}", m.occ, m.dist);
     }
     if let Some(fmt) = stats_fmt {
         // The scan reports through the plain snapshot; bridge it into a

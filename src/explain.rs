@@ -9,7 +9,9 @@
 //! post-processing.
 
 use warptree_core::error::CoreError;
-use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
+use warptree_core::search::{
+    AnswerSet, IndexBackend, QueryRequest, SearchMetrics, SearchParams, SearchStats,
+};
 use warptree_core::sequence::Value;
 use warptree_obs::json::num;
 use warptree_obs::HistogramSnapshot;
@@ -60,12 +62,13 @@ impl ExplainReport {
                 &metrics,
             )?
             .into_answer_set();
+        let tree = index.tree();
         let report = Self::assemble(
-            index.tree().is_sparse(),
-            warptree_core::search::IndexBackend::backend_kind(index.tree()).as_str(),
+            tree.is_sparse(),
+            tree.backend_kind().as_str(),
             query.len(),
             params.epsilon,
-            warptree_core::search::IndexBackend::suffix_count(index.tree()),
+            tree.suffix_count(),
             &metrics,
         );
         Ok((answers, report))
@@ -87,7 +90,6 @@ impl ExplainReport {
         )?;
         let plan = if dir.is_damaged() { "scan" } else { "index" };
         let answers = out.into_answer_set();
-        use warptree_core::search::IndexBackend;
         let suffixes = dir.live_trees().map(IndexBackend::suffix_count).sum();
         let report = Self::assemble(
             dir.tree.is_sparse(),

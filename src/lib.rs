@@ -19,9 +19,10 @@
 //!
 //! * [`warptree_core`] — distances, categorization, lower bounds,
 //!   the filter/search algorithms, sequential-scan baseline.
-//! * [`warptree_suffix`] — in-memory generalized and sparse
-//!   suffix trees (Ukkonen + naive builders).
-//! * [`warptree_disk`] — paged on-disk trees, binary-merge
+//! * [`warptree_suffix`] — the build-time pointer trees: generalized
+//!   and sparse suffix trees (Ukkonen + naive builders).
+//! * [`warptree_disk`] — the tree as its file's bytes (the one tree a
+//!   query walks, on disk or in memory), paged files, binary-merge
 //!   incremental construction, corpus persistence.
 //! * [`warptree_data`] — synthetic corpora and query workloads
 //!   reproducing the paper's evaluation.
@@ -79,8 +80,8 @@ use warptree_core::search::{
     SearchMetrics, SearchParams, SearchStats, SeqScanMode,
 };
 use warptree_core::sequence::{SequenceStore, Value};
+use warptree_disk::DiskTree;
 use warptree_obs::MetricsRegistry;
-use warptree_suffix::SuffixTree;
 
 /// How element values are discretized (paper §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,40 +109,39 @@ impl Categorization {
 }
 
 /// A ready-to-query in-memory index: sequence store + alphabet +
-/// suffix tree. This is the high-level entry point; the individual
-/// pieces remain fully accessible for custom pipelines (disk-resident
-/// trees, incremental builds, …).
+/// suffix tree. The tree is built as a pointer tree and held as the
+/// bytes its file would hold, a [`DiskTree`](warptree_disk::DiskTree):
+/// the one query implementation of a tree. This is the high-level entry
+/// point; the individual pieces remain fully accessible for custom
+/// pipelines (disk-resident trees, incremental builds, …).
 pub struct Index {
     store: SequenceStore,
     alphabet: Alphabet,
-    cat: Arc<CatStore>,
-    tree: SuffixTree,
+    tree: DiskTree,
 }
 
 impl Index {
     /// Builds a full suffix-tree index (`ST_C`; `ST` when `cat` is
     /// [`Categorization::Exact`]).
     pub fn full(store: &SequenceStore, cat: Categorization) -> Result<Self, CoreError> {
-        let alphabet = cat.alphabet(store)?;
-        let encoded = Arc::new(alphabet.encode_store(store));
-        let tree = warptree_suffix::build_full(encoded.clone());
-        Ok(Self {
-            store: store.clone(),
-            alphabet,
-            cat: encoded,
-            tree,
-        })
+        Self::build(store, cat, warptree_suffix::build_full)
     }
 
     /// Builds a sparse suffix-tree index (`SST_C`, paper §6).
     pub fn sparse(store: &SequenceStore, cat: Categorization) -> Result<Self, CoreError> {
+        Self::build(store, cat, warptree_suffix::build_sparse)
+    }
+
+    fn build(
+        store: &SequenceStore,
+        cat: Categorization,
+        build: fn(Arc<CatStore>) -> warptree_suffix::SuffixTree,
+    ) -> Result<Self, CoreError> {
         let alphabet = cat.alphabet(store)?;
-        let encoded = Arc::new(alphabet.encode_store(store));
-        let tree = warptree_suffix::build_sparse(encoded.clone());
+        let tree = DiskTree::from_tree(&build(Arc::new(alphabet.encode_store(store))));
         Ok(Self {
             store: store.clone(),
             alphabet,
-            cat: encoded,
             tree,
         })
     }
@@ -154,6 +154,20 @@ impl Index {
     /// Runs a typed [`QueryRequest`] (threshold or k-NN) against this
     /// index — the one validated entry point every convenience method
     /// below routes through.
+    ///
+    /// ```
+    /// use warptree::prelude::*;
+    ///
+    /// let store = SequenceStore::from_values(vec![vec![1.0, 5.0, 5.5, 1.0]]);
+    /// let index = Index::full(&store, Categorization::EqualLength(2)).unwrap();
+    /// let req = QueryRequest::threshold(&[5.0, 5.0], 1.0);
+    /// let (out, _stats) = index.query(&req).unwrap();
+    /// assert!(out
+    ///     .into_answer_set()
+    ///     .matches()
+    ///     .iter()
+    ///     .any(|m| m.occ.start == 1 && m.occ.len == 2));
+    /// ```
     pub fn query(&self, req: &QueryRequest) -> Result<(QueryOutput, SearchStats), CoreError> {
         run_query(&self.tree, &self.alphabet, &self.store, req)
     }
@@ -261,11 +275,11 @@ impl Index {
 
     /// The categorized database.
     pub fn cat(&self) -> &Arc<CatStore> {
-        &self.cat
+        self.tree.cat()
     }
 
-    /// The underlying suffix tree.
-    pub fn tree(&self) -> &SuffixTree {
+    /// The suffix tree, as the bytes its file would hold.
+    pub fn tree(&self) -> &DiskTree {
         &self.tree
     }
 
@@ -283,7 +297,7 @@ impl Index {
                 warptree_disk::save_corpus_with(&vfs, &self.store, &self.alphabet, corpus_tmp)
                     .map(|_| ())
             },
-            |index_tmp| warptree_disk::write_tree_with(&vfs, &self.tree, index_tmp).map(|_| ()),
+            |index_tmp| self.tree.write_with(&vfs, index_tmp).map(|_| ()),
         )?;
         Ok(manifest.index_len)
     }

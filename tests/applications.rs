@@ -84,7 +84,7 @@ fn motif_to_forecast_pipeline() {
     let (store, _) = regime_corpus();
     let alphabet = Alphabet::max_entropy(&store, 12).unwrap();
     let cat = Arc::new(alphabet.encode_store(&store));
-    let tree = build_full(cat);
+    let tree = DiskTree::from_tree(&build_full(cat));
     let motifs = top_motifs(&tree, 3, 3).unwrap();
     assert!(!motifs.is_empty());
     // The planted pattern occurs 8 times; it must be the top length-3

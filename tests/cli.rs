@@ -514,6 +514,49 @@ fn query_file_accepted() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `info`, `explain` and `search` into a pipe whose reader is gone
+/// before they start: every write to stdout finds the pipe broken, and
+/// each command still exits 0, without a panic.
+#[test]
+fn commands_survive_a_pipe_closed_before_they_start() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("warptree-cli-epipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, idx) = (dir.join("d.csv"), dir.join("idx"));
+    let (input, out_dir) = (csv.to_str().unwrap(), idx.to_str().unwrap());
+    let gen = ["--kind", "stock", "--sequences", "20", "--len", "60"];
+    run_ok(&[&["gen"], &gen[..], &["--out", input]].concat());
+    let build = ["--method", "me", "--categories", "8", "--sparse"];
+    run_ok(
+        &[
+            &["build", "--input", input],
+            &build[..],
+            &["--out-dir", out_dir],
+        ]
+        .concat(),
+    );
+    let query = ["--query", "30.1,30.5,31.0,30.2", "--epsilon", "5"];
+    for args in [
+        &["info", "--index-dir", out_dir][..],
+        &[&["explain", "--index-dir", out_dir][..], &query[..]].concat(),
+        &[&["search", "--index-dir", out_dir][..], &query[..]].concat(),
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut cmd = bin();
+        cmd.args(args).stdout(writer).stderr(Stdio::piped());
+        let out = cmd.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{args:?}: exit {:?}: {stderr}",
+            out.status.code()
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `warptree search … | head -1`: a reader that closes the pipe after the
 /// first line ends the report, not the process — exit 0 and no panic,
 /// with far more output pending than a pipe buffers.

@@ -424,6 +424,7 @@ impl Corpus {
                 (true, Some(spec)) => build_sparse_truncated(cat, spec),
             };
             tree.check_invariants();
+            let tree = DiskTree::from_tree(&tree);
             return Built::Memory { tree, alphabet };
         }
         // The directory is removed when `path` drops; the open index
@@ -724,8 +725,10 @@ impl std::ops::Deref for TempDir {
 }
 
 pub enum Built {
+    /// The in-memory index: a built tree, held as the bytes it encodes
+    /// to, as `Index` holds it.
     Memory {
-        tree: SuffixTree,
+        tree: DiskTree,
         alphabet: Alphabet,
     },
     Dir(Box<DiskIndexDir>),

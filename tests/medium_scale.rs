@@ -59,8 +59,9 @@ fn medium_stock_corpus_all_variants() {
                         ("full", build_full(cat.clone())),
                         ("sparse", build_sparse(cat.clone())),
                     ] {
+                        let mem_tree = DiskTree::from_tree(&tree);
                         let (mem, _) = run_query(
-                            &tree,
+                            &mem_tree,
                             alphabet,
                             &store,
                             &QueryRequest::threshold_params(&q.values, params.clone()),
@@ -108,7 +109,7 @@ fn medium_artificial_corpus_sparse_me() {
     });
     let alphabet = Alphabet::max_entropy(&store, 24).unwrap();
     let cat = Arc::new(alphabet.encode_store(&store));
-    let tree = build_sparse(cat);
+    let tree = DiskTree::from_tree(&build_sparse(cat));
     let workload = QueryWorkload::draw(
         &store,
         &QueryConfig {

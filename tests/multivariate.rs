@@ -57,6 +57,7 @@ proptest! {
         let expected = mv_seq_scan(&store, &query, &params, &mut scan_stats);
 
         for tree in [build_full(cat.clone()), build_sparse(cat.clone())] {
+            let tree = DiskTree::from_tree(&tree);
             let (got, _) =
                 mv_sim_search(&tree, &grid, &store, &query, &params);
             prop_assert_eq!(
@@ -105,7 +106,7 @@ fn trajectory_search_2d() {
     );
     let grid = GridAlphabet::equal_length(store.seqs(), 4).unwrap();
     let cat = Arc::new(store.encode(&grid));
-    let tree = build_sparse(cat);
+    let tree = DiskTree::from_tree(&build_sparse(cat));
     let params = SearchParams::with_epsilon(0.0);
     let (answers, _) = mv_sim_search(&tree, &grid, &store, &query, &params);
     // The whole of sequence 0 warps onto the query exactly.
